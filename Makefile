@@ -1,9 +1,8 @@
-# Tier-1 verification plus the race gate over the concurrency-sensitive
-# packages (the parallel epoch pipeline: core, aggregator, answer,
-# pubsub, engine, wal), the hot-path allocs/op gate, the multi-query
-# determinism gate, the kill-and-resume crash gate, the surge overload
-# gate, and the result-provenance lineage gate. `make ci` is the
-# pre-merge check.
+# `make ci` is the pre-merge check: tier-1 verification (fmt, vet,
+# build, test), the race gate over RACE_PKGS, and the allocgate,
+# multiquery, smoke, crash, surge, chaos, obsgate and lineage gates
+# described at their targets below. `make fuzz`, `make loc` and the
+# bench targets are run by hand.
 
 GO ?= go
 RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/...
@@ -13,7 +12,7 @@ RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... 
 # the batch-size sweep of the columnar submit tail.
 HOTPATH_BENCH = BenchmarkTable2CryptoXOR|BenchmarkTable3ClientXOREncryption|BenchmarkTable3ClientRandomizedResponse|BenchmarkFig8Scalability|BenchmarkFig8SubmitBatch
 
-.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-json fuzz
+.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-json fuzz loc
 
 ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage
 
@@ -133,14 +132,29 @@ bench-json:
 	@rm -f .bench_telemetry.tmp
 	@echo wrote BENCH_telemetry.json
 
-# Short fuzz smoke over every wire codec — the share split/join, the
-# answer message, the columnar publish frame (wire v2), the
-# control-plane query-set announcement, the WAL record framing — plus
-# the SLO controller's checkpoint state.
+# Short fuzz smoke over every wire and disk codec — the share
+# split/join, the answer message, the columnar publish frame
+# (opPublishColumns, session tag included), the partition-WAL record
+# (0xF5 session tag included), the control-plane query-set
+# announcement, the WAL record framing — plus the SLO controller's
+# checkpoint state.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
 	$(GO) test -run '^$$' -fuzz FuzzFrameV2RoundTrip -fuzztime 10s ./internal/pubsub
+	$(GO) test -run '^$$' -fuzz FuzzPartitionRecord -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget
+
+# The two size numbers ROADMAP tracks: non-test Go lines per package
+# (the root module only; bench/ is its own module) and the exported
+# identifiers of internal/pubsub, the widest internal API — top-level
+# functions, types, variables and constants plus exported methods.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read -r pkg dir files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d  %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total non-test Go lines\n", total }'
+	@printf '%6d  exported identifiers in internal/pubsub\n' \
+		"$$($(GO) doc -all ./internal/pubsub | grep -cE '^(func|type) |^(var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* += ')"

@@ -69,7 +69,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		joinBuf = out
 	})
 
-	// Batch split/join — the wire-v2 columnar kernels.
+	// Batch split/join — the columnar kernels.
 	const bcount = 16
 	bmsgs := make([]byte, bcount*len(msg))
 	var bscratch xorcrypt.SplitBatchScratch

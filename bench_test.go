@@ -525,7 +525,7 @@ func BenchmarkTCPPipeline(b *testing.B) {
 				defer cli.Close()
 				payload := make([]byte, 32)
 				key := make([]byte, 16)
-				msgs := make([]pubsub.Message, 0, batch)
+				cols := pubsub.Columns{KeyLen: len(key), ValLen: len(payload)}
 				b.SetBytes(int64(len(key) + len(payload)))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -537,12 +537,14 @@ func BenchmarkTCPPipeline(b *testing.B) {
 						}
 						continue
 					}
-					msgs = append(msgs, pubsub.Message{Key: append([]byte(nil), key...), Value: payload})
-					if len(msgs) == batch || i == b.N-1 {
-						if _, err := cli.PublishBatch("answer", msgs); err != nil {
+					cols.Keys = append(cols.Keys, key...)
+					cols.Vals = append(cols.Vals, payload...)
+					cols.Count++
+					if cols.Count == batch || i == b.N-1 {
+						if err := cli.PublishColumns("answer", cols, 0, 0); err != nil {
 							b.Fatal(err)
 						}
-						msgs = msgs[:0]
+						cols.Count, cols.Keys, cols.Vals = 0, cols.Keys[:0], cols.Vals[:0]
 					}
 				}
 				b.StopTimer()

@@ -81,15 +81,17 @@ func netbenchRun(total, batch, conns int) (float64, error) {
 				}
 				return
 			}
-			msgs := make([]pubsub.Message, 0, batch)
+			cols := pubsub.Columns{KeyLen: 16, ValLen: len(payload)}
 			for i := 0; i < per; i++ {
-				msgs = append(msgs, pubsub.Message{Key: key(i), Value: payload})
-				if len(msgs) == batch || i == per-1 {
-					if _, err := cli.PublishBatch("answer", msgs); err != nil {
+				cols.Keys = append(cols.Keys, key(i)...)
+				cols.Vals = append(cols.Vals, payload...)
+				cols.Count++
+				if cols.Count == batch || i == per-1 {
+					if err := cli.PublishColumns("answer", cols, 0, 0); err != nil {
 						errs <- err
 						return
 					}
-					msgs = msgs[:0]
+					cols.Count, cols.Keys, cols.Vals = 0, cols.Keys[:0], cols.Vals[:0]
 				}
 			}
 		}(pr)

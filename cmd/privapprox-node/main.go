@@ -218,10 +218,9 @@ func runProxy(args []string) error {
 	}
 	if *partitionCap > 0 {
 		// Bounded answer partitions: a client fleet outrunning the
-		// aggregator's drain sees ErrPartitionFull (or blocks in the
-		// PublishWait variants) instead of growing the proxy without
-		// bound. The control topic stays unbounded — announcements are
-		// tiny and must never be refused.
+		// aggregator's drain sees ErrPartitionFull instead of growing the
+		// proxy without bound. The control topic stays unbounded —
+		// announcements are tiny and must never be refused.
 		if err := broker.SetTopicCapacity(proxy.TopicFor(*index), *partitionCap); err != nil {
 			return err
 		}
@@ -444,29 +443,29 @@ func runClient(args []string) error {
 	// Provenance stamping: the answer-stream batcher (proxy 0) stamps
 	// every flush with its origin context, published over the lineage
 	// sidecar topic. One stamped stream per process is enough — every
-	// batcher flushes the same logical answers — and against a fleet
-	// that doesn't advertise the lineage feature SupportsLineage is
-	// false, so v1 proxies see exactly the v1 traffic.
+	// batcher flushes the same logical answers. The stamper is installed
+	// unconditionally: a proxy that is down at startup (-degraded) must
+	// start receiving stamps once it returns, and a broker without the
+	// lineage topic drops them silently (SubmitStamp).
 	processStart := time.Now()
-	if px := fleet.Proxy(0); px.SupportsLineage() {
-		group := uint32(*offset)
-		batchers[0].SetStamper(func(epoch, seq uint64, shares int, flushStartNs int64) {
-			buf := lineage.AppendStamp(make([]byte, 0, lineage.StampWireSize), lineage.Stamp{
-				Epoch:        epoch,
-				Group:        group,
-				Seq:          seq,
-				Shares:       uint32(shares),
-				FlushStartNs: flushStartNs,
-				PublishNs:    time.Now().UnixNano(),
-				MonoNs:       int64(time.Since(processStart)),
-			})
-			// Stamps are advisory: a failed publish costs observability,
-			// never the data path.
-			if err := px.SubmitStamp(buf); err != nil {
-				nodeLog.Warnf("lineage stamp: %v", err)
-			}
+	px := fleet.Proxy(0)
+	group := uint32(*offset)
+	batchers[0].SetStamper(func(epoch, seq uint64, shares int, flushStartNs int64) {
+		buf := lineage.AppendStamp(make([]byte, 0, lineage.StampWireSize), lineage.Stamp{
+			Epoch:        epoch,
+			Group:        group,
+			Seq:          seq,
+			Shares:       uint32(shares),
+			FlushStartNs: flushStartNs,
+			PublishNs:    time.Now().UnixNano(),
+			MonoNs:       int64(time.Since(processStart)),
 		})
-	}
+		// Stamps are advisory: a failed publish costs observability,
+		// never the data path.
+		if err := px.SubmitStamp(buf); err != nil {
+			nodeLog.Warnf("lineage stamp: %v", err)
+		}
+	})
 
 	clients := make([]*client.Client, *n)
 	subs := make([]engine.Subscriber, *n)

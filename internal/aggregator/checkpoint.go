@@ -39,14 +39,8 @@ import (
 // ErrCheckpoint reports a malformed or mismatched checkpoint record.
 var ErrCheckpoint = errors.New("aggregator: bad checkpoint")
 
-// checkpointMagic versions the record layout. PAC2 added the per-query
-// firedThrough watermark (provenance-card exactly-once across restore);
-// PAC1 records restore with no fire horizon — their re-fired windows'
-// cards are suppressed by the Recorder's log scan instead.
-var (
-	checkpointMagic   = []byte("PAC2")
-	checkpointMagicV1 = []byte("PAC1")
-)
+// checkpointMagic opens every record; Restore rejects any other magic.
+var checkpointMagic = []byte("PAC2")
 
 const (
 	estKindCall  = byte(0)
@@ -212,12 +206,7 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 // verified.
 func (a *Aggregator) Restore(data []byte) error {
 	d := &cpDec{buf: data}
-	magic, err := d.take(len(checkpointMagic))
-	if err != nil {
-		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
-	}
-	v2 := bytes.Equal(magic, checkpointMagic)
-	if !v2 && !bytes.Equal(magic, checkpointMagicV1) {
+	if magic, err := d.take(len(checkpointMagic)); err != nil || !bytes.Equal(magic, checkpointMagic) {
 		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
 	}
 	malformed, err := d.u64()
@@ -256,7 +245,7 @@ func (a *Aggregator) Restore(data []byte) error {
 		return fmt.Errorf("%w: %d checkpointed queries, %d registered", ErrCheckpoint, nq, len(tbl.ordered))
 	}
 	for _, st := range tbl.ordered {
-		if err := a.restoreQueryState(d, st, v2); err != nil {
+		if err := a.restoreQueryState(d, st); err != nil {
 			return err
 		}
 	}
@@ -318,7 +307,7 @@ func (a *Aggregator) Restore(data []byte) error {
 	return nil
 }
 
-func (a *Aggregator) restoreQueryState(d *cpDec, st *queryState, v2 bool) error {
+func (a *Aggregator) restoreQueryState(d *cpDec, st *queryState) error {
 	analyst, err := d.str()
 	if err != nil {
 		return err
@@ -376,18 +365,16 @@ func (a *Aggregator) restoreQueryState(d *cpDec, st *queryState, v2 bool) error 
 		return err
 	}
 	st.dropped.Store(int64(dropped))
-	if v2 {
-		ft, err := d.u64()
-		if err != nil {
-			return err
-		}
-		// Windows at or below the restored fire horizon already fired
-		// (and emitted their cards) in the killed process; re-fires past
-		// this point are the WAL replay reproducing the result stream,
-		// not new windows, so their cards are suppressed at the source.
-		st.firedThrough.Store(int64(ft))
-		st.cardsBelow.Store(int64(ft))
+	ft, err := d.u64()
+	if err != nil {
+		return err
 	}
+	// Windows at or below the restored fire horizon already fired (and
+	// emitted their cards) in the killed process; re-fires past this
+	// point are the WAL replay reproducing the result stream, not new
+	// windows, so their cards are suppressed at the source.
+	st.firedThrough.Store(int64(ft))
+	st.cardsBelow.Store(int64(ft))
 
 	nw, err := d.u32()
 	if err != nil {

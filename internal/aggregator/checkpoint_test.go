@@ -261,6 +261,9 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := fresh().Restore([]byte("not a checkpoint")); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("garbage restore: %v", err)
 	}
+	if err := fresh().Restore(append([]byte("PAC9"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("unknown-magic restore: %v", err)
+	}
 	if err := fresh().Restore(ckpt[:len(ckpt)-3]); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("truncated restore: %v", err)
 	}

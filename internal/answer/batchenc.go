@@ -12,8 +12,8 @@ import (
 var ErrBatchShape = errors.New("answer: batch shape mismatch")
 
 // BatchEncoder packs same-query messages into one contiguous
-// fixed-stride lane, the payload column of the wire-v2 frame and the
-// input shape of xorcrypt's batch split. The first Append fixes the
+// fixed-stride lane, the payload column of the columnar publish frame
+// and the input shape of xorcrypt's batch split. The first Append fixes the
 // batch shape (QueryID and bucket count); epochs may vary freely, since
 // each slot carries its own epoch in the message header.
 type BatchEncoder struct {

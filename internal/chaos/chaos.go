@@ -1,8 +1,8 @@
 // Package chaos injects seeded faults into the data-plane publish path.
 // It is netsim.Link's live sibling: where Link models an adversarial
 // delivery schedule for the control plane offline, chaos.Transport
-// wraps a real pubsub transport and perturbs the session publish calls
-// as they happen — synthetic connection resets (the request never
+// wraps a real pubsub transport and perturbs sessioned PublishColumns
+// calls as they happen — synthetic connection resets (the request never
 // executes), dropped acks (the request executes but the caller sees an
 // ambiguous failure), duplicated deliveries (the request executes
 // twice), and delays. Under a fixed seed the fault schedule is a pure
@@ -11,12 +11,13 @@
 // fault-free run (the broker's producer-session dedup and the client's
 // retry policy absorb every injected fault).
 //
-// Faults target only the SessionPublisher surface: those are the calls
-// with an exactly-once contract to stress. Plain publishes pass through
-// untouched — without broker dedup, a replayed or duplicated share
-// would XOR the aggregator's MID join into silent garbage, which is the
-// bug class the session layer exists to prevent, not a behavior worth
-// simulating here.
+// Faults target only PublishColumns calls that carry a producer session
+// (pid != 0): those are the calls with an exactly-once contract to
+// stress. Publish and unsessioned batches pass through untouched —
+// without broker dedup, a replayed or duplicated share would XOR the
+// aggregator's MID join into silent garbage, which is the bug class the
+// session layer exists to prevent, not a behavior worth simulating
+// here.
 package chaos
 
 import (
@@ -112,7 +113,7 @@ func (p Plan) delayFor() time.Duration {
 
 // Stats counts the faults a Transport injected.
 type Stats struct {
-	Calls      int64 // session publish calls seen
+	Calls      int64 // sessioned PublishColumns calls seen
 	Resets     int64
 	AckDrops   int64
 	Duplicates int64
@@ -122,33 +123,30 @@ type Stats struct {
 // Injected returns the total number of faults fired.
 func (s Stats) Injected() int64 { return s.Resets + s.AckDrops + s.Duplicates + s.Delays }
 
+// inner lets Transport embed the wrapped transport without exporting a
+// field: every method but PublishColumns is promoted from it untouched.
+type inner = pubsub.Transport
+
 // Transport wraps a pubsub transport with fault injection on the
-// session publish path; every other call passes straight through. It
-// implements the same optional surfaces as the wrapped transport's
-// common case (WaitPublisher, ColumnPublisher, SessionPublisher), so a
-// pubsub.Producer built over it negotiates sessions exactly as it would
-// over the bare transport.
+// sessioned publish path; every other call passes straight through.
 type Transport struct {
-	inner pubsub.Transport
-	sp    pubsub.SessionPublisher // nil when inner lacks sessions
-	plan  Plan
+	inner
+	plan Plan
 
 	mu    sync.Mutex
 	rng   *rand.Rand
 	stats Stats
 }
 
-// Wrap builds a fault-injecting view of inner under the given plan.
-func Wrap(inner pubsub.Transport, plan Plan) (*Transport, error) {
-	if inner == nil {
+// Wrap builds a fault-injecting view of t under the given plan.
+func Wrap(t pubsub.Transport, plan Plan) (*Transport, error) {
+	if t == nil {
 		return nil, fmt.Errorf("chaos: nil transport")
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Transport{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
-	t.sp, _ = inner.(pubsub.SessionPublisher)
-	return t, nil
+	return &Transport{inner: t, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}, nil
 }
 
 // Stats returns the fault counters so far.
@@ -181,120 +179,36 @@ func (t *Transport) draw() Fault {
 	return FaultNone
 }
 
-// sessionCall runs one session publish under the drawn fault.
-func (t *Transport) sessionCall(send func() ([]pubsub.PubResult, error)) ([]pubsub.PubResult, error) {
+// PublishColumns runs a sessioned publish under one drawn fault; an
+// unsessioned batch (pid 0) has no dedup behind it and passes through.
+func (t *Transport) PublishColumns(topic string, cols pubsub.Columns, pid, seq uint64) error {
+	if pid == 0 {
+		return t.inner.PublishColumns(topic, cols, pid, seq)
+	}
 	switch t.draw() {
 	case FaultReset:
-		return nil, ErrInjectedReset
+		return ErrInjectedReset
 	case FaultAckDrop:
-		if _, err := send(); err != nil {
-			return nil, err
+		if err := t.inner.PublishColumns(topic, cols, pid, seq); err != nil {
+			return err
 		}
 		// The batch landed; report the ack lost. Wrapping ErrAmbiguous
 		// states the truth — the caller cannot know the outcome — and
 		// routes the producer onto its deduplicated retry path.
-		return nil, fmt.Errorf("%w: chaos: injected ack drop", pubsub.ErrAmbiguous)
+		return fmt.Errorf("%w: chaos: injected ack drop", pubsub.ErrAmbiguous)
 	case FaultDuplicate:
-		res, err := send()
-		if err != nil {
-			return nil, err
+		if err := t.inner.PublishColumns(topic, cols, pid, seq); err != nil {
+			return err
 		}
 		// Redeliver with the same (pid, seq); the broker must dedup.
 		// An error from the duplicate is swallowed — the first delivery
-		// already succeeded and its results stand.
-		send()
-		return res, nil
+		// already succeeded.
+		_ = t.inner.PublishColumns(topic, cols, pid, seq)
+		return nil
 	case FaultDelay:
 		time.Sleep(t.plan.delayFor())
 	}
-	return send()
+	return t.inner.PublishColumns(topic, cols, pid, seq)
 }
 
-// PublishBatchSession injects a fault (per the plan) around the inner
-// session publish.
-func (t *Transport) PublishBatchSession(topic string, msgs []pubsub.Message, pid, seq uint64) ([]pubsub.PubResult, error) {
-	if t.sp == nil {
-		return nil, pubsub.ErrNoSession
-	}
-	return t.sessionCall(func() ([]pubsub.PubResult, error) {
-		return t.sp.PublishBatchSession(topic, msgs, pid, seq)
-	})
-}
-
-// PublishColumnsSession injects a fault (per the plan) around the inner
-// columnar session publish.
-func (t *Transport) PublishColumnsSession(topic string, cols pubsub.Columns, pid, seq uint64) ([]pubsub.PubResult, error) {
-	if t.sp == nil {
-		return nil, pubsub.ErrNoSession
-	}
-	return t.sessionCall(func() ([]pubsub.PubResult, error) {
-		return t.sp.PublishColumnsSession(topic, cols, pid, seq)
-	})
-}
-
-// --- fault-free passthroughs -------------------------------------------
-
-func (t *Transport) CreateTopic(topic string, partitions int) error {
-	return t.inner.CreateTopic(topic, partitions)
-}
-
-func (t *Transport) Partitions(topic string) (int, error) { return t.inner.Partitions(topic) }
-
-func (t *Transport) Publish(topic string, key, value []byte) (int, int64, error) {
-	return t.inner.Publish(topic, key, value)
-}
-
-func (t *Transport) PublishBatch(topic string, msgs []pubsub.Message) ([]pubsub.PubResult, error) {
-	return t.inner.PublishBatch(topic, msgs)
-}
-
-func (t *Transport) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]pubsub.Record, error) {
-	return t.inner.FetchWait(topic, partition, offset, max, wait)
-}
-
-func (t *Transport) EndOffset(topic string, partition int) (int64, error) {
-	return t.inner.EndOffset(topic, partition)
-}
-
-func (t *Transport) CommitOffset(group, topic string, partition int, offset int64) error {
-	return t.inner.CommitOffset(group, topic, partition, offset)
-}
-
-func (t *Transport) CommittedOffset(group, topic string, partition int) (int64, error) {
-	return t.inner.CommittedOffset(group, topic, partition)
-}
-
-func (t *Transport) PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error) {
-	if wp, ok := t.inner.(pubsub.WaitPublisher); ok {
-		return wp.PublishWait(topic, key, value, timeout)
-	}
-	return t.inner.Publish(topic, key, value)
-}
-
-func (t *Transport) PublishBatchWait(topic string, msgs []pubsub.Message, timeout time.Duration) ([]pubsub.PubResult, error) {
-	if wp, ok := t.inner.(pubsub.WaitPublisher); ok {
-		return wp.PublishBatchWait(topic, msgs, timeout)
-	}
-	return t.inner.PublishBatch(topic, msgs)
-}
-
-func (t *Transport) PublishColumns(topic string, cols pubsub.Columns) ([]pubsub.PubResult, error) {
-	if cp, ok := t.inner.(pubsub.ColumnPublisher); ok {
-		return cp.PublishColumns(topic, cols)
-	}
-	return nil, fmt.Errorf("chaos: inner transport has no columnar surface")
-}
-
-func (t *Transport) PublishColumnsWait(topic string, cols pubsub.Columns, timeout time.Duration) ([]pubsub.PubResult, error) {
-	if cp, ok := t.inner.(pubsub.ColumnPublisher); ok {
-		return cp.PublishColumnsWait(topic, cols, timeout)
-	}
-	return nil, fmt.Errorf("chaos: inner transport has no columnar surface")
-}
-
-var (
-	_ pubsub.Transport        = (*Transport)(nil)
-	_ pubsub.WaitPublisher    = (*Transport)(nil)
-	_ pubsub.ColumnPublisher  = (*Transport)(nil)
-	_ pubsub.SessionPublisher = (*Transport)(nil)
-)
+var _ pubsub.Transport = (*Transport)(nil)

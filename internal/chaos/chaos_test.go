@@ -7,18 +7,17 @@ import (
 	"time"
 
 	"privapprox/internal/chaos"
+	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 )
 
-func gateMsgs(n int) []pubsub.Message {
-	msgs := make([]pubsub.Message, n)
-	for i := range msgs {
-		msgs[i] = pubsub.Message{
-			Key:   []byte(fmt.Sprintf("key-%03d", i)),
-			Value: []byte(fmt.Sprintf("val-%03d", i)),
-		}
+func gateCols(n int) pubsub.Columns {
+	cols := pubsub.Columns{Count: n, KeyLen: 7, ValLen: 7}
+	for i := 0; i < n; i++ {
+		cols.Keys = append(cols.Keys, fmt.Sprintf("key-%03d", i)...)
+		cols.Vals = append(cols.Vals, fmt.Sprintf("val-%03d", i)...)
 	}
-	return msgs
+	return cols
 }
 
 func newWrapped(t *testing.T, plan chaos.Plan) (*pubsub.Broker, *chaos.Transport) {
@@ -55,7 +54,7 @@ func TestPlanValidate(t *testing.T) {
 func TestFaultReset(t *testing.T) {
 	b, ct := newWrapped(t, chaos.Plan{Reset: 1})
 	prod := pubsub.NewProducer(ct, pubsub.RetryPolicy{Attempts: 1})
-	err := prod.PublishBatch("answer", gateMsgs(4))
+	err := prod.PublishColumns("answer", gateCols(4))
 	if !errors.Is(err, chaos.ErrInjectedReset) {
 		t.Fatalf("err = %v, want injected reset", err)
 	}
@@ -73,7 +72,7 @@ func TestFaultReset(t *testing.T) {
 func TestFaultAckDrop(t *testing.T) {
 	b, ct := newWrapped(t, chaos.Plan{AckDrop: 1})
 	prod := pubsub.NewProducer(ct, pubsub.RetryPolicy{Attempts: 3, Backoff: time.Microsecond})
-	err := prod.PublishBatch("answer", gateMsgs(4))
+	err := prod.PublishColumns("answer", gateCols(4))
 	if !errors.Is(err, pubsub.ErrAmbiguous) {
 		t.Fatalf("err = %v, want ErrAmbiguous", err)
 	}
@@ -91,7 +90,7 @@ func TestFaultAckDrop(t *testing.T) {
 func TestFaultDuplicate(t *testing.T) {
 	b, ct := newWrapped(t, chaos.Plan{Duplicate: 1})
 	prod := pubsub.NewProducer(ct, pubsub.RetryPolicy{})
-	if err := prod.PublishBatch("answer", gateMsgs(4)); err != nil {
+	if err := prod.PublishColumns("answer", gateCols(4)); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
 	st := b.Stats()
@@ -108,7 +107,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		_, ct := newWrapped(t, plan)
 		prod := pubsub.NewProducer(ct, pubsub.RetryPolicy{Attempts: 4, Backoff: time.Microsecond})
 		for i := 0; i < 50; i++ {
-			prod.PublishBatch("answer", gateMsgs(2))
+			prod.PublishColumns("answer", gateCols(2))
 		}
 		return ct.Stats()
 	}
@@ -121,14 +120,14 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestPassthroughUnfaulted: plain (non-session) operations are never
-// perturbed, whatever the plan says.
+// TestPassthroughUnfaulted: unsessioned publishes are never perturbed,
+// whatever the plan says.
 func TestPassthroughUnfaulted(t *testing.T) {
 	b, ct := newWrapped(t, chaos.Plan{Reset: 1})
 	if _, _, err := ct.Publish("answer", []byte("k"), []byte("v")); err != nil {
 		t.Fatalf("plain publish faulted: %v", err)
 	}
-	if _, err := ct.PublishBatch("answer", gateMsgs(2)); err != nil {
+	if err := ct.PublishColumns("answer", gateCols(2), 0, 0); err != nil {
 		t.Fatalf("plain batch faulted: %v", err)
 	}
 	if st := ct.Stats(); st.Calls != 0 {
@@ -136,5 +135,30 @@ func TestPassthroughUnfaulted(t *testing.T) {
 	}
 	if st := b.Stats(); st.MessagesIn != 3 {
 		t.Fatalf("MessagesIn = %d, want 3", st.MessagesIn)
+	}
+}
+
+// TestStampThroughWrappedTransport: a proxy attached over a
+// chaos-wrapped transport still delivers lineage stamps to its lineage
+// consumer — the wrapper must not hide the sidecar topic.
+func TestStampThroughWrappedTransport(t *testing.T) {
+	b, ct := newWrapped(t, chaos.Plan{Reset: 1})
+	if err := b.CreateTopic(proxy.TopicLineage, 1); err != nil {
+		t.Fatal(err)
+	}
+	px, err := proxy.Attach("wrapped", 0, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := px.SubmitStamp([]byte("stamp")); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := px.LineageConsumer("agg")
+	if err != nil || lc == nil {
+		t.Fatalf("lineage consumer over wrapped transport = %v, %v", lc, err)
+	}
+	recs, err := lc.Poll(10)
+	if err != nil || len(recs) != 1 || string(recs[0].Value) != "stamp" {
+		t.Fatalf("polled %+v, %v; want the one stamp", recs, err)
 	}
 }

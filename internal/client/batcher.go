@@ -8,19 +8,12 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// BatchSink accepts many shares in one call — proxy.Proxy implements it
-// over both the in-process broker and the TCP transport, where a batch
-// is one wire frame. SubmitBatch must copy or fully consume the shares
-// before returning; the slice and every payload belong to the caller.
-type BatchSink interface {
-	SubmitBatch(shares []xorcrypt.Share) error
-}
-
-// ColumnSink is the columnar flush surface — proxy.Proxy implements it
-// on top of the wire-v2 publish path. A call hands over count shares as
-// two contiguous lanes: MIDs at a xorcrypt.MIDSize stride and payloads
-// at a size-byte stride. Like SubmitBatch, the sink must fully consume
-// both lanes before returning; they belong to the caller.
+// ColumnSink is the batch flush surface — proxy.Proxy implements it over
+// both the in-process broker and the TCP transport, where a call is one
+// wire frame. A call hands over count shares as two contiguous lanes:
+// MIDs at a xorcrypt.MIDSize stride and payloads at a size-byte stride.
+// The sink must fully consume both lanes before returning; they belong
+// to the caller.
 type ColumnSink interface {
 	SubmitColumns(mids, payloads []byte, count, size int) error
 }
@@ -33,18 +26,16 @@ type ColumnSink interface {
 // clients answered, turning an epoch's O(N) proxy round-trips into
 // O(1).
 //
-// Submit copies each share directly into the columnar layout wire v2
+// Submit copies each share directly into the columnar layout the wire
 // carries: per payload size, one contiguous MID lane and one contiguous
 // payload lane (the arena). Fixed stride is a per-segment property, so
 // a batch mixing query shapes simply fills one segment per shape, in
-// first-seen order. Flush hands whole segments to a ColumnSink without
-// re-slicing; for a sink without the columnar surface it materializes
-// per-share views of the lanes and falls back to SubmitBatch. Either
-// way the ShareSink ownership contract holds: callers reuse their split
-// scratch immediately, and batch buffers are recycled through a free
-// list once the sink consumed them.
+// first-seen order. Flush hands whole segments to the sink without
+// re-slicing. The ShareSink ownership contract holds: callers reuse
+// their split scratch immediately, and batch buffers are recycled
+// through a free list once the sink consumed them.
 type Batcher struct {
-	sink  BatchSink
+	sink  ColumnSink
 	limit int
 	// degraded makes Flush tolerate a dead sink: a batch the sink (after
 	// its own retries) could not accept is dropped and counted instead
@@ -77,13 +68,11 @@ type Stamper func(epoch, seq uint64, shares int, flushStartNs int64)
 
 // batchBuf is one batch in flight: columnar segments (segs[:nseg]
 // active; entries past nseg keep recycled lane capacity from earlier
-// epochs, since a steady-state batch repeats the same shape) plus a
-// scratch share slice for the row-view fallback.
+// epochs, since a steady-state batch repeats the same shape).
 type batchBuf struct {
-	segs   []colSeg
-	nseg   int
-	count  int
-	shares []xorcrypt.Share
+	segs  []colSeg
+	nseg  int
+	count int
 }
 
 // colSeg is one fixed-stride segment: count shares of size-byte
@@ -115,7 +104,7 @@ func (buf *batchBuf) seg(size int) *colSeg {
 // NewBatcher wraps sink in a Batcher that auto-flushes every limit
 // shares (limit <= 0 disables auto-flush; every share then waits for an
 // explicit Flush).
-func NewBatcher(sink BatchSink, limit int) *Batcher {
+func NewBatcher(sink ColumnSink, limit int) *Batcher {
 	return &Batcher{sink: sink, limit: limit}
 }
 
@@ -142,8 +131,8 @@ func (b *Batcher) Submit(share xorcrypt.Share) error {
 	return nil
 }
 
-// Flush forwards everything buffered to the sink as one batch (one
-// columnar call per segment, or one SubmitBatch for row sinks).
+// Flush forwards everything buffered to the sink, one SubmitColumns
+// call per segment.
 func (b *Batcher) Flush() error {
 	b.mu.Lock()
 	return b.flushLocked()
@@ -182,33 +171,16 @@ func (b *Batcher) flushLocked() error {
 	sent := buf.count
 	var err error
 	lost := 0
-	if cs, ok := b.sink.(ColumnSink); ok {
-		for i := range buf.segs[:buf.nseg] {
-			seg := &buf.segs[i]
-			if err = cs.SubmitColumns(seg.mids, seg.vals, seg.count, seg.size); err != nil {
-				// Count this segment and every unsent one as dropped;
-				// the sink may have landed part of the failing segment,
-				// which over-counts drops slightly — the safe direction.
-				for _, s := range buf.segs[i:buf.nseg] {
-					lost += s.count
-				}
-				break
+	for i := range buf.segs[:buf.nseg] {
+		seg := &buf.segs[i]
+		if err = b.sink.SubmitColumns(seg.mids, seg.vals, seg.count, seg.size); err != nil {
+			// Count this segment and every unsent one as dropped; the
+			// sink may have landed part of the failing segment, which
+			// over-counts drops slightly — the safe direction.
+			for _, s := range buf.segs[i:buf.nseg] {
+				lost += s.count
 			}
-		}
-	} else {
-		shares := buf.shares[:0]
-		for i := range buf.segs[:buf.nseg] {
-			seg := &buf.segs[i]
-			for k := 0; k < seg.count; k++ {
-				var sh xorcrypt.Share
-				copy(sh.MID[:], seg.mids[k*xorcrypt.MIDSize:])
-				sh.Payload = seg.vals[k*seg.size : (k+1)*seg.size : (k+1)*seg.size]
-				shares = append(shares, sh)
-			}
-		}
-		buf.shares = shares
-		if err = b.sink.SubmitBatch(shares); err != nil {
-			lost = len(shares)
+			break
 		}
 	}
 	b.putBuf(buf)
@@ -269,10 +241,6 @@ func (b *Batcher) putBuf(buf *batchBuf) {
 	}
 	buf.nseg = 0
 	buf.count = 0
-	for i := range buf.shares {
-		buf.shares[i].Payload = nil
-	}
-	buf.shares = buf.shares[:0]
 	b.mu.Lock()
 	b.free = append(b.free, buf)
 	b.mu.Unlock()

@@ -8,17 +8,18 @@ import (
 )
 
 // recordingSink counts batches and shares it receives, deep-copying
-// each batch per the BatchSink contract (the Batcher recycles the slice
-// and arena after SubmitBatch returns).
+// each batch per the ColumnSink contract (the Batcher recycles the
+// lanes after SubmitColumns returns).
 type recordingSink struct {
 	mu      sync.Mutex
 	batches [][]xorcrypt.Share
 }
 
-func (r *recordingSink) SubmitBatch(shares []xorcrypt.Share) error {
-	cp := make([]xorcrypt.Share, len(shares))
-	for i, sh := range shares {
-		cp[i] = xorcrypt.Share{MID: sh.MID, Payload: append([]byte(nil), sh.Payload...)}
+func (r *recordingSink) SubmitColumns(mids, payloads []byte, count, size int) error {
+	cp := make([]xorcrypt.Share, count)
+	for i := range cp {
+		copy(cp[i].MID[:], mids[i*xorcrypt.MIDSize:])
+		cp[i].Payload = append([]byte(nil), payloads[i*size:(i+1)*size]...)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -66,6 +67,39 @@ func TestBatcherFlushDelivesEverythingInOneBatch(t *testing.T) {
 	}
 	if batches, _ := sink.totals(); batches != 1 {
 		t.Errorf("empty Flush produced a batch")
+	}
+}
+
+// TestBatcherSegmentsByPayloadSize: a batch mixing payload sizes reaches
+// the sink as one fixed-stride call per size, in first-seen order, each
+// share's MID and payload intact.
+func TestBatcherSegmentsByPayloadSize(t *testing.T) {
+	sink := &recordingSink{}
+	b := NewBatcher(sink, 0)
+	sizes := []int{3, 5, 3, 3, 5}
+	for i, size := range sizes {
+		sh := share(i)
+		sh.Payload = make([]byte, size)
+		sh.Payload[0] = byte(i)
+		if err := b.Submit(sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.batches) != 2 || len(sink.batches[0]) != 3 || len(sink.batches[1]) != 2 {
+		t.Fatalf("sink saw %d batches, want a 3-share and a 2-share segment", len(sink.batches))
+	}
+	for seg, order := range [][]int{{0, 2, 3}, {1, 4}} {
+		for j, i := range order {
+			got := sink.batches[seg][j]
+			if got.MID != share(i).MID || len(got.Payload) != sizes[i] || got.Payload[0] != byte(i) {
+				t.Errorf("segment %d share %d = %+v, want share %d", seg, j, got, i)
+			}
+		}
 	}
 }
 

@@ -22,15 +22,11 @@ import (
 	"privapprox/internal/query"
 )
 
-// Checkpoint magics: PSC2 adds the SLO overload-control section (flag
-// byte, controller configuration, and per-query controller state)
-// between the registration epochs and the aggregator section. PSC1
-// records — written before overload control existed — are still
-// accepted by Restore; they simply carry no SLO state.
-var (
-	sysCkptMagic   = []byte("PSC2")
-	sysCkptMagicV1 = []byte("PSC1")
-)
+// sysCkptMagic opens every system checkpoint: epoch, consumer positions,
+// per-query registration epochs, the SLO overload-control section (flag
+// byte, controller configuration, and per-query controller state), then
+// the aggregator section. Restore rejects any other magic.
+var sysCkptMagic = []byte("PSC2")
 
 // Checkpoint serializes the system's resumable state. Call it between
 // epochs (after RunEpoch returns), never concurrently with one.
@@ -198,9 +194,7 @@ type regEpoch struct {
 // MultiQuery mode the same queries must be re-registered (in the same
 // order) before calling Restore.
 func (s *System) Restore(data []byte) error {
-	v2 := len(data) >= len(sysCkptMagic) && bytes.Equal(data[:len(sysCkptMagic)], sysCkptMagic)
-	v1 := !v2 && len(data) >= len(sysCkptMagicV1) && bytes.Equal(data[:len(sysCkptMagicV1)], sysCkptMagicV1)
-	if !v2 && !v1 {
+	if !bytes.HasPrefix(data, sysCkptMagic) {
 		return fmt.Errorf("%w: bad system checkpoint magic", ErrConfig)
 	}
 	d := data[len(sysCkptMagic):]
@@ -244,12 +238,9 @@ func (s *System) Restore(data []byte) error {
 		regs[id] = binary.BigEndian.Uint64(d[8:16])
 		d = d[16:]
 	}
-	if v2 {
-		rest, err := s.restoreSLOState(d)
-		if err != nil {
-			return err
-		}
-		d = rest
+	d, err := s.restoreSLOState(d)
+	if err != nil {
+		return err
 	}
 	if err := s.agg.Restore(d); err != nil {
 		return err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -367,77 +366,5 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 	if a, b := sysB.SLOShed(qID.QID), ref.SLOShed(qID.QID); a != b {
 		t.Errorf("post-resume shed %v diverged from reference %v", a, b)
-	}
-}
-
-// TestRestoreAcceptsPSC1 pins backward compatibility: a pre-overload-
-// control checkpoint (PSC1 — no SLO section) still restores. The v1
-// record is synthesized from a v2 one by dropping the zero SLO flag
-// byte, which sits immediately before the aggregator section.
-func TestRestoreAcceptsPSC1(t *testing.T) {
-	const epochs, crashAfter = 4, 2
-	dir := t.TempDir()
-
-	ref, err := New(taxiSystemConfig(t, 6, recoveryParams))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := runEpochsInto(t, ref, epochs, nil)
-	final, err := ref.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, final...)
-
-	cfgA := taxiSystemConfig(t, 6, recoveryParams)
-	cfgA.DataDir = dir
-	cfgA.WALFsync = wal.PolicyEveryBatch
-	sysA, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runEpochsInto(t, sysA, crashAfter, nil)
-	ckpt, err := sysA.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-serialize just the aggregator section to locate the tail, then
-	// splice out the SLO flag byte (zero here — SLO control is off) and
-	// swap the magic.
-	aggCkpt, err := sysA.Aggregator().Checkpoint(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysA.Close()
-	cut := len(ckpt) - len(aggCkpt)
-	if cut < 5 || !bytes.Equal(ckpt[cut:], aggCkpt) || ckpt[cut-1] != 0 {
-		t.Fatalf("checkpoint layout changed; cannot synthesize a v1 record")
-	}
-	v1 := append([]byte("PSC1"), ckpt[4:cut-1]...)
-	v1 = append(v1, aggCkpt...)
-
-	cfgB := taxiSystemConfig(t, 6, recoveryParams)
-	cfgB.DataDir = dir
-	cfgB.WALFsync = wal.PolicyEveryBatch
-	sysB, err := New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysB.Close()
-	if err := sysB.Restore(v1); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sysB.Epoch(), uint64(crashAfter); got != want {
-		t.Fatalf("restored epoch = %d, want %d", got, want)
-	}
-	got = runEpochsInto(t, sysB, epochs-crashAfter, got)
-	final, err = sysB.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, final...)
-	if !resultsEqual(got, want) {
-		t.Fatalf("v1 restore diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }

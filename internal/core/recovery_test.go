@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -204,6 +205,9 @@ func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 	}
 	if err := sysB.Restore([]byte("garbage")); err == nil {
 		t.Fatal("garbage checkpoint restored without error")
+	}
+	if err := sysB.Restore(append([]byte("PSC9"), ckpt[4:]...)); !errors.Is(err, ErrConfig) {
+		t.Fatalf("unknown checkpoint magic: %v, want ErrConfig", err)
 	}
 }
 

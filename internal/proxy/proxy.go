@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"privapprox/internal/pubsub"
@@ -63,20 +62,12 @@ type Proxy struct {
 	// in-process broker; attached proxies leave lifecycle and stats to
 	// the remote process.
 	broker *pubsub.Broker
-	// submitTimeout > 0 switches Submit/SubmitBatch to the blocking
-	// publish path: on pubsub.ErrPartitionFull the publish retries until
-	// the record lands or the deadline passes, instead of failing the
-	// client's flush outright. Set before the proxy is shared; not
-	// synchronized against concurrent Submit calls.
-	submitTimeout time.Duration
 	// prod is the idempotent batch front-end: SubmitBatch/SubmitColumns
 	// go through a producer session, so a retry after an ambiguous
 	// transport failure is deduplicated by the broker instead of
 	// double-publishing shares (a duplicated share would XOR the MID
-	// join into garbage). retry is the policy SetRetryPolicy installed,
-	// kept so SetSubmitTimeout can re-derive the effective policy.
-	prod  *pubsub.Producer
-	retry pubsub.RetryPolicy
+	// join into garbage).
+	prod *pubsub.Producer
 }
 
 // New builds a proxy with its own broker and a single topic. Index 0 is
@@ -158,31 +149,11 @@ func (p *Proxy) Name() string { return p.name }
 // Topic returns the proxy's stream name.
 func (p *Proxy) Topic() string { return p.topic }
 
-// SetSubmitTimeout configures how long Submit and SubmitBatch block
-// waiting for space when the proxy's topic is bounded and full. Zero
-// (the default) fails fast with pubsub.ErrPartitionFull; the caller —
-// typically a client under backpressure — decides whether to shed.
-// Configure before serving traffic.
-func (p *Proxy) SetSubmitTimeout(d time.Duration) {
-	p.submitTimeout = d
-	pol := p.retry
-	pol.FullWait = d
-	p.prod.SetPolicy(pol)
-}
-
 // SetRetryPolicy installs the at-least-once retry policy the batched
 // submit path (SubmitBatch/SubmitColumns) runs under. Retried batches
 // are deduplicated by the broker's producer sessions, so Attempts > 1
-// is safe against double-publish; over a transport without session
-// support the producer degrades to single attempts. A zero FullWait
-// inherits the submit timeout. Configure before serving traffic.
-func (p *Proxy) SetRetryPolicy(pol pubsub.RetryPolicy) {
-	p.retry = pol
-	if pol.FullWait <= 0 {
-		pol.FullWait = p.submitTimeout
-	}
-	p.prod.SetPolicy(pol)
-}
+// is safe against double-publish. Configure before serving traffic.
+func (p *Proxy) SetRetryPolicy(pol pubsub.RetryPolicy) { p.prod.SetPolicy(pol) }
 
 // SetCapacity bounds the backlog of every partition of this proxy's
 // share topic (see pubsub.Broker.SetTopicCapacity). Only proxies that
@@ -199,70 +170,49 @@ func (p *Proxy) SetCapacity(capacity int) error {
 // PrivApprox proxy is exactly one publish — no noise addition, no
 // inter-proxy coordination (the property Fig. 6 measures). The payload
 // is copied (broker) or serialized (TCP) before Submit returns, per the
-// ShareSink ownership contract.
+// ShareSink ownership contract. On a bounded, full topic it fails fast
+// with pubsub.ErrPartitionFull; the caller decides whether to shed.
 func (p *Proxy) Submit(share xorcrypt.Share) error {
 	mid := share.MID
-	if p.submitTimeout > 0 {
-		if wp, ok := p.t.(pubsub.WaitPublisher); ok {
-			_, _, err := wp.PublishWait(p.topic, mid[:], share.Payload, p.submitTimeout)
-			return err
-		}
-	}
 	_, _, err := p.t.Publish(p.topic, mid[:], share.Payload)
 	return err
 }
 
-// batchMsgPool recycles the pubsub.Message header slices SubmitBatch
-// builds, so an epoch's batch flush does not allocate a fresh slice per
-// (client, proxy) pair.
-var batchMsgPool = sync.Pool{New: func() any {
-	s := make([]pubsub.Message, 0, 256)
-	return &s
-}}
-
-// SubmitBatch accepts many shares in one transport call. Over TCP the
-// whole batch travels as one frame — one round-trip per (client, proxy)
-// per epoch instead of one per share, the batching lever the paper's
-// scalability results depend on. The shares (and their payloads) are
-// consumed before SubmitBatch returns.
+// SubmitBatch accepts many shares in one call: each run of same-size
+// payloads is packed into a MID lane and a payload lane and forwarded
+// through SubmitColumns, so a same-query batch is one frame. The shares
+// (and their payloads) are consumed before SubmitBatch returns;
+// all-or-nothing holds per run.
 func (p *Proxy) SubmitBatch(shares []xorcrypt.Share) error {
-	if len(shares) == 0 {
-		return nil
+	var mids, payloads []byte
+	for start := 0; start < len(shares); {
+		size := len(shares[start].Payload)
+		mids, payloads = mids[:0], payloads[:0]
+		end := start
+		for ; end < len(shares) && len(shares[end].Payload) == size; end++ {
+			mids = append(mids, shares[end].MID[:]...)
+			payloads = append(payloads, shares[end].Payload...)
+		}
+		if err := p.SubmitColumns(mids, payloads, end-start, size); err != nil {
+			return err
+		}
+		start = end
 	}
-	mp := batchMsgPool.Get().(*[]pubsub.Message)
-	msgs := (*mp)[:0]
-	for i := range shares {
-		// Key the record by the share's own MID array; the transport
-		// copies or serializes it before PublishBatch returns.
-		msgs = append(msgs, pubsub.Message{Key: shares[i].MID[:], Value: shares[i].Payload})
-	}
-	// The producer session makes the batch idempotent: under the retry
-	// policy an ambiguous transport failure is retried, and the broker
-	// dedups any slice that already landed.
-	err := p.prod.PublishBatch(p.topic, msgs)
-	for i := range msgs {
-		msgs[i] = pubsub.Message{}
-	}
-	*mp = msgs
-	batchMsgPool.Put(mp)
-	return err
+	return nil
 }
 
 // SubmitColumns accepts a columnar batch of count shares: a contiguous
 // MID lane (count × xorcrypt.MIDSize bytes) and a contiguous payload
 // lane at a fixed size-byte stride — one segment of a client's arena
-// batcher, one wire-v2 frame over TCP. Transports that implement
-// pubsub.ColumnPublisher carry the lanes without per-share re-slicing;
-// for any other transport the lanes are materialized into pooled
-// per-share messages, so every transport keeps working. Both lanes are
-// fully consumed before SubmitColumns returns (DESIGN.md §6, §10).
+// batcher, one frame over TCP. The batch goes through the proxy's
+// producer session, so under the retry policy an ambiguous transport
+// failure is retried and the broker dedups any slice that already
+// landed. Both lanes are fully consumed before SubmitColumns returns
+// (DESIGN.md §6, §10).
 func (p *Proxy) SubmitColumns(mids, payloads []byte, count, size int) error {
 	if count == 0 {
 		return nil
 	}
-	// The producer owns the columnar-vs-row decision: session transports
-	// get tagged columnar frames, plain ColumnPublishers the wire-v2
-	// path, and row-only transports a materialized batch.
 	return p.prod.PublishColumns(p.topic, pubsub.Columns{
 		Count:  count,
 		KeyLen: xorcrypt.MIDSize,
@@ -274,10 +224,16 @@ func (p *Proxy) SubmitColumns(mids, payloads []byte, count, size int) error {
 
 // Consumer returns an aggregator-side consumer over this proxy's stream.
 func (p *Proxy) Consumer(group string) (*pubsub.Consumer, error) {
+	return p.consumer(group, p.topic)
+}
+
+// consumer subscribes group to one of this proxy's topics, through the
+// owned broker when there is one so polls observe its shutdown.
+func (p *Proxy) consumer(group, topic string) (*pubsub.Consumer, error) {
 	if p.broker != nil {
-		return pubsub.NewConsumer(p.broker, group, p.topic)
+		return pubsub.NewConsumer(p.broker, group, topic)
 	}
-	return pubsub.NewTransportConsumer(p.t, group, p.topic)
+	return pubsub.NewTransportConsumer(p.t, group, topic)
 }
 
 // Announce publishes one control-plane payload (a serialized query-set
@@ -294,30 +250,15 @@ func (p *Proxy) Announce(payload []byte) error {
 // ControlConsumer returns a consumer over this proxy's control topic —
 // the client-side end of query distribution.
 func (p *Proxy) ControlConsumer(group string) (*pubsub.Consumer, error) {
-	if p.broker != nil {
-		return pubsub.NewConsumer(p.broker, group, TopicControl)
-	}
-	return pubsub.NewTransportConsumer(p.t, group, TopicControl)
-}
-
-// SupportsLineage reports whether this proxy's transport hosts the
-// provenance sidecar topic. Owned brokers always do; remote transports
-// answer from their negotiated feature mask (one cached opFeatures
-// probe), and transports predating the capability report false.
-func (p *Proxy) SupportsLineage() bool {
-	lp, ok := p.t.(interface{ SupportsLineage() bool })
-	return ok && lp.SupportsLineage()
+	return p.consumer(group, TopicControl)
 }
 
 // SubmitStamp publishes one encoded batch origin stamp to the lineage
-// sidecar. Stamps are advisory observability data: against a peer or
-// transport without provenance support — a v1 broker, a wrapped
-// transport that hides the capability, a broker without the topic —
-// the stamp is silently dropped and the share plane is unaffected.
+// sidecar. Stamps are advisory observability data: against a broker
+// without the topic the stamp is silently dropped and the share plane
+// is unaffected. Transport failures are returned — a proxy that is down
+// now may be back for the next stamp.
 func (p *Proxy) SubmitStamp(payload []byte) error {
-	if !p.SupportsLineage() {
-		return nil
-	}
 	_, _, err := p.t.Publish(TopicLineage, nil, payload)
 	if errors.Is(err, pubsub.ErrNoTopic) {
 		return nil
@@ -326,16 +267,14 @@ func (p *Proxy) SubmitStamp(payload []byte) error {
 }
 
 // LineageConsumer returns an aggregator-side consumer over this
-// proxy's lineage sidecar topic, or nil (no error) when the transport
-// has no provenance support — the caller just has no stamps to drain.
+// proxy's lineage sidecar topic, or nil (no error) when the broker has
+// no such topic — the caller just has no stamps to drain.
 func (p *Proxy) LineageConsumer(group string) (*pubsub.Consumer, error) {
-	if !p.SupportsLineage() {
+	c, err := p.consumer(group, TopicLineage)
+	if errors.Is(err, pubsub.ErrNoTopic) {
 		return nil, nil
 	}
-	if p.broker != nil {
-		return pubsub.NewConsumer(p.broker, group, TopicLineage)
-	}
-	return pubsub.NewTransportConsumer(p.t, group, TopicLineage)
+	return c, err
 }
 
 // Stats exposes the underlying broker's traffic counters. Attached
@@ -466,10 +405,9 @@ func (f *Fleet) Consumers(group string) ([]*pubsub.Consumer, error) {
 	return out, nil
 }
 
-// LineageConsumers returns one lineage consumer per proxy that
-// supports the provenance plane; proxies without it are skipped, so
-// the slice may be shorter than the fleet (empty against an all-v1
-// fleet — the aggregator then simply sees no stamps).
+// LineageConsumers returns one lineage consumer per proxy that hosts
+// the lineage topic; proxies without it are skipped, so the slice may
+// be shorter than the fleet.
 func (f *Fleet) LineageConsumers(group string) ([]*pubsub.Consumer, error) {
 	var out []*pubsub.Consumer
 	for _, p := range f.proxies {
@@ -509,13 +447,6 @@ func (f *Fleet) SetCapacity(capacity int) error {
 		}
 	}
 	return nil
-}
-
-// SetSubmitTimeout sets the blocking-publish deadline on every proxy.
-func (f *Fleet) SetSubmitTimeout(d time.Duration) {
-	for _, p := range f.proxies {
-		p.SetSubmitTimeout(d)
-	}
 }
 
 // SetRetryPolicy installs one at-least-once retry policy on every

@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -16,9 +17,13 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	// Payload sizes change every four shares, so the batch is forwarded
+	// as several fixed-stride runs.
 	shares := make([]xorcrypt.Share, 32)
+	want := make(map[xorcrypt.MID][]byte, len(shares))
 	for i := range shares {
-		shares[i] = randomShare(t, []byte{byte(i)})
+		shares[i] = randomShare(t, bytes.Repeat([]byte{byte(i)}, 1+i/4%3))
+		want[shares[i].MID] = shares[i].Payload
 	}
 	if err := p.SubmitBatch(shares); err != nil {
 		t.Fatal(err)
@@ -36,6 +41,15 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 	}
 	if len(recs) != len(shares) {
 		t.Fatalf("polled %d records, want %d", len(recs), len(shares))
+	}
+	for _, rec := range recs {
+		got, err := DecodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Payload, want[got.MID]) {
+			t.Fatalf("share %x arrived as %x, want %x", got.MID, got.Payload, want[got.MID])
+		}
 	}
 	if st := p.Stats(); st.MessagesIn != int64(len(shares)) {
 		t.Errorf("MessagesIn = %d", st.MessagesIn)
@@ -170,5 +184,80 @@ func TestAttachFleet(t *testing.T) {
 	}
 	if _, err := AttachFleet(transports[:1]); err == nil {
 		t.Error("one-transport fleet accepted")
+	}
+}
+
+// TestLazyAttachDeliversStampsOnceServerIsUp: a proxy handle attached
+// lazily to an address nobody listens on yet reports stamp failures
+// while the server is down and delivers stamps as soon as it is up —
+// nothing decided at attach time can switch stamping off for good.
+func TestLazyAttachDeliversStampsOnceServerIsUp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	cli, err := pubsub.DialOptions(addr, pubsub.Options{LazyDial: true, RedialBackoff: time.Millisecond, RedialBackoffMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	p, err := AttachLazy("late-0", 0, cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SubmitStamp([]byte("lost")); err == nil {
+		t.Fatal("stamp to a proxy that is down reported success")
+	}
+
+	broker := pubsub.NewBroker()
+	defer broker.Close()
+	if err := broker.CreateTopic(TopicLineage, 1); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := pubsub.Serve(broker, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var lastErr error
+	for i := 0; i < 50; i++ {
+		if lastErr = p.SubmitStamp([]byte("stamp")); lastErr == nil {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if lastErr != nil {
+		t.Fatalf("stamps never recovered once the proxy came up: %v", lastErr)
+	}
+	lc, err := p.LineageConsumer("agg")
+	if err != nil || lc == nil {
+		t.Fatalf("lineage consumer = %v, %v", lc, err)
+	}
+	recs, err := lc.Poll(10)
+	if err != nil || len(recs) != 1 || string(recs[0].Value) != "stamp" {
+		t.Fatalf("polled %+v, %v; want the one stamp", recs, err)
+	}
+}
+
+// TestStampWithoutLineageTopic: against a broker that never created the
+// lineage topic a stamp is dropped silently and there is no consumer.
+func TestStampWithoutLineageTopic(t *testing.T) {
+	broker := pubsub.NewBroker()
+	defer broker.Close()
+	if err := broker.CreateTopic(TopicAnswer, 1); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Attach("bare-0", 0, broker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SubmitStamp([]byte("stamp")); err != nil {
+		t.Fatalf("stamp without a lineage topic: %v", err)
+	}
+	if lc, err := p.LineageConsumer("agg"); lc != nil || err != nil {
+		t.Fatalf("lineage consumer without the topic = %v, %v; want nil, nil", lc, err)
 	}
 }

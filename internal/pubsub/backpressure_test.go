@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-	"time"
 )
 
 // partitionForKey mirrors the broker's key → partition routing so tests
@@ -20,11 +19,11 @@ func partitionForKey(key []byte, partitions int) int {
 	return part
 }
 
-// keyFor brute-forces a key routed to the wanted partition.
+// keyFor brute-forces a (fixed-width) key routed to the wanted partition.
 func keyFor(t *testing.T, partitions, want int) []byte {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
-		k := []byte(fmt.Sprintf("key-%d", i))
+		k := []byte(fmt.Sprintf("key-%06d", i))
 		if partitionForKey(k, partitions) == want {
 			return k
 		}
@@ -95,10 +94,10 @@ func TestCommitFreesCapacity(t *testing.T) {
 	}
 }
 
-// TestPublishBatchAllOrNothing is the regression test for the
-// mixed-partition batch case: a batch spanning a full partition and an
-// empty one must publish nothing at all.
-func TestPublishBatchAllOrNothing(t *testing.T) {
+// TestPublishColumnsMixedPartitionAllOrNothing is the regression test
+// for the mixed-partition batch case: a batch spanning a full partition
+// and an empty one must publish nothing at all.
+func TestPublishColumnsMixedPartitionAllOrNothing(t *testing.T) {
 	const parts = 4
 	b := NewBroker()
 	defer b.Close()
@@ -116,13 +115,13 @@ func TestPublishBatchAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch := []Message{
-		{Key: emptyKey, Value: []byte("a")}, // would land on empty partition 2
-		{Key: fullKey, Value: []byte("b")},  // refused: partition 1 full
-		{Key: emptyKey, Value: []byte("c")},
+	// Records 0 and 2 would land on empty partition 2; record 1 is
+	// refused: partition 1 is full.
+	batch := Columns{Count: 3, KeyLen: len(fullKey), ValLen: 1, Vals: []byte("abc")}
+	for _, k := range [][]byte{emptyKey, fullKey, emptyKey} {
+		batch.Keys = append(batch.Keys, k...)
 	}
-	_, err := b.PublishBatch("answer", batch)
-	if !errors.Is(err, ErrPartitionFull) {
+	if err := b.PublishColumns("answer", batch, 0, 0); !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("mixed batch: got %v, want ErrPartitionFull", err)
 	}
 	// Nothing from the batch may have landed anywhere.
@@ -136,72 +135,19 @@ func TestPublishBatchAllOrNothing(t *testing.T) {
 			t.Errorf("partition %d end = %d, want %d (batch partially applied)", p, end, wantEnds[p])
 		}
 	}
-	if s := b.Stats(); s.Rejected != int64(len(batch)) {
-		t.Errorf("Stats.Rejected = %d, want %d", s.Rejected, len(batch))
+	if s := b.Stats(); s.Rejected != int64(batch.Count) {
+		t.Errorf("Stats.Rejected = %d, want %d", s.Rejected, batch.Count)
 	}
 	// After freeing space the identical batch retries cleanly — the
 	// all-or-nothing contract is what makes blind retry duplicate-free.
 	if err := b.CommitOffset("g", "answer", 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.PublishBatch("answer", batch)
-	if err != nil {
+	if err := b.PublishColumns("answer", batch, 0, 0); err != nil {
 		t.Fatalf("retry after commit: %v", err)
 	}
-	if len(res) != len(batch) {
-		t.Fatalf("retry results = %d, want %d", len(res), len(batch))
-	}
-}
-
-func TestPublishWaitSucceedsAfterCommit(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic("answer", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetTopicCapacity("answer", 1); err != nil {
-		t.Fatal(err)
-	}
-	key := keyFor(t, 1, 0)
-	if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		b.CommitOffset("g", "answer", 0, 1)
-	}()
-	if _, _, err := b.PublishWait("answer", key, []byte("v"), 5*time.Second); err != nil {
-		t.Fatalf("PublishWait after commit: %v", err)
-	}
-}
-
-func TestPublishWaitDeadline(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic("answer", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetTopicCapacity("answer", 1); err != nil {
-		t.Fatal(err)
-	}
-	key := keyFor(t, 1, 0)
-	if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, _, err := b.PublishWait("answer", key, []byte("v"), 30*time.Millisecond)
-	if !errors.Is(err, ErrPartitionFull) {
-		t.Fatalf("PublishWait on stuck partition: got %v, want ErrPartitionFull", err)
-	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("PublishWait returned after %v, before the deadline", elapsed)
-	}
-	// A non-full error must return immediately, not retry to deadline.
-	start = time.Now()
-	if _, _, err := b.PublishWait("nope", key, []byte("v"), 5*time.Second); !errors.Is(err, ErrNoTopic) {
-		t.Fatalf("PublishWait unknown topic: %v", err)
-	} else if time.Since(start) > time.Second {
-		t.Fatal("PublishWait retried a non-full error")
+	if end, _ := b.EndOffset("answer", 2); end != 2 {
+		t.Fatalf("partition 2 end after retry = %d, want 2", end)
 	}
 }
 
@@ -276,8 +222,7 @@ func TestSetTopicCapacityErrors(t *testing.T) {
 
 // TestTCPPartitionFullSentinel checks the ErrPartitionFull contract
 // across the wire: the sentinel must survive serialization so remote
-// publishers can errors.Is on it, and the client-side Wait variants must
-// retry on it.
+// publishers can errors.Is on it and retry once consumers commit.
 func TestTCPPartitionFullSentinel(t *testing.T) {
 	b, _, cli := startServer(t)
 	if err := cli.CreateTopic("answer", 1); err != nil {
@@ -294,17 +239,17 @@ func TestTCPPartitionFullSentinel(t *testing.T) {
 	if !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("remote publish beyond capacity: got %v, want ErrPartitionFull", err)
 	}
-	if _, err := cli.PublishBatch("answer", []Message{{Key: key, Value: []byte("v")}}); !errors.Is(err, ErrPartitionFull) {
+	batch := Columns{Count: 1, KeyLen: len(key), ValLen: 1, Keys: key, Vals: []byte("v")}
+	if err := cli.PublishColumns("answer", batch, 0, 0); !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("remote batch beyond capacity: got %v, want ErrPartitionFull", err)
 	}
-	// Client-side blocking publish: commit on the broker frees space,
-	// the client retry lands.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		b.CommitOffset("g", "answer", 0, 1)
-	}()
-	if _, err := cli.PublishBatchWait("answer", []Message{{Key: key, Value: []byte("v")}}, 5*time.Second); err != nil {
-		t.Fatalf("PublishBatchWait over TCP: %v", err)
+	// A commit on the broker frees space; the refused batch had no
+	// effect, so the identical retry lands.
+	if err := b.CommitOffset("g", "answer", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.PublishColumns("answer", batch, 0, 0); err != nil {
+		t.Fatalf("retry after commit over TCP: %v", err)
 	}
 	// Other sentinels survive the wire too.
 	if _, err := cli.Partitions("ghost"); !errors.Is(err, ErrNoTopic) {

@@ -29,10 +29,9 @@ var (
 	// (SetTopicCapacity): the publish would push the partition's
 	// unconsumed backlog — records past the slowest committed consumer
 	// offset — beyond its capacity. The publish (or the whole batch, for
-	// PublishBatch: a full batch is refused all-or-nothing, never
+	// PublishColumns: a full batch is refused all-or-nothing, never
 	// partially applied) had no effect; the publisher may retry after
-	// consumers commit progress, or use PublishWait/PublishBatchWait to
-	// block with a deadline. The sentinel survives the TCP transport:
+	// consumers commit progress. The sentinel survives the TCP transport:
 	// errors.Is(err, ErrPartitionFull) holds on the remote publisher too.
 	ErrPartitionFull = errors.New("pubsub: partition full")
 )
@@ -91,21 +90,13 @@ type partitionLog struct {
 	w      *wal.Log
 	encBuf []byte
 	// producers is the partition's session-dedup state, lazily allocated
-	// on the first session publish: producer ID → the newest applied
-	// sequence and where its slice of records landed. The state is
-	// journaled with the records themselves (every record of a session
-	// slice carries its producer tag), so it survives a restart in
-	// exactly the same atomic unit as the data it guards.
-	producers map[uint64]producerSlot
-}
-
-// producerSlot remembers the newest batch one producer session applied
-// to one partition: a retry carrying the same sequence is a duplicate
-// and returns the stored offsets instead of appending again.
-type producerSlot struct {
-	seq   uint64
-	first int64 // offset of the slice's first record
-	count int   // records in the slice
+	// on the first session publish: producer ID → the newest sequence
+	// that producer applied here. A batch carrying that sequence or an
+	// older one is a replay and is skipped. The state is journaled with
+	// the records themselves (every record of a session slice carries its
+	// producer tag), so it survives a restart in exactly the same atomic
+	// unit as the data it guards.
+	producers map[uint64]uint64
 }
 
 func newPartitionLog() *partitionLog {
@@ -133,7 +124,7 @@ type Broker struct {
 	rr      uint64      // round-robin counter for keyless publishes
 	dur     *durability // nil for a purely in-memory broker
 	// pubLat, when set, observes the wall time of each successful
-	// publish call (batch-granular on the batch paths); nil costs one
+	// publish call (batch-granular for PublishColumns); nil costs one
 	// atomic load per publish. See telemetry.go.
 	pubLat atomic.Pointer[telemetry.Histogram]
 }
@@ -145,11 +136,6 @@ func NewBroker() *Broker {
 		offsets: make(map[string]map[string]map[int]int64),
 	}
 }
-
-// SupportsLineage reports provenance-plane support: an in-process
-// broker always hosts the lineage sidecar topic (the Client mirrors
-// this by probing the server's opFeatures mask).
-func (b *Broker) SupportsLineage() bool { return true }
 
 // CreateTopic registers a topic with the given partition count.
 func (b *Broker) CreateTopic(name string, partitions int) error {
@@ -351,58 +337,31 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 	return part, offset, nil
 }
 
-// PublishBatch appends a batch of records in one call, amortizing lock
-// acquisitions: messages are grouped by destination partition, each
-// partition is locked once, and the traffic counters are updated once
-// for the whole batch. Results are returned in input order. Partition
-// selection matches Publish (key hash, nil key round-robins).
-//
-// The batch is all-or-nothing: every target partition's capacity is
-// checked (and every partition journaled) before any in-memory append,
-// so a batch spanning several partitions of a bounded topic is either
-// fully applied or refused with ErrPartitionFull having published
-// nothing — a partially applied batch would break the publisher's
-// retry (retrying would duplicate the partitions that did land).
-func (b *Broker) PublishBatch(topic string, msgs []Message) ([]PubResult, error) {
-	return b.publishRows(topic, msgs, 0, 0)
+// fnv1a32 is FNV-1a over b, matching hash/fnv's New32a exactly (the
+// routing function of Publish) without constructing a hasher per record.
+func fnv1a32(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return h
 }
 
-// PublishBatchSession is PublishBatch tagged with a producer session:
-// pid identifies the producer (nonzero), seq its per-topic batch
-// sequence, strictly increasing across a producer's batches to one
-// topic. A partition that has already applied a sequence at or above
-// seq skips its slice of the batch (counting Stats.Duplicates) and, for
-// an exact replay of the newest batch, returns the offsets the original
-// landed at — so a retry after an ambiguous failure is exactly-once.
-// Every message must carry a key: keyless routing is round-robin, which
-// would route a retry differently and defeat per-partition dedup.
-func (b *Broker) PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error) {
-	if pid == 0 {
-		return nil, fmt.Errorf("%w: zero producer id", ErrWire)
-	}
-	for i := range msgs {
-		if msgs[i].Key == nil {
-			return nil, fmt.Errorf("%w: keyless message in session batch", ErrWire)
-		}
-	}
-	return b.publishRows(topic, msgs, pid, seq)
-}
-
-// dupSlices collects, per locked target partition, the session slot
-// proving that partition already applied this (pid, seq) — the caller
-// then skips capacity checks, journaling, and appends for it. Caller
-// holds every partition lock in parts.
-func dupSlices(t *topicLog, parts []int, pid, seq uint64) map[int]producerSlot {
+// dupSlices collects the locked target partitions that already applied
+// this (pid, seq) — the caller then skips capacity checks, journaling,
+// and appends for them. Caller holds every partition lock in parts.
+func dupSlices(t *topicLog, parts []int, pid, seq uint64) map[int]bool {
 	if pid == 0 {
 		return nil
 	}
-	var dup map[int]producerSlot
+	var dup map[int]bool
 	for _, part := range parts {
-		if slot, ok := t.partitions[part].producers[pid]; ok && seq <= slot.seq {
+		if applied, ok := t.partitions[part].producers[pid]; ok && seq <= applied {
 			if dup == nil {
-				dup = make(map[int]producerSlot)
+				dup = make(map[int]bool)
 			}
-			dup[part] = slot
+			dup[part] = true
 		}
 	}
 	return dup
@@ -410,33 +369,45 @@ func dupSlices(t *topicLog, parts []int, pid, seq uint64) map[int]producerSlot {
 
 // recordSlice notes a freshly applied session slice in the partition's
 // dedup state. Caller holds p.mu.
-func (p *partitionLog) recordSlice(pid, seq uint64, first int64, count int) {
+func (p *partitionLog) recordSlice(pid, seq uint64) {
 	if pid == 0 {
 		return
 	}
 	if p.producers == nil {
-		p.producers = make(map[uint64]producerSlot)
+		p.producers = make(map[uint64]uint64)
 	}
-	p.producers[pid] = producerSlot{seq: seq, first: first, count: count}
+	p.producers[pid] = seq
 }
 
-// fillDupResults reconstructs a duplicate slice's results: an exact
-// replay of the newest applied sequence gets the original offsets (the
-// slice was appended contiguously); older sequences get zero offsets —
-// their placement is no longer tracked, and session publishers treat
-// results of deduplicated batches as advisory.
-func fillDupResults(results []PubResult, idxs []int, slot producerSlot, seq uint64) {
-	if slot.seq != seq || slot.count != len(idxs) {
-		return
+// PublishColumns appends a fixed-stride batch in one call, amortizing
+// lock acquisitions: records are grouped by destination partition (the
+// key-lane FNV hash Publish uses; columnar records always carry keys),
+// each partition is locked once, and the traffic counters are updated
+// once for the whole batch. Both lanes are fully consumed before the
+// call returns.
+//
+// The batch is all-or-nothing: every target partition's capacity is
+// checked (and every partition journaled) before any in-memory append,
+// so a batch spanning several partitions of a bounded topic is either
+// fully applied or refused with ErrPartitionFull having published
+// nothing — a partially applied batch would break the publisher's
+// retry (retrying would duplicate the partitions that did land).
+//
+// A nonzero pid tags the batch with a producer session: seq is the
+// producer's per-topic batch sequence, strictly increasing across its
+// batches to one topic. A partition that has already applied a sequence
+// at or above seq skips its slice of the batch (counting
+// Stats.Duplicates), so a retry after an ambiguous failure is
+// exactly-once. pid 0 publishes without dedup.
+func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) error {
+	if err := cols.Validate(); err != nil {
+		return err
 	}
-	for j, i := range idxs {
-		results[i].Offset = slot.first + int64(j)
+	if pid == 0 && seq != 0 {
+		return fmt.Errorf("%w: sequence %d without a producer id", ErrWire, seq)
 	}
-}
-
-func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error) {
-	if len(msgs) == 0 {
-		return nil, nil
+	if cols.Count == 0 {
+		return nil
 	}
 	h := b.pubLat.Load()
 	var t0 time.Time
@@ -446,44 +417,21 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	t, ok := b.topics[topic]
 	b.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTopic, topic)
+		return fmt.Errorf("%w: %q", ErrNoTopic, topic)
 	}
 
-	// Route every message to its partition.
-	results := make([]PubResult, len(msgs))
-	byPart := make(map[int][]int) // partition → indexes into msgs
-	var keyless []int
-	var bytesIn int64
-	for i, m := range msgs {
-		bytesIn += int64(len(m.Key) + len(m.Value))
-		if m.Key != nil {
-			h := fnv.New32a()
-			h.Write(m.Key)
-			part := int(h.Sum32()) % len(t.partitions)
-			if part < 0 {
-				part += len(t.partitions)
-			}
-			results[i].Partition = part
-			byPart[part] = append(byPart[part], i)
-		} else {
-			keyless = append(keyless, i)
+	byPart := make(map[int][]int) // partition → record indexes
+	for i := 0; i < cols.Count; i++ {
+		part := int(fnv1a32(cols.Key(i))) % len(t.partitions)
+		if part < 0 {
+			part += len(t.partitions)
 		}
-	}
-	if len(keyless) > 0 {
-		b.statsMu.Lock()
-		rr := b.rr
-		b.rr += uint64(len(keyless))
-		b.statsMu.Unlock()
-		for j, i := range keyless {
-			part := int((rr + uint64(j)) % uint64(len(t.partitions)))
-			results[i].Partition = part
-			byPart[part] = append(byPart[part], i)
-		}
+		byPart[part] = append(byPart[part], i)
 	}
 
 	// Two-phase apply: lock every target partition (in ascending order,
@@ -499,15 +447,13 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 	for i, part := range parts {
 		floors[i] = b.committedFloor(topic, part)
 	}
-	locked := 0
-	unlockAll := func() {
-		for _, part := range parts[:locked] {
-			t.partitions[part].mu.Unlock()
-		}
-	}
 	for _, part := range parts {
 		t.partitions[part].mu.Lock()
-		locked++
+	}
+	unlockAll := func() {
+		for _, part := range parts {
+			t.partitions[part].mu.Unlock()
+		}
 	}
 	// Partitions that already applied this (producer, sequence) — a retry
 	// of a batch whose first attempt died after some partitions journaled
@@ -515,7 +461,7 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 	dup := dupSlices(t, parts, pid, seq)
 	now := time.Now()
 	for i, part := range parts {
-		if _, isDup := dup[part]; isDup {
+		if dup[part] {
 			continue
 		}
 		p := t.partitions[part]
@@ -523,122 +469,61 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 			capacity := p.capacity
 			unlockAll()
 			b.statsMu.Lock()
-			b.stats.Rejected += int64(len(msgs))
+			b.stats.Rejected += int64(cols.Count)
 			b.statsMu.Unlock()
-			return nil, fmt.Errorf("%w: topic %q partition %d at capacity %d (batch of %d refused whole)",
-				ErrPartitionFull, topic, part, capacity, len(msgs))
+			return fmt.Errorf("%w: topic %q partition %d at capacity %d (batch of %d refused whole)",
+				ErrPartitionFull, topic, part, capacity, cols.Count)
 		}
 	}
 	for _, part := range parts {
-		if _, isDup := dup[part]; isDup {
+		if dup[part] {
 			continue
 		}
 		p := t.partitions[part]
 		if p.w != nil {
-			if err := journalBatch(p, now, msgs, byPart[part], pid, seq); err != nil {
+			if err := journalColumns(p, now, cols, byPart[part], pid, seq); err != nil {
 				unlockAll()
-				return nil, err
+				return err
 			}
 		}
 	}
+	// One copy per lane for the whole batch; the stored records are
+	// subslices of the copies. Fetch deep-copies on the way out, so the
+	// shared backing arrays are never exposed to consumers.
+	keys := append([]byte(nil), cols.Keys...)
+	vals := append([]byte(nil), cols.Vals...)
 	var duplicates int64
 	for _, part := range parts {
 		p := t.partitions[part]
 		idxs := byPart[part]
-		if slot, isDup := dup[part]; isDup {
-			fillDupResults(results, idxs, slot, seq)
+		if dup[part] {
 			duplicates += int64(len(idxs))
-			for _, i := range idxs {
-				bytesIn -= int64(len(msgs[i].Key) + len(msgs[i].Value))
-			}
 			continue
 		}
-		first := int64(len(p.records))
 		for _, i := range idxs {
-			offset := int64(len(p.records))
-			results[i].Offset = offset
 			p.records = append(p.records, Record{
 				Topic:     topic,
 				Partition: part,
-				Offset:    offset,
-				Key:       append([]byte(nil), msgs[i].Key...),
-				Value:     append([]byte(nil), msgs[i].Value...),
+				Offset:    int64(len(p.records)),
+				Key:       keys[i*cols.KeyLen : (i+1)*cols.KeyLen : (i+1)*cols.KeyLen],
+				Value:     vals[i*cols.ValLen : (i+1)*cols.ValLen : (i+1)*cols.ValLen],
 				Timestamp: now,
 			})
 		}
-		p.recordSlice(pid, seq, first, len(idxs))
+		p.recordSlice(pid, seq)
 		p.cond.Broadcast()
 	}
 	unlockAll()
 
 	b.statsMu.Lock()
-	b.stats.MessagesIn += int64(len(msgs)) - duplicates
-	b.stats.BytesIn += bytesIn
+	b.stats.MessagesIn += int64(cols.Count) - duplicates
+	b.stats.BytesIn += (int64(cols.Count) - duplicates) * int64(cols.KeyLen+cols.ValLen)
 	b.stats.Duplicates += duplicates
 	b.statsMu.Unlock()
 	if h != nil {
 		h.Observe(int64(time.Since(t0)))
 	}
-	return results, nil
-}
-
-// PublishWait is Publish with a deadline-bounded retry on backpressure:
-// while the target partition is full it retries until a publish lands
-// or the timeout passes, then returns the last ErrPartitionFull. Errors
-// other than ErrPartitionFull return immediately.
-func (b *Broker) PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error) {
-	return publishWait(b, topic, key, value, timeout, defaultPace)
-}
-
-// PublishBatchWait is PublishBatch with the same deadline-bounded retry
-// as PublishWait; the all-or-nothing batch contract makes the retry
-// safe (a refused batch published nothing).
-func (b *Broker) PublishBatchWait(topic string, msgs []Message, timeout time.Duration) ([]PubResult, error) {
-	return publishBatchWait(b, topic, msgs, timeout, defaultPace)
-}
-
-// fullRetryInterval is the default pacing between blocked publishers'
-// retries: capacity frees only when the slowest consumer group commits,
-// so a tight spin would just burn the locks the consumers need. The TCP
-// client can override (and jitter) it via Options.RetryPacing.
-const fullRetryInterval = time.Millisecond
-
-// pace yields successive sleeps between full-partition retries. The
-// default is the fixed fullRetryInterval; transports with configured
-// pacing supply a jittered source so a fleet of blocked publishers does
-// not retry in lockstep.
-type pace func() time.Duration
-
-func defaultPace() time.Duration { return fullRetryInterval }
-
-// publishWait implements the blocking publish over any Transport (the
-// in-process broker and the TCP client share it).
-func publishWait(t Transport, topic string, key, value []byte, timeout time.Duration, next pace) (int, int64, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		part, off, err := t.Publish(topic, key, value)
-		if err == nil || !errors.Is(err, ErrPartitionFull) {
-			return part, off, err
-		}
-		if !time.Now().Before(deadline) {
-			return 0, 0, err
-		}
-		time.Sleep(next())
-	}
-}
-
-func publishBatchWait(t Transport, topic string, msgs []Message, timeout time.Duration, next pace) ([]PubResult, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		res, err := t.PublishBatch(topic, msgs)
-		if err == nil || !errors.Is(err, ErrPartitionFull) {
-			return res, err
-		}
-		if !time.Now().Before(deadline) {
-			return nil, err
-		}
-		time.Sleep(next())
-	}
+	return nil
 }
 
 // Fetch returns up to max records from a partition starting at offset.

@@ -6,22 +6,27 @@ import (
 	"testing"
 )
 
-// colMsgs builds count uniform-stride messages with distinct keys and
-// values for columnar tests.
-func colMsgs(count, keyLen, valLen int) []Message {
-	msgs := make([]Message, count)
-	for i := range msgs {
-		key := make([]byte, keyLen)
-		val := make([]byte, valLen)
-		for j := range key {
-			key[j] = byte(i*31 + j)
+// testCols builds count uniform-stride records with distinct keys and
+// values.
+func testCols(count, keyLen, valLen int) Columns {
+	cols := Columns{Count: count, KeyLen: keyLen, ValLen: valLen}
+	for i := 0; i < count; i++ {
+		for j := 0; j < keyLen; j++ {
+			cols.Keys = append(cols.Keys, byte(i*31+j))
 		}
-		for j := range val {
-			val[j] = byte(i*17 + j + 1)
+		for j := 0; j < valLen; j++ {
+			cols.Vals = append(cols.Vals, byte(i*17+j+1))
 		}
-		msgs[i] = Message{Key: key, Value: val}
 	}
-	return msgs
+	return cols
+}
+
+// head returns the first n records of cols.
+func head(cols Columns, n int) Columns {
+	cols.Count = n
+	cols.Keys = cols.Keys[:n*cols.KeyLen]
+	cols.Vals = cols.Vals[:n*cols.ValLen]
+	return cols
 }
 
 // fetchAll drains every partition of a broker topic.
@@ -63,47 +68,47 @@ func sameRecords(t *testing.T, got, want [][]Record) {
 	}
 }
 
-// TestBrokerPublishColumnsMatchesPublishBatch: the columnar publish must
-// be observationally identical to the row publish — same routing, same
-// per-record results, same stored records.
-func TestBrokerPublishColumnsMatchesPublishBatch(t *testing.T) {
-	msgs := colMsgs(23, 16, 21)
-	cols, err := appendColumns(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPublishColumnsRoutesLikePublish is the routing reference: the same
+// (key, value) sequence published record by record through Publish and
+// as one batch through PublishColumns — in-process and over TCP — lands
+// in the same partitions at the same offsets with the same contents.
+// DrainUpTo's seeded-MID determinism depends on the two paths agreeing.
+func TestPublishColumnsRoutesLikePublish(t *testing.T) {
+	cols := testCols(23, 16, 21)
 
-	rowB := newTestBroker(t, "answers")
-	colB := newTestBroker(t, "answers")
-	rowRes, err := rowB.PublishBatch("answers", msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colRes, err := colB.PublishColumns("answers", cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rowRes) != len(colRes) {
-		t.Fatalf("result counts diverge: %d vs %d", len(rowRes), len(colRes))
-	}
-	for i := range rowRes {
-		if rowRes[i] != colRes[i] {
-			t.Fatalf("record %d landed at %+v columnar vs %+v row", i, colRes[i], rowRes[i])
+	ref := newTestBroker(t, "answers")
+	for i := 0; i < cols.Count; i++ {
+		if _, _, err := ref.Publish("answers", cols.Key(i), cols.Val(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sameRecords(t, fetchAll(t, colB, "answers"), fetchAll(t, rowB, "answers"))
+	want := fetchAll(t, ref, "answers")
+
+	colB := newTestBroker(t, "answers")
+	if err := colB.PublishColumns("answers", cols, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, fetchAll(t, colB, "answers"), want)
+
+	tcpB, _, cli := startServer(t)
+	if err := cli.CreateTopic("answers", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.PublishColumns("answers", cols, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, fetchAll(t, tcpB, "answers"), want)
 
 	// Records fetched from the columnar path must be deep copies: mutating
 	// them cannot corrupt the shared lane copy backing sibling records.
-	recs := fetchAll(t, colB, "answers")
-	for _, p := range recs {
+	for _, p := range fetchAll(t, colB, "answers") {
 		for i := range p {
 			for j := range p[i].Value {
 				p[i].Value[j] = 0xee
 			}
 		}
 	}
-	sameRecords(t, fetchAll(t, colB, "answers"), fetchAll(t, rowB, "answers"))
+	sameRecords(t, fetchAll(t, colB, "answers"), want)
 }
 
 // TestBrokerPublishColumnsAllOrNothing: a columnar batch overflowing any
@@ -114,12 +119,8 @@ func TestBrokerPublishColumnsAllOrNothing(t *testing.T) {
 	if err := b.SetTopicCapacity("answers", 4); err != nil {
 		t.Fatal(err)
 	}
-	msgs := colMsgs(30, 8, 8)
-	cols, err := appendColumns(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.PublishColumns("answers", cols); !errors.Is(err, ErrPartitionFull) {
+	cols := testCols(30, 8, 8)
+	if err := b.PublishColumns("answers", cols, 0, 0); !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	for p, recs := range fetchAll(t, b, "answers") {
@@ -127,11 +128,10 @@ func TestBrokerPublishColumnsAllOrNothing(t *testing.T) {
 			t.Fatalf("partition %d holds %d records after refused batch", p, len(recs))
 		}
 	}
-	small, err := appendColumns(msgs[:3])
-	if err != nil {
-		t.Fatal(err)
+	if s := b.Stats(); s.Rejected != int64(cols.Count) {
+		t.Fatalf("Stats.Rejected = %d, want %d", s.Rejected, cols.Count)
 	}
-	if _, err := b.PublishColumns("answers", small); err != nil {
+	if err := b.PublishColumns("answers", head(cols, 3), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,193 +161,68 @@ func TestColumnsValidate(t *testing.T) {
 	}
 }
 
-// TestAppendColumnsMixedStride: the lane builder enforces the uniform
-// stride columns require — a mixed-size batch is rejected before it can
-// reach the wire.
-func TestAppendColumnsMixedStride(t *testing.T) {
-	msgs := colMsgs(3, 4, 4)
-	msgs[2].Value = msgs[2].Value[:3]
-	if _, err := appendColumns(msgs); !errors.Is(err, ErrWire) {
-		t.Fatalf("mixed value stride: %v", err)
-	}
-	msgs = colMsgs(3, 4, 4)
-	msgs[1].Key = append(msgs[1].Key, 9)
-	if _, err := appendColumns(msgs); !errors.Is(err, ErrWire) {
-		t.Fatalf("mixed key stride: %v", err)
-	}
-	cols, err := appendColumns(nil)
-	if err != nil || cols.Count != 0 {
-		t.Fatalf("empty batch: %+v, %v", cols, err)
-	}
-}
-
-// TestClientPublishColumnsTCP: wire v2 end-to-end — the client probes
-// features once, caches the v2 verdict, and the records a consumer sees
-// are identical to the row-oriented path against a separate broker.
-func TestClientPublishColumnsTCP(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("answers", 4); err != nil {
-		t.Fatal(err)
-	}
-	mask, err := cli.Features()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask&featureColumnarV2 == 0 {
-		t.Fatalf("server mask %x lacks columnar bit", mask)
-	}
-	msgs := colMsgs(19, 16, 22)
-	cols, err := appendColumns(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cli.PublishColumns("answers", cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.features.Load(); got != featV2 {
-		t.Fatalf("negotiation cached %d, want featV2", got)
-	}
-
-	refB := newTestBroker(t, "answers")
-	refRes, err := refB.PublishBatch("answers", msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(refRes) {
-		t.Fatalf("%d results vs %d", len(res), len(refRes))
-	}
-	for i := range res {
-		if res[i] != refRes[i] {
-			t.Fatalf("record %d landed at %+v over v2 vs %+v in-process", i, res[i], refRes[i])
-		}
-	}
-	for p := 0; p < 4; p++ {
-		got, err := cli.Fetch("answers", p, 0, 1<<20, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refB.Fetch("answers", p, 0, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRecords(t, [][]Record{got}, [][]Record{want})
-	}
-}
-
-// TestClientPublishColumnsLegacyFallback: against a v1-only server the
-// feature probe fails with the wire error, the client caches the v1
-// verdict, and PublishColumns transparently degrades to PublishBatch —
-// same records, same results, no v2 frame ever accepted.
-func TestClientPublishColumnsLegacyFallback(t *testing.T) {
-	b := NewBroker()
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.legacyV1 = true
-	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-
-	if err := cli.CreateTopic("answers", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Features(); !errors.Is(err, ErrWire) {
-		t.Fatalf("v1 server feature probe: %v", err)
-	}
-	msgs := colMsgs(19, 16, 22)
-	cols, err := appendColumns(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cli.PublishColumns("answers", cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.features.Load(); got != featV1Only {
-		t.Fatalf("negotiation cached %d, want featV1Only", got)
-	}
-
-	refB := newTestBroker(t, "answers")
-	refRes, err := refB.PublishBatch("answers", msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(refRes) {
-		t.Fatalf("%d results vs %d", len(res), len(refRes))
-	}
-	for i := range res {
-		if res[i] != refRes[i] {
-			t.Fatalf("record %d landed at %+v via fallback vs %+v in-process", i, res[i], refRes[i])
-		}
-	}
-	sameRecords(t, fetchAll(t, b, "answers"), fetchAll(t, refB, "answers"))
-}
-
-// FuzzFrameV2RoundTrip drives the server-side wire-v2 decoder two ways:
-// arbitrary bytes must never panic (only answer with a status frame),
-// and well-formed frames built from fuzzed geometry must round-trip —
-// the decoded batch lands exactly as an in-process PublishColumns of the
-// same lanes.
-func FuzzFrameV2RoundTrip(f *testing.F) {
-	// A valid two-record frame as a seed.
-	seedMsgs := colMsgs(2, 3, 4)
-	seedCols, err := appendColumns(seedMsgs)
-	if err != nil {
-		f.Fatal(err)
-	}
+// columnsFrame encodes an opPublishColumns request without validating
+// anything, so tests can frame geometry the client refuses to send.
+func columnsFrame(topic string, pid, seq uint64, count, keyLen, valLen uint32, keys, vals []byte) []byte {
 	var e enc
-	e.str("answers")
-	e.uint32(uint32(seedCols.Count))
-	e.uint32(uint32(seedCols.KeyLen))
-	e.uint32(uint32(seedCols.ValLen))
-	e.bytes(seedCols.Keys)
-	e.bytes(seedCols.Vals)
-	f.Add(e.buf)
+	e.byte(opPublishColumns)
+	e.str(topic)
+	e.uint64(pid)
+	e.uint64(seq)
+	e.uint32(count)
+	e.uint32(keyLen)
+	e.uint32(valLen)
+	e.bytes(keys)
+	e.bytes(vals)
+	return e.buf
+}
+
+// FuzzFrameV2RoundTrip drives the server's one columnar publish handler
+// two ways: arbitrary bytes must never panic (only answer with a status
+// frame), and frames built from fuzzed geometry must be accepted exactly
+// when the geometry and session tag are valid — landing the same records
+// as an in-process PublishColumns of the same lanes — and rejected with
+// nothing applied otherwise.
+func FuzzFrameV2RoundTrip(f *testing.F) {
+	seed := testCols(2, 3, 4)
+	f.Add(columnsFrame("answers", 7, 1, 2, 3, 4, seed.Keys, seed.Vals)[1:])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	// A lying header: count claims more records than the lanes hold.
-	var lie enc
-	lie.str("answers")
-	lie.uint32(1 << 30)
-	lie.uint32(3)
-	lie.uint32(4)
-	lie.bytes(seedCols.Keys)
-	lie.bytes(seedCols.Vals)
-	f.Add(lie.buf)
+	// Lying count, lying stride, short value lane, sequence without pid.
+	f.Add(columnsFrame("answers", 7, 1, 1<<30, 3, 4, seed.Keys, seed.Vals)[1:])
+	f.Add(columnsFrame("answers", 7, 1, 2, 1<<31, 4, seed.Keys, seed.Vals)[1:])
+	f.Add(columnsFrame("answers", 7, 1, 2, 3, 4, seed.Keys, seed.Vals[:5])[1:])
+	f.Add(columnsFrame("answers", 0, 9, 2, 3, 4, seed.Keys, seed.Vals)[1:])
+
+	newBroker := func(t *testing.T) *Broker { return newTestBroker(t, "answers") }
+	total := func(t *testing.T, b *Broker) int {
+		n := 0
+		for _, recs := range fetchAll(t, b, "answers") {
+			n += len(recs)
+		}
+		return n
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary payload bytes through the v2 handler: must not panic,
+		// Arbitrary payload bytes through the handler: must not panic,
 		// must always produce a status frame. A dedicated broker, because
 		// a fuzz input that happens to be a valid frame lands for real.
-		chaos := NewBroker()
-		if err := chaos.CreateTopic("answers", 3); err != nil {
-			t.Fatal(err)
-		}
-		resp := (&Server{broker: chaos}).handle(append([]byte{opPublishBatchV2}, data...))
+		resp := (&Server{broker: newBroker(t)}).handle(append([]byte{opPublishColumns}, data...))
 		if len(resp) == 0 {
-			t.Fatal("v2 handler returned an empty response")
+			t.Fatal("columnar handler returned an empty response")
 		}
 
-		b := NewBroker()
-		if err := b.CreateTopic("answers", 3); err != nil {
-			t.Fatal(err)
-		}
-		s := &Server{broker: b}
-
-		// Structured round trip: reinterpret the fuzz input as lane
-		// geometry plus lane bytes and build a well-formed frame.
-		if len(data) < 3 {
+		// Structured: reinterpret the input as a session tag, lane
+		// geometry, a lie to tell about it, and lane bytes.
+		if len(data) < 6 {
 			return
 		}
-		keyLen := int(data[0]%8) + 1
-		valLen := int(data[1]%8) + 1
-		count := int(data[2] % 16)
-		lanes := data[3:]
+		pid, seq := uint64(data[0]%3), uint64(data[1]%3)
+		keyLen := int(data[2]%8) + 1
+		valLen := int(data[3]%8) + 1
+		count := int(data[4] % 16)
+		lie := data[5] % 5
+		lanes := data[6:]
 		if len(lanes) < count*(keyLen+valLen) {
 			count = len(lanes) / (keyLen + valLen)
 		}
@@ -361,42 +236,35 @@ func FuzzFrameV2RoundTrip(f *testing.F) {
 		if err := cols.Validate(); err != nil {
 			t.Fatalf("fuzz-built columns invalid: %v", err)
 		}
-		var e enc
-		e.byte(opPublishBatchV2)
-		e.str("answers")
-		e.uint32(uint32(cols.Count))
-		e.uint32(uint32(cols.KeyLen))
-		e.uint32(uint32(cols.ValLen))
-		e.bytes(cols.Keys)
-		e.bytes(cols.Vals)
-		resp = s.handle(e.buf)
-		if len(resp) < 1 || resp[0] != 0 {
-			t.Fatalf("well-formed v2 frame rejected: % x", resp)
-		}
-		d := &dec{buf: resp[1:]}
-		got, err := d.uint32()
-		if err != nil || int(got) != count {
-			t.Fatalf("acked %d of %d records (err=%v)", got, count, err)
+		claimCount, claimKey, vals := uint32(count), uint32(keyLen), cols.Vals
+		valid := pid != 0 || seq == 0
+		switch {
+		case count == 0:
+		case lie == 1:
+			claimCount, valid = uint32(count+1), false
+		case lie == 2:
+			claimKey, valid = uint32(keyLen+1), false
+		case lie == 3:
+			vals, valid = vals[:len(vals)-1], false
 		}
 
-		// The wire path must agree with the in-process columnar publish.
-		ref := NewBroker()
-		if err := ref.CreateTopic("answers", 3); err != nil {
-			t.Fatal(err)
-		}
-		refRes, err := ref.PublishColumns("answers", cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < count; i++ {
-			part, err1 := d.uint32()
-			off, err2 := d.uint64()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("short result list at %d", i)
+		b := newBroker(t)
+		resp = (&Server{broker: b}).handle(columnsFrame("answers", pid, seq, claimCount, claimKey, uint32(valLen), cols.Keys, vals))
+		if !valid {
+			if len(resp) < 1 || resp[0] != 1 {
+				t.Fatalf("malformed frame (lie %d, pid %d, seq %d) acked: % x", lie, pid, seq, resp)
 			}
-			if int(part) != refRes[i].Partition || int64(off) != refRes[i].Offset {
-				t.Fatalf("record %d: wire (%d,%d) vs in-process %+v", i, part, off, refRes[i])
+			if n := total(t, b); n != 0 {
+				t.Fatalf("rejected frame applied %d records", n)
 			}
+			return
+		}
+		if !bytes.Equal(resp, []byte{0}) {
+			t.Fatalf("well-formed frame answered % x, want the bare ok status", resp)
+		}
+		ref := newBroker(t)
+		if err := ref.PublishColumns("answers", cols, pid, seq); err != nil {
+			t.Fatal(err)
 		}
 		sameRecords(t, fetchAll(t, b, "answers"), fetchAll(t, ref, "answers"))
 	})

@@ -146,22 +146,14 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 			if int64(lsn) != int64(len(p.records)) {
 				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, len(p.records))
 			}
-			offset := int64(len(p.records))
-			if pid != 0 {
-				// Rebuild the session-dedup slot from the record's own tag:
-				// a slice's records replay contiguously, so same-(pid, seq)
-				// records extend the slot and a newer sequence restarts it.
-				if slot, ok := p.producers[pid]; ok && slot.seq == seq {
-					slot.count++
-					p.producers[pid] = slot
-				} else {
-					p.recordSlice(pid, seq, offset, 1)
-				}
-			}
+			// Rebuild the session-dedup slot from the record's own tag:
+			// records replay in append order, so the last tag seen for a
+			// producer is its newest applied sequence.
+			p.recordSlice(pid, seq)
 			p.records = append(p.records, Record{
 				Topic:     name,
 				Partition: i,
-				Offset:    offset,
+				Offset:    int64(len(p.records)),
 				Key:       key,
 				Value:     value,
 				Timestamp: ts,
@@ -253,7 +245,7 @@ const sessionTag = byte(0xF5)
 const sessionTagLen = 17
 
 // appendSessionTag prefixes the session tag when pid is nonzero; plain
-// publishes (pid 0) keep the v1 framing byte-for-byte.
+// publishes (pid 0) are framed untagged.
 func appendSessionTag(buf []byte, pid, seq uint64) []byte {
 	if pid == 0 {
 		return buf
@@ -291,18 +283,16 @@ func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid
 	return ts, key, value, pid, seq, nil
 }
 
-// journalBatch frames and appends one partition's slice of a publish
-// batch as a single WAL batch (one write, one policy fsync). The caller
-// holds the partition lock.
-func journalBatch(p *partitionLog, now time.Time, msgs []Message, idxs []int, pid, seq uint64) error {
-	tagLen := 0
+// journalColumns frames and appends one partition's slice of a columnar
+// batch as a single WAL batch (one write, one policy fsync), each record
+// framed exactly as Publish frames it — replay cannot tell which publish
+// form wrote a record. The caller holds the partition lock.
+func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pid, seq uint64) error {
+	per := 12 + cols.KeyLen + cols.ValLen
 	if pid != 0 {
-		tagLen = sessionTagLen
+		per += sessionTagLen
 	}
-	total := 0
-	for _, i := range idxs {
-		total += tagLen + 12 + len(msgs[i].Key) + len(msgs[i].Value)
-	}
+	total := len(idxs) * per
 	// Grow the scratch once up front: the per-record sub-slices handed
 	// to AppendBatch must all point into the same backing array.
 	if cap(p.encBuf) < total {
@@ -313,7 +303,7 @@ func journalBatch(p *partitionLog, now time.Time, msgs []Message, idxs []int, pi
 	for _, i := range idxs {
 		start := len(enc)
 		enc = appendSessionTag(enc, pid, seq)
-		enc = appendPartitionRecord(enc, now, msgs[i].Key, msgs[i].Value)
+		enc = appendPartitionRecord(enc, now, cols.Key(i), cols.Val(i))
 		payloads = append(payloads, enc[start:len(enc):len(enc)])
 	}
 	p.encBuf = enc[:0]

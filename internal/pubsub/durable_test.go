@@ -96,21 +96,15 @@ func TestDurableBrokerReplaysBatchesAndTimestamps(t *testing.T) {
 	if err := b.CreateTopic("key", 3); err != nil {
 		t.Fatal(err)
 	}
-	msgs := make([]Message, 32)
-	for i := range msgs {
-		msgs[i] = Message{Key: []byte{byte(i)}, Value: []byte(fmt.Sprintf("v%d", i))}
-	}
-	results, err := b.PublishBatch("key", msgs)
-	if err != nil {
+	if err := b.PublishColumns("key", testCols(32, 1, 3), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	var wantRecs []Record
-	for i, r := range results {
-		recs, err := b.Fetch("key", r.Partition, r.Offset, 1)
-		if err != nil || len(recs) != 1 {
-			t.Fatalf("fetch %d: %v", i, err)
-		}
-		wantRecs = append(wantRecs, recs[0])
+	for _, recs := range fetchAll(t, b, "key") {
+		wantRecs = append(wantRecs, recs...)
+	}
+	if len(wantRecs) != 32 {
+		t.Fatalf("batch landed %d of 32 records", len(wantRecs))
 	}
 	b.Close()
 

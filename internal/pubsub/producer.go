@@ -10,29 +10,21 @@ import (
 )
 
 // RetryPolicy shapes a Producer's at-least-once delivery. The zero
-// value means one attempt, no blocking on full partitions — exactly the
-// pre-session publish behavior.
+// value means one attempt.
 type RetryPolicy struct {
 	// Attempts is the number of tries per batch chunk (<= 0 means 1).
 	// Retries fire only for retryable failures: ErrAmbiguous (the
 	// request may have applied — safe to retry because the broker
 	// dedups) and transport-level errors like dial failures and
-	// connection resets. Broker verdicts (ErrNoTopic, ErrClosed, wire
-	// violations) never retry.
+	// connection resets. Broker verdicts (ErrNoTopic, ErrClosed,
+	// ErrPartitionFull, wire violations) never retry.
 	Attempts int
 	// Backoff is the sleep before the first retry, doubling per retry up
 	// to MaxBackoff. Defaults: 10ms → 500ms.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// FullWait, when > 0, bounds how long ErrPartitionFull is retried
-	// (the backpressure wait, not counted against Attempts); zero fails
-	// fast on a full partition.
-	FullWait time.Duration
-	// Pacing is the sleep between full-partition retries (default: the
-	// broker's fullRetryInterval).
-	Pacing time.Duration
 	// Seed, when nonzero, enables deterministic ±50% jitter on backoff
-	// and pacing so a fleet of producers does not retry in lockstep.
+	// so a fleet of producers does not retry in lockstep.
 	Seed int64
 }
 
@@ -46,9 +38,6 @@ func (r RetryPolicy) withDefaults() RetryPolicy {
 	if r.MaxBackoff <= 0 {
 		r.MaxBackoff = 500 * time.Millisecond
 	}
-	if r.Pacing <= 0 {
-		r.Pacing = fullRetryInterval
-	}
 	return r
 }
 
@@ -56,9 +45,7 @@ func (r RetryPolicy) withDefaults() RetryPolicy {
 // tags every batch with a producer ID and a per-topic sequence number,
 // and retries ambiguous failures safely — the broker's per-partition
 // session slots turn a replayed batch into Stats.Duplicates instead of
-// double-published records. Against a transport without session support
-// it degrades to plain publishes with no ambiguous retry (a blind retry
-// could double-publish), still honoring FullWait backpressure.
+// double-published records.
 //
 // A Producer serializes its publishes (one in-flight batch per
 // producer), which the dedup contract requires: sequences must reach
@@ -67,15 +54,10 @@ type Producer struct {
 	t  Transport
 	id uint64
 
-	mu   sync.Mutex
-	pol  RetryPolicy
-	seqs map[string]uint64
-	// session is false once the transport definitively lacks session
-	// support (no SessionPublisher surface, or ErrNoSession from
-	// feature negotiation).
-	session bool
-	sp      SessionPublisher
-	jitter  atomic.Uint64
+	mu     sync.Mutex
+	pol    RetryPolicy
+	seqs   map[string]uint64
+	jitter atomic.Uint64
 }
 
 // NewProducer wraps t with a fresh producer session. The producer ID is
@@ -83,7 +65,6 @@ type Producer struct {
 // no broker-side registration is needed).
 func NewProducer(t Transport, pol RetryPolicy) *Producer {
 	p := &Producer{t: t, seqs: make(map[string]uint64)}
-	p.sp, p.session = t.(SessionPublisher)
 	var b [8]byte
 	for {
 		if _, err := crand.Read(b[:]); err != nil {
@@ -130,7 +111,7 @@ func retryablePublishErr(err error) bool {
 	}
 	for _, s := range []error{
 		ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset,
-		ErrClosed, ErrPartitionFull, ErrWire, ErrDurable, ErrNoSession,
+		ErrClosed, ErrPartitionFull, ErrWire, ErrDurable,
 	} {
 		if errors.Is(err, s) {
 			return false
@@ -139,51 +120,10 @@ func retryablePublishErr(err error) bool {
 	return true
 }
 
-// PublishBatch publishes msgs to topic with at-least-once retries and
-// exactly-once effect (given session support). Batches above
-// maxBatchBytes are split into chunks, each tagged with its own
-// sequence; all-or-nothing holds per chunk. Results are not returned:
-// a deduplicated replay of an old chunk cannot reconstruct original
-// placements, so session callers treat placement as broker-internal.
-func (p *Producer) PublishBatch(topic string, msgs []Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.session {
-		return p.plainRowsLocked(topic, msgs)
-	}
-	for start := 0; start < len(msgs); {
-		n := 0
-		size := 0
-		for i := start; i < len(msgs); i++ {
-			m := msgs[i]
-			if n > 0 && size+len(m.Key)+len(m.Value)+9 > maxBatchBytes {
-				break
-			}
-			size += len(m.Key) + len(m.Value) + 9
-			n++
-		}
-		chunk := msgs[start : start+n]
-		err := p.sendLocked(topic, func(seq uint64) error {
-			_, err := p.sp.PublishBatchSession(topic, chunk, p.id, seq)
-			return err
-		})
-		if err != nil {
-			if errors.Is(err, ErrNoSession) {
-				p.session = false
-				return p.plainRowsLocked(topic, msgs[start:])
-			}
-			return err
-		}
-		start += n
-	}
-	return nil
-}
-
-// PublishColumns is the columnar PublishBatch: chunked by rows past
-// maxBatchBytes, one sequence per chunk.
+// PublishColumns publishes cols to topic with at-least-once retries and
+// exactly-once effect. Batches above maxBatchBytes are split by rows
+// into chunks, each tagged with its own sequence; all-or-nothing holds
+// per chunk.
 func (p *Producer) PublishColumns(topic string, cols Columns) error {
 	if err := cols.Validate(); err != nil {
 		return err
@@ -193,11 +133,7 @@ func (p *Producer) PublishColumns(topic string, cols Columns) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.session {
-		return p.plainColsLocked(topic, cols)
-	}
-	stride := cols.KeyLen + cols.ValLen
-	rows := maxBatchBytes / stride
+	rows := maxBatchBytes / (cols.KeyLen + cols.ValLen)
 	if rows < 1 {
 		rows = 1
 	}
@@ -213,22 +149,7 @@ func (p *Producer) PublishColumns(topic string, cols Columns) error {
 			Keys:   cols.Keys[start*cols.KeyLen : (start+n)*cols.KeyLen],
 			Vals:   cols.Vals[start*cols.ValLen : (start+n)*cols.ValLen],
 		}
-		err := p.sendLocked(topic, func(seq uint64) error {
-			_, err := p.sp.PublishColumnsSession(topic, chunk, p.id, seq)
-			return err
-		})
-		if err != nil {
-			if errors.Is(err, ErrNoSession) {
-				p.session = false
-				rest := Columns{
-					Count:  cols.Count - start,
-					KeyLen: cols.KeyLen,
-					ValLen: cols.ValLen,
-					Keys:   cols.Keys[start*cols.KeyLen:],
-					Vals:   cols.Vals[start*cols.ValLen:],
-				}
-				return p.plainColsLocked(topic, rest)
-			}
+		if err := p.sendLocked(topic, chunk); err != nil {
 			return err
 		}
 	}
@@ -236,73 +157,20 @@ func (p *Producer) PublishColumns(topic string, cols Columns) error {
 }
 
 // sendLocked assigns the chunk its sequence and runs the retry loop:
-// retryable failures consume attempts with exponential backoff;
-// ErrPartitionFull retries against the FullWait deadline without
-// consuming attempts. Caller holds p.mu.
-func (p *Producer) sendLocked(topic string, send func(seq uint64) error) error {
+// retryable failures consume attempts with exponential backoff, every
+// attempt carrying the same sequence. Caller holds p.mu.
+func (p *Producer) sendLocked(topic string, chunk Columns) error {
 	seq := p.seqs[topic] + 1
 	p.seqs[topic] = seq
-	pol := p.pol
-	var fullDeadline time.Time
-	if pol.FullWait > 0 {
-		fullDeadline = time.Now().Add(pol.FullWait)
-	}
-	backoff := pol.Backoff
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; {
-		err := send(seq)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if errors.Is(err, ErrPartitionFull) {
-			if pol.FullWait <= 0 || !time.Now().Before(fullDeadline) {
-				return err
-			}
-			time.Sleep(jitterDur(&p.jitter, pol.Pacing))
-			continue // backpressure does not consume attempts
-		}
-		if !retryablePublishErr(err) {
+	backoff := p.pol.Backoff
+	for attempt := 1; ; attempt++ {
+		err := p.t.PublishColumns(topic, chunk, p.id, seq)
+		if err == nil || !retryablePublishErr(err) || attempt >= p.pol.Attempts {
 			return err
-		}
-		attempt++
-		if attempt >= pol.Attempts {
-			break
 		}
 		time.Sleep(jitterDur(&p.jitter, backoff))
-		if backoff *= 2; backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
+		if backoff *= 2; backoff > p.pol.MaxBackoff {
+			backoff = p.pol.MaxBackoff
 		}
 	}
-	return lastErr
-}
-
-// plainRowsLocked is the degraded path for session-less transports: one
-// attempt (no ambiguous retry), FullWait honored through the Wait
-// variants. Caller holds p.mu.
-func (p *Producer) plainRowsLocked(topic string, msgs []Message) error {
-	if p.pol.FullWait > 0 {
-		if wp, ok := p.t.(WaitPublisher); ok {
-			_, err := wp.PublishBatchWait(topic, msgs, p.pol.FullWait)
-			return err
-		}
-	}
-	_, err := p.t.PublishBatch(topic, msgs)
-	return err
-}
-
-func (p *Producer) plainColsLocked(topic string, cols Columns) error {
-	if cp, ok := p.t.(ColumnPublisher); ok {
-		if p.pol.FullWait > 0 {
-			_, err := cp.PublishColumnsWait(topic, cols, p.pol.FullWait)
-			return err
-		}
-		_, err := cp.PublishColumns(topic, cols)
-		return err
-	}
-	msgs := make([]Message, cols.Count)
-	for i := range msgs {
-		msgs[i] = Message{Key: cols.Key(i), Value: cols.Val(i)}
-	}
-	return p.plainRowsLocked(topic, msgs)
 }

@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -241,7 +240,7 @@ func TestDialPoolSurvivesConnDeath(t *testing.T) {
 	}()
 	const batches, per = 40, 5
 	for i := 0; i < batches; i++ {
-		if err := prod.PublishBatch("t", sessionMsgs(fmt.Sprintf("b%02d", i), per)); err != nil {
+		if err := prod.PublishColumns("t", sessionCols(byte('0'+i), per)); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}

@@ -9,15 +9,15 @@ import (
 	"privapprox/internal/wal"
 )
 
-func sessionMsgs(tag string, n int) []Message {
-	msgs := make([]Message, n)
-	for i := range msgs {
-		msgs[i] = Message{
-			Key:   []byte(fmt.Sprintf("%s-key-%03d", tag, i)),
-			Value: []byte(fmt.Sprintf("%s-val-%03d", tag, i)),
-		}
+// sessionCols builds n records with keys "<tag>-key-NNN" and values
+// "<tag>-val-NNN"; tag must be one byte so every batch shares a stride.
+func sessionCols(tag byte, n int) Columns {
+	cols := Columns{Count: n, KeyLen: 9, ValLen: 9}
+	for i := 0; i < n; i++ {
+		cols.Keys = append(cols.Keys, fmt.Sprintf("%c-key-%03d", tag, i)...)
+		cols.Vals = append(cols.Vals, fmt.Sprintf("%c-val-%03d", tag, i)...)
 	}
-	return msgs
+	return cols
 }
 
 func topicEnd(t *testing.T, pub Transport, topic string) int64 {
@@ -43,39 +43,34 @@ func TestSessionDedupExactReplay(t *testing.T) {
 	if err := b.CreateTopic("t", 3); err != nil {
 		t.Fatal(err)
 	}
-	msgs := sessionMsgs("a", 10)
-	first, err := b.PublishBatchSession("t", msgs, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := b.PublishBatchSession("t", msgs, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		if first[i] != replay[i] {
-			t.Fatalf("replay result %d = %+v, original %+v", i, replay[i], first[i])
+	cols := sessionCols('a', 10)
+	for i := 0; i < 2; i++ {
+		if err := b.PublishColumns("t", cols, 7, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
 	st := b.Stats()
 	if st.MessagesIn != 10 || st.Duplicates != 10 {
 		t.Fatalf("MessagesIn=%d Duplicates=%d, want 10 and 10", st.MessagesIn, st.Duplicates)
 	}
+	if want := int64(10 * (cols.KeyLen + cols.ValLen)); st.BytesIn != want {
+		t.Fatalf("BytesIn=%d, want %d (a replay adds no bytes)", st.BytesIn, want)
+	}
 	if end := topicEnd(t, b, "t"); end != 10 {
 		t.Fatalf("topic holds %d records, want 10", end)
 	}
 	// A newer sequence appends; an older one is still deduplicated.
-	if _, err := b.PublishBatchSession("t", sessionMsgs("b", 5), 7, 2); err != nil {
+	if err := b.PublishColumns("t", sessionCols('b', 5), 7, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.PublishBatchSession("t", msgs, 7, 1); err != nil {
+	if err := b.PublishColumns("t", cols, 7, 1); err != nil {
 		t.Fatal(err)
 	}
 	if end := topicEnd(t, b, "t"); end != 15 {
 		t.Fatalf("topic holds %d records, want 15", end)
 	}
 	// Distinct producers never collide.
-	if _, err := b.PublishBatchSession("t", msgs, 8, 1); err != nil {
+	if err := b.PublishColumns("t", cols, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	if end := topicEnd(t, b, "t"); end != 25 {
@@ -83,49 +78,29 @@ func TestSessionDedupExactReplay(t *testing.T) {
 	}
 }
 
-func TestSessionRejectsKeylessAndZeroPID(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic("t", 1); err != nil {
+// TestUnsessionedColumns: pid 0 carries no dedup — the same batch
+// published twice lands twice — and a sequence without a producer id is
+// a malformed tag, refused in-process and across the wire with nothing
+// applied.
+func TestUnsessionedColumns(t *testing.T) {
+	b, _, cli := startServer(t)
+	if err := cli.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.PublishBatchSession("t", []Message{{Value: []byte("v")}}, 7, 1); !errors.Is(err, ErrWire) {
-		t.Fatalf("keyless session batch: %v, want ErrWire", err)
+	cols := sessionCols('u', 3)
+	for _, pub := range []Transport{b, cli} {
+		if err := pub.PublishColumns("t", cols, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.PublishColumns("t", cols, 0, 1); !errors.Is(err, ErrWire) {
+			t.Fatalf("pid 0 with seq 1: %v, want ErrWire", err)
+		}
 	}
-	if _, err := b.PublishBatchSession("t", sessionMsgs("a", 1), 0, 1); !errors.Is(err, ErrWire) {
-		t.Fatalf("pid 0: %v, want ErrWire", err)
+	if end := topicEnd(t, b, "t"); end != 6 {
+		t.Fatalf("topic holds %d records, want 6", end)
 	}
-	cols := Columns{Count: 1, KeyLen: 2, ValLen: 2, Keys: []byte("ab"), Vals: []byte("cd")}
-	if _, err := b.PublishColumnsSession("t", cols, 0, 1); !errors.Is(err, ErrWire) {
-		t.Fatalf("columnar pid 0: %v, want ErrWire", err)
-	}
-}
-
-func TestSessionColumnsDedup(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic("t", 2); err != nil {
-		t.Fatal(err)
-	}
-	cols := Columns{
-		Count:  4,
-		KeyLen: 4,
-		ValLen: 3,
-		Keys:   []byte("aaaabbbbccccdddd"),
-		Vals:   []byte("v00v11v22v33"),
-	}
-	if _, err := b.PublishColumnsSession("t", cols, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.PublishColumnsSession("t", cols, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	st := b.Stats()
-	if st.MessagesIn != 4 || st.Duplicates != 4 {
-		t.Fatalf("MessagesIn=%d Duplicates=%d, want 4 and 4", st.MessagesIn, st.Duplicates)
-	}
-	if end := topicEnd(t, b, "t"); end != 4 {
-		t.Fatalf("topic holds %d records, want 4", end)
+	if st := b.Stats(); st.Duplicates != 0 {
+		t.Fatalf("Duplicates = %d for unsessioned batches", st.Duplicates)
 	}
 }
 
@@ -142,15 +117,11 @@ func TestSessionDedupSurvivesRestart(t *testing.T) {
 	if err := b.CreateTopic("t", 3); err != nil {
 		t.Fatal(err)
 	}
-	batches := [][]Message{sessionMsgs("a", 6), sessionMsgs("b", 6), sessionMsgs("c", 6)}
-	for i, msgs := range batches {
-		if _, err := b.PublishBatchSession("t", msgs, 9, uint64(i+1)); err != nil {
+	batches := []Columns{sessionCols('a', 6), sessionCols('b', 6), sessionCols('c', 6), sessionCols('d', 2)}
+	for i, cols := range batches {
+		if err := b.PublishColumns("t", cols, 9, uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cols := Columns{Count: 2, KeyLen: 4, ValLen: 2, Keys: []byte("colAcolB"), Vals: []byte("x0x1")}
-	if _, err := b.PublishColumnsSession("t", cols, 9, 4); err != nil {
-		t.Fatal(err)
 	}
 	endBefore := topicEnd(t, b, "t")
 	b.Close()
@@ -165,22 +136,19 @@ func TestSessionDedupSurvivesRestart(t *testing.T) {
 	}
 	// Replays of every pre-restart sequence must dedup against the
 	// journal-restored slots.
-	for i, msgs := range batches {
-		if _, err := b2.PublishBatchSession("t", msgs, 9, uint64(i+1)); err != nil {
+	for i, cols := range batches {
+		if err := b2.PublishColumns("t", cols, 9, uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b2.PublishColumnsSession("t", cols, 9, 4); err != nil {
-		t.Fatal(err)
-	}
 	if end := topicEnd(t, b2, "t"); end != endBefore {
-		t.Fatalf("replays appended: topic holds %d records, want %d", topicEnd(t, b2, "t"), endBefore)
+		t.Fatalf("replays appended: topic holds %d records, want %d", end, endBefore)
 	}
-	if st := b2.Stats(); st.Duplicates != int64(6*len(batches))+2 {
-		t.Fatalf("Duplicates = %d, want %d", st.Duplicates, 6*len(batches)+2)
+	if st := b2.Stats(); st.Duplicates != 20 {
+		t.Fatalf("Duplicates = %d, want 20", st.Duplicates)
 	}
 	// A fresh sequence still appends after the restart.
-	if _, err := b2.PublishBatchSession("t", sessionMsgs("d", 3), 9, 5); err != nil {
+	if err := b2.PublishColumns("t", sessionCols('e', 3), 9, 5); err != nil {
 		t.Fatal(err)
 	}
 	if end := topicEnd(t, b2, "t"); end != endBefore+3 {
@@ -188,23 +156,22 @@ func TestSessionDedupSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestPlainJournalUntouchedBySessions: records published without a
-// session keep the v1 journal framing — a pid-0 publish is byte-for-
-// byte what a pre-session broker wrote, so old journals replay and
-// mixed-version fleets interoperate.
-func TestPlainJournalUntouchedBySessions(t *testing.T) {
+// TestUnsessionedJournalReplays: records published with pid 0 are
+// journaled untagged (the framing is pinned in wire_golden_test.go) and
+// replay without creating dedup state.
+func TestUnsessionedJournalReplays(t *testing.T) {
 	dir := t.TempDir()
 	b, err := OpenBroker(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.PublishBatch("t", sessionMsgs("plain", 4)); err == nil {
-		t.Fatal("publish to missing topic succeeded")
+	if err := b.PublishColumns("t", sessionCols('p', 4), 0, 0); !errors.Is(err, ErrNoTopic) {
+		t.Fatalf("publish to missing topic: %v, want ErrNoTopic", err)
 	}
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.PublishBatch("t", sessionMsgs("plain", 4)); err != nil {
+	if err := b.PublishColumns("t", sessionCols('p', 4), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
@@ -217,6 +184,9 @@ func TestPlainJournalUntouchedBySessions(t *testing.T) {
 	if err != nil || len(recs) != 4 {
 		t.Fatalf("Fetch after replay = %d recs, %v", len(recs), err)
 	}
+	if n := len(b2.topics["t"].partitions[0].producers); n != 0 {
+		t.Fatalf("replay of untagged records created %d dedup slots", n)
+	}
 }
 
 func TestSessionOverTCP(t *testing.T) {
@@ -224,19 +194,12 @@ func TestSessionOverTCP(t *testing.T) {
 	if err := cli.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	msgs := sessionMsgs("tcp", 8)
-	if _, err := cli.PublishBatchSession("t", msgs, 11, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.PublishBatchSession("t", msgs, 11, 1); err != nil {
-		t.Fatal(err)
-	}
-	cols := Columns{Count: 2, KeyLen: 4, ValLen: 2, Keys: []byte("colAcolB"), Vals: []byte("x0x1")}
-	if _, err := cli.PublishColumnsSession("t", cols, 11, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.PublishColumnsSession("t", cols, 11, 2); err != nil {
-		t.Fatal(err)
+	for seq, cols := range []Columns{sessionCols('x', 8), sessionCols('y', 2)} {
+		for i := 0; i < 2; i++ {
+			if err := cli.PublishColumns("t", cols, 11, uint64(seq+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	st := b.Stats()
 	if st.MessagesIn != 10 || st.Duplicates != 10 {
@@ -244,39 +207,7 @@ func TestSessionOverTCP(t *testing.T) {
 	}
 }
 
-// TestSessionLegacyServer: a pre-session server rejects the session
-// opcodes; the client caches the verdict and reports ErrNoSession, and
-// a Producer on top downgrades to plain publishes.
-func TestSessionLegacyServer(t *testing.T) {
-	b := NewBroker()
-	t.Cleanup(b.Close)
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srv.legacyV1 = true
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	if err := cli.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.PublishBatchSession("t", sessionMsgs("x", 2), 3, 1); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("session publish against legacy server: %v, want ErrNoSession", err)
-	}
-	prod := NewProducer(cli, RetryPolicy{Attempts: 3, Backoff: time.Microsecond})
-	if err := prod.PublishBatch("t", sessionMsgs("y", 4)); err != nil {
-		t.Fatalf("producer against legacy server: %v", err)
-	}
-	if end := topicEnd(t, cli, "t"); end != 4 {
-		t.Fatalf("topic holds %d records, want 4", end)
-	}
-}
-
-// flakySession wraps a broker and fails the first failures session
+// flakySession wraps a broker and fails the first failures sessioned
 // publishes after the broker applied them — the ambiguous ack-loss
 // shape the producer must retry through.
 type flakySession struct {
@@ -284,20 +215,15 @@ type flakySession struct {
 	failures int
 }
 
-func (f *flakySession) PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error) {
-	res, err := f.Broker.PublishBatchSession(topic, msgs, pid, seq)
-	if err != nil {
-		return nil, err
+func (f *flakySession) PublishColumns(topic string, cols Columns, pid, seq uint64) error {
+	if err := f.Broker.PublishColumns(topic, cols, pid, seq); err != nil {
+		return err
 	}
 	if f.failures > 0 {
 		f.failures--
-		return nil, fmt.Errorf("%w: flaky test transport", ErrAmbiguous)
+		return fmt.Errorf("%w: flaky test transport", ErrAmbiguous)
 	}
-	return res, nil
-}
-
-func (f *flakySession) PublishColumnsSession(topic string, cols Columns, pid, seq uint64) ([]PubResult, error) {
-	return f.Broker.PublishColumnsSession(topic, cols, pid, seq)
+	return nil
 }
 
 func TestProducerRetriesAmbiguousExactlyOnce(t *testing.T) {
@@ -308,7 +234,7 @@ func TestProducerRetriesAmbiguousExactlyOnce(t *testing.T) {
 	}
 	ft := &flakySession{Broker: b, failures: 2}
 	prod := NewProducer(ft, RetryPolicy{Attempts: 5, Backoff: time.Microsecond})
-	if err := prod.PublishBatch("t", sessionMsgs("r", 6)); err != nil {
+	if err := prod.PublishColumns("t", sessionCols('r', 6)); err != nil {
 		t.Fatalf("publish through flaky transport: %v", err)
 	}
 	st := b.Stats()
@@ -321,8 +247,20 @@ func TestProducerRetriesAmbiguousExactlyOnce(t *testing.T) {
 	// Attempts exhausted before the transport heals → the error surfaces.
 	ft.failures = 5
 	prod2 := NewProducer(ft, RetryPolicy{Attempts: 2, Backoff: time.Microsecond})
-	if err := prod2.PublishBatch("t", sessionMsgs("s", 2)); !errors.Is(err, ErrAmbiguous) {
+	if err := prod2.PublishColumns("t", sessionCols('s', 2)); !errors.Is(err, ErrAmbiguous) {
 		t.Fatalf("exhausted retries: %v, want ErrAmbiguous", err)
+	}
+	// A broker verdict is never retried: backpressure surfaces at once.
+	if err := b.SetTopicCapacity("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ft.failures = 0
+	rejected := b.Stats().Rejected
+	if err := prod.PublishColumns("t", sessionCols('f', 4)); !errors.Is(err, ErrPartitionFull) {
+		t.Fatalf("full partition: %v, want ErrPartitionFull", err)
+	}
+	if got := b.Stats().Rejected - rejected; got != 4 {
+		t.Fatalf("full batch was attempted %d/4 times, want once", got)
 	}
 }
 
@@ -339,14 +277,35 @@ func TestProducerSequencesPerTopic(t *testing.T) {
 		t.Fatal("producer ID is zero")
 	}
 	for i := 0; i < 3; i++ {
-		if err := prod.PublishBatch("t1", sessionMsgs(fmt.Sprintf("a%d", i), 2)); err != nil {
+		if err := prod.PublishColumns("t1", sessionCols(byte('a'+i), 2)); err != nil {
 			t.Fatal(err)
 		}
-		if err := prod.PublishBatch("t2", sessionMsgs(fmt.Sprintf("b%d", i), 2)); err != nil {
+		if err := prod.PublishColumns("t2", sessionCols(byte('k'+i), 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := b.Stats(); st.MessagesIn != 12 || st.Duplicates != 0 {
 		t.Fatalf("MessagesIn=%d Duplicates=%d, want 12 and 0", st.MessagesIn, st.Duplicates)
+	}
+}
+
+// TestProducerSplitsOversized: a batch above maxBatchBytes travels as
+// several frames, each under its own sequence, and all of it lands.
+func TestProducerSplitsOversized(t *testing.T) {
+	b, _, cli := startServer(t)
+	if err := cli.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	// 6 records of ~3MB against an 8MB frame cap forces three chunks.
+	cols := Columns{Count: 6, KeyLen: 1, ValLen: 3 << 20, Keys: []byte{0, 1, 2, 3, 4, 5}, Vals: make([]byte, 6*(3<<20))}
+	prod := NewProducer(cli, RetryPolicy{})
+	if err := prod.PublishColumns("t", cols); err != nil {
+		t.Fatal(err)
+	}
+	if end, err := b.EndOffset("t", 0); err != nil || end != 6 {
+		t.Fatalf("EndOffset = %d, %v", end, err)
+	}
+	if seq := b.topics["t"].partitions[0].producers[prod.ID()]; seq != 3 {
+		t.Fatalf("newest applied sequence = %d, want 3 (one per chunk)", seq)
 	}
 }

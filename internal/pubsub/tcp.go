@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -24,11 +23,6 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-	// legacyV1 makes the server reject the wire-v2 opcodes (opFeatures,
-	// opPublishBatchV2) exactly like a pre-v2 build, for interop tests
-	// exercising the client's negotiation fallback. Set before clients
-	// connect.
-	legacyV1 bool
 }
 
 // Serve starts serving the broker on addr (e.g. "127.0.0.1:0") and
@@ -128,10 +122,6 @@ func (s *Server) handle(req []byte) []byte {
 	if err != nil {
 		return respErr(err)
 	}
-	if s.legacyV1 && (op == opFeatures || op == opPublishBatchV2 ||
-		op == opPublishBatchSession || op == opPublishColumnsSession) {
-		return respErr(fmt.Errorf("%w: unknown opcode %d", ErrWire, op))
-	}
 	switch op {
 	case opCreateTopic:
 		topic, err := d.str()
@@ -168,42 +158,8 @@ func (s *Server) handle(req []byte) []byte {
 		e.uint32(uint32(part))
 		e.uint64(uint64(off))
 		return e.buf
-	case opPublishBatch:
-		topic, err := d.str()
-		if err != nil {
-			return respErr(err)
-		}
-		n, err := d.uint32()
-		if err != nil {
-			return respErr(err)
-		}
-		// The frame is already bounded by maxFrame; cap the initial
-		// allocation so a lying count cannot balloon memory before the
-		// short-frame check trips.
-		msgs := make([]Message, 0, min(int(n), 4096))
-		for i := uint32(0); i < n; i++ {
-			key, err := decodeOptBytes(d)
-			if err != nil {
-				return respErr(err)
-			}
-			val, err := d.bytes()
-			if err != nil {
-				return respErr(err)
-			}
-			msgs = append(msgs, Message{Key: key, Value: val})
-		}
-		results, err := s.broker.PublishBatch(topic, msgs)
-		if err != nil {
-			return respErr(err)
-		}
-		var e enc
-		e.byte(0)
-		e.uint32(uint32(len(results)))
-		for _, r := range results {
-			e.uint32(uint32(r.Partition))
-			e.uint64(uint64(r.Offset))
-		}
-		return e.buf
+	case opPublishColumns:
+		return s.handlePublishColumns(d)
 	case opFetch:
 		topic, err := d.str()
 		if err != nil {
@@ -317,17 +273,64 @@ func (s *Server) handle(req []byte) []byte {
 		e.byte(0)
 		e.uint32(uint32(n))
 		return e.buf
-	case opFeatures:
-		return s.handleFeatures()
-	case opPublishBatchV2:
-		return s.handlePublishColumns(d)
-	case opPublishBatchSession:
-		return s.handlePublishBatchSession(d)
-	case opPublishColumnsSession:
-		return s.handlePublishColumnsSession(d)
 	default:
 		return respErr(fmt.Errorf("%w: unknown opcode %d", ErrWire, op))
 	}
+}
+
+// handlePublishColumns decodes an opPublishColumns frame. The lanes are
+// views into the request frame (no copy); the broker copies each lane
+// once during its in-memory append. The ack is the bare status byte.
+func (s *Server) handlePublishColumns(d *dec) []byte {
+	topic, err := d.str()
+	if err != nil {
+		return respErr(err)
+	}
+	pid, err := d.uint64()
+	if err != nil {
+		return respErr(err)
+	}
+	seq, err := d.uint64()
+	if err != nil {
+		return respErr(err)
+	}
+	count, err := d.uint32()
+	if err != nil {
+		return respErr(err)
+	}
+	keyLen, err := d.uint32()
+	if err != nil {
+		return respErr(err)
+	}
+	valLen, err := d.uint32()
+	if err != nil {
+		return respErr(err)
+	}
+	keys, err := d.view()
+	if err != nil {
+		return respErr(err)
+	}
+	vals, err := d.view()
+	if err != nil {
+		return respErr(err)
+	}
+	cols := Columns{
+		Count:  int(count),
+		KeyLen: int(keyLen),
+		ValLen: int(valLen),
+		Keys:   keys,
+		Vals:   vals,
+	}
+	// Validate re-checks lane geometry against the declared strides, so
+	// a lying count or stride is caught here (the lane lengths on the
+	// wire are the real bound, and the frame itself is capped).
+	if err := cols.Validate(); err != nil {
+		return respErr(err)
+	}
+	if err := s.broker.PublishColumns(topic, cols, pid, seq); err != nil {
+		return respErr(err)
+	}
+	return []byte{0}
 }
 
 // waitFetch is the server side of a blocking fetch. The wait is sliced
@@ -355,9 +358,9 @@ func (s *Server) waitFetch(topic string, part int, off int64, max int, wait time
 	}
 }
 
-// decodeOptBytes reads the hasKey-prefixed optional byte string used by
-// the publish opcodes: a 0 marker means nil, a 1 marker is followed by
-// a length-prefixed value.
+// decodeOptBytes reads the hasKey-prefixed optional byte string
+// opPublish uses: a 0 marker means nil, a 1 marker is followed by a
+// length-prefixed value.
 func decodeOptBytes(d *dec) ([]byte, error) {
 	has, err := d.byte()
 	if err != nil {
@@ -392,9 +395,8 @@ func encodeOptBytes(e *enc, b []byte) {
 var ErrAmbiguous = errors.New("pubsub: request outcome unknown")
 
 // Options configures the TCP client transport. The zero value of every
-// field selects a default that preserves the historical behavior: a 5 s
-// dial timeout, 25 ms→1 s redial backoff, the fixed 1 ms full-partition
-// retry pacing, and no jitter.
+// field selects a default: a 5 s dial timeout, 25 ms→1 s redial
+// backoff, and no jitter.
 type Options struct {
 	// Conns is the connection pool size (DefaultPoolConns when <= 0 via
 	// DialPool; DialOptions treats <= 0 as 1).
@@ -407,13 +409,9 @@ type Options struct {
 	// last dial error instead of stacking up behind a dial.
 	RedialBackoff    time.Duration
 	RedialBackoffMax time.Duration
-	// RetryPacing is the sleep between full-partition retries in the
-	// Wait publish variants (the configurable form of the broker's
-	// fullRetryInterval).
-	RetryPacing time.Duration
 	// Seed, when nonzero, enables deterministic jitter (±50%) on redial
-	// backoff and retry pacing, so a fleet of clients does not retry in
-	// lockstep. Zero keeps every delay fixed.
+	// backoff, so a fleet of clients does not redial in lockstep. Zero
+	// keeps every delay fixed.
 	Seed int64
 	// LazyDial tolerates initial dial failures: the connection is kept
 	// in its dead state (requests fail fast and redial on demand under
@@ -434,9 +432,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RedialBackoffMax <= 0 {
 		o.RedialBackoffMax = time.Second
-	}
-	if o.RetryPacing <= 0 {
-		o.RetryPacing = fullRetryInterval
 	}
 	return o
 }
@@ -495,44 +490,9 @@ type Client struct {
 	conns []*clientConn
 	rr    atomic.Uint64
 	opts  Options
-	// jitter is the shared xorshift state for backoff/pacing jitter;
+	// jitter is the shared xorshift state for redial-backoff jitter;
 	// zero when Options.Seed is unset.
 	jitter atomic.Uint64
-	// features caches the wire-v2 negotiation verdict (see
-	// supportsColumns): featUnknown until probed, then featV2 or
-	// featV1Only for the life of the client. sessions caches the
-	// producer-session verdict the same way.
-	features atomic.Int32
-	sessions atomic.Int32
-	// lineage caches the provenance-plane verdict the same way.
-	lineage atomic.Int32
-}
-
-// SupportsLineage reports whether the server hosts the lineage
-// provenance plane (featureLineage in its capability mask), probing
-// once via opFeatures and caching a definite verdict like
-// supportsColumns. Against a v1 peer, or on transport failure, it
-// reports false — callers skip stamping rather than erroring.
-func (c *Client) SupportsLineage() bool {
-	switch c.lineage.Load() {
-	case featV2:
-		return true
-	case featV1Only:
-		return false
-	}
-	mask, err := c.Features()
-	if err != nil {
-		if errors.Is(err, ErrWire) {
-			c.lineage.Store(featV1Only)
-		}
-		return false
-	}
-	if mask&featureLineage != 0 {
-		c.lineage.Store(featV2)
-		return true
-	}
-	c.lineage.Store(featV1Only)
-	return false
 }
 
 // DefaultPoolConns is the pool size DialPool uses for conns <= 0.
@@ -568,11 +528,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		c.conns = append(c.conns, cc)
 	}
 	return c, nil
-}
-
-// pace yields one (jittered) full-partition retry sleep.
-func (c *Client) pace() time.Duration {
-	return jitterDur(&c.jitter, c.opts.RetryPacing)
 }
 
 // Close closes all connections; outstanding requests fail and no
@@ -803,14 +758,13 @@ func (cc *clientConn) roundTrip(req []byte) (*dec, error) {
 // wireSentinels are the broker errors re-attached on the client side of
 // the TCP transport: the server serializes an error as its message
 // string, and the matching sentinel is recovered by prefix so
-// errors.Is keeps working across the wire — most importantly for
-// ErrPartitionFull, which publishers must distinguish from fatal
-// errors to retry (PublishWait) instead of failing.
+// errors.Is keeps working across the wire — ErrPartitionFull so
+// publishers can tell backpressure from a fatal error, ErrNoTopic so
+// advisory publishers (lineage stamps) can tolerate a broker without
+// their topic, ErrWire so a Producer never retries a frame the server
+// rejected as malformed.
 var wireSentinels = []error{
-	ErrPartitionFull, ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset, ErrClosed,
-	// ErrWire crosses the wire too so the client can recognize a v1
-	// server's "unknown opcode" rejection during feature negotiation.
-	ErrWire,
+	ErrPartitionFull, ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset, ErrClosed, ErrWire,
 }
 
 func wireError(msg string) error {
@@ -899,80 +853,36 @@ func (c *Client) Publish(topic string, key, value []byte) (int, int64, error) {
 	return int(part), int64(off), nil
 }
 
-// maxBatchBytes caps one batched publish frame well under maxFrame;
-// larger batches are split transparently.
+// maxBatchBytes caps one columnar publish frame well under maxFrame;
+// Producer splits larger batches into chunks of at most this size.
 const maxBatchBytes = 8 << 20
 
-// PublishBatch mirrors Broker.PublishBatch: the whole batch travels as
-// one frame (split only past maxBatchBytes) and costs one round-trip,
-// instead of one per message.
-func (c *Client) PublishBatch(topic string, msgs []Message) ([]PubResult, error) {
-	if len(msgs) == 0 {
-		return nil, nil
+// PublishColumns mirrors Broker.PublishColumns over TCP. The whole batch
+// travels as exactly one opPublishColumns frame — header plus two lane
+// writes, no per-record slicing, one round-trip. It never chunks: a
+// session sequence covers one atomic broker batch, so callers bound the
+// batch size (Producer does). Both lanes are encoded into a pooled
+// buffer before the call returns.
+func (c *Client) PublishColumns(topic string, cols Columns, pid, seq uint64) error {
+	if err := cols.Validate(); err != nil {
+		return err
 	}
-	out := make([]PubResult, 0, len(msgs))
+	if cols.Count == 0 {
+		return nil
+	}
 	e := getEnc()
 	defer putEnc(e)
-	for start := 0; start < len(msgs); {
-		// Reuse the pooled frame buffer across chunks; the previous
-		// chunk's frame was fully written before roundTrip returned.
-		e.buf = e.buf[:0]
-		e.byte(opPublishBatch)
-		e.str(topic)
-		countAt := len(e.buf)
-		e.uint32(0) // patched with the chunk's message count below
-		n := 0
-		for i := start; i < len(msgs); i++ {
-			m := msgs[i]
-			if n > 0 && len(e.buf)+len(m.Key)+len(m.Value)+9 > maxBatchBytes {
-				break
-			}
-			encodeOptBytes(e, m.Key)
-			e.bytes(m.Value)
-			n++
-		}
-		binary.BigEndian.PutUint32(e.buf[countAt:], uint32(n))
-		d, err := c.roundTrip(e.buf)
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		if int(cnt) != n {
-			return nil, fmt.Errorf("%w: batch acked %d of %d messages", ErrWire, cnt, n)
-		}
-		for i := 0; i < n; i++ {
-			part, err := d.uint32()
-			if err != nil {
-				return nil, err
-			}
-			off, err := d.uint64()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, PubResult{Partition: int(part), Offset: int64(off)})
-		}
-		start += n
-	}
-	return out, nil
-}
-
-// PublishWait mirrors Broker.PublishWait: the client retries while the
-// remote partition reports ErrPartitionFull, until the timeout. The
-// server holds no blocked publisher state — each retry is a fresh
-// round-trip — so a slow publisher cannot pin a server handler.
-func (c *Client) PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error) {
-	return publishWait(c, topic, key, value, timeout, c.pace)
-}
-
-// PublishBatchWait mirrors Broker.PublishBatchWait. Note the atomicity
-// grain: batches above maxBatchBytes are split into chunked frames, and
-// all-or-nothing holds per chunk (each chunk is one broker batch), not
-// across chunks.
-func (c *Client) PublishBatchWait(topic string, msgs []Message, timeout time.Duration) ([]PubResult, error) {
-	return publishBatchWait(c, topic, msgs, timeout, c.pace)
+	e.byte(opPublishColumns)
+	e.str(topic)
+	e.uint64(pid)
+	e.uint64(seq)
+	e.uint32(uint32(cols.Count))
+	e.uint32(uint32(cols.KeyLen))
+	e.uint32(uint32(cols.ValLen))
+	e.bytes(cols.Keys)
+	e.bytes(cols.Vals)
+	_, err := c.roundTrip(e.buf)
+	return err
 }
 
 // waitToMillis converts a fetch wait to whole milliseconds for the

@@ -1,8 +1,8 @@
 package pubsub
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,107 +13,41 @@ import (
 	"time"
 )
 
-// --- Batched publish over the wire. ---
+// --- Publish edge cases over the wire. ---
 
-func TestTCPPublishBatch(t *testing.T) {
-	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 3); err != nil {
-		t.Fatal(err)
-	}
-	msgs := make([]Message, 100)
-	for i := range msgs {
-		msgs[i] = Message{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte(fmt.Sprintf("v%03d", i))}
-	}
-	results, err := cli.PublishBatch("t", msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(msgs) {
-		t.Fatalf("got %d results, want %d", len(results), len(msgs))
-	}
-	// Every message must be findable at the reported (partition, offset)
-	// with its payload intact.
-	for i, r := range results {
-		recs, err := b.Fetch("t", r.Partition, r.Offset, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 1 || !bytes.Equal(recs[0].Value, msgs[i].Value) || !bytes.Equal(recs[0].Key, msgs[i].Key) {
-			t.Fatalf("msg %d at part %d off %d: got %+v", i, r.Partition, r.Offset, recs)
-		}
-	}
-	// Batch and singleton publishes must agree on partition routing.
-	part, _, err := cli.Publish("t", []byte("k000"), []byte("again"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part != results[0].Partition {
-		t.Errorf("batch routed k000 to %d, singleton to %d", results[0].Partition, part)
-	}
-}
-
-func TestTCPPublishBatchNilAndEmptyKeys(t *testing.T) {
+func TestTCPPublishNilAndEmptyKeys(t *testing.T) {
 	b, _, cli := startServer(t)
 	if err := cli.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	results, err := cli.PublishBatch("t", []Message{
-		{Key: nil, Value: []byte("roundrobin")},
-		{Key: []byte{}, Value: []byte("emptykey")},
-	})
+	if _, _, err := cli.Publish("t", nil, []byte("roundrobin")); err != nil {
+		t.Fatal(err)
+	}
+	part, off, err := cli.Publish("t", []byte{}, []byte("emptykey"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("results = %+v", results)
-	}
-	recs, err := b.Fetch("t", results[1].Partition, results[1].Offset, 1)
+	recs, err := b.Fetch("t", part, off, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An empty (non-nil) key is hashed, not round-robined, and survives
 	// the wire as zero-length.
-	if len(recs) != 1 || len(recs[0].Key) != 0 {
-		t.Errorf("empty-key record = %+v", recs)
+	if len(recs) != 1 || len(recs[0].Key) != 0 || part != partitionForKey(nil, 2) {
+		t.Errorf("empty-key record = %+v in partition %d", recs, part)
 	}
 }
 
-func TestTCPPublishBatchEmpty(t *testing.T) {
+func TestTCPPublishColumnsEmpty(t *testing.T) {
 	_, _, cli := startServer(t)
-	results, err := cli.PublishBatch("missing", nil)
-	if err != nil || results != nil {
-		t.Fatalf("empty batch = %v, %v", results, err)
+	if err := cli.PublishColumns("missing", Columns{}, 0, 0); err != nil {
+		t.Fatalf("empty batch = %v", err)
 	}
 }
 
-func TestTCPPublishBatchSplitsOversized(t *testing.T) {
-	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	// 6 messages of ~3MB against an 8MB frame cap forces several chunks.
-	val := make([]byte, 3<<20)
-	msgs := make([]Message, 6)
-	for i := range msgs {
-		msgs[i] = Message{Key: []byte{byte(i)}, Value: val}
-	}
-	results, err := cli.PublishBatch("t", msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(msgs) {
-		t.Fatalf("got %d results", len(results))
-	}
-	end, err := b.EndOffset("t", 0)
-	if err != nil || end != int64(len(msgs)) {
-		t.Fatalf("EndOffset = %d, %v", end, err)
-	}
-}
-
-func TestTCPPublishBatchErrorPropagates(t *testing.T) {
+func TestTCPPublishColumnsErrorPropagates(t *testing.T) {
 	_, _, cli := startServer(t)
-	if _, err := cli.PublishBatch("missing", []Message{{Value: []byte("v")}}); err == nil ||
-		!strings.Contains(err.Error(), "no such topic") {
+	if err := cli.PublishColumns("missing", testCols(1, 2, 2), 0, 0); !errors.Is(err, ErrNoTopic) {
 		t.Errorf("missing-topic batch error = %v", err)
 	}
 }
@@ -314,8 +248,8 @@ func TestTCPServerShortPayloads(t *testing.T) {
 		"truncated topic name": {opCreateTopic, 0, 0, 0, 10},
 		// opFetch cut off before the offset.
 		"truncated fetch": {opFetch, 0, 0, 0, 1, 't', 0, 0, 0, 0},
-		// opPublishBatch whose count promises more messages than framed.
-		"lying batch count": {opPublishBatch, 0, 0, 0, 1, 't', 0, 0, 0, 5, 0, 0, 0, 0, 1, 'v'},
+		// opPublishColumns whose count promises more records than framed.
+		"lying batch count": columnsFrame("t", 0, 0, 5, 1, 1, []byte("k"), []byte("v")),
 		// opPublish with an invalid optional-key marker.
 		"bad key marker": {opPublish, 0, 0, 0, 1, 't', 7},
 	}
@@ -416,11 +350,7 @@ func TestTransportConsumerOverTCP(t *testing.T) {
 	if err := cli.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	msgs := make([]Message, 20)
-	for i := range msgs {
-		msgs[i] = Message{Key: []byte{byte(i)}, Value: []byte{byte(i)}}
-	}
-	if _, err := cli.PublishBatch("t", msgs); err != nil {
+	if err := cli.PublishColumns("t", testCols(20, 1, 1), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewTransportConsumer(cli, "g", "t")
@@ -431,8 +361,8 @@ func TestTransportConsumerOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(msgs) {
-		t.Fatalf("polled %d records, want %d", len(recs), len(msgs))
+	if len(recs) != 20 {
+		t.Fatalf("polled %d records, want 20", len(recs))
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)

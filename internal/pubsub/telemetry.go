@@ -5,8 +5,8 @@ import (
 )
 
 // SetPublishHistogram attaches a latency histogram to the broker's
-// publish paths: each successful publish call (single, row batch, or
-// columnar batch — one observation per call, not per message) records
+// publish paths: each successful publish call (single record or
+// columnar batch — one observation per call, not per record) records
 // its wall time. Nil detaches; an unset histogram costs one atomic
 // pointer load per publish.
 func (b *Broker) SetPublishHistogram(h *telemetry.Histogram) {

@@ -5,20 +5,6 @@ import (
 	"time"
 )
 
-// Message is one record to publish, the unit of the batched publish
-// path: a client flushes an epoch's worth of shares to a proxy as one
-// []Message in a single broker call (and, over TCP, a single frame).
-type Message struct {
-	Key   []byte
-	Value []byte
-}
-
-// PubResult reports where one published message landed.
-type PubResult struct {
-	Partition int
-	Offset    int64
-}
-
 // Transport is the broker surface the rest of the system builds on.
 // Both the in-process *Broker and the TCP *Client implement it, so
 // proxies and the aggregator's consumers run unchanged over either
@@ -32,9 +18,13 @@ type Transport interface {
 	// Publish appends one record; a non-nil key selects the partition
 	// by hash, a nil key round-robins.
 	Publish(topic string, key, value []byte) (int, int64, error)
-	// PublishBatch appends a batch of records in one call, returning
-	// one PubResult per message in input order.
-	PublishBatch(topic string, msgs []Message) ([]PubResult, error)
+	// PublishColumns appends a fixed-stride batch in one call, fully
+	// applied or refused whole. A nonzero pid tags the batch with a
+	// producer session: seq is that producer's per-topic batch sequence,
+	// and a partition that already applied seq or a later one skips its
+	// slice, so a retry after ErrAmbiguous has exactly-once effect. pid 0
+	// publishes without dedup and must carry seq 0.
+	PublishColumns(topic string, cols Columns, pid, seq uint64) error
 	// FetchWait reads up to max records from a partition starting at
 	// offset. wait <= 0 returns immediately with whatever is available;
 	// wait > 0 blocks until at least one record arrives or the wait
@@ -48,19 +38,19 @@ type Transport interface {
 	CommittedOffset(group, topic string, partition int) (int64, error)
 }
 
-// Columns is the columnar form of a publish batch: Count fixed-stride
-// records laid out as two contiguous lanes, record i's key at
-// Keys[i*KeyLen:(i+1)*KeyLen] and its value at Vals[i*ValLen:...]. It
-// is the shape wire v2 (opPublishBatchV2) carries in one frame — one
-// header plus two lane copies, never re-sliced per message — and the
-// shape xorcrypt's batch split produces. The fixed stride is a
-// same-query constraint by construction: batches mixing message sizes
-// cannot be expressed and are rejected before they reach the wire.
+// Columns is a publish batch: Count fixed-stride records laid out as
+// two contiguous lanes, record i's key at Keys[i*KeyLen:(i+1)*KeyLen]
+// and its value at Vals[i*ValLen:...]. It is the shape opPublishColumns
+// carries in one frame — one header plus two lane copies, never
+// re-sliced per record — and the shape xorcrypt's batch split produces.
+// The fixed stride is a same-query constraint by construction: batches
+// mixing record sizes cannot be expressed and are rejected before they
+// reach the wire.
 //
 // The lanes are borrowed, not taken over: a publisher fully consumes
 // (copies or encodes) both lanes before PublishColumns returns, so the
 // caller may reuse them immediately — the same ownership rule as
-// Message keys/values (DESIGN.md §6, §10).
+// Publish's key and value (DESIGN.md §6, §10).
 type Columns struct {
 	Count  int
 	KeyLen int
@@ -95,46 +85,7 @@ func (c Columns) Key(i int) []byte { return c.Keys[i*c.KeyLen : (i+1)*c.KeyLen :
 // Val returns record i's value as a view into the value lane.
 func (c Columns) Val(i int) []byte { return c.Vals[i*c.ValLen : (i+1)*c.ValLen : (i+1)*c.ValLen] }
 
-// ColumnPublisher is the optional columnar publish surface. Both the
-// in-process *Broker and the TCP *Client implement it; the client
-// negotiates per connection pool and transparently falls back to the
-// row-oriented PublishBatch against a v1 server, so callers may always
-// prefer the columnar call when they hold lane-shaped data.
-type ColumnPublisher interface {
-	PublishColumns(topic string, cols Columns) ([]PubResult, error)
-	PublishColumnsWait(topic string, cols Columns, timeout time.Duration) ([]PubResult, error)
-}
-
-// WaitPublisher is the optional blocking-publish surface bounded
-// (backpressured) topics call for: a publisher that must not drop on
-// transient ErrPartitionFull uses the Wait variants, which retry until
-// the record lands or the timeout passes. Both the in-process *Broker
-// and the TCP *Client implement it.
-type WaitPublisher interface {
-	PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error)
-	PublishBatchWait(topic string, msgs []Message, timeout time.Duration) ([]PubResult, error)
-}
-
-// SessionPublisher is the idempotent (producer-session) publish
-// surface: batches tagged with a producer ID and a per-topic sequence
-// number, deduplicated per partition by the broker so an at-least-once
-// retry has exactly-once effect. Both the in-process *Broker and the
-// TCP *Client implement it; the client negotiates per pool and returns
-// ErrNoSession against a pre-session server. Callers normally go
-// through Producer, which owns ID and sequence management plus the
-// retry policy.
-type SessionPublisher interface {
-	PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error)
-	PublishColumnsSession(topic string, cols Columns, pid, seq uint64) ([]PubResult, error)
-}
-
 var (
-	_ Transport        = (*Broker)(nil)
-	_ Transport        = (*Client)(nil)
-	_ WaitPublisher    = (*Broker)(nil)
-	_ WaitPublisher    = (*Client)(nil)
-	_ ColumnPublisher  = (*Broker)(nil)
-	_ ColumnPublisher  = (*Client)(nil)
-	_ SessionPublisher = (*Broker)(nil)
-	_ SessionPublisher = (*Client)(nil)
+	_ Transport = (*Broker)(nil)
+	_ Transport = (*Client)(nil)
 )

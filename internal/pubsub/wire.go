@@ -19,41 +19,22 @@ const maxFrame = 64 << 20
 // ErrWire reports a transport protocol violation.
 var ErrWire = errors.New("pubsub: wire protocol error")
 
-// Opcodes.
+// Opcodes. The values are the wire format and are pinned by the golden
+// frame in wire_golden_test.go; 8–11 are unassigned.
 const (
-	opCreateTopic = byte(iota + 1)
-	opPublish
-	opFetch
-	opEndOffset
-	opCommit
-	opCommitted
-	opPartitions
-	opPublishBatch
-	opFeatures
-	opPublishBatchV2
-	opPublishBatchSession
-	opPublishColumnsSession
+	opCreateTopic = byte(1)
+	// opPublish carries one variable-length, optionally keyless record.
+	opPublish    = byte(2)
+	opFetch      = byte(3)
+	opEndOffset  = byte(4)
+	opCommit     = byte(5)
+	opCommitted  = byte(6)
+	opPartitions = byte(7)
+	// opPublishColumns carries one fixed-stride batch and its producer
+	// session tag: topic | u64 pid | u64 seq | u32 count | u32 keyLen |
+	// u32 valLen | keys | vals.
+	opPublishColumns = byte(12)
 )
-
-// featureColumnarV2 is the capability bit a server advertises in its
-// opFeatures response when it accepts the columnar opPublishBatchV2
-// frame. A v1 server answers opFeatures itself with "unknown opcode"
-// (connections survive unknown opcodes), which the client reads as an
-// empty feature mask — that error-as-answer is the whole negotiation.
-const featureColumnarV2 = uint64(1) << 0
-
-// featureIdempotent advertises the producer-session publish opcodes
-// (opPublishBatchSession, opPublishColumnsSession): batches tagged with
-// a producer ID and per-topic sequence number that the broker
-// deduplicates, so a retry after an ambiguous failure cannot
-// double-publish.
-const featureIdempotent = uint64(1) << 1
-
-// featureLineage advertises the provenance plane: the broker hosts a
-// lineage sidecar topic and accepts batch origin stamps on it. Clients
-// that don't see the bit simply skip stamping — stamps are advisory
-// observability data, so the fallback is silence, not an error.
-const featureLineage = uint64(1) << 2
 
 func writeFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte
