@@ -1,20 +1,20 @@
 # `make ci` is the pre-merge check: tier-1 verification (fmt, vet,
-# build, test), the race gate over RACE_PKGS, and the allocgate,
+# build, test), the race gate over RACE_PKGS, the allocgate,
 # multiquery, smoke, crash, surge, chaos, obsgate and lineage gates
-# described at their targets below. `make fuzz`, `make loc` and the
-# bench targets are run by hand.
+# described at their targets below, and bench-smoke. `make fuzz`,
+# `make loc` and the other bench targets are run by hand.
 
 GO ?= go
-RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/...
+RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/...
 
 # Benchmarks whose numbers seed BENCH_hotpath.json: the per-answer hot
 # path (split, join+decrypt+decode+window, randomized response), plus
 # the batch-size sweep of the columnar submit tail.
 HOTPATH_BENCH = BenchmarkTable2CryptoXOR|BenchmarkTable3ClientXOREncryption|BenchmarkTable3ClientRandomizedResponse|BenchmarkFig8Scalability|BenchmarkFig8SubmitBatch
 
-.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-json fuzz loc
+.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-smoke bench-json fuzz loc
 
-ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage
+ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -95,15 +95,23 @@ lineage:
 # accumulate — per-message and batch forms — must stay at 0 steady-state
 # allocations per op, the full aggregator submit tail (per-share and
 # batch) likewise — including with the telemetry tracer and histograms
-# attached — and the multi-query tail within its small constant. The
-# telemetry package's own instrument primitives are pinned at 0 in
-# their in-package gate, re-run here.
+# attached — and the multi-query tail within its small constant; a
+# whole client answer (scan, fold, bucketize, randomize, encode, split)
+# at 0 as well. The telemetry package's own instrument primitives are
+# pinned at 0 in their in-package gate, re-run here.
 allocgate:
-	$(GO) test -run 'TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
+	$(GO) test -run 'TestClientAnswerZeroAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpochPipelineParallel|BenchmarkTCPPipeline|BenchmarkMultiQuery' -benchmem .
+
+# The benchmark harness's own smoke test (~7 s). bench/ is a nested
+# module the root build and test never compile, so this is what notices
+# a change to a signature it pins (DB.QueryPrepared, client.ReduceLast,
+# Buckets.Index, minisql.Parse, ...; the list heads bench/layers.go).
+bench-smoke:
+	$(GO) test -C bench -count=1 ./...
 
 # Machine-readable performance numbers, seeding the perf trajectory
 # across PRs: the hot-path microbenchmarks and the multi-query
@@ -137,7 +145,8 @@ bench-json:
 # (opPublishColumns, session tag included), the partition-WAL record
 # (0xF5 session tag included), the control-plane query-set
 # announcement, the WAL record framing — plus the SLO controller's
-# checkpoint state.
+# checkpoint state and the minisql parser (whatever parses must bind or
+# be refused, and run, without panicking).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
@@ -146,6 +155,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql
 
 # The two size numbers ROADMAP tracks: non-test Go lines per package
 # (the root module only; bench/ is its own module) and the exported

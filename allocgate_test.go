@@ -15,6 +15,9 @@ import (
 	"privapprox/internal/aggregator"
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
+	"privapprox/internal/client"
+	"privapprox/internal/minisql"
+	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/workload"
@@ -496,5 +499,63 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
 		t.Errorf("instrumented batch submit tail after scrape: %v allocs per batch, want 0", allocs)
+	}
+}
+
+// discardSink consumes a share without keeping it, as the ShareSink
+// contract allows.
+type discardSink struct{ bytes int }
+
+func (d *discardSink) Submit(share xorcrypt.Share) error {
+	d.bytes += len(share.Payload)
+	return nil
+}
+
+// TestClientAnswerZeroAllocs is the client half of the gate: one whole
+// answer — sampling decision, plan scan over a 50-row taxi table, fold,
+// typed bucketize, randomized response, encode, split, submit — makes no
+// allocation once the subscription's plan is bound, at the taxi query's
+// 11 buckets and at 128.
+func TestClientAnswerZeroAllocs(t *testing.T) {
+	for _, buckets := range []int{11, 128} {
+		db := minisql.NewDB()
+		if err := workload.PopulateTaxi(db, rand.New(rand.NewSource(5)), 50, time.Unix(0, 0), time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		q, err := workload.TaxiQuery("analyst", 1, time.Second, 10*time.Second, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buckets != len(q.Buckets) {
+			if q.Buckets, err = query.UniformRanges(0, 32, buckets-1, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sinks := []*discardSink{{}, {}}
+		c, err := client.New(client.Config{
+			ID:        "client-000001",
+			DB:        db,
+			Sinks:     []client.ShareSink{sinks[0], sinks[1]},
+			Seed:      9,
+			MIDSource: rand.New(rand.NewSource(10)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
+		if err := c.Subscribe(&query.Signed{Query: q}, params); err != nil {
+			t.Fatal(err)
+		}
+		epoch := uint64(0)
+		gate(t, "client.AnswerOnce", func() {
+			ok, err := c.AnswerOnce(epoch)
+			if err != nil || !ok {
+				t.Fatalf("epoch %d: participated=%v err=%v", epoch, ok, err)
+			}
+			epoch++
+		})
+		if st := c.Stats(); st.AnswersSent != int64(epoch) || sinks[0].bytes == 0 {
+			t.Errorf("%d buckets: %d answers sent over %d epochs, %d bytes at sink 0", buckets, st.AnswersSent, epoch, sinks[0].bytes)
+		}
 	}
 }

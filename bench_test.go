@@ -172,12 +172,17 @@ func BenchmarkTable3ClientDBRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sel := stmt.(*minisql.SelectStmt)
+	plan := minisql.NewPlan(stmt.(*minisql.SelectStmt))
+	var last minisql.Value
+	keepLast := func(row []minisql.Value) { last = row[0] }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.QueryPrepared(sel); err != nil {
+		if err := plan.Scan(db, keepLast); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if last.IsNull() {
+		b.Fatal("scan saw no distance")
 	}
 }
 

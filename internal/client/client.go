@@ -52,61 +52,84 @@ type ShareSink interface {
 	Submit(share xorcrypt.Share) error
 }
 
-// Reducer folds the rows the local query returned into the client's
-// single answer value for this epoch (e.g. the latest reading). The
-// boolean is false when the client has no value this epoch; it still
-// answers with an all-zero truthful vector so that non-participation
-// never leaks query-dependent information.
-type Reducer func(rows *minisql.Rows) (string, bool)
+// Reducer names how the rows the local query returned fold into the
+// client's single answer value for the epoch, read from each row's
+// first column. The zero value is Last.
+type Reducer uint8
+
+// The reductions.
+const (
+	Last  Reducer = iota // the last row's value (e.g. the latest reading)
+	Sum                  // the sum of the numeric values
+	Mean                 // their mean
+	Count                // the number of rows
+)
+
+// fold is one reduction in progress. Rows reach it one at a time and
+// borrowed — the slice is valid only during the call — so it keeps
+// values, never rows.
+type fold struct {
+	kind  Reducer
+	rows  int     // rows seen
+	nums  int     // of which numeric
+	total float64 // their sum
+	last  minisql.Value
+}
+
+func (f *fold) row(row []minisql.Value) {
+	f.rows++
+	switch f.kind {
+	case Last:
+		f.last = row[0]
+	case Sum, Mean:
+		if x, err := row[0].AsNumber(); err == nil {
+			f.total += x
+			f.nums++
+		}
+	}
+}
+
+// value is the epoch's answer value. The boolean is false when the
+// client has none; it still answers with an all-zero truthful vector so
+// that non-participation never leaks query-dependent information.
+func (f *fold) value() (minisql.Value, bool) {
+	switch f.kind {
+	case Sum:
+		return minisql.Number(f.total), f.rows > 0
+	case Mean:
+		return minisql.Number(f.total / float64(f.nums)), f.nums > 0
+	case Count:
+		return minisql.Number(float64(f.rows)), true
+	default:
+		return f.last, f.rows > 0
+	}
+}
+
+// reduce folds a materialised result the way the answer path folds a
+// scanned one, and renders the value.
+func reduce(kind Reducer, rows *minisql.Rows) (string, bool) {
+	f := fold{kind: kind}
+	for _, r := range rows.Rows {
+		f.row(r)
+	}
+	v, ok := f.value()
+	if !ok {
+		return "", false
+	}
+	return v.String(), true
+}
 
 // ReduceLast returns the first column of the last row.
-func ReduceLast(rows *minisql.Rows) (string, bool) {
-	if len(rows.Rows) == 0 {
-		return "", false
-	}
-	return rows.Rows[len(rows.Rows)-1][0].String(), true
-}
+func ReduceLast(rows *minisql.Rows) (string, bool) { return reduce(Last, rows) }
 
 // ReduceSum sums the first column over all rows.
-func ReduceSum(rows *minisql.Rows) (string, bool) {
-	if len(rows.Rows) == 0 {
-		return "", false
-	}
-	total := 0.0
-	for _, r := range rows.Rows {
-		f, err := r[0].AsNumber()
-		if err != nil {
-			continue
-		}
-		total += f
-	}
-	return minisql.Number(total).String(), true
-}
+func ReduceSum(rows *minisql.Rows) (string, bool) { return reduce(Sum, rows) }
 
 // ReduceMean averages the first column over all rows.
-func ReduceMean(rows *minisql.Rows) (string, bool) {
-	if len(rows.Rows) == 0 {
-		return "", false
-	}
-	total, n := 0.0, 0
-	for _, r := range rows.Rows {
-		f, err := r[0].AsNumber()
-		if err != nil {
-			continue
-		}
-		total += f
-		n++
-	}
-	if n == 0 {
-		return "", false
-	}
-	return minisql.Number(total / float64(n)).String(), true
-}
+func ReduceMean(rows *minisql.Rows) (string, bool) { return reduce(Mean, rows) }
 
 // ReduceCount counts rows.
-func ReduceCount(rows *minisql.Rows) (string, bool) {
-	return minisql.Number(float64(len(rows.Rows))).String(), true
-}
+func ReduceCount(rows *minisql.Rows) (string, bool) { return reduce(Count, rows) }
 
 // Stats counts client-side work for the Table 3 and Fig. 9 experiments.
 // With multiple subscriptions, Participated and AnswersSent count
@@ -128,7 +151,7 @@ type Config struct {
 	DB         *minisql.DB
 	AnalystKey ed25519.PublicKey
 	Sinks      []ShareSink
-	Reducer    Reducer // defaults to ReduceLast
+	Reducer    Reducer // defaults to Last
 	Seed       int64   // deterministic randomness for experiments
 	// MIDSource optionally supplies the splitter's message-identifier
 	// bytes (16 per answer). MIDs are the pub/sub partition keys, so a
@@ -176,13 +199,19 @@ type Client struct {
 }
 
 type subscription struct {
-	query    *query.Query
-	prepared *minisql.SelectStmt
-	params   budget.Params
-	decider  *sampling.HashDecider
-	rz       *rr.Randomizer
-	qidWire  uint64
-	vec      *answer.BitVector // per-subscription truthful-answer scratch
+	query   *query.Query
+	params  budget.Params
+	decider *sampling.HashDecider
+	rz      *rr.Randomizer
+	qidWire uint64
+	// The answer stage, compiled once: the statement's plan (bound to the
+	// local table on the first epoch that finds it), the typed
+	// bucketizer, and the truthful-answer scratch. There is no row
+	// scratch: the plan lends rows one at a time to a fold that lives on
+	// the answering goroutine's stack.
+	plan    *minisql.Plan
+	buckets query.Bucketizer
+	vec     *answer.BitVector
 	// shed ∈ (0, 1] is the overload-control threshold: the effective
 	// participation fraction this epoch is params.S·shed. Unlike a
 	// re-subscription it does NOT redraw the coin stream — a
@@ -200,13 +229,12 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Sinks) < 2 {
 		return nil, fmt.Errorf("%w: need ≥ 2 proxies, got %d", ErrBadConfig, len(cfg.Sinks))
 	}
+	if cfg.Reducer > Count {
+		return nil, fmt.Errorf("%w: unknown reducer %d", ErrBadConfig, cfg.Reducer)
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = rand.Int63()
-	}
-	reducer := cfg.Reducer
-	if reducer == nil {
-		reducer = ReduceLast
 	}
 	splitter, err := xorcrypt.NewSplitter(len(cfg.Sinks), nil, cfg.MIDSource)
 	if err != nil {
@@ -217,7 +245,7 @@ func New(cfg Config) (*Client, error) {
 		db:       cfg.DB,
 		analyst:  cfg.AnalystKey,
 		sinks:    cfg.Sinks,
-		reducer:  reducer,
+		reducer:  cfg.Reducer,
 		seed:     seed,
 		byWire:   make(map[uint64]int),
 		gens:     make(map[uint64]uint64),
@@ -345,14 +373,20 @@ func (c *Client) buildSubscription(signed *query.Signed, key ed25519.PublicKey, 
 	if err != nil {
 		return nil, err
 	}
+	vec, err := answer.NewBitVector(len(q.Buckets))
+	if err != nil {
+		return nil, err
+	}
 	return &subscription{
-		query:    q,
-		prepared: sel,
-		params:   params,
-		decider:  decider,
-		rz:       rz,
-		qidWire:  wire,
-		shed:     1,
+		query:   q,
+		params:  params,
+		decider: decider,
+		rz:      rz,
+		qidWire: wire,
+		plan:    minisql.NewPlan(sel),
+		buckets: q.Buckets.Compile(),
+		vec:     vec,
+		shed:    1,
 	}, nil
 }
 
@@ -501,12 +535,13 @@ func (c *Client) answerQuery(sub *subscription, epoch uint64) (bool, error) {
 	}
 	c.participated.Add(1)
 
-	// Step II part 1: execute the query on the local private data.
-	rows, err := c.db.QueryPrepared(sub.prepared)
-	if err != nil {
+	// Step II part 1: execute the query on the local private data,
+	// streaming its rows into the fold.
+	f := fold{kind: c.reducer}
+	if err := sub.plan.Scan(c.db, f.row); err != nil {
 		return false, fmt.Errorf("client: local query: %w", err)
 	}
-	vec, err := c.truthVector(sub, rows)
+	vec, err := sub.truthVector(&f)
 	if err != nil {
 		return false, err
 	}
@@ -536,25 +571,17 @@ func (c *Client) answerQuery(sub *subscription, epoch uint64) (bool, error) {
 	return true, nil
 }
 
-// truthVector bucketizes the reduced answer value into the
+// truthVector bucketizes the folded answer value into the
 // subscription's reusable vector. No value, or a value outside every
 // bucket, yields the all-zero vector: participating clients always
 // transmit, so silence never correlates with data.
-func (c *Client) truthVector(sub *subscription, rows *minisql.Rows) (*answer.BitVector, error) {
-	n := len(sub.query.Buckets)
-	if sub.vec == nil || sub.vec.Len() != n {
-		v, err := answer.NewBitVector(n)
-		if err != nil {
-			return nil, err
-		}
-		sub.vec = v
-	}
+func (sub *subscription) truthVector(f *fold) (*answer.BitVector, error) {
 	sub.vec.Reset()
-	value, ok := c.reducer(rows)
+	value, ok := f.value()
 	if !ok {
 		return sub.vec, nil
 	}
-	idx := sub.query.Buckets.Index(value)
+	idx := sub.buckets.IndexValue(value)
 	if idx < 0 {
 		return sub.vec, nil
 	}

@@ -105,6 +105,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ID: "x", DB: db, Sinks: []ShareSink{&captureSink{}}}); err == nil {
 		t.Error("expected error for a single proxy")
 	}
+	if _, err := New(Config{ID: "x", DB: db, Sinks: []ShareSink{&captureSink{}, &captureSink{}}, Reducer: Count + 1}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("unknown reducer: %v, want ErrBadConfig", err)
+	}
 }
 
 func TestAnswerWithoutSubscription(t *testing.T) {
@@ -569,5 +572,106 @@ func TestShedPreservesCoinStream(t *testing.T) {
 		if !bytes.Equal(raw, want) {
 			t.Fatalf("epoch %d: shed run's answer differs from unshed twin — rz stream shifted", e)
 		}
+	}
+}
+
+// The answer path — scan, fold, typed bucketize — must transmit the
+// bucket the materialising composition it replaced selects:
+// QueryPrepared, then the Reduce* adapter, then Buckets.Index on the
+// rendered value. Every reduction, over the TestReducers fixtures and
+// the kinds a column can hold.
+func TestAnswerPathMatchesMaterialisedComposition(t *testing.T) {
+	fixtures := map[string][]minisql.Value{
+		"numbers":   {minisql.Number(2), minisql.Number(4), minisql.Number(6)},
+		"empty":     {},
+		"text":      {minisql.Text("x")},
+		"mixed":     {minisql.Number(1.5), minisql.Text("x"), minisql.Text("2.5"), minisql.Null(), minisql.Bool(true)},
+		"null last": {minisql.Number(3), minisql.Null()},
+		"spaced":    {minisql.Text(" 3.5")},
+		"overflow":  {minisql.Number(7), minisql.Number(9)},
+	}
+	adapters := map[Reducer]func(*minisql.Rows) (string, bool){
+		Last: ReduceLast, Sum: ReduceSum, Mean: ReduceMean, Count: ReduceCount,
+	}
+	q := testQuery(t)
+	sel, err := minisql.Parse(q.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, values := range fixtures {
+		db := testDB(t)
+		for _, v := range values {
+			if err := db.Insert("rides", []minisql.Value{v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows, err := db.QueryPrepared(sel.(*minisql.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, adapter := range adapters {
+			want := -1
+			if value, ok := adapter(rows); ok {
+				want = q.Buckets.Index(value)
+			}
+
+			sinks := []*captureSink{{}, {}}
+			c, err := New(Config{ID: "client-1", DB: db, Sinks: []ShareSink{sinks[0], sinks[1]}, Seed: 7, Reducer: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Subscribe(&query.Signed{Query: q}, truthfulParams()); err != nil {
+				t.Fatal(err)
+			}
+			// Twice: the second epoch runs on the plan the first one bound.
+			for epoch := uint64(0); epoch < 2; epoch++ {
+				if _, err := c.AnswerOnce(epoch); err != nil {
+					t.Fatal(err)
+				}
+				plain, err := xorcrypt.Join([]xorcrypt.Share{sinks[0].shares[epoch], sinks[1].shares[epoch]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var msg answer.Message
+				if err := msg.UnmarshalBinary(plain); err != nil {
+					t.Fatal(err)
+				}
+				got := -1
+				for i := 0; i < msg.Answer.Len(); i++ {
+					if set, _ := msg.Answer.Get(i); set {
+						if got >= 0 {
+							t.Fatalf("%s/%d: answer %s is not one-hot", name, kind, msg.Answer)
+						}
+						got = i
+					}
+				}
+				if got != want {
+					t.Errorf("%s, reducer %d, epoch %d: answered bucket %d, the materialised composition selects %d", name, kind, epoch, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The table may appear after the subscription: the plan binds on the
+// first epoch that finds it, and an epoch before that fails as the
+// interpreter did.
+func TestSubscribeBeforeTableExists(t *testing.T) {
+	db := minisql.NewDB()
+	c, sinks := testClient(t, db, truthfulParams())
+	if _, err := c.AnswerOnce(0); !errors.Is(err, minisql.ErrNoTable) {
+		t.Fatalf("before CREATE: %v, want ErrNoTable", err)
+	}
+	if err := db.CreateTable("rides", []string{"distance"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("rides", []minisql.Value{minisql.Number(3.5)}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.AnswerOnce(1); err != nil || !ok {
+		t.Fatalf("after CREATE: ok=%v err=%v", ok, err)
+	}
+	if sinks[0].count() != 1 {
+		t.Errorf("shares sent: %d, want 1", sinks[0].count())
 	}
 }

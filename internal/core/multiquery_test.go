@@ -315,3 +315,67 @@ func TestMultiQueryPerQueryFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMultiQueryAdvanceTo: AdvanceTo works without a Config.Query. The
+// watermark moves by the shortest active frequency, so it closes the
+// fast query's window and never runs ahead of the slow query's epochs;
+// on an idle fleet it is a no-op.
+func TestMultiQueryAdvanceTo(t *testing.T) {
+	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
+	origin := time.Unix(5000, 0)
+	cfg := multiQueryConfig(t, 4)
+	cfg.MultiQuery = true
+	cfg.Params = &params
+	cfg.Origin = origin
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if res, err := sys.AdvanceTo(10); err != nil || len(res) != 0 {
+		t.Fatalf("idle fleet: results=%v err=%v", res, err)
+	}
+
+	fast, err := workload.TaxiQuery("alice", 1, time.Second, 2*time.Second, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := workload.TaxiQuery("bob", 2, 2*time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*query.Query{fast, slow} {
+		if err := sys.Register(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Epochs 0-3: fast answers at 0s..3s, slow at 0s..6s. Each query's
+	// watermark trails its newest answer by its slide, so nothing fires.
+	for e := 0; e < 4; e++ {
+		res, _, err := sys.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 0 {
+			t.Fatalf("epoch %d fired %+v before any watermark passed a window end", e, res)
+		}
+	}
+	// Epoch 4 at the shortest frequency is 4s: fast's watermark reaches
+	// 2s and closes [0s,2s); slow has already seen 6s and does not move.
+	res, err := sys.AdvanceTo(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Query != fast.QID ||
+		!res[0].Window.Start.Equal(origin) || res[0].Responses != 8 {
+		t.Fatalf("AdvanceTo(4) = %+v, want the fast query's [0s,2s) window with 8 responses", res)
+	}
+	final, err := sys.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perQuery := aggregator.ByQuery(final)
+	if len(perQuery[fast.QID]) != 1 || len(perQuery[slow.QID]) != 2 {
+		t.Fatalf("Flush = %+v, want fast's [2s,4s) and both of slow's windows still open", final)
+	}
+}

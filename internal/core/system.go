@@ -78,7 +78,7 @@ type Config struct {
 	// Populate fills client i's database before the run.
 	Populate func(i int, db *minisql.DB) error
 	// Reducer folds local query rows into the answer value; defaults to
-	// client.ReduceLast.
+	// client.Last.
 	Reducer client.Reducer
 	// Confidence for result error bounds; defaults to 0.95.
 	Confidence float64
@@ -965,10 +965,26 @@ func (s *System) submitRecords(recs []pubsub.Record, src int, now time.Time) ([]
 }
 
 // AdvanceTo pushes the aggregator's watermark to the event time of the
-// given epoch, closing any finished windows.
+// given epoch, closing any finished windows. An answer of epoch e is
+// stamped Origin + e×Frequency with its own query's frequency; in
+// MultiQuery mode the watermark takes the shortest active frequency, so
+// it never passes the epoch's event time for any query, and with no
+// active query there is nothing to advance.
 func (s *System) AdvanceTo(epoch uint64) ([]aggregator.Result, error) {
-	t := s.cfg.Origin.Add(time.Duration(epoch) * s.cfg.Query.Frequency)
-	return s.agg.AdvanceTo(t)
+	var freq time.Duration
+	if s.registry == nil {
+		freq = s.cfg.Query.Frequency
+	} else {
+		for _, id := range s.registry.Active() {
+			if e, ok := s.registry.Entry(id); ok && (freq == 0 || e.Signed.Query.Frequency < freq) {
+				freq = e.Signed.Query.Frequency
+			}
+		}
+		if freq == 0 {
+			return nil, nil
+		}
+	}
+	return s.agg.AdvanceTo(s.cfg.Origin.Add(time.Duration(epoch) * freq))
 }
 
 // Flush drains anything still sitting at the proxies and closes all

@@ -119,7 +119,7 @@ func (db *DB) Exec(sql string) (*Rows, error) {
 	}
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return db.execSelect(s)
+		return db.QueryPrepared(s)
 	case *InsertStmt:
 		return db.execInsert(s)
 	case *CreateStmt:
@@ -142,22 +142,23 @@ func (db *DB) Query(sql string) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: Query requires SELECT", ErrSyntax)
 	}
-	return db.execSelect(sel)
+	return db.QueryPrepared(sel)
 }
 
-// QueryPrepared runs a previously parsed SELECT, skipping the parser —
-// the per-epoch fast path (clients execute the same analyst query every
-// epoch).
+// QueryPrepared runs a previously parsed SELECT, skipping the parser,
+// and materialises the result. It binds a plan of its own on every call,
+// so one statement may be run against many databases from many
+// goroutines; a caller that runs the same statement against the same
+// database every epoch keeps a Plan and scans instead.
 func (db *DB) QueryPrepared(sel *SelectStmt) (*Rows, error) {
-	return db.execSelect(sel)
+	return NewPlan(sel).materialise(db)
 }
 
 func (db *DB) execInsert(s *InsertStmt) (*Rows, error) {
-	emptyEnv := &env{cols: map[string]int{}}
 	for _, rowExprs := range s.Rows {
 		row := make([]Value, len(rowExprs))
 		for i, e := range rowExprs {
-			v, err := eval(e, emptyEnv)
+			v, err := evalConst(e)
 			if err != nil {
 				return nil, err
 			}
@@ -168,62 +169,4 @@ func (db *DB) execInsert(s *InsertStmt) (*Rows, error) {
 		}
 	}
 	return &Rows{}, nil
-}
-
-func (db *DB) execSelect(s *SelectStmt) (*Rows, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, s.Table)
-	}
-	// Output columns.
-	var columns []string
-	for _, item := range s.Items {
-		if item.Star {
-			columns = append(columns, t.columns...)
-			continue
-		}
-		switch {
-		case item.Alias != "":
-			columns = append(columns, item.Alias)
-		default:
-			if col, ok := item.Expr.(*ColumnExpr); ok {
-				columns = append(columns, col.Name)
-			} else {
-				columns = append(columns, fmt.Sprintf("expr%d", len(columns)+1))
-			}
-		}
-	}
-	out := &Rows{Columns: columns}
-	ev := &env{cols: t.colIdx}
-	for _, row := range t.rows {
-		ev.row = row
-		if s.Where != nil {
-			v, err := eval(s.Where, ev)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				continue
-			}
-		}
-		var outRow []Value
-		for _, item := range s.Items {
-			if item.Star {
-				outRow = append(outRow, row...)
-				continue
-			}
-			v, err := eval(item.Expr, ev)
-			if err != nil {
-				return nil, err
-			}
-			outRow = append(outRow, v)
-		}
-		out.Rows = append(out.Rows, outRow)
-		if s.Limit >= 0 && len(out.Rows) >= s.Limit {
-			break
-		}
-	}
-	return out, nil
 }

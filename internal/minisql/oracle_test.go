@@ -1,23 +1,24 @@
 package minisql
 
 import (
-	"errors"
 	"fmt"
-	"regexp"
 	"strings"
-	"sync"
 )
 
-// ErrColumn reports a reference to an unknown column.
-var ErrColumn = errors.New("minisql: unknown column")
+// The name-resolving interpreter the bound evaluator replaced, kept as
+// the oracle of TestBoundEvaluatorMatchesInterpreter: it looks every
+// column up by name on every row and materialises row by row. Two
+// defects are fixed here as they are in the plan, so the two can be
+// compared on them: LIMIT 0 returned the first matching row, and x % y
+// panicked when y truncated to zero.
 
 // env resolves column names to values for one row.
-type env struct {
+type oracleEnv struct {
 	cols map[string]int // lower-cased column name → index
 	row  []Value
 }
 
-func (e *env) lookup(name string) (Value, error) {
+func (e *oracleEnv) lookup(name string) (Value, error) {
 	idx, ok := e.cols[strings.ToLower(name)]
 	if !ok {
 		return Value{}, fmt.Errorf("%w: %q", ErrColumn, name)
@@ -28,14 +29,14 @@ func (e *env) lookup(name string) (Value, error) {
 // eval evaluates an expression against a row environment. SQL NULL
 // propagates through arithmetic and comparisons; AND/OR use three-valued
 // logic collapsed to Truthy at the WHERE boundary.
-func eval(e Expr, ev *env) (Value, error) {
+func oracleEval(e Expr, ev *oracleEnv) (Value, error) {
 	switch x := e.(type) {
 	case *LiteralExpr:
 		return x.Val, nil
 	case *ColumnExpr:
 		return ev.lookup(x.Name)
 	case *UnaryExpr:
-		v, err := eval(x.X, ev)
+		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
 		}
@@ -55,9 +56,9 @@ func eval(e Expr, ev *env) (Value, error) {
 			return Value{}, fmt.Errorf("%w: unary %q", ErrSyntax, x.Op)
 		}
 	case *BinaryExpr:
-		return evalBinary(x, ev)
+		return oracleEvalBinary(x, ev)
 	case *InExpr:
-		v, err := eval(x.X, ev)
+		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
 		}
@@ -65,7 +66,7 @@ func eval(e Expr, ev *env) (Value, error) {
 			return Null(), nil
 		}
 		for _, item := range x.List {
-			iv, err := eval(item, ev)
+			iv, err := oracleEval(item, ev)
 			if err != nil {
 				return Value{}, err
 			}
@@ -76,7 +77,7 @@ func eval(e Expr, ev *env) (Value, error) {
 		}
 		return Bool(x.Not), nil
 	case *IsNullExpr:
-		v, err := eval(x.X, ev)
+		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
 		}
@@ -85,15 +86,15 @@ func eval(e Expr, ev *env) (Value, error) {
 		}
 		return Bool(v.IsNull()), nil
 	case *BetweenExpr:
-		v, err := eval(x.X, ev)
+		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
 		}
-		lo, err := eval(x.Lo, ev)
+		lo, err := oracleEval(x.Lo, ev)
 		if err != nil {
 			return Value{}, err
 		}
-		hi, err := eval(x.Hi, ev)
+		hi, err := oracleEval(x.Hi, ev)
 		if err != nil {
 			return Value{}, err
 		}
@@ -118,17 +119,17 @@ func eval(e Expr, ev *env) (Value, error) {
 	}
 }
 
-func evalBinary(x *BinaryExpr, ev *env) (Value, error) {
+func oracleEvalBinary(x *BinaryExpr, ev *oracleEnv) (Value, error) {
 	switch x.Op {
 	case "AND":
-		l, err := eval(x.L, ev)
+		l, err := oracleEval(x.L, ev)
 		if err != nil {
 			return Value{}, err
 		}
 		if !l.IsNull() && !l.Truthy() {
 			return Bool(false), nil // short circuit
 		}
-		r, err := eval(x.R, ev)
+		r, err := oracleEval(x.R, ev)
 		if err != nil {
 			return Value{}, err
 		}
@@ -140,14 +141,14 @@ func evalBinary(x *BinaryExpr, ev *env) (Value, error) {
 		}
 		return Bool(true), nil
 	case "OR":
-		l, err := eval(x.L, ev)
+		l, err := oracleEval(x.L, ev)
 		if err != nil {
 			return Value{}, err
 		}
 		if !l.IsNull() && l.Truthy() {
 			return Bool(true), nil // short circuit
 		}
-		r, err := eval(x.R, ev)
+		r, err := oracleEval(x.R, ev)
 		if err != nil {
 			return Value{}, err
 		}
@@ -160,11 +161,11 @@ func evalBinary(x *BinaryExpr, ev *env) (Value, error) {
 		return Bool(false), nil
 	}
 
-	l, err := eval(x.L, ev)
+	l, err := oracleEval(x.L, ev)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := eval(x.R, ev)
+	r, err := oracleEval(x.R, ev)
 	if err != nil {
 		return Value{}, err
 	}
@@ -194,7 +195,7 @@ func evalBinary(x *BinaryExpr, ev *env) (Value, error) {
 			}
 			return Number(a / b), nil
 		default: // "%"
-			if b == 0 {
+			if int64(b) == 0 {
 				return Null(), nil
 			}
 			return Number(float64(int64(a) % int64(b))), nil
@@ -232,7 +233,7 @@ func evalBinary(x *BinaryExpr, ev *env) (Value, error) {
 		if r.Kind != KindText {
 			return Value{}, fmt.Errorf("%w: LIKE pattern must be text", ErrType)
 		}
-		re, err := likePattern(r.Str)
+		re, err := compileLike(r.Str)
 		if err != nil {
 			return Value{}, err
 		}
@@ -242,33 +243,60 @@ func evalBinary(x *BinaryExpr, ev *env) (Value, error) {
 	}
 }
 
-// likeCache memoizes compiled LIKE patterns: clients run the same query
-// every epoch, so this is on the Table 3 hot path.
-var likeCache sync.Map // string → *regexp.Regexp
-
-// likePattern compiles a SQL LIKE pattern (% = any run, _ = any single
-// character) into an anchored, case-insensitive regular expression.
-func likePattern(pattern string) (*regexp.Regexp, error) {
-	if re, ok := likeCache.Load(pattern); ok {
-		return re.(*regexp.Regexp), nil
+// oracleSelect is the old DB.execSelect.
+func oracleSelect(db *DB, s *SelectStmt) (*Rows, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, ok := db.tables[strings.ToLower(s.Table)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoTable, s.Table)
 	}
-	var sb strings.Builder
-	sb.WriteString("(?is)^")
-	for _, r := range pattern {
-		switch r {
-		case '%':
-			sb.WriteString(".*")
-		case '_':
-			sb.WriteString(".")
+	var columns []string
+	for _, item := range s.Items {
+		if item.Star {
+			columns = append(columns, t.columns...)
+			continue
+		}
+		switch {
+		case item.Alias != "":
+			columns = append(columns, item.Alias)
 		default:
-			sb.WriteString(regexp.QuoteMeta(string(r)))
+			if col, ok := item.Expr.(*ColumnExpr); ok {
+				columns = append(columns, col.Name)
+			} else {
+				columns = append(columns, fmt.Sprintf("expr%d", len(columns)+1))
+			}
 		}
 	}
-	sb.WriteString("$")
-	re, err := regexp.Compile(sb.String())
-	if err != nil {
-		return nil, fmt.Errorf("%w: LIKE pattern %q: %v", ErrSyntax, pattern, err)
+	out := &Rows{Columns: columns}
+	ev := &oracleEnv{cols: t.colIdx}
+	for _, row := range t.rows {
+		if s.Limit >= 0 && len(out.Rows) >= s.Limit {
+			break
+		}
+		ev.row = row
+		if s.Where != nil {
+			v, err := oracleEval(s.Where, ev)
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() || !v.Truthy() {
+				continue
+			}
+		}
+		var outRow []Value
+		for _, item := range s.Items {
+			if item.Star {
+				outRow = append(outRow, row...)
+				continue
+			}
+			v, err := oracleEval(item.Expr, ev)
+			if err != nil {
+				return nil, err
+			}
+			outRow = append(outRow, v)
+		}
+		out.Rows = append(out.Rows, outRow)
 	}
-	likeCache.Store(pattern, re)
-	return re, nil
+	return out, nil
 }

@@ -111,7 +111,8 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindNumber:
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+		var buf [32]byte // the longest float64 in this format has 24 characters
+		return string(strconv.AppendFloat(buf[:0], v.Num, 'g', -1, 64))
 	case KindText:
 		return v.Str
 	case KindBool:

@@ -11,6 +11,8 @@ import (
 	"math"
 	"regexp"
 	"strconv"
+
+	"privapprox/internal/minisql"
 )
 
 // ErrBucket reports an invalid bucket specification.
@@ -97,13 +99,100 @@ func UniformRanges(lo, hi float64, n int, overflow bool) (Buckets, error) {
 }
 
 // Index returns the first bucket matching value, or -1 when none match.
+// The value is parsed once, not once per range.
 func (bs Buckets) Index(value string) int {
+	f, err := strconv.ParseFloat(value, 64)
+	return bs.scan(f, err == nil, value)
+}
+
+// scan is the first-match search behind Index and IndexValue: a range
+// bucket takes the value as a number (numeric says whether it is one,
+// by RangeBucket.Match's rule), any other bucket takes it as text.
+func (bs Buckets) scan(f float64, numeric bool, text string) int {
 	for i, b := range bs {
-		if b.Match(value) {
+		if r, ok := b.(RangeBucket); ok {
+			if numeric && f >= r.Lo && f < r.Hi {
+				return i
+			}
+		} else if b.Match(text) {
 			return i
 		}
 	}
 	return -1
+}
+
+// Bucketizer is a bucket set compiled for typed values: the client
+// builds one per subscription and asks it every epoch. For every value
+// v, IndexValue(v) is exactly Index(v.String()).
+type Bucketizer struct {
+	buckets Buckets
+	// ranges: some bucket is a RangeBucket, so a value is worth reading
+	// as a number. others: some bucket is not, so a value is needed as
+	// text. sorted: every bucket is a range and
+	// Lo₀ ≤ Hi₀ ≤ Lo₁ ≤ Hi₁ ≤ …, so at most one range holds a value and
+	// a binary search finds it.
+	ranges, others, sorted bool
+}
+
+// Compile inspects the bucket set once. The set must not change while
+// the Bucketizer is in use.
+func (bs Buckets) Compile() Bucketizer {
+	z := Bucketizer{buckets: bs, sorted: true}
+	prevHi := math.Inf(-1)
+	for _, b := range bs {
+		r, ok := b.(RangeBucket)
+		if !ok {
+			z.others, z.sorted = true, false
+			continue
+		}
+		z.ranges = true
+		// NaN bounds fail both comparisons and fall back to the scan.
+		z.sorted = z.sorted && prevHi <= r.Lo && r.Lo <= r.Hi
+		prevHi = r.Hi
+	}
+	return z
+}
+
+// IndexValue returns the first bucket matching v, or -1 when none
+// match. A number is compared against range bounds as it is — its text
+// form round-trips through ParseFloat, so the answer is the one Index
+// gives for the text — and text reaches pattern buckets uncopied.
+func (z *Bucketizer) IndexValue(v minisql.Value) int {
+	var f float64
+	numeric := false
+	if z.ranges {
+		switch v.Kind {
+		case minisql.KindNumber:
+			f, numeric = v.Num, true
+		case minisql.KindText:
+			parsed, err := strconv.ParseFloat(v.Str, 64)
+			f, numeric = parsed, err == nil
+		}
+	}
+	if z.sorted {
+		if !numeric {
+			return -1
+		}
+		// The last range starting at or below f is the only candidate.
+		lo, hi := 0, len(z.buckets)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if z.buckets[mid].(RangeBucket).Lo <= f {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo > 0 && f < z.buckets[lo-1].(RangeBucket).Hi {
+			return lo - 1
+		}
+		return -1
+	}
+	text := v.Str
+	if z.others && v.Kind != minisql.KindText {
+		text = v.String()
+	}
+	return z.buckets.scan(f, numeric, text)
 }
 
 // Labels returns the per-bucket labels in order.

@@ -4,8 +4,11 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"math"
+	mrand "math/rand"
 	"testing"
 	"time"
+
+	"privapprox/internal/minisql"
 )
 
 func taxiBuckets(t *testing.T) Buckets {
@@ -214,5 +217,140 @@ func TestSignRejectsInvalid(t *testing.T) {
 	}
 	if _, err := Sign(validQuery(t), nil); err == nil {
 		t.Error("expected bad-key error")
+	}
+}
+
+// bucketSets covers every shape Compile tells apart.
+func bucketSets(t *testing.T) map[string]Buckets {
+	t.Helper()
+	pattern := func(p string) Bucket {
+		b, err := NewPatternBucket(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	uniform, err := UniformRanges(0, 32, 127, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	return map[string]Buckets{
+		"taxi":         taxiBuckets(t),
+		"uniform128":   uniform,
+		"gaps":         {RangeBucket{-5, -1}, RangeBucket{0, 1}, RangeBucket{3, 3}, RangeBucket{3, 7}},
+		"open ends":    {RangeBucket{-inf, 0}, RangeBucket{0, inf}},
+		"overlapping":  {RangeBucket{0, 5}, RangeBucket{3, 8}, RangeBucket{-inf, inf}},
+		"unsorted":     {RangeBucket{5, 10}, RangeBucket{0, 5}, RangeBucket{-3, 0}},
+		"inverted":     {RangeBucket{4, 2}, RangeBucket{2, 4}},
+		"nan bound":    {RangeBucket{0, math.NaN()}, RangeBucket{math.NaN(), 9}, RangeBucket{1, 2}},
+		"patterns":     {pattern("^New"), pattern("^[0-9.]+$"), pattern("^(true|NULL)$")},
+		"mixed":        {pattern("^3"), RangeBucket{0, 5}, pattern("e"), RangeBucket{5, 100}, pattern("")},
+		"pointer kind": {&RangeBucket{0, 5}, RangeBucket{5, 10}},
+		"empty":        {},
+	}
+}
+
+// IndexValue must pick the bucket Index picks for the value's text, for
+// every kind of value and every shape of bucket set.
+func TestIndexValueMatchesIndex(t *testing.T) {
+	values := []minisql.Value{
+		minisql.Null(), minisql.Bool(true), minisql.Bool(false),
+		minisql.Number(math.NaN()), minisql.Number(math.Inf(1)), minisql.Number(math.Inf(-1)),
+		minisql.Number(0), minisql.Number(math.Copysign(0, -1)), minisql.Number(1e300), minisql.Number(-1e-300),
+		minisql.Number(3), minisql.Number(5), minisql.Number(31.999999999999996), minisql.Number(32), minisql.Number(0.1 + 0.2),
+		minisql.Text(""), minisql.Text("3.5"), minisql.Text(" 3.5"), minisql.Text("3.5 "), minisql.Text("+4"), minisql.Text("1e1"),
+		minisql.Text("0x1p2"), minisql.Text("1_0"), minisql.Text("1e999"), minisql.Text("inf"), minisql.Text("NaN"), minisql.Text("NULL"),
+		minisql.Text("true"), minisql.Text("New York"), minisql.Text("3 miles"),
+	}
+	rng := mrand.New(mrand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		values = append(values, minisql.Number((rng.Float64()-0.1)*40), minisql.Number(float64(rng.Intn(41)-4)))
+	}
+	for name, bs := range bucketSets(t) {
+		z := bs.Compile()
+		for _, v := range values {
+			if got, want := z.IndexValue(v), bs.Index(v.String()); got != want {
+				t.Errorf("%s: IndexValue(%v %q) = %d, Index(%q) = %d", name, v.Kind, v.String(), got, v.String(), want)
+			}
+		}
+	}
+}
+
+// Index itself still agrees with asking every bucket in turn.
+func TestIndexMatchesFirstMatch(t *testing.T) {
+	for name, bs := range bucketSets(t) {
+		for _, s := range []string{"", "3", " 3", "5", "-0", "1e999", "NaN", "+Inf", "New York", "NULL", "32", "31.9"} {
+			want := -1
+			for i, b := range bs {
+				if b.Match(s) {
+					want = i
+					break
+				}
+			}
+			if got := bs.Index(s); got != want {
+				t.Errorf("%s: Index(%q) = %d, first Match is %d", name, s, got, want)
+			}
+		}
+	}
+}
+
+func TestCompileChoosesBinarySearchOnlyWhenSound(t *testing.T) {
+	want := map[string]bool{
+		"taxi": true, "uniform128": true, "gaps": true, "open ends": true, "empty": true,
+		"overlapping": false, "unsorted": false, "inverted": false, "nan bound": false,
+		"patterns": false, "mixed": false, "pointer kind": false,
+	}
+	for name, bs := range bucketSets(t) {
+		if z := bs.Compile(); z.sorted != want[name] {
+			t.Errorf("%s: sorted=%v, want %v", name, z.sorted, want[name])
+		}
+	}
+}
+
+func TestIndexValueZeroAllocs(t *testing.T) {
+	sets := bucketSets(t)
+	for _, name := range []string{"taxi", "uniform128", "unsorted"} {
+		z := sets[name].Compile()
+		v := minisql.Number(4.25)
+		if allocs := testing.AllocsPerRun(100, func() { z.IndexValue(v) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per IndexValue, want 0", name, allocs)
+		}
+	}
+	z := sets["patterns"].Compile()
+	v := minisql.Text("New York")
+	if allocs := testing.AllocsPerRun(100, func() { z.IndexValue(v) }); allocs != 0 {
+		t.Errorf("text into patterns: %v allocs per IndexValue, want 0", allocs)
+	}
+}
+
+func BenchmarkIndex128(b *testing.B) {
+	bs, err := UniformRanges(0, 32, 127, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	values := make([]string, 64)
+	rng := mrand.New(mrand.NewSource(1))
+	for i := range values {
+		values[i] = minisql.Number(rng.ExpFloat64() * 3).String()
+	}
+	for i := 0; i < b.N; i++ {
+		bs.Index(values[i%len(values)])
+	}
+}
+
+func BenchmarkIndexValue128(b *testing.B) {
+	bs, err := UniformRanges(0, 32, 127, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := bs.Compile()
+	values := make([]minisql.Value, 64)
+	rng := mrand.New(mrand.NewSource(1))
+	for i := range values {
+		values[i] = minisql.Number(rng.ExpFloat64() * 3)
+	}
+	for i := 0; i < b.N; i++ {
+		z.IndexValue(values[i%len(values)])
 	}
 }
