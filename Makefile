@@ -5,7 +5,7 @@
 # `make loc` and the other bench targets are run by hand.
 
 GO ?= go
-RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/...
+RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/...
 
 # Benchmarks whose numbers seed BENCH_hotpath.json: the per-answer hot
 # path (split, join+decrypt+decode+window, randomized response), plus
@@ -97,10 +97,13 @@ lineage:
 # batch) likewise — including with the telemetry tracer and histograms
 # attached — and the multi-query tail within its small constant; a
 # whole client answer (scan, fold, bucketize, randomize, encode, split)
-# at 0 as well. The telemetry package's own instrument primitives are
-# pinned at 0 in their in-package gate, re-run here.
+# at 0 as well, and the share plane between the two (submit, publish,
+# poll or fetch, decode, join) at ≤ 0.5 allocations per answer
+# in-process and ≤ 1.0 over loopback TCP. The telemetry package's own
+# instrument primitives are pinned at 0 in their in-package gate, re-run
+# here.
 allocgate:
-	$(GO) test -run 'TestClientAnswerZeroAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
+	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 
 bench:
@@ -143,7 +146,8 @@ bench-json:
 # Short fuzz smoke over every wire and disk codec — the share
 # split/join, the answer message, the columnar publish frame
 # (opPublishColumns, session tag included), the partition-WAL record
-# (0xF5 session tag included), the control-plane query-set
+# (0xF5 session tag included), the client side of the fetch response
+# (views into the frame), the control-plane query-set
 # announcement, the WAL record framing — plus the SLO controller's
 # checkpoint state and the minisql parser (whatever parses must bind or
 # be refused, and run, without panicking).
@@ -152,6 +156,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
 	$(GO) test -run '^$$' -fuzz FuzzFrameV2RoundTrip -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzPartitionRecord -fuzztime 10s ./internal/pubsub
+	$(GO) test -run '^$$' -fuzz FuzzFetchResponse -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget

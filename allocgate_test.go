@@ -17,6 +17,8 @@ import (
 	"privapprox/internal/budget"
 	"privapprox/internal/client"
 	"privapprox/internal/minisql"
+	"privapprox/internal/proxy"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
@@ -558,4 +560,164 @@ func TestClientAnswerZeroAllocs(t *testing.T) {
 			t.Errorf("%d buckets: %d answers sent over %d epochs, %d bytes at sink 0", buckets, st.AnswersSent, epoch, sinks[0].bytes)
 		}
 	}
+}
+
+// TestSharePlaneAllocs bounds what lies between the client's answer and
+// the aggregator's tail, both gated at zero above: the share plane. A
+// share is flat bytes from publish to join — copied once into a
+// partition slab, once out into the fetch's buffer (or the TCP response
+// frame), and borrowed by the aggregator — so what is left is per epoch
+// (a fetch's record slice and buffer, a frame, a round-trip) and per
+// slab, never per share. Each gate runs epochs of 512 answers after a
+// warm-up, sweeping the joiner as an epoch timer would.
+func TestSharePlaneAllocs(t *testing.T) {
+	const answers = 512
+	q, err := workload.TaxiQuery("gate", 1, time.Second, time.Hour, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAggregator := func() *aggregator.Aggregator {
+		agg, err := aggregator.New(aggregator.Config{
+			Query:      q,
+			Params:     budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}},
+			Population: 1 << 20,
+			Proxies:    2,
+			Origin:     time.Unix(0, 0),
+			Seed:       9,
+			Shards:     2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+	splitter, err := xorcrypt.NewSplitter(2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, _ := answer.OneHot(11, 0)
+	raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(10, 0)
+	var shares []xorcrypt.Share
+	// submit decodes one polled batch and hands it to the aggregator,
+	// as core.System and privapprox-node do.
+	submit := func(agg *aggregator.Aggregator, recs []pubsub.Record, src int) {
+		shares = shares[:0]
+		for _, rec := range recs {
+			share, err := proxy.DecodeRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares = append(shares, share)
+		}
+		if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func(name string, limit float64, agg *aggregator.Aggregator, epoch func()) {
+		t.Helper()
+		for i := 0; i < 16; i++ {
+			epoch()
+		}
+		decoded := agg.Stats().Decoded
+		const runs = 20
+		perAnswer := testing.AllocsPerRun(runs, epoch) / answers
+		if got := agg.Stats().Decoded - decoded; got != (runs+1)*answers {
+			t.Fatalf("%s: %d answers decoded, want %d", name, got, (runs+1)*answers)
+		}
+		t.Logf("%s: %.3f allocs per answer", name, perAnswer)
+		if perAnswer > limit {
+			t.Errorf("%s: want ≤ %.1f allocs per answer", name, limit)
+		}
+	}
+
+	t.Run("inproc", func(t *testing.T) {
+		fleet, err := proxy.NewFleet(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fleet.Close()
+		consumers, err := fleet.Consumers("aggregator")
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := newAggregator()
+		var scratch xorcrypt.SplitScratch
+		measure("split → Submit×2 → Poll → DecodeRecord → SubmitShareBatch", 0.5, agg, func() {
+			for k := 0; k < answers; k++ {
+				split, err := splitter.SplitInto(raw, &scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, sh := range split {
+					if err := fleet.Proxy(i).Submit(sh); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for src, c := range consumers {
+				recs, err := c.Poll(4096)
+				if err != nil {
+					t.Fatal(err)
+				}
+				submit(agg, recs, src)
+			}
+			agg.SweepJoins(now.Add(2 * time.Hour))
+		})
+	})
+
+	t.Run("tcp", func(t *testing.T) {
+		const partitions = 4
+		clients := make([]*pubsub.Client, 2)
+		for i := range clients {
+			b := pubsub.NewBroker()
+			defer b.Close()
+			if err := b.CreateTopic(proxy.TopicFor(i), partitions); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := pubsub.Serve(b, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if clients[i], err = pubsub.Dial(srv.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			defer clients[i].Close()
+		}
+		agg := newAggregator()
+		msgs := make([]byte, 0, answers*len(raw))
+		for k := 0; k < answers; k++ {
+			msgs = append(msgs, raw...)
+		}
+		var scratch xorcrypt.SplitBatchScratch
+		var next [2][partitions]int64
+		measure("PublishColumns → Serve → Client.Fetch → SubmitShareBatch", 1.0, agg, func() {
+			cols, err := splitter.SplitBatchInto(msgs, len(raw), answers, &scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cli := range clients {
+				if err := cli.PublishColumns(proxy.TopicFor(i), pubsub.Columns{
+					Count: answers, KeyLen: xorcrypt.MIDSize, ValLen: cols.Size, Keys: cols.MIDs, Vals: cols.Lanes[i],
+				}, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for src, cli := range clients {
+				for p := 0; p < partitions; p++ {
+					recs, err := cli.Fetch(proxy.TopicFor(src), p, next[src][p], 4096, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					next[src][p] += int64(len(recs))
+					submit(agg, recs, src)
+				}
+			}
+			agg.SweepJoins(now.Add(2 * time.Hour))
+		})
+	})
 }

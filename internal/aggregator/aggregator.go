@@ -647,12 +647,11 @@ func (a *Aggregator) shardOf(mid xorcrypt.MID) int {
 // query's windows; any windows closed by the advancing watermark are
 // returned as results.
 //
-// SubmitShare takes ownership of share.Payload: the joiner retains it
-// until the message's remaining shares arrive (or a sweep drops the
-// group), so the caller must not reuse the payload's backing bytes
-// after submitting. Consumers polling the pub/sub transports always
-// hand over freshly copied record values, so the pipeline satisfies
-// this for free.
+// SubmitShare borrows share.Payload for the call: a share that has to
+// wait for its siblings is copied into the joiner's pooled group, and
+// one that completes a message is consumed before SubmitShare returns.
+// The caller may reuse the payload's backing bytes — a split scratch, a
+// fetch buffer — as soon as the call is back.
 func (a *Aggregator) SubmitShare(share xorcrypt.Share, source int, arrival time.Time) ([]Result, error) {
 	shard := a.shardOf(share.MID)
 	js := &a.shards[shard]

@@ -92,9 +92,10 @@ func putScratch(sc *submitScratch) {
 // source — the batch-granular form of SubmitShare, with identical
 // semantics: results fired by the batch are returned in fire order
 // (exactly the concatenation of what per-share submission would have
-// returned), duplicates and malformed messages are counted, and
-// ownership of every share payload transfers to the aggregator. An
-// empty batch is a no-op.
+// returned), duplicates and malformed messages are counted, and every
+// share payload is borrowed for the call only — a polled batch's fetch
+// buffer is free once the batch is submitted. An empty batch is a
+// no-op.
 //
 // The batch is processed in share order, so a caller draining a polled
 // partition batch observes the same watermark advancement, late drops,

@@ -935,8 +935,8 @@ var sharePool = sync.Pool{New: func() any { return new([]xorcrypt.Share) }}
 // it to the aggregator in a single batch submission. On a decode error
 // at record k the k records already decoded are still submitted before
 // the error returns — the same partial progress as decoding and
-// submitting one record at a time. Records are deep copies handed over
-// by Poll, so payload ownership transfers cleanly to the join state.
+// submitting one record at a time. The aggregator only borrows the
+// payloads, so the polled batch's buffer is garbage once this returns.
 func (s *System) submitRecords(recs []pubsub.Record, src int, now time.Time) ([]aggregator.Result, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -953,8 +953,8 @@ func (s *System) submitRecords(recs []pubsub.Record, src int, now time.Time) ([]
 		shares = append(shares, share)
 	}
 	res, err := s.agg.SubmitShareBatch(shares, src, now)
-	// Drop the payload references before pooling: the aggregator owns
-	// them now, and a pooled slice must not pin them.
+	// Drop the payload references before pooling: a pooled slice must
+	// not pin the polled batch's buffer.
 	clear(shares)
 	*sp = shares[:0]
 	sharePool.Put(sp)

@@ -155,3 +155,29 @@ func TestFleetTotalStats(t *testing.T) {
 		t.Errorf("BytesIn = %d, want %d", st.BytesIn, wantBytes)
 	}
 }
+
+// TestProxySubmitZeroAllocs pins the in-process forward: a proxy that
+// owns its broker publishes through the concrete type, so the MID stays
+// on Submit's stack and the share's one copy lands in a partition slab.
+// The run stays inside the slabs the warm-up opened (a new slab is the
+// only allocation a publish may make).
+func TestProxySubmitZeroAllocs(t *testing.T) {
+	p, err := New("p", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	share := randomShare(t, make([]byte, 22))
+	submit := func() {
+		share.MID[0]++ // walk the partitions
+		if err := p.Submit(share); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		submit()
+	}
+	if allocs := testing.AllocsPerRun(1000, submit); allocs != 0 {
+		t.Errorf("Proxy.Submit allocates %.2f times per share, want 0", allocs)
+	}
+}

@@ -8,7 +8,6 @@ package pubsub
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,9 +74,12 @@ type Stats struct {
 }
 
 type partitionLog struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	records []Record
+	mu   sync.Mutex
+	cond *sync.Cond
+	// slabs hold the record frames, oldest first (slab.go); count is the
+	// log length — the next offset to be written.
+	slabs []slab
+	count int64
 	// capacity, when > 0, bounds the partition's unconsumed backlog:
 	// a publish that would leave more than capacity records past the
 	// slowest committed consumer offset fails with ErrPartitionFull.
@@ -251,11 +253,13 @@ func (b *Broker) committedFloor(topic string, partition int) int64 {
 }
 
 // overCapacity reports whether appending n records would overflow the
-// bounded partition. Caller holds p.mu; floor was read before the lock,
-// which is safe because commits only advance — a stale floor can only
-// make the check more conservative.
-func (p *partitionLog) overCapacity(n int, floor int64) bool {
-	return p.capacity > 0 && int64(len(p.records))+int64(n)-floor > int64(p.capacity)
+// bounded partition. The slowest committed offset is read only when a
+// bound is set, so an unbounded publish never takes the broker lock or
+// walks the groups' offset maps. Caller holds p.mu; committedFloor takes
+// b.mu.RLock under it, which cannot deadlock because nothing acquires a
+// partition lock while holding b.mu.
+func (b *Broker) overCapacity(p *partitionLog, topic string, partition, n int) bool {
+	return p.capacity > 0 && p.count+int64(n)-b.committedFloor(topic, partition) > int64(p.capacity)
 }
 
 // Publish appends a record. A non-nil key selects the partition by hash
@@ -280,12 +284,7 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 	}
 	var part int
 	if key != nil {
-		h := fnv.New32a()
-		h.Write(key)
-		part = int(h.Sum32()) % len(t.partitions)
-		if part < 0 {
-			part += len(t.partitions)
-		}
+		part = int(fnv1a32(key) % uint32(len(t.partitions)))
 	} else {
 		b.statsMu.Lock()
 		part = int(b.rr % uint64(len(t.partitions)))
@@ -293,9 +292,8 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 		b.statsMu.Unlock()
 	}
 	p := t.partitions[part]
-	floor := b.committedFloor(topic, part)
 	p.mu.Lock()
-	if p.overCapacity(1, floor) {
+	if b.overCapacity(p, topic, part, 1) {
 		capacity := p.capacity
 		p.mu.Unlock()
 		b.statsMu.Lock()
@@ -303,7 +301,7 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 		b.statsMu.Unlock()
 		return 0, 0, fmt.Errorf("%w: topic %q partition %d at capacity %d", ErrPartitionFull, topic, part, capacity)
 	}
-	offset := int64(len(p.records))
+	offset := p.count
 	now := time.Now()
 	if p.w != nil {
 		// Durability before visibility: the record reaches the WAL (per
@@ -315,15 +313,7 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 			return 0, 0, err
 		}
 	}
-	rec := Record{
-		Topic:     topic,
-		Partition: part,
-		Offset:    offset,
-		Key:       append([]byte(nil), key...),
-		Value:     append([]byte(nil), value...),
-		Timestamp: now,
-	}
-	p.records = append(p.records, rec)
+	p.put(now, key, value)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 
@@ -337,8 +327,9 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 	return part, offset, nil
 }
 
-// fnv1a32 is FNV-1a over b, matching hash/fnv's New32a exactly (the
-// routing function of Publish) without constructing a hasher per record.
+// fnv1a32 is FNV-1a over b, matching hash/fnv's New32a exactly: the
+// routing function of both publish calls, spelled out so the key
+// provably does not escape (Proxy.Submit keeps the MID on its stack).
 func fnv1a32(b []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range b {
@@ -427,10 +418,7 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 
 	byPart := make(map[int][]int) // partition → record indexes
 	for i := 0; i < cols.Count; i++ {
-		part := int(fnv1a32(cols.Key(i))) % len(t.partitions)
-		if part < 0 {
-			part += len(t.partitions)
-		}
+		part := int(fnv1a32(cols.Key(i)) % uint32(len(t.partitions)))
 		byPart[part] = append(byPart[part], i)
 	}
 
@@ -443,10 +431,6 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 		parts = append(parts, part)
 	}
 	sort.Ints(parts)
-	floors := make([]int64, len(parts))
-	for i, part := range parts {
-		floors[i] = b.committedFloor(topic, part)
-	}
 	for _, part := range parts {
 		t.partitions[part].mu.Lock()
 	}
@@ -460,12 +444,12 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 	// — are skipped wholesale: no capacity check, no journal, no append.
 	dup := dupSlices(t, parts, pid, seq)
 	now := time.Now()
-	for i, part := range parts {
+	for _, part := range parts {
 		if dup[part] {
 			continue
 		}
 		p := t.partitions[part]
-		if p.overCapacity(len(byPart[part]), floors[i]) {
+		if b.overCapacity(p, topic, part, len(byPart[part])) {
 			capacity := p.capacity
 			unlockAll()
 			b.statsMu.Lock()
@@ -487,11 +471,6 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 			}
 		}
 	}
-	// One copy per lane for the whole batch; the stored records are
-	// subslices of the copies. Fetch deep-copies on the way out, so the
-	// shared backing arrays are never exposed to consumers.
-	keys := append([]byte(nil), cols.Keys...)
-	vals := append([]byte(nil), cols.Vals...)
 	var duplicates int64
 	for _, part := range parts {
 		p := t.partitions[part]
@@ -501,14 +480,7 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 			continue
 		}
 		for _, i := range idxs {
-			p.records = append(p.records, Record{
-				Topic:     topic,
-				Partition: part,
-				Offset:    int64(len(p.records)),
-				Key:       keys[i*cols.KeyLen : (i+1)*cols.KeyLen : (i+1)*cols.KeyLen],
-				Value:     vals[i*cols.ValLen : (i+1)*cols.ValLen : (i+1)*cols.ValLen],
-				Timestamp: now,
-			})
+			p.put(now, cols.Key(i), cols.Val(i))
 		}
 		p.recordSlice(pid, seq)
 		p.cond.Broadcast()
@@ -527,74 +499,93 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 }
 
 // Fetch returns up to max records from a partition starting at offset.
-// It never blocks; an offset at the log end returns an empty slice.
+// It never blocks; an offset at the log end returns no records. The
+// records are a private copy — their keys and values are cap-limited
+// views of one buffer made for this call — so the caller may keep,
+// mutate or append to them without touching the log or each other.
 func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	p, err := b.partition(topic, partition)
-	if err != nil {
-		return nil, err
-	}
-	if offset < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadOffset, offset)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if offset > int64(len(p.records)) {
-		return nil, fmt.Errorf("%w: %d beyond end %d", ErrBadOffset, offset, len(p.records))
-	}
-	end := offset + int64(max)
-	if end > int64(len(p.records)) {
-		end = int64(len(p.records))
-	}
-	out := make([]Record, end-offset)
-	copy(out, p.records[offset:end])
-	// Deep-copy payloads so callers cannot mutate the log.
-	for i := range out {
-		out[i].Key = append([]byte(nil), out[i].Key...)
-		out[i].Value = append([]byte(nil), out[i].Value...)
-	}
-
-	b.statsMu.Lock()
-	b.stats.MessagesOut += int64(len(out))
-	for _, r := range out {
-		b.stats.BytesOut += int64(len(r.Key) + len(r.Value))
-	}
-	b.statsMu.Unlock()
-	return out, nil
+	var out []Record
+	err := b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
+		p.each(offset, end, func(_ int64, frame []byte) { size += len(frame) - recordHeaderLen })
+		out = make([]Record, 0, end-offset)
+		buf := make([]byte, 0, size)
+		p.each(offset, end, func(off int64, frame []byte) {
+			ts, key, value := splitFrame(frame)
+			at, mid := len(buf), len(buf)+len(key)
+			buf = append(append(buf, key...), value...)
+			rec := Record{Topic: topic, Partition: partition, Offset: off, Timestamp: ts, Value: buf[mid:len(buf):len(buf)]}
+			if key != nil {
+				rec.Key = buf[at:mid:mid]
+			}
+			out = append(out, rec)
+		})
+		return size
+	})
+	return out, err
 }
 
-// WaitFetch is Fetch that blocks until at least one record is available
-// or the deadline passes (returning an empty slice on timeout).
-func (b *Broker) WaitFetch(topic string, partition int, offset int64, max int, timeout time.Duration) ([]Record, error) {
+// readSpan is the frame every fetch shares: under the partition lock it
+// validates offset, hands read the log and the offset one past the
+// fetch's last record (read is not called for an empty span), and then
+// counts the span's records and the key and value bytes read reports.
+func (b *Broker) readSpan(topic string, partition int, offset int64, max int, read func(p *partitionLog, end int64) (bytes int)) error {
 	p, err := b.partition(topic, partition)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	p.mu.Lock()
+	if offset < 0 || offset > p.count {
+		defer p.mu.Unlock()
+		return fmt.Errorf("%w: %d of %d", ErrBadOffset, offset, p.count)
+	}
+	end := min(offset+int64(max), p.count)
+	if end <= offset {
+		p.mu.Unlock()
+		return nil
+	}
+	bytes := read(p, end)
+	p.mu.Unlock()
+	b.statsMu.Lock()
+	b.stats.MessagesOut += end - offset
+	b.stats.BytesOut += int64(bytes)
+	b.statsMu.Unlock()
+	return nil
+}
+
+// FetchWait is the Transport form of Fetch: wait <= 0 is a plain Fetch,
+// wait > 0 first blocks until a record is available at offset or the
+// wait has passed (then returning no records).
+func (b *Broker) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
+	if wait > 0 {
+		if ok, err := b.awaitRecord(topic, partition, offset, wait); err != nil || !ok {
+			return nil, err
+		}
+	}
+	return b.Fetch(topic, partition, offset, max)
+}
+
+// awaitRecord blocks until the partition holds a record at offset
+// (true), the timeout passes (false), or the broker closes.
+func (b *Broker) awaitRecord(topic string, partition int, offset int64, timeout time.Duration) (bool, error) {
+	p, err := b.partition(topic, partition)
+	if err != nil {
+		return false, err
 	}
 	deadline := time.Now().Add(timeout)
 	p.mu.Lock()
-	for int64(len(p.records)) <= offset {
+	defer p.mu.Unlock()
+	for p.count <= offset {
 		if b.isClosed() {
-			p.mu.Unlock()
-			return nil, ErrClosed
+			return false, ErrClosed
 		}
 		if !time.Now().Before(deadline) {
-			p.mu.Unlock()
-			return nil, nil
+			return false, nil
 		}
 		// Wake periodically to observe the deadline; Broadcast on
 		// publish wakes us immediately in the common case.
 		waitWithTimeout(p.cond, 5*time.Millisecond)
 	}
-	p.mu.Unlock()
-	return b.Fetch(topic, partition, offset, max)
-}
-
-// FetchWait unifies Fetch and WaitFetch behind the Transport interface:
-// wait <= 0 is a non-blocking Fetch, wait > 0 blocks like WaitFetch.
-func (b *Broker) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
-	if wait > 0 {
-		return b.WaitFetch(topic, partition, offset, max, wait)
-	}
-	return b.Fetch(topic, partition, offset, max)
+	return true, nil
 }
 
 // waitWithTimeout waits on cond for at most d. The caller must hold the
@@ -613,7 +604,7 @@ func (b *Broker) EndOffset(topic string, partition int) (int64, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(len(p.records)), nil
+	return p.count, nil
 }
 
 // CommitOffset durably records a consumer group's next-to-read offset.
@@ -684,7 +675,7 @@ func (b *Broker) Stats() Stats {
 	for _, t := range topics {
 		for i, p := range t.partitions {
 			p.mu.Lock()
-			end := int64(len(p.records))
+			end := p.count
 			p.mu.Unlock()
 			backlog := end - b.committedFloor(t.name, i)
 			s.TotalBacklog += backlog
@@ -708,7 +699,7 @@ func (b *Broker) Backlog(topic string) (int64, error) {
 	var total int64
 	for i, p := range t.partitions {
 		p.mu.Lock()
-		end := int64(len(p.records))
+		end := p.count
 		p.mu.Unlock()
 		total += end - b.committedFloor(t.name, i)
 	}

@@ -3,7 +3,7 @@ package pubsub
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -13,12 +13,19 @@ import (
 // works over any Transport, so the same consumer code drains an
 // in-process broker or a remote TCP proxy.
 type Consumer struct {
-	t         Transport
-	group     string
-	positions map[string]map[int]int64 // topic → partition → next offset
+	t     Transport
+	group string
+	// subs is the poll order, fixed at construction: topics sorted, each
+	// with its partitions' next-read offsets indexed by partition.
+	subs []subscription
 	// closed, when non-nil, reports that the backing broker shut down;
 	// PollWait uses it to stop instead of spinning until its deadline.
 	closed func() bool
+}
+
+type subscription struct {
+	topic string
+	next  []int64
 }
 
 // NewConsumer subscribes a group member to an in-process broker's
@@ -41,21 +48,20 @@ func NewTransportConsumer(t Transport, group string, topics ...string) (*Consume
 	if len(topics) == 0 {
 		return nil, fmt.Errorf("pubsub: no topics to subscribe")
 	}
-	c := &Consumer{t: t, group: group, positions: make(map[string]map[int]int64)}
+	c := &Consumer{t: t, group: group}
+	topics = slices.Compact(slices.Sorted(slices.Values(topics)))
 	for _, topic := range topics {
 		nparts, err := t.Partitions(topic)
 		if err != nil {
 			return nil, err
 		}
-		pos := make(map[int]int64, nparts)
-		for p := 0; p < nparts; p++ {
-			off, err := t.CommittedOffset(group, topic, p)
-			if err != nil {
+		next := make([]int64, nparts)
+		for p := range next {
+			if next[p], err = t.CommittedOffset(group, topic, p); err != nil {
 				return nil, err
 			}
-			pos[p] = off
 		}
-		c.positions[topic] = pos
+		c.subs = append(c.subs, subscription{topic: topic, next: next})
 	}
 	return c, nil
 }
@@ -68,18 +74,22 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 		return nil, fmt.Errorf("pubsub: non-positive poll size %d", max)
 	}
 	var out []Record
-	for _, topic := range c.sortedTopics() {
-		pos := c.positions[topic]
-		for _, p := range sortedPartitions(pos) {
+	for _, sub := range c.subs {
+		for p := range sub.next {
 			if len(out) >= max {
 				return out, nil
 			}
-			recs, err := c.t.FetchWait(topic, p, pos[p], max-len(out), 0)
+			recs, err := c.t.FetchWait(sub.topic, p, sub.next[p], max-len(out), 0)
 			if err != nil {
 				return nil, err
 			}
-			if len(recs) > 0 {
-				pos[p] = recs[len(recs)-1].Offset + 1
+			if len(recs) == 0 {
+				continue
+			}
+			sub.next[p] = recs[len(recs)-1].Offset + 1
+			if out == nil {
+				out = recs // a fetch result is the caller's own
+			} else {
 				out = append(out, recs...)
 			}
 		}
@@ -111,15 +121,13 @@ func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
 		if remain > slice {
 			remain = slice
 		}
-		topic := c.sortedTopics()[0]
-		pos := c.positions[topic]
-		p := sortedPartitions(pos)[0]
-		recs, err = c.t.FetchWait(topic, p, pos[p], max, remain)
+		first := c.subs[0]
+		recs, err = c.t.FetchWait(first.topic, 0, first.next[0], max, remain)
 		if err != nil {
 			return nil, err
 		}
 		if len(recs) > 0 {
-			pos[p] = recs[len(recs)-1].Offset + 1
+			first.next[0] = recs[len(recs)-1].Offset + 1
 			return recs, nil
 		}
 	}
@@ -129,13 +137,13 @@ func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
 // the cut a checkpointer records alongside the state derived from
 // everything below it.
 func (c *Consumer) Positions() map[string]map[int]int64 {
-	out := make(map[string]map[int]int64, len(c.positions))
-	for topic, pos := range c.positions {
-		tp := make(map[int]int64, len(pos))
-		for p, off := range pos {
+	out := make(map[string]map[int]int64, len(c.subs))
+	for _, sub := range c.subs {
+		tp := make(map[int]int64, len(sub.next))
+		for p, off := range sub.next {
 			tp[p] = off
 		}
-		out[topic] = tp
+		out[sub.topic] = tp
 	}
 	return out
 }
@@ -144,17 +152,17 @@ func (c *Consumer) Positions() map[string]map[int]int64 {
 // restore half of Positions: a restarted consumer resumes from a
 // checkpoint's recorded cut instead of the broker's committed offsets.
 func (c *Consumer) Seek(topic string, partition int, offset int64) error {
-	pos, ok := c.positions[topic]
-	if !ok {
+	i := slices.IndexFunc(c.subs, func(s subscription) bool { return s.topic == topic })
+	if i < 0 {
 		return fmt.Errorf("%w: %q", ErrNoTopic, topic)
 	}
-	if _, ok := pos[partition]; !ok {
+	if partition < 0 || partition >= len(c.subs[i].next) {
 		return fmt.Errorf("%w: %d", ErrNoPartition, partition)
 	}
 	if offset < 0 {
 		return fmt.Errorf("%w: %d", ErrBadOffset, offset)
 	}
-	pos[partition] = offset
+	c.subs[i].next[partition] = offset
 	return nil
 }
 
@@ -164,17 +172,14 @@ func (c *Consumer) Seek(topic string, partition int, offset int64) error {
 // the in-process System checkpoint and the privapprox-node aggregator
 // checkpoint use this one codec.
 func (c *Consumer) AppendPositions(buf []byte) []byte {
-	topics := c.sortedTopics()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(topics)))
-	for _, topic := range topics {
-		pos := c.positions[topic]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(topic)))
-		buf = append(buf, topic...)
-		parts := sortedPartitions(pos)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(parts)))
-		for _, p := range parts {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.subs)))
+	for _, sub := range c.subs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.topic)))
+		buf = append(buf, sub.topic...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.next)))
+		for p, off := range sub.next {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(p))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(pos[p]))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(off))
 		}
 	}
 	return buf
@@ -219,9 +224,9 @@ func (c *Consumer) SeekPositions(data []byte) ([]byte, error) {
 // Commit persists the current positions to the broker so another group
 // member can resume after a failure.
 func (c *Consumer) Commit() error {
-	for topic, pos := range c.positions {
-		for p, off := range pos {
-			if err := c.t.CommitOffset(c.group, topic, p, off); err != nil {
+	for _, sub := range c.subs {
+		for p, off := range sub.next {
+			if err := c.t.CommitOffset(c.group, sub.topic, p, off); err != nil {
 				return err
 			}
 		}
@@ -232,9 +237,9 @@ func (c *Consumer) Commit() error {
 // Lag returns the total number of unread records across subscriptions.
 func (c *Consumer) Lag() (int64, error) {
 	var lag int64
-	for topic, pos := range c.positions {
-		for p, off := range pos {
-			end, err := c.t.EndOffset(topic, p)
+	for _, sub := range c.subs {
+		for p, off := range sub.next {
+			end, err := c.t.EndOffset(sub.topic, p)
 			if err != nil {
 				return 0, err
 			}
@@ -242,22 +247,4 @@ func (c *Consumer) Lag() (int64, error) {
 		}
 	}
 	return lag, nil
-}
-
-func (c *Consumer) sortedTopics() []string {
-	out := make([]string, 0, len(c.positions))
-	for t := range c.positions {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedPartitions(pos map[int]int64) []int {
-	out := make([]int, 0, len(pos))
-	for p := range pos {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -143,21 +143,17 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 			if err != nil {
 				return err
 			}
-			if int64(lsn) != int64(len(p.records)) {
-				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, len(p.records))
+			if int64(lsn) != p.count {
+				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, p.count)
 			}
 			// Rebuild the session-dedup slot from the record's own tag:
 			// records replay in append order, so the last tag seen for a
 			// producer is its newest applied sequence.
 			p.recordSlice(pid, seq)
-			p.records = append(p.records, Record{
-				Topic:     name,
-				Partition: i,
-				Offset:    int64(len(p.records)),
-				Key:       key,
-				Value:     value,
-				Timestamp: ts,
-			})
+			// key and value are views of the WAL's read buffer; put
+			// re-frames them (the same bytes, minus the session tag) into
+			// the slab, exactly as on the publish path.
+			p.put(ts, key, value)
 			return nil
 		})
 		if err != nil {
@@ -255,6 +251,8 @@ func appendSessionTag(buf []byte, pid, seq uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
+// decodePartitionRecord parses one partition-WAL record. key (nil when
+// the record has none) and value are views into payload.
 func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid, seq uint64, err error) {
 	if len(payload) > 0 && payload[0] == sessionTag {
 		if len(payload) < sessionTagLen {
@@ -267,19 +265,13 @@ func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid
 		}
 		payload = payload[sessionTagLen:]
 	}
-	if len(payload) < 12 {
+	if len(payload) < recordHeaderLen {
 		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: %d-byte partition record", ErrDurable, len(payload))
 	}
-	ts = time.Unix(0, int64(binary.BigEndian.Uint64(payload[0:8])))
-	klen := binary.BigEndian.Uint32(payload[8:12])
-	rest := payload[12:]
-	if uint32(len(rest)) < klen {
+	if klen := binary.BigEndian.Uint32(payload[8:recordHeaderLen]); uint32(len(payload)-recordHeaderLen) < klen {
 		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: key length %d beyond record", ErrDurable, klen)
 	}
-	if klen > 0 {
-		key = append([]byte(nil), rest[:klen]...)
-	}
-	value = append([]byte(nil), rest[klen:]...)
+	ts, key, value = splitFrame(payload)
 	return ts, key, value, pid, seq, nil
 }
 
@@ -288,7 +280,7 @@ func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid
 // framed exactly as Publish frames it — replay cannot tell which publish
 // form wrote a record. The caller holds the partition lock.
 func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pid, seq uint64) error {
-	per := 12 + cols.KeyLen + cols.ValLen
+	per := recordHeaderLen + cols.KeyLen + cols.ValLen
 	if pid != 0 {
 		per += sessionTagLen
 	}

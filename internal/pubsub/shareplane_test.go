@@ -1,0 +1,262 @@
+package pubsub
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"privapprox/internal/wal"
+)
+
+// handle answers one request frame into a buffer of its own — the form
+// the frame fuzzers drive; serveConn reuses its response buffer.
+func (s *Server) handle(req []byte) []byte { return s.respond(nil, req) }
+
+// fetcher is Fetch as either transport spells it.
+type fetcher func(topic string, partition int, offset int64, max int) ([]Record, error)
+
+func (c *Client) fetchNow(topic string, partition int, offset int64, max int) ([]Record, error) {
+	return c.Fetch(topic, partition, offset, max, 0)
+}
+
+// canon renders every field of every record of every partition, fetched
+// chunk records at a time so spans start and end inside slabs: the form
+// in which two views of one log are compared.
+func canon(t *testing.T, fetch fetcher, topic string, partitions, chunk int) string {
+	t.Helper()
+	var out bytes.Buffer
+	for p := 0; p < partitions; p++ {
+		for off := int64(0); ; {
+			recs, err := fetch(topic, p, off, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				break
+			}
+			for _, r := range recs {
+				fmt.Fprintf(&out, "%s/%d@%d t=%d keyed=%t k=%x v=%x\n",
+					r.Topic, r.Partition, r.Offset, r.Timestamp.UnixNano(), r.Key != nil, r.Key, r.Value)
+			}
+			off = recs[len(recs)-1].Offset + 1
+		}
+	}
+	return out.String()
+}
+
+// TestFetchIsAPrivateCopy: whatever a caller does to a fetched record —
+// overwrite its bytes, append to its key or value — touches neither the
+// log nor the neighbouring records of the same fetch, in-process and
+// over TCP.
+func TestFetchIsAPrivateCopy(t *testing.T) {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := b.Publish("t", []byte{'k', byte('0' + i)}, []byte{'v', byte('0' + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := canon(t, b.Fetch, "t", 1, 10)
+	for name, fetch := range map[string]fetcher{"inproc": b.Fetch, "tcp": cli.fetchNow} {
+		recs, err := fetch("t", 0, 0, 10)
+		if err != nil || len(recs) != 3 {
+			t.Fatalf("%s: fetch = %d records, %v", name, len(recs), err)
+		}
+		for i := range recs[1].Key {
+			recs[1].Key[i] = 'X'
+		}
+		for i := range recs[1].Value {
+			recs[1].Value[i] = 'X'
+		}
+		_ = append(recs[0].Key, "overrun"...)
+		_ = append(recs[0].Value, "overrun"...)
+		_ = append(recs[1].Key, "overrun"...)
+		if got := fmt.Sprintf("%s=%s %s=%s", recs[0].Key, recs[0].Value, recs[2].Key, recs[2].Value); got != "k0=v0 k2=v2" {
+			t.Errorf("%s: neighbours of the mutated record read %s", name, got)
+		}
+		if got := canon(t, b.Fetch, "t", 1, 10); got != want {
+			t.Errorf("%s: mutating fetched records changed the log:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
+// TestLogReadsTheSameThreeWays publishes keyed shares, nil-key control
+// records, mixed sizes, a record larger than a slab and batches that
+// roll over slab boundaries into a durable broker, and requires the
+// in-process fetch, the TCP fetch and the fetch after an OpenBroker
+// replay to agree on every field of every record.
+func TestLogReadsTheSameThreeWays(t *testing.T) {
+	const topic, partitions = "answer", 3
+	dir := t.TempDir()
+	b, err := OpenBroker(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CreateTopic(topic, partitions); err != nil {
+		t.Fatal(err)
+	}
+	published := 0
+	publish := func(key, value []byte) {
+		t.Helper()
+		if _, _, err := b.Publish(topic, key, value); err != nil {
+			t.Fatal(err)
+		}
+		published++
+	}
+	cols := testCols(6*slabSize/40, 16, 22) // about three slabs per partition
+	if err := b.PublishColumns(topic, head(cols, 7), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	publish(nil, []byte("control record"))
+	publish([]byte("k"), nil)
+	publish(nil, bytes.Repeat([]byte{0xA5}, slabSize+1))
+	if err := b.PublishColumns(topic, cols, 9, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		publish([]byte{byte(i)}, bytes.Repeat([]byte{byte(i)}, i*97))
+	}
+	published += 7 + cols.Count
+	for p := 0; p < partitions; p++ {
+		if n := len(b.topics[topic].partitions[p].slabs); n < 3 {
+			t.Fatalf("partition %d spans %d slabs; the test needs it to roll over", p, n)
+		}
+	}
+
+	srv, err := Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc := canon(t, b.Fetch, topic, partitions, 1000)
+	overTCP := canon(t, cli.fetchNow, topic, partitions, 1777)
+	cli.Close()
+	srv.Close()
+	b.Close()
+
+	if n := bytes.Count([]byte(inproc), []byte("\n")); n != published {
+		t.Fatalf("fetched %d records, published %d", n, published)
+	}
+	if overTCP != inproc {
+		t.Error("the TCP fetch and the in-process fetch disagree")
+	}
+	reopened, err := OpenBroker(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if replayed := canon(t, reopened.Fetch, topic, partitions, 4096); replayed != inproc {
+		t.Error("the log replayed from the WAL differs from the log that was published")
+	}
+}
+
+// inside reports whether view lies within frame's backing array.
+func inside(view, frame []byte) bool {
+	if cap(view) == 0 {
+		return true
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	return at >= lo && at+uintptr(cap(view)) <= lo+uintptr(len(frame))
+}
+
+// FuzzFetchResponse drives the client-side fetch decoder with arbitrary
+// response bodies: it must never panic, never size its result by the
+// peer's claimed count alone, and every key and value it hands out must
+// be a cap-limited view inside the frame it was given.
+func FuzzFetchResponse(f *testing.F) {
+	b := NewBroker()
+	if err := b.CreateTopic("t", 1); err != nil {
+		f.Fatal(err)
+	}
+	b.Publish("t", []byte("key"), []byte("value"))
+	b.Publish("t", nil, []byte("keyless"))
+	var e enc
+	if err := b.encodeFetch(&e, "t", 0, 0, 10); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(e.buf[1:])
+	f.Add(e.buf[1 : len(e.buf)-3])
+	f.Add([]byte{})
+	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31)) // a count with nothing behind it
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		recs, err := decodeFetch(&dec{buf: body}, "t")
+		if err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("decode error %v does not wrap ErrWire", err)
+			}
+			return
+		}
+		if len(recs)*fetchRecordMin > len(body) {
+			t.Fatalf("%d records out of a %d-byte body", len(recs), len(body))
+		}
+		for _, r := range recs {
+			for _, view := range [][]byte{r.Key, r.Value} {
+				if !inside(view, body) || cap(view) != len(view) {
+					t.Fatalf("view %p len %d cap %d escapes the %d-byte frame", view, len(view), cap(view), len(body))
+				}
+			}
+		}
+	})
+}
+
+// TestReadersFollowARollingLog: publishers roll a one-partition log
+// over several slabs while an in-process and a TCP reader follow it.
+// Every reader must see every offset exactly once, in order, each
+// record intact — run under the race detector, this is what checks
+// that a fetch never reads a frame or an index entry mid-write.
+func TestReadersFollowARollingLog(t *testing.T) {
+	const publishers, each = 4, 3000
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < publishers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				key := []byte(fmt.Sprintf("%d/%d", w, i))
+				if _, _, err := b.Publish("t", key, bytes.Repeat(key, 8)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for name, fetch := range map[string]fetcher{"inproc": b.Fetch, "tcp": cli.fetchNow} {
+		wg.Add(1)
+		go func(name string, fetch fetcher) {
+			defer wg.Done()
+			for next := int64(0); next < publishers*each; {
+				recs, err := fetch("t", 0, next, 500)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				for _, r := range recs {
+					if r.Offset != next || !bytes.Equal(r.Value, bytes.Repeat(r.Key, 8)) {
+						t.Errorf("%s: offset %d (want %d) reads %q = %q", name, r.Offset, next, r.Key, r.Value)
+						return
+					}
+					next++
+				}
+			}
+		}(name, fetch)
+	}
+	wg.Wait()
+	if n := len(b.topics["t"].partitions[0].slabs); n < 3 {
+		t.Fatalf("the log spans %d slabs; the test needs it to roll over", n)
+	}
+}

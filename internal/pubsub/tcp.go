@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -42,7 +43,7 @@ func Serve(b *Broker, addr string) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the listener and all connections. Handlers blocked in a
-// server-side WaitFetch observe the close within one wait slice, so
+// server-side blocking fetch observe the close within one wait slice, so
 // Close returns promptly even with long client fetch timeouts in
 // flight.
 func (s *Server) Close() error {
@@ -95,267 +96,279 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	// Strictly read → respond → write, and the broker copies what it
+	// keeps of a request: one buffer each way serves the connection.
+	var req, resp []byte
 	for {
-		req, err := readFrame(conn)
-		if err != nil {
+		var err error
+		if req, err = readFrameInto(conn, req); err != nil {
 			// Includes oversized frames: the payload was never read, so
 			// the stream cannot be resynchronized — drop the connection.
 			return
 		}
-		resp := s.handle(req)
+		resp = s.respond(resp[:0], req)
 		if err := writeFrame(conn, resp); err != nil {
 			return
+		}
+		// One outsized frame must not pin its buffer to an idle connection.
+		if cap(req) > maxBatchBytes || cap(resp) > maxBatchBytes {
+			req, resp = nil, nil
 		}
 	}
 }
 
-func respErr(err error) []byte {
-	var e enc
-	e.byte(1)
-	e.str(err.Error())
+// respond answers one request frame, appending to resp: status 0 and
+// the operation's results, or status 1 and the error text.
+func (s *Server) respond(resp, req []byte) []byte {
+	e := &enc{buf: resp}
+	if err := s.dispatch(e, &dec{buf: req}); err != nil {
+		e.buf = resp
+		e.byte(1)
+		e.str(err.Error())
+	}
 	return e.buf
 }
 
-func (s *Server) handle(req []byte) []byte {
-	d := &dec{buf: req}
+// dispatch decodes one request from d, applies it to the broker and, on
+// success, encodes the ok response into e.
+func (s *Server) dispatch(e *enc, d *dec) error {
 	op, err := d.byte()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	switch op {
 	case opCreateTopic:
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		parts, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		if err := s.broker.CreateTopic(topic, int(parts)); err != nil {
-			return respErr(err)
+			return err
 		}
-		return []byte{0}
+		e.byte(0)
 	case opPublish:
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
+		// Views into the request frame: Publish copies both into its slab.
 		key, err := decodeOptBytes(d)
 		if err != nil {
-			return respErr(err)
+			return err
 		}
-		val, err := d.bytes()
+		val, err := d.view()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		part, off, err := s.broker.Publish(topic, key, val)
 		if err != nil {
-			return respErr(err)
+			return err
 		}
-		var e enc
 		e.byte(0)
 		e.uint32(uint32(part))
 		e.uint64(uint64(off))
-		return e.buf
 	case opPublishColumns:
-		return s.handlePublishColumns(d)
+		if err := s.publishColumns(d); err != nil {
+			return err
+		}
+		e.byte(0)
 	case opFetch:
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		part, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		off, err := d.uint64()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		max, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		waitMs, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
-		var recs []Record
 		if waitMs > 0 {
-			recs, err = s.waitFetch(topic, int(part), int64(off), int(max), time.Duration(waitMs)*time.Millisecond)
-		} else {
-			recs, err = s.broker.Fetch(topic, int(part), int64(off), int(max))
+			if err := s.awaitRecord(topic, int(part), int64(off), time.Duration(waitMs)*time.Millisecond); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return respErr(err)
-		}
-		var e enc
-		e.byte(0)
-		e.uint32(uint32(len(recs)))
-		for _, r := range recs {
-			e.uint32(uint32(r.Partition))
-			e.uint64(uint64(r.Offset))
-			e.uint64(uint64(r.Timestamp.UnixNano()))
-			e.bytes(r.Key)
-			e.bytes(r.Value)
-		}
-		return e.buf
+		return s.broker.encodeFetch(e, topic, int(part), int64(off), int(max))
 	case opEndOffset:
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		part, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		off, err := s.broker.EndOffset(topic, int(part))
 		if err != nil {
-			return respErr(err)
+			return err
 		}
-		var e enc
 		e.byte(0)
 		e.uint64(uint64(off))
-		return e.buf
 	case opCommit:
 		group, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		part, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		off, err := d.uint64()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		if err := s.broker.CommitOffset(group, topic, int(part), int64(off)); err != nil {
-			return respErr(err)
+			return err
 		}
-		return []byte{0}
+		e.byte(0)
 	case opCommitted:
 		group, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		part, err := d.uint32()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		off, err := s.broker.CommittedOffset(group, topic, int(part))
 		if err != nil {
-			return respErr(err)
+			return err
 		}
-		var e enc
 		e.byte(0)
 		e.uint64(uint64(off))
-		return e.buf
 	case opPartitions:
 		topic, err := d.str()
 		if err != nil {
-			return respErr(err)
+			return err
 		}
 		n, err := s.broker.Partitions(topic)
 		if err != nil {
-			return respErr(err)
+			return err
 		}
-		var e enc
 		e.byte(0)
 		e.uint32(uint32(n))
-		return e.buf
 	default:
-		return respErr(fmt.Errorf("%w: unknown opcode %d", ErrWire, op))
+		return fmt.Errorf("%w: unknown opcode %d", ErrWire, op)
 	}
+	return nil
 }
 
-// handlePublishColumns decodes an opPublishColumns frame. The lanes are
-// views into the request frame (no copy); the broker copies each lane
-// once during its in-memory append. The ack is the bare status byte.
-func (s *Server) handlePublishColumns(d *dec) []byte {
+// publishColumns decodes and applies an opPublishColumns request. The
+// lanes are views into the request frame (no copy); the broker copies
+// each record once into its slab. The ack is the bare status byte.
+func (s *Server) publishColumns(d *dec) error {
 	topic, err := d.str()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	pid, err := d.uint64()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	seq, err := d.uint64()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	count, err := d.uint32()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	keyLen, err := d.uint32()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	valLen, err := d.uint32()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	keys, err := d.view()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
 	vals, err := d.view()
 	if err != nil {
-		return respErr(err)
+		return err
 	}
-	cols := Columns{
+	// PublishColumns validates the lane geometry against the declared
+	// strides first, so a lying count or stride is refused (the lane
+	// lengths on the wire are the real bound, and the frame is capped).
+	return s.broker.PublishColumns(topic, Columns{
 		Count:  int(count),
 		KeyLen: int(keyLen),
 		ValLen: int(valLen),
 		Keys:   keys,
 		Vals:   vals,
-	}
-	// Validate re-checks lane geometry against the declared strides, so
-	// a lying count or stride is caught here (the lane lengths on the
-	// wire are the real bound, and the frame itself is capped).
-	if err := cols.Validate(); err != nil {
-		return respErr(err)
-	}
-	if err := s.broker.PublishColumns(topic, cols, pid, seq); err != nil {
-		return respErr(err)
-	}
-	return []byte{0}
+	}, pid, seq)
 }
 
-// waitFetch is the server side of a blocking fetch. The wait is sliced
-// so a handler parked in the broker's WaitFetch observes Server.Close
+// awaitRecord is the server side of a blocking fetch: it returns once
+// the partition holds a record at off or the wait has passed. The wait
+// is sliced so a handler parked in the broker observes Server.Close
 // within one slice instead of pinning Close for the client's full
 // timeout.
-func (s *Server) waitFetch(topic string, part int, off int64, max int, wait time.Duration) ([]Record, error) {
+func (s *Server) awaitRecord(topic string, part int, off int64, wait time.Duration) error {
 	const slice = 20 * time.Millisecond
 	deadline := time.Now().Add(wait)
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return s.broker.Fetch(topic, part, off, max)
+			return nil
 		}
 		if remain > slice {
 			remain = slice
 		}
-		recs, err := s.broker.WaitFetch(topic, part, off, max, remain)
-		if err != nil || len(recs) > 0 {
-			return recs, err
+		if ok, err := s.broker.awaitRecord(topic, part, off, remain); err != nil || ok {
+			return err
 		}
 		if s.isClosed() {
-			return nil, ErrClosed
+			return ErrClosed
 		}
 	}
+}
+
+// encodeFetch appends the opFetch response for what Fetch would return
+// — status | u32 count, then per record u32 partition | u64 offset |
+// u64 unix-nanos | key | value — straight from the slabs under the
+// partition lock.
+func (b *Broker) encodeFetch(e *enc, topic string, partition int, offset int64, max int) error {
+	e.byte(0)
+	count := len(e.buf)
+	e.uint32(0)
+	return b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
+		binary.BigEndian.PutUint32(e.buf[count:], uint32(end-offset))
+		p.each(offset, end, func(off int64, frame []byte) {
+			_, key, value := splitFrame(frame)
+			e.uint32(uint32(partition))
+			e.uint64(uint64(off))
+			e.buf = append(e.buf, frame[:8]...) // the stored unix-nanos are the wire's
+			e.bytes(key)
+			e.bytes(value)
+			size += len(key) + len(value)
+		})
+		return size
+	})
 }
 
 // decodeOptBytes reads the hasKey-prefixed optional byte string
@@ -370,7 +383,7 @@ func decodeOptBytes(d *dec) ([]byte, error) {
 	case 0:
 		return nil, nil
 	case 1:
-		return d.bytes()
+		return d.view()
 	default:
 		return nil, fmt.Errorf("%w: bad optional-bytes marker %d", ErrWire, has)
 	}
@@ -899,10 +912,12 @@ func waitToMillis(d time.Duration) uint32 {
 	return uint32((d + time.Millisecond - 1) / time.Millisecond)
 }
 
-// Fetch mirrors Broker.Fetch; wait > 0 turns it into WaitFetch with
-// that timeout.
+// Fetch mirrors Broker.Fetch; wait > 0 makes it a blocking fetch with
+// that timeout. The records' keys and values are cap-limited views of
+// the response frame, which belongs to this call alone: a private copy
+// like Broker.Fetch's, made by the socket read.
 func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
-	var e enc
+	e := getEnc()
 	e.byte(opFetch)
 	e.str(topic)
 	e.uint32(uint32(partition))
@@ -910,12 +925,26 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 	e.uint32(uint32(max))
 	e.uint32(waitToMillis(wait))
 	d, err := c.roundTrip(e.buf)
+	putEnc(e)
 	if err != nil {
 		return nil, err
 	}
+	return decodeFetch(d, topic)
+}
+
+// fetchRecordMin is the least one record takes in a fetch response.
+const fetchRecordMin = 4 + 8 + 8 + 4 + 4
+
+// decodeFetch reads the body of an opFetch response (after the status
+// byte) into records that alias d's frame.
+func decodeFetch(d *dec, topic string) ([]Record, error) {
 	n, err := d.uint32()
 	if err != nil {
 		return nil, err
+	}
+	// The count is the peer's claim; the frame length is the real bound.
+	if uint64(n) > uint64(len(d.buf)/fetchRecordMin) {
+		return nil, fmt.Errorf("%w: %d records in a %d-byte fetch response", ErrWire, n, len(d.buf))
 	}
 	out := make([]Record, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -931,11 +960,14 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 		if err != nil {
 			return nil, err
 		}
-		key, err := d.bytes()
+		key, err := d.view()
 		if err != nil {
 			return nil, err
 		}
-		val, err := d.bytes()
+		if len(key) == 0 {
+			key = nil // as the broker hands it out: no key, not an empty one
+		}
+		val, err := d.view()
 		if err != nil {
 			return nil, err
 		}

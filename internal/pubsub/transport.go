@@ -16,7 +16,9 @@ type Transport interface {
 	// Partitions returns a topic's partition count.
 	Partitions(topic string) (int, error)
 	// Publish appends one record; a non-nil key selects the partition
-	// by hash, a nil key round-robins.
+	// by hash, a nil key round-robins. key and value are borrowed: they
+	// are copied (into the log) or encoded (onto the wire) before the
+	// call returns.
 	Publish(topic string, key, value []byte) (int, int64, error)
 	// PublishColumns appends a fixed-stride batch in one call, fully
 	// applied or refused whole. A nonzero pid tags the batch with a
@@ -28,7 +30,9 @@ type Transport interface {
 	// FetchWait reads up to max records from a partition starting at
 	// offset. wait <= 0 returns immediately with whatever is available;
 	// wait > 0 blocks until at least one record arrives or the wait
-	// elapses (returning an empty slice on timeout).
+	// elapses (returning no records on timeout). The records are the
+	// caller's own: their bytes share one buffer private to the call,
+	// never the log's.
 	FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error)
 	// EndOffset returns the next offset to be written in a partition.
 	EndOffset(topic string, partition int) (int64, error)

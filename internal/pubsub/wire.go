@@ -46,7 +46,12 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame into a buffer of its own: the caller owns
+// the bytes.
+func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame over buf's storage when the frame fits it.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -55,7 +60,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrWire, n)
 	}
-	buf := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
@@ -118,29 +126,17 @@ func (d *dec) uint64() (uint64, error) {
 	return v, nil
 }
 
-func (d *dec) bytes() ([]byte, error) {
-	n, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(d.buf)) < n {
-		return nil, fmt.Errorf("%w: short frame", ErrWire)
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
-	return out, nil
-}
-
 func (d *dec) str() (string, error) {
-	b, err := d.bytes()
+	b, err := d.view()
 	return string(b), err
 }
 
-// view reads a length-prefixed byte string like bytes but without
-// copying: the returned slice aliases the frame buffer and is valid
-// only while the frame is. The columnar publish handler uses it to pass
-// whole lanes straight to the broker, which copies them once.
+// view reads a length-prefixed byte string without copying: the
+// returned slice aliases the frame buffer (cap-limited, so
+// an append cannot run into its neighbour) and is valid only while the
+// frame is. The server's publish handlers pass views straight to the
+// broker, which copies them once into its slab; the client's fetch
+// hands out views of the response frame it owns.
 func (d *dec) view() ([]byte, error) {
 	n, err := d.uint32()
 	if err != nil {

@@ -16,14 +16,33 @@ var (
 // identifier, in source order. Groups handed out by Add remain owned by
 // the joiner's pool: the caller must consume the payloads (or copy them)
 // and then hand the group back with Recycle; a group is never touched by
-// the joiner between Add returning it and Recycle.
+// the joiner between Add returning it and Recycle. The payload of the
+// share that completed the group is the caller's own slice, borrowed:
+// it is valid exactly as long as the caller keeps that slice intact.
 type Joined[K comparable] struct {
 	Key      K
 	Payloads [][]byte
 
+	// parked holds the group's own copies of the payloads that had to
+	// wait for their siblings, end to end; it is recycled with the group
+	// so the steady-state join path allocates nothing.
+	parked []byte
 	// join bookkeeping while the group is pending.
 	filled int
 	first  time.Time
+}
+
+// park copies payload into the group's own buffer. An append that has
+// to grow the buffer leaves earlier payloads where they were (their
+// views keep the old array alive until Recycle), so no view ever moves.
+func (g *Joined[K]) park(source int, payload []byte) {
+	at := len(g.parked)
+	g.parked = append(g.parked, payload...)
+	own := g.parked[at:len(g.parked):len(g.parked)]
+	if own == nil {
+		own = []byte{} // an empty share still marks its source as seen
+	}
+	g.Payloads[source] = own
 }
 
 // KeyedShareJoiner implements the aggregator's first stage (paper
@@ -82,6 +101,12 @@ func NewKeyedShareJoiner[K comparable](expect int, retain time.Duration) (*Keyed
 // ErrDuplicate when the key already completed or this source already
 // contributed. The returned group must be handed back via Recycle once
 // its payloads are consumed.
+//
+// payload is borrowed for the call: a share that has to wait is copied
+// into the group (so a parked share never pins, or is corrupted by the
+// reuse of, the buffer it arrived in — a whole fetch response, a split
+// scratch), and the share that completes a group is referenced only
+// until Recycle.
 func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte, at time.Time) (*Joined[K], error) {
 	if source < 0 || source >= j.expect {
 		return nil, fmt.Errorf("%w: source %d of %d", ErrJoinArity, source, j.expect)
@@ -98,11 +123,12 @@ func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte, at time.Tim
 	if g.Payloads[source] != nil {
 		return nil, fmt.Errorf("%w: %v from source %d", ErrDuplicate, key, source)
 	}
-	g.Payloads[source] = payload
 	g.filled++
 	if g.filled < j.expect {
+		g.park(source, payload)
 		return nil, nil
 	}
+	g.Payloads[source] = payload
 	delete(j.pending, key)
 	j.complete[key] = at
 	g.Key = key
@@ -117,21 +143,31 @@ func (j *KeyedShareJoiner[K]) Recycle(g *Joined[K]) {
 		return
 	}
 	clear(g.Payloads)
+	g.parked = g.parked[:0]
 	g.filled = 0
 	var zero K
 	g.Key = zero
 	j.free = append(j.free, g)
 }
 
-// getGroup pops a pooled group or builds a fresh one.
+// getGroup pops a pooled group. An empty pool is refilled a block at a
+// time, so a new high-water mark of pending groups costs two
+// allocations per block rather than per group.
 func (j *KeyedShareJoiner[K]) getGroup() *Joined[K] {
-	if n := len(j.free); n > 0 {
-		g := j.free[n-1]
-		j.free[n-1] = nil
-		j.free = j.free[:n-1]
-		return g
+	if len(j.free) == 0 {
+		const block = 16
+		groups := make([]Joined[K], block)
+		slots := make([][]byte, block*j.expect)
+		for i := range groups {
+			groups[i].Payloads = slots[i*j.expect : (i+1)*j.expect : (i+1)*j.expect]
+			j.free = append(j.free, &groups[i])
+		}
 	}
-	return &Joined[K]{Payloads: make([][]byte, j.expect)}
+	n := len(j.free)
+	g := j.free[n-1]
+	j.free[n-1] = nil
+	j.free = j.free[:n-1]
+	return g
 }
 
 // SetRetain adjusts how long completed keys are remembered past the
@@ -181,7 +217,7 @@ func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, first tim
 	g.first = first
 	for i, p := range payloads {
 		if p != nil {
-			g.Payloads[i] = append([]byte(nil), p...)
+			g.park(i, p)
 		}
 	}
 	g.filled = filled
