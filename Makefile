@@ -1,7 +1,7 @@
 # `make ci` is the pre-merge check: tier-1 verification (fmt, vet,
 # build, test), the race gate over RACE_PKGS, the allocgate,
-# multiquery, smoke, crash, surge, chaos, obsgate and lineage gates
-# described at their targets below, and bench-smoke. `make fuzz`,
+# multiquery, smoke, crash, surge, chaos, obsgate, lineage and soak
+# gates described at their targets below, and bench-smoke. `make fuzz`,
 # `make loc` and the other bench targets are run by hand.
 
 GO ?= go
@@ -12,9 +12,9 @@ RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... 
 # the batch-size sweep of the columnar submit tail.
 HOTPATH_BENCH = BenchmarkTable2CryptoXOR|BenchmarkTable3ClientXOREncryption|BenchmarkTable3ClientRandomizedResponse|BenchmarkFig8Scalability|BenchmarkFig8SubmitBatch
 
-.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-smoke bench-json fuzz loc
+.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke bench-json fuzz loc
 
-ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage bench-smoke
+ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -37,7 +37,9 @@ race:
 
 # The multi-process loopback deployments: 2 proxy processes + submit +
 # clients + aggregator, single- and multi-query, each asserted
-# byte-identical to the in-process pipeline.
+# byte-identical to the in-process pipeline — once more behind
+# -partition-cap, where only the aggregator's commits make room for the
+# second client process (TestMultiProcessSmokeBounded).
 smoke:
 	$(GO) test -run 'TestMultiProcessSmoke|TestMultiProcessMultiQuerySmoke' -count=1 ./cmd/privapprox-node
 
@@ -51,7 +53,9 @@ multiquery:
 # mid-drain (and, separately, a durable proxy mid-deployment), restart
 # each from its -data-dir, and require final per-query results
 # byte-identical to an uninterrupted run, plus the in-process
-# checkpoint/resume protocol over durable brokers.
+# checkpoint/resume protocol over durable brokers. In both, the resume
+# arrives after a trim: every checkpoint was followed by a commit, so the
+# brokers have released what it covers.
 crash:
 	$(GO) test -run 'TestCrashRecoveryAggregator|TestCrashRecoveryProxy' -count=1 ./cmd/privapprox-node
 	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSLOCheckpointResumeMidShed' -count=1 ./internal/core
@@ -64,9 +68,10 @@ surge:
 	$(GO) test -run 'TestSurgeGate|TestSLOClosedLoopShedsAndRecovers' -count=1 ./internal/surge ./internal/core
 
 # The seeded fault-injection gate: chaos-wrapped transports (connection
-# resets, dropped acks, duplicated deliveries, a proxy kill+restart)
-# drive the full multi-proxy pipeline under nine fault schedules, and
-# every run must produce results byte-identical to the fault-free
+# resets, dropped acks, duplicated deliveries, a proxy kill+restart, a
+# redelivery that arrives after the aggregator's commit has trimmed the
+# log) drive the full multi-proxy pipeline under ten fault schedules,
+# and every run must produce results byte-identical to the fault-free
 # baseline with the broker's session dedup absorbing the redeliveries.
 chaos:
 	$(GO) test -run 'TestChaosGate' -count=1 ./internal/chaos
@@ -99,12 +104,21 @@ lineage:
 # whole client answer (scan, fold, bucketize, randomize, encode, split)
 # at 0 as well, and the share plane between the two (submit, publish,
 # poll or fetch, decode, join) at ≤ 0.5 allocations per answer
-# in-process and ≤ 1.0 over loopback TCP. The telemetry package's own
+# in-process — a commit, the trim and the reuse of the released slab
+# included — and ≤ 1.0 over loopback TCP. The telemetry package's own
 # instrument primitives are pinned at 0 in their in-package gate, re-run
 # here.
 allocgate:
 	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
+
+# The flat-memory gate: core.System, 200 clients, a sliding window,
+# 3,000 epochs each followed by AdvanceTo. The forced-GC heap at epoch
+# 1,500 and at epoch 3,000 must agree within 5 %, and the second half
+# may not run slower than 1.5× the first: what the system retains
+# depends on its open windows and unconsumed backlog, not on its uptime.
+soak:
+	$(GO) test -run 'TestSoakFlatHeap' -count=1 .
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpochPipelineParallel|BenchmarkTCPPipeline|BenchmarkMultiQuery' -benchmem .

@@ -284,12 +284,55 @@ func TestAggregatorMultiQuerySubmitAllocs(t *testing.T) {
 	}
 }
 
+// agedMessage is the encoded answer the Fig 8 gates and benchmarks
+// submit over and over. The aggregator forgets joined messages by event
+// time alone, so a loop that has to hold its join maps at a steady size
+// moves the message's epoch on: every advance lies a retain horizon and
+// the lateness beyond the last, closes the window behind it and rotates
+// the joiner's generations once.
+type agedMessage struct {
+	msg  answer.Message
+	raw  []byte
+	step uint64
+}
+
+func newAgedMessage(tb testing.TB, q *query.Query, vec *answer.BitVector) *agedMessage {
+	m := &agedMessage{
+		msg:  answer.Message{QueryID: q.QID.Uint64(), Answer: vec},
+		step: uint64((q.Window + q.Slide) / q.Frequency), // lateness defaults to the slide
+	}
+	m.encode(tb)
+	return m
+}
+
+func (m *agedMessage) encode(tb testing.TB) {
+	raw, err := m.msg.AppendBinary(m.raw[:0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.raw = raw
+}
+
+func (m *agedMessage) advance(tb testing.TB) {
+	m.msg.Epoch += m.step
+	m.encode(tb)
+}
+
+// packed appends n copies of the message to dst: one lane of a batch.
+func (m *agedMessage) packed(dst []byte, n int) []byte {
+	for k := 0; k < n; k++ {
+		dst = append(dst, m.raw...)
+	}
+	return dst
+}
+
 // TestFig8SubmitZeroAllocs pins BenchmarkFig8Scalability's loop shape —
-// split + two per-share submits, with the joiner's replay-suppression
-// set swept periodically as an epoch timer would — at exactly zero
-// steady-state allocations per message. Without the sweep the
-// completed-MID map grows monotonically and its bucket growth leaks
-// back in as phantom B/op.
+// split + two per-share submits — at exactly zero steady-state
+// allocations per message. The steady state is a joiner whose
+// generations have rotated: the warm-up sizes its maps, two advances of
+// event time forget what it joined, and the measured run refills maps
+// that kept their capacity. Left to grow, the completed-MID set leaks
+// its bucket growth back in as phantom B/op.
 func TestFig8SubmitZeroAllocs(t *testing.T) {
 	q, err := workload.TaxiQuery("gate", 1, time.Second, time.Hour, time.Hour)
 	if err != nil {
@@ -312,15 +355,11 @@ func TestFig8SubmitZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec, _ := answer.OneHot(11, 0)
-	raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := newAgedMessage(t, q, vec)
 	now := time.Unix(10, 0)
 	var scratch xorcrypt.SplitScratch
-	n := 0
 	submit := func() {
-		shares, err := splitter.SplitInto(raw, &scratch)
+		shares, err := splitter.SplitInto(msg.raw, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,14 +368,12 @@ func TestFig8SubmitZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n++
-		if n%64 == 0 {
-			agg.SweepJoins(now.Add(2 * time.Hour))
-		}
 	}
-	// Warm past several sweep cycles so the join maps reach their
-	// steady-state footprint.
 	for i := 0; i < 256; i++ {
+		submit()
+	}
+	for i := 0; i < 2; i++ {
+		msg.advance(t)
 		submit()
 	}
 	if allocs := testing.AllocsPerRun(200, submit); allocs != 0 {
@@ -345,8 +382,9 @@ func TestFig8SubmitZeroAllocs(t *testing.T) {
 }
 
 // TestAggregatorSubmitBatchZeroAllocs holds the vectorized tail — one
-// columnar split plus one SubmitShareBatch per proxy lane, sweeping
-// periodically — at exactly zero steady-state allocations per batch.
+// columnar split plus one SubmitShareBatch per proxy lane — at exactly
+// zero steady-state allocations per batch (the steady state of
+// TestFig8SubmitZeroAllocs: sized, then aged by two horizons).
 func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 	q, err := workload.TaxiQuery("gate", 1, time.Second, time.Hour, time.Hour)
 	if err != nil {
@@ -369,23 +407,16 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec, _ := answer.OneHot(11, 0)
-	raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := newAgedMessage(t, q, vec)
 	const batch = 64
-	size := len(raw)
-	msgs := make([]byte, 0, batch*size)
-	for k := 0; k < batch; k++ {
-		msgs = append(msgs, raw...)
-	}
+	size := len(msg.raw)
+	msgs := msg.packed(nil, batch)
 	shares := make([][]xorcrypt.Share, 2)
 	for src := range shares {
 		shares[src] = make([]xorcrypt.Share, batch)
 	}
 	now := time.Unix(10, 0)
 	var scratch xorcrypt.SplitBatchScratch
-	n := 0
 	submit := func() {
 		cols, err := splitter.SplitBatchInto(msgs, size, batch, &scratch)
 		if err != nil {
@@ -399,12 +430,14 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n++
-		if n%4 == 0 {
-			agg.SweepJoins(now.Add(2 * time.Hour))
-		}
 	}
-	for i := 0; i < 16; i++ {
+	// Twice the measured run, so every shard's maps are sized for it.
+	for i := 0; i < 128; i++ {
+		submit()
+	}
+	for i := 0; i < 2; i++ {
+		msg.advance(t)
+		msgs = msg.packed(msgs[:0], batch)
 		submit()
 	}
 	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
@@ -450,23 +483,16 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec, _ := answer.OneHot(11, 0)
-	raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := newAgedMessage(t, q, vec)
 	const batch = 64
-	size := len(raw)
-	msgs := make([]byte, 0, batch*size)
-	for k := 0; k < batch; k++ {
-		msgs = append(msgs, raw...)
-	}
+	size := len(msg.raw)
+	msgs := msg.packed(nil, batch)
 	shares := make([][]xorcrypt.Share, 2)
 	for src := range shares {
 		shares[src] = make([]xorcrypt.Share, batch)
 	}
 	now := time.Unix(10, 0)
 	var scratch xorcrypt.SplitBatchScratch
-	n := 0
 	submit := func() {
 		t0 := time.Now()
 		cols, err := splitter.SplitBatchInto(msgs, size, batch, &scratch)
@@ -482,12 +508,15 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 			}
 		}
 		hist.Observe(int64(time.Since(t0)))
-		n++
-		if n%4 == 0 {
-			agg.SweepJoins(now.Add(2 * time.Hour))
-		}
 	}
-	for i := 0; i < 16; i++ {
+	// Sized for both measured runs, then aged by two horizons
+	// (TestFig8SubmitZeroAllocs).
+	for i := 0; i < 256; i++ {
+		submit()
+	}
+	for i := 0; i < 2; i++ {
+		msg.advance(t)
+		msgs = msg.packed(msgs[:0], batch)
 		submit()
 	}
 	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
@@ -569,7 +598,10 @@ func TestClientAnswerZeroAllocs(t *testing.T) {
 // frame), and borrowed by the aggregator — so what is left is per epoch
 // (a fetch's record slice and buffer, a frame, a round-trip) and per
 // slab, never per share. Each gate runs epochs of 512 answers after a
-// warm-up, sweeping the joiner as an epoch timer would.
+// warm-up (all inside one retain horizon: the joiner's maps grow a few
+// times, which the budgets absorb); the in-process gate also commits
+// what it drained, as core.System does, so the commit, the trim and the
+// reuse of the released slab sit inside its budget.
 func TestSharePlaneAllocs(t *testing.T) {
 	const answers = 512
 	q, err := workload.TaxiQuery("gate", 1, time.Second, time.Hour, time.Hour)
@@ -646,7 +678,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 		}
 		agg := newAggregator()
 		var scratch xorcrypt.SplitScratch
-		measure("split → Submit×2 → Poll → DecodeRecord → SubmitShareBatch", 0.5, agg, func() {
+		measure("split → Submit×2 → Poll → DecodeRecord → SubmitShareBatch → Commit", 0.5, agg, func() {
 			for k := 0; k < answers; k++ {
 				split, err := splitter.SplitInto(raw, &scratch)
 				if err != nil {
@@ -664,9 +696,14 @@ func TestSharePlaneAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				submit(agg, recs, src)
+				if err := c.Commit(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			agg.SweepJoins(now.Add(2 * time.Hour))
 		})
+		if st := fleet.TotalStats(); st.TotalBacklog != 0 {
+			t.Errorf("backlog after the last committed drain = %d, want 0", st.TotalBacklog)
+		}
 	})
 
 	t.Run("tcp", func(t *testing.T) {
@@ -717,7 +754,6 @@ func TestSharePlaneAllocs(t *testing.T) {
 					submit(agg, recs, src)
 				}
 			}
-			agg.SweepJoins(now.Add(2 * time.Hour))
 		})
 	})
 }

@@ -582,10 +582,7 @@ func BenchmarkFig8Scalability(b *testing.B) {
 		b.Fatal(err)
 	}
 	vec, _ := answer.OneHot(11, 0)
-	raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
+	msg := newAgedMessage(b, q, vec)
 	now := time.Now()
 	// Scratch reuse across iterations is safe here: with 2 proxies the
 	// join group completes (and is consumed) within the iteration, so
@@ -594,7 +591,7 @@ func BenchmarkFig8Scalability(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shares, err := splitter.SplitInto(raw, &scratch)
+		shares, err := splitter.SplitInto(msg.raw, &scratch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -603,13 +600,14 @@ func BenchmarkFig8Scalability(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Sweep the joiner's replay-suppression set periodically, as a
-		// long-lived deployment's epoch timer does — without it the
-		// completed-MID map grows monotonically and its bucket growth
-		// shows up as phantom B/op in what is a zero-allocation tail
-		// (TestFig8SubmitZeroAllocs pins the steady state at exactly 0).
+		// Move event time on periodically, as a long-lived deployment's
+		// epochs do: the joiner forgets what it joined two horizons ago —
+		// left at one epoch its completed-MID set grows monotonically and
+		// the bucket growth shows up as phantom B/op in what is a
+		// zero-allocation tail (TestFig8SubmitZeroAllocs pins the steady
+		// state at exactly 0). One window fires per advance.
 		if i%4096 == 4095 {
-			agg.SweepJoins(now.Add(2 * time.Hour))
+			msg.advance(b)
 		}
 	}
 }
@@ -642,15 +640,9 @@ func BenchmarkFig8SubmitBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			vec, _ := answer.OneHot(11, 0)
-			raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-			if err != nil {
-				b.Fatal(err)
-			}
-			size := len(raw)
-			msgs := make([]byte, 0, batch*size)
-			for k := 0; k < batch; k++ {
-				msgs = append(msgs, raw...)
-			}
+			msg := newAgedMessage(b, q, vec)
+			size := len(msg.raw)
+			msgs := msg.packed(nil, batch)
 			shares := make([][]xorcrypt.Share, 2)
 			for src := range shares {
 				shares[src] = make([]xorcrypt.Share, batch)
@@ -673,7 +665,8 @@ func BenchmarkFig8SubmitBatch(b *testing.B) {
 					}
 				}
 				if i%64 == 63 {
-					agg.SweepJoins(now.Add(2 * time.Hour))
+					msg.advance(b)
+					msgs = msg.packed(msgs[:0], batch)
 				}
 			}
 			b.StopTimer()

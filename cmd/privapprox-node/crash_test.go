@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"privapprox/internal/proxy"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/telemetry/lineage"
 )
 
@@ -40,20 +43,19 @@ func finalBlock(t *testing.T, out string) string {
 	return out[i+len("RESULTS\n"):]
 }
 
-// TestCrashRecoveryAggregator SIGKILLs the aggregator mid-drain (while
-// it is provably holding a durable checkpoint of a partially processed
-// stream) and restarts it over the same -data-dir.
-func TestCrashRecoveryAggregator(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash test skipped in -short mode")
-	}
-	bin := buildNode(t)
-
+// crashStream starts two in-memory proxies, announces the query and
+// runs the whole client population, leaving every share queued at the
+// proxies. A durable aggregator commits what its checkpoints cover and
+// the proxies release it, so a stream can be aggregated once: the
+// reference run and the crash run each get their own (the results are
+// seed-determined, so the two streams aggregate to the same bytes).
+func crashStream(t *testing.T, bin string) (proxies string) {
+	t.Helper()
 	addr0, stop0 := startProxy(t, bin, 0, "-partitions=4")
-	defer stop0()
+	t.Cleanup(stop0)
 	addr1, stop1 := startProxy(t, bin, 1, "-partitions=4")
-	defer stop1()
-	proxies := "-proxies=" + addr0 + "," + addr1
+	t.Cleanup(stop1)
+	proxies = "-proxies=" + addr0 + "," + addr1
 
 	out, err := exec.Command(bin, "submit", proxies, "-queries=1", "-s=1").CombinedOutput()
 	if err != nil {
@@ -66,16 +68,30 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 			t.Fatalf("client (offset %d): %v\n%s", offset, err, out)
 		}
 	}
+	return proxies
+}
 
-	aggArgs := func(dataDir string, extra ...string) []string {
+// TestCrashRecoveryAggregator SIGKILLs the aggregator mid-drain (while
+// it is provably holding a durable checkpoint of a partially processed
+// stream) and restarts it over the same -data-dir. Every checkpoint the
+// killed run wrote was followed by a commit, so the proxies have
+// released everything below the last one: the restarted aggregator's
+// resume arrives after the trim and must seek at or above the floor.
+func TestCrashRecoveryAggregator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash test skipped in -short mode")
+	}
+	bin := buildNode(t)
+
+	aggArgs := func(proxies, dataDir string, extra ...string) []string {
 		return append([]string{"aggregator", proxies, "-seed=42", "-queries=1",
 			"-clients=6", "-epochs=4", "-conns=2", "-idle=5s",
 			"-data-dir=" + dataDir}, extra...)
 	}
 
-	// Reference: an uninterrupted durable run over the same stream.
+	// Reference: an uninterrupted durable run.
 	refDir := t.TempDir()
-	refOut, err := exec.Command(bin, aggArgs(refDir)...).CombinedOutput()
+	refOut, err := exec.Command(bin, aggArgs(crashStream(t, bin), refDir)...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("reference aggregator: %v\n%s", err, refOut)
 	}
@@ -91,10 +107,11 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 		t.Fatalf("reference run lost answers:\n%s", want)
 	}
 
-	// Crash run: small polls for tight checkpoints, hold (and get
-	// killed) after 10 of the 24 answers.
+	// Crash run, over a stream of its own: small polls for tight
+	// checkpoints, hold (and get killed) after 10 of the 24 answers.
+	proxies := crashStream(t, bin)
 	crashDir := t.TempDir()
-	cmd := exec.Command(bin, aggArgs(crashDir, "-poll-max=5", "-hold-after=10")...)
+	cmd := exec.Command(bin, aggArgs(proxies, crashDir, "-poll-max=5", "-hold-after=10")...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +159,7 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	}
 
 	// Restart from the same directory; it must resume, not start over.
-	resumeOut, err := exec.Command(bin, aggArgs(crashDir)...).CombinedOutput()
+	resumeOut, err := exec.Command(bin, aggArgs(proxies, crashDir)...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("restarted aggregator: %v\n%s", err, resumeOut)
 	}
@@ -152,6 +169,23 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	got := finalBlock(t, string(resumeOut))
 	if got != want {
 		t.Errorf("kill-and-resume results differ from uninterrupted run.\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	// The resume really did arrive after a trim: the proxies have released
+	// the head of every partition that carried shares.
+	for i, addr := range strings.Split(strings.TrimPrefix(proxies, "-proxies="), ",") {
+		cli, err := pubsub.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		for p := 0; p < 4; p++ {
+			if end, err := cli.EndOffset(proxy.TopicFor(i), p); err != nil || end == 0 {
+				continue
+			}
+			if _, err := cli.Fetch(proxy.TopicFor(i), p, 0, 1, 0); !errors.Is(err, pubsub.ErrBadOffset) {
+				t.Errorf("proxy %d partition %d still serves offset 0 after the aggregator's commits: %v", i, p, err)
+			}
+		}
 	}
 
 	// Exactly-once result cards across the crash: the killed run logged

@@ -847,6 +847,12 @@ func runAggregator(args []string) error {
 			if decErr != nil {
 				return decErr
 			}
+			// This loop never reads a submitted batch again, so it commits
+			// it: the proxy releases the records and frees room under
+			// -partition-cap.
+			if err := c.Commit(); err != nil {
+				return err
+			}
 			if len(recs) > 0 {
 				progressed = true
 			}
@@ -893,7 +899,9 @@ func printStatsLine(agg *aggregator.Aggregator) {
 // runAggregatorDurable is the crash-tolerant drain loop: after every
 // poll sweep that made progress, the aggregator's state, the consumers'
 // positions, and every result fired so far are written as one
-// checkpoint record to a WAL under dataDir. A restarted aggregator
+// checkpoint record to a WAL under dataDir, and the positions are then
+// committed so the proxies release what the checkpoint covers. A
+// restarted aggregator
 // (same flags, same proxies) restores the newest checkpoint, seeks its
 // consumers to the recorded cut, and continues — the final result block
 // it prints is byte-identical to an uninterrupted run's: no lost
@@ -951,6 +959,15 @@ func runAggregatorDurable(dataDir string, policy wal.Policy, agg *aggregator.Agg
 		// Whole segments strictly below the newest checkpoint are dead.
 		if err := ckLog.TruncateFront(lsn); err != nil {
 			return err
+		}
+		// A checkpoint releases what it covers — checkpoint first, commit
+		// second: a crash between the two resumes from this checkpoint
+		// and merely finds the proxies' floors behind it. One round-trip
+		// per partition that progressed.
+		for _, c := range consumers {
+			if err := c.Commit(); err != nil {
+				return err
+			}
 		}
 		fmt.Printf("checkpoint lsn=%d decoded=%d results=%d\n", lsn, agg.Decoded(), len(results))
 		return nil

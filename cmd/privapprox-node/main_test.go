@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os/exec"
@@ -13,6 +14,8 @@ import (
 	"privapprox/internal/aggregator"
 	"privapprox/internal/core"
 	"privapprox/internal/minisql"
+	"privapprox/internal/proxy"
+	"privapprox/internal/pubsub"
 )
 
 // TestMultiProcessSmoke spawns the real networked deployment on
@@ -24,7 +27,17 @@ import (
 // run under the same seed conventions. This is the Fig. 3 deployment
 // shape driven end to end through the query control plane.
 func TestMultiProcessSmoke(t *testing.T) {
-	runSmokeTest(t, 1)
+	runSmokeTest(t, 1, false)
+}
+
+// TestMultiProcessSmokeBounded is the same deployment behind
+// -partition-cap: each proxy holds one partition bounded to exactly the
+// shares of the first client process, and the aggregator runs while the
+// clients publish. The second client process can only publish into the
+// room the aggregator's commits have freed — without them the bound
+// fills for good and its first flush is refused.
+func TestMultiProcessSmokeBounded(t *testing.T) {
+	runSmokeTest(t, 1, true)
 }
 
 // TestMultiProcessMultiQuerySmoke is the same deployment with two
@@ -32,28 +45,32 @@ func TestMultiProcessSmoke(t *testing.T) {
 // multi-query determinism gate (the in-process half, multi vs solo, is
 // TestMultiQueryMatchesSolo in internal/core).
 func TestMultiProcessMultiQuerySmoke(t *testing.T) {
-	runSmokeTest(t, 2)
+	runSmokeTest(t, 2, false)
 }
 
-func runSmokeTest(t *testing.T, numQueries int) {
+func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 	if testing.Short() {
 		t.Skip("multi-process smoke test skipped in -short mode")
 	}
 	bin := buildNode(t)
 
 	const (
-		seedFlag  = "-seed=42"
-		clients   = 6
-		epochs    = 4
-		seed      = 42
-		partFlags = "-partitions=4"
+		seedFlag = "-seed=42"
+		clients  = 6
+		epochs   = 4
+		seed     = 42
 	)
 	queriesFlag := fmt.Sprintf("-queries=%d", numQueries)
+	partFlags := []string{"-partitions=4"}
+	perProcess := int64(clients / 2 * epochs * numQueries) // shares one client process sends each proxy
+	if bounded {
+		partFlags = []string{"-partitions=1", fmt.Sprintf("-partition-cap=%d", perProcess)}
+	}
 
 	// Proxies first; their topics must exist before anyone attaches.
-	addr0, stop0 := startProxy(t, bin, 0, partFlags)
+	addr0, stop0 := startProxy(t, bin, 0, partFlags...)
 	defer stop0()
-	addr1, stop1 := startProxy(t, bin, 1, partFlags)
+	addr1, stop1 := startProxy(t, bin, 1, partFlags...)
 	defer stop1()
 	proxies := "-proxies=" + addr0 + "," + addr1
 
@@ -64,9 +81,29 @@ func runSmokeTest(t *testing.T, numQueries int) {
 		t.Fatalf("submit process: %v\n%s", err, out)
 	}
 
+	aggregate := exec.Command(bin, "aggregator", proxies, seedFlag, queriesFlag,
+		fmt.Sprintf("-clients=%d", clients), fmt.Sprintf("-epochs=%d", epochs),
+		"-conns=2", "-idle=5s")
+	var aggOut bytes.Buffer
+	aggregate.Stdout, aggregate.Stderr = &aggOut, &aggOut
+	if bounded {
+		// The aggregator drains while the clients publish.
+		if err := aggregate.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer aggregate.Process.Kill()
+	}
+
 	// Two client processes, three logical clients each, batched
 	// flushes; they learn the query set from the control topic.
 	for _, offset := range []int{0, 3} {
+		if bounded && offset > 0 {
+			// Both bounds are full. Wait for the aggregator to commit the
+			// first process's shares; only that makes room for the second's.
+			for i, addr := range []string{addr0, addr1} {
+				awaitCommitted(t, addr, proxy.TopicFor(i), perProcess)
+			}
+		}
 		out, err := exec.Command(bin, "client", proxies, seedFlag, queriesFlag,
 			fmt.Sprintf("-offset=%d", offset), "-n=3",
 			fmt.Sprintf("-epochs=%d", epochs), "-conns=2").CombinedOutput()
@@ -78,13 +115,15 @@ func runSmokeTest(t *testing.T, numQueries int) {
 		}
 	}
 
-	out, err = exec.Command(bin, "aggregator", proxies, seedFlag, queriesFlag,
-		fmt.Sprintf("-clients=%d", clients), fmt.Sprintf("-epochs=%d", epochs),
-		"-conns=2", "-idle=5s").CombinedOutput()
-	if err != nil {
-		t.Fatalf("aggregator process: %v\n%s", err, out)
+	if bounded {
+		err = aggregate.Wait()
+	} else {
+		err = aggregate.Run()
 	}
-	got := string(out)
+	got := aggOut.String()
+	if err != nil {
+		t.Fatalf("aggregator process: %v\n%s", err, got)
+	}
 
 	// The count line is exact at s=1: no sampling, no loss, no dupes,
 	// and every decoded message demuxed to a known query.
@@ -105,6 +144,31 @@ func runSmokeTest(t *testing.T, numQueries int) {
 	}
 	if !strings.Contains(got, want) {
 		t.Errorf("networked results differ from in-process pipeline.\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// awaitCommitted blocks until the aggregator group has committed offset
+// want on partition 0 of a proxy's share topic.
+func awaitCommitted(t *testing.T, addr, topic string, want int64) {
+	t.Helper()
+	cli, err := pubsub.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, err := cli.CommittedOffset("aggregator", topic, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("aggregator committed %d of %d shares on %s: a bounded partition would stay full", got, want, topic)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -350,6 +350,7 @@ func runAggregatorScraping(t *testing.T, bin, proxies string, clients, epochs in
 	}
 
 	urls := make(chan string, 1)
+	holding := make(chan struct{})
 	var outMu sync.Mutex
 	var outBuf strings.Builder
 	go func() {
@@ -363,6 +364,9 @@ func runAggregatorScraping(t *testing.T, bin, proxies string, clients, epochs in
 			if strings.HasPrefix(line, "metrics on ") {
 				urls <- strings.TrimSpace(strings.TrimPrefix(line, "metrics on "))
 			}
+			if line == "holding for kill" {
+				close(holding)
+			}
 			// keep draining so the process never blocks on stdout
 		}
 	}()
@@ -374,6 +378,13 @@ func runAggregatorScraping(t *testing.T, bin, proxies string, clients, epochs in
 		t.Fatal("aggregator never announced its metrics address")
 	}
 
+	// Scrape once the process has parked: every answer is decoded and the
+	// checkpoint (and the commit after it) is behind it, so nothing a
+	// later assertion reads is still moving.
+	select {
+	case <-holding:
+	case <-time.After(20 * time.Second):
+	}
 	expected := float64(clients * epochs)
 	deadline := time.Now().Add(20 * time.Second)
 	var last string

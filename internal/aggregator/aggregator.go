@@ -150,14 +150,17 @@ type Result struct {
 // always observable — a demux bug shows up as UnknownQuery or
 // LengthMismatch climbing, not as silence.
 type Stats struct {
-	// Decoded answers accepted into per-query windows.
+	// Decoded answers demultiplexed to their query (a Late one included).
 	Decoded int64
 	// Malformed joined messages that failed decryption or decoding.
 	Malformed int64
-	// Duplicates are replayed shares rejected by the joiner.
+	// Duplicates are replayed shares rejected by the joiner (ageJoins).
 	Duplicates int64
 	// Late answers discarded behind their query's watermark.
 	Late int64
+	// Swept counts partial join groups that expired waiting for their
+	// sibling shares: a share-level drop, not part of Dropped().
+	Swept int64
 	// UnknownQuery counts well-formed messages whose wire QueryID
 	// matches no registered query (a stopped query's stragglers, or a
 	// demux bug).
@@ -196,6 +199,14 @@ type Aggregator struct {
 
 	malformed  atomic.Int64
 	duplicates atomic.Int64
+	// A submit holds genMu shared from its first join to its last
+	// observation; the joiner generations rotate under it exclusively.
+	// sealedHigh (guarded by genMu) is the highest event time any query
+	// had seen at the last rotation, ageDue that a watermark has moved
+	// since (ageJoins).
+	genMu      sync.RWMutex
+	sealedHigh int64
+	ageDue     atomic.Bool
 	// removedDecoded/removedLate preserve a removed query's counters so
 	// Decoded()/Dropped()/Stats() never go backwards across RemoveQuery.
 	removedDecoded atomic.Int64
@@ -218,8 +229,8 @@ type stateTable struct {
 	// single short-circuits the map lookup in the (common) one-query
 	// case.
 	single *queryState
-	// maxWindow bounds how long partial joins are retained across all
-	// registered queries.
+	// maxWindow is the joiner's retain horizon: the longest window of
+	// any registered query.
 	maxWindow time.Duration
 }
 
@@ -329,7 +340,8 @@ type joinShard struct {
 	wins       []stream.Window // reusable window-assignment scratch
 	unknownQID int64           // decoded messages matching no registered query
 	badLength  int64           // messages whose answer length mismatched their query
-	_          [56]byte        // pad to a cache-line multiple
+	swept      int64           // partial groups expired by rotation
+	_          [48]byte        // pad to a cache-line multiple
 }
 
 // openWindow is one window still accumulating answers.
@@ -378,13 +390,14 @@ func NewMulti(cfg Config) (*Aggregator, error) {
 	}
 	shards := make([]joinShard, cfg.Shards)
 	for i := range shards {
-		joiner, err := stream.NewKeyedShareJoiner[xorcrypt.MID](cfg.Proxies, 0)
+		joiner, err := stream.NewKeyedShareJoiner[xorcrypt.MID](cfg.Proxies)
 		if err != nil {
 			return nil, err
 		}
 		shards[i].joiner = joiner
 	}
 	a := &Aggregator{cfg: cfg, shards: shards}
+	a.sealedHigh = wmUnseen
 	a.states.Store(&stateTable{byWire: map[uint64]*queryState{}})
 	if cfg.Query != nil {
 		if err := a.AddQuery(QuerySpec{
@@ -487,7 +500,6 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 	st.cardsBelow.Store(wmUnseen)
 	st.storeShed(spec.Shed)
 	a.swapStates(old, st, nil)
-	a.updateRetain()
 	return nil
 }
 
@@ -531,20 +543,6 @@ func (a *Aggregator) Shed(id query.ID) (float64, error) {
 	return st.loadShed(), nil
 }
 
-// updateRetain re-derives the joiner's completed-key retention horizon
-// as the maximum window over the active query set. Caller holds
-// stateMu; the lock order stateMu → shard mu is safe because no shard
-// holder ever takes stateMu.
-func (a *Aggregator) updateRetain() {
-	retain := a.states.Load().maxWindow
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		js.joiner.SetRetain(retain)
-		js.mu.Unlock()
-	}
-}
-
 // RemoveQuery deregisters a query, flushing and returning its still-open
 // windows. Shares of the query still in flight join as usual but then
 // count under Stats.UnknownQuery.
@@ -558,7 +556,6 @@ func (a *Aggregator) RemoveQuery(id query.ID) ([]Result, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownQuery, id)
 	}
 	a.swapStates(old, nil, st)
-	a.updateRetain()
 	a.stateMu.Unlock()
 
 	st.fireMu.Lock()
@@ -652,12 +649,18 @@ func (a *Aggregator) shardOf(mid xorcrypt.MID) int {
 // one that completes a message is consumed before SubmitShare returns.
 // The caller may reuse the payload's backing bytes — a split scratch, a
 // fetch buffer — as soon as the call is back.
-func (a *Aggregator) SubmitShare(share xorcrypt.Share, source int, arrival time.Time) ([]Result, error) {
+//
+// The arrival time is not used — join state ages on event time alone
+// (ageJoins) — and stays for the callers that pass it.
+func (a *Aggregator) SubmitShare(share xorcrypt.Share, source int, _ time.Time) ([]Result, error) {
 	shard := a.shardOf(share.MID)
 	js := &a.shards[shard]
+	a.genMu.RLock()
 	js.mu.Lock()
-	res, err := a.submitLocked(js, share, source, arrival, shard)
+	res, err := a.submitLocked(js, share, source, shard)
 	js.mu.Unlock()
+	a.genMu.RUnlock()
+	a.ageJoins()
 	return res, err
 }
 
@@ -670,8 +673,8 @@ func (a *Aggregator) SubmitShare(share xorcrypt.Share, source int, arrival time.
 // Lock order: js.mu may be taken before a query's fireMu (via ingest);
 // nothing acquires a shard lock while holding fireMu or winMu, so the
 // order is acyclic.
-func (a *Aggregator) submitLocked(js *joinShard, share xorcrypt.Share, source int, arrival time.Time, shard int) ([]Result, error) {
-	joined, err := js.joiner.Add(share.MID, source, share.Payload, arrival)
+func (a *Aggregator) submitLocked(js *joinShard, share xorcrypt.Share, source int, shard int) ([]Result, error) {
+	joined, err := js.joiner.Add(share.MID, source, share.Payload)
 	if err != nil {
 		if errors.Is(err, stream.ErrDuplicate) {
 			a.duplicates.Add(1)
@@ -779,10 +782,55 @@ func (a *Aggregator) ingest(js *joinShard, st *queryState, eventTime time.Time, 
 	if !st.observe(eventTime) {
 		return nil, nil
 	}
+	a.ageDue.Store(true)
 	st.fireMu.Lock()
 	res, err := a.fireLocked(st, false)
 	st.fireMu.Unlock()
 	return res, err
+}
+
+// ageJoins is the joiner's clock: event time, as the watermarks tell it.
+// The generations rotate once every registered query's watermark has
+// passed, by the retain horizon (the longest registered window), the
+// highest event time any query had seen at the previous rotation. Every
+// submit ends here, after releasing genMu, so a rotation runs with no
+// submit in flight: a key in a current generation at rotation k carries
+// an observed event time ≤ the mark sealed at k, and when rotation k+1
+// forgets it a replay lands behind its query's watermark — Late, never
+// in an open window (DESIGN §7). One call rotates at most once, and the
+// first (of a restored aggregator too) only starts the clock. A query
+// that has seen no event holds the rotation back; AdvanceTo moves it.
+func (a *Aggregator) ageJoins() {
+	if !a.ageDue.Swap(false) {
+		return
+	}
+	a.genMu.Lock()
+	defer a.genMu.Unlock()
+	tbl := a.states.Load()
+	if len(tbl.ordered) == 0 {
+		return
+	}
+	slow, high := int64(math.MaxInt64), int64(wmUnseen)
+	for _, st := range tbl.ordered {
+		m := st.wmMax.Load()
+		if m == wmUnseen {
+			return
+		}
+		slow = min(slow, m-int64(st.lateness))
+		high = max(high, m)
+	}
+	if a.sealedHigh != wmUnseen {
+		if slow-int64(tbl.maxWindow) < a.sealedHigh {
+			return
+		}
+		for i := range a.shards {
+			js := &a.shards[i]
+			js.mu.Lock() // against Stats, PendingJoins and Checkpoint
+			js.swept += int64(js.joiner.Rotate())
+			js.mu.Unlock()
+		}
+	}
+	a.sealedHigh = high
 }
 
 // wmUnseen marks "no event observed yet"; it cannot collide with a
@@ -977,21 +1025,17 @@ func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, res Result,
 
 // AdvanceTo moves every query's watermark forward (e.g. on an epoch
 // timer) and returns any windows that close, ordered by window start
-// with registration order breaking ties; it also sweeps stale partial
-// joins.
+// with registration order breaking ties. It is also what ages the join
+// state of an idle stream (ageJoins): O(shards + open windows), however
+// many messages have been joined.
 func (a *Aggregator) AdvanceTo(t time.Time) ([]Result, error) {
 	tbl := a.states.Load()
-	cutoff := t.Add(-tbl.maxWindow)
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		js.joiner.Sweep(cutoff)
-		js.mu.Unlock()
-	}
 	var out []Result
 	for _, st := range tbl.ordered {
 		st.fireMu.Lock()
-		st.observe(t)
+		if st.observe(t) {
+			a.ageDue.Store(true)
+		}
 		res, err := a.fireLocked(st, false)
 		st.fireMu.Unlock()
 		if err != nil {
@@ -999,6 +1043,7 @@ func (a *Aggregator) AdvanceTo(t time.Time) ([]Result, error) {
 		}
 		out = append(out, res...)
 	}
+	a.ageJoins()
 	SortResults(out, tbl.orderOf)
 	return out, nil
 }
@@ -1117,6 +1162,7 @@ func (a *Aggregator) Stats() Stats {
 		js.mu.Lock()
 		s.UnknownQuery += js.unknownQID
 		s.LengthMismatch += js.badLength
+		s.Swept += js.swept
 		js.mu.Unlock()
 	}
 	return s

@@ -328,11 +328,19 @@ func TestPendingJoinsSweep(t *testing.T) {
 	if a.PendingJoins() != 1 {
 		t.Fatalf("PendingJoins = %d", a.PendingJoins())
 	}
-	if _, err := a.AdvanceTo(time.Now()); err != nil {
-		t.Fatal(err)
+	// A partial group waits one to two retain horizons: the first
+	// advance starts the joiner's clock, the second — a horizon further
+	// on — ages the group, the third expires it.
+	for _, ahead := range []time.Duration{0, time.Hour, 2 * time.Hour} {
+		if _, err := a.AdvanceTo(time.Now().Add(ahead)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if a.PendingJoins() != 0 {
 		t.Errorf("stale join not swept: %d", a.PendingJoins())
+	}
+	if got := a.Stats().Swept; got != 1 {
+		t.Errorf("Stats.Swept = %d, want 1", got)
 	}
 }
 

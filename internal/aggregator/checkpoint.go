@@ -2,9 +2,10 @@ package aggregator
 
 // Checkpoint/Restore serialize an aggregator's complete dynamic state —
 // per-query windows, watermarks, counters, current parameters, the
-// estimator replay log, and the share joiner's pending groups — into one
-// opaque record a durable deployment writes to its WAL after every
-// drain. A restarted aggregator with the same queries registered
+// estimator replay log, and the share joiner's two generations of
+// pending groups and completed keys — into one opaque record, as large
+// as the retain horizon, that a durable deployment writes to its WAL
+// after every drain. A restarted aggregator with the same queries registered
 // restores the record and continues exactly where the killed process
 // stopped: no window fires twice, no answer is double-counted, and the
 // estimator's seeded rng resumes at the precise position an
@@ -61,15 +62,15 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(a.removedDecoded.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(a.removedLate.Load()))
 
-	var unknown, badLen int64
+	var unknown, badLen, swept int64
 	type pendGroup struct {
 		mid      xorcrypt.MID
 		payloads [][]byte
-		first    time.Time
+		age      int
 	}
 	type doneKey struct {
 		mid xorcrypt.MID
-		at  time.Time
+		age int
 	}
 	var pending []pendGroup
 	var completed []doneKey
@@ -78,17 +79,18 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 		js.mu.Lock()
 		unknown += js.unknownQID
 		badLen += js.badLength
-		js.joiner.PendingGroups(func(mid xorcrypt.MID, payloads [][]byte, first time.Time) {
+		swept += js.swept
+		js.joiner.PendingGroups(func(mid xorcrypt.MID, payloads [][]byte, age int) {
 			cp := make([][]byte, len(payloads))
 			for s, p := range payloads {
 				if p != nil {
 					cp[s] = append([]byte(nil), p...)
 				}
 			}
-			pending = append(pending, pendGroup{mid: mid, payloads: cp, first: first})
+			pending = append(pending, pendGroup{mid: mid, payloads: cp, age: age})
 		})
-		js.joiner.CompletedKeys(func(mid xorcrypt.MID, at time.Time) {
-			completed = append(completed, doneKey{mid: mid, at: at})
+		js.joiner.CompletedKeys(func(mid xorcrypt.MID, age int) {
+			completed = append(completed, doneKey{mid: mid, age: age})
 		})
 		js.mu.Unlock()
 	}
@@ -115,7 +117,7 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
 	for _, g := range pending {
 		buf = append(buf, g.mid[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(g.first.UnixNano()))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(g.age))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.payloads)))
 		for _, p := range g.payloads {
 			if p == nil {
@@ -130,8 +132,11 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(completed)))
 	for _, d := range completed {
 		buf = append(buf, d.mid[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(d.at.UnixNano()))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(d.age))
 	}
+	// Swept trails the record: one written before the counter existed
+	// ends here and restores it as 0.
+	buf = binary.BigEndian.AppendUint64(buf, uint64(swept))
 	return buf, nil
 }
 
@@ -258,13 +263,13 @@ func (a *Aggregator) Restore(data []byte) error {
 		return err
 	}
 	for i := uint32(0); i < np; i++ {
-		mid, first, payloads, err := d.pendingGroup()
+		mid, age, payloads, err := d.pendingGroup()
 		if err != nil {
 			return err
 		}
 		js := &a.shards[a.shardOf(mid)]
 		js.mu.Lock()
-		err = js.joiner.RestorePending(mid, payloads, first)
+		err = js.joiner.RestorePending(mid, payloads, age)
 		js.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCheckpoint, err)
@@ -281,14 +286,18 @@ func (a *Aggregator) Restore(data []byte) error {
 		}
 		var mid xorcrypt.MID
 		copy(mid[:], midRaw)
-		atNano, err := d.u64()
+		age, err := d.u64()
 		if err != nil {
 			return err
 		}
 		js := &a.shards[a.shardOf(mid)]
 		js.mu.Lock()
-		js.joiner.RestoreCompleted(mid, time.Unix(0, int64(atNano)))
+		js.joiner.RestoreCompleted(mid, int(min(age, 1)))
 		js.mu.Unlock()
+	}
+	var swept uint64
+	if len(d.buf) == 8 {
+		swept, _ = d.u64()
 	}
 	if len(d.buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, len(d.buf))
@@ -298,11 +307,13 @@ func (a *Aggregator) Restore(data []byte) error {
 	a.duplicates.Store(int64(duplicates))
 	a.removedDecoded.Store(int64(removedDecoded))
 	a.removedLate.Store(int64(removedLate))
-	// The per-shard attribution of demux drops is not meaningful across
-	// a restart; fold the totals into shard 0 (Stats sums them anyway).
+	// The per-shard attribution of demux drops and swept groups is not
+	// meaningful across a restart; fold the totals into shard 0 (Stats
+	// sums them anyway).
 	a.shards[0].mu.Lock()
 	a.shards[0].unknownQID = int64(unknown)
 	a.shards[0].badLength = int64(badLen)
+	a.shards[0].swept = int64(swept)
 	a.shards[0].mu.Unlock()
 	return nil
 }
@@ -666,42 +677,44 @@ func (d *cpDec) str() (string, error) {
 	return string(b), err
 }
 
-func (d *cpDec) pendingGroup() (xorcrypt.MID, time.Time, [][]byte, error) {
+func (d *cpDec) pendingGroup() (xorcrypt.MID, int, [][]byte, error) {
 	var mid xorcrypt.MID
 	raw, err := d.take(xorcrypt.MIDSize)
 	if err != nil {
-		return mid, time.Time{}, nil, err
+		return mid, 0, nil, err
 	}
 	copy(mid[:], raw)
-	firstNano, err := d.u64()
+	// The age slot: 0 current generation, anything else previous (it held
+	// an arrival time before the joiner aged by generation).
+	age, err := d.u64()
 	if err != nil {
-		return mid, time.Time{}, nil, err
+		return mid, 0, nil, err
 	}
 	ns, err := d.u32()
 	if err != nil {
-		return mid, time.Time{}, nil, err
+		return mid, 0, nil, err
 	}
 	if ns > 1024 {
-		return mid, time.Time{}, nil, fmt.Errorf("%w: %d sources", ErrCheckpoint, ns)
+		return mid, 0, nil, fmt.Errorf("%w: %d sources", ErrCheckpoint, ns)
 	}
 	payloads := make([][]byte, ns)
 	for s := uint32(0); s < ns; s++ {
 		present, err := d.u8()
 		if err != nil {
-			return mid, time.Time{}, nil, err
+			return mid, 0, nil, err
 		}
 		if present == 0 {
 			continue
 		}
 		plen, err := d.u32()
 		if err != nil {
-			return mid, time.Time{}, nil, err
+			return mid, 0, nil, err
 		}
 		p, err := d.take(int(plen))
 		if err != nil {
-			return mid, time.Time{}, nil, err
+			return mid, 0, nil, err
 		}
 		payloads[s] = append([]byte(nil), p...)
 	}
-	return mid, time.Unix(0, int64(firstNano)), payloads, nil
+	return mid, int(min(age, 1)), payloads, nil
 }

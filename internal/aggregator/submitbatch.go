@@ -35,7 +35,8 @@ import (
 // per slot is also equivalent — re-observing an already-observed event
 // time never advances the watermark, so only the first observation of
 // the segment could fire, and it runs against the same watermark
-// either way.
+// either way. (Join state ages once per call: a replay a horizon behind
+// its original in one batch is a Duplicate here, maybe Late per share.)
 
 // batchRun is one uniform-stride region of the Phase A lanes: count
 // completed join groups of size-byte payloads, starting at byte offset
@@ -95,33 +96,39 @@ func putScratch(sc *submitScratch) {
 // returned), duplicates and malformed messages are counted, and every
 // share payload is borrowed for the call only — a polled batch's fetch
 // buffer is free once the batch is submitted. An empty batch is a
-// no-op.
+// no-op. As in SubmitShare, the arrival time is not used.
 //
 // The batch is processed in share order, so a caller draining a polled
 // partition batch observes the same watermark advancement, late drops,
 // and fired windows as submitting share-by-share — poll chunking does
 // not affect results.
-func (a *Aggregator) SubmitShareBatch(shares []xorcrypt.Share, source int, arrival time.Time) ([]Result, error) {
+func (a *Aggregator) SubmitShareBatch(shares []xorcrypt.Share, source int, _ time.Time) ([]Result, error) {
 	tr := a.tracer.Load()
 	if tr == nil {
-		return a.submitShareBatch(shares, source, arrival)
+		return a.submitShareBatch(shares, source)
 	}
 	// Timing is batch-granular: two clock reads amortized over the
 	// whole batch keep the per-share overhead inside the allocgate's
 	// 0-alloc and the Fig 8 ≤3% budgets.
 	t0 := time.Now()
-	out, err := a.submitShareBatch(shares, source, arrival)
+	out, err := a.submitShareBatch(shares, source)
 	tr.RecordCurrent(telemetry.StageJoin, time.Since(t0), len(shares), 0)
 	return out, err
 }
 
-func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int, arrival time.Time) ([]Result, error) {
+func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Result, error) {
 	if len(shares) == 0 {
 		return nil, nil
 	}
 	if source < 0 || source >= a.cfg.Proxies {
 		return nil, fmt.Errorf("%w: source %d of %d", stream.ErrJoinArity, source, a.cfg.Proxies)
 	}
+	// Phase A joins every message of the batch before Phase B observes
+	// any of their event times: both run under genMu, and the join state
+	// ages once, after the last segment (ageJoins).
+	a.genMu.RLock()
+	defer a.ageJoins()
+	defer a.genMu.RUnlock()
 	sc := getScratch(a.cfg.Proxies)
 	defer putScratch(sc)
 
@@ -140,7 +147,7 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int, arriv
 			a.shards[shard].mu.Lock()
 			cur = shard
 		}
-		joined, err := a.shards[shard].joiner.Add(sh.MID, source, sh.Payload, arrival)
+		joined, err := a.shards[shard].joiner.Add(sh.MID, source, sh.Payload)
 		if err != nil {
 			if errors.Is(err, stream.ErrDuplicate) {
 				a.duplicates.Add(1)
@@ -303,6 +310,7 @@ func (a *Aggregator) ingestSegment(sc *submitScratch, st *queryState, epoch uint
 	if !st.observe(eventTime) {
 		return out, nil
 	}
+	a.ageDue.Store(true)
 	st.fireMu.Lock()
 	res, err := a.fireLocked(st, false)
 	st.fireMu.Unlock()
@@ -310,21 +318,4 @@ func (a *Aggregator) ingestSegment(sc *submitScratch, st *queryState, epoch uint
 		return out, err
 	}
 	return append(out, res...), nil
-}
-
-// SweepJoins drops partial join groups whose first share arrived before
-// cutoff and forgets completed keys past the retain horizon, across all
-// shards — the bounded-memory half of AdvanceTo without its watermark
-// effects, for callers (long-running single-epoch drains, benchmarks)
-// that must reclaim join state without closing windows. It returns the
-// number of dropped partial groups.
-func (a *Aggregator) SweepJoins(cutoff time.Time) int {
-	dropped := 0
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		dropped += js.joiner.Sweep(cutoff)
-		js.mu.Unlock()
-	}
-	return dropped
 }

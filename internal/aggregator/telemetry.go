@@ -34,6 +34,7 @@ func (a *Aggregator) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 		telemetry.Sample{Name: "privapprox_agg_malformed_total", Value: float64(s.Malformed), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_duplicates_total", Value: float64(s.Duplicates), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_late_total", Value: float64(s.Late), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_agg_swept_total", Value: float64(s.Swept), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_unknown_query_total", Value: float64(s.UnknownQuery), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_length_mismatch_total", Value: float64(s.LengthMismatch), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_queries", Value: float64(s.Queries), Kind: telemetry.KindGauge},

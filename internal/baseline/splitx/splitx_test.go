@@ -64,14 +64,20 @@ func sortFloats(xs []float64) {
 }
 
 func TestLatencyRoughlyLinear(t *testing.T) {
-	small, err := RunPrivApprox(1000, 32)
-	if err != nil {
-		t.Fatal(err)
+	// The fastest of a few runs each: whatever else the machine is
+	// testing at the moment must not decide the ratio.
+	fastest := func(n int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 5; i++ {
+			d, err := RunPrivApprox(n, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, d)
+		}
+		return best
 	}
-	big, err := RunPrivApprox(4000, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small, big := fastest(1000), fastest(4000)
 	ratio := float64(big) / float64(small)
 	// Linear extrapolation is what the Fig. 6 harness relies on; allow a
 	// generous band around 4×.

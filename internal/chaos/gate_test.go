@@ -35,11 +35,18 @@ import (
 // that hold; the gate also asserts the brokers actually deduplicated
 // replays (Stats.Duplicates > 0), so the schedules are known to have
 // exercised the machinery rather than passing vacuously.
+//
+// The trim-then-redeliver schedule adds the aggregator to the fault
+// window: it drains and commits after every delivery, so the broker has
+// released the batch's records by the time the injected duplicate or the
+// producer's retry of a dropped ack brings the same (producer, sequence)
+// back. The session-dedup slots outlive the records they guard, so the
+// redelivery is still absorbed and the results stay byte-identical.
 func TestChaosGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos gate is a long test")
 	}
-	baseline := runPipeline(t, "baseline", chaos.Plan{}, false)
+	baseline := runPipeline(t, "baseline", chaos.Plan{}, false, false)
 	if baseline.decoded == 0 || baseline.results == "" {
 		t.Fatalf("fault-free run produced no results (decoded=%d)", baseline.decoded)
 	}
@@ -48,20 +55,26 @@ func TestChaosGate(t *testing.T) {
 		name string
 		plan chaos.Plan
 		kill bool
+		trim bool
 	}{
-		{"resets-a", chaos.Plan{Seed: 101, Reset: 0.4}, false},
-		{"resets-b", chaos.Plan{Seed: 102, Reset: 0.4}, false},
-		{"ackdrops-a", chaos.Plan{Seed: 201, AckDrop: 0.4}, false},
-		{"ackdrops-b", chaos.Plan{Seed: 202, AckDrop: 0.4}, false},
-		{"duplicates-a", chaos.Plan{Seed: 301, Duplicate: 0.45}, false},
-		{"duplicates-b", chaos.Plan{Seed: 302, Duplicate: 0.45}, false},
-		{"mixed-a", chaos.Plan{Seed: 401, Reset: 0.15, AckDrop: 0.15, Duplicate: 0.15, Delay: 0.15}, false},
-		{"mixed-b", chaos.Plan{Seed: 402, Reset: 0.15, AckDrop: 0.15, Duplicate: 0.15, Delay: 0.15}, false},
-		{"proxy-restart", chaos.Plan{Seed: 501, AckDrop: 0.2, Duplicate: 0.2}, true},
+		{"resets-a", chaos.Plan{Seed: 101, Reset: 0.4}, false, false},
+		{"resets-b", chaos.Plan{Seed: 102, Reset: 0.4}, false, false},
+		{"ackdrops-a", chaos.Plan{Seed: 201, AckDrop: 0.4}, false, false},
+		{"ackdrops-b", chaos.Plan{Seed: 202, AckDrop: 0.4}, false, false},
+		{"duplicates-a", chaos.Plan{Seed: 301, Duplicate: 0.45}, false, false},
+		{"duplicates-b", chaos.Plan{Seed: 302, Duplicate: 0.45}, false, false},
+		{"mixed-a", chaos.Plan{Seed: 401, Reset: 0.15, AckDrop: 0.15, Duplicate: 0.15, Delay: 0.15}, false, false},
+		{"mixed-b", chaos.Plan{Seed: 402, Reset: 0.15, AckDrop: 0.15, Duplicate: 0.15, Delay: 0.15}, false, false},
+		{"proxy-restart", chaos.Plan{Seed: 501, AckDrop: 0.2, Duplicate: 0.2}, true, false},
+		{"trim-then-redeliver", chaos.Plan{Seed: 601, AckDrop: 0.3, Duplicate: 0.3}, false, true},
 	}
 	var totalDuplicates int64
 	for _, sc := range schedules {
-		out := runPipeline(t, sc.name, sc.plan, sc.kill)
+		out := runPipeline(t, sc.name, sc.plan, sc.kill, sc.trim)
+		if sc.trim && (out.duplicates == 0 || out.released == 0) {
+			t.Errorf("%s: %d redeliveries deduplicated, %d partitions released; the schedule must put a redelivery behind a trim",
+				sc.name, out.duplicates, out.released)
+		}
 		if out.injected == 0 {
 			t.Errorf("%s: schedule injected no faults; raise probabilities or change the seed", sc.name)
 		}
@@ -95,6 +108,23 @@ type runOutput struct {
 	decoded    int64
 	duplicates int64 // broker-side dedup count across proxies at the end
 	injected   int64 // chaos faults fired across proxies
+	released   int   // partitions whose first offset the brokers no longer hold
+}
+
+// deliveryHook runs after every publish that reached the broker — below
+// the fault injector, so an injected duplicate and the retry of a
+// dropped ack both arrive after it has run.
+type deliveryHook struct {
+	pubsub.Transport
+	delivered func()
+}
+
+func (d deliveryHook) PublishColumns(topic string, cols pubsub.Columns, pid, seq uint64) error {
+	err := d.Transport.PublishColumns(topic, cols, pid, seq)
+	if err == nil {
+		d.delivered()
+	}
+	return err
 }
 
 // proxyProc is one in-process "proxy process": a durable broker served
@@ -152,8 +182,10 @@ func gateAnalystKey() (string, ed25519.PrivateKey) {
 
 // runPipeline drives one full run — announce, answer epochs through
 // chaos-wrapped transports, drain, flush — and returns the canonical
-// result text plus the fault and dedup counters.
-func runPipeline(t *testing.T, name string, plan chaos.Plan, kill bool) runOutput {
+// result text plus the fault and dedup counters. With trim set the
+// aggregator drains and commits after every delivered batch instead of
+// waiting for the last epoch.
+func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) runOutput {
 	t.Helper()
 	dir := t.TempDir()
 
@@ -181,15 +213,20 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill bool) runOutpu
 	}()
 	transports := make([]pubsub.Transport, len(procs))
 	injectors := make([]*chaos.Transport, len(procs))
+	drainAndCommit := func() {} // set once the aggregator side exists
 	for i, addr := range addrs {
 		cli, err := pubsub.DialOptions(addr, pubsub.Options{Conns: 2, Seed: gateSeed + int64(i)})
 		if err != nil {
 			t.Fatalf("%s: dial proxy %d: %v", name, i, err)
 		}
 		tcps = append(tcps, cli)
+		var inner pubsub.Transport = cli
+		if trim {
+			inner = deliveryHook{Transport: cli, delivered: func() { drainAndCommit() }}
+		}
 		p := plan
 		p.Seed = plan.Seed + int64(i)*7919
-		ct, err := chaos.Wrap(cli, p)
+		ct, err := chaos.Wrap(inner, p)
 		if err != nil {
 			t.Fatalf("%s: wrap transport: %v", name, err)
 		}
@@ -272,34 +309,6 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill bool) runOutpu
 		t.Fatalf("%s: wait for announcements: %v", name, err)
 	}
 
-	for e := uint64(0); e < gateEpochs; e++ {
-		if _, err := follower.Sync(); err != nil {
-			t.Fatalf("%s: epoch %d sync: %v", name, e, err)
-		}
-		for _, c := range clients {
-			if _, err := c.AnswerOnce(e); err != nil {
-				t.Fatalf("%s: epoch %d answer: %v", name, e, err)
-			}
-		}
-		for i, b := range batchers {
-			if err := b.Flush(); err != nil {
-				t.Fatalf("%s: epoch %d flush proxy %d: %v", name, e, i, err)
-			}
-		}
-		if kill && e == 1 {
-			// Stop and restart proxy 1 on the same address and journal
-			// between epochs: the journal replay must restore both the
-			// share stream and the producer-session dedup state, and the
-			// clients' next flush must redial and carry on.
-			procs[1].stop(t)
-			procs[1].restart(t)
-		}
-	}
-	var sent int64
-	for _, c := range clients {
-		sent += c.Stats().AnswersSent
-	}
-
 	// Aggregator side: clean (fault-free) transports to the same
 	// proxies, the same drain loop the node's aggregator role runs.
 	var aggTcps []*pubsub.Client
@@ -341,6 +350,68 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill bool) runOutpu
 	}
 	var results []aggregator.Result
 	var shares []xorcrypt.Share
+	// submit decodes one polled batch and hands it to the aggregator.
+	submit := func(src int, recs []pubsub.Record) {
+		shares = shares[:0]
+		for _, rec := range recs {
+			share, err := proxy.DecodeRecord(rec)
+			if err != nil {
+				t.Fatalf("%s: decode record: %v", name, err)
+			}
+			shares = append(shares, share)
+		}
+		res, err := agg.SubmitShareBatch(shares, src, time.Now())
+		if err != nil {
+			t.Fatalf("%s: submit shares: %v", name, err)
+		}
+		results = append(results, res...)
+	}
+	drainAndCommit = func() {
+		for src, c := range consumers {
+			for {
+				recs, err := c.Poll(4096)
+				if err != nil {
+					t.Fatalf("%s: poll proxy %d: %v", name, src, err)
+				}
+				if len(recs) == 0 {
+					break
+				}
+				submit(src, recs)
+			}
+			if err := c.Commit(); err != nil {
+				t.Fatalf("%s: commit proxy %d: %v", name, src, err)
+			}
+		}
+	}
+
+	for e := uint64(0); e < gateEpochs; e++ {
+		if _, err := follower.Sync(); err != nil {
+			t.Fatalf("%s: epoch %d sync: %v", name, e, err)
+		}
+		for _, c := range clients {
+			if _, err := c.AnswerOnce(e); err != nil {
+				t.Fatalf("%s: epoch %d answer: %v", name, e, err)
+			}
+		}
+		for i, b := range batchers {
+			if err := b.Flush(); err != nil {
+				t.Fatalf("%s: epoch %d flush proxy %d: %v", name, e, i, err)
+			}
+		}
+		if kill && e == 1 {
+			// Stop and restart proxy 1 on the same address and journal
+			// between epochs: the journal replay must restore both the
+			// share stream and the producer-session dedup state, and the
+			// clients' next flush must redial and carry on.
+			procs[1].stop(t)
+			procs[1].restart(t)
+		}
+	}
+	var sent int64
+	for _, c := range clients {
+		sent += c.Stats().AnswersSent
+	}
+
 	deadline := time.Now().Add(30 * time.Second)
 	for agg.Decoded() < sent {
 		if !time.Now().Before(deadline) {
@@ -351,19 +422,7 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill bool) runOutpu
 			if err != nil {
 				t.Fatalf("%s: poll proxy %d: %v", name, src, err)
 			}
-			shares = shares[:0]
-			for _, rec := range recs {
-				share, err := proxy.DecodeRecord(rec)
-				if err != nil {
-					t.Fatalf("%s: decode record: %v", name, err)
-				}
-				shares = append(shares, share)
-			}
-			res, err := agg.SubmitShareBatch(shares, src, time.Now())
-			if err != nil {
-				t.Fatalf("%s: submit shares: %v", name, err)
-			}
-			results = append(results, res...)
+			submit(src, recs)
 		}
 	}
 	final, err := agg.Flush()
@@ -373,8 +432,13 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill bool) runOutpu
 	results = append(results, final...)
 
 	out := runOutput{results: canonicalResults(results), decoded: agg.Decoded()}
-	for _, p := range procs {
+	for i, p := range procs {
 		out.duplicates += p.broker.Stats().Duplicates
+		for part := 0; part < gateParts; part++ {
+			if _, err := p.broker.Fetch(proxy.TopicFor(i), part, 0, 1); errors.Is(err, pubsub.ErrBadOffset) {
+				out.released++
+			}
+		}
 	}
 	for _, inj := range injectors {
 		out.injected += inj.Stats().Injected()

@@ -30,6 +30,13 @@ var sysCkptMagic = []byte("PSC2")
 
 // Checkpoint serializes the system's resumable state. Call it between
 // epochs (after RunEpoch returns), never concurrently with one.
+//
+// A checkpoint releases what it covers: once the record is built, the
+// drain consumers commit the positions it holds, and the brokers drop
+// the shares below them from memory (the WALs stay whole). The record
+// is built first and the commit comes second, so a failure between the
+// two only leaves the floor behind. The returned record is then the
+// oldest the system can resume from — persist it before running on.
 func (s *System) Checkpoint() ([]byte, error) {
 	if err := s.ensureConsumers(); err != nil {
 		return nil, err
@@ -64,7 +71,14 @@ func (s *System) Checkpoint() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, r.epoch)
 	}
 	buf = s.appendSLOState(buf)
-	return s.agg.Checkpoint(buf)
+	buf, err := s.agg.Checkpoint(buf)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.commitConsumers(); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // appendSLOState writes the PSC2 overload-control section: a flag byte,

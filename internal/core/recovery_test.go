@@ -7,6 +7,7 @@ import (
 
 	"privapprox/internal/aggregator"
 	"privapprox/internal/budget"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/rr"
 	"privapprox/internal/wal"
 	"privapprox/internal/workload"
@@ -83,6 +84,21 @@ func TestSystemCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sysB.Close()
+	// The checkpoint committed the positions it records, so the reopened
+	// brokers replayed their journals and then released everything below
+	// them: the resume arrives after a trim, and Restore must seek the
+	// consumers at or above every partition's floor.
+	for i := 0; i < sysB.Fleet().Size(); i++ {
+		px := sysB.Fleet().Proxy(i)
+		for p := 0; p < 4; p++ {
+			if end, err := px.Broker().EndOffset(px.Topic(), p); err != nil || end == 0 {
+				continue
+			}
+			if _, err := px.Broker().Fetch(px.Topic(), p, 0, 1); !errors.Is(err, pubsub.ErrBadOffset) {
+				t.Fatalf("proxy %d partition %d still holds offset 0 after reopening behind a checkpoint: %v", i, p, err)
+			}
+		}
+	}
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
 	}

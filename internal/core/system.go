@@ -106,7 +106,9 @@ type Config struct {
 	// write-ahead logs under DataDir/proxies and replayed when a new
 	// System is built over the same directory. Pair it with
 	// Checkpoint/Restore for full crash recovery — see
-	// TestSystemCheckpointResume for the protocol.
+	// TestSystemCheckpointResume for the protocol. A durable system
+	// releases drained shares from memory only when it checkpoints; one
+	// that never does retains its whole log.
 	DataDir string
 	// WALFsync is the fsync policy for DataDir journals; the zero value
 	// (wal.PolicyNever) survives process crashes but not OS crashes.
@@ -599,6 +601,9 @@ func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 		}
 	}
 	aggregator.SortResults(fired, s.agg.QueryOrder())
+	if err := s.release(); err != nil {
+		return fired, drained, err
+	}
 	// Depth is the backlog the bounded drain left behind — the signal
 	// the overload controller steers on.
 	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), drained,
@@ -845,7 +850,29 @@ func (s *System) drain() ([]aggregator.Result, error) {
 		return fired, err
 	}
 	aggregator.SortResults(fired, s.agg.QueryOrder())
-	return fired, nil
+	return fired, s.release()
+}
+
+// release is the end of every drain: the system owns its drain loop, so
+// it commits what it has submitted and will never read again, and the
+// commit lets the proxies' brokers release those records and free room
+// under a partition bound. With a DataDir nothing is committed here — a
+// crash resumes from the last Checkpoint, whose positions must still be
+// readable — and Checkpoint commits what it covers instead.
+func (s *System) release() error {
+	if s.cfg.DataDir != "" {
+		return nil
+	}
+	return s.commitConsumers()
+}
+
+func (s *System) commitConsumers() error {
+	for _, c := range s.consumers {
+		if err := c.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ensureConsumers lazily builds the persistent per-proxy consumer group.

@@ -286,3 +286,47 @@ func TestSignedQueryReachesClients(t *testing.T) {
 		t.Errorf("initial epoch = %d", sys.Epoch())
 	}
 }
+
+// TestBoundedPartitionFreesAsDrainCommits: the system owns its drain
+// loop, so it commits what it drained, and the commit is what frees room
+// under a partition bound and releases the records. With every partition
+// bounded to two epochs of shares, fifty fully drained epochs publish
+// without one refusal (nothing used to commit, so the bound filled for
+// good at the third epoch), and the backlog after each drain is zero —
+// not the log length since start.
+func TestBoundedPartitionFreesAsDrainCommits(t *testing.T) {
+	const clients, epochs = 8, 50
+	sys, err := New(taxiSystemConfig(t, clients, budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Fleet().SetCapacity(2 * clients); err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		if _, _, err := sys.RunEpoch(); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if st := sys.Fleet().TotalStats(); st.TotalBacklog != 0 || st.MaxBacklog != 0 {
+			t.Fatalf("epoch %d: backlog after a full drain = %d (max %d), want 0", e, st.TotalBacklog, st.MaxBacklog)
+		}
+	}
+	st := sys.Fleet().TotalStats()
+	if st.Rejected != 0 {
+		t.Errorf("Rejected = %d, want 0", st.Rejected)
+	}
+	if want := int64(2 * clients * epochs); st.MessagesIn != want || sys.Aggregator().Decoded() != clients*epochs {
+		t.Errorf("published %d shares, decoded %d answers; want %d and %d", st.MessagesIn, sys.Aggregator().Decoded(), want, clients*epochs)
+	}
+	// The bounded drain commits too: its depth is what it left behind.
+	if _, err := sys.AnswerEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, drained, err := sys.DrainUpTo(clients); err != nil || drained != clients {
+		t.Fatalf("DrainUpTo(%d) drained %d: %v", clients, drained, err)
+	}
+	if got := sys.Fleet().TotalStats().TotalBacklog; got != clients {
+		t.Errorf("backlog after draining %d of %d shares = %d", clients, 2*clients, got)
+	}
+}

@@ -1,8 +1,9 @@
 // Package pubsub is the Kafka substitute PrivApprox proxies are built
 // on (paper §5): a topic-based publish/subscribe broker with partitioned
-// append-only logs, committed consumer-group offsets, blocking polls,
-// and an optional TCP transport. The proxies create two topics — key and
-// answer — and forward client shares through them to the aggregator.
+// logs that append at the tail and release at the committed floor,
+// committed consumer-group offsets, blocking polls, and an optional TCP
+// transport. The proxies create two topics — key and answer — and
+// forward client shares through them to the aggregator.
 package pubsub
 
 import (
@@ -22,8 +23,10 @@ var (
 	ErrNoTopic     = errors.New("pubsub: no such topic")
 	ErrTopicExists = errors.New("pubsub: topic already exists")
 	ErrNoPartition = errors.New("pubsub: no such partition")
-	ErrBadOffset   = errors.New("pubsub: offset out of range")
-	ErrClosed      = errors.New("pubsub: broker closed")
+	// ErrBadOffset reports an offset past the log end or below the first
+	// retained offset (see CommitOffset); it survives the TCP transport.
+	ErrBadOffset = errors.New("pubsub: offset out of range")
+	ErrClosed    = errors.New("pubsub: broker closed")
 	// ErrPartitionFull is the backpressure signal of a bounded partition
 	// (SetTopicCapacity): the publish would push the partition's
 	// unconsumed backlog — records past the slowest committed consumer
@@ -66,7 +69,7 @@ type Stats struct {
 	// TotalBacklog is the number of unconsumed records summed over all
 	// partitions at snapshot time: per partition, end offset minus the
 	// slowest committed consumer offset (the full log length before any
-	// group commits).
+	// group commits; 0 once every group has committed the log end).
 	TotalBacklog int64
 	// MaxBacklog is the largest single-partition backlog at snapshot
 	// time.
@@ -76,10 +79,12 @@ type Stats struct {
 type partitionLog struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// slabs hold the record frames, oldest first (slab.go); count is the
-	// log length — the next offset to be written.
+	// slabs hold the retained record frames, oldest first (slab.go); count
+	// is the log length — the next offset to be written — whatever trim
+	// has released; spare is one released buffer, the next tail.
 	slabs []slab
 	count int64
+	spare []byte
 	// capacity, when > 0, bounds the partition's unconsumed backlog:
 	// a publish that would leave more than capacity records past the
 	// slowest committed consumer offset fails with ErrPartitionFull.
@@ -204,10 +209,10 @@ func (b *Broker) Partitions(topic string) (int, error) {
 // capacity unconsumed records. A publish that would push a partition's
 // backlog — records past the slowest committed consumer offset —
 // beyond the bound fails with ErrPartitionFull instead of growing the
-// log without limit. capacity <= 0 removes the bound. Partition logs
-// are append-only, so the bound is on the *unconsumed* suffix: a
-// partition frees space when its slowest consumer group commits
-// progress, not when records are deleted.
+// log without limit. capacity <= 0 removes the bound. The bound is on
+// the *unconsumed* suffix: a commit by the slowest consumer group both
+// frees room under the bound and releases the slabs it moved past
+// (CommitOffset).
 func (b *Broker) SetTopicCapacity(topic string, capacity int) error {
 	b.mu.RLock()
 	t, ok := b.topics[topic]
@@ -232,6 +237,11 @@ func (b *Broker) SetTopicCapacity(topic string, capacity int) error {
 func (b *Broker) committedFloor(topic string, partition int) int64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	return b.floorLocked(topic, partition)
+}
+
+// floorLocked is committedFloor for a caller that holds b.mu.
+func (b *Broker) floorLocked(topic string, partition int) int64 {
 	floor := int64(-1)
 	for _, gt := range b.offsets {
 		tp, ok := gt[topic]
@@ -534,9 +544,9 @@ func (b *Broker) readSpan(topic string, partition int, offset int64, max int, re
 		return err
 	}
 	p.mu.Lock()
-	if offset < 0 || offset > p.count {
+	if offset < p.first() || offset > p.count {
 		defer p.mu.Unlock()
-		return fmt.Errorf("%w: %d of %d", ErrBadOffset, offset, p.count)
+		return fmt.Errorf("%w: %d outside [%d, %d]", ErrBadOffset, offset, p.first(), p.count)
 	}
 	end := min(offset+int64(max), p.count)
 	if end <= offset {
@@ -607,19 +617,22 @@ func (b *Broker) EndOffset(topic string, partition int) (int64, error) {
 	return p.count, nil
 }
 
-// CommitOffset durably records a consumer group's next-to-read offset.
+// CommitOffset durably records a consumer group's next-to-read offset
+// and releases every slab that lies whole below the partition's
+// committed floor (a durable broker keeps its WAL whole). A group that
+// has never committed does not hold the floor back (CommittedOffset).
 // Commits are monotonic per (group, topic, partition): an offset at or
 // below the committed one is ignored, so a lagging committer can never
 // rewind the group and cause replays.
 func (b *Broker) CommitOffset(group, topic string, partition int, offset int64) error {
-	if _, err := b.partition(topic, partition); err != nil {
+	p, err := b.partition(topic, partition)
+	if err != nil {
 		return err
 	}
 	if offset < 0 {
 		return fmt.Errorf("%w: %d", ErrBadOffset, offset)
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	gt, ok := b.offsets[group]
 	if !ok {
 		gt = make(map[string]map[int]int64)
@@ -631,32 +644,45 @@ func (b *Broker) CommitOffset(group, topic string, partition int, offset int64) 
 		gt[topic] = tp
 	}
 	if offset <= tp[partition] {
+		b.mu.Unlock()
 		return nil
 	}
 	if b.dur != nil {
 		// Journal before updating memory; replay applies commits in
 		// journal order, so the restored offset is the newest committed.
 		if err := b.dur.journalCommit(group, topic, partition, offset); err != nil {
+			b.mu.Unlock()
 			return err
 		}
 	}
 	tp[partition] = offset
+	floor := b.floorLocked(topic, partition)
+	// b.mu goes before p.mu is taken (a publisher reads the floor under
+	// p.mu); racing commits may trim out of order, and the later floor wins.
+	b.mu.Unlock()
+	p.mu.Lock()
+	p.trim(floor)
+	p.mu.Unlock()
 	return nil
 }
 
-// CommittedOffset returns a group's committed offset, 0 when none.
+// CommittedOffset returns where a group resumes: its committed offset
+// or, when it has none on this partition, the earliest retained offset
+// (0 until other groups' commits have released the head of the log).
 func (b *Broker) CommittedOffset(group, topic string, partition int) (int64, error) {
-	if _, err := b.partition(topic, partition); err != nil {
+	p, err := b.partition(topic, partition)
+	if err != nil {
 		return 0, err
 	}
 	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if gt, ok := b.offsets[group]; ok {
-		if tp, ok := gt[topic]; ok {
-			return tp[partition], nil
-		}
+	off, ok := b.offsets[group][topic][partition]
+	b.mu.RUnlock()
+	if ok {
+		return off, nil
 	}
-	return 0, nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.first(), nil
 }
 
 // Stats returns a snapshot of the traffic counters plus consumer-lag

@@ -26,6 +26,8 @@ type Consumer struct {
 type subscription struct {
 	topic string
 	next  []int64
+	// committed is the group's offset as the broker last acknowledged it.
+	committed []int64
 }
 
 // NewConsumer subscribes a group member to an in-process broker's
@@ -61,7 +63,7 @@ func NewTransportConsumer(t Transport, group string, topics ...string) (*Consume
 				return nil, err
 			}
 		}
-		c.subs = append(c.subs, subscription{topic: topic, next: next})
+		c.subs = append(c.subs, subscription{topic: topic, next: next, committed: slices.Clone(next)})
 	}
 	return c, nil
 }
@@ -221,14 +223,20 @@ func (c *Consumer) SeekPositions(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// Commit persists the current positions to the broker so another group
-// member can resume after a failure.
+// Commit persists the positions that moved since the last commit, one
+// CommitOffset each, so another group member can resume after a failure.
+// It is also the consumer's statement that it will never read below them
+// again: the broker releases what every committed group has passed.
 func (c *Consumer) Commit() error {
 	for _, sub := range c.subs {
 		for p, off := range sub.next {
+			if off == sub.committed[p] {
+				continue
+			}
 			if err := c.t.CommitOffset(c.group, sub.topic, p, off); err != nil {
 				return err
 			}
+			sub.committed[p] = off
 		}
 	}
 	return nil

@@ -34,14 +34,16 @@ type durability struct {
 // partition contents, and consumer-group offsets are journaled to
 // write-ahead logs under dir and replayed on the next OpenBroker, so a
 // killed broker restarts with every acknowledged record and commit
-// intact. opts sets the fsync policy and segment size; the retention
-// limits are ignored for broker logs, because partition offsets are
-// dense from zero and truncating a log's head would orphan them.
+// intact. Every partition WAL is replayed whole (offsets equal LSNs, and
+// the dedup slots are rebuilt from every record), then memory is trimmed
+// to the restored committed floor. opts sets the fsync policy and segment
+// size; its retention limits are ignored, because they know nothing of
+// the floor and could drop records a consumer has yet to read.
 func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("%w: empty data directory", ErrDurable)
 	}
-	// See the doc comment: head truncation would break offset addressing.
+	// See the doc comment: only the committed floor may release records.
 	opts.RetainBytes = 0
 	opts.RetainAge = 0
 	meta, err := wal.Open(filepath.Join(dir, "meta"), opts)
@@ -63,6 +65,11 @@ func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 		}
 		meta.Close()
 		return nil, err
+	}
+	for name, t := range b.topics {
+		for i, p := range t.partitions {
+			p.trim(b.floorLocked(name, i))
+		}
 	}
 	return b, nil
 }

@@ -294,7 +294,8 @@ func TestConsumerPollAndCommitResume(t *testing.T) {
 	if len(recs) != 0 {
 		t.Errorf("resumed consumer read %d records, want 0", len(recs))
 	}
-	// A different group starts from zero.
+	// A different group starts at the earliest retained offset, and the
+	// only committed group has released everything it read.
 	c3, err := NewConsumer(b, "other", "answer")
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +304,14 @@ func TestConsumerPollAndCommitResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 20 {
-		t.Errorf("fresh group read %d records, want 20", len(recs))
+	if len(recs) != 0 {
+		t.Errorf("fresh group read %d released records, want 0", len(recs))
+	}
+	if _, _, err := b.Publish("answer", nil, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = c3.Poll(100); err != nil || len(recs) != 1 {
+		t.Errorf("fresh group read %d records (%v) after a new publish, want 1", len(recs), err)
 	}
 }
 

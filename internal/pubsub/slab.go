@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 )
@@ -38,13 +39,18 @@ func (s *slab) end(i int) int {
 // put appends one record: its frame (appendPartitionRecord's — the one
 // copy a publish or a replay makes of key and value) at the front of the
 // tail slab and its end position at the back, opening a new slab when
-// the tail has no room: the only allocation a publish makes. Caller
-// holds p.mu.
+// the tail has no room — the buffer trim set aside if there is one, else
+// the only allocation a publish makes. Caller holds p.mu.
 func (p *partitionLog) put(ts time.Time, key, value []byte) {
 	size := recordHeaderLen + len(key) + len(value)
 	n := len(p.slabs)
 	if n == 0 || p.slabs[n-1].used+size+4*(p.slabs[n-1].n+1) > len(p.slabs[n-1].buf) {
-		p.slabs = append(p.slabs, slab{base: p.count, buf: make([]byte, max(slabSize, size+4))})
+		buf := p.spare
+		p.spare = nil
+		if len(buf) < size+4 {
+			buf = make([]byte, max(slabSize, size+4))
+		}
+		p.slabs = append(p.slabs, slab{base: p.count, buf: buf})
 		n++
 	}
 	s := &p.slabs[n-1]
@@ -55,9 +61,33 @@ func (p *partitionLog) put(ts time.Time, key, value []byte) {
 	p.count++
 }
 
+// first returns the earliest retained offset: the oldest slab's base, or
+// the log end when trim has released every slab. Caller holds p.mu.
+func (p *partitionLog) first() int64 {
+	if len(p.slabs) == 0 {
+		return p.count
+	}
+	return p.slabs[0].base
+}
+
+// trim releases every slab whose records all lie below floor — the tail
+// too, once consumed whole — and sets one standard-size buffer aside as
+// the next tail. A slab floor lands inside stays whole; offsets and
+// count are untouched. Stale bytes in a reused buffer are never read: a
+// slab reads back only what it has written. Caller holds p.mu.
+func (p *partitionLog) trim(floor int64) {
+	i := 0
+	for ; i < len(p.slabs) && p.slabs[i].base+int64(p.slabs[i].n) <= floor; i++ {
+		if len(p.slabs[i].buf) == slabSize {
+			p.spare = p.slabs[i].buf
+		}
+	}
+	p.slabs = slices.Delete(p.slabs, 0, i)
+}
+
 // each visits the frames of records [from, to) in offset order. The
 // frames alias the log: fn must not retain or mutate them. Caller holds
-// p.mu and has checked 0 <= from <= to <= p.count.
+// p.mu and has checked p.first() <= from <= to <= p.count.
 func (p *partitionLog) each(from, to int64, fn func(offset int64, frame []byte)) {
 	if from >= to {
 		return

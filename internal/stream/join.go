@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Errors reported by the share joiner.
@@ -27,9 +26,8 @@ type Joined[K comparable] struct {
 	// wait for their siblings, end to end; it is recycled with the group
 	// so the steady-state join path allocates nothing.
 	parked []byte
-	// join bookkeeping while the group is pending.
+	// filled counts the shares parked so far while the group is pending.
 	filled int
-	first  time.Time
 }
 
 // park copies payload into the group's own buffer. An append that has
@@ -48,8 +46,7 @@ func (g *Joined[K]) park(source int, payload []byte) {
 // KeyedShareJoiner implements the aggregator's first stage (paper
 // §3.2.4): it pairs the encrypted answer stream with the n−1 key streams
 // by message identifier. A group completes when one share has arrived
-// from each of the Expect source streams; stale partial groups can be
-// swept out (messages whose shares were lost at a proxy).
+// from each of the Expect source streams.
 //
 // The key type is generic so the aggregator can join on the raw 16-byte
 // MID value directly — hashing an array key costs nothing per share,
@@ -61,14 +58,29 @@ func (g *Joined[K]) park(source int, payload []byte) {
 // recently completed key are rejected too, bounding the damage of a
 // client replaying shares to distort results (the paper defers to
 // triple-splitting [26] for the full defense).
+//
+// The joiner has no clock. What it remembers lives in two generations,
+// and its owner calls Rotate once per retain horizon on the owner's
+// clock: a completed key is rejected as a duplicate for one to two
+// horizons, then forgotten, and a partial group whose siblings have not
+// arrived by then (shares lost at a proxy) expires with it. Memory is
+// two horizons of traffic; forgetting costs nothing per key.
 type KeyedShareJoiner[K comparable] struct {
-	expect   int
-	pending  map[K]*Joined[K]
-	complete map[K]time.Time // recently completed, for duplicate detection
-	retain   time.Duration
+	expect int
+	// gens[0] is the current generation, gens[1] the previous one; an
+	// entry's index is its age in rotations.
+	gens [2]generation[K]
 	// free recycles completed groups (and their payload-pointer slices)
 	// so the steady-state join path performs no allocations.
 	free []*Joined[K]
+}
+
+// generation is what the joiner learned between two rotations. The
+// completed set holds no pointers (for a pointer-free key type), so the
+// collector never scans it.
+type generation[K comparable] struct {
+	pending map[K]*Joined[K]
+	done    map[K]struct{}
 }
 
 // ShareJoiner is the string-keyed joiner, kept for callers joining on
@@ -76,49 +88,67 @@ type KeyedShareJoiner[K comparable] struct {
 type ShareJoiner = KeyedShareJoiner[string]
 
 // NewShareJoiner expects one share from each of expect ≥ 2 source
-// streams per message and remembers completed keys for retain to reject
-// replays.
-func NewShareJoiner(expect int, retain time.Duration) (*ShareJoiner, error) {
-	return NewKeyedShareJoiner[string](expect, retain)
+// streams per message.
+func NewShareJoiner(expect int) (*ShareJoiner, error) {
+	return NewKeyedShareJoiner[string](expect)
 }
 
 // NewKeyedShareJoiner is NewShareJoiner for an arbitrary comparable key
 // type.
-func NewKeyedShareJoiner[K comparable](expect int, retain time.Duration) (*KeyedShareJoiner[K], error) {
+func NewKeyedShareJoiner[K comparable](expect int) (*KeyedShareJoiner[K], error) {
 	if expect < 2 {
 		return nil, fmt.Errorf("%w: %d", ErrJoinArity, expect)
 	}
-	return &KeyedShareJoiner[K]{
-		expect:   expect,
-		pending:  make(map[K]*Joined[K]),
-		complete: make(map[K]time.Time),
-		retain:   retain,
-	}, nil
+	j := &KeyedShareJoiner[K]{expect: expect}
+	for i := range j.gens {
+		j.gens[i] = generation[K]{pending: make(map[K]*Joined[K]), done: make(map[K]struct{})}
+	}
+	return j, nil
+}
+
+// completed reports whether key completed in either generation.
+func (j *KeyedShareJoiner[K]) completed(key K) bool {
+	for i := range j.gens {
+		if _, done := j.gens[i].done[key]; done {
+			return true
+		}
+	}
+	return false
+}
+
+// pendingGroup returns key's partial group and the generation map that
+// holds it, or nil.
+func (j *KeyedShareJoiner[K]) pendingGroup(key K) (*Joined[K], map[K]*Joined[K]) {
+	for i := range j.gens {
+		if g, ok := j.gens[i].pending[key]; ok {
+			return g, j.gens[i].pending
+		}
+	}
+	return nil, nil
 }
 
 // Add folds in one share from the given source stream (0 ≤ source <
 // expect). It returns a non-nil Joined when the group completes, and
-// ErrDuplicate when the key already completed or this source already
-// contributed. The returned group must be handed back via Recycle once
-// its payloads are consumed.
+// ErrDuplicate when the key completed within the last generation or two
+// or this source already contributed. The returned group must be handed
+// back via Recycle once its payloads are consumed.
 //
 // payload is borrowed for the call: a share that has to wait is copied
 // into the group (so a parked share never pins, or is corrupted by the
 // reuse of, the buffer it arrived in — a whole fetch response, a split
 // scratch), and the share that completes a group is referenced only
 // until Recycle.
-func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte, at time.Time) (*Joined[K], error) {
+func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte) (*Joined[K], error) {
 	if source < 0 || source >= j.expect {
 		return nil, fmt.Errorf("%w: source %d of %d", ErrJoinArity, source, j.expect)
 	}
-	if _, done := j.complete[key]; done {
+	if j.completed(key) {
 		return nil, fmt.Errorf("%w: %v", ErrDuplicate, key)
 	}
-	g, ok := j.pending[key]
-	if !ok {
-		g = j.getGroup()
-		g.first = at
-		j.pending[key] = g
+	g, in := j.pendingGroup(key)
+	if g == nil {
+		g, in = j.getGroup(), j.gens[0].pending
+		in[key] = g
 	}
 	if g.Payloads[source] != nil {
 		return nil, fmt.Errorf("%w: %v from source %d", ErrDuplicate, key, source)
@@ -129,10 +159,27 @@ func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte, at time.Tim
 		return nil, nil
 	}
 	g.Payloads[source] = payload
-	delete(j.pending, key)
-	j.complete[key] = at
+	delete(in, key)
+	j.gens[0].done[key] = struct{}{}
 	g.Key = key
 	return g, nil
+}
+
+// Rotate ages the joiner by one generation: the previous generation's
+// completed keys and partial groups are forgotten, the current one
+// becomes the previous, and the emptied maps become the new current one,
+// so a rotation allocates nothing. It returns the number of partial
+// groups that expired; they are recycled.
+func (j *KeyedShareJoiner[K]) Rotate() int {
+	old := j.gens[1]
+	for _, g := range old.pending {
+		j.Recycle(g)
+	}
+	expired := len(old.pending)
+	clear(old.pending)
+	clear(old.done)
+	j.gens[0], j.gens[1] = old, j.gens[0]
+	return expired
 }
 
 // Recycle returns a completed group to the joiner's pool, dropping its
@@ -170,38 +217,35 @@ func (j *KeyedShareJoiner[K]) getGroup() *Joined[K] {
 	return g
 }
 
-// SetRetain adjusts how long completed keys are remembered past the
-// sweep cutoff — the multi-query aggregator re-derives it as the
-// maximum window over the active query set whenever that set changes.
-func (j *KeyedShareJoiner[K]) SetRetain(d time.Duration) { j.retain = d }
-
 // PendingCount returns the number of incomplete groups.
-func (j *KeyedShareJoiner[K]) PendingCount() int { return len(j.pending) }
+func (j *KeyedShareJoiner[K]) PendingCount() int {
+	return len(j.gens[0].pending) + len(j.gens[1].pending)
+}
 
 // PendingGroups invokes fn for every incomplete group with its per-source
-// payloads (nil where a source has not contributed) and the arrival time
-// of its first share — the export half of a checkpoint. The payload
+// payloads (nil where a source has not contributed) and its age in
+// rotations (0 or 1) — the export half of a checkpoint. The payload
 // slices are the joiner's own; fn must not retain or mutate them past
 // its return. Iteration order is unspecified.
-func (j *KeyedShareJoiner[K]) PendingGroups(fn func(key K, payloads [][]byte, first time.Time)) {
-	for key, g := range j.pending {
-		fn(key, g.Payloads, g.first)
+func (j *KeyedShareJoiner[K]) PendingGroups(fn func(key K, payloads [][]byte, age int)) {
+	for age := range j.gens {
+		for key, g := range j.gens[age].pending {
+			fn(key, g.Payloads, age)
+		}
 	}
 }
 
 // RestorePending re-creates one incomplete group from checkpointed
-// state: payloads holds one entry per source (nil where no share had
+// state, in the generation of its age (0 or 1): payloads holds one
+// entry per source (nil where no share had
 // arrived). The payload bytes are copied, so the caller keeps ownership
 // of its decode buffers. Restoring a key that is already pending or
 // completed is rejected as a duplicate.
-func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, first time.Time) error {
+func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, age int) error {
 	if len(payloads) != j.expect {
 		return fmt.Errorf("%w: %d payloads for %d sources", ErrJoinArity, len(payloads), j.expect)
 	}
-	if _, done := j.complete[key]; done {
-		return fmt.Errorf("%w: %v", ErrDuplicate, key)
-	}
-	if _, ok := j.pending[key]; ok {
+	if g, _ := j.pendingGroup(key); g != nil || j.completed(key) {
 		return fmt.Errorf("%w: %v", ErrDuplicate, key)
 	}
 	filled := 0
@@ -214,50 +258,33 @@ func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, first tim
 		return fmt.Errorf("%w: %d of %d shares is not a pending group", ErrJoinArity, filled, j.expect)
 	}
 	g := j.getGroup()
-	g.first = first
 	for i, p := range payloads {
 		if p != nil {
 			g.park(i, p)
 		}
 	}
 	g.filled = filled
-	j.pending[key] = g
+	j.gens[age].pending[key] = g
 	return nil
 }
 
-// CompletedKeys invokes fn for every recently completed key with its
-// completion time — exported alongside PendingGroups so a restored
+// CompletedKeys invokes fn for every remembered completed key with its
+// age in rotations — exported alongside PendingGroups so a restored
 // joiner keeps rejecting replays of keys that completed before the
-// checkpoint. Iteration order is unspecified.
-func (j *KeyedShareJoiner[K]) CompletedKeys(fn func(key K, at time.Time)) {
-	for key, at := range j.complete {
-		fn(key, at)
+// checkpoint, for as long as the original would have. Iteration order
+// is unspecified.
+func (j *KeyedShareJoiner[K]) CompletedKeys(fn func(key K, age int)) {
+	for age := range j.gens {
+		for key := range j.gens[age].done {
+			fn(key, age)
+		}
 	}
 }
 
-// RestoreCompleted re-marks one key as completed at the given time.
-func (j *KeyedShareJoiner[K]) RestoreCompleted(key K, at time.Time) {
-	delete(j.pending, key)
-	j.complete[key] = at
-}
-
-// Sweep drops incomplete groups whose first share arrived before cutoff
-// and forgets completed keys older than the retain horizon. It returns
-// the number of dropped incomplete groups.
-func (j *KeyedShareJoiner[K]) Sweep(cutoff time.Time) int {
-	dropped := 0
-	for key, g := range j.pending {
-		if g.first.Before(cutoff) {
-			delete(j.pending, key)
-			j.Recycle(g)
-			dropped++
-		}
+// RestoreCompleted re-marks one key as completed at age 0 or 1.
+func (j *KeyedShareJoiner[K]) RestoreCompleted(key K, age int) {
+	if _, in := j.pendingGroup(key); in != nil {
+		delete(in, key)
 	}
-	retainCutoff := cutoff.Add(-j.retain)
-	for key, at := range j.complete {
-		if at.Before(retainCutoff) {
-			delete(j.complete, key)
-		}
-	}
-	return dropped
+	j.gens[age].done[key] = struct{}{}
 }

@@ -150,22 +150,21 @@ func TestWatermarkTracker(t *testing.T) {
 }
 
 func TestShareJoinerCompletesGroups(t *testing.T) {
-	j, err := NewShareJoiner(3, time.Minute)
+	j, err := NewShareJoiner(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(100, 0)
-	if g, err := j.Add("mid1", 0, []byte("a"), now); err != nil || g != nil {
+	if g, err := j.Add("mid1", 0, []byte("a")); err != nil || g != nil {
 		t.Fatalf("first share: %v, %v", g, err)
 	}
-	if g, err := j.Add("mid1", 1, []byte("b"), now); err != nil || g != nil {
+	if g, err := j.Add("mid1", 1, []byte("b")); err != nil || g != nil {
 		t.Fatalf("second share: %v, %v", g, err)
 	}
 	// A replayed share from an already-contributing source is rejected.
-	if _, err := j.Add("mid1", 0, []byte("dup"), now); !errors.Is(err, ErrDuplicate) {
+	if _, err := j.Add("mid1", 0, []byte("dup")); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("same-source replay: %v", err)
 	}
-	g, err := j.Add("mid1", 2, []byte("c"), now)
+	g, err := j.Add("mid1", 2, []byte("c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,55 +175,65 @@ func TestShareJoinerCompletesGroups(t *testing.T) {
 		t.Errorf("pending = %d", j.PendingCount())
 	}
 	// Replay of a completed key is rejected.
-	if _, err := j.Add("mid1", 1, []byte("x"), now); !errors.Is(err, ErrDuplicate) {
+	if _, err := j.Add("mid1", 1, []byte("x")); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("replay: %v", err)
 	}
 	// Source index out of range is an error.
-	if _, err := j.Add("mid9", 9, []byte("x"), now); !errors.Is(err, ErrJoinArity) {
+	if _, err := j.Add("mid9", 9, []byte("x")); !errors.Is(err, ErrJoinArity) {
 		t.Errorf("bad source: %v", err)
 	}
 }
 
 func TestShareJoinerInterleavedKeys(t *testing.T) {
-	j, _ := NewShareJoiner(2, time.Minute)
-	now := time.Unix(0, 0)
-	j.Add("a", 0, []byte("a1"), now)
-	j.Add("b", 0, []byte("b1"), now)
-	ga, err := j.Add("a", 1, []byte("a2"), now)
+	j, _ := NewShareJoiner(2)
+	j.Add("a", 0, []byte("a1"))
+	j.Add("b", 0, []byte("b1"))
+	ga, err := j.Add("a", 1, []byte("a2"))
 	if err != nil || ga == nil || ga.Key != "a" {
 		t.Fatalf("group a = %v, %v", ga, err)
 	}
-	gb, err := j.Add("b", 1, []byte("b2"), now)
+	gb, err := j.Add("b", 1, []byte("b2"))
 	if err != nil || gb == nil || gb.Key != "b" {
 		t.Fatalf("group b = %v, %v", gb, err)
 	}
 }
 
-func TestShareJoinerSweep(t *testing.T) {
-	j, _ := NewShareJoiner(2, time.Second)
-	j.Add("stale", 0, []byte("x"), time.Unix(0, 0))
-	j.Add("fresh", 0, []byte("y"), time.Unix(100, 0))
-	dropped := j.Sweep(time.Unix(50, 0))
-	if dropped != 1 || j.PendingCount() != 1 {
-		t.Errorf("dropped=%d pending=%d", dropped, j.PendingCount())
-	}
-	// Completed-key memory also expires past the retain horizon.
-	g, err := j.Add("done", 0, []byte("1"), time.Unix(100, 0))
-	if g != nil || err != nil {
-		t.Fatal("unexpected join")
-	}
-	if g, err := j.Add("done", 1, []byte("2"), time.Unix(100, 0)); err != nil || g == nil {
+// TestShareJoinerGenerations: a completed key is a duplicate for one to
+// two rotations and then forgotten; a partial group that was already
+// waiting when the previous rotation happened expires with it, one that
+// arrived since survives, and a share that finds its sibling in the
+// previous generation still completes the group.
+func TestShareJoinerGenerations(t *testing.T) {
+	j, _ := NewShareJoiner(2)
+	j.Add("done", 0, []byte("1"))
+	if g, err := j.Add("done", 1, []byte("2")); err != nil || g == nil {
 		t.Fatal("join should complete")
 	}
-	j.Sweep(time.Unix(200, 0))
-	// After expiry the key can be reused (a fresh MID collision).
-	if _, err := j.Add("done", 0, []byte("again"), time.Unix(200, 0)); err != nil {
+	j.Add("stale", 0, []byte("x"))
+	j.Add("slow", 0, []byte("s"))
+	j.Rotate()
+	j.Add("fresh", 0, []byte("y"))
+	if _, err := j.Add("done", 0, []byte("replay")); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("replay one rotation after completion: %v", err)
+	}
+	if g, err := j.Add("slow", 1, []byte("t")); err != nil || g == nil || string(g.Payloads[0]) != "s" {
+		t.Fatalf("share whose sibling waits in the previous generation: %+v, %v", g, err)
+	}
+	if expired := j.Rotate(); expired != 1 || j.PendingCount() != 1 {
+		t.Errorf("expired=%d pending=%d, want the stale group gone and the fresh one kept", expired, j.PendingCount())
+	}
+	if _, err := j.Add("slow", 0, []byte("replay")); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("replay of a key that completed in the current generation: %v", err)
+	}
+	// Two rotations after completion the key is forgotten and can be
+	// reused (a fresh MID collision).
+	if _, err := j.Add("done", 0, []byte("again")); err != nil {
 		t.Errorf("post-expiry add: %v", err)
 	}
 }
 
 func TestShareJoinerValidation(t *testing.T) {
-	if _, err := NewShareJoiner(1, time.Second); !errors.Is(err, ErrJoinArity) {
+	if _, err := NewShareJoiner(1); !errors.Is(err, ErrJoinArity) {
 		t.Errorf("arity: %v", err)
 	}
 }

@@ -117,15 +117,9 @@ func BenchmarkFig8SubmitBatchInstrumented(b *testing.B) {
 		b.Fatal(err)
 	}
 	vec, _ := answer.OneHot(11, 0)
-	raw, err := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	size := len(raw)
-	msgs := make([]byte, 0, batch*size)
-	for k := 0; k < batch; k++ {
-		msgs = append(msgs, raw...)
-	}
+	msg := newAgedMessage(b, q, vec)
+	size := len(msg.raw)
+	msgs := msg.packed(nil, batch)
 	shares := make([][]xorcrypt.Share, 2)
 	for src := range shares {
 		shares[src] = make([]xorcrypt.Share, batch)
@@ -150,7 +144,8 @@ func BenchmarkFig8SubmitBatchInstrumented(b *testing.B) {
 		}
 		hist.Observe(int64(time.Since(t0)))
 		if i%64 == 63 {
-			agg.SweepJoins(now.Add(2 * time.Hour))
+			msg.advance(b)
+			msgs = msg.packed(msgs[:0], batch)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/answer")
