@@ -9,6 +9,7 @@ package privapprox
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -756,4 +757,133 @@ func TestSharePlaneAllocs(t *testing.T) {
 			}
 		})
 	})
+}
+
+// fireRig is one aggregator with a tumbling one-epoch window whose every
+// epoch holds the same answers, so after the first window the estimator
+// finds every randomization loss it needs already simulated and a fire
+// is the steady state: merge the shards, bound the window, bound the
+// buckets.
+type fireRig struct {
+	t        testing.TB
+	agg      *aggregator.Aggregator
+	splitter *xorcrypt.Splitter
+	scratch  xorcrypt.SplitScratch
+	msgs     [4]answer.Message
+	raw      []byte
+	epoch    uint64
+}
+
+func newFireRig(t testing.TB, nbuckets int) *fireRig {
+	buckets, err := query.UniformRanges(0, 32, nbuckets-1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &query.Query{
+		QID:       query.ID{Analyst: "gate", Serial: uint64(nbuckets)},
+		SQL:       "SELECT distance FROM rides",
+		Buckets:   buckets,
+		Frequency: time.Second, Window: time.Second, Slide: time.Second,
+	}
+	r := &fireRig{t: t}
+	if r.agg, err = aggregator.New(aggregator.Config{
+		Query:      q,
+		Params:     budget.Params{S: 0.3, RR: rr.Params{P: 0.9, Q: 0.6}},
+		Population: 4000,
+		Proxies:    2,
+		Origin:     time.Unix(0, 0),
+		Seed:       9,
+		Shards:     1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r.splitter, err = xorcrypt.NewSplitter(2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Every bucket hears yes from a quarter of the answers.
+	for k := range r.msgs {
+		bits := make([]bool, nbuckets)
+		for i := range bits {
+			bits[i] = (i+k)%4 == 0
+		}
+		vec, err := answer.FromBits(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.msgs[k] = answer.Message{QueryID: q.QID.Uint64(), Answer: vec}
+	}
+	return r
+}
+
+// fire fills the next window with 1,200 answers and closes it with the
+// epoch timer's AdvanceTo, returning what that one call allocated and
+// how long it took.
+func (r *fireRig) fire() (allocs uint64, took time.Duration) {
+	const answers = 1200
+	for k := 0; k < answers; k++ {
+		msg := &r.msgs[k%len(r.msgs)]
+		msg.Epoch = r.epoch
+		raw, err := msg.AppendBinary(r.raw[:0])
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		r.raw = raw
+		shares, err := r.splitter.SplitInto(raw, &r.scratch)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		for src, sh := range shares {
+			if res, err := r.agg.SubmitShare(sh, src, time.Time{}); err != nil || len(res) != 0 {
+				r.t.Fatalf("submit: %d windows fired, err %v", len(res), err)
+			}
+		}
+	}
+	r.epoch++
+	// Lateness is one slide: a watermark at the window's end is an event
+	// time one second past it.
+	closeAt := time.Unix(int64(r.epoch)+1, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	res, err := r.agg.AdvanceTo(closeAt)
+	took = time.Since(t0)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res) != 1 || res[0].Responses != answers {
+		r.t.Fatalf("AdvanceTo: %d windows, err %v", len(res), err)
+	}
+	return after.Mallocs - before.Mallocs, took
+}
+
+// TestFireAllocs pins the shape of a fire: one Student-t root-find per
+// window and plain arithmetic per bucket. A fire allocates its merged
+// accumulator, its bucket estimates and its result list whatever the
+// bucket count, and — measured back to back, as a ratio, so a slow
+// machine moves both sides — a 128-bucket window costs less than six
+// 8-bucket windows (a root-find per bucket would make it sixteen).
+func TestFireAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	narrow, wide := newFireRig(t, 8), newFireRig(t, 128)
+	for i := 0; i < 3; i++ {
+		narrow.fire()
+		wide.fire()
+	}
+	const runs = 15
+	minAllocs := [2]uint64{1 << 62, 1 << 62}
+	best := [2]time.Duration{1 << 62, 1 << 62}
+	for i := 0; i < runs; i++ {
+		for k, rig := range []*fireRig{narrow, wide} {
+			allocs, took := rig.fire()
+			minAllocs[k] = min(minAllocs[k], allocs)
+			best[k] = min(best[k], took)
+		}
+	}
+	t.Logf("fire: 8 buckets %d allocs in %v, 128 buckets %d allocs in %v", minAllocs[0], best[0], minAllocs[1], best[1])
+	for k, nbuckets := range []int{8, 128} {
+		if minAllocs[k] > 4 {
+			t.Errorf("firing a %d-bucket window: %d allocs, want ≤ 4", nbuckets, minAllocs[k])
+		}
+	}
+	if best[1] >= 6*best[0] {
+		t.Errorf("firing 128 buckets took %v, 8 buckets %v: the cost of a fire scales with its buckets", best[1], best[0])
+	}
 }

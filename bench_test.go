@@ -246,11 +246,11 @@ func BenchmarkFig4bErrorDecomposition(b *testing.B) {
 		if _, err := rr.EstimateYes(rr.Params{P: 0.3, Q: 0.6}, 5300, 10000); err != nil {
 			b.Fatal(err)
 		}
-		moments, err := sampling.BinomialMoments(5300, 10000)
+		srs, err := sampling.NewSRS(10000, 20000, 0.95)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sampling.EstimateSumFromMoments(moments, 20000, 0.95); err != nil {
+		if _, err := srs.Count(5300); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,12 +21,14 @@
 package aggregator
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,6 +252,14 @@ type queryState struct {
 	// spans and labeled telemetry samples never format on a hot path.
 	qname    string
 	nbuckets int
+	// With confidence, the estimator's per-query constants, compiled at
+	// registration like the client's answer plan: the bucket labels
+	// rendered once (every fired Result shares the strings), the
+	// inversion flag, and the answer slots one client fills per window,
+	// Window/Frequency.
+	labels   []string
+	inverted bool
+	slots    int
 	ord      int   // registration index, for deterministic result order
 	seed     int64 // effective estimator seed, recorded for checkpoint verification
 	assigner *stream.SlidingAssigner
@@ -291,7 +301,9 @@ type queryState struct {
 
 	// estMu guards the estimator's rng and memoized RR-loss cache
 	// (estimates normally run under fireMu; BatchAnalyze calls the
-	// estimator directly).
+	// estimator directly). A window is estimated, and params swapped with
+	// the cache cleared, under it whole: one window sees one parameter
+	// generation and only losses simulated under that generation.
 	estMu       sync.Mutex
 	rng         *rand.Rand
 	rrLossCache map[int]float64 // yes-fraction percent → simulated loss
@@ -457,14 +469,12 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		// sampling fraction, but AddQuery is a public API — if the
 		// randomization pair did change, the memoized RR-loss
 		// simulations are no longer valid and must be redone.
-		prev := st.params.Load()
-		st.params.Store(&spec.Params)
-		if prev.RR != spec.Params.RR {
-			st.estMu.Lock()
+		st.estMu.Lock()
+		if prev := st.params.Swap(&spec.Params); prev.RR != spec.Params.RR {
 			clear(st.rrLossCache)
 			st.estLog = append(st.estLog, estEvent{clear: true})
-			st.estMu.Unlock()
 		}
+		st.estMu.Unlock()
 		if spec.Shed != 0 {
 			st.storeShed(spec.Shed)
 		}
@@ -481,6 +491,9 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		qidWire:    wire,
 		qname:      spec.Query.QID.String(),
 		nbuckets:   len(spec.Query.Buckets),
+		labels:     spec.Query.Buckets.Labels(),
+		inverted:   spec.Query.Inverted,
+		slots:      max(1, int(spec.Query.Window/spec.Query.Frequency)),
 		// ord comes from a monotonic counter, not len(ordered): after a
 		// removal the next registration must still sort after every
 		// earlier one in the (window start, registration order) result
@@ -906,7 +919,10 @@ func (a *Aggregator) openWindowFor(st *queryState, w stream.Window) *openWindow 
 func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 	wm := st.watermark()
 	st.winMu.Lock()
-	var closing []*openWindow
+	// One watermark step closes one window of a sliding query, so the
+	// usual fire keeps its list on the stack.
+	var few [4]*openWindow
+	closing := few[:0]
 	for key, ow := range st.windows {
 		if flush || !ow.window.End.After(wm) {
 			closing = append(closing, ow)
@@ -917,12 +933,12 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 	if len(closing) == 0 {
 		return nil, nil
 	}
-	sort.Slice(closing, func(i, j int) bool {
-		return closing[i].window.Start.Before(closing[j].window.Start)
+	slices.SortFunc(closing, func(x, y *openWindow) int {
+		return x.window.Start.Compare(y.window.Start)
 	})
 	tr := a.tracer.Load()
 	rec := a.cards.Load()
-	var out []Result
+	out := make([]Result, 0, len(closing))
 	for _, ow := range closing {
 		var t0 time.Time
 		if tr != nil || rec != nil {
@@ -935,7 +951,7 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := a.estimate(st, ow.window, acc)
+		res, params, err := a.estimate(st, ow.window, acc, a.cfg.Population*st.slots)
 		if err != nil {
 			return nil, err
 		}
@@ -956,7 +972,7 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 			st.firedThrough.Store(start)
 		}
 		if rec != nil {
-			a.emitCard(rec, st, res, time.Since(t0))
+			a.emitCard(rec, st, params, res, time.Since(t0))
 		}
 	}
 	if rec != nil {
@@ -976,15 +992,15 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 }
 
 // emitCard assembles the provenance result card for one fired window
-// and hands it to the recorder. Runs under fireMu at fire cadence; the
-// recorder fills in stamp-derived latency and stage legs and performs
-// its own exactly-once dedup against the card log.
-func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, res Result, dur time.Duration) {
+// and hands it to the recorder; params is the generation the window was
+// estimated under. Runs under fireMu at fire cadence; the recorder fills
+// in stamp-derived latency and stage legs and performs its own
+// exactly-once dedup against the card log.
+func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, params *budget.Params, res Result, dur time.Duration) {
 	start, end := res.Window.Start.UnixNano(), res.Window.End.UnixNano()
 	if below := st.cardsBelow.Load(); below != wmUnseen && start <= below {
 		return
 	}
-	params := st.params.Load()
 	eps, err := params.EpsilonZK()
 	if err != nil {
 		eps = -1 // params were validated at registration; defensive only
@@ -1041,7 +1057,7 @@ func (a *Aggregator) AdvanceTo(t time.Time) ([]Result, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, res...)
+		out = extend(out, res)
 	}
 	a.ageJoins()
 	SortResults(out, tbl.orderOf)
@@ -1060,10 +1076,19 @@ func (a *Aggregator) Flush() ([]Result, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, res...)
+		out = extend(out, res)
 	}
 	SortResults(out, tbl.orderOf)
 	return out, nil
+}
+
+// extend appends one query's fired windows to the merged list, adopting
+// the first list as it is: the single-query fire copies nothing.
+func extend(out, res []Result) []Result {
+	if len(out) == 0 {
+		return res
+	}
+	return append(out, res...)
 }
 
 // orderOf maps a query ID to its registration index (unknown queries
@@ -1080,20 +1105,16 @@ func (t *stateTable) orderOf(id query.ID) int {
 // the canonical deterministic result order every drain path sorts
 // into.
 func SortResults(res []Result, order func(query.ID) int) {
-	sort.SliceStable(res, func(i, j int) bool {
-		if !res[i].Window.Start.Equal(res[j].Window.Start) {
-			return res[i].Window.Start.Before(res[j].Window.Start)
-		}
-		if res[i].Query == res[j].Query {
-			return false
+	slices.SortStableFunc(res, func(x, y Result) int {
+		if c := x.Window.Start.Compare(y.Window.Start); c != 0 || x.Query == y.Query {
+			return c
 		}
 		if order != nil {
-			oi, oj := order(res[i].Query), order(res[j].Query)
-			if oi != oj {
-				return oi < oj
+			if c := cmp.Compare(order(x.Query), order(y.Query)); c != 0 {
+				return c
 			}
 		}
-		return res[i].Query.String() < res[j].Query.String()
+		return strings.Compare(x.Query.String(), y.Query.String())
 	})
 }
 
@@ -1194,18 +1215,16 @@ func (a *Aggregator) OpenWindows() int {
 }
 
 // estimate turns a window's accumulated randomized answers into the
-// paper's queryResult ± errorBound (§3.2.4). The SRS population is
-// measured in answer slots: every client produces one answer per epoch,
-// so a window spanning k epochs draws from U×k potential answers.
-func (a *Aggregator) estimate(st *queryState, w stream.Window, acc *answer.Accumulator) (Result, error) {
-	epochs := int(st.q.Window / st.q.Frequency)
-	if epochs < 1 {
-		epochs = 1
-	}
-	return a.estimateWithPopulation(st, w, acc, a.cfg.Population*epochs)
-}
-
-func (a *Aggregator) estimateWithPopulation(st *queryState, w stream.Window, acc *answer.Accumulator, effPopulation int) (Result, error) {
+// paper's queryResult ± errorBound (§3.2.4) and returns the parameter
+// generation it used. The SRS population is measured in answer slots:
+// every client produces one answer per epoch, so a window spanning k
+// epochs draws from U×k potential answers (effPopulation).
+//
+// What the window fixes is computed once — N, the population, one
+// snapshot of the parameters and the SRS estimator with its Student-t
+// critical value, which depends on (confidence, N − 1) and on no bucket
+// — and the buckets run through plain arithmetic.
+func (a *Aggregator) estimate(st *queryState, w stream.Window, acc *answer.Accumulator, effPopulation int) (Result, *budget.Params, error) {
 	n := acc.N()
 	if effPopulation < n {
 		// More answers than slots (e.g. replayed epochs): treat the
@@ -1217,62 +1236,72 @@ func (a *Aggregator) estimateWithPopulation(st *queryState, w stream.Window, acc
 		Window:     w,
 		Responses:  n,
 		Population: effPopulation,
-		Inverted:   st.q.Inverted,
+		Inverted:   st.inverted,
+		Buckets:    make([]BucketEstimate, st.nbuckets),
 		Shed:       st.loadShed(),
 	}
-	for i, label := range st.q.Buckets.Labels() {
-		be := BucketEstimate{Label: label, ObservedYes: acc.Yes(i)}
-		if n == 0 {
-			be.Estimate = stats.ConfidenceInterval{Confidence: st.confidence, Margin: math.Inf(1)}
-			res.Buckets = append(res.Buckets, be)
-			continue
+	st.estMu.Lock()
+	defer st.estMu.Unlock()
+	params := st.params.Load()
+	if n == 0 {
+		for i := range res.Buckets {
+			res.Buckets[i] = BucketEstimate{
+				Label:       st.labels[i],
+				ObservedYes: acc.Yes(i),
+				Estimate:    stats.ConfidenceInterval{Confidence: st.confidence, Margin: math.Inf(1)},
+			}
 		}
+		return res, params, nil
+	}
+	srs, err := sampling.NewSRS(n, effPopulation, st.confidence)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	lossParams := params.RR
+	if st.inverted {
+		// The inverted query estimates the "No" side: simulate its loss.
+		lossParams = lossParams.Invert()
+	}
+	for i := range res.Buckets {
+		yes := acc.Yes(i)
 		// Randomized-response correction (Eq. 5), inverted when the
-		// analyst flipped the query (§3.3.2). One atomic params load per
-		// bucket keeps the read coherent against a concurrent update.
-		rrParams := st.params.Load().RR
-		var truthful float64
-		var err error
-		if st.q.Inverted {
-			truthful, err = rr.EstimateNo(rrParams, acc.Yes(i), n)
-		} else {
-			truthful, err = rr.EstimateYes(rrParams, acc.Yes(i), n)
-		}
+		// analyst flipped the query (§3.3.2).
+		truthful, err := EstimateYesForWindow(params.RR, st.inverted, yes, n)
 		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		truthful = clamp(truthful, 0, float64(n))
-		be.Truthful = truthful
 
 		// Sampling scale-up and margin (Eq. 2–4) over the corrected
 		// window counts.
-		moments, err := sampling.BinomialMoments(int(math.Round(truthful)), n)
+		scaled, err := srs.Count(int(math.Round(truthful)))
 		if err != nil {
-			return Result{}, err
-		}
-		srs, err := sampling.EstimateSumFromMoments(moments, effPopulation, st.confidence)
-		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		// Randomization margin: simulated accuracy loss at this bucket's
 		// truthful fraction (the paper's micro-benchmark method).
-		rrLoss, err := a.rrLoss(st, truthful/float64(n), n)
+		rrLoss, err := a.rrLoss(st, lossParams, truthful/float64(n), n)
 		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
-		be.Estimate = stats.ConfidenceInterval{
-			Estimate:   srs.Sum,
-			Margin:     srs.Margin + rrLoss*srs.Sum,
-			Confidence: st.confidence,
+		res.Buckets[i] = BucketEstimate{
+			Label:       st.labels[i],
+			ObservedYes: yes,
+			Truthful:    truthful,
+			Estimate: stats.ConfidenceInterval{
+				Estimate:   scaled.Sum,
+				Margin:     scaled.Margin + rrLoss*scaled.Sum,
+				Confidence: st.confidence,
+			},
 		}
-		res.Buckets = append(res.Buckets, be)
 	}
-	return res, nil
+	return res, params, nil
 }
 
 // rrLoss estimates the randomized-response accuracy loss at a truthful
-// fraction via simulation, memoized on the fraction percent.
-func (a *Aggregator) rrLoss(st *queryState, fraction float64, n int) (float64, error) {
+// fraction via simulation under params (the window's pair, inversion
+// applied), memoized on the fraction percent. Caller holds st.estMu.
+func (a *Aggregator) rrLoss(st *queryState, params rr.Params, fraction float64, n int) (float64, error) {
 	if fraction <= 0 {
 		return 0, nil
 	}
@@ -1280,8 +1309,6 @@ func (a *Aggregator) rrLoss(st *queryState, fraction float64, n int) (float64, e
 	if pct == 0 {
 		pct = 1
 	}
-	st.estMu.Lock()
-	defer st.estMu.Unlock()
 	if loss, ok := st.rrLossCache[pct]; ok {
 		return loss, nil
 	}
@@ -1292,12 +1319,7 @@ func (a *Aggregator) rrLoss(st *queryState, fraction float64, n int) (float64, e
 	if simN < 100 {
 		simN = 100
 	}
-	params := st.params.Load().RR
 	frac := float64(pct) / 100
-	if st.q.Inverted {
-		// The inverted query estimates the "No" side: simulate its loss.
-		params = params.Invert()
-	}
 	loss, err := rr.SimulateAccuracyLoss(params, frac, simN, a.cfg.RRLossRounds, st.rng)
 	if err != nil {
 		return 0, err

@@ -83,26 +83,25 @@ func BatchAnalyze(cfg Config, src AnswerSource, from, to time.Time, secondSampli
 	if effPop == 0 {
 		effPop = cfg.Population
 	}
-	res, err := agg.estimateWithPopulation(st, stream.Window{Start: from, End: to}, acc, effPop)
+	res, _, err := agg.estimate(st, stream.Window{Start: from, End: to}, acc, effPop)
 	if err != nil {
 		return BatchResult{}, err
 	}
 	// Widen each bucket's interval for the second sampling round: the
 	// kept set is an SRS of the scanned set, so its own margin adds on.
 	if out.Kept > 0 && out.Kept < out.Scanned {
+		srs, err := sampling.NewSRS(out.Kept, out.Scanned, st.confidence)
+		if err != nil {
+			return BatchResult{}, err
+		}
+		// Scale the stored-set margin up to the population.
+		scale := float64(agg.cfg.Population) / float64(out.Scanned)
 		for i := range res.Buckets {
 			b := &res.Buckets[i]
-			kept := int(math.Round(b.Truthful))
-			moments, err := sampling.BinomialMoments(kept, out.Kept)
+			second, err := srs.Count(int(math.Round(b.Truthful)))
 			if err != nil {
 				return BatchResult{}, err
 			}
-			second, err := sampling.EstimateSumFromMoments(moments, out.Scanned, st.confidence)
-			if err != nil {
-				return BatchResult{}, err
-			}
-			// Scale the stored-set margin up to the population.
-			scale := float64(agg.cfg.Population) / float64(out.Scanned)
 			b.Estimate = stats.ConfidenceInterval{
 				Estimate:   b.Estimate.Estimate,
 				Margin:     b.Estimate.Margin + second.Margin*scale,
@@ -121,9 +120,10 @@ func EpochTime(cfg Config, epoch uint64) time.Time {
 	return cfg.Origin.Add(time.Duration(epoch) * cfg.Query.Frequency)
 }
 
-// EstimateYesForWindow is a convenience for tests and experiments: it
-// applies the paper's Eq. 5 correction (or its inverted form) to raw
-// counts without building a full aggregator.
+// EstimateYesForWindow applies the paper's Eq. 5 correction (or its
+// inverted form) to one bucket's raw counts: the first step of every
+// estimate, exported so tests and experiments can take it without
+// building an aggregator.
 func EstimateYesForWindow(params rr.Params, inverted bool, observedYes, n int) (float64, error) {
 	if inverted {
 		return rr.EstimateNo(params, observedYes, n)

@@ -46,13 +46,30 @@ func (b RangeBucket) Match(value string) bool {
 
 // Label renders the interval.
 func (b RangeBucket) Label() string {
+	var buf [56]byte // two 24-byte floats at the longest
+	return string(b.appendLabel(buf[:0]))
+}
+
+// appendLabel appends the label to dst: "[lo,hi)" with the bounds in
+// their shortest round-trip form (what %g prints), an infinite end as
+// "+inf)" or "(-inf". The signing payload covers buckets through these
+// bytes, so they may never change.
+func (b RangeBucket) appendLabel(dst []byte) []byte {
 	switch {
 	case math.IsInf(b.Hi, 1):
-		return fmt.Sprintf("[%g,+inf)", b.Lo)
+		dst = append(dst, '[')
+		dst = strconv.AppendFloat(dst, b.Lo, 'g', -1, 64)
+		return append(dst, ",+inf)"...)
 	case math.IsInf(b.Lo, -1):
-		return fmt.Sprintf("(-inf,%g)", b.Hi)
+		dst = append(dst, "(-inf,"...)
+		dst = strconv.AppendFloat(dst, b.Hi, 'g', -1, 64)
+		return append(dst, ')')
 	default:
-		return fmt.Sprintf("[%g,%g)", b.Lo, b.Hi)
+		dst = append(dst, '[')
+		dst = strconv.AppendFloat(dst, b.Lo, 'g', -1, 64)
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, b.Hi, 'g', -1, 64)
+		return append(dst, ')')
 	}
 }
 

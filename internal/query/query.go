@@ -94,7 +94,7 @@ func (q *Query) EpochOf(origin, at time.Time) uint64 {
 // signingPayload serializes the fields covered by the analyst signature.
 // Buckets are covered through their labels; timing is in nanoseconds.
 func (q *Query) signingPayload() []byte {
-	var buf []byte
+	buf := make([]byte, 0, 64+len(q.QID.Analyst)+len(q.SQL)+48*len(q.Buckets))
 	appendString := func(s string) {
 		var l [4]byte
 		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
@@ -110,7 +110,16 @@ func (q *Query) signingPayload() []byte {
 	binary.BigEndian.PutUint32(n[:], uint32(len(q.Buckets)))
 	buf = append(buf, n[:]...)
 	for _, b := range q.Buckets {
-		appendString(b.Label())
+		r, ok := b.(RangeBucket)
+		if !ok {
+			appendString(b.Label())
+			continue
+		}
+		// A range renders straight into the payload, its length filled
+		// in behind it.
+		at := len(buf)
+		buf = r.appendLabel(append(buf, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
 	var timing [24]byte
 	binary.BigEndian.PutUint64(timing[0:8], uint64(q.Frequency))

@@ -3,6 +3,8 @@ package query
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/hex"
+	"fmt"
 	"math"
 	mrand "math/rand"
 	"testing"
@@ -352,5 +354,82 @@ func BenchmarkIndexValue128(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		z.IndexValue(values[i%len(values)])
+	}
+}
+
+// The labels are part of what an analyst signs, so their bytes are
+// fixed: this table and the signature below were produced by the
+// fmt.Sprintf("[%g,%g)") rendering the package started with.
+func TestRangeBucketLabelGolden(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		b    RangeBucket
+		want string
+	}{
+		{RangeBucket{0, 1}, "[0,1)"},
+		{RangeBucket{0.1, 0.2}, "[0.1,0.2)"},
+		{RangeBucket{1e6, 2e6}, "[1e+06,2e+06)"},
+		{RangeBucket{999999, 1000000}, "[999999,1e+06)"},
+		{RangeBucket{1e21, 1e22}, "[1e+21,1e+22)"},
+		{RangeBucket{1e-5, 1e-4}, "[1e-05,0.0001)"},
+		{RangeBucket{math.Copysign(0, -1), 0}, "[-0,0)"},
+		{RangeBucket{-1.5, inf}, "[-1.5,+inf)"},
+		{RangeBucket{-inf, 2.5}, "(-inf,2.5)"},
+		{RangeBucket{-inf, inf}, "[-Inf,+inf)"},
+		{RangeBucket{inf, inf}, "[+Inf,+inf)"},
+		{RangeBucket{inf, 3}, "[+Inf,3)"},
+		{RangeBucket{3, -inf}, "[3,-Inf)"},
+		{RangeBucket{math.NaN(), 1}, "[NaN,1)"},
+		{RangeBucket{0.25196850393700787, 0.5039370078740157}, "[0.25196850393700787,0.5039370078740157)"},
+		{RangeBucket{-math.MaxFloat64, math.MaxFloat64}, "[-1.7976931348623157e+308,1.7976931348623157e+308)"},
+		{RangeBucket{math.SmallestNonzeroFloat64, 1}, "[5e-324,1)"},
+	} {
+		if got := c.b.Label(); got != c.want {
+			t.Errorf("Label(%v, %v) = %q, want %q", c.b.Lo, c.b.Hi, got, c.want)
+		}
+	}
+	// And against the old rendering itself, over arbitrary bit patterns.
+	rng := mrand.New(mrand.NewSource(19))
+	for i := 0; i < 20000; i++ {
+		b := RangeBucket{math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())}
+		if got, want := b.Label(), fmt.Sprintf("[%g,%g)", b.Lo, b.Hi); got != want {
+			t.Fatalf("Label = %q, %%g renders %q", got, want)
+		}
+	}
+}
+
+// A signature made before the labels left fmt still verifies, and
+// signing again yields the same bytes (ed25519 is deterministic): the
+// payload is unchanged for range, infinite-ended and pattern buckets.
+func TestExistingSignatureStillVerifies(t *testing.T) {
+	const golden = "bf388bb928a5460a3d69831a4fe0f66a5d915ec0dd17e3ae55b700d2ca670e54" +
+		"f5286aa676bf9dd775de31a988beae1ba18df8411b81e2521e15a1551a8d3e08"
+	key := ed25519.NewKeyFromSeed([]byte("privapprox-golden-signing-seed!!"))
+	bs, err := UniformRanges(0, 32, 127, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	night, err := NewPatternBucket("^night")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs = append(bs, RangeBucket{Lo: math.Inf(-1), Hi: 0}, night)
+	q := &Query{
+		QID: ID{Analyst: "golden", Serial: 19}, SQL: "SELECT distance FROM rides", Buckets: bs,
+		Frequency: time.Second, Window: 8 * time.Second, Slide: time.Second, Inverted: true,
+	}
+	sig, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Signed{Query: q, Signature: sig}).Verify(key.Public().(ed25519.PublicKey)); err != nil {
+		t.Fatalf("signature from before the change: %v", err)
+	}
+	again, err := Sign(q, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(again.Signature) != golden {
+		t.Errorf("signing again gave %x", again.Signature)
 	}
 }

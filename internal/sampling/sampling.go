@@ -127,103 +127,94 @@ type SumEstimate struct {
 	Population int     // U
 }
 
-// Interval converts the estimate into a stats.ConfidenceInterval.
-func (e SumEstimate) Interval() stats.ConfidenceInterval {
-	return stats.ConfidenceInterval{Estimate: e.Sum, Margin: e.Margin, Confidence: e.Confidence}
+// SRS is the simple-random-sampling estimator (Eq. 2–4) with everything
+// fixed that the sample size U′, the population U and the confidence
+// decide — the scale U/U′, the variance factors of Eq. 4 and the
+// Student-t critical value, whose root-find costs about as much as a
+// thousand of the estimates it bounds. A caller bounding many sums over
+// one sample (the aggregator: every bucket of a fired window) builds it
+// once and calls Sum or Count per value.
+type SRS struct {
+	sampleSize, population int
+	confidence             float64
+	u                      float64 // U
+	scale                  float64 // U/U′
+	varScale               float64 // U²/U′
+	fpc                    float64 // U−U′, the finite population correction's numerator
+	tcrit                  float64 // t(1−confidence, U′−1); unused at U′ = 1
 }
 
-// EstimateSum scales the observed sample sum to the population
-// (τ̂ = U/U′ · Σ aᵢ, Eq. 2) and attaches the t-distribution error bound
-// of Eq. 3 using the estimated variance of Eq. 4 with the finite
-// population correction (U−U′)/U.
+// NewSRS validates the sample geometry and draws the one critical value.
+func NewSRS(sampleSize, population int, confidence float64) (SRS, error) {
+	if sampleSize <= 0 {
+		return SRS{}, ErrEmptySample
+	}
+	if population < sampleSize {
+		return SRS{}, fmt.Errorf("%w: U=%d < U'=%d", ErrBadPopulation, population, sampleSize)
+	}
+	if confidence <= 0 || confidence >= 1 {
+		return SRS{}, fmt.Errorf("%w: %v", ErrBadConfidence, confidence)
+	}
+	u, uPrime := float64(population), float64(sampleSize)
+	e := SRS{
+		sampleSize: sampleSize, population: population, confidence: confidence,
+		u: u, scale: u / uPrime, varScale: u * u / uPrime, fpc: u - uPrime,
+	}
+	if sampleSize > 1 {
+		tcrit, err := stats.TCritical(1-confidence, sampleSize-1)
+		if err != nil {
+			return SRS{}, err
+		}
+		e.tcrit = tcrit
+	}
+	return e, nil
+}
+
+// Sum scales a sample sum to the population (τ̂ = U/U′ · Σ aᵢ, Eq. 2) and
+// attaches the t-distribution error bound of Eq. 3 from the sample's
+// unbiased variance σ² (Eq. 4 with the finite population correction:
+// V̂ar(τ̂) = U²/U′ · σ² · (U−U′)/U).
+func (e *SRS) Sum(sum, variance float64) SumEstimate {
+	est := SumEstimate{
+		Sum:        e.scale * sum,
+		Confidence: e.confidence,
+		SampleSize: e.sampleSize,
+		Population: e.population,
+	}
+	if e.sampleSize == 1 {
+		// No variance information; the bound is vacuous.
+		est.Margin = math.Inf(1)
+		return est
+	}
+	est.Margin = e.tcrit * math.Sqrt(e.varScale*variance*e.fpc/e.u)
+	return est
+}
+
+// Count is Sum for 0/1 answers, yes of the sample's U′ being 1: the
+// moments in closed form (mean = yes/U′, M2 = Σ(x−mean)²), no loop.
+func (e *SRS) Count(yes int) (SumEstimate, error) {
+	n := e.sampleSize
+	if yes < 0 || yes > n {
+		return SumEstimate{}, fmt.Errorf("sampling: invalid counts yes=%d n=%d", yes, n)
+	}
+	var variance float64
+	if n > 1 {
+		mean := float64(yes) / float64(n)
+		m2 := float64(yes)*(1-mean)*(1-mean) + float64(n-yes)*mean*mean
+		variance = m2 / float64(n-1)
+	}
+	return e.Sum(float64(yes), variance), nil
+}
+
+// EstimateSum is NewSRS + Sum over a buffered sample.
 func EstimateSum(sample []float64, population int, confidence float64) (SumEstimate, error) {
 	var acc stats.Running
 	for _, v := range sample {
 		acc.Add(v)
 	}
-	return EstimateSumFromMoments(&acc, population, confidence)
-}
-
-// EstimateSumFromMoments is EstimateSum for streaming callers that keep a
-// running accumulator instead of buffering the sample.
-func EstimateSumFromMoments(acc *stats.Running, population int, confidence float64) (SumEstimate, error) {
-	n := int(acc.N())
-	if n == 0 {
-		return SumEstimate{}, ErrEmptySample
-	}
-	if population < n {
-		return SumEstimate{}, fmt.Errorf("%w: U=%d < U'=%d", ErrBadPopulation, population, n)
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return SumEstimate{}, fmt.Errorf("%w: %v", ErrBadConfidence, confidence)
-	}
-	u := float64(population)
-	uPrime := float64(n)
-	est := SumEstimate{
-		Sum:        u / uPrime * acc.Sum(),
-		Confidence: confidence,
-		SampleSize: n,
-		Population: population,
-	}
-	if n == 1 {
-		// No variance information; the bound is vacuous.
-		est.Margin = math.Inf(1)
-		return est, nil
-	}
-	// Eq. 4: V̂ar(τ̂) = U²/U′ · σ² · (U−U′)/U.
-	variance := u * u / uPrime * acc.Variance() * (u - uPrime) / u
-	tcrit, err := stats.TCritical(1-confidence, n-1)
+	e, err := NewSRS(len(sample), population, confidence)
 	if err != nil {
 		return SumEstimate{}, err
 	}
-	est.Margin = tcrit * math.Sqrt(variance) // Eq. 3
-	return est, nil
-}
-
-// EstimateCount is EstimateSum specialized to 0/1 answers: yes is the
-// number of observed "1" bits among n sampled answers.
-func EstimateCount(yes, n, population int, confidence float64) (SumEstimate, error) {
-	if n < 0 || yes < 0 || yes > n {
-		return SumEstimate{}, fmt.Errorf("sampling: invalid counts yes=%d n=%d", yes, n)
-	}
-	var acc stats.Running
-	for i := 0; i < yes; i++ {
-		acc.Add(1)
-	}
-	for i := yes; i < n; i++ {
-		acc.Add(0)
-	}
-	return EstimateSumFromMoments(&acc, population, confidence)
-}
-
-// BinomialMoments returns a Running accumulator equivalent to observing
-// yes ones and n-yes zeros, without the O(n) loop. Useful for large
-// windows at the aggregator.
-func BinomialMoments(yes, n int) (*stats.Running, error) {
-	if n < 0 || yes < 0 || yes > n {
-		return nil, fmt.Errorf("sampling: invalid counts yes=%d n=%d", yes, n)
-	}
-	var acc stats.Running
-	if n == 0 {
-		return &acc, nil
-	}
-	// Construct moments directly: mean = yes/n, M2 = Σ(x-mean)².
-	mean := float64(yes) / float64(n)
-	m2 := float64(yes)*(1-mean)*(1-mean) + float64(n-yes)*mean*mean
-	acc = stats.FromRaw(int64(n), mean, m2, float64(yes), minBit(yes, n), maxBit(yes))
-	return &acc, nil
-}
-
-func minBit(yes, n int) float64 {
-	if yes == n { // all ones
-		return 1
-	}
-	return 0
-}
-
-func maxBit(yes int) float64 {
-	if yes > 0 {
-		return 1
-	}
-	return 0
+	return e.Sum(acc.Sum(), acc.Variance()), nil
 }

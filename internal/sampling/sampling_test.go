@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,7 +185,7 @@ func TestEstimateSumCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est.Interval().Contains(trueSum) {
+		if math.Abs(est.Sum-trueSum) <= est.Margin {
 			covered++
 		}
 	}
@@ -194,12 +195,19 @@ func TestEstimateSumCoverage(t *testing.T) {
 	}
 }
 
-func TestEstimateCountMatchesEstimateSum(t *testing.T) {
+// The closed-form moments behind Count against the same 0/1 sample fed
+// value by value through EstimateSum's Welford loop, from the one-answer
+// sample (a vacuous +Inf bound) up; the two may differ in the last bits.
+func TestSRSCountMatchesEstimateSum(t *testing.T) {
 	f := func(yesRaw, nRaw uint16) bool {
-		n := int(nRaw%500) + 2
+		n := int(nRaw%1000) + 1
 		yes := int(yesRaw) % (n + 1)
-		population := n * 3
-		fromCount, err := EstimateCount(yes, n, population, 0.95)
+		population := n*2 + 10
+		srs, err := NewSRS(n, population, 0.9)
+		if err != nil {
+			return false
+		}
+		fromCount, err := srs.Count(yes)
 		if err != nil {
 			return false
 		}
@@ -207,57 +215,40 @@ func TestEstimateCountMatchesEstimateSum(t *testing.T) {
 		for i := 0; i < yes; i++ {
 			sample[i] = 1
 		}
-		fromSum, err := EstimateSum(sample, population, 0.95)
+		fromSum, err := EstimateSum(sample, population, 0.9)
 		if err != nil {
 			return false
+		}
+		if n == 1 {
+			return math.IsInf(fromCount.Margin, 1) && math.IsInf(fromSum.Margin, 1)
 		}
 		return math.Abs(fromCount.Sum-fromSum.Sum) < 1e-9 &&
-			math.Abs(fromCount.Margin-fromSum.Margin) < 1e-9
+			math.Abs(fromCount.Margin-fromSum.Margin) < 1e-9 &&
+			fromCount.SampleSize == fromSum.SampleSize && fromCount.Population == fromSum.Population
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestEstimateCountValidation(t *testing.T) {
-	if _, err := EstimateCount(5, 3, 10, 0.95); err == nil {
+func TestSRSValidation(t *testing.T) {
+	if _, err := NewSRS(0, 10, 0.95); !errors.Is(err, ErrEmptySample) {
+		t.Errorf("empty sample: %v", err)
+	}
+	if _, err := NewSRS(3, 2, 0.95); !errors.Is(err, ErrBadPopulation) {
+		t.Errorf("population below sample: %v", err)
+	}
+	if _, err := NewSRS(3, 10, 1); !errors.Is(err, ErrBadConfidence) {
+		t.Errorf("confidence 1: %v", err)
+	}
+	srs, err := NewSRS(3, 10, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srs.Count(5); err == nil {
 		t.Error("expected error for yes > n")
 	}
-	if _, err := EstimateCount(-1, 3, 10, 0.95); err == nil {
+	if _, err := srs.Count(-1); err == nil {
 		t.Error("expected error for negative yes")
-	}
-}
-
-func TestBinomialMomentsMatchesLoop(t *testing.T) {
-	f := func(yesRaw, nRaw uint16) bool {
-		n := int(nRaw % 1000)
-		yes := 0
-		if n > 0 {
-			yes = int(yesRaw) % (n + 1)
-		}
-		acc, err := BinomialMoments(yes, n)
-		if err != nil {
-			return false
-		}
-		est1, err1 := EstimateSumFromMoments(acc, n*2+10, 0.9)
-		est2, err2 := EstimateCount(yes, n, n*2+10, 0.9)
-		if n == 0 {
-			return err1 != nil && err2 != nil
-		}
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(est1.Sum-est2.Sum) < 1e-9 &&
-			(math.IsInf(est1.Margin, 1) && math.IsInf(est2.Margin, 1) ||
-				math.Abs(est1.Margin-est2.Margin) < 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinomialMomentsValidation(t *testing.T) {
-	if _, err := BinomialMoments(4, 2); err == nil {
-		t.Error("expected error for yes > n")
 	}
 }

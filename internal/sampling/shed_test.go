@@ -111,13 +111,13 @@ func TestEstimatorUnbiasedUnderTimeVaryingShed(t *testing.T) {
 				}
 			}
 		}
-		moments, err := BinomialMoments(yes, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := EstimateSumFromMoments(moments, population, 0.95)
+		srs, err := NewSRS(n, population, 0.95)
 		if err != nil {
 			t.Fatalf("epoch %d (n=%d): %v", e, n, err)
+		}
+		est, err := srs.Count(yes)
+		if err != nil {
+			t.Fatal(err)
 		}
 		meanEst += est.Sum / epochs
 		// Hypergeometric variance of the per-epoch estimate, for the
@@ -143,11 +143,11 @@ func TestMarginGrowsAsShedTightens(t *testing.T) {
 	for _, shed := range []float64{1, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05} {
 		n := int(float64(population) * 0.5 * shed) // base fraction 0.5
 		yes := n / 4                               // fixed 25% yes-fraction
-		moments, err := BinomialMoments(yes, n)
+		srs, err := NewSRS(n, population, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateSumFromMoments(moments, population, 0.95)
+		est, err := srs.Count(yes)
 		if err != nil {
 			t.Fatal(err)
 		}

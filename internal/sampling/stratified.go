@@ -26,11 +26,6 @@ type StratifiedEstimate struct {
 	PerStratum []SumEstimate
 }
 
-// Interval converts the estimate into a stats.ConfidenceInterval.
-func (e StratifiedEstimate) Interval() stats.ConfidenceInterval {
-	return stats.ConfidenceInterval{Estimate: e.Sum, Margin: e.Margin, Confidence: e.Confidence}
-}
-
 // EstimateStratifiedSum combines the per-stratum SRS estimators:
 // τ̂ = Σ_h τ̂_h with V̂ar(τ̂) = Σ_h V̂ar(τ̂_h). The critical value uses
 // Σ_h (n_h − 1) degrees of freedom, the standard conservative choice.

@@ -58,13 +58,6 @@ func (r *Running) Merge(o Running) {
 	}
 }
 
-// FromRaw builds an accumulator directly from precomputed moments. It is
-// used when a caller already knows the counts analytically (for example a
-// window holding y ones and n−y zeros) and wants to skip the O(n) loop.
-func FromRaw(n int64, mean, m2, sum, min, max float64) Running {
-	return Running{n: n, mean: mean, m2: m2, sum: sum, min: min, max: max}
-}
-
 // N returns the number of samples observed.
 func (r *Running) N() int64 { return r.n }
 
