@@ -5,7 +5,7 @@
 # `make loc` and the other bench targets are run by hand.
 
 GO ?= go
-RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/...
+RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
 
 # Benchmarks whose numbers seed BENCH_hotpath.json: the per-answer hot
 # path (split, join+decrypt+decode+window, randomized response), plus
@@ -36,12 +36,13 @@ race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 
 # The multi-process loopback deployments: 2 proxy processes + submit +
-# clients + aggregator, single- and multi-query, each asserted
-# byte-identical to the in-process pipeline — once more behind
-# -partition-cap, where only the aggregator's commits make room for the
-# second client process (TestMultiProcessSmokeBounded).
+# clients + aggregator, asserted byte-identical (results and result
+# cards) to the in-process pipeline — once more behind -partition-cap,
+# where only the aggregator's commits make room for the second client
+# process (TestMultiProcessSmokeBounded). The two-query deployment,
+# TestMultiProcessMultiQuerySmoke, runs under the lineage target.
 smoke:
-	$(GO) test -run 'TestMultiProcessSmoke|TestMultiProcessMultiQuerySmoke' -count=1 ./cmd/privapprox-node
+	$(GO) test -run 'TestMultiProcessSmoke' -count=1 ./cmd/privapprox-node
 
 # The multi-query determinism gate: N concurrent queries over one
 # shared fleet must be byte-identical, per query, to N isolated
@@ -88,13 +89,15 @@ obsgate:
 	$(GO) test -run 'TestObsGate' -count=1 ./cmd/privapprox-node
 
 # The result-provenance gate: under a fixed seed, every fired window's
-# result card (deterministic fields only) must be byte-identical
-# between the in-process pipeline and the networked deployment, and
-# identical across Workers/Shards settings; plus the node-level health
-# plane (/healthz on every role, submit /readyz). The exactly-once
-# card-log contract across a SIGKILL rides in the crash gate.
+# result card (deterministic fields only) must be identical across
+# Workers/Shards settings in-process (TestLineageGate) and byte-identical
+# between the in-process pipeline and the two-query networked
+# deployment (TestMultiProcessMultiQuerySmoke, whose results the gate
+# checks too); plus the node-level health plane (/healthz on every role,
+# submit /readyz). The exactly-once card-log contract across a SIGKILL
+# rides in the crash gate.
 lineage:
-	$(GO) test -run 'TestLineageGate|TestHealthEndpoints' -count=1 ./cmd/privapprox-node
+	$(GO) test -run 'TestLineageGate|TestHealthEndpoints|TestMultiProcessMultiQuerySmoke' -count=1 ./cmd/privapprox-node
 
 # The allocs/op regression gate: split, join, respond-bits, and
 # accumulate — per-message and batch forms — must stay at 0 steady-state
@@ -108,10 +111,12 @@ lineage:
 # included — and ≤ 1.0 over loopback TCP; a fired window at ≤ 4
 # allocations whatever its bucket count, and 128 buckets at less than six
 # times the cost of 8 (one Student-t root-find per window, not per
-# bucket). The telemetry package's own instrument primitives are pinned
-# at 0 in their in-package gate, re-run here.
+# bucket); and a columnar publish at 0 whatever its size, in memory and
+# durable (its batch is grouped by partition in pooled scratch). The
+# telemetry package's own instrument primitives are pinned at 0 in their
+# in-package gate, re-run here.
 allocgate:
-	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestFireAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
+	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestPublishColumnsAllocs|TestFireAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
@@ -164,9 +169,10 @@ bench-json:
 # (opPublishColumns, session tag included), the partition-WAL record
 # (0xF5 session tag included), the client side of the fetch response
 # (views into the frame), the control-plane query-set
-# announcement, the WAL record framing — plus the SLO controller's
-# checkpoint state and the minisql parser (whatever parses must bind or
-# be refused, and run, without panicking).
+# announcement, the WAL record framing, the one checkpoint record
+# (consumer positions, system section, fired results, aggregator state)
+# — plus the SLO controller's checkpoint state and the minisql parser
+# (whatever parses must bind or be refused, and run, without panicking).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
@@ -175,6 +181,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFetchResponse -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointRecord -fuzztime 10s ./internal/role
 	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql
 

@@ -23,6 +23,7 @@ import (
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
+	"privapprox/internal/wal"
 	"privapprox/internal/workload"
 	"privapprox/internal/xorcrypt"
 )
@@ -757,6 +758,68 @@ func TestSharePlaneAllocs(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestPublishColumnsAllocs pins a columnar publish at a per-batch
+// constant: the batch is grouped by partition into pooled scratch and
+// each partition's journal views are reused, so a 2,400-record batch over
+// four partitions allocates exactly what a 24-record batch does, nothing
+// — in memory and with a WAL behind every partition. Each publish is a new
+// session sequence, as the proxies' producers send them, and a commit
+// after it (outside the measurement) keeps the partitions recycling one
+// slab.
+func TestPublishColumnsAllocs(t *testing.T) {
+	const topic, partitions = "answer", 4
+	rng := rand.New(rand.NewSource(3))
+	for _, durable := range []bool{false, true} {
+		b := pubsub.NewBroker()
+		if durable {
+			var err error
+			if b, err = pubsub.OpenBroker(t.TempDir(), wal.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer b.Close()
+		if err := b.CreateTopic(topic, partitions); err != nil {
+			t.Fatal(err)
+		}
+		var seq uint64
+		var allocs []uint64
+		for _, count := range []int{24, 2400} {
+			cols := pubsub.Columns{Count: count, KeyLen: xorcrypt.MIDSize, ValLen: 22,
+				Keys: make([]byte, count*xorcrypt.MIDSize), Vals: make([]byte, count*22)}
+			rng.Read(cols.Keys)
+			least := uint64(1 << 62)
+			for run := 0; run < 24; run++ {
+				seq++
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := b.PublishColumns(topic, cols, 7, seq)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < partitions; p++ {
+					end, err := b.EndOffset(topic, p)
+					if err == nil {
+						err = b.CommitOffset("gate", topic, p, end)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if run >= 4 {
+					least = min(least, after.Mallocs-before.Mallocs)
+				}
+			}
+			allocs = append(allocs, least)
+		}
+		t.Logf("durable=%v: PublishColumns allocates %d (24 records), %d (2,400 records)", durable, allocs[0], allocs[1])
+		if allocs[0] != 0 || allocs[1] != 0 {
+			t.Errorf("durable=%v: PublishColumns allocates %d for 24 records and %d for 2,400, want 0 for both",
+				durable, allocs[0], allocs[1])
+		}
+	}
 }
 
 // fireRig is one aggregator with a tumbling one-epoch window whose every

@@ -1,17 +1,13 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -43,32 +39,18 @@ func finalBlock(t *testing.T, out string) string {
 	return out[i+len("RESULTS\n"):]
 }
 
-// crashStream starts two in-memory proxies, announces the query and
+// crashStream deploys two in-memory proxies, announces the query and
 // runs the whole client population, leaving every share queued at the
 // proxies. A durable aggregator commits what its checkpoints cover and
 // the proxies release it, so a stream can be aggregated once: the
 // reference run and the crash run each get their own (the results are
 // seed-determined, so the two streams aggregate to the same bytes).
-func crashStream(t *testing.T, bin string) (proxies string) {
+func crashStream(t *testing.T, bin string) *deployment {
 	t.Helper()
-	addr0, stop0 := startProxy(t, bin, 0, "-partitions=4")
-	t.Cleanup(stop0)
-	addr1, stop1 := startProxy(t, bin, 1, "-partitions=4")
-	t.Cleanup(stop1)
-	proxies = "-proxies=" + addr0 + "," + addr1
-
-	out, err := exec.Command(bin, "submit", proxies, "-queries=1", "-s=1").CombinedOutput()
-	if err != nil {
-		t.Fatalf("submit: %v\n%s", err, out)
-	}
-	for _, offset := range []int{0, 3} {
-		out, err := exec.Command(bin, "client", proxies, "-seed=42",
-			fmt.Sprintf("-offset=%d", offset), "-n=3", "-epochs=4", "-conns=2").CombinedOutput()
-		if err != nil {
-			t.Fatalf("client (offset %d): %v\n%s", offset, err, out)
-		}
-	}
-	return proxies
+	d := deploy(t, bin, []string{"-partitions=4"})
+	d.run("submit", "-queries=1", "-s=1")
+	d.clients(1, crashEpochs, nil)
+	return d
 }
 
 // TestCrashRecoveryAggregator SIGKILLs the aggregator mid-drain (while
@@ -83,19 +65,14 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	}
 	bin := buildNode(t)
 
-	aggArgs := func(proxies, dataDir string, extra ...string) []string {
-		return append([]string{"aggregator", proxies, "-seed=42", "-queries=1",
-			"-clients=6", "-epochs=4", "-conns=2", "-idle=5s",
+	aggArgs := func(dataDir string, extra ...string) []string {
+		return append([]string{"-seed=42", "-queries=1", "-clients=6", "-epochs=4", "-conns=2", "-idle=5s",
 			"-data-dir=" + dataDir}, extra...)
 	}
 
 	// Reference: an uninterrupted durable run.
 	refDir := t.TempDir()
-	refOut, err := exec.Command(bin, aggArgs(crashStream(t, bin), refDir)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("reference aggregator: %v\n%s", err, refOut)
-	}
-	want := finalBlock(t, string(refOut))
+	want := finalBlock(t, crashStream(t, bin).run("aggregator", aggArgs(refDir)...))
 	// Tie the reference to ground truth: the in-process pipeline.
 	inproc := inProcessReference(t, crashClients, crashEpochs, crashSeed, 1)
 	if !strings.Contains(want, inproc) {
@@ -109,48 +86,12 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 
 	// Crash run, over a stream of its own: small polls for tight
 	// checkpoints, hold (and get killed) after 10 of the 24 answers.
-	proxies := crashStream(t, bin)
+	d := crashStream(t, bin)
 	crashDir := t.TempDir()
-	cmd := exec.Command(bin, aggArgs(proxies, crashDir, "-poll-max=5", "-hold-after=10")...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	holding := make(chan struct{})
-	var crashLog strings.Builder
-	var logMu sync.Mutex
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			logMu.Lock()
-			crashLog.WriteString(line + "\n")
-			logMu.Unlock()
-			if line == "holding for kill" {
-				close(holding)
-			}
-		}
-	}()
-	select {
-	case <-holding:
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		logMu.Lock()
-		log := crashLog.String()
-		logMu.Unlock()
-		t.Fatalf("aggregator never reached the kill window:\n%s", log)
-	}
-	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-	logMu.Lock()
-	killedOut := crashLog.String()
-	logMu.Unlock()
+	agg := d.start("aggregator", aggArgs(crashDir, "-poll-max=5", "-hold-after=10")...)
+	agg.await(t, "holding for kill", 30*time.Second)
+	agg.kill()
+	killedOut := agg.output()
 	if !strings.Contains(killedOut, "checkpoint lsn=") {
 		t.Fatalf("killed aggregator never checkpointed:\n%s", killedOut)
 	}
@@ -159,31 +100,27 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	}
 
 	// Restart from the same directory; it must resume, not start over.
-	resumeOut, err := exec.Command(bin, aggArgs(proxies, crashDir)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("restarted aggregator: %v\n%s", err, resumeOut)
-	}
-	if !strings.Contains(string(resumeOut), "restored checkpoint:") {
+	resumeOut := d.run("aggregator", aggArgs(crashDir)...)
+	if !strings.Contains(resumeOut, "restored checkpoint:") {
 		t.Fatalf("restarted aggregator did not restore a checkpoint:\n%s", resumeOut)
 	}
-	got := finalBlock(t, string(resumeOut))
-	if got != want {
+	if got := finalBlock(t, resumeOut); got != want {
 		t.Errorf("kill-and-resume results differ from uninterrupted run.\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	// The resume really did arrive after a trim: the proxies have released
 	// the head of every partition that carried shares.
-	for i, addr := range strings.Split(strings.TrimPrefix(proxies, "-proxies="), ",") {
-		cli, err := pubsub.Dial(addr)
+	for i, p := range d.proxy {
+		cli, err := pubsub.Dial(p.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		for p := 0; p < 4; p++ {
-			if end, err := cli.EndOffset(proxy.TopicFor(i), p); err != nil || end == 0 {
+		for part := 0; part < 4; part++ {
+			if end, err := cli.EndOffset(proxy.TopicFor(i), part); err != nil || end == 0 {
 				continue
 			}
-			if _, err := cli.Fetch(proxy.TopicFor(i), p, 0, 1, 0); !errors.Is(err, pubsub.ErrBadOffset) {
-				t.Errorf("proxy %d partition %d still serves offset 0 after the aggregator's commits: %v", i, p, err)
+			if _, err := cli.Fetch(proxy.TopicFor(i), part, 0, 1, 0); !errors.Is(err, pubsub.ErrBadOffset) {
+				t.Errorf("proxy %d partition %d still serves offset 0 after the aggregator's commits: %v", i, part, err)
 			}
 		}
 	}
@@ -237,54 +174,26 @@ func TestCrashRecoveryProxy(t *testing.T) {
 		t.Skip("crash test skipped in -short mode")
 	}
 	bin := buildNode(t)
+	durable := []string{"-partitions=4", "-data-dir=" + t.TempDir(), "-fsync=every-batch"}
+	d := deploy(t, bin, durable, []string{"-partitions=4"})
+	d.run("submit", "-queries=1", "-s=1")
 
-	proxyDir := t.TempDir()
-	addr0, stop0 := startProxy(t, bin, 0, "-partitions=4", "-data-dir="+proxyDir, "-fsync=every-batch")
-	addr1, stop1 := startProxy(t, bin, 1, "-partitions=4")
-	defer stop1()
-	proxies := "-proxies=" + addr0 + "," + addr1
-
-	out, err := exec.Command(bin, "submit", proxies, "-queries=1", "-s=1").CombinedOutput()
-	if err != nil {
-		t.Fatalf("submit: %v\n%s", err, out)
-	}
-
-	// First half of the population answers all its epochs...
-	out, err = exec.Command(bin, "client", proxies, "-seed=42",
-		"-offset=0", "-n=3", "-epochs=4", "-conns=2").CombinedOutput()
-	if err != nil {
-		t.Fatalf("client (offset 0): %v\n%s", err, out)
-	}
-
-	// ...then the answer proxy dies without warning.
-	stop0() // SIGKILL + wait (see startProxyAt's stop func)
-
-	// Revive it on the same port from its journals.
-	addr0b, stop0b := startProxyAt(t, bin, addr0, 0, "-partitions=4", "-data-dir="+proxyDir, "-fsync=every-batch")
-	defer stop0b()
-	if addr0b != addr0 {
-		t.Fatalf("restarted proxy bound %s, want %s", addr0b, addr0)
-	}
-
-	// The second half of the population joins after the restart. Its
+	// The first half of the population answers all its epochs, then the
+	// answer proxy dies without warning and is revived on the same port
+	// from its journals. The second half joins after the restart; its
 	// query set comes from the replayed control topic — nothing is
 	// re-announced.
-	out, err = exec.Command(bin, "client", proxies, "-seed=42",
-		"-offset=3", "-n=3", "-epochs=4", "-conns=2").CombinedOutput()
-	if err != nil {
-		t.Fatalf("client (offset 3) after proxy restart: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "picked up 1 queries") {
-		t.Fatalf("client did not pick up the replayed query set:\n%s", out)
-	}
+	d.clients(1, crashEpochs, func(offset int) {
+		if offset == 0 {
+			return
+		}
+		d.proxy[0].kill()
+		if p := startProxy(t, bin, d.proxy[0].addr, 0, durable...); p.addr != d.proxy[0].addr {
+			t.Fatalf("restarted proxy bound %s, want %s", p.addr, d.proxy[0].addr)
+		}
+	})
 
-	aggOut, err := exec.Command(bin, "aggregator", proxies, "-seed=42", "-queries=1",
-		"-clients=6", "-epochs=4", "-conns=2", "-idle=5s").CombinedOutput()
-	if err != nil {
-		t.Fatalf("aggregator: %v\n%s", err, aggOut)
-	}
-	got := string(aggOut)
-
+	got := d.run("aggregator", "-seed=42", "-queries=1", "-clients=6", "-epochs=4", "-conns=2", "-idle=5s")
 	wantCounts := fmt.Sprintf("decoded=%d malformed=0 duplicates=0 unknown=0 mismatched=0",
 		crashClients*crashEpochs)
 	if !strings.Contains(got, wantCounts) {

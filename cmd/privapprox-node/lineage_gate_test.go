@@ -1,43 +1,30 @@
 package main
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
 	"sort"
 	"strings"
 	"testing"
-	"time"
-
-	"privapprox/internal/core"
-	"privapprox/internal/minisql"
 )
 
 // TestLineageGate is the provenance gate (`make lineage`): under a
 // fixed seed, every fired window's result card — query, window bounds,
 // epoch range, responses, realized fraction, shed level, CI width,
-// budget burn, drop/dedup counts — must be byte-identical between the
-// in-process pipeline and the networked privapprox-node deployment,
-// and identical across Workers/Shards settings. Only DeterministicLine
-// fields participate; timing enrichment (E2E latency, stamp counts) is
+// budget burn, drop/dedup counts — must be identical across the
+// in-process pipeline's Workers/Shards settings, and pins the known s=1
+// workload. The networked half — the privapprox-node deployment's cards
+// byte-identical to these — is asserted by TestMultiProcessMultiQuerySmoke
+// on this gate's workload. Only DeterministicLine fields
+// participate; timing enrichment (E2E latency, stamp counts) is
 // deployment-dependent by design.
 func TestLineageGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lineage gate skipped in -short mode")
-	}
-	bin := buildNode(t)
-
 	const (
 		clients    = 6
 		epochs     = 4
 		seed       = 42
 		numQueries = 2
 	)
-
-	// In-process reference cards, across pipeline shapes: every
-	// Workers/Shards setting must render the same sorted line multiset.
 	want := inProcessCards(t, clients, epochs, seed, numQueries, 1, 1)
 	if len(want) == 0 {
 		t.Fatal("in-process reference emitted no cards")
@@ -50,41 +37,9 @@ func TestLineageGate(t *testing.T) {
 		}
 	}
 
-	// Networked deployment: same seed conventions, -print-cards renders
-	// the aggregator's retained cards under a CARDS marker.
-	addr0, stop0 := startProxy(t, bin, 0, "-partitions=4")
-	defer stop0()
-	addr1, stop1 := startProxy(t, bin, 1, "-partitions=4")
-	defer stop1()
-	proxies := "-proxies=" + addr0 + "," + addr1
-
-	queriesFlag := fmt.Sprintf("-queries=%d", numQueries)
-	if out, err := exec.Command(bin, "submit", proxies, queriesFlag, "-s=1").CombinedOutput(); err != nil {
-		t.Fatalf("submit: %v\n%s", err, out)
-	}
-	for _, offset := range []int{0, 3} {
-		out, err := exec.Command(bin, "client", proxies, "-seed=42", queriesFlag,
-			fmt.Sprintf("-offset=%d", offset), "-n=3",
-			fmt.Sprintf("-epochs=%d", epochs), "-conns=2").CombinedOutput()
-		if err != nil {
-			t.Fatalf("client (offset %d): %v\n%s", offset, err, out)
-		}
-	}
-	out, err := exec.Command(bin, "aggregator", proxies, "-seed=42", queriesFlag,
-		fmt.Sprintf("-clients=%d", clients), fmt.Sprintf("-epochs=%d", epochs),
-		"-conns=2", "-idle=5s", "-print-cards").CombinedOutput()
-	if err != nil {
-		t.Fatalf("aggregator: %v\n%s", err, out)
-	}
-	got := cardsBlock(t, string(out))
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("networked cards differ from in-process pipeline.\nwant:\n%s\ngot:\n%s",
-			strings.Join(want, "\n"), strings.Join(got, "\n"))
-	}
-
 	// Sanity-pin the known workload: s=1 and an exact population means
 	// every card reports full realized participation and no drops.
-	for _, line := range got {
+	for _, line := range want {
 		for _, field := range []string{"fraction=1", "shed=1", "late=0", "duplicates=0", "malformed=0"} {
 			if !strings.Contains(line, field+" ") && !strings.HasSuffix(line, field) {
 				t.Errorf("card %q missing expected %q for the s=1 workload", line, field)
@@ -116,42 +71,7 @@ func cardsBlock(t *testing.T, out string) []string {
 // recorder.
 func inProcessCards(t *testing.T, clients, epochs int, seed int64, numQueries, workers, shards int) []string {
 	t.Helper()
-	params := sharedParams(1, 0.9, 0.6)
-	sys, err := core.New(core.Config{
-		Clients:    clients,
-		Proxies:    2,
-		Partitions: 4,
-		Params:     &params,
-		Origin:     defaultOrigin,
-		Seed:       seed,
-		Workers:    workers,
-		Shards:     shards,
-		MultiQuery: true,
-		Populate: func(i int, db *minisql.DB) error {
-			return populateClient(i, db)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	queries, err := nodeQueries(numQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if err := sys.Register(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for e := 0; e < epochs; e++ {
-		if _, _, err := sys.RunEpoch(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sys.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := inProcessSystem(t, clients, epochs, seed, numQueries, workers, shards)
 	var lines []string
 	for _, c := range sys.Lineage().Cards(nil) {
 		lines = append(lines, c.DeterministicLine())
@@ -168,15 +88,10 @@ func TestHealthEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("health endpoint test skipped in -short mode")
 	}
-	bin := buildNode(t)
+	d := deploy(t, buildNode(t), []string{"-partitions=4", "-metrics-addr=127.0.0.1:0"}, []string{"-partitions=4"})
 
-	addr0, metrics0, stop0 := startProxyWithMetrics(t, bin, 0, "-partitions=4")
-	defer stop0()
-	addr1, stop1 := startProxy(t, bin, 1, "-partitions=4")
-	defer stop1()
-
-	healthz := strings.Replace(metrics0, "/metrics", "/healthz", 1)
-	if body := getOK(t, healthz); body != "ok\n" {
+	metrics0 := d.proxy[0].metrics
+	if body := getOK(t, strings.Replace(metrics0, "/metrics", "/healthz", 1)); body != "ok\n" {
 		t.Errorf("proxy /healthz body = %q, want %q", body, "ok\n")
 	}
 
@@ -193,45 +108,7 @@ func TestHealthEndpoints(t *testing.T) {
 
 	// Submit role with -linger: after announcing, the registry and its
 	// fleet sink agree on the version, so /readyz flips to 200.
-	cmd := exec.Command(bin, "submit", "-proxies="+addr0+","+addr1,
-		"-queries=1", "-s=1", "-metrics-addr=127.0.0.1:0", "-linger=30s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-	var submitMetrics string
-	announced := make(chan struct{})
-	urls := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "metrics on ") {
-				urls <- strings.TrimSpace(strings.TrimPrefix(line, "metrics on "))
-			}
-			if strings.HasPrefix(line, "announced ") {
-				close(announced)
-			}
-		}
-	}()
-	select {
-	case submitMetrics = <-urls:
-	case <-time.After(10 * time.Second):
-		t.Fatal("submit never announced its metrics address")
-	}
-	select {
-	case <-announced:
-	case <-time.After(10 * time.Second):
-		t.Fatal("submit never announced its query set")
-	}
+	submitMetrics := d.submitLingering("-queries=1", "-s=1")
 	readyz := strings.Replace(submitMetrics, "/metrics", "/readyz", 1)
 	if body := getOK(t, readyz); body != "ready\n" {
 		t.Errorf("submit /readyz body = %q, want %q", body, "ready\n")

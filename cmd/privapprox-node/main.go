@@ -9,12 +9,12 @@
 // and the aggregator builds its per-query demux state from the same
 // announcements. No process is configured with a hardcoded query.
 //
-// The roles share the in-process pipeline's code: clients and the
-// aggregator attach proxy.Proxy handles over pubsub.Client transports
-// (a small pipelined connection pool each), clients flush an epoch's
-// shares — for every active query — to each proxy in one publish frame
-// via client.Batcher, and the aggregator drains with the same consumer
-// code the in-process system uses. Under the same seed conventions as
+// The client and aggregator roles are the in-process pipeline's own
+// (internal/role), attached to proxy.Proxy handles over pubsub.Client
+// transports (a small pipelined connection pool each): clients flush an
+// epoch's shares — for every active query — to each proxy in one publish
+// frame via client.Batcher, and the aggregator runs the same poll →
+// decode → submit loop and writes the same checkpoint record. Under the same seed conventions as
 // core.Config (client i's seed is seed+i+2, the aggregator's is
 // seed+1), a networked run produces results identical to the in-process
 // multi-query pipeline — the multi-process smoke tests assert exactly
@@ -39,7 +39,6 @@ package main
 
 import (
 	"crypto/ed25519"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,8 +49,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -64,6 +61,7 @@ import (
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
+	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/telemetry/lineage"
@@ -93,23 +91,6 @@ func serveMetrics(addr string, reg *telemetry.Registry, routes ...telemetry.Rout
 	}
 	fmt.Printf("metrics on http://%s/metrics\n", srv.Addr())
 	return func() { srv.Close() }, nil
-}
-
-// decodeShareBatch decodes one polled record batch into the reusable
-// shares slice for a single batch submission. On a decode error the
-// prefix decoded so far is returned alongside the error so the caller
-// can still submit it — the same partial progress as record-at-a-time
-// decoding.
-func decodeShareBatch(recs []pubsub.Record, shares []xorcrypt.Share) ([]xorcrypt.Share, error) {
-	shares = shares[:0]
-	for _, rec := range recs {
-		share, err := proxy.DecodeRecord(rec)
-		if err != nil {
-			return shares, err
-		}
-		shares = append(shares, share)
-	}
-	return shares, nil
 }
 
 // defaultOrigin matches core.Config's default so the in-process and
@@ -291,7 +272,11 @@ func runSubmit(args []string) error {
 		// Read the newest snapshot back off the control topic (replayed
 		// by a durable proxy) and adopt its version, so the snapshots
 		// announced below are not ignored by newest-wins appliers.
-		if qs := peekQuerySet(fleet, "submit-resume", 2*time.Second); qs != nil {
+		qs, err := readQuerySet(fleet, "submit-resume", 0, 2*time.Second)
+		if err != nil {
+			return err
+		}
+		if qs != nil {
 			if err := reg.Bootstrap(qs); err != nil {
 				return err
 			}
@@ -432,12 +417,16 @@ func runClient(args []string) error {
 	// One batcher per proxy: every logical client submits into it, and
 	// the epoch loop flushes it as one frame — O(1) round-trips per
 	// (process, proxy) per epoch however many queries are active.
-	batchers := make([]*client.Batcher, fleet.Size())
-	sinks := make([]client.ShareSink, fleet.Size())
-	for i := range batchers {
-		batchers[i] = client.NewBatcher(fleet.Proxy(i), *batch)
-		batchers[i].SetDegraded(*degraded)
-		sinks[i] = batchers[i]
+	clients, err := role.NewClients(fleet, *seed, *offset, *n, *batch, *workers, func(i int, cc *client.Config) error {
+		cc.DB = minisql.NewDB()
+		return populateClient(i, cc.DB)
+	})
+	if err != nil {
+		return err
+	}
+	batchers := clients.Batchers()
+	for _, b := range batchers {
+		b.SetDegraded(*degraded)
 	}
 
 	// Provenance stamping: the answer-stream batcher (proxy 0) stamps
@@ -466,25 +455,8 @@ func runClient(args []string) error {
 			nodeLog.Warnf("lineage stamp: %v", err)
 		}
 	})
-
-	clients := make([]*client.Client, *n)
 	subs := make([]engine.Subscriber, *n)
-	for j := range clients {
-		global := *offset + j
-		db := minisql.NewDB()
-		if err := populateClient(global, db); err != nil {
-			return err
-		}
-		c, err := client.New(client.Config{
-			ID:    fmt.Sprintf("client-%06d", global),
-			DB:    db,
-			Sinks: sinks,
-			Seed:  *seed + int64(global) + 2,
-		})
-		if err != nil {
-			return err
-		}
-		clients[j] = c
+	for j, c := range clients.Clients() {
 		subs[j] = c
 	}
 
@@ -508,7 +480,7 @@ func runClient(args []string) error {
 	// batch-kernel counters this role exercises (RR + XOR split).
 	tel := telemetry.NewRegistry()
 	tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
-		return client.AppendFleetSamples(dst, client.SumStats(clients))
+		return client.AppendFleetSamples(dst, client.SumStats(clients.Clients()))
 	}))
 	tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
 		var dropped, pending int64
@@ -533,7 +505,7 @@ func runClient(args []string) error {
 		// Resume semantics: skip the epochs a previous life already
 		// answered, advancing each subscription's coin stream exactly as
 		// answering them would have.
-		for _, c := range clients {
+		for _, c := range clients.Clients() {
 			c.FastForward(uint64(*firstEpoch))
 		}
 		fmt.Printf("fast-forwarded to epoch %d\n", *firstEpoch)
@@ -551,22 +523,14 @@ func runClient(args []string) error {
 			fmt.Printf("epoch %d: no active queries\n", e)
 			continue
 		}
-		for _, b := range batchers {
-			b.BeginEpoch(e)
-		}
-		participants, err := answerAll(clients, e, *workers)
+		participants, err := clients.Epoch(e)
 		if err != nil {
 			return err
-		}
-		for _, b := range batchers {
-			if err := b.Flush(); err != nil {
-				return err
-			}
 		}
 		fmt.Printf("epoch %d: %d/%d participated\n", e, participants, *n)
 	}
 	var answers, bytes, dropped int64
-	for _, c := range clients {
+	for _, c := range clients.Clients() {
 		st := c.Stats()
 		answers += st.AnswersSent
 		bytes += st.BytesSent
@@ -579,102 +543,14 @@ func runClient(args []string) error {
 	return nil
 }
 
-// answerAll fans AnswerOnce over the logical clients with a bounded
-// worker pool (the networked twin of core.System's epoch fan-out).
-func answerAll(clients []*client.Client, epoch uint64, workers int) (int, error) {
-	if workers > len(clients) {
-		workers = len(clients)
-	}
-	if workers <= 1 {
-		participants := 0
-		for _, c := range clients {
-			ok, err := c.AnswerOnce(epoch)
-			if err != nil {
-				return participants, err
-			}
-			if ok {
-				participants++
-			}
-		}
-		return participants, nil
-	}
-	var (
-		next         atomic.Int64
-		participants atomic.Int64
-		failed       atomic.Bool
-		errMu        sync.Mutex
-		firstErr     error
-		wg           sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(clients) || failed.Load() {
-					return
-				}
-				ok, err := clients[i].AnswerOnce(epoch)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				if ok {
-					participants.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return int(participants.Load()), firstErr
-}
-
-// peekQuerySet drains the control topic until it has been idle for a
-// beat (or wait elapses) and returns the newest snapshot seen, nil when
-// none was announced.
-func peekQuerySet(fleet *proxy.Fleet, group string, wait time.Duration) *engine.QuerySet {
-	cc, err := fleet.Proxy(0).ControlConsumer(group)
-	if err != nil {
-		nodeLog.Warnf("peek query set: %v", err)
-		return nil
-	}
-	var newest *engine.QuerySet
-	deadline := time.Now().Add(wait)
-	for {
-		recs, err := cc.PollWait(256, 200*time.Millisecond)
-		if err != nil {
-			nodeLog.Warnf("peek query set: %v", err)
-			return newest
-		}
-		// Decode before checking the exit conditions: a batch that
-		// arrives right at the deadline still counts — returning a
-		// stale version here would make -resume announce versions the
-		// appliers have already seen.
-		for _, rec := range recs {
-			qs, err := engine.DecodeQuerySet(rec.Value)
-			if err != nil {
-				continue
-			}
-			if newest == nil || qs.Version > newest.Version {
-				newest = qs
-			}
-		}
-		if len(recs) == 0 || !time.Now().Before(deadline) {
-			return newest
-		}
-	}
-}
-
-// fetchQuerySet follows the control topic until a snapshot with at
-// least minQueries entries appears (or the wait elapses), returning the
-// newest observed snapshot.
-func fetchQuerySet(fleet *proxy.Fleet, group string, minQueries int, wait time.Duration) (*engine.QuerySet, error) {
+// readQuerySet follows the control topic and returns its newest
+// announced snapshot once the topic has gone quiet — or at once, for a
+// snapshot of at least minQueries entries. With minQueries 0 it settles
+// for whatever the topic holds, nil when nothing was announced; otherwise
+// finding no such snapshot within wait is an error. Undecodable control
+// records are skipped: garbage on the control topic must not wedge a
+// role.
+func readQuerySet(fleet *proxy.Fleet, group string, minQueries int, wait time.Duration) (*engine.QuerySet, error) {
 	cc, err := fleet.Proxy(0).ControlConsumer(group)
 	if err != nil {
 		return nil, err
@@ -687,18 +563,24 @@ func fetchQuerySet(fleet *proxy.Fleet, group string, minQueries int, wait time.D
 			return nil, err
 		}
 		for _, rec := range recs {
-			qs, err := engine.DecodeQuerySet(rec.Value)
-			if err != nil {
-				continue // garbage on the control topic must not wedge us
-			}
-			if newest == nil || qs.Version > newest.Version {
+			if qs, err := engine.DecodeQuerySet(rec.Value); err == nil && (newest == nil || qs.Version > newest.Version) {
 				newest = qs
 			}
+		}
+		expired := !time.Now().Before(deadline)
+		if minQueries == 0 {
+			// Decode before the deadline check: a batch arriving right at
+			// the deadline still counts — a stale version would make
+			// submit -resume announce versions appliers have already seen.
+			if len(recs) == 0 || expired {
+				return newest, nil
+			}
+			continue
 		}
 		if newest != nil && len(newest.Entries) >= minQueries {
 			return newest, nil
 		}
-		if !time.Now().Before(deadline) {
+		if expired {
 			return nil, fmt.Errorf("no announcement with ≥ %d queries within %v", minQueries, wait)
 		}
 	}
@@ -716,8 +598,8 @@ func runAggregator(args []string) error {
 	idle := fs.Duration("idle", 3*time.Second, "stop after this long without new shares")
 	dataDir := fs.String("data-dir", "", "checkpoint directory: the aggregator journals its state after every drain and resumes from the newest checkpoint on restart")
 	fsync := fs.String("fsync", "never", "checkpoint WAL fsync policy: never, interval, every-batch")
-	pollMax := fs.Int("poll-max", 4096, "records per poll (durable mode; small values tighten checkpoint granularity)")
-	holdAfter := fs.Int64("hold-after", 0, "testing hook: after this many decoded answers, checkpoint and block forever (a SIGKILL window for the crash gate)")
+	pollMax := fs.Int("poll-max", 4096, "records per poll (small values tighten checkpoint granularity)")
+	holdAfter := fs.Int64("hold-after", 0, "testing hook: after this many decoded answers, checkpoint (with -data-dir) and block forever (a SIGKILL window for the crash gate)")
 	cards := fs.String("cards", "", "append-only JSONL result-card log (empty = memory-only ring; with -data-dir defaults to <data-dir>/cards.jsonl)")
 	printCards := fs.Bool("print-cards", false, "print each fired window's deterministic card line under a CARDS marker before exiting")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = off)")
@@ -733,7 +615,7 @@ func runAggregator(args []string) error {
 	// the clients follow — nothing about the queries is configured here.
 	// After a restart the same fetch re-registers the same queries in
 	// announcement order, which is what Restore requires.
-	qs, err := fetchQuerySet(fleet, "aggregator-control", *minQueries, *wait)
+	qs, err := readQuerySet(fleet, "aggregator-control", *minQueries, *wait)
 	if err != nil {
 		return err
 	}
@@ -788,12 +670,13 @@ func runAggregator(args []string) error {
 	}
 	defer stopMetrics()
 
-	// The same consumer code the in-process pipeline drains with, now
-	// running over the TCP transports.
+	// The aggregator role the in-process pipeline drains with, here over
+	// the TCP transports.
 	consumers, err := fleet.Consumers("aggregator")
 	if err != nil {
 		return err
 	}
+	drain := role.NewDrain(agg, consumers, 1)
 
 	// Lineage sidecar drain: batch stamps are folded into the recorder
 	// before each share sweep, so a window firing during the sweep sees
@@ -818,54 +701,66 @@ func runAggregator(args []string) error {
 	}
 
 	expected := int64(*clients) * int64(*epochs) * int64(len(qs.Entries))
+	var ck *checkpointer
+	var results []aggregator.Result
 	if *dataDir != "" {
-		policy, err := wal.ParsePolicy(*fsync)
+		if ck, results, err = openCheckpointer(*dataDir, *fsync, agg, drain, tel, rec); err != nil {
+			return err
+		}
+		defer ck.log.Close()
+	}
+
+	// One loop for both modes. Each round that made progress is made
+	// permanent: committed at once, or — with -data-dir — checkpointed
+	// first and committed after. Without -data-dir fired windows print as
+	// they fire; with it they are held for the final RESULTS block, which
+	// a restarted run must reproduce byte for byte.
+	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected, *idle)
+	lastProgress := time.Now()
+	for agg.Decoded() < expected && time.Since(lastProgress) < *idle {
+		drainStamps()
+		fired, n, err := drain.Round(*pollMax, 50*time.Millisecond)
+		if ck == nil {
+			printResults(fired)
+		} else {
+			results = append(results, fired...)
+		}
 		if err != nil {
 			return err
 		}
-		return runAggregatorDurable(*dataDir, policy, agg, consumers, expected, *idle, *pollMax, *holdAfter, tel, rec, drainStamps, *printCards)
-	}
-
-	lastProgress := time.Now()
-	var shares []xorcrypt.Share
-	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected, *idle)
-	for agg.Decoded() < expected && time.Since(lastProgress) < *idle {
-		drainStamps()
-		progressed := false
-		for src, c := range consumers {
-			recs, err := c.PollWait(4096, 50*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			var decErr error
-			shares, decErr = decodeShareBatch(recs, shares)
-			results, err := agg.SubmitShareBatch(shares, src, time.Now())
-			if err != nil {
-				return err
-			}
-			printResults(results)
-			if decErr != nil {
-				return decErr
-			}
-			// This loop never reads a submitted batch again, so it commits
-			// it: the proxy releases the records and frees room under
-			// -partition-cap.
-			if err := c.Commit(); err != nil {
-				return err
-			}
-			if len(recs) > 0 {
-				progressed = true
-			}
+		if n == 0 {
+			continue
 		}
-		if progressed {
-			lastProgress = time.Now()
+		lastProgress = time.Now()
+		if ck == nil {
+			err = drain.Commit()
+		} else {
+			err = ck.save(results)
+		}
+		if err != nil {
+			return err
+		}
+		if *holdAfter > 0 && agg.Decoded() >= *holdAfter {
+			// The crash gate's kill window: state is durable, the stream
+			// is mid-flight, and the process now hangs until SIGKILLed.
+			fmt.Println("holding for kill")
+			select {}
 		}
 	}
-	results, err := agg.Flush()
+	final, err := agg.Flush()
 	if err != nil {
 		return err
 	}
-	printResults(results)
+	if ck == nil {
+		printResults(final)
+	} else {
+		results = append(results, final...)
+		if err := ck.save(results); err != nil {
+			return err
+		}
+		fmt.Println("RESULTS")
+		fmt.Print(formatResults(results))
+	}
 	printStatsLine(agg)
 	if *printCards {
 		printCardLines(rec)
@@ -896,178 +791,84 @@ func printStatsLine(agg *aggregator.Aggregator) {
 		st.Decoded, st.Malformed, st.Duplicates, st.UnknownQuery, st.LengthMismatch)
 }
 
-// runAggregatorDurable is the crash-tolerant drain loop: after every
-// poll sweep that made progress, the aggregator's state, the consumers'
-// positions, and every result fired so far are written as one
-// checkpoint record to a WAL under dataDir, and the positions are then
-// committed so the proxies release what the checkpoint covers. A
-// restarted aggregator
-// (same flags, same proxies) restores the newest checkpoint, seeks its
-// consumers to the recorded cut, and continues — the final result block
-// it prints is byte-identical to an uninterrupted run's: no lost
-// windows, no double-counted answers.
-//
-// Output protocol: results are held until the end and printed under a
-// "RESULTS" marker line (followed by the stats line), so crash tests
-// compare everything after the marker.
-func runAggregatorDurable(dataDir string, policy wal.Policy, agg *aggregator.Aggregator, consumers []*pubsub.Consumer, expected int64, idle time.Duration, pollMax int, holdAfter int64, tel *telemetry.Registry, rec *lineage.Recorder, drainStamps func(), printCards bool) error {
+// checkpointer is the durable aggregator's checkpoint hook: one role
+// checkpoint record per save, appended to a WAL under -data-dir, where a
+// restarted aggregator (same flags, same proxies) finds the newest and
+// resumes from it — the final result block it prints is byte-identical
+// to an uninterrupted run's: no lost windows, no double-counted answers.
+type checkpointer struct {
+	log   *wal.Log
+	drain *role.Drain
+	agg   *aggregator.Aggregator
+	cards *lineage.Recorder
+}
+
+// openCheckpointer opens the checkpoint log and restores the newest
+// record in it, returning the results fired before the restart.
+func openCheckpointer(dataDir, fsync string, agg *aggregator.Aggregator, drain *role.Drain, tel *telemetry.Registry, cards *lineage.Recorder) (*checkpointer, []aggregator.Result, error) {
+	policy, err := wal.ParsePolicy(fsync)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Old checkpoints are garbage once superseded: rotate small segments
 	// and drop everything below the newest record after each append.
-	ckLog, err := wal.Open(filepath.Join(dataDir, "aggregator"), wal.Options{
+	log, err := wal.Open(filepath.Join(dataDir, "aggregator"), wal.Options{
 		Policy:       policy,
 		SegmentBytes: 1 << 20,
 		AppendHist:   tel.Histogram("privapprox_wal_append_ns"),
 		FsyncHist:    tel.Histogram("privapprox_wal_fsync_ns"),
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer ckLog.Close()
-
-	var results []aggregator.Result
 	var newest []byte
-	if err := ckLog.Replay(0, func(_ uint64, payload []byte) error {
+	err = log.Replay(0, func(_ uint64, payload []byte) error {
 		newest = append(newest[:0], payload...)
 		return nil
-	}); err != nil {
-		return err
+	})
+	var results []aggregator.Result
+	if err == nil && newest != nil {
+		results, err = drain.Restore(newest, nil)
 	}
+	if err != nil {
+		log.Close()
+		return nil, nil, err
+	}
+	ck := &checkpointer{log: log, drain: drain, agg: agg, cards: cards}
 	if newest != nil {
-		restored, err := restoreNodeCheckpoint(newest, agg, consumers)
-		if err != nil {
-			return err
-		}
-		results = restored
-		fmt.Printf("restored checkpoint: %d results, %d answers decoded\n", len(results), agg.Decoded())
+		fmt.Printf("restored checkpoint: %d results, %d answers decoded\n", len(results), ck.agg.Decoded())
 	}
+	return ck, results, nil
+}
 
-	checkpoint := func() error {
-		// Card-before-checkpoint barrier: a window fired before this
-		// checkpoint never re-fires after restore, so its card must be
-		// durable in the JSONL log by the time the checkpoint is.
-		if err := rec.Sync(); err != nil {
-			return err
-		}
-		payload, err := encodeNodeCheckpoint(agg, consumers, results)
-		if err != nil {
-			return err
-		}
-		lsn, err := ckLog.Append(payload)
-		if err != nil {
-			return err
-		}
-		// Whole segments strictly below the newest checkpoint are dead.
-		if err := ckLog.TruncateFront(lsn); err != nil {
-			return err
-		}
-		// A checkpoint releases what it covers — checkpoint first, commit
-		// second: a crash between the two resumes from this checkpoint
-		// and merely finds the proxies' floors behind it. One round-trip
-		// per partition that progressed.
-		for _, c := range consumers {
-			if err := c.Commit(); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("checkpoint lsn=%d decoded=%d results=%d\n", lsn, agg.Decoded(), len(results))
-		return nil
+// save checkpoints the aggregator with every result fired so far, then
+// commits what the checkpoint covers.
+func (ck *checkpointer) save(results []aggregator.Result) error {
+	// Card-before-checkpoint barrier: a window fired before this
+	// checkpoint never re-fires after restore, so its card must be
+	// durable in the JSONL log by the time the checkpoint is.
+	if err := ck.cards.Sync(); err != nil {
+		return err
 	}
-
-	lastProgress := time.Now()
-	var shares []xorcrypt.Share
-	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected, idle)
-	for agg.Decoded() < expected && time.Since(lastProgress) < idle {
-		drainStamps()
-		progressed := false
-		for src, c := range consumers {
-			recs, err := c.PollWait(pollMax, 50*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			var decErr error
-			shares, decErr = decodeShareBatch(recs, shares)
-			res, err := agg.SubmitShareBatch(shares, src, time.Now())
-			results = append(results, res...)
-			if err != nil {
-				return err
-			}
-			if decErr != nil {
-				return decErr
-			}
-			if len(recs) > 0 {
-				progressed = true
-			}
-		}
-		if progressed {
-			lastProgress = time.Now()
-			if err := checkpoint(); err != nil {
-				return err
-			}
-			if holdAfter > 0 && agg.Decoded() >= holdAfter {
-				// The crash gate's kill window: state is durable, the
-				// stream is mid-flight, and the process now hangs until
-				// SIGKILLed.
-				fmt.Println("holding for kill")
-				select {}
-			}
-		}
-	}
-	final, err := agg.Flush()
+	payload, err := ck.drain.Checkpoint(nil, results)
 	if err != nil {
 		return err
 	}
-	results = append(results, final...)
-	if err := checkpoint(); err != nil {
+	lsn, err := ck.log.Append(payload)
+	if err != nil {
 		return err
 	}
-	fmt.Println("RESULTS")
-	fmt.Print(formatResults(results))
-	printStatsLine(agg)
-	if printCards {
-		printCardLines(rec)
+	// Whole segments strictly below the newest checkpoint are dead.
+	if err := ck.log.TruncateFront(lsn); err != nil {
+		return err
 	}
+	// Checkpoint first, commit second: a crash between the two resumes
+	// from this checkpoint and merely finds the proxies' floors behind it.
+	if err := ck.drain.Commit(); err != nil {
+		return err
+	}
+	fmt.Printf("checkpoint lsn=%d decoded=%d results=%d\n", lsn, ck.agg.Decoded(), len(results))
 	return nil
-}
-
-// nodeCkptMagic versions the node-level checkpoint record: consumer
-// positions, fired results, then the aggregator's own checkpoint.
-var nodeCkptMagic = []byte("PNC1")
-
-func encodeNodeCheckpoint(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, results []aggregator.Result) ([]byte, error) {
-	buf := append([]byte(nil), nodeCkptMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(consumers)))
-	for _, c := range consumers {
-		buf = c.AppendPositions(buf)
-	}
-	buf = aggregator.AppendResults(buf, results)
-	return agg.Checkpoint(buf)
-}
-
-func restoreNodeCheckpoint(data []byte, agg *aggregator.Aggregator, consumers []*pubsub.Consumer) ([]aggregator.Result, error) {
-	if len(data) < len(nodeCkptMagic)+4 || string(data[:len(nodeCkptMagic)]) != string(nodeCkptMagic) {
-		return nil, fmt.Errorf("bad node checkpoint record")
-	}
-	d := data[len(nodeCkptMagic):]
-	nc := binary.BigEndian.Uint32(d)
-	d = d[4:]
-	if int(nc) != len(consumers) {
-		return nil, fmt.Errorf("checkpoint has %d consumers, deployment has %d", nc, len(consumers))
-	}
-	for _, c := range consumers {
-		rest, err := c.SeekPositions(d)
-		if err != nil {
-			return nil, err
-		}
-		d = rest
-	}
-	results, rest, err := aggregator.DecodeResults(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := agg.Restore(rest); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // formatResults renders fired windows in the node's canonical result

@@ -1,15 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,8 +27,6 @@ func TestObsGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("obsgate skipped in -short mode")
 	}
-	bin := buildNode(t)
-
 	// Nine epochs so the first 4s window fires *during* the drain (the
 	// watermark needs event time 8s before [0,4s) closes): the windows
 	// page then has a live card to validate while the aggregator holds.
@@ -39,17 +34,13 @@ func TestObsGate(t *testing.T) {
 		clients = 4
 		epochs  = 9
 	)
-	addr0, metrics0, stop0 := startProxyWithMetrics(t, bin, 0, "-partitions=4")
-	defer stop0()
-	addr1, stop1 := startProxy(t, bin, 1, "-partitions=4")
-	defer stop1()
-	proxies := "-proxies=" + addr0 + "," + addr1
+	d := deploy(t, buildNode(t), []string{"-partitions=4", "-metrics-addr=127.0.0.1:0"}, []string{"-partitions=4"})
+	metrics0 := d.proxy[0].metrics
 
 	// The submit role lingers with its metrics mux up: once the
 	// announcement lands, its control sinks are caught up and /readyz
 	// must flip to 200.
-	submitMetrics, stopSubmit := startSubmitLingering(t, bin, proxies, "-queries=1")
-	defer stopSubmit()
+	submitMetrics := d.submitLingering("-queries=1", "-s=1")
 	readyz := strings.Replace(submitMetrics, "/metrics", "/readyz", 1)
 	if body := getOK(t, readyz); body != "ready\n" {
 		t.Errorf("submit /readyz body = %q, want %q", body, "ready\n")
@@ -59,13 +50,8 @@ func TestObsGate(t *testing.T) {
 	// again: the two snapshots bracket eight epochs of traffic.
 	runClientEpoch := func(first, upto int) {
 		t.Helper()
-		out, err := exec.Command(bin, "client", proxies, "-seed=42", "-queries=1",
-			"-offset=0", fmt.Sprintf("-n=%d", clients),
-			fmt.Sprintf("-first-epoch=%d", first), fmt.Sprintf("-epochs=%d", upto),
-			"-conns=2").CombinedOutput()
-		if err != nil {
-			t.Fatalf("client process (epochs %d..%d): %v\n%s", first, upto, err, out)
-		}
+		d.run("client", "-seed=42", "-queries=1", "-offset=0", fmt.Sprintf("-n=%d", clients),
+			fmt.Sprintf("-first-epoch=%d", first), fmt.Sprintf("-epochs=%d", upto), "-conns=2")
 	}
 	runClientEpoch(0, 1)
 	scrape1 := scrapeMetrics(t, metrics0)
@@ -131,12 +117,18 @@ func TestObsGate(t *testing.T) {
 
 	// Aggregator leg: durable mode with the -hold-after testing hook, so
 	// after decoding every expected answer the process checkpoints and
-	// parks with its metrics listener still up — a stable scrape window.
-	// The stage totals prove the tracer saw the join stage, the WAL
-	// histogram proves checkpoint appends were timed, and the decode
-	// counter must reach the exact expected count at s=1.
-	aggScrape, aggMetricsURL, stopAgg := runAggregatorScraping(t, bin, proxies, clients, epochs)
-	defer stopAgg()
+	// parks with its metrics listener still up — a stable scrape window
+	// in which nothing a later assertion reads is still moving. The stage
+	// totals prove the tracer saw the join stage, the WAL histogram proves
+	// checkpoint appends were timed, and the decode counter must reach the
+	// exact expected count at s=1.
+	agg := d.start("aggregator", "-seed=42", "-queries=1",
+		fmt.Sprintf("-clients=%d", clients), fmt.Sprintf("-epochs=%d", epochs),
+		"-conns=2", "-idle=10s", "-metrics-addr=127.0.0.1:0",
+		"-data-dir="+t.TempDir(), fmt.Sprintf("-hold-after=%d", clients*epochs))
+	aggMetricsURL := agg.metricsURL(t)
+	agg.await(t, "holding for kill", 20*time.Second)
+	aggScrape := scrapeMetrics(t, aggMetricsURL)
 	for _, name := range []string{
 		"privapprox_agg_decoded_total",
 		"privapprox_agg_duplicates_total",
@@ -224,191 +216,6 @@ func TestObsGate(t *testing.T) {
 	if got := metricValue(t, aggScrape, "privapprox_window_realized_fraction"); got != float64(c.Realized) {
 		t.Errorf("privapprox_window_realized_fraction = %v, want %v (the fired card's realized)", got, c.Realized)
 	}
-}
-
-// startSubmitLingering runs the submit role with -linger and a metrics
-// mux, returning its metrics URL once the announcement has landed.
-func startSubmitLingering(t *testing.T, bin, proxies, queriesFlag string) (metricsURL string, stop func()) {
-	t.Helper()
-	cmd := exec.Command(bin, "submit", proxies, queriesFlag, "-s=1",
-		"-metrics-addr=127.0.0.1:0", "-linger=60s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	stop = func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-	urls := make(chan string, 1)
-	announced := make(chan struct{})
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "metrics on ") {
-				urls <- strings.TrimSpace(strings.TrimPrefix(line, "metrics on "))
-			}
-			if strings.HasPrefix(line, "announced ") {
-				close(announced)
-			}
-		}
-	}()
-	select {
-	case metricsURL = <-urls:
-	case <-time.After(10 * time.Second):
-		stop()
-		t.Fatal("submit never announced its metrics address")
-	}
-	select {
-	case <-announced:
-	case <-time.After(10 * time.Second):
-		stop()
-		t.Fatal("submit never announced its query set")
-	}
-	return metricsURL, stop
-}
-
-// startProxyWithMetrics is startProxy plus -metrics-addr: it parses
-// both banner lines (serving address, then metrics URL).
-func startProxyWithMetrics(t *testing.T, bin string, index int, extra ...string) (addr, metricsURL string, stop func()) {
-	t.Helper()
-	args := append([]string{"proxy", "-listen=127.0.0.1:0",
-		fmt.Sprintf("-index=%d", index), "-metrics-addr=127.0.0.1:0"}, extra...)
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	lines := make(chan string, 2)
-	go func() {
-		r := bufio.NewReader(stdout)
-		for i := 0; i < 2; i++ {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return
-			}
-			lines <- line
-		}
-		io.Copy(io.Discard, r)
-	}()
-	deadline := time.After(10 * time.Second)
-	for addr == "" || metricsURL == "" {
-		select {
-		case line := <-lines:
-			switch {
-			case strings.HasPrefix(line, "metrics on "):
-				metricsURL = strings.TrimSpace(strings.TrimPrefix(line, "metrics on "))
-			case strings.Contains(line, " serving "):
-				i := strings.LastIndex(line, " on ")
-				if i < 0 {
-					t.Fatalf("unexpected proxy banner: %q", line)
-				}
-				addr = strings.TrimSpace(line[i+4:])
-			}
-		case <-deadline:
-			cmd.Process.Kill()
-			t.Fatalf("proxy %d never announced serving + metrics addresses", index)
-		}
-	}
-	return addr, metricsURL, func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-}
-
-// runAggregatorScraping starts the aggregator role with a metrics
-// listener in durable mode with -hold-after, polls its /metrics until
-// every expected answer is decoded (the hold keeps the process — and
-// its listener — alive indefinitely), and returns the last scrape plus
-// the metrics URL (for the debug endpoints on the same mux).
-func runAggregatorScraping(t *testing.T, bin, proxies string, clients, epochs int) (string, string, func()) {
-	t.Helper()
-	cmd := exec.Command(bin, "aggregator", proxies, "-seed=42", "-queries=1",
-		fmt.Sprintf("-clients=%d", clients), fmt.Sprintf("-epochs=%d", epochs),
-		"-conns=2", "-idle=10s", "-metrics-addr=127.0.0.1:0",
-		"-data-dir="+t.TempDir(), fmt.Sprintf("-hold-after=%d", clients*epochs))
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	stop := func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-
-	urls := make(chan string, 1)
-	holding := make(chan struct{})
-	var outMu sync.Mutex
-	var outBuf strings.Builder
-	go func() {
-		scanner := bufio.NewScanner(stdout)
-		for scanner.Scan() {
-			line := scanner.Text()
-			outMu.Lock()
-			outBuf.WriteString(line)
-			outBuf.WriteByte('\n')
-			outMu.Unlock()
-			if strings.HasPrefix(line, "metrics on ") {
-				urls <- strings.TrimSpace(strings.TrimPrefix(line, "metrics on "))
-			}
-			if line == "holding for kill" {
-				close(holding)
-			}
-			// keep draining so the process never blocks on stdout
-		}
-	}()
-	var metricsURL string
-	select {
-	case metricsURL = <-urls:
-	case <-time.After(15 * time.Second):
-		stop()
-		t.Fatal("aggregator never announced its metrics address")
-	}
-
-	// Scrape once the process has parked: every answer is decoded and the
-	// checkpoint (and the commit after it) is behind it, so nothing a
-	// later assertion reads is still moving.
-	select {
-	case <-holding:
-	case <-time.After(20 * time.Second):
-	}
-	expected := float64(clients * epochs)
-	deadline := time.Now().Add(20 * time.Second)
-	var last string
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(metricsURL)
-		if err == nil {
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil {
-				last = string(body)
-				if v, ok := lookupMetric(last, "privapprox_agg_decoded_total"); ok && v >= expected {
-					return last, metricsURL, stop
-				}
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	outMu.Lock()
-	stdoutSoFar := outBuf.String()
-	outMu.Unlock()
-	stop()
-	t.Fatalf("aggregator never decoded %v answers; stdout:\n%s\nlast scrape:\n%s",
-		expected, stdoutSoFar, last)
-	return "", "", nil
 }
 
 // scrapeMetrics GETs a /metrics URL and returns the body.

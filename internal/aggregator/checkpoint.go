@@ -30,9 +30,9 @@ import (
 
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
+	"privapprox/internal/ckpt"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
-	"privapprox/internal/stats"
 	"privapprox/internal/stream"
 	"privapprox/internal/xorcrypt"
 )
@@ -141,7 +141,7 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 }
 
 func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
-	buf = appendCpString(buf, st.q.QID.Analyst)
+	buf = ckpt.AppendBytes(buf, st.q.QID.Analyst)
 	buf = binary.BigEndian.AppendUint64(buf, st.q.QID.Serial)
 	buf = binary.BigEndian.AppendUint64(buf, st.qidWire)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.seed))
@@ -210,42 +210,21 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 // loudly; nothing is partially applied before the query table has been
 // verified.
 func (a *Aggregator) Restore(data []byte) error {
-	d := &cpDec{buf: data}
-	if magic, err := d.take(len(checkpointMagic)); err != nil || !bytes.Equal(magic, checkpointMagic) {
+	if !bytes.HasPrefix(data, checkpointMagic) {
 		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
 	}
-	malformed, err := d.u64()
-	if err != nil {
-		return err
-	}
-	duplicates, err := d.u64()
-	if err != nil {
-		return err
-	}
-	removedDecoded, err := d.u64()
-	if err != nil {
-		return err
-	}
-	removedLate, err := d.u64()
-	if err != nil {
-		return err
-	}
-	unknown, err := d.u64()
-	if err != nil {
-		return err
-	}
-	badLen, err := d.u64()
-	if err != nil {
+	d := ckpt.NewReader(data[len(checkpointMagic):], ErrCheckpoint)
+	malformed, duplicates := d.U64(), d.U64()
+	removedDecoded, removedLate := d.U64(), d.U64()
+	unknown, badLen := d.U64(), d.U64()
+	nq := d.U32()
+	if err := d.Err(); err != nil {
 		return err
 	}
 
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
 	tbl := a.states.Load()
-	nq, err := d.u32()
-	if err != nil {
-		return err
-	}
 	if int(nq) != len(tbl.ordered) {
 		return fmt.Errorf("%w: %d checkpointed queries, %d registered", ErrCheckpoint, nq, len(tbl.ordered))
 	}
@@ -257,50 +236,51 @@ func (a *Aggregator) Restore(data []byte) error {
 
 	// Join state routes back through the current shard map (the shard
 	// count may legitimately differ across restarts; message routing is
-	// stable per MID either way).
-	np, err := d.u32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < np; i++ {
-		mid, age, payloads, err := d.pendingGroup()
-		if err != nil {
+	// stable per MID either way). The age slot: 0 current generation,
+	// anything else previous (it held an arrival time before the joiner
+	// aged by generation).
+	for range d.Count(xorcrypt.MIDSize + 12) {
+		var mid xorcrypt.MID
+		copy(mid[:], d.Take(xorcrypt.MIDSize))
+		age := int(min(d.U64(), 1))
+		ns := d.Count(1)
+		if ns > 1024 {
+			d.Fail("%d sources", ns)
+		}
+		payloads := make([][]byte, ns)
+		for s := range payloads {
+			if d.U8() != 0 {
+				payloads[s] = append([]byte(nil), d.Bytes()...)
+			}
+		}
+		if err := d.Err(); err != nil {
 			return err
 		}
 		js := &a.shards[a.shardOf(mid)]
 		js.mu.Lock()
-		err = js.joiner.RestorePending(mid, payloads, age)
+		err := js.joiner.RestorePending(mid, payloads, age)
 		js.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCheckpoint, err)
 		}
 	}
-	nc, err := d.u32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < nc; i++ {
-		midRaw, err := d.take(xorcrypt.MIDSize)
-		if err != nil {
-			return err
-		}
+	for range d.Count(xorcrypt.MIDSize + 8) {
 		var mid xorcrypt.MID
-		copy(mid[:], midRaw)
-		age, err := d.u64()
-		if err != nil {
-			return err
-		}
+		copy(mid[:], d.Take(xorcrypt.MIDSize))
+		age := int(min(d.U64(), 1))
 		js := &a.shards[a.shardOf(mid)]
 		js.mu.Lock()
-		js.joiner.RestoreCompleted(mid, int(min(age, 1)))
+		js.joiner.RestoreCompleted(mid, age)
 		js.mu.Unlock()
 	}
+	// Swept trails the record: one written before the counter existed
+	// ends here and restores it as 0.
 	var swept uint64
-	if len(d.buf) == 8 {
-		swept, _ = d.u64()
+	if len(d.Rest()) == 8 {
+		swept = d.U64()
 	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, len(d.buf))
+	if err := d.Done(); err != nil {
+		return err
 	}
 
 	a.malformed.Store(int64(malformed))
@@ -318,68 +298,29 @@ func (a *Aggregator) Restore(data []byte) error {
 	return nil
 }
 
-func (a *Aggregator) restoreQueryState(d *cpDec, st *queryState) error {
-	analyst, err := d.str()
-	if err != nil {
+func (a *Aggregator) restoreQueryState(d *ckpt.Reader, st *queryState) error {
+	want := query.ID{Analyst: d.Str(), Serial: d.U64()}
+	wire, seed := d.U64(), int64(d.U64())
+	params := budget.Params{S: d.F64(), RR: rr.Params{P: d.F64(), Q: d.F64()}}
+	wm, decoded, dropped, ft := d.U64(), d.U64(), d.U64(), d.U64()
+	if err := d.Err(); err != nil {
 		return err
 	}
-	serial, err := d.u64()
-	if err != nil {
-		return err
-	}
-	wire, err := d.u64()
-	if err != nil {
-		return err
-	}
-	seed, err := d.u64()
-	if err != nil {
-		return err
-	}
-	want := query.ID{Analyst: analyst, Serial: serial}
 	if st.q.QID != want || st.qidWire != wire {
 		return fmt.Errorf("%w: checkpointed query %s (wire %#x) does not match registered %s",
 			ErrCheckpoint, want, wire, st.q.QID)
 	}
-	if st.seed != int64(seed) {
+	if st.seed != seed {
 		return fmt.Errorf("%w: query %s restored with seed %d, checkpointed %d",
-			ErrCheckpoint, want, st.seed, int64(seed))
+			ErrCheckpoint, want, st.seed, seed)
 	}
-	ps, err := d.f64()
-	if err != nil {
-		return err
-	}
-	pp, err := d.f64()
-	if err != nil {
-		return err
-	}
-	pq, err := d.f64()
-	if err != nil {
-		return err
-	}
-	params := budget.Params{S: ps, RR: rr.Params{P: pp, Q: pq}}
 	if err := params.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
 	}
 	st.params.Store(&params)
-	wm, err := d.u64()
-	if err != nil {
-		return err
-	}
 	st.wmMax.Store(int64(wm))
-	decoded, err := d.u64()
-	if err != nil {
-		return err
-	}
 	st.decoded.Store(int64(decoded))
-	dropped, err := d.u64()
-	if err != nil {
-		return err
-	}
 	st.dropped.Store(int64(dropped))
-	ft, err := d.u64()
-	if err != nil {
-		return err
-	}
 	// Windows at or below the restored fire horizon already fired (and
 	// emitted their cards) in the killed process; re-fires past this
 	// point are the WAL replay reproducing the result stream, not new
@@ -387,90 +328,47 @@ func (a *Aggregator) restoreQueryState(d *cpDec, st *queryState) error {
 	st.firedThrough.Store(int64(ft))
 	st.cardsBelow.Store(int64(ft))
 
-	nw, err := d.u32()
-	if err != nil {
-		return err
-	}
 	st.fireMu.Lock()
 	st.winMu.Lock()
 	clear(st.windows)
-	for i := uint32(0); i < nw; i++ {
-		startNano, err := d.u64()
-		if err == nil {
-			var endNano, n uint64
-			if endNano, err = d.u64(); err == nil {
-				if n, err = d.u64(); err == nil {
-					var nb uint32
-					if nb, err = d.u32(); err == nil {
-						err = a.restoreWindow(st, int64(startNano), int64(endNano), int64(n), int(nb), d)
-					}
-				}
-			}
-		}
-		if err != nil {
-			st.winMu.Unlock()
-			st.fireMu.Unlock()
-			return err
-		}
+	var err error
+	for n := d.Count(28); n > 0 && err == nil; n-- {
+		start, end, count := int64(d.U64()), int64(d.U64()), int64(d.U64())
+		err = a.restoreWindow(st, start, end, count, d)
 	}
 	st.winMu.Unlock()
 	st.fireMu.Unlock()
-
-	ne, err := d.u32()
 	if err != nil {
 		return err
 	}
+
 	st.estMu.Lock()
 	defer st.estMu.Unlock()
 	st.rng = rand.New(rand.NewSource(st.seed))
 	clear(st.rrLossCache)
 	st.estLog = st.estLog[:0]
-	for i := uint32(0); i < ne; i++ {
-		kind, err := d.u8()
-		if err != nil {
-			return err
-		}
-		if kind == estKindClear {
+	for range d.Count(1) {
+		switch d.U8() {
+		case estKindClear:
 			clear(st.rrLossCache)
 			st.estLog = append(st.estLog, estEvent{clear: true})
 			continue
+		case estKindCall:
+		default:
+			d.Fail("estimator event kind")
 		}
-		if kind != estKindCall {
-			return fmt.Errorf("%w: estimator event kind %#x", ErrCheckpoint, kind)
-		}
-		pct, err := d.u32()
-		if err != nil {
-			return err
-		}
-		simP, err := d.f64()
-		if err != nil {
-			return err
-		}
-		simQ, err := d.f64()
-		if err != nil {
-			return err
-		}
-		frac, err := d.f64()
-		if err != nil {
-			return err
-		}
-		simN, err := d.u32()
-		if err != nil {
-			return err
-		}
-		rounds, err := d.u32()
-		if err != nil {
-			return err
-		}
-		wantLoss, err := d.f64()
-		if err != nil {
+		pct := int(d.U32())
+		simParams := rr.Params{P: d.F64(), Q: d.F64()}
+		frac := d.F64()
+		simN, rounds := int(d.U32()), int(d.U32())
+		wantLoss := d.F64()
+		if err := d.Err(); err != nil {
 			return err
 		}
 		// Replaying the simulation against the freshly seeded rng
 		// advances it exactly as the original call did; the recomputed
 		// loss doubles as an integrity check on the whole replay chain.
-		simParams := rr.Params{P: simP, Q: simQ}
-		loss, err := rr.SimulateAccuracyLoss(simParams, frac, int(simN), int(rounds), st.rng)
+		loss, err := rr.SimulateAccuracyLoss(simParams, frac, simN, rounds, st.rng)
 		if err != nil {
 			return fmt.Errorf("%w: estimator replay: %v", ErrCheckpoint, err)
 		}
@@ -478,28 +376,27 @@ func (a *Aggregator) restoreQueryState(d *cpDec, st *queryState) error {
 			return fmt.Errorf("%w: estimator replay diverged for query %s (pct %d: %v != %v)",
 				ErrCheckpoint, st.q.QID, pct, loss, wantLoss)
 		}
-		st.rrLossCache[int(pct)] = loss
+		st.rrLossCache[pct] = loss
 		st.estLog = append(st.estLog, estEvent{
-			pct: int(pct), params: simParams, frac: frac,
-			simN: int(simN), rounds: int(rounds), loss: loss,
+			pct: pct, params: simParams, frac: frac,
+			simN: simN, rounds: rounds, loss: loss,
 		})
 	}
-	return nil
+	return d.Err()
 }
 
-// restoreWindow rebuilds one open window; the caller holds fireMu and
-// winMu.
-func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, nb int, d *cpDec) error {
-	if nb != st.nbuckets {
-		return fmt.Errorf("%w: window with %d buckets for query %s (%d)", ErrCheckpoint, nb, st.q.QID, st.nbuckets)
-	}
-	yes := make([]int, nb)
+// restoreWindow rebuilds one open window from its yes counts; the
+// caller holds fireMu and winMu.
+func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, d *ckpt.Reader) error {
+	yes := make([]int, d.Count(8))
 	for i := range yes {
-		y, err := d.u64()
-		if err != nil {
-			return err
-		}
-		yes[i] = int(y)
+		yes[i] = int(d.U64())
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if len(yes) != st.nbuckets {
+		return fmt.Errorf("%w: window with %d buckets for query %s (%d)", ErrCheckpoint, len(yes), st.q.QID, st.nbuckets)
 	}
 	acc, err := answer.NewShardedAccumulator(st.nbuckets, len(a.shards))
 	if err != nil {
@@ -511,210 +408,4 @@ func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, 
 	w := stream.Window{Start: time.Unix(0, startNano), End: time.Unix(0, endNano)}
 	st.windows[startNano] = &openWindow{window: w, acc: acc}
 	return nil
-}
-
-// AppendResults serializes fired results — the piece of a durable
-// deployment's output that must survive a crash so the restarted
-// process can emit the complete, byte-identical result sequence.
-func AppendResults(dst []byte, res []Result) []byte {
-	buf := binary.BigEndian.AppendUint32(dst, uint32(len(res)))
-	for i := range res {
-		r := &res[i]
-		buf = appendCpString(buf, r.Query.Analyst)
-		buf = binary.BigEndian.AppendUint64(buf, r.Query.Serial)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Window.Start.UnixNano()))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Window.End.UnixNano()))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Responses))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Population))
-		if r.Inverted {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Buckets)))
-		for _, b := range r.Buckets {
-			buf = appendCpString(buf, b.Label)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(b.ObservedYes))
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(b.Truthful))
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(b.Estimate.Estimate))
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(b.Estimate.Margin))
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(b.Estimate.Confidence))
-		}
-	}
-	return buf
-}
-
-// DecodeResults decodes an AppendResults section, returning the results
-// and the unconsumed remainder of data.
-func DecodeResults(data []byte) ([]Result, []byte, error) {
-	d := &cpDec{buf: data}
-	n, err := d.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Result, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var r Result
-		if r.Query.Analyst, err = d.str(); err != nil {
-			return nil, nil, err
-		}
-		if r.Query.Serial, err = d.u64(); err != nil {
-			return nil, nil, err
-		}
-		startNano, err := d.u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		endNano, err := d.u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.Window = stream.Window{Start: time.Unix(0, int64(startNano)), End: time.Unix(0, int64(endNano))}
-		resp, err := d.u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.Responses = int(resp)
-		pop, err := d.u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.Population = int(pop)
-		inv, err := d.u8()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.Inverted = inv == 1
-		nb, err := d.u32()
-		if err != nil {
-			return nil, nil, err
-		}
-		for j := uint32(0); j < nb; j++ {
-			var b BucketEstimate
-			if b.Label, err = d.str(); err != nil {
-				return nil, nil, err
-			}
-			oy, err := d.u64()
-			if err != nil {
-				return nil, nil, err
-			}
-			b.ObservedYes = int(oy)
-			if b.Truthful, err = d.f64(); err != nil {
-				return nil, nil, err
-			}
-			var est, margin, conf float64
-			if est, err = d.f64(); err != nil {
-				return nil, nil, err
-			}
-			if margin, err = d.f64(); err != nil {
-				return nil, nil, err
-			}
-			if conf, err = d.f64(); err != nil {
-				return nil, nil, err
-			}
-			b.Estimate = stats.ConfidenceInterval{Estimate: est, Margin: margin, Confidence: conf}
-			r.Buckets = append(r.Buckets, b)
-		}
-		out = append(out, r)
-	}
-	return out, d.buf, nil
-}
-
-// --- checkpoint wire helpers -------------------------------------------
-
-func appendCpString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// cpDec is a bounds-checked sequential reader over a checkpoint record.
-type cpDec struct{ buf []byte }
-
-func (d *cpDec) take(n int) ([]byte, error) {
-	if len(d.buf) < n {
-		return nil, fmt.Errorf("%w: short record", ErrCheckpoint)
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out, nil
-}
-
-func (d *cpDec) u8() (byte, error) {
-	b, err := d.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (d *cpDec) u32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (d *cpDec) u64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (d *cpDec) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *cpDec) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.take(int(n))
-	return string(b), err
-}
-
-func (d *cpDec) pendingGroup() (xorcrypt.MID, int, [][]byte, error) {
-	var mid xorcrypt.MID
-	raw, err := d.take(xorcrypt.MIDSize)
-	if err != nil {
-		return mid, 0, nil, err
-	}
-	copy(mid[:], raw)
-	// The age slot: 0 current generation, anything else previous (it held
-	// an arrival time before the joiner aged by generation).
-	age, err := d.u64()
-	if err != nil {
-		return mid, 0, nil, err
-	}
-	ns, err := d.u32()
-	if err != nil {
-		return mid, 0, nil, err
-	}
-	if ns > 1024 {
-		return mid, 0, nil, fmt.Errorf("%w: %d sources", ErrCheckpoint, ns)
-	}
-	payloads := make([][]byte, ns)
-	for s := uint32(0); s < ns; s++ {
-		present, err := d.u8()
-		if err != nil {
-			return mid, 0, nil, err
-		}
-		if present == 0 {
-			continue
-		}
-		plen, err := d.u32()
-		if err != nil {
-			return mid, 0, nil, err
-		}
-		p, err := d.take(int(plen))
-		if err != nil {
-			return mid, 0, nil, err
-		}
-		payloads[s] = append([]byte(nil), p...)
-	}
-	return mid, int(min(age, 1)), payloads, nil
 }

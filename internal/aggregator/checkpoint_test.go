@@ -2,7 +2,6 @@ package aggregator
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -11,8 +10,6 @@ import (
 	"privapprox/internal/budget"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
-	"privapprox/internal/stats"
-	"privapprox/internal/stream"
 	"privapprox/internal/xorcrypt"
 )
 
@@ -293,53 +290,6 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if err := seeded.Restore(ckpt); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("mismatched seed restore: %v", err)
-	}
-}
-
-func TestResultsCodecRoundTrip(t *testing.T) {
-	res := []Result{
-		{
-			Query:      query.ID{Analyst: "alice", Serial: 3},
-			Window:     stream.Window{Start: testOrigin, End: testOrigin.Add(4 * time.Second)},
-			Responses:  17,
-			Population: 40,
-			Inverted:   true,
-			Buckets: []BucketEstimate{
-				{Label: "[0,1)", ObservedYes: 9, Truthful: 8.25,
-					Estimate: stats.ConfidenceInterval{Estimate: 19.4, Margin: 2.5, Confidence: 0.95}},
-				{Label: "rest", ObservedYes: 0, Truthful: 0,
-					Estimate: stats.ConfidenceInterval{Confidence: 0.95, Margin: math.Inf(1)}},
-			},
-		},
-		{
-			Query:     query.ID{Analyst: "bob", Serial: 1},
-			Window:    stream.Window{Start: testOrigin.Add(4 * time.Second), End: testOrigin.Add(8 * time.Second)},
-			Responses: 0, Population: 40,
-		},
-	}
-	enc := AppendResults([]byte("prefix"), res)
-	got, rest, err := DecodeResults(enc[len("prefix"):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d undecoded bytes", len(rest))
-	}
-	// Times must compare Equal (location may differ after the round
-	// trip); normalize before DeepEqual.
-	for i := range got {
-		if !got[i].Window.Start.Equal(res[i].Window.Start) || !got[i].Window.End.Equal(res[i].Window.End) {
-			t.Fatalf("window %d did not round-trip", i)
-		}
-		got[i].Window = res[i].Window
-	}
-	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("results did not round-trip:\ngot  %+v\nwant %+v", got, res)
-	}
-	// An empty section round-trips too.
-	none, rest, err := DecodeResults(AppendResults(nil, nil))
-	if err != nil || len(none) != 0 || len(rest) != 0 {
-		t.Fatalf("empty section: %v %v %v", none, rest, err)
 	}
 }
 

@@ -55,12 +55,10 @@ func TestFlushReturnsWindowsFiredDuringFinalDrain(t *testing.T) {
 			early = append(early, int64(r.Window.Start.Sub(origin)/time.Second))
 		}
 	}
-	// Epoch 6 answers bypass RunEpoch so nothing drains them before
-	// Flush does.
-	for _, c := range sys.Clients() {
-		if _, err := c.AnswerOnce(6); err != nil {
-			t.Fatal(err)
-		}
+	// Epoch 6 is answered without a drain, so its shares still sit at
+	// the proxies when Flush runs.
+	if _, err := sys.AnswerEpoch(); err != nil {
+		t.Fatal(err)
 	}
 
 	results, err := sys.Flush()

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,37 +193,5 @@ func TestRunEpochParallelStress(t *testing.T) {
 	if agg.Duplicates() != 0 || agg.Malformed() != 0 || agg.Dropped() != 0 {
 		t.Errorf("dup=%d malformed=%d dropped=%d, want all 0",
 			agg.Duplicates(), agg.Malformed(), agg.Dropped())
-	}
-}
-
-// TestDrainStampsEachPoll pins the arrival-time fix: drain must take a
-// fresh timestamp per poll batch rather than reusing one time.Now()
-// across the whole drain loop, so join-latency accounting stays honest
-// when a drain runs long.
-func TestDrainStampsEachPoll(t *testing.T) {
-	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
-	for _, workers := range []int{1, 4} {
-		cfg := taxiSystemConfig(t, 20, params)
-		cfg.Workers = workers
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var calls atomic.Int64
-		base := time.Unix(5000, 0)
-		sys.now = func() time.Time {
-			return base.Add(time.Duration(calls.Add(1)) * time.Millisecond)
-		}
-		if _, _, err := sys.RunEpoch(); err != nil {
-			sys.Close()
-			t.Fatal(err)
-		}
-		// Every consumer polls at least twice (records, then empty), so a
-		// per-poll clock is read more than once; the old code read it
-		// exactly once per drain.
-		if calls.Load() < 2 {
-			t.Errorf("workers=%d: drain stamped arrival %d times; want one per poll", workers, calls.Load())
-		}
-		sys.Close()
 	}
 }

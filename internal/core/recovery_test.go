@@ -8,6 +8,7 @@ import (
 	"privapprox/internal/aggregator"
 	"privapprox/internal/budget"
 	"privapprox/internal/pubsub"
+	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/wal"
 	"privapprox/internal/workload"
@@ -16,6 +17,28 @@ import (
 // recoveryParams exercise both noise sources (s<1, p<1) so the
 // estimator's seeded rng is genuinely consumed across the checkpoint.
 var recoveryParams = budget.Params{S: 0.9, RR: rr.Params{P: 0.9, Q: 0.6}}
+
+// resultsEqual reports whether two result sequences are identical — the
+// recovery tests' byte-level comparison.
+func resultsEqual(a, b []aggregator.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Query != b[i].Query || a[i].Responses != b[i].Responses ||
+			a[i].Population != b[i].Population || a[i].Inverted != b[i].Inverted ||
+			!a[i].Window.Start.Equal(b[i].Window.Start) || !a[i].Window.End.Equal(b[i].Window.End) ||
+			len(a[i].Buckets) != len(b[i].Buckets) {
+			return false
+		}
+		for j := range a[i].Buckets {
+			if a[i].Buckets[j] != b[i].Buckets[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 func runEpochsInto(t *testing.T, sys *System, epochs int, results []aggregator.Result) []aggregator.Result {
 	t.Helper()
@@ -222,8 +245,12 @@ func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 	if err := sysB.Restore([]byte("garbage")); err == nil {
 		t.Fatal("garbage checkpoint restored without error")
 	}
-	if err := sysB.Restore(append([]byte("PSC9"), ckpt[4:]...)); !errors.Is(err, ErrConfig) {
-		t.Fatalf("unknown checkpoint magic: %v, want ErrConfig", err)
+	// PSC2 and PNC1 are the magics of the system's and the node's records
+	// before both wrote the one role record.
+	for _, magic := range []string{"PSC9", "PSC2", "PNC1"} {
+		if err := sysB.Restore(append([]byte(magic), ckpt[4:]...)); !errors.Is(err, ErrConfig) || !errors.Is(err, role.ErrCheckpoint) {
+			t.Fatalf("checkpoint magic %s: %v, want ErrConfig and role.ErrCheckpoint", magic, err)
+		}
 	}
 }
 

@@ -9,14 +9,16 @@
 //
 // # Parallel epoch pipeline
 //
-// The epoch hot path is parallel end-to-end. RunEpoch fans the client
-// answering step (sample, local query, randomized response, XOR split,
-// submit) over a bounded pool of Config.Workers goroutines; drain runs
-// one goroutine per proxy consumer, all feeding the aggregator, whose
-// join and window state is sharded by message-ID hash (Config.Shards
-// per-shard locks). Exactly-once consumption is preserved by the
-// persistent per-proxy consumer groups — each consumer is owned by a
-// single drain goroutine.
+// The epoch hot path is parallel end-to-end and runs the same two roles
+// (internal/role) as the networked privapprox-node deployment. The
+// client role fans the answering step (sample, local query, randomized
+// response, XOR split) over a bounded pool of Config.Workers goroutines
+// and publishes the epoch to each proxy as columnar frames; the
+// aggregator role drains one goroutine per proxy consumer, all feeding
+// the aggregator, whose join and window state is sharded by message-ID
+// hash (Config.Shards per-shard locks). Exactly-once consumption is
+// preserved by the persistent per-proxy consumer groups — each consumer
+// is owned by a single drain goroutine.
 //
 // Determinism contract: under a fixed Config.Seed, epoch results are
 // byte-identical for every Workers and Shards setting. Each client owns
@@ -36,7 +38,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privapprox/internal/aggregator"
@@ -46,12 +47,11 @@ import (
 	"privapprox/internal/histstore"
 	"privapprox/internal/minisql"
 	"privapprox/internal/proxy"
-	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
+	"privapprox/internal/role"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/telemetry/lineage"
 	"privapprox/internal/wal"
-	"privapprox/internal/xorcrypt"
 )
 
 // ErrConfig reports an invalid system configuration.
@@ -126,18 +126,18 @@ type Config struct {
 
 // System is a fully wired in-process PrivApprox deployment.
 type System struct {
-	cfg       Config
-	params    budget.Params
-	signed    *query.Signed
-	pub       ed25519.PublicKey
-	priv      ed25519.PrivateKey
-	clients   []*client.Client
-	fleet     *proxy.Fleet
-	agg       *aggregator.Aggregator
-	store     *histstore.Store
-	ctrl      *budget.Controller
-	epoch     uint64
-	consumers []*pubsub.Consumer
+	cfg     Config
+	params  budget.Params
+	signed  *query.Signed
+	pub     ed25519.PublicKey
+	priv    ed25519.PrivateKey
+	clients *role.Clients
+	drainer *role.Drain
+	fleet   *proxy.Fleet
+	agg     *aggregator.Aggregator
+	store   *histstore.Store
+	ctrl    *budget.Controller
+	epoch   uint64
 
 	// Multi-query control plane (MultiQuery mode): the registry signs
 	// off on submissions and announces snapshots over the fleet's
@@ -167,10 +167,6 @@ type System struct {
 	sloMin     float64
 	sloWindow  int
 	sloEnabled bool
-
-	// now stamps record arrival once per poll batch (tests inject a
-	// fake clock to pin down per-poll latency accounting).
-	now func() time.Time
 
 	// Telemetry plane: tel aggregates every component source (built
 	// before the fleet so the WAL latency histograms exist when the
@@ -277,7 +273,7 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	sys := &System{cfg: cfg, params: params, signed: signed, pub: pub, priv: priv, fleet: fleet, now: time.Now,
+	sys := &System{cfg: cfg, params: params, signed: signed, pub: pub, priv: priv, fleet: fleet,
 		regEpochs: make(map[query.ID]uint64), tel: tel, tracer: telemetry.NewTracer()}
 	if signed != nil && !cfg.MultiQuery {
 		// Legacy mode: the single query is live from epoch 0.
@@ -322,52 +318,48 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	sys.agg = agg
-
-	// Fan share i to proxy i.
-	sinks := make([]client.ShareSink, fleet.Size())
-	for i := range sinks {
-		sinks[i] = fleet.Proxy(i)
+	consumers, err := fleet.Consumers("aggregator")
+	if err != nil {
+		sys.Close()
+		return nil, err
 	}
+	sys.drainer = role.NewDrain(agg, consumers, cfg.Workers)
 
-	for i := 0; i < cfg.Clients; i++ {
-		db := minisql.NewDB()
+	// The whole population is one client process, publishing each epoch
+	// in one batch per proxy.
+	sys.clients, err = role.NewClients(fleet, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
+		cc.DB = minisql.NewDB()
 		if cfg.Populate != nil {
-			if err := cfg.Populate(i, db); err != nil {
-				sys.Close()
-				return nil, fmt.Errorf("core: populate client %d: %w", i, err)
+			if err := cfg.Populate(i, cc.DB); err != nil {
+				return fmt.Errorf("populate: %w", err)
 			}
 		}
-		ccfg := client.Config{
-			ID:      fmt.Sprintf("client-%06d", i),
-			DB:      db,
-			Sinks:   sinks,
-			Reducer: cfg.Reducer,
-			Seed:    cfg.Seed + int64(i) + 2,
-			// Seeded MIDs pin the shares' partition routing, extending the
-			// determinism contract to bounded drains (DrainUpTo): where a
-			// partial drain cuts off depends on which partition each share
-			// landed in. Deployments (cmd/privapprox-node) keep the default
-			// crypto-random MIDs.
-			MIDSource: mrand.New(mrand.NewSource(cfg.Seed + (int64(i)+1)*1_000_003)),
-		}
+		cc.Reducer = cfg.Reducer
+		// Seeded MIDs pin the shares' partition routing, extending the
+		// determinism contract to bounded drains (DrainUpTo): where a
+		// partial drain cuts off depends on which partition each share
+		// landed in. Deployments (cmd/privapprox-node) keep the default
+		// crypto-random MIDs.
+		cc.MIDSource = mrand.New(mrand.NewSource(cfg.Seed + (int64(i)+1)*1_000_003))
 		if !cfg.MultiQuery {
 			// Legacy single-query mode pins the system analyst's key on
 			// every client; in multi mode each announcement carries its
 			// analyst's key instead.
-			ccfg.AnalystKey = pub
+			cc.AnalystKey = pub
 		}
-		c, err := client.New(ccfg)
-		if err != nil {
-			sys.Close()
-			return nil, err
-		}
-		if !cfg.MultiQuery {
+		return nil
+	})
+	if err != nil {
+		sys.Close()
+		return nil, err
+	}
+	if !cfg.MultiQuery {
+		for _, c := range sys.clients.Clients() {
 			if err := c.Subscribe(signed, params); err != nil {
 				sys.Close()
 				return nil, err
 			}
 		}
-		sys.clients = append(sys.clients, c)
 	}
 
 	if cfg.MultiQuery {
@@ -386,8 +378,8 @@ func New(cfg Config) (*System, error) {
 			sys.Close()
 			return nil, err
 		}
-		subs := make([]engine.Subscriber, len(sys.clients))
-		for i, c := range sys.clients {
+		subs := make([]engine.Subscriber, cfg.Clients)
+		for i, c := range sys.clients.Clients() {
 			subs[i] = c
 		}
 		sys.follower = engine.NewFollower(cc, engine.NewApplier(subs...))
@@ -406,7 +398,7 @@ func New(cfg Config) (*System, error) {
 func (s *System) Params() budget.Params { return s.params }
 
 // Clients returns the client handles (read-only use).
-func (s *System) Clients() []*client.Client { return s.clients }
+func (s *System) Clients() []*client.Client { return s.clients.Clients() }
 
 // Fleet returns the proxy fleet.
 func (s *System) Fleet() *proxy.Fleet { return s.fleet }
@@ -492,31 +484,18 @@ func (s *System) StopQuery(id query.ID) ([]aggregator.Result, error) {
 // of participating clients (clients that answered at least one query).
 // In MultiQuery mode, pending control-topic announcements are applied
 // first, so queries registered since the last epoch take effect at a
-// deterministic point. Results are deterministic under a fixed
-// Config.Seed for any worker count.
+// deterministic point; an idle fleet (no active query) answers nothing
+// but still drains, so stragglers of stopped queries surface in the
+// statistics. Results are deterministic under a fixed Config.Seed for
+// any worker count.
 func (s *System) RunEpoch() ([]aggregator.Result, int, error) {
-	if s.follower != nil {
-		if _, err := s.follower.Sync(); err != nil {
-			return nil, 0, err
-		}
-	}
-	epoch := s.epoch
-	s.epoch++
-	s.tracer.BeginEpoch(epoch)
-	if s.registry != nil && len(s.registry.Active()) == 0 {
-		// Idle fleet: no active queries, nothing to answer this epoch
-		// (clients would report ErrNotSubscribed). Still drain so
-		// stragglers of stopped queries surface in the statistics.
-		results, err := s.timedDrain()
-		return results, 0, err
-	}
-	t0 := time.Now()
-	participants, err := s.answerAll(epoch)
-	s.tracer.Record(epoch, telemetry.StageAnswer, time.Since(t0), participants, 0)
+	participants, err := s.AnswerEpoch()
 	if err != nil {
 		return nil, participants, err
 	}
-	results, err := s.timedDrain()
+	t0 := time.Now()
+	results, err := s.drain()
+	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), len(results), 0)
 	if err != nil {
 		return results, participants, err
 	}
@@ -539,69 +518,33 @@ func (s *System) AnswerEpoch() (int, error) {
 	s.epoch++
 	s.tracer.BeginEpoch(epoch)
 	if s.registry != nil && len(s.registry.Active()) == 0 {
+		// Idle fleet: no active queries, nothing to answer this epoch
+		// (clients would report ErrNotSubscribed).
 		return 0, nil
 	}
 	t0 := time.Now()
-	participants, err := s.answerAll(epoch)
+	participants, err := s.clients.Epoch(epoch)
 	s.tracer.Record(epoch, telemetry.StageAnswer, time.Since(t0), participants, 0)
 	return participants, err
 }
 
 // DrainUpTo forwards at most max queued records from the proxies to the
 // aggregator — a bounded, always-sequential drain (deterministic
-// round-robin over the proxy consumers) modelling fixed aggregation
-// capacity per tick. It returns fired windows in window-start order and
-// the number of records actually drained; a count under max means the
-// proxies ran dry. Fired windows feed the overload controllers when
-// EnableSLO is on, exactly as in RunEpoch.
+// round-robin over the proxy consumers, see role.Drain.UpTo) modelling
+// fixed aggregation capacity per tick. It returns fired windows in
+// window-start order and the number of records actually drained; a
+// count under max means the proxies ran dry. Fired windows feed the
+// overload controllers when EnableSLO is on, exactly as in RunEpoch.
 func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 	if max <= 0 {
 		return nil, 0, nil
 	}
-	if err := s.ensureConsumers(); err != nil {
-		return nil, 0, err
-	}
 	t0 := time.Now()
-	var fired []aggregator.Result
-	drained := 0
-	// Split each round's budget fairly across the proxy consumers: a
-	// share only decodes once ALL its sibling shares arrive, so draining
-	// one proxy's whole backlog before touching the next would burn the
-	// budget on un-joinable halves and stall the watermark.
-	chunk := (max + len(s.consumers) - 1) / len(s.consumers)
-	if chunk > 4096 {
-		chunk = 4096
+	fired, drained, err := s.drainer.UpTo(max)
+	if err == nil {
+		err = s.release()
 	}
-	for drained < max {
-		any := false
-		for src, c := range s.consumers {
-			room := max - drained
-			if room <= 0 {
-				break
-			}
-			if room > chunk {
-				room = chunk
-			}
-			recs, err := c.Poll(room)
-			if err != nil {
-				return fired, drained, err
-			}
-			res, err := s.submitRecords(recs, src, s.now())
-			fired = append(fired, res...)
-			if err != nil {
-				return fired, drained, err
-			}
-			drained += len(recs)
-			if len(recs) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	aggregator.SortResults(fired, s.agg.QueryOrder())
-	if err := s.release(); err != nil {
+	if err != nil {
 		return fired, drained, err
 	}
 	// Depth is the backlog the bounded drain left behind — the signal
@@ -616,11 +559,8 @@ func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 // drain leaves behind. Without overload control this grows without
 // bound under sustained over-offered load.
 func (s *System) PendingShares() (int64, error) {
-	if err := s.ensureConsumers(); err != nil {
-		return 0, err
-	}
 	var total int64
-	for _, c := range s.consumers {
+	for _, c := range s.drainer.Consumers() {
 		lag, err := c.Lag()
 		if err != nil {
 			return total, err
@@ -734,122 +674,17 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 	return err
 }
 
-// answerAll fans AnswerOnce over the client population with a bounded
-// worker pool. Each client is answered exactly once per epoch; clients
-// never share mutable state (each owns its database, RNG, and
-// splitter), and the proxies' brokers are concurrency-safe, so the only
-// cross-worker effect is the interleaving of shares at the proxies —
-// which the sharded aggregator is insensitive to.
-func (s *System) answerAll(epoch uint64) (int, error) {
-	workers := s.cfg.Workers
-	if workers > len(s.clients) {
-		workers = len(s.clients)
-	}
-	if workers <= 1 {
-		participants := 0
-		for _, c := range s.clients {
-			ok, err := c.AnswerOnce(epoch)
-			if err != nil {
-				return participants, err
-			}
-			if ok {
-				participants++
-			}
-		}
-		return participants, nil
-	}
-
-	var (
-		next         atomic.Int64
-		participants atomic.Int64
-		latch        errLatch
-		wg           sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.clients) || latch.failed() {
-					return
-				}
-				ok, err := s.clients[i].AnswerOnce(epoch)
-				if err != nil {
-					latch.fail(err)
-					return
-				}
-				if ok {
-					participants.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return int(participants.Load()), latch.err()
-}
-
-// errLatch records the first error a group of goroutines hits and flags
-// the others to wind down.
-type errLatch struct {
-	mu    sync.Mutex
-	bad   atomic.Bool
-	first error
-}
-
-func (l *errLatch) fail(err error) {
-	l.mu.Lock()
-	if l.first == nil {
-		l.first = err
-	}
-	l.mu.Unlock()
-	l.bad.Store(true)
-}
-
-func (l *errLatch) failed() bool { return l.bad.Load() }
-
-func (l *errLatch) err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.first
-}
-
 // Epoch returns the next epoch number to run.
 func (s *System) Epoch() uint64 { return s.epoch }
 
-// drain forwards everything sitting at the proxies to the aggregator,
-// using persistent consumers so records are read exactly once. With
-// Workers > 1 each proxy's consumer is drained by its own goroutine,
-// all feeding the sharded aggregator concurrently; each poll batch is
-// stamped with its own arrival time so join-latency accounting stays
-// honest however long the drain runs. Fired windows are returned in
-// window-start order, which makes the output independent of goroutine
-// scheduling.
-// timedDrain charges a full drain to the current epoch's drain stage —
-// batch-granular (two clock reads per epoch), so the per-record tail
-// stays allocation- and timer-free.
-func (s *System) timedDrain() ([]aggregator.Result, error) {
-	t0 := time.Now()
-	fired, err := s.drain()
-	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), len(fired), 0)
-	return fired, err
-}
-
+// drain forwards everything sitting at the proxies to the aggregator
+// (role.Drain.Dry: one goroutine per proxy consumer with Workers > 1),
+// then releases it. Fired windows come back in window-start order.
 func (s *System) drain() ([]aggregator.Result, error) {
-	if err := s.ensureConsumers(); err != nil {
-		return nil, err
-	}
-	var fired []aggregator.Result
-	var err error
-	if s.cfg.Workers <= 1 || len(s.consumers) == 1 {
-		fired, err = s.drainSequential()
-	} else {
-		fired, err = s.drainParallel()
-	}
+	fired, err := s.drainer.Dry()
 	if err != nil {
 		return fired, err
 	}
-	aggregator.SortResults(fired, s.agg.QueryOrder())
 	return fired, s.release()
 }
 
@@ -863,132 +698,7 @@ func (s *System) release() error {
 	if s.cfg.DataDir != "" {
 		return nil
 	}
-	return s.commitConsumers()
-}
-
-func (s *System) commitConsumers() error {
-	for _, c := range s.consumers {
-		if err := c.Commit(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ensureConsumers lazily builds the persistent per-proxy consumer group.
-func (s *System) ensureConsumers() error {
-	if s.consumers != nil {
-		return nil
-	}
-	cs, err := s.fleet.Consumers("aggregator")
-	if err != nil {
-		return err
-	}
-	s.consumers = cs
-	return nil
-}
-
-// drainSequential is the Workers == 1 path: one goroutine round-robins
-// the consumers until all are dry.
-func (s *System) drainSequential() ([]aggregator.Result, error) {
-	var fired []aggregator.Result
-	for {
-		any := false
-		for src, c := range s.consumers {
-			recs, err := c.Poll(4096)
-			if err != nil {
-				return fired, err
-			}
-			res, err := s.submitRecords(recs, src, s.now())
-			fired = append(fired, res...)
-			if err != nil {
-				return fired, err
-			}
-			if len(recs) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			return fired, nil
-		}
-	}
-}
-
-// drainParallel runs one goroutine per proxy consumer. A consumer is
-// only ever touched by its own goroutine, preserving the exactly-once
-// positions of the persistent consumer group.
-func (s *System) drainParallel() ([]aggregator.Result, error) {
-	var (
-		mu    sync.Mutex
-		fired []aggregator.Result
-		latch errLatch
-		wg    sync.WaitGroup
-	)
-	for src, c := range s.consumers {
-		wg.Add(1)
-		go func(src int, c *pubsub.Consumer) {
-			defer wg.Done()
-			for !latch.failed() {
-				recs, err := c.Poll(4096)
-				if err != nil {
-					latch.fail(err)
-					return
-				}
-				if len(recs) == 0 {
-					return
-				}
-				res, err := s.submitRecords(recs, src, s.now())
-				if len(res) > 0 {
-					mu.Lock()
-					fired = append(fired, res...)
-					mu.Unlock()
-				}
-				if err != nil {
-					latch.fail(err)
-					return
-				}
-			}
-		}(src, c)
-	}
-	wg.Wait()
-	return fired, latch.err()
-}
-
-// sharePool recycles the per-poll decode slice so the steady-state
-// drain allocates nothing per batch.
-var sharePool = sync.Pool{New: func() any { return new([]xorcrypt.Share) }}
-
-// submitRecords decodes one polled batch of pub/sub records and feeds
-// it to the aggregator in a single batch submission. On a decode error
-// at record k the k records already decoded are still submitted before
-// the error returns — the same partial progress as decoding and
-// submitting one record at a time. The aggregator only borrows the
-// payloads, so the polled batch's buffer is garbage once this returns.
-func (s *System) submitRecords(recs []pubsub.Record, src int, now time.Time) ([]aggregator.Result, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	sp := sharePool.Get().(*[]xorcrypt.Share)
-	shares := (*sp)[:0]
-	var decErr error
-	for _, rec := range recs {
-		share, err := proxy.DecodeRecord(rec)
-		if err != nil {
-			decErr = err
-			break
-		}
-		shares = append(shares, share)
-	}
-	res, err := s.agg.SubmitShareBatch(shares, src, now)
-	// Drop the payload references before pooling: a pooled slice must
-	// not pin the polled batch's buffer.
-	clear(shares)
-	*sp = shares[:0]
-	sharePool.Put(sp)
-	if err == nil {
-		err = decErr
-	}
-	return res, err
+	return s.drainer.Commit()
 }
 
 // AdvanceTo pushes the aggregator's watermark to the event time of the
@@ -1077,7 +787,7 @@ func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
 		return s.params, nil
 	}
 	s.params = next
-	for _, c := range s.clients {
+	for _, c := range s.clients.Clients() {
 		if err := c.Subscribe(s.signed, next); err != nil {
 			return next, err
 		}

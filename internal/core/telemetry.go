@@ -71,7 +71,7 @@ func (s *System) initTelemetry() {
 	}))
 
 	s.tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
-		return client.AppendFleetSamples(dst, client.SumStats(s.clients))
+		return client.AppendFleetSamples(dst, client.SumStats(s.clients.Clients()))
 	}))
 
 	// SLO actuation state: the live shed threshold and p95 lag each

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"privapprox/internal/pubsub"
 	"privapprox/internal/wal"
@@ -383,22 +382,6 @@ func (f *Fleet) Size() int { return len(f.proxies) }
 // Proxy returns proxy i.
 func (f *Fleet) Proxy(i int) *Proxy { return f.proxies[i] }
 
-// Sinks adapts the fleet to the client's ShareSink slice (share i goes
-// to proxy i).
-func (f *Fleet) Sinks() []ShareSink {
-	out := make([]ShareSink, len(f.proxies))
-	for i, p := range f.proxies {
-		out[i] = p
-	}
-	return out
-}
-
-// ShareSink mirrors client.ShareSink without importing it (both packages
-// stay independent; the core package wires them).
-type ShareSink interface {
-	Submit(share xorcrypt.Share) error
-}
-
 // Consumers returns one aggregator consumer per proxy.
 func (f *Fleet) Consumers(group string) ([]*pubsub.Consumer, error) {
 	out := make([]*pubsub.Consumer, len(f.proxies))
@@ -489,56 +472,5 @@ func (f *Fleet) TotalStats() pubsub.Stats {
 func (f *Fleet) Close() {
 	for _, p := range f.proxies {
 		p.Close()
-	}
-}
-
-// Drain polls every proxy until no records arrive for the settle
-// duration, forwarding each decoded share to fn. It is the synchronous
-// helper the in-process experiments use.
-func (f *Fleet) Drain(group string, settle time.Duration, fn func(proxyIndex int, share xorcrypt.Share) error) error {
-	consumers, err := f.Consumers(group)
-	if err != nil {
-		return err
-	}
-	for {
-		any := false
-		for i, c := range consumers {
-			recs, err := c.Poll(4096)
-			if err != nil {
-				return err
-			}
-			for _, rec := range recs {
-				share, err := DecodeRecord(rec)
-				if err != nil {
-					return err
-				}
-				if err := fn(i, share); err != nil {
-					return err
-				}
-			}
-			if len(recs) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			if settle <= 0 {
-				return nil
-			}
-			time.Sleep(settle)
-			more := false
-			for _, c := range consumers {
-				lag, err := c.Lag()
-				if err != nil {
-					return err
-				}
-				if lag > 0 {
-					more = true
-					break
-				}
-			}
-			if !more {
-				return nil
-			}
-		}
 	}
 }

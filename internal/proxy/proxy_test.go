@@ -95,46 +95,6 @@ func TestFleetValidationAndRoles(t *testing.T) {
 	if f.Proxy(0).Topic() != TopicAnswer || f.Proxy(1).Topic() != TopicKey || f.Proxy(2).Topic() != TopicKey {
 		t.Error("fleet roles wrong")
 	}
-	if len(f.Sinks()) != 3 {
-		t.Error("Sinks size wrong")
-	}
-}
-
-func TestFleetDrainDeliversEverything(t *testing.T) {
-	f, err := NewFleet(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const messages = 50
-	want := map[string]bool{}
-	for i := 0; i < messages; i++ {
-		sh := randomShare(t, []byte{byte(i)})
-		want[sh.MID.String()] = true
-		// Same MID goes to both proxies, as a client would send.
-		if err := f.Proxy(0).Submit(sh); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Proxy(1).Submit(sh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[string]int{}
-	err = f.Drain("agg", 10*time.Millisecond, func(idx int, share xorcrypt.Share) error {
-		got[share.MID.String()]++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != messages {
-		t.Fatalf("drained %d distinct MIDs, want %d", len(got), messages)
-	}
-	for mid, n := range got {
-		if n != 2 {
-			t.Errorf("MID %s seen %d times, want 2", mid, n)
-		}
-	}
 }
 
 func TestFleetTotalStats(t *testing.T) {

@@ -174,13 +174,18 @@ func TestAttachFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seen := 0
-	err = f.Drain("agg", 0, func(idx int, share xorcrypt.Share) error {
-		seen++
-		return nil
-	})
-	if err != nil || seen != 2 {
-		t.Fatalf("drained %d shares, err %v", seen, err)
+	consumers, err := f.Consumers("agg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range consumers {
+		recs, err := c.Poll(10)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("proxy %d: polled %d shares, err %v", i, len(recs), err)
+		}
+		if got, err := DecodeRecord(recs[0]); err != nil || got.MID != sh.MID {
+			t.Fatalf("proxy %d: decoded %v, err %v; want MID %v", i, got.MID, err, sh.MID)
+		}
 	}
 	if _, err := AttachFleet(transports[:1]); err == nil {
 		t.Error("one-transport fleet accepted")

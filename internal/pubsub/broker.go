@@ -9,7 +9,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,9 +93,11 @@ type partitionLog struct {
 	// journals its record here — before the in-memory append, before the
 	// ack — so an acknowledged record survives a broker restart. The WAL
 	// LSN of a record equals its partition offset. encBuf is the frame
-	// scratch, touched only under mu.
-	w      *wal.Log
-	encBuf []byte
+	// scratch and payloads the per-record views journalColumns hands the
+	// WAL, both touched only under mu.
+	w        *wal.Log
+	encBuf   []byte
+	payloads [][]byte
 	// producers is the partition's session-dedup state, lazily allocated
 	// on the first session publish: producer ID → the newest sequence
 	// that producer applied here. A batch carrying that sequence or an
@@ -349,23 +351,63 @@ func fnv1a32(b []byte) uint32 {
 	return h
 }
 
-// dupSlices collects the locked target partitions that already applied
-// this (pid, seq) — the caller then skips capacity checks, journaling,
-// and appends for them. Caller holds every partition lock in parts.
-func dupSlices(t *topicLog, parts []int, pid, seq uint64) map[int]bool {
-	if pid == 0 {
-		return nil
+// colScratch groups one PublishColumns batch by destination partition
+// with a counting sort: order holds the batch's record indexes partition
+// by partition, each partition's in batch order, and partition p's are
+// order[start[p]:start[p+1]]. It is pooled, so concurrent publishers each
+// hold their own and a steady stream of batches allocates nothing.
+type colScratch struct {
+	part  []int  // record index → partition
+	start []int  // partition → first position in order; one past the end last
+	next  []int  // fill cursor per partition
+	order []int  // record indexes grouped by partition
+	dup   []bool // partition already applied this (producer, sequence)
+}
+
+var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}
+
+// group routes every record of cols to one of n partitions by the
+// key-lane FNV hash Publish uses.
+func (sc *colScratch) group(cols Columns, n int) {
+	sc.part = slices.Grow(sc.part[:0], cols.Count)[:cols.Count]
+	sc.order = slices.Grow(sc.order[:0], cols.Count)[:cols.Count]
+	sc.start = append(sc.start[:0], make([]int, n+1)...)
+	for i := range sc.part {
+		p := int(fnv1a32(cols.Key(i)) % uint32(n))
+		sc.part[i] = p
+		sc.start[p+1]++
 	}
-	var dup map[int]bool
-	for _, part := range parts {
-		if applied, ok := t.partitions[part].producers[pid]; ok && seq <= applied {
-			if dup == nil {
-				dup = make(map[int]bool)
-			}
-			dup[part] = true
+	for p := 0; p < n; p++ {
+		sc.start[p+1] += sc.start[p]
+	}
+	sc.next = append(sc.next[:0], sc.start[:n]...)
+	for i, p := range sc.part {
+		sc.order[sc.next[p]] = i
+		sc.next[p]++
+	}
+}
+
+// records returns the batch's record indexes bound for partition p.
+func (sc *colScratch) records(p int) []int { return sc.order[sc.start[p]:sc.start[p+1]] }
+
+// markDups flags the target partitions that already applied this (pid,
+// seq) — the caller then skips capacity checks, journaling, and appends
+// for them. Caller holds every target partition's lock.
+func (sc *colScratch) markDups(t *topicLog, pid, seq uint64) {
+	sc.dup = append(sc.dup[:0], make([]bool, len(t.partitions))...)
+	if pid == 0 {
+		return
+	}
+	for part, p := range t.partitions {
+		// A partition outside the batch is not locked by this caller: its
+		// dedup state must not be read, since another batch may be writing it.
+		if len(sc.records(part)) == 0 {
+			continue
+		}
+		if applied, ok := p.producers[pid]; ok && seq <= applied {
+			sc.dup[part] = true
 		}
 	}
-	return dup
 }
 
 // recordSlice notes a freshly applied session slice in the partition's
@@ -426,40 +468,37 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 		return fmt.Errorf("%w: %q", ErrNoTopic, topic)
 	}
 
-	byPart := make(map[int][]int) // partition → record indexes
-	for i := 0; i < cols.Count; i++ {
-		part := int(fnv1a32(cols.Key(i)) % uint32(len(t.partitions)))
-		byPart[part] = append(byPart[part], i)
-	}
+	sc := colScratchPool.Get().(*colScratch)
+	defer colScratchPool.Put(sc)
+	sc.group(cols, len(t.partitions))
 
 	// Two-phase apply: lock every target partition (in ascending order,
 	// so concurrent batches cannot deadlock), check all capacities, then
 	// journal and append. No partition's memory log is touched until the
 	// whole batch is known to fit and is journaled.
-	parts := make([]int, 0, len(byPart))
-	for part := range byPart {
-		parts = append(parts, part)
-	}
-	sort.Ints(parts)
-	for _, part := range parts {
-		t.partitions[part].mu.Lock()
+	for part, p := range t.partitions {
+		if len(sc.records(part)) > 0 {
+			p.mu.Lock()
+		}
 	}
 	unlockAll := func() {
-		for _, part := range parts {
-			t.partitions[part].mu.Unlock()
+		for part, p := range t.partitions {
+			if len(sc.records(part)) > 0 {
+				p.mu.Unlock()
+			}
 		}
 	}
 	// Partitions that already applied this (producer, sequence) — a retry
 	// of a batch whose first attempt died after some partitions journaled
 	// — are skipped wholesale: no capacity check, no journal, no append.
-	dup := dupSlices(t, parts, pid, seq)
+	sc.markDups(t, pid, seq)
 	now := time.Now()
-	for _, part := range parts {
-		if dup[part] {
+	for part, p := range t.partitions {
+		n := len(sc.records(part))
+		if n == 0 || sc.dup[part] {
 			continue
 		}
-		p := t.partitions[part]
-		if b.overCapacity(p, topic, part, len(byPart[part])) {
+		if b.overCapacity(p, topic, part, n) {
 			capacity := p.capacity
 			unlockAll()
 			b.statsMu.Lock()
@@ -469,23 +508,23 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 				ErrPartitionFull, topic, part, capacity, cols.Count)
 		}
 	}
-	for _, part := range parts {
-		if dup[part] {
+	for part, p := range t.partitions {
+		idxs := sc.records(part)
+		if len(idxs) == 0 || sc.dup[part] || p.w == nil {
 			continue
 		}
-		p := t.partitions[part]
-		if p.w != nil {
-			if err := journalColumns(p, now, cols, byPart[part], pid, seq); err != nil {
-				unlockAll()
-				return err
-			}
+		if err := journalColumns(p, now, cols, idxs, pid, seq); err != nil {
+			unlockAll()
+			return err
 		}
 	}
 	var duplicates int64
-	for _, part := range parts {
-		p := t.partitions[part]
-		idxs := byPart[part]
-		if dup[part] {
+	for part, p := range t.partitions {
+		idxs := sc.records(part)
+		if len(idxs) == 0 {
+			continue
+		}
+		if sc.dup[part] {
 			duplicates += int64(len(idxs))
 			continue
 		}

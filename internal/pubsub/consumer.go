@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -166,61 +165,6 @@ func (c *Consumer) Seek(topic string, partition int, offset int64) error {
 	}
 	c.subs[i].next[partition] = offset
 	return nil
-}
-
-// AppendPositions serializes the consumer's next-read offsets to buf in
-// a deterministic order (topics sorted, partitions ascending) — the
-// checkpoint-record form of Positions, decoded by SeekPositions. Both
-// the in-process System checkpoint and the privapprox-node aggregator
-// checkpoint use this one codec.
-func (c *Consumer) AppendPositions(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.subs)))
-	for _, sub := range c.subs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.topic)))
-		buf = append(buf, sub.topic...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.next)))
-		for p, off := range sub.next {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(p))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(off))
-		}
-	}
-	return buf
-}
-
-// SeekPositions decodes an AppendPositions section, seeks every
-// recorded partition, and returns the unconsumed remainder of data.
-func (c *Consumer) SeekPositions(data []byte) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("pubsub: short positions record")
-	}
-	ntopics := binary.BigEndian.Uint32(data)
-	data = data[4:]
-	for t := uint32(0); t < ntopics; t++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("pubsub: short positions record")
-		}
-		tlen := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		if uint32(len(data)) < tlen+4 {
-			return nil, fmt.Errorf("pubsub: short positions record")
-		}
-		topic := string(data[:tlen])
-		data = data[tlen:]
-		nparts := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		for p := uint32(0); p < nparts; p++ {
-			if len(data) < 12 {
-				return nil, fmt.Errorf("pubsub: short positions record")
-			}
-			part := binary.BigEndian.Uint32(data)
-			off := int64(binary.BigEndian.Uint64(data[4:12]))
-			data = data[12:]
-			if err := c.Seek(topic, int(part), off); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return data, nil
 }
 
 // Commit persists the positions that moved since the last commit, one

@@ -298,14 +298,14 @@ func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pi
 		p.encBuf = make([]byte, 0, total)
 	}
 	enc := p.encBuf[:0]
-	payloads := make([][]byte, 0, len(idxs))
+	payloads := p.payloads[:0]
 	for _, i := range idxs {
 		start := len(enc)
 		enc = appendSessionTag(enc, pid, seq)
 		enc = appendPartitionRecord(enc, now, cols.Key(i), cols.Val(i))
 		payloads = append(payloads, enc[start:len(enc):len(enc)])
 	}
-	p.encBuf = enc[:0]
+	p.encBuf, p.payloads = enc[:0], payloads[:0]
 	_, err := p.w.AppendBatch(payloads)
 	return err
 }

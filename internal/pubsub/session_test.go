@@ -289,6 +289,51 @@ func TestProducerSequencesPerTopic(t *testing.T) {
 	}
 }
 
+// TestConcurrentProducersDisjointPartitions: two producers publish to one
+// broker at once, each only to its own half of the partitions, so every
+// batch leaves the other producer's partitions unlocked. Run under -race:
+// a batch must not read the dedup state of a partition it does not lock.
+func TestConcurrentProducersDisjointPartitions(t *testing.T) {
+	const parts, perBatch, batches = 4, 6, 200
+	b := NewBroker()
+	defer b.Close()
+	if err := b.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
+	}
+	// Keys for producer 0 route to partitions {0, 1}, for producer 1 to {2, 3}.
+	const keyLen = 8
+	var keys [2][]byte
+	for i := 0; len(keys[0]) < perBatch*keyLen || len(keys[1]) < perBatch*keyLen; i++ {
+		k := fmt.Appendf(nil, "k%07d", i)
+		half := int(fnv1a32(k)%parts) / 2
+		if len(keys[half]) < perBatch*keyLen {
+			keys[half] = append(keys[half], k...)
+		}
+	}
+	errs := make(chan error, 2)
+	for half := 0; half < 2; half++ {
+		cols := Columns{Count: perBatch, KeyLen: keyLen, ValLen: 8, Keys: keys[half], Vals: make([]byte, perBatch*8)}
+		prod := NewProducer(b, RetryPolicy{})
+		go func() {
+			for i := 0; i < batches; i++ {
+				if err := prod.PublishColumns("t", cols); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.Stats(); st.MessagesIn != 2*perBatch*batches || st.Duplicates != 0 {
+		t.Fatalf("MessagesIn=%d Duplicates=%d, want %d and 0", st.MessagesIn, st.Duplicates, 2*perBatch*batches)
+	}
+}
+
 // TestProducerSplitsOversized: a batch above maxBatchBytes travels as
 // several frames, each under its own sequence, and all of it lands.
 func TestProducerSplitsOversized(t *testing.T) {

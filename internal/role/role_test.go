@@ -1,0 +1,138 @@
+package role
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"privapprox/internal/aggregator"
+	"privapprox/internal/budget"
+	"privapprox/internal/client"
+	"privapprox/internal/minisql"
+	"privapprox/internal/proxy"
+	"privapprox/internal/query"
+	"privapprox/internal/rr"
+	"privapprox/internal/workload"
+)
+
+// rig is one in-process deployment built from the roles alone: two
+// proxies, a client process answering through them and an aggregator
+// draining them. Clients answer on one worker, so two rigs publish the
+// same records in the same partition order.
+type rig struct {
+	clients *Clients
+	drain   *Drain
+	agg     *aggregator.Aggregator
+}
+
+func newRig(t *testing.T, clients, drainWorkers int) *rig {
+	t.Helper()
+	q, err := workload.TaxiQuery("role", 1, time.Second, 4*time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := budget.Params{S: 0.8, RR: rr.Params{P: 0.9, Q: 0.6}}
+	fleet, err := proxy.NewFleet(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	agg, err := aggregator.New(aggregator.Config{
+		Query: q, Params: params, Population: clients, Proxies: 2,
+		Origin: time.Unix(0, 0), Seed: 5, Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumers, err := fleet.Consumers("aggregator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewClients(fleet, 9, 0, clients, 0, 1, func(i int, cfg *client.Config) error {
+		cfg.DB = minisql.NewDB()
+		cfg.MIDSource = rand.New(rand.NewSource(int64(i) + 100))
+		return workload.PopulateTaxi(cfg.DB, rand.New(rand.NewSource(int64(i))), 2, time.Unix(0, 0), time.Minute)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cs.Clients() {
+		if err := c.Subscribe(&query.Signed{Query: q}, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &rig{clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
+}
+
+// TestRoleDrainMatchesAcrossWorkers: the same published stream drained
+// sequentially and by one goroutine per consumer fires byte-identical
+// windows — sliding ones, so windows fire inside the drains — with the
+// same accounting. Run under -race, it also covers the parallel drain's
+// concurrent submits.
+func TestRoleDrainMatchesAcrossWorkers(t *testing.T) {
+	run := func(workers int) ([]aggregator.Result, aggregator.Stats) {
+		r := newRig(t, 120, workers)
+		var all []aggregator.Result
+		for e := uint64(0); e < 10; e++ {
+			if _, err := r.clients.Epoch(e); err != nil {
+				t.Fatal(err)
+			}
+			fired, err := r.drain.Dry()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, fired...)
+		}
+		final, err := r.agg.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(all, final...), r.agg.Stats()
+	}
+	want, wantStats := run(1)
+	if len(want) < 10 || wantStats.Decoded == 0 {
+		t.Fatalf("degenerate sequential run: %d windows, %+v", len(want), wantStats)
+	}
+	for _, workers := range []int{2, 4} {
+		got, gotStats := run(workers)
+		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+			t.Errorf("workers=%d: the parallel drain diverges from the sequential one\n got %+v\nwant %+v", workers, gotStats, wantStats)
+		}
+	}
+}
+
+// TestDrainDeliversEverything: every share published to either proxy
+// reaches the aggregator exactly once. A bounded drain splits its budget
+// evenly over the proxies (so what it reads can join), Dry takes the rest,
+// and a round after that finds nothing.
+func TestDrainDeliversEverything(t *testing.T) {
+	r := newRig(t, 50, 1)
+	n, err := r.clients.Epoch(0)
+	if err != nil || n == 0 {
+		t.Fatalf("epoch 0: %d participants, %v", n, err)
+	}
+	if _, drained, err := r.drain.UpTo(n); err != nil || drained != n {
+		t.Fatalf("UpTo(%d) drained %d: %v", n, drained, err)
+	}
+	var lags []int64
+	for _, c := range r.drain.Consumers() {
+		lag, err := c.Lag()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lags = append(lags, lag)
+	}
+	if lags[0]+lags[1] != int64(n) || lags[0]-lags[1] > 1 || lags[1]-lags[0] > 1 {
+		t.Errorf("after draining %d of %d records, proxy backlogs %v: not split evenly", n, 2*n, lags)
+	}
+	if _, err := r.drain.Dry(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.agg.Decoded(); got != int64(n) || r.agg.PendingJoins() != 0 {
+		t.Errorf("decoded %d answers with %d joins pending, want %d and 0", got, r.agg.PendingJoins(), n)
+	}
+	if _, read, err := r.drain.Round(pollMax, 0); err != nil || read != 0 {
+		t.Errorf("a round after Dry read %d records: %v", read, err)
+	}
+}
