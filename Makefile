@@ -1,7 +1,8 @@
 # `make ci` is the pre-merge check: tier-1 verification (fmt, vet,
-# build, test), the race gate over RACE_PKGS, the allocgate,
-# multiquery, smoke, crash, surge, chaos, obsgate, lineage and soak
-# gates described at their targets below, and bench-smoke. `make fuzz`,
+# build, test), the seeded-stream grep, the race gate over RACE_PKGS,
+# the allocgate, multiquery, smoke, crash, surge, chaos, obsgate,
+# lineage and soak gates described at their targets below, and
+# bench-smoke. `make fuzz`,
 # `make loc` and the other bench targets are run by hand.
 
 GO ?= go
@@ -12,9 +13,9 @@ RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... 
 # the batch-size sweep of the columnar submit tail.
 HOTPATH_BENCH = BenchmarkTable2CryptoXOR|BenchmarkTable3ClientXOREncryption|BenchmarkTable3ClientRandomizedResponse|BenchmarkFig8Scalability|BenchmarkFig8SubmitBatch
 
-.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke bench-json fuzz loc
+.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke bench-json fuzz loc
 
-ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak bench-smoke
+ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -22,6 +23,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# One door for seeded streams: outside tests, the packages on the answer
+# and estimate paths get a seeded *rand.Rand only from seeded.New
+# (internal/seeded), never from rand.NewSource.
+SEEDED_PATHS = internal/client internal/core internal/aggregator internal/rr internal/sampling internal/role privapprox.go
+seeded:
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' 'rand\.NewSource(' $(SEEDED_PATHS))"; \
+	if [ -n "$$out" ]; then echo "rand.NewSource outside internal/seeded:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -101,7 +110,8 @@ lineage:
 
 # The allocs/op regression gate: split, join, respond-bits, and
 # accumulate — per-message and batch forms — must stay at 0 steady-state
-# allocations per op, the full aggregator submit tail (per-share and
+# allocations per op, and so must the wire query identifier
+# (query.ID.Uint64, hashed on every result-sort comparison), the full aggregator submit tail (per-share and
 # batch) likewise — including with the telemetry tracer and histograms
 # attached — and the multi-query tail within its small constant; a
 # whole client answer (scan, fold, bucketize, randomize, encode, split)
@@ -118,6 +128,7 @@ lineage:
 allocgate:
 	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestPublishColumnsAllocs|TestFireAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
+	$(GO) test -run 'TestIDUint64ZeroAllocs' -count=1 ./internal/query
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
 # 3,000 epochs each followed by AdvanceTo. The forced-GC heap at epoch

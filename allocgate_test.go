@@ -110,16 +110,11 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		rz.RespondBits(vec.Bytes(), vec.Len())
 	})
 
-	// Batch randomized response over a packed answer lane: 16 slots of
-	// 11 bits at the wire stride.
+	// Window accumulation (Fig. 8), per answer and over a packed answer
+	// lane: 16 slots of 11 bits at the wire stride.
 	const nbits = 11
 	stride := answer.EncodedLen(nbits) - answer.HeaderLen
 	lane := make([]byte, bcount*stride)
-	gate(t, "rr.RespondBitsBatch", func() {
-		rz.RespondBitsBatch(lane, stride, nbits, bcount)
-	})
-
-	// Window accumulation (Fig. 8).
 	acc, err := answer.NewAccumulator(11)
 	if err != nil {
 		t.Fatal(err)

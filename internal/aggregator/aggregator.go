@@ -38,6 +38,7 @@ import (
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/sampling"
+	"privapprox/internal/seeded"
 	"privapprox/internal/stats"
 	"privapprox/internal/stream"
 	"privapprox/internal/telemetry"
@@ -502,7 +503,7 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		seed:        spec.Seed,
 		assigner:    assigner,
 		windows:     make(map[int64]*openWindow),
-		rng:         rand.New(rand.NewSource(spec.Seed)),
+		rng:         seeded.New(spec.Seed),
 		rrLossCache: make(map[int]float64),
 		lateByWin:   make(map[int64]int64),
 	}

@@ -9,6 +9,7 @@ import (
 	"privapprox/internal/answer"
 	"privapprox/internal/rr"
 	"privapprox/internal/sampling"
+	"privapprox/internal/seeded"
 	"privapprox/internal/stats"
 	"privapprox/internal/stream"
 )
@@ -44,7 +45,7 @@ func BatchAnalyze(cfg Config, src AnswerSource, from, to time.Time, secondSampli
 	}
 	st := agg.states.Load().single
 	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		rng = seeded.New(rand.Int63())
 	}
 	nbuckets := len(cfg.Query.Buckets)
 	acc, err := answer.NewAccumulator(nbuckets)

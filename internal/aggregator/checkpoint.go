@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -33,6 +32,7 @@ import (
 	"privapprox/internal/ckpt"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
+	"privapprox/internal/seeded"
 	"privapprox/internal/stream"
 	"privapprox/internal/xorcrypt"
 )
@@ -344,7 +344,7 @@ func (a *Aggregator) restoreQueryState(d *ckpt.Reader, st *queryState) error {
 
 	st.estMu.Lock()
 	defer st.estMu.Unlock()
-	st.rng = rand.New(rand.NewSource(st.seed))
+	st.rng = seeded.New(st.seed)
 	clear(st.rrLossCache)
 	st.estLog = st.estLog[:0]
 	for range d.Count(1) {

@@ -30,6 +30,7 @@ import (
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/sampling"
+	"privapprox/internal/seeded"
 	"privapprox/internal/xorcrypt"
 )
 
@@ -268,7 +269,7 @@ func splitmix64(z uint64) uint64 {
 // subSeed derives the deterministic randomizer seed for one
 // subscription: a pure function of (client seed, wire QID, subscribe
 // generation). Every code path that activates a query — the legacy
-// single-query Subscribe, the multi-query SubscribeQuery, in-process or
+// single-query Subscribe, the multi-query SubscribeVerified, in-process or
 // via the control topic — lands on the same derivation, which is what
 // makes a query's randomized responses identical whether it runs alone
 // or alongside others.
@@ -281,9 +282,18 @@ func subSeed(seed int64, qidWire, gen uint64) int64 {
 // and activates the query with the system parameters the aggregator
 // derived from the budget. Subscribe keeps the single-query contract of
 // the original runtime: the new subscription replaces the entire active
-// set. Use SubscribeQuery to add a query alongside others.
+// set. A process hosting many clients verifies once and hands each the
+// result through SubscribeVerified instead.
 func (c *Client) Subscribe(signed *query.Signed, params budget.Params) error {
-	sub, err := c.buildSubscription(signed, c.analyst, params)
+	q := signed.Query
+	if c.analyst != nil {
+		v, err := query.Verify(signed, c.analyst)
+		if err != nil {
+			return err
+		}
+		q = v.Query()
+	}
+	sub, err := c.buildSubscription(q, params)
 	if err != nil {
 		return err
 	}
@@ -294,17 +304,12 @@ func (c *Client) Subscribe(signed *query.Signed, params budget.Params) error {
 	return nil
 }
 
-// SubscribeQuery activates one query alongside any others already
-// active (upserting by wire QID: re-subscribing an active query swaps
-// its parameters in place and redraws its coin stream). The signature
-// is verified against analystKey when non-nil, falling back to the
-// client's configured analyst key when one was set.
-func (c *Client) SubscribeQuery(signed *query.Signed, analystKey ed25519.PublicKey, params budget.Params) error {
-	key := analystKey
-	if key == nil {
-		key = c.analyst
-	}
-	sub, err := c.buildSubscription(signed, key, params)
+// SubscribeVerified activates one already verified query alongside any
+// others active (upserting by wire QID: re-subscribing an active query
+// swaps its parameters in place and redraws its coin stream). The zero
+// Verified is refused.
+func (c *Client) SubscribeVerified(v query.Verified, params budget.Params) error {
+	sub, err := c.buildSubscription(v.Query(), params)
 	if err != nil {
 		return err
 	}
@@ -338,15 +343,13 @@ func (c *Client) UnsubscribeQuery(id query.ID) bool {
 	return true
 }
 
-// buildSubscription validates and assembles one subscription, drawing
-// the next generation's deterministic randomness for the query.
-func (c *Client) buildSubscription(signed *query.Signed, key ed25519.PublicKey, params budget.Params) (*subscription, error) {
-	if key != nil {
-		if err := signed.Verify(key); err != nil {
-			return nil, err
-		}
+// buildSubscription validates and assembles one subscription to a
+// trusted query, drawing the next generation's deterministic randomness
+// for it.
+func (c *Client) buildSubscription(q *query.Query, params budget.Params) (*subscription, error) {
+	if q == nil {
+		return nil, fmt.Errorf("%w: no verified query", query.ErrInvalidQuery)
 	}
-	q := signed.Query
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -368,8 +371,7 @@ func (c *Client) buildSubscription(signed *query.Signed, key ed25519.PublicKey, 
 	}
 	gen := c.gens[wire]
 	c.gens[wire] = gen + 1
-	rng := rand.New(rand.NewSource(subSeed(c.seed, wire, gen)))
-	rz, err := rr.NewRandomizer(params.RR, rng)
+	rz, err := rr.NewRandomizer(params.RR, seeded.New(subSeed(c.seed, wire, gen)))
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +418,8 @@ func (c *Client) SetShed(id query.ID, shed float64) bool {
 // exactly the one an uninterrupted run would produce, because the
 // randomness a subscription consumes per epoch is a deterministic
 // function of the participation decision (hash-based, rng-free) and
-// the query's bucket count (RespondBits draws one word per bit).
+// the query's bucket count (rr.Randomizer.Skip replays RespondBits'
+// draws).
 //
 // FastForward assumes every subscription was live from epoch 0; for
 // queries registered mid-run use FastForwardQuery with the query's

@@ -149,6 +149,75 @@ func TestSubscribeVerifiesSignature(t *testing.T) {
 	}
 }
 
+// TestSubscribeVerifiedRefusesZero: only a query that went through
+// query.Verify subscribes.
+func TestSubscribeVerifiedRefusesZero(t *testing.T) {
+	c, err := New(Config{ID: "c", DB: testDB(t, 1), Sinks: []ShareSink{&captureSink{}, &captureSink{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SubscribeVerified(query.Verified{}, truthfulParams()); !errors.Is(err, query.ErrInvalidQuery) {
+		t.Fatalf("zero Verified: %v, want ErrInvalidQuery", err)
+	}
+	if c.Subscriptions() != 0 {
+		t.Fatal("zero Verified subscribed")
+	}
+}
+
+// TestMutatingSignedAfterVerifyChangesNoAnswer: once verified, rewriting
+// the *Signed's SQL or buckets — before or after a client subscribes —
+// changes none of its answers.
+func TestMutatingSignedAfterVerifyChangesNoAnswer(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
+	answers := func(signed *query.Signed, mutate bool) [][]byte {
+		v, err := query.Verify(signed, pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks := []*copySink{{}, {}}
+		c, err := New(Config{ID: "c", DB: testDB(t, 4.2), Seed: 3, Sinks: []ShareSink{sinks[0], sinks[1]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mutate {
+			signed.Query.SQL = "SELECT distance FROM rides WHERE distance > 100"
+		}
+		if err := c.SubscribeVerified(v, params); err != nil {
+			t.Fatal(err)
+		}
+		if mutate {
+			signed.Query.Buckets[4] = query.RangeBucket{Lo: 100, Hi: 200}
+		}
+		for e := uint64(0); e < 6; e++ {
+			if _, err := c.AnswerOnce(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return joinedAnswers(t, sinks[0], sinks[1])
+	}
+	sign := func() *query.Signed {
+		signed, err := query.Sign(testQuery(t), priv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return signed
+	}
+	want := answers(sign(), false)
+	got := answers(sign(), true)
+	if len(got) != len(want) || len(want) != 6 {
+		t.Fatalf("%d answers after mutation, %d before; want 6", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("answer %d changed when the *Signed was rewritten after Verify", i)
+		}
+	}
+}
+
 func TestSubscribeRejectsBadInputs(t *testing.T) {
 	db := testDB(t, 1)
 	c, _ := New(Config{ID: "c", DB: db, Sinks: []ShareSink{&captureSink{}, &captureSink{}}})
@@ -402,7 +471,11 @@ func TestFastForwardReproducesCoinStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SubscribeQuery(signed, priv.Public().(ed25519.PublicKey), params); err != nil {
+		v, err := query.Verify(signed, priv.Public().(ed25519.PublicKey))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SubscribeVerified(v, params); err != nil {
 			t.Fatal(err)
 		}
 		return c, sinks

@@ -128,6 +128,11 @@ func (s *System) Restore(data []byte) error {
 		}
 		return err
 	}
+	if s.registry != nil {
+		if err := s.resumeAnnouncements(); err != nil {
+			return err
+		}
+	}
 	if slo != nil {
 		if err := s.applySLOState(slo); err != nil {
 			return err
@@ -147,6 +152,26 @@ func (s *System) Restore(data []byte) error {
 	s.ctrlMu.Lock()
 	s.regEpochs = regs
 	s.ctrlMu.Unlock()
+	return nil
+}
+
+// resumeAnnouncements moves the registry's version past every snapshot
+// the clients' applier has taken. A durable fleet replays the previous
+// life's announcements, whose versions run ahead of this life's
+// registry; the newest-wins applier would otherwise ignore what this
+// life announces from here on — a re-actuated or later shed threshold, a
+// later registration — until the registry's counter caught up. The
+// re-registered entries match the replayed ones, so nothing is
+// re-announced here.
+func (s *System) resumeAnnouncements() error {
+	if _, err := s.follower.Sync(); err != nil {
+		return err
+	}
+	snap := s.registry.Snapshot()
+	if v := s.follower.Applier().Version(); v > snap.Version {
+		snap.Version = v
+		return s.registry.Bootstrap(&snap)
+	}
 	return nil
 }
 

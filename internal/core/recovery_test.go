@@ -211,6 +211,68 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 	}
 }
 
+// TestRestoreResumesAnnouncementVersion: the durable control topic
+// replays the first life's snapshots, which ran to a higher version than
+// the second life's re-registrations reach. After Restore, what the
+// second life announces must still reach its clients — here a query
+// registered after the restart. (Regression: the registry restarted its
+// version below the replayed ones, and the newest-wins applier ignored
+// every later announcement.)
+func TestRestoreResumesAnnouncementVersion(t *testing.T) {
+	dir := t.TempDir()
+	q1, err := workload.TaxiQuery("analyst", 1, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := workload.TaxiQuery("analyst", 2, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *System {
+		cfg := taxiSystemConfig(t, 4, recoveryParams)
+		cfg.Query = nil
+		cfg.MultiQuery = true
+		cfg.DataDir = dir
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Register(q1); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	sysA := build()
+	// Shed moves announce snapshots without re-subscribing: the first
+	// life ends three versions in.
+	for _, shed := range []float64{0.5, 1} {
+		if err := sysA.Registry().SetShed(q1.QID, shed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runEpochsInto(t, sysA, 2, nil)
+	ckpt, err := sysA.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysA.Close()
+
+	sysB := build()
+	defer sysB.Close()
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := sysB.Register(q2); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range sysB.Clients() {
+		if got := c.Subscriptions(); got != 2 {
+			t.Fatalf("client %d holds %d subscriptions after a post-restore registration, want 2", i, got)
+		}
+	}
+}
+
 // TestSystemRestoreRejectsForeignCheckpoint: restoring a checkpoint
 // into a system with a different query set fails loudly instead of
 // silently resuming the wrong state.

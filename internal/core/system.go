@@ -49,6 +49,7 @@ import (
 	"privapprox/internal/proxy"
 	"privapprox/internal/query"
 	"privapprox/internal/role"
+	"privapprox/internal/seeded"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/telemetry/lineage"
 	"privapprox/internal/wal"
@@ -340,13 +341,7 @@ func New(cfg Config) (*System, error) {
 		// partial drain cuts off depends on which partition each share
 		// landed in. Deployments (cmd/privapprox-node) keep the default
 		// crypto-random MIDs.
-		cc.MIDSource = mrand.New(mrand.NewSource(cfg.Seed + (int64(i)+1)*1_000_003))
-		if !cfg.MultiQuery {
-			// Legacy single-query mode pins the system analyst's key on
-			// every client; in multi mode each announcement carries its
-			// analyst's key instead.
-			cc.AnalystKey = pub
-		}
+		cc.MIDSource = seeded.New(cfg.Seed + (int64(i)+1)*1_000_003)
 		return nil
 	})
 	if err != nil {
@@ -354,11 +349,9 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	if !cfg.MultiQuery {
-		for _, c := range sys.clients.Clients() {
-			if err := c.Subscribe(signed, params); err != nil {
-				sys.Close()
-				return nil, err
-			}
+		if err := sys.subscribeAll(params); err != nil {
+			sys.Close()
+			return nil, err
 		}
 	}
 
@@ -787,12 +780,23 @@ func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
 		return s.params, nil
 	}
 	s.params = next
+	return next, s.subscribeAll(next)
+}
+
+// subscribeAll verifies the legacy single query once and (re-)subscribes
+// every client to it under params. In multi mode the control plane's
+// applier does the same.
+func (s *System) subscribeAll(params budget.Params) error {
+	v, err := query.Verify(s.signed, s.pub)
+	if err != nil {
+		return err
+	}
 	for _, c := range s.clients.Clients() {
-		if err := c.Subscribe(s.signed, next); err != nil {
-			return next, err
+		if err := c.SubscribeVerified(v, params); err != nil {
+			return err
 		}
 	}
-	return next, nil
+	return nil
 }
 
 func (s *System) feedbackMulti(res aggregator.Result) (budget.Params, error) {

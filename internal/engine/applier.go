@@ -13,9 +13,10 @@ import (
 )
 
 // Subscriber is the client-side surface the applier reconciles —
-// client.Client implements it.
+// client.Client implements it. The applier verifies each entry once and
+// hands every subscriber the same query.Verified.
 type Subscriber interface {
-	SubscribeQuery(signed *query.Signed, analystKey ed25519.PublicKey, params budget.Params) error
+	SubscribeVerified(v query.Verified, params budget.Params) error
 	UnsubscribeQuery(id query.ID) bool
 }
 
@@ -35,13 +36,13 @@ type ShedSetter interface {
 // entry actually changed.
 //
 // Trust: every entry's signature is verified against its announced
-// analyst key, which detects in-flight tampering but does not by itself
-// authenticate the analyst — whoever can publish to the control topic
-// can announce a key of their own making. Deployments that need the
-// paper's "clients check the query really came from the claimed
-// analyst" property pin keys with Trust: once any key is pinned,
-// entries from unpinned analysts (or with a key that differs from the
-// pin) are rejected wholesale.
+// analyst key — once per snapshot, not once per client — which detects
+// in-flight tampering but does not by itself authenticate the analyst:
+// whoever can publish to the control topic can announce a key of their
+// own making. Deployments that need the paper's "clients check the
+// query really came from the claimed analyst" property pin keys with
+// Trust: once any key is pinned, entries from unpinned analysts (or with
+// a key that differs from the pin) are rejected wholesale.
 //
 // All clients managed by one applier converge to identical active sets
 // in identical order, because the snapshot itself is ordered.
@@ -105,27 +106,30 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 	// snapshot either applies wholly or not at all (the SQL is parsed
 	// here too, so a mid-apply subscription failure cannot leave the
 	// clients half-reconciled).
+	verified := make([]query.Verified, len(qs.Entries))
 	for i := range qs.Entries {
 		e := &qs.Entries[i]
 		if e.Signed == nil || e.Signed.Query == nil {
 			return fmt.Errorf("%w: snapshot entry %d without query", ErrControlWire, i)
 		}
-		q := e.Signed.Query
-		if err := q.Validate(); err != nil {
-			return err
-		}
+		id := e.Signed.Query.QID
 		key := e.AnalystKey
 		if len(ap.trusted) > 0 {
-			pin, ok := ap.trusted[q.QID.Analyst]
+			pin, ok := ap.trusted[id.Analyst]
 			if !ok {
-				return fmt.Errorf("engine: analyst %q not pinned", q.QID.Analyst)
+				return fmt.Errorf("engine: analyst %q not pinned", id.Analyst)
 			}
 			if !pin.Equal(key) {
-				return fmt.Errorf("engine: announced key for %q differs from pinned key", q.QID.Analyst)
+				return fmt.Errorf("engine: announced key for %q differs from pinned key", id.Analyst)
 			}
 		}
-		if err := e.Signed.Verify(key); err != nil {
-			return fmt.Errorf("query %s: %w", q.QID, err)
+		v, err := query.Verify(e.Signed, key)
+		if err != nil {
+			return fmt.Errorf("query %s: %w", id, err)
+		}
+		q := v.Query()
+		if err := q.Validate(); err != nil {
+			return err
 		}
 		if err := e.Params.Validate(); err != nil {
 			return err
@@ -137,12 +141,13 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 		if _, ok := stmt.(*minisql.SelectStmt); !ok {
 			return fmt.Errorf("query %s: not a SELECT", q.QID)
 		}
+		verified[i] = v
 	}
 
 	next := make(map[string]query.ID, len(qs.Entries))
 	for i := range qs.Entries {
 		e := &qs.Entries[i]
-		id := e.Signed.Query.QID
+		id := verified[i].Query().QID
 		key := id.String()
 		next[key] = id
 		shed := e.Shed
@@ -162,7 +167,7 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 			continue
 		}
 		for _, c := range ap.clients {
-			if err := c.SubscribeQuery(e.Signed, e.AnalystKey, e.Params); err != nil {
+			if err := c.SubscribeVerified(verified[i], e.Params); err != nil {
 				return fmt.Errorf("subscribe %s: %w", id, err)
 			}
 		}

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"crypto/ed25519"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -169,6 +169,65 @@ func TestApplierTrustPinning(t *testing.T) {
 	}
 }
 
+// verifiedMock records the query every SubscribeVerified handed it.
+type verifiedMock struct{ got []*query.Query }
+
+func (m *verifiedMock) SubscribeVerified(v query.Verified, _ budget.Params) error {
+	m.got = append(m.got, v.Query())
+	return nil
+}
+func (m *verifiedMock) UnsubscribeQuery(query.ID) bool { return true }
+
+// TestApplierVerifiesOnce: a snapshot with one forged entry — its SQL
+// rewritten after signing — fails as a whole before any client
+// subscribes; a genuine snapshot is verified once per entry, and every
+// client receives that one verified copy.
+func TestApplierVerifiesOnce(t *testing.T) {
+	pub, priv := testKey(9)
+	genuine := testSigned(t, "alice", 1, priv)
+	forged := testSigned(t, "alice", 2, priv)
+	forged.Query.SQL = "SELECT dist FROM rides WHERE dist > 9"
+
+	c := newTestClient(t, 0)
+	mocks := []*verifiedMock{{}, {}, {}}
+	ap := NewApplier(c, mocks[0], mocks[1], mocks[2])
+	bad := &QuerySet{Version: 1, Entries: []Entry{
+		{Signed: genuine, AnalystKey: pub, Params: testParams()},
+		{Signed: forged, AnalystKey: pub, Params: testParams()},
+	}}
+	if err := ap.Apply(bad); !errors.Is(err, query.ErrBadSignature) {
+		t.Fatalf("forged snapshot: %v, want ErrBadSignature", err)
+	}
+	if c.Subscriptions() != 0 || len(mocks[0].got) != 0 || ap.ActiveQueries() != 0 || ap.Version() != 0 {
+		t.Fatalf("forged snapshot half-applied: client has %d subscriptions, mock %d, applier %d active at version %d",
+			c.Subscriptions(), len(mocks[0].got), ap.ActiveQueries(), ap.Version())
+	}
+
+	good := &QuerySet{Version: 2, Entries: []Entry{
+		{Signed: genuine, AnalystKey: pub, Params: testParams()},
+		{Signed: testSigned(t, "alice", 2, priv), AnalystKey: pub, Params: testParams()},
+	}}
+	if err := ap.Apply(good); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range mocks {
+		if len(m.got) != 2 {
+			t.Fatalf("mock %d got %d subscriptions, want 2", i, len(m.got))
+		}
+		for j, q := range m.got {
+			if q != mocks[0].got[j] {
+				t.Fatalf("mock %d entry %d got its own copy: verified more than once", i, j)
+			}
+			if q == good.Entries[j].Signed.Query {
+				t.Fatalf("entry %d handed out the snapshot's own *Query", j)
+			}
+		}
+	}
+	if c.Subscriptions() != 2 {
+		t.Fatalf("client subscriptions = %d, want 2", c.Subscriptions())
+	}
+}
+
 // TestApplierIgnoresStaleAndDuplicateSnapshots pins the version rule
 // that makes convergence work, and the revision rule that keeps
 // unchanged subscriptions untouched across snapshot churn.
@@ -227,8 +286,8 @@ func newShedMock() *shedMock {
 	return &shedMock{subs: make(map[string]int), sheds: make(map[string]float64)}
 }
 
-func (m *shedMock) SubscribeQuery(signed *query.Signed, _ ed25519.PublicKey, _ budget.Params) error {
-	m.subs[signed.Query.QID.String()]++
+func (m *shedMock) SubscribeVerified(v query.Verified, _ budget.Params) error {
+	m.subs[v.Query().QID.String()]++
 	return nil
 }
 
@@ -246,7 +305,7 @@ func (m *shedMock) SetShed(id query.ID, shed float64) bool {
 // clients must keep working when snapshots carry shed thresholds.
 type bareMock struct{ subs int }
 
-func (m *bareMock) SubscribeQuery(*query.Signed, ed25519.PublicKey, budget.Params) error {
+func (m *bareMock) SubscribeVerified(query.Verified, budget.Params) error {
 	m.subs++
 	return nil
 }
@@ -303,7 +362,7 @@ func TestShedDistribution(t *testing.T) {
 		}
 	}
 	if got := mock.subs[id.String()]; got != 1 {
-		t.Fatalf("SubscribeQuery called %d times, want 1 (shed change must not re-subscribe)", got)
+		t.Fatalf("SubscribeVerified called %d times, want 1 (shed change must not re-subscribe)", got)
 	}
 	if got := mock.sheds[id.String()]; got != 0.4 {
 		t.Fatalf("forwarded shed = %v, want 0.4", got)
@@ -344,7 +403,7 @@ func TestShedDistribution(t *testing.T) {
 		}
 	}
 	if got := mock.subs[id.String()]; got != 2 {
-		t.Fatalf("rev bump: SubscribeQuery called %d times, want 2", got)
+		t.Fatalf("rev bump: SubscribeVerified called %d times, want 2", got)
 	}
 	if got := mock.sheds[id.String()]; got != 0.25 {
 		t.Fatalf("shed after re-registration = %v, want 0.25", got)

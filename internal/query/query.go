@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -25,16 +27,22 @@ type ID struct {
 func (id ID) String() string { return fmt.Sprintf("%s:%d", id.Analyst, id.Serial) }
 
 // Uint64 derives the compact on-the-wire query identifier carried inside
-// answer messages (FNV-1a over the textual form).
+// answer messages: FNV-1a over the textual form String returns, hashed
+// piece by piece so that it allocates nothing — result sorting calls it
+// on every comparison.
 func (id ID) Uint64() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, c := range []byte(id.String()) {
-		h ^= uint64(c)
-		h *= prime64
+	for i := 0; i < len(id.Analyst); i++ {
+		h = (h ^ uint64(id.Analyst[i])) * prime64
+	}
+	h = (h ^ ':') * prime64
+	var buf [20]byte
+	for _, c := range strconv.AppendUint(buf[:0], id.Serial, 10) {
+		h = (h ^ uint64(c)) * prime64
 	}
 	return h
 }
@@ -155,11 +163,41 @@ func Sign(q *Query, key ed25519.PrivateKey) (*Signed, error) {
 
 // Verify checks the signature against the analyst's public key.
 func (s *Signed) Verify(pub ed25519.PublicKey) error {
+	return checkSignature(s.Query, s.Signature, pub)
+}
+
+func checkSignature(q *Query, sig []byte, pub ed25519.PublicKey) error {
 	if len(pub) != ed25519.PublicKeySize {
 		return fmt.Errorf("%w: bad public key size %d", ErrBadSignature, len(pub))
 	}
-	if !ed25519.Verify(pub, s.Query.signingPayload(), s.Signature) {
+	if !ed25519.Verify(pub, q.signingPayload(), sig) {
 		return ErrBadSignature
 	}
 	return nil
 }
+
+// Verified is a query whose analyst signature has been checked — the
+// form a process verifies once and hands to every client it hosts.
+// Only Verify makes one. It holds its own copy of the query, taken
+// before the check: changing the *Signed afterwards (its SQL, its
+// buckets) changes nothing a holder of the Verified sees. The zero value
+// holds no query.
+type Verified struct{ q *Query }
+
+// Verify checks signed against the analyst's public key and returns the
+// verified query.
+func Verify(signed *Signed, pub ed25519.PublicKey) (Verified, error) {
+	if signed == nil || signed.Query == nil {
+		return Verified{}, fmt.Errorf("%w: nil query", ErrInvalidQuery)
+	}
+	q := *signed.Query
+	q.Buckets = slices.Clone(q.Buckets)
+	if err := checkSignature(&q, signed.Signature, pub); err != nil {
+		return Verified{}, err
+	}
+	return Verified{q: &q}, nil
+}
+
+// Query returns the verified query, nil for the zero Verified. Every
+// holder shares it: read it, never write it.
+func (v Verified) Query() *Query { return v.q }

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"math"
 	mrand "math/rand"
 	"testing"
@@ -207,6 +208,83 @@ func TestSignVerify(t *testing.T) {
 	}
 	if err := signed.Verify(nil); err == nil {
 		t.Error("nil public key accepted")
+	}
+}
+
+// TestVerifiedHoldsItsOwnCopy: a Verified comes only from a successful
+// Verify, and what it holds is fixed at that moment — later writes to
+// the *Signed's SQL or buckets do not reach it.
+func TestVerifiedHoldsItsOwnCopy(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (Verified{}).Query() != nil {
+		t.Fatal("the zero Verified holds a query")
+	}
+	signed, err := Sign(validQuery(t), priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := Verify(signed, pub)
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	signed.Query.SQL = "SELECT speed FROM rides"
+	signed.Query.Buckets[0] = RangeBucket{Lo: 100, Hi: 200}
+	signed.Query.Buckets = signed.Query.Buckets[:1]
+	want := validQuery(t)
+	if got := v.Query(); got.SQL != want.SQL || len(got.Buckets) != len(want.Buckets) || got.Buckets[0] != want.Buckets[0] {
+		t.Fatalf("Verified changed with its *Signed: SQL %q, %d buckets, first %v", got.SQL, len(got.Buckets), got.Buckets[0])
+	}
+	if v.Query() == signed.Query {
+		t.Fatal("Verified shares the caller's *Query")
+	}
+
+	otherPub, _, _ := ed25519.GenerateKey(rand.Reader)
+	fresh, _ := Sign(validQuery(t), priv)
+	for name, tc := range map[string]struct {
+		s   *Signed
+		pub ed25519.PublicKey
+	}{
+		"tampered":  {signed, pub},
+		"wrong key": {fresh, otherPub},
+		"nil key":   {fresh, nil},
+		"nil query": {&Signed{Signature: fresh.Signature}, pub},
+		"nil":       {nil, pub},
+	} {
+		if v, err := Verify(tc.s, tc.pub); err == nil || v.Query() != nil {
+			t.Errorf("%s: Verify = (%v, %v), want the zero Verified and an error", name, v.Query(), err)
+		}
+	}
+}
+
+// TestIDUint64IsFNVOfString pins the wire identifier to FNV-1a over
+// String(), byte for byte, at the edges of both fields.
+func TestIDUint64IsFNVOfString(t *testing.T) {
+	for _, id := range []ID{
+		{},
+		{Analyst: "", Serial: math.MaxUint64},
+		{Analyst: "alice", Serial: 0},
+		{Analyst: "alice", Serial: 42},
+		{Analyst: "анализ-🙂", Serial: 7},
+		{Analyst: "bad\xff\xfeutf8:", Serial: 1 << 63},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(id.String()))
+		if got, want := id.Uint64(), h.Sum64(); got != want {
+			t.Errorf("%q: Uint64 = %#x, FNV-1a of String() = %#x", id.String(), got, want)
+		}
+	}
+}
+
+var sinkWire uint64
+
+// TestIDUint64ZeroAllocs: result sorting hashes IDs on every comparison.
+func TestIDUint64ZeroAllocs(t *testing.T) {
+	id := ID{Analyst: "bench-analyst", Serial: math.MaxUint64}
+	if allocs := testing.AllocsPerRun(100, func() { sinkWire = id.Uint64() }); allocs != 0 {
+		t.Fatalf("ID.Uint64: %v allocs/op, want 0", allocs)
 	}
 }
 

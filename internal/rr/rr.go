@@ -9,10 +9,13 @@
 package rr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+
+	"privapprox/internal/seeded"
 )
 
 // Errors reported by parameter validation and the estimators.
@@ -54,8 +57,8 @@ type Randomizer struct {
 	params Params
 	rng    *rand.Rand
 	// thTrue and thFalse are the truth-conditioned "Yes" probabilities
-	// scaled to uint64 thresholds, so the batched RespondBits spends one
-	// PRNG word per bit instead of one or two Float64 conversions:
+	// scaled to uint64 thresholds: a lane answers "Yes" iff its uniform
+	// 64-bit draw is below the threshold, with
 	// Pr[Yes | truth] = p + (1−p)q, Pr[Yes | ¬truth] = (1−p)q.
 	thTrue  uint64
 	thFalse uint64
@@ -68,7 +71,7 @@ func NewRandomizer(params Params, rng *rand.Rand) (*Randomizer, error) {
 		return nil, err
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		rng = seeded.New(rand.Int63())
 	}
 	return &Randomizer{
 		params:  params,
@@ -91,14 +94,6 @@ func probThreshold(p float64) uint64 {
 	return uint64(p * (1 << 63) * 2)
 }
 
-// yesFromWord applies a threshold to one uniform PRNG word.
-func yesFromWord(u, threshold uint64) bool {
-	if threshold == math.MaxUint64 {
-		return true
-	}
-	return u < threshold
-}
-
 // Params returns the randomization parameters.
 func (r *Randomizer) Params() Params { return r.params }
 
@@ -111,77 +106,101 @@ func (r *Randomizer) Respond(truth bool) bool {
 }
 
 // RespondBits randomizes every bit of a packed bit vector of nbits bits
-// independently, in place. Each bucket of a query answer is perturbed on
-// its own, exactly as the paper's per-bucket binary answers require.
+// independently, in place; bits past nbits are left as they are. Each
+// bucket of a query answer is perturbed on its own, exactly as the
+// paper's per-bucket binary answers require.
 //
-// The mechanism is the same two-coin process as Respond, collapsed to
-// one uniform PRNG word per bit: conditioned on the truthful bit, the
-// response is "Yes" with probability p + (1−p)q (truthful "Yes") or
-// (1−p)q (truthful "No"), so a single threshold comparison per bit
-// reproduces the exact per-bit response distribution — see the
-// chi-square and unbiasedness tests. It performs no allocations and no
-// floating-point conversions on the hot path.
+// The mechanism is the same two-coin process as Respond, taken 64
+// buckets at a time. Conditioned on the truthful bit, a bucket answers
+// "Yes" with probability a = p + (1−p)q (truthful "Yes") or b = (1−p)q
+// (truthful "No"), so with a Bernoulli(a) mask A and a Bernoulli(b) mask
+// B over the 64 lanes the response is truth&A | ^truth&B. Each mask lane
+// is the comparison u < threshold of its own uniform 64-bit u — the
+// distribution a per-bucket word would give, at the same 2⁻⁶⁴ resolution
+// — but decided bit-serially across all lanes at once (see mask), which
+// takes about eight PRNG words per 64 lanes instead of 64. It performs no
+// allocations and no floating-point conversions.
 func (r *Randomizer) RespondBits(bits []byte, nbits int) {
-	r.respondVec(bits, nbits)
+	for off := 0; off < nbits; off += 64 {
+		n := min(nbits-off, 64)
+		lanes := laneMask(n)
+		a := r.mask(r.thTrue, lanes)
+		b := r.mask(r.thFalse, lanes)
+		chunk := bits[off/8 : off/8+(n+7)/8]
+		truth := loadLanes(chunk)
+		storeLanes(chunk, truth&a|^truth&b|truth&^lanes)
+	}
 	respondedVectors.Inc()
 }
 
-// RespondBitsBatch randomizes count packed answer vectors laid out at a
-// fixed stride inside lane (slot s at lane[s*stride:]), in place — one
-// pass over the PRNG stream for a whole epoch's worth of answers. It
-// consumes PRNG words in vector-major order, exactly as count sequential
-// RespondBits calls would, so the output bits, the stream position, and
-// Skip-based fast-forward are all identical to the per-message path.
-func (r *Randomizer) RespondBitsBatch(lane []byte, stride, nbits, count int) {
-	if nbits <= 0 || count <= 0 {
+// Skip draws and discards exactly the randomness RespondBits(·, nbits)
+// would consume: the same two masks per 64 buckets, whose draw count
+// depends on the PRNG words and the bucket count but never on the
+// truthful bits. A client resuming mid-stream after a restart
+// fast-forwards each subscription's randomizer through the epochs it
+// answered in a previous life, so the coins it flips from here on are the
+// ones an uninterrupted run would have flipped.
+func (r *Randomizer) Skip(nbits int) {
+	for off := 0; off < nbits; off += 64 {
+		lanes := laneMask(min(nbits-off, 64))
+		r.mask(r.thTrue, lanes)
+		r.mask(r.thFalse, lanes)
+	}
+}
+
+// mask returns a word whose lanes (the set bits of lanes) are
+// independently 1 with probability threshold/2⁶⁴, threshold MaxUint64
+// meaning always. Lane i stands for a uniform 64-bit u_i compared with
+// the threshold t most-significant bit first: draw k supplies bit 63−k
+// of every lane's u at once, and a lane is decided at the first bit
+// where u_i and t differ — "Yes" if t has the 1 there — so the loop stops
+// as soon as no lane is undecided, about log₂(lanes)+2 draws. A lane
+// still undecided after 64 draws has u_i = t, which is not below it.
+func (r *Randomizer) mask(threshold, lanes uint64) uint64 {
+	switch threshold {
+	case 0:
+		return 0
+	case math.MaxUint64:
+		return lanes
+	}
+	var yes uint64
+	open := lanes
+	for bit := 63; bit >= 0 && open != 0; bit-- {
+		w := r.rng.Uint64()
+		if threshold>>bit&1 != 0 {
+			yes |= open &^ w
+			open &= w
+		} else {
+			open &^= w
+		}
+	}
+	return yes
+}
+
+// laneMask has the low n bits set, 1 ≤ n ≤ 64.
+func laneMask(n int) uint64 { return math.MaxUint64 >> (64 - n) }
+
+// loadLanes reads up to eight bytes of a packed bit vector as one
+// little-endian word: bucket i of the chunk is bit i.
+func loadLanes(b []byte) uint64 {
+	if len(b) == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var w uint64
+	for i, x := range b {
+		w |= uint64(x) << (8 * i)
+	}
+	return w
+}
+
+// storeLanes writes loadLanes' word back.
+func storeLanes(b []byte, w uint64) {
+	if len(b) == 8 {
+		binary.LittleEndian.PutUint64(b, w)
 		return
 	}
-	nbytes := (nbits + 7) / 8
-	for s := 0; s < count; s++ {
-		r.respondVec(lane[s*stride:s*stride+nbytes], nbits)
-	}
-	respondedVectors.Add(int64(count))
-}
-
-// respondVec is the single-vector kernel behind RespondBits and
-// RespondBitsBatch.
-func (r *Randomizer) respondVec(bits []byte, nbits int) {
-	rng, thTrue, thFalse := r.rng, r.thTrue, r.thFalse
-	for i := 0; i < nbits; i += 8 {
-		byteIdx := i >> 3
-		b := bits[byteIdx]
-		n := nbits - i
-		if n > 8 {
-			n = 8
-		}
-		var out byte
-		for k := 0; k < n; k++ {
-			th := thFalse
-			if b&(1<<k) != 0 {
-				th = thTrue
-			}
-			if yesFromWord(rng.Uint64(), th) {
-				out |= 1 << k
-			}
-		}
-		// Preserve bits past nbits in the final partial byte (the
-		// caller's zeroed-trailing-bits invariant).
-		if n < 8 {
-			mask := byte(1)<<n - 1
-			out |= b &^ mask
-		}
-		bits[byteIdx] = out
-	}
-}
-
-// Skip draws and discards exactly the randomness RespondBits(·, nbits)
-// would consume — one PRNG word per bit. A client resuming mid-stream
-// after a restart fast-forwards each subscription's randomizer through
-// the epochs it answered in a previous life, so the coins it flips from
-// here on are the ones an uninterrupted run would have flipped.
-func (r *Randomizer) Skip(nbits int) {
-	for i := 0; i < nbits; i++ {
-		r.rng.Uint64()
+	for i := range b {
+		b[i] = byte(w >> (8 * i))
 	}
 }
 
@@ -372,7 +391,7 @@ func SimulateAccuracyLoss(params Params, yesFraction float64, n, rounds int, rng
 		return 0, fmt.Errorf("%w: n=%d rounds=%d", ErrBadParam, n, rounds)
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		rng = seeded.New(rand.Int63())
 	}
 	rz, err := NewRandomizer(params, rng)
 	if err != nil {

@@ -5,9 +5,8 @@ import (
 )
 
 // Package-level kernel counters for the randomized-response plane:
-// answer vectors randomized, counted per call on the epoch-granular
-// client path (RespondBits) and per batch on the vectorized path
-// (RespondBitsBatch) — never per bit. A process registers them with
+// answer vectors randomized, counted once per RespondBits call — never
+// per bit. A process registers them with
 // telemetry.Registry.RegisterSource(telemetry.SourceFunc(Metrics)).
 var respondedVectors telemetry.Counter
 

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 
+	"privapprox/internal/seeded"
 	"privapprox/internal/stats"
 )
 
@@ -40,7 +41,7 @@ func NewBernoulli(fraction float64, rng *rand.Rand) (*Bernoulli, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadFraction, fraction)
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		rng = seeded.New(rand.Int63())
 	}
 	return &Bernoulli{fraction: fraction, rng: rng}, nil
 }

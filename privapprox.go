@@ -79,6 +79,7 @@ import (
 	"privapprox/internal/minisql"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
+	"privapprox/internal/seeded"
 	"privapprox/internal/stats"
 	"privapprox/internal/workload"
 )
@@ -207,7 +208,7 @@ func TaxiQuery(analyst string, serial uint64, freq, window, slide time.Duration)
 // rng draws a random seed.
 func PopulateTaxi(db *DB, rng *rand.Rand, rides int, start time.Time, interval time.Duration) error {
 	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		rng = seeded.New(rand.Int63())
 	}
 	return workload.PopulateTaxi(db, rng, rides, start, interval)
 }
@@ -221,7 +222,7 @@ func ElectricityQuery(analyst string, serial uint64, freq, window, slide time.Du
 // readings. A nil rng draws a random seed.
 func PopulateElectricity(db *DB, rng *rand.Rand, readings int, start time.Time) error {
 	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		rng = seeded.New(rand.Int63())
 	}
 	return workload.PopulateElectricity(db, rng, readings, start)
 }
