@@ -8,12 +8,7 @@
 GO ?= go
 RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
 
-# Benchmarks whose numbers seed BENCH_hotpath.json: the per-answer hot
-# path (split, join+decrypt+decode+window, randomized response), plus
-# the batch-size sweep of the columnar submit tail.
-HOTPATH_BENCH = BenchmarkTable2CryptoXOR|BenchmarkTable3ClientXOREncryption|BenchmarkTable3ClientRandomizedResponse|BenchmarkFig8Scalability|BenchmarkFig8SubmitBatch
-
-.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke bench-json fuzz loc
+.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke fuzz loc
 
 ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak bench-smoke
 
@@ -108,27 +103,29 @@ obsgate:
 lineage:
 	$(GO) test -run 'TestLineageGate|TestHealthEndpoints|TestMultiProcessMultiQuerySmoke' -count=1 ./cmd/privapprox-node
 
-# The allocs/op regression gate: split, join, respond-bits, and
-# accumulate — per-message and batch forms — must stay at 0 steady-state
-# allocations per op, and so must the wire query identifier
-# (query.ID.Uint64, hashed on every result-sort comparison), the full aggregator submit tail (per-share and
-# batch) likewise — including with the telemetry tracer and histograms
-# attached — and the multi-query tail within its small constant; a
-# whole client answer (scan, fold, bucketize, randomize, encode, split)
-# at 0 as well, and the share plane between the two (submit, publish,
-# poll or fetch, decode, join) at ≤ 0.5 allocations per answer
-# in-process — a commit, the trim and the reuse of the released slab
-# included — and ≤ 1.0 over loopback TCP; a fired window at ≤ 4
-# allocations whatever its bucket count, and 128 buckets at less than six
-# times the cost of 8 (one Student-t root-find per window, not per
-# bucket); and a columnar publish at 0 whatever its size, in memory and
-# durable (its batch is grouped by partition in pooled scratch). The
-# telemetry package's own instrument primitives are pinned at 0 in their
-# in-package gate, re-run here.
+# The allocs/op regression gate: split, join, respond-bits, accumulate
+# and the message codec must stay at 0 steady-state allocations per op,
+# and so must the wire query identifier (query.ID.Uint64, hashed on
+# every result-sort comparison); the aggregator's one submit tail
+# (SubmitShareBatch) at 0 for one-share and 64-share batches —
+# including with the telemetry tracer and histograms attached — and
+# within a small constant with one or several queries; a whole client
+# answer (scan, fold, bucketize, randomize, encode, split) at 0 as well,
+# and the share plane between the two (batcher, publish, poll or fetch,
+# decode, join) at ≤ 0.5 allocations per answer in-process — a commit,
+# the trim and the reuse of the released slab included — and ≤ 1.0 over
+# loopback TCP; a fired window at ≤ 4 allocations whatever its bucket
+# count, and 128 buckets at less than six times the cost of 8 (one
+# Student-t root-find per window, not per bucket); and a columnar
+# publish at 0 whatever its size, in memory and durable (its batch is
+# grouped by partition in pooled scratch). The telemetry package's own
+# instrument primitives are pinned at 0 in their in-package gate, re-run
+# here, and so is the proxy's forward of a client batch.
 allocgate:
 	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestPublishColumnsAllocs|TestFireAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestIDUint64ZeroAllocs' -count=1 ./internal/query
+	$(GO) test -run 'TestProxySubmitZeroAllocs' -count=1 ./internal/proxy
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
 # 3,000 epochs each followed by AdvanceTo. The forced-GC heap at epoch
@@ -147,33 +144,6 @@ bench:
 # Buckets.Index, minisql.Parse, ...; the list heads bench/layers.go).
 bench-smoke:
 	$(GO) test -C bench -count=1 ./...
-
-# Machine-readable performance numbers, seeding the perf trajectory
-# across PRs: the hot-path microbenchmarks and the multi-query
-# queries-sweep. Each bench run and its JSON conversion are separate
-# commands (not a pipe) so a failing benchmark fails the target instead
-# of silently writing an empty report.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem . > .bench_hotpath.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_hotpath.json < .bench_hotpath.tmp
-	@rm -f .bench_hotpath.tmp
-	@echo wrote BENCH_hotpath.json
-	$(GO) test -run '^$$' -bench 'BenchmarkMultiQuery' -benchmem . > .bench_multiquery.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_multiquery.json < .bench_multiquery.tmp
-	@rm -f .bench_multiquery.tmp
-	@echo wrote BENCH_multiquery.json
-	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend|BenchmarkWALAppendBatch|BenchmarkWALRecovery' -benchmem ./internal/wal > .bench_wal.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_wal.json < .bench_wal.tmp
-	@rm -f .bench_wal.tmp
-	@echo wrote BENCH_wal.json
-	$(GO) test -run '^$$' -bench 'BenchmarkOverloadFrontier' -benchmem ./internal/surge > .bench_overload.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_overload.json < .bench_overload.tmp
-	@rm -f .bench_overload.tmp
-	@echo wrote BENCH_overload.json
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkFig8SubmitBatchInstrumented' -benchmem . > .bench_telemetry.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_telemetry.json < .bench_telemetry.tmp
-	@rm -f .bench_telemetry.tmp
-	@echo wrote BENCH_telemetry.json
 
 # Short fuzz smoke over every wire and disk codec — the share
 # split/join, the answer message, the columnar publish frame

@@ -51,7 +51,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 	})
 
-	// Aggregator join (Table 2 decrypt), share- and payload-level.
+	// Aggregator join (Table 2 decrypt): the Share-slice form, and the
+	// one kernel over the lanes of a run of 16 messages, as the
+	// aggregator's submit tail joins them.
 	shares, err := splitter.Split(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,33 +66,15 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 		joinBuf = out
 	})
-	payloads := make([][]byte, len(shares))
-	for i, sh := range shares {
-		payloads[i] = sh.Payload
-	}
-	gate(t, "xorcrypt.JoinPayloadsInto", func() {
-		out, err := xorcrypt.JoinPayloadsInto(joinBuf, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joinBuf = out
-	})
-
-	// Batch split/join — the columnar kernels.
 	const bcount = 16
-	bmsgs := make([]byte, bcount*len(msg))
-	var bscratch xorcrypt.SplitBatchScratch
-	gate(t, "xorcrypt.SplitBatchInto", func() {
-		if _, err := splitter.SplitBatchInto(bmsgs, len(msg), bcount, &bscratch); err != nil {
-			t.Fatal(err)
+	lanes := make([][]byte, 3)
+	for k := 0; k < bcount; k++ {
+		for i, sh := range shares {
+			lanes[i] = append(lanes[i], sh.Payload...)
 		}
-	})
-	cols, err := splitter.SplitBatchInto(bmsgs, len(msg), bcount, &bscratch)
-	if err != nil {
-		t.Fatal(err)
 	}
 	gate(t, "xorcrypt.JoinColumnsInto", func() {
-		out, err := xorcrypt.JoinColumnsInto(joinBuf, cols.Lanes)
+		out, err := xorcrypt.JoinColumnsInto(joinBuf, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,18 +114,6 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 	})
 
-	// Columnar batch encode: one fixed-stride lane per epoch flush.
-	var enc answer.BatchEncoder
-	bm := answer.Message{QueryID: 1, Epoch: 2, Answer: vec}
-	gate(t, "answer.BatchEncoder.Append", func() {
-		enc.Reset()
-		for k := 0; k < 4; k++ {
-			if err := enc.Append(&bm); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-
 	// Message encode + zero-copy decode (the wire legs between them).
 	m := answer.Message{QueryID: 1, Epoch: 2, Answer: vec}
 	var wire []byte
@@ -162,7 +134,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 }
 
 // TestAggregatorSubmitSteadyStateAllocs bounds the full join → decrypt
-// → decode → accumulate tail. It cannot be exactly zero — the joiner's
+// → decode → accumulate tail, one share per SubmitShareBatch call. It
+// cannot be exactly zero — the joiner's
 // replay-suppression set records every completed MID until a sweep, and
 // window bookkeeping fires occasionally — but steady state must stay
 // within a small constant, an order of magnitude under the seed's 16
@@ -195,13 +168,15 @@ func TestAggregatorSubmitSteadyStateAllocs(t *testing.T) {
 	}
 	now := time.Unix(10, 0)
 	var scratch xorcrypt.SplitScratch
+	one := make([]xorcrypt.Share, 1)
 	submit := func() {
 		shares, err := splitter.SplitInto(raw, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for src, sh := range shares {
-			if _, err := agg.SubmitShare(sh, src, now); err != nil {
+			one[0] = sh
+			if _, err := agg.SubmitShareBatch(one, src, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,6 +232,7 @@ func TestAggregatorMultiQuerySubmitAllocs(t *testing.T) {
 	}
 	now := time.Unix(10, 0)
 	var scratch xorcrypt.SplitScratch
+	one := make([]xorcrypt.Share, 1)
 	next := 0
 	submit := func() {
 		// Round-robin the queries so every message demuxes to a
@@ -268,7 +244,8 @@ func TestAggregatorMultiQuerySubmitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for src, sh := range shares {
-			if _, err := agg.SubmitShare(sh, src, now); err != nil {
+			one[0] = sh
+			if _, err := agg.SubmitShareBatch(one, src, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -315,17 +292,40 @@ func (m *agedMessage) advance(tb testing.TB) {
 	m.encode(tb)
 }
 
-// packed appends n copies of the message to dst: one lane of a batch.
-func (m *agedMessage) packed(dst []byte, n int) []byte {
-	for k := 0; k < n; k++ {
-		dst = append(dst, m.raw...)
-	}
-	return dst
+// shareLanes splits copies of one message into per-proxy share lanes,
+// the layout a client.Batcher flush carries: one SplitInto per message,
+// each payload copied into lane storage the returned shares view.
+type shareLanes struct {
+	scratch xorcrypt.SplitScratch
+	lanes   [2][]byte
+	shares  [2][]xorcrypt.Share
 }
 
-// TestFig8SubmitZeroAllocs pins BenchmarkFig8Scalability's loop shape —
-// split + two per-share submits — at exactly zero steady-state
-// allocations per message. The steady state is a joiner whose
+func (l *shareLanes) split(tb testing.TB, sp *xorcrypt.Splitter, raw []byte, count int) [2][]xorcrypt.Share {
+	size := len(raw)
+	for src := range l.lanes {
+		if len(l.lanes[src]) != count*size {
+			l.lanes[src] = make([]byte, count*size)
+			l.shares[src] = make([]xorcrypt.Share, count)
+		}
+	}
+	for k := range count {
+		split, err := sp.SplitInto(raw, &l.scratch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for src, sh := range split {
+			p := l.lanes[src][k*size : (k+1)*size]
+			copy(p, sh.Payload)
+			l.shares[src][k] = xorcrypt.Share{MID: sh.MID, Payload: p}
+		}
+	}
+	return l.shares
+}
+
+// TestFig8SubmitZeroAllocs pins the batch-size-1 row of
+// BenchmarkFig8SubmitBatch — a split and one one-share SubmitShareBatch
+// per proxy — at exactly zero steady-state allocations per message. The steady state is a joiner whose
 // generations have rotated: the warm-up sizes its maps, two advances of
 // event time forget what it joined, and the measured run refills maps
 // that kept their capacity. Left to grow, the completed-MID set leaks
@@ -355,13 +355,15 @@ func TestFig8SubmitZeroAllocs(t *testing.T) {
 	msg := newAgedMessage(t, q, vec)
 	now := time.Unix(10, 0)
 	var scratch xorcrypt.SplitScratch
+	one := make([]xorcrypt.Share, 1)
 	submit := func() {
 		shares, err := splitter.SplitInto(msg.raw, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for src, sh := range shares {
-			if _, err := agg.SubmitShare(sh, src, now); err != nil {
+			one[0] = sh
+			if _, err := agg.SubmitShareBatch(one, src, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -378,8 +380,9 @@ func TestFig8SubmitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAggregatorSubmitBatchZeroAllocs holds the vectorized tail — one
-// columnar split plus one SubmitShareBatch per proxy lane — at exactly
+// TestAggregatorSubmitBatchZeroAllocs holds the vectorized tail — a
+// batch split into share lanes plus one SubmitShareBatch per proxy lane —
+// at exactly
 // zero steady-state allocations per batch (the steady state of
 // TestFig8SubmitZeroAllocs: sized, then aged by two horizons).
 func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
@@ -406,24 +409,11 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 	vec, _ := answer.OneHot(11, 0)
 	msg := newAgedMessage(t, q, vec)
 	const batch = 64
-	size := len(msg.raw)
-	msgs := msg.packed(nil, batch)
-	shares := make([][]xorcrypt.Share, 2)
-	for src := range shares {
-		shares[src] = make([]xorcrypt.Share, batch)
-	}
 	now := time.Unix(10, 0)
-	var scratch xorcrypt.SplitBatchScratch
+	var lanes shareLanes
 	submit := func() {
-		cols, err := splitter.SplitBatchInto(msgs, size, batch, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for src := range shares {
-			for k := 0; k < batch; k++ {
-				shares[src][k] = cols.Share(src, k)
-			}
-			if _, err := agg.SubmitShareBatch(shares[src], src, now); err != nil {
+		for src, shares := range lanes.split(t, splitter, msg.raw, batch) {
+			if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -434,7 +424,6 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		msg.advance(t)
-		msgs = msg.packed(msgs[:0], batch)
 		submit()
 	}
 	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
@@ -442,9 +431,8 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFig8TelemetryZeroAllocs re-runs both Fig 8 tail shapes — the
-// per-share loop and the vectorized batch loop — with the telemetry
-// plane fully attached: an epoch tracer on the aggregator (so every
+// TestFig8TelemetryZeroAllocs re-runs the Fig 8 batch tail with the
+// telemetry plane fully attached: an epoch tracer on the aggregator (so every
 // SubmitShareBatch is timed and charged to the join stage) and a live
 // publish histogram observing each batch. The zero-allocation contract
 // must hold with instrumentation enabled, not just with the hooks left
@@ -482,25 +470,12 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 	vec, _ := answer.OneHot(11, 0)
 	msg := newAgedMessage(t, q, vec)
 	const batch = 64
-	size := len(msg.raw)
-	msgs := msg.packed(nil, batch)
-	shares := make([][]xorcrypt.Share, 2)
-	for src := range shares {
-		shares[src] = make([]xorcrypt.Share, batch)
-	}
 	now := time.Unix(10, 0)
-	var scratch xorcrypt.SplitBatchScratch
+	var lanes shareLanes
 	submit := func() {
 		t0 := time.Now()
-		cols, err := splitter.SplitBatchInto(msgs, size, batch, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for src := range shares {
-			for k := 0; k < batch; k++ {
-				shares[src][k] = cols.Share(src, k)
-			}
-			if _, err := agg.SubmitShareBatch(shares[src], src, now); err != nil {
+		for src, shares := range lanes.split(t, splitter, msg.raw, batch) {
+			if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -513,7 +488,6 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		msg.advance(t)
-		msgs = msg.packed(msgs[:0], batch)
 		submit()
 	}
 	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
@@ -588,13 +562,26 @@ func TestClientAnswerZeroAllocs(t *testing.T) {
 	}
 }
 
+// columnPublisher is a client.ColumnSink that publishes each flushed
+// segment straight to one topic of a broker connection.
+type columnPublisher struct {
+	cli   *pubsub.Client
+	topic string
+}
+
+func (p columnPublisher) SubmitColumns(mids, payloads []byte, count, size int) error {
+	return p.cli.PublishColumns(p.topic, pubsub.Columns{
+		Count: count, KeyLen: xorcrypt.MIDSize, ValLen: size, Keys: mids, Vals: payloads,
+	}, 0, 0)
+}
+
 // TestSharePlaneAllocs bounds what lies between the client's answer and
 // the aggregator's tail, both gated at zero above: the share plane. A
-// share is flat bytes from publish to join — copied once into a
-// partition slab, once out into the fetch's buffer (or the TCP response
-// frame), and borrowed by the aggregator — so what is left is per epoch
-// (a fetch's record slice and buffer, a frame, a round-trip) and per
-// slab, never per share. Each gate runs epochs of 512 answers after a
+// share is flat bytes from publish to join — copied once into the
+// client's batch lanes, once into a partition slab, once out into the
+// fetch's buffer (or the TCP response frame), and borrowed by the
+// aggregator — so what is left is per epoch (a fetch's record slice and
+// buffer, a frame, a round-trip) and per slab, never per share. Each gate runs epochs of 512 answers after a
 // warm-up (all inside one retain horizon: the joiner's maps grow a few
 // times, which the budgets absorb); the in-process gate also commits
 // what it drained, as core.System does, so the commit, the trim and the
@@ -674,17 +661,23 @@ func TestSharePlaneAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg := newAggregator()
+		batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
 		var scratch xorcrypt.SplitScratch
-		measure("split → Submit×2 → Poll → DecodeRecord → SubmitShareBatch → Commit", 0.5, agg, func() {
+		measure("split → Batcher → SubmitColumns → Poll → DecodeRecord → SubmitShareBatch → Commit", 0.5, agg, func() {
 			for k := 0; k < answers; k++ {
 				split, err := splitter.SplitInto(raw, &scratch)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, sh := range split {
-					if err := fleet.Proxy(i).Submit(sh); err != nil {
+					if err := batchers[i].Submit(sh); err != nil {
 						t.Fatal(err)
 					}
+				}
+			}
+			for _, b := range batchers {
+				if err := b.Flush(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			for src, c := range consumers {
@@ -723,21 +716,26 @@ func TestSharePlaneAllocs(t *testing.T) {
 			defer clients[i].Close()
 		}
 		agg := newAggregator()
-		msgs := make([]byte, 0, answers*len(raw))
-		for k := 0; k < answers; k++ {
-			msgs = append(msgs, raw...)
+		batchers := make([]*client.Batcher, len(clients))
+		for i, cli := range clients {
+			batchers[i] = client.NewBatcher(columnPublisher{cli, proxy.TopicFor(i)}, 0)
 		}
-		var scratch xorcrypt.SplitBatchScratch
+		var scratch xorcrypt.SplitScratch
 		var next [2][partitions]int64
-		measure("PublishColumns → Serve → Client.Fetch → SubmitShareBatch", 1.0, agg, func() {
-			cols, err := splitter.SplitBatchInto(msgs, len(raw), answers, &scratch)
-			if err != nil {
-				t.Fatal(err)
+		measure("split → Batcher → PublishColumns → Serve → Client.Fetch → SubmitShareBatch", 1.0, agg, func() {
+			for k := 0; k < answers; k++ {
+				split, err := splitter.SplitInto(raw, &scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, sh := range split {
+					if err := batchers[i].Submit(sh); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			for i, cli := range clients {
-				if err := cli.PublishColumns(proxy.TopicFor(i), pubsub.Columns{
-					Count: answers, KeyLen: xorcrypt.MIDSize, ValLen: cols.Size, Keys: cols.MIDs, Vals: cols.Lanes[i],
-				}, 0, 0); err != nil {
+			for _, b := range batchers {
+				if err := b.Flush(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -820,13 +818,13 @@ func TestPublishColumnsAllocs(t *testing.T) {
 // fireRig is one aggregator with a tumbling one-epoch window whose every
 // epoch holds the same answers, so after the first window the estimator
 // finds every randomization loss it needs already simulated and a fire
-// is the steady state: merge the shards, bound the window, bound the
-// buckets.
+// is the steady state: close the window, bound it, bound the buckets.
 type fireRig struct {
 	t        testing.TB
 	agg      *aggregator.Aggregator
 	splitter *xorcrypt.Splitter
 	scratch  xorcrypt.SplitScratch
+	one      [1]xorcrypt.Share
 	msgs     [4]answer.Message
 	raw      []byte
 	epoch    uint64
@@ -891,7 +889,8 @@ func (r *fireRig) fire() (allocs uint64, took time.Duration) {
 			r.t.Fatal(err)
 		}
 		for src, sh := range shares {
-			if res, err := r.agg.SubmitShare(sh, src, time.Time{}); err != nil || len(res) != 0 {
+			r.one[0] = sh
+			if res, err := r.agg.SubmitShareBatch(r.one[:], src, time.Time{}); err != nil || len(res) != 0 {
 				r.t.Fatalf("submit: %d windows fired, err %v", len(res), err)
 			}
 		}
@@ -913,9 +912,8 @@ func (r *fireRig) fire() (allocs uint64, took time.Duration) {
 }
 
 // TestFireAllocs pins the shape of a fire: one Student-t root-find per
-// window and plain arithmetic per bucket. A fire allocates its merged
-// accumulator, its bucket estimates and its result list whatever the
-// bucket count, and — measured back to back, as a ratio, so a slow
+// window and plain arithmetic per bucket. A fire allocates its bucket
+// estimates and its result list whatever the bucket count, and — measured back to back, as a ratio, so a slow
 // machine moves both sides — a 128-bucket window costs less than six
 // 8-bucket windows (a root-find per bucket would make it sixteen).
 func TestFireAllocs(t *testing.T) {

@@ -458,8 +458,7 @@ func BenchmarkEpochPipelineParallel(b *testing.B) {
 // built for. ns/op measures one full epoch (every client answers every
 // query); the per-answer metric divides the shared split/transport/join
 // machinery over Q queries, so sublinear per-query marginal cost shows
-// up as answers/sec falling slower than Q grows. Recorded in
-// BENCH_multiquery.json by make bench-json.
+// up as answers/sec falling slower than Q grows.
 func BenchmarkMultiQuery(b *testing.B) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
 	for _, queries := range []int{1, 2, 4, 8} {
@@ -561,64 +560,13 @@ func BenchmarkTCPPipeline(b *testing.B) {
 
 // --- Fig 8: aggregator hot path (join + decrypt + window). ---
 
-func BenchmarkFig8Scalability(b *testing.B) {
-	q, err := workload.TaxiQuery("bench", 1, time.Second, time.Hour, time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	agg, err := aggregator.New(aggregator.Config{
-		Query:      q,
-		Params:     budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}},
-		Population: 1 << 30,
-		Proxies:    2,
-		Origin:     time.Unix(0, 0),
-		Seed:       9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	splitter, err := xorcrypt.NewSplitter(2, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vec, _ := answer.OneHot(11, 0)
-	msg := newAgedMessage(b, q, vec)
-	now := time.Now()
-	// Scratch reuse across iterations is safe here: with 2 proxies the
-	// join group completes (and is consumed) within the iteration, so
-	// the aggregator retains no reference into the reused payloads.
-	var scratch xorcrypt.SplitScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shares, err := splitter.SplitInto(msg.raw, &scratch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for src, sh := range shares {
-			if _, err := agg.SubmitShare(sh, src, now); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Move event time on periodically, as a long-lived deployment's
-		// epochs do: the joiner forgets what it joined two horizons ago —
-		// left at one epoch its completed-MID set grows monotonically and
-		// the bucket growth shows up as phantom B/op in what is a
-		// zero-allocation tail (TestFig8SubmitZeroAllocs pins the steady
-		// state at exactly 0). One window fires per advance.
-		if i%4096 == 4095 {
-			msg.advance(b)
-		}
-	}
-}
-
-// BenchmarkFig8SubmitBatch is the batch-granular Fig 8: one columnar
-// split fans a whole batch into per-proxy lanes, and the aggregator
-// consumes each lane through the vectorized join → decrypt → decode →
-// accumulate tail. The per-batch-size sweep records the amortization
-// frontier (ns/answer vs batch) in BENCH_hotpath.json.
+// BenchmarkFig8SubmitBatch is Fig 8's aggregator tail: messages split
+// into per-proxy share lanes, each lane consumed by one SubmitShareBatch
+// — join → decrypt → decode → accumulate. The sweep over batch sizes
+// records the amortization frontier (ns/answer vs batch); batch=1 is
+// share-by-share submission.
 func BenchmarkFig8SubmitBatch(b *testing.B) {
-	for _, batch := range []int{64, 256, 1024} {
+	for _, batch := range []int{1, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			q, err := workload.TaxiQuery("bench", 1, time.Second, time.Hour, time.Hour)
 			if err != nil {
@@ -641,32 +589,24 @@ func BenchmarkFig8SubmitBatch(b *testing.B) {
 			}
 			vec, _ := answer.OneHot(11, 0)
 			msg := newAgedMessage(b, q, vec)
-			size := len(msg.raw)
-			msgs := msg.packed(nil, batch)
-			shares := make([][]xorcrypt.Share, 2)
-			for src := range shares {
-				shares[src] = make([]xorcrypt.Share, batch)
-			}
+			// Move event time on every 4,096 answers, as a long-lived
+			// deployment's epochs do: the joiner forgets what it joined two
+			// horizons ago — left at one epoch its completed-MID set grows
+			// monotonically and the bucket growth shows up as phantom B/op
+			// in what is a zero-allocation tail (TestFig8SubmitZeroAllocs).
+			advanceEvery := max(1, 4096/batch)
 			now := time.Now()
-			var scratch xorcrypt.SplitBatchScratch
+			var lanes shareLanes
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cols, err := splitter.SplitBatchInto(msgs, size, batch, &scratch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for src := range shares {
-					for k := 0; k < batch; k++ {
-						shares[src][k] = cols.Share(src, k)
-					}
-					if _, err := agg.SubmitShareBatch(shares[src], src, now); err != nil {
+				for src, shares := range lanes.split(b, splitter, msg.raw, batch) {
+					if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if i%64 == 63 {
+				if i%advanceEvery == advanceEvery-1 {
 					msg.advance(b)
-					msgs = msg.packed(msgs[:0], batch)
 				}
 			}
 			b.StopTimer()

@@ -81,18 +81,18 @@ type Config struct {
 	// it, so a query produces the same estimator stream whether it runs
 	// alone or among others.
 	Seed int64
-	// Shards splits the share-join map and the per-window accumulators
-	// into independently locked shards keyed by message-ID hash, so
-	// SubmitShare from concurrent drain goroutines scales instead of
-	// serializing on one lock. Defaults to GOMAXPROCS. Results and
-	// counters are identical for every shard count: per-bucket counts
-	// are integer sums, so the merged window state does not depend on
-	// how messages were distributed over shards.
+	// Shards splits the share-join map into independently locked shards
+	// keyed by message-ID hash, so SubmitShareBatch from concurrent drain
+	// goroutines joins without serializing on one lock. Defaults to
+	// GOMAXPROCS. Results and counters are identical for every shard
+	// count: a message's shares always meet in one shard, and each open
+	// window folds its answers under its own lock whichever shard joined
+	// them.
 	Shards int
 	// OnDecoded, when set, receives every decoded answer message (its
 	// wire bytes and event time) — the hook the historical store uses
 	// (§3.3.1). It may be invoked concurrently from multiple
-	// SubmitShare goroutines, so the callback must be safe for
+	// SubmitShareBatch goroutines, so the callback must be safe for
 	// concurrent use, and the order of invocations within an epoch is
 	// scheduling-dependent (a reproducible store sequence requires a
 	// single submitter).
@@ -183,12 +183,13 @@ func (s Stats) Dropped() int64 {
 
 // Aggregator processes share streams for any number of queries. It is
 // safe for concurrent use: shares from any number of drain goroutines
-// may be submitted at once. The hot path — join, decrypt, decode,
-// demux, window accumulation — is sharded by message-ID hash with
-// per-shard locks; only watermark advancement and window firing (per
-// query) serialize, which keeps the sequence of fired results (and the
-// rng each query's estimator consumes) deterministic under fixed seeds
-// regardless of submission interleaving within an epoch.
+// may be submitted at once. The join is sharded by message-ID hash
+// with per-shard locks, decrypt and decode run on the caller's scratch,
+// and each open window accumulates under its own lock; only watermark
+// advancement and window firing (per query) serialize, which keeps the
+// sequence of fired results (and the rng each query's estimator
+// consumes) deterministic under fixed seeds regardless of submission
+// interleaving within an epoch.
 type Aggregator struct {
 	cfg    Config
 	shards []joinShard
@@ -266,7 +267,7 @@ type queryState struct {
 	assigner *stream.SlidingAssigner
 
 	// winMu guards the registry of open windows; accumulation inside a
-	// window goes through the sharded accumulator, not this lock.
+	// window goes through the window's own lock, not this one.
 	winMu   sync.RWMutex
 	windows map[int64]*openWindow // keyed by window start UnixNano
 
@@ -290,11 +291,6 @@ type queryState struct {
 	// duplicate cards. The Recorder's own log-scan dedup covers windows
 	// fired after the last checkpoint; this is the cheap first line.
 	cardsBelow atomic.Int64
-	// lateMu guards lateByWin: late answers attributed to the windows
-	// they would have joined, drained into each window's card at fire
-	// time and pruned for windows already fired.
-	lateMu    sync.Mutex
-	lateByWin map[int64]int64
 	// shedBits is the current shed threshold as Float64bits, atomic so
 	// the SLO controller can move it while windows fire. Zero (never
 	// stored) reads as 1.
@@ -337,30 +333,29 @@ type estEvent struct {
 	loss   float64
 }
 
-// joinShard is one lock's worth of share-join state plus the scratch
-// buffers the join → decrypt → decode tail reuses across messages, and
-// the per-shard demux drop counters (plain ints — they are only touched
-// under mu). All scratch is touched only under mu (SubmitShare holds
-// the shard lock through ingest), so buffers never alias across
-// concurrent messages; the struct is padded to a cache-line multiple so
-// adjacent shard locks do not false-share (the size check pins this).
+// joinShard is one lock's worth of share-join state and the demux drop
+// counters (plain ints — they are only touched under mu). The struct is
+// padded to a cache-line multiple so adjacent shard locks do not
+// false-share (the size check pins this).
 type joinShard struct {
 	mu         sync.Mutex
 	joiner     *stream.KeyedShareJoiner[xorcrypt.MID]
-	plain      []byte           // reusable XOR-joined plaintext
-	vec        answer.BitVector // reusable zero-copy decode view
-	msg        answer.Message
-	wins       []stream.Window // reusable window-assignment scratch
-	unknownQID int64           // decoded messages matching no registered query
-	badLength  int64           // messages whose answer length mismatched their query
-	swept      int64           // partial groups expired by rotation
-	_          [48]byte        // pad to a cache-line multiple
+	unknownQID int64    // decoded messages matching no registered query
+	badLength  int64    // messages whose answer length mismatched their query
+	swept      int64    // partial groups expired by rotation
+	_          [24]byte // pad to a cache-line multiple
 }
 
-// openWindow is one window still accumulating answers.
+// openWindow is one window still accumulating answers. mu guards acc
+// and closed: a fire sets closed and takes acc under it, so an add
+// racing the fire either lands before the counts are read or is
+// refused and counted late — never silently lost. mu is innermost:
+// nothing else is acquired while it is held.
 type openWindow struct {
 	window stream.Window
-	acc    *answer.ShardedAccumulator
+	mu     sync.Mutex
+	acc    *answer.Accumulator
+	closed bool
 }
 
 // New validates the configuration and builds a single-query aggregator
@@ -505,7 +500,6 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		windows:     make(map[int64]*openWindow),
 		rng:         seeded.New(spec.Seed),
 		rrLossCache: make(map[int]float64),
-		lateByWin:   make(map[int64]int64),
 	}
 	a.nextOrd++
 	st.params.Store(&spec.Params)
@@ -572,6 +566,13 @@ func (a *Aggregator) RemoveQuery(id query.ID) ([]Result, error) {
 	a.swapStates(old, nil, st)
 	a.stateMu.Unlock()
 
+	// A submit in flight may have resolved st from the old table and not
+	// yet reached its windows or its decoded count. It holds genMu shared
+	// until it is done, so taking genMu once waits it out: everything it
+	// adds to st lands before the flush and the fold below.
+	a.genMu.Lock()
+	a.genMu.Unlock()
+
 	st.fireMu.Lock()
 	res, err := a.fireLocked(st, true)
 	st.fireMu.Unlock()
@@ -629,9 +630,6 @@ func (a *Aggregator) ActiveQueries() []query.ID {
 	return out
 }
 
-// Shards returns the configured shard count.
-func (a *Aggregator) Shards() int { return len(a.shards) }
-
 // shardOf routes a message ID to its shard; all shares of one message
 // land on the same shard, so each join group lives under exactly one
 // lock. FNV-1a is inlined — hash.Hash32 would allocate per share on
@@ -650,157 +648,6 @@ func (a *Aggregator) shardOf(mid xorcrypt.MID) int {
 		h *= prime32
 	}
 	return int(h % uint32(len(a.shards)))
-}
-
-// SubmitShare folds in one share from proxy stream source (0 ≤ source <
-// Proxies). When the share completes a message, the message is
-// decrypted, decoded, demultiplexed to its query, and assigned to that
-// query's windows; any windows closed by the advancing watermark are
-// returned as results.
-//
-// SubmitShare borrows share.Payload for the call: a share that has to
-// wait for its siblings is copied into the joiner's pooled group, and
-// one that completes a message is consumed before SubmitShare returns.
-// The caller may reuse the payload's backing bytes — a split scratch, a
-// fetch buffer — as soon as the call is back.
-//
-// The arrival time is not used — join state ages on event time alone
-// (ageJoins) — and stays for the callers that pass it.
-func (a *Aggregator) SubmitShare(share xorcrypt.Share, source int, _ time.Time) ([]Result, error) {
-	shard := a.shardOf(share.MID)
-	js := &a.shards[shard]
-	a.genMu.RLock()
-	js.mu.Lock()
-	res, err := a.submitLocked(js, share, source, shard)
-	js.mu.Unlock()
-	a.genMu.RUnlock()
-	a.ageJoins()
-	return res, err
-}
-
-// submitLocked runs the join → decrypt → decode → demux → accumulate
-// tail under the shard lock so the shard-owned scratch (pooled join
-// group, joined plaintext, decode view, window slice) is reused across
-// messages without ever being shared between goroutines. The caller
-// holds js.mu.
-//
-// Lock order: js.mu may be taken before a query's fireMu (via ingest);
-// nothing acquires a shard lock while holding fireMu or winMu, so the
-// order is acyclic.
-func (a *Aggregator) submitLocked(js *joinShard, share xorcrypt.Share, source int, shard int) ([]Result, error) {
-	joined, err := js.joiner.Add(share.MID, source, share.Payload)
-	if err != nil {
-		if errors.Is(err, stream.ErrDuplicate) {
-			a.duplicates.Add(1)
-			return nil, nil
-		}
-		return nil, err
-	}
-	if joined == nil {
-		return nil, nil
-	}
-	// The group's payloads are consumed by the XOR join right here, so
-	// the group can go straight back to the joiner's pool.
-	plain, err := xorcrypt.JoinPayloadsInto(js.plain[:0], joined.Payloads)
-	js.joiner.Recycle(joined)
-	if plain != nil {
-		js.plain = plain
-	}
-	if err != nil {
-		a.malformed.Add(1)
-		return nil, nil
-	}
-	if err := js.msg.UnmarshalBinaryView(plain, &js.vec); err != nil {
-		a.malformed.Add(1)
-		return nil, nil
-	}
-	msg := &js.msg
-	st := a.stateFor(msg.QueryID)
-	if st == nil {
-		js.unknownQID++
-		return nil, nil
-	}
-	if msg.Answer.Len() != st.nbuckets {
-		js.badLength++
-		return nil, nil
-	}
-	st.decoded.Add(1)
-	eventTime := a.cfg.Origin.Add(time.Duration(msg.Epoch) * st.q.Frequency)
-	if a.cfg.OnDecoded != nil {
-		// Ownership contract: plain is shard scratch, valid only for
-		// the duration of the callback — the hook must copy what it
-		// keeps (histstore.Append serializes into its own buffer).
-		a.cfg.OnDecoded(plain, eventTime)
-	}
-	return a.ingest(js, st, eventTime, msg.Answer, shard)
-}
-
-// ingest assigns one decoded answer to its query's windows and advances
-// that query's watermark, firing any windows the advance closes. Only
-// an observation that actually moves the watermark takes the fire path
-// — within an epoch all event times of one query are equal, so the
-// drain goroutines run the sharded adds without ever touching fireMu.
-//
-// ingest/isLate/observe/fireLocked intentionally fork the windowing
-// semantics of stream.WindowedOp + stream.WatermarkTracker (watermark =
-// max event time − lateness, strict-Before late check, fire on window
-// End ≤ watermark, start-ordered results) into this sharded,
-// concurrency-safe form; the stream package keeps the generic
-// single-threaded operator. A semantic change to either must be made in
-// both.
-func (a *Aggregator) ingest(js *joinShard, st *queryState, eventTime time.Time, vec *answer.BitVector, shard int) ([]Result, error) {
-	if st.isLate(eventTime) {
-		// A late event can never advance the watermark, so nothing can
-		// fire on its account. With the provenance plane attached, charge
-		// the drop to the window(s) the answer would have joined so their
-		// cards carry per-window late counts.
-		st.dropped.Add(1)
-		if a.cards.Load() != nil {
-			js.wins = st.assigner.AppendWindowsFor(js.wins[:0], eventTime)
-			st.lateMu.Lock()
-			for _, w := range js.wins {
-				st.lateByWin[w.Start.UnixNano()]++
-			}
-			st.lateMu.Unlock()
-		}
-		return nil, nil
-	}
-
-	refused := false
-	js.wins = st.assigner.AppendWindowsFor(js.wins[:0], eventTime)
-	for _, w := range js.wins {
-		ow := a.openWindowFor(st, w)
-		if ow == nil {
-			// The window fired while we raced to it; the answer is by
-			// definition late there.
-			refused = true
-			continue
-		}
-		if err := ow.acc.Add(shard, vec); err != nil {
-			// ErrClosed: the window fired between our lookup and the
-			// add — late, same as above. (Size mismatches were filtered
-			// at decode time.)
-			if errors.Is(err, answer.ErrClosed) {
-				refused = true
-			}
-		}
-	}
-	if refused {
-		// Count per answer, not per window: an answer racing a fire may
-		// be refused by several of its sliding windows (and in rare
-		// interleavings still land in others), but it is one discarded
-		// answer.
-		st.dropped.Add(1)
-	}
-
-	if !st.observe(eventTime) {
-		return nil, nil
-	}
-	a.ageDue.Store(true)
-	st.fireMu.Lock()
-	res, err := a.fireLocked(st, false)
-	st.fireMu.Unlock()
-	return res, err
 }
 
 // ageJoins is the joiner's clock: event time, as the watermarks tell it.
@@ -852,10 +699,10 @@ func (a *Aggregator) ageJoins() {
 // for the window arithmetic anyway).
 const wmUnseen = math.MinInt64
 
-// isLate, observe, and watermark implement the watermark tracker over
-// one atomic so the sharded add path reads it without any lock
-// (matching stream.WatermarkTracker semantics: watermark = max event
-// time − lateness).
+// isLate, observe, and watermark implement the watermark over one
+// atomic so the add path reads it without any lock: the watermark is
+// the maximum observed event time − lateness, and an event strictly
+// before it is late.
 func (st *queryState) isLate(t time.Time) bool {
 	m := st.wmMax.Load()
 	return m != wmUnseen && t.Before(time.Unix(0, m).Add(-st.lateness))
@@ -905,13 +752,33 @@ func (a *Aggregator) openWindowFor(st *queryState, w stream.Window) *openWindow 
 	if !w.End.After(st.watermark()) {
 		return nil
 	}
-	acc, err := answer.NewShardedAccumulator(st.nbuckets, len(a.shards))
+	acc, err := answer.NewAccumulator(st.nbuckets)
 	if err != nil {
 		return nil
 	}
 	ow = &openWindow{window: w, acc: acc}
 	st.windows[key] = ow
 	return ow
+}
+
+// add folds count answers laid out at stride in lane into the window,
+// reporting false when the window has already fired.
+func (ow *openWindow) add(lane []byte, stride, nbits, count int) (bool, error) {
+	ow.mu.Lock()
+	defer ow.mu.Unlock()
+	if ow.closed {
+		return false, nil
+	}
+	return true, ow.acc.AddBatch(lane, stride, nbits, count)
+}
+
+// close marks the window fired and hands over its counts; no add
+// touches them afterwards.
+func (ow *openWindow) close() *answer.Accumulator {
+	ow.mu.Lock()
+	defer ow.mu.Unlock()
+	ow.closed = true
+	return ow.acc
 }
 
 // fireLocked closes every window of one query behind its watermark (or
@@ -945,14 +812,7 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 		if tr != nil || rec != nil {
 			t0 = time.Now()
 		}
-		// Close-and-merge: an add racing this fire either lands before
-		// its shard is folded in or is refused and counted dropped —
-		// never silently lost.
-		acc, err := ow.acc.CloseAndMerge()
-		if err != nil {
-			return nil, err
-		}
-		res, params, err := a.estimate(st, ow.window, acc, a.cfg.Population*st.slots)
+		res, params, err := a.estimate(st, ow.window, ow.close(), a.cfg.Population*st.slots)
 		if err != nil {
 			return nil, err
 		}
@@ -976,19 +836,6 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 			a.emitCard(rec, st, params, res, time.Since(t0))
 		}
 	}
-	if rec != nil {
-		// Prune late attributions for windows at or behind the fire
-		// horizon — their cards are out, so the entries would only leak.
-		if ft := st.firedThrough.Load(); ft != wmUnseen {
-			st.lateMu.Lock()
-			for k := range st.lateByWin {
-				if k <= ft {
-					delete(st.lateByWin, k)
-				}
-			}
-			st.lateMu.Unlock()
-		}
-	}
 	return out, nil
 }
 
@@ -1007,10 +854,6 @@ func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, params *bud
 		eps = -1 // params were validated at registration; defensive only
 	}
 	width := RelativeWidth(res)
-	st.lateMu.Lock()
-	late := st.lateByWin[start]
-	delete(st.lateByWin, start)
-	st.lateMu.Unlock()
 	c := lineage.Card{
 		Query:       st.qname,
 		WindowStart: start,
@@ -1021,7 +864,6 @@ func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, params *bud
 		Shed:        lineage.JSONFloat(res.Shed),
 		CIWidth:     lineage.JSONFloat(width),
 		EpsilonZK:   lineage.JSONFloat(eps),
-		Late:        late,
 		// Duplicates/Malformed are aggregator-cumulative snapshots at
 		// fire time (per-window attribution is impossible: a duplicate
 		// share or undecodable message reveals no window). Zero in clean

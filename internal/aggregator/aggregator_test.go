@@ -69,13 +69,20 @@ func submitMessage(t *testing.T, a *Aggregator, sp *xorcrypt.Splitter, qid, epoc
 	}
 	var fired []Result
 	for src, sh := range shares {
-		res, err := a.SubmitShare(sh, src, time.Now())
+		res, err := submitOne(a, sh, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fired = append(fired, res...)
 	}
 	return fired
+}
+
+// submitOne submits a one-share batch: the per-share form of the one
+// submit tail (join state ages once per call, so one share per call is
+// exactly share-by-share submission).
+func submitOne(a *Aggregator, sh xorcrypt.Share, src int) ([]Result, error) {
+	return a.SubmitShareBatch([]xorcrypt.Share{sh}, src, time.Time{})
 }
 
 func TestNewValidation(t *testing.T) {
@@ -187,7 +194,7 @@ func TestRandomizedRecoveryWithinMargin(t *testing.T) {
 		raw, _ := msg.MarshalBinary()
 		shares, _ := sp.Split(raw)
 		for src, sh := range shares {
-			if _, err := a.SubmitShare(sh, src, time.Now()); err != nil {
+			if _, err := submitOne(a, sh, src); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,7 +259,7 @@ func TestMalformedAndForeignMessagesCounted(t *testing.T) {
 	// Garbage payload that joins but does not decode.
 	shares, _ := sp.Split([]byte("not a message"))
 	for src, sh := range shares {
-		if _, err := a.SubmitShare(sh, src, time.Now()); err != nil {
+		if _, err := submitOne(a, sh, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,12 +303,12 @@ func TestDuplicateSharesRejected(t *testing.T) {
 	raw, _ := (&answer.Message{QueryID: cfg.Query.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
 	shares, _ := sp.Split(raw)
 	for src, sh := range shares {
-		if _, err := a.SubmitShare(sh, src, time.Now()); err != nil {
+		if _, err := submitOne(a, sh, src); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Replaying a share of the completed message is rejected silently.
-	if _, err := a.SubmitShare(shares[0], 0, time.Now()); err != nil {
+	if _, err := submitOne(a, shares[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	if a.Duplicates() != 1 {
@@ -321,8 +328,7 @@ func TestPendingJoinsSweep(t *testing.T) {
 	raw, _ := (&answer.Message{QueryID: cfg.Query.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
 	shares, _ := sp.Split(raw)
 	// Only one share arrives: a partial join.
-	old := time.Now().Add(-time.Hour)
-	if _, err := a.SubmitShare(shares[0], 0, old); err != nil {
+	if _, err := submitOne(a, shares[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	if a.PendingJoins() != 1 {

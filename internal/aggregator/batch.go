@@ -114,13 +114,6 @@ func BatchAnalyze(cfg Config, src AnswerSource, from, to time.Time, secondSampli
 	return out, nil
 }
 
-// EpochTime converts an epoch number to event time under a config's
-// origin and query frequency — the timestamp convention stored answers
-// use.
-func EpochTime(cfg Config, epoch uint64) time.Time {
-	return cfg.Origin.Add(time.Duration(epoch) * cfg.Query.Frequency)
-}
-
 // EstimateYesForWindow applies the paper's Eq. 5 correction (or its
 // inverted form) to one bucket's raw counts: the first step of every
 // estimate, exported so tests and experiments can take it without

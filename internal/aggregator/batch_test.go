@@ -9,6 +9,7 @@ import (
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
 	"privapprox/internal/rr"
+	"privapprox/internal/xorcrypt"
 )
 
 // storedAnswers builds an in-memory AnswerSource of n one-hot messages
@@ -38,7 +39,7 @@ func storedAnswers(t *testing.T, cfg Config, perEpoch int, epochs int, bucketOf 
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs = append(recs, rec{ts: EpochTime(cfg, uint64(e)), payload: raw})
+			recs = append(recs, rec{ts: cfg.Origin.Add(time.Duration(e) * cfg.Query.Frequency), payload: raw})
 		}
 	}
 	return func(fn func(ts time.Time, payload []byte) error) error {
@@ -87,7 +88,7 @@ func TestBatchAnalyzeTimeRangeFilters(t *testing.T) {
 	cfg := batchConfig(t, 50)
 	src := storedAnswers(t, cfg, 50, 4, func(i int) int { return 0 })
 	// Only epochs 0 and 1 fall in [origin, origin+2×freq).
-	to := EpochTime(cfg, 2)
+	to := testOrigin.Add(2 * cfg.Query.Frequency)
 	res, err := BatchAnalyze(cfg, src, testOrigin, to, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -130,13 +131,13 @@ func TestBatchAnalyzeSkipsForeignAndCorrupt(t *testing.T) {
 	cfg := batchConfig(t, 10)
 	good := storedAnswers(t, cfg, 10, 1, func(i int) int { return 0 })
 	src := func(fn func(ts time.Time, payload []byte) error) error {
-		if err := fn(EpochTime(cfg, 0), []byte("garbage")); err != nil {
+		if err := fn(cfg.Origin, []byte("garbage")); err != nil {
 			return err
 		}
 		foreign := answer.Message{QueryID: 999, Epoch: 0}
 		foreign.Answer, _ = answer.NewBitVector(4)
 		raw, _ := foreign.MarshalBinary()
-		if err := fn(EpochTime(cfg, 0), raw); err != nil {
+		if err := fn(cfg.Origin, raw); err != nil {
 			return err
 		}
 		return good(fn)
@@ -194,7 +195,7 @@ func TestBatchAnalyzeRandomizedRecovers(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := fn(EpochTime(cfg, 0), raw); err != nil {
+			if err := fn(cfg.Origin, raw); err != nil {
 				return err
 			}
 		}
@@ -210,13 +211,28 @@ func TestBatchAnalyzeRandomizedRecovers(t *testing.T) {
 	}
 }
 
+// TestEpochTime pins the event-time convention stored answers and
+// windows share: epoch e is Origin + e×Frequency, so an epoch-3 answer
+// fills exactly the window that starts there.
 func TestEpochTime(t *testing.T) {
-	cfg := batchConfig(t, 10)
-	if got := EpochTime(cfg, 0); !got.Equal(testOrigin) {
-		t.Errorf("epoch 0 = %v", got)
+	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
+	a, err := New(testConfig(t, 4, params, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := EpochTime(cfg, 3); !got.Equal(testOrigin.Add(3 * cfg.Query.Frequency)) {
-		t.Errorf("epoch 3 = %v", got)
+	sp, err := xorcrypt.NewSplitter(2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := a.states.Load().single.q
+	submitMessage(t, a, sp, q.QID.Uint64(), 3, 1, 4)
+	res, err := a.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testOrigin.Add(3 * q.Frequency)
+	if len(res) != 1 || !res[0].Window.Start.Equal(want) || res[0].Responses != 1 {
+		t.Fatalf("epoch 3 fired %+v, want one answer in the window at %v", res, want)
 	}
 }
 

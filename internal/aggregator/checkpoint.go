@@ -13,7 +13,7 @@ package aggregator
 // serialized, so the replay log re-derives it — see estEvent).
 //
 // The caller owns the consistency cut: Checkpoint must not run
-// concurrently with SubmitShare/AdvanceTo, and the record must be
+// concurrently with SubmitShareBatch/AdvanceTo, and the record must be
 // persisted together with the input offsets of everything submitted
 // before it (the privapprox-node aggregator role and core.System both
 // checkpoint between poll sweeps).
@@ -154,9 +154,9 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.dropped.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.firedThrough.Load()))
 
-	// Open windows, earliest first for a deterministic encoding. The
-	// caller holds no shard lock here and firing is frozen by the
-	// checkpoint contract, so Merge sees a settled accumulator.
+	// Open windows, earliest first for a deterministic encoding. Firing
+	// is frozen by the checkpoint contract, so each window's counts are
+	// settled.
 	st.fireMu.Lock()
 	defer st.fireMu.Unlock()
 	st.winMu.RLock()
@@ -168,14 +168,12 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 	sort.Slice(wins, func(i, j int) bool { return wins[i].window.Start.Before(wins[j].window.Start) })
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(wins)))
 	for _, ow := range wins {
-		acc, err := ow.acc.Merge()
-		if err != nil {
-			return nil, err
-		}
 		buf = binary.BigEndian.AppendUint64(buf, uint64(ow.window.Start.UnixNano()))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(ow.window.End.UnixNano()))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(acc.N()))
-		yes := acc.YesCounts()
+		ow.mu.Lock()
+		n, yes := ow.acc.N(), ow.acc.YesCounts()
+		ow.mu.Unlock()
+		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(yes)))
 		for _, y := range yes {
 			buf = binary.BigEndian.AppendUint64(buf, uint64(y))
@@ -398,11 +396,11 @@ func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, 
 	if len(yes) != st.nbuckets {
 		return fmt.Errorf("%w: window with %d buckets for query %s (%d)", ErrCheckpoint, len(yes), st.q.QID, st.nbuckets)
 	}
-	acc, err := answer.NewShardedAccumulator(st.nbuckets, len(a.shards))
+	acc, err := answer.NewAccumulator(st.nbuckets)
 	if err != nil {
 		return err
 	}
-	if err := acc.AddCounts(0, yes, int(n)); err != nil {
+	if err := acc.AddCounts(yes, int(n)); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
 	}
 	w := stream.Window{Start: time.Unix(0, startNano), End: time.Unix(0, endNano)}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
@@ -87,7 +86,7 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crashed.SubmitShare(pendingShares[0], 0, time.Now()); err != nil {
+	if _, err := submitOne(crashed, pendingShares[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := crashed.PendingJoins(); got != 1 {
@@ -112,7 +111,7 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 		t.Fatalf("restored aggregator lost the pending join: %d", got)
 	}
 	// The straggler share completes the pre-crash message.
-	if _, err := restored.SubmitShare(pendingShares[1], 1, time.Now()); err != nil {
+	if _, err := submitOne(restored, pendingShares[1], 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,10 +137,10 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.SubmitShare(refShares[0], 0, time.Now()); err != nil {
+	if _, err := submitOne(ref, refShares[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.SubmitShare(refShares[1], 1, time.Now()); err != nil {
+	if _, err := submitOne(ref, refShares[1], 1); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, replayRemainder(t, ref, qid, nbuckets, population, epochs, stopAt)...)
@@ -207,7 +206,7 @@ func TestCheckpointRestoresDuplicateSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for src, sh := range shares {
-		if _, err := a.SubmitShare(sh, src, time.Now()); err != nil {
+		if _, err := submitOne(a, sh, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +223,7 @@ func TestCheckpointRestoresDuplicateSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replay one of the original shares at the restored aggregator.
-	if _, err := b.SubmitShare(shares[0], 0, time.Now()); err != nil {
+	if _, err := submitOne(b, shares[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Duplicates(); got != 1 {

@@ -189,7 +189,7 @@ func TestOneParameterGenerationPerWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			for src, sh := range shares {
-				res, err := a.SubmitShare(sh, src, time.Time{})
+				res, err := submitOne(a, sh, src)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -74,7 +74,7 @@ func TestReplayInsideAndAfterTheHorizon(t *testing.T) {
 	replay := func() []Result {
 		var fired []Result
 		for src, sh := range victim {
-			res, err := a.SubmitShare(copyShare(sh), src, time.Now())
+			res, err := submitOne(a, copyShare(sh), src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestReplayInsideAndAfterTheHorizon(t *testing.T) {
 	var got, want []Result
 	for _, agg := range []*Aggregator{a, control} {
 		for src, sh := range victim {
-			if _, err := agg.SubmitShare(copyShare(sh), src, time.Now()); err != nil {
+			if _, err := submitOne(agg, copyShare(sh), src); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -146,7 +146,7 @@ func TestSweptOrphanCountedOnce(t *testing.T) {
 	qid := cfg.Query.QID.Uint64()
 	runEpochs(t, a, sp, qid, 0, 1, 3)
 	orphan := encodeShares(t, sp, qid, 0, 4, 2)[0]
-	if _, err := a.SubmitShare(orphan, 0, time.Now()); err != nil {
+	if _, err := submitOne(a, orphan, 0); err != nil {
 		t.Fatal(err)
 	}
 	runEpochs(t, a, sp, qid, 1, 3, 3)
@@ -455,7 +455,7 @@ func TestRotationWaitsForASubmitInFlight(t *testing.T) {
 	qid := cfg.Query.QID.Uint64()
 	submitMessage(t, a, sp, qid, 0, 0, 4) // starts the joiner's clock
 	ahead := encodeShares(t, sp, qid, 10, 4, 1)
-	if _, err := a.SubmitShare(copyShare(ahead[0]), 0, time.Now()); err != nil {
+	if _, err := submitOne(a, copyShare(ahead[0]), 0); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -471,7 +471,7 @@ func TestRotationWaitsForASubmitInFlight(t *testing.T) {
 	}
 	before := a.Stats()
 	for src, sh := range ahead {
-		if _, err := a.SubmitShare(copyShare(sh), src, time.Now()); err != nil {
+		if _, err := submitOne(a, copyShare(sh), src); err != nil {
 			t.Fatal(err)
 		}
 	}

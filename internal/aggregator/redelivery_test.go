@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"privapprox/internal/budget"
 	"privapprox/internal/rr"
@@ -40,7 +39,7 @@ func submitOrdered(t *testing.T, a *Aggregator, epochs [][]submission) []Result 
 	var fired []Result
 	for _, subs := range epochs {
 		for _, sub := range subs {
-			res, err := a.SubmitShare(sub.share, sub.src, time.Now())
+			res, err := submitOne(a, sub.share, sub.src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +232,7 @@ func TestRedeliveryAcrossCheckpointRestore(t *testing.T) {
 		t.Helper()
 		var fired []Result
 		for _, sub := range subs {
-			res, err := a.SubmitShare(sub.share, sub.src, time.Now())
+			res, err := submitOne(a, sub.share, sub.src)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,7 +111,7 @@ func runTraffic(t *testing.T, a *Aggregator, epochs [][]submission, goroutines i
 		if goroutines <= 1 {
 			for _, idx := range order {
 				sub := subs[idx]
-				res, err := a.SubmitShare(sub.share, sub.src, time.Now())
+				res, err := submitOne(a, sub.share, sub.src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +128,7 @@ func runTraffic(t *testing.T, a *Aggregator, epochs [][]submission, goroutines i
 				defer wg.Done()
 				for i := g; i < len(order); i += goroutines {
 					sub := subs[order[i]]
-					res, err := a.SubmitShare(sub.share, sub.src, time.Now())
+					res, err := submitOne(a, sub.share, sub.src)
 					if err != nil {
 						t.Error(err)
 						return
@@ -194,8 +194,8 @@ func TestShardedAggregatorMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", par.Shards(), shards)
+		if len(par.shards) != shards {
+			t.Fatalf("%d join shards, want %d", len(par.shards), shards)
 		}
 		got := runTraffic(t, par, epochs, 8, rand.New(rand.NewSource(int64(shards))))
 
@@ -246,7 +246,7 @@ func TestShardedPendingJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.SubmitShare(shares[0], 0, testOrigin); err != nil {
+		if _, err := submitOne(a, shares[0], 0); err != nil {
 			t.Fatal(err)
 		}
 	}

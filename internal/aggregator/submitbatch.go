@@ -12,31 +12,31 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// This file is the batch-granular form of the submit tail: where
-// SubmitShare runs join → decrypt → decode → demux → accumulate once
-// per share, SubmitShareBatch consumes a whole polled batch in two
-// phases — a record-order join pass that gathers completed groups into
-// contiguous per-source lanes, and a vectorized tail that XOR-joins
-// each lane region in one pass, decodes the packed slots, and folds
-// consecutive same-(query, epoch) slots into their windows with one
-// accumulator lock acquisition per segment.
+// SubmitShareBatch is the aggregator's one submit tail: join → decrypt
+// → decode → demux → window. It consumes a polled batch in two phases —
+// a record-order join pass that gathers completed groups into
+// contiguous per-source lanes, and a tail that XOR-joins each lane
+// region in one pass, decodes the packed slots, and folds consecutive
+// same-(query, epoch) slots into their windows with one window lock
+// acquisition per segment.
 //
-// Equivalence contract: for a fixed submission sequence the batch path
-// is observably identical to the same shares submitted one at a time —
-// same fired results, same counters, same OnDecoded sequence. Phase A
-// preserves record order exactly (groups complete on the same share,
-// in the same order, as under per-share submission), and Phase B's
-// per-segment batching is safe because all slots of a segment share
+// Chunking contract: for a fixed share sequence, how it is cut into
+// batches does not change the fired results, the counters or the
+// OnDecoded sequence, and a one-share batch is the per-share operator.
+// Phase A preserves record order exactly (groups complete on the same
+// share, in the same order, whatever the batch boundaries), and Phase
+// B's per-segment batching is safe because all slots of a segment share
 // one event time: a late verdict at the segment head holds for every
 // slot (the watermark only advances on observe, which runs after the
 // segment), a window that would refuse the first slot refuses all of
-// them, and per-bucket counts are integer sums, so one AddBatch equals
-// count sequential Adds. Observing once per segment instead of once
-// per slot is also equivalent — re-observing an already-observed event
-// time never advances the watermark, so only the first observation of
-// the segment could fire, and it runs against the same watermark
-// either way. (Join state ages once per call: a replay a horizon behind
-// its original in one batch is a Duplicate here, maybe Late per share.)
+// them, and per-bucket counts are integer sums, so one fold of count
+// slots equals count one-slot folds. Observing once per segment instead
+// of once per slot is also equivalent — re-observing an already-observed
+// event time never advances the watermark, so only the first
+// observation of the segment could fire, and it runs against the same
+// watermark either way. (Join state ages once per call: a replay a
+// horizon behind its original in one batch is a Duplicate here, maybe
+// Late when the two arrive in separate calls.)
 
 // batchRun is one uniform-stride region of the Phase A lanes: count
 // completed join groups of size-byte payloads, starting at byte offset
@@ -50,8 +50,8 @@ type batchRun struct {
 
 // submitScratch is the reusable working set of one SubmitShareBatch
 // call: per-source completion lanes, run metadata, the joined-plaintext
-// buffer, and the decode scratch the per-share path keeps per shard.
-// Pooled so concurrent drain goroutines never share one.
+// buffer, and the decode and window-assignment scratch. Pooled so
+// concurrent drain goroutines never share one.
 type submitScratch struct {
 	lanes [][]byte
 	views [][]byte
@@ -89,19 +89,19 @@ func putScratch(sc *submitScratch) {
 	submitScratchPool.Put(sc)
 }
 
-// SubmitShareBatch folds in a whole batch of shares from proxy stream
-// source — the batch-granular form of SubmitShare, with identical
-// semantics: results fired by the batch are returned in fire order
-// (exactly the concatenation of what per-share submission would have
-// returned), duplicates and malformed messages are counted, and every
-// share payload is borrowed for the call only — a polled batch's fetch
-// buffer is free once the batch is submitted. An empty batch is a
-// no-op. As in SubmitShare, the arrival time is not used.
+// SubmitShareBatch folds in a batch of shares from proxy stream source
+// (0 ≤ source < Proxies). When a share completes a message, the message
+// is decrypted, decoded, demultiplexed to its query, and assigned to
+// that query's windows; windows closed by the advancing watermark are
+// returned as results, in fire order. Duplicates and malformed messages
+// are counted. Every share payload is borrowed for the call only — a
+// polled batch's fetch buffer is free once the batch is submitted. An
+// empty batch is a no-op.
 //
-// The batch is processed in share order, so a caller draining a polled
-// partition batch observes the same watermark advancement, late drops,
-// and fired windows as submitting share-by-share — poll chunking does
-// not affect results.
+// The batch is processed in share order, so how a caller chunks its
+// polls does not affect results (the contract at the top of this file).
+// The arrival time is not used — join state ages on event time alone
+// (ageJoins) — and stays for the callers that pass it.
 func (a *Aggregator) SubmitShareBatch(shares []xorcrypt.Share, source int, _ time.Time) ([]Result, error) {
 	tr := a.tracer.Load()
 	if tr == nil {
@@ -264,22 +264,26 @@ func (a *Aggregator) foldDemuxDrops(unknown, badlen int64) {
 
 // ingestSegment assigns slots [start, end) of a packed plaintext run —
 // all decoded, all of one query and epoch — to the query's windows with
-// one accumulator batch-fold per window, then advances the watermark
-// once. Mirrors ingest exactly (see the equivalence contract at the top
-// of this file); results fired by the advance are appended to out.
+// one fold per window, then advances the watermark once; results fired
+// by the advance are appended to out. Only an observation that actually
+// moves the watermark takes the fire path — within an epoch all event
+// times of one query are equal, so concurrent drains fold without ever
+// touching fireMu.
 func (a *Aggregator) ingestSegment(sc *submitScratch, st *queryState, epoch uint64, plain []byte, start, end, size int, out []Result) ([]Result, error) {
 	count := end - start
 	st.decoded.Add(int64(count))
 	eventTime := a.cfg.Origin.Add(time.Duration(epoch) * st.q.Frequency)
 	if a.cfg.OnDecoded != nil {
-		// Per slot, in order: the hook sees the same sequence as the
-		// per-share path. Ownership contract: the slot bytes are batch
-		// scratch, valid only for the duration of the callback.
+		// Per slot, in order, whatever the chunking. Ownership contract:
+		// the slot bytes are batch scratch, valid only for the duration
+		// of the callback — the hook must copy what it keeps.
 		for k := start; k < end; k++ {
 			a.cfg.OnDecoded(plain[k*size:(k+1)*size], eventTime)
 		}
 	}
 	if st.isLate(eventTime) {
+		// A late segment can never advance the watermark, so nothing can
+		// fire on its account.
 		st.dropped.Add(int64(count))
 		return out, nil
 	}
@@ -288,22 +292,24 @@ func (a *Aggregator) ingestSegment(sc *submitScratch, st *queryState, epoch uint
 	sc.wins = st.assigner.AppendWindowsFor(sc.wins[:0], eventTime)
 	lane := plain[start*size+answer.HeaderLen:]
 	for _, w := range sc.wins {
+		// A window that fired while the segment raced to it (nil here, or
+		// closed under its lock) refuses the segment: late there.
 		ow := a.openWindowFor(st, w)
 		if ow == nil {
 			refused = true
 			continue
 		}
-		// Any stable shard target yields identical merged counts; the
-		// whole segment folds into shard 0 under one lock acquisition.
-		if err := ow.acc.AddBatch(0, lane, size, st.nbuckets, count); err != nil {
-			// ErrClosed: the window fired between lookup and fold — the
-			// whole segment is late there, same as the per-share path.
-			if errors.Is(err, answer.ErrClosed) {
-				refused = true
-			}
+		added, err := ow.add(lane, size, st.nbuckets, count)
+		if err != nil {
+			return out, err
 		}
+		refused = refused || !added
 	}
 	if refused {
+		// Count per answer, not per window: a segment racing a fire may be
+		// refused by several of its sliding windows (and in rare
+		// interleavings still land in others), but each answer is one
+		// discarded answer.
 		st.dropped.Add(int64(count))
 	}
 

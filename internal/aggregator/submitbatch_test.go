@@ -2,6 +2,7 @@ package aggregator
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,47 +44,36 @@ func copyShare(sh xorcrypt.Share) xorcrypt.Share {
 	return xorcrypt.Share{MID: sh.MID, Payload: append([]byte(nil), sh.Payload...)}
 }
 
-// TestSubmitShareBatchMatchesPerShare pins the batch path's
-// equivalence contract: a share stream carrying two interleaved
-// queries (one with a non-byte-aligned answer width), multiple epochs,
-// a late straggler, unknown-query and wrong-length messages, duplicate
-// shares, and a malformed (mismatched-size) group must produce the
-// same fired results and the same stats whether submitted one share at
-// a time or as whole per-source batches.
+// chunkRun is what one submission of a share stream leaves behind: every
+// result it fired (then the final flush), the counters, and the
+// OnDecoded sequence.
+type chunkRun struct {
+	results []Result
+	stats   Stats
+	decoded []string
+}
+
+// TestSubmitShareBatchMatchesPerShare pins the chunking contract of the
+// one submit tail: a share stream carrying two interleaved queries (one
+// with a non-byte-aligned answer width), multiple epochs, a late
+// straggler, unknown-query and wrong-length messages, duplicate shares,
+// and a malformed (mismatched-size) group must produce the same fired
+// results, the same stats and the same OnDecoded sequence whether it is
+// submitted one share per call, as one batch per source, or cut at
+// seeded random chunk sizes.
 func TestSubmitShareBatchMatchesPerShare(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	const nb1, nb2 = 11, 5
 	const population = 500
-	newAgg := func() *Aggregator {
-		cfg := testConfig(t, nb1, params, population)
-		cfg.Shards = 4
-		a, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q2 := testQuery(t, nb2)
-		q2.QID = query.ID{Analyst: "b", Serial: 2}
-		if err := a.AddQuery(QuerySpec{Query: q2, Params: params, Seed: 7}); err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	aggV1 := newAgg()
-	aggV2 := newAgg()
-	qid1 := testQuery(t, nb1).QID.Uint64()
 	q2 := testQuery(t, nb2)
 	q2.QID = query.ID{Analyst: "b", Serial: 2}
-	qid2 := q2.QID.Uint64()
+	qid1, qid2 := testQuery(t, nb1).QID.Uint64(), q2.QID.Uint64()
 
 	sp, err := xorcrypt.NewSplitter(2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-
-	// One shared share stream; payloads are read-only in both paths, but
-	// each aggregator gets its own deep copies to honor the ownership
-	// contract.
 	var all [][]xorcrypt.Share
 	for epoch := uint64(0); epoch < 4; epoch++ {
 		for i := 0; i < 40; i++ {
@@ -113,70 +103,82 @@ func TestSubmitShareBatchMatchesPerShare(t *testing.T) {
 	// again and count as late).
 	all = append(all, []xorcrypt.Share{copyShare(all[3*40][0]), copyShare(all[3*40][1])})
 
-	arrival := testOrigin
-
-	// Per-share submission, source 0 then source 1 per message.
-	var resV1 []Result
-	for _, shares := range all {
-		for src, sh := range shares {
-			res, err := aggV1.SubmitShare(copyShare(sh), src, arrival)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resV1 = append(resV1, res...)
+	// run submits the stream in chunks of next() messages: all source-0
+	// shares of a chunk, then all source-1 shares, so joins complete in
+	// message order whatever the chunk size. Each run gets its own deep
+	// copies of the payloads, as the ownership contract allows the tail
+	// to mask trailing bits in place.
+	run := func(next func() int) chunkRun {
+		var out chunkRun
+		cfg := testConfig(t, nb1, params, population)
+		cfg.Shards = 4
+		cfg.OnDecoded = func(raw []byte, at time.Time) {
+			out.decoded = append(out.decoded, fmt.Sprintf("%x@%d", raw, at.UnixNano()))
 		}
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AddQuery(QuerySpec{Query: q2, Params: params, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(all); {
+			hi := min(lo+next(), len(all))
+			for src := 0; src < 2; src++ {
+				var batch []xorcrypt.Share
+				for _, shares := range all[lo:hi] {
+					batch = append(batch, copyShare(shares[src]))
+				}
+				res, err := a.SubmitShareBatch(batch, src, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.results = append(out.results, res...)
+			}
+			lo = hi
+		}
+		final, err := a.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.results = append(out.results, final...)
+		out.stats = a.Stats()
+		return out
 	}
 
-	// Batch submission in chunks: all source-0 shares of a chunk, then
-	// all source-1 shares — joins complete in the same message order.
-	var resV2 []Result
-	for lo := 0; lo < len(all); lo += 17 {
-		hi := lo + 17
-		if hi > len(all) {
-			hi = len(all)
-		}
-		for src := 0; src < 2; src++ {
-			var batch []xorcrypt.Share
-			for _, shares := range all[lo:hi] {
-				batch = append(batch, copyShare(shares[src]))
-			}
-			res, err := aggV2.SubmitShareBatch(batch, src, arrival)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resV2 = append(resV2, res...)
-		}
-	}
-
-	if !reflect.DeepEqual(resV1, resV2) {
-		t.Fatalf("fired results diverge:\nper-share: %+v\nbatch:     %+v", resV1, resV2)
-	}
-	flushV1, err := aggV1.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flushV2, err := aggV2.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flushV1, flushV2) {
-		t.Fatalf("flushed results diverge:\nper-share: %+v\nbatch:     %+v", flushV1, flushV2)
-	}
-	if s1, s2 := aggV1.Stats(), aggV2.Stats(); s1 != s2 {
-		t.Fatalf("stats diverge: per-share %+v, batch %+v", s1, s2)
-	}
-	if len(resV1) == 0 && len(flushV1) == 0 {
+	perShare := run(func() int { return 1 })
+	st := perShare.stats
+	if len(perShare.results) == 0 || len(perShare.decoded) == 0 {
 		t.Fatal("test produced no results at all")
 	}
-	st := aggV1.Stats()
 	if st.Late == 0 || st.Duplicates == 0 || st.Malformed == 0 || st.UnknownQuery == 0 || st.LengthMismatch == 0 {
 		t.Fatalf("fixture failed to exercise every drop path: %+v", st)
+	}
+	chunkings := map[string]func() int{
+		"one batch":    func() int { return len(all) },
+		"chunks of 17": func() int { return 17 },
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		r := rand.New(rand.NewSource(seed))
+		chunkings[fmt.Sprintf("random chunks, seed %d", seed)] = func() int { return 1 + r.Intn(60) }
+	}
+	for name, next := range chunkings {
+		got := run(next)
+		if !reflect.DeepEqual(got.results, perShare.results) {
+			t.Errorf("%s: fired results diverge from one share per call:\n got: %+v\nwant: %+v", name, got.results, perShare.results)
+		}
+		if got.stats != perShare.stats {
+			t.Errorf("%s: stats %+v, one share per call %+v", name, got.stats, perShare.stats)
+		}
+		if !reflect.DeepEqual(got.decoded, perShare.decoded) {
+			t.Errorf("%s: OnDecoded sequence diverges from one share per call", name)
+		}
 	}
 }
 
 // TestSubmitShareBatchEdges: empty batches are no-ops, a bad source is
-// rejected with the joiner's arity error, and a single-share batch
-// behaves like one SubmitShare.
+// rejected with the joiner's arity error, and single-share batches
+// complete a message.
 func TestSubmitShareBatchEdges(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := testConfig(t, 4, params, 10)

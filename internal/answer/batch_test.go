@@ -1,7 +1,6 @@
 package answer
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -100,7 +99,7 @@ func TestAddBatchEdges(t *testing.T) {
 
 // TestAddBatchPanicsOnTrailingGarbage: non-lane-aligned widths leave
 // slack bits in the final packed byte; a set bit there means the caller
-// skipped decoding and must panic, exactly like the per-vector fold.
+// skipped decoding and must panic rather than miscount a bucket.
 func TestAddBatchPanicsOnTrailingGarbage(t *testing.T) {
 	a, err := NewAccumulator(11)
 	if err != nil {
@@ -113,113 +112,4 @@ func TestAddBatchPanicsOnTrailingGarbage(t *testing.T) {
 		}
 	}()
 	_ = a.AddBatch(lane, 2, 11, 1)
-}
-
-// TestShardedAddBatch: one lock per batch, same counts as per-message
-// sharded adds, all-or-nothing after close, shard index validated.
-func TestShardedAddBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const nbits, count = 13, 6
-	nbytes := (nbits + 7) / 8
-	lane := make([]byte, count*nbytes)
-	ref, err := NewShardedAccumulator(nbits, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < count; s++ {
-		v := randVec(t, rng, nbits)
-		copy(lane[s*nbytes:], v.Bytes())
-		if err := ref.Add(s%4, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sh, err := NewShardedAccumulator(nbits, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.AddBatch(4, lane, nbytes, nbits, count); !errors.Is(err, ErrSize) {
-		t.Fatalf("out-of-range shard: %v", err)
-	}
-	if err := sh.AddBatch(1, lane, nbytes, nbits, count); err != nil {
-		t.Fatal(err)
-	}
-	mRef, err := ref.CloseAndMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mSh, err := sh.CloseAndMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mRef.YesCounts(), mSh.YesCounts()) || mRef.N() != mSh.N() {
-		t.Fatalf("sharded batch counts diverge: %v vs %v", mSh.YesCounts(), mRef.YesCounts())
-	}
-	if err := sh.AddBatch(1, lane, nbytes, nbits, count); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed shard accepted a batch: %v", err)
-	}
-}
-
-// TestBatchEncoderShape: the encoder fixes (query, width) at the first
-// Append and rejects mixed-query and mixed-width batches at encode time —
-// the constraint that makes fixed-stride lanes a same-query guarantee.
-func TestBatchEncoderShape(t *testing.T) {
-	vec5, err := OneHot(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec9, err := OneHot(9, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e BatchEncoder
-	if e.Stride() != 0 || e.Count() != 0 {
-		t.Fatalf("zero-value encoder: stride=%d count=%d", e.Stride(), e.Count())
-	}
-	if err := e.Append(&Message{QueryID: 7, Epoch: 1, Answer: vec5}); err != nil {
-		t.Fatal(err)
-	}
-	// Epochs may vary freely within a batch.
-	if err := e.Append(&Message{QueryID: 7, Epoch: 2, Answer: vec5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Append(&Message{QueryID: 8, Epoch: 1, Answer: vec5}); !errors.Is(err, ErrBatchShape) {
-		t.Fatalf("mixed query: %v", err)
-	}
-	if err := e.Append(&Message{QueryID: 7, Epoch: 1, Answer: vec9}); !errors.Is(err, ErrBatchShape) {
-		t.Fatalf("mixed width: %v", err)
-	}
-	if err := e.Append(&Message{QueryID: 7, Epoch: 1}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("nil answer: %v", err)
-	}
-	if e.Count() != 2 || e.Stride() != EncodedLen(5) {
-		t.Fatalf("rejected messages altered the lane: count=%d stride=%d", e.Count(), e.Stride())
-	}
-	// Every accepted slot decodes back to its message.
-	lane := e.Bytes()
-	if len(lane) != e.Count()*e.Stride() {
-		t.Fatalf("lane length %d for %d×%d", len(lane), e.Count(), e.Stride())
-	}
-	for k := 0; k < e.Count(); k++ {
-		var m Message
-		if err := m.UnmarshalBinary(lane[k*e.Stride() : (k+1)*e.Stride()]); err != nil {
-			t.Fatal(err)
-		}
-		if m.QueryID != 7 || m.Epoch != uint64(k+1) || !m.Answer.Equal(vec5) {
-			t.Fatalf("slot %d decoded to %+v", k, m)
-		}
-	}
-	// Reset clears the shape: a different query is welcome again.
-	e.Reset()
-	if err := e.Append(&Message{QueryID: 9, Epoch: 3, Answer: vec9}); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stride() != EncodedLen(9) || e.Count() != 1 {
-		t.Fatalf("post-reset shape: count=%d stride=%d", e.Count(), e.Stride())
-	}
-	// The answer lane inside each slot sits at HeaderLen, the offset the
-	// batch accumulate path relies on.
-	raw := e.Bytes()
-	if !bytes.Equal(raw[HeaderLen:HeaderLen+2], vec9.Bytes()) {
-		t.Fatal("answer bytes not at HeaderLen inside the slot")
-	}
 }

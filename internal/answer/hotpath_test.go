@@ -145,20 +145,8 @@ func TestAccumulatorWordLevelMatchesBitLevel(t *testing.T) {
 			t.Fatalf("bucket %d: fast %d, ref %d", i, fast.Yes(i), ref[i])
 		}
 	}
-	// Remove must invert Add exactly.
-	for _, raw := range patterns {
-		v, _ := FromBytes(raw, nbits)
-		if err := fast.Remove(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < nbits; i++ {
-		if fast.Yes(i) != 0 {
-			t.Fatalf("bucket %d: %d after removing everything", i, fast.Yes(i))
-		}
-	}
-	if fast.N() != 0 {
-		t.Fatalf("N = %d after removing everything", fast.N())
+	if fast.N() != len(patterns) {
+		t.Fatalf("N = %d after %d adds", fast.N(), len(patterns))
 	}
 }
 

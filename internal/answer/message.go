@@ -130,55 +130,55 @@ func NewAccumulator(nbuckets int) (*Accumulator, error) {
 	return &Accumulator{yes: make([]int, nbuckets)}, nil
 }
 
-// Add folds one answer vector in. It walks set bits only — whole zero
-// bytes are skipped and set bits are found with a trailing-zeros scan —
-// so the cost tracks the answer's popcount (one for a truthful one-hot
-// answer), not its bucket count. The zeroed-trailing-bits invariant
-// guarantees every scanned bit index is a valid bucket.
+// Add folds one answer vector in: a one-slot AddBatch. It walks set bits
+// only — whole zero bytes are skipped and set bits are found with a
+// trailing-zeros scan — so the cost tracks the answer's popcount (one
+// for a truthful one-hot answer), not its bucket count.
 func (a *Accumulator) Add(v *BitVector) error {
-	if err := a.fold(v, 1); err != nil {
-		return err
-	}
-	a.n++
-	return nil
+	return a.AddBatch(v.bits, len(v.bits), v.nbits, 1)
 }
 
-// Remove subtracts a previously added vector (used by sliding windows
-// when old epochs fall out of the window).
-func (a *Accumulator) Remove(v *BitVector) error {
-	if a.n == 0 {
-		return fmt.Errorf("%w: removing from empty accumulator", ErrSize)
+// AddBatch folds count answer vectors laid out at a fixed stride inside
+// lane: slot s occupies lane[s*stride : s*stride+ceil(nbits/8)]. Every
+// slot must satisfy the zeroed-trailing-bits invariant (SetView and
+// FromBytes establish it; the aggregator decodes each slot before
+// accumulating), which guarantees every scanned bit index is a valid
+// bucket — a violation panics rather than silently miscounting.
+func (a *Accumulator) AddBatch(lane []byte, stride, nbits, count int) error {
+	if count < 0 {
+		return fmt.Errorf("%w: batch of %d answers", ErrSize, count)
 	}
-	if err := a.fold(v, -1); err != nil {
-		return err
+	if nbits != len(a.yes) {
+		return fmt.Errorf("%w: vector %d bits, accumulator %d buckets", ErrSize, nbits, len(a.yes))
 	}
-	a.n--
-	return nil
-}
-
-// fold adds delta to the count of every bucket whose bit is set.
-func (a *Accumulator) fold(v *BitVector, delta int) error {
-	if v.Len() != len(a.yes) {
-		return fmt.Errorf("%w: vector %d bits, accumulator %d buckets", ErrSize, v.Len(), len(a.yes))
+	if count == 0 {
+		return nil
 	}
-	v.assertTrailingZeros()
-	for bi, b := range v.bits {
-		for ; b != 0; b &= b - 1 {
-			a.yes[bi*8+bits.TrailingZeros8(b)] += delta
+	nbytes := (nbits + 7) / 8
+	if stride < nbytes {
+		return fmt.Errorf("%w: stride %d below %d answer bytes", ErrSize, stride, nbytes)
+	}
+	if need := (count-1)*stride + nbytes; len(lane) < need {
+		return fmt.Errorf("%w: %d-byte lane for %d slots of stride %d", ErrSize, len(lane), count, stride)
+	}
+	mask := byte(0xff)
+	if rem := nbits % 8; rem != 0 {
+		mask = byte(1)<<rem - 1
+	}
+	yes := a.yes
+	for s := 0; s < count; s++ {
+		slot := lane[s*stride : s*stride+nbytes]
+		if slot[nbytes-1]&^mask != 0 {
+			panic("answer: BitVector trailing bits past Len() are set")
+		}
+		for bi, b := range slot {
+			for ; b != 0; b &= b - 1 {
+				yes[bi*8+bits.TrailingZeros8(b)]++
+			}
 		}
 	}
-	return nil
-}
-
-// Merge folds another accumulator in (same bucket count required).
-func (a *Accumulator) Merge(o *Accumulator) error {
-	if len(a.yes) != len(o.yes) {
-		return fmt.Errorf("%w: %d vs %d buckets", ErrSize, len(a.yes), len(o.yes))
-	}
-	for i, y := range o.yes {
-		a.yes[i] += y
-	}
-	a.n += o.n
+	a.n += count
+	accumulatedBatchVectors.Add(int64(count))
 	return nil
 }
 

@@ -4,10 +4,9 @@ import (
 	"privapprox/internal/telemetry"
 )
 
-// Package-level kernel counter for the accumulate plane, incremented
-// at batch granularity only (AddBatch); the per-message Add stays
-// untouched so the single-share submit tail pays nothing. A process
-// registers it with telemetry.Registry.RegisterSource
+// Package-level kernel counter for the accumulate plane: every folded
+// answer vector, one atomic add per AddBatch call. A process registers
+// it with telemetry.Registry.RegisterSource
 // (telemetry.SourceFunc(Metrics)).
 var accumulatedBatchVectors telemetry.Counter
 

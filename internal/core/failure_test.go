@@ -44,7 +44,7 @@ func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, sh := range shares {
-			if err := sys.Fleet().Proxy(j).Submit(sh); err != nil {
+			if err := sys.Fleet().Proxy(j).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +100,7 @@ func TestReplayedSharesRejected(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ { // original + two replays
 		for j, sh := range shares {
-			if err := sys.Fleet().Proxy(j).Submit(sh); err != nil {
+			if err := sys.Fleet().Proxy(j).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -149,7 +149,7 @@ func TestProxyShareLossLeavesPartialJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Fleet().Proxy(0).Submit(shares[0]); err != nil {
+		if err := sys.Fleet().Proxy(0).SubmitBatch([]xorcrypt.Share{shares[0]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func TestBiasedClientsShiftOnlyTheirMass(t *testing.T) {
 		raw, _ := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
 		shares, _ := splitter.Split(raw)
 		for j, sh := range shares {
-			if err := sys.Fleet().Proxy(j).Submit(sh); err != nil {
+			if err := sys.Fleet().Proxy(j).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -278,7 +278,7 @@ func TestLateAnswersAreDropped(t *testing.T) {
 	raw, _ := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
 	shares, _ := splitter.Split(raw)
 	for j, sh := range shares {
-		if err := sys.Fleet().Proxy(j).Submit(sh); err != nil {
+		if err := sys.Fleet().Proxy(j).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -70,11 +70,14 @@ func TestSystemTelemetrySnapshot(t *testing.T) {
 		"privapprox_stage_busy_ns_total{stage=join}",
 		"privapprox_epoch_current",
 		"privapprox_windows_fired_total",
-		"privapprox_xorcrypt_split_batch_calls_total",
+		"privapprox_xorcrypt_join_batch_calls_total",
 	} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("snapshot missing %s", name)
 		}
+	}
+	if v := got["privapprox_xorcrypt_join_batch_calls_total"]; !(v > 0) {
+		t.Errorf("xorcrypt_join_batch_calls_total = %v, want > 0", v)
 	}
 	if v := got["privapprox_publish_ns_count"]; !(v > 0) {
 		t.Errorf("publish_ns_count = %v, want > 0", v)

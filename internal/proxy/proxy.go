@@ -165,30 +165,13 @@ func (p *Proxy) SetCapacity(capacity int) error {
 	return p.broker.SetTopicCapacity(p.topic, capacity)
 }
 
-// Submit accepts one share from a client: the processing at a
-// PrivApprox proxy is exactly one publish — no noise addition, no
-// inter-proxy coordination (the property Fig. 6 measures). The payload
-// is copied (broker) or serialized (TCP) before Submit returns, per the
-// ShareSink ownership contract. On a bounded, full topic it fails fast
-// with pubsub.ErrPartitionFull; the caller decides whether to shed.
-func (p *Proxy) Submit(share xorcrypt.Share) error {
-	var err error
-	if p.broker != nil {
-		// The concrete call: Broker.Publish provably does not let key or
-		// value escape, so the MID stays on this stack frame.
-		_, _, err = p.broker.Publish(p.topic, share.MID[:], share.Payload)
-	} else {
-		mid := share.MID // escapes through the interface call
-		_, _, err = p.t.Publish(p.topic, mid[:], share.Payload)
-	}
-	return err
-}
-
 // SubmitBatch accepts many shares in one call: each run of same-size
 // payloads is packed into a MID lane and a payload lane and forwarded
 // through SubmitColumns, so a same-query batch is one frame. The shares
 // (and their payloads) are consumed before SubmitBatch returns;
-// all-or-nothing holds per run.
+// all-or-nothing holds per run. Every wiring publishes through
+// client.Batcher → SubmitColumns; SubmitBatch stays only because the
+// benchmark harness (bench/layers.go) compiles against it.
 func (p *Proxy) SubmitBatch(shares []xorcrypt.Share) error {
 	var mids, payloads []byte
 	for start := 0; start < len(shares); {
@@ -210,11 +193,14 @@ func (p *Proxy) SubmitBatch(shares []xorcrypt.Share) error {
 // SubmitColumns accepts a columnar batch of count shares: a contiguous
 // MID lane (count × xorcrypt.MIDSize bytes) and a contiguous payload
 // lane at a fixed size-byte stride — one segment of a client's arena
-// batcher, one frame over TCP. The batch goes through the proxy's
-// producer session, so under the retry policy an ambiguous transport
-// failure is retried and the broker dedups any slice that already
-// landed. Both lanes are fully consumed before SubmitColumns returns
-// (DESIGN.md §6, §10).
+// batcher, one frame over TCP. The processing at a PrivApprox proxy is
+// exactly this publish: no noise addition, no inter-proxy coordination
+// (the property Fig. 6 measures). On a bounded, full topic it fails
+// fast with pubsub.ErrPartitionFull; the caller decides whether to
+// shed. The batch goes through the proxy's producer session, so under
+// the retry policy an ambiguous transport failure is retried and the
+// broker dedups any slice that already landed. Both lanes are fully
+// consumed before SubmitColumns returns (DESIGN.md §6, §10).
 func (p *Proxy) SubmitColumns(mids, payloads []byte, count, size int) error {
 	if count == 0 {
 		return nil

@@ -3,9 +3,11 @@ package proxy
 import (
 	"bytes"
 	"crypto/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"privapprox/internal/client"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/xorcrypt"
 )
@@ -51,7 +53,7 @@ func TestSubmitConsumeRoundTrip(t *testing.T) {
 	}
 	defer p.Close()
 	share := randomShare(t, []byte("payload-bytes"))
-	if err := p.Submit(share); err != nil {
+	if err := p.SubmitBatch([]xorcrypt.Share{share}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := p.Consumer("agg")
@@ -104,8 +106,8 @@ func TestFleetTotalStats(t *testing.T) {
 	}
 	defer f.Close()
 	sh := randomShare(t, []byte("abcd"))
-	f.Proxy(0).Submit(sh)
-	f.Proxy(1).Submit(sh)
+	f.Proxy(0).SubmitBatch([]xorcrypt.Share{sh})
+	f.Proxy(1).SubmitBatch([]xorcrypt.Share{sh})
 	st := f.TotalStats()
 	if st.MessagesIn != 2 {
 		t.Errorf("MessagesIn = %d", st.MessagesIn)
@@ -116,28 +118,45 @@ func TestFleetTotalStats(t *testing.T) {
 	}
 }
 
-// TestProxySubmitZeroAllocs pins the in-process forward: a proxy that
-// owns its broker publishes through the concrete type, so the MID stays
-// on Submit's stack and the share's one copy lands in a partition slab.
-// The run stays inside the slabs the warm-up opened (a new slab is the
-// only allocation a publish may make).
+// TestProxySubmitZeroAllocs pins the in-process forward on the product
+// path: a client.Batcher copies shares into its columnar lanes, and one
+// Flush hands them to Proxy.SubmitColumns, whose one copy per share
+// lands in a partition slab. The run stays inside the slabs the warm-up
+// opened (a new slab is the only allocation a publish may make). The
+// gate is the least a flush allocates over many, as TestPublishColumnsAllocs
+// measures it: under the race detector sync.Pool drops pooled scratch at
+// random, so a single flush may miss the pool.
 func TestProxySubmitZeroAllocs(t *testing.T) {
 	p, err := New("p", 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	b := client.NewBatcher(p, 0)
 	share := randomShare(t, make([]byte, 22))
-	submit := func() {
-		share.MID[0]++ // walk the partitions
-		if err := p.Submit(share); err != nil {
+	flush := func() {
+		for i := 0; i < 64; i++ {
+			share.MID[0]++ // walk the partitions
+			if err := b.Submit(share); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 256; i++ {
-		submit()
+	for i := 0; i < 4; i++ {
+		flush()
 	}
-	if allocs := testing.AllocsPerRun(1000, submit); allocs != 0 {
-		t.Errorf("Proxy.Submit allocates %.2f times per share, want 0", allocs)
+	least := uint64(1 << 62)
+	for run := 0; run < 32; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		flush()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Errorf("Batcher → Proxy.SubmitColumns allocates %d times per flush of 64 shares, want 0", least)
 	}
 }

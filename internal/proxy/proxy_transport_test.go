@@ -82,7 +82,7 @@ func TestAttachOverTCP(t *testing.T) {
 		t.Errorf("topic = %q", p.Topic())
 	}
 	share := randomShare(t, []byte("over-the-wire"))
-	if err := p.Submit(share); err != nil {
+	if err := p.SubmitBatch([]xorcrypt.Share{share}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SubmitBatch([]xorcrypt.Share{randomShare(t, []byte("b0")), randomShare(t, []byte("b1"))}); err != nil {
@@ -118,7 +118,7 @@ func TestAttachOverTCP(t *testing.T) {
 	}
 	// Close on an attached proxy must not shut the remote broker down.
 	p.Close()
-	if err := p.Submit(randomShare(t, []byte("after-close"))); err != nil {
+	if err := p.SubmitBatch([]xorcrypt.Share{randomShare(t, []byte("after-close"))}); err != nil {
 		t.Errorf("remote broker closed by attached proxy Close: %v", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestFleetBuildFailureClosesBuiltProxies(t *testing.T) {
 		t.Fatalf("built %d proxies before the failure", len(built))
 	}
 	for i, p := range built {
-		if err := p.Submit(randomShare(t, []byte("x"))); err == nil {
+		if err := p.SubmitBatch([]xorcrypt.Share{randomShare(t, []byte("x"))}); err == nil {
 			t.Errorf("proxy %d still accepts submissions: its broker leaked", i)
 		}
 	}
@@ -170,7 +170,7 @@ func TestAttachFleet(t *testing.T) {
 	}
 	sh := randomShare(t, []byte("fan"))
 	for i := 0; i < 2; i++ {
-		if err := f.Proxy(i).Submit(sh); err != nil {
+		if err := f.Proxy(i).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 			t.Fatal(err)
 		}
 	}

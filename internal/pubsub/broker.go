@@ -341,7 +341,7 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 
 // fnv1a32 is FNV-1a over b, matching hash/fnv's New32a exactly: the
 // routing function of both publish calls, spelled out so the key
-// provably does not escape (Proxy.Submit keeps the MID on its stack).
+// provably does not escape.
 func fnv1a32(b []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range b {
@@ -371,7 +371,10 @@ var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}
 func (sc *colScratch) group(cols Columns, n int) {
 	sc.part = slices.Grow(sc.part[:0], cols.Count)[:cols.Count]
 	sc.order = slices.Grow(sc.order[:0], cols.Count)[:cols.Count]
-	sc.start = append(sc.start[:0], make([]int, n+1)...)
+	// Grow and clear rather than append a make: built with -race, the
+	// appended make allocates on every batch.
+	sc.start = slices.Grow(sc.start[:0], n+1)[:n+1]
+	clear(sc.start)
 	for i := range sc.part {
 		p := int(fnv1a32(cols.Key(i)) % uint32(n))
 		sc.part[i] = p
@@ -394,7 +397,8 @@ func (sc *colScratch) records(p int) []int { return sc.order[sc.start[p]:sc.star
 // seq) — the caller then skips capacity checks, journaling, and appends
 // for them. Caller holds every target partition's lock.
 func (sc *colScratch) markDups(t *topicLog, pid, seq uint64) {
-	sc.dup = append(sc.dup[:0], make([]bool, len(t.partitions))...)
+	sc.dup = slices.Grow(sc.dup[:0], len(t.partitions))[:len(t.partitions)]
+	clear(sc.dup)
 	if pid == 0 {
 		return
 	}

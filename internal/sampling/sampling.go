@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 
-	"privapprox/internal/seeded"
 	"privapprox/internal/stats"
 )
 
@@ -25,34 +23,6 @@ var (
 	ErrBadFraction   = errors.New("sampling: fraction must be in (0, 1]")
 	ErrBadConfidence = errors.New("sampling: confidence must be in (0, 1)")
 )
-
-// Bernoulli draws independent participation decisions with a fixed
-// probability, backed by a caller-supplied PRNG so experiments are
-// reproducible.
-type Bernoulli struct {
-	fraction float64
-	rng      *rand.Rand
-}
-
-// NewBernoulli returns a sampler that participates with probability
-// fraction ∈ (0, 1].
-func NewBernoulli(fraction float64, rng *rand.Rand) (*Bernoulli, error) {
-	if fraction <= 0 || fraction > 1 || math.IsNaN(fraction) {
-		return nil, fmt.Errorf("%w: %v", ErrBadFraction, fraction)
-	}
-	if rng == nil {
-		rng = seeded.New(rand.Int63())
-	}
-	return &Bernoulli{fraction: fraction, rng: rng}, nil
-}
-
-// Fraction returns the participation probability s.
-func (b *Bernoulli) Fraction() float64 { return b.fraction }
-
-// Participate flips the sampling coin.
-func (b *Bernoulli) Participate() bool {
-	return b.rng.Float64() < b.fraction
-}
 
 // HashDecider makes deterministic participation decisions from
 // (clientID, epoch, seed). Distributed clients reach the same verdict

@@ -8,45 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewBernoulliValidation(t *testing.T) {
-	for _, s := range []float64{0, -0.1, 1.01, math.NaN()} {
-		if _, err := NewBernoulli(s, nil); err == nil {
-			t.Errorf("NewBernoulli(%v): expected error", s)
-		}
-	}
-	b, err := NewBernoulli(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Fraction() != 1 {
-		t.Errorf("Fraction = %v", b.Fraction())
-	}
-	for i := 0; i < 100; i++ {
-		if !b.Participate() {
-			t.Fatal("fraction 1 must always participate")
-		}
-	}
-}
-
-func TestBernoulliRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b, err := NewBernoulli(0.6, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials = 200000
-	hits := 0
-	for i := 0; i < trials; i++ {
-		if b.Participate() {
-			hits++
-		}
-	}
-	rate := float64(hits) / trials
-	if math.Abs(rate-0.6) > 0.01 {
-		t.Errorf("participation rate = %v, want ≈0.6", rate)
-	}
-}
-
 func TestHashDeciderDeterministic(t *testing.T) {
 	d, err := NewHashDecider(0.5, 42)
 	if err != nil {

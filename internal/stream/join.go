@@ -83,18 +83,8 @@ type generation[K comparable] struct {
 	done    map[K]struct{}
 }
 
-// ShareJoiner is the string-keyed joiner, kept for callers joining on
-// opaque keys.
-type ShareJoiner = KeyedShareJoiner[string]
-
-// NewShareJoiner expects one share from each of expect ≥ 2 source
+// NewKeyedShareJoiner expects one share from each of expect ≥ 2 source
 // streams per message.
-func NewShareJoiner(expect int) (*ShareJoiner, error) {
-	return NewKeyedShareJoiner[string](expect)
-}
-
-// NewKeyedShareJoiner is NewShareJoiner for an arbitrary comparable key
-// type.
 func NewKeyedShareJoiner[K comparable](expect int) (*KeyedShareJoiner[K], error) {
 	if expect < 2 {
 		return nil, fmt.Errorf("%w: %d", ErrJoinArity, expect)

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -28,7 +27,7 @@ func TestSlidingAssignerPaperGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := time.Unix(3600, 0)
-	ws := a.WindowsFor(at)
+	ws := a.AppendWindowsFor(nil, at)
 	if len(ws) != 10 {
 		t.Fatalf("got %d windows, want 10", len(ws))
 	}
@@ -50,7 +49,7 @@ func TestTumblingDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := a.WindowsFor(time.Unix(90, 0))
+	ws := a.AppendWindowsFor(nil, time.Unix(90, 0))
 	if len(ws) != 1 {
 		t.Fatalf("tumbling got %d windows", len(ws))
 	}
@@ -71,7 +70,7 @@ func TestSlidingAssignerProperty(t *testing.T) {
 			return false
 		}
 		at := time.Unix(tsRaw%100000, 0)
-		ws := a.WindowsFor(at)
+		ws := a.AppendWindowsFor(nil, at)
 		if int64(len(ws)) != k {
 			return false
 		}
@@ -96,7 +95,7 @@ func TestOriginAlignedWindows(t *testing.T) {
 	// Epochs 0, 1, 2 (origin + 0s, 1s, 2s) must share one window that
 	// starts exactly at the origin.
 	for e := 0; e < 3; e++ {
-		ws := a.WindowsFor(origin.Add(time.Duration(e) * time.Second))
+		ws := a.AppendWindowsFor(nil, origin.Add(time.Duration(e)*time.Second))
 		if len(ws) != 1 {
 			t.Fatalf("epoch %d: %d windows", e, len(ws))
 		}
@@ -105,7 +104,7 @@ func TestOriginAlignedWindows(t *testing.T) {
 		}
 	}
 	// Epoch 3 starts the next window.
-	ws := a.WindowsFor(origin.Add(3 * time.Second))
+	ws := a.AppendWindowsFor(nil, origin.Add(3*time.Second))
 	if !ws[0].Start.Equal(origin.Add(3 * time.Second)) {
 		t.Errorf("epoch 3 window starts %v", ws[0].Start)
 	}
@@ -124,33 +123,8 @@ func TestWindowContainsAndString(t *testing.T) {
 	}
 }
 
-func TestWatermarkTracker(t *testing.T) {
-	wm := NewWatermarkTracker(2 * time.Second)
-	if !wm.Current().IsZero() {
-		t.Error("watermark before events should be zero")
-	}
-	if wm.IsLate(time.Unix(0, 0)) {
-		t.Error("nothing is late before the first event")
-	}
-	wm.Observe(time.Unix(10, 0))
-	if got := wm.Current(); got.Unix() != 8 {
-		t.Errorf("watermark = %v", got)
-	}
-	if !wm.IsLate(time.Unix(7, 0)) {
-		t.Error("t=7 should be late behind watermark 8")
-	}
-	if wm.IsLate(time.Unix(9, 0)) {
-		t.Error("t=9 within lateness should not be late")
-	}
-	// Watermark never regresses.
-	wm.Observe(time.Unix(5, 0))
-	if got := wm.Current(); got.Unix() != 8 {
-		t.Errorf("watermark regressed to %v", got)
-	}
-}
-
 func TestShareJoinerCompletesGroups(t *testing.T) {
-	j, err := NewShareJoiner(3)
+	j, err := NewKeyedShareJoiner[string](3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +159,7 @@ func TestShareJoinerCompletesGroups(t *testing.T) {
 }
 
 func TestShareJoinerInterleavedKeys(t *testing.T) {
-	j, _ := NewShareJoiner(2)
+	j, _ := NewKeyedShareJoiner[string](2)
 	j.Add("a", 0, []byte("a1"))
 	j.Add("b", 0, []byte("b1"))
 	ga, err := j.Add("a", 1, []byte("a2"))
@@ -204,7 +178,7 @@ func TestShareJoinerInterleavedKeys(t *testing.T) {
 // arrived since survives, and a share that finds its sibling in the
 // previous generation still completes the group.
 func TestShareJoinerGenerations(t *testing.T) {
-	j, _ := NewShareJoiner(2)
+	j, _ := NewKeyedShareJoiner[string](2)
 	j.Add("done", 0, []byte("1"))
 	if g, err := j.Add("done", 1, []byte("2")); err != nil || g == nil {
 		t.Fatal("join should complete")
@@ -233,152 +207,7 @@ func TestShareJoinerGenerations(t *testing.T) {
 }
 
 func TestShareJoinerValidation(t *testing.T) {
-	if _, err := NewShareJoiner(1); !errors.Is(err, ErrJoinArity) {
+	if _, err := NewKeyedShareJoiner[string](1); !errors.Is(err, ErrJoinArity) {
 		t.Errorf("arity: %v", err)
-	}
-}
-
-func sumAgg() Aggregation[int, int, int] {
-	return Aggregation[int, int, int]{
-		New:    func() int { return 0 },
-		Add:    func(acc, v int) int { return acc + v },
-		Result: func(acc int) int { return acc },
-	}
-}
-
-func TestWindowedOpFiresOnWatermark(t *testing.T) {
-	assigner, _ := NewSlidingAssigner(10*time.Second, 10*time.Second)
-	op := NewWindowedOp(assigner, 0, sumAgg())
-	// Three events inside [0, 10).
-	for i, v := range []int{1, 2, 3} {
-		res := op.Process(Event[int]{Time: time.Unix(int64(i*2), 0), Value: v})
-		if len(res) != 0 {
-			t.Fatalf("premature fire: %v", res)
-		}
-	}
-	// An event at t=10 advances the watermark to 10, closing [0, 10).
-	res := op.Process(Event[int]{Time: time.Unix(10, 0), Value: 100})
-	if len(res) != 1 {
-		t.Fatalf("fired %d windows, want 1", len(res))
-	}
-	if res[0].Value != 6 {
-		t.Errorf("window sum = %d, want 6", res[0].Value)
-	}
-	if res[0].Window.Start.Unix() != 0 {
-		t.Errorf("window start = %v", res[0].Window.Start)
-	}
-}
-
-func TestWindowedOpSlidingDoubleCount(t *testing.T) {
-	// 4s windows sliding every 2s: an event contributes to 2 windows.
-	assigner, _ := NewSlidingAssigner(4*time.Second, 2*time.Second)
-	op := NewWindowedOp(assigner, 0, sumAgg())
-	op.Process(Event[int]{Time: time.Unix(5, 0), Value: 10})
-	results := op.Flush()
-	if len(results) != 2 {
-		t.Fatalf("flush fired %d windows, want 2", len(results))
-	}
-	for _, r := range results {
-		if r.Value != 10 {
-			t.Errorf("window %v sum = %d", r.Window, r.Value)
-		}
-	}
-}
-
-func TestWindowedOpDropsLate(t *testing.T) {
-	assigner, _ := NewSlidingAssigner(10*time.Second, 10*time.Second)
-	op := NewWindowedOp(assigner, time.Second, sumAgg())
-	op.Process(Event[int]{Time: time.Unix(100, 0), Value: 1})
-	op.Process(Event[int]{Time: time.Unix(50, 0), Value: 1}) // far behind watermark 99
-	if op.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", op.Dropped())
-	}
-}
-
-func TestWindowedOpAdvanceTo(t *testing.T) {
-	assigner, _ := NewSlidingAssigner(10*time.Second, 10*time.Second)
-	op := NewWindowedOp(assigner, 0, sumAgg())
-	op.Process(Event[int]{Time: time.Unix(3, 0), Value: 7})
-	if op.OpenWindows() != 1 {
-		t.Fatalf("open = %d", op.OpenWindows())
-	}
-	res := op.AdvanceTo(time.Unix(20, 0))
-	if len(res) != 1 || res[0].Value != 7 {
-		t.Errorf("AdvanceTo fired %v", res)
-	}
-	if op.OpenWindows() != 0 {
-		t.Errorf("open after fire = %d", op.OpenWindows())
-	}
-}
-
-func TestPipelineStages(t *testing.T) {
-	ctx := context.Background()
-	in := make(chan Event[int])
-	go func() {
-		for i := 1; i <= 6; i++ {
-			in <- Event[int]{Time: time.Unix(int64(i), 0), Value: i}
-		}
-		close(in)
-	}()
-	doubled := Map(ctx, in, func(v int) int { return v * 2 })
-	evens := Filter(ctx, doubled, func(v int) bool { return v%4 == 0 })
-	got := Collect(evens)
-	// doubled: 2,4,6,8,10,12 → multiples of 4: 4,8,12.
-	if len(got) != 3 || got[0].Value != 4 || got[2].Value != 12 {
-		t.Errorf("pipeline = %v", got)
-	}
-}
-
-func TestFanInMergesAll(t *testing.T) {
-	ctx := context.Background()
-	mk := func(vals ...int) <-chan Event[int] {
-		ch := make(chan Event[int])
-		go func() {
-			for _, v := range vals {
-				ch <- Event[int]{Value: v}
-			}
-			close(ch)
-		}()
-		return ch
-	}
-	merged := Collect(FanIn(ctx, mk(1, 2), mk(3), mk(4, 5, 6)))
-	if len(merged) != 6 {
-		t.Errorf("merged %d events, want 6", len(merged))
-	}
-}
-
-func TestWindowStageEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	assigner, _ := NewSlidingAssigner(10*time.Second, 10*time.Second)
-	op := NewWindowedOp(assigner, 0, sumAgg())
-	in := make(chan Event[int])
-	go func() {
-		in <- Event[int]{Time: time.Unix(1, 0), Value: 5}
-		in <- Event[int]{Time: time.Unix(2, 0), Value: 6}
-		in <- Event[int]{Time: time.Unix(11, 0), Value: 7} // closes [0,10)
-		close(in)                                          // flush closes [10,20)
-	}()
-	results := Collect(WindowStage(ctx, in, op))
-	if len(results) != 2 {
-		t.Fatalf("got %d windows", len(results))
-	}
-	if results[0].Value != 11 || results[1].Value != 7 {
-		t.Errorf("windows = %v", results)
-	}
-}
-
-func TestPipelineContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan Event[int])
-	out := Map(ctx, in, func(v int) int { return v })
-	in <- Event[int]{Value: 1}
-	<-out
-	cancel()
-	// The stage must stop consuming; this send would block forever if the
-	// goroutine still forwarded, but it exits on ctx.Done while trying to
-	// send. Feed one more and ensure the output channel closes.
-	in <- Event[int]{Value: 2}
-	close(in)
-	for range out {
 	}
 }

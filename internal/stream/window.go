@@ -1,8 +1,8 @@
-// Package stream is the stream-processing substrate standing in for
-// Apache Flink at the aggregator (paper §5): event-time records,
-// sliding/tumbling window assignment, watermark tracking, a keyed join
-// for the XOR share streams, and windowed aggregation operators that
-// fire when the watermark passes a window's end.
+// Package stream holds the two stream-processing pieces the aggregator
+// runs in place of Apache Flink (paper §5): event-time sliding/tumbling
+// window assignment and the keyed join of the XOR share streams. The
+// windowed operator itself — watermark, late drops, firing — lives in
+// the aggregator, whose one submit tail is the only place it runs.
 package stream
 
 import (
@@ -64,14 +64,9 @@ func NewSlidingAssignerAt(size, slide time.Duration, origin time.Time) (*Sliding
 	return a, nil
 }
 
-// WindowsFor returns every window containing t, earliest first.
-func (a *SlidingAssigner) WindowsFor(t time.Time) []Window {
-	return a.AppendWindowsFor(nil, t)
-}
-
 // AppendWindowsFor appends every window containing t to dst, earliest
-// first, and returns the extended slice — the allocation-free variant
-// for callers that assign windows per record.
+// first, and returns the extended slice; a caller that assigns windows
+// per record reuses dst and allocates nothing.
 func (a *SlidingAssigner) AppendWindowsFor(dst []Window, t time.Time) []Window {
 	var off int64
 	if !a.Origin.IsZero() {
@@ -102,42 +97,4 @@ func mod(a, b int64) int64 {
 		m += b
 	}
 	return m
-}
-
-// WatermarkTracker derives the event-time watermark as the maximum
-// observed event time minus an allowed lateness; records older than the
-// watermark are dropped by the windowed operators, matching the paper's
-// "removing all old data items" step in §3.2.4.
-type WatermarkTracker struct {
-	maxEvent time.Time
-	lateness time.Duration
-	seen     bool
-}
-
-// NewWatermarkTracker allows records to arrive up to lateness behind the
-// newest observed event time.
-func NewWatermarkTracker(lateness time.Duration) *WatermarkTracker {
-	return &WatermarkTracker{lateness: lateness}
-}
-
-// Observe folds in an event time and returns the current watermark.
-func (w *WatermarkTracker) Observe(t time.Time) time.Time {
-	if !w.seen || t.After(w.maxEvent) {
-		w.maxEvent = t
-		w.seen = true
-	}
-	return w.Current()
-}
-
-// Current returns the watermark, or the zero time before any event.
-func (w *WatermarkTracker) Current() time.Time {
-	if !w.seen {
-		return time.Time{}
-	}
-	return w.maxEvent.Add(-w.lateness)
-}
-
-// IsLate reports whether an event time is behind the watermark.
-func (w *WatermarkTracker) IsLate(t time.Time) bool {
-	return w.seen && t.Before(w.Current())
 }

@@ -97,8 +97,7 @@ func TestSurgeConfigValidation(t *testing.T) {
 // BenchmarkOverloadFrontier sweeps the surge multiplier and reports the
 // latency/approximation frontier of the controlled system at each load:
 // p95 tail lag in slides, the minimum shed threshold reached, and the
-// backlog left when the run ends. The numbers land in
-// BENCH_overload.json via `make bench-json`.
+// backlog left when the run ends.
 func BenchmarkOverloadFrontier(b *testing.B) {
 	for _, mult := range []int{1, 2, 5, 10} {
 		b.Run(fmt.Sprintf("load=%dx", mult), func(b *testing.B) {

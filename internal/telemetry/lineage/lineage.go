@@ -107,13 +107,13 @@ type Card struct {
 	Shed        JSONFloat `json:"shed"`            // shed threshold at fire (1 = unshed)
 	CIWidth     JSONFloat `json:"ci_width"`        // mean relative CI width; +Inf = unbounded
 	EpsilonZK   JSONFloat `json:"epsilon_zk"`      // privacy budget burned by the window's params
-	Late        int64     `json:"late"`            // late answers attributed to this window
+	Late        int64     `json:"late"`            // late answers attributed to this window; the aggregator attributes none (always 0)
 	Duplicates  int64     `json:"duplicates"`      // aggregator duplicate shares at fire time
 	Malformed   int64     `json:"malformed"`       // aggregator malformed messages at fire time
 
 	// Observed at fire time (timing; excluded from DeterministicLine).
 	FiredAtNs int64            `json:"fired_at_ns"`        // wall clock of the fire
-	FireDurNs int64            `json:"fire_dur_ns"`        // close-and-merge + estimate duration
+	FireDurNs int64            `json:"fire_dur_ns"`        // close + estimate duration
 	E2ENs     int64            `json:"e2e_ns"`             // fire − earliest stamp flush; -1 = no stamps
 	Stamps    int              `json:"stamps"`             // stamp batches matched to the window's epochs
 	StageNs   map[string]int64 `json:"stage_ns,omitempty"` // cumulative per-stage busy legs

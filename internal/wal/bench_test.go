@@ -8,7 +8,7 @@ import (
 
 // BenchmarkWALAppend sweeps append throughput across the fsync policies
 // at a share-sized payload — the cost a durable broker partition adds to
-// every acknowledged publish. bench-json records it in BENCH_wal.json.
+// every acknowledged publish.
 func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 256)
 	for _, pol := range []Policy{PolicyNever, PolicyInterval, PolicyEveryBatch} {

@@ -140,44 +140,6 @@ func TestScratchReuseNeverAliasesAcrossMessages(t *testing.T) {
 	}
 }
 
-func TestJoinPayloadsInto(t *testing.T) {
-	s, _ := NewSplitter(3, nil, nil)
-	msg := []byte("payload-level join")
-	shares, err := s.Split(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads := make([][]byte, len(shares))
-	for i, sh := range shares {
-		payloads[i] = sh.Payload
-	}
-	var buf []byte
-	buf, err = JoinPayloadsInto(buf, payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, msg) {
-		t.Fatalf("JoinPayloadsInto = %q, want %q", buf, msg)
-	}
-	// Reuse must overwrite, not append.
-	buf, err = JoinPayloadsInto(buf, payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, msg) {
-		t.Fatalf("reused JoinPayloadsInto = %q, want %q", buf, msg)
-	}
-	if _, err := JoinPayloadsInto(nil, [][]byte{{1}}); err == nil {
-		t.Error("expected error for a single payload")
-	}
-	if _, err := JoinPayloadsInto(nil, [][]byte{{}, {}}); err == nil {
-		t.Error("expected error for empty payloads")
-	}
-	if _, err := JoinPayloadsInto(nil, [][]byte{{1, 2}, {3}}); err == nil {
-		t.Error("expected error for mismatched lengths")
-	}
-}
-
 // TestMIDBlockRefill exhausts several MID blocks and checks freshness
 // across refill boundaries.
 func TestMIDBlockRefill(t *testing.T) {

@@ -206,7 +206,7 @@ func JoinInto(dst []byte, shares []Share) ([]byte, error) {
 	for _, sh := range shares {
 		payloads = append(payloads, sh.Payload)
 	}
-	out, err := JoinPayloadsInto(dst, payloads)
+	out, err := JoinColumnsInto(dst, payloads)
 	for i := range payloads {
 		payloads[i] = nil
 	}
@@ -215,24 +215,29 @@ func JoinInto(dst []byte, shares []Share) ([]byte, error) {
 	return out, err
 }
 
-// JoinPayloadsInto XOR-joins raw share payloads (already grouped by MID,
-// as the aggregator's joiner produces them) into dst's backing array and
-// returns the plaintext. All payloads must be the same nonzero length.
-func JoinPayloadsInto(dst []byte, payloads [][]byte) ([]byte, error) {
-	if len(payloads) < 2 {
-		return nil, fmt.Errorf("%w: got %d shares", ErrShareCount, len(payloads))
+// JoinColumnsInto XOR-joins share lanes into dst's backing array and
+// returns the plaintext: lanes[i] holds source i's payload region, every
+// region the same nonzero length. A region is one message's payload (a
+// join group, as the aggregator's joiner produces it) or a whole run of
+// same-size messages packed back to back; one XOR pass per lane covers
+// every message in it.
+func JoinColumnsInto(dst []byte, lanes [][]byte) ([]byte, error) {
+	if len(lanes) < 2 {
+		return nil, fmt.Errorf("%w: got %d share lanes", ErrShareCount, len(lanes))
 	}
-	size := len(payloads[0])
-	if size == 0 {
-		return nil, fmt.Errorf("%w: empty payload", ErrShapes)
+	span := len(lanes[0])
+	if span == 0 {
+		return nil, fmt.Errorf("%w: empty share lane", ErrShapes)
 	}
-	dst = append(dst[:0], payloads[0]...)
-	for _, p := range payloads[1:] {
-		if len(p) != size {
-			return nil, fmt.Errorf("%w: payload %d vs %d bytes", ErrShapes, len(p), size)
+	dst = append(dst[:0], lanes[0]...)
+	for _, l := range lanes[1:] {
+		if len(l) != span {
+			return nil, fmt.Errorf("%w: lane %d vs %d bytes", ErrShapes, len(l), span)
 		}
-		xorInto(dst, p)
+		xorInto(dst, l)
 	}
+	joinBatchCalls.Inc()
+	joinBatchBytes.Add(int64(span))
 	return dst, nil
 }
 

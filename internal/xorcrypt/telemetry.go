@@ -4,24 +4,18 @@ import (
 	"privapprox/internal/telemetry"
 )
 
-// Package-level kernel counters, incremented at batch granularity only
-// — SplitBatchInto and JoinColumnsInto count whole lanes with one
-// atomic add each, while the per-message forms (SplitInto, JoinInto)
-// stay untouched so the single-share Fig 8 tail pays nothing. A
-// process registers them with telemetry.Registry.RegisterSource
+// Package-level kernel counters of the join plane: JoinColumnsInto
+// counts each call and the bytes of one lane with one atomic add each.
+// A process registers them with telemetry.Registry.RegisterSource
 // (telemetry.SourceFunc(Metrics)).
 var (
-	splitBatchMessages telemetry.Counter
-	splitBatchCalls    telemetry.Counter
-	joinBatchBytes     telemetry.Counter
-	joinBatchCalls     telemetry.Counter
+	joinBatchBytes telemetry.Counter
+	joinBatchCalls telemetry.Counter
 )
 
 // Metrics appends the package's kernel counters as telemetry samples.
 func Metrics(dst []telemetry.Sample) []telemetry.Sample {
 	return append(dst,
-		telemetry.Sample{Name: "privapprox_xorcrypt_split_batch_messages_total", Value: float64(splitBatchMessages.Load()), Kind: telemetry.KindCounter},
-		telemetry.Sample{Name: "privapprox_xorcrypt_split_batch_calls_total", Value: float64(splitBatchCalls.Load()), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_xorcrypt_join_batch_bytes_total", Value: float64(joinBatchBytes.Load()), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_xorcrypt_join_batch_calls_total", Value: float64(joinBatchCalls.Load()), Kind: telemetry.KindCounter},
 	)

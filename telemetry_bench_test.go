@@ -1,8 +1,7 @@
-// Overhead benchmarks for the telemetry plane, seeding
-// BENCH_telemetry.json: the raw cost of each instrument primitive, and
-// the instrumented Fig 8 batch tail side by side with the plain one so
-// the "≤ 3% with telemetry enabled" budget is a measured number, not a
-// claim.
+// Overhead benchmarks for the telemetry plane: the raw cost of each
+// instrument primitive, and the instrumented Fig 8 batch tail side by
+// side with the plain one so the "≤ 3% with telemetry enabled" budget is
+// a measured number, not a claim.
 package privapprox
 
 import (
@@ -85,7 +84,7 @@ func BenchmarkTelemetryGather(b *testing.B) {
 // (batch=64) with the telemetry plane attached: an epoch tracer on the
 // aggregator timing every SubmitShareBatch, and a publish histogram
 // observing each iteration. Compare ns/answer against the plain
-// batch=64 run in BENCH_hotpath.json to read off the telemetry
+// batch=64 run of BenchmarkFig8SubmitBatch to read off the telemetry
 // overhead; the allocgate pins its allocs at 0.
 func BenchmarkFig8SubmitBatchInstrumented(b *testing.B) {
 	const batch = 64
@@ -118,34 +117,20 @@ func BenchmarkFig8SubmitBatchInstrumented(b *testing.B) {
 	}
 	vec, _ := answer.OneHot(11, 0)
 	msg := newAgedMessage(b, q, vec)
-	size := len(msg.raw)
-	msgs := msg.packed(nil, batch)
-	shares := make([][]xorcrypt.Share, 2)
-	for src := range shares {
-		shares[src] = make([]xorcrypt.Share, batch)
-	}
 	now := time.Now()
-	var scratch xorcrypt.SplitBatchScratch
+	var lanes shareLanes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		cols, err := splitter.SplitBatchInto(msgs, size, batch, &scratch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for src := range shares {
-			for k := 0; k < batch; k++ {
-				shares[src][k] = cols.Share(src, k)
-			}
-			if _, err := agg.SubmitShareBatch(shares[src], src, now); err != nil {
+		for src, shares := range lanes.split(b, splitter, msg.raw, batch) {
+			if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
 				b.Fatal(err)
 			}
 		}
 		hist.Observe(int64(time.Since(t0)))
 		if i%64 == 63 {
 			msg.advance(b)
-			msgs = msg.packed(msgs[:0], batch)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/answer")
