@@ -120,12 +120,15 @@ lineage:
 # publish at 0 whatever its size, in memory and durable (its batch is
 # grouped by partition in pooled scratch). The telemetry package's own
 # instrument primitives are pinned at 0 in their in-package gate, re-run
-# here, and so is the proxy's forward of a client batch.
+# here, and so are the proxy's forward of a client batch and the control
+# plane's share of every epoch (a follower sync that finds nothing new,
+# plus the active-query check).
 allocgate:
 	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestPublishColumnsAllocs|TestFireAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestIDUint64ZeroAllocs' -count=1 ./internal/query
 	$(GO) test -run 'TestProxySubmitZeroAllocs' -count=1 ./internal/proxy
+	$(GO) test -run 'TestControlPlaneStepZeroAllocs' -count=1 ./internal/role
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
 # 3,000 epochs each followed by AdvanceTo. The forced-GC heap at epoch

@@ -465,10 +465,9 @@ func BenchmarkMultiQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("queries=%d", queries), func(b *testing.B) {
 			const clients = 500
 			sys, err := core.New(core.Config{
-				Clients:    clients,
-				Params:     &params,
-				Seed:       12,
-				MultiQuery: true,
+				Clients: clients,
+				Params:  &params,
+				Seed:    12,
 				Populate: func(i int, db *minisql.DB) error {
 					rng := rand.New(rand.NewSource(int64(i)))
 					return workload.PopulateTaxi(db, rng, 2, time.Unix(0, 0), time.Minute)

@@ -414,10 +414,17 @@ func runClient(args []string) error {
 		fleet.SetRetryPolicy(pubsub.RetryPolicy{Attempts: *retries, Seed: *seed})
 	}
 
+	// Query distribution: follow the first proxy's control topic and
+	// reconcile every logical client against the newest announced set
+	// (signatures verified against the announced analyst keys).
+	control, err := fleet.Proxy(0).ControlConsumer(fmt.Sprintf("clients-%d", *offset))
+	if err != nil {
+		return err
+	}
 	// One batcher per proxy: every logical client submits into it, and
 	// the epoch loop flushes it as one frame — O(1) round-trips per
 	// (process, proxy) per epoch however many queries are active.
-	clients, err := role.NewClients(fleet, *seed, *offset, *n, *batch, *workers, func(i int, cc *client.Config) error {
+	clients, err := role.NewClients(fleet, control, *seed, *offset, *n, *batch, *workers, func(i int, cc *client.Config) error {
 		cc.DB = minisql.NewDB()
 		return populateClient(i, cc.DB)
 	})
@@ -455,19 +462,7 @@ func runClient(args []string) error {
 			nodeLog.Warnf("lineage stamp: %v", err)
 		}
 	})
-	subs := make([]engine.Subscriber, *n)
-	for j, c := range clients.Clients() {
-		subs[j] = c
-	}
-
-	// Query distribution: follow the first proxy's control topic and
-	// reconcile every logical client against the newest announced set
-	// (signatures verified against the announced analyst keys).
-	cc, err := fleet.Proxy(0).ControlConsumer(fmt.Sprintf("clients-%d", *offset))
-	if err != nil {
-		return err
-	}
-	follower := engine.NewFollower(cc, engine.NewApplier(subs...))
+	follower := clients.Follower()
 	if err := follower.WaitActive(*minQueries, *wait); err != nil {
 		return err
 	}
@@ -512,20 +507,16 @@ func runClient(args []string) error {
 	}
 
 	for e := uint64(*firstEpoch); e < uint64(*epochs); e++ {
-		// Apply any announcements that arrived since the last epoch —
-		// networked deployments pick up (and drop) queries mid-run.
-		if _, err := follower.Sync(); err != nil {
-			return err
-		}
-		if follower.Applier().ActiveQueries() == 0 {
-			// Every query was stopped: idle through the epoch rather
-			// than erroring on unsubscribed clients.
-			fmt.Printf("epoch %d: no active queries\n", e)
-			continue
-		}
+		// The epoch applies any announcements that arrived since the last
+		// one — networked deployments pick up (and drop) queries mid-run —
+		// and idles while every query is stopped.
 		participants, err := clients.Epoch(e)
 		if err != nil {
 			return err
+		}
+		if follower.Applier().ActiveQueries() == 0 {
+			fmt.Printf("epoch %d: no active queries\n", e)
+			continue
 		}
 		fmt.Printf("epoch %d: %d/%d participated\n", e, participants, *n)
 	}

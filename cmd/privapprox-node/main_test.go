@@ -95,7 +95,7 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 		t.Errorf("aggregator output missing %q:\n%s", wantCounts, got)
 	}
 
-	// Reference: the same population in-process in MultiQuery mode,
+	// Reference: the same population in-process through core.System,
 	// same seed conventions (core.Config: client i seed+i+2, aggregator
 	// seed+1), same queries, params, and origin — the networked
 	// pipeline must reproduce it byte for byte through the shared
@@ -153,7 +153,6 @@ func inProcessSystem(t *testing.T, clients, epochs int, seed int64, numQueries, 
 		Seed:       seed,
 		Workers:    workers,
 		Shards:     shards,
-		MultiQuery: true,
 		Populate: func(i int, db *minisql.DB) error {
 			return populateClient(i, db)
 		},

@@ -30,11 +30,10 @@ func main() {
 
 	params := privapprox.Params{S: 0.9, RR: privapprox.RRParams{P: 0.9, Q: 0.6}}
 	sys, err := privapprox.NewSystem(privapprox.SystemConfig{
-		Clients:    clients,
-		Proxies:    3,
-		Params:     &params,
-		Seed:       7,
-		MultiQuery: true,
+		Clients: clients,
+		Proxies: 3,
+		Params:  &params,
+		Seed:    7,
 		Populate: func(i int, db *privapprox.DB) error {
 			// Every client holds both case-study tables, so every query
 			// finds its data on-device.

@@ -42,12 +42,11 @@ func fireGoldenRun(t *testing.T, workers, shards int) string {
 	t.Helper()
 	const clients, queries, buckets, windowEpochs, epochs = 200, 4, 128, 8, 40
 	sys, err := NewSystem(SystemConfig{
-		Clients:    clients,
-		Params:     &Params{S: 0.3, RR: RRParams{P: 0.9, Q: 0.6}},
-		Seed:       20260926,
-		Workers:    workers,
-		Shards:     shards,
-		MultiQuery: true,
+		Clients: clients,
+		Params:  &Params{S: 0.3, RR: RRParams{P: 0.9, Q: 0.6}},
+		Seed:    20260926,
+		Workers: workers,
+		Shards:  shards,
 		Populate: func(i int, db *DB) error {
 			return PopulateTaxi(db, rand.New(rand.NewSource(int64(i)+1)), 1, time.Unix(0, 0), time.Minute)
 		},

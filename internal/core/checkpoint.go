@@ -96,9 +96,9 @@ func readID(d *ckpt.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial:
 // record: the drain consumers seek to the checkpointed cut, the
 // aggregator restores its windows, watermarks, and estimator state, the
 // epoch counter resumes, and every client's per-subscription randomness
-// is fast-forwarded through the already-answered epochs. In MultiQuery
-// mode the same queries must be re-registered (in the same order) before
-// calling Restore.
+// is fast-forwarded through the already-answered epochs. The same
+// queries must be registered (in the same order: Config.Query first)
+// before calling Restore.
 func (s *System) Restore(data []byte) error {
 	var (
 		epoch uint64
@@ -117,7 +117,7 @@ func (s *System) Restore(data []byte) error {
 			regs[id] = d.U64()
 		}
 		var err error
-		if slo, err = s.readSLOState(d); err != nil {
+		if slo, err = readSLOState(d); err != nil {
 			return err
 		}
 		return d.Done()
@@ -128,10 +128,8 @@ func (s *System) Restore(data []byte) error {
 		}
 		return err
 	}
-	if s.registry != nil {
-		if err := s.resumeAnnouncements(); err != nil {
-			return err
-		}
+	if err := s.resumeAnnouncements(); err != nil {
+		return err
 	}
 	if slo != nil {
 		if err := s.applySLOState(slo); err != nil {
@@ -142,8 +140,7 @@ func (s *System) Restore(data []byte) error {
 	// Clients resume their coin streams where the crashed process left
 	// them: each subscription is fast-forwarded through exactly the
 	// epochs it was live for — [its registration epoch, the checkpoint
-	// epoch). Subscriptions are already in place (construction in
-	// legacy mode, re-registration in MultiQuery mode).
+	// epoch). The re-registrations have put the subscriptions in place.
 	for id, from := range regs {
 		for _, c := range s.clients.Clients() {
 			c.FastForwardQuery(id, from, epoch)
@@ -164,11 +161,11 @@ func (s *System) Restore(data []byte) error {
 // re-registered entries match the replayed ones, so nothing is
 // re-announced here.
 func (s *System) resumeAnnouncements() error {
-	if _, err := s.follower.Sync(); err != nil {
+	if err := s.sync(); err != nil {
 		return err
 	}
 	snap := s.registry.Snapshot()
-	if v := s.follower.Applier().Version(); v > snap.Version {
+	if v := s.clients.Follower().Applier().Version(); v > snap.Version {
 		snap.Version = v
 		return s.registry.Bootstrap(&snap)
 	}
@@ -185,15 +182,13 @@ type sloState struct {
 
 // readSLOState parses the overload-control section without touching the
 // system; it returns nil when the record has SLO control off.
-func (s *System) readSLOState(d *ckpt.Reader) (*sloState, error) {
+func readSLOState(d *ckpt.Reader) (*sloState, error) {
 	switch flag := d.U8(); {
 	case flag == 0:
 		return nil, d.Err()
 	case flag > 1:
 		d.Fail("bad SLO flag %d", flag)
 		return nil, d.Err()
-	case !s.cfg.MultiQuery:
-		return nil, fmt.Errorf("%w: checkpoint has SLO state but MultiQuery mode is off", ErrConfig)
 	}
 	st := &sloState{target: d.F64(), shedMin: d.F64(), window: int(d.U32()), slos: make(map[query.ID]*budget.SLOController)}
 	for range d.Count(12) {
@@ -238,6 +233,5 @@ func (s *System) applySLOState(st *sloState) error {
 			}
 		}
 	}
-	_, err := s.follower.Sync()
-	return err
+	return s.sync()
 }

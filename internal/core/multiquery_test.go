@@ -51,7 +51,6 @@ func testQueries(t *testing.T, n int) []*query.Query {
 // returns the fired results grouped per query.
 func runMulti(t *testing.T, cfg Config, params budget.Params, queries []*query.Query, epochs int) map[query.ID][]aggregator.Result {
 	t.Helper()
-	cfg.MultiQuery = true
 	cfg.Params = &params
 	sys, err := New(cfg)
 	if err != nil {
@@ -83,7 +82,7 @@ func runMulti(t *testing.T, cfg Config, params budget.Params, queries []*query.Q
 	return aggregator.ByQuery(all)
 }
 
-// runSolo runs one query alone in a legacy single-query system with the
+// runSolo runs one query alone, as the system's Config.Query, with the
 // same seed and fleet shape.
 func runSolo(t *testing.T, cfg Config, params budget.Params, q *query.Query, epochs int) []aggregator.Result {
 	t.Helper()
@@ -112,7 +111,7 @@ func runSolo(t *testing.T, cfg Config, params budget.Params, q *query.Query, epo
 // TestMultiQueryMatchesSolo is the multi-query determinism gate: Q
 // concurrent queries over one shared fleet must produce, for every
 // query, results byte-identical to that query running alone in a
-// single-query system under the same seed — per-query sampling,
+// system of its own under the same seed — per-query sampling,
 // randomization, windowing, and estimation are fully independent even
 // though clients, proxies, transport, and the aggregator's join are all
 // shared.
@@ -148,7 +147,6 @@ func TestMultiQueryRegisterAndStopMidRun(t *testing.T) {
 	queries := testQueries(t, 2)
 
 	cfg := multiQueryConfig(t, 6)
-	cfg.MultiQuery = true
 	cfg.Params = &params
 	sys, err := New(cfg)
 	if err != nil {
@@ -230,12 +228,11 @@ func TestMultiQueryRegisterAndStopMidRun(t *testing.T) {
 	}
 }
 
-// TestMultiQueryIdleFleetStart pins that a MultiQuery system may start
-// with no queries at all and run epochs until the first registration.
+// TestMultiQueryIdleFleetStart pins that a system may start with no
+// queries at all and run epochs until the first registration.
 func TestMultiQueryIdleFleetStart(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := multiQueryConfig(t, 4)
-	cfg.MultiQuery = true
 	cfg.Params = &params
 	sys, err := New(cfg)
 	if err != nil {
@@ -263,7 +260,6 @@ func TestMultiQueryPerQueryFeedback(t *testing.T) {
 	queries := testQueries(t, 2)
 
 	cfg := multiQueryConfig(t, 50)
-	cfg.MultiQuery = true
 	cfg.Params = &params
 	sys, err := New(cfg)
 	if err != nil {
@@ -324,7 +320,6 @@ func TestMultiQueryAdvanceTo(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	origin := time.Unix(5000, 0)
 	cfg := multiQueryConfig(t, 4)
-	cfg.MultiQuery = true
 	cfg.Params = &params
 	cfg.Origin = origin
 	sys, err := New(cfg)

@@ -26,7 +26,7 @@ type shedRun struct {
 	Decoded int64
 }
 
-// runShedSystem drives a MultiQuery system for `epochs` epochs under the
+// runShedSystem drives a registered query for `epochs` epochs under the
 // given parallelism knobs, actuating a shed schedule through the control
 // plane: threshold 0.4 from epoch 3, back to 1 from epoch 7 — the same
 // path an SLO controller adjustment takes.
@@ -37,13 +37,12 @@ func runShedSystem(t *testing.T, workers, shards, epochs int) shedRun {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Clients:    60,
-		Proxies:    2,
-		Seed:       4242,
-		MultiQuery: true,
-		Params:     &shedParams,
-		Workers:    workers,
-		Shards:     shards,
+		Clients: 60,
+		Proxies: 2,
+		Seed:    4242,
+		Params:  &shedParams,
+		Workers: workers,
+		Shards:  shards,
 		Populate: func(i int, db *minisql.DB) error {
 			rng := rand.New(rand.NewSource(int64(i) + 1))
 			return workload.PopulateTaxi(db, rng, 3, time.Unix(1000, 0), time.Minute)
@@ -125,12 +124,11 @@ func overloadConfig(t *testing.T, seed int64) (Config, *query.Query) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Clients:    30,
-		Proxies:    2,
-		Seed:       seed,
-		MultiQuery: true,
-		Params:     &shedParams,
-		Workers:    1,
+		Clients: 30,
+		Proxies: 2,
+		Seed:    seed,
+		Params:  &shedParams,
+		Workers: 1,
 		Populate: func(i int, db *minisql.DB) error {
 			rng := rand.New(rand.NewSource(int64(i) + 1))
 			return workload.PopulateTaxi(db, rng, 3, time.Unix(1000, 0), time.Minute)
@@ -140,16 +138,6 @@ func overloadConfig(t *testing.T, seed int64) (Config, *query.Query) {
 }
 
 func TestEnableSLOValidation(t *testing.T) {
-	cfg := taxiSystemConfig(t, 4, shedParams)
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.EnableSLO(4, 0.1, 8); err == nil {
-		t.Error("EnableSLO accepted legacy single-query mode")
-	}
-
 	mcfg, q := overloadConfig(t, 1)
 	msys, err := New(mcfg)
 	if err != nil {

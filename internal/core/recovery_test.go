@@ -162,7 +162,6 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 	build := func(dataDir string) *System {
 		cfg := taxiSystemConfig(t, 6, recoveryParams)
 		cfg.Query = nil
-		cfg.MultiQuery = true
 		cfg.DataDir = dataDir
 		sys, err := New(cfg)
 		if err != nil {
@@ -231,7 +230,6 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	build := func() *System {
 		cfg := taxiSystemConfig(t, 4, recoveryParams)
 		cfg.Query = nil
-		cfg.MultiQuery = true
 		cfg.DataDir = dir
 		sys, err := New(cfg)
 		if err != nil {
@@ -336,7 +334,6 @@ func TestSystemCheckpointResumeMidRunRegistration(t *testing.T) {
 	build := func(dataDir string) *System {
 		cfg := taxiSystemConfig(t, 6, recoveryParams)
 		cfg.Query = nil
-		cfg.MultiQuery = true
 		cfg.DataDir = dataDir
 		sys, err := New(cfg)
 		if err != nil {

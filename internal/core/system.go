@@ -7,6 +7,16 @@
 // re-tunes the sampling parameter when the measured error drifts from
 // the budget.
 //
+// # One query path
+//
+// Every query — Config.Query as much as one registered later — reaches
+// the clients the way the paper's §3.1 distributes it: the registry
+// verifies the analyst's signature and announces the query set on the
+// proxies' control topics, and the client role's follower subscribes
+// the clients at its next sync. Many analysts' queries run concurrently
+// over the one fleet, each with its own parameters, feedback and
+// overload controllers, and a system with no query is an idle fleet.
+//
 // # Parallel epoch pipeline
 //
 // The epoch hot path is parallel end-to-end and runs the same two roles
@@ -66,8 +76,10 @@ type Config struct {
 	Proxies int
 	// Partitions per proxy topic; defaults to 4.
 	Partitions int
-	// Query is the analyst's query (unsigned; the system signs it with a
-	// fresh analyst key unless AnalystKey is provided).
+	// Query, when set, is registered at construction as the first query
+	// (unsigned; the system signs it with a fresh analyst key unless
+	// AnalystKey is provided). Nil starts an idle fleet that answers
+	// nothing until Register.
 	Query *query.Query
 	// Budget is converted by the initializer into (s, p, q). Provide
 	// either Budget or Params.
@@ -114,14 +126,8 @@ type Config struct {
 	// WALFsync is the fsync policy for DataDir journals; the zero value
 	// (wal.PolicyNever) survives process crashes but not OS crashes.
 	WALFsync wal.Policy
-	// MultiQuery enables the query control plane: queries are
-	// registered (and stopped) dynamically via Register/StopQuery, and
-	// reach clients as signed announcements through the proxies'
-	// control topics — the paper's §3.1 distribution path — rather than
-	// by direct subscription. Query may then be nil (an initially idle
-	// fleet) or set (registered as the first query). Every registered
-	// query produces results byte-identical to the same query running
-	// alone in a single-query system under the same Seed.
+	// Deprecated: MultiQuery has no effect. Every System runs the query
+	// control plane; queries come from Query and Register.
 	MultiQuery bool
 }
 
@@ -129,7 +135,6 @@ type Config struct {
 type System struct {
 	cfg     Config
 	params  budget.Params
-	signed  *query.Signed
 	pub     ed25519.PublicKey
 	priv    ed25519.PrivateKey
 	clients *role.Clients
@@ -137,17 +142,14 @@ type System struct {
 	fleet   *proxy.Fleet
 	agg     *aggregator.Aggregator
 	store   *histstore.Store
-	ctrl    *budget.Controller
 	epoch   uint64
 
-	// Multi-query control plane (MultiQuery mode): the registry signs
-	// off on submissions and announces snapshots over the fleet's
-	// control topics; the follower plays announcements back onto the
-	// in-process clients — the same path a networked client process
-	// rides, so distribution is exercised even in one process.
+	// The query control plane: the registry signs off on submissions and
+	// announces snapshots over the fleet's control topics; the client
+	// role's follower plays them back onto the in-process clients — the
+	// path a networked client process rides.
 	registry *engine.Registry
-	follower *engine.Follower
-	// Per-query feedback controllers (multi mode); guarded by ctrlMu.
+	// Per-query feedback controllers; guarded by ctrlMu.
 	ctrlMu    sync.Mutex
 	ctrls     map[query.ID]*budget.Controller
 	fbTarget  float64
@@ -159,10 +161,10 @@ type System struct {
 	// each client subscription through exactly its own live epochs.
 	regEpochs map[query.ID]uint64
 
-	// SLO overload controllers (EnableSLO, MultiQuery mode): one per
-	// query, created lazily; guarded by ctrlMu. The controllers'
-	// decisions are recorded in checkpoints so crash recovery resumes
-	// the loop mid-flight instead of un-shedding an overloaded system.
+	// SLO overload controllers (EnableSLO): one per query, created
+	// lazily; guarded by ctrlMu. The controllers' decisions are recorded
+	// in checkpoints so crash recovery resumes the loop mid-flight
+	// instead of un-shedding an overloaded system.
 	slos       map[query.ID]*budget.SLOController
 	sloTarget  float64 // p95 window-fire lag target, in slides
 	sloMin     float64
@@ -179,8 +181,8 @@ type System struct {
 }
 
 // New builds and wires the system: initializer (budget → parameters),
-// query signing, proxies, clients (with their private databases), and
-// the aggregator.
+// proxies, clients (with their private databases), the aggregator and
+// the control plane, then registers Config.Query when it is set.
 func New(cfg Config) (*System, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("%w: %d clients", ErrConfig, cfg.Clients)
@@ -193,9 +195,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Partitions == 0 {
 		cfg.Partitions = 4
-	}
-	if cfg.Query == nil && !cfg.MultiQuery {
-		return nil, fmt.Errorf("%w: nil query", ErrConfig)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = mrand.Int63()
@@ -244,14 +243,6 @@ func New(cfg Config) (*System, error) {
 		}
 		priv = k
 	}
-	var signed *query.Signed
-	if cfg.Query != nil {
-		sq, err := query.Sign(cfg.Query, priv)
-		if err != nil {
-			return nil, err
-		}
-		signed = sq
-	}
 	pub, ok := priv.Public().(ed25519.PublicKey)
 	if !ok {
 		return nil, fmt.Errorf("%w: bad analyst key", ErrConfig)
@@ -274,12 +265,9 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	sys := &System{cfg: cfg, params: params, signed: signed, pub: pub, priv: priv, fleet: fleet,
+	sys := &System{cfg: cfg, params: params, pub: pub, priv: priv, fleet: fleet,
+		registry: engine.NewRegistry(), ctrls: make(map[query.ID]*budget.Controller),
 		regEpochs: make(map[query.ID]uint64), tel: tel, tracer: telemetry.NewTracer()}
-	if signed != nil && !cfg.MultiQuery {
-		// Legacy mode: the single query is live from epoch 0.
-		sys.regEpochs[signed.Query.QID] = 0
-	}
 
 	if cfg.StoreDir != "" {
 		store, err := histstore.Open(cfg.StoreDir, 0)
@@ -290,8 +278,9 @@ func New(cfg Config) (*System, error) {
 		sys.store = store
 	}
 
+	// The aggregator starts empty: queries arrive through RegisterSigned,
+	// each with the estimator seed cfg.Seed+1.
 	aggCfg := aggregator.Config{
-		Query:      cfg.Query,
 		Params:     params,
 		Population: cfg.Clients,
 		Proxies:    cfg.Proxies,
@@ -305,13 +294,6 @@ func New(cfg Config) (*System, error) {
 			// Best-effort persistence; batch analytics tolerates gaps.
 			_ = sys.store.Append(eventTime, raw)
 		}
-	}
-	if cfg.MultiQuery {
-		// The control plane owns query registration: the aggregator
-		// starts empty and queries arrive through RegisterSigned below,
-		// each with the same per-query estimator seed a solo run would
-		// use (cfg.Seed+1).
-		aggCfg.Query = nil
 	}
 	agg, err := aggregator.NewMulti(aggCfg)
 	if err != nil {
@@ -327,8 +309,18 @@ func New(cfg Config) (*System, error) {
 	sys.drainer = role.NewDrain(agg, consumers, cfg.Workers)
 
 	// The whole population is one client process, publishing each epoch
-	// in one batch per proxy.
-	sys.clients, err = role.NewClients(fleet, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
+	// in one batch per proxy and following proxy 0's control topic. Even
+	// in-process, query distribution rides the pub/sub substrate.
+	if err := sys.registry.AttachSink(fleet); err != nil {
+		sys.Close()
+		return nil, err
+	}
+	control, err := fleet.Proxy(0).ControlConsumer("clients")
+	if err != nil {
+		sys.Close()
+		return nil, err
+	}
+	sys.clients, err = role.NewClients(fleet, control, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
 		cc.DB = minisql.NewDB()
 		if cfg.Populate != nil {
 			if err := cfg.Populate(i, cc.DB); err != nil {
@@ -348,46 +340,19 @@ func New(cfg Config) (*System, error) {
 		sys.Close()
 		return nil, err
 	}
-	if !cfg.MultiQuery {
-		if err := sys.subscribeAll(params); err != nil {
+	if cfg.Query != nil {
+		if err := sys.Register(cfg.Query); err != nil {
 			sys.Close()
 			return nil, err
-		}
-	}
-
-	if cfg.MultiQuery {
-		// Control plane: registry → fleet control topics → follower →
-		// clients. Even in-process, query distribution rides the pub/sub
-		// substrate, so the path a networked client process takes is the
-		// path every test of this mode takes.
-		sys.registry = engine.NewRegistry()
-		sys.ctrls = make(map[query.ID]*budget.Controller)
-		if err := sys.registry.AttachSink(fleet); err != nil {
-			sys.Close()
-			return nil, err
-		}
-		cc, err := fleet.Proxy(0).ControlConsumer("clients")
-		if err != nil {
-			sys.Close()
-			return nil, err
-		}
-		subs := make([]engine.Subscriber, cfg.Clients)
-		for i, c := range sys.clients.Clients() {
-			subs[i] = c
-		}
-		sys.follower = engine.NewFollower(cc, engine.NewApplier(subs...))
-		if signed != nil {
-			if err := sys.RegisterSigned(signed, pub, params); err != nil {
-				sys.Close()
-				return nil, err
-			}
 		}
 	}
 	sys.initTelemetry()
 	return sys, nil
 }
 
-// Params returns the derived system parameters.
+// Params returns the parameters derived at construction: the defaults
+// Register gives a query. Feedback moves a query's own parameters,
+// which Registry().Entry reports.
 func (s *System) Params() budget.Params { return s.params }
 
 // Clients returns the client handles (read-only use).
@@ -402,9 +367,14 @@ func (s *System) Aggregator() *aggregator.Aggregator { return s.agg }
 // Store returns the historical store, or nil when not configured.
 func (s *System) Store() *histstore.Store { return s.store }
 
-// Registry returns the multi-query control plane, or nil when
-// MultiQuery mode is off.
+// Registry returns the query control plane.
 func (s *System) Registry() *engine.Registry { return s.registry }
+
+// sync applies every pending control-topic announcement to the clients.
+func (s *System) sync() error {
+	_, err := s.clients.Follower().Sync()
+	return err
+}
 
 // Register signs a query with the system analyst key and submits it to
 // the running fleet: the registry announces it over the proxies'
@@ -413,9 +383,6 @@ func (s *System) Registry() *engine.Registry { return s.registry }
 // the system defaults derived at construction (use RegisterSigned for
 // an external analyst's own parameters).
 func (s *System) Register(q *query.Query) error {
-	if s.registry == nil {
-		return fmt.Errorf("%w: MultiQuery mode not enabled", ErrConfig)
-	}
 	signed, err := query.Sign(q, s.priv)
 	if err != nil {
 		return err
@@ -427,9 +394,6 @@ func (s *System) Register(q *query.Query) error {
 // parameters. The analyst's key is installed in the registry trust
 // store under the query's analyst name.
 func (s *System) RegisterSigned(signed *query.Signed, analystKey ed25519.PublicKey, params budget.Params) error {
-	if s.registry == nil {
-		return fmt.Errorf("%w: MultiQuery mode not enabled", ErrConfig)
-	}
 	if err := s.registry.Trust(signed.Query.QID.Analyst, analystKey); err != nil {
 		return err
 	}
@@ -446,8 +410,7 @@ func (s *System) RegisterSigned(signed *query.Signed, analystKey ed25519.PublicK
 		s.regEpochs[signed.Query.QID] = s.epoch
 	}
 	s.ctrlMu.Unlock()
-	_, err := s.follower.Sync()
-	return err
+	return s.sync()
 }
 
 // StopQuery deactivates a query mid-run: clients stop answering it from
@@ -455,13 +418,10 @@ func (s *System) RegisterSigned(signed *query.Signed, analystKey ed25519.PublicK
 // Shares already in flight at the proxies join as usual but count under
 // the aggregator's UnknownQuery statistic once drained.
 func (s *System) StopQuery(id query.ID) ([]aggregator.Result, error) {
-	if s.registry == nil {
-		return nil, fmt.Errorf("%w: MultiQuery mode not enabled", ErrConfig)
-	}
 	if err := s.registry.Stop(id); err != nil {
 		return nil, err
 	}
-	if _, err := s.follower.Sync(); err != nil {
+	if err := s.sync(); err != nil {
 		return nil, err
 	}
 	s.ctrlMu.Lock()
@@ -475,12 +435,11 @@ func (s *System) StopQuery(id query.ID) ([]aggregator.Result, error) {
 // on Config.Workers goroutines — drains the proxies into the
 // aggregator, and returns any window results that fired plus the number
 // of participating clients (clients that answered at least one query).
-// In MultiQuery mode, pending control-topic announcements are applied
-// first, so queries registered since the last epoch take effect at a
-// deterministic point; an idle fleet (no active query) answers nothing
-// but still drains, so stragglers of stopped queries surface in the
-// statistics. Results are deterministic under a fixed Config.Seed for
-// any worker count.
+// Pending control-topic announcements are applied first, so queries
+// registered since the last epoch take effect at a deterministic point;
+// an idle fleet (no active query) answers nothing but still drains, so
+// stragglers of stopped queries surface in the statistics. Results are
+// deterministic under a fixed Config.Seed for any worker count.
 func (s *System) RunEpoch() ([]aggregator.Result, int, error) {
 	participants, err := s.AnswerEpoch()
 	if err != nil {
@@ -502,19 +461,9 @@ func (s *System) RunEpoch() ([]aggregator.Result, int, error) {
 // bounded — the surge harness drives overload by answering more epochs
 // per tick than the drain budget covers. Returns the participant count.
 func (s *System) AnswerEpoch() (int, error) {
-	if s.follower != nil {
-		if _, err := s.follower.Sync(); err != nil {
-			return 0, err
-		}
-	}
 	epoch := s.epoch
 	s.epoch++
 	s.tracer.BeginEpoch(epoch)
-	if s.registry != nil && len(s.registry.Active()) == 0 {
-		// Idle fleet: no active queries, nothing to answer this epoch
-		// (clients would report ErrNotSubscribed).
-		return 0, nil
-	}
 	t0 := time.Now()
 	participants, err := s.clients.Epoch(epoch)
 	s.tracer.Record(epoch, telemetry.StageAnswer, time.Since(t0), participants, 0)
@@ -540,17 +489,21 @@ func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 	if err != nil {
 		return fired, drained, err
 	}
-	// Depth is the backlog the bounded drain left behind — the signal
-	// the overload controller steers on.
-	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), drained,
-		int(s.fleet.TotalStats().TotalBacklog))
+	// Depth is the share backlog the bounded drain left behind — the
+	// signal the overload controller steers on.
+	pending, err := s.PendingShares()
+	if err != nil {
+		return fired, drained, err
+	}
+	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), drained, int(pending))
 	return fired, drained, s.observeSLO(fired)
 }
 
-// PendingShares reports how many records are still queued at the
-// proxies ahead of the aggregator's consumers — the backlog a bounded
-// drain leaves behind. Without overload control this grows without
-// bound under sustained over-offered load.
+// PendingShares reports how many shares are still queued at the proxies
+// ahead of the aggregator's consumers — the backlog a bounded drain
+// leaves behind (control announcements are not shares). Without
+// overload control this grows without bound under sustained
+// over-offered load.
 func (s *System) PendingShares() (int64, error) {
 	var total int64
 	for _, c := range s.drainer.Consumers() {
@@ -563,9 +516,9 @@ func (s *System) PendingShares() (int64, error) {
 	return total, nil
 }
 
-// EnableSLO installs the closed-loop overload controller (MultiQuery
-// mode): after every drain, each fired window's lag — how far its end
-// trails the fleet's current event time, in slides — feeds a per-query
+// EnableSLO installs the closed-loop overload controller: after every
+// drain, each fired window's lag — how far its end trails the fleet's
+// current event time, in slides — feeds a per-query
 // budget.SLOController targeting the given p95 lag. When the controller
 // tightens or relaxes the shed threshold, the change is distributed
 // like any parameter update: through the registry's control topics to
@@ -574,9 +527,6 @@ func (s *System) PendingShares() (int64, error) {
 // force). Controller state is checkpointed, so crash recovery resumes
 // the loop mid-flight instead of un-shedding an overloaded system.
 func (s *System) EnableSLO(targetLagSlides, shedMin float64, window int) error {
-	if !s.cfg.MultiQuery {
-		return fmt.Errorf("%w: SLO control requires MultiQuery mode", ErrConfig)
-	}
 	if _, err := budget.NewSLOController(targetLagSlides, shedMin, window); err != nil {
 		return err
 	}
@@ -663,8 +613,7 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 			return err
 		}
 	}
-	_, err := s.follower.Sync()
-	return err
+	return s.sync()
 }
 
 // Epoch returns the next epoch number to run.
@@ -696,23 +645,19 @@ func (s *System) release() error {
 
 // AdvanceTo pushes the aggregator's watermark to the event time of the
 // given epoch, closing any finished windows. An answer of epoch e is
-// stamped Origin + e×Frequency with its own query's frequency; in
-// MultiQuery mode the watermark takes the shortest active frequency, so
-// it never passes the epoch's event time for any query, and with no
-// active query there is nothing to advance.
+// stamped Origin + e×Frequency with its own query's frequency; the
+// watermark takes the shortest active frequency, so it never passes the
+// epoch's event time for any query, and with no active query there is
+// nothing to advance.
 func (s *System) AdvanceTo(epoch uint64) ([]aggregator.Result, error) {
 	var freq time.Duration
-	if s.registry == nil {
-		freq = s.cfg.Query.Frequency
-	} else {
-		for _, id := range s.registry.Active() {
-			if e, ok := s.registry.Entry(id); ok && (freq == 0 || e.Signed.Query.Frequency < freq) {
-				freq = e.Signed.Query.Frequency
-			}
+	for _, id := range s.registry.Active() {
+		if e, ok := s.registry.Entry(id); ok && (freq == 0 || e.Signed.Query.Frequency < freq) {
+			freq = e.Signed.Query.Frequency
 		}
-		if freq == 0 {
-			return nil, nil
-		}
+	}
+	if freq == 0 {
+		return nil, nil
 	}
 	return s.agg.AdvanceTo(s.cfg.Origin.Add(time.Duration(epoch) * freq))
 }
@@ -738,68 +683,28 @@ func (s *System) Flush() ([]aggregator.Result, error) {
 }
 
 // EnableFeedback installs the adaptive controller (paper §5): after each
-// result, call Feedback with it to let the controller re-tune s; clients
-// are re-subscribed automatically when the parameters change. In
-// MultiQuery mode every query gets its own controller (created lazily
-// from the query's registered parameters), so one noisy query's budget
-// re-tuning never disturbs another's.
+// result, call Feedback with it to let the controller re-tune s. Every
+// query gets its own controller (created lazily from the query's
+// registered parameters), so one noisy query's budget re-tuning never
+// disturbs another's.
 func (s *System) EnableFeedback(targetLoss, sMin, sMax float64) error {
-	if s.cfg.MultiQuery {
-		if targetLoss <= 0 || sMin <= 0 || sMax > 1 || sMin > sMax {
-			return fmt.Errorf("%w: feedback target=%v bounds=[%v,%v]", ErrConfig, targetLoss, sMin, sMax)
-		}
-		s.ctrlMu.Lock()
-		s.fbTarget, s.fbMin, s.fbMax = targetLoss, sMin, sMax
-		s.fbEnabled = true
-		s.ctrlMu.Unlock()
-		return nil
+	if targetLoss <= 0 || sMin <= 0 || sMax > 1 || sMin > sMax {
+		return fmt.Errorf("%w: feedback target=%v bounds=[%v,%v]", ErrConfig, targetLoss, sMin, sMax)
 	}
-	ctrl, err := budget.NewController(s.params, targetLoss, sMin, sMax)
-	if err != nil {
-		return err
-	}
-	s.ctrl = ctrl
+	s.ctrlMu.Lock()
+	s.fbTarget, s.fbMin, s.fbMax = targetLoss, sMin, sMax
+	s.fbEnabled = true
+	s.ctrlMu.Unlock()
 	return nil
 }
 
-// Feedback folds a window result into its query's controller and
-// redistributes the parameters when the sampling fraction moved — in
-// MultiQuery mode through the registry (revision bump, control-topic
-// announcement, client re-subscription at the next sync), in legacy
-// mode by direct re-subscription. It returns the parameters now in
+// Feedback folds a window result into its query's controller and, when
+// the sampling fraction moved, redistributes the parameters: the
+// registry bumps the query's revision and re-announces it, the clients
+// re-subscribe at the sync, and the aggregator estimates and reports
+// the query's next windows under them. It returns the parameters now in
 // force for that query.
 func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
-	if s.cfg.MultiQuery {
-		return s.feedbackMulti(res)
-	}
-	if s.ctrl == nil {
-		return s.params, fmt.Errorf("%w: feedback not enabled", ErrConfig)
-	}
-	next := s.ctrl.Update(aggregator.RelativeWidth(res))
-	if next.S == s.params.S {
-		return s.params, nil
-	}
-	s.params = next
-	return next, s.subscribeAll(next)
-}
-
-// subscribeAll verifies the legacy single query once and (re-)subscribes
-// every client to it under params. In multi mode the control plane's
-// applier does the same.
-func (s *System) subscribeAll(params budget.Params) error {
-	v, err := query.Verify(s.signed, s.pub)
-	if err != nil {
-		return err
-	}
-	for _, c := range s.clients.Clients() {
-		if err := c.SubscribeVerified(v, params); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *System) feedbackMulti(res aggregator.Result) (budget.Params, error) {
 	s.ctrlMu.Lock()
 	if !s.fbEnabled {
 		s.ctrlMu.Unlock()
@@ -826,17 +731,13 @@ func (s *System) feedbackMulti(res aggregator.Result) (budget.Params, error) {
 	if next.S == prev.S {
 		return next, nil
 	}
-	// Redistribute: the registry bumps the entry's revision and
-	// re-announces; clients redraw their subscription at the sync below,
-	// and the aggregator swaps the stored parameters in place.
 	if err := s.registry.Register(entry.Signed, next); err != nil {
 		return next, err
 	}
 	if err := s.agg.AddQuery(aggregator.QuerySpec{Query: entry.Signed.Query, Params: next}); err != nil {
 		return next, err
 	}
-	_, err := s.follower.Sync()
-	return next, err
+	return next, s.sync()
 }
 
 // Close releases proxies and the historical store.

@@ -11,6 +11,7 @@ import (
 	"privapprox/internal/minisql"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
+	"privapprox/internal/telemetry"
 	"privapprox/internal/workload"
 )
 
@@ -36,9 +37,6 @@ func taxiSystemConfig(t *testing.T, clients int, params budget.Params) Config {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("expected error for zero clients")
-	}
-	if _, err := New(Config{Clients: 5}); err == nil {
-		t.Error("expected error for nil query")
 	}
 	q, _ := workload.TaxiQuery("a", 1, time.Second, time.Second, time.Second)
 	if _, err := New(Config{Clients: 5, Query: q, Proxies: 1}); err == nil {
@@ -292,8 +290,9 @@ func TestSignedQueryReachesClients(t *testing.T) {
 // under a partition bound and releases the records. With every partition
 // bounded to two epochs of shares, fifty fully drained epochs publish
 // without one refusal (nothing used to commit, so the bound filled for
-// good at the third epoch), and the backlog after each drain is zero —
-// not the log length since start.
+// good at the third epoch), and the share backlog after each drain is
+// zero — not the log length since start. (The control topic's
+// announcements are never committed: nothing reads them as shares.)
 func TestBoundedPartitionFreesAsDrainCommits(t *testing.T) {
 	const clients, epochs = 8, 50
 	sys, err := New(taxiSystemConfig(t, clients, budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}))
@@ -308,16 +307,18 @@ func TestBoundedPartitionFreesAsDrainCommits(t *testing.T) {
 		if _, _, err := sys.RunEpoch(); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
-		if st := sys.Fleet().TotalStats(); st.TotalBacklog != 0 || st.MaxBacklog != 0 {
-			t.Fatalf("epoch %d: backlog after a full drain = %d (max %d), want 0", e, st.TotalBacklog, st.MaxBacklog)
+		if pending, err := sys.PendingShares(); err != nil || pending != 0 {
+			t.Fatalf("epoch %d: share backlog after a full drain = %d (%v), want 0", e, pending, err)
 		}
 	}
 	st := sys.Fleet().TotalStats()
 	if st.Rejected != 0 {
 		t.Errorf("Rejected = %d, want 0", st.Rejected)
 	}
-	if want := int64(2 * clients * epochs); st.MessagesIn != want || sys.Aggregator().Decoded() != clients*epochs {
-		t.Errorf("published %d shares, decoded %d answers; want %d and %d", st.MessagesIn, sys.Aggregator().Decoded(), want, clients*epochs)
+	// Four of the records are control announcements: the empty query set
+	// and the registration, on each proxy's control topic.
+	if want := int64(2*clients*epochs + 4); st.MessagesIn != want || sys.Aggregator().Decoded() != clients*epochs {
+		t.Errorf("published %d records, decoded %d answers; want %d and %d", st.MessagesIn, sys.Aggregator().Decoded(), want, clients*epochs)
 	}
 	// The bounded drain commits too: its depth is what it left behind.
 	if _, err := sys.AnswerEpoch(); err != nil {
@@ -326,7 +327,91 @@ func TestBoundedPartitionFreesAsDrainCommits(t *testing.T) {
 	if _, drained, err := sys.DrainUpTo(clients); err != nil || drained != clients {
 		t.Fatalf("DrainUpTo(%d) drained %d: %v", clients, drained, err)
 	}
-	if got := sys.Fleet().TotalStats().TotalBacklog; got != clients {
-		t.Errorf("backlog after draining %d of %d shares = %d", clients, 2*clients, got)
+	if got, err := sys.PendingShares(); err != nil || got != clients {
+		t.Errorf("share backlog after draining %d of %d shares = %d (%v)", clients, 2*clients, got, err)
+	}
+}
+
+// TestDrainDepthCountsSharesOnly: the depth a bounded drain records for
+// the overload controller is the share backlog it left behind. The
+// control topic's announcements sit uncommitted at every proxy for the
+// system's lifetime and are not work the drain owes.
+func TestDrainDepthCountsSharesOnly(t *testing.T) {
+	const clients = 8
+	sys, err := New(taxiSystemConfig(t, clients, budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.AnswerEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, drained, err := sys.DrainUpTo(clients); err != nil || drained != clients {
+		t.Fatalf("DrainUpTo(%d) drained %d: %v", clients, drained, err)
+	}
+	if backlog := sys.Fleet().TotalStats().TotalBacklog; backlog <= clients {
+		t.Fatalf("broker backlog = %d: expected the undrained shares plus the control announcements", backlog)
+	}
+	spans := sys.Tracer().Spans(nil)
+	if len(spans) != 1 {
+		t.Fatalf("got %d epoch spans, want 1", len(spans))
+	}
+	if got := spans[0].Stages[telemetry.StageDrain].MaxDepth; got != clients {
+		t.Errorf("drain depth = %d, want the %d shares left undrained", got, clients)
+	}
+}
+
+// TestFeedbackReachesCards: once Feedback has moved a query's sampling
+// fraction, the next window is estimated under it, and its result card
+// reports the new fraction and the ε_zk that goes with it.
+func TestFeedbackReachesCards(t *testing.T) {
+	params := budget.Params{S: 0.2, RR: rr.Params{P: 0.5, Q: 0.6}}
+	sys, err := New(taxiSystemConfig(t, 200, params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.EnableFeedback(0.02, 0.05, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	// The query's 4-epoch tumbling window [0s, 4s) fires once epoch 8's
+	// answers push the watermark past its end.
+	var fired []aggregator.Result
+	for e := 0; e < 9 && len(fired) == 0; e++ {
+		res, _, err := sys.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired = res
+	}
+	if len(fired) == 0 {
+		t.Fatal("no window fired")
+	}
+	next, err := sys.Feedback(fired[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.S == params.S {
+		t.Fatalf("feedback left s at %v; test is vacuous", next.S)
+	}
+	final, err := sys.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final) == 0 {
+		t.Fatal("flush fired no window")
+	}
+	cards := sys.Lineage().Cards(nil)
+	last := cards[len(cards)-1]
+	if last.WindowStart != final[len(final)-1].Window.Start.UnixNano() {
+		t.Fatalf("newest card is for window %d, want the flushed %v", last.WindowStart, final[len(final)-1].Window.Start)
+	}
+	wantEps, err := next.EpsilonZK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(last.Fraction) != next.S || float64(last.EpsilonZK) != wantEps {
+		t.Errorf("card after feedback reports s=%v ε_zk=%v, want s=%v ε_zk=%v",
+			float64(last.Fraction), float64(last.EpsilonZK), next.S, wantEps)
 	}
 }

@@ -89,9 +89,7 @@ func (s *System) initTelemetry() {
 		return dst
 	}))
 
-	if s.registry != nil {
-		s.tel.RegisterSource(s.registry)
-	}
+	s.tel.RegisterSource(s.registry)
 
 	// Kernel-plane counters (batch-granular, process-global).
 	s.tel.RegisterSource(telemetry.SourceFunc(xorcrypt.Metrics))

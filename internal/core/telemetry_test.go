@@ -50,12 +50,13 @@ func TestSystemTelemetrySnapshot(t *testing.T) {
 
 	got := sampleMap(sys.TelemetrySnapshot())
 	// Exact counts at s=1: every client answers every epoch, one share
-	// per proxy.
+	// per proxy. The brokers also took four control announcements: the
+	// empty query set and the registration, on each proxy's control topic.
 	if v := got["privapprox_agg_decoded_total"]; v != 90 {
 		t.Errorf("agg_decoded_total = %v, want 90", v)
 	}
-	if v := got["privapprox_broker_messages_in_total"]; v != 180 {
-		t.Errorf("broker_messages_in_total (fleet sum) = %v, want 180", v)
+	if v := got["privapprox_broker_messages_in_total"]; v != 184 {
+		t.Errorf("broker_messages_in_total (fleet sum) = %v, want 184", v)
 	}
 	if v := got["privapprox_client_answers_sent_total"]; v != 90 {
 		t.Errorf("client_answers_sent_total = %v, want 90", v)
@@ -140,7 +141,7 @@ func TestSystemTelemetryWALHistograms(t *testing.T) {
 	}
 }
 
-// TestSystemTelemetrySLOAndControl exercises the MultiQuery planes:
+// TestSystemTelemetrySLOAndControl exercises the control planes:
 // control-plane version/sink gauges and the SLO controllers' actuation
 // state appear once the system runs in closed-loop mode.
 func TestSystemTelemetrySLOAndControl(t *testing.T) {
@@ -150,11 +151,10 @@ func TestSystemTelemetrySLOAndControl(t *testing.T) {
 	}
 	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
 	sys, err := New(Config{
-		Clients:    20,
-		Proxies:    2,
-		Params:     &params,
-		Seed:       42,
-		MultiQuery: true,
+		Clients: 20,
+		Proxies: 2,
+		Params:  &params,
+		Seed:    42,
 		Populate: func(i int, db *minisql.DB) error {
 			rng := rand.New(rand.NewSource(int64(i) + 1))
 			return workload.PopulateTaxi(db, rng, 3, time.Unix(1000, 0), time.Minute)

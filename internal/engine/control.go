@@ -1,6 +1,5 @@
-// Package engine is PrivApprox's multi-query control plane: the
-// machinery that turns the single-query pipeline into the paper's
-// normal operating mode, where many analysts' signed queries run
+// Package engine is PrivApprox's query control plane: the path every
+// query takes to the clients, where many analysts' signed queries run
 // concurrently over one shared client fleet (paper §3.1: queries are
 // submitted to the aggregator and distributed to clients via the
 // proxies).

@@ -37,15 +37,11 @@ type durability struct {
 // intact. Every partition WAL is replayed whole (offsets equal LSNs, and
 // the dedup slots are rebuilt from every record), then memory is trimmed
 // to the restored committed floor. opts sets the fsync policy and segment
-// size; its retention limits are ignored, because they know nothing of
-// the floor and could drop records a consumer has yet to read.
+// size.
 func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("%w: empty data directory", ErrDurable)
 	}
-	// See the doc comment: only the committed floor may release records.
-	opts.RetainBytes = 0
-	opts.RetainAge = 0
 	meta, err := wal.Open(filepath.Join(dir, "meta"), opts)
 	if err != nil {
 		return nil, err

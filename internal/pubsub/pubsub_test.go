@@ -392,45 +392,3 @@ func TestPublishFetchExactlyOnceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRegistryMembershipAndLeader(t *testing.T) {
-	r := NewRegistry(time.Minute)
-	if _, ok := r.Leader(); ok {
-		t.Error("empty registry should have no leader")
-	}
-	r.Register("b2", "addr2")
-	r.Register("b1", "addr1")
-	ms := r.Members()
-	if len(ms) != 2 || ms[0].ID != "b1" {
-		t.Errorf("Members = %v", ms)
-	}
-	leader, ok := r.Leader()
-	if !ok || leader.ID != "b1" {
-		t.Errorf("Leader = %v, %v", leader, ok)
-	}
-	r.Deregister("b1")
-	leader, ok = r.Leader()
-	if !ok || leader.ID != "b2" {
-		t.Errorf("Leader after deregister = %v, %v", leader, ok)
-	}
-	if err := r.Heartbeat("ghost"); !errors.Is(err, ErrUnknownMember) {
-		t.Errorf("Heartbeat(ghost) = %v", err)
-	}
-}
-
-func TestRegistryExpiry(t *testing.T) {
-	r := NewRegistry(50 * time.Millisecond)
-	now := time.Unix(1000, 0)
-	r.now = func() time.Time { return now }
-	r.Register("b1", "addr1")
-	r.Register("b2", "addr2")
-	now = now.Add(40 * time.Millisecond)
-	if err := r.Heartbeat("b1"); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(30 * time.Millisecond) // b2 is now 70ms stale, b1 30ms
-	ms := r.Members()
-	if len(ms) != 1 || ms[0].ID != "b1" {
-		t.Errorf("Members after expiry = %v", ms)
-	}
-}

@@ -1,6 +1,7 @@
 // Package role holds the two halves of the pipeline every deployment
 // runs (paper Fig. 3): the client role — a process's logical clients
-// answering an epoch into one client.Batcher per proxy — and the
+// following the announced query set and answering an epoch into one
+// client.Batcher per proxy — and the
 // aggregator role — one poll → decode → submit loop over one consumer
 // per proxy — plus the one checkpoint record a durable aggregator
 // writes. core.System runs both roles over in-process brokers and
@@ -18,6 +19,7 @@ import (
 
 	"privapprox/internal/aggregator"
 	"privapprox/internal/client"
+	"privapprox/internal/engine"
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/xorcrypt"
@@ -29,18 +31,22 @@ const pollMax = 4096
 // Clients is a process's logical clients. Every client submits its
 // shares into one Batcher per proxy, so an epoch reaches each proxy as
 // columnar frames — one per epoch unless a batch limit cuts it earlier.
+// The clients learn their queries from a control topic: one follower
+// reconciles all of them against the newest announced query set.
 type Clients struct {
 	clients  []*client.Client
 	batchers []*client.Batcher
+	follower *engine.Follower
 	workers  int
 }
 
-// NewClients builds logical clients offset … offset+n−1 over fleet. The
-// role names a client client-%06d after its global index and seeds it
-// with seed+index+2; setup fills in the rest of its configuration, its
-// database first. batch is the Batcher limit (0 flushes once per epoch)
-// and workers bounds how many clients answer at once.
-func NewClients(fleet *proxy.Fleet, seed int64, offset, n, batch, workers int, setup func(i int, cfg *client.Config) error) (*Clients, error) {
+// NewClients builds logical clients offset … offset+n−1 over fleet,
+// following the query announcements on control. The role names a client
+// client-%06d after its global index and seeds it with seed+index+2;
+// setup fills in the rest of its configuration, its database first.
+// batch is the Batcher limit (0 flushes once per epoch) and workers
+// bounds how many clients answer at once.
+func NewClients(fleet *proxy.Fleet, control *pubsub.Consumer, seed int64, offset, n, batch, workers int, setup func(i int, cfg *client.Config) error) (*Clients, error) {
 	c := &Clients{batchers: make([]*client.Batcher, fleet.Size()), workers: workers}
 	sinks := make([]client.ShareSink, fleet.Size())
 	for i := range c.batchers {
@@ -58,6 +64,11 @@ func NewClients(fleet *proxy.Fleet, seed int64, offset, n, batch, workers int, s
 		}
 		c.clients = append(c.clients, cl)
 	}
+	subs := make([]engine.Subscriber, len(c.clients))
+	for i, cl := range c.clients {
+		subs[i] = cl
+	}
+	c.follower = engine.NewFollower(control, engine.NewApplier(subs...))
 	return c, nil
 }
 
@@ -67,13 +78,21 @@ func (c *Clients) Clients() []*client.Client { return c.clients }
 // Batchers returns the per-proxy batchers, proxy i's at index i.
 func (c *Clients) Batchers() []*client.Batcher { return c.batchers }
 
-// Epoch answers epoch e on every client and flushes every proxy's batch,
-// returning how many clients answered at least one query. Clients never
-// share mutable state and the batchers are concurrency-safe, so the
-// fan-out over the worker pool only interleaves shares within a batch,
-// which the sharded aggregator is insensitive to. Shares batched before
-// an error are still flushed.
+// Follower returns the follower that subscribes the clients to the
+// announced queries.
+func (c *Clients) Follower() *engine.Follower { return c.follower }
+
+// Epoch applies the announcements that arrived since the last epoch,
+// then answers epoch e on every client and flushes every proxy's batch,
+// returning how many clients answered at least one query. With no query
+// active it answers nothing. Clients never share mutable state and the
+// batchers are concurrency-safe, so the fan-out over the worker pool
+// only interleaves shares within a batch, which the sharded aggregator
+// is insensitive to. Shares batched before an error are still flushed.
 func (c *Clients) Epoch(e uint64) (int, error) {
+	if active, err := c.syncActive(); err != nil || active == 0 {
+		return 0, err
+	}
 	for _, b := range c.batchers {
 		b.BeginEpoch(e)
 	}
@@ -84,6 +103,16 @@ func (c *Clients) Epoch(e uint64) (int, error) {
 		}
 	}
 	return n, err
+}
+
+// syncActive is the control-plane step of every epoch: it applies the
+// pending announcements and returns how many queries are active. With
+// nothing new on the control topic it allocates nothing.
+func (c *Clients) syncActive() (int, error) {
+	if _, err := c.follower.Sync(); err != nil {
+		return 0, err
+	}
+	return c.follower.Applier().ActiveQueries(), nil
 }
 
 func (c *Clients) answer(e uint64) (int, error) {

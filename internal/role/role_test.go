@@ -1,6 +1,7 @@
 package role
 
 import (
+	"crypto/ed25519"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"privapprox/internal/aggregator"
 	"privapprox/internal/budget"
 	"privapprox/internal/client"
+	"privapprox/internal/engine"
 	"privapprox/internal/minisql"
 	"privapprox/internal/proxy"
 	"privapprox/internal/query"
@@ -49,18 +51,34 @@ func newRig(t *testing.T, clients, drainWorkers int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewClients(fleet, 9, 0, clients, 0, 1, func(i int, cfg *client.Config) error {
+	// The query reaches the clients the way it does in every wiring: a
+	// signed announcement on the control topic, applied at the next epoch.
+	key := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
+	signed, err := query.Sign(q, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := engine.NewRegistry()
+	if err := reg.Trust("role", key.Public().(ed25519.PublicKey)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.AttachSink(fleet); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(signed, params); err != nil {
+		t.Fatal(err)
+	}
+	control, err := fleet.Proxy(0).ControlConsumer("clients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewClients(fleet, control, 9, 0, clients, 0, 1, func(i int, cfg *client.Config) error {
 		cfg.DB = minisql.NewDB()
 		cfg.MIDSource = rand.New(rand.NewSource(int64(i) + 100))
 		return workload.PopulateTaxi(cfg.DB, rand.New(rand.NewSource(int64(i))), 2, time.Unix(0, 0), time.Minute)
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, c := range cs.Clients() {
-		if err := c.Subscribe(&query.Signed{Query: q}, params); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return &rig{clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
 }
@@ -134,5 +152,24 @@ func TestDrainDeliversEverything(t *testing.T) {
 	}
 	if _, read, err := r.drain.Round(pollMax, 0); err != nil || read != 0 {
 		t.Errorf("a round after Dry read %d records: %v", read, err)
+	}
+}
+
+// TestControlPlaneStepZeroAllocs pins what following the control topic
+// adds to every epoch: a sync that finds no new announcement, plus the
+// active-query count that decides whether the epoch answers at all.
+// Neither may allocate. An idle epoch is exactly this step.
+func TestControlPlaneStepZeroAllocs(t *testing.T) {
+	r := newRig(t, 4, 1)
+	if n, err := r.clients.Epoch(0); err != nil || n == 0 {
+		t.Fatalf("epoch 0: %d participants, %v", n, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if active, err := r.clients.syncActive(); err != nil || active != 1 {
+			t.Fatalf("sync: %d active queries, %v", active, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("control-plane step: %v allocs/op, want 0", allocs)
 	}
 }

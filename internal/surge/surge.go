@@ -124,12 +124,11 @@ func Run(cfg Config) (*Report, error) {
 	params := budget.Params{S: 0.8, RR: rr.Params{P: 0.9, Q: 0.6}}
 	origin := time.Unix(1_700_000_000, 0)
 	sys, err := core.New(core.Config{
-		Clients:    cfg.Clients,
-		Proxies:    2,
-		Seed:       cfg.Seed,
-		Origin:     origin,
-		MultiQuery: true,
-		Params:     &params,
+		Clients: cfg.Clients,
+		Proxies: 2,
+		Seed:    cfg.Seed,
+		Origin:  origin,
+		Params:  &params,
 		// Workers pinned to 1: the surge gate compares exact per-tick
 		// records, and the bounded drain's cut point depends on the
 		// partition append order, which only Workers == 1 pins.

@@ -105,7 +105,8 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Options tunes a log. The zero value is usable: 8 MiB segments, no
-// fsync, unlimited retention.
+// fsync. A log keeps every record until its owner truncates it
+// (TruncateFront).
 type Options struct {
 	// SegmentBytes rolls the active segment once it exceeds this size
 	// (minimum 4 KiB; 0 defaults to 8 MiB).
@@ -114,14 +115,6 @@ type Options struct {
 	Policy Policy
 	// SyncInterval is the PolicyInterval period; 0 defaults to 50ms.
 	SyncInterval time.Duration
-	// RetainBytes, when > 0, drops the oldest sealed segments once the
-	// log exceeds this size. The active segment and the newest sealed
-	// segment are never dropped, so the most recent records (e.g. the
-	// newest checkpoint) always survive retention.
-	RetainBytes int64
-	// RetainAge, when > 0, drops sealed segments whose newest record is
-	// older than this. The same never-drop-the-newest rule applies.
-	RetainAge time.Duration
 	// AppendHist/FsyncHist, when non-nil, receive append-call and fsync
 	// latencies (SetLatencyHistograms). Many logs may share one pair —
 	// a durable fleet's partition logs all feed the same process-level
@@ -450,7 +443,7 @@ func (l *Log) syncLoop() {
 }
 
 // rotateLocked seals the active segment and opens a fresh one named by
-// the next LSN, then applies the retention limits to the sealed set.
+// the next LSN.
 func (l *Log) rotateLocked() error {
 	if err := l.seg.Sync(); err != nil {
 		return fmt.Errorf("wal: seal: %w", err)
@@ -459,10 +452,7 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: seal: %w", err)
 	}
 	l.seg = nil
-	if err := l.openSegmentLocked(l.nextLSN); err != nil {
-		return err
-	}
-	return l.enforceRetentionLocked()
+	return l.openSegmentLocked(l.nextLSN)
 }
 
 func (l *Log) openSegmentLocked(firstLSN uint64) error {
@@ -587,55 +577,6 @@ func (l *Log) TruncateFront(keepFrom uint64) error {
 		if err := l.dropSegmentLocked(segs[i], segLSNOf(segs[i+1])); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// EnforceRetention applies the size/age limits now (rotation applies
-// them automatically).
-func (l *Log) EnforceRetention() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.enforceRetentionLocked()
-}
-
-func (l *Log) enforceRetentionLocked() error {
-	if l.opts.RetainBytes <= 0 && l.opts.RetainAge <= 0 {
-		return nil
-	}
-	segs, err := l.segments()
-	if err != nil {
-		return err
-	}
-	// Never drop the active segment or the newest sealed one: the most
-	// recent records must survive retention however the limits are set.
-	if len(segs) < 3 {
-		return nil
-	}
-	var total int64
-	infos := make([]os.FileInfo, len(segs))
-	for i, seg := range segs {
-		fi, err := os.Stat(seg)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		infos[i] = fi
-		total += fi.Size()
-	}
-	now := time.Now()
-	for i := 0; i+2 < len(segs); i++ {
-		tooBig := l.opts.RetainBytes > 0 && total > l.opts.RetainBytes
-		tooOld := l.opts.RetainAge > 0 && now.Sub(infos[i].ModTime()) > l.opts.RetainAge
-		if !tooBig && !tooOld {
-			break
-		}
-		if err := l.dropSegmentLocked(segs[i], segLSNOf(segs[i+1])); err != nil {
-			return err
-		}
-		total -= infos[i].Size()
 	}
 	return nil
 }

@@ -335,37 +335,6 @@ func TestTruncateFrontDropsSealedSegments(t *testing.T) {
 	}
 }
 
-func TestRetentionBySizeKeepsNewestSealedSegment(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 4096, RetainBytes: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	payload := bytes.Repeat([]byte{2}, 512)
-	for i := 0; i < 80; i++ { // ~40 KiB appended, retention keeps ~8 KiB
-		if _, err := l.Append(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, _ := l.SegmentCount()
-	if n > 4 {
-		t.Fatalf("retention left %d segments for an 8KiB budget of 4KiB segments", n)
-	}
-	if l.FirstLSN() == 0 {
-		t.Fatal("retention never advanced FirstLSN")
-	}
-	// The newest records always survive.
-	recs := collect(t, l, l.FirstLSN())
-	if len(recs) == 0 {
-		t.Fatal("retention dropped everything")
-	}
-	last := recs[len(recs)-1]
-	if last.lsn != l.NextLSN()-1 {
-		t.Fatalf("newest record lsn %d, want %d", last.lsn, l.NextLSN()-1)
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
 	cases := map[string]Policy{"never": PolicyNever, "": PolicyNever, "interval": PolicyInterval, "every-batch": PolicyEveryBatch}
 	for s, want := range cases {

@@ -21,6 +21,14 @@
 // sliding-window aggregation with a confidence interval that combines
 // the sampling and randomization error bounds.
 //
+// Queries reach clients the way the paper's §3.1 distributes them: the
+// System's registry verifies each analyst's signed query and announces
+// it through the proxies' control topics, and the clients subscribe at
+// their next epoch. SystemConfig.Query is simply the first query
+// registered; System.Register, System.RegisterSigned and
+// System.StopQuery add and retire more while the fleet runs, each query
+// with its own parameters and feedback loop.
+//
 // The epoch pipeline is parallel end-to-end: clients answer on a
 // bounded worker pool (SystemConfig.Workers, default GOMAXPROCS), each
 // proxy is drained by its own goroutine, and the aggregator's join and
@@ -126,10 +134,10 @@ type (
 	AggregatorStats = aggregator.Stats
 )
 
-// ByQuery splits a merged result stream into per-query streams — the
-// companion to SystemConfig.MultiQuery, under which one System runs
-// many analysts' queries concurrently over the same client fleet (see
-// System.Register, System.RegisterSigned, and System.StopQuery).
+// ByQuery splits a merged result stream into per-query streams: one
+// System runs every registered query concurrently over the same client
+// fleet and returns their fired windows together (see System.Register,
+// System.RegisterSigned, and System.StopQuery).
 func ByQuery(results []Result) map[QueryID][]Result { return aggregator.ByQuery(results) }
 
 // Deployment types.
@@ -148,9 +156,9 @@ type (
 )
 
 // NewSystem wires a complete in-process PrivApprox deployment: the
-// initializer derives (s, p, q) from the budget, the query is signed,
-// clients are populated and subscribed, and the proxy fleet and
-// aggregator are started.
+// initializer derives (s, p, q) from the budget, clients are populated,
+// the proxy fleet and aggregator are started, and SystemConfig.Query,
+// when set, is signed and registered (nil starts an idle fleet).
 func NewSystem(cfg SystemConfig) (*System, error) { return core.New(cfg) }
 
 // NewDB returns an empty client-side database.
