@@ -59,11 +59,14 @@ multiquery:
 # each from its -data-dir, and require final per-query results
 # byte-identical to an uninterrupted run, plus the in-process
 # checkpoint/resume protocol over durable brokers. In both, the resume
-# arrives after a trim: every checkpoint was followed by a commit, so the
-# brokers have released what it covers.
+# arrives after a trim: the node commits after every checkpoint, and
+# core.System after every drain — so its resume may seek below the
+# brokers' memory floor, and they read that gap back from their WALs
+# (TestSystemResumeBehindReleasedEpochs crashes two epochs after the
+# checkpoint).
 crash:
 	$(GO) test -run 'TestCrashRecoveryAggregator|TestCrashRecoveryProxy' -count=1 ./cmd/privapprox-node
-	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSLOCheckpointResumeMidShed' -count=1 ./internal/core
+	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSLOCheckpointResumeMidShed' -count=1 ./internal/core
 
 # The closed-loop overload gate: the same deterministic 10× load surge
 # through a controlled (SLO shedding) and an uncontrolled system; the
@@ -118,7 +121,9 @@ lineage:
 # count, and 128 buckets at less than six times the cost of 8 (one
 # Student-t root-find per window, not per bucket); and a columnar
 # publish at 0 whatever its size, in memory and durable (its batch is
-# grouped by partition in pooled scratch). The telemetry package's own
+# grouped by partition in pooled scratch), and a durable consumer-group
+# commit at 0 (its meta record is encoded into the broker's scratch; a
+# durable core.System commits after every drain). The telemetry package's own
 # instrument primitives are pinned at 0 in their in-package gate, re-run
 # here, and so are the proxy's forward of a client batch and the control
 # plane's share of every epoch (a follower sync that finds nothing new,
@@ -128,6 +133,7 @@ allocgate:
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestIDUint64ZeroAllocs' -count=1 ./internal/query
 	$(GO) test -run 'TestProxySubmitZeroAllocs' -count=1 ./internal/proxy
+	$(GO) test -run 'TestDurableCommitZeroAllocs' -count=1 ./internal/pubsub
 	$(GO) test -run 'TestControlPlaneStepZeroAllocs' -count=1 ./internal/role
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
@@ -135,6 +141,8 @@ allocgate:
 # 1,500 and at epoch 3,000 must agree within 5 %, and the second half
 # may not run slower than 1.5× the first: what the system retains
 # depends on its open windows and unconsumed backlog, not on its uptime.
+# A second leg runs the same system over a DataDir that never
+# checkpoints: a durable broker's memory follows the drain, not its WAL.
 soak:
 	$(GO) test -run 'TestSoakFlatHeap' -count=1 .
 

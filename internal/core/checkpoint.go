@@ -41,12 +41,10 @@ import (
 // controller state: Restore re-actuates them, so a recovered system
 // resumes shedding at the level the crashed one had reached.
 //
-// A checkpoint releases what it covers: once the record is built, the
-// drain consumers commit the positions it holds, and the brokers drop
-// the shares below them from memory (the WALs stay whole). The record
-// is built first and the commit comes second, so a failure between the
-// two only leaves the floor behind. The returned record is then the
-// oldest the system can resume from — persist it before running on.
+// A checkpoint commits nothing: every drain has already committed the
+// positions the record holds, and the brokers have dropped the shares
+// below them from memory. Their WALs stay whole, so a Restore of this
+// record reads back whatever later drains have released since.
 func (s *System) Checkpoint() ([]byte, error) {
 	buf := binary.BigEndian.AppendUint64(nil, s.epoch)
 	s.ctrlMu.Lock()
@@ -70,14 +68,7 @@ func (s *System) Checkpoint() ([]byte, error) {
 		}
 	}
 	s.ctrlMu.Unlock()
-	rec, err := s.drainer.Checkpoint(buf, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.drainer.Commit(); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return s.drainer.Checkpoint(buf, nil)
 }
 
 func sortedIDs[V any](m map[query.ID]V) []query.ID {
@@ -93,8 +84,10 @@ func appendID(buf []byte, id query.ID) []byte {
 func readID(d *ckpt.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial: d.U64()} }
 
 // Restore rebuilds a freshly constructed System from a Checkpoint
-// record: the drain consumers seek to the checkpointed cut, the
-// aggregator restores its windows, watermarks, and estimator state, the
+// record: the drain consumers seek to the checkpointed cut (the durable
+// brokers read any records between it and their memory floor back from
+// their WALs), the aggregator restores its windows, watermarks, and
+// estimator state, the
 // epoch counter resumes, and every client's per-subscription randomness
 // is fast-forwarded through the already-answered epochs. The same
 // queries must be registered (in the same order: Config.Query first)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -52,6 +54,35 @@ func runEpochsInto(t *testing.T, sys *System, epochs int, results []aggregator.R
 	return results
 }
 
+// partitionAt names one partition of one proxy's share topic.
+type partitionAt struct{ proxy, partition int }
+
+// shareLog is what was published at a system's proxies, per partition in
+// offset order.
+type shareLog map[partitionAt][]pubsub.Record
+
+// capture appends what every partition received since the last capture
+// — call it between AnswerEpoch and the drain, while the brokers still
+// hold the epoch's shares in memory.
+func (l shareLog) capture(t *testing.T, sys *System) {
+	t.Helper()
+	for i := 0; i < sys.Fleet().Size(); i++ {
+		px := sys.Fleet().Proxy(i)
+		n, err := px.Broker().Partitions(px.Topic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < n; p++ {
+			at := partitionAt{i, p}
+			recs, err := px.Broker().Fetch(px.Topic(), p, int64(len(l[at])), math.MaxInt32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l[at] = append(l[at], recs...)
+		}
+	}
+}
+
 // TestSystemCheckpointResume is the in-process crash gate: run a
 // durable system for part of its epochs, checkpoint, tear the process
 // state down (only the data directory and the checkpoint bytes
@@ -80,7 +111,9 @@ func TestSystemCheckpointResume(t *testing.T) {
 		t.Fatal("reference run produced no windows")
 	}
 
-	// First life: durable proxies, crash after two epochs.
+	// First life: durable proxies, crash after two epochs. Each epoch is
+	// RunEpoch's two halves, with the shares it published read at the
+	// proxies in between, before the drain's commit releases them.
 	cfgA := taxiSystemConfig(t, 8, recoveryParams)
 	cfgA.DataDir = dir
 	cfgA.WALFsync = wal.PolicyEveryBatch
@@ -88,7 +121,19 @@ func TestSystemCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runEpochsInto(t, sysA, crashAfter, nil)
+	published := shareLog{}
+	var got []aggregator.Result
+	for e := 0; e < crashAfter; e++ {
+		if _, err := sysA.AnswerEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		published.capture(t, sysA)
+		res, err := sysA.drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res...)
+	}
 	ckpt, err := sysA.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -107,18 +152,27 @@ func TestSystemCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sysB.Close()
-	// The checkpoint committed the positions it records, so the reopened
-	// brokers replayed their journals and then released everything below
-	// them: the resume arrives after a trim, and Restore must seek the
-	// consumers at or above every partition's floor.
-	for i := 0; i < sysB.Fleet().Size(); i++ {
-		px := sysB.Fleet().Proxy(i)
-		for p := 0; p < 4; p++ {
-			if end, err := px.Broker().EndOffset(px.Topic(), p); err != nil || end == 0 {
-				continue
-			}
-			if _, err := px.Broker().Fetch(px.Topic(), p, 0, 1); !errors.Is(err, pubsub.ErrBadOffset) {
-				t.Fatalf("proxy %d partition %d still holds offset 0 after reopening behind a checkpoint: %v", i, p, err)
+	// Every drain committed what it read, so the reopened brokers replayed
+	// their journals and then released all of it from memory: the resume
+	// arrives after a trim. Below that memory floor a fetch reads the WAL,
+	// and what it reads is what the first life published.
+	if len(published) == 0 {
+		t.Fatal("the first life published nothing")
+	}
+	for at, want := range published {
+		px := sysB.Fleet().Proxy(at.proxy)
+		floor, err := px.Broker().CommittedOffset("never-committed", px.Topic(), at.partition)
+		if err != nil || floor != int64(len(want)) {
+			t.Fatalf("proxy %d partition %d: memory floor %d (%v) after reopening, want the drained log end %d",
+				at.proxy, at.partition, floor, err, len(want))
+		}
+		recs, err := px.Broker().Fetch(px.Topic(), at.partition, 0, len(want))
+		if err != nil || len(recs) != len(want) {
+			t.Fatalf("proxy %d partition %d: fetch below the floor read %d of %d records: %v", at.proxy, at.partition, len(recs), len(want), err)
+		}
+		for j, rec := range recs {
+			if rec.Offset != want[j].Offset || !bytes.Equal(rec.Key, want[j].Key) || !bytes.Equal(rec.Value, want[j].Value) {
+				t.Fatalf("proxy %d partition %d offset %d reads back from the WAL unlike it was published", at.proxy, at.partition, j)
 			}
 		}
 	}
@@ -141,6 +195,82 @@ func TestSystemCheckpointResume(t *testing.T) {
 	// No window double-fired, no answer double-counted.
 	if gs, ws := sysB.Aggregator().Stats(), ref.Aggregator().Stats(); gs != ws {
 		t.Fatalf("stats diverged: got %+v want %+v", gs, ws)
+	}
+}
+
+// TestSystemResumeBehindReleasedEpochs: the crash comes two epochs after
+// the checkpoint, and every drain in between committed — so the brokers
+// have released, from memory, shares the checkpoint has not covered.
+// The restored consumers seek below the reopened brokers' memory floor,
+// and the first drain reads the first life's epochs 2–3 back from the
+// WALs; the clients' republished shares of those epochs (the same MIDs)
+// join as duplicates. Results must match an uninterrupted run, and so
+// must every decoded answer. With the WAL reload disabled the first
+// resumed drain fails with "offset out of range: 7 outside [9, 10]".
+func TestSystemResumeBehindReleasedEpochs(t *testing.T) {
+	const epochs, ckptAt, crashAt = 6, 2, 4
+	dir := t.TempDir()
+	durable := func() *System {
+		cfg := taxiSystemConfig(t, 8, recoveryParams)
+		cfg.DataDir = dir
+		cfg.WALFsync = wal.PolicyEveryBatch
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	ref, err := New(taxiSystemConfig(t, 8, recoveryParams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want := runEpochsInto(t, ref, epochs, nil)
+	final, err := ref.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, final...)
+
+	sysA := durable()
+	got := runEpochsInto(t, sysA, ckptAt, nil)
+	ckpt, err := sysA.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epochs 2–3 fire nothing the resumed run will not fire again: their
+	// results die with the first life.
+	runEpochsInto(t, sysA, crashAt-ckptAt, nil)
+	sysA.Close()
+
+	sysB := durable()
+	defer sysB.Close()
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	got = runEpochsInto(t, sysB, crashAt-ckptAt, got)
+	var republished int64
+	for _, c := range sysB.Clients() {
+		republished += c.Stats().AnswersSent
+	}
+	republished *= int64(sysB.Fleet().Size())
+	got = runEpochsInto(t, sysB, epochs-crashAt, got)
+	final, err = sysB.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, final...)
+
+	if !resultsEqual(got, want) {
+		t.Fatalf("resume behind released epochs diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+	gs, ws := sysB.Aggregator().Stats(), ref.Aggregator().Stats()
+	if gs.Decoded != ws.Decoded {
+		t.Fatalf("decoded %d answers, want %d", gs.Decoded, ws.Decoded)
+	}
+	if republished == 0 || gs.Duplicates != republished {
+		t.Fatalf("%d duplicates, want the %d shares republished for epochs %d–%d", gs.Duplicates, republished, ckptAt, crashAt-1)
 	}
 }
 

@@ -120,8 +120,9 @@ type Config struct {
 	// System is built over the same directory. Pair it with
 	// Checkpoint/Restore for full crash recovery — see
 	// TestSystemCheckpointResume for the protocol. A durable system
-	// releases drained shares from memory only when it checkpoints; one
-	// that never does retains its whole log.
+	// releases drained shares from memory after every drain, as an
+	// in-memory one does; a Restore whose positions lie below that
+	// release reads the records between them back from the WALs.
 	DataDir string
 	// WALFsync is the fsync policy for DataDir journals; the zero value
 	// (wal.PolicyNever) survives process crashes but not OS crashes.
@@ -631,15 +632,13 @@ func (s *System) drain() ([]aggregator.Result, error) {
 }
 
 // release is the end of every drain: the system owns its drain loop, so
-// it commits what it has submitted and will never read again, and the
-// commit lets the proxies' brokers release those records and free room
-// under a partition bound. With a DataDir nothing is committed here — a
-// crash resumes from the last Checkpoint, whose positions must still be
-// readable — and Checkpoint commits what it covers instead.
+// it commits what it has submitted, and the commit lets the proxies'
+// brokers release those records from memory and free room under a
+// partition bound. With a DataDir a crash resumes from the last
+// Checkpoint, whose positions may lie below this commit: the durable
+// brokers read those records back from their WALs when the restored
+// consumers fetch them.
 func (s *System) release() error {
-	if s.cfg.DataDir != "" {
-		return nil
-	}
 	return s.drainer.Commit()
 }
 

@@ -24,7 +24,8 @@ var (
 	ErrTopicExists = errors.New("pubsub: topic already exists")
 	ErrNoPartition = errors.New("pubsub: no such partition")
 	// ErrBadOffset reports an offset past the log end or below the first
-	// retained offset (see CommitOffset); it survives the TCP transport.
+	// retained offset (see CommitOffset) that no WAL can serve (see
+	// Fetch); it survives the TCP transport.
 	ErrBadOffset = errors.New("pubsub: offset out of range")
 	ErrClosed    = errors.New("pubsub: broker closed")
 	// ErrPartitionFull is the backpressure signal of a bounded partition
@@ -91,7 +92,8 @@ type partitionLog struct {
 	capacity int
 	// w, when non-nil, is the partition's write-ahead log: every publish
 	// journals its record here — before the in-memory append, before the
-	// ack — so an acknowledged record survives a broker restart. The WAL
+	// ack — so an acknowledged record survives a broker restart, and a
+	// fetch below the memory floor reads it back (reload). The WAL
 	// LSN of a record equals its partition offset. encBuf is the frame
 	// scratch and payloads the per-record views journalColumns hands the
 	// WAL, both touched only under mu.
@@ -555,7 +557,11 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 // It never blocks; an offset at the log end returns no records. The
 // records are a private copy — their keys and values are cap-limited
 // views of one buffer made for this call — so the caller may keep,
-// mutate or append to them without touching the log or each other.
+// mutate or append to them without touching the log or each other. An
+// offset below the first retained one is ErrBadOffset on an in-memory
+// broker; a durable broker reads the records from there to its memory
+// floor back from the partition's WAL and serves them (they stay in
+// memory until the next commit releases them again).
 func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
 	var out []Record
 	err := b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
@@ -578,15 +584,23 @@ func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Re
 }
 
 // readSpan is the frame every fetch shares: under the partition lock it
-// validates offset, hands read the log and the offset one past the
-// fetch's last record (read is not called for an empty span), and then
-// counts the span's records and the key and value bytes read reports.
+// validates offset — on a durable partition, first reading records below
+// the memory floor back from the WAL (reload) — hands read the log and
+// the offset one past the fetch's last record (read is not called for an
+// empty span), and then counts the span's records and the key and value
+// bytes read reports.
 func (b *Broker) readSpan(topic string, partition int, offset int64, max int, read func(p *partitionLog, end int64) (bytes int)) error {
 	p, err := b.partition(topic, partition)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
+	if p.w != nil && 0 <= offset && offset < p.first() {
+		if err := p.reload(offset); err != nil {
+			p.mu.Unlock()
+			return err
+		}
+	}
 	if offset < p.first() || offset > p.count {
 		defer p.mu.Unlock()
 		return fmt.Errorf("%w: %d outside [%d, %d]", ErrBadOffset, offset, p.first(), p.count)
@@ -662,8 +676,10 @@ func (b *Broker) EndOffset(topic string, partition int) (int64, error) {
 
 // CommitOffset durably records a consumer group's next-to-read offset
 // and releases every slab that lies whole below the partition's
-// committed floor (a durable broker keeps its WAL whole). A group that
-// has never committed does not hold the floor back (CommittedOffset).
+// committed floor. A durable broker keeps its WAL whole, so what a
+// commit releases from its memory a later Fetch can still read back. A
+// group that has never committed does not hold the floor back
+// (CommittedOffset).
 // Commits are monotonic per (group, topic, partition): an offset at or
 // below the committed one is ignored, so a lagging committer can never
 // rewind the group and cause replays.

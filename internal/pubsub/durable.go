@@ -23,11 +23,12 @@ const (
 // WAL journaling topic creation and consumer-group commits, plus one WAL
 // per partition (held by the partitionLog) journaling published records.
 // Meta appends are serialized by the broker mutex every caller already
-// holds.
+// holds, which also guards buf, the meta-record scratch.
 type durability struct {
 	dir  string
 	opts wal.Options
 	meta *wal.Log
+	buf  []byte
 }
 
 // OpenBroker opens (or creates) a durable broker rooted at dir: topics,
@@ -170,6 +171,39 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 	return nil
 }
 
+// errReloaded stops reload's WAL replay at the partition's memory floor.
+var errReloaded = errors.New("pubsub: reload reached the retained log")
+
+// reload reads records [from, p.first()) back from the partition's WAL
+// into fresh slabs ahead of the retained ones, so a durable partition
+// serves reads below its memory floor; the next commit past them
+// releases them again. A WAL that does not hold every one of those
+// records changes nothing, and the caller's range check reports the
+// offset. Caller holds p.mu, which orders p.mu before the WAL's own
+// lock as a publish does.
+func (p *partitionLog) reload(from int64) error {
+	first := p.first()
+	gap := partitionLog{count: from}
+	err := p.w.Replay(uint64(from), func(lsn uint64, payload []byte) error {
+		if int64(lsn) != gap.count || gap.count == first {
+			return errReloaded // the WAL starts above from, or the gap is filled
+		}
+		ts, key, value, _, _, err := decodePartitionRecord(payload)
+		if err != nil {
+			return err
+		}
+		gap.put(ts, key, value)
+		return nil
+	})
+	if err != nil && !errors.Is(err, errReloaded) {
+		return fmt.Errorf("pubsub: reading offsets [%d, %d) back from the WAL: %w", from, first, err)
+	}
+	if gap.count == first {
+		p.slabs = append(gap.slabs, p.slabs...)
+	}
+	return nil
+}
+
 // validTopicName restricts durable topic names to characters that are
 // safe as directory names.
 func validTopicName(name string) bool {
@@ -197,22 +231,20 @@ func (d *durability) journalTopic(topic string, partitions int) error {
 	if !validTopicName(topic) {
 		return fmt.Errorf("%w: topic %q is not a valid directory name", ErrDurable, topic)
 	}
-	buf := []byte{metaTopic}
-	buf = appendLenBytes(buf, []byte(topic))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(partitions))
-	_, err := d.meta.Append(buf)
+	d.buf = appendLenStr(append(d.buf[:0], metaTopic), topic)
+	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(partitions))
+	_, err := d.meta.Append(d.buf)
 	return err
 }
 
-// journalCommit records a consumer-group commit. Callers hold the
-// broker mutex.
+// journalCommit records a consumer-group commit, allocating nothing once
+// the scratch has grown to the record size. Callers hold the broker
+// mutex.
 func (d *durability) journalCommit(group, topic string, partition int, offset int64) error {
-	buf := []byte{metaCommit}
-	buf = appendLenBytes(buf, []byte(group))
-	buf = appendLenBytes(buf, []byte(topic))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(partition))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(offset))
-	_, err := d.meta.Append(buf)
+	d.buf = appendLenStr(appendLenStr(append(d.buf[:0], metaCommit), group), topic)
+	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(partition))
+	d.buf = binary.BigEndian.AppendUint64(d.buf, uint64(offset))
+	_, err := d.meta.Append(d.buf)
 	return err
 }
 
@@ -309,6 +341,11 @@ func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pi
 func appendLenBytes(buf, b []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
+}
+
+func appendLenStr(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
+	return append(buf, s...)
 }
 
 func decodeMetaTopic(payload []byte) (topic string, partitions int, err error) {

@@ -307,3 +307,31 @@ func TestConsumerSeekAndPositions(t *testing.T) {
 		t.Fatalf("negative seek: %v", err)
 	}
 }
+
+// TestDurableCommitZeroAllocs is the allocgate leg of a durable commit:
+// journaling a consumer-group commit to the meta WAL encodes into the
+// broker's scratch, so a core.System with a DataDir, which commits after
+// every drain, allocates nothing per commit.
+func TestDurableCommitZeroAllocs(t *testing.T) {
+	b, err := OpenBroker(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("answer", 2); err != nil {
+		t.Fatal(err)
+	}
+	var offset int64
+	allocs := testing.AllocsPerRun(200, func() {
+		offset++
+		if err := b.CommitOffset("aggregator", "answer", 1, offset); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a durable CommitOffset allocates %.1f times, want 0", allocs)
+	}
+	if off, err := b.CommittedOffset("aggregator", "answer", 1); err != nil || off != offset {
+		t.Fatalf("committed offset %d (%v), want %d", off, err, offset)
+	}
+}

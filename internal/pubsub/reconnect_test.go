@@ -10,13 +10,14 @@ import (
 )
 
 // waitConnDead polls until cc has detached its connection (the read
-// loop noticed the death) or the deadline passes.
-func waitConnDead(t *testing.T, cc *clientConn) {
+// loop noticed the death) or the deadline passes. Given the connection
+// the test closed, it also returns once a request has redialed cc since.
+func waitConnDead(t *testing.T, cc *clientConn, closed net.Conn) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		cc.mu.Lock()
-		dead := cc.conn == nil
+		dead := cc.conn == nil || (closed != nil && cc.conn != closed)
 		cc.mu.Unlock()
 		if dead {
 			return
@@ -52,7 +53,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitConnDead(t, cli.conns[0])
+	waitConnDead(t, cli.conns[0], nil)
 
 	srv2, err := Serve(b, addr)
 	if err != nil {
@@ -134,7 +135,7 @@ func TestDialFailureIsUnambiguous(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitConnDead(t, cli.conns[0])
+	waitConnDead(t, cli.conns[0], nil)
 	// First attempt dials (refused — plain error); an immediate second
 	// attempt is inside the backoff window and fails fast.
 	_, _, err = cli.Publish("t", []byte("k"), []byte("v"))
@@ -226,16 +227,17 @@ func TestDialPoolSurvivesConnDeath(t *testing.T) {
 	// fail ambiguously and the producer's retry lands them exactly once.
 	prod := NewProducer(cli, RetryPolicy{Attempts: 8, Backoff: time.Millisecond})
 	var wg sync.WaitGroup
+	var killed net.Conn
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		time.Sleep(2 * time.Millisecond)
 		cc := cli.conns[0]
 		cc.mu.Lock()
-		conn := cc.conn
+		killed = cc.conn
 		cc.mu.Unlock()
-		if conn != nil {
-			conn.Close()
+		if killed != nil {
+			killed.Close()
 		}
 	}()
 	const batches, per = 40, 5
@@ -245,6 +247,10 @@ func TestDialPoolSurvivesConnDeath(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	// The killer closed conns[0] behind the pool's back: until its reader
+	// marks it dead, pick may still route topicEnd's requests onto it, and
+	// they fail as ambiguous.
+	waitConnDead(t, cli.conns[0], killed)
 	if end := topicEnd(t, cli, "t"); end != batches*per {
 		t.Fatalf("topic holds %d records, want %d (exactly-once through conn death)", end, batches*per)
 	}
@@ -257,8 +263,8 @@ func TestDialPoolSurvivesConnDeath(t *testing.T) {
 		cc.mu.Unlock()
 		if conn != nil {
 			conn.Close()
+			waitConnDead(t, cc, conn)
 		}
-		waitConnDead(t, cc)
 	}
 	var lastErr error
 	for i := 0; i < 50; i++ {
@@ -296,7 +302,7 @@ func TestPickPrefersLiveConns(t *testing.T) {
 	conn := cc.conn
 	cc.mu.Unlock()
 	conn.Close()
-	waitConnDead(t, cc)
+	waitConnDead(t, cc, conn)
 	// With a one-minute redial backoff the dead conn cannot recover
 	// during the loop, so any request routed to it would fail.
 	for i := 0; i < 100; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"privapprox/internal/wal"
@@ -222,7 +223,9 @@ func wideCols(tag byte, n int) Columns {
 // the next offset, is what it was — then trims memory to the floor the
 // meta journal restored (to the slab the floor lands in: replay packs
 // the records differently from the first life, which had released and
-// reused its slabs); and the session-dedup slots, rebuilt from every
+// reused its slabs). A fetch below that memory floor reads the records
+// back from the WAL, keys and values as published, until a commit
+// releases them again; and the session-dedup slots, rebuilt from every
 // replayed record, still reject a replay of a batch whose records are
 // long released.
 func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
@@ -262,12 +265,31 @@ func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
 	if first < 200 || first > 600 || slabs != 1 {
 		t.Fatalf("reopened broker retains from %d in %d slabs, want only the slab the restored floor 600 lands in", first, slabs)
 	}
-	if _, err := b2.Fetch("t", 0, first-1, 1); !errors.Is(err, ErrBadOffset) {
-		t.Errorf("fetch below the retained slab: %v", err)
+	if off, _ := b2.CommittedOffset("never-committed", "t", 0); off != first {
+		t.Fatalf("a group with no commit starts at %d, want the memory floor %d", off, first)
 	}
-	recs, err := b2.Fetch("t", 0, 600, 10)
-	if err != nil || len(recs) != 2 || string(recs[1].Key) != "x-key-001" {
-		t.Fatalf("records above the floor after reopen: %v, %v", recs, err)
+	recs, err := b2.Fetch("t", 0, 0, 1000)
+	if err != nil || len(recs) != 602 {
+		t.Fatalf("fetch below the memory floor: %d records, %v; want the whole log from the WAL", len(recs), err)
+	}
+	for i, rec := range recs[:600] {
+		tag := byte('a' + 1 + i/200)
+		if key := fmt.Sprintf("%c-key-%03d", tag, i%200); rec.Offset != int64(i) || string(rec.Key) != key ||
+			!bytes.Equal(rec.Value, bytes.Repeat([]byte{tag}, 1000)) {
+			t.Fatalf("record %d reads back as offset %d key %q, want key %q and 1000 × %q", i, rec.Offset, rec.Key, key, tag)
+		}
+	}
+	if string(recs[601].Key) != "x-key-001" {
+		t.Fatalf("records above the floor after reopen: %q", recs[601].Key)
+	}
+	if first, _ := retained(t, b2); first != 0 {
+		t.Fatalf("after the reload the partition retains from %d, want 0", first)
+	}
+	if err := b2.CommitOffset("agg", "t", 0, 602); err != nil {
+		t.Fatal(err)
+	}
+	if first, slabs := retained(t, b2); first != 602 || slabs != 0 {
+		t.Fatalf("a commit at the end kept the reloaded records: first retained %d in %d slabs", first, slabs)
 	}
 	for seq := uint64(1); seq <= 4; seq++ {
 		if err := b2.PublishColumns("t", wideCols(byte('a'+seq), 200), 7, seq); err != nil {
@@ -282,6 +304,77 @@ func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
 	}
 	if _, off, err := b2.Publish("t", nil, []byte("next")); err != nil || off != 602 {
 		t.Fatalf("next publish got offset %d (%v), want 602", off, err)
+	}
+}
+
+// TestDurableReloadRacesPublishAndCommit: fetches below a durable
+// partition's memory floor — each one reading the head of the log back
+// from the WAL — race publishes that journal to the same WAL and commits
+// that trim the same slabs. Every fetch must read the head as published;
+// run it under -race -count=10.
+func TestDurableReloadRacesPublishAndCommit(t *testing.T) {
+	b, err := OpenBroker(t.TempDir(), wal.Options{SegmentBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PublishColumns("t", sessionCols('p', 100), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CommitOffset("agg", "t", 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	run := func(f func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := f(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	run(func(int) error { return b.PublishColumns("t", sessionCols('q', 20), 0, 0) })
+	run(func(int) error {
+		end, err := b.EndOffset("t", 0)
+		if err != nil {
+			return err
+		}
+		return b.CommitOffset("agg", "t", 0, end)
+	})
+	for range 2 {
+		run(func(i int) error {
+			from := int64(i % 50)
+			recs, err := b.Fetch("t", 0, from, 50)
+			if err != nil {
+				return fmt.Errorf("fetch from %d: %w", from, err)
+			}
+			if len(recs) != 50 {
+				return fmt.Errorf("fetch from %d read %d records, want 50", from, len(recs))
+			}
+			for j, rec := range recs {
+				if want := fmt.Sprintf("p-key-%03d", from+int64(j)); rec.Offset != from+int64(j) || string(rec.Key) != want {
+					return fmt.Errorf("fetch from %d: record %d is offset %d key %q, want %q", from, j, rec.Offset, rec.Key, want)
+				}
+			}
+			return nil
+		})
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if end, _ := b.EndOffset("t", 0); end != 100+rounds*20 {
+		t.Fatalf("log ends at %d, want %d", end, 100+rounds*20)
 	}
 }
 

@@ -470,11 +470,12 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 	return nil
 }
 
-// Replay invokes fn for every record with lsn ≥ from, in LSN order. A
-// bad frame anywhere but the (already recovered) tail is interior
-// corruption and fails with ErrCorrupt — records are never silently
-// skipped. Replay holds the log's lock, so it cannot run concurrently
-// with appends; call it before serving traffic.
+// Replay invokes fn for every record with lsn ≥ from, in LSN order,
+// stopping at the first error fn returns. Segments whose records all lie
+// below from are not read: the next segment's name says where they end.
+// A bad frame in any segment it reads but the (already recovered) tail is
+// interior corruption and fails with ErrCorrupt — records are never
+// silently skipped. Replay holds the log's lock, so appends wait for it.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -485,7 +486,10 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 	if err != nil {
 		return err
 	}
-	for _, seg := range segs {
+	for i, seg := range segs {
+		if i+1 < len(segs) && segLSNOf(segs[i+1]) <= from {
+			continue
+		}
 		if err := l.replaySegment(seg, from, fn); err != nil {
 			return err
 		}

@@ -299,6 +299,52 @@ func TestReplayFailsLoudlyOnInteriorCorruption(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsSegmentsBelowFrom: a replay from an LSN opens only the
+// segments holding records at or above it — a sealed segment wholly
+// below from is never read, so corruption there does not fail it, while
+// a replay from 0 still reads every segment and fails with ErrCorrupt.
+func TestReplaySkipsSegmentsBelowFrom(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte{0x33}, 512)
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if len(segs) < 3 {
+		t.Fatalf("need ≥ 3 segments, got %d", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// From the second segment's first LSN on, and from inside it: the
+	// corrupt first segment lies wholly below either.
+	second := segLSNOf(segs[1])
+	for _, from := range []uint64{second, second + 1} {
+		if recs := collect(t, l, from); uint64(len(recs)) != 40-from || recs[0].lsn != from {
+			t.Fatalf("replay from %d: %d records from lsn %d, want %d from %d", from, len(recs), recs[0].lsn, 40-from, from)
+		}
+	}
+	if err := l.Replay(second-1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay from inside the corrupt segment: %v, want ErrCorrupt", err)
+	}
+	if err := l.Replay(0, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay from 0: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestTruncateFrontDropsSealedSegments(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 4096})

@@ -15,10 +15,18 @@ import (
 // second half must not run slower than the first (a log that never
 // trims or a joiner that never forgets fails the first check within
 // seconds; a watermark advance that scans its history fails the second).
+// The durable leg runs the same system over a DataDir and never
+// checkpoints: its brokers keep every share in their WALs, and their
+// memory must still follow the drain, not the journal.
 func TestSoakFlatHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
+	t.Run("in-memory", func(t *testing.T) { soakFlatHeap(t, "") })
+	t.Run("durable", func(t *testing.T) { soakFlatHeap(t, t.TempDir()) })
+}
+
+func soakFlatHeap(t *testing.T, dataDir string) {
 	const clients, epochs = 200, 3000
 	q, err := TaxiQuery("soak-analyst", 1, time.Second, 4*time.Second, time.Second)
 	if err != nil {
@@ -32,6 +40,7 @@ func TestSoakFlatHeap(t *testing.T) {
 		Populate: func(i int, db *DB) error {
 			return PopulateTaxi(db, rand.New(rand.NewSource(int64(i)+1)), 3, time.Unix(0, 0), time.Minute)
 		},
+		DataDir: dataDir,
 	})
 	if err != nil {
 		t.Fatal(err)
