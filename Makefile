@@ -160,17 +160,22 @@ bench-smoke:
 # split/join, the answer message, the columnar publish frame
 # (opPublishColumns, session tag included), the partition-WAL record
 # (0xF5 session tag included), the client side of the fetch response
-# (views into the frame), the control-plane query-set
-# announcement, the WAL record framing, the one checkpoint record
-# (consumer positions, system section, fired results, aggregator state)
-# — plus the SLO controller's checkpoint state and the minisql parser
-# (whatever parses must bind or be refused, and run, without panicking).
+# (runs viewed inside the frame, counts bounded by the request's max),
+# the control-plane query-set announcement, the WAL record framing, the
+# one checkpoint record (consumer positions, system section, fired
+# results, aggregator state) — plus the partition log's run layout
+# against a plain record model (puts of mixed strides and repeated
+# timestamps, records larger than a slab, runs straddling slabs, trims
+# inside a run), the SLO controller's checkpoint state and the minisql
+# parser (whatever parses must bind or be refused, and run, without
+# panicking).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
 	$(GO) test -run '^$$' -fuzz FuzzFrameV2RoundTrip -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzPartitionRecord -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzFetchResponse -fuzztime 10s ./internal/pubsub
+	$(GO) test -run '^$$' -fuzz FuzzPartitionLog -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRecord -fuzztime 10s ./internal/role

@@ -80,7 +80,7 @@ type Stats struct {
 type partitionLog struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// slabs hold the retained record frames, oldest first (slab.go); count
+	// slabs hold the retained records as runs, oldest first (slab.go); count
 	// is the log length — the next offset to be written — whatever trim
 	// has released; spare is one released buffer, the next tail.
 	slabs []slab
@@ -565,18 +565,14 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
 	var out []Record
 	err := b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
-		p.each(offset, end, func(_ int64, frame []byte) { size += len(frame) - recordHeaderLen })
+		p.each(offset, end, func(r run) { size += len(r.body) })
 		out = make([]Record, 0, end-offset)
 		buf := make([]byte, 0, size)
-		p.each(offset, end, func(off int64, frame []byte) {
-			ts, key, value := splitFrame(frame)
-			at, mid := len(buf), len(buf)+len(key)
-			buf = append(append(buf, key...), value...)
-			rec := Record{Topic: topic, Partition: partition, Offset: off, Timestamp: ts, Value: buf[mid:len(buf):len(buf)]}
-			if key != nil {
-				rec.Key = buf[at:mid:mid]
-			}
-			out = append(out, rec)
+		p.each(offset, end, func(r run) {
+			at := len(buf)
+			buf = append(buf, r.body...)
+			r.body = buf[at:]
+			out = appendRun(out, topic, partition, r)
 		})
 		return size
 	})

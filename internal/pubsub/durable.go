@@ -154,9 +154,10 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 			// records replay in append order, so the last tag seen for a
 			// producer is its newest applied sequence.
 			p.recordSlice(pid, seq)
-			// key and value are views of the WAL's read buffer; put
-			// re-frames them (the same bytes, minus the session tag) into
-			// the slab, exactly as on the publish path.
+			// key and value are views of the WAL's read buffer; put copies
+			// them into the slab exactly as on the publish path, so the
+			// records of one batch — journaled one per offset under one
+			// timestamp — coalesce into the runs the publish made.
 			p.put(ts, key, value)
 			return nil
 		})
@@ -175,7 +176,8 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 var errReloaded = errors.New("pubsub: reload reached the retained log")
 
 // reload reads records [from, p.first()) back from the partition's WAL
-// into fresh slabs ahead of the retained ones, so a durable partition
+// into fresh slabs ahead of the retained ones — put re-coalesces them
+// into the runs their publishes made — so a durable partition
 // serves reads below its memory floor; the next commit past them
 // releases them again. A WAL that does not hold every one of those
 // records changes nothing, and the caller's range check reports the
@@ -252,6 +254,10 @@ func (d *durability) close() {
 	d.meta.Close()
 }
 
+// recordHeaderLen is the fixed head of a partition-WAL record: u64
+// unix-nanos | u32 key length.
+const recordHeaderLen = 12
+
 // appendPartitionRecord frames one published record for the partition
 // WAL: u64 timestamp | u32 key length | key | value (the value's length
 // is the frame remainder).
@@ -303,17 +309,23 @@ func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid
 	if len(payload) < recordHeaderLen {
 		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: %d-byte partition record", ErrDurable, len(payload))
 	}
-	if klen := binary.BigEndian.Uint32(payload[8:recordHeaderLen]); uint32(len(payload)-recordHeaderLen) < klen {
+	klen := binary.BigEndian.Uint32(payload[8:recordHeaderLen])
+	if uint32(len(payload)-recordHeaderLen) < klen {
 		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: key length %d beyond record", ErrDurable, klen)
 	}
-	ts, key, value = splitFrame(payload)
-	return ts, key, value, pid, seq, nil
+	if klen > 0 {
+		key = payload[recordHeaderLen : recordHeaderLen+klen]
+	}
+	ts = time.Unix(0, int64(binary.BigEndian.Uint64(payload)))
+	return ts, key, payload[recordHeaderLen+klen:], pid, seq, nil
 }
 
 // journalColumns frames and appends one partition's slice of a columnar
-// batch as a single WAL batch (one write, one policy fsync), each record
-// framed exactly as Publish frames it — replay cannot tell which publish
-// form wrote a record. The caller holds the partition lock.
+// batch as a single WAL batch (one write, one policy fsync), one journal
+// record per offset framed exactly as Publish frames it — replay cannot
+// tell which publish form wrote a record, and the shared timestamp is
+// what re-coalesces the slice into one run. The caller holds the
+// partition lock.
 func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pid, seq uint64) error {
 	per := recordHeaderLen + cols.KeyLen + cols.ValLen
 	if pid != 0 {

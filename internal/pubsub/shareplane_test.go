@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"privapprox/internal/wal"
@@ -109,7 +111,7 @@ func TestLogReadsTheSameThreeWays(t *testing.T) {
 		}
 		published++
 	}
-	cols := testCols(6*slabSize/40, 16, 22) // about three slabs per partition
+	cols := testCols(10*slabSize/38, 16, 22) // over three slabs per partition
 	if err := b.PublishColumns(topic, head(cols, 7), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -169,58 +171,98 @@ func inside(view, frame []byte) bool {
 	return at >= lo && at+uintptr(cap(view)) <= lo+uintptr(len(frame))
 }
 
-// FuzzFetchResponse drives the client-side fetch decoder with arbitrary
-// response bodies: it must never panic, never size its result by the
-// peer's claimed count alone, and every key and value it hands out must
-// be a cap-limited view inside the frame it was given.
-func FuzzFetchResponse(f *testing.F) {
-	b := NewBroker()
-	if err := b.CreateTopic("t", 1); err != nil {
-		f.Fatal(err)
-	}
-	b.Publish("t", []byte("key"), []byte("value"))
-	b.Publish("t", nil, []byte("keyless"))
-	var e enc
-	if err := b.encodeFetch(&e, "t", 0, 0, 10); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(e.buf[1:])
-	f.Add(e.buf[1 : len(e.buf)-3])
-	f.Add([]byte{})
-	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31)) // a count with nothing behind it
+// appendFetchRun appends one run of an opFetch response body.
+func appendFetchRun(body []byte, off, ts uint64, keyLen, valLen, count uint32, records []byte) []byte {
+	body = binary.BigEndian.AppendUint64(body, off)
+	body = binary.BigEndian.AppendUint64(body, ts)
+	body = binary.BigEndian.AppendUint32(body, keyLen)
+	body = binary.BigEndian.AppendUint32(body, valLen)
+	body = binary.BigEndian.AppendUint32(body, count)
+	return append(body, records...)
+}
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		recs, err := decodeFetch(&dec{buf: body}, "t")
+// FuzzFetchResponse drives the client-side fetch decoder, asked for at
+// most max records from offset 0 of partition 0, with arbitrary response
+// bodies: it must never panic, must hand out at most max records with
+// consecutive offsets from 0, sized exactly (never by a claimed count),
+// whose key and value bytes the body holds; and every key and value must
+// be a cap-limited view inside the frame it was given, a key never
+// empty but nil.
+func FuzzFetchResponse(f *testing.F) {
+	var e enc
+	if err := goldenFetchBroker(f).encodeFetch(&e, "t", 0, 0, 10); err != nil {
+		f.Fatal(err)
+	}
+	runs := func(rs ...[]byte) []byte {
+		body := binary.BigEndian.AppendUint32(nil, uint32(len(rs)))
+		for _, r := range rs {
+			body = append(body, r...)
+		}
+		return body
+	}
+	f.Add(e.buf[1:], uint16(10))
+	f.Add(e.buf[1:len(e.buf)-3], uint16(10))
+	f.Add([]byte{}, uint16(10))
+	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31), uint16(10)) // a run count with nothing behind it
+	f.Add(e.buf[1:], uint16(4))                                  // one record more than asked for
+	f.Add(runs(appendFetchRun(nil, 0, 1, 0, 0, 1<<31, nil)), uint16(10))
+	f.Add(runs(appendFetchRun(nil, 0, 1, 0, 0, 7, nil)), uint16(10)) // zero stride within max
+	f.Add(runs(appendFetchRun(nil, 0, 1, ^uint32(0), ^uint32(0), ^uint32(0), []byte("kv"))), uint16(10))
+	f.Add(runs(appendFetchRun(nil, 0, 1, 1, 1, 1, []byte("kv")), appendFetchRun(nil, 2, 1, 1, 1, 1, []byte("kv"))), uint16(10))
+
+	f.Fuzz(func(t *testing.T, body []byte, max uint16) {
+		recs, err := decodeFetch(&dec{buf: body}, "t", 0, 0, uint32(max))
 		if err != nil {
 			if !errors.Is(err, ErrWire) {
 				t.Fatalf("decode error %v does not wrap ErrWire", err)
 			}
 			return
 		}
-		if len(recs)*fetchRecordMin > len(body) {
-			t.Fatalf("%d records out of a %d-byte body", len(recs), len(body))
+		if len(recs) > int(max) || cap(recs) != len(recs) {
+			t.Fatalf("%d records (capacity %d) for at most %d", len(recs), cap(recs), max)
 		}
-		for _, r := range recs {
+		size := 4
+		for i, r := range recs {
+			if r.Offset != int64(i) || r.Partition != 0 || r.Topic != "t" {
+				t.Fatalf("record %d reads as %s/%d@%d", i, r.Topic, r.Partition, r.Offset)
+			}
+			if r.Key != nil && len(r.Key) == 0 {
+				t.Fatalf("record %d has an empty, non-nil key", i)
+			}
 			for _, view := range [][]byte{r.Key, r.Value} {
 				if !inside(view, body) || cap(view) != len(view) {
 					t.Fatalf("view %p len %d cap %d escapes the %d-byte frame", view, len(view), cap(view), len(body))
 				}
 			}
+			size += len(r.Key) + len(r.Value)
+		}
+		if len(recs) > 0 {
+			size += fetchRunHeaderLen
+		}
+		if size > len(body) {
+			t.Fatalf("%d records of %d bytes out of a %d-byte body", len(recs), size, len(body))
 		}
 	})
 }
 
 // TestReadersFollowARollingLog: publishers roll a one-partition log
 // over several slabs while an in-process and a TCP reader follow it.
-// Every reader must see every offset exactly once, in order, each
-// record intact — run under the race detector, this is what checks
-// that a fetch never reads a frame or an index entry mid-write.
+// Besides single-record publishers, one publisher sends columnar
+// batches, whose runs straddle slabs and which the readers' fetches end
+// inside, and one appends single records under the one timestamp a
+// coarse clock would give them all, so that its run grows while the
+// readers fetch inside it. Every reader must see every offset exactly
+// once, in order, each record intact — run under the race detector, this
+// is what checks that a fetch never reads a run header, a directory
+// entry or a record mid-write.
 func TestReadersFollowARollingLog(t *testing.T) {
-	const publishers, each = 4, 3000
+	const publishers, each, batch = 4, 3000, 250
+	const total = (publishers + 2) * each
 	b, _, cli := startServer(t)
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
+	p := b.topics["t"].partitions[0]
 	var wg sync.WaitGroup
 	for w := 0; w < publishers; w++ {
 		wg.Add(1)
@@ -235,11 +277,38 @@ func TestReadersFollowARollingLog(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < each; i += batch {
+			cols := Columns{Count: batch, KeyLen: 7, ValLen: 56}
+			for j := i; j < i+batch; j++ {
+				key := fmt.Sprintf("c/%05d", j)
+				cols.Keys = append(cols.Keys, key...)
+				cols.Vals = append(cols.Vals, strings.Repeat(key, 8)...)
+			}
+			if err := b.PublishColumns("t", cols, 0, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	ts := time.Now()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < each; i++ {
+			key := []byte(fmt.Sprintf("r/%05d", i))
+			p.mu.Lock()
+			p.put(ts, key, bytes.Repeat(key, 8))
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
+	}()
 	for name, fetch := range map[string]fetcher{"inproc": b.Fetch, "tcp": cli.fetchNow} {
 		wg.Add(1)
 		go func(name string, fetch fetcher) {
 			defer wg.Done()
-			for next := int64(0); next < publishers*each; {
+			for next := int64(0); next < total; {
 				recs, err := fetch("t", 0, next, 500)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
@@ -256,7 +325,16 @@ func TestReadersFollowARollingLog(t *testing.T) {
 		}(name, fetch)
 	}
 	wg.Wait()
-	if n := len(b.topics["t"].partitions[0].slabs); n < 3 {
+	if n := len(p.slabs); n < 3 {
 		t.Fatalf("the log spans %d slabs; the test needs it to roll over", n)
+	}
+	grown := 0
+	p.each(0, total, func(r run) {
+		if r.ts == ts.UnixNano() && r.n > 1 {
+			grown++
+		}
+	})
+	if grown == 0 {
+		t.Fatal("no run of the repeated timestamp holds two records: the test needs one to grow")
 	}
 }

@@ -13,51 +13,92 @@ import (
 // for an empty slab gets one of its own, sized exactly.
 const slabSize = 256 << 10
 
-// recordHeaderLen is the fixed head of a record frame: u64 unix-nanos |
-// u32 key length. Key and value follow; the value's length is the frame
-// remainder.
-const recordHeaderLen = 12
+// runHeaderLen is the head of a run: u64 unix-nanos | u32 keyLen | u32
+// valLen. The run's records follow, each its key then its value, at the
+// fixed stride keyLen+valLen.
+const runHeaderLen = 16
 
-// slab is one fixed-size, pointer-free block of a partition log. Record
-// frames — the untagged partition-WAL framing, so a journaled, a
-// replayed and a stored record are the same bytes — fill it from the
-// front, and each frame's end position is written as a u32 from the
-// back. Neither is ever re-grown or copied: the log pays no append
-// slack, and the collector has nothing to mark inside it.
+// runEntryLen is one run's entry in its slab's directory: u32 start
+// position | u32 slab index of the run's first record.
+const runEntryLen = 8
+
+// slab is one fixed-size, pointer-free block of a partition log. Runs —
+// consecutive records of one timestamp, key length and value length, as
+// a columnar publish delivers them — fill it from the front, each one
+// header and then its records' bytes, and each run's directory entry is
+// written from the back. Neither is ever re-grown or copied: the log
+// pays no append slack, and the collector has nothing to mark inside it.
 type slab struct {
 	base int64 // log offset of the slab's first record
 	n    int   // records held
-	used int   // frame bytes written from the front
+	runs int   // runs held
+	used int   // run bytes written from the front
 	buf  []byte
 }
 
-// end returns the end position of the slab's i-th frame.
-func (s *slab) end(i int) int {
-	return int(binary.BigEndian.Uint32(s.buf[len(s.buf)-4*(i+1):]))
+// entry returns run i's start position and the slab index of its first
+// record.
+func (s *slab) entry(i int) (start, first int) {
+	e := s.buf[len(s.buf)-runEntryLen*(i+1):]
+	return int(binary.BigEndian.Uint32(e)), int(binary.BigEndian.Uint32(e[4:]))
 }
 
-// put appends one record: its frame (appendPartitionRecord's — the one
-// copy a publish or a replay makes of key and value) at the front of the
-// tail slab and its end position at the back, opening a new slab when
-// the tail has no room — the buffer trim set aside if there is one, else
-// the only allocation a publish makes. Caller holds p.mu.
-func (p *partitionLog) put(ts time.Time, key, value []byte) {
-	size := recordHeaderLen + len(key) + len(value)
-	n := len(p.slabs)
-	if n == 0 || p.slabs[n-1].used+size+4*(p.slabs[n-1].n+1) > len(p.slabs[n-1].buf) {
-		buf := p.spare
-		p.spare = nil
-		if len(buf) < size+4 {
-			buf = make([]byte, max(slabSize, size+4))
-		}
-		p.slabs = append(p.slabs, slab{base: p.count, buf: buf})
-		n++
+// free returns the bytes between the front and the directory.
+func (s *slab) free() int { return len(s.buf) - s.used - runEntryLen*s.runs }
+
+// extends reports whether a record of this timestamp and these lengths
+// belongs to the slab's last run.
+func (s *slab) extends(nanos int64, keyLen, valLen int) bool {
+	if s.runs == 0 {
+		return false
 	}
-	s := &p.slabs[n-1]
-	appendPartitionRecord(s.buf[s.used:s.used:s.used+size], ts, key, value)
-	s.used += size
+	start, _ := s.entry(s.runs - 1)
+	h := s.buf[start:]
+	return int64(binary.BigEndian.Uint64(h)) == nanos &&
+		int(binary.BigEndian.Uint32(h[8:])) == keyLen && int(binary.BigEndian.Uint32(h[12:])) == valLen
+}
+
+// open starts a run at the front and enters it in the directory. Caller
+// has checked free() for its header, entry and first record.
+func (s *slab) open(nanos int64, keyLen, valLen int) {
+	h := s.buf[s.used:]
+	binary.BigEndian.PutUint64(h, uint64(nanos))
+	binary.BigEndian.PutUint32(h[8:], uint32(keyLen))
+	binary.BigEndian.PutUint32(h[12:], uint32(valLen))
+	s.runs++
+	e := s.buf[len(s.buf)-runEntryLen*s.runs:]
+	binary.BigEndian.PutUint32(e, uint32(s.used))
+	binary.BigEndian.PutUint32(e[4:], uint32(s.n))
+	s.used += runHeaderLen
+}
+
+// put appends one record: its key and value — the one copy a publish or
+// a replay makes of them — join the tail slab's last run when the
+// timestamp, key length and value length match it and the slab has
+// room, and otherwise open a new run, in a new slab when the tail has no
+// room for one — the buffer trim set aside if there is one, else the
+// only allocation a publish makes. Caller holds p.mu.
+func (p *partitionLog) put(ts time.Time, key, value []byte) {
+	nanos, stride := ts.UnixNano(), len(key)+len(value)
+	var s *slab
+	if n := len(p.slabs); n > 0 {
+		s = &p.slabs[n-1]
+	}
+	if s == nil || !s.extends(nanos, len(key), len(value)) || s.free() < stride {
+		if need := runHeaderLen + runEntryLen + stride; s == nil || s.free() < need {
+			buf := p.spare
+			p.spare = nil
+			if len(buf) < need {
+				buf = make([]byte, max(slabSize, need))
+			}
+			p.slabs = append(p.slabs, slab{base: p.count, buf: buf})
+			s = &p.slabs[len(p.slabs)-1]
+		}
+		s.open(nanos, len(key), len(value))
+	}
+	s.used += copy(s.buf[s.used:], key)
+	s.used += copy(s.buf[s.used:], value)
 	s.n++
-	binary.BigEndian.PutUint32(s.buf[len(s.buf)-4*s.n:], uint32(s.used))
 	p.count++
 }
 
@@ -85,10 +126,22 @@ func (p *partitionLog) trim(floor int64) {
 	p.slabs = slices.Delete(p.slabs, 0, i)
 }
 
-// each visits the frames of records [from, to) in offset order. The
-// frames alias the log: fn must not retain or mutate them. Caller holds
-// p.mu and has checked p.first() <= from <= to <= p.count.
-func (p *partitionLog) each(from, to int64, fn func(offset int64, frame []byte)) {
+// run is n consecutive records of one timestamp, key length and value
+// length: body holds their key‖value bytes at the fixed stride
+// keyLen+valLen.
+type run struct {
+	off            int64 // offset of the first record
+	n              int
+	ts             int64 // unix-nanos
+	keyLen, valLen int
+	body           []byte
+}
+
+// each visits records [from, to) in offset order as runs: one call per
+// run, or the part of one the span covers, in each slab. A body aliases
+// the log: fn must not retain or mutate it. Caller holds p.mu and has
+// checked p.first() <= from <= to <= p.count.
+func (p *partitionLog) each(from, to int64, fn func(r run)) {
 	if from >= to {
 		return
 	}
@@ -96,26 +149,45 @@ func (p *partitionLog) each(from, to int64, fn func(offset int64, frame []byte))
 	for off := from; off < to; si++ {
 		s := &p.slabs[si]
 		i := int(off - s.base)
-		start := 0
-		if i > 0 {
-			start = s.end(i - 1)
-		}
-		for ; i < s.n && off < to; i, off = i+1, off+1 {
-			end := s.end(i)
-			fn(off, s.buf[start:end:end])
-			start = end
+		ri := sort.Search(s.runs, func(r int) bool { _, first := s.entry(r); return first > i }) - 1
+		for ; ri < s.runs && off < to; ri++ {
+			start, first := s.entry(ri)
+			end := s.n
+			if ri+1 < s.runs {
+				_, end = s.entry(ri + 1)
+			}
+			h := s.buf[start:]
+			r := run{
+				off:    off,
+				n:      int(min(int64(end-i), to-off)),
+				ts:     int64(binary.BigEndian.Uint64(h)),
+				keyLen: int(binary.BigEndian.Uint32(h[8:])),
+				valLen: int(binary.BigEndian.Uint32(h[12:])),
+			}
+			stride := r.keyLen + r.valLen
+			at := start + runHeaderLen + (i-first)*stride
+			r.body = s.buf[at : at+r.n*stride : at+r.n*stride]
+			fn(r)
+			off += int64(r.n)
+			i += r.n
 		}
 	}
 }
 
-// splitFrame is appendPartitionRecord's inverse over a well-formed
-// frame (one the log holds): the timestamp and views of the key — nil
-// when the record has none — and the value.
-func splitFrame(frame []byte) (ts time.Time, key, value []byte) {
-	ts = time.Unix(0, int64(binary.BigEndian.Uint64(frame)))
-	klen := int(binary.BigEndian.Uint32(frame[8:recordHeaderLen]))
-	if klen > 0 {
-		key = frame[recordHeaderLen : recordHeaderLen+klen]
+// appendRun appends r's records to out as Records whose keys and values
+// are cap-limited views of r.body — a record without a key (key length
+// 0) reads back with a nil one.
+func appendRun(out []Record, topic string, partition int, r run) []Record {
+	ts := time.Unix(0, r.ts)
+	stride := r.keyLen + r.valLen
+	for i := 0; i < r.n; i++ {
+		at := i * stride
+		mid, end := at+r.keyLen, at+stride
+		rec := Record{Topic: topic, Partition: partition, Offset: r.off + int64(i), Timestamp: ts, Value: r.body[mid:end:end]}
+		if r.keyLen > 0 {
+			rec.Key = r.body[at:mid:mid]
+		}
+		out = append(out, rec)
 	}
-	return ts, key, frame[recordHeaderLen+klen:]
+	return out
 }

@@ -348,25 +348,31 @@ func (s *Server) awaitRecord(topic string, part int, off int64, wait time.Durati
 	}
 }
 
+// fetchRunHeaderLen is the head of a run in an opFetch response: u64
+// first offset | u64 unix-nanos | u32 keyLen | u32 valLen | u32 count.
+const fetchRunHeaderLen = 28
+
 // encodeFetch appends the opFetch response for what Fetch would return
-// — status | u32 count, then per record u32 partition | u64 offset |
-// u64 unix-nanos | key | value — straight from the slabs under the
-// partition lock.
+// — status | u32 runs, then per run its header (fetchRunHeaderLen) and
+// count × (key‖value) — straight from the slabs under the partition
+// lock, each run's records in one copy.
 func (b *Broker) encodeFetch(e *enc, topic string, partition int, offset int64, max int) error {
 	e.byte(0)
-	count := len(e.buf)
+	at := len(e.buf)
 	e.uint32(0)
 	return b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
-		binary.BigEndian.PutUint32(e.buf[count:], uint32(end-offset))
-		p.each(offset, end, func(off int64, frame []byte) {
-			_, key, value := splitFrame(frame)
-			e.uint32(uint32(partition))
-			e.uint64(uint64(off))
-			e.buf = append(e.buf, frame[:8]...) // the stored unix-nanos are the wire's
-			e.bytes(key)
-			e.bytes(value)
-			size += len(key) + len(value)
+		runs := 0
+		p.each(offset, end, func(r run) {
+			e.uint64(uint64(r.off))
+			e.uint64(uint64(r.ts))
+			e.uint32(uint32(r.keyLen))
+			e.uint32(uint32(r.valLen))
+			e.uint32(uint32(r.n))
+			e.buf = append(e.buf, r.body...)
+			size += len(r.body)
+			runs++
 		})
+		binary.BigEndian.PutUint32(e.buf[at:], uint32(runs))
 		return size
 	})
 }
@@ -929,58 +935,65 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 	if err != nil {
 		return nil, err
 	}
-	return decodeFetch(d, topic)
+	return decodeFetch(d, topic, partition, offset, uint32(max))
 }
 
-// fetchRecordMin is the least one record takes in a fetch response.
-const fetchRecordMin = 4 + 8 + 8 + 4 + 4
-
 // decodeFetch reads the body of an opFetch response (after the status
-// byte) into records that alias d's frame.
-func decodeFetch(d *dec, topic string) ([]Record, error) {
-	n, err := d.uint32()
+// byte) for a request at (partition, offset) for at most max records
+// into records that alias d's frame. Every claim the peer makes is
+// checked before the one allocation: the runs must start at offset and
+// follow each other without a gap, fit the frame, and hold no more than
+// max records between them — a zero-stride run (keyless, empty values)
+// takes no body bytes, so the frame alone cannot bound the count.
+func decodeFetch(d *dec, topic string, partition int, offset int64, max uint32) ([]Record, error) {
+	runs, err := d.uint32()
 	if err != nil {
 		return nil, err
 	}
-	// The count is the peer's claim; the frame length is the real bound.
-	if uint64(n) > uint64(len(d.buf)/fetchRecordMin) {
-		return nil, fmt.Errorf("%w: %d records in a %d-byte fetch response", ErrWire, n, len(d.buf))
+	var total uint64
+	next, rest := offset, d.buf
+	for range runs {
+		var r run
+		if r, rest, err = nextFetchRun(rest); err != nil {
+			return nil, err
+		}
+		if r.off != next {
+			return nil, fmt.Errorf("%w: fetch run at offset %d, want %d", ErrWire, r.off, next)
+		}
+		if total += uint64(r.n); total > uint64(max) {
+			return nil, fmt.Errorf("%w: %d+ records in a fetch response for %d", ErrWire, total, max)
+		}
+		next += int64(r.n)
 	}
-	out := make([]Record, 0, n)
-	for i := uint32(0); i < n; i++ {
-		part, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		off, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		ts, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		key, err := d.view()
-		if err != nil {
-			return nil, err
-		}
-		if len(key) == 0 {
-			key = nil // as the broker hands it out: no key, not an empty one
-		}
-		val, err := d.view()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Record{
-			Topic:     topic,
-			Partition: int(part),
-			Offset:    int64(off),
-			Timestamp: time.Unix(0, int64(ts)),
-			Key:       key,
-			Value:     val,
-		})
+	out := make([]Record, 0, total)
+	for range runs {
+		var r run
+		r, d.buf, _ = nextFetchRun(d.buf) // checked above
+		out = appendRun(out, topic, partition, r)
 	}
 	return out, nil
+}
+
+// nextFetchRun reads one run of a fetch response off the front of buf:
+// its header, and a view of its records that the header's count and
+// strides must fit inside buf.
+func nextFetchRun(buf []byte) (r run, rest []byte, err error) {
+	if len(buf) < fetchRunHeaderLen {
+		return run{}, nil, fmt.Errorf("%w: short frame", ErrWire)
+	}
+	r.off = int64(binary.BigEndian.Uint64(buf))
+	r.ts = int64(binary.BigEndian.Uint64(buf[8:]))
+	keyLen, valLen := binary.BigEndian.Uint32(buf[16:]), binary.BigEndian.Uint32(buf[20:])
+	n := binary.BigEndian.Uint32(buf[24:])
+	buf = buf[fetchRunHeaderLen:]
+	// Divide rather than multiply: count × stride may overflow.
+	if stride := uint64(keyLen) + uint64(valLen); stride != 0 && uint64(n) > uint64(len(buf))/stride {
+		return run{}, nil, fmt.Errorf("%w: %d records of %d bytes in %d bytes of fetch response", ErrWire, n, stride, len(buf))
+	}
+	r.n, r.keyLen, r.valLen = int(n), int(keyLen), int(valLen)
+	size := r.n * (r.keyLen + r.valLen)
+	r.body = buf[:size:size]
+	return r, buf[size:], nil
 }
 
 // FetchWait aliases Fetch to satisfy the Transport interface.

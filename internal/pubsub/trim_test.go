@@ -224,7 +224,8 @@ func wideCols(tag byte, n int) Columns {
 // meta journal restored (to the slab the floor lands in: replay packs
 // the records differently from the first life, which had released and
 // reused its slabs). A fetch below that memory floor reads the records
-// back from the WAL, keys and values as published, until a commit
+// back from the WAL, keys and values as published and in slabs
+// byte-identical to the ones the publishes filled, until a commit
 // releases them again; and the session-dedup slots, rebuilt from every
 // replayed record, still reject a replay of a batch whose records are
 // long released.
@@ -242,6 +243,7 @@ func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	published := slabImages(b.topics["t"].partitions[0])
 	if err := b.CommitOffset("agg", "t", 0, 600); err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +273,20 @@ func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
 	recs, err := b2.Fetch("t", 0, 0, 1000)
 	if err != nil || len(recs) != 602 {
 		t.Fatalf("fetch below the memory floor: %d records, %v; want the whole log from the WAL", len(recs), err)
+	}
+	// The reload re-coalesced the journal's one record per offset into the
+	// runs the publishes made, byte for byte — a run straddling two slabs
+	// included.
+	reloaded := slabImages(b2.topics["t"].partitions[0])
+	n := 0
+	for n < len(reloaded) && n < len(published) && reloaded[n].base < first {
+		if reloaded[n].image != published[n].image {
+			t.Fatalf("reloaded slab %d\n got %.200s\nwant %.200s", n, reloaded[n].image, published[n].image)
+		}
+		n++
+	}
+	if n < 2 || n == len(reloaded) || reloaded[n].base != first {
+		t.Fatalf("the reload rebuilt %d slabs like the publishes', want two or more up to the memory floor %d", n, first)
 	}
 	for i, rec := range recs[:600] {
 		tag := byte('a' + 1 + i/200)

@@ -141,6 +141,81 @@ func TestGoldenPartitionRecords(t *testing.T) {
 	}
 }
 
+// goldenFetchBroker returns a broker whose one-partition topic "t" holds
+// a three-record columnar batch, a keyed Publish and a keyless Publish:
+// three runs.
+func goldenFetchBroker(tb testing.TB) *Broker {
+	tb.Helper()
+	b := NewBroker()
+	if err := b.CreateTopic("t", 1); err != nil {
+		tb.Fatal(err)
+	}
+	cols := Columns{Count: 3, KeyLen: 4, ValLen: 3, Keys: []byte("k000k001k002"), Vals: []byte("v00v01v02")}
+	if err := b.PublishColumns("t", cols, 0, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := b.Publish("t", []byte("key"), []byte("value")); err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := b.Publish("t", nil, []byte("keyless")); err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// goldenFetch is the opFetch response to goldenFetchBroker's partition
+// from offset 0: status | 3 runs, each u64 first offset | u64 unix-nanos
+// | u32 keyLen | u32 valLen | u32 count | count × (key‖value).
+const goldenFetch = "00" + "00000003" +
+	"0000000000000000" + "0123456789abcdef" + "00000004" + "00000003" + "00000003" + "6b303030763030" + "6b303031763031" + "6b303032763032" +
+	"0000000000000003" + "0123456789abcdef" + "00000003" + "00000005" + "00000001" + "6b6579" + "76616c7565" +
+	"0000000000000004" + "0123456789abcdef" + "00000000" + "00000007" + "00000001" + "6b65796c657373"
+
+// TestGoldenFetchResponse: the exact bytes a server answers a fetch of a
+// partition holding a columnar batch, a keyed and a keyless record (each
+// run's clock-drawn timestamp overwritten with a fixed one), and the
+// client's decode of them: the records Broker.Fetch returns.
+func TestGoldenFetchResponse(t *testing.T) {
+	b := goldenFetchBroker(t)
+	var req enc
+	req.byte(opFetch)
+	req.str("t")
+	req.uint32(0)
+	req.uint64(0)
+	req.uint32(10)
+	req.uint32(0)
+	got := (&Server{broker: b}).handle(req.buf)
+	want := unhex(t, goldenFetch)
+	if len(got) != len(want) {
+		t.Fatalf("response is %d bytes, want %d: %x", len(got), len(want), got)
+	}
+	for _, at := range []int{13, 62, 98} {
+		copy(got[at:at+8], want[at:at+8])
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fetch response\n got %x\nwant %s", got, goldenFetch)
+	}
+
+	recs, err := decodeFetch(&dec{buf: unhex(t, goldenFetch)[1:]}, "t", 0, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched, err := b.Fetch("t", 0, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(fetched) {
+		t.Fatalf("decoded %d records, the broker holds %d", len(recs), len(fetched))
+	}
+	for i, r := range recs {
+		f := fetched[i]
+		if r.Topic != f.Topic || r.Partition != f.Partition || r.Offset != f.Offset || !r.Timestamp.Equal(goldenTS) ||
+			(r.Key == nil) != (f.Key == nil) || !bytes.Equal(r.Key, f.Key) || !bytes.Equal(r.Value, f.Value) {
+			t.Errorf("record %d decodes as %+v, the broker holds %+v", i, r, f)
+		}
+	}
+}
+
 // FuzzPartitionRecord drives the partition-WAL record decoder — the
 // bytes a restarting broker reads back from disk, session tag included —
 // with arbitrary payloads: it must never panic, must never yield a
