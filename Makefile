@@ -166,9 +166,12 @@ bench-smoke:
 # results, aggregator state) — plus the partition log's run layout
 # against a plain record model (puts of mixed strides and repeated
 # timestamps, records larger than a slab, runs straddling slabs, trims
-# inside a run), the SLO controller's checkpoint state and the minisql
+# inside a run), the SLO controller's checkpoint state, the minisql
 # parser (whatever parses must bind or be refused, and run, without
-# panicking).
+# panicking) and the minisql column store against a plain [][]Value
+# model (inserts of NULL, number — -0, NaN and ±Inf among them —, text
+# and bool cells, a numeric column turning mixed, deletes that empty the
+# table, read back through SELECT * and a scan with a WHERE).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
@@ -181,6 +184,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRecord -fuzztime 10s ./internal/role
 	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql
+	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/minisql
 
 # The two size numbers ROADMAP tracks: non-test Go lines per package
 # (the root module only; bench/ is its own module) and the exported

@@ -81,7 +81,11 @@ func (f *fold) row(row []minisql.Value) {
 	f.rows++
 	switch f.kind {
 	case Last:
-		f.last = row[0]
+		// Field by field: the scan has just assembled row[0] from its
+		// table's columns with narrow stores, and a whole-Value copy's
+		// wide loads would stall on them, row after row.
+		v := &row[0]
+		f.last.Kind, f.last.Num, f.last.Str, f.last.B = v.Kind, v.Num, v.Str, v.B
 	case Sum, Mean:
 		if x, err := row[0].AsNumber(); err == nil {
 			f.total += x
@@ -286,14 +290,15 @@ func subSeed(seed int64, qidWire, gen uint64) int64 {
 // result through SubscribeVerified instead.
 func (c *Client) Subscribe(signed *query.Signed, params budget.Params) error {
 	q := signed.Query
+	var sel *minisql.SelectStmt // parsed by buildSubscription when not verified
 	if c.analyst != nil {
 		v, err := query.Verify(signed, c.analyst)
 		if err != nil {
 			return err
 		}
-		q = v.Query()
+		q, sel = v.Query(), v.Statement()
 	}
-	sub, err := c.buildSubscription(q, params)
+	sub, err := c.buildSubscription(q, sel, params)
 	if err != nil {
 		return err
 	}
@@ -307,9 +312,10 @@ func (c *Client) Subscribe(signed *query.Signed, params budget.Params) error {
 // SubscribeVerified activates one already verified query alongside any
 // others active (upserting by wire QID: re-subscribing an active query
 // swaps its parameters in place and redraws its coin stream). The zero
-// Verified is refused.
+// Verified is refused. The subscription's plan runs the Verified's
+// statement, which it shares with every other holder of v.
 func (c *Client) SubscribeVerified(v query.Verified, params budget.Params) error {
-	sub, err := c.buildSubscription(v.Query(), params)
+	sub, err := c.buildSubscription(v.Query(), v.Statement(), params)
 	if err != nil {
 		return err
 	}
@@ -345,8 +351,8 @@ func (c *Client) UnsubscribeQuery(id query.ID) bool {
 
 // buildSubscription validates and assembles one subscription to a
 // trusted query, drawing the next generation's deterministic randomness
-// for it.
-func (c *Client) buildSubscription(q *query.Query, params budget.Params) (*subscription, error) {
+// for it. sel is q's parsed SQL; nil parses it here.
+func (c *Client) buildSubscription(q *query.Query, sel *minisql.SelectStmt, params budget.Params) (*subscription, error) {
 	if q == nil {
 		return nil, fmt.Errorf("%w: no verified query", query.ErrInvalidQuery)
 	}
@@ -356,13 +362,15 @@ func (c *Client) buildSubscription(q *query.Query, params budget.Params) (*subsc
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	stmt, err := minisql.Parse(q.SQL)
-	if err != nil {
-		return nil, fmt.Errorf("client: query SQL: %w", err)
-	}
-	sel, ok := stmt.(*minisql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("client: query must be a SELECT")
+	if sel == nil {
+		stmt, err := minisql.Parse(q.SQL)
+		if err != nil {
+			return nil, fmt.Errorf("client: query SQL: %w", err)
+		}
+		var ok bool
+		if sel, ok = stmt.(*minisql.SelectStmt); !ok {
+			return nil, fmt.Errorf("client: query must be a SELECT")
+		}
 	}
 	wire := q.QID.Uint64()
 	decider, err := sampling.NewHashDecider(params.S, wire)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"privapprox/internal/budget"
-	"privapprox/internal/minisql"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 )
@@ -103,9 +102,9 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 	}
 
 	// Verify and validate every entry before touching any client: a
-	// snapshot either applies wholly or not at all (the SQL is parsed
-	// here too, so a mid-apply subscription failure cannot leave the
-	// clients half-reconciled).
+	// snapshot either applies wholly or not at all (Verify parses the SQL
+	// too, so a mid-apply subscription failure cannot leave the clients
+	// half-reconciled).
 	verified := make([]query.Verified, len(qs.Entries))
 	for i := range qs.Entries {
 		e := &qs.Entries[i]
@@ -133,13 +132,6 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 		}
 		if err := e.Params.Validate(); err != nil {
 			return err
-		}
-		stmt, err := minisql.Parse(q.SQL)
-		if err != nil {
-			return fmt.Errorf("query %s SQL: %w", q.QID, err)
-		}
-		if _, ok := stmt.(*minisql.SelectStmt); !ok {
-			return fmt.Errorf("query %s: not a SELECT", q.QID)
 		}
 		verified[i] = v
 	}

@@ -21,10 +21,28 @@ type DB struct {
 	tables map[string]*table
 }
 
+// table stores its cells column by column: a client's table is a handful
+// of columns of numbers, and a numeric column is one pointer-free
+// []float64 the collector never scans. There is no per-row object.
 type table struct {
-	columns []string
-	colIdx  map[string]int
-	rows    [][]Value
+	cols []column
+	rows int
+}
+
+// column holds one column's cells. num has a slot for every row: the
+// number, a bool as 0/1, 0 for NULL and text. While the cells are all of
+// one kind, kind is it and kinds is nil; the first cell of another kind
+// gives the column a slot per row in kinds, kept until the column is
+// empty again. str is nil until the column holds text, then also has a
+// slot per row ("" where the cell is not text). An empty column starts
+// afresh with its next cell.
+type column struct {
+	name  string // as created, for SELECT *
+	key   string // lower-cased, for binding
+	kind  Kind
+	kinds []uint8
+	num   []float64
+	str   []string
 }
 
 // NewDB returns an empty database.
@@ -37,26 +55,130 @@ func (db *DB) CreateTable(name string, columns []string) error {
 	if name == "" || len(columns) == 0 {
 		return fmt.Errorf("%w: table %q with %d columns", ErrSyntax, name, len(columns))
 	}
+	t := &table{cols: make([]column, 0, len(columns))}
+	for _, c := range columns {
+		key := strings.ToLower(c)
+		if lookup(t.cols, key) >= 0 {
+			return fmt.Errorf("%w: duplicate column %q", ErrSyntax, c)
+		}
+		t.cols = append(t.cols, column{name: c, key: key})
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	key := strings.ToLower(name)
 	if _, ok := db.tables[key]; ok {
 		return fmt.Errorf("%w: %q", ErrTableExist, name)
 	}
-	t := &table{columns: append([]string(nil), columns...), colIdx: map[string]int{}}
-	for i, c := range columns {
-		lc := strings.ToLower(c)
-		if _, dup := t.colIdx[lc]; dup {
-			return fmt.Errorf("%w: duplicate column %q", ErrSyntax, c)
-		}
-		t.colIdx[lc] = i
-	}
 	db.tables[key] = t
 	return nil
 }
 
+// lookup returns the index of the column whose lower-cased name is key,
+// or -1. A table has a handful of columns, so a linear search is the
+// index.
+func lookup(cols []column, key string) int {
+	for i := range cols {
+		if cols[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// load writes the cell at row r into dst as a canonical Value: the kind
+// and its one payload field. It stores field by field, not a Value built
+// elsewhere and copied: that copy's wide loads would stall on the narrow
+// stores that just built it.
+func (c *column) load(r int, dst *Value) {
+	k := c.kind
+	if c.kinds != nil {
+		k = Kind(c.kinds[r])
+	}
+	dst.Kind = k
+	dst.Num = 0
+	dst.Str = ""
+	dst.B = false
+	switch k {
+	case KindNumber:
+		dst.Num = c.num[r]
+	case KindText:
+		dst.Str = c.str[r]
+	case KindBool:
+		dst.B = c.num[r] != 0
+	}
+}
+
+// row copies row r's cells into dst, which has one slot per column.
+func (t *table) row(r int, dst []Value) {
+	for i := range t.cols {
+		t.cols[i].load(r, &dst[i])
+	}
+}
+
+// add appends v as the cell of a new last row; the column holds rows
+// cells before it.
+func (c *column) add(v Value, rows int) {
+	switch {
+	case rows == 0:
+		c.kind, c.kinds, c.str = v.Kind, nil, nil
+	case c.kinds == nil && v.Kind != c.kind:
+		c.kinds = make([]uint8, rows, rows+1)
+		for i := range c.kinds {
+			c.kinds[i] = uint8(c.kind)
+		}
+	}
+	if c.kinds != nil {
+		c.kinds = append(c.kinds, uint8(v.Kind))
+	}
+	var x float64
+	switch v.Kind {
+	case KindNumber:
+		x = v.Num
+	case KindBool:
+		if v.B {
+			x = 1
+		}
+	}
+	c.num = append(c.num, x)
+	if v.Kind == KindText && c.str == nil {
+		c.str = make([]string, rows, rows+1)
+	}
+	if c.str != nil {
+		var s string
+		if v.Kind == KindText {
+			s = v.Str
+		}
+		c.str = append(c.str, s)
+	}
+}
+
+// move copies row from into row to (to ≤ from) during a compaction.
+func (c *column) move(to, from int) {
+	c.num[to] = c.num[from]
+	if c.kinds != nil {
+		c.kinds[to] = c.kinds[from]
+	}
+	if c.str != nil {
+		c.str[to] = c.str[from]
+	}
+}
+
+// truncate keeps the first n rows, letting go of the dropped rows' text.
+func (c *column) truncate(n int) {
+	c.num = c.num[:n]
+	if c.kinds != nil {
+		c.kinds = c.kinds[:n]
+	}
+	if c.str != nil {
+		clear(c.str[n:])
+		c.str = c.str[:n]
+	}
+}
+
 // Insert appends one row programmatically — the fast path the client
-// runtime uses when ingesting its private stream.
+// runtime uses when ingesting its private stream. A cell whose Kind is not
+// one of the four is refused with ErrType. A stored cell reads back
+// canonical (see Value).
 func (db *DB) Insert(tableName string, row []Value) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -64,15 +186,26 @@ func (db *DB) Insert(tableName string, row []Value) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	if len(row) != len(t.columns) {
-		return fmt.Errorf("%w: %d values for %d columns", ErrArity, len(row), len(t.columns))
+	if len(row) != len(t.cols) {
+		return fmt.Errorf("%w: %d values for %d columns", ErrArity, len(row), len(t.cols))
 	}
-	t.rows = append(t.rows, append([]Value(nil), row...))
+	for i := range row {
+		if k := row[i].Kind; k < KindNull || k > KindBool {
+			return fmt.Errorf("%w: cell %d is of %v", ErrType, i, k)
+		}
+	}
+	for i := range t.cols {
+		t.cols[i].add(row[i], t.rows)
+	}
+	t.rows++
 	return nil
 }
 
 // DeleteWhere removes rows for which pred returns true, returning the
-// number removed. Clients prune data that has aged out of every window.
+// number removed; the rows left keep their order. Clients prune data that
+// has aged out of every window. pred receives a row built for this call:
+// it is valid only during the call and is overwritten by the next one, so
+// pred keeps values, not the slice.
 func (db *DB) DeleteWhere(tableName string, pred func(row []Value) bool) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -80,15 +213,24 @@ func (db *DB) DeleteWhere(tableName string, pred func(row []Value) bool) (int, e
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	kept := t.rows[:0]
-	removed := 0
-	for _, r := range t.rows {
-		if pred(r) {
-			removed++
-		} else {
-			kept = append(kept, r)
+	row := make([]Value, len(t.cols))
+	kept := 0
+	for r := 0; r < t.rows; r++ {
+		t.row(r, row)
+		if pred(row) {
+			continue
 		}
+		if kept != r {
+			for i := range t.cols {
+				t.cols[i].move(kept, r)
+			}
+		}
+		kept++
 	}
+	for i := range t.cols {
+		t.cols[i].truncate(kept)
+	}
+	removed := t.rows - kept
 	t.rows = kept
 	return removed, nil
 }
@@ -101,7 +243,7 @@ func (db *DB) RowCount(tableName string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	return len(t.rows), nil
+	return t.rows, nil
 }
 
 // Rows is a query result: column names and materialized rows.

@@ -251,10 +251,16 @@ func oracleSelect(db *DB, s *SelectStmt) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, s.Table)
 	}
+	names := make([]string, len(t.cols))
+	cols := make(map[string]int, len(t.cols))
+	for i, c := range t.cols {
+		names[i] = c.name
+		cols[strings.ToLower(c.name)] = i
+	}
 	var columns []string
 	for _, item := range s.Items {
 		if item.Star {
-			columns = append(columns, t.columns...)
+			columns = append(columns, names...)
 			continue
 		}
 		switch {
@@ -269,11 +275,13 @@ func oracleSelect(db *DB, s *SelectStmt) (*Rows, error) {
 		}
 	}
 	out := &Rows{Columns: columns}
-	ev := &oracleEnv{cols: t.colIdx}
-	for _, row := range t.rows {
+	ev := &oracleEnv{cols: cols}
+	for r := 0; r < t.rows; r++ {
 		if s.Limit >= 0 && len(out.Rows) >= s.Limit {
 			break
 		}
+		row := make([]Value, len(t.cols))
+		t.row(r, row)
 		ev.row = row
 		if s.Where != nil {
 			v, err := oracleEval(s.Where, ev)

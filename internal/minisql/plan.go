@@ -45,12 +45,12 @@ var binaryOps = map[string]opcode{
 }
 
 // node is one expression node bound to a table: column names are
-// resolved to row indexes and operands are indexes into the same node
+// resolved to column indexes and operands are indexes into the same node
 // slice, so a whole statement binds into one allocation.
 type node struct {
 	op      opcode
 	not     bool           // opIn, opIsNull, opBetween: the negated form
-	a, b, c int32          // operands; opColumn: a is the row index; opIn: the list is nodes[b:c]
+	a, b, c int32          // operands; opColumn: a is the column index; opIn: the list is nodes[b:c]
 	val     Value          // opLiteral
 	like    *regexp.Regexp // opLike whose pattern is a text literal, compiled at bind
 }
@@ -80,7 +80,7 @@ func exprSize(e Expr) int {
 // binder resolves expressions against one table's columns.
 type binder struct {
 	nodes []node
-	cols  map[string]int // lower-cased column name → row index; nil binds constants only
+	cols  []column // the table's columns; nil binds constants only
 }
 
 // reserve appends n empty nodes and returns the index of the first.
@@ -99,8 +99,8 @@ func (b *binder) bind(slot int32, e Expr) error {
 		b.nodes[slot] = node{op: opLiteral, val: x.Val}
 		return nil
 	case *ColumnExpr:
-		idx, ok := b.cols[strings.ToLower(x.Name)]
-		if !ok {
+		idx := lookup(b.cols, strings.ToLower(x.Name))
+		if idx < 0 {
 			return fmt.Errorf("%w: %q", ErrColumn, x.Name)
 		}
 		b.nodes[slot] = node{op: opColumn, a: int32(idx)}
@@ -175,21 +175,24 @@ func evalConst(e Expr) (Value, error) {
 	if err := b.bind(0, e); err != nil {
 		return Value{}, err
 	}
-	return eval(b.nodes, 0, nil)
+	return eval(b.nodes, 0, nil, 0)
 }
 
-// eval evaluates nodes[i] against one table row. SQL NULL propagates
-// through arithmetic and comparisons; AND/OR use three-valued logic
-// collapsed to Truthy at the WHERE boundary.
-func eval(nodes []node, i int32, row []Value) (Value, error) {
+// eval evaluates nodes[i] against the given row of t, reading each cell it
+// references from its column. SQL NULL propagates through arithmetic and
+// comparisons; AND/OR use three-valued logic collapsed to Truthy at the
+// WHERE boundary.
+func eval(nodes []node, i int32, t *table, row int) (Value, error) {
 	n := &nodes[i]
 	switch n.op {
 	case opLiteral:
 		return n.val, nil
 	case opColumn:
-		return row[n.a], nil
+		var v Value
+		t.cols[n.a].load(row, &v)
+		return v, nil
 	case opNot:
-		v, err := eval(nodes, n.a, row)
+		v, err := eval(nodes, n.a, t, row)
 		if err != nil {
 			return Value{}, err
 		}
@@ -198,7 +201,7 @@ func eval(nodes []node, i int32, row []Value) (Value, error) {
 		}
 		return Bool(!v.Truthy()), nil
 	case opNeg:
-		v, err := eval(nodes, n.a, row)
+		v, err := eval(nodes, n.a, t, row)
 		if err != nil {
 			return Value{}, err
 		}
@@ -211,14 +214,14 @@ func eval(nodes []node, i int32, row []Value) (Value, error) {
 		// decided is the operand value that settles the result alone:
 		// false for AND, true for OR.
 		decided := n.op == opOr
-		l, err := eval(nodes, n.a, row)
+		l, err := eval(nodes, n.a, t, row)
 		if err != nil {
 			return Value{}, err
 		}
 		if !l.IsNull() && l.Truthy() == decided {
 			return Bool(decided), nil // short circuit
 		}
-		r, err := eval(nodes, n.b, row)
+		r, err := eval(nodes, n.b, t, row)
 		if err != nil {
 			return Value{}, err
 		}
@@ -230,7 +233,7 @@ func eval(nodes []node, i int32, row []Value) (Value, error) {
 		}
 		return Bool(!decided), nil
 	case opIn:
-		v, err := eval(nodes, n.a, row)
+		v, err := eval(nodes, n.a, t, row)
 		if err != nil {
 			return Value{}, err
 		}
@@ -238,7 +241,7 @@ func eval(nodes []node, i int32, row []Value) (Value, error) {
 			return Null(), nil
 		}
 		for j := n.b; j < n.c; j++ {
-			iv, err := eval(nodes, j, row)
+			iv, err := eval(nodes, j, t, row)
 			if err != nil {
 				return Value{}, err
 			}
@@ -248,21 +251,21 @@ func eval(nodes []node, i int32, row []Value) (Value, error) {
 		}
 		return Bool(n.not), nil
 	case opIsNull:
-		v, err := eval(nodes, n.a, row)
+		v, err := eval(nodes, n.a, t, row)
 		if err != nil {
 			return Value{}, err
 		}
 		return Bool(v.IsNull() != n.not), nil
 	case opBetween:
-		v, err := eval(nodes, n.a, row)
+		v, err := eval(nodes, n.a, t, row)
 		if err != nil {
 			return Value{}, err
 		}
-		lo, err := eval(nodes, n.b, row)
+		lo, err := eval(nodes, n.b, t, row)
 		if err != nil {
 			return Value{}, err
 		}
-		hi, err := eval(nodes, n.c, row)
+		hi, err := eval(nodes, n.c, t, row)
 		if err != nil {
 			return Value{}, err
 		}
@@ -280,11 +283,11 @@ func eval(nodes []node, i int32, row []Value) (Value, error) {
 		return Bool((cmpLo >= 0 && cmpHi <= 0) != n.not), nil
 	}
 
-	l, err := eval(nodes, n.a, row)
+	l, err := eval(nodes, n.a, t, row)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := eval(nodes, n.b, row)
+	r, err := eval(nodes, n.b, t, row)
 	if err != nil {
 		return Value{}, err
 	}
@@ -393,7 +396,7 @@ func compileLike(pattern string) (*regexp.Regexp, error) {
 
 // Plan is a SELECT prepared for running every epoch: on its first run it
 // binds the statement to the table it meets — output columns, every
-// column reference resolved to a row index, literal LIKE patterns
+// column reference resolved to a column index, literal LIKE patterns
 // compiled — and binds again only if a later run meets a different
 // table. The statement itself is shared and never written, so one
 // parsed statement can back any number of plans; a Plan is not safe for
@@ -428,8 +431,8 @@ func (p *Plan) bind(db *DB) error {
 	width, size := 0, 0
 	for _, item := range p.stmt.Items {
 		if item.Star {
-			width += len(t.columns)
-			size += len(t.columns)
+			width += len(t.cols)
+			size += len(t.cols)
 		} else {
 			width++
 			size += exprSize(item.Expr)
@@ -438,11 +441,11 @@ func (p *Plan) bind(db *DB) error {
 	if p.stmt.Where != nil {
 		size += exprSize(p.stmt.Where)
 	}
-	b := binder{nodes: make([]node, width, size), cols: t.colIdx}
+	b := binder{nodes: make([]node, width, size), cols: t.cols}
 	col := int32(0)
 	for _, item := range p.stmt.Items {
 		if item.Star {
-			for i := range t.columns {
+			for i := range t.cols {
 				b.nodes[col] = node{op: opColumn, a: int32(i)}
 				col++
 			}
@@ -472,7 +475,9 @@ func (p *Plan) columnNames() []string {
 	for _, item := range p.stmt.Items {
 		switch col, bare := item.Expr.(*ColumnExpr); {
 		case item.Star:
-			names = append(names, p.t.columns...)
+			for i := range p.t.cols {
+				names = append(names, p.t.cols[i].name)
+			}
 		case item.Alias != "":
 			names = append(names, item.Alias)
 		case bare:
@@ -485,15 +490,18 @@ func (p *Plan) columnNames() []string {
 }
 
 // scan projects every row that passes WHERE, up to LIMIT, into out and
-// lends it to visit. The caller holds db.mu and has bound the plan.
+// lends it to visit. The caller holds db.mu and has bound the plan. The
+// evaluator reads the table's cells where they are, so the scan keeps no
+// input row: out is its only buffer.
 func (p *Plan) scan(out []Value, visit func(row []Value)) error {
+	t := p.t
 	left := p.stmt.Limit // -1 when absent
-	for _, row := range p.t.rows {
+	for r := 0; r < t.rows; r++ {
 		if left == 0 {
 			break
 		}
 		if p.where >= 0 {
-			v, err := eval(p.nodes, p.where, row)
+			v, err := eval(p.nodes, p.where, t, r)
 			if err != nil {
 				return err
 			}
@@ -503,10 +511,10 @@ func (p *Plan) scan(out []Value, visit func(row []Value)) error {
 		}
 		for i := range out {
 			if n := &p.nodes[i]; n.op == opColumn {
-				out[i] = row[n.a] // the usual projection, without the call
+				t.cols[n.a].load(r, &out[i]) // the usual projection, without the call
 				continue
 			}
-			v, err := eval(p.nodes, int32(i), row)
+			v, err := eval(p.nodes, int32(i), t, r)
 			if err != nil {
 				return err
 			}
@@ -546,7 +554,7 @@ func (p *Plan) materialise(db *DB) (*Rows, error) {
 	width := int(p.width)
 	most := 0
 	if p.where < 0 {
-		most = len(p.t.rows)
+		most = p.t.rows
 		if limit := p.stmt.Limit; limit >= 0 && limit < most {
 			most = limit
 		}

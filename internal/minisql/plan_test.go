@@ -463,24 +463,43 @@ func TestPlanBindsLazilyAndRebinds(t *testing.T) {
 // One parsed statement, eight databases, eight readers with a plan each
 // and eight through QueryPrepared, while every table is appended to and
 // pruned: nothing is written into the shared statement (run with -race).
+// Halfway through the readers, each writer stores a text cell and then a
+// NULL in the numeric column v, which turns the column mixed under them.
 func TestSharedStatementAcrossDatabases(t *testing.T) {
 	sel := mustSelect(t, "SELECT v, ts FROM t WHERE ts % 2 = 0 AND v LIKE '%'")
 	const dbs, rounds = 8, 200
+	check := func(row []Value) {
+		if int64(row[1].Num)%2 != 0 {
+			t.Errorf("row %v passed WHERE ts %% 2 = 0", row)
+		}
+		if k := row[0].Kind; k != KindNumber && k != KindText {
+			t.Errorf("row %v passed WHERE v LIKE '%%' with a %v v", row, k)
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < dbs; i++ {
+	all := make([]*DB, dbs)
+	for i := range all {
 		db := numbersDB(t, 20)
-		stop := make(chan struct{})
+		all[i] = db
+		// half: the plan reader is halfway; mixed: the writer has stored
+		// both cells, so the reader's second half runs over a mixed column
+		// (written: the writer has returned, failed or not).
+		stop, half := make(chan struct{}), make(chan struct{})
+		mixed, written := make(chan struct{}), make(chan struct{})
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
 			defer close(stop)
 			p := NewPlan(sel)
 			for r := 0; r < rounds; r++ {
-				if err := p.Scan(db, func(row []Value) {
-					if int64(row[1].Num)%2 != 0 {
-						t.Errorf("row %v passed WHERE ts %% 2 = 0", row)
+				if r == rounds/2 {
+					close(half)
+					select {
+					case <-mixed:
+					case <-written:
 					}
-				}); err != nil {
+				}
+				if err := p.Scan(db, check); err != nil {
 					t.Error(err)
 					return
 				}
@@ -495,21 +514,29 @@ func TestSharedStatementAcrossDatabases(t *testing.T) {
 					return
 				}
 				for _, row := range rows.Rows {
-					if int64(row[1].Num)%2 != 0 {
-						t.Errorf("row %v passed WHERE ts %% 2 = 0", row)
-					}
+					check(row)
 				}
 			}
 		}()
 		go func() {
 			defer wg.Done()
+			defer close(written)
+			cells := []Value{Text("x"), Null()}
 			for ts := 20.0; ; ts++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := db.Insert("t", []Value{Number(ts), Number(ts / 2)}); err != nil {
+				v := Number(ts / 2)
+				if len(cells) > 0 {
+					select {
+					case <-half:
+						v, cells = cells[0], cells[1:]
+					default:
+					}
+				}
+				if err := db.Insert("t", []Value{Number(ts), v}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -517,10 +544,18 @@ func TestSharedStatementAcrossDatabases(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if v.Kind == KindNull {
+					close(mixed)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	for i, db := range all {
+		if v := &db.tables["t"].cols[1]; v.kinds == nil || v.str == nil {
+			t.Errorf("db %d: column v never turned mixed", i)
+		}
+	}
 }
 
 // FuzzParse: the parser never panics, and whatever it accepts binds or

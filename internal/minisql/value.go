@@ -51,7 +51,11 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one dynamically typed cell.
+// Value is one dynamically typed cell. Kind says which field carries it:
+// Num for a number, Str for text, B for a bool, none for NULL. A table
+// stores only that field, so a stored cell reads back canonical — the
+// kind and its one payload field, the others zero (a number's stray Str
+// is not kept) — and DB.Insert refuses a Kind that is not one of the four.
 type Value struct {
 	Kind Kind
 	Num  float64

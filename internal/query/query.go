@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"time"
+
+	"privapprox/internal/minisql"
 )
 
 // Errors reported by query validation and signature checking.
@@ -176,16 +178,21 @@ func checkSignature(q *Query, sig []byte, pub ed25519.PublicKey) error {
 	return nil
 }
 
-// Verified is a query whose analyst signature has been checked — the
-// form a process verifies once and hands to every client it hosts.
-// Only Verify makes one. It holds its own copy of the query, taken
-// before the check: changing the *Signed afterwards (its SQL, its
-// buckets) changes nothing a holder of the Verified sees. The zero value
-// holds no query.
-type Verified struct{ q *Query }
+// Verified is a query whose analyst signature has been checked and whose
+// SQL has been parsed — the form a process verifies and parses once and
+// hands to every client it hosts. Only Verify makes one. It holds its own
+// copy of the query, taken before the check, and the statement parsed
+// from that copy: changing the *Signed afterwards (its SQL, its buckets)
+// changes nothing a holder of the Verified sees. The zero value holds no
+// query.
+type Verified struct {
+	q   *Query
+	sel *minisql.SelectStmt
+}
 
-// Verify checks signed against the analyst's public key and returns the
-// verified query.
+// Verify checks signed against the analyst's public key, parses its SQL,
+// and returns the verified query. SQL that does not parse, or is not a
+// SELECT, is refused with ErrInvalidQuery.
 func Verify(signed *Signed, pub ed25519.PublicKey) (Verified, error) {
 	if signed == nil || signed.Query == nil {
 		return Verified{}, fmt.Errorf("%w: nil query", ErrInvalidQuery)
@@ -195,9 +202,22 @@ func Verify(signed *Signed, pub ed25519.PublicKey) (Verified, error) {
 	if err := checkSignature(&q, signed.Signature, pub); err != nil {
 		return Verified{}, err
 	}
-	return Verified{q: &q}, nil
+	stmt, err := minisql.Parse(q.SQL)
+	if err != nil {
+		return Verified{}, fmt.Errorf("%w: query %s SQL: %w", ErrInvalidQuery, q.QID, err)
+	}
+	sel, ok := stmt.(*minisql.SelectStmt)
+	if !ok {
+		return Verified{}, fmt.Errorf("%w: query %s is not a SELECT", ErrInvalidQuery, q.QID)
+	}
+	return Verified{q: &q, sel: sel}, nil
 }
 
 // Query returns the verified query, nil for the zero Verified. Every
 // holder shares it: read it, never write it.
 func (v Verified) Query() *Query { return v.q }
+
+// Statement returns the query's parsed SELECT, nil for the zero Verified.
+// Every holder shares it: a statement is never written, so it may back
+// any number of minisql plans.
+func (v Verified) Statement() *minisql.SelectStmt { return v.sel }

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -219,7 +220,7 @@ func TestVerifiedHoldsItsOwnCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (Verified{}).Query() != nil {
+	if (Verified{}).Query() != nil || (Verified{}).Statement() != nil {
 		t.Fatal("the zero Verified holds a query")
 	}
 	signed, err := Sign(validQuery(t), priv)
@@ -240,6 +241,9 @@ func TestVerifiedHoldsItsOwnCopy(t *testing.T) {
 	if v.Query() == signed.Query {
 		t.Fatal("Verified shares the caller's *Query")
 	}
+	if sel := v.Statement(); sel == nil || len(sel.Items) != 1 || sel.Where != nil {
+		t.Fatalf("Verified's statement %+v is not the one parsed from %q", sel, want.SQL)
+	}
 
 	otherPub, _, _ := ed25519.GenerateKey(rand.Reader)
 	fresh, _ := Sign(validQuery(t), priv)
@@ -256,6 +260,49 @@ func TestVerifiedHoldsItsOwnCopy(t *testing.T) {
 		if v, err := Verify(tc.s, tc.pub); err == nil || v.Query() != nil {
 			t.Errorf("%s: Verify = (%v, %v), want the zero Verified and an error", name, v.Query(), err)
 		}
+	}
+}
+
+// TestVerifyParsesOnce: Verify parses the SQL it checked, refuses SQL
+// that is no SELECT, and every copy of a Verified shares one statement.
+func TestVerifyParsesOnce(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"SELECT FROM", "INSERT INTO rides VALUES (1)", "CREATE TABLE rides (ts)"} {
+		q := validQuery(t)
+		q.SQL = sql
+		signed, err := Sign(q, priv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := Verify(signed, pub); !errors.Is(err, ErrInvalidQuery) || v.Query() != nil || v.Statement() != nil {
+			t.Errorf("%q: Verify = (%v, %v), want the zero Verified and ErrInvalidQuery", sql, v.Query(), err)
+		}
+	}
+	signed, err := Sign(validQuery(t), priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := Verify(signed, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := v
+	if held.Statement() != v.Statement() {
+		t.Fatal("two copies of one Verified hold different statements")
+	}
+	db := minisql.NewDB()
+	if err := db.CreateTable("rides", []string{"ts", "distance"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("rides", []minisql.Value{minisql.Number(1), minisql.Number(2.5)}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.QueryPrepared(v.Statement())
+	if err != nil || len(rows.Rows) != 1 || rows.Rows[0][0] != minisql.Number(2.5) {
+		t.Fatalf("the verified statement ran to %v, %v; want one row of 2.5", rows, err)
 	}
 }
 
