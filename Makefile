@@ -6,7 +6,7 @@
 # `make loc` and the other bench targets are run by hand.
 
 GO ?= go
-RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
+RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/histstore/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
 
 .PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke fuzz loc
 
@@ -158,15 +158,18 @@ bench-smoke:
 
 # Short fuzz smoke over every wire and disk codec — the share
 # split/join, the answer message, the columnar publish frame
-# (opPublishColumns, session tag included), the partition-WAL record
-# (0xF5 session tag included), the client side of the fetch response
+# (opPublishColumns, session tag included), the partition journal's run
+# record (plain and session kinds, count/stride/frame-n mismatches, zero
+# pids and unknown kinds refused), the client side of the fetch response
 # (runs viewed inside the frame, counts bounded by the request's max),
-# the control-plane query-set announcement, the WAL record framing, the
-# one checkpoint record (consumer positions, system section, fired
-# results, aggregator state) — plus the partition log's run layout
-# against a plain record model (puts of mixed strides and repeated
-# timestamps, records larger than a slab, runs straddling slabs, trims
-# inside a run), the SLO controller's checkpoint state, the minisql
+# the control-plane query-set announcement, the WAL frame format (frames
+# covering n > 1 LSNs, a replay from inside one), the one checkpoint
+# record (consumer positions, system section, fired results, aggregator
+# state) — plus the partition log's run layout against a plain record
+# model (puts of mixed strides and repeated timestamps, records larger
+# than a slab, runs straddling slabs, trims inside a run; then the same
+# partition's journal reopened and read back below its memory floor),
+# the SLO controller's checkpoint state, the minisql
 # parser (whatever parses must bind or be refused, and run, without
 # panicking) and the minisql column store against a plain [][]Value
 # model (inserts of NULL, number — -0, NaN and ±Inf among them —, text

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +14,9 @@ import (
 
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
+	"privapprox/internal/telemetry"
 	"privapprox/internal/telemetry/lineage"
+	"privapprox/internal/wal"
 )
 
 // The kill-and-resume gate. Both tests drive the real multi-process
@@ -205,5 +208,31 @@ func TestCrashRecoveryProxy(t *testing.T) {
 	}
 	if !strings.Contains(got, want) {
 		t.Errorf("results across proxy crash differ from uninterrupted pipeline.\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestAggregatorRefusesOldFormatDataDir: an aggregator -data-dir whose
+// checkpoint log was written in the retired one-frame-per-LSN WAL format
+// (a segment checked in beside the WAL package) is refused with
+// wal.ErrOldFormat before anything is restored, and the segment is left
+// as it was.
+func TestAggregatorRefusesOldFormatDataDir(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "wal", "testdata", "old-format-broker", "meta", "wal-0000000000000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "aggregator", "wal-0000000000000000.seg")
+	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openCheckpointer(dir, "never", nil, nil, telemetry.NewRegistry(), nil); !errors.Is(err, wal.ErrOldFormat) {
+		t.Fatalf("openCheckpointer = %v, want wal.ErrOldFormat", err)
+	}
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the refused checkpoint segment changed (%v)", err)
 	}
 }

@@ -813,7 +813,7 @@ func openCheckpointer(dataDir, fsync string, agg *aggregator.Aggregator, drain *
 		return nil, nil, err
 	}
 	var newest []byte
-	err = log.Replay(0, func(_ uint64, payload []byte) error {
+	err = log.Replay(0, func(_ uint64, _ int, payload []byte) error {
 		newest = append(newest[:0], payload...)
 		return nil
 	})
@@ -845,7 +845,7 @@ func (ck *checkpointer) save(results []aggregator.Result) error {
 	if err != nil {
 		return err
 	}
-	lsn, err := ck.log.Append(payload)
+	lsn, err := ck.log.Append(1, payload)
 	if err != nil {
 		return err
 	}

@@ -1,237 +1,78 @@
 // Package histstore is the fault-tolerant response store backing
 // PrivApprox's historical analytics (paper §3.3.1): the aggregator
 // appends every decoded randomized answer, and batch queries later scan
-// a time range. It stands in for HDFS with local segmented append-only
-// files: fixed-header records with CRC32 checksums, segment rolling, and
-// crash recovery that tolerates a torn final record.
+// a time range. It stands in for HDFS with a write-ahead log (package
+// wal): one frame per record, u64 unix-nanos ‖ payload, under the WAL's
+// checksums, segment rolling and recovery rule — Open truncates a torn
+// tail, and interior corruption fails Scan with wal.ErrCorrupt.
 package histstore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
+
+	"privapprox/internal/wal"
 )
 
-// Errors reported by the store.
-var (
-	ErrClosed  = errors.New("histstore: closed")
-	ErrCorrupt = errors.New("histstore: corrupt record")
-)
-
-// record layout: ts(8) | len(4) | crc32(4) | payload.
-const recordHeader = 16
-
-// Store is a segmented append-only record store.
+// Store is an append-only record store. It is safe for concurrent use.
 type Store struct {
-	dir         string
-	maxSegBytes int64
-
-	mu      sync.Mutex
-	seg     *os.File
-	segSize int64
-	segSeq  int
-	closed  bool
+	log *wal.Log
 }
 
 // Open creates or reopens a store in dir. Segments roll after
-// maxSegBytes (minimum 4 KiB; 0 defaults to 64 MiB).
+// maxSegBytes (minimum 4 KiB; 0 defaults to 64 MiB). A directory holding
+// the seg-*.log files of the store's retired own format is refused with
+// wal.ErrOldFormat, and nothing in it is changed.
 func Open(dir string, maxSegBytes int64) (*Store, error) {
+	if old, _ := filepath.Glob(filepath.Join(dir, "seg-*.log")); len(old) > 0 {
+		return nil, fmt.Errorf("histstore: %w: %s", wal.ErrOldFormat, old[0])
+	}
 	if maxSegBytes == 0 {
 		maxSegBytes = 64 << 20
 	}
-	if maxSegBytes < 4096 {
-		return nil, fmt.Errorf("histstore: segment size %d below 4KiB", maxSegBytes)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := wal.Open(dir, wal.Options{SegmentBytes: maxSegBytes})
+	if err != nil {
 		return nil, fmt.Errorf("histstore: %w", err)
 	}
-	s := &Store{dir: dir, maxSegBytes: maxSegBytes}
-	segs, err := s.segments()
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) > 0 {
-		s.segSeq = segSeqOf(segs[len(segs)-1]) + 1
-	}
-	return s, nil
+	return &Store{log: log}, nil
 }
 
 // Append writes one record with the given timestamp.
 func (s *Store) Append(ts time.Time, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.seg == nil || s.segSize >= s.maxSegBytes {
-		if err := s.rollLocked(); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, recordHeader+len(payload))
-	binary.BigEndian.PutUint64(buf[0:8], uint64(ts.UnixNano()))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[12:16], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeader:], payload)
-	n, err := s.seg.Write(buf)
-	s.segSize += int64(n)
-	if err != nil {
-		return fmt.Errorf("histstore: append: %w", err)
-	}
-	return nil
+	rec := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(payload)), uint64(ts.UnixNano()))
+	_, err := s.log.Append(1, append(rec, payload...))
+	return err
 }
 
-// Sync flushes the active segment to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.seg == nil {
-		return nil
-	}
-	return s.seg.Sync()
-}
+// Sync flushes the store to stable storage.
+func (s *Store) Sync() error { return s.log.Sync() }
 
 // Close syncs and closes the store.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.seg != nil {
-		if err := s.seg.Sync(); err != nil {
-			s.seg.Close()
-			return err
-		}
-		return s.seg.Close()
-	}
-	return nil
-}
+func (s *Store) Close() error { return s.log.Close() }
 
-// Scan replays every intact record with from ≤ ts < to, in append
-// order, stopping early if fn returns a non-nil error. A torn or
-// corrupt record ends that segment's scan (crash-recovery semantics)
-// without failing the overall scan; CorruptTail reports how many
-// segments ended early.
+// ScanStats counts the records a Scan handed its callback.
 type ScanStats struct {
-	Records     int
-	CorruptTail int
+	Records int
 }
 
-// Scan iterates records in [from, to).
+// Scan calls fn for every record with from ≤ ts < to, in append order,
+// stopping early if fn returns a non-nil error; payload is valid only
+// for the duration of the call. The store's appends wait for a running
+// Scan.
 func (s *Store) Scan(from, to time.Time, fn func(ts time.Time, payload []byte) error) (ScanStats, error) {
-	s.mu.Lock()
-	if s.seg != nil {
-		// Make everything written so far visible to the reader below.
-		if err := s.seg.Sync(); err != nil {
-			s.mu.Unlock()
-			return ScanStats{}, err
-		}
-	}
-	segs, err := s.segments()
-	s.mu.Unlock()
-	if err != nil {
-		return ScanStats{}, err
-	}
 	var st ScanStats
-	for _, seg := range segs {
-		corrupt, err := scanSegment(seg, from, to, &st, fn)
-		if err != nil {
-			return st, err
+	err := s.log.Replay(0, func(lsn uint64, _ int, rec []byte) error {
+		if len(rec) < 8 {
+			return fmt.Errorf("histstore: %w: %d-byte record at %d", wal.ErrCorrupt, len(rec), lsn)
 		}
-		if corrupt {
-			st.CorruptTail++
+		ts := time.Unix(0, int64(binary.BigEndian.Uint64(rec)))
+		if ts.Before(from) || !ts.Before(to) {
+			return nil
 		}
-	}
-	return st, nil
-}
-
-func scanSegment(path string, from, to time.Time, st *ScanStats, fn func(time.Time, []byte) error) (corrupt bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("histstore: %w", err)
-	}
-	defer f.Close()
-	hdr := make([]byte, recordHeader)
-	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				return false, nil
-			}
-			return true, nil // torn header
-		}
-		ts := time.Unix(0, int64(binary.BigEndian.Uint64(hdr[0:8])))
-		length := binary.BigEndian.Uint32(hdr[8:12])
-		sum := binary.BigEndian.Uint32(hdr[12:16])
-		if length > 64<<20 {
-			return true, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return true, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return true, nil
-		}
-		if (ts.Equal(from) || ts.After(from)) && ts.Before(to) {
-			st.Records++
-			if err := fn(ts, payload); err != nil {
-				return false, err
-			}
-		}
-	}
-}
-
-// SegmentCount returns the number of on-disk segments.
-func (s *Store) SegmentCount() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	segs, err := s.segments()
-	return len(segs), err
-}
-
-func (s *Store) rollLocked() error {
-	if s.seg != nil {
-		if err := s.seg.Sync(); err != nil {
-			return err
-		}
-		if err := s.seg.Close(); err != nil {
-			return err
-		}
-	}
-	name := filepath.Join(s.dir, fmt.Sprintf("seg-%08d.log", s.segSeq))
-	s.segSeq++
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("histstore: roll: %w", err)
-	}
-	s.seg = f
-	s.segSize = 0
-	return nil
-}
-
-func (s *Store) segments() ([]string, error) {
-	entries, err := filepath.Glob(filepath.Join(s.dir, "seg-*.log"))
-	if err != nil {
-		return nil, fmt.Errorf("histstore: %w", err)
-	}
-	sort.Strings(entries)
-	return entries, nil
-}
-
-func segSeqOf(path string) int {
-	var seq int
-	fmt.Sscanf(filepath.Base(path), "seg-%08d.log", &seq)
-	return seq
+		st.Records++
+		return fn(ts, rec[8:])
+	})
+	return st, err
 }

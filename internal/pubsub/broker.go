@@ -91,22 +91,21 @@ type partitionLog struct {
 	// slowest committed consumer offset fails with ErrPartitionFull.
 	capacity int
 	// w, when non-nil, is the partition's write-ahead log: every publish
-	// journals its record here — before the in-memory append, before the
-	// ack — so an acknowledged record survives a broker restart, and a
-	// fetch below the memory floor reads it back (reload). The WAL
-	// LSN of a record equals its partition offset. encBuf is the frame
-	// scratch and payloads the per-record views journalColumns hands the
-	// WAL, both touched only under mu.
-	w        *wal.Log
-	encBuf   []byte
-	payloads [][]byte
+	// journals its records here as one run record (durable.go) — before
+	// the in-memory append, before the ack — so an acknowledged record
+	// survives a broker restart, and a fetch below the memory floor reads
+	// it back (reload). A run's WAL frame covers [lsn, lsn+n), its
+	// records' partition offsets. encBuf is the record scratch, touched
+	// only under mu.
+	w      *wal.Log
+	encBuf []byte
 	// producers is the partition's session-dedup state, lazily allocated
 	// on the first session publish: producer ID → the newest sequence
 	// that producer applied here. A batch carrying that sequence or an
 	// older one is a replay and is skipped. The state is journaled with
-	// the records themselves (every record of a session slice carries its
-	// producer tag), so it survives a restart in exactly the same atomic
-	// unit as the data it guards.
+	// the records themselves (a session slice's run record carries its
+	// producer tag once), so it survives a restart in exactly the same
+	// atomic unit as the data it guards.
 	producers map[uint64]uint64
 }
 
@@ -321,8 +320,9 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 		// Durability before visibility: the record reaches the WAL (per
 		// the fsync policy) before it is appended in memory, broadcast to
 		// consumers, or acknowledged to the publisher.
-		p.encBuf = appendPartitionRecord(p.encBuf[:0], now, key, value)
-		if _, err := p.w.Append(p.encBuf); err != nil {
+		p.encBuf = appendRunRecord(p.encBuf[:0], 0, 0, now.UnixNano(), len(key), len(value))
+		p.encBuf = append(append(p.encBuf, key...), value...)
+		if _, err := p.w.Append(1, p.encBuf); err != nil {
 			p.mu.Unlock()
 			return 0, 0, err
 		}
@@ -519,7 +519,7 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 		if len(idxs) == 0 || sc.dup[part] || p.w == nil {
 			continue
 		}
-		if err := journalColumns(p, now, cols, idxs, pid, seq); err != nil {
+		if err := p.journalSlice(now, cols, idxs, pid, seq); err != nil {
 			unlockAll()
 			return err
 		}

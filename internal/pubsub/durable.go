@@ -35,10 +35,12 @@ type durability struct {
 // partition contents, and consumer-group offsets are journaled to
 // write-ahead logs under dir and replayed on the next OpenBroker, so a
 // killed broker restarts with every acknowledged record and commit
-// intact. Every partition WAL is replayed whole (offsets equal LSNs, and
-// the dedup slots are rebuilt from every record), then memory is trimmed
-// to the restored committed floor. opts sets the fsync policy and segment
-// size.
+// intact. Every partition WAL is replayed whole — one journal record per
+// run, a frame covering its offsets, the dedup slot rebuilt from each
+// session record — then memory is trimmed to the restored committed
+// floor. A directory written in the retired one-record-per-offset format
+// is refused with wal.ErrOldFormat before anything in it is changed. opts
+// sets the fsync policy and segment size.
 func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("%w: empty data directory", ErrDurable)
@@ -83,7 +85,7 @@ func (b *Broker) DataDir() string {
 // replayMeta rebuilds topics and committed offsets from the meta
 // journal, loading each re-created partition from its own WAL.
 func (b *Broker) replayMeta() error {
-	return b.dur.meta.Replay(0, func(_ uint64, payload []byte) error {
+	return b.dur.meta.Replay(0, func(_ uint64, _ int, payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("%w: empty meta record", ErrDurable)
 		}
@@ -142,23 +144,21 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 			return err
 		}
 		p.w = w
-		err = w.Replay(0, func(lsn uint64, payload []byte) error {
-			ts, key, value, pid, seq, err := decodePartitionRecord(payload)
+		err = w.Replay(0, func(lsn uint64, n int, payload []byte) error {
+			r, pid, seq, err := decodeRunRecord(payload, n)
 			if err != nil {
 				return err
 			}
 			if int64(lsn) != p.count {
 				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, p.count)
 			}
-			// Rebuild the session-dedup slot from the record's own tag:
-			// records replay in append order, so the last tag seen for a
-			// producer is its newest applied sequence.
+			// Rebuild the session-dedup slot from the run's own tag: runs
+			// replay in append order, so the last tag seen for a producer
+			// is its newest applied sequence.
 			p.recordSlice(pid, seq)
-			// key and value are views of the WAL's read buffer; put copies
-			// them into the slab exactly as on the publish path, so the
-			// records of one batch — journaled one per offset under one
-			// timestamp — coalesce into the runs the publish made.
-			p.put(ts, key, value)
+			// The run's body is a view of the WAL's read buffer; putRun
+			// copies it into the slab exactly as the publish did.
+			p.putRun(r)
 			return nil
 		})
 		if err != nil {
@@ -176,25 +176,29 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 var errReloaded = errors.New("pubsub: reload reached the retained log")
 
 // reload reads records [from, p.first()) back from the partition's WAL
-// into fresh slabs ahead of the retained ones — put re-coalesces them
-// into the runs their publishes made — so a durable partition
-// serves reads below its memory floor; the next commit past them
-// releases them again. A WAL that does not hold every one of those
-// records changes nothing, and the caller's range check reports the
-// offset. Caller holds p.mu, which orders p.mu before the WAL's own
-// lock as a publish does.
+// into fresh slabs ahead of the retained ones — cutting the journal runs
+// at both ends, and re-coalescing them into the runs their publishes
+// made — so a durable partition serves reads below its memory floor; the
+// next commit past them releases them again. A WAL that does not hold
+// every one of those records changes nothing, and the caller's range
+// check reports the offset. Caller holds p.mu, which orders p.mu before
+// the WAL's own lock as a publish does.
 func (p *partitionLog) reload(from int64) error {
 	first := p.first()
 	gap := partitionLog{count: from}
-	err := p.w.Replay(uint64(from), func(lsn uint64, payload []byte) error {
-		if int64(lsn) != gap.count || gap.count == first {
-			return errReloaded // the WAL starts above from, or the gap is filled
-		}
-		ts, key, value, _, _, err := decodePartitionRecord(payload)
+	err := p.w.Replay(uint64(from), func(lsn uint64, n int, payload []byte) error {
+		r, _, _, err := decodeRunRecord(payload, n)
 		if err != nil {
 			return err
 		}
-		gap.put(ts, key, value)
+		r.off = int64(lsn)
+		if r.off > gap.count {
+			return errReloaded // the WAL starts above from
+		}
+		gap.putRun(r.span(gap.count, first))
+		if gap.count == first {
+			return errReloaded // the gap is filled
+		}
 		return nil
 	})
 	if err != nil && !errors.Is(err, errReloaded) {
@@ -235,7 +239,7 @@ func (d *durability) journalTopic(topic string, partitions int) error {
 	}
 	d.buf = appendLenStr(append(d.buf[:0], metaTopic), topic)
 	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(partitions))
-	_, err := d.meta.Append(d.buf)
+	_, err := d.meta.Append(1, d.buf)
 	return err
 }
 
@@ -246,7 +250,7 @@ func (d *durability) journalCommit(group, topic string, partition int, offset in
 	d.buf = appendLenStr(appendLenStr(append(d.buf[:0], metaCommit), group), topic)
 	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(partition))
 	d.buf = binary.BigEndian.AppendUint64(d.buf, uint64(offset))
-	_, err := d.meta.Append(d.buf)
+	_, err := d.meta.Append(1, d.buf)
 	return err
 }
 
@@ -254,105 +258,73 @@ func (d *durability) close() {
 	d.meta.Close()
 }
 
-// recordHeaderLen is the fixed head of a partition-WAL record: u64
-// unix-nanos | u32 key length.
-const recordHeaderLen = 12
+// A partition journal record is one run, in a WAL frame covering its n
+// offsets: kind | [u64 pid | u64 seq, runSession only] | u64 unix-nanos |
+// u32 keyLen | u32 valLen | n × (key‖value). A session slice's records
+// and dedup slot are one frame: a torn write loses both or neither, so a
+// retry after a crash is applied whole or deduplicated whole.
+const (
+	runPlain   = byte(0x00)
+	runSession = byte(0x01)
+)
 
-// appendPartitionRecord frames one published record for the partition
-// WAL: u64 timestamp | u32 key length | key | value (the value's length
-// is the frame remainder).
-func appendPartitionRecord(buf []byte, ts time.Time, key, value []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(ts.UnixNano()))
-	buf = appendLenBytes(buf, key)
-	return append(buf, value...)
-}
-
-// sessionTag marks a partition record published through a producer
-// session: sessionTag | u64 producer id | u64 sequence, prefixed to the
-// plain record framing. The tag byte is unambiguous against untagged
-// records, whose first byte is the high byte of a big-endian UnixNano
-// timestamp — 0xF5 there would be a nonsensical (negative, far-future)
-// time no real publish produces. Journaling the tag with the record
-// itself keeps dedup state and data in one atomic WAL unit: there is no
-// ordering between "record durable" and "dedup state durable" to get
-// wrong across a crash.
-const sessionTag = byte(0xF5)
-
-// sessionTagLen is the tagged prefix length: tag byte + pid + seq.
-const sessionTagLen = 17
-
-// appendSessionTag prefixes the session tag when pid is nonzero; plain
-// publishes (pid 0) are framed untagged.
-func appendSessionTag(buf []byte, pid, seq uint64) []byte {
+// appendRunRecord appends a run record's head — kind, session tag when
+// pid is nonzero, run header — for the caller to follow with the run's
+// records.
+func appendRunRecord(buf []byte, pid, seq uint64, nanos int64, keyLen, valLen int) []byte {
 	if pid == 0 {
-		return buf
+		buf = append(buf, runPlain)
+	} else {
+		buf = binary.BigEndian.AppendUint64(append(buf, runSession), pid)
+		buf = binary.BigEndian.AppendUint64(buf, seq)
 	}
-	buf = append(buf, sessionTag)
-	buf = binary.BigEndian.AppendUint64(buf, pid)
-	return binary.BigEndian.AppendUint64(buf, seq)
+	return appendRunHeader(buf, nanos, keyLen, valLen)
 }
 
-// decodePartitionRecord parses one partition-WAL record. key (nil when
-// the record has none) and value are views into payload.
-func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid, seq uint64, err error) {
-	if len(payload) > 0 && payload[0] == sessionTag {
-		if len(payload) < sessionTagLen {
-			return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: %d-byte session tag", ErrDurable, len(payload))
+// decodeRunRecord parses one partition journal record whose frame covers
+// n offsets. The run's body is a view into payload, and its offset is
+// left to the caller.
+func decodeRunRecord(payload []byte, n int) (r run, pid, seq uint64, err error) {
+	if len(payload) == 0 {
+		return run{}, 0, 0, fmt.Errorf("%w: empty partition record", ErrDurable)
+	}
+	d := payload[1:]
+	switch payload[0] {
+	case runPlain:
+	case runSession:
+		if len(d) < 16 {
+			return run{}, 0, 0, fmt.Errorf("%w: %d-byte session tag", ErrDurable, len(d))
 		}
-		pid = binary.BigEndian.Uint64(payload[1:9])
-		seq = binary.BigEndian.Uint64(payload[9:17])
+		pid, seq, d = binary.BigEndian.Uint64(d), binary.BigEndian.Uint64(d[8:]), d[16:]
 		if pid == 0 {
-			return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: session tag with zero producer id", ErrDurable)
+			return run{}, 0, 0, fmt.Errorf("%w: session record with zero producer id", ErrDurable)
 		}
-		payload = payload[sessionTagLen:]
+	default:
+		return run{}, 0, 0, fmt.Errorf("%w: unknown partition record kind %#x", ErrDurable, payload[0])
 	}
-	if len(payload) < recordHeaderLen {
-		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: %d-byte partition record", ErrDurable, len(payload))
+	if len(d) < runHeaderLen {
+		return run{}, 0, 0, fmt.Errorf("%w: %d-byte run header", ErrDurable, len(d))
 	}
-	klen := binary.BigEndian.Uint32(payload[8:recordHeaderLen])
-	if uint32(len(payload)-recordHeaderLen) < klen {
-		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: key length %d beyond record", ErrDurable, klen)
+	r.ts, r.keyLen, r.valLen = readRunHeader(d)
+	r.n, r.body = n, d[runHeaderLen:]
+	if stride := r.keyLen + r.valLen; n < 1 || stride == 0 && len(r.body) > 0 ||
+		stride > 0 && (len(r.body)%stride != 0 || len(r.body)/stride != n) {
+		return run{}, 0, 0, fmt.Errorf("%w: %d bytes for a run of %d records of %d+%d bytes", ErrDurable, len(r.body), n, r.keyLen, r.valLen)
 	}
-	if klen > 0 {
-		key = payload[recordHeaderLen : recordHeaderLen+klen]
-	}
-	ts = time.Unix(0, int64(binary.BigEndian.Uint64(payload)))
-	return ts, key, payload[recordHeaderLen+klen:], pid, seq, nil
+	return r, pid, seq, nil
 }
 
-// journalColumns frames and appends one partition's slice of a columnar
-// batch as a single WAL batch (one write, one policy fsync), one journal
-// record per offset framed exactly as Publish frames it — replay cannot
-// tell which publish form wrote a record, and the shared timestamp is
-// what re-coalesces the slice into one run. The caller holds the
-// partition lock.
-func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pid, seq uint64) error {
-	per := recordHeaderLen + cols.KeyLen + cols.ValLen
-	if pid != 0 {
-		per += sessionTagLen
-	}
-	total := len(idxs) * per
-	// Grow the scratch once up front: the per-record sub-slices handed
-	// to AppendBatch must all point into the same backing array.
-	if cap(p.encBuf) < total {
-		p.encBuf = make([]byte, 0, total)
-	}
-	enc := p.encBuf[:0]
-	payloads := p.payloads[:0]
+// journalSlice journals one partition's slice of a columnar batch as one
+// run record — one WAL frame, one write, one policy fsync, the session
+// tag once. The caller holds the partition lock.
+func (p *partitionLog) journalSlice(now time.Time, cols Columns, idxs []int, pid, seq uint64) error {
+	enc := appendRunRecord(p.encBuf[:0], pid, seq, now.UnixNano(), cols.KeyLen, cols.ValLen)
 	for _, i := range idxs {
-		start := len(enc)
-		enc = appendSessionTag(enc, pid, seq)
-		enc = appendPartitionRecord(enc, now, cols.Key(i), cols.Val(i))
-		payloads = append(payloads, enc[start:len(enc):len(enc)])
+		enc = append(append(enc, cols.Key(i)...), cols.Val(i)...)
 	}
-	p.encBuf, p.payloads = enc[:0], payloads[:0]
-	_, err := p.w.AppendBatch(payloads)
+	p.encBuf = enc
+	_, err := p.w.Append(len(idxs), enc)
 	return err
-}
-
-func appendLenBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
 }
 
 func appendLenStr(buf []byte, s string) []byte {

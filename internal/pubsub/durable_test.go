@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -229,7 +231,7 @@ func TestDurableBrokerSurvivesTornPartitionTail(t *testing.T) {
 
 	// Corrupt the partition log's tail the way a crash mid-write would:
 	// append half a frame straight to the newest segment file.
-	segs, err := filepath.Glob(filepath.Join(dir, "topic-answer", "p0000", "wal-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(dir, "topic-answer", "p0000", "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
 	}
@@ -334,4 +336,213 @@ func TestDurableCommitZeroAllocs(t *testing.T) {
 	if off, err := b.CommittedOffset("aggregator", "answer", 1); err != nil || off != offset {
 		t.Fatalf("committed offset %d (%v), want %d", off, err, offset)
 	}
+}
+
+// segmentOf returns the one segment file of a durable broker's partition
+// 0 of topic.
+func segmentOf(t *testing.T, dir, topic string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "topic-"+topic, "p0000", "wal-*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("partition segments %v (%v), want one", segs, err)
+	}
+	return segs[0]
+}
+
+// TestColumnarJournalBytes: a partition's slice of a columnar batch is
+// one journal record — a frame, a session tag and a run header per
+// batch, not per record — so 10,000 shares of a 16-byte MID and a
+// 22-byte value, published as 20 session batches, take at most 42 B of
+// partition journal each, WAL framing included (75 B when every record
+// carried its own frame, tag and header).
+func TestColumnarJournalBytes(t *testing.T) {
+	dir := t.TempDir()
+	b, err := OpenBroker(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	cols := testCols(500, 16, 22)
+	for seq := uint64(1); seq <= 20; seq++ {
+		if err := b.PublishColumns("t", cols, 7, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := os.Stat(segmentOf(t, dir, "t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(info.Size()) / 10000
+	t.Logf("%.2f B of journal per record", per)
+	if per > 42 {
+		t.Errorf("%.2f B of journal per 38-byte record, want ≤ 42", per)
+	}
+}
+
+// TestTornSessionSliceIsRetriedWhole: a write torn inside a session
+// batch's journal record loses the whole slice, its dedup slot with it,
+// so the producer's retry of the same (pid, seq) after the restart is
+// applied whole — not deduplicated against a prefix of tagged records
+// that survived the tear, which loses the rest of the batch.
+func TestTornSessionSliceIsRetriedWhole(t *testing.T) {
+	dir := t.TempDir()
+	b, err := OpenBroker(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	cols := sessionCols('a', 10)
+	if err := b.PublishColumns("t", cols, 7, 1); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	seg := segmentOf(t, dir, "t")
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, info.Size()*45/100); err != nil { // a crash partway through the batch
+		t.Fatal(err)
+	}
+
+	b2, err := OpenBroker(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if err := b2.PublishColumns("t", cols, 7, 1); err != nil {
+		t.Fatal(err)
+	}
+	end, _ := b2.EndOffset("t", 0)
+	if st := b2.Stats(); end != 10 || st.Duplicates != 0 {
+		t.Fatalf("after the torn write and the retry the partition holds %d records (%d deduplicated), want 10 and 0", end, st.Duplicates)
+	}
+	recs, err := b2.Fetch("t", 0, 0, 10)
+	if err != nil || len(recs) != 10 {
+		t.Fatalf("fetch: %d records, %v", len(recs), err)
+	}
+	for i, rec := range recs {
+		if !bytes.Equal(rec.Key, cols.Key(i)) || !bytes.Equal(rec.Value, cols.Val(i)) {
+			t.Fatalf("record %d reads back as %q=%q", i, rec.Key, rec.Value)
+		}
+	}
+}
+
+// TestDurableReloadCutsRunsAtBothEnds: the second of three 200-record
+// batches straddles two slabs, and a commit inside it releases the first
+// slab, so the memory floor lies inside that batch's journal run. A fetch
+// from 0 reads the gap back with that run cut at the floor, into slabs
+// byte-identical to the ones the publishes filled; once released again,
+// a fetch that starts inside the run reads back exactly its records from
+// there, the run cut at both ends.
+func TestDurableReloadCutsRunsAtBothEnds(t *testing.T) {
+	b, err := OpenBroker(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := b.PublishColumns("t", wideCols(byte('a'+seq), 200), 7, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := b.topics["t"].partitions[0]
+	published := slabImages(p)
+	if err := b.CommitOffset("agg", "t", 0, 300); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := retained(t, b)
+	if first <= 200 || first >= 300 {
+		t.Fatalf("the memory floor is %d, want one inside the second batch's run [200, 400)", first)
+	}
+	check := func(from int64) {
+		t.Helper()
+		recs, err := b.Fetch("t", 0, from, 1000)
+		if err != nil || int64(len(recs)) != 600-from {
+			t.Fatalf("fetch from %d: %d records, %v; want %d", from, len(recs), err, 600-from)
+		}
+		for i, rec := range recs {
+			off := from + int64(i)
+			tag := byte('a' + 1 + off/200)
+			if key := fmt.Sprintf("%c-key-%03d", tag, off%200); rec.Offset != off || string(rec.Key) != key ||
+				!bytes.Equal(rec.Value, bytes.Repeat([]byte{tag}, 1000)) {
+				t.Fatalf("fetch from %d: record %d reads back as offset %d key %q, want key %q", from, off, rec.Offset, rec.Key, key)
+			}
+		}
+	}
+	check(0)
+	reloaded := slabImages(p)
+	if len(reloaded) != len(published) {
+		t.Fatalf("after the reload the partition holds %d slabs, the publishes filled %d", len(reloaded), len(published))
+	}
+	for i := range reloaded {
+		if reloaded[i] != published[i] {
+			t.Fatalf("reloaded slab %d\n got %.200s\nwant %.200s", i, reloaded[i].image, published[i].image)
+		}
+	}
+	if err := b.CommitOffset("agg", "t", 0, 301); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := retained(t, b); again != first {
+		t.Fatalf("the second commit left the memory floor at %d, want %d", again, first)
+	}
+	check(230)
+	if again, _ := retained(t, b); again != 230 {
+		t.Fatalf("a fetch from 230 reloaded the partition from %d", again)
+	}
+}
+
+// TestOpenBrokerRefusesOldFormat: a data directory written in the
+// retired one-record-per-offset journal format — checked in beside the
+// WAL package — is refused with wal.ErrOldFormat, and no file in it is
+// changed, added or truncated.
+func TestOpenBrokerRefusesOldFormat(t *testing.T) {
+	dir := t.TempDir()
+	want := copyTree(t, filepath.Join("..", "wal", "testdata", "old-format-broker"), dir)
+	if b, err := OpenBroker(dir, wal.Options{}); !errors.Is(err, wal.ErrOldFormat) {
+		if err == nil {
+			b.Close()
+		}
+		t.Fatalf("OpenBroker = %v, want wal.ErrOldFormat", err)
+	}
+	if got := copyTree(t, dir, t.TempDir()); !maps.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("the refused directory changed: %d files, want %d", len(got), len(want))
+	}
+}
+
+// copyTree copies the regular files under src to dst and returns their
+// contents by relative path.
+func copyTree(t *testing.T, src, dst string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files[rel] = data
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dst, rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -15,8 +15,22 @@ const slabSize = 256 << 10
 
 // runHeaderLen is the head of a run: u64 unix-nanos | u32 keyLen | u32
 // valLen. The run's records follow, each its key then its value, at the
-// fixed stride keyLen+valLen.
+// fixed stride keyLen+valLen — in a slab and, behind a kind byte, in the
+// partition journal (durable.go).
 const runHeaderLen = 16
+
+// appendRunHeader appends a run header to buf; given a slice of a slab's
+// free space, it writes the header in place.
+func appendRunHeader(buf []byte, nanos int64, keyLen, valLen int) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(nanos))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(keyLen))
+	return binary.BigEndian.AppendUint32(buf, uint32(valLen))
+}
+
+// readRunHeader parses the run header at the front of h.
+func readRunHeader(h []byte) (nanos int64, keyLen, valLen int) {
+	return int64(binary.BigEndian.Uint64(h)), int(binary.BigEndian.Uint32(h[8:])), int(binary.BigEndian.Uint32(h[12:]))
+}
 
 // runEntryLen is one run's entry in its slab's directory: u32 start
 // position | u32 slab index of the run's first record.
@@ -53,18 +67,14 @@ func (s *slab) extends(nanos int64, keyLen, valLen int) bool {
 		return false
 	}
 	start, _ := s.entry(s.runs - 1)
-	h := s.buf[start:]
-	return int64(binary.BigEndian.Uint64(h)) == nanos &&
-		int(binary.BigEndian.Uint32(h[8:])) == keyLen && int(binary.BigEndian.Uint32(h[12:])) == valLen
+	n, k, v := readRunHeader(s.buf[start:])
+	return n == nanos && k == keyLen && v == valLen
 }
 
 // open starts a run at the front and enters it in the directory. Caller
 // has checked free() for its header, entry and first record.
 func (s *slab) open(nanos int64, keyLen, valLen int) {
-	h := s.buf[s.used:]
-	binary.BigEndian.PutUint64(h, uint64(nanos))
-	binary.BigEndian.PutUint32(h[8:], uint32(keyLen))
-	binary.BigEndian.PutUint32(h[12:], uint32(valLen))
+	appendRunHeader(s.buf[s.used:s.used], nanos, keyLen, valLen)
 	s.runs++
 	e := s.buf[len(s.buf)-runEntryLen*s.runs:]
 	binary.BigEndian.PutUint32(e, uint32(s.used))
@@ -148,29 +158,44 @@ func (p *partitionLog) each(from, to int64, fn func(r run)) {
 	si := sort.Search(len(p.slabs), func(i int) bool { return p.slabs[i].base > from }) - 1
 	for off := from; off < to; si++ {
 		s := &p.slabs[si]
-		i := int(off - s.base)
-		ri := sort.Search(s.runs, func(r int) bool { _, first := s.entry(r); return first > i }) - 1
+		ri := sort.Search(s.runs, func(r int) bool { _, first := s.entry(r); return first > int(off-s.base) }) - 1
 		for ; ri < s.runs && off < to; ri++ {
 			start, first := s.entry(ri)
 			end := s.n
 			if ri+1 < s.runs {
 				_, end = s.entry(ri + 1)
 			}
-			h := s.buf[start:]
-			r := run{
-				off:    off,
-				n:      int(min(int64(end-i), to-off)),
-				ts:     int64(binary.BigEndian.Uint64(h)),
-				keyLen: int(binary.BigEndian.Uint32(h[8:])),
-				valLen: int(binary.BigEndian.Uint32(h[12:])),
-			}
-			stride := r.keyLen + r.valLen
-			at := start + runHeaderLen + (i-first)*stride
-			r.body = s.buf[at : at+r.n*stride : at+r.n*stride]
+			r := run{off: s.base + int64(first), n: end - first}
+			r.ts, r.keyLen, r.valLen = readRunHeader(s.buf[start:])
+			r.body = s.buf[start+runHeaderLen:]
+			r = r.span(off, to)
 			fn(r)
 			off += int64(r.n)
-			i += r.n
 		}
+	}
+}
+
+// span returns the part of r inside [from, to), which must overlap it,
+// with its body cut to the records' bytes and cap-limited.
+func (r run) span(from, to int64) run {
+	stride := r.keyLen + r.valLen
+	if skip := from - r.off; skip > 0 {
+		r.off, r.n, r.body = from, r.n-int(skip), r.body[int(skip)*stride:]
+	}
+	if over := r.off + int64(r.n) - to; over > 0 {
+		r.n -= int(over)
+	}
+	r.body = r.body[: r.n*stride : r.n*stride]
+	return r
+}
+
+// putRun puts r's records one by one, as their publish did, so a journal
+// run re-coalesces into the slab runs it made. Caller holds p.mu.
+func (p *partitionLog) putRun(r run) {
+	ts, stride := time.Unix(0, r.ts), r.keyLen+r.valLen
+	for i := 0; i < r.n; i++ {
+		rec := r.body[i*stride : (i+1)*stride]
+		p.put(ts, rec[:r.keyLen], rec[r.keyLen:])
 	}
 }
 

@@ -3,8 +3,12 @@ package pubsub
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
+
+	"privapprox/internal/wal"
 )
 
 // slabImage is what one slab has written: its base, its record and run
@@ -66,17 +70,23 @@ func TestColumnarRunSlabBytes(t *testing.T) {
 // exactly, and one larger than a slab.
 var fuzzValLens = []int{0, 1, 22, 1000, 5000, slabSize - runHeaderLen - runEntryLen, slabSize + 1}
 
-// FuzzPartitionLog applies a sequence of puts and trims to a partition
-// log and compares it with a plain []Record model: from every retained
-// offset, each and Fetch must read back every record's offset,
+// FuzzPartitionLog applies a sequence of puts and trims to a durable
+// partition log and compares it with a plain []Record model: from every
+// retained offset, each and Fetch must read back every record's offset,
 // timestamp, key (nil or present) and value; and no slab may hold two
-// adjacent runs that one run could have held. ops is read three bytes at
-// a time, [op, a, c]:
+// adjacent runs that one run could have held. Then the durable leg: the
+// broker is reopened from its journal, which must restore every record —
+// into the slabs the puts fill without a trim — and every session's
+// newest sequence;
+// and after a trim, fetches from below the memory floor must read the
+// model back from the journal. ops is read three bytes at a time,
+// [op, a, c]:
 //   - op&7 == 7 trims at first + a/255 of the retained span;
 //   - otherwise 1 + c%64 records (1 + c%2 past 5,000 value bytes) are
-//     put under the previous timestamp, or a new one when op&8 is set,
-//     with key length {0, 1, 16}[(op>>4)%3] and value length
-//     fuzzValLens[a%7].
+//     journaled as one run and put under the previous timestamp, or a
+//     new one when op&8 is set, with key length {0, 1, 16}[(op>>4)%3]
+//     and value length fuzzValLens[a%7], session-tagged by producer
+//     1 + c>>7 when c&64 is set.
 func FuzzPartitionLog(f *testing.F) {
 	f.Add([]byte{ // a run that straddles two slabs, then one that grows past the next
 		0x28, 4, 63, 0x20, 4, 63, 0x20, 4, 63, 0x20, 4, 63, 0x20, 4, 63,
@@ -89,14 +99,24 @@ func FuzzPartitionLog(f *testing.F) {
 		0x08, 0, 63, 0x08, 2, 9, 0x18, 2, 9, 0x00, 2, 0, 0x08, 5, 0, 0x28, 6, 1, 0x20, 6, 0,
 		0x08, 0, 3, 0x00, 0, 3, 0x07, 100, 0, 0x28, 2, 63,
 	})
+	f.Add([]byte{ // two producers' sessions, a trim inside a straddling run
+		0x28, 4, 127, 0x20, 4, 255, 0x20, 4, 200, 0x20, 4, 127, 0x07, 170, 0, 0x18, 2, 72,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		b := NewBroker()
+		dir := t.TempDir()
+		opts := wal.Options{SegmentBytes: 1 << 20}
+		b, err := OpenBroker(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { b.Close() }()
 		if err := b.CreateTopic("t", 1); err != nil {
 			t.Fatal(err)
 		}
 		p := b.topics["t"].partitions[0]
 		var model []Record
-		ts, bytesPut := time.Unix(0, 1), 0
+		producers := map[uint64]uint64{}
+		ts, bytesPut, seq := time.Unix(0, 1), 0, uint64(0)
 		for ; len(ops) >= 3 && bytesPut < 4<<20; ops = ops[3:] {
 			op, a, c := ops[0], ops[1], ops[2]
 			if op&7 == 7 {
@@ -115,15 +135,31 @@ func FuzzPartitionLog(f *testing.F) {
 			if valLen > 5000 {
 				n = 1 + int(c)%2
 			}
-			for range n {
-				off := len(model)
+			cols := Columns{Count: n, KeyLen: keyLen, ValLen: valLen}
+			for i := range n {
+				off := len(model) + i
+				cols.Keys = append(cols.Keys, bytes.Repeat([]byte{byte(off)}, keyLen)...)
+				cols.Vals = append(cols.Vals, bytes.Repeat([]byte{byte(off * 7)}, valLen)...)
+			}
+			var pid uint64
+			if c&64 != 0 {
+				pid, seq = 1+uint64(c>>7), seq+1
+				producers[pid] = seq
+			}
+			idxs := make([]int, n)
+			for i := range idxs {
+				idxs[i] = i
+			}
+			if err := p.journalSlice(ts, cols, idxs, pid, seq); err != nil {
+				t.Fatal(err)
+			}
+			for i := range n {
 				var key []byte
 				if keyLen > 0 {
-					key = bytes.Repeat([]byte{byte(off)}, keyLen)
+					key = cols.Key(i)
 				}
-				value := bytes.Repeat([]byte{byte(off * 7)}, valLen)
-				p.put(ts, key, value)
-				model = append(model, Record{Topic: "t", Offset: int64(off), Key: key, Value: value, Timestamp: ts})
+				p.put(ts, key, cols.Val(i))
+				model = append(model, Record{Topic: "t", Offset: int64(len(model)), Key: key, Value: cols.Val(i), Timestamp: ts})
 				bytesPut += keyLen + valLen
 			}
 		}
@@ -175,5 +211,47 @@ func FuzzPartitionLog(f *testing.F) {
 			}
 			same("Fetch", from, recs)
 		}
+
+		// The durable leg: reopen, and read below the memory floor.
+		floor := p.first()
+		b.Close()
+		if b, err = OpenBroker(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		p = b.topics["t"].partitions[0]
+		if p.count != int64(len(model)) || !maps.Equal(p.producers, producers) {
+			t.Fatalf("reopened log holds %d records and sessions %v, want %d and %v", p.count, p.producers, len(model), producers)
+		}
+		untrimmed := newPartitionLog()
+		for _, r := range model {
+			untrimmed.put(r.Timestamp, r.Key, r.Value)
+		}
+		if !sameSlabs(p, untrimmed) {
+			t.Fatal("the reopened log's slabs differ from the ones the puts fill without a trim")
+		}
+		p.trim(floor)
+		mem := p.first()
+		if mem > 0 {
+			for _, at := range []int64{0, mem / 3, mem * 2 / 3, mem - 1} {
+				p.trim(mem)
+				recs, err := b.Fetch("t", 0, at, 33)
+				if err != nil || int64(len(recs)) != min(33, p.count-at) {
+					t.Fatalf("Fetch from %d below the memory floor %d: %d records, %v", at, mem, len(recs), err)
+				}
+				same("reloaded Fetch", at, recs)
+				if p.first() != at {
+					t.Fatalf("a fetch from %d reloaded from %d", at, p.first())
+				}
+			}
+		}
+	})
+}
+
+// sameSlabs reports whether two logs' slabs have written the same bases,
+// counts, runs, directories and bytes.
+func sameSlabs(a, b *partitionLog) bool {
+	return slices.EqualFunc(a.slabs, b.slabs, func(x, y slab) bool {
+		return x.base == y.base && x.n == y.n && x.runs == y.runs && bytes.Equal(x.buf[:x.used], y.buf[:y.used]) &&
+			bytes.Equal(x.buf[len(x.buf)-runEntryLen*x.runs:], y.buf[len(y.buf)-runEntryLen*y.runs:])
 	})
 }

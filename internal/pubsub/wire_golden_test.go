@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"privapprox/internal/wal"
 )
 
-// The vectors below were captured from the tree before the row-batch,
+// goldenFrame was captured from the tree before the row-batch,
 // unsessioned-columnar and feature-probe opcodes were deleted (the
-// request the client's sessioned columnar publish wrote, and the
-// records the partition journal appended): byte-identity to that output
-// is what replaces the old-vs-new equivalence tests.
+// request the client's sessioned columnar publish wrote): byte-identity
+// to that output is what replaces the old-vs-new equivalence tests. The
+// partition journal's run records were captured when the journal began
+// writing one record per run.
 var (
 	goldenCols = Columns{Count: 2, KeyLen: 4, ValLen: 3, Keys: []byte("k000k001"), Vals: []byte("v00v01")}
 	goldenPID  = uint64(0x0102030405060708)
@@ -29,13 +32,16 @@ const (
 	// key lane | value lane.
 	goldenFrame = "0c" + "00000006616e73776572" + "0102030405060708" + "1112131415161718" +
 		"00000002" + "00000004" + "00000003" + "000000086b3030306b303031" + "00000006763030763031"
-	// 0xF5 | pid | seq | timestamp | key length | key | value.
-	goldenTagged = "f5" + "0102030405060708" + "1112131415161718" + "0123456789abcdef" + "000000046b303030" + "763030"
-	// timestamp | key length | key | value.
-	goldenUntagged = "0123456789abcdef" + "000000046b303031" + "763031"
+	// runSession | pid | seq | timestamp | keyLen 4 | valLen 3 | two
+	// records: goldenCols published under (goldenPID, goldenSeq).
+	goldenSessionRun = "01" + "0102030405060708" + "1112131415161718" + "0123456789abcdef" + "00000004" + "00000003" +
+		"6b303030763030" + "6b303031763031"
+	// runPlain | timestamp | keyLen 4 | valLen 3 | one record: goldenCols'
+	// second record published alone.
+	goldenPlainRun = "00" + "0123456789abcdef" + "00000004" + "00000003" + "6b303031763031"
 )
 
-func unhex(t *testing.T, s string) []byte {
+func unhex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
 	if err != nil {
@@ -79,19 +85,25 @@ func TestGoldenPublishColumnsFrame(t *testing.T) {
 	}
 }
 
-// TestGoldenPartitionRecords: the exact partition-WAL bytes of one
-// session-tagged and one untagged record — from the framing functions
-// under a fixed timestamp, and from a durable broker's journal (its
-// clock-drawn timestamp bytes overwritten with the fixed one) for both
-// publish calls.
+// TestGoldenPartitionRecords: the exact partition-journal bytes of a
+// session-tagged and a plain run record — from the encoder under a fixed
+// timestamp, and from a durable broker's journal (its clock-drawn
+// timestamp bytes overwritten with the fixed one) for a sessioned and an
+// unsessioned columnar batch, one record per batch, and a Publish: three
+// frames covering offsets [0, 2), [2, 4) and [4, 5).
 func TestGoldenPartitionRecords(t *testing.T) {
-	tagged := appendPartitionRecord(appendSessionTag(nil, goldenPID, goldenSeq), goldenTS, goldenCols.Key(0), goldenCols.Val(0))
-	if !bytes.Equal(tagged, unhex(t, goldenTagged)) {
-		t.Fatalf("tagged record\n got %x\nwant %s", tagged, goldenTagged)
+	run := func(pid, seq uint64, recs ...int) []byte {
+		buf := appendRunRecord(nil, pid, seq, goldenTS.UnixNano(), goldenCols.KeyLen, goldenCols.ValLen)
+		for _, i := range recs {
+			buf = append(append(buf, goldenCols.Key(i)...), goldenCols.Val(i)...)
+		}
+		return buf
 	}
-	untagged := appendPartitionRecord(appendSessionTag(nil, 0, 0), goldenTS, goldenCols.Key(1), goldenCols.Val(1))
-	if !bytes.Equal(untagged, unhex(t, goldenUntagged)) {
-		t.Fatalf("untagged record\n got %x\nwant %s", untagged, goldenUntagged)
+	if got := run(goldenPID, goldenSeq, 0, 1); !bytes.Equal(got, unhex(t, goldenSessionRun)) {
+		t.Fatalf("session run record\n got %x\nwant %s", got, goldenSessionRun)
+	}
+	if got := run(0, 0, 1); !bytes.Equal(got, unhex(t, goldenPlainRun)) {
+		t.Fatalf("plain run record\n got %x\nwant %s", got, goldenPlainRun)
 	}
 
 	dir := t.TempDir()
@@ -117,27 +129,22 @@ func TestGoldenPartitionRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	var journal [][]byte
-	if err := w.Replay(0, func(_ uint64, payload []byte) error {
-		journal = append(journal, append([]byte(nil), payload...))
+	var frames []string
+	if err := w.Replay(0, func(lsn uint64, n int, payload []byte) error {
+		got := bytes.Clone(payload)
+		at := 1 // the timestamp follows the kind byte, and a session tag
+		if got[0] == runSession {
+			at += 16
+		}
+		copy(got[at:at+8], unhex(t, "0123456789abcdef"))
+		frames = append(frames, fmt.Sprintf("%d+%d:%x", lsn, n, got))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(journal) != 5 {
-		t.Fatalf("journal holds %d records, want 5", len(journal))
-	}
-	tsAt := map[int]int{0: sessionTagLen, 3: 0, 4: 0}
-	want := map[int][]byte{0: tagged, 3: untagged, 4: untagged}
-	for i, rec := range want {
-		got := journal[i]
-		if len(got) != len(rec) {
-			t.Fatalf("journal record %d is %d bytes, want %d: %x", i, len(got), len(rec), got)
-		}
-		copy(got[tsAt[i]:tsAt[i]+8], rec[tsAt[i]:tsAt[i]+8])
-		if !bytes.Equal(got, rec) {
-			t.Fatalf("journal record %d\n got %x\nwant %x", i, got, rec)
-		}
+	want := []string{"0+2:" + goldenSessionRun, fmt.Sprintf("2+2:%x", run(0, 0, 0, 1)), "4+1:" + goldenPlainRun}
+	if strings.Join(frames, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("journal frames\n got %s\nwant %s", strings.Join(frames, "\n     "), strings.Join(want, "\n     "))
 	}
 }
 
@@ -216,41 +223,61 @@ func TestGoldenFetchResponse(t *testing.T) {
 	}
 }
 
-// FuzzPartitionRecord drives the partition-WAL record decoder — the
-// bytes a restarting broker reads back from disk, session tag included —
-// with arbitrary payloads: it must never panic, must never yield a
-// tagged record with a zero producer id, and whatever it accepts must
-// re-encode to exactly the bytes it was given.
+// FuzzPartitionRecord drives the partition-journal record decoder — the
+// bytes a restarting broker reads back from disk, under a frame covering
+// n offsets — with arbitrary records: it must never panic, must refuse
+// with an error wrapping ErrDurable a run whose body is not n records of
+// its strides, a session record with a zero producer id or an unknown
+// kind byte, and whatever it accepts must re-encode to exactly the bytes
+// it was given — through the encoder, and through a slab.
 func FuzzPartitionRecord(f *testing.F) {
-	for _, s := range []string{goldenTagged, goldenUntagged} {
-		b, err := hex.DecodeString(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		f.Add(b[:len(b)/2])
-	}
-	f.Add([]byte{})
-	f.Add([]byte{sessionTag})
-	f.Add(append([]byte{sessionTag}, make([]byte, 28)...))                  // zero pid
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 'k', 'v'}) // key length past the end
+	session, plain := unhex(f, goldenSessionRun), unhex(f, goldenPlainRun)
+	f.Add(session, uint32(2))
+	f.Add(session[:len(session)/2], uint32(2))
+	f.Add(session, uint32(3)) // count mismatch
+	f.Add(plain, uint32(1))
+	f.Add(plain[:len(plain)/2], uint32(1))
+	f.Add([]byte{}, uint32(1))
+	f.Add(append([]byte{runSession}, make([]byte, 32)...), uint32(1))                           // zero pid
+	f.Add(append([]byte{0x02}, plain[1:]...), uint32(1))                                        // unknown kind
+	f.Add(append([]byte{runPlain}, make([]byte, runHeaderLen)...), uint32(5))                   // five empty records
+	f.Add(append([]byte{runPlain}, unhex(f, "0000000000000001ffffffff00000000")...), uint32(1)) // key length past the end
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		ts, key, value, pid, seq, err := decodePartitionRecord(payload)
+	f.Fuzz(func(t *testing.T, payload []byte, n uint32) {
+		r, pid, seq, err := decodeRunRecord(payload, int(n))
 		if err != nil {
 			if !errors.Is(err, ErrDurable) {
 				t.Fatalf("decode error %v does not wrap ErrDurable", err)
 			}
 			return
 		}
-		if tagged := payload[0] == sessionTag; tagged != (pid != 0) {
-			t.Fatalf("tag byte %#x decoded to producer id %d", payload[0], pid)
+		if session := payload[0] == runSession; session != (pid != 0) {
+			t.Fatalf("kind %#x decoded to producer id %d", payload[0], pid)
 		}
 		if pid == 0 && seq != 0 {
-			t.Fatalf("untagged record carries sequence %d", seq)
+			t.Fatalf("plain record carries sequence %d", seq)
 		}
-		if again := appendPartitionRecord(appendSessionTag(nil, pid, seq), ts, key, value); !bytes.Equal(again, payload) {
+		if r.n != int(n) {
+			t.Fatalf("a frame of %d decodes to a run of %d", n, r.n)
+		}
+		again := append(appendRunRecord(nil, pid, seq, r.ts, r.keyLen, r.valLen), r.body...)
+		if !bytes.Equal(again, payload) {
 			t.Fatalf("re-encoded record\n got %x\nwant %x", again, payload)
+		}
+		if r.n > 1024 {
+			return
+		}
+		p := newPartitionLog()
+		p.putRun(r)
+		var body []byte
+		p.each(0, p.count, func(sr run) {
+			if sr.ts != r.ts || sr.keyLen != r.keyLen || sr.valLen != r.valLen {
+				t.Fatalf("slab run t=%d %d+%d, want t=%d %d+%d", sr.ts, sr.keyLen, sr.valLen, r.ts, r.keyLen, r.valLen)
+			}
+			body = append(body, sr.body...)
+		})
+		if p.count != int64(r.n) || !bytes.Equal(body, r.body) {
+			t.Fatalf("the slab holds %d records of %x, want %d of %x", p.count, body, r.n, r.body)
 		}
 	})
 }

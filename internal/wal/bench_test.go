@@ -21,7 +21,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(payload); err != nil {
+				if _, err := l.Append(1, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -69,7 +69,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < records; i++ {
-				if _, err := l.Append(payload); err != nil {
+				if _, err := l.Append(1, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,7 +84,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 				n := 0
-				if err := l.Replay(0, func(uint64, []byte) error { n++; return nil }); err != nil {
+				if err := l.Replay(0, func(uint64, int, []byte) error { n++; return nil }); err != nil {
 					b.Fatal(err)
 				}
 				if n != records {

@@ -1,26 +1,34 @@
 // Package wal is the durability substrate under PrivApprox's long-lived
 // services: a segmented, checksummed append-only commit log. Broker
-// partitions journal every published record through it, consumer-group
-// commits and topic metadata ride a meta log, and the aggregator's
-// checkpoint/restore cycle serializes its per-query state into it — so a
-// SIGKILLed proxy or aggregator restarts from its data directory instead
-// of losing every in-flight epoch and registered query.
+// partitions journal every published run of records through it,
+// consumer-group commits and topic metadata ride a meta log, the
+// aggregator's checkpoint/restore cycle serializes its per-query state
+// into it, and the historical response store is one — so a SIGKILLed
+// proxy or aggregator restarts from its data directory instead of
+// losing every in-flight epoch and registered query.
 //
 // # Format
 //
-// A log is a directory of segment files named wal-<firstLSN:016x>.seg.
+// A log is a directory of segment files named wal-<firstLSN:016x>.log.
 // Records are framed as
 //
-//	u32 length | u32 crc32c(payload) | payload
+//	u32 length | u32 n | u32 crc32c(n ‖ payload) | payload
 //
-// and numbered by a monotonically increasing log sequence number (LSN);
-// a segment's file name carries the LSN of its first record, so replay
-// and retention work at whole-segment granularity without an index.
+// and numbered by a monotonically increasing log sequence number (LSN):
+// a frame covers the n LSNs [lsn, lsn+n). A partition journal writes a
+// run of n records as one frame, so a record's LSN is its partition
+// offset; every other log writes n = 1. A segment's file name carries
+// the LSN of its first frame, so replay and retention work at
+// whole-segment granularity without an index.
+//
+// A directory that holds wal-*.seg segments was written in the retired
+// format of one u32 length | u32 crc32c frame per LSN. Open refuses it
+// with ErrOldFormat before touching anything; there is no reader for it.
 //
 // # Durability contract
 //
 // Append writes the frame with a single write(2) before returning, so an
-// acknowledged record survives a process crash (SIGKILL) under every
+// acknowledged frame survives a process crash (SIGKILL) under every
 // fsync policy; the policy only decides when data reaches stable storage
 // and therefore what an *operating-system* crash can lose:
 //
@@ -31,10 +39,10 @@
 // # Recovery
 //
 // Open scans the final segment and truncates it at the first torn or
-// corrupt frame — a crash mid-write never prevents a restart. A bad
-// frame in any non-final segment is real corruption, not a torn tail,
-// and Replay fails loudly with ErrCorrupt rather than silently skipping
-// records.
+// corrupt frame — a crash mid-write never prevents a restart, and it
+// never leaves part of a frame's n LSNs behind. A bad frame in any
+// non-final segment is real corruption, not a torn tail, and Replay
+// fails loudly with ErrCorrupt rather than silently skipping records.
 package wal
 
 import (
@@ -43,6 +51,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,6 +68,9 @@ var (
 	ErrCorrupt   = errors.New("wal: corrupt record")
 	ErrTooLarge  = errors.New("wal: record too large")
 	ErrBadPolicy = errors.New("wal: unknown fsync policy")
+	// ErrOldFormat reports a directory written in the retired
+	// one-frame-per-LSN format (wal-*.seg segments).
+	ErrOldFormat = errors.New("wal: segment in the retired one-frame-per-LSN format")
 )
 
 // Policy selects when appends reach stable storage.
@@ -123,8 +135,8 @@ type Options struct {
 	FsyncHist  *telemetry.Histogram
 }
 
-// frameHeader is u32 length | u32 crc32c.
-const frameHeader = 8
+// frameHeader is u32 length | u32 n | u32 crc32c(n ‖ payload).
+const frameHeader = 12
 
 // maxRecordBytes bounds one record so a corrupt length field cannot
 // drive a multi-gigabyte allocation during recovery.
@@ -140,10 +152,10 @@ type Log struct {
 
 	mu       sync.Mutex
 	seg      *os.File // active segment
-	segStart uint64   // LSN of the active segment's first record
+	segStart uint64   // LSN of the active segment's first frame
 	segBytes int64
 	firstLSN uint64 // oldest retained LSN
-	nextLSN  uint64 // LSN the next append receives
+	nextLSN  uint64 // LSN the next frame starts at
 	encBuf   []byte // reusable frame-encoding buffer
 	closed   bool
 	syncErr  error // sticky background-sync failure, surfaced on the next append
@@ -165,7 +177,8 @@ type Log struct {
 // Open creates or recovers a log in dir. Recovery truncates the final
 // segment at the first torn or corrupt frame (a crash mid-append must
 // never refuse to start) and positions the log to append after the last
-// intact record.
+// intact frame. A directory holding segments of the retired format is
+// refused with ErrOldFormat, and nothing in it is changed.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes == 0 {
 		opts.SegmentBytes = 8 << 20
@@ -175,6 +188,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if opts.SyncInterval == 0 {
 		opts.SyncInterval = 50 * time.Millisecond
+	}
+	if old, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(old) > 0 {
+		return nil, fmt.Errorf("%w: %s", ErrOldFormat, old[0])
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -209,7 +225,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.seg = f
 		l.segStart = start
 		l.segBytes = good
-		l.nextLSN = start + uint64(count)
+		l.nextLSN = start + count
 	}
 	if opts.Policy == PolicyInterval {
 		l.stopSync = make(chan struct{})
@@ -219,68 +235,81 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// scanTail walks one segment counting intact records; it returns the
-// record count and the byte offset of the first torn/corrupt frame (==
-// file size when the segment is clean).
-func scanTail(path string) (count int, good int64, err error) {
+// scanTail walks one segment's intact frames; it returns the LSNs they
+// cover and the byte offset of the first torn/corrupt frame (== file
+// size when the segment is clean).
+func scanTail(path string) (lsns uint64, good int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	var hdr [frameHeader]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return count, good, nil // clean EOF or torn header
+		var n int
+		n, payload, err = readFrame(f, payload)
+		if err != nil {
+			return lsns, good, nil // clean EOF, or a torn or corrupt frame
 		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if length > maxRecordBytes {
-			return count, good, nil // corrupt length: treat as torn tail
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return count, good, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return count, good, nil // corrupt payload
-		}
-		count++
-		good += frameHeader + int64(length)
+		lsns += uint64(n)
+		good += frameHeader + int64(len(payload))
 	}
 }
 
-// Append writes one record, applying the fsync policy, and returns the
-// LSN it was assigned.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	h := l.appendLat.Load()
-	var t0 time.Time
-	if h != nil {
-		t0 = time.Now()
+// readFrame reads the next frame from r, reusing buf for its payload. It
+// returns io.EOF at a clean end of the segment and another error, saying
+// what is wrong, at a torn or corrupt frame.
+func readFrame(r io.Reader, buf []byte) (n int, payload []byte, err error) {
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return 0, buf, io.EOF
+		}
+		return 0, buf, errors.New("torn header")
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lsn, err := l.appendLocked(payload)
-	if err != nil {
-		return 0, err
+	length := binary.BigEndian.Uint32(hdr[0:4])
+	count := binary.BigEndian.Uint32(hdr[4:8])
+	if length > maxRecordBytes {
+		return 0, buf, fmt.Errorf("%d-byte frame", length)
 	}
-	err = l.policySyncLocked()
-	if h != nil && err == nil {
-		h.Observe(int64(time.Since(t0)))
+	if cap(buf) < int(length) {
+		buf = make([]byte, length)
 	}
-	return lsn, err
+	payload = buf[:length]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, buf, errors.New("torn payload")
+	}
+	if frameSum(hdr[4:8], payload) != binary.BigEndian.Uint32(hdr[8:12]) {
+		return 0, buf, errors.New("checksum mismatch")
+	}
+	if count == 0 {
+		return 0, buf, errors.New("frame covering no LSN")
+	}
+	return int(count), payload, nil
 }
 
-// AppendBatch writes a batch of records with one write(2) and (under
-// PolicyEveryBatch) one fsync, returning the LSN of the first. The
-// batch lands in one segment, so it replays together.
+// Append writes one frame covering the n LSNs [lsn, lsn+n), applying
+// the fsync policy, and returns lsn. A log whose payloads are not runs
+// appends with n = 1.
+func (l *Log) Append(n int, payload []byte) (uint64, error) {
+	return l.append(n, payload)
+}
+
+// AppendBatch writes a batch of records, one frame of n = 1 each, with
+// one write(2) and (under PolicyEveryBatch) one fsync, returning the LSN
+// of the first. The batch lands in one segment, so it replays together.
 func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, fmt.Errorf("wal: empty batch")
+	}
+	return l.append(1, payloads...)
+}
+
+// append writes one frame covering n LSNs per payload with one write(2),
+// applies the fsync policy, and returns the first frame's LSN.
+func (l *Log) append(n int, payloads ...[]byte) (uint64, error) {
+	if n < 1 || uint64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("wal: a frame covering %d LSNs", n)
 	}
 	h := l.appendLat.Load()
 	var t0 time.Time
@@ -309,48 +338,21 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	}
 	buf := l.encBuf[:0]
 	for _, p := range payloads {
-		buf = appendFrame(buf, p)
+		buf = appendFrame(buf, uint32(n), p)
 	}
 	l.encBuf = buf[:0]
 	first := l.nextLSN
-	n, err := l.seg.Write(buf)
-	l.segBytes += int64(n)
+	written, err := l.seg.Write(buf)
+	l.segBytes += int64(written)
 	if err != nil {
 		return 0, l.failWriteLocked(err)
 	}
-	l.nextLSN += uint64(len(payloads))
+	l.nextLSN += uint64(n) * uint64(len(payloads))
 	err = l.policySyncLocked()
 	if h != nil && err == nil {
 		h.Observe(int64(time.Since(t0)))
 	}
 	return first, err
-}
-
-func (l *Log) appendLocked(payload []byte) (uint64, error) {
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if err := l.checkUsableLocked(); err != nil {
-		return 0, err
-	}
-	if len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	if l.segBytes > 0 && l.segBytes+frameHeader+int64(len(payload)) > l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	buf := appendFrame(l.encBuf[:0], payload)
-	l.encBuf = buf[:0]
-	lsn := l.nextLSN
-	n, err := l.seg.Write(buf)
-	l.segBytes += int64(n)
-	if err != nil {
-		return 0, l.failWriteLocked(err)
-	}
-	l.nextLSN++
-	return lsn, nil
 }
 
 // failWriteLocked poisons the log after a short or failed write: the
@@ -372,10 +374,16 @@ func (l *Log) checkUsableLocked() error {
 	return l.takeSyncErrLocked()
 }
 
-func appendFrame(buf, payload []byte) []byte {
+func appendFrame(buf []byte, n uint32, payload []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	buf = binary.BigEndian.AppendUint32(buf, n)
+	buf = binary.BigEndian.AppendUint32(buf, frameSum(buf[len(buf)-4:], payload))
 	return append(buf, payload...)
+}
+
+// frameSum is a frame's checksum: CRC-32C over its n field and payload.
+func frameSum(n, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(n, castagnoli), castagnoli, payload)
 }
 
 // policySyncLocked applies the fsync policy after an append.
@@ -470,13 +478,15 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 	return nil
 }
 
-// Replay invokes fn for every record with lsn ≥ from, in LSN order,
-// stopping at the first error fn returns. Segments whose records all lie
-// below from are not read: the next segment's name says where they end.
-// A bad frame in any segment it reads but the (already recovered) tail is
-// interior corruption and fails with ErrCorrupt — records are never
-// silently skipped. Replay holds the log's lock, so appends wait for it.
-func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
+// Replay invokes fn for every frame that covers an LSN ≥ from, in LSN
+// order — the first may start below from — stopping at the first error
+// fn returns. payload is valid only for the duration of the call.
+// Segments whose frames all lie below from are not read: the next
+// segment's name says where they end. A bad frame in any segment it
+// reads but the (already recovered) tail is interior corruption and
+// fails with ErrCorrupt — frames are never silently skipped. Replay
+// holds the log's lock, so appends wait for it.
+func (l *Log) Replay(from uint64, fn func(lsn uint64, n int, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -497,43 +507,29 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 	return nil
 }
 
-func (l *Log) replaySegment(path string, from uint64, fn func(uint64, []byte) error) error {
+func (l *Log) replaySegment(path string, from uint64, fn func(uint64, int, []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 	lsn := segLSNOf(path)
-	var hdr [frameHeader]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("%w: torn header at lsn %d in %s", ErrCorrupt, lsn, filepath.Base(path))
+		n, p, err := readFrame(f, payload)
+		payload = p
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if length > maxRecordBytes {
-			return fmt.Errorf("%w: %d-byte frame at lsn %d in %s", ErrCorrupt, length, lsn, filepath.Base(path))
+		if err != nil {
+			return fmt.Errorf("%w: %v at lsn %d in %s", ErrCorrupt, err, lsn, filepath.Base(path))
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return fmt.Errorf("%w: torn payload at lsn %d in %s", ErrCorrupt, lsn, filepath.Base(path))
-		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return fmt.Errorf("%w: checksum mismatch at lsn %d in %s", ErrCorrupt, lsn, filepath.Base(path))
-		}
-		if lsn >= from {
-			if err := fn(lsn, payload); err != nil {
+		if lsn+uint64(n) > from {
+			if err := fn(lsn, n, payload); err != nil {
 				return err
 			}
 		}
-		lsn++
+		lsn += uint64(n)
 	}
 }
 
@@ -620,7 +616,7 @@ func (l *Log) Close() error {
 }
 
 func (l *Log) segments() ([]string, error) {
-	segs, err := filepath.Glob(filepath.Join(l.dir, "wal-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(l.dir, "wal-*.log"))
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -629,11 +625,11 @@ func (l *Log) segments() ([]string, error) {
 }
 
 func segName(firstLSN uint64) string {
-	return fmt.Sprintf("wal-%016x.seg", firstLSN)
+	return fmt.Sprintf("wal-%016x.log", firstLSN)
 }
 
 func segLSNOf(path string) uint64 {
 	var lsn uint64
-	fmt.Sscanf(filepath.Base(path), "wal-%016x.seg", &lsn)
+	fmt.Sscanf(filepath.Base(path), "wal-%016x.log", &lsn)
 	return lsn
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func collect(t *testing.T, l *Log, from uint64) []struct {
 		lsn     uint64
 		payload []byte
 	}
-	err := l.Replay(from, func(lsn uint64, payload []byte) error {
+	err := l.Replay(from, func(lsn uint64, _ int, payload []byte) error {
 		out = append(out, struct {
 			lsn     uint64
 			payload []byte
@@ -44,7 +45,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := []byte(fmt.Sprintf("record-%03d", i))
 		want = append(want, p)
-		lsn, err := l.Append(p)
+		lsn, err := l.Append(1, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestAppendBatchAssignsContiguousLSNs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append([]byte("solo")); err != nil {
+	if _, err := l.Append(1, []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
 	first, err := l.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
@@ -113,7 +114,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte{0xAB}, 512)
 	for i := 0; i < 40; i++ { // ~20 KiB → several segments
-		if _, err := l.Append(payload); err != nil {
+		if _, err := l.Append(1, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +141,7 @@ func TestSegmentRotation(t *testing.T) {
 // lastSegment returns the path of the newest segment file.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in %s (err=%v)", dir, err)
 	}
@@ -154,7 +155,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("ok-%d", i))); err != nil {
+		if _, err := l.Append(1, []byte(fmt.Sprintf("ok-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +183,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	}
 	// The log must be fully usable again: appends land after the
 	// truncation point and replay cleanly.
-	if _, err := l2.Append([]byte("after-crash")); err != nil {
+	if _, err := l2.Append(1, []byte("after-crash")); err != nil {
 		t.Fatal(err)
 	}
 	recs := collect(t, l2, 0)
@@ -198,7 +199,7 @@ func TestRecoveryTornTailMidPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("intact")); err != nil {
+	if _, err := l.Append(1, []byte("intact")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -230,7 +231,7 @@ func TestRecoveryEmptyFinalSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append([]byte("x")); err != nil {
+		if _, err := l.Append(1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +250,7 @@ func TestRecoveryEmptyFinalSegment(t *testing.T) {
 	if got := l2.NextLSN(); got != 3 {
 		t.Fatalf("NextLSN = %d, want 3", got)
 	}
-	if lsn, err := l2.Append([]byte("resumed")); err != nil || lsn != 3 {
+	if lsn, err := l2.Append(1, []byte("resumed")); err != nil || lsn != 3 {
 		t.Fatalf("append after empty-segment recovery: lsn=%d err=%v", lsn, err)
 	}
 	if recs := collect(t, l2, 0); len(recs) != 4 {
@@ -265,14 +266,14 @@ func TestReplayFailsLoudlyOnInteriorCorruption(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte{0x55}, 512)
 	for i := 0; i < 20; i++ { // forces ≥ 2 segments
-		if _, err := l.Append(payload); err != nil {
+		if _, err := l.Append(1, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if len(segs) < 2 {
 		t.Fatalf("need ≥ 2 segments, got %d", len(segs))
 	}
@@ -293,7 +294,7 @@ func TestReplayFailsLoudlyOnInteriorCorruption(t *testing.T) {
 		t.Fatal(err) // open only recovers the tail; it must still start
 	}
 	defer l2.Close()
-	err = l2.Replay(0, func(uint64, []byte) error { return nil })
+	err = l2.Replay(0, func(uint64, int, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("interior corruption must fail replay loudly, got %v", err)
 	}
@@ -312,11 +313,11 @@ func TestReplaySkipsSegmentsBelowFrom(t *testing.T) {
 	defer l.Close()
 	payload := bytes.Repeat([]byte{0x33}, 512)
 	for i := 0; i < 40; i++ {
-		if _, err := l.Append(payload); err != nil {
+		if _, err := l.Append(1, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if len(segs) < 3 {
 		t.Fatalf("need ≥ 3 segments, got %d", len(segs))
 	}
@@ -337,10 +338,10 @@ func TestReplaySkipsSegmentsBelowFrom(t *testing.T) {
 			t.Fatalf("replay from %d: %d records from lsn %d, want %d from %d", from, len(recs), recs[0].lsn, 40-from, from)
 		}
 	}
-	if err := l.Replay(second-1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if err := l.Replay(second-1, func(uint64, int, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay from inside the corrupt segment: %v, want ErrCorrupt", err)
 	}
-	if err := l.Replay(0, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if err := l.Replay(0, func(uint64, int, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay from 0: %v, want ErrCorrupt", err)
 	}
 }
@@ -354,7 +355,7 @@ func TestTruncateFrontDropsSealedSegments(t *testing.T) {
 	defer l.Close()
 	payload := bytes.Repeat([]byte{1}, 512)
 	for i := 0; i < 40; i++ {
-		if _, err := l.Append(payload); err != nil {
+		if _, err := l.Append(1, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,7 +407,7 @@ func TestFsyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				if _, err := l.Append([]byte("p")); err != nil {
+				if _, err := l.Append(1, []byte("p")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -446,7 +447,7 @@ func TestConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				lsn, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				lsn, err := l.Append(1, []byte(fmt.Sprintf("w%d-%d", w, i)))
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
@@ -484,29 +485,107 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-// FuzzWALRecordRoundTrip fuzzes the record framing: any payload —
-// including empty and binary-garbage ones — must survive an
-// append/close/reopen/replay cycle bit for bit.
+// TestFramesCoverRuns: a frame of n covers the LSNs [lsn, lsn+n) — the
+// next frame starts n later, across a reopen too — and a replay from an
+// LSN inside a frame yields that whole frame first.
+func TestFramesCoverRuns(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{1, 5, 1, 3} {
+		lsn, err := l.Append(n, []byte{byte(i)})
+		if err != nil || lsn != []uint64{0, 1, 6, 7}[i] {
+			t.Fatalf("frame %d of %d lands at lsn %d (%v)", i, n, lsn, err)
+		}
+	}
+	if _, err := l.Append(0, []byte("none")); err == nil {
+		t.Fatal("a frame covering no LSN was accepted")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.NextLSN(); got != 10 {
+		t.Fatalf("NextLSN after reopen = %d, want 10", got)
+	}
+	for from, want := range map[uint64]string{0: "0/1 1/5 6/1 7/3", 1: "1/5 6/1 7/3", 4: "1/5 6/1 7/3", 6: "6/1 7/3", 9: "7/3", 10: ""} {
+		var got []string
+		if err := l.Replay(from, func(lsn uint64, n int, _ []byte) error {
+			got = append(got, fmt.Sprintf("%d/%d", lsn, n))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("replay from %d yields frames %v, want %s", from, got, want)
+		}
+	}
+}
+
+// TestOpenRefusesOldFormat: a directory written in the retired
+// one-frame-per-LSN format — the checked-in meta and partition segments
+// of a durable broker — is refused by name before anything is read or
+// truncated, and its files are left as they were.
+func TestOpenRefusesOldFormat(t *testing.T) {
+	for _, sub := range []string{"meta", filepath.Join("topic-t", "p0000")} {
+		src := filepath.Join("testdata", "old-format-broker", sub, "wal-0000000000000000.seg")
+		want, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		seg := filepath.Join(dir, filepath.Base(src))
+		if err := os.WriteFile(seg, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := Open(dir, Options{}); !errors.Is(err, ErrOldFormat) {
+			if err == nil {
+				l.Close()
+			}
+			t.Fatalf("%s: Open = %v, want ErrOldFormat", sub, err)
+		}
+		got, err := os.ReadFile(seg)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the refused segment changed (%v)", sub, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("%s: a refused Open left %d files", sub, len(entries))
+		}
+	}
+}
+
+// FuzzWALRecordRoundTrip fuzzes the frame format: any payload —
+// including empty and binary-garbage ones — framed to cover 1 + n%64
+// LSNs must survive an append/close/reopen/replay cycle bit for bit,
+// between two single-LSN frames, and a replay from the LSN at inside the
+// frame must yield it whole.
 func FuzzWALRecordRoundTrip(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add([]byte(""))
-	f.Add([]byte("hello"))
-	f.Add(bytes.Repeat([]byte{0xFF}, 1000))
-	f.Add([]byte{0, 0, 0, 4, 0xDE, 0xAD, 0xBE, 0xEF}) // looks like a frame header
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Add([]byte(nil), uint8(0), uint8(0))
+	f.Add([]byte(""), uint8(3), uint8(2))
+	f.Add([]byte("hello"), uint8(4), uint8(9))
+	f.Add(bytes.Repeat([]byte{0xFF}, 1000), uint8(63), uint8(63))
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1, 0xDE, 0xAD, 0xBE, 0xEF}, uint8(1), uint8(1)) // looks like a frame header
+	f.Fuzz(func(t *testing.T, payload []byte, n, at uint8) {
+		span := 1 + int(n)%64
 		dir := t.TempDir()
 		l, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append([]byte("pre")); err != nil {
+		if _, err := l.Append(1, []byte("pre")); err != nil {
 			t.Fatal(err)
 		}
-		lsn, err := l.Append(payload)
+		lsn, err := l.Append(span, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append([]byte("post")); err != nil {
+		if _, err := l.Append(1, []byte("post")); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -517,20 +596,27 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer l2.Close()
-		var got []byte
-		found := false
-		err = l2.Replay(0, func(rlsn uint64, p []byte) error {
-			if rlsn == lsn {
-				got = append([]byte(nil), p...)
-				found = true
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		if got := l2.NextLSN(); got != lsn+uint64(span)+1 {
+			t.Fatalf("NextLSN after reopen = %d, want %d", got, lsn+uint64(span)+1)
 		}
-		if !found || !bytes.Equal(got, payload) {
-			t.Fatalf("payload did not round-trip: found=%v got=%x want=%x", found, got, payload)
+		for _, from := range []uint64{0, lsn + uint64(int(at)%span)} {
+			var got []byte
+			frames, found := 0, false
+			err = l2.Replay(from, func(rlsn uint64, rn int, p []byte) error {
+				if frames++; rlsn == lsn {
+					got, found = append([]byte(nil), p...), rn == span
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 2 + int(lsn-min(from, lsn)); frames != want { // "pre" only from 0
+				t.Fatalf("replay from %d yields %d frames, want %d", from, frames, want)
+			}
+			if !found || !bytes.Equal(got, payload) {
+				t.Fatalf("replay from %d: payload did not round-trip: found=%v got=%x want=%x", from, found, got, payload)
+			}
 		}
 	})
 }
