@@ -1,16 +1,17 @@
 # `make ci` is the pre-merge check: tier-1 verification (fmt, vet,
 # build, test), the seeded-stream grep, the race gate over RACE_PKGS,
 # the allocgate, multiquery, smoke, crash, surge, chaos, obsgate,
-# lineage and soak gates described at their targets below, and
-# bench-smoke. `make fuzz`,
-# `make loc` and the other bench targets are run by hand.
+# lineage and soak gates described at their targets below, a few
+# seconds of fuzzing on every wire and disk decoder (fuzz-decoders),
+# and bench-smoke. The longer `make fuzz`, `make loc` and the other
+# bench targets are run by hand.
 
 GO ?= go
 RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/histstore/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
 
-.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke fuzz loc
+.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke fuzz fuzz-decoders loc
 
-ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak bench-smoke
+ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak fuzz-decoders bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -156,40 +157,60 @@ bench:
 bench-smoke:
 	$(GO) test -C bench -count=1 ./...
 
-# Short fuzz smoke over every wire and disk codec — the share
-# split/join, the answer message, the columnar publish frame
-# (opPublishColumns, session tag included), the partition journal's run
-# record (plain and session kinds, count/stride/frame-n mismatches, zero
-# pids and unknown kinds refused), the client side of the fetch response
-# (runs viewed inside the frame, counts bounded by the request's max),
-# the control-plane query-set announcement, the WAL frame format (frames
-# covering n > 1 LSNs, a replay from inside one), the one checkpoint
-# record (consumer positions, system section, fired results, aggregator
-# state), the aggregator state inside it (no panic, its prefixes refused,
-# whatever it accepts re-encoding to the same bytes: windows, estimator
-# stream and memoized losses, pending joins with an empty share, completed
-# keys) — plus the partition log's run layout against a plain record
-# model (puts of mixed strides and repeated timestamps, records larger
-# than a slab, runs straddling slabs, trims inside a run; then the same
-# partition's journal reopened and read back below its memory floor),
-# the SLO controller's checkpoint state, the minisql
-# parser (whatever parses must bind or be refused, and run, without
-# panicking) and the minisql column store against a plain [][]Value
-# model (inserts of NULL, number — -0, NaN and ±Inf among them —, text
-# and bool cells, a numeric column turning mixed, deletes that empty the
-# table, read back through SELECT * and a scan with a WHERE).
+# Every decoder of bytes a peer or a disk hands the system, as
+# package:target — the columnar publish frame (opPublishColumns, session
+# tag included), the client side of the fetch response (runs viewed
+# inside the frame, counts bounded by the request's max), the partition
+# journal's run record (plain and session kinds, count/stride/frame-n
+# mismatches, zero pids and unknown kinds refused), the partition log's
+# run layout against a plain record model (puts of mixed strides and
+# repeated timestamps, records larger than a slab, runs straddling slabs,
+# trims inside a run; then the same partition's journal reopened and read
+# back below its memory floor), the broker's meta journal (topic and
+# commit records: a partition count above the bound refused, whatever is
+# accepted re-encoding to the same bytes), any request frame through the
+# TCP server (no panic, every error reply a known sentinel, a huge
+# partition count refused before it sizes anything), the control-plane
+# query-set announcement, the WAL frame format (frames covering n > 1
+# LSNs, a replay from inside one), the one checkpoint record (consumer
+# positions, system section, fired results, aggregator state), the
+# aggregator state inside it (no panic, its prefixes refused, whatever it
+# accepts re-encoding to the same bytes: windows, estimator stream and
+# memoized losses, pending joins with an empty share, completed keys),
+# the SLO controller's checkpoint state and the lineage stamp.
+FUZZ_DECODERS = \
+	./internal/pubsub:FuzzFrameV2RoundTrip \
+	./internal/pubsub:FuzzFetchResponse \
+	./internal/pubsub:FuzzPartitionRecord \
+	./internal/pubsub:FuzzPartitionLog \
+	./internal/pubsub:FuzzMetaRecord \
+	./internal/pubsub:FuzzServerRequest \
+	./internal/engine:FuzzQuerySetRoundTrip \
+	./internal/wal:FuzzWALRecordRoundTrip \
+	./internal/role:FuzzCheckpointRecord \
+	./internal/aggregator:FuzzAggregatorRestore \
+	./internal/budget:FuzzSLOControllerRestore \
+	./internal/telemetry/lineage:FuzzStamp
+FUZZTIME ?= 3s
+
+# The time-boxed decoder pass in `make ci`: FUZZTIME per target, after
+# the target's own seeds.
+fuzz-decoders:
+	@for t in $(FUZZ_DECODERS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) -parallel 2 "$${t%%:*}" || exit 1; \
+	done
+
+# The manual fuzz run, 10 s per target: every decoder above, plus the
+# share split/join, the answer message, the minisql parser (whatever
+# parses must bind or be refused, and run, without panicking) and the
+# minisql column store against a plain [][]Value model (inserts of NULL,
+# number — -0, NaN and ±Inf among them —, text and bool cells, a numeric
+# column turning mixed, deletes that empty the table, read back through
+# SELECT * and a scan with a WHERE).
 fuzz:
+	$(MAKE) fuzz-decoders FUZZTIME=10s
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
-	$(GO) test -run '^$$' -fuzz FuzzFrameV2RoundTrip -fuzztime 10s ./internal/pubsub
-	$(GO) test -run '^$$' -fuzz FuzzPartitionRecord -fuzztime 10s ./internal/pubsub
-	$(GO) test -run '^$$' -fuzz FuzzFetchResponse -fuzztime 10s ./internal/pubsub
-	$(GO) test -run '^$$' -fuzz FuzzPartitionLog -fuzztime 10s ./internal/pubsub
-	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
-	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointRecord -fuzztime 10s ./internal/role
-	$(GO) test -run '^$$' -fuzz FuzzAggregatorRestore -fuzztime 10s ./internal/aggregator
-	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/minisql
 

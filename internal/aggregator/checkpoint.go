@@ -51,7 +51,7 @@ import (
 
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
-	"privapprox/internal/ckpt"
+	"privapprox/internal/codec"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/stream"
@@ -92,7 +92,7 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 				if p == nil {
 					e = append(e, 0)
 				} else {
-					e = ckpt.AppendBytes(append(e, 1), p)
+					e = codec.AppendBytes(append(e, 1), p)
 				}
 			}
 			pending = append(pending, e)
@@ -134,7 +134,7 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 type joinKey [xorcrypt.MIDSize + 1]byte
 
 func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
-	buf = ckpt.AppendBytes(buf, st.q.QID.Analyst)
+	buf = codec.AppendBytes(buf, st.q.QID.Analyst)
 	buf = binary.BigEndian.AppendUint64(buf, st.q.QID.Serial)
 	buf = binary.BigEndian.AppendUint64(buf, st.qidWire)
 	p := st.params.Load()
@@ -176,7 +176,7 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf = ckpt.AppendBytes(buf, state)
+	buf = codec.AppendBytes(buf, state)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.rrLossCache)))
 	for _, pct := range slices.Sorted(maps.Keys(st.rrLossCache)) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(pct))
@@ -195,7 +195,7 @@ func (a *Aggregator) Restore(data []byte) error {
 	if !bytes.HasPrefix(data, checkpointMagic) {
 		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
 	}
-	d := ckpt.NewReader(data[len(checkpointMagic):], ErrCheckpoint)
+	d := codec.NewReader(data[len(checkpointMagic):], ErrCheckpoint, "record")
 	seed := int64(d.U64())
 	malformed, duplicates := d.U64(), d.U64()
 	removedDecoded, removedLate := d.U64(), d.U64()
@@ -215,7 +215,7 @@ func (a *Aggregator) Restore(data []byte) error {
 		return fmt.Errorf("%w: %d checkpointed queries, %d registered", ErrCheckpoint, nq, len(tbl.ordered))
 	}
 	for _, st := range tbl.ordered {
-		if err := a.restoreQueryState(d, st); err != nil {
+		if err := a.restoreQueryState(&d, st); err != nil {
 			return err
 		}
 	}
@@ -293,7 +293,7 @@ func (a *Aggregator) Restore(data []byte) error {
 	return nil
 }
 
-func (a *Aggregator) restoreQueryState(d *ckpt.Reader, st *queryState) error {
+func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	want := query.ID{Analyst: d.Str(), Serial: d.U64()}
 	wire := d.U64()
 	params := budget.Params{S: d.F64(), RR: rr.Params{P: d.F64(), Q: d.F64()}}
@@ -358,7 +358,7 @@ func (a *Aggregator) restoreQueryState(d *ckpt.Reader, st *queryState) error {
 
 // restoreWindow rebuilds one open window from its yes counts; the
 // caller holds fireMu and winMu.
-func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, d *ckpt.Reader) error {
+func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, d *codec.Reader) error {
 	yes := make([]int, d.Count(8))
 	for i := range yes {
 		yes[i] = int(d.U64())

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"privapprox/internal/codec"
 )
 
 // SLOController is the closed-loop overload controller layered above the
@@ -132,40 +134,28 @@ func (c *SLOController) AppendState(buf []byte) []byte {
 }
 
 // RestoreState reinstalls serialized state produced by AppendState,
-// returning the remaining bytes. The stored window length must match
+// read from d; every failure is d's. The stored window length must match
 // this controller's configuration — a mismatched restore would silently
 // change the loop's time constant.
-func (c *SLOController) RestoreState(buf []byte) ([]byte, error) {
-	const fixed = 8 + 4 + 1 + 4
-	if len(buf) < fixed {
-		return nil, fmt.Errorf("%w: SLO state truncated", ErrBadBudget)
+func (c *SLOController) RestoreState(d *codec.Reader) error {
+	shed, next, full, window := d.F64(), int(d.U32()), d.U8(), int(d.U32())
+	switch {
+	case d.Err() != nil:
+	case window != c.window:
+		d.Fail("SLO state window %d, controller configured for %d", window, c.window)
+	case next >= window || full > 1:
+		d.Fail("SLO state corrupt (next=%d full=%d)", next, full)
+	case !(shed > 0) || shed > 1:
+		d.Fail("SLO state shed %v", shed)
 	}
-	shed := math.Float64frombits(binary.BigEndian.Uint64(buf))
-	next := int(binary.BigEndian.Uint32(buf[8:]))
-	fullB := buf[12]
-	window := int(binary.BigEndian.Uint32(buf[13:]))
-	buf = buf[fixed:]
-	if window != c.window {
-		return nil, fmt.Errorf("%w: SLO state window %d, controller configured for %d", ErrBadBudget, window, c.window)
-	}
-	if next < 0 || next >= window || fullB > 1 {
-		return nil, fmt.Errorf("%w: SLO state corrupt (next=%d full=%d)", ErrBadBudget, next, fullB)
-	}
-	if !(shed > 0) || shed > 1 {
-		return nil, fmt.Errorf("%w: SLO state shed %v", ErrBadBudget, shed)
-	}
-	if len(buf) < 8*window {
-		return nil, fmt.Errorf("%w: SLO state ring truncated", ErrBadBudget)
-	}
-	for i := 0; i < window; i++ {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[8*i:]))
-		if math.IsNaN(v) || v < 0 {
-			return nil, fmt.Errorf("%w: SLO state observation %v", ErrBadBudget, v)
+	for i := range c.obs {
+		if c.obs[i] = d.F64(); math.IsNaN(c.obs[i]) || c.obs[i] < 0 {
+			d.Fail("SLO state observation %v", c.obs[i])
 		}
-		c.obs[i] = v
 	}
-	c.shed = shed
-	c.next = next
-	c.full = fullB == 1
-	return buf[8*window:], nil
+	if err := d.Err(); err != nil {
+		return err
+	}
+	c.shed, c.next, c.full = shed, next, full == 1
+	return nil
 }

@@ -2,7 +2,10 @@ package budget
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"privapprox/internal/codec"
 )
 
 func TestSLOControllerValidation(t *testing.T) {
@@ -98,12 +101,12 @@ func TestSLOControllerStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := r.RestoreState(state)
-	if err != nil {
+	d := codec.NewReader(state, ErrBadBudget, "record")
+	if err := r.RestoreState(&d); err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes left after restore", len(rest))
+	if d.Len() != 0 {
+		t.Fatalf("%d bytes left after restore", d.Len())
 	}
 	if r.Shed() != c.Shed() || r.P95() != c.P95() {
 		t.Fatalf("restored (shed=%v p95=%v), want (%v, %v)", r.Shed(), r.P95(), c.Shed(), c.P95())
@@ -117,7 +120,8 @@ func TestSLOControllerStateRoundTrip(t *testing.T) {
 	}
 	// Window mismatch is rejected, not silently adopted.
 	w, _ := NewSLOController(2.0, 0.05, 16)
-	if _, err := w.RestoreState(state); err == nil {
+	d = codec.NewReader(state, ErrBadBudget, "record")
+	if err := w.RestoreState(&d); err == nil {
 		t.Fatal("restore accepted a mismatched window")
 	}
 }
@@ -139,13 +143,16 @@ func FuzzSLOControllerRestore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest, err := r.RestoreState(state)
-		if err != nil {
+		d := codec.NewReader(state, ErrBadBudget, "record")
+		if err := r.RestoreState(&d); err != nil {
+			if !errors.Is(err, ErrBadBudget) {
+				t.Fatalf("restore error %v does not wrap the reader's sentinel", err)
+			}
 			return
 		}
 		// Accepted state must re-serialize to exactly the consumed bytes.
 		re := r.AppendState(nil)
-		if !bytes.Equal(re, state[:len(state)-len(rest)]) {
+		if !bytes.Equal(re, state[:len(state)-d.Len()]) {
 			t.Fatalf("accepted state does not round-trip")
 		}
 	})

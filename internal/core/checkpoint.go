@@ -23,7 +23,7 @@ import (
 	"strings"
 
 	"privapprox/internal/budget"
-	"privapprox/internal/ckpt"
+	"privapprox/internal/codec"
 	"privapprox/internal/query"
 )
 
@@ -78,10 +78,10 @@ func sortedIDs[V any](m map[query.ID]V) []query.ID {
 }
 
 func appendID(buf []byte, id query.ID) []byte {
-	return binary.BigEndian.AppendUint64(ckpt.AppendBytes(buf, id.Analyst), id.Serial)
+	return binary.BigEndian.AppendUint64(codec.AppendBytes(buf, id.Analyst), id.Serial)
 }
 
-func readID(d *ckpt.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial: d.U64()} }
+func readID(d *codec.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial: d.U64()} }
 
 // Restore rebuilds a freshly constructed System from a Checkpoint
 // record: the drain consumers seek to the checkpointed cut (the durable
@@ -102,15 +102,15 @@ func (s *System) Restore(data []byte) error {
 	// consumer or restores the aggregator, so a record that does not fit
 	// this system leaves it untouched.
 	_, err := s.drainer.Restore(data, func(section []byte) error {
-		d := ckpt.NewReader(section, ErrConfig)
+		d := codec.NewReader(section, ErrConfig, "record")
 		epoch = d.U64()
 		regs = make(map[query.ID]uint64)
 		for range d.Count(20) {
-			id := readID(d)
+			id := readID(&d)
 			regs[id] = d.U64()
 		}
 		var err error
-		if slo, err = readSLOState(d); err != nil {
+		if slo, err = readSLOState(&d); err != nil {
 			return err
 		}
 		return d.Done()
@@ -175,7 +175,7 @@ type sloState struct {
 
 // readSLOState parses the overload-control section without touching the
 // system; it returns nil when the record has SLO control off.
-func readSLOState(d *ckpt.Reader) (*sloState, error) {
+func readSLOState(d *codec.Reader) (*sloState, error) {
 	switch flag := d.U8(); {
 	case flag == 0:
 		return nil, d.Err()
@@ -186,6 +186,10 @@ func readSLOState(d *ckpt.Reader) (*sloState, error) {
 	st := &sloState{target: d.F64(), shedMin: d.F64(), window: int(d.U32()), slos: make(map[query.ID]*budget.SLOController)}
 	for range d.Count(12) {
 		id := readID(d)
+		if st.window > d.Len()/8 {
+			// The ring sizes an allocation: it must fit the record.
+			d.Fail("SLO window %d beyond the record", st.window)
+		}
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
@@ -193,11 +197,9 @@ func readSLOState(d *ckpt.Reader) (*sloState, error) {
 		if err != nil {
 			return nil, err
 		}
-		rest, err := ctl.RestoreState(d.Rest())
-		if err != nil {
+		if err := ctl.RestoreState(d); err != nil {
 			return nil, err
 		}
-		d.Take(len(d.Rest()) - len(rest))
 		st.slos[id] = ctl
 	}
 	return st, d.Err()

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +11,7 @@ import (
 
 	"privapprox/internal/aggregator"
 	"privapprox/internal/budget"
+	"privapprox/internal/codec"
 	"privapprox/internal/minisql"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
@@ -357,5 +361,21 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 	if a, b := sysB.SLOShed(qID.QID), ref.SLOShed(qID.QID); a != b {
 		t.Errorf("post-resume shed %v diverged from reference %v", a, b)
+	}
+}
+
+// TestSLOStateRefusesRingBeyondRecord: a checkpointed SLO window sizes
+// each restored controller's ring, so a window the rest of the record
+// cannot hold is refused before any controller is built.
+func TestSLOStateRefusesRingBeyondRecord(t *testing.T) {
+	sec := binary.BigEndian.AppendUint64([]byte{1}, math.Float64bits(2))
+	sec = binary.BigEndian.AppendUint64(sec, math.Float64bits(0.1))
+	sec = binary.BigEndian.AppendUint32(sec, math.MaxUint32)
+	sec = binary.BigEndian.AppendUint32(sec, 1)
+	sec = appendID(sec, query.ID{Analyst: "a", Serial: 1})
+	sec = append(sec, make([]byte, 64)...)
+	d := codec.NewReader(sec, ErrConfig, "record")
+	if st, err := readSLOState(&d); !errors.Is(err, ErrConfig) {
+		t.Fatalf("readSLOState = %v, %v; want ErrConfig", st, err)
 	}
 }

@@ -23,6 +23,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -31,6 +32,7 @@ import (
 	"time"
 
 	"privapprox/internal/budget"
+	"privapprox/internal/codec"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 )
@@ -113,9 +115,9 @@ func appendEntry(buf []byte, e *Entry) ([]byte, error) {
 	if len(q.Buckets) > maxBuckets {
 		return nil, fmt.Errorf("%w: %d buckets", ErrControlWire, len(q.Buckets))
 	}
-	buf = appendString(buf, q.QID.Analyst)
+	buf = codec.AppendBytes(buf, q.QID.Analyst)
 	buf = binary.BigEndian.AppendUint64(buf, q.QID.Serial)
-	buf = appendString(buf, q.SQL)
+	buf = codec.AppendBytes(buf, q.SQL)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(q.Frequency))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(q.Window))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(q.Slide))
@@ -132,8 +134,8 @@ func appendEntry(buf []byte, e *Entry) ([]byte, error) {
 			return nil, err
 		}
 	}
-	buf = appendBytes(buf, e.Signed.Signature)
-	buf = appendBytes(buf, e.AnalystKey)
+	buf = codec.AppendBytes(buf, e.Signed.Signature)
+	buf = codec.AppendBytes(buf, e.AnalystKey)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Params.S))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Params.RR.P))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Params.RR.Q))
@@ -160,77 +162,10 @@ func appendBucket(buf []byte, b query.Bucket) ([]byte, error) {
 		return buf, nil
 	case *query.PatternBucket:
 		buf = append(buf, bucketPattern)
-		return appendString(buf, bk.Label()), nil
+		return codec.AppendBytes(buf, bk.Label()), nil
 	default:
 		return nil, fmt.Errorf("%w: bucket type %T not encodable", ErrControlWire, b)
 	}
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-// ctlDec is a bounds-checked sequential reader over a control payload.
-type ctlDec struct{ buf []byte }
-
-func (d *ctlDec) u8() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, fmt.Errorf("%w: short payload", ErrControlWire)
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
-
-func (d *ctlDec) u32() (uint32, error) {
-	if len(d.buf) < 4 {
-		return 0, fmt.Errorf("%w: short payload", ErrControlWire)
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v, nil
-}
-
-func (d *ctlDec) u64() (uint64, error) {
-	if len(d.buf) < 8 {
-		return 0, fmt.Errorf("%w: short payload", ErrControlWire)
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *ctlDec) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *ctlDec) bytes() ([]byte, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxStringLen {
-		return nil, fmt.Errorf("%w: %d-byte field", ErrControlWire, n)
-	}
-	if uint32(len(d.buf)) < n {
-		return nil, fmt.Errorf("%w: short payload", ErrControlWire)
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
-	return out, nil
-}
-
-func (d *ctlDec) str() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
 }
 
 // DecodeQuerySet decodes one control payload. It validates structure
@@ -238,145 +173,79 @@ func (d *ctlDec) str() (string, error) {
 // applier (a malformed snapshot must not take the control consumer
 // down).
 func DecodeQuerySet(payload []byte) (*QuerySet, error) {
-	d := &ctlDec{buf: payload}
-	op, err := d.u8()
-	if err != nil {
-		return nil, err
+	d := codec.NewReader(payload, ErrControlWire, "payload")
+	if op := d.U8(); op != opQuerySet {
+		d.Fail("unknown opcode %#x", op)
 	}
-	if op != opQuerySet {
-		return nil, fmt.Errorf("%w: unknown opcode %#x", ErrControlWire, op)
-	}
-	version, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	count, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
+	qs := &QuerySet{Version: d.U64()}
+	count := d.U32()
 	if count > maxEntries {
-		return nil, fmt.Errorf("%w: %d entries", ErrControlWire, count)
+		d.Fail("%d entries", count)
 	}
-	qs := &QuerySet{Version: version}
-	for i := uint32(0); i < count; i++ {
-		e, err := decodeEntry(d)
-		if err != nil {
-			return nil, err
-		}
-		qs.Entries = append(qs.Entries, e)
+	for ; count > 0 && d.Err() == nil; count-- {
+		qs.Entries = append(qs.Entries, decodeEntry(&d))
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrControlWire, len(d.buf))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return qs, nil
 }
 
-func decodeEntry(d *ctlDec) (Entry, error) {
-	var e Entry
-	q := &query.Query{}
-	var err error
-	if q.QID.Analyst, err = d.str(); err != nil {
-		return e, err
+// field reads a length-prefixed string of at most maxStringLen bytes as
+// a view into the payload.
+func field(d *codec.Reader) []byte {
+	b := d.Bytes()
+	if len(b) > maxStringLen {
+		d.Fail("%d-byte field", len(b))
 	}
-	if q.QID.Serial, err = d.u64(); err != nil {
-		return e, err
+	return b
+}
+
+func decodeEntry(d *codec.Reader) Entry {
+	q := &query.Query{QID: query.ID{Analyst: string(field(d)), Serial: d.U64()}, SQL: string(field(d))}
+	q.Frequency, q.Window, q.Slide = time.Duration(d.U64()), time.Duration(d.U64()), time.Duration(d.U64())
+	switch inv := d.U8(); inv {
+	case 0:
+	case 1:
+		q.Inverted = true
+	default:
+		d.Fail("inversion flag %d", inv)
 	}
-	if q.SQL, err = d.str(); err != nil {
-		return e, err
-	}
-	var f, w, s uint64
-	if f, err = d.u64(); err != nil {
-		return e, err
-	}
-	if w, err = d.u64(); err != nil {
-		return e, err
-	}
-	if s, err = d.u64(); err != nil {
-		return e, err
-	}
-	q.Frequency, q.Window, q.Slide = time.Duration(f), time.Duration(w), time.Duration(s)
-	inv, err := d.u8()
-	if err != nil {
-		return e, err
-	}
-	if inv > 1 {
-		return e, fmt.Errorf("%w: inversion flag %d", ErrControlWire, inv)
-	}
-	q.Inverted = inv == 1
-	nb, err := d.u32()
-	if err != nil {
-		return e, err
-	}
+	nb := d.U32()
 	if nb > maxBuckets {
-		return e, fmt.Errorf("%w: %d buckets", ErrControlWire, nb)
+		d.Fail("%d buckets", nb)
 	}
-	for i := uint32(0); i < nb; i++ {
-		b, err := decodeBucket(d)
-		if err != nil {
-			return e, err
-		}
-		q.Buckets = append(q.Buckets, b)
+	for ; nb > 0 && d.Err() == nil; nb-- {
+		q.Buckets = append(q.Buckets, decodeBucket(d))
 	}
-	sig, err := d.bytes()
-	if err != nil {
-		return e, err
-	}
-	pub, err := d.bytes()
-	if err != nil {
-		return e, err
-	}
-	var ps, pp, pq float64
-	if ps, err = d.f64(); err != nil {
-		return e, err
-	}
-	if pp, err = d.f64(); err != nil {
-		return e, err
-	}
-	if pq, err = d.f64(); err != nil {
-		return e, err
-	}
-	if e.Rev, err = d.u64(); err != nil {
-		return e, err
-	}
-	if e.Shed, err = d.f64(); err != nil {
-		return e, err
+	// The entry outlives the payload: it owns its signature and key.
+	sig, pub := bytes.Clone(field(d)), bytes.Clone(field(d))
+	e := Entry{
+		Signed:     &query.Signed{Query: q, Signature: sig},
+		AnalystKey: ed25519.PublicKey(pub),
+		Params:     budget.Params{S: d.F64(), RR: rr.Params{P: d.F64(), Q: d.F64()}},
+		Rev:        d.U64(),
+		Shed:       d.F64(),
 	}
 	if !(e.Shed > 0) || e.Shed > 1 {
 		e.Shed = 1
 	}
-	e.Signed = &query.Signed{Query: q, Signature: sig}
-	e.AnalystKey = ed25519.PublicKey(pub)
-	e.Params = budget.Params{S: ps, RR: rr.Params{P: pp, Q: pq}}
-	return e, nil
+	return e
 }
 
-func decodeBucket(d *ctlDec) (query.Bucket, error) {
-	tag, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func decodeBucket(d *codec.Reader) query.Bucket {
+	switch tag := d.U8(); tag {
 	case bucketRange:
-		lo, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		hi, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		return query.RangeBucket{Lo: lo, Hi: hi}, nil
+		return query.RangeBucket{Lo: d.F64(), Hi: d.F64()}
 	case bucketPattern:
-		pattern, err := d.str()
+		b, err := query.NewPatternBucket(string(field(d)))
 		if err != nil {
-			return nil, err
+			d.Fail("%v", err)
+			return nil
 		}
-		b, err := query.NewPatternBucket(pattern)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrControlWire, err)
-		}
-		return b, nil
+		return b
 	default:
-		return nil, fmt.Errorf("%w: unknown bucket tag %#x", ErrControlWire, tag)
+		d.Fail("unknown bucket tag %#x", tag)
+		return nil
 	}
 }

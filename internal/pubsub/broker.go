@@ -147,10 +147,17 @@ func NewBroker() *Broker {
 	}
 }
 
-// CreateTopic registers a topic with the given partition count.
+// maxPartitions bounds a topic's partition count, which sizes its
+// allocation and, on a durable broker, its WAL directories — a count
+// that arrives over the wire and is replayed on every restart. The
+// system uses one to four.
+const maxPartitions = 1024
+
+// CreateTopic registers a topic with the given partition count, from 1
+// to maxPartitions.
 func (b *Broker) CreateTopic(name string, partitions int) error {
-	if name == "" || partitions <= 0 {
-		return fmt.Errorf("pubsub: invalid topic %q with %d partitions", name, partitions)
+	if name == "" || partitions <= 0 || partitions > maxPartitions {
+		return fmt.Errorf("%w: invalid topic %q with %d partitions", ErrWire, name, partitions)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"privapprox/internal/codec"
 	"privapprox/internal/wal"
 )
 
@@ -237,8 +238,7 @@ func (d *durability) journalTopic(topic string, partitions int) error {
 	if !validTopicName(topic) {
 		return fmt.Errorf("%w: topic %q is not a valid directory name", ErrDurable, topic)
 	}
-	d.buf = appendLenStr(append(d.buf[:0], metaTopic), topic)
-	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(partitions))
+	d.buf = appendMetaTopic(d.buf[:0], topic, partitions)
 	_, err := d.meta.Append(1, d.buf)
 	return err
 }
@@ -247,9 +247,7 @@ func (d *durability) journalTopic(topic string, partitions int) error {
 // the scratch has grown to the record size. Callers hold the broker
 // mutex.
 func (d *durability) journalCommit(group, topic string, partition int, offset int64) error {
-	d.buf = appendLenStr(appendLenStr(append(d.buf[:0], metaCommit), group), topic)
-	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(partition))
-	d.buf = binary.BigEndian.AppendUint64(d.buf, uint64(offset))
+	d.buf = appendMetaCommit(d.buf[:0], group, topic, partition, offset)
 	_, err := d.meta.Append(1, d.buf)
 	return err
 }
@@ -285,33 +283,23 @@ func appendRunRecord(buf []byte, pid, seq uint64, nanos int64, keyLen, valLen in
 // n offsets. The run's body is a view into payload, and its offset is
 // left to the caller.
 func decodeRunRecord(payload []byte, n int) (r run, pid, seq uint64, err error) {
-	if len(payload) == 0 {
-		return run{}, 0, 0, fmt.Errorf("%w: empty partition record", ErrDurable)
-	}
-	d := payload[1:]
-	switch payload[0] {
+	d := codec.NewReader(payload, ErrDurable, "partition record")
+	switch kind := d.U8(); kind {
 	case runPlain:
 	case runSession:
-		if len(d) < 16 {
-			return run{}, 0, 0, fmt.Errorf("%w: %d-byte session tag", ErrDurable, len(d))
-		}
-		pid, seq, d = binary.BigEndian.Uint64(d), binary.BigEndian.Uint64(d[8:]), d[16:]
-		if pid == 0 {
-			return run{}, 0, 0, fmt.Errorf("%w: session record with zero producer id", ErrDurable)
+		if pid, seq = d.U64(), d.U64(); pid == 0 {
+			d.Fail("session record with zero producer id")
 		}
 	default:
-		return run{}, 0, 0, fmt.Errorf("%w: unknown partition record kind %#x", ErrDurable, payload[0])
+		d.Fail("unknown partition record kind %#x", kind)
 	}
-	if len(d) < runHeaderLen {
-		return run{}, 0, 0, fmt.Errorf("%w: %d-byte run header", ErrDurable, len(d))
+	r.ts, r.keyLen, r.valLen = int64(d.U64()), int(d.U32()), int(d.U32())
+	// Divide rather than multiply: n × stride may overflow.
+	if stride := r.keyLen + r.valLen; n < 1 || stride > 0 && n > d.Len()/stride {
+		d.Fail("%d bytes for a run of %d records of %d+%d bytes", d.Len(), n, r.keyLen, r.valLen)
 	}
-	r.ts, r.keyLen, r.valLen = readRunHeader(d)
-	r.n, r.body = n, d[runHeaderLen:]
-	if stride := r.keyLen + r.valLen; n < 1 || stride == 0 && len(r.body) > 0 ||
-		stride > 0 && (len(r.body)%stride != 0 || len(r.body)/stride != n) {
-		return run{}, 0, 0, fmt.Errorf("%w: %d bytes for a run of %d records of %d+%d bytes", ErrDurable, len(r.body), n, r.keyLen, r.valLen)
-	}
-	return r, pid, seq, nil
+	r.n, r.body = n, d.Take(n*(r.keyLen+r.valLen))
+	return r, pid, seq, d.Done()
 }
 
 // journalSlice journals one partition's slice of a columnar batch as one
@@ -327,53 +315,34 @@ func (p *partitionLog) journalSlice(now time.Time, cols Columns, idxs []int, pid
 	return err
 }
 
-func appendLenStr(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
+func appendMetaTopic(buf []byte, topic string, partitions int) []byte {
+	buf = codec.AppendBytes(append(buf, metaTopic), topic)
+	return binary.BigEndian.AppendUint32(buf, uint32(partitions))
 }
 
+func appendMetaCommit(buf []byte, group, topic string, partition int, offset int64) []byte {
+	buf = codec.AppendBytes(codec.AppendBytes(append(buf, metaCommit), group), topic)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(partition))
+	return binary.BigEndian.AppendUint64(buf, uint64(offset))
+}
+
+// decodeMetaTopic parses a metaTopic record, refusing what journalTopic
+// never writes — above all a partition count CreateTopic refuses: a
+// journaled count sizes the topic's allocation on every restart.
 func decodeMetaTopic(payload []byte) (topic string, partitions int, err error) {
-	d := payload[1:]
-	t, d, err := readLenBytes(d)
-	if err != nil {
-		return "", 0, err
+	d := codec.NewReader(payload[1:], ErrDurable, "meta record")
+	topic, partitions = d.Str(), int(d.U32())
+	if !validTopicName(topic) || partitions <= 0 || partitions > maxPartitions {
+		d.Fail("topic %q with %d partitions", topic, partitions)
 	}
-	if len(d) != 4 {
-		return "", 0, fmt.Errorf("%w: malformed topic record", ErrDurable)
-	}
-	n := int(binary.BigEndian.Uint32(d))
-	if n <= 0 {
-		return "", 0, fmt.Errorf("%w: topic %q with %d partitions", ErrDurable, t, n)
-	}
-	return string(t), n, nil
+	return topic, partitions, d.Done()
 }
 
 func decodeMetaCommit(payload []byte) (group, topic string, partition int, offset int64, err error) {
-	d := payload[1:]
-	g, d, err := readLenBytes(d)
-	if err != nil {
-		return "", "", 0, 0, err
+	d := codec.NewReader(payload[1:], ErrDurable, "meta record")
+	group, topic, partition, offset = d.Str(), d.Str(), int(d.U32()), int64(d.U64())
+	if offset < 0 {
+		d.Fail("commit of offset %d", offset)
 	}
-	t, d, err := readLenBytes(d)
-	if err != nil {
-		return "", "", 0, 0, err
-	}
-	if len(d) != 12 {
-		return "", "", 0, 0, fmt.Errorf("%w: malformed commit record", ErrDurable)
-	}
-	partition = int(binary.BigEndian.Uint32(d[0:4]))
-	offset = int64(binary.BigEndian.Uint64(d[4:12]))
-	return string(g), string(t), partition, offset, nil
-}
-
-func readLenBytes(d []byte) ([]byte, []byte, error) {
-	if len(d) < 4 {
-		return nil, nil, fmt.Errorf("%w: short meta record", ErrDurable)
-	}
-	n := binary.BigEndian.Uint32(d)
-	d = d[4:]
-	if uint32(len(d)) < n {
-		return nil, nil, fmt.Errorf("%w: short meta record", ErrDurable)
-	}
-	return d[:n], d[n:], nil
+	return group, topic, partition, offset, d.Done()
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io/fs"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"privapprox/internal/wal"
@@ -545,4 +547,117 @@ func copyTree(t *testing.T, src, dst string) map[string][]byte {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// TestCreateTopicRefusesHugePartitionCount: a topic's partition count
+// sizes its allocation and, on a durable broker, its WAL directories,
+// and it arrives from a peer over the wire. A count above the bound
+// (1,024) is refused in process, over TCP — where the connection goes on
+// serving — and in a meta journal a durable broker replays.
+func TestCreateTopicRefusesHugePartitionCount(t *testing.T) {
+	b := NewBroker()
+	if err := b.CreateTopic("t", 1025); !errors.Is(err, ErrWire) {
+		t.Fatalf("CreateTopic with 1,025 partitions: %v, want ErrWire", err)
+	}
+	if err := b.CreateTopic("t", 1024); err != nil {
+		t.Fatalf("CreateTopic with 1,024 partitions: %v", err)
+	}
+
+	_, srv, cli := startServer(t)
+	conn := rawConn(t, srv.Addr())
+	for _, n := range []uint32{1025, 1 << 24, math.MaxUint32} {
+		var e enc
+		e.byte(opCreateTopic)
+		e.str("huge")
+		e.uint32(n)
+		if err := writeFrame(conn, e.buf); err != nil {
+			t.Fatal(err)
+		}
+		if msg := readStatusError(t, conn); !strings.Contains(msg, "wire protocol error") {
+			t.Fatalf("%d partitions over TCP: %q, want a wire protocol error", n, msg)
+		}
+	}
+	var e enc
+	e.byte(opPartitions)
+	e.str("huge")
+	if err := writeFrame(conn, e.buf); err != nil {
+		t.Fatal(err)
+	}
+	if msg := readStatusError(t, conn); !strings.Contains(msg, "no such topic") {
+		t.Fatalf("next request on the connection: %q, want no such topic", msg)
+	}
+	if err := cli.CreateTopic("huge", 1<<24); !errors.Is(err, ErrWire) {
+		t.Fatalf("client CreateTopic with 2²⁴ partitions: %v, want ErrWire", err)
+	}
+	if err := cli.CreateTopic("huge", 2); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	meta, err := wal.Open(filepath.Join(dir, "meta"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := meta.Append(1, appendMetaTopic(nil, "huge", 1025)); err != nil {
+		t.Fatal(err)
+	}
+	meta.Close()
+	if b, err := OpenBroker(dir, wal.Options{}); !errors.Is(err, ErrDurable) {
+		if err == nil {
+			b.Close()
+		}
+		t.Fatalf("OpenBroker over a 1,025-partition topic record: %v, want ErrDurable", err)
+	}
+}
+
+// FuzzMetaRecord drives the meta-journal decoders — the topic and commit
+// records a restarting durable broker replays — with arbitrary records:
+// they must never panic, must refuse with an error wrapping ErrDurable,
+// and whatever they accept must re-encode to exactly the bytes they were
+// given.
+func FuzzMetaRecord(f *testing.F) {
+	topic := appendMetaTopic(nil, "answers.v1", 2)
+	commit := appendMetaCommit(nil, "aggregator", "answers.v1", 1, 4096)
+	f.Add(topic)
+	f.Add(topic[:len(topic)-1])
+	f.Add(append(bytes.Clone(topic), 0))
+	f.Add(appendMetaTopic(nil, "answers.v1", 1<<24))
+	f.Add(appendMetaTopic(nil, "../escape", 1))
+	f.Add(commit)
+	f.Add(commit[:len(commit)-1])
+	f.Add(appendMetaCommit(nil, "g", "t", 0, -1))
+	f.Add([]byte{metaCommit, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) == 0 {
+			return
+		}
+		var again []byte
+		var err error
+		switch payload[0] {
+		case metaTopic:
+			var topic string
+			var n int
+			if topic, n, err = decodeMetaTopic(payload); err == nil {
+				again = appendMetaTopic(nil, topic, n)
+			}
+		case metaCommit:
+			var group, topic string
+			var part int
+			var off int64
+			if group, topic, part, off, err = decodeMetaCommit(payload); err == nil {
+				again = appendMetaCommit(nil, group, topic, part, off)
+			}
+		default:
+			return
+		}
+		if err != nil {
+			if !errors.Is(err, ErrDurable) {
+				t.Fatalf("decode error %v does not wrap ErrDurable", err)
+			}
+			return
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded record\n got %x\nwant %x", again, payload)
+		}
+	})
 }

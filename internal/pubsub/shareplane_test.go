@@ -211,7 +211,8 @@ func FuzzFetchResponse(f *testing.F) {
 	f.Add(runs(appendFetchRun(nil, 0, 1, 1, 1, 1, []byte("kv")), appendFetchRun(nil, 2, 1, 1, 1, 1, []byte("kv"))), uint16(10))
 
 	f.Fuzz(func(t *testing.T, body []byte, max uint16) {
-		recs, err := decodeFetch(&dec{buf: body}, "t", 0, 0, uint32(max))
+		d := wireReader(body)
+		recs, err := decodeFetch(&d, "t", 0, 0, uint32(max))
 		if err != nil {
 			if !errors.Is(err, ErrWire) {
 				t.Fatalf("decode error %v does not wrap ErrWire", err)

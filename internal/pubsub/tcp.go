@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"privapprox/internal/codec"
 )
 
 // Server exposes a Broker over TCP with the frame protocol in wire.go,
@@ -121,7 +123,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // the operation's results, or status 1 and the error text.
 func (s *Server) respond(resp, req []byte) []byte {
 	e := &enc{buf: resp}
-	if err := s.dispatch(e, &dec{buf: req}); err != nil {
+	d := wireReader(req)
+	if err := s.dispatch(e, &d); err != nil {
 		e.buf = resp
 		e.byte(1)
 		e.str(err.Error())
@@ -129,21 +132,15 @@ func (s *Server) respond(resp, req []byte) []byte {
 	return e.buf
 }
 
-// dispatch decodes one request from d, applies it to the broker and, on
-// success, encodes the ok response into e.
-func (s *Server) dispatch(e *enc, d *dec) error {
-	op, err := d.byte()
-	if err != nil {
-		return err
-	}
+// dispatch decodes one request from d — its fields and nothing after
+// them — applies it to the broker and, on success, encodes the ok
+// response into e.
+func (s *Server) dispatch(e *enc, d *codec.Reader) error {
+	op := d.U8()
 	switch op {
 	case opCreateTopic:
-		topic, err := d.str()
-		if err != nil {
-			return err
-		}
-		parts, err := d.uint32()
-		if err != nil {
+		topic, parts := d.Str(), d.U32()
+		if err := d.Done(); err != nil {
 			return err
 		}
 		if err := s.broker.CreateTopic(topic, int(parts)); err != nil {
@@ -151,17 +148,9 @@ func (s *Server) dispatch(e *enc, d *dec) error {
 		}
 		e.byte(0)
 	case opPublish:
-		topic, err := d.str()
-		if err != nil {
-			return err
-		}
 		// Views into the request frame: Publish copies both into its slab.
-		key, err := decodeOptBytes(d)
-		if err != nil {
-			return err
-		}
-		val, err := d.view()
-		if err != nil {
+		topic, key, val := d.Str(), decodeOptBytes(d), d.Bytes()
+		if err := d.Done(); err != nil {
 			return err
 		}
 		part, off, err := s.broker.Publish(topic, key, val)
@@ -172,95 +161,64 @@ func (s *Server) dispatch(e *enc, d *dec) error {
 		e.uint32(uint32(part))
 		e.uint64(uint64(off))
 	case opPublishColumns:
-		if err := s.publishColumns(d); err != nil {
+		// The lanes are views into the request frame; the broker copies
+		// each record once into its slab, and validates the lane geometry
+		// against the declared strides first, so a lying count or stride
+		// is refused. The ack is the bare status byte.
+		topic, pid, seq := d.Str(), d.U64(), d.U64()
+		cols := Columns{Count: int(d.U32()), KeyLen: int(d.U32()), ValLen: int(d.U32()), Keys: d.Bytes(), Vals: d.Bytes()}
+		if err := d.Done(); err != nil {
+			return err
+		}
+		if err := s.broker.PublishColumns(topic, cols, pid, seq); err != nil {
 			return err
 		}
 		e.byte(0)
 	case opFetch:
-		topic, err := d.str()
-		if err != nil {
-			return err
-		}
-		part, err := d.uint32()
-		if err != nil {
-			return err
-		}
-		off, err := d.uint64()
-		if err != nil {
-			return err
-		}
-		max, err := d.uint32()
-		if err != nil {
-			return err
-		}
-		waitMs, err := d.uint32()
-		if err != nil {
+		topic, part, off, max, waitMs := d.Str(), int(d.U32()), int64(d.U64()), int(d.U32()), d.U32()
+		if err := d.Done(); err != nil {
 			return err
 		}
 		if waitMs > 0 {
-			if err := s.awaitRecord(topic, int(part), int64(off), time.Duration(waitMs)*time.Millisecond); err != nil {
+			if err := s.awaitRecord(topic, part, off, time.Duration(waitMs)*time.Millisecond); err != nil {
 				return err
 			}
 		}
-		return s.broker.encodeFetch(e, topic, int(part), int64(off), int(max))
+		return s.broker.encodeFetch(e, topic, part, off, max)
 	case opEndOffset:
-		topic, err := d.str()
-		if err != nil {
+		topic, part := d.Str(), int(d.U32())
+		if err := d.Done(); err != nil {
 			return err
 		}
-		part, err := d.uint32()
-		if err != nil {
-			return err
-		}
-		off, err := s.broker.EndOffset(topic, int(part))
+		off, err := s.broker.EndOffset(topic, part)
 		if err != nil {
 			return err
 		}
 		e.byte(0)
 		e.uint64(uint64(off))
 	case opCommit:
-		group, err := d.str()
-		if err != nil {
+		group, topic, part, off := d.Str(), d.Str(), int(d.U32()), int64(d.U64())
+		if err := d.Done(); err != nil {
 			return err
 		}
-		topic, err := d.str()
-		if err != nil {
-			return err
-		}
-		part, err := d.uint32()
-		if err != nil {
-			return err
-		}
-		off, err := d.uint64()
-		if err != nil {
-			return err
-		}
-		if err := s.broker.CommitOffset(group, topic, int(part), int64(off)); err != nil {
+		if err := s.broker.CommitOffset(group, topic, part, off); err != nil {
 			return err
 		}
 		e.byte(0)
 	case opCommitted:
-		group, err := d.str()
-		if err != nil {
+		group, topic, part := d.Str(), d.Str(), int(d.U32())
+		if err := d.Done(); err != nil {
 			return err
 		}
-		topic, err := d.str()
-		if err != nil {
-			return err
-		}
-		part, err := d.uint32()
-		if err != nil {
-			return err
-		}
-		off, err := s.broker.CommittedOffset(group, topic, int(part))
+		off, err := s.broker.CommittedOffset(group, topic, part)
 		if err != nil {
 			return err
 		}
 		e.byte(0)
 		e.uint64(uint64(off))
 	case opPartitions:
-		topic, err := d.str()
-		if err != nil {
+		topic := d.Str()
+		if err := d.Done(); err != nil {
 			return err
 		}
 		n, err := s.broker.Partitions(topic)
@@ -270,57 +228,10 @@ func (s *Server) dispatch(e *enc, d *dec) error {
 		e.byte(0)
 		e.uint32(uint32(n))
 	default:
-		return fmt.Errorf("%w: unknown opcode %d", ErrWire, op)
+		d.Fail("unknown opcode %d", op)
+		return d.Err()
 	}
 	return nil
-}
-
-// publishColumns decodes and applies an opPublishColumns request. The
-// lanes are views into the request frame (no copy); the broker copies
-// each record once into its slab. The ack is the bare status byte.
-func (s *Server) publishColumns(d *dec) error {
-	topic, err := d.str()
-	if err != nil {
-		return err
-	}
-	pid, err := d.uint64()
-	if err != nil {
-		return err
-	}
-	seq, err := d.uint64()
-	if err != nil {
-		return err
-	}
-	count, err := d.uint32()
-	if err != nil {
-		return err
-	}
-	keyLen, err := d.uint32()
-	if err != nil {
-		return err
-	}
-	valLen, err := d.uint32()
-	if err != nil {
-		return err
-	}
-	keys, err := d.view()
-	if err != nil {
-		return err
-	}
-	vals, err := d.view()
-	if err != nil {
-		return err
-	}
-	// PublishColumns validates the lane geometry against the declared
-	// strides first, so a lying count or stride is refused (the lane
-	// lengths on the wire are the real bound, and the frame is capped).
-	return s.broker.PublishColumns(topic, Columns{
-		Count:  int(count),
-		KeyLen: int(keyLen),
-		ValLen: int(valLen),
-		Keys:   keys,
-		Vals:   vals,
-	}, pid, seq)
 }
 
 // awaitRecord is the server side of a blocking fetch: it returns once
@@ -380,18 +291,15 @@ func (b *Broker) encodeFetch(e *enc, topic string, partition int, offset int64, 
 // decodeOptBytes reads the hasKey-prefixed optional byte string
 // opPublish uses: a 0 marker means nil, a 1 marker is followed by a
 // length-prefixed value.
-func decodeOptBytes(d *dec) ([]byte, error) {
-	has, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch has {
+func decodeOptBytes(d *codec.Reader) []byte {
+	switch has := d.U8(); has {
 	case 0:
-		return nil, nil
+		return nil
 	case 1:
-		return d.view()
+		return d.Bytes()
 	default:
-		return nil, fmt.Errorf("%w: bad optional-bytes marker %d", ErrWire, has)
+		d.Fail("bad optional-bytes marker %d", has)
+		return nil
 	}
 }
 
@@ -729,19 +637,21 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 	}
 }
 
-func (cc *clientConn) roundTrip(req []byte) (*dec, error) {
+// roundTrip sends one request and returns a reader over the body of its
+// ok reply; an error reply comes back as the error it carries.
+func (cc *clientConn) roundTrip(req []byte) (codec.Reader, error) {
 	ch := make(chan connResult, 1)
 	cc.mu.Lock()
 	for cc.conn == nil {
 		if cc.closed {
 			cc.mu.Unlock()
-			return nil, ErrClosed
+			return codec.Reader{}, ErrClosed
 		}
 		cc.mu.Unlock()
 		// Nothing has reached the wire yet, so a dial failure here is
 		// unambiguous: the request was definitely not applied.
 		if err := cc.redial(); err != nil {
-			return nil, err
+			return codec.Reader{}, err
 		}
 		cc.mu.Lock()
 	}
@@ -757,21 +667,30 @@ func (cc *clientConn) roundTrip(req []byte) (*dec, error) {
 	}
 	r := <-ch
 	if r.err != nil {
-		return nil, r.err
+		return codec.Reader{}, r.err
 	}
-	d := &dec{buf: r.resp}
-	status, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if status != 0 {
-		msg, err := d.str()
-		if err != nil {
-			return nil, err
+	d := wireReader(r.resp)
+	switch status := d.U8(); status {
+	case 0:
+		return d, d.Err()
+	case 1:
+		msg := d.Str()
+		if err := d.Done(); err != nil {
+			return d, err
 		}
-		return nil, wireError(msg)
+		return d, wireError(msg)
+	default:
+		d.Fail("reply status %d", status)
+		return d, d.Err()
 	}
-	return d, nil
+}
+
+// done is a bodiless reply: the bare ok status, nothing after it.
+func done(d codec.Reader, err error) error {
+	if err != nil {
+		return err
+	}
+	return d.Done()
 }
 
 // wireSentinels are the broker errors re-attached on the client side of
@@ -833,7 +752,7 @@ func (c *Client) pick() *clientConn {
 	return best
 }
 
-func (c *Client) roundTrip(req []byte) (*dec, error) {
+func (c *Client) roundTrip(req []byte) (codec.Reader, error) {
 	return c.pick().roundTrip(req)
 }
 
@@ -843,8 +762,7 @@ func (c *Client) CreateTopic(topic string, partitions int) error {
 	e.byte(opCreateTopic)
 	e.str(topic)
 	e.uint32(uint32(partitions))
-	_, err := c.roundTrip(e.buf)
-	return err
+	return done(c.roundTrip(e.buf))
 }
 
 // Publish mirrors Broker.Publish. The request frame is encoded into a
@@ -861,12 +779,8 @@ func (c *Client) Publish(topic string, key, value []byte) (int, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	part, err := d.uint32()
-	if err != nil {
-		return 0, 0, err
-	}
-	off, err := d.uint64()
-	if err != nil {
+	part, off := d.U32(), d.U64()
+	if err := d.Done(); err != nil {
 		return 0, 0, err
 	}
 	return int(part), int64(off), nil
@@ -900,8 +814,7 @@ func (c *Client) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 	e.uint32(uint32(cols.ValLen))
 	e.bytes(cols.Keys)
 	e.bytes(cols.Vals)
-	_, err := c.roundTrip(e.buf)
-	return err
+	return done(c.roundTrip(e.buf))
 }
 
 // waitToMillis converts a fetch wait to whole milliseconds for the
@@ -935,65 +848,49 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 	if err != nil {
 		return nil, err
 	}
-	return decodeFetch(d, topic, partition, offset, uint32(max))
+	return decodeFetch(&d, topic, partition, offset, uint32(max))
 }
 
 // decodeFetch reads the body of an opFetch response (after the status
 // byte) for a request at (partition, offset) for at most max records
 // into records that alias d's frame. Every claim the peer makes is
 // checked before the one allocation: the runs must start at offset and
-// follow each other without a gap, fit the frame, and hold no more than
-// max records between them — a zero-stride run (keyless, empty values)
-// takes no body bytes, so the frame alone cannot bound the count.
-func decodeFetch(d *dec, topic string, partition int, offset int64, max uint32) ([]Record, error) {
-	runs, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	var total uint64
-	next, rest := offset, d.buf
+// follow each other without a gap, fill the frame exactly, and hold no
+// more than max records between them — a zero-stride run (keyless,
+// empty values) takes no body bytes, so the frame alone cannot bound the
+// count.
+func decodeFetch(d *codec.Reader, topic string, partition int, offset int64, max uint32) ([]Record, error) {
+	runs := d.Count(fetchRunHeaderLen)
+	probe, next, total := *d, offset, uint64(0)
 	for range runs {
-		var r run
-		if r, rest, err = nextFetchRun(rest); err != nil {
-			return nil, err
-		}
+		r := nextFetchRun(&probe)
 		if r.off != next {
-			return nil, fmt.Errorf("%w: fetch run at offset %d, want %d", ErrWire, r.off, next)
+			probe.Fail("fetch run at offset %d, want %d", r.off, next)
 		}
 		if total += uint64(r.n); total > uint64(max) {
-			return nil, fmt.Errorf("%w: %d+ records in a fetch response for %d", ErrWire, total, max)
+			probe.Fail("%d+ records in a fetch response for %d", total, max)
 		}
 		next += int64(r.n)
 	}
+	if err := probe.Done(); err != nil {
+		return nil, err
+	}
 	out := make([]Record, 0, total)
 	for range runs {
-		var r run
-		r, d.buf, _ = nextFetchRun(d.buf) // checked above
-		out = appendRun(out, topic, partition, r)
+		out = appendRun(out, topic, partition, nextFetchRun(d))
 	}
 	return out, nil
 }
 
-// nextFetchRun reads one run of a fetch response off the front of buf:
-// its header, and a view of its records that the header's count and
-// strides must fit inside buf.
-func nextFetchRun(buf []byte) (r run, rest []byte, err error) {
-	if len(buf) < fetchRunHeaderLen {
-		return run{}, nil, fmt.Errorf("%w: short frame", ErrWire)
-	}
-	r.off = int64(binary.BigEndian.Uint64(buf))
-	r.ts = int64(binary.BigEndian.Uint64(buf[8:]))
-	keyLen, valLen := binary.BigEndian.Uint32(buf[16:]), binary.BigEndian.Uint32(buf[20:])
-	n := binary.BigEndian.Uint32(buf[24:])
-	buf = buf[fetchRunHeaderLen:]
-	// Divide rather than multiply: count × stride may overflow.
-	if stride := uint64(keyLen) + uint64(valLen); stride != 0 && uint64(n) > uint64(len(buf))/stride {
-		return run{}, nil, fmt.Errorf("%w: %d records of %d bytes in %d bytes of fetch response", ErrWire, n, stride, len(buf))
-	}
-	r.n, r.keyLen, r.valLen = int(n), int(keyLen), int(valLen)
-	size := r.n * (r.keyLen + r.valLen)
-	r.body = buf[:size:size]
-	return r, buf[size:], nil
+// nextFetchRun reads one run of a fetch response: its header, and a view
+// of its records, whose count the header's strides must fit in the rest
+// of the frame.
+func nextFetchRun(d *codec.Reader) (r run) {
+	r.off, r.ts = int64(d.U64()), int64(d.U64())
+	r.keyLen, r.valLen = int(d.U32()), int(d.U32())
+	r.n = d.Count(r.keyLen + r.valLen)
+	r.body = d.Take(r.n * (r.keyLen + r.valLen))
+	return r
 }
 
 // FetchWait aliases Fetch to satisfy the Transport interface.
@@ -1011,8 +908,8 @@ func (c *Client) EndOffset(topic string, partition int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	off, err := d.uint64()
-	return int64(off), err
+	off := d.U64()
+	return int64(off), d.Done()
 }
 
 // Partitions mirrors Broker.Partitions.
@@ -1024,8 +921,8 @@ func (c *Client) Partitions(topic string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := d.uint32()
-	return int(n), err
+	n := d.U32()
+	return int(n), d.Done()
 }
 
 // CommitOffset mirrors Broker.CommitOffset.
@@ -1036,8 +933,7 @@ func (c *Client) CommitOffset(group, topic string, partition int, offset int64) 
 	e.str(topic)
 	e.uint32(uint32(partition))
 	e.uint64(uint64(offset))
-	_, err := c.roundTrip(e.buf)
-	return err
+	return done(c.roundTrip(e.buf))
 }
 
 // CommittedOffset mirrors Broker.CommittedOffset.
@@ -1051,6 +947,6 @@ func (c *Client) CommittedOffset(group, topic string, partition int) (int64, err
 	if err != nil {
 		return 0, err
 	}
-	off, err := d.uint64()
-	return int64(off), err
+	off := d.U64()
+	return int64(off), d.Done()
 }

@@ -1,12 +1,14 @@
 package pubsub
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -192,16 +194,12 @@ func readStatusError(t *testing.T, conn net.Conn) string {
 	if err != nil {
 		t.Fatalf("reading response: %v", err)
 	}
-	d := &dec{buf: resp}
-	status, err := d.byte()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != 1 {
+	d := wireReader(resp)
+	if status := d.U8(); status != 1 {
 		t.Fatalf("status = %d, want error", status)
 	}
-	msg, err := d.str()
-	if err != nil {
+	msg := d.Str()
+	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
 	return msg
@@ -383,4 +381,200 @@ func TestTransportConsumerOverTCP(t *testing.T) {
 	if err != nil || lag != 0 {
 		t.Errorf("Lag = %d, %v", lag, err)
 	}
+}
+
+// namedFrame is a request frame and what it asks for.
+type namedFrame struct {
+	name string
+	req  []byte
+}
+
+// requestFrames returns one valid request frame per opcode, against a
+// broker holding topic "t" with one partition and a record at offset 0;
+// applied in order, each succeeds.
+func requestFrames() []namedFrame {
+	frame := func(op byte, fields func(e *enc)) []byte {
+		var e enc
+		e.byte(op)
+		fields(&e)
+		return e.buf
+	}
+	return []namedFrame{
+		{"create topic", frame(opCreateTopic, func(e *enc) { e.str("new"); e.uint32(1) })},
+		{"publish", frame(opPublish, func(e *enc) {
+			e.str("t")
+			encodeOptBytes(e, []byte("k"))
+			e.bytes([]byte("v"))
+		})},
+		{"publish columns", columnsFrame("t", 7, 1, 2, 1, 1, []byte("ab"), []byte("cd"))},
+		{"fetch", frame(opFetch, func(e *enc) {
+			e.str("t")
+			e.uint32(0)
+			e.uint64(0)
+			e.uint32(10)
+			e.uint32(0)
+		})},
+		{"end offset", frame(opEndOffset, func(e *enc) { e.str("t"); e.uint32(0) })},
+		{"committed", frame(opCommitted, func(e *enc) { e.str("g"); e.str("t"); e.uint32(0) })},
+		{"partitions", frame(opPartitions, func(e *enc) { e.str("t") })},
+		{"commit", frame(opCommit, func(e *enc) {
+			e.str("g")
+			e.str("t")
+			e.uint32(0)
+			e.uint64(1)
+		})},
+	}
+}
+
+// TestTCPServerRefusesTrailingBytes: the server accepts exactly the
+// frames a client writes. Each opcode's request with one byte after its
+// fields is refused with a wire protocol error and applies nothing, and
+// the same request without the byte then succeeds.
+func TestTCPServerRefusesTrailingBytes(t *testing.T) {
+	b, srv, _ := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Publish("t", nil, []byte("r0")); err != nil {
+		t.Fatal(err)
+	}
+	conn := rawConn(t, srv.Addr())
+	for _, r := range requestFrames() {
+		if err := writeFrame(conn, append(bytes.Clone(r.req), 0)); err != nil {
+			t.Fatal(err)
+		}
+		if msg := readStatusError(t, conn); !strings.Contains(msg, "wire protocol error: 1 trailing bytes") {
+			t.Errorf("%s with a trailing byte: %q, want a wire protocol error", r.name, msg)
+		}
+		if end, _ := b.EndOffset("t", 0); end != 1 || len(b.Topics()) != 1 {
+			t.Fatalf("%s with a trailing byte was applied: end offset %d, topics %v", r.name, end, b.Topics())
+		}
+		if off, _ := b.CommittedOffset("g", "t", 0); off != 0 {
+			t.Fatalf("%s with a trailing byte was applied: committed %d", r.name, off)
+		}
+	}
+	for _, r := range requestFrames() {
+		if got := srv.handle(r.req); len(got) == 0 || got[0] != 0 {
+			t.Errorf("%s: status %x, want ok", r.name, got)
+		}
+	}
+}
+
+// TestTCPClientRefusesTrailingBytes: the client accepts exactly the
+// replies a server writes. Against a server that appends one byte to
+// every reply, each call fails with ErrWire.
+func TestTCPClientRefusesTrailingBytes(t *testing.T) {
+	b := NewBroker()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{broker: b}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			req, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			if writeFrame(conn, append(srv.handle(req), 0xEE)) != nil {
+				return
+			}
+		}
+	}()
+	cli, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	calls := map[string]func() error{
+		"create topic": func() error { return cli.CreateTopic("new", 1) },
+		"publish": func() error {
+			_, _, err := cli.Publish("t", nil, []byte("v"))
+			return err
+		},
+		"publish columns": func() error { return cli.PublishColumns("t", testCols(2, 1, 1), 0, 0) },
+		"fetch": func() error {
+			_, err := cli.Fetch("t", 0, 0, 10, 0)
+			return err
+		},
+		"end offset": func() error {
+			_, err := cli.EndOffset("t", 0)
+			return err
+		},
+		"commit": func() error { return cli.CommitOffset("g", "t", 0, 1) },
+		"committed": func() error {
+			_, err := cli.CommittedOffset("g", "t", 0)
+			return err
+		},
+		"partitions": func() error {
+			_, err := cli.Partitions("t")
+			return err
+		},
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrWire) {
+			t.Errorf("%s against a reply with a trailing byte: %v, want ErrWire", name, err)
+		}
+	}
+}
+
+// FuzzServerRequest drives Server.respond with arbitrary request frames
+// against an in-memory broker holding a two-partition topic with a
+// record in it. It must never panic and must answer with a status frame,
+// and every error it answers must come back through wireError as ErrWire
+// or another broker sentinel. A request that claims a huge partition
+// count is refused before it sizes anything.
+func FuzzServerRequest(f *testing.F) {
+	for _, r := range requestFrames() {
+		f.Add(r.req)
+		f.Add(append(bytes.Clone(r.req), 0))
+		f.Add(r.req[:len(r.req)-1])
+	}
+	var e enc
+	e.byte(opCreateTopic)
+	e.str("huge-part")
+	e.uint32(1 << 24)
+	f.Add(e.buf) // 18 bytes
+	f.Add([]byte{})
+	f.Add([]byte{0xFF})
+	f.Fuzz(func(t *testing.T, req []byte) {
+		b := NewBroker()
+		if err := b.CreateTopic("t", 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := b.Publish("t", nil, []byte("r0")); err != nil {
+			t.Fatal(err)
+		}
+		// A closed server ends a blocking fetch after one wait slice.
+		srv := &Server{broker: b, closed: true}
+		d := wireReader(srv.handle(req))
+		switch status := d.U8(); status {
+		case 0:
+		case 1:
+			msg := d.Str()
+			if err := d.Done(); err != nil {
+				t.Fatalf("error reply: %v", err)
+			}
+			err := wireError(msg)
+			if !slices.ContainsFunc(wireSentinels, func(s error) bool { return errors.Is(err, s) }) {
+				t.Fatalf("error reply %q maps to no sentinel", msg)
+			}
+		default:
+			t.Fatalf("reply status %d", status)
+		}
+	})
 }

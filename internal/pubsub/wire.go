@@ -6,17 +6,22 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"privapprox/internal/codec"
 )
 
 // The TCP transport speaks length-prefixed binary frames. Each request
 // frame starts with a one-byte opcode; each response frame starts with a
-// one-byte status (0 = ok, 1 = error followed by a message string).
+// one-byte status (0 = ok, 1 = error followed by a message string). A
+// frame holds its fields and nothing after them: both sides refuse
+// trailing bytes.
 
 // maxFrame bounds a frame to keep a misbehaving peer from ballooning
 // memory.
 const maxFrame = 64 << 20
 
-// ErrWire reports a transport protocol violation.
+// ErrWire reports a malformed request — a transport protocol violation,
+// or arguments no encoder of a valid request writes.
 var ErrWire = errors.New("pubsub: wire protocol error")
 
 // Opcodes. The values are the wire format and are pinned by the golden
@@ -90,62 +95,13 @@ func putEnc(e *enc) { encPool.Put(e) }
 func (e *enc) byte(b byte)     { e.buf = append(e.buf, b) }
 func (e *enc) uint32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 func (e *enc) uint64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *enc) bytes(b []byte) {
-	e.uint32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *enc) str(s string) { e.bytes([]byte(s)) }
+func (e *enc) bytes(b []byte)  { e.buf = codec.AppendBytes(e.buf, b) }
+func (e *enc) str(s string)    { e.buf = codec.AppendBytes(e.buf, s) }
 
-// dec is a sequential payload reader.
-type dec struct{ buf []byte }
-
-func (d *dec) byte() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, fmt.Errorf("%w: short frame", ErrWire)
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
-
-func (d *dec) uint32() (uint32, error) {
-	if len(d.buf) < 4 {
-		return 0, fmt.Errorf("%w: short frame", ErrWire)
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v, nil
-}
-
-func (d *dec) uint64() (uint64, error) {
-	if len(d.buf) < 8 {
-		return 0, fmt.Errorf("%w: short frame", ErrWire)
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *dec) str() (string, error) {
-	b, err := d.view()
-	return string(b), err
-}
-
-// view reads a length-prefixed byte string without copying: the
-// returned slice aliases the frame buffer (cap-limited, so
-// an append cannot run into its neighbour) and is valid only while the
-// frame is. The server's publish handlers pass views straight to the
-// broker, which copies them once into its slab; the client's fetch
-// hands out views of the response frame it owns.
-func (d *dec) view() ([]byte, error) {
-	n, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(d.buf)) < n {
-		return nil, fmt.Errorf("%w: short frame", ErrWire)
-	}
-	out := d.buf[:n:n]
-	d.buf = d.buf[n:]
-	return out, nil
-}
+// wireReader reads a frame of the TCP protocol: every failure wraps
+// ErrWire, and a string read is a view into the frame (cap-limited, so
+// an append cannot run into its neighbour) valid only while the frame
+// is. The server's publish handlers pass views straight to the broker,
+// which copies them once into its slab; the client's fetch hands out
+// views of the response frame it owns.
+func wireReader(frame []byte) codec.Reader { return codec.NewReader(frame, ErrWire, "frame") }

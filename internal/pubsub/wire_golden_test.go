@@ -203,7 +203,8 @@ func TestGoldenFetchResponse(t *testing.T) {
 		t.Fatalf("fetch response\n got %x\nwant %s", got, goldenFetch)
 	}
 
-	recs, err := decodeFetch(&dec{buf: unhex(t, goldenFetch)[1:]}, "t", 0, 0, 10)
+	d := wireReader(unhex(t, goldenFetch)[1:])
+	recs, err := decodeFetch(&d, "t", 0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

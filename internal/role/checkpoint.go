@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"privapprox/internal/aggregator"
-	"privapprox/internal/ckpt"
+	"privapprox/internal/codec"
 	"privapprox/internal/query"
 	"privapprox/internal/stats"
 	"privapprox/internal/stream"
@@ -26,7 +26,7 @@ var recordMagic = []byte("PCR1")
 
 // record is the one checkpoint record of a durable deployment. Its
 // sections, in order, integers big-endian and strings u32-length-prefixed
-// (ckpt.AppendBytes):
+// (codec.AppendBytes):
 //
 //	"PCR1"
 //	u32 consumers; per consumer u32 topics; per topic, names ascending:
@@ -53,7 +53,7 @@ func (r *record) append(buf []byte) []byte {
 	for _, pos := range r.positions {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(pos)))
 		for _, topic := range slices.Sorted(maps.Keys(pos)) {
-			buf = ckpt.AppendBytes(buf, topic)
+			buf = codec.AppendBytes(buf, topic)
 			next := pos[topic]
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(next)))
 			for p := range len(next) {
@@ -61,11 +61,11 @@ func (r *record) append(buf []byte) []byte {
 			}
 		}
 	}
-	buf = ckpt.AppendBytes(buf, r.system)
+	buf = codec.AppendBytes(buf, r.system)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.results)))
 	for i := range r.results {
 		res := &r.results[i]
-		buf = ckpt.AppendBytes(buf, res.Query.Analyst)
+		buf = codec.AppendBytes(buf, res.Query.Analyst)
 		buf = binary.BigEndian.AppendUint64(buf, res.Query.Serial)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(res.Window.Start.UnixNano()))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(res.Window.End.UnixNano()))
@@ -78,14 +78,14 @@ func (r *record) append(buf []byte) []byte {
 		buf = append(buf, inverted)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(res.Buckets)))
 		for _, b := range res.Buckets {
-			buf = ckpt.AppendBytes(buf, b.Label)
+			buf = codec.AppendBytes(buf, b.Label)
 			buf = binary.BigEndian.AppendUint64(buf, uint64(b.ObservedYes))
 			for _, f := range []float64{b.Truthful, b.Estimate.Estimate, b.Estimate.Margin, b.Estimate.Confidence} {
 				buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 			}
 		}
 	}
-	return ckpt.AppendBytes(buf, r.state)
+	return codec.AppendBytes(buf, r.state)
 }
 
 // decodeRecord parses a record; every failure wraps ErrCheckpoint. The
@@ -94,7 +94,7 @@ func decodeRecord(data []byte) (*record, error) {
 	if !bytes.HasPrefix(data, recordMagic) {
 		return nil, fmt.Errorf("%w: magic %q", ErrCheckpoint, data[:min(len(data), len(recordMagic))])
 	}
-	d := ckpt.NewReader(data[len(recordMagic):], ErrCheckpoint)
+	d := codec.NewReader(data[len(recordMagic):], ErrCheckpoint, "record")
 	r := &record{}
 	for range d.Count(4) {
 		pos := map[string]map[int]int64{}

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -370,4 +371,24 @@ func TestRecorderCreatesLogDirectory(t *testing.T) {
 	if !strings.Contains(string(data), `"query":"q"`) {
 		t.Fatalf("card log missing emitted card:\n%s", data)
 	}
+}
+
+// FuzzStamp drives DecodeStamp — the sidecar records an aggregator reads
+// off every proxy's lineage topic — with arbitrary bytes: it must never
+// panic, and whatever it accepts must re-encode to exactly the bytes it
+// was given.
+func FuzzStamp(f *testing.F) {
+	f.Add(AppendStamp(nil, Stamp{Epoch: 7, Group: 3, Seq: 41, Shares: 12, FlushStartNs: 1, PublishNs: 2, MonoNs: -3}))
+	f.Add(AppendStamp(nil, Stamp{})[:StampWireSize-1])
+	f.Add(append(AppendStamp(nil, Stamp{}), 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeStamp(data)
+		if err != nil {
+			return
+		}
+		if again := AppendStamp(nil, s); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoded stamp\n got %x\nwant %x", again, data)
+		}
+	})
 }
