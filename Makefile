@@ -118,7 +118,9 @@ lineage:
 # and the share plane between the two (batcher, publish, poll or fetch,
 # decode, join) at ≤ 0.5 allocations per answer in-process — a commit,
 # the trim and the reuse of the released slab included — and ≤ 1.0 over
-# loopback TCP; a fired window at ≤ 4 allocations whatever its bucket
+# loopback TCP, and through the aggregator role's own drain (role.Drain,
+# sequential and parallel, with its commit) at ≤ 0.05 allocations and
+# ≤ 360 heap bytes per answer; a fired window at ≤ 4 allocations whatever its bucket
 # count, and 128 buckets at less than six times the cost of 8 (one
 # Student-t root-find per window, not per bucket); and a columnar
 # publish at 0 whatever its size, in memory and durable (its batch is
@@ -202,14 +204,17 @@ fuzz-decoders:
 
 # The manual fuzz run, 10 s per target: every decoder above, plus the
 # share split/join, the answer message, the minisql parser (whatever
-# parses must bind or be refused, and run, without panicking) and the
+# parses must bind or be refused, and run, without panicking), the
 # minisql column store against a plain [][]Value model (inserts of NULL,
 # number — -0, NaN and ±Inf among them —, text and bool cells, a numeric
 # column turning mixed, deletes that empty the table, read back through
-# SELECT * and a scan with a WHERE).
+# SELECT * and a scan with a WHERE) and the share joiner against a plain
+# two-generation model (adds, recycles, rotations and checkpoint
+# restores into a fresh joiner).
 fuzz:
 	$(MAKE) fuzz-decoders FUZZTIME=10s
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
+	$(GO) test -run '^$$' -fuzz FuzzShareJoiner -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/minisql

@@ -8,6 +8,7 @@
 package privapprox
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
+	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/wal"
@@ -579,13 +581,15 @@ func (p columnPublisher) SubmitColumns(mids, payloads []byte, count, size int) e
 // the aggregator's tail, both gated at zero above: the share plane. A
 // share is flat bytes from publish to join — copied once into the
 // client's batch lanes, once into a partition slab, once out into the
-// fetch's buffer (or the TCP response frame), and borrowed by the
-// aggregator — so what is left is per epoch (a fetch's record slice and
-// buffer, a frame, a round-trip) and per slab, never per share. Each gate runs epochs of 512 answers after a
-// warm-up (all inside one retain horizon: the joiner's maps grow a few
-// times, which the budgets absorb); the in-process gate also commits
-// what it drained, as core.System does, so the commit, the trim and the
-// reuse of the released slab sit inside its budget.
+// consumer's fetch memory (or the TCP response frame), and borrowed by
+// the aggregator — so what is left is per epoch (a poll's runs and
+// bytes, a frame, a round-trip) and per slab, never per share. Each gate
+// runs epochs of 512 answers after a warm-up (all inside one retain
+// horizon: the joiner's maps grow a few times, which the budgets
+// absorb). The in-process gates also commit what they drained, as
+// core.System does, so the commit, the trim and the reuse of the
+// released slab sit inside their budgets; the drain gates, which run
+// the aggregator role itself, bound its heap bytes per answer too.
 func TestSharePlaneAllocs(t *testing.T) {
 	const answers = 512
 	q, err := workload.TaxiQuery("gate", 1, time.Second, time.Hour, time.Hour)
@@ -618,8 +622,8 @@ func TestSharePlaneAllocs(t *testing.T) {
 	}
 	now := time.Unix(10, 0)
 	var shares []xorcrypt.Share
-	// submit decodes one polled batch and hands it to the aggregator,
-	// as core.System and privapprox-node do.
+	// submit decodes one polled batch of records and hands it to the
+	// aggregator: the record path a caller of Poll or Fetch takes.
 	submit := func(agg *aggregator.Aggregator, recs []pubsub.Record, src int) {
 		shares = shares[:0]
 		for _, rec := range recs {
@@ -633,20 +637,47 @@ func TestSharePlaneAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	measure := func(name string, limit float64, agg *aggregator.Aggregator, epoch func()) {
+	// measure runs epochs of answers through a leg, bounds its
+	// allocations per answer and returns its heap bytes per answer.
+	measure := func(t *testing.T, name string, limit float64, agg *aggregator.Aggregator, epoch func()) (bytesPerAnswer float64) {
 		t.Helper()
 		for i := 0; i < 16; i++ {
 			epoch()
 		}
 		decoded := agg.Stats().Decoded
 		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		perAnswer := testing.AllocsPerRun(runs, epoch) / answers
+		runtime.ReadMemStats(&after)
 		if got := agg.Stats().Decoded - decoded; got != (runs+1)*answers {
 			t.Fatalf("%s: %d answers decoded, want %d", name, got, (runs+1)*answers)
 		}
-		t.Logf("%s: %.3f allocs per answer", name, perAnswer)
+		bytesPerAnswer = float64(after.TotalAlloc-before.TotalAlloc) / ((runs + 1) * answers)
+		t.Logf("%s: %.3f allocs and %.0f B per answer", name, perAnswer, bytesPerAnswer)
 		if perAnswer > limit {
-			t.Errorf("%s: want ≤ %.1f allocs per answer", name, limit)
+			t.Errorf("%s: want ≤ %g allocs per answer", name, limit)
+		}
+		return bytesPerAnswer
+	}
+	// answerEpoch splits one epoch of answers into the batchers and
+	// flushes them.
+	answerEpoch := func(t *testing.T, batchers []*client.Batcher, scratch *xorcrypt.SplitScratch) {
+		for k := 0; k < answers; k++ {
+			split, err := splitter.SplitInto(raw, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range split {
+				if err := batchers[i].Submit(sh); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, b := range batchers {
+			if err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -663,23 +694,8 @@ func TestSharePlaneAllocs(t *testing.T) {
 		agg := newAggregator()
 		batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
 		var scratch xorcrypt.SplitScratch
-		measure("split → Batcher → SubmitColumns → Poll → DecodeRecord → SubmitShareBatch → Commit", 0.5, agg, func() {
-			for k := 0; k < answers; k++ {
-				split, err := splitter.SplitInto(raw, &scratch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, sh := range split {
-					if err := batchers[i].Submit(sh); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for _, b := range batchers {
-				if err := b.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
+		measure(t, "split → Batcher → SubmitColumns → Poll → DecodeRecord → SubmitShareBatch → Commit", 0.5, agg, func() {
+			answerEpoch(t, batchers, &scratch)
 			for src, c := range consumers {
 				recs, err := c.Poll(4096)
 				if err != nil {
@@ -722,23 +738,8 @@ func TestSharePlaneAllocs(t *testing.T) {
 		}
 		var scratch xorcrypt.SplitScratch
 		var next [2][partitions]int64
-		measure("split → Batcher → PublishColumns → Serve → Client.Fetch → SubmitShareBatch", 1.0, agg, func() {
-			for k := 0; k < answers; k++ {
-				split, err := splitter.SplitInto(raw, &scratch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, sh := range split {
-					if err := batchers[i].Submit(sh); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for _, b := range batchers {
-				if err := b.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
+		measure(t, "split → Batcher → PublishColumns → Serve → Client.Fetch → SubmitShareBatch", 1.0, agg, func() {
+			answerEpoch(t, batchers, &scratch)
 			for src, cli := range clients {
 				for p := 0; p < partitions; p++ {
 					recs, err := cli.Fetch(proxy.TopicFor(src), p, next[src][p], 4096, 0)
@@ -751,6 +752,42 @@ func TestSharePlaneAllocs(t *testing.T) {
 			}
 		})
 	})
+
+	// The drain that ships: the aggregator role core.System and
+	// privapprox-node run, polling runs into each consumer's own memory
+	// and submitting their shares, then committing — sequentially and one
+	// goroutine per proxy. Its memory is dropped at the end of every
+	// drain, so each epoch regrows it.
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("drain/workers=%d", workers), func(t *testing.T) {
+			fleet, err := proxy.NewFleet(2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Close()
+			consumers, err := fleet.Consumers("aggregator")
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := newAggregator()
+			drain := role.NewDrain(agg, consumers, workers)
+			batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
+			var scratch xorcrypt.SplitScratch
+			const bytesLimit = 360
+			perAnswer := measure(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", 0.05, agg, func() {
+				answerEpoch(t, batchers, &scratch)
+				if _, err := drain.Dry(); err != nil {
+					t.Fatal(err)
+				}
+				if err := drain.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perAnswer > bytesLimit {
+				t.Errorf("want ≤ %d B per answer", bytesLimit)
+			}
+		})
+	}
 }
 
 // TestPublishColumnsAllocs pins a columnar publish at a per-batch

@@ -22,6 +22,7 @@ package aggregator
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -141,7 +142,9 @@ type Result struct {
 type Stats struct {
 	// Decoded answers demultiplexed to their query (a Late one included).
 	Decoded int64
-	// Malformed joined messages that failed decryption or decoding.
+	// Malformed joined messages that failed decryption or decoding, and
+	// polled records that carry no share at all — a key that is not a
+	// MID — which the drain skips (CountMalformed).
 	Malformed int64
 	// Duplicates are replayed shares rejected by the joiner (ageJoins).
 	Duplicates int64
@@ -543,22 +546,16 @@ func (a *Aggregator) stateFor(wire uint64) *queryState {
 
 // shardOf routes a message ID to its shard; all shares of one message
 // land on the same shard, so each join group lives under exactly one
-// lock. FNV-1a is inlined — hash.Hash32 would allocate per share on
-// the hot path.
+// lock. A MID is 16 random bytes, so one multiply mixing its two
+// little-endian words spreads MIDs evenly. The mix is not keyed: a client
+// that picks its MIDs can crowd one shard, which costs lock and map
+// time, never a wrong join.
 func (a *Aggregator) shardOf(mid xorcrypt.MID) int {
 	if len(a.shards) == 1 {
 		return 0
 	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, b := range mid {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	return int(h % uint32(len(a.shards)))
+	h := (binary.LittleEndian.Uint64(mid[:8]) ^ binary.LittleEndian.Uint64(mid[8:])) * 0x9e3779b97f4a7c15
+	return int((h >> 32) % uint64(len(a.shards)))
 }
 
 // ageJoins is the joiner's clock: event time, as the watermarks tell it.
@@ -914,6 +911,11 @@ func (a *Aggregator) Stats() Stats {
 	}
 	return s
 }
+
+// CountMalformed counts n polled records that carry no share — their key
+// is not a MID — as Malformed: a drain skips them, and the count is the
+// trace they leave.
+func (a *Aggregator) CountMalformed(n int) { a.malformed.Add(int64(n)) }
 
 // PendingJoins returns the number of messages waiting for shares across
 // all shards.

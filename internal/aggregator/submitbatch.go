@@ -1,8 +1,8 @@
 package aggregator
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,6 +60,51 @@ type submitScratch struct {
 	vec   answer.BitVector
 	msg   answer.Message
 	wins  []stream.Window
+
+	// The batch's share indexes grouped by join shard, each shard's in
+	// record order: shard s's are byShard[ends[s-1]:ends[s]] (from 0 for
+	// s = 0). shard holds each share's shard, and joined, by share index,
+	// the group the share completed.
+	shard   []int32
+	ends    []int32
+	byShard []int32
+	joined  []*stream.Joined[xorcrypt.MID]
+}
+
+// group routes every share of the batch to its join shard, a counting
+// sort that keeps record order within each shard.
+func (sc *submitScratch) group(a *Aggregator, shares []xorcrypt.Share) {
+	n := len(shares)
+	sc.shard = slices.Grow(sc.shard[:0], n)[:n]
+	sc.byShard = slices.Grow(sc.byShard[:0], n)[:n]
+	sc.joined = slices.Grow(sc.joined[:0], n)[:n]
+	sc.ends = slices.Grow(sc.ends[:0], len(a.shards)+1)[:len(a.shards)+1]
+	clear(sc.ends)
+	for i := range shares {
+		s := int32(a.shardOf(shares[i].MID))
+		sc.shard[i] = s
+		sc.ends[s+1]++
+	}
+	for s := 1; s < len(sc.ends); s++ {
+		sc.ends[s] += sc.ends[s-1] // ends[s] is where shard s starts
+	}
+	for i, s := range sc.shard {
+		sc.byShard[sc.ends[s]] = int32(i)
+		sc.ends[s]++ // and now where it ends
+	}
+}
+
+// each calls fn for every shard with its share indexes, under the
+// shard's lock.
+func (sc *submitScratch) each(a *Aggregator, fn func(js *joinShard, indexes []int32)) {
+	lo := int32(0)
+	for s := range a.shards {
+		js := &a.shards[s]
+		js.mu.Lock()
+		fn(js, sc.byShard[lo:sc.ends[s]])
+		js.mu.Unlock()
+		lo = sc.ends[s]
+	}
 }
 
 var submitScratchPool = sync.Pool{New: func() any { return &submitScratch{} }}
@@ -132,30 +177,28 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 	sc := getScratch(a.cfg.Proxies)
 	defer putScratch(sc)
 
-	// Phase A: record-order join under shard locks, held over across
-	// consecutive same-shard shares. Completed groups' payloads are
-	// copied into contiguous per-source lanes in completion order and
-	// the groups recycled immediately; runs seal on size change.
-	var pendErr error
-	cur := -1
-	for _, sh := range shares {
-		shard := a.shardOf(sh.MID)
-		if shard != cur {
-			if cur >= 0 {
-				a.shards[cur].mu.Unlock()
-			}
-			a.shards[shard].mu.Lock()
-			cur = shard
-		}
-		joined, err := a.shards[shard].joiner.Add(sh.MID, source, sh.Payload)
-		if err != nil {
-			if errors.Is(err, stream.ErrDuplicate) {
+	// Phase A: the join, one pass per shard under its lock, so a batch
+	// takes each shard lock twice (join, recycle) however its MIDs
+	// interleave, and drains submitting at once meet per shard rather
+	// than per share. All of a
+	// message's shares route to one shard and join there in record
+	// order, so every Add returns what one record-order pass over the
+	// batch would; source is in range, so Add fails only as a duplicate.
+	// The completed groups' payloads are then copied, in record order and
+	// with no lock held (a completed group is the caller's until
+	// Recycle), into contiguous per-source lanes — runs seal on size
+	// change — and the groups recycled, one more pass per shard.
+	sc.group(a, shares)
+	sc.each(a, func(js *joinShard, indexes []int32) {
+		for _, i := range indexes {
+			joined, err := js.joiner.Add(shares[i].MID, source, shares[i].Payload)
+			if err != nil {
 				a.duplicates.Add(1)
-				continue
 			}
-			pendErr = err
-			break
+			sc.joined[i] = joined
 		}
+	})
+	for _, joined := range sc.joined {
 		if joined == nil {
 			continue
 		}
@@ -170,7 +213,6 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 			}
 		}
 		if !uniform {
-			a.shards[shard].joiner.Recycle(joined)
 			a.malformed.Add(1)
 			continue
 		}
@@ -181,11 +223,13 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 			sc.lanes[i] = append(sc.lanes[i], p...)
 		}
 		sc.runs[len(sc.runs)-1].count++
-		a.shards[shard].joiner.Recycle(joined)
 	}
-	if cur >= 0 {
-		a.shards[cur].mu.Unlock()
-	}
+	sc.each(a, func(js *joinShard, indexes []int32) {
+		for _, i := range indexes {
+			js.joiner.Recycle(sc.joined[i])
+		}
+	})
+	clear(sc.joined)
 
 	// Phase B: per run, one span XOR per lane recovers the packed
 	// plaintext batch; slots decode in order and consecutive
@@ -245,7 +289,7 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 		}
 	}
 	a.foldDemuxDrops(unknown, badlen)
-	return out, pendErr
+	return out, nil
 }
 
 // foldDemuxDrops folds a batch's demux drop counts into a shard's

@@ -304,6 +304,23 @@ func DecodeRecord(rec pubsub.Record) (xorcrypt.Share, error) {
 	return xorcrypt.Share{MID: mid, Payload: rec.Value}, nil
 }
 
+// AppendShares appends the shares a fetched run carries to shares, each
+// a view of its record in the run's body, and returns them with the
+// number of records it skipped: a run whose key is not a MID carries no
+// share, and all of its records are skipped.
+func AppendShares(shares []xorcrypt.Share, r pubsub.Run) ([]xorcrypt.Share, int) {
+	if r.KeyLen != xorcrypt.MIDSize {
+		return shares, r.Count
+	}
+	stride := r.KeyLen + r.ValLen
+	for at := 0; at < len(r.Body); at += stride {
+		sh := xorcrypt.Share{Payload: r.Body[at+r.KeyLen : at+stride : at+stride]}
+		copy(sh.MID[:], r.Body[at:])
+		shares = append(shares, sh)
+	}
+	return shares, 0
+}
+
 // Fleet is the set of n ≥ 2 proxies a deployment runs. The threat model
 // (paper §2.2) requires at least two non-colluding proxies.
 type Fleet struct {

@@ -82,6 +82,33 @@ func TestDecodeRecordRejectsBadKey(t *testing.T) {
 	}
 }
 
+func TestAppendSharesViewsRunsWithAMID(t *testing.T) {
+	var body []byte
+	var want []xorcrypt.Share
+	for i := range 3 {
+		sh := randomShare(t, []byte{byte(i), 7})
+		want = append(want, sh)
+		body = append(append(body, sh.MID[:]...), sh.Payload...)
+	}
+	run := pubsub.Run{Count: 3, KeyLen: xorcrypt.MIDSize, ValLen: 2, Body: body}
+	got, skipped := AppendShares(nil, run)
+	if skipped != 0 || len(got) != 3 {
+		t.Fatalf("AppendShares = %d shares, %d skipped; want 3, 0", len(got), skipped)
+	}
+	for i := range got {
+		if got[i].MID != want[i].MID || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			t.Errorf("share %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got[1].Payload[0] = 9; body[(xorcrypt.MIDSize+2)+xorcrypt.MIDSize] != 9 {
+		t.Error("a share's payload is not a view of the run body")
+	}
+	bad := pubsub.Run{Count: 4, KeyLen: 3, ValLen: 2, Body: make([]byte, 20)}
+	if got, skipped := AppendShares(got, bad); skipped != 4 || len(got) != 3 {
+		t.Errorf("a run keyed by 3 bytes: %d shares, %d skipped; want 3, 4", len(got), skipped)
+	}
+}
+
 func TestFleetValidationAndRoles(t *testing.T) {
 	if _, err := NewFleet(1, 1); err == nil {
 		t.Error("expected error for one-proxy fleet")

@@ -570,20 +570,26 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 // floor back from the partition's WAL and serves them (they stay in
 // memory until the next commit releases them again).
 func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	var out []Record
+	runs, _, err := b.fetchRuns(topic, partition, offset, max, nil, nil)
+	return runRecords(topic, partition, runs), err
+}
+
+// fetchRuns is Fetch in runs: it appends the span's runs to runs and
+// copies their bodies into mem — grown once for the span — under the
+// partition lock, the one copy a fetch makes.
+func (b *Broker) fetchRuns(topic string, partition int, offset int64, max int, runs []Run, mem []byte) ([]Run, []byte, error) {
 	err := b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
-		p.each(offset, end, func(r run) { size += len(r.body) })
-		out = make([]Record, 0, end-offset)
-		buf := make([]byte, 0, size)
-		p.each(offset, end, func(r run) {
-			at := len(buf)
-			buf = append(buf, r.body...)
-			r.body = buf[at:]
-			out = appendRun(out, topic, partition, r)
+		p.each(offset, end, func(r Run) { size += len(r.Body) })
+		mem = slices.Grow(mem, size)
+		p.each(offset, end, func(r Run) {
+			at := len(mem)
+			mem = append(mem, r.Body...)
+			r.Body = mem[at:len(mem):len(mem)]
+			runs = append(runs, r)
 		})
 		return size
 	})
-	return out, err
+	return runs, mem, err
 }
 
 // readSpan is the frame every fetch shares: under the partition lock it
@@ -622,16 +628,16 @@ func (b *Broker) readSpan(topic string, partition int, offset int64, max int, re
 	return nil
 }
 
-// FetchWait is the Transport form of Fetch: wait <= 0 is a plain Fetch,
+// FetchWait is the Transport form of Fetch: wait <= 0 fetches at once,
 // wait > 0 first blocks until a record is available at offset or the
-// wait has passed (then returning no records).
-func (b *Broker) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
+// wait has passed (then appending nothing).
+func (b *Broker) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error) {
 	if wait > 0 {
 		if ok, err := b.awaitRecord(topic, partition, offset, wait); err != nil || !ok {
-			return nil, err
+			return runs, mem, err
 		}
 	}
-	return b.Fetch(topic, partition, offset, max)
+	return b.fetchRuns(topic, partition, offset, max, runs, mem)
 }
 
 // awaitRecord blocks until the partition holds a record at offset

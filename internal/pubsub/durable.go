@@ -192,8 +192,8 @@ func (p *partitionLog) reload(from int64) error {
 		if err != nil {
 			return err
 		}
-		r.off = int64(lsn)
-		if r.off > gap.count {
+		r.Offset = int64(lsn)
+		if r.Offset > gap.count {
 			return errReloaded // the WAL starts above from
 		}
 		gap.putRun(r.span(gap.count, first))
@@ -282,7 +282,7 @@ func appendRunRecord(buf []byte, pid, seq uint64, nanos int64, keyLen, valLen in
 // decodeRunRecord parses one partition journal record whose frame covers
 // n offsets. The run's body is a view into payload, and its offset is
 // left to the caller.
-func decodeRunRecord(payload []byte, n int) (r run, pid, seq uint64, err error) {
+func decodeRunRecord(payload []byte, n int) (r Run, pid, seq uint64, err error) {
 	d := codec.NewReader(payload, ErrDurable, "partition record")
 	switch kind := d.U8(); kind {
 	case runPlain:
@@ -293,12 +293,12 @@ func decodeRunRecord(payload []byte, n int) (r run, pid, seq uint64, err error) 
 	default:
 		d.Fail("unknown partition record kind %#x", kind)
 	}
-	r.ts, r.keyLen, r.valLen = int64(d.U64()), int(d.U32()), int(d.U32())
+	r.Nanos, r.KeyLen, r.ValLen = int64(d.U64()), int(d.U32()), int(d.U32())
 	// Divide rather than multiply: n × stride may overflow.
-	if stride := r.keyLen + r.valLen; n < 1 || stride > 0 && n > d.Len()/stride {
-		d.Fail("%d bytes for a run of %d records of %d+%d bytes", d.Len(), n, r.keyLen, r.valLen)
+	if stride := r.KeyLen + r.ValLen; n < 1 || stride > 0 && n > d.Len()/stride {
+		d.Fail("%d bytes for a run of %d records of %d+%d bytes", d.Len(), n, r.KeyLen, r.ValLen)
 	}
-	r.n, r.body = n, d.Take(n*(r.keyLen+r.valLen))
+	r.Count, r.Body = n, d.Take(n*(r.KeyLen+r.ValLen))
 	return r, pid, seq, d.Done()
 }
 

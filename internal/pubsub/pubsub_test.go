@@ -113,13 +113,13 @@ func TestFetchValidation(t *testing.T) {
 
 func TestWaitFetchWakesOnPublish(t *testing.T) {
 	b := newTestBroker(t, "t")
-	done := make(chan []Record, 1)
+	done := make(chan []Run, 1)
 	go func() {
-		recs, err := b.FetchWait("t", 0, 0, 10, 5*time.Second)
+		runs, _, err := b.FetchWait("t", 0, 0, 10, 5*time.Second, nil, nil)
 		if err != nil {
 			t.Error(err)
 		}
-		done <- recs
+		done <- runs
 	}()
 	time.Sleep(20 * time.Millisecond)
 	// Publish directly into partition 0 by probing keys.
@@ -146,11 +146,11 @@ func TestWaitFetchWakesOnPublish(t *testing.T) {
 func TestWaitFetchTimesOut(t *testing.T) {
 	b := newTestBroker(t, "t")
 	start := time.Now()
-	recs, err := b.FetchWait("t", 0, 0, 10, 30*time.Millisecond)
+	runs, _, err := b.FetchWait("t", 0, 0, 10, 30*time.Millisecond, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
+	if len(runs) != 0 {
 		t.Error("expected empty result on timeout")
 	}
 	if time.Since(start) < 25*time.Millisecond {
@@ -199,7 +199,7 @@ func TestCloseStopsPublishAndWakesWaiters(t *testing.T) {
 	b := newTestBroker(t, "t")
 	errc := make(chan error, 1)
 	go func() {
-		_, err := b.FetchWait("t", 0, 0, 1, 10*time.Second)
+		_, _, err := b.FetchWait("t", 0, 0, 1, 10*time.Second, nil, nil)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

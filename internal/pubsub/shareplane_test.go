@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,130 @@ func TestFetchIsAPrivateCopy(t *testing.T) {
 			t.Errorf("%s: mutating fetched records changed the log:\n%s\nwant:\n%s", name, got, want)
 		}
 	}
+}
+
+// TestPollRunsOwnsItsMemory: the runs PollRuns hands out are the
+// consumer's own — writing over their bodies reaches neither the log nor
+// a later poll — a drain's polls reuse one arena (the run slice, and
+// in-process the bytes the bodies were copied into), and a poll that
+// finds nothing leaves the consumer holding no fetched bytes; in-process
+// and over TCP. A poll below a durable broker's memory floor, read back
+// from its WAL, lands in the consumer's own memory just the same.
+func TestPollRunsOwnsItsMemory(t *testing.T) {
+	b, err := OpenBroker(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PublishColumns("t", testCols(200, 16, 22), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	want := canon(t, b.Fetch, "t", 1, 4096)
+	log, err := b.Fetch("t", 0, 0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// poll reads n records from offset from and checks them against the
+	// log.
+	poll := func(name string, c *Consumer, max, n int, from int64) []Run {
+		t.Helper()
+		runs, err := c.PollRuns(max, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := runRecords("t", 0, runs)
+		if len(got) != n {
+			t.Fatalf("%s: a poll from %d read %d records, want %d", name, from, len(got), n)
+		}
+		for i, r := range got {
+			w := log[from+int64(i)]
+			if r.Offset != w.Offset || !r.Timestamp.Equal(w.Timestamp) || !bytes.Equal(r.Key, w.Key) || !bytes.Equal(r.Value, w.Value) {
+				t.Fatalf("%s: record %d reads @%d %x=%x, the log holds @%d %x=%x", name, i, r.Offset, r.Key, r.Value, w.Offset, w.Key, w.Value)
+			}
+		}
+		return runs
+	}
+	overwrite := func(name string, runs []Run) {
+		t.Helper()
+		for _, r := range runs {
+			for i := range r.Body {
+				r.Body[i] = 'X'
+			}
+		}
+		if got := canon(t, b.Fetch, "t", 1, 4096); got != want {
+			t.Fatalf("%s: writing over a poll's runs changed the log", name)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		t    Transport
+	}{{"inproc", b}, {"tcp", cli}} {
+		c, err := NewTransportConsumer(tc.t, "g-"+tc.name, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(tc.name, poll(tc.name, c, 120, 120, 0))
+		arena, mem := unsafe.SliceData(c.runs), c.mem
+		second := poll(tc.name, c, 60, 60, 120)
+		if unsafe.SliceData(second) != arena {
+			t.Errorf("%s: the second poll's runs are not in the first's memory", tc.name)
+		}
+		for _, r := range second {
+			if tc.name == "inproc" && !inside(r.Body, mem[:cap(mem)]) {
+				t.Errorf("%s: the second poll's bodies are not in the first's arena", tc.name)
+			}
+		}
+		poll(tc.name, c, 4096, 20, 180)
+		runs, err := c.PollRuns(4096, 0)
+		if err != nil || runs != nil {
+			t.Fatalf("%s: a poll at the log end = %d runs, %v", tc.name, len(runs), err)
+		}
+		if c.mem != nil || slices.ContainsFunc(c.runs[:cap(c.runs)], func(r Run) bool { return r.Body != nil }) {
+			t.Errorf("%s: after an empty poll the consumer holds %d bytes, or a view of a fetch", tc.name, cap(c.mem))
+		}
+	}
+
+	// A group that commits the whole log releases it from memory; a
+	// consumer that seeks back below it reads it back from the WAL.
+	c, err := NewConsumer(b, "g-commit", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll("commit", c, 4096, 200, 0)
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.partition("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	floor := p.first()
+	p.mu.Unlock()
+	if floor != 200 {
+		t.Fatalf("the memory floor is %d after a commit of the whole log, want 200", floor)
+	}
+	late, err := NewConsumer(b, "g-late", "t")
+	if err == nil {
+		err = late.Seek("t", 0, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwrite("reload", poll("reload", late, 4096, 200, 0))
 }
 
 // TestLogReadsTheSameThreeWays publishes keyed shares, nil-key control
@@ -184,10 +309,10 @@ func appendFetchRun(body []byte, off, ts uint64, keyLen, valLen, count uint32, r
 // FuzzFetchResponse drives the client-side fetch decoder, asked for at
 // most max records from offset 0 of partition 0, with arbitrary response
 // bodies: it must never panic, must hand out at most max records with
-// consecutive offsets from 0, sized exactly (never by a claimed count),
-// whose key and value bytes the body holds; and every key and value must
-// be a cap-limited view inside the frame it was given, a key never
-// empty but nil.
+// consecutive offsets from 0 in no more runs than records, sized
+// exactly (never by a claimed count), whose key and value bytes the body
+// holds; and every key and value must be a cap-limited view inside the
+// frame it was given, a key never empty but nil.
 func FuzzFetchResponse(f *testing.F) {
 	var e enc
 	if err := goldenFetchBroker(f).encodeFetch(&e, "t", 0, 0, 10); err != nil {
@@ -212,13 +337,20 @@ func FuzzFetchResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte, max uint16) {
 		d := wireReader(body)
-		recs, err := decodeFetch(&d, "t", 0, 0, uint32(max))
+		runs, err := decodeFetch(&d, 0, uint32(max), nil)
 		if err != nil {
 			if !errors.Is(err, ErrWire) {
 				t.Fatalf("decode error %v does not wrap ErrWire", err)
 			}
+			if len(runs) != 0 {
+				t.Fatalf("a refused response appended %d runs", len(runs))
+			}
 			return
 		}
+		if len(runs) > int(max) {
+			t.Fatalf("%d runs for at most %d records", len(runs), max)
+		}
+		recs := runRecords("t", 0, runs)
 		if len(recs) > int(max) || cap(recs) != len(recs) {
 			t.Fatalf("%d records (capacity %d) for at most %d", len(recs), cap(recs), max)
 		}
@@ -330,8 +462,8 @@ func TestReadersFollowARollingLog(t *testing.T) {
 		t.Fatalf("the log spans %d slabs; the test needs it to roll over", n)
 	}
 	grown := 0
-	p.each(0, total, func(r run) {
-		if r.ts == ts.UnixNano() && r.n > 1 {
+	p.each(0, total, func(r Run) {
+		if r.Nanos == ts.UnixNano() && r.Count > 1 {
 			grown++
 		}
 	})

@@ -136,22 +136,11 @@ func (p *partitionLog) trim(floor int64) {
 	p.slabs = slices.Delete(p.slabs, 0, i)
 }
 
-// run is n consecutive records of one timestamp, key length and value
-// length: body holds their key‖value bytes at the fixed stride
-// keyLen+valLen.
-type run struct {
-	off            int64 // offset of the first record
-	n              int
-	ts             int64 // unix-nanos
-	keyLen, valLen int
-	body           []byte
-}
-
 // each visits records [from, to) in offset order as runs: one call per
 // run, or the part of one the span covers, in each slab. A body aliases
 // the log: fn must not retain or mutate it. Caller holds p.mu and has
 // checked p.first() <= from <= to <= p.count.
-func (p *partitionLog) each(from, to int64, fn func(r run)) {
+func (p *partitionLog) each(from, to int64, fn func(r Run)) {
 	if from >= to {
 		return
 	}
@@ -165,54 +154,71 @@ func (p *partitionLog) each(from, to int64, fn func(r run)) {
 			if ri+1 < s.runs {
 				_, end = s.entry(ri + 1)
 			}
-			r := run{off: s.base + int64(first), n: end - first}
-			r.ts, r.keyLen, r.valLen = readRunHeader(s.buf[start:])
-			r.body = s.buf[start+runHeaderLen:]
+			r := Run{Offset: s.base + int64(first), Count: end - first}
+			r.Nanos, r.KeyLen, r.ValLen = readRunHeader(s.buf[start:])
+			r.Body = s.buf[start+runHeaderLen:]
 			r = r.span(off, to)
 			fn(r)
-			off += int64(r.n)
+			off += int64(r.Count)
 		}
 	}
 }
 
 // span returns the part of r inside [from, to), which must overlap it,
 // with its body cut to the records' bytes and cap-limited.
-func (r run) span(from, to int64) run {
-	stride := r.keyLen + r.valLen
-	if skip := from - r.off; skip > 0 {
-		r.off, r.n, r.body = from, r.n-int(skip), r.body[int(skip)*stride:]
+func (r Run) span(from, to int64) Run {
+	stride := r.KeyLen + r.ValLen
+	if skip := from - r.Offset; skip > 0 {
+		r.Offset, r.Count, r.Body = from, r.Count-int(skip), r.Body[int(skip)*stride:]
 	}
-	if over := r.off + int64(r.n) - to; over > 0 {
-		r.n -= int(over)
+	if over := r.Offset + int64(r.Count) - to; over > 0 {
+		r.Count -= int(over)
 	}
-	r.body = r.body[: r.n*stride : r.n*stride]
+	r.Body = r.Body[: r.Count*stride : r.Count*stride]
 	return r
 }
 
 // putRun puts r's records one by one, as their publish did, so a journal
 // run re-coalesces into the slab runs it made. Caller holds p.mu.
-func (p *partitionLog) putRun(r run) {
-	ts, stride := time.Unix(0, r.ts), r.keyLen+r.valLen
-	for i := 0; i < r.n; i++ {
-		rec := r.body[i*stride : (i+1)*stride]
-		p.put(ts, rec[:r.keyLen], rec[r.keyLen:])
+func (p *partitionLog) putRun(r Run) {
+	ts, stride := time.Unix(0, r.Nanos), r.KeyLen+r.ValLen
+	for i := 0; i < r.Count; i++ {
+		rec := r.Body[i*stride : (i+1)*stride]
+		p.put(ts, rec[:r.KeyLen], rec[r.KeyLen:])
 	}
 }
 
 // appendRun appends r's records to out as Records whose keys and values
-// are cap-limited views of r.body — a record without a key (key length
+// are cap-limited views of r.Body — a record without a key (key length
 // 0) reads back with a nil one.
-func appendRun(out []Record, topic string, partition int, r run) []Record {
-	ts := time.Unix(0, r.ts)
-	stride := r.keyLen + r.valLen
-	for i := 0; i < r.n; i++ {
+func appendRun(out []Record, topic string, partition int, r Run) []Record {
+	ts := time.Unix(0, r.Nanos)
+	stride := r.KeyLen + r.ValLen
+	for i := 0; i < r.Count; i++ {
 		at := i * stride
-		mid, end := at+r.keyLen, at+stride
-		rec := Record{Topic: topic, Partition: partition, Offset: r.off + int64(i), Timestamp: ts, Value: r.body[mid:end:end]}
-		if r.keyLen > 0 {
-			rec.Key = r.body[at:mid:mid]
+		mid, end := at+r.KeyLen, at+stride
+		rec := Record{Topic: topic, Partition: partition, Offset: r.Offset + int64(i), Timestamp: ts, Value: r.Body[mid:end:end]}
+		if r.KeyLen > 0 {
+			rec.Key = r.Body[at:mid:mid]
 		}
 		out = append(out, rec)
+	}
+	return out
+}
+
+// runRecords returns one partition's fetched runs as Records in one slice
+// sized for them, views of the runs' bodies.
+func runRecords(topic string, partition int, runs []Run) []Record {
+	n := 0
+	for _, r := range runs {
+		n += r.Count
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
+	for _, r := range runs {
+		out = appendRun(out, topic, partition, r)
 	}
 	return out
 }

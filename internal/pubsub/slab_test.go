@@ -191,9 +191,9 @@ func FuzzPartitionLog(f *testing.F) {
 		}
 		visit := func(from, to int64) []Record {
 			var out []Record
-			p.each(from, to, func(r run) {
-				if r.n < 1 || r.off != from+int64(len(out)) {
-					t.Fatalf("each from %d yields a run of %d at %d after %d records", from, r.n, r.off, len(out))
+			p.each(from, to, func(r Run) {
+				if r.Count < 1 || r.Offset != from+int64(len(out)) {
+					t.Fatalf("each from %d yields a run of %d at %d after %d records", from, r.Count, r.Offset, len(out))
 				}
 				out = appendRun(out, "t", 0, r)
 			})

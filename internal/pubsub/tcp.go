@@ -273,14 +273,14 @@ func (b *Broker) encodeFetch(e *enc, topic string, partition int, offset int64, 
 	e.uint32(0)
 	return b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
 		runs := 0
-		p.each(offset, end, func(r run) {
-			e.uint64(uint64(r.off))
-			e.uint64(uint64(r.ts))
-			e.uint32(uint32(r.keyLen))
-			e.uint32(uint32(r.valLen))
-			e.uint32(uint32(r.n))
-			e.buf = append(e.buf, r.body...)
-			size += len(r.body)
+		p.each(offset, end, func(r Run) {
+			e.uint64(uint64(r.Offset))
+			e.uint64(uint64(r.Nanos))
+			e.uint32(uint32(r.KeyLen))
+			e.uint32(uint32(r.ValLen))
+			e.uint32(uint32(r.Count))
+			e.buf = append(e.buf, r.Body...)
+			size += len(r.Body)
 			runs++
 		})
 		binary.BigEndian.PutUint32(e.buf[at:], uint32(runs))
@@ -836,6 +836,15 @@ func waitToMillis(d time.Duration) uint32 {
 // the response frame, which belongs to this call alone: a private copy
 // like Broker.Fetch's, made by the socket read.
 func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
+	var buf [4]Run // a reply of up to four runs decodes without a heap slice
+	runs, _, err := c.FetchWait(topic, partition, offset, max, wait, buf[:0], nil)
+	return runRecords(topic, partition, runs), err
+}
+
+// FetchWait is the Transport form of Fetch: it appends the runs of the
+// response, whose bodies view the response frame, and leaves mem as it
+// is — the frame is already this call's own.
+func (c *Client) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error) {
 	e := getEnc()
 	e.byte(opFetch)
 	e.str(topic)
@@ -846,56 +855,53 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 	d, err := c.roundTrip(e.buf)
 	putEnc(e)
 	if err != nil {
-		return nil, err
+		return runs, mem, err
 	}
-	return decodeFetch(&d, topic, partition, offset, uint32(max))
+	runs, err = decodeFetch(&d, offset, uint32(max), runs)
+	return runs, mem, err
 }
 
 // decodeFetch reads the body of an opFetch response (after the status
-// byte) for a request at (partition, offset) for at most max records
-// into records that alias d's frame. Every claim the peer makes is
-// checked before the one allocation: the runs must start at offset and
+// byte) for a request at offset for at most max records, appending its
+// runs, which view d's frame, to runs. The runs must start at offset and
 // follow each other without a gap, fill the frame exactly, and hold no
-// more than max records between them — a zero-stride run (keyless,
-// empty values) takes no body bytes, so the frame alone cannot bound the
-// count.
-func decodeFetch(d *codec.Reader, topic string, partition int, offset int64, max uint32) ([]Record, error) {
-	runs := d.Count(fetchRunHeaderLen)
-	probe, next, total := *d, offset, uint64(0)
-	for range runs {
-		r := nextFetchRun(&probe)
-		if r.off != next {
-			probe.Fail("fetch run at offset %d, want %d", r.off, next)
+// more than max records between them, none empty — a zero-stride run
+// (keyless, empty values) takes no body bytes, so the frame alone cannot
+// bound the count, and the runs are at most max. A response that breaks
+// any of these appends nothing.
+func decodeFetch(d *codec.Reader, offset int64, max uint32, runs []Run) ([]Run, error) {
+	n := d.Count(fetchRunHeaderLen)
+	had, next, total := len(runs), offset, uint64(0)
+	for range n {
+		r := nextFetchRun(d)
+		if r.Offset != next || r.Count == 0 {
+			d.Fail("fetch run of %d at offset %d, want one or more at %d", r.Count, r.Offset, next)
 		}
-		if total += uint64(r.n); total > uint64(max) {
-			probe.Fail("%d+ records in a fetch response for %d", total, max)
+		if total += uint64(r.Count); total > uint64(max) {
+			d.Fail("%d+ records in a fetch response for %d", total, max)
 		}
-		next += int64(r.n)
+		if d.Err() != nil {
+			break
+		}
+		next += int64(r.Count)
+		runs = append(runs, r)
 	}
-	if err := probe.Done(); err != nil {
-		return nil, err
+	if err := d.Done(); err != nil {
+		clear(runs[had:])
+		return runs[:had], err
 	}
-	out := make([]Record, 0, total)
-	for range runs {
-		out = appendRun(out, topic, partition, nextFetchRun(d))
-	}
-	return out, nil
+	return runs, nil
 }
 
 // nextFetchRun reads one run of a fetch response: its header, and a view
 // of its records, whose count the header's strides must fit in the rest
 // of the frame.
-func nextFetchRun(d *codec.Reader) (r run) {
-	r.off, r.ts = int64(d.U64()), int64(d.U64())
-	r.keyLen, r.valLen = int(d.U32()), int(d.U32())
-	r.n = d.Count(r.keyLen + r.valLen)
-	r.body = d.Take(r.n * (r.keyLen + r.valLen))
+func nextFetchRun(d *codec.Reader) (r Run) {
+	r.Offset, r.Nanos = int64(d.U64()), int64(d.U64())
+	r.KeyLen, r.ValLen = int(d.U32()), int(d.U32())
+	r.Count = d.Count(r.KeyLen + r.ValLen)
+	r.Body = d.Take(r.Count * (r.KeyLen + r.ValLen))
 	return r
-}
-
-// FetchWait aliases Fetch to satisfy the Transport interface.
-func (c *Client) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
-	return c.Fetch(topic, partition, offset, max, wait)
 }
 
 // EndOffset mirrors Broker.EndOffset.

@@ -28,18 +28,32 @@ type Transport interface {
 	// publishes without dedup and must carry seq 0.
 	PublishColumns(topic string, cols Columns, pid, seq uint64) error
 	// FetchWait reads up to max records from a partition starting at
-	// offset. wait <= 0 returns immediately with whatever is available;
-	// wait > 0 blocks until at least one record arrives or the wait
-	// elapses (returning no records on timeout). The records are the
-	// caller's own: their bytes share one buffer private to the call,
-	// never the log's.
-	FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error)
+	// offset and appends them to runs. wait <= 0 returns immediately with
+	// whatever is available; wait > 0 blocks until at least one record
+	// arrives or the wait elapses (appending nothing on timeout). The
+	// runs' bodies are the caller's own, never the log's: the in-process
+	// broker copies them into mem, appending, and the TCP client views
+	// the reply frame the call read and hands mem back as it was.
+	FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error)
 	// EndOffset returns the next offset to be written in a partition.
 	EndOffset(topic string, partition int) (int64, error)
 	// CommitOffset durably records a consumer group's next-read offset.
 	CommitOffset(group, topic string, partition int, offset int64) error
 	// CommittedOffset returns a group's committed offset, 0 when none.
 	CommittedOffset(group, topic string, partition int) (int64, error)
+}
+
+// Run is Count consecutive records of one partition with one timestamp,
+// key length and value length: Body holds their key‖value bytes at the
+// fixed stride KeyLen+ValLen. It is the layout a partition's slabs, its
+// journal and the fetch wire share (DESIGN.md §2, §14), and the form in
+// which a fetch hands records out.
+type Run struct {
+	Offset         int64 // offset of the first record
+	Count          int
+	Nanos          int64 // the records' timestamp, unix-nanos
+	KeyLen, ValLen int
+	Body           []byte
 }
 
 // Columns is a publish batch: Count fixed-stride records laid out as

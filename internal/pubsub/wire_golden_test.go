@@ -204,10 +204,11 @@ func TestGoldenFetchResponse(t *testing.T) {
 	}
 
 	d := wireReader(unhex(t, goldenFetch)[1:])
-	recs, err := decodeFetch(&d, "t", 0, 0, 10)
+	runs, err := decodeFetch(&d, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := runRecords("t", 0, runs)
 	fetched, err := b.Fetch("t", 0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -258,27 +259,27 @@ func FuzzPartitionRecord(f *testing.F) {
 		if pid == 0 && seq != 0 {
 			t.Fatalf("plain record carries sequence %d", seq)
 		}
-		if r.n != int(n) {
-			t.Fatalf("a frame of %d decodes to a run of %d", n, r.n)
+		if r.Count != int(n) {
+			t.Fatalf("a frame of %d decodes to a run of %d", n, r.Count)
 		}
-		again := append(appendRunRecord(nil, pid, seq, r.ts, r.keyLen, r.valLen), r.body...)
+		again := append(appendRunRecord(nil, pid, seq, r.Nanos, r.KeyLen, r.ValLen), r.Body...)
 		if !bytes.Equal(again, payload) {
 			t.Fatalf("re-encoded record\n got %x\nwant %x", again, payload)
 		}
-		if r.n > 1024 {
+		if r.Count > 1024 {
 			return
 		}
 		p := newPartitionLog()
 		p.putRun(r)
 		var body []byte
-		p.each(0, p.count, func(sr run) {
-			if sr.ts != r.ts || sr.keyLen != r.keyLen || sr.valLen != r.valLen {
-				t.Fatalf("slab run t=%d %d+%d, want t=%d %d+%d", sr.ts, sr.keyLen, sr.valLen, r.ts, r.keyLen, r.valLen)
+		p.each(0, p.count, func(sr Run) {
+			if sr.Nanos != r.Nanos || sr.KeyLen != r.KeyLen || sr.ValLen != r.ValLen {
+				t.Fatalf("slab run t=%d %d+%d, want t=%d %d+%d", sr.Nanos, sr.KeyLen, sr.ValLen, r.Nanos, r.KeyLen, r.ValLen)
 			}
-			body = append(body, sr.body...)
+			body = append(body, sr.Body...)
 		})
-		if p.count != int64(r.n) || !bytes.Equal(body, r.body) {
-			t.Fatalf("the slab holds %d records of %x, want %d of %x", p.count, body, r.n, r.body)
+		if p.count != int64(r.Count) || !bytes.Equal(body, r.Body) {
+			t.Fatalf("the slab holds %d records of %x, want %d of %x", p.count, body, r.Count, r.Body)
 		}
 	})
 }

@@ -163,7 +163,7 @@ func (c *Clients) answer(e uint64) (int, error) {
 // Drain is the aggregator role: one consumer per proxy feeding one
 // aggregator. Every way of draining — until dry, up to a budget, one
 // round at a time — runs the same poll → decode → submit step, with one
-// decode scratch per consumer.
+// share scratch per consumer.
 type Drain struct {
 	agg       *aggregator.Aggregator
 	consumers []*pubsub.Consumer
@@ -187,33 +187,32 @@ func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, workers 
 func (d *Drain) Consumers() []*pubsub.Consumer { return d.consumers }
 
 // step reads up to max records from consumer src — waiting up to wait
-// for the first — decodes them and submits them as one batch. On a
-// decode error the records decoded before it are still submitted. It
-// returns the windows the batch fired and the records it read.
+// for the first — as runs, and submits their shares as one batch, each a
+// view of its record in the consumer's fetch memory. A run whose key is
+// not a MID carries no shares: its records are counted malformed and
+// skipped, and the rest of the poll is submitted. It returns the windows
+// the batch fired and the records it read.
 func (d *Drain) step(src, max int, wait time.Duration) ([]aggregator.Result, int, error) {
-	recs, err := d.consumers[src].PollWait(max, wait)
-	if err != nil || len(recs) == 0 {
+	runs, err := d.consumers[src].PollRuns(max, wait)
+	if err != nil || len(runs) == 0 {
 		return nil, 0, err
 	}
-	shares := d.scratch[src][:0]
-	var decErr error
-	for _, rec := range recs {
-		share, err := proxy.DecodeRecord(rec)
-		if err != nil {
-			decErr = err
-			break
-		}
-		shares = append(shares, share)
+	shares, read, skipped := d.scratch[src][:0], 0, 0
+	for _, r := range runs {
+		var n int
+		shares, n = proxy.AppendShares(shares, r)
+		read += r.Count
+		skipped += n
+	}
+	if skipped > 0 {
+		d.agg.CountMalformed(skipped)
 	}
 	fired, err := d.agg.SubmitShareBatch(shares, src, time.Time{})
 	// The aggregator only borrowed the payloads: drop them so the scratch
-	// does not pin the polled batch's buffer.
+	// does not pin the consumer's fetch memory.
 	clear(shares)
 	d.scratch[src] = shares[:0]
-	if err == nil {
-		err = decErr
-	}
-	return fired, len(recs), err
+	return fired, read, err
 }
 
 // round steps every consumer once, in proxy order, each for up to chunk

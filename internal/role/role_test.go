@@ -23,6 +23,7 @@ import (
 // draining them. Clients answer on one worker, so two rigs publish the
 // same records in the same partition order.
 type rig struct {
+	fleet   *proxy.Fleet
 	clients *Clients
 	drain   *Drain
 	agg     *aggregator.Aggregator
@@ -80,7 +81,7 @@ func newRig(t *testing.T, clients, drainWorkers int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
+	return &rig{fleet: fleet, clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
 }
 
 // TestRoleDrainMatchesAcrossWorkers: the same published stream drained
@@ -152,6 +153,43 @@ func TestDrainDeliversEverything(t *testing.T) {
 	}
 	if _, read, err := r.drain.Round(pollMax, 0); err != nil || read != 0 {
 		t.Errorf("a round after Dry read %d records: %v", read, err)
+	}
+}
+
+// TestDrainSkipsRecordsWithoutAMID: a record whose key is not a MID — a
+// 3-byte key published to proxy 0's answer topic ahead of epoch 1 —
+// carries no share. The drain counts it malformed and skips it, with no
+// error, and submits every record behind it in the same poll: the
+// answers decode exactly as in a run without it, and no join is left
+// pending. Sequential and parallel drains alike.
+func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		run := func(bad bool) aggregator.Stats {
+			r := newRig(t, 40, workers)
+			for e := uint64(0); e < 3; e++ {
+				if bad && e == 1 {
+					px := r.fleet.Proxy(0)
+					if _, _, err := px.Broker().Publish(px.Topic(), []byte("mid"), []byte("no share")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n, err := r.clients.Epoch(e); err != nil || n == 0 {
+					t.Fatalf("epoch %d: %d participants, %v", e, n, err)
+				}
+				if _, err := r.drain.Dry(); err != nil {
+					t.Fatalf("workers=%d: drain after epoch %d: %v", workers, e, err)
+				}
+			}
+			if n := r.agg.PendingJoins(); n != 0 {
+				t.Errorf("workers=%d: %d joins left pending", workers, n)
+			}
+			return r.agg.Stats()
+		}
+		want, got := run(false), run(true)
+		want.Malformed++
+		if got != want {
+			t.Errorf("workers=%d: with a keyless record\n got %+v\nwant %+v", workers, got, want)
+		}
 	}
 }
 

@@ -28,6 +28,10 @@ type Joined[K comparable] struct {
 	parked []byte
 	// filled counts the shares parked so far while the group is pending.
 	filled int
+	// slot is the group's index in its joiner's groups, and born the
+	// rotation count when it began to wait.
+	slot uint32
+	born uint64
 }
 
 // park copies payload into the group's own buffer. An append that has
@@ -68,20 +72,26 @@ func (g *Joined[K]) park(source int, payload []byte) {
 type KeyedShareJoiner[K comparable] struct {
 	expect int
 	// gens[0] is the current generation, gens[1] the previous one; an
-	// entry's index is its age in rotations.
-	gens [2]generation[K]
-	// free recycles completed groups (and their payload-pointer slices)
-	// so the steady-state join path performs no allocations.
-	free []*Joined[K]
+	// entry's index is its age in rotations. A key lives in at most one
+	// generation, its entry either the slot of its pending group in
+	// groups or done. The maps hold no pointers (for a pointer-free key
+	// type), so the collector never scans them, and one probe per
+	// generation finds a key's whole state.
+	gens [2]map[K]uint32
+	// groups is every group the joiner has made, by slot; free pools the
+	// ones not in use, so the steady-state join path performs no
+	// allocations.
+	groups []*Joined[K]
+	free   []*Joined[K]
+	// pending counts the partial groups of each generation, and rotations
+	// the generations begun: a partial group was born in the current one
+	// when its born equals rotations.
+	pending   [2]int
+	rotations uint64
 }
 
-// generation is what the joiner learned between two rotations. The
-// completed set holds no pointers (for a pointer-free key type), so the
-// collector never scans it.
-type generation[K comparable] struct {
-	pending map[K]*Joined[K]
-	done    map[K]struct{}
-}
+// done is a generation entry's mark for a completed key.
+const done = ^uint32(0)
 
 // NewKeyedShareJoiner expects one share from each of expect ≥ 2 source
 // streams per message.
@@ -91,37 +101,29 @@ func NewKeyedShareJoiner[K comparable](expect int) (*KeyedShareJoiner[K], error)
 	}
 	j := &KeyedShareJoiner[K]{expect: expect}
 	for i := range j.gens {
-		j.gens[i] = generation[K]{pending: make(map[K]*Joined[K]), done: make(map[K]struct{})}
+		j.gens[i] = make(map[K]uint32)
 	}
 	return j, nil
 }
 
-// completed reports whether key completed in either generation.
-func (j *KeyedShareJoiner[K]) completed(key K) bool {
-	for i := range j.gens {
-		if _, done := j.gens[i].done[key]; done {
-			return true
+// find returns key's entry and the age of the generation that holds it,
+// or age -1.
+func (j *KeyedShareJoiner[K]) find(key K) (entry uint32, age int) {
+	for age := range j.gens {
+		if e, ok := j.gens[age][key]; ok {
+			return e, age
 		}
 	}
-	return false
-}
-
-// pendingGroup returns key's partial group and the generation map that
-// holds it, or nil.
-func (j *KeyedShareJoiner[K]) pendingGroup(key K) (*Joined[K], map[K]*Joined[K]) {
-	for i := range j.gens {
-		if g, ok := j.gens[i].pending[key]; ok {
-			return g, j.gens[i].pending
-		}
-	}
-	return nil, nil
+	return 0, -1
 }
 
 // Add folds in one share from the given source stream (0 ≤ source <
 // expect). It returns a non-nil Joined when the group completes, and
 // ErrDuplicate when the key completed within the last generation or two
 // or this source already contributed. The returned group must be handed
-// back via Recycle once its payloads are consumed.
+// back via Recycle once its payloads are consumed. A group that
+// completes in the previous generation is remembered in the current one,
+// as if it had completed there.
 //
 // payload is borrowed for the call: a share that has to wait is copied
 // into the group (so a parked share never pins, or is corrupted by the
@@ -132,43 +134,57 @@ func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte) (*Joined[K]
 	if source < 0 || source >= j.expect {
 		return nil, fmt.Errorf("%w: source %d of %d", ErrJoinArity, source, j.expect)
 	}
-	if j.completed(key) {
+	e, age := j.find(key)
+	if age < 0 {
+		g := j.getGroup()
+		g.filled, g.born = 1, j.rotations
+		g.park(source, payload)
+		j.gens[0][key] = g.slot
+		j.pending[0]++
+		return nil, nil
+	}
+	if e == done {
 		return nil, fmt.Errorf("%w: %v", ErrDuplicate, key)
 	}
-	g, in := j.pendingGroup(key)
-	if g == nil {
-		g, in = j.getGroup(), j.gens[0].pending
-		in[key] = g
-	}
+	g := j.groups[e]
 	if g.Payloads[source] != nil {
 		return nil, fmt.Errorf("%w: %v from source %d", ErrDuplicate, key, source)
 	}
-	g.filled++
-	if g.filled < j.expect {
+	if g.filled++; g.filled < j.expect {
 		g.park(source, payload)
 		return nil, nil
 	}
 	g.Payloads[source] = payload
-	delete(in, key)
-	j.gens[0].done[key] = struct{}{}
+	if age > 0 {
+		delete(j.gens[age], key)
+	}
+	j.gens[0][key] = done
+	j.pending[age]--
 	g.Key = key
 	return g, nil
 }
 
 // Rotate ages the joiner by one generation: the previous generation's
 // completed keys and partial groups are forgotten, the current one
-// becomes the previous, and the emptied maps become the new current one,
-// so a rotation allocates nothing. It returns the number of partial
-// groups that expired; they are recycled.
+// becomes the previous, and the emptied map becomes the new current one,
+// so a rotation allocates nothing and visits no key: the expiring
+// partial groups are found among the groups, not the keys. It returns
+// the number that expired; they are recycled.
 func (j *KeyedShareJoiner[K]) Rotate() int {
-	old := j.gens[1]
-	for _, g := range old.pending {
-		j.Recycle(g)
+	expired, left := j.pending[1], j.pending[1]
+	for _, g := range j.groups {
+		if left == 0 {
+			break
+		}
+		if g.filled > 0 && g.filled < j.expect && g.born != j.rotations {
+			j.Recycle(g)
+			left--
+		}
 	}
-	expired := len(old.pending)
-	clear(old.pending)
-	clear(old.done)
-	j.gens[0], j.gens[1] = old, j.gens[0]
+	clear(j.gens[1])
+	j.gens[0], j.gens[1] = j.gens[1], j.gens[0]
+	j.pending = [2]int{0, j.pending[0]}
+	j.rotations++
 	return expired
 }
 
@@ -196,8 +212,11 @@ func (j *KeyedShareJoiner[K]) getGroup() *Joined[K] {
 		groups := make([]Joined[K], block)
 		slots := make([][]byte, block*j.expect)
 		for i := range groups {
-			groups[i].Payloads = slots[i*j.expect : (i+1)*j.expect : (i+1)*j.expect]
-			j.free = append(j.free, &groups[i])
+			g := &groups[i]
+			g.Payloads = slots[i*j.expect : (i+1)*j.expect : (i+1)*j.expect]
+			g.slot = uint32(len(j.groups))
+			j.groups = append(j.groups, g)
+			j.free = append(j.free, g)
 		}
 	}
 	n := len(j.free)
@@ -208,9 +227,7 @@ func (j *KeyedShareJoiner[K]) getGroup() *Joined[K] {
 }
 
 // PendingCount returns the number of incomplete groups.
-func (j *KeyedShareJoiner[K]) PendingCount() int {
-	return len(j.gens[0].pending) + len(j.gens[1].pending)
-}
+func (j *KeyedShareJoiner[K]) PendingCount() int { return j.pending[0] + j.pending[1] }
 
 // PendingGroups invokes fn for every incomplete group with its per-source
 // payloads (nil where a source has not contributed) and its age in
@@ -219,8 +236,10 @@ func (j *KeyedShareJoiner[K]) PendingCount() int {
 // its return. Iteration order is unspecified.
 func (j *KeyedShareJoiner[K]) PendingGroups(fn func(key K, payloads [][]byte, age int)) {
 	for age := range j.gens {
-		for key, g := range j.gens[age].pending {
-			fn(key, g.Payloads, age)
+		for key, e := range j.gens[age] {
+			if e != done {
+				fn(key, j.groups[e].Payloads, age)
+			}
 		}
 	}
 }
@@ -235,7 +254,7 @@ func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, age int) 
 	if len(payloads) != j.expect {
 		return fmt.Errorf("%w: %d payloads for %d sources", ErrJoinArity, len(payloads), j.expect)
 	}
-	if g, _ := j.pendingGroup(key); g != nil || j.completed(key) {
+	if _, at := j.find(key); at >= 0 {
 		return fmt.Errorf("%w: %v", ErrDuplicate, key)
 	}
 	filled := 0
@@ -253,8 +272,9 @@ func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, age int) 
 			g.park(i, p)
 		}
 	}
-	g.filled = filled
-	j.gens[age].pending[key] = g
+	g.filled, g.born = filled, j.rotations-uint64(age)
+	j.gens[age][key] = g.slot
+	j.pending[age]++
 	return nil
 }
 
@@ -265,8 +285,10 @@ func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, age int) 
 // is unspecified.
 func (j *KeyedShareJoiner[K]) CompletedKeys(fn func(key K, age int)) {
 	for age := range j.gens {
-		for key := range j.gens[age].done {
-			fn(key, age)
+		for key, e := range j.gens[age] {
+			if e == done {
+				fn(key, age)
+			}
 		}
 	}
 }
@@ -275,9 +297,9 @@ func (j *KeyedShareJoiner[K]) CompletedKeys(fn func(key K, age int)) {
 // RestorePending, it rejects a key that is already pending or completed:
 // no joiner ever holds one key twice.
 func (j *KeyedShareJoiner[K]) RestoreCompleted(key K, age int) error {
-	if g, _ := j.pendingGroup(key); g != nil || j.completed(key) {
+	if _, at := j.find(key); at >= 0 {
 		return fmt.Errorf("%w: %v", ErrDuplicate, key)
 	}
-	j.gens[age].done[key] = struct{}{}
+	j.gens[age][key] = done
 	return nil
 }

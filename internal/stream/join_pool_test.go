@@ -105,8 +105,8 @@ func TestShareJoinerRotateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("64 joins and a rotation allocate %.1f times", allocs)
 	}
-	if n := len(j.gens[0].done) + len(j.gens[1].done); n > 2*64 {
-		t.Errorf("%d completed keys remembered across two generations of 64", n)
+	if n := len(j.gens[0]) + len(j.gens[1]); n > 2*64 {
+		t.Errorf("%d keys remembered across two generations of 64", n)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestShareJoinerCopiesWhatItParks(t *testing.T) {
 		j.Add(msg, 0, scratch)
 		g, _ := j.Add(msg, 1, scratch)
 		j.Recycle(g)
-		delete(j.gens[0].done, msg)
+		delete(j.gens[0], msg)
 		msg++
 	}); allocs != 0 {
 		t.Errorf("park + complete + recycle allocates %.1f times per message", allocs)
