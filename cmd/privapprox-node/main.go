@@ -421,9 +421,9 @@ func runClient(args []string) error {
 	if err != nil {
 		return err
 	}
-	// One batcher per proxy: every logical client submits into it, and
-	// the epoch loop flushes it as one frame — O(1) round-trips per
-	// (process, proxy) per epoch however many queries are active.
+	// One batcher per proxy, fed by each worker's lanes a chunk of clients
+	// at a time and flushed by the epoch loop as one frame — O(1) round-
+	// trips per (process, proxy) per epoch however many queries are active.
 	clients, err := role.NewClients(fleet, control, *seed, *offset, *n, *batch, *workers, func(i int, cc *client.Config) error {
 		cc.DB = minisql.NewDB()
 		return populateClient(i, cc.DB)
@@ -470,9 +470,9 @@ func runClient(args []string) error {
 		follower.Applier().ActiveQueries(), follower.Applier().Version())
 
 	// Telemetry: fleet-level client counters (summed over the logical
-	// clients), batcher degraded-mode accounting (summed over the
-	// per-proxy batchers — the series carry no proxy label), and the
-	// batch-kernel counters this role exercises (RR + XOR split).
+	// clients), the shared batchers' degraded-mode accounting (summed, no
+	// proxy label; pending omits the workers' lanes, ≤ a chunk each), and
+	// the batch-kernel counters this role exercises (RR + XOR split).
 	tel := telemetry.NewRegistry()
 	tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
 		return client.AppendFleetSamples(dst, client.SumStats(clients.Clients()))

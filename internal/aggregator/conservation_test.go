@@ -1,7 +1,6 @@
 package aggregator
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +78,9 @@ func TestWindowAccumulatorRace(t *testing.T) {
 	}
 	for e := range lanes {
 		var wg sync.WaitGroup
+		// joined carries one token per drain, sent once its first chunk
+		// has been submitted from both sources.
+		joined := make(chan struct{}, drains)
 		for d := 0; d < drains; d++ {
 			wg.Add(1)
 			go func(d int) {
@@ -87,13 +89,18 @@ func TestWindowAccumulatorRace(t *testing.T) {
 					for src, lane := range lanes[e] {
 						keep(a.SubmitShareBatch(lane[lo:lo+chunk], src, time.Time{}))
 					}
+					if lo == d*chunk {
+						joined <- struct{}{}
+					}
 				}
 			}(d)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runtime.Gosched()
+			// The fire waits for the first joined chunk, so the window
+			// never closes empty; every later submit still races it.
+			<-joined
 			// The watermark trails by one slide: two epochs on closes
 			// this epoch's window.
 			keep(a.AdvanceTo(testOrigin.Add(time.Duration(e+2) * cfg.Query.Frequency)))

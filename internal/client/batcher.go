@@ -109,23 +109,38 @@ func NewBatcher(sink ColumnSink, limit int) *Batcher {
 }
 
 // Submit copies one share into the current batch's columnar lanes,
-// flushing if the batch limit is reached. The caller keeps ownership of
-// share.Payload. (Lane growth may reallocate; that is safe because the
-// lanes are append-only until the batch is flushed and recycled.)
+// flushing if the batch limit is reached. The caller keeps share.Payload.
 func (b *Batcher) Submit(share xorcrypt.Share) error {
+	return b.SubmitColumns(share.MID[:], share.Payload, 1, len(share.Payload))
+}
+
+// SubmitColumns copies count shares in the ColumnSink layout into the
+// current batch under one lock, cutting it at the limit exactly where
+// count Submit calls would. (Lane growth may reallocate; that is safe:
+// the lanes are append-only until the batch is flushed and recycled.) A
+// Batcher is thus a ColumnSink: a worker's lanes can flush into it.
+func (b *Batcher) SubmitColumns(mids, payloads []byte, count, size int) error {
 	b.mu.Lock()
-	buf := b.cur
-	if buf == nil {
-		buf = b.getBufLocked()
-		b.cur = buf
-	}
-	seg := buf.seg(len(share.Payload))
-	seg.mids = append(seg.mids, share.MID[:]...)
-	seg.vals = append(seg.vals, share.Payload...)
-	seg.count++
-	buf.count++
-	if b.limit > 0 && buf.count >= b.limit {
-		return b.flushLocked()
+	for count > 0 {
+		if b.cur == nil {
+			b.cur = b.getBufLocked()
+		}
+		n := count
+		if b.limit > 0 {
+			n = min(n, b.limit-b.cur.count)
+		}
+		seg := b.cur.seg(size)
+		seg.mids = append(seg.mids, mids[:n*xorcrypt.MIDSize]...)
+		seg.vals = append(seg.vals, payloads[:n*size]...)
+		seg.count += n
+		b.cur.count += n
+		mids, payloads, count = mids[n*xorcrypt.MIDSize:], payloads[n*size:], count-n
+		if b.cur.count == b.limit {
+			if err := b.flushLocked(); err != nil || count == 0 {
+				return err
+			}
+			b.mu.Lock()
+		}
 	}
 	b.mu.Unlock()
 	return nil

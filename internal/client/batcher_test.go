@@ -1,6 +1,10 @@
 package client
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -205,5 +209,89 @@ func TestBatcherRecyclesBuffers(t *testing.T) {
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// callSink records every SubmitColumns call — payload size, share count
+// and a copy of both lanes — and, when failEvery > 0, refuses every
+// failEvery-th call.
+type callSink struct {
+	calls     []string
+	failEvery int
+}
+
+func (s *callSink) SubmitColumns(mids, payloads []byte, count, size int) error {
+	s.calls = append(s.calls, fmt.Sprintf("size=%d count=%d mids=%x vals=%x", size, count, mids, payloads))
+	if s.failEvery > 0 && len(s.calls)%s.failEvery == 0 {
+		return errors.New("sink down")
+	}
+	return nil
+}
+
+// TestSubmitColumnsMatchesSubmit: handing a batcher a chunk of shares in
+// one SubmitColumns call is indistinguishable from one Submit per share —
+// the same sink calls (size, count and bytes), the same stamps, the same
+// Pending after every chunk and the same Dropped — at every limit, with
+// chunks that straddle the limit and mix payload sizes, on a healthy
+// sink and on a failing one behind a degraded batcher.
+func TestSubmitColumnsMatchesSubmit(t *testing.T) {
+	type chunk struct{ size, count int }
+	chunks := []chunk{{3, 1}, {3, 5}, {9, 13}, {3, 64}, {1, 7}, {9, 100}, {3, 2}, {1, 65}, {9, 6}}
+	type outcome struct {
+		calls, stamps []string
+		pending       []int
+		dropped       int64
+	}
+	run := func(limit int, degraded, columns bool) outcome {
+		sink := &callSink{}
+		if degraded {
+			sink.failEvery = 3
+		}
+		b := NewBatcher(sink, limit)
+		b.SetDegraded(degraded)
+		var out outcome
+		b.SetStamper(func(_, seq uint64, shares int, _ int64) {
+			out.stamps = append(out.stamps, fmt.Sprintf("seq=%d shares=%d", seq, shares))
+		})
+		id := 0
+		for _, c := range chunks {
+			var mids, vals []byte
+			for i := 0; i < c.count; i++ {
+				sh := share(id)
+				sh.Payload = bytes.Repeat([]byte{byte(id)}, c.size)
+				id++
+				if !columns {
+					if err := b.Submit(sh); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				mids = append(mids, sh.MID[:]...)
+				vals = append(vals, sh.Payload...)
+			}
+			if columns {
+				if err := b.SubmitColumns(mids, vals, c.count, c.size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out.pending = append(out.pending, b.Pending())
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		out.calls, out.dropped = sink.calls, b.Dropped()
+		return out
+	}
+	for _, limit := range []int{0, 1, 7, 64} {
+		for _, degraded := range []bool{false, true} {
+			want, got := run(limit, degraded, false), run(limit, degraded, true)
+			if len(want.calls) < 2 || degraded && want.dropped == 0 {
+				t.Fatalf("limit=%d degraded=%v: degenerate case: %d sink calls, %d dropped", limit, degraded, len(want.calls), want.dropped)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("limit=%d degraded=%v: SubmitColumns diverges from Submit\n got %d calls, stamps %v, pending %v, dropped %d\nwant %d calls, stamps %v, pending %v, dropped %d",
+					limit, degraded, len(got.calls), got.stamps, got.pending, got.dropped, len(want.calls), want.stamps, want.pending, want.dropped)
+			}
+		}
 	}
 }

@@ -500,14 +500,18 @@ func (c *Client) Subscriptions() int { return len(c.subs) }
 // one flush per proxy. It returns whether the client participated in at
 // least one query (the §3.2.1 sampling coin, drawn independently per
 // query).
-func (c *Client) AnswerOnce(epoch uint64) (bool, error) {
+func (c *Client) AnswerOnce(epoch uint64) (bool, error) { return c.AnswerTo(epoch, c.sinks) }
+
+// AnswerTo is AnswerOnce into sinks, one per proxy in Config.Sinks'
+// order: a worker answering many clients passes its own lanes.
+func (c *Client) AnswerTo(epoch uint64, sinks []ShareSink) (bool, error) {
 	if len(c.subs) == 0 {
 		return false, ErrNotSubscribed
 	}
 	c.epochsSeen.Add(1)
 	any := false
 	for _, sub := range c.subs {
-		ok, err := c.answerQuery(sub, epoch)
+		ok, err := c.answerQuery(sub, epoch, sinks)
 		if err != nil {
 			return any, err
 		}
@@ -528,7 +532,7 @@ func (c *Client) AnswerOnce(epoch uint64) (bool, error) {
 // a full answer would (rz.Skip), so the coin stream's position is a
 // function of the base participation pattern alone: FastForward and
 // crash recovery never need to know the shed history.
-func (c *Client) answerQuery(sub *subscription, epoch uint64) (bool, error) {
+func (c *Client) answerQuery(sub *subscription, epoch uint64, sinks []ShareSink) (bool, error) {
 	if !sub.decider.Participate(c.id, epoch) {
 		return false, nil
 	}
@@ -573,7 +577,7 @@ func (c *Client) answerQuery(sub *subscription, epoch uint64) (bool, error) {
 		return false, err
 	}
 	for i, share := range shares {
-		if err := c.sinks[i].Submit(share); err != nil {
+		if err := sinks[i].Submit(share); err != nil {
 			return false, fmt.Errorf("client: proxy %d: %w", i, err)
 		}
 		c.bytesSent.Add(int64(len(share.Payload) + xorcrypt.MIDSize))

@@ -28,16 +28,29 @@ import (
 // pollMax is the most records one poll reads.
 const pollMax = 4096
 
-// Clients is a process's logical clients. Every client submits its
-// shares into one Batcher per proxy, so an epoch reaches each proxy as
-// columnar frames — one per epoch unless a batch limit cuts it earlier.
-// The clients learn their queries from a control topic: one follower
+// chunk is how many clients a client-role worker claims at a time and
+// answers into its own lanes before flushing them to the shared batchers.
+const chunk = 64
+
+// Clients is a process's logical clients. Every client's shares reach
+// one Batcher per proxy, so an epoch reaches each proxy as columnar
+// frames — one per epoch unless a batch limit cuts it earlier. The
+// clients learn their queries from a control topic: one follower
 // reconciles all of them against the newest announced query set.
 type Clients struct {
 	clients  []*client.Client
 	batchers []*client.Batcher
 	follower *engine.Follower
-	workers  int
+	lanes    [][]client.ShareSink // per worker, a *client.Batcher per proxy, empty between chunks
+	run      answerRun
+}
+
+// answerRun is the state an epoch's workers share.
+type answerRun struct {
+	next, participants atomic.Int64
+	stop               atomic.Bool
+	err                atomic.Pointer[error]
+	wg                 sync.WaitGroup
 }
 
 // NewClients builds logical clients offset … offset+n−1 over fleet,
@@ -47,11 +60,14 @@ type Clients struct {
 // batch is the Batcher limit (0 flushes once per epoch) and workers
 // bounds how many clients answer at once.
 func NewClients(fleet *proxy.Fleet, control *pubsub.Consumer, seed int64, offset, n, batch, workers int, setup func(i int, cfg *client.Config) error) (*Clients, error) {
-	c := &Clients{batchers: make([]*client.Batcher, fleet.Size()), workers: workers}
+	c := &Clients{batchers: make([]*client.Batcher, fleet.Size()), lanes: make([][]client.ShareSink, max(1, min(workers, n)))}
 	sinks := make([]client.ShareSink, fleet.Size())
 	for i := range c.batchers {
 		c.batchers[i] = client.NewBatcher(fleet.Proxy(i), batch)
 		sinks[i] = c.batchers[i]
+		for w := range c.lanes {
+			c.lanes[w] = append(c.lanes[w], client.NewBatcher(c.batchers[i], 0))
+		}
 	}
 	for i := offset; i < offset+n; i++ {
 		cfg := client.Config{ID: fmt.Sprintf("client-%06d", i), Sinks: sinks, Seed: seed + int64(i) + 2}
@@ -75,7 +91,7 @@ func NewClients(fleet *proxy.Fleet, control *pubsub.Consumer, seed int64, offset
 // Clients returns the logical clients in index order.
 func (c *Clients) Clients() []*client.Client { return c.clients }
 
-// Batchers returns the per-proxy batchers, proxy i's at index i.
+// Batchers returns the shared per-proxy batchers, proxy i's at index i.
 func (c *Clients) Batchers() []*client.Batcher { return c.batchers }
 
 // Follower returns the follower that subscribes the clients to the
@@ -85,10 +101,10 @@ func (c *Clients) Follower() *engine.Follower { return c.follower }
 // Epoch applies the announcements that arrived since the last epoch,
 // then answers epoch e on every client and flushes every proxy's batch,
 // returning how many clients answered at least one query. With no query
-// active it answers nothing. Clients never share mutable state and the
-// batchers are concurrency-safe, so the fan-out over the worker pool
-// only interleaves shares within a batch, which the sharded aggregator
-// is insensitive to. Shares batched before an error are still flushed.
+// active it answers nothing. Clients never share mutable state and each
+// worker has its own lanes, so the worker pool only interleaves shares
+// within a batch chunk by chunk, which the sharded aggregator is
+// insensitive to. Shares batched before an error are still flushed.
 func (c *Clients) Epoch(e uint64) (int, error) {
 	if active, err := c.syncActive(); err != nil || active == 0 {
 		return 0, err
@@ -115,49 +131,54 @@ func (c *Clients) syncActive() (int, error) {
 	return c.follower.Applier().ActiveQueries(), nil
 }
 
+// answer runs worker 0 on the calling goroutine and the rest on their own.
 func (c *Clients) answer(e uint64) (int, error) {
-	workers := min(c.workers, len(c.clients))
-	if workers <= 1 {
-		n := 0
-		for _, cl := range c.clients {
-			ok, err := cl.AnswerOnce(e)
-			if err != nil {
-				return n, err
+	c.run = answerRun{}
+	for w := 1; w < len(c.lanes); w++ {
+		c.run.wg.Add(1)
+		go func() {
+			defer c.run.wg.Done()
+			c.work(e, c.lanes[w])
+		}()
+	}
+	c.work(e, c.lanes[0])
+	c.run.wg.Wait()
+	return int(c.run.participants.Load()), firstErr(&c.run.err)
+}
+
+// work claims chunks until none is left or a worker fails, answering each
+// into lanes and flushing them, after an error too.
+func (c *Clients) work(e uint64, lanes []client.ShareSink) {
+	r, n := &c.run, 0
+	var err error
+	for err == nil && !r.stop.Load() {
+		lo := int(r.next.Add(chunk)) - chunk
+		if lo >= len(c.clients) {
+			break
+		}
+		for _, cl := range c.clients[lo:min(lo+chunk, len(c.clients))] {
+			if r.stop.Load() {
+				break
+			}
+			var ok bool
+			if ok, err = cl.AnswerTo(e, lanes); err != nil {
+				break
 			}
 			if ok {
 				n++
 			}
 		}
-		return n, nil
-	}
-	// One struct, so the state the workers share escapes as one allocation.
-	var run struct {
-		next, participants atomic.Int64
-		fail               atomic.Pointer[error]
-		wg                 sync.WaitGroup
-	}
-	for w := 0; w < workers; w++ {
-		run.wg.Add(1)
-		go func() {
-			defer run.wg.Done()
-			for {
-				i := int(run.next.Add(1)) - 1
-				if i >= len(c.clients) || run.fail.Load() != nil {
-					return
-				}
-				ok, err := c.clients[i].AnswerOnce(e)
-				if err != nil {
-					setErr(&run.fail, err)
-					return
-				}
-				if ok {
-					run.participants.Add(1)
-				}
+		for _, lane := range lanes {
+			if ferr := lane.(*client.Batcher).Flush(); err == nil {
+				err = ferr
 			}
-		}()
+		}
 	}
-	run.wg.Wait()
-	return int(run.participants.Load()), firstErr(&run.fail)
+	r.participants.Add(int64(n))
+	if err != nil {
+		setErr(&r.err, err)
+		r.stop.Store(true)
+	}
 }
 
 // Drain is the aggregator role: one consumer per proxy feeding one

@@ -2,8 +2,15 @@ package role
 
 import (
 	"crypto/ed25519"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +20,7 @@ import (
 	"privapprox/internal/engine"
 	"privapprox/internal/minisql"
 	"privapprox/internal/proxy"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/workload"
@@ -20,8 +28,8 @@ import (
 
 // rig is one in-process deployment built from the roles alone: two
 // proxies, a client process answering through them and an aggregator
-// draining them. Clients answer on one worker, so two rigs publish the
-// same records in the same partition order.
+// draining them. newRig's clients answer on one worker, so two such rigs
+// publish the same records in the same partition order.
 type rig struct {
 	fleet   *proxy.Fleet
 	clients *Clients
@@ -30,6 +38,13 @@ type rig struct {
 }
 
 func newRig(t *testing.T, clients, drainWorkers int) *rig {
+	t.Helper()
+	return newRigWith(t, clients, 1, 0, drainWorkers)
+}
+
+// newRigWith is newRig with clientWorkers answering clients and batch
+// as the client role's Batcher limit.
+func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *rig {
 	t.Helper()
 	q, err := workload.TaxiQuery("role", 1, time.Second, 4*time.Second, time.Second)
 	if err != nil {
@@ -73,7 +88,7 @@ func newRig(t *testing.T, clients, drainWorkers int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewClients(fleet, control, 9, 0, clients, 0, 1, func(i int, cfg *client.Config) error {
+	cs, err := NewClients(fleet, control, 9, 0, clients, batch, clientWorkers, func(i int, cfg *client.Config) error {
 		cfg.DB = minisql.NewDB()
 		cfg.MIDSource = rand.New(rand.NewSource(int64(i) + 100))
 		return workload.PopulateTaxi(cfg.DB, rand.New(rand.NewSource(int64(i))), 2, time.Unix(0, 0), time.Minute)
@@ -209,5 +224,203 @@ func TestControlPlaneStepZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("control-plane step: %v allocs/op, want 0", allocs)
+	}
+}
+
+// answerTwin answers epoch e the way the client role did before its
+// workers had lanes: client by client, AnswerOnce into the shared
+// batchers, then one flush per proxy. It returns the participants.
+func answerTwin(t *testing.T, r *rig, e uint64) int {
+	t.Helper()
+	if _, err := r.clients.syncActive(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range r.clients.Batchers() {
+		b.BeginEpoch(e)
+	}
+	n := 0
+	for _, cl := range r.clients.Clients() {
+		ok, err := cl.AnswerOnce(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			n++
+		}
+	}
+	for _, b := range r.clients.Batchers() {
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// topics returns what the rig's two proxies hold, proxy p's at index p,
+// partition by partition in offset order: each record's offset, its MID
+// and the message its share joins to with its sibling at the other
+// proxy. A share's own bytes are not compared: the splitter draws its
+// pads from a crypto-random stream, so no two fleets publish the same
+// share bytes, while offsets, MIDs and joined messages are fixed by the
+// seed.
+func topics(t *testing.T, r *rig) [2][][]string {
+	t.Helper()
+	var recs [2][][]pubsub.Record
+	sibling := [2]map[string][]byte{{}, {}}
+	for p := range recs {
+		px := r.fleet.Proxy(p)
+		parts, err := px.Broker().Partitions(px.Topic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part := 0; part < parts; part++ {
+			got, err := px.Broker().Fetch(px.Topic(), part, 0, math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[p] = append(recs[p], got)
+			for _, rec := range got {
+				sibling[1-p][string(rec.Key)] = rec.Value
+			}
+		}
+	}
+	var out [2][][]string
+	for p, parts := range recs {
+		for _, part := range parts {
+			var held []string
+			for _, rec := range part {
+				msg := slices.Clone(rec.Value)
+				other := sibling[p][string(rec.Key)]
+				for i := range min(len(msg), len(other)) {
+					msg[i] ^= other[i]
+				}
+				held = append(held, fmt.Sprintf("%d %x %x", rec.Offset, rec.Key, msg))
+			}
+			out[p] = append(out[p], held)
+		}
+	}
+	return out
+}
+
+// shareSet is one proxy's topics entry as a sorted multiset of (MID,
+// joined message), offsets dropped.
+func shareSet(parts [][]string) []string {
+	var set []string
+	for _, part := range parts {
+		for _, rec := range part {
+			set = append(set, rec[strings.IndexByte(rec, ' ')+1:])
+		}
+	}
+	slices.Sort(set)
+	return set
+}
+
+// TestClientsEpochAcrossWorkers: the client role's workers answer
+// through private lanes, and what reaches the proxies is what the
+// clients answered one by one into the shared batchers. At one worker
+// every partition holds byte-identical records; at more, each proxy
+// holds the same shares and the same clients participated. Either way
+// every answer sent is a record at each proxy or a counted drop (the
+// client half of share conservation), and under a batch limit every
+// flush but an epoch's last carries exactly the limit.
+func TestClientsEpochAcrossWorkers(t *testing.T) {
+	const epochs, limit = 3, 7
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, clients := range []int{1, 63, 64, 65, 200} {
+			for _, batch := range []int{0, limit} {
+				name := fmt.Sprintf("workers=%d/clients=%d/batch=%d", workers, clients, batch)
+				r, twin := newRigWith(t, clients, workers, batch, 1), newRigWith(t, clients, 1, batch, 1)
+				// Workers flush concurrently, so the stamper may be too.
+				var (
+					mu      sync.Mutex
+					flushes [epochs][]int
+				)
+				r.clients.Batchers()[0].SetStamper(func(e, _ uint64, shares int, _ int64) {
+					mu.Lock()
+					flushes[e] = append(flushes[e], shares)
+					mu.Unlock()
+				})
+				got, want := 0, 0
+				for e := uint64(0); e < epochs; e++ {
+					n, err := r.clients.Epoch(e)
+					if err != nil {
+						t.Fatalf("%s: epoch %d: %v", name, e, err)
+					}
+					got += n
+					want += answerTwin(t, twin, e)
+				}
+				if got != want || want == 0 {
+					t.Errorf("%s: %d participants, the twin %d", name, got, want)
+				}
+				sent := client.SumStats(r.clients.Clients()).AnswersSent
+				held, twinHeld := topics(t, r), topics(t, twin)
+				for p, b := range r.clients.Batchers() {
+					g, w := shareSet(held[p]), shareSet(twinHeld[p])
+					if workers == 1 && !reflect.DeepEqual(held[p], twinHeld[p]) {
+						t.Errorf("%s: proxy %d's partitions differ from the twin's", name, p)
+					} else if !reflect.DeepEqual(g, w) {
+						t.Errorf("%s: proxy %d holds %d shares, the twin %d, or different ones", name, p, len(g), len(w))
+					}
+					if n := int64(len(g)) + b.Dropped(); n != sent {
+						t.Errorf("%s: %d answers sent, proxy %d holds %d records + drops", name, sent, p, n)
+					}
+				}
+				for e, sizes := range flushes {
+					for i, n := range sizes {
+						if n == 0 || batch > 0 && (n > batch || i < len(sizes)-1 && n != batch) {
+							t.Errorf("%s: epoch %d's flushes carry %v shares", name, e, sizes)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClientsEpochAllocs pins what the client role's epoch allocates
+// beyond the answers themselves: nothing at one worker — the lanes and
+// the run state the workers share are built once, with the Clients — and
+// one goroutine per further worker otherwise. The bounds are what the
+// epoch allocated before the workers had lanes: 0, 3 and 5 at 1, 2 and 4
+// workers.
+// Only Epoch is measured; the drain between epochs is not. The gate
+// reads the median epoch: now and then the runtime allocates a
+// goroutine or a wait-queue entry inside one. The collector is off, so
+// no epoch pays for refilling the sync.Pools a collection emptied.
+func TestClientsEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const clients, warm, epochs = 512, 100, 40
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		workers int
+		limit   uint64
+	}{{1, 0}, {2, 3}, {4, 5}} {
+		r := newRigWith(t, clients, tc.workers, 0, 1)
+		var mallocs []uint64
+		for e := uint64(0); e < warm+epochs; e++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if n, err := r.clients.Epoch(e); err != nil || n == 0 {
+				t.Fatalf("epoch %d: %d participants, %v", e, n, err)
+			}
+			runtime.ReadMemStats(&after)
+			if e >= warm {
+				mallocs = append(mallocs, after.Mallocs-before.Mallocs)
+			}
+			if _, err := r.drain.Dry(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.drain.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slices.Sort(mallocs)
+		t.Logf("workers=%d: allocs per epoch of %d clients: median %d, max %d", tc.workers, clients, mallocs[epochs/2], mallocs[epochs-1])
+		if mallocs[epochs/2] > tc.limit {
+			t.Errorf("workers=%d: median epoch allocates %d times, want ≤ %d", tc.workers, mallocs[epochs/2], tc.limit)
+		}
 	}
 }
