@@ -142,10 +142,12 @@ allocgate:
 	$(GO) test -run 'TestControlPlaneStepZeroAllocs|TestClientsEpochAllocs' -count=1 ./internal/role
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
-# 3,000 epochs each followed by AdvanceTo. The forced-GC heap at epoch
-# 1,500 and at epoch 3,000 must agree within 5 %, and the second half
-# may not run slower than 1.5× the first: what the system retains
-# depends on its open windows and unconsumed backlog, not on its uptime.
+# 3,000 epochs each followed by AdvanceTo. At epoch 1,500 and at epoch
+# 3,000 the state kept per epoch must be equal by count (open panes per
+# query, open windows, pending joins, and the epochs of answers whose
+# message IDs the joiner remembers) and the forced-GC heap must agree
+# within 5 %: what the system retains depends on its open windows and
+# unconsumed backlog, not on its uptime. Wall time is logged only.
 # A second leg runs the same system over a DataDir that never
 # checkpoints: a durable broker's memory follows the drain, not its WAL.
 soak:
@@ -179,7 +181,7 @@ bench-smoke:
 # LSNs, a replay from inside one), the one checkpoint record (consumer
 # positions, system section, fired results, aggregator state), the
 # aggregator state inside it (no panic, its prefixes refused, whatever it
-# accepts re-encoding to the same bytes: windows, estimator stream and
+# accepts re-encoding to the same bytes: panes, estimator stream and
 # memoized losses, pending joins with an empty share, completed keys),
 # the SLO controller's checkpoint state and the lineage stamp.
 FUZZ_DECODERS = \
@@ -210,13 +212,17 @@ fuzz-decoders:
 # minisql column store against a plain [][]Value model (inserts of NULL,
 # number — -0, NaN and ±Inf among them —, text and bool cells, a numeric
 # column turning mixed, deletes that empty the table, read back through
-# SELECT * and a scan with a WHERE) and the share joiner against a plain
+# SELECT * and a scan with a WHERE), the share joiner against a plain
 # two-generation model (adds, recycles, rotations and checkpoint
-# restores into a fresh joiner).
+# restores into a fresh joiner), and the aggregator's panes against a
+# per-window model (sliding geometries whose slide does or does not
+# divide the window, late answers, watermark advances, flushes and
+# checkpoint restores mid-stream).
 fuzz:
 	$(MAKE) fuzz-decoders FUZZTIME=10s
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzShareJoiner -fuzztime 10s ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzPanesMatchWindows -fuzztime 10s ./internal/aggregator
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/minisql

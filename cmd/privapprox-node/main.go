@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"privapprox/internal/aggregator"
-	"privapprox/internal/answer"
 	"privapprox/internal/budget"
 	"privapprox/internal/client"
 	"privapprox/internal/engine"
@@ -631,13 +630,12 @@ func runAggregator(args []string) error {
 
 	// Telemetry: the aggregator's own accounting plus the epoch tracer's
 	// stage totals (join time via SubmitShareBatch) and the fired-window
-	// span log; the accumulate-kernel counter rides along.
+	// span log; the XOR-join kernel counters ride along.
 	tel := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer()
 	agg.SetTracer(tracer)
 	tel.RegisterSource(agg)
 	tel.RegisterSource(tracer)
-	tel.RegisterSource(telemetry.SourceFunc(answer.Metrics))
 	tel.RegisterSource(telemetry.SourceFunc(xorcrypt.Metrics))
 
 	// The provenance recorder: one result card per fired window, a

@@ -12,7 +12,7 @@
 // share streams. The share join is query-agnostic — shares are keyed by
 // message identifier, and the query a message belongs to is only
 // revealed by the wire QueryID after decryption — so the sharded join
-// front-end is shared, and everything after decode (windows, watermark,
+// front-end is shared, and everything after decode (panes, watermark,
 // firing, estimation, budgets) lives in per-query state demultiplexed
 // by the wire QueryID. Queries can be added and removed while shares
 // are in flight; messages for unknown queries and messages whose answer
@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -81,7 +82,7 @@ type Config struct {
 	// goroutines joins without serializing on one lock. Defaults to
 	// GOMAXPROCS. Results and counters are identical for every shard
 	// count: a message's shares always meet in one shard, and each open
-	// window folds its answers under its own lock whichever shard joined
+	// pane folds its answers under its own lock whichever shard joined
 	// them.
 	Shards int
 	// OnDecoded, when set, receives every decoded answer message (its
@@ -174,7 +175,7 @@ func (s Stats) Dropped() int64 {
 // safe for concurrent use: shares from any number of drain goroutines
 // may be submitted at once. The join is sharded by message-ID hash
 // with per-shard locks, decrypt and decode run on the caller's scratch,
-// and each open window accumulates under its own lock; only watermark
+// and each open pane accumulates under its own lock; only watermark
 // advancement and window firing (per query) serialize, which keeps the
 // sequence of fired results (and the rng each query's estimator
 // consumes) deterministic under fixed seeds regardless of submission
@@ -227,8 +228,8 @@ type stateTable struct {
 	maxWindow time.Duration
 }
 
-// queryState is everything per-query: window registry, watermark,
-// firing, estimator. The shared join front-end routes decoded messages
+// queryState is everything per-query: open panes, watermark, firing,
+// estimator. The shared join front-end routes decoded messages
 // here by wire QueryID.
 type queryState struct {
 	q *query.Query
@@ -251,15 +252,20 @@ type queryState struct {
 	ord      int // registration index, for deterministic result order
 	assigner *stream.SlidingAssigner
 
-	// winMu guards the registry of open windows; accumulation inside a
-	// window goes through the window's own lock, not this one.
-	winMu   sync.RWMutex
-	windows map[int64]*openWindow // keyed by window start UnixNano
+	// paneMu guards the registry of open panes; accumulation inside a
+	// pane goes through the pane's own lock, not this one.
+	paneMu sync.RWMutex
+	panes  map[int64]*pane // keyed by pane start UnixNano
 
 	// fireMu serializes window firing so each window fires exactly once
-	// and results come out in window-start order. Lock order: fireMu
-	// before winMu.
-	fireMu sync.Mutex
+	// and results come out in window-start order. It guards firedWM, the
+	// watermark of the last fire but a flush (every window ending at or
+	// below it has fired), and the fire's scratch. Lock order: fireMu
+	// before paneMu before a pane's lock.
+	fireMu  sync.Mutex
+	firedWM int64
+	sum     *answer.Accumulator
+	firing  []*pane
 	// wmMax is the maximum observed event time as UnixNano (wmUnseen
 	// before any event); the watermark is wmMax − one slide. Kept atomic
 	// so the sharded add path never serializes on watermark reads.
@@ -307,16 +313,20 @@ type joinShard struct {
 	_          [24]byte // pad to a cache-line multiple
 }
 
-// openWindow is one window still accumulating answers. mu guards acc
-// and closed: a fire sets closed and takes acc under it, so an add
-// racing the fire either lands before the counts are read or is
-// refused and counted late — never silently lost. mu is innermost:
-// nothing else is acquired while it is held.
-type openWindow struct {
-	window stream.Window
-	mu     sync.Mutex
-	acc    *answer.Accumulator
-	closed bool
+// pane is one pane of a query's event time (stream.SlidingAssigner)
+// still accumulating answers: an answer folds into its pane once, and a
+// fire sums a window's panes. mu guards acc and summed: a fire sets
+// summed as it reads acc, so an add racing the fire either lands before
+// the counts are read or is counted late — never silently lost. mu is
+// innermost: nothing else is acquired while it is held.
+type pane struct {
+	start int64
+	mu    sync.Mutex
+	acc   *answer.Accumulator
+	// summed: a window covering the pane has fired, or was behind the
+	// watermark when the pane opened. Answers still land, for the
+	// windows yet to fire, but count late.
+	summed bool
 }
 
 // New validates the configuration and builds a single-query aggregator
@@ -412,7 +422,7 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		st.estMu.Unlock()
 		return nil
 	}
-	assigner, err := stream.NewSlidingAssignerAt(spec.Query.Window, spec.Query.Slide, a.cfg.Origin)
+	assigner, err := stream.NewSlidingAssigner(spec.Query.Window, spec.Query.Slide, a.cfg.Origin)
 	if err != nil {
 		return err
 	}
@@ -430,9 +440,13 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		// order.
 		ord:         a.nextOrd,
 		assigner:    assigner,
-		windows:     make(map[int64]*openWindow),
+		panes:       make(map[int64]*pane),
+		firedWM:     wmUnseen,
 		src:         seeded.NewSource(a.cfg.Seed),
 		rrLossCache: make(map[int]float64),
+	}
+	if st.sum, err = answer.NewAccumulator(st.nbuckets); err != nil {
+		return err
 	}
 	st.rng = rand.New(st.src)
 	a.nextOrd++
@@ -632,111 +646,153 @@ func (st *queryState) observe(t time.Time) bool {
 	}
 }
 
-func (st *queryState) watermark() time.Time {
+// watermark is the watermark as UnixNano, wmUnseen before any event.
+func (st *queryState) watermark() int64 {
 	m := st.wmMax.Load()
 	if m == wmUnseen {
-		return time.Time{}
+		return wmUnseen
 	}
-	return time.Unix(0, m).Add(-st.q.Slide)
+	return m - int64(st.q.Slide)
 }
 
-// openWindowFor returns the accumulating state for w, creating it if
-// needed. It returns nil when w already closed (its end is behind the
-// watermark), so a racing late answer can never resurrect a fired
-// window.
-func (a *Aggregator) openWindowFor(st *queryState, w stream.Window) *openWindow {
-	key := w.Start.UnixNano()
-	st.winMu.RLock()
-	ow := st.windows[key]
-	st.winMu.RUnlock()
-	if ow != nil {
-		return ow
+// paneFor returns the open pane starting at start, opening it if
+// needed. It returns nil when every window covering the pane is behind
+// the watermark, so a racing late answer can never reopen a pane whose
+// windows have all fired.
+func (a *Aggregator) paneFor(st *queryState, start int64) *pane {
+	st.paneMu.RLock()
+	p := st.panes[start]
+	st.paneMu.RUnlock()
+	if p != nil {
+		return p
 	}
-	st.winMu.Lock()
-	defer st.winMu.Unlock()
-	if ow := st.windows[key]; ow != nil {
-		return ow
+	st.paneMu.Lock()
+	defer st.paneMu.Unlock()
+	if p := st.panes[start]; p != nil {
+		return p
 	}
-	if !w.End.After(st.watermark()) {
+	wm, size := st.watermark(), int64(st.q.Window)
+	first, last := st.assigner.Covering(start)
+	if last+size <= wm {
 		return nil
 	}
 	acc, err := answer.NewAccumulator(st.nbuckets)
 	if err != nil {
 		return nil
 	}
-	ow = &openWindow{window: w, acc: acc}
-	st.windows[key] = ow
-	return ow
+	p = &pane{start: start, acc: acc, summed: first+size <= wm}
+	st.panes[start] = p
+	return p
 }
 
-// add folds count answers laid out at stride in lane into the window,
-// reporting false when the window has already fired.
-func (ow *openWindow) add(lane []byte, stride, nbits, count int) (bool, error) {
-	ow.mu.Lock()
-	defer ow.mu.Unlock()
-	if ow.closed {
-		return false, nil
-	}
-	return true, ow.acc.AddBatch(lane, stride, nbits, count)
+// sortedPanes returns the open panes, earliest first.
+func (st *queryState) sortedPanes() []*pane {
+	st.paneMu.RLock()
+	defer st.paneMu.RUnlock()
+	return slices.SortedFunc(maps.Values(st.panes), earlierPane)
 }
 
-// close marks the window fired and hands over its counts; no add
-// touches them afterwards.
-func (ow *openWindow) close() *answer.Accumulator {
-	ow.mu.Lock()
-	defer ow.mu.Unlock()
-	ow.closed = true
-	return ow.acc
+func earlierPane(x, y *pane) int { return cmp.Compare(x.start, y.start) }
+
+// add folds count answers laid out at stride in lane into the pane,
+// reporting them late when the pane has been summed.
+func (p *pane) add(lane []byte, stride, nbits, count int) (late bool, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.summed, p.acc.AddBatch(lane, stride, nbits, count)
 }
 
-// fireLocked closes every window of one query behind its watermark (or
-// all windows when flush is set), earliest first, and estimates each.
-// Caller holds st.fireMu.
-func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
-	wm := st.watermark()
-	st.winMu.Lock()
-	// One watermark step closes one window of a sliding query, so the
-	// usual fire keeps its list on the stack.
-	var few [4]*openWindow
-	closing := few[:0]
-	for key, ow := range st.windows {
-		if flush || !ow.window.End.After(wm) {
-			closing = append(closing, ow)
-			delete(st.windows, key)
+// appendWindows appends, earliest first, the start of every window that
+// covers one of panes (sorted by start) and has not fired — it ends
+// above firedWM — and, unless all is set, ends at or below wm. Caller
+// holds fireMu.
+func (st *queryState) appendWindows(dst []int64, panes []*pane, wm int64, all bool) []int64 {
+	size, slide := int64(st.q.Window), int64(st.q.Slide)
+	next := int64(math.MinInt64) // the first start not yet considered
+	for _, p := range panes {
+		first, last := st.assigner.Covering(p.start)
+		for s := max(first, next); s <= last; s += slide {
+			if end := s + size; end > st.firedWM && (all || end <= wm) {
+				dst = append(dst, s)
+			}
 		}
+		next = max(next, last+slide)
 	}
-	st.winMu.Unlock()
-	if len(closing) == 0 {
+	return dst
+}
+
+// fireLocked fires every window of one query behind its watermark (every
+// unfired window covering an open pane when flush is set), earliest
+// first, each estimated from the sum of its panes; the panes no unfired
+// window covers leave the registry (all of them on a flush). Caller
+// holds st.fireMu.
+func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
+	wm, size := st.watermark(), int64(st.q.Window)
+	if !flush && wm <= st.firedWM {
 		return nil, nil
 	}
-	slices.SortFunc(closing, func(x, y *openWindow) int {
-		return x.window.Start.Compare(y.window.Start)
-	})
+	st.paneMu.Lock()
+	panes := st.firing[:0]
+	for start, p := range st.panes {
+		panes = append(panes, p)
+		if _, last := st.assigner.Covering(start); flush || last+size <= wm {
+			delete(st.panes, start)
+		}
+	}
+	st.paneMu.Unlock()
+	slices.SortFunc(panes, earlierPane)
+	// One watermark step fires one window of a sliding query, so the
+	// usual fire keeps its list on the stack.
+	var few [4]int64
+	starts := st.appendWindows(few[:0], panes, wm, flush)
+	if !flush {
+		st.firedWM = wm
+	}
 	tr := a.tracer.Load()
 	rec := a.cards.Load()
-	out := make([]Result, 0, len(closing))
-	for _, ow := range closing {
+	var out []Result
+	lo := 0 // the first pane not before the window
+	for _, start := range starts {
 		var t0 time.Time
 		if tr != nil || rec != nil {
 			t0 = time.Now()
 		}
-		res, params, err := a.estimate(st, ow.window, ow.close(), a.cfg.Population*st.slots)
+		st.sum.Reset()
+		for lo < len(panes) && panes[lo].start < start {
+			lo++
+		}
+		for _, p := range panes[lo:] {
+			if p.start >= start+size {
+				break
+			}
+			p.mu.Lock()
+			p.summed = true
+			err := st.sum.Merge(p.acc)
+			p.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+		}
+		w := stream.Window{Start: time.Unix(0, start), End: time.Unix(0, start+size)}
+		res, params, err := a.estimate(st, w, st.sum, a.cfg.Population*st.slots)
 		if err != nil {
 			return nil, err
+		}
+		if out == nil {
+			out = make([]Result, 0, len(starts))
 		}
 		out = append(out, res)
 		if tr != nil {
 			tr.RecordFire(telemetry.FireSpan{
 				Epoch:       tr.Epoch(),
 				Query:       st.qname,
-				WindowStart: ow.window.Start.UnixNano(),
-				WindowEnd:   ow.window.End.UnixNano(),
+				WindowStart: start,
+				WindowEnd:   start + size,
 				Responses:   int64(res.Responses),
-				Lag:         wm.Sub(ow.window.End),
+				Lag:         time.Unix(0, wm).Sub(w.End),
 				Dur:         time.Since(t0),
 			})
 		}
-		start := ow.window.Start.UnixNano()
 		if ft := st.firedThrough.Load(); ft == wmUnseen || start > ft {
 			st.firedThrough.Store(start)
 		}
@@ -744,6 +800,8 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 			a.emitCard(rec, st, params, res, time.Since(t0))
 		}
 	}
+	clear(panes) // the closed panes are garbage once the fire is done
+	st.firing = panes[:0]
 	return out, nil
 }
 
@@ -920,24 +978,32 @@ func (a *Aggregator) CountMalformed(n int) { a.malformed.Add(int64(n)) }
 // PendingJoins returns the number of messages waiting for shares across
 // all shards.
 func (a *Aggregator) PendingJoins() int {
-	n := 0
+	pending, _ := a.joinCounts()
+	return pending
+}
+
+// joinCounts returns the messages waiting for shares and the completed
+// message IDs remembered to refuse their replays, across all shards.
+func (a *Aggregator) joinCounts() (pending, completed int) {
 	for i := range a.shards {
 		js := &a.shards[i]
 		js.mu.Lock()
-		n += js.joiner.PendingCount()
+		pending += js.joiner.PendingCount()
+		completed += js.joiner.CompletedCount()
 		js.mu.Unlock()
 	}
-	return n
+	return pending, completed
 }
 
 // OpenWindows returns the number of windows still accumulating across
-// all queries.
+// all queries: the windows not yet fired that cover an open pane. It is
+// counted here, off the submit path.
 func (a *Aggregator) OpenWindows() int {
 	n := 0
 	for _, st := range a.states.Load().ordered {
-		st.winMu.RLock()
-		n += len(st.windows)
-		st.winMu.RUnlock()
+		st.fireMu.Lock()
+		n += len(st.appendWindows(nil, st.sortedPanes(), 0, true))
+		st.fireMu.Unlock()
 	}
 	return n
 }

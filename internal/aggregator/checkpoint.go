@@ -1,7 +1,7 @@
 package aggregator
 
 // Checkpoint/Restore serialize an aggregator's complete dynamic state —
-// per-query windows, watermarks, counters, current parameters, each
+// per-query open panes, watermarks, counters, current parameters, each
 // estimator's stream position and memoized losses, and the share
 // joiner's two generations of pending groups and completed keys — into
 // one opaque record, as large as the retain horizon, that a durable
@@ -13,15 +13,15 @@ package aggregator
 //
 // The record holds state, not history: an estimator is its stream's
 // 20-byte position plus at most 100 memoized losses, however long the
-// query has run and however often it was retuned. The layout (PAC3),
+// query has run and however often it was retuned. The layout (PAC4),
 // integers big-endian, strings u32-length-prefixed, each list in
 // ascending order of its first field:
 //
-//	"PAC3" | seed | malformed | duplicates | removed decoded | removed late
+//	"PAC4" | seed | malformed | duplicates | removed decoded | removed late
 //	       | unknown query | length mismatch | swept
 //	       | u32 queries, in registration order: analyst, serial, wire,
 //	         s, p, q, watermark, decoded, late, fired through,
-//	         u32 windows (start, end, n, u32 buckets, yes per bucket),
+//	         u32 panes (start, end, n, u32 buckets, yes per bucket),
 //	         estimator stream (string),
 //	         u32 memoized losses (u32 percent, f64 loss)
 //	       | u32 pending groups (MID, u8 age, u32 sources,
@@ -29,9 +29,15 @@ package aggregator
 //	       | u32 completed keys (MID, u8 age)
 //
 // Restore accepts exactly what Checkpoint writes, so a record it accepts
-// re-encodes to its own bytes (FuzzAggregatorRestore). A PAC2 record,
-// which carried an estimator replay log instead of the stream's
-// position, is refused like any other magic.
+// re-encodes to its own bytes (FuzzAggregatorRestore): every pane starts
+// on the query's pane grid and is one pane long. A PAC3 record, which
+// carried open windows instead of panes, is refused like any other
+// magic — a sliding window there is longer than a pane.
+//
+// Firing is frozen at the cut, and every fire runs at the watermark it
+// follows, so the record needs nothing more: the last fire's watermark
+// is the restored watermark, and a pane was summed exactly when its
+// first window ends at or below it.
 //
 // The caller owns the consistency cut: Checkpoint must not run
 // concurrently with SubmitShareBatch/AdvanceTo, and the record must be
@@ -47,14 +53,11 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"time"
 
-	"privapprox/internal/answer"
 	"privapprox/internal/budget"
 	"privapprox/internal/codec"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
-	"privapprox/internal/stream"
 	"privapprox/internal/xorcrypt"
 )
 
@@ -62,7 +65,7 @@ import (
 var ErrCheckpoint = errors.New("aggregator: bad checkpoint")
 
 // checkpointMagic opens every record; Restore rejects any other magic.
-var checkpointMagic = []byte("PAC3")
+var checkpointMagic = []byte("PAC4")
 
 // Checkpoint appends the aggregator's serialized state to dst and
 // returns the extended buffer. See the file comment for the
@@ -146,23 +149,19 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.dropped.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.firedThrough.Load()))
 
-	// Open windows, earliest first for a deterministic encoding. Firing
-	// is frozen by the checkpoint contract, so each window's counts are
+	// Open panes, earliest first for a deterministic encoding. Firing is
+	// frozen by the checkpoint contract, so each pane's counts are
 	// settled.
 	st.fireMu.Lock()
 	defer st.fireMu.Unlock()
-	st.winMu.RLock()
-	wins := slices.SortedFunc(maps.Values(st.windows), func(x, y *openWindow) int {
-		return x.window.Start.Compare(y.window.Start)
-	})
-	st.winMu.RUnlock()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(wins)))
-	for _, ow := range wins {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ow.window.Start.UnixNano()))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ow.window.End.UnixNano()))
-		ow.mu.Lock()
-		n, yes := ow.acc.N(), ow.acc.YesCounts()
-		ow.mu.Unlock()
+	panes := st.sortedPanes()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(panes)))
+	for _, p := range panes {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(p.start))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(p.start+st.assigner.Pane()))
+		p.mu.Lock()
+		n, yes := p.acc.N(), p.acc.YesCounts()
+		p.mu.Unlock()
 		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(yes)))
 		for _, y := range yes {
@@ -320,19 +319,20 @@ func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	st.cardsBelow.Store(int64(ft))
 
 	st.fireMu.Lock()
-	st.winMu.Lock()
-	clear(st.windows)
+	st.paneMu.Lock()
+	clear(st.panes)
+	st.paneMu.Unlock()
+	st.firedWM = st.watermark()
 	var err error
 	var last int64
 	for n := d.Count(28); n > 0 && err == nil; n-- {
 		start, end, count := int64(d.U64()), int64(d.U64()), int64(d.U64())
-		if len(st.windows) > 0 && start <= last {
-			d.Fail("windows of query %s out of order", want)
+		if len(st.panes) > 0 && start <= last || st.assigner.PaneOf(start) != start || end-start != st.assigner.Pane() {
+			d.Fail("pane [%d, %d) of query %s out of order, off the pane grid or not one pane long", start, end, want)
 		}
 		last = start
-		err = a.restoreWindow(st, start, end, count, d)
+		err = a.restorePane(st, start, count, d)
 	}
-	st.winMu.Unlock()
 	st.fireMu.Unlock()
 	if err != nil {
 		return err
@@ -356,9 +356,10 @@ func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	return d.Err()
 }
 
-// restoreWindow rebuilds one open window from its yes counts; the
-// caller holds fireMu and winMu.
-func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, d *codec.Reader) error {
+// restorePane rebuilds one open pane from its yes counts; the caller
+// holds fireMu. A pane every window of which is behind the watermark
+// would have left the registry at its last fire, so it is refused.
+func (a *Aggregator) restorePane(st *queryState, start, n int64, d *codec.Reader) error {
 	yes := make([]int, d.Count(8))
 	for i := range yes {
 		yes[i] = int(d.U64())
@@ -367,16 +368,14 @@ func (a *Aggregator) restoreWindow(st *queryState, startNano, endNano, n int64, 
 		return err
 	}
 	if len(yes) != st.nbuckets {
-		return fmt.Errorf("%w: window with %d buckets for query %s (%d)", ErrCheckpoint, len(yes), st.q.QID, st.nbuckets)
+		return fmt.Errorf("%w: pane with %d buckets for query %s (%d)", ErrCheckpoint, len(yes), st.q.QID, st.nbuckets)
 	}
-	acc, err := answer.NewAccumulator(st.nbuckets)
-	if err != nil {
-		return err
+	p := a.paneFor(st, start)
+	if p == nil {
+		return fmt.Errorf("%w: pane at %d of query %s is behind the watermark", ErrCheckpoint, start, st.q.QID)
 	}
-	if err := acc.AddCounts(yes, int(n)); err != nil {
+	if err := p.acc.AddCounts(yes, int(n)); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
 	}
-	w := stream.Window{Start: time.Unix(0, startNano), End: time.Unix(0, endNano)}
-	st.windows[startNano] = &openWindow{window: w, acc: acc}
 	return nil
 }

@@ -263,8 +263,10 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := fresh().Restore(append([]byte("PAC9"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("unknown-magic restore: %v", err)
 	}
-	if err := fresh().Restore(append([]byte("PAC2"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
-		t.Fatalf("PAC2 restore: %v", err)
+	for _, old := range []string{"PAC2", "PAC3"} {
+		if err := fresh().Restore(append([]byte(old), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("%s restore: %v", old, err)
+		}
 	}
 	if err := fresh().Restore(ckpt[:len(ckpt)-3]); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("truncated restore: %v", err)
@@ -404,11 +406,14 @@ func TestEmptySharePendingRestores(t *testing.T) {
 }
 
 // TestRestoreRefusesWhatCheckpointNeverWrites: a record that lists two
-// windows with one start, a key both pending and completed, windows or
+// panes with one start, a key both pending and completed, panes or
 // message IDs out of ascending order, or a join entry older than the
 // joiner's two generations is refused — restoring it would lose the
-// first window's counts or the parked shares, or index a third
-// generation.
+// first pane's counts or the parked shares, or index a third
+// generation. So is a PAC3 record, a pane off the query's pane grid or
+// not one pane long, which is what a PAC3 sliding window would be (its
+// answers would count in windows they never fell in), and a pane whose
+// every window is behind the watermark (it would never fire).
 func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 	const nbuckets = 4
 	cfg := testConfig(t, nbuckets, ckptParams, 10)
@@ -442,12 +447,23 @@ func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 		}
 	}
 
-	// The window list follows the magic, eight counters, the query count,
+	// The pane list follows the magic, eight counters, the query count,
 	// and the query's identity, parameters and four counters.
 	at := 4 + 8*8 + 4 + 4 + len(cfg.Query.QID.Analyst) + 8 + 8 + 3*8 + 4*8
 	const win = 3*8 + 4 + nbuckets*8
+	// moved is a pane entry with its start and end moved.
+	moved := func(entry []byte, dStart, dEnd time.Duration) []byte {
+		e := bytes.Clone(entry)
+		binary.BigEndian.PutUint64(e, binary.BigEndian.Uint64(e)+uint64(dStart))
+		binary.BigEndian.PutUint64(e[8:], binary.BigEndian.Uint64(e[8:])+uint64(dEnd))
+		return e
+	}
 	one := record(func(a *Aggregator, sp *xorcrypt.Splitter) { submitMessage(t, a, sp, qid, 0, 0, nbuckets) })
 	w := one[at+4 : at+4+win]
+	// late is one's record with the watermark an hour on: its pane's
+	// every window is behind it.
+	late := bytes.Clone(one)
+	binary.BigEndian.PutUint64(late[at-4*8:], uint64(testOrigin.Add(time.Hour).UnixNano()))
 	two := record(func(a *Aggregator, sp *xorcrypt.Splitter) {
 		submitMessage(t, a, sp, qid, 0, 0, nbuckets)
 		submitMessage(t, a, sp, qid, 1, 1, nbuckets)
@@ -490,8 +506,12 @@ func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 	k0, k1 := done2[len(done2)-2*key:len(done2)-key], done2[len(done2)-key:]
 
 	for name, rec := range map[string][]byte{
-		"two windows with one start":   join(one[:at], u32(2), w, w, one[at+4+win:]),
-		"windows out of order":         join(two[:at], u32(2), w1, w0, two[at+4+2*win:]),
+		"two panes with one start":     join(one[:at], u32(2), w, w, one[at+4+win:]),
+		"panes out of order":           join(two[:at], u32(2), w1, w0, two[at+4+2*win:]),
+		"a PAC3 record":                join([]byte("PAC3"), one[4:]),
+		"a pane off the pane grid":     join(one[:at+4], moved(w, time.Second, time.Second), one[at+4+win:]),
+		"a pane longer than a pane":    join(one[:at+4], moved(w, 0, cfg.Query.Window), one[at+4+win:]),
+		"a pane behind the watermark":  late,
 		"memoized losses out of order": join(fired[:memo+4], m1, m0, fired[memo+28:]),
 		"a key pending and completed":  join(pend[:len(pend)-4], u32(1), g[:key]),
 		"pending groups out of order":  join(pend2[:len(pend2)-4-2*group], g1, g0, u32(0)),

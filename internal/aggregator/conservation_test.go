@@ -119,10 +119,10 @@ func TestWindowAccumulatorRace(t *testing.T) {
 }
 
 // TestRemoveQueryWaitsForSubmitsInFlight: a submit resolves its query
-// under genMu held shared and folds its answers into that query's
-// windows later. RemoveQuery must not flush before such a submit is
-// done, or the window it goes on to create is never fired and its
-// answers are lost without a counter.
+// under genMu held shared and folds its answers into that query's pane
+// later. RemoveQuery must not flush before such a submit is done, or
+// the pane it goes on to open is never summed and its answers are lost
+// without a counter.
 func TestRemoveQueryWaitsForSubmitsInFlight(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := testConfig(t, 4, params, 10)
@@ -152,19 +152,18 @@ func TestRemoveQueryWaitsForSubmitsInFlight(t *testing.T) {
 	}
 
 	// The in-flight submit finishes its segment: one answer decoded and
-	// folded into a window of the query it resolved.
+	// folded into a pane of the query it resolved.
 	vec, err := answer.OneHot(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.decoded.Add(1)
-	w := st.assigner.AppendWindowsFor(nil, testOrigin)[0]
-	ow := a.openWindowFor(st, w)
-	if ow == nil {
-		t.Fatal("window refused")
+	p := a.paneFor(st, st.assigner.PaneOf(testOrigin.UnixNano()))
+	if p == nil {
+		t.Fatal("pane refused")
 	}
-	if _, err := ow.add(vec.Bytes(), len(vec.Bytes()), 4, 1); err != nil {
-		t.Fatal(err)
+	if late, err := p.add(vec.Bytes(), len(vec.Bytes()), 4, 1); late || err != nil {
+		t.Fatalf("the fold was refused (late %v, err %v)", late, err)
 	}
 	a.genMu.RUnlock()
 
@@ -235,32 +234,65 @@ func TestRemoveQueryConservesRacingAnswers(t *testing.T) {
 	}
 }
 
-// TestFoldAfterFireIsRefused pins the close half of the window lock: a
-// segment that looked its window up before the fire and folds after it
-// is refused, the fired counts do not move, and a later lookup cannot
-// open the window again.
+// TestFoldAfterFireIsRefused pins the close half of the pane lock: a
+// segment that looked its pane up before the fire and folds after it
+// is refused — counted late — the fired result does not move, and a
+// later lookup cannot open a pane whose every window has fired. On a
+// sliding query, the same late fold still lands for the windows that
+// have not fired.
 func TestFoldAfterFireIsRefused(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
-	a, err := New(testConfig(t, 4, params, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, _ := xorcrypt.NewSplitter(2, nil, nil)
-	st := a.states.Load().single
-	submitMessage(t, a, sp, st.qidWire, 0, 1, 4)
-	ow := a.openWindowFor(st, st.assigner.AppendWindowsFor(nil, testOrigin)[0])
-	res, err := a.AdvanceTo(testOrigin.Add(time.Hour))
-	if err != nil || len(res) != 1 || res[0].Responses != 1 {
-		t.Fatalf("AdvanceTo fired %+v, %v", res, err)
-	}
 	vec, _ := answer.OneHot(4, 2)
-	if added, err := ow.add(vec.Bytes(), 1, 4, 1); added || err != nil {
-		t.Fatalf("a fold into a fired window was accepted (err %v)", err)
-	}
-	if ow.acc.N() != 1 || ow.acc.Yes(2) != 0 {
-		t.Fatalf("the fired window's counts moved: n=%d", ow.acc.N())
-	}
-	if a.openWindowFor(st, ow.window) != nil {
-		t.Fatal("a fired window was opened again")
-	}
+	t.Run("tumbling", func(t *testing.T) {
+		a, err := New(testConfig(t, 4, params, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, _ := xorcrypt.NewSplitter(2, nil, nil)
+		st := a.states.Load().single
+		submitMessage(t, a, sp, st.qidWire, 0, 1, 4)
+		start := st.assigner.PaneOf(testOrigin.UnixNano())
+		p := a.paneFor(st, start)
+		res, err := a.AdvanceTo(testOrigin.Add(time.Hour))
+		if err != nil || len(res) != 1 || res[0].Responses != 1 {
+			t.Fatalf("AdvanceTo fired %+v, %v", res, err)
+		}
+		if late, err := p.add(vec.Bytes(), 1, 4, 1); !late || err != nil {
+			t.Fatalf("a fold into a fired pane was accepted (err %v)", err)
+		}
+		if res[0].Responses != 1 || res[0].Buckets[2].ObservedYes != 0 {
+			t.Fatalf("the fired result moved: %+v", res[0])
+		}
+		if a.paneFor(st, start) != nil {
+			t.Fatal("a pane whose every window fired was opened again")
+		}
+	})
+	t.Run("sliding", func(t *testing.T) {
+		cfg := testConfig(t, 4, params, 10)
+		cfg.Query.Window = 2 * cfg.Query.Slide
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, _ := xorcrypt.NewSplitter(2, nil, nil)
+		st := a.states.Load().single
+		submitMessage(t, a, sp, st.qidWire, 0, 1, 4)
+		p := a.paneFor(st, st.assigner.PaneOf(testOrigin.UnixNano()))
+		// The watermark reaches the pane's end: of its two windows, the
+		// one ending there fires.
+		res, err := a.AdvanceTo(testOrigin.Add(2 * cfg.Query.Slide))
+		if err != nil || len(res) != 1 || res[0].Responses != 1 || !res[0].Window.End.Equal(testOrigin.Add(cfg.Query.Slide)) {
+			t.Fatalf("AdvanceTo fired %+v, %v", res, err)
+		}
+		if late, err := p.add(vec.Bytes(), 1, 4, 1); !late || err != nil {
+			t.Fatalf("a fold after the pane's first window fired was not late (err %v)", err)
+		}
+		res2, err := a.Flush()
+		if err != nil || len(res2) != 1 || res2[0].Responses != 2 || res2[0].Buckets[2].ObservedYes != 1 {
+			t.Fatalf("Flush fired %+v, %v; want the second window with both answers", res2, err)
+		}
+		if res[0].Responses != 1 || res[0].Buckets[2].ObservedYes != 0 {
+			t.Fatalf("the fired result moved: %+v", res[0])
+		}
+	})
 }

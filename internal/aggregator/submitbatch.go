@@ -13,11 +13,11 @@ import (
 )
 
 // SubmitShareBatch is the aggregator's one submit tail: join → decrypt
-// → decode → demux → window. It consumes a polled batch in two phases —
+// → decode → demux → pane. It consumes a polled batch in two phases —
 // a record-order join pass that gathers completed groups into
 // contiguous per-source lanes, and a tail that XOR-joins each lane
 // region in one pass, decodes the packed slots, and folds consecutive
-// same-(query, epoch) slots into their windows with one window lock
+// same-(query, epoch) slots into their pane with one pane lock
 // acquisition per segment.
 //
 // Chunking contract: for a fixed share sequence, how it is cut into
@@ -28,8 +28,8 @@ import (
 // B's per-segment batching is safe because all slots of a segment share
 // one event time: a late verdict at the segment head holds for every
 // slot (the watermark only advances on observe, which runs after the
-// segment), a window that would refuse the first slot refuses all of
-// them, and per-bucket counts are integer sums, so one fold of count
+// segment), a pane that would count the first slot late counts all of
+// them late, and per-bucket counts are integer sums, so one fold of count
 // slots equals count one-slot folds. Observing once per segment instead
 // of once per slot is also equivalent — re-observing an already-observed
 // event time never advances the watermark, so only the first
@@ -50,8 +50,8 @@ type batchRun struct {
 
 // submitScratch is the reusable working set of one SubmitShareBatch
 // call: per-source completion lanes, run metadata, the joined-plaintext
-// buffer, and the decode and window-assignment scratch. Pooled so
-// concurrent drain goroutines never share one.
+// buffer, and the decode scratch. Pooled so concurrent drain goroutines
+// never share one.
 type submitScratch struct {
 	lanes [][]byte
 	views [][]byte
@@ -59,7 +59,6 @@ type submitScratch struct {
 	plain []byte
 	vec   answer.BitVector
 	msg   answer.Message
-	wins  []stream.Window
 
 	// The batch's share indexes grouped by join shard, each shard's in
 	// record order: shard s's are byShard[ends[s-1]:ends[s]] (from 0 for
@@ -136,8 +135,8 @@ func putScratch(sc *submitScratch) {
 
 // SubmitShareBatch folds in a batch of shares from proxy stream source
 // (0 ≤ source < Proxies). When a share completes a message, the message
-// is decrypted, decoded, demultiplexed to its query, and assigned to
-// that query's windows; windows closed by the advancing watermark are
+// is decrypted, decoded, demultiplexed to its query, and folded into
+// that query's pane; windows closed by the advancing watermark are
 // returned as results, in fire order. Duplicates and malformed messages
 // are counted. Every share payload is borrowed for the call only — a
 // polled batch's fetch buffer is free once the batch is submitted. An
@@ -268,7 +267,7 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 				st, epoch, good = qs, sc.msg.Epoch, true
 			}
 			if segStart >= 0 && (!good || st != segState || epoch != segEpoch) {
-				out, err = a.ingestSegment(sc, segState, segEpoch, plain, segStart, k, run.size, out)
+				out, err = a.ingestSegment(segState, segEpoch, plain, segStart, k, run.size, out)
 				if err != nil {
 					a.foldDemuxDrops(unknown, badlen)
 					return out, err
@@ -281,7 +280,7 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 		}
 		if segStart >= 0 {
 			var err error
-			out, err = a.ingestSegment(sc, segState, segEpoch, plain, segStart, run.count, run.size, out)
+			out, err = a.ingestSegment(segState, segEpoch, plain, segStart, run.count, run.size, out)
 			if err != nil {
 				a.foldDemuxDrops(unknown, badlen)
 				return out, err
@@ -306,14 +305,14 @@ func (a *Aggregator) foldDemuxDrops(unknown, badlen int64) {
 	js.mu.Unlock()
 }
 
-// ingestSegment assigns slots [start, end) of a packed plaintext run —
-// all decoded, all of one query and epoch — to the query's windows with
-// one fold per window, then advances the watermark once; results fired
-// by the advance are appended to out. Only an observation that actually
-// moves the watermark takes the fire path — within an epoch all event
-// times of one query are equal, so concurrent drains fold without ever
-// touching fireMu.
-func (a *Aggregator) ingestSegment(sc *submitScratch, st *queryState, epoch uint64, plain []byte, start, end, size int, out []Result) ([]Result, error) {
+// ingestSegment folds slots [start, end) of a packed plaintext run —
+// all decoded, all of one query and epoch — into the query's pane for
+// that epoch with one fold, then advances the watermark once; results
+// fired by the advance are appended to out. Only an observation that
+// actually moves the watermark takes the fire path — within an epoch
+// all event times of one query are equal, so concurrent drains fold
+// without ever touching fireMu.
+func (a *Aggregator) ingestSegment(st *queryState, epoch uint64, plain []byte, start, end, size int, out []Result) ([]Result, error) {
 	count := end - start
 	st.decoded.Add(int64(count))
 	eventTime := a.cfg.Origin.Add(time.Duration(epoch) * st.q.Frequency)
@@ -332,28 +331,17 @@ func (a *Aggregator) ingestSegment(sc *submitScratch, st *queryState, epoch uint
 		return out, nil
 	}
 
-	refused := false
-	sc.wins = st.assigner.AppendWindowsFor(sc.wins[:0], eventTime)
-	lane := plain[start*size+answer.HeaderLen:]
-	for _, w := range sc.wins {
-		// A window that fired while the segment raced to it (nil here, or
-		// closed under its lock) refuses the segment: late there.
-		ow := a.openWindowFor(st, w)
-		if ow == nil {
-			refused = true
-			continue
-		}
-		added, err := ow.add(lane, size, st.nbuckets, count)
-		if err != nil {
+	// A pane whose windows fired while the segment raced to it (nil here,
+	// or summed under its lock) counts the segment late: once per answer,
+	// however many of the pane's windows it missed.
+	late := true
+	if p := a.paneFor(st, st.assigner.PaneOf(eventTime.UnixNano())); p != nil {
+		var err error
+		if late, err = p.add(plain[start*size+answer.HeaderLen:], size, st.nbuckets, count); err != nil {
 			return out, err
 		}
-		refused = refused || !added
 	}
-	if refused {
-		// Count per answer, not per window: a segment racing a fire may be
-		// refused by several of its sliding windows (and in rare
-		// interleavings still land in others), but each answer is one
-		// discarded answer.
+	if late {
 		st.dropped.Add(int64(count))
 	}
 

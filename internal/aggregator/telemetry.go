@@ -23,12 +23,13 @@ func (a *Aggregator) SetCardSink(rec *lineage.Recorder) {
 }
 
 // AppendSamples implements telemetry.Source: the Stats() counters, the
-// shard-tail depth gauges, and per-query series labeled query="..."
-// (decoded and late counts, the live shed threshold, and the event-time
-// watermark). Stats() remains the compat snapshot over the same
+// join and window depth gauges, and per-query series labeled
+// query="..." (decoded and late counts, the live shed threshold, open
+// panes, and the event-time watermark). Stats() remains the compat snapshot over the same
 // numbers.
 func (a *Aggregator) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 	s := a.Stats()
+	pending, completed := a.joinCounts()
 	dst = append(dst,
 		telemetry.Sample{Name: "privapprox_agg_decoded_total", Value: float64(s.Decoded), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_malformed_total", Value: float64(s.Malformed), Kind: telemetry.KindCounter},
@@ -38,14 +39,19 @@ func (a *Aggregator) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 		telemetry.Sample{Name: "privapprox_agg_unknown_query_total", Value: float64(s.UnknownQuery), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_length_mismatch_total", Value: float64(s.LengthMismatch), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_queries", Value: float64(s.Queries), Kind: telemetry.KindGauge},
-		telemetry.Sample{Name: "privapprox_agg_pending_joins", Value: float64(a.PendingJoins()), Kind: telemetry.KindGauge},
+		telemetry.Sample{Name: "privapprox_agg_pending_joins", Value: float64(pending), Kind: telemetry.KindGauge},
 		telemetry.Sample{Name: "privapprox_agg_open_windows", Value: float64(a.OpenWindows()), Kind: telemetry.KindGauge},
+		telemetry.Sample{Name: "privapprox_agg_completed_joins", Value: float64(completed), Kind: telemetry.KindGauge},
 	)
 	for _, st := range a.states.Load().ordered {
+		st.paneMu.RLock()
+		panes := len(st.panes)
+		st.paneMu.RUnlock()
 		dst = append(dst,
 			telemetry.Sample{Name: "privapprox_query_decoded_total", LabelKey: "query", LabelValue: st.qname, Value: float64(st.decoded.Load()), Kind: telemetry.KindCounter},
 			telemetry.Sample{Name: "privapprox_query_late_total", LabelKey: "query", LabelValue: st.qname, Value: float64(st.dropped.Load()), Kind: telemetry.KindCounter},
 			telemetry.Sample{Name: "privapprox_query_shed_threshold", LabelKey: "query", LabelValue: st.qname, Value: st.loadShed(), Kind: telemetry.KindGauge},
+			telemetry.Sample{Name: "privapprox_query_open_panes", LabelKey: "query", LabelValue: st.qname, Value: float64(panes), Kind: telemetry.KindGauge},
 		)
 		if wm := st.wmMax.Load(); wm != wmUnseen {
 			dst = append(dst, telemetry.Sample{Name: "privapprox_query_watermark_ns", LabelKey: "query", LabelValue: st.qname, Value: float64(wm), Kind: telemetry.KindGauge})

@@ -178,7 +178,6 @@ func (a *Accumulator) AddBatch(lane []byte, stride, nbits, count int) error {
 		}
 	}
 	a.n += count
-	accumulatedBatchVectors.Add(int64(count))
 	return nil
 }
 
@@ -196,6 +195,24 @@ func (a *Accumulator) YesCounts() []int {
 	out := make([]int, len(a.yes))
 	copy(out, a.yes)
 	return out
+}
+
+// Merge folds another accumulator's counts in: the answers of both.
+func (a *Accumulator) Merge(b *Accumulator) error {
+	if len(b.yes) != len(a.yes) {
+		return fmt.Errorf("%w: %d buckets into %d", ErrSize, len(b.yes), len(a.yes))
+	}
+	for i, y := range b.yes {
+		a.yes[i] += y
+	}
+	a.n += b.n
+	return nil
+}
+
+// Reset empties the accumulator, keeping its buckets.
+func (a *Accumulator) Reset() {
+	clear(a.yes)
+	a.n = 0
 }
 
 // AddCounts folds raw per-bucket counts and a response total in — the

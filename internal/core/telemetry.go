@@ -3,7 +3,6 @@ package core
 import (
 	"strconv"
 
-	"privapprox/internal/answer"
 	"privapprox/internal/client"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/rr"
@@ -94,5 +93,4 @@ func (s *System) initTelemetry() {
 	// Kernel-plane counters (batch-granular, process-global).
 	s.tel.RegisterSource(telemetry.SourceFunc(xorcrypt.Metrics))
 	s.tel.RegisterSource(telemetry.SourceFunc(rr.Metrics))
-	s.tel.RegisterSource(telemetry.SourceFunc(answer.Metrics))
 }

@@ -43,7 +43,7 @@ func sampleRecord() *record {
 				Population: 40,
 			},
 		},
-		state: []byte("PAC3 aggregator state"),
+		state: []byte("PAC4 aggregator state"),
 	}
 }
 

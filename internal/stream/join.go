@@ -229,6 +229,13 @@ func (j *KeyedShareJoiner[K]) getGroup() *Joined[K] {
 // PendingCount returns the number of incomplete groups.
 func (j *KeyedShareJoiner[K]) PendingCount() int { return j.pending[0] + j.pending[1] }
 
+// CompletedCount returns the number of completed keys remembered to
+// refuse their replays: every entry of a generation that is not a
+// pending group.
+func (j *KeyedShareJoiner[K]) CompletedCount() int {
+	return len(j.gens[0]) + len(j.gens[1]) - j.PendingCount()
+}
+
 // PendingGroups invokes fn for every incomplete group with its per-source
 // payloads (nil where a source has not contributed) and its age in
 // rotations (0 or 1) — the export half of a checkpoint. The payload

@@ -110,9 +110,9 @@ func addOp(key, source, n byte) []byte { return joinOp("add", key+5*source, n) }
 // FuzzShareJoiner drives KeyedShareJoiner with random Add (five keys),
 // Recycle, Rotate and checkpoint restores against joinModel. Every step
 // must agree with the model on the group or error class returned, the
-// pending count, the expiry count, and the pending groups and completed
-// keys with their ages; a group the test holds keeps its key and
-// payloads until it is recycled.
+// pending and completed counts, the expiry count, and the pending
+// groups and completed keys with their ages; a group the test holds
+// keeps its key and payloads until it is recycled.
 func FuzzShareJoiner(f *testing.F) {
 	seed := func(expect byte, ops ...[]byte) []byte {
 		return bytes.Join(append([][]byte{{expect}}, ops...), nil)
@@ -197,16 +197,21 @@ func FuzzShareJoiner(f *testing.F) {
 				}
 				j, groups = fresh, nil
 			}
-			pending := 0
+			pending, completed := 0, 0
 			for _, gen := range m.gens {
 				for _, k := range gen {
-					if !k.done {
+					if k.done {
+						completed++
+					} else {
 						pending++
 					}
 				}
 			}
 			if got := j.PendingCount(); got != pending {
 				t.Fatalf("step %d: %d pending, model %d", i, got, pending)
+			}
+			if got := j.CompletedCount(); got != completed {
+				t.Fatalf("step %d: %d completed, model %d", i, got, completed)
 			}
 			if got, want := describeJoiner(j), describeModel(m); !maps.Equal(got, want) {
 				t.Fatalf("step %d: the joiner remembers\n%v\nthe model\n%v", i, got, want)

@@ -7,14 +7,25 @@ import (
 	"time"
 )
 
+// windowsFor lists every window containing t, earliest first: the
+// windows that cover t's pane.
+func windowsFor(a *SlidingAssigner, t time.Time) []Window {
+	var ws []Window
+	first, last := a.Covering(a.PaneOf(t.UnixNano()))
+	for s := first; s <= last; s += a.slide {
+		ws = append(ws, Window{Start: time.Unix(0, s), End: time.Unix(0, s+a.size)})
+	}
+	return ws
+}
+
 func TestSlidingAssignerValidation(t *testing.T) {
-	if _, err := NewSlidingAssigner(0, time.Second); err == nil {
+	if _, err := NewSlidingAssigner(0, time.Second, time.Time{}); err == nil {
 		t.Error("expected error for zero size")
 	}
-	if _, err := NewSlidingAssigner(time.Second, 0); err == nil {
+	if _, err := NewSlidingAssigner(time.Second, 0, time.Time{}); err == nil {
 		t.Error("expected error for zero slide")
 	}
-	if _, err := NewSlidingAssigner(time.Second, 2*time.Second); err == nil {
+	if _, err := NewSlidingAssigner(time.Second, 2*time.Second, time.Time{}); err == nil {
 		t.Error("expected error for slide > size")
 	}
 }
@@ -22,12 +33,12 @@ func TestSlidingAssignerValidation(t *testing.T) {
 func TestSlidingAssignerPaperGeometry(t *testing.T) {
 	// The paper's example: 10-minute window sliding every minute — every
 	// event belongs to exactly 10 windows.
-	a, err := NewSlidingAssigner(10*time.Minute, time.Minute)
+	a, err := NewSlidingAssigner(10*time.Minute, time.Minute, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	at := time.Unix(3600, 0)
-	ws := a.AppendWindowsFor(nil, at)
+	ws := windowsFor(a, at)
 	if len(ws) != 10 {
 		t.Fatalf("got %d windows, want 10", len(ws))
 	}
@@ -45,11 +56,11 @@ func TestSlidingAssignerPaperGeometry(t *testing.T) {
 }
 
 func TestTumblingDegenerate(t *testing.T) {
-	a, err := NewSlidingAssigner(time.Minute, time.Minute)
+	a, err := NewSlidingAssigner(time.Minute, time.Minute, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := a.AppendWindowsFor(nil, time.Unix(90, 0))
+	ws := windowsFor(a, time.Unix(90, 0))
 	if len(ws) != 1 {
 		t.Fatalf("tumbling got %d windows", len(ws))
 	}
@@ -65,12 +76,12 @@ func TestSlidingAssignerProperty(t *testing.T) {
 		slide := time.Duration(int64(slideRaw%20)+1) * time.Second
 		k := int64(sizeRaw%10) + 1
 		size := time.Duration(k) * slide
-		a, err := NewSlidingAssigner(size, slide)
+		a, err := NewSlidingAssigner(size, slide, time.Time{})
 		if err != nil {
 			return false
 		}
 		at := time.Unix(tsRaw%100000, 0)
-		ws := a.AppendWindowsFor(nil, at)
+		ws := windowsFor(a, at)
 		if int64(len(ws)) != k {
 			return false
 		}
@@ -86,16 +97,54 @@ func TestSlidingAssignerProperty(t *testing.T) {
 	}
 }
 
+// Property: for any geometry — the slide need not divide the size — and
+// any origin, the windows covering an instant's pane are exactly the
+// slide-grid windows containing that instant, and the pane lies inside
+// each of them.
+func TestPanesCoverTheWindowsOfTheirInstants(t *testing.T) {
+	f := func(tsRaw, originRaw int64, sizeRaw, slideRaw uint8) bool {
+		slide := time.Duration(int64(slideRaw%12)+1) * 250 * time.Millisecond
+		size := slide + time.Duration(sizeRaw%40)*250*time.Millisecond
+		origin := time.Unix(0, originRaw%int64(time.Hour))
+		a, err := NewSlidingAssigner(size, slide, origin)
+		if err != nil {
+			return false
+		}
+		at := origin.Add(time.Duration(tsRaw % int64(time.Hour)))
+		var want []Window
+		for s := origin.Add(-(2*time.Hour/slide + 1) * slide); !s.After(at); s = s.Add(slide) {
+			if w := (Window{Start: s, End: s.Add(size)}); w.Contains(at) {
+				want = append(want, w)
+			}
+		}
+		got := windowsFor(a, at)
+		p := a.PaneOf(at.UnixNano())
+		if len(got) != len(want) || p > at.UnixNano() || at.UnixNano() >= p+a.Pane() {
+			return false
+		}
+		for i, w := range got {
+			if !w.Start.Equal(want[i].Start) || !w.End.Equal(want[i].End) ||
+				w.Start.UnixNano() > p || w.End.UnixNano() < p+a.Pane() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestOriginAlignedWindows(t *testing.T) {
 	origin := time.Unix(1_700_000_000, 0) // not a multiple of 3s
-	a, err := NewSlidingAssignerAt(3*time.Second, 3*time.Second, origin)
+	a, err := NewSlidingAssigner(3*time.Second, 3*time.Second, origin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Epochs 0, 1, 2 (origin + 0s, 1s, 2s) must share one window that
 	// starts exactly at the origin.
 	for e := 0; e < 3; e++ {
-		ws := a.AppendWindowsFor(nil, origin.Add(time.Duration(e)*time.Second))
+		ws := windowsFor(a, origin.Add(time.Duration(e)*time.Second))
 		if len(ws) != 1 {
 			t.Fatalf("epoch %d: %d windows", e, len(ws))
 		}
@@ -104,7 +153,7 @@ func TestOriginAlignedWindows(t *testing.T) {
 		}
 	}
 	// Epoch 3 starts the next window.
-	ws := a.AppendWindowsFor(nil, origin.Add(3*time.Second))
+	ws := windowsFor(a, origin.Add(3*time.Second))
 	if !ws[0].Start.Equal(origin.Add(3 * time.Second)) {
 		t.Errorf("epoch 3 window starts %v", ws[0].Start)
 	}
