@@ -17,8 +17,10 @@ fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 
+# The bench module too: it compiles against the product API.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # One door for seeded streams: outside tests, the packages on the answer
 # and estimate paths get a seeded *rand.Rand only from seeded.New
@@ -177,13 +179,17 @@ bench-smoke:
 # accepted re-encoding to the same bytes), any request frame through the
 # TCP server (no panic, every error reply a known sentinel, a huge
 # partition count refused before it sizes anything), the control-plane
-# query-set announcement, the WAL frame format (frames covering n > 1
+# query-set announcement (the decoded set owning copies of every field),
+# the WAL frame format (frames covering n > 1
 # LSNs, a replay from inside one), the one checkpoint record (consumer
 # positions, system section, fired results, aggregator state), the
 # aggregator state inside it (no panic, its prefixes refused, whatever it
 # accepts re-encoding to the same bytes: panes, estimator stream and
 # memoized losses, pending joins with an empty share, completed keys),
-# the SLO controller's checkpoint state and the lineage stamp.
+# the SLO controller's checkpoint state, the lineage stamp, and the
+# result-card log (the longest prefix of newline-terminated cards kept,
+# an unterminated or undecodable tail truncated, the suppression
+# watermark that prefix's, a reopen changing nothing).
 FUZZ_DECODERS = \
 	./internal/pubsub:FuzzFrameV2RoundTrip \
 	./internal/pubsub:FuzzFetchResponse \
@@ -196,7 +202,8 @@ FUZZ_DECODERS = \
 	./internal/role:FuzzCheckpointRecord \
 	./internal/aggregator:FuzzAggregatorRestore \
 	./internal/budget:FuzzSLOControllerRestore \
-	./internal/telemetry/lineage:FuzzStamp
+	./internal/telemetry/lineage:FuzzStamp \
+	./internal/telemetry/lineage:FuzzCardLog
 FUZZTIME ?= 3s
 
 # The time-boxed decoder pass in `make ci`: FUZZTIME per target, after

@@ -623,7 +623,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 	now := time.Unix(10, 0)
 	var shares []xorcrypt.Share
 	// submit decodes one polled batch of records and hands it to the
-	// aggregator: the record path a caller of Poll or Fetch takes.
+	// aggregator: the record path a caller of Poll takes.
 	submit := func(agg *aggregator.Aggregator, recs []pubsub.Record, src int) {
 		shares = shares[:0]
 		for _, rec := range recs {
@@ -632,6 +632,20 @@ func TestSharePlaneAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			shares = append(shares, share)
+		}
+		if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// submitRuns hands the shares of one fetch's runs to the aggregator:
+	// the drain's own path (proxy.AppendShares).
+	submitRuns := func(agg *aggregator.Aggregator, runs []pubsub.Run, src int) {
+		shares = shares[:0]
+		for _, r := range runs {
+			var skipped int
+			if shares, skipped = proxy.AppendShares(shares, r); skipped > 0 {
+				t.Fatalf("%d records without a share", skipped)
+			}
 		}
 		if _, err := agg.SubmitShareBatch(shares, src, now); err != nil {
 			t.Fatal(err)
@@ -738,16 +752,19 @@ func TestSharePlaneAllocs(t *testing.T) {
 		}
 		var scratch xorcrypt.SplitScratch
 		var next [2][partitions]int64
-		measure(t, "split → Batcher → PublishColumns → Serve → Client.Fetch → SubmitShareBatch", 1.0, agg, func() {
+		var runs []pubsub.Run
+		measure(t, "split → Batcher → PublishColumns → Serve → Client.FetchWait → AppendShares → SubmitShareBatch", 1.0, agg, func() {
 			answerEpoch(t, batchers, &scratch)
 			for src, cli := range clients {
 				for p := 0; p < partitions; p++ {
-					recs, err := cli.Fetch(proxy.TopicFor(src), p, next[src][p], 4096, 0)
-					if err != nil {
+					var err error
+					if runs, _, err = cli.FetchWait(proxy.TopicFor(src), p, next[src][p], 4096, 0, runs[:0], nil); err != nil {
 						t.Fatal(err)
 					}
-					next[src][p] += int64(len(recs))
-					submit(agg, recs, src)
+					for _, r := range runs {
+						next[src][p] += int64(r.Count)
+					}
+					submitRuns(agg, runs, src)
 				}
 			}
 		})

@@ -308,12 +308,13 @@ func BenchmarkFig5bProxyThroughput(b *testing.B) {
 			}
 			payload := make([]byte, answer.EncodedLen(bits))
 			key := make([]byte, 16)
+			msg := pubsub.Columns{Count: 1, KeyLen: len(key), ValLen: len(payload), Keys: key, Vals: payload}
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				key[0], key[1], key[2] = byte(i), byte(i>>8), byte(i>>16)
-				if _, _, err := broker.Publish("answer", key, payload); err != nil {
+				if err := broker.PublishColumns("answer", msg, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -505,7 +506,7 @@ func BenchmarkMultiQuery(b *testing.B) {
 
 // BenchmarkTCPPipeline measures client → TCP proxy share throughput
 // over the batched, pipelined transport on loopback. batch=1,conns=1
-// is the old one-share-per-round-trip protocol; batch ≥ 256 should beat
+// publishes one share per round-trip (a batch of one); batch ≥ 256 should beat
 // it by ≥ 5× (one frame amortizes hundreds of shares), mirroring the
 // netbench experiment in cmd/experiments.
 func BenchmarkTCPPipeline(b *testing.B) {
@@ -534,12 +535,6 @@ func BenchmarkTCPPipeline(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					key[0], key[1], key[2], key[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-					if batch <= 1 {
-						if _, _, err := cli.Publish("answer", key, payload); err != nil {
-							b.Fatal(err)
-						}
-						continue
-					}
 					cols.Keys = append(cols.Keys, key...)
 					cols.Vals = append(cols.Vals, payload...)
 					cols.Count++

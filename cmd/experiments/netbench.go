@@ -11,8 +11,8 @@ import (
 
 // runNetbench measures the networked transport on loopback: client →
 // TCP proxy share throughput swept over publish batch size × connection
-// pool size. batch=1,conns=1 is the old one-share-per-round-trip
-// protocol; the batched rows show the amortization the paper's Fig. 9
+// pool size. batch=1,conns=1 publishes one share per round-trip (a
+// batch of one); the batched rows show the amortization the paper's Fig. 9
 // scalability depends on (one frame per epoch per proxy instead of one
 // per share).
 func runNetbench(fast bool) error {
@@ -71,15 +71,6 @@ func netbenchRun(total, batch, conns int) (float64, error) {
 				binary.BigEndian.PutUint64(k, uint64(pr))
 				binary.BigEndian.PutUint64(k[8:], uint64(i))
 				return k
-			}
-			if batch <= 1 {
-				for i := 0; i < per; i++ {
-					if _, _, err := cli.Publish("answer", key(i), payload); err != nil {
-						errs <- err
-						return
-					}
-				}
-				return
 			}
 			cols := pubsub.Columns{KeyLen: 16, ValLen: len(payload)}
 			for i := 0; i < per; i++ {

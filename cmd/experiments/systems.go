@@ -270,26 +270,30 @@ func runFig5b(fast bool) error {
 		}
 		payload := make([]byte, answer.EncodedLen(bits))
 		key := make([]byte, 16)
+		// One response per publish: a batch of one.
+		msg := pubsub.Columns{Count: 1, KeyLen: len(key), ValLen: len(payload), Keys: key, Vals: payload}
 		start := time.Now()
 		for i := 0; i < msgs; i++ {
 			key[0], key[1], key[2] = byte(i), byte(i>>8), byte(i>>16)
-			if _, _, err := broker.Publish("answer", key, payload); err != nil {
+			if err := broker.PublishColumns("answer", msg, 0, 0); err != nil {
 				return err
 			}
 		}
+		consumer, err := pubsub.NewConsumer(broker, "fig5b", "answer")
+		if err != nil {
+			return err
+		}
 		consumed := 0
-		for p := 0; p < 3; p++ {
-			off := int64(0)
-			for {
-				recs, err := broker.Fetch("answer", p, off, 8192)
-				if err != nil {
-					return err
-				}
-				if len(recs) == 0 {
-					break
-				}
-				off += int64(len(recs))
-				consumed += len(recs)
+		for {
+			runs, err := consumer.PollRuns(8192, 0)
+			if err != nil {
+				return err
+			}
+			if len(runs) == 0 {
+				break
+			}
+			for _, r := range runs {
+				consumed += r.Count
 			}
 		}
 		elapsed := time.Since(start)
@@ -423,9 +427,10 @@ func measureProxyRate(msgs, bits, workers int) (float64, error) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			key := make([]byte, 16)
+			msg := pubsub.Columns{Count: 1, KeyLen: len(key), ValLen: len(payload), Keys: key, Vals: payload}
 			for i := 0; i < per; i++ {
 				key[0], key[1], key[2] = byte(w), byte(i), byte(i>>8)
-				if _, _, err := broker.Publish("answer", key, payload); err != nil {
+				if err := broker.PublishColumns("answer", msg, 0, 0); err != nil {
 					errc <- err
 					return
 				}

@@ -122,7 +122,7 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 			if end, err := cli.EndOffset(proxy.TopicFor(i), part); err != nil || end == 0 {
 				continue
 			}
-			if _, err := cli.Fetch(proxy.TopicFor(i), part, 0, 1, 0); !errors.Is(err, pubsub.ErrBadOffset) {
+			if _, _, err := cli.FetchWait(proxy.TopicFor(i), part, 0, 1, 0, nil, nil); !errors.Is(err, pubsub.ErrBadOffset) {
 				t.Errorf("proxy %d partition %d still serves offset 0 after the aggregator's commits: %v", i, part, err)
 			}
 		}

@@ -548,13 +548,15 @@ func readQuerySet(fleet *proxy.Fleet, group string, minQueries int, wait time.Du
 	var newest *engine.QuerySet
 	deadline := time.Now().Add(wait)
 	for {
-		recs, err := cc.PollWait(256, 50*time.Millisecond)
+		runs, err := cc.PollRuns(256, 50*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
-		for _, rec := range recs {
-			if qs, err := engine.DecodeQuerySet(rec.Value); err == nil && (newest == nil || qs.Version > newest.Version) {
-				newest = qs
+		for _, r := range runs {
+			for i := range r.Count {
+				if qs, err := engine.DecodeQuerySet(r.Val(i)); err == nil && (newest == nil || qs.Version > newest.Version) {
+					newest = qs
+				}
 			}
 		}
 		expired := !time.Now().Before(deadline)
@@ -562,7 +564,7 @@ func readQuerySet(fleet *proxy.Fleet, group string, minQueries int, wait time.Du
 			// Decode before the deadline check: a batch arriving right at
 			// the deadline still counts — a stale version would make
 			// submit -resume announce versions appliers have already seen.
-			if len(recs) == 0 || expired {
+			if len(runs) == 0 || expired {
 				return newest, nil
 			}
 			continue
@@ -677,13 +679,15 @@ func runAggregator(args []string) error {
 	}
 	drainStamps := func() {
 		for _, lc := range lineageConsumers {
-			recs, err := lc.Poll(256)
+			runs, err := lc.PollRuns(256, 0)
 			if err != nil {
 				continue
 			}
-			for _, record := range recs {
-				if s, err := lineage.DecodeStamp(record.Value); err == nil {
-					rec.ObserveStamp(s)
+			for _, r := range runs {
+				for i := range r.Count {
+					if s, err := lineage.DecodeStamp(r.Val(i)); err == nil {
+						rec.ObserveStamp(s)
+					}
 				}
 			}
 		}

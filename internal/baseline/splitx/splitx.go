@@ -14,6 +14,7 @@
 package splitx
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -44,6 +45,14 @@ func key(i int) []byte {
 	return []byte(fmt.Sprintf("mid-%010d", i))
 }
 
+// record is one consumed answer, copied out of the poll that read it.
+type record struct{ key, value []byte }
+
+// publish appends one answer to topic as a batch of one.
+func publish(b *pubsub.Broker, topic string, key, value []byte) error {
+	return b.PublishColumns(topic, pubsub.Columns{Count: 1, KeyLen: len(key), ValLen: len(value), Keys: key, Vals: value}, 0, 0)
+}
+
 // RunPrivApprox measures the proxy-stage latency of n answers of the
 // given size through a PrivApprox proxy: publish, then consume —
 // nothing else happens at the proxy.
@@ -54,17 +63,12 @@ func RunPrivApprox(n, answerBytes int) (time.Duration, error) {
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		if _, _, err := broker.Publish("answer", key(i), answerValue(answerBytes, i)); err != nil {
+		if err := publish(broker, "answer", key(i), answerValue(answerBytes, i)); err != nil {
 			return 0, err
 		}
 	}
-	consumed := 0
-	for consumed < n {
-		recs, err := broker.Fetch("answer", 0, int64(consumed), 4096)
-		if err != nil {
-			return 0, err
-		}
-		consumed += len(recs)
+	if _, err := fetchAll(broker, "answer", n); err != nil {
+		return 0, err
 	}
 	return time.Since(start), nil
 }
@@ -92,10 +96,10 @@ func RunSplitX(n, answerBytes int, rng *rand.Rand) (Components, error) {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		v := answerValue(answerBytes, i)
-		if _, _, err := brokerA.Publish("in", key(i), v); err != nil {
+		if err := publish(brokerA, "in", key(i), v); err != nil {
 			return comp, err
 		}
-		if _, _, err := brokerB.Publish("in", key(i), v); err != nil {
+		if err := publish(brokerB, "in", key(i), v); err != nil {
 			return comp, err
 		}
 	}
@@ -114,12 +118,12 @@ func RunSplitX(n, answerBytes int, rng *rand.Rand) (Components, error) {
 	// noise to the counts. This is where SplitX synchronizes.
 	start = time.Now()
 	for _, rec := range batchA {
-		if _, _, err := brokerB.Publish("exchange", rec.Key, rec.Value); err != nil {
+		if err := publish(brokerB, "exchange", rec.key, rec.value); err != nil {
 			return comp, err
 		}
 	}
 	for _, rec := range batchB {
-		if _, _, err := brokerA.Publish("exchange", rec.Key, rec.Value); err != nil {
+		if err := publish(brokerA, "exchange", rec.key, rec.value); err != nil {
 			return comp, err
 		}
 	}
@@ -133,11 +137,11 @@ func RunSplitX(n, answerBytes int, rng *rand.Rand) (Components, error) {
 	// Intersection of the two ID sets.
 	seen := make(map[string]struct{}, len(batchA))
 	for _, rec := range batchA {
-		seen[string(rec.Key)] = struct{}{}
+		seen[string(rec.key)] = struct{}{}
 	}
 	matched := 0
 	for _, rec := range exchA {
-		if _, ok := seen[string(rec.Key)]; ok {
+		if _, ok := seen[string(rec.key)]; ok {
 			matched++
 		}
 	}
@@ -161,7 +165,7 @@ func RunSplitX(n, answerBytes int, rng *rand.Rand) (Components, error) {
 		return comp, err
 	}
 	for _, rec := range batchA {
-		if _, _, err := out.Publish("agg", rec.Key, rec.Value); err != nil {
+		if err := publish(out, "agg", rec.key, rec.value); err != nil {
 			return comp, err
 		}
 	}
@@ -174,17 +178,29 @@ func RunSplitX(n, answerBytes int, rng *rand.Rand) (Components, error) {
 	return comp, nil
 }
 
-func fetchAll(b *pubsub.Broker, topic string, n int) ([]pubsub.Record, error) {
-	out := make([]pubsub.Record, 0, n)
+// fetchAll reads a topic's answers, at least n of them, through a
+// consumer; each run's records are copied out of the poll's memory,
+// which the next poll reuses.
+func fetchAll(b *pubsub.Broker, topic string, n int) ([]record, error) {
+	consumer, err := pubsub.NewConsumer(b, "splitx", topic)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]record, 0, n)
 	for len(out) < n {
-		recs, err := b.Fetch(topic, 0, int64(len(out)), 8192)
+		runs, err := consumer.PollRuns(8192, 0)
 		if err != nil {
 			return nil, err
 		}
-		if len(recs) == 0 {
+		if len(runs) == 0 {
 			return nil, fmt.Errorf("splitx: missing records: %d of %d", len(out), n)
 		}
-		out = append(out, recs...)
+		for _, r := range runs {
+			body, stride := bytes.Clone(r.Body), r.KeyLen+r.ValLen
+			for at := 0; at < len(body); at += stride {
+				out = append(out, record{key: body[at : at+r.KeyLen : at+r.KeyLen], value: body[at+r.KeyLen : at+stride : at+stride]})
+			}
+		}
 	}
 	return out, nil
 }

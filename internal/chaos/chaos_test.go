@@ -124,7 +124,8 @@ func TestScheduleDeterminism(t *testing.T) {
 // whatever the plan says.
 func TestPassthroughUnfaulted(t *testing.T) {
 	b, ct := newWrapped(t, chaos.Plan{Reset: 1})
-	if _, _, err := ct.Publish("answer", []byte("k"), []byte("v")); err != nil {
+	one := pubsub.Columns{Count: 1, KeyLen: 1, ValLen: 1, Keys: []byte("k"), Vals: []byte("v")}
+	if err := ct.PublishColumns("answer", one, 0, 0); err != nil {
 		t.Fatalf("plain publish faulted: %v", err)
 	}
 	if err := ct.PublishColumns("answer", gateCols(2), 0, 0); err != nil {

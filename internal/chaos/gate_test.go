@@ -350,15 +350,15 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 	}
 	var results []aggregator.Result
 	var shares []xorcrypt.Share
-	// submit decodes one polled batch and hands it to the aggregator.
-	submit := func(src int, recs []pubsub.Record) {
+	// submit hands one poll's shares to the aggregator, read out of its
+	// runs as the drain reads them.
+	submit := func(src int, runs []pubsub.Run) {
 		shares = shares[:0]
-		for _, rec := range recs {
-			share, err := proxy.DecodeRecord(rec)
-			if err != nil {
-				t.Fatalf("%s: decode record: %v", name, err)
+		for _, r := range runs {
+			var skipped int
+			if shares, skipped = proxy.AppendShares(shares, r); skipped > 0 {
+				t.Fatalf("%s: %d records without a share", name, skipped)
 			}
-			shares = append(shares, share)
 		}
 		res, err := agg.SubmitShareBatch(shares, src, time.Now())
 		if err != nil {
@@ -369,14 +369,14 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 	drainAndCommit = func() {
 		for src, c := range consumers {
 			for {
-				recs, err := c.Poll(4096)
+				runs, err := c.PollRuns(4096, 0)
 				if err != nil {
 					t.Fatalf("%s: poll proxy %d: %v", name, src, err)
 				}
-				if len(recs) == 0 {
+				if len(runs) == 0 {
 					break
 				}
-				submit(src, recs)
+				submit(src, runs)
 			}
 			if err := c.Commit(); err != nil {
 				t.Fatalf("%s: commit proxy %d: %v", name, src, err)
@@ -418,11 +418,11 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 			t.Fatalf("%s: decoded %d of %d sent answers before deadline", name, agg.Stats().Decoded, sent)
 		}
 		for src, c := range consumers {
-			recs, err := c.PollWait(4096, 50*time.Millisecond)
+			runs, err := c.PollRuns(4096, 50*time.Millisecond)
 			if err != nil {
 				t.Fatalf("%s: poll proxy %d: %v", name, src, err)
 			}
-			submit(src, recs)
+			submit(src, runs)
 		}
 	}
 	final, err := agg.Flush()

@@ -74,13 +74,27 @@ func (l shareLog) capture(t *testing.T, sys *System) {
 		}
 		for p := 0; p < n; p++ {
 			at := partitionAt{i, p}
-			recs, err := px.Broker().Fetch(px.Topic(), p, int64(len(l[at])), math.MaxInt32)
+			recs, err := fetchRecords(px.Broker(), px.Topic(), p, int64(len(l[at])), math.MaxInt32)
 			if err != nil {
 				t.Fatal(err)
 			}
 			l[at] = append(l[at], recs...)
 		}
 	}
+}
+
+// fetchRecords reads up to max records of a partition from offset as
+// Records, views of the fetch's private memory.
+func fetchRecords(b *pubsub.Broker, topic string, partition int, offset int64, max int) ([]pubsub.Record, error) {
+	runs, _, err := b.FetchWait(topic, partition, offset, max, 0, nil, nil)
+	var recs []pubsub.Record
+	for _, r := range runs {
+		for i := range r.Count {
+			at := i * (r.KeyLen + r.ValLen)
+			recs = append(recs, pubsub.Record{Topic: topic, Partition: partition, Offset: r.Offset + int64(i), Key: r.Body[at : at+r.KeyLen], Value: r.Val(i)})
+		}
+	}
+	return recs, err
 }
 
 // TestSystemCheckpointResume is the in-process crash gate: run a
@@ -166,7 +180,7 @@ func TestSystemCheckpointResume(t *testing.T) {
 			t.Fatalf("proxy %d partition %d: memory floor %d (%v) after reopening, want the drained log end %d",
 				at.proxy, at.partition, floor, err, len(want))
 		}
-		recs, err := px.Broker().Fetch(px.Topic(), at.partition, 0, len(want))
+		recs, err := fetchRecords(px.Broker(), px.Topic(), at.partition, 0, len(want))
 		if err != nil || len(recs) != len(want) {
 			t.Fatalf("proxy %d partition %d: fetch below the floor read %d of %d records: %v", at.proxy, at.partition, len(recs), len(want), err)
 		}

@@ -224,20 +224,24 @@ func (f *Follower) Applier() *Applier { return f.applier }
 func (f *Follower) Sync() (int, error) {
 	seen := 0
 	for {
-		recs, err := f.consumer.Poll(256)
+		runs, err := f.consumer.PollRuns(256, 0)
 		if err != nil {
 			return seen, err
 		}
-		if len(recs) == 0 {
+		if len(runs) == 0 {
 			return seen, nil
 		}
-		for _, rec := range recs {
-			seen++
-			if err := f.applier.ApplyPayload(rec.Value); err != nil {
-				if errors.Is(err, ErrControlWire) {
-					continue
+		for _, r := range runs {
+			for i := range r.Count {
+				seen++
+				// The payload is the consumer's memory, reused by the next
+				// poll: DecodeQuerySet copies every field it keeps.
+				if err := f.applier.ApplyPayload(r.Val(i)); err != nil {
+					if errors.Is(err, ErrControlWire) {
+						continue
+					}
+					return seen, err
 				}
-				return seen, err
 			}
 		}
 	}

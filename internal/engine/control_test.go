@@ -173,6 +173,7 @@ func FuzzQuerySetRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{opQuerySet})
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		payload = bytes.Clone(payload) // overwritten below
 		qs, err := DecodeQuerySet(payload)
 		if err != nil {
 			return
@@ -180,6 +181,14 @@ func FuzzQuerySetRoundTrip(f *testing.F) {
 		re, err := qs.MarshalBinary()
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload failed: %v", err)
+		}
+		// The decoded set owns copies of every field: a follower decodes
+		// out of poll memory the next poll reuses.
+		for i := range payload {
+			payload[i] = 0xFF
+		}
+		if again, err := qs.MarshalBinary(); err != nil || !bytes.Equal(again, re) {
+			t.Fatalf("overwriting the payload changed the decoded set: %x (%v), want %x", again, err, re)
 		}
 		back, err := DecodeQuerySet(re)
 		if err != nil {

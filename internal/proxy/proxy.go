@@ -219,13 +219,9 @@ func (p *Proxy) Consumer(group string) (*pubsub.Consumer, error) {
 	return p.consumer(group, p.topic)
 }
 
-// consumer subscribes group to one of this proxy's topics, through the
-// owned broker when there is one so polls observe its shutdown.
+// consumer subscribes group to one of this proxy's topics.
 func (p *Proxy) consumer(group, topic string) (*pubsub.Consumer, error) {
-	if p.broker != nil {
-		return pubsub.NewConsumer(p.broker, group, topic)
-	}
-	return pubsub.NewTransportConsumer(p.t, group, topic)
+	return pubsub.NewConsumer(p.t, group, topic)
 }
 
 // Announce publishes one control-plane payload (a serialized query-set
@@ -235,8 +231,13 @@ func (p *Proxy) consumer(group, topic string) (*pubsub.Consumer, error) {
 // query undetected (forgery under a fresh key is only ruled out when
 // clients pin analyst keys — see engine.Applier.Trust).
 func (p *Proxy) Announce(payload []byte) error {
-	_, _, err := p.t.Publish(TopicControl, nil, payload)
-	return err
+	return p.t.PublishColumns(TopicControl, batchOfOne(payload), 0, 0)
+}
+
+// batchOfOne is a keyless batch of one record: how the control and
+// lineage payloads are published, unsessioned (pid 0).
+func batchOfOne(payload []byte) pubsub.Columns {
+	return pubsub.Columns{Count: 1, ValLen: len(payload), Vals: payload}
 }
 
 // ControlConsumer returns a consumer over this proxy's control topic —
@@ -251,7 +252,7 @@ func (p *Proxy) ControlConsumer(group string) (*pubsub.Consumer, error) {
 // is unaffected. Transport failures are returned — a proxy that is down
 // now may be back for the next stamp.
 func (p *Proxy) SubmitStamp(payload []byte) error {
-	_, _, err := p.t.Publish(TopicLineage, nil, payload)
+	err := p.t.PublishColumns(TopicLineage, batchOfOne(payload), 0, 0)
 	if errors.Is(err, pubsub.ErrNoTopic) {
 		return nil
 	}
@@ -294,7 +295,9 @@ func (p *Proxy) Close() {
 }
 
 // DecodeRecord converts a consumed pub/sub record back into the share a
-// client submitted.
+// client submitted. Every drain reads runs (AppendShares); DecodeRecord
+// stays only because the benchmark harness (bench/layers.go) compiles
+// against it.
 func DecodeRecord(rec pubsub.Record) (xorcrypt.Share, error) {
 	if len(rec.Key) != xorcrypt.MIDSize {
 		return xorcrypt.Share{}, fmt.Errorf("proxy: record key has %d bytes, want %d", len(rec.Key), xorcrypt.MIDSize)

@@ -60,18 +60,11 @@ func TestSubmitConsumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.PollWait(10, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	shares := pollShares(t, c, 10, time.Second)
+	if len(shares) != 1 {
+		t.Fatalf("polled %d records", len(shares))
 	}
-	if len(recs) != 1 {
-		t.Fatalf("polled %d records", len(recs))
-	}
-	got, err := DecodeRecord(recs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MID != share.MID || !bytes.Equal(got.Payload, share.Payload) {
+	if got := shares[0]; got.MID != share.MID || !bytes.Equal(got.Payload, share.Payload) {
 		t.Errorf("decoded = %+v", got)
 	}
 }

@@ -35,18 +35,11 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.PollWait(100, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	polled := pollShares(t, c, 100, time.Second)
+	if len(polled) != len(shares) {
+		t.Fatalf("polled %d records, want %d", len(polled), len(shares))
 	}
-	if len(recs) != len(shares) {
-		t.Fatalf("polled %d records, want %d", len(recs), len(shares))
-	}
-	for _, rec := range recs {
-		got, err := DecodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, got := range polled {
 		if !bytes.Equal(got.Payload, want[got.MID]) {
 			t.Fatalf("share %x arrived as %x, want %x", got.MID, got.Payload, want[got.MID])
 		}
@@ -92,19 +85,12 @@ func TestAttachOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.PollWait(10, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("polled %d records, want 3", len(recs))
+	polled := pollShares(t, c, 10, time.Second)
+	if len(polled) != 3 {
+		t.Fatalf("polled %d records, want 3", len(polled))
 	}
 	found := false
-	for _, rec := range recs {
-		got, err := DecodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, got := range polled {
 		if got.MID == share.MID && bytes.Equal(got.Payload, share.Payload) {
 			found = true
 		}
@@ -265,4 +251,22 @@ func TestStampWithoutLineageTopic(t *testing.T) {
 	if lc, err := p.LineageConsumer("agg"); lc != nil || err != nil {
 		t.Fatalf("lineage consumer without the topic = %v, %v; want nil, nil", lc, err)
 	}
+}
+
+// pollShares polls up to max records, waiting up to wait for the first,
+// and returns the shares their runs carry.
+func pollShares(t *testing.T, c *pubsub.Consumer, max int, wait time.Duration) []xorcrypt.Share {
+	t.Helper()
+	runs, err := c.PollRuns(max, wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shares []xorcrypt.Share
+	for _, r := range runs {
+		var skipped int
+		if shares, skipped = AppendShares(shares, r); skipped > 0 {
+			t.Fatalf("%d records without a share", skipped)
+		}
+	}
+	return shares
 }

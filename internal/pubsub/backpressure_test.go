@@ -43,11 +43,11 @@ func TestPublishCapacityReject(t *testing.T) {
 	}
 	key := keyFor(t, 1, 0)
 	for i := 0; i < 3; i++ {
-		if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
+		if err := publish(b, "answer", key, []byte("v")); err != nil {
 			t.Fatalf("publish %d within capacity: %v", i, err)
 		}
 	}
-	_, _, err := b.Publish("answer", key, []byte("v"))
+	err := publish(b, "answer", key, []byte("v"))
 	if !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("publish beyond capacity: got %v, want ErrPartitionFull", err)
 	}
@@ -70,11 +70,11 @@ func TestCommitFreesCapacity(t *testing.T) {
 	}
 	key := keyFor(t, 1, 0)
 	for i := 0; i < 2; i++ {
-		if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
+		if err := publish(b, "answer", key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.Publish("answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
+	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("expected full, got %v", err)
 	}
 	// Consuming alone does not free space; committing does. With two
@@ -86,10 +86,10 @@ func TestCommitFreesCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Floor is 1 → backlog 1 → room for exactly 1 more.
-	if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
+	if err := publish(b, "answer", key, []byte("v")); err != nil {
 		t.Fatalf("publish after commit freed space: %v", err)
 	}
-	if _, _, err := b.Publish("answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
+	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("expected full again, got %v", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestPublishColumnsMixedPartitionAllOrNothing(t *testing.T) {
 	emptyKey := keyFor(t, parts, 2)
 	// Fill partition 1 to capacity.
 	for i := 0; i < 2; i++ {
-		if _, _, err := b.Publish("answer", fullKey, []byte("fill")); err != nil {
+		if err := publish(b, "answer", fullKey, []byte("fill")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,11 +160,11 @@ func TestStatsBacklog(t *testing.T) {
 	k0 := keyFor(t, 2, 0)
 	k1 := keyFor(t, 2, 1)
 	for i := 0; i < 3; i++ {
-		if _, _, err := b.Publish("answer", k0, []byte("v")); err != nil {
+		if err := publish(b, "answer", k0, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.Publish("answer", k1, []byte("v")); err != nil {
+	if err := publish(b, "answer", k1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	s := b.Stats()
@@ -205,17 +205,17 @@ func TestSetTopicCapacityErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := keyFor(t, 1, 0)
-	if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
+	if err := publish(b, "answer", key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Publish("answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
+	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("expected full, got %v", err)
 	}
 	// capacity <= 0 removes the bound.
 	if err := b.SetTopicCapacity("answer", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Publish("answer", key, []byte("v")); err != nil {
+	if err := publish(b, "answer", key, []byte("v")); err != nil {
 		t.Fatalf("publish after unbounding: %v", err)
 	}
 }
@@ -232,10 +232,10 @@ func TestTCPPartitionFullSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := keyFor(t, 1, 0)
-	if _, _, err := cli.Publish("answer", key, []byte("v")); err != nil {
+	if err := publish(cli, "answer", key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := cli.Publish("answer", key, []byte("v"))
+	err := publish(cli, "answer", key, []byte("v"))
 	if !errors.Is(err, ErrPartitionFull) {
 		t.Fatalf("remote publish beyond capacity: got %v, want ErrPartitionFull", err)
 	}

@@ -25,22 +25,22 @@ var (
 	ErrNoPartition = errors.New("pubsub: no such partition")
 	// ErrBadOffset reports an offset past the log end or below the first
 	// retained offset (see CommitOffset) that no WAL can serve (see
-	// Fetch); it survives the TCP transport.
+	// FetchWait); it survives the TCP transport.
 	ErrBadOffset = errors.New("pubsub: offset out of range")
 	ErrClosed    = errors.New("pubsub: broker closed")
 	// ErrPartitionFull is the backpressure signal of a bounded partition
 	// (SetTopicCapacity): the publish would push the partition's
 	// unconsumed backlog — records past the slowest committed consumer
-	// offset — beyond its capacity. The publish (or the whole batch, for
-	// PublishColumns: a full batch is refused all-or-nothing, never
-	// partially applied) had no effect; the publisher may retry after
-	// consumers commit progress. The sentinel survives the TCP transport:
+	// offset — beyond its capacity. The batch is refused whole, never
+	// partially applied; the publisher may retry after consumers commit
+	// progress. The sentinel survives the TCP transport:
 	// errors.Is(err, ErrPartitionFull) holds on the remote publisher too.
 	ErrPartitionFull = errors.New("pubsub: partition full")
 )
 
-// Record is one log entry, the unit producers publish and consumers
-// poll.
+// Record is one log entry as Consumer.Poll hands it out. Every product
+// reader polls runs; Record stays, with Poll, only because
+// bench/layers.go compiles against it.
 type Record struct {
 	Topic     string
 	Partition int
@@ -131,7 +131,6 @@ type Broker struct {
 	stats   Stats
 	statsMu sync.Mutex
 	closed  bool
-	rr      uint64      // round-robin counter for keyless publishes
 	dur     *durability // nil for a purely in-memory broker
 	// pubLat, when set, observes the wall time of each successful
 	// publish call (batch-granular for PublishColumns); nil costs one
@@ -282,75 +281,9 @@ func (b *Broker) overCapacity(p *partitionLog, topic string, partition, n int) b
 	return p.capacity > 0 && p.count+int64(n)-b.committedFloor(topic, partition) > int64(p.capacity)
 }
 
-// Publish appends a record. A non-nil key selects the partition by hash
-// (records with equal keys stay ordered); a nil key round-robins. On a
-// bounded partition at capacity the record is refused with
-// ErrPartitionFull (see SetTopicCapacity).
-func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
-	h := b.pubLat.Load()
-	var t0 time.Time
-	if h != nil {
-		t0 = time.Now()
-	}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return 0, 0, ErrClosed
-	}
-	t, ok := b.topics[topic]
-	b.mu.RUnlock()
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrNoTopic, topic)
-	}
-	var part int
-	if key != nil {
-		part = int(fnv1a32(key) % uint32(len(t.partitions)))
-	} else {
-		b.statsMu.Lock()
-		part = int(b.rr % uint64(len(t.partitions)))
-		b.rr++
-		b.statsMu.Unlock()
-	}
-	p := t.partitions[part]
-	p.mu.Lock()
-	if b.overCapacity(p, topic, part, 1) {
-		capacity := p.capacity
-		p.mu.Unlock()
-		b.statsMu.Lock()
-		b.stats.Rejected++
-		b.statsMu.Unlock()
-		return 0, 0, fmt.Errorf("%w: topic %q partition %d at capacity %d", ErrPartitionFull, topic, part, capacity)
-	}
-	offset := p.count
-	now := time.Now()
-	if p.w != nil {
-		// Durability before visibility: the record reaches the WAL (per
-		// the fsync policy) before it is appended in memory, broadcast to
-		// consumers, or acknowledged to the publisher.
-		p.encBuf = appendRunRecord(p.encBuf[:0], 0, 0, now.UnixNano(), len(key), len(value))
-		p.encBuf = append(append(p.encBuf, key...), value...)
-		if _, err := p.w.Append(1, p.encBuf); err != nil {
-			p.mu.Unlock()
-			return 0, 0, err
-		}
-	}
-	p.put(now, key, value)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-
-	b.statsMu.Lock()
-	b.stats.MessagesIn++
-	b.stats.BytesIn += int64(len(key) + len(value))
-	b.statsMu.Unlock()
-	if h != nil {
-		h.Observe(int64(time.Since(t0)))
-	}
-	return part, offset, nil
-}
-
 // fnv1a32 is FNV-1a over b, matching hash/fnv's New32a exactly: the
-// routing function of both publish calls, spelled out so the key
-// provably does not escape.
+// routing function of a publish, spelled out so the key provably does
+// not escape. Every keyless record of a topic hashes to one partition.
 func fnv1a32(b []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range b {
@@ -375,8 +308,8 @@ type colScratch struct {
 
 var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}
 
-// group routes every record of cols to one of n partitions by the
-// key-lane FNV hash Publish uses.
+// group routes every record of cols to one of n partitions by the FNV
+// hash of its key.
 func (sc *colScratch) group(cols Columns, n int) {
 	sc.part = slices.Grow(sc.part[:0], cols.Count)[:cols.Count]
 	sc.order = slices.Grow(sc.order[:0], cols.Count)[:cols.Count]
@@ -437,10 +370,9 @@ func (p *partitionLog) recordSlice(pid, seq uint64) {
 
 // PublishColumns appends a fixed-stride batch in one call, amortizing
 // lock acquisitions: records are grouped by destination partition (the
-// key-lane FNV hash Publish uses; columnar records always carry keys),
-// each partition is locked once, and the traffic counters are updated
-// once for the whole batch. Both lanes are fully consumed before the
-// call returns.
+// FNV hash of each record's key, fnv1a32), each partition is locked
+// once, and the traffic counters are updated once for the whole batch.
+// Both lanes are fully consumed before the call returns.
 //
 // The batch is all-or-nothing: every target partition's capacity is
 // checked (and every partition journaled) before any in-memory append,
@@ -560,23 +492,9 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 	return nil
 }
 
-// Fetch returns up to max records from a partition starting at offset.
-// It never blocks; an offset at the log end returns no records. The
-// records are a private copy — their keys and values are cap-limited
-// views of one buffer made for this call — so the caller may keep,
-// mutate or append to them without touching the log or each other. An
-// offset below the first retained one is ErrBadOffset on an in-memory
-// broker; a durable broker reads the records from there to its memory
-// floor back from the partition's WAL and serves them (they stay in
-// memory until the next commit releases them again).
-func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	runs, _, err := b.fetchRuns(topic, partition, offset, max, nil, nil)
-	return runRecords(topic, partition, runs), err
-}
-
-// fetchRuns is Fetch in runs: it appends the span's runs to runs and
-// copies their bodies into mem — grown once for the span — under the
-// partition lock, the one copy a fetch makes.
+// fetchRuns appends the span's runs to runs and copies their bodies
+// into mem — grown once for the span — under the partition lock, the
+// one copy a fetch makes.
 func (b *Broker) fetchRuns(topic string, partition int, offset int64, max int, runs []Run, mem []byte) ([]Run, []byte, error) {
 	err := b.readSpan(topic, partition, offset, max, func(p *partitionLog, end int64) (size int) {
 		p.each(offset, end, func(r Run) { size += len(r.Body) })
@@ -628,9 +546,13 @@ func (b *Broker) readSpan(topic string, partition int, offset int64, max int, re
 	return nil
 }
 
-// FetchWait is the Transport form of Fetch: wait <= 0 fetches at once,
-// wait > 0 first blocks until a record is available at offset or the
-// wait has passed (then appending nothing).
+// FetchWait appends up to max records of a partition from offset to
+// runs, waiting up to wait for the first (wait <= 0 fetches at once). The
+// bodies are a private copy in mem, so the caller may keep or mutate
+// them. An offset below the first retained one is ErrBadOffset on an
+// in-memory broker; a durable broker reads the records from there to its
+// memory floor back from the WAL (memory holds them until the next
+// commit releases them again).
 func (b *Broker) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error) {
 	if wait > 0 {
 		if ok, err := b.awaitRecord(topic, partition, offset, wait); err != nil || !ok {
@@ -686,7 +608,7 @@ func (b *Broker) EndOffset(topic string, partition int) (int64, error) {
 // CommitOffset durably records a consumer group's next-to-read offset
 // and releases every slab that lies whole below the partition's
 // committed floor. A durable broker keeps its WAL whole, so what a
-// commit releases from its memory a later Fetch can still read back. A
+// commit releases from its memory a later fetch can still read back. A
 // group that has never committed does not hold the floor back
 // (CommittedOffset).
 // Commits are monotonic per (group, topic, partition): an offset at or

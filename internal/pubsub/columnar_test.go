@@ -38,7 +38,7 @@ func fetchAll(t *testing.T, b *Broker, topic string) [][]Record {
 	}
 	out := make([][]Record, n)
 	for p := 0; p < n; p++ {
-		recs, err := b.Fetch(topic, p, 0, 1<<20)
+		recs, err := fetch(b, topic, p, 0, 1<<20, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,35 +68,41 @@ func sameRecords(t *testing.T, got, want [][]Record) {
 	}
 }
 
-// TestPublishColumnsRoutesLikePublish is the routing reference: the same
-// (key, value) sequence published record by record through Publish and
-// as one batch through PublishColumns — in-process and over TCP — lands
-// in the same partitions at the same offsets with the same contents.
-// DrainUpTo's seeded-MID determinism depends on the two paths agreeing.
-func TestPublishColumnsRoutesLikePublish(t *testing.T) {
-	cols := testCols(23, 16, 21)
+// TestPublishColumnsRoutesByKeyHash is the routing reference: every
+// record of a batch lands in the partition the FNV-1a hash of its key
+// selects (hash/fnv's, which fnv1a32 spells out), in batch order within
+// it — in-process and over TCP. A keyless record hashes the empty key,
+// so a keyless batch lands whole in one partition. DrainUpTo's
+// seeded-MID determinism depends on this routing.
+func TestPublishColumnsRoutesByKeyHash(t *testing.T) {
+	keyed := testCols(23, 16, 21)
+	keyless := Columns{Count: 5, ValLen: 3, Vals: []byte("abcdefghijklmno")}
+	// want is the log the two batches make, published in turn.
+	want := make([][]Record, 4)
+	for _, cols := range []Columns{keyed, keyless} {
+		for i := 0; i < cols.Count; i++ {
+			p := partitionForKey(cols.Key(i), len(want))
+			want[p] = append(want[p], Record{Partition: p, Offset: int64(len(want[p])), Key: cols.Key(i), Value: cols.Val(i)})
+		}
+	}
+	if p := partitionForKey(nil, len(want)); len(want[p]) < keyless.Count {
+		t.Fatalf("the keyless batch is not whole in partition %d", p)
+	}
 
-	ref := newTestBroker(t, "answers")
-	for i := 0; i < cols.Count; i++ {
-		if _, _, err := ref.Publish("answers", cols.Key(i), cols.Val(i)); err != nil {
+	colB := newTestBroker(t, "answers")
+	tcpB, _, cli := startServer(t)
+	if err := cli.CreateTopic("answers", len(want)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range []Columns{keyed, keyless} {
+		if err := colB.PublishColumns("answers", cols, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.PublishColumns("answers", cols, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := fetchAll(t, ref, "answers")
-
-	colB := newTestBroker(t, "answers")
-	if err := colB.PublishColumns("answers", cols, 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	sameRecords(t, fetchAll(t, colB, "answers"), want)
-
-	tcpB, _, cli := startServer(t)
-	if err := cli.CreateTopic("answers", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.PublishColumns("answers", cols, 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	sameRecords(t, fetchAll(t, tcpB, "answers"), want)
 
 	// Records fetched from the columnar path must be deep copies: mutating
@@ -146,8 +152,10 @@ func TestColumnsValidate(t *testing.T) {
 		{"empty", Columns{}, true},
 		{"valid", Columns{Count: 2, KeyLen: 1, ValLen: 2, Keys: []byte{1, 2}, Vals: []byte{1, 2, 3, 4}}, true},
 		{"negative count", Columns{Count: -1}, false},
-		{"zero key stride", Columns{Count: 1, ValLen: 1, Vals: []byte{1}}, false},
-		{"zero val stride", Columns{Count: 1, KeyLen: 1, Keys: []byte{1}}, false},
+		{"keyless", Columns{Count: 2, ValLen: 1, Vals: []byte{1, 2}}, true},
+		{"empty values", Columns{Count: 1, KeyLen: 1, Keys: []byte{1}}, true},
+		{"zero stride", Columns{Count: 1}, false},
+		{"negative key stride", Columns{Count: 1, KeyLen: -1, ValLen: 2, Vals: []byte{1}}, false},
 		{"short key lane", Columns{Count: 2, KeyLen: 2, ValLen: 1, Keys: []byte{1}, Vals: []byte{1, 2}}, false},
 		{"long val lane", Columns{Count: 1, KeyLen: 1, ValLen: 1, Keys: []byte{1}, Vals: []byte{1, 2}}, false},
 	} {

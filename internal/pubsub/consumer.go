@@ -17,10 +17,6 @@ type Consumer struct {
 	// subs is the poll order, fixed at construction: topics sorted, each
 	// with its partitions' next-read offsets indexed by partition.
 	subs []subscription
-	// closed, when non-nil, reports that the backing broker shut down;
-	// a waiting poll uses it to stop instead of spinning until its
-	// deadline.
-	closed func() bool
 	// runs, mem and parts are one poll's fetch memory: the runs read,
 	// the bytes an in-process fetch copied their bodies into, and which
 	// partition each run came from. PollRuns reuses them from poll to
@@ -44,20 +40,10 @@ type subscription struct {
 	committed []int64
 }
 
-// NewConsumer subscribes a group member to an in-process broker's
-// topics, resuming from the group's committed offsets.
-func NewConsumer(b *Broker, group string, topics ...string) (*Consumer, error) {
-	c, err := NewTransportConsumer(b, group, topics...)
-	if err != nil {
-		return nil, err
-	}
-	c.closed = b.isClosed
-	return c, nil
-}
-
-// NewTransportConsumer subscribes a group member to the given topics
-// over any Transport, resuming from the group's committed offsets.
-func NewTransportConsumer(t Transport, group string, topics ...string) (*Consumer, error) {
+// NewConsumer subscribes a group member to the given topics over any
+// Transport — an in-process *Broker or a TCP *Client — resuming from the
+// group's committed offsets.
+func NewConsumer(t Transport, group string, topics ...string) (*Consumer, error) {
 	if group == "" {
 		return nil, fmt.Errorf("pubsub: empty consumer group")
 	}
@@ -85,18 +71,11 @@ func NewTransportConsumer(t Transport, group string, topics ...string) (*Consume
 // Poll returns up to max records across all subscribed partitions,
 // advancing in-memory positions. It returns immediately with whatever is
 // available; an empty slice means the consumer is caught up. The records
-// are the caller's own, like a fetch's.
-func (c *Consumer) Poll(max int) ([]Record, error) { return c.PollWait(max, 0) }
-
-// PollWait is Poll that blocks up to timeout for the first record. After
-// an empty sweep it parks in a sliced blocking fetch on its first
-// subscribed partition rather than spinning — over the TCP transport
-// that is one round-trip per wait slice instead of one per partition per
-// spin (a record arriving on another partition is picked up by the
-// re-sweep after at most one slice).
-func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
+// are the caller's own, like a fetch's. Every product reader polls runs;
+// Poll stays only because bench/layers.go compiles against it.
+func (c *Consumer) Poll(max int) ([]Record, error) {
 	c.mem = nil // the records' bytes will be the caller's: fetch into new ones
-	n, err := c.poll(max, timeout)
+	n, err := c.poll(max, 0)
 	if n == 0 {
 		return nil, err
 	}
@@ -114,12 +93,13 @@ func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
 	return out, nil
 }
 
-// PollRuns is PollWait in runs, with no Record made: it reads up to max
-// records as runs, in poll order, waiting up to wait for the first. The
-// runs and their bodies are the consumer's: they stay valid until its
-// next poll, which reuses their memory, so a drain polls in one arena.
-// A poll that finds nothing releases it — an idle consumer holds no
-// fetched bytes.
+// PollRuns is Poll in runs, waiting up to wait for the first record: an
+// empty sweep parks in a sliced blocking fetch on the first subscribed
+// partition (over TCP, one round-trip per slice), which a closing broker
+// ends with ErrClosed. The runs and their bodies are the consumer's,
+// valid until its next poll reuses their memory: a drain polls in one
+// arena, and no reader may keep a view into it. A poll that finds
+// nothing releases it — an idle consumer holds no fetched bytes.
 func (c *Consumer) PollRuns(max int, wait time.Duration) ([]Run, error) {
 	if n, err := c.poll(max, wait); n == 0 {
 		return nil, err
@@ -143,10 +123,6 @@ func (c *Consumer) poll(max int, wait time.Duration) (n int, err error) {
 	for n, err = c.sweep(max); err == nil && n == 0; n, err = c.sweep(max) {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			break
-		}
-		if c.closed != nil && c.closed() {
-			err = ErrClosed
 			break
 		}
 		if n, err = c.fetch(0, 0, max, min(remain, slice)); err != nil || n > 0 {

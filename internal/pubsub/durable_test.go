@@ -38,7 +38,7 @@ func TestDurableBrokerReplaysPartitions(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("key-%02d", i))
 		val := []byte(fmt.Sprintf("value-%02d", i))
-		part, off, err := b.Publish("answer", key, val)
+		part, off, err := publishAt(b, "answer", key, val)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestDurableBrokerReplaysPartitions(t *testing.T) {
 	}
 	// Keyless publishes on the control topic (nil keys must survive the
 	// round trip as nil-or-empty, matching in-memory behavior).
-	if _, _, err := b.Publish("control", nil, []byte("announcement-1")); err != nil {
+	if err := publish(b, "control", nil, []byte("announcement-1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.CommitOffset("agg", "answer", 2, 7); err != nil {
@@ -64,7 +64,7 @@ func TestDurableBrokerReplaysPartitions(t *testing.T) {
 		t.Fatalf("replayed topic: %d partitions, err %v", n, err)
 	}
 	for _, p := range pubs {
-		recs, err := b2.Fetch("answer", p.part, p.off, 1)
+		recs, err := fetch(b2, "answer", p.part, p.off, 1, 0)
 		if err != nil || len(recs) != 1 {
 			t.Fatalf("fetch %d/%d: %v (%d recs)", p.part, p.off, err, len(recs))
 		}
@@ -72,7 +72,7 @@ func TestDurableBrokerReplaysPartitions(t *testing.T) {
 			t.Fatalf("record %d/%d did not round-trip: key=%q value=%q", p.part, p.off, recs[0].Key, recs[0].Value)
 		}
 	}
-	recs, err := b2.Fetch("control", 0, 0, 10)
+	recs, err := fetch(b2, "control", 0, 0, 10, 0)
 	if err != nil || len(recs) != 1 || string(recs[0].Value) != "announcement-1" {
 		t.Fatalf("control topic did not replay: %v / %+v", err, recs)
 	}
@@ -85,7 +85,7 @@ func TestDurableBrokerReplaysPartitions(t *testing.T) {
 	}
 
 	// The restarted broker appends at the right offsets.
-	_, off2, err := b2.Publish("control", nil, []byte("announcement-2"))
+	_, off2, err := publishAt(b2, "control", nil, []byte("announcement-2"))
 	if err != nil || off2 != 1 {
 		t.Fatalf("post-restart publish landed at offset %d, err %v", off2, err)
 	}
@@ -118,7 +118,7 @@ func TestDurableBrokerReplaysBatchesAndTimestamps(t *testing.T) {
 	}
 	defer b2.Close()
 	for _, want := range wantRecs {
-		recs, err := b2.Fetch("key", want.Partition, want.Offset, 1)
+		recs, err := fetch(b2, "key", want.Partition, want.Offset, 1, 0)
 		if err != nil || len(recs) != 1 {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestDurableBrokerSurvivesTornPartitionTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, _, err := b.Publish("answer", nil, []byte{byte(i)}); err != nil {
+		if err := publish(b, "answer", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +257,7 @@ func TestDurableBrokerSurvivesTornPartitionTail(t *testing.T) {
 		t.Fatalf("end offset after torn-tail recovery: %d, %v", end, err)
 	}
 	// Publishing resumes at the recovered offset.
-	_, off, err := b2.Publish("answer", nil, []byte("resumed"))
+	_, off, err := publishAt(b2, "answer", nil, []byte("resumed"))
 	if err != nil || off != 10 {
 		t.Fatalf("post-recovery publish: offset %d, err %v", off, err)
 	}
@@ -270,7 +270,7 @@ func TestConsumerSeekAndPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, _, err := b.Publish("answer", nil, []byte{byte(i)}); err != nil {
+		if err := publish(b, "answer", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,7 +424,7 @@ func TestTornSessionSliceIsRetriedWhole(t *testing.T) {
 	if st := b2.Stats(); end != 10 || st.Duplicates != 0 {
 		t.Fatalf("after the torn write and the retry the partition holds %d records (%d deduplicated), want 10 and 0", end, st.Duplicates)
 	}
-	recs, err := b2.Fetch("t", 0, 0, 10)
+	recs, err := fetch(b2, "t", 0, 0, 10, 0)
 	if err != nil || len(recs) != 10 {
 		t.Fatalf("fetch: %d records, %v", len(recs), err)
 	}
@@ -467,7 +467,7 @@ func TestDurableReloadCutsRunsAtBothEnds(t *testing.T) {
 	}
 	check := func(from int64) {
 		t.Helper()
-		recs, err := b.Fetch("t", 0, from, 1000)
+		recs, err := fetch(b, "t", 0, from, 1000, 0)
 		if err != nil || int64(len(recs)) != 600-from {
 			t.Fatalf("fetch from %d: %d records, %v; want %d", from, len(recs), err, 600-from)
 		}

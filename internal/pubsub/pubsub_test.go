@@ -21,6 +21,33 @@ func newTestBroker(t *testing.T, topics ...string) *Broker {
 	return b
 }
 
+// publish publishes one record, keyed or keyless, as a batch of one: the
+// only single-record write there is.
+func publish(tr Transport, topic string, key, value []byte) error {
+	return tr.PublishColumns(topic, Columns{Count: 1, KeyLen: len(key), ValLen: len(value), Keys: key, Vals: value}, 0, 0)
+}
+
+// publishAt is publish for a topic's only publisher, reporting where the
+// record landed: the partition its key hashes to and its offset there.
+func publishAt(tr Transport, topic string, key, value []byte) (part int, off int64, err error) {
+	n, err := tr.Partitions(topic)
+	if err != nil {
+		return 0, 0, err
+	}
+	part = int(fnv1a32(key) % uint32(n))
+	if off, err = tr.EndOffset(topic, part); err != nil {
+		return 0, 0, err
+	}
+	return part, off, publish(tr, topic, key, value)
+}
+
+// fetch reads up to max records of a partition from offset, waiting up
+// to wait for the first, as Records viewing the fetch's private memory.
+func fetch(tr Transport, topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
+	runs, _, err := tr.FetchWait(topic, partition, offset, max, wait, nil, nil)
+	return runRecords(topic, partition, runs), err
+}
+
 func TestCreateTopicValidation(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("", 1); err == nil {
@@ -50,16 +77,16 @@ func TestPublishFetchOrderWithinPartition(t *testing.T) {
 	b := newTestBroker(t, "answer")
 	key := []byte("same-key")
 	for i := 0; i < 10; i++ {
-		if _, _, err := b.Publish("answer", key, []byte{byte(i)}); err != nil {
+		if err := publish(b, "answer", key, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// All records share a partition (same key) and must be in order.
-	part, _, err := b.Publish("answer", key, []byte{99})
+	part, _, err := publishAt(b, "answer", key, []byte{99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := b.Fetch("answer", part, 0, 100)
+	recs, err := fetch(b, "answer", part, 0, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,36 +103,21 @@ func TestPublishFetchOrderWithinPartition(t *testing.T) {
 	}
 }
 
-func TestPublishRoundRobinCoversPartitions(t *testing.T) {
-	b := newTestBroker(t, "t")
-	seen := map[int]bool{}
-	for i := 0; i < 16; i++ {
-		p, _, err := b.Publish("t", nil, []byte("v"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[p] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("round robin hit %d of 4 partitions", len(seen))
-	}
-}
-
 func TestFetchValidation(t *testing.T) {
 	b := newTestBroker(t, "t")
-	if _, err := b.Fetch("missing", 0, 0, 1); !errors.Is(err, ErrNoTopic) {
+	if _, err := fetch(b, "missing", 0, 0, 1, 0); !errors.Is(err, ErrNoTopic) {
 		t.Errorf("missing topic: %v", err)
 	}
-	if _, err := b.Fetch("t", 9, 0, 1); !errors.Is(err, ErrNoPartition) {
+	if _, err := fetch(b, "t", 9, 0, 1, 0); !errors.Is(err, ErrNoPartition) {
 		t.Errorf("bad partition: %v", err)
 	}
-	if _, err := b.Fetch("t", 0, -1, 1); !errors.Is(err, ErrBadOffset) {
+	if _, err := fetch(b, "t", 0, -1, 1, 0); !errors.Is(err, ErrBadOffset) {
 		t.Errorf("negative offset: %v", err)
 	}
-	if _, err := b.Fetch("t", 0, 5, 1); !errors.Is(err, ErrBadOffset) {
+	if _, err := fetch(b, "t", 0, 5, 1, 0); !errors.Is(err, ErrBadOffset) {
 		t.Errorf("past-end offset: %v", err)
 	}
-	recs, err := b.Fetch("t", 0, 0, 10)
+	recs, err := fetch(b, "t", 0, 0, 10, 0)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty fetch = %v, %v", recs, err)
 	}
@@ -125,7 +137,7 @@ func TestWaitFetchWakesOnPublish(t *testing.T) {
 	// Publish directly into partition 0 by probing keys.
 	for i := 0; ; i++ {
 		key := []byte(fmt.Sprintf("k%d", i))
-		p, _, err := b.Publish("t", key, []byte("wake"))
+		p, _, err := publishAt(b, "t", key, []byte("wake"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +191,11 @@ func TestOffsetsCommit(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	b := newTestBroker(t, "t")
-	part, _, err := b.Publish("t", []byte("kk"), []byte("vvv"))
+	part, _, err := publishAt(b, "t", []byte("kk"), []byte("vvv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Fetch("t", part, 0, 10); err != nil {
+	if _, err := fetch(b, "t", part, 0, 10, 0); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
@@ -212,7 +224,7 @@ func TestCloseStopsPublishAndWakesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitFetch not woken by Close")
 	}
-	if _, _, err := b.Publish("t", nil, []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := publish(b, "t", nil, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Publish after close: %v", err)
 	}
 }
@@ -227,7 +239,7 @@ func TestConcurrentPublishersKeepAllRecords(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, _, err := b.Publish("t", nil, []byte{byte(w), byte(i)}); err != nil {
+				if err := publish(b, "t", nil, []byte{byte(w), byte(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -251,10 +263,10 @@ func TestConcurrentPublishersKeepAllRecords(t *testing.T) {
 func TestConsumerPollAndCommitResume(t *testing.T) {
 	b := newTestBroker(t, "answer", "key")
 	for i := 0; i < 20; i++ {
-		if _, _, err := b.Publish("answer", nil, []byte{byte(i)}); err != nil {
+		if err := publish(b, "answer", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := b.Publish("key", nil, []byte{byte(i)}); err != nil {
+		if err := publish(b, "key", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +319,7 @@ func TestConsumerPollAndCommitResume(t *testing.T) {
 	if len(recs) != 0 {
 		t.Errorf("fresh group read %d released records, want 0", len(recs))
 	}
-	if _, _, err := b.Publish("answer", nil, []byte("next")); err != nil {
+	if err := publish(b, "answer", nil, []byte("next")); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err = c3.Poll(100); err != nil || len(recs) != 1 {
@@ -340,19 +352,46 @@ func TestConsumerPollWait(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		b.Publish("t", nil, []byte("late"))
+		publish(b, "t", nil, []byte("late"))
 	}()
-	recs, err := c.PollWait(10, 5*time.Second)
+	runs, err := c.PollRuns(10, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || !bytes.Equal(recs[0].Value, []byte("late")) {
-		t.Errorf("PollWait = %v", recs)
+	if len(runs) != 1 || runs[0].Count != 1 || !bytes.Equal(runs[0].Val(0), []byte("late")) {
+		t.Errorf("PollRuns = %v", runs)
 	}
 	// Timeout path.
-	recs, err = c.PollWait(10, 20*time.Millisecond)
-	if err != nil || len(recs) != 0 {
-		t.Errorf("PollWait timeout = %v, %v", recs, err)
+	runs, err = c.PollRuns(10, 20*time.Millisecond)
+	if err != nil || len(runs) != 0 {
+		t.Errorf("PollRuns timeout = %v, %v", runs, err)
+	}
+}
+
+// TestConsumerPollEndsOnClose: a consumer waiting in a poll over an
+// in-process broker returns ErrClosed within one wait slice of the
+// broker closing, not at the end of its wait.
+func TestConsumerPollEndsOnClose(t *testing.T) {
+	b := newTestBroker(t, "t")
+	c, err := NewConsumer(b, "g", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		closed <- time.Now()
+		b.Close()
+	}()
+	runs, err := c.PollRuns(10, 10*time.Second)
+	woke := time.Now()
+	if !errors.Is(err, ErrClosed) || len(runs) != 0 {
+		t.Fatalf("PollRuns over a closing broker = %v, %v; want ErrClosed", runs, err)
+	}
+	// The poll waits in 20 ms slices: one slice plus scheduling slack,
+	// far below the 10 s wait.
+	if lag := woke.Sub(<-closed); lag > 250*time.Millisecond {
+		t.Errorf("poll woke %v after Close", lag)
 	}
 }
 
@@ -374,13 +413,13 @@ func TestPublishFetchExactlyOnceProperty(t *testing.T) {
 			if len(k) == 0 {
 				k = []byte{byte(i)}
 			}
-			if _, _, err := b.Publish("t", k, []byte{byte(i)}); err != nil {
+			if err := publish(b, "t", k, []byte{byte(i)}); err != nil {
 				return false
 			}
 		}
 		seen := 0
 		for p := 0; p < 3; p++ {
-			recs, err := b.Fetch("t", p, 0, len(keys)+1)
+			recs, err := fetch(b, "t", p, 0, len(keys)+1, 0)
 			if err != nil {
 				return false
 			}

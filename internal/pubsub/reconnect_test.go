@@ -64,7 +64,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	// tries must get through.
 	var lastErr error
 	for i := 0; i < 50; i++ {
-		if _, _, lastErr = cli.Publish("t", []byte("k"), []byte("v")); lastErr == nil {
+		if lastErr = publish(cli, "t", []byte("k"), []byte("v")); lastErr == nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -112,7 +112,7 @@ func TestInFlightFailsAmbiguous(t *testing.T) {
 			return
 		}
 	}()
-	_, _, err = cli.Publish("t", []byte("k"), []byte("v"))
+	err = publish(cli, "t", []byte("k"), []byte("v"))
 	if !errors.Is(err, ErrAmbiguous) {
 		t.Fatalf("in-flight failure: %v, want ErrAmbiguous", err)
 	}
@@ -138,11 +138,11 @@ func TestDialFailureIsUnambiguous(t *testing.T) {
 	waitConnDead(t, cli.conns[0], nil)
 	// First attempt dials (refused — plain error); an immediate second
 	// attempt is inside the backoff window and fails fast.
-	_, _, err = cli.Publish("t", []byte("k"), []byte("v"))
+	err = publish(cli, "t", []byte("k"), []byte("v"))
 	if err == nil || errors.Is(err, ErrAmbiguous) {
 		t.Fatalf("dial failure: %v, want a plain (unambiguous) error", err)
 	}
-	_, _, err = cli.Publish("t", []byte("k"), []byte("v"))
+	err = publish(cli, "t", []byte("k"), []byte("v"))
 	if err == nil || !strings.Contains(err.Error(), "backing off") {
 		t.Fatalf("within backoff window: %v, want fast redial-backoff failure", err)
 	}
@@ -172,7 +172,7 @@ func TestLazyDialComesUpWithServerDown(t *testing.T) {
 		t.Fatalf("lazy dial to a dead address failed: %v", err)
 	}
 	t.Cleanup(func() { cli.Close() })
-	if _, _, err := cli.Publish("t", []byte("k"), []byte("v")); err == nil {
+	if err := publish(cli, "t", []byte("k"), []byte("v")); err == nil {
 		t.Fatal("publish with server still down succeeded")
 	} else if errors.Is(err, ErrAmbiguous) {
 		t.Fatalf("nothing reached the wire, yet error claims ambiguity: %v", err)
@@ -195,7 +195,7 @@ func TestLazyDialComesUpWithServerDown(t *testing.T) {
 	if lastErr != nil {
 		t.Fatalf("lazy client never recovered once the server came up: %v", lastErr)
 	}
-	if _, _, err := cli.Publish("t", []byte("k"), []byte("v")); err != nil {
+	if err := publish(cli, "t", []byte("k"), []byte("v")); err != nil {
 		t.Fatalf("publish after recovery: %v", err)
 	}
 }
@@ -306,7 +306,7 @@ func TestPickPrefersLiveConns(t *testing.T) {
 	// With a one-minute redial backoff the dead conn cannot recover
 	// during the loop, so any request routed to it would fail.
 	for i := 0; i < 100; i++ {
-		if _, _, err := cli.Publish("t", []byte("k"), []byte("v")); err != nil {
+		if err := publish(cli, "t", []byte("k"), []byte("v")); err != nil {
 			t.Fatalf("publish %d routed to the dead conn: %v", i, err)
 		}
 	}

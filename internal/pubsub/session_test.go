@@ -180,7 +180,7 @@ func TestUnsessionedJournalReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	recs, err := b2.Fetch("t", 0, 0, 10)
+	recs, err := fetch(b2, "t", 0, 0, 10, 0)
 	if err != nil || len(recs) != 4 {
 		t.Fatalf("Fetch after replay = %d recs, %v", len(recs), err)
 	}

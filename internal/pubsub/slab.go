@@ -205,20 +205,3 @@ func appendRun(out []Record, topic string, partition int, r Run) []Record {
 	}
 	return out
 }
-
-// runRecords returns one partition's fetched runs as Records in one slice
-// sized for them, views of the runs' bodies.
-func runRecords(topic string, partition int, runs []Run) []Record {
-	n := 0
-	for _, r := range runs {
-		n += r.Count
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Record, 0, n)
-	for _, r := range runs {
-		out = appendRun(out, topic, partition, r)
-	}
-	return out
-}

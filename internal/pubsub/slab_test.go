@@ -72,7 +72,7 @@ var fuzzValLens = []int{0, 1, 22, 1000, 5000, slabSize - runHeaderLen - runEntry
 
 // FuzzPartitionLog applies a sequence of puts and trims to a durable
 // partition log and compares it with a plain []Record model: from every
-// retained offset, each and Fetch must read back every record's offset,
+// retained offset, each and FetchWait must read back every record's offset,
 // timestamp, key (nil or present) and value; and no slab may hold two
 // adjacent runs that one run could have held. Then the durable leg: the
 // broker is reopened from its journal, which must restore every record —
@@ -205,7 +205,7 @@ func FuzzPartitionLog(f *testing.F) {
 		same("each", p.first(), visit(p.first(), p.count))
 		for from := p.first(); from <= p.count; from++ {
 			same("each", from, visit(from, min(p.count, from+97)))
-			recs, err := b.Fetch("t", 0, from, 33)
+			recs, err := fetch(b, "t", 0, from, 33, 0)
 			if err != nil || int64(len(recs)) != min(33, p.count-from) {
 				t.Fatalf("Fetch from %d: %d records, %v", from, len(recs), err)
 			}
@@ -234,7 +234,7 @@ func FuzzPartitionLog(f *testing.F) {
 		if mem > 0 {
 			for _, at := range []int64{0, mem / 3, mem * 2 / 3, mem - 1} {
 				p.trim(mem)
-				recs, err := b.Fetch("t", 0, at, 33)
+				recs, err := fetch(b, "t", 0, at, 33, 0)
 				if err != nil || int64(len(recs)) != min(33, p.count-at) {
 					t.Fatalf("Fetch from %d below the memory floor %d: %d records, %v", at, mem, len(recs), err)
 				}

@@ -147,19 +147,6 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 			return err
 		}
 		e.byte(0)
-	case opPublish:
-		// Views into the request frame: Publish copies both into its slab.
-		topic, key, val := d.Str(), decodeOptBytes(d), d.Bytes()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		part, off, err := s.broker.Publish(topic, key, val)
-		if err != nil {
-			return err
-		}
-		e.byte(0)
-		e.uint32(uint32(part))
-		e.uint64(uint64(off))
 	case opPublishColumns:
 		// The lanes are views into the request frame; the broker copies
 		// each record once into its slab, and validates the lane geometry
@@ -263,10 +250,10 @@ func (s *Server) awaitRecord(topic string, part int, off int64, wait time.Durati
 // first offset | u64 unix-nanos | u32 keyLen | u32 valLen | u32 count.
 const fetchRunHeaderLen = 28
 
-// encodeFetch appends the opFetch response for what Fetch would return
-// — status | u32 runs, then per run its header (fetchRunHeaderLen) and
-// count × (key‖value) — straight from the slabs under the partition
-// lock, each run's records in one copy.
+// encodeFetch appends the opFetch response for what FetchWait would
+// append — status | u32 runs, then per run its header
+// (fetchRunHeaderLen) and count × (key‖value) — straight from the slabs
+// under the partition lock, each run's records in one copy.
 func (b *Broker) encodeFetch(e *enc, topic string, partition int, offset int64, max int) error {
 	e.byte(0)
 	at := len(e.buf)
@@ -286,30 +273,6 @@ func (b *Broker) encodeFetch(e *enc, topic string, partition int, offset int64, 
 		binary.BigEndian.PutUint32(e.buf[at:], uint32(runs))
 		return size
 	})
-}
-
-// decodeOptBytes reads the hasKey-prefixed optional byte string
-// opPublish uses: a 0 marker means nil, a 1 marker is followed by a
-// length-prefixed value.
-func decodeOptBytes(d *codec.Reader) []byte {
-	switch has := d.U8(); has {
-	case 0:
-		return nil
-	case 1:
-		return d.Bytes()
-	default:
-		d.Fail("bad optional-bytes marker %d", has)
-		return nil
-	}
-}
-
-func encodeOptBytes(e *enc, b []byte) {
-	if b != nil {
-		e.byte(1)
-		e.bytes(b)
-	} else {
-		e.byte(0)
-	}
 }
 
 // ErrAmbiguous reports a request whose outcome is unknown: it was
@@ -765,27 +728,6 @@ func (c *Client) CreateTopic(topic string, partitions int) error {
 	return done(c.roundTrip(e.buf))
 }
 
-// Publish mirrors Broker.Publish. The request frame is encoded into a
-// pooled buffer that is recycled once the frame is on the wire; key and
-// value are consumed before Publish returns.
-func (c *Client) Publish(topic string, key, value []byte) (int, int64, error) {
-	e := getEnc()
-	e.byte(opPublish)
-	e.str(topic)
-	encodeOptBytes(e, key)
-	e.bytes(value)
-	d, err := c.roundTrip(e.buf)
-	putEnc(e)
-	if err != nil {
-		return 0, 0, err
-	}
-	part, off := d.U32(), d.U64()
-	if err := d.Done(); err != nil {
-		return 0, 0, err
-	}
-	return int(part), int64(off), nil
-}
-
 // maxBatchBytes caps one columnar publish frame well under maxFrame;
 // Producer splits larger batches into chunks of at most this size.
 const maxBatchBytes = 8 << 20
@@ -831,19 +773,9 @@ func waitToMillis(d time.Duration) uint32 {
 	return uint32((d + time.Millisecond - 1) / time.Millisecond)
 }
 
-// Fetch mirrors Broker.Fetch; wait > 0 makes it a blocking fetch with
-// that timeout. The records' keys and values are cap-limited views of
-// the response frame, which belongs to this call alone: a private copy
-// like Broker.Fetch's, made by the socket read.
-func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
-	var buf [4]Run // a reply of up to four runs decodes without a heap slice
-	runs, _, err := c.FetchWait(topic, partition, offset, max, wait, buf[:0], nil)
-	return runRecords(topic, partition, runs), err
-}
-
-// FetchWait is the Transport form of Fetch: it appends the runs of the
-// response, whose bodies view the response frame, and leaves mem as it
-// is — the frame is already this call's own.
+// FetchWait mirrors Broker.FetchWait: the runs' bodies view the
+// response frame, a private copy made by the socket read, and mem is
+// left as it is.
 func (c *Client) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error) {
 	e := getEnc()
 	e.byte(opFetch)
@@ -866,9 +798,9 @@ func (c *Client) FetchWait(topic string, partition int, offset int64, max int, w
 // runs, which view d's frame, to runs. The runs must start at offset and
 // follow each other without a gap, fill the frame exactly, and hold no
 // more than max records between them, none empty — a zero-stride run
-// (keyless, empty values) takes no body bytes, so the frame alone cannot
-// bound the count, and the runs are at most max. A response that breaks
-// any of these appends nothing.
+// (no publish writes one, but an old journal may hold it) takes no body
+// bytes, so the frame alone cannot bound the count. A response that
+// breaks any of these appends nothing.
 func decodeFetch(d *codec.Reader, offset int64, max uint32, runs []Run) ([]Run, error) {
 	n := d.Count(fetchRunHeaderLen)
 	had, next, total := len(runs), offset, uint64(0)

@@ -17,26 +17,28 @@ import (
 
 // --- Publish edge cases over the wire. ---
 
+// TestTCPPublishNilAndEmptyKeys: a nil and an empty key are the same
+// keyless record, routed by the hash of the empty key — both land in one
+// partition, one after the other — and survive the wire as zero-length.
 func TestTCPPublishNilAndEmptyKeys(t *testing.T) {
 	b, _, cli := startServer(t)
 	if err := cli.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cli.Publish("t", nil, []byte("roundrobin")); err != nil {
+	if err := publish(cli, "t", nil, []byte("nilkey")); err != nil {
 		t.Fatal(err)
 	}
-	part, off, err := cli.Publish("t", []byte{}, []byte("emptykey"))
+	if err := publish(cli, "t", []byte{}, []byte("emptykey")); err != nil {
+		t.Fatal(err)
+	}
+	part := partitionForKey(nil, 2)
+	recs, err := fetch(b, "t", part, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := b.Fetch("t", part, off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An empty (non-nil) key is hashed, not round-robined, and survives
-	// the wire as zero-length.
-	if len(recs) != 1 || len(recs[0].Key) != 0 || part != partitionForKey(nil, 2) {
-		t.Errorf("empty-key record = %+v in partition %d", recs, part)
+	if len(recs) != 2 || recs[0].Key != nil || recs[1].Key != nil ||
+		string(recs[0].Value) != "nilkey" || string(recs[1].Value) != "emptykey" {
+		t.Errorf("keyless records in partition %d = %+v", part, recs)
 	}
 }
 
@@ -75,7 +77,7 @@ func TestTCPPipelinedConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				key := []byte(fmt.Sprintf("g%d-%d", g, i))
-				if _, _, err := cli.Publish("t", key, []byte("v")); err != nil {
+				if err := publish(cli, "t", key, []byte("v")); err != nil {
 					t.Error(err)
 					return
 				}
@@ -110,14 +112,14 @@ func TestTCPPoolBlockingFetchDoesNotStallPublishes(t *testing.T) {
 	}
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := cli.Fetch("t", 0, 0, 10, 10*time.Second)
+		recs, err := fetch(cli, "t", 0, 0, 10, 10*time.Second)
 		if err != nil {
 			t.Error(err)
 		}
 		done <- recs
 	}()
 	time.Sleep(30 * time.Millisecond) // let the fetch park server-side
-	if _, _, err := cli.Publish("t", nil, []byte("unstick")); err != nil {
+	if err := publish(cli, "t", nil, []byte("unstick")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -163,7 +165,7 @@ func TestTCPSubMillisecondWaitBlocks(t *testing.T) {
 	// 1ms) instead of degrading into an instant non-blocking fetch. The
 	// elapsed lower bound is what the old truncating code violated.
 	start := time.Now()
-	recs, err := cli.Fetch("t", 0, 0, 10, 500*time.Microsecond)
+	recs, err := fetch(cli, "t", 0, 0, 10, 500*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,27 +241,43 @@ func TestTCPServerUnknownOpcode(t *testing.T) {
 
 func TestTCPServerShortPayloads(t *testing.T) {
 	_, srv, _ := startServer(t)
-	cases := map[string][]byte{
-		// opPublish with a key length pointing past the frame end.
-		"truncated publish key": {opPublish, 0, 0, 0, 1, 't', 1, 0, 0, 0, 99},
+	cases := map[string]struct {
+		req  []byte
+		want string
+	}{
 		// opCreateTopic with a topic-name length but no bytes.
-		"truncated topic name": {opCreateTopic, 0, 0, 0, 10},
+		"truncated topic name": {[]byte{opCreateTopic, 0, 0, 0, 10}, "wire protocol error"},
 		// opFetch cut off before the offset.
-		"truncated fetch": {opFetch, 0, 0, 0, 1, 't', 0, 0, 0, 0},
+		"truncated fetch": {[]byte{opFetch, 0, 0, 0, 1, 't', 0, 0, 0, 0}, "wire protocol error"},
 		// opPublishColumns whose count promises more records than framed.
-		"lying batch count": columnsFrame("t", 0, 0, 5, 1, 1, []byte("k"), []byte("v")),
-		// opPublish with an invalid optional-key marker.
-		"bad key marker": {opPublish, 0, 0, 0, 1, 't', 7},
+		"lying batch count": {columnsFrame("t", 0, 0, 5, 1, 1, []byte("k"), []byte("v")), "wire protocol error"},
+		// The retired single-record publish: opcode 2 is unassigned, so
+		// a well-formed frame and the two malformed ones the old decoder
+		// refused are all refused as an unknown opcode.
+		"retired publish opcode": {[]byte{2, 0, 0, 0, 1, 't', 0, 0, 0, 0, 1, 'v'}, "wire protocol error: unknown opcode 2"},
+		// A key length pointing past the frame end.
+		"truncated publish key": {[]byte{2, 0, 0, 0, 1, 't', 1, 0, 0, 0, 99}, "wire protocol error: unknown opcode 2"},
+		// An invalid optional-key marker.
+		"bad key marker": {[]byte{2, 0, 0, 0, 1, 't', 7}, "wire protocol error: unknown opcode 2"},
 	}
-	for name, payload := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			conn := rawConn(t, srv.Addr())
-			if err := writeFrame(conn, payload); err != nil {
+			if err := writeFrame(conn, tc.req); err != nil {
 				t.Fatal(err)
 			}
-			msg := readStatusError(t, conn)
-			if !strings.Contains(msg, "wire protocol error") && !strings.Contains(msg, "short frame") {
-				t.Errorf("error = %q, want a wire protocol error", msg)
+			if msg := readStatusError(t, conn); !strings.Contains(msg, tc.want) {
+				t.Errorf("error = %q, want %q", msg, tc.want)
+			}
+			// The connection keeps serving: a valid request still works.
+			var e enc
+			e.byte(opPartitions)
+			e.str("missing")
+			if err := writeFrame(conn, e.buf); err != nil {
+				t.Fatal(err)
+			}
+			if msg := readStatusError(t, conn); !strings.Contains(msg, "no such topic") {
+				t.Errorf("after the refused frame: error = %q, want no such topic", msg)
 			}
 		})
 	}
@@ -289,7 +307,7 @@ func TestTCPServerCloseDuringInflightWaitFetch(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cli.Fetch("t", 0, 0, 10, 30*time.Second)
+		_, err := fetch(cli, "t", 0, 0, 10, 30*time.Second)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the fetch park server-side
@@ -326,7 +344,7 @@ func TestTCPClientCloseFailsOutstandingRequests(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cli.Fetch("t", 0, 0, 10, 30*time.Second)
+		_, err := fetch(cli, "t", 0, 0, 10, 30*time.Second)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -351,26 +369,26 @@ func TestTransportConsumerOverTCP(t *testing.T) {
 	if err := cli.PublishColumns("t", testCols(20, 1, 1), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewTransportConsumer(cli, "g", "t")
+	c, err := NewConsumer(cli, "g", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.PollWait(100, time.Second)
+	runs, err := c.PollRuns(100, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 20 {
-		t.Fatalf("polled %d records, want 20", len(recs))
+	if n := len(runRecords("t", 0, runs)); n != 20 {
+		t.Fatalf("polled %d records, want 20", n)
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// A second consumer in the same group resumes past everything.
-	c2, err := NewTransportConsumer(cli, "g", "t")
+	c2, err := NewConsumer(cli, "g", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err = c2.Poll(100)
+	recs, err := c2.Poll(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +419,6 @@ func requestFrames() []namedFrame {
 	}
 	return []namedFrame{
 		{"create topic", frame(opCreateTopic, func(e *enc) { e.str("new"); e.uint32(1) })},
-		{"publish", frame(opPublish, func(e *enc) {
-			e.str("t")
-			encodeOptBytes(e, []byte("k"))
-			e.bytes([]byte("v"))
-		})},
 		{"publish columns", columnsFrame("t", 7, 1, 2, 1, 1, []byte("ab"), []byte("cd"))},
 		{"fetch", frame(opFetch, func(e *enc) {
 			e.str("t")
@@ -435,7 +448,7 @@ func TestTCPServerRefusesTrailingBytes(t *testing.T) {
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Publish("t", nil, []byte("r0")); err != nil {
+	if err := publish(b, "t", nil, []byte("r0")); err != nil {
 		t.Fatal(err)
 	}
 	conn := rawConn(t, srv.Addr())
@@ -503,12 +516,12 @@ func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 	calls := map[string]func() error{
 		"create topic": func() error { return cli.CreateTopic("new", 1) },
 		"publish": func() error {
-			_, _, err := cli.Publish("t", nil, []byte("v"))
+			err := publish(cli, "t", nil, []byte("v"))
 			return err
 		},
 		"publish columns": func() error { return cli.PublishColumns("t", testCols(2, 1, 1), 0, 0) },
 		"fetch": func() error {
-			_, err := cli.Fetch("t", 0, 0, 10, 0)
+			_, err := fetch(cli, "t", 0, 0, 10, 0)
 			return err
 		},
 		"end offset": func() error {
@@ -551,12 +564,17 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(e.buf) // 18 bytes
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
+	// The retired single-record publish: opcode 2 is refused as unknown.
+	retired := []byte{2, 0, 0, 0, 1, 't', 0, 0, 0, 0, 1, 'v'}
+	f.Add(retired)
+	f.Add(append(bytes.Clone(retired), 0))
+	f.Add(retired[:len(retired)-1])
 	f.Fuzz(func(t *testing.T, req []byte) {
 		b := NewBroker()
 		if err := b.CreateTopic("t", 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := b.Publish("t", nil, []byte("r0")); err != nil {
+		if err := publish(b, "t", nil, []byte("r0")); err != nil {
 			t.Fatal(err)
 		}
 		// A closed server ends a blocking fetch after one wait slice.

@@ -33,14 +33,14 @@ func TestTCPCreatePublishFetch(t *testing.T) {
 	if n, err := cli.Partitions("answer"); err != nil || n != 2 {
 		t.Fatalf("Partitions = %d, %v", n, err)
 	}
-	part, off, err := cli.Publish("answer", []byte("mid-1"), []byte("payload"))
+	part, off, err := publishAt(cli, "answer", []byte("mid-1"), []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off != 0 {
 		t.Errorf("first offset = %d", off)
 	}
-	recs, err := cli.Fetch("answer", part, 0, 10, 0)
+	recs, err := fetch(cli, "answer", part, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,10 @@ func TestTCPErrorsPropagate(t *testing.T) {
 	if err := cli.CreateTopic("t", 1); err == nil || !strings.Contains(err.Error(), "exists") {
 		t.Errorf("duplicate create over TCP: %v", err)
 	}
-	if _, _, err := cli.Publish("missing", nil, []byte("v")); err == nil {
+	if err := publish(cli, "missing", nil, []byte("v")); err == nil {
 		t.Error("expected missing-topic error over TCP")
 	}
-	if _, err := cli.Fetch("t", 5, 0, 1, 0); err == nil {
+	if _, err := fetch(cli, "t", 5, 0, 1, 0); err == nil {
 		t.Error("expected bad-partition error over TCP")
 	}
 }
@@ -77,10 +77,10 @@ func TestTCPNilKeyPublish(t *testing.T) {
 	if err := cli.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cli.Publish("t", nil, []byte("nokey")); err != nil {
+	if err := publish(cli, "t", nil, []byte("nokey")); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := cli.Fetch("t", 0, 0, 1, 0)
+	recs, err := fetch(cli, "t", 0, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func TestTCPWaitFetch(t *testing.T) {
 	defer cli2.Close()
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := cli2.Fetch("t", 0, 0, 10, 5*time.Second)
+		recs, err := fetch(cli2, "t", 0, 0, 10, 5*time.Second)
 		if err != nil {
 			t.Error(err)
 		}
 		done <- recs
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if _, _, err := cli.Publish("t", nil, []byte("wake")); err != nil {
+	if err := publish(cli, "t", nil, []byte("wake")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -155,7 +155,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 			defer cli.Close()
 			for j := 0; j < each; j++ {
 				key := []byte(fmt.Sprintf("c%d-%d", i, j))
-				if _, _, err := cli.Publish("t", key, []byte("v")); err != nil {
+				if err := publish(cli, "t", key, []byte("v")); err != nil {
 					t.Error(err)
 					return
 				}
@@ -182,7 +182,7 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, _, err := cli.Publish("t", nil, []byte("x")); err == nil {
+	if err := publish(cli, "t", nil, []byte("x")); err == nil {
 		t.Error("expected error after server close")
 	}
 }

@@ -15,17 +15,14 @@ type Transport interface {
 	CreateTopic(topic string, partitions int) error
 	// Partitions returns a topic's partition count.
 	Partitions(topic string) (int, error)
-	// Publish appends one record; a non-nil key selects the partition
-	// by hash, a nil key round-robins. key and value are borrowed: they
-	// are copied (into the log) or encoded (onto the wire) before the
-	// call returns.
-	Publish(topic string, key, value []byte) (int, int64, error)
 	// PublishColumns appends a fixed-stride batch in one call, fully
-	// applied or refused whole. A nonzero pid tags the batch with a
-	// producer session: seq is that producer's per-topic batch sequence,
-	// and a partition that already applied seq or a later one skips its
-	// slice, so a retry after ErrAmbiguous has exactly-once effect. pid 0
-	// publishes without dedup and must carry seq 0.
+	// applied or refused whole: the only write, so one record is a batch
+	// of one. A record's partition is the FNV-1a hash of its key. A
+	// nonzero pid tags the batch with a producer session: seq is that
+	// producer's per-topic batch sequence, and a partition that already
+	// applied seq or a later one skips its slice, so a retry after
+	// ErrAmbiguous has exactly-once effect. pid 0 publishes without dedup
+	// and must carry seq 0.
 	PublishColumns(topic string, cols Columns, pid, seq uint64) error
 	// FetchWait reads up to max records from a partition starting at
 	// offset and appends them to runs. wait <= 0 returns immediately with
@@ -65,10 +62,11 @@ type Run struct {
 // mixing record sizes cannot be expressed and are rejected before they
 // reach the wire.
 //
+// A batch may be keyless (KeyLen 0) or carry empty values, not both.
+//
 // The lanes are borrowed, not taken over: a publisher fully consumes
 // (copies or encodes) both lanes before PublishColumns returns, so the
-// caller may reuse them immediately — the same ownership rule as
-// Publish's key and value (DESIGN.md §6, §10).
+// caller may reuse them immediately (DESIGN.md §6, §10).
 type Columns struct {
 	Count  int
 	KeyLen int
@@ -85,7 +83,7 @@ func (c Columns) Validate() error {
 	if c.Count == 0 {
 		return nil
 	}
-	if c.KeyLen <= 0 || c.ValLen <= 0 {
+	if c.KeyLen < 0 || c.ValLen < 0 || c.KeyLen+c.ValLen == 0 {
 		return fmt.Errorf("%w: key stride %d, value stride %d", ErrWire, c.KeyLen, c.ValLen)
 	}
 	if len(c.Keys) != c.Count*c.KeyLen {
@@ -102,6 +100,12 @@ func (c Columns) Key(i int) []byte { return c.Keys[i*c.KeyLen : (i+1)*c.KeyLen :
 
 // Val returns record i's value as a view into the value lane.
 func (c Columns) Val(i int) []byte { return c.Vals[i*c.ValLen : (i+1)*c.ValLen : (i+1)*c.ValLen] }
+
+// Val returns record i's value as a view into the run's body.
+func (r Run) Val(i int) []byte {
+	end := (i + 1) * (r.KeyLen + r.ValLen)
+	return r.Body[end-r.ValLen : end : end]
+}
 
 var (
 	_ Transport = (*Broker)(nil)

@@ -19,7 +19,7 @@ func fill(t *testing.T, b *Broker, n, size int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, _, err := b.Publish("t", nil, bytes.Repeat([]byte{byte(i)}, size)); err != nil {
+		if err := publish(b, "t", nil, bytes.Repeat([]byte{byte(i)}, size)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,8 +51,8 @@ func TestFetchBelowFloorIsBadOffset(t *testing.T) {
 		t.Fatalf("after a full commit: first retained %d in %d slabs, want 10 and none", first, slabs)
 	}
 	fetches := map[string]func(offset int64) ([]Record, error){
-		"in-process": func(offset int64) ([]Record, error) { return b.Fetch("t", 0, offset, 5) },
-		"tcp":        func(offset int64) ([]Record, error) { return cli.Fetch("t", 0, offset, 5, 0) },
+		"in-process": func(offset int64) ([]Record, error) { return fetch(b, "t", 0, offset, 5, 0) },
+		"tcp":        func(offset int64) ([]Record, error) { return fetch(cli, "t", 0, offset, 5, 0) },
 	}
 	for name, fetch := range fetches {
 		for _, offset := range []int64{0, 9} {
@@ -137,7 +137,7 @@ func TestTrimMidSlabKeepsTheSlab(t *testing.T) {
 	if first, slabs := retained(t, b); first != 4 || slabs != 2 {
 		t.Fatalf("floor 6: first retained %d in %d slabs, want 4 in 2", first, slabs)
 	}
-	recs, err := b.Fetch("t", 0, 4, 100)
+	recs, err := fetch(b, "t", 0, 4, 100, 0)
 	if err != nil || len(recs) != 8 {
 		t.Fatalf("fetch from the kept slab: %d records, %v", len(recs), err)
 	}
@@ -146,7 +146,7 @@ func TestTrimMidSlabKeepsTheSlab(t *testing.T) {
 			t.Fatalf("record %d reads back as offset %d, %d bytes of %#x", 4+i, rec.Offset, len(rec.Value), rec.Value[0])
 		}
 	}
-	if _, err := b.Fetch("t", 0, 3, 1); !errors.Is(err, ErrBadOffset) {
+	if _, err := fetch(b, "t", 0, 3, 1, 0); !errors.Is(err, ErrBadOffset) {
 		t.Errorf("fetch in the released slab: %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestTrimMidSlabKeepsTheSlab(t *testing.T) {
 func TestTrimRecyclesSlabsAndKeepsOffsetsDense(t *testing.T) {
 	b := NewBroker()
 	fill(t, b, 5, 1<<10)
-	before, err := b.Fetch("t", 0, 0, 5)
+	before, err := fetch(b, "t", 0, 0, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTrimRecyclesSlabsAndKeepsOffsetsDense(t *testing.T) {
 		t.Fatalf("commit at the end kept %d slabs (spare set aside: %v)", slabs, p.spare != nil)
 	}
 	for i := 0; i < 5; i++ {
-		_, off, err := b.Publish("t", nil, bytes.Repeat([]byte{0xEE}, 1<<10))
+		_, off, err := publishAt(b, "t", nil, bytes.Repeat([]byte{0xEE}, 1<<10))
 		if err != nil || off != int64(5+i) {
 			t.Fatalf("publish %d after the trim got offset %d (%v), want %d", i, off, err, 5+i)
 		}
@@ -190,7 +190,7 @@ func TestTrimRecyclesSlabsAndKeepsOffsetsDense(t *testing.T) {
 			t.Errorf("record %d fetched before the trim changed under its holder", i)
 		}
 	}
-	recs, err := b.Fetch("t", 0, 5, 100)
+	recs, err := fetch(b, "t", 0, 5, 100, 0)
 	if err != nil || len(recs) != 5 || recs[0].Offset != 5 || recs[4].Value[0] != 0xEE {
 		t.Fatalf("after the trim: %d records from %v, %v", len(recs), recs, err)
 	}
@@ -198,12 +198,18 @@ func TestTrimRecyclesSlabsAndKeepsOffsetsDense(t *testing.T) {
 	// records keeps the partition cycling the buffers it has.
 	round := func() {
 		for i := 0; i < 200; i++ {
-			b.Publish("t", nil, want[0])
+			publish(b, "t", nil, want[0])
 		}
 		end, _ := b.EndOffset("t", 0)
 		b.CommitOffset("agg", "t", 0, end)
 	}
 	round()
+	// Each publish, a batch of one, takes a pooled colScratch; a -race
+	// build's pool drops some of them, so only the slab checks above hold
+	// there.
+	if raceEnabled {
+		return
+	}
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Errorf("publishing and committing 200 KiB allocates %.1f times per round", allocs)
 	}
@@ -270,7 +276,7 @@ func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
 	if off, _ := b2.CommittedOffset("never-committed", "t", 0); off != first {
 		t.Fatalf("a group with no commit starts at %d, want the memory floor %d", off, first)
 	}
-	recs, err := b2.Fetch("t", 0, 0, 1000)
+	recs, err := fetch(b2, "t", 0, 0, 1000, 0)
 	if err != nil || len(recs) != 602 {
 		t.Fatalf("fetch below the memory floor: %d records, %v; want the whole log from the WAL", len(recs), err)
 	}
@@ -318,7 +324,7 @@ func TestDurableReopenTrimsToTheRestoredFloor(t *testing.T) {
 	if st := b2.Stats(); st.Duplicates != 800 {
 		t.Errorf("Duplicates = %d, want 800", st.Duplicates)
 	}
-	if _, off, err := b2.Publish("t", nil, []byte("next")); err != nil || off != 602 {
+	if _, off, err := publishAt(b2, "t", nil, []byte("next")); err != nil || off != 602 {
 		t.Fatalf("next publish got offset %d (%v), want 602", off, err)
 	}
 }
@@ -369,7 +375,7 @@ func TestDurableReloadRacesPublishAndCommit(t *testing.T) {
 	for range 2 {
 		run(func(i int) error {
 			from := int64(i % 50)
-			recs, err := b.Fetch("t", 0, from, 50)
+			recs, err := fetch(b, "t", 0, from, 50, 0)
 			if err != nil {
 				return fmt.Errorf("fetch from %d: %w", from, err)
 			}
@@ -411,7 +417,7 @@ func (c *countingTransport) CommitOffset(group, topic string, partition int, off
 func TestConsumerCommitSendsOnlyWhatMoved(t *testing.T) {
 	b := newTestBroker(t, "t") // four partitions
 	ct := &countingTransport{Broker: b}
-	c, err := NewTransportConsumer(ct, "agg", "t")
+	c, err := NewConsumer(ct, "agg", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +426,7 @@ func TestConsumerCommitSendsOnlyWhatMoved(t *testing.T) {
 	}
 	key := keyFor(t, 4, 2)
 	for i := 0; i < 3; i++ {
-		if _, _, err := b.Publish("t", key, []byte{byte(i)}); err != nil {
+		if err := publish(b, "t", key, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -436,7 +442,7 @@ func TestConsumerCommitSendsOnlyWhatMoved(t *testing.T) {
 		t.Fatalf("commits sent: %v, want one for partition 2 at offset 3", ct.commits)
 	}
 	// A consumer resuming from the group's commit starts out in step.
-	c2, err := NewTransportConsumer(ct, "agg", "t")
+	c2, err := NewConsumer(ct, "agg", "t")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,15 @@ const maxFrame = 64 << 20
 var ErrWire = errors.New("pubsub: wire protocol error")
 
 // Opcodes. The values are the wire format and are pinned by the golden
-// frame in wire_golden_test.go; 8–11 are unassigned.
+// frame in wire_golden_test.go; 2 (the retired single-record publish)
+// and 8–11 are unassigned, and a frame carrying one is refused.
 const (
 	opCreateTopic = byte(1)
-	// opPublish carries one variable-length, optionally keyless record.
-	opPublish    = byte(2)
-	opFetch      = byte(3)
-	opEndOffset  = byte(4)
-	opCommit     = byte(5)
-	opCommitted  = byte(6)
-	opPartitions = byte(7)
+	opFetch       = byte(3)
+	opEndOffset   = byte(4)
+	opCommit      = byte(5)
+	opCommitted   = byte(6)
+	opPartitions  = byte(7)
 	// opPublishColumns carries one fixed-stride batch and its producer
 	// session tag: topic | u64 pid | u64 seq | u32 count | u32 keyLen |
 	// u32 valLen | keys | vals.

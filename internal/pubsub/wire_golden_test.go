@@ -120,7 +120,7 @@ func TestGoldenPartitionRecords(t *testing.T) {
 	if err := b.PublishColumns("answer", goldenCols, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Publish("answer", goldenCols.Key(1), goldenCols.Val(1)); err != nil {
+	if err := publish(b, "answer", goldenCols.Key(1), goldenCols.Val(1)); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
@@ -161,10 +161,10 @@ func goldenFetchBroker(tb testing.TB) *Broker {
 	if err := b.PublishColumns("t", cols, 0, 0); err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := b.Publish("t", []byte("key"), []byte("value")); err != nil {
+	if err := publish(b, "t", []byte("key"), []byte("value")); err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := b.Publish("t", nil, []byte("keyless")); err != nil {
+	if err := publish(b, "t", nil, []byte("keyless")); err != nil {
 		tb.Fatal(err)
 	}
 	return b
@@ -181,7 +181,7 @@ const goldenFetch = "00" + "00000003" +
 // TestGoldenFetchResponse: the exact bytes a server answers a fetch of a
 // partition holding a columnar batch, a keyed and a keyless record (each
 // run's clock-drawn timestamp overwritten with a fixed one), and the
-// client's decode of them: the records Broker.Fetch returns.
+// client's decode of them: the records the in-process FetchWait appends.
 func TestGoldenFetchResponse(t *testing.T) {
 	b := goldenFetchBroker(t)
 	var req enc
@@ -209,7 +209,7 @@ func TestGoldenFetchResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := runRecords("t", 0, runs)
-	fetched, err := b.Fetch("t", 0, 0, 10)
+	fetched, err := fetch(b, "t", 0, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,8 @@ func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
 			for e := uint64(0); e < 3; e++ {
 				if bad && e == 1 {
 					px := r.fleet.Proxy(0)
-					if _, _, err := px.Broker().Publish(px.Topic(), []byte("mid"), []byte("no share")); err != nil {
+					noShare := pubsub.Columns{Count: 1, KeyLen: 3, ValLen: 8, Keys: []byte("mid"), Vals: []byte("no share")}
+					if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -256,6 +257,20 @@ func answerTwin(t *testing.T, r *rig, e uint64) int {
 	return n
 }
 
+// fetchRecords reads up to max records of a partition from offset as
+// Records, views of the fetch's private memory.
+func fetchRecords(b *pubsub.Broker, topic string, partition int, offset int64, max int) ([]pubsub.Record, error) {
+	runs, _, err := b.FetchWait(topic, partition, offset, max, 0, nil, nil)
+	var recs []pubsub.Record
+	for _, r := range runs {
+		for i := range r.Count {
+			at := i * (r.KeyLen + r.ValLen)
+			recs = append(recs, pubsub.Record{Topic: topic, Partition: partition, Offset: r.Offset + int64(i), Key: r.Body[at : at+r.KeyLen], Value: r.Val(i)})
+		}
+	}
+	return recs, err
+}
+
 // topics returns what the rig's two proxies hold, proxy p's at index p,
 // partition by partition in offset order: each record's offset, its MID
 // and the message its share joins to with its sibling at the other
@@ -274,7 +289,7 @@ func topics(t *testing.T, r *rig) [2][][]string {
 			t.Fatal(err)
 		}
 		for part := 0; part < parts; part++ {
-			got, err := px.Broker().Fetch(px.Topic(), part, 0, math.MaxInt)
+			got, err := fetchRecords(px.Broker(), px.Topic(), part, 0, math.MaxInt)
 			if err != nil {
 				t.Fatal(err)
 			}

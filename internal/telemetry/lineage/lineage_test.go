@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -167,46 +169,72 @@ func TestRecorderLogScanSuppressesAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRecorderTruncatesTornTail: a crash that tears an append leaves a
+// tail the next open truncates — an unparseable partial line, or a whole
+// card missing only its newline (a card is a newline-terminated line) —
+// so the card appended after it, and every card before it, survive the
+// open after that. The torn window fires again after restore.
 func TestRecorderTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cards.jsonl")
-	r1, err := NewRecorder(Options{Path: path})
+	torn, err := json.Marshal(Card{Query: "q", WindowStart: 2000, WindowEnd: 3000, Responses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	emit(t, r1, "q", 1000)
-	if err := r1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a torn, unparseable final line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"query":"q","window_start`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for name, tail := range map[string]string{
+		"partial line":    `{"query":"q","window_start`,
+		"missing newline": string(torn),
+	} {
+		path := filepath.Join(t.TempDir(), "cards.jsonl")
+		r1, err := NewRecorder(Options{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emit(t, r1, "q", 1000)
+		if err := r1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Simulate a crash mid-append.
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(tail); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	r2, err := NewRecorder(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit(t, r2, "q", 2000)
-	if err := r2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("log has %d lines after torn-tail recovery, want 2:\n%s", len(lines), data)
-	}
-	for _, ln := range lines {
-		var c Card
-		if err := json.Unmarshal([]byte(ln), &c); err != nil {
-			t.Fatalf("unparseable line survived recovery: %q", ln)
+		r2, err := NewRecorder(Options{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emit(t, r2, "q", 3000)
+		if err := r2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r3, err := NewRecorder(Options{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r3.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(data), "\n")
+		if tail := lines[len(lines)-1]; tail != "" {
+			t.Fatalf("%s: an unterminated tail survived recovery: %q", name, tail)
+		}
+		var starts []int64
+		for _, ln := range lines[:len(lines)-1] {
+			var c Card
+			if err := json.Unmarshal([]byte(ln), &c); err != nil {
+				t.Fatalf("%s: an unparseable line survived recovery: %q", name, ln)
+			}
+			starts = append(starts, c.WindowStart)
+		}
+		if fmt.Sprint(starts) != "[1000 3000]" {
+			t.Errorf("%s: the log holds windows %v after recovery, want [1000 3000]:\n%s", name, starts, data)
 		}
 	}
 }
@@ -389,6 +417,96 @@ func FuzzStamp(f *testing.F) {
 		}
 		if again := AppendStamp(nil, s); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoded stamp\n got %x\nwant %x", again, data)
+		}
+	})
+}
+
+// FuzzCardLog writes the input as a card log and opens a Recorder over
+// it. The open keeps the longest prefix of newline-terminated lines that
+// decode to a card with a query, and truncates the rest; its suppression
+// watermark is the highest window start per query in that prefix; a
+// second open changes nothing; and a card emitted after the open
+// survives the next open, together with every card before it.
+func FuzzCardLog(f *testing.F) {
+	card := func(query string, start int64) string {
+		line, err := json.Marshal(Card{Query: query, WindowStart: start, WindowEnd: start + 1000})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(line)
+	}
+	f.Add([]byte(card("q", 1000) + "\n" + card("q", 2000)))              // a whole card short of its newline
+	f.Add([]byte(card("q", 1000) + "\n" + `{"query":"q","window_start`)) // a partial line
+	f.Add([]byte(card("a", 3000) + "\n" + card("b", 1000) + "\n" + card("a", 2000) + "\n"))
+	f.Add([]byte(card("q", 1000) + "\nnull\n" + card("q", 2000) + "\n")) // a card without a query
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		good, want := 0, map[string]int64{}
+		for {
+			n := bytes.IndexByte(data[good:], '\n') + 1
+			var c Card
+			if n == 0 || json.Unmarshal(data[good:good+n], &c) != nil || c.Query == "" {
+				break
+			}
+			good += n
+			if cur, ok := want[c.Query]; !ok || c.WindowStart > cur {
+				want[c.Query] = c.WindowStart
+			}
+		}
+		path := filepath.Join(t.TempDir(), "cards.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// open opens a recorder over the log, checks its watermark and the
+		// file against the model, and returns the recorder.
+		open := func(step string, log []byte) *Recorder {
+			t.Helper()
+			r, err := NewRecorder(Options{Path: path})
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			r.mu.Lock()
+			through := maps.Clone(r.through)
+			r.mu.Unlock()
+			if !maps.Equal(through, want) {
+				t.Fatalf("%s: watermark %v, want %v", step, through, want)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+				t.Fatalf("%s: the log reads %q (%v), want %q", step, got, err, log)
+			}
+			return r
+		}
+		closed := func(r *Recorder) {
+			t.Helper()
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log := data[:good]
+		closed(open("first open", log))
+		r := open("second open", log)
+
+		query, start := "after", int64(0)
+		if w, ok := want[query]; ok {
+			if w == math.MaxInt64 {
+				closed(r)
+				return
+			}
+			start = w + 1
+		}
+		if err := r.EmitCard(Card{Query: query, WindowStart: start}); err != nil {
+			t.Fatal(err)
+		}
+		closed(r)
+		after, err := os.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(after, log) {
+			t.Fatalf("the emit rewrote the log before it: %q (%v)", after, err)
+		}
+		want[query] = start
+		closed(open("open after an emit", after))
+		var c Card
+		if line := after[len(log):]; bytes.IndexByte(line, '\n') != len(line)-1 || json.Unmarshal(line, &c) != nil || c.Query != query || c.WindowStart != start {
+			t.Fatalf("the emitted card reads %q", line)
 		}
 	})
 }

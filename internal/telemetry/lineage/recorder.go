@@ -117,23 +117,28 @@ func (r *Recorder) openLog(path string) error {
 	if err != nil {
 		return fmt.Errorf("lineage: open card log: %w", err)
 	}
+	// A card is a newline-terminated line. A crash can tear EmitCard's
+	// write at any byte, so an unterminated tail — even a whole card short
+	// of its newline — is torn and truncated.
 	good := int64(0)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
+	br := bufio.NewReader(f)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("lineage: scan card log: %w", err)
+		}
 		var c Card
 		if json.Unmarshal(line, &c) != nil || c.Query == "" {
-			break // torn or foreign tail: stop trusting from here on
+			break // torn or foreign line: stop trusting from here on
 		}
-		good += int64(len(line)) + 1
+		good += int64(len(line))
 		if cur, ok := r.through[c.Query]; !ok || c.WindowStart > cur {
 			r.through[c.Query] = c.WindowStart
 		}
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return fmt.Errorf("lineage: scan card log: %w", err)
 	}
 	if st, err := f.Stat(); err == nil && st.Size() > good {
 		if err := f.Truncate(good); err != nil {
