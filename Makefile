@@ -236,15 +236,14 @@ fuzz:
 
 # The size numbers ROADMAP tracks: non-test Go lines per package (the
 # root module only; bench/ is its own module) and the exported
-# identifiers of internal/pubsub and internal/aggregator, the two widest
-# internal APIs — top-level functions, types, variables and constants
-# plus exported methods.
+# identifiers of every internal/ package, with their total — top-level
+# functions, types, variables and constants plus exported methods.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read -r pkg dir files; do \
 		[ -n "$$files" ] || continue; \
 		printf '%6d  %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d  total non-test Go lines\n", total }'
-	@for pkg in pubsub aggregator; do \
-		printf '%6d  exported identifiers in internal/%s\n' \
-			"$$($(GO) doc -all ./internal/$$pkg | grep -cE '^(func|type) |^(var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* += ')" "$$pkg"; \
-	done
+	@for pkg in $$($(GO) list ./internal/...); do \
+		printf '%6d  exported identifiers in %s\n' \
+			"$$($(GO) doc -all $$pkg | grep -cE '^(func|type) |^(var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* += ')" "$${pkg#privapprox/}"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  exported identifiers in internal/\n", total }'

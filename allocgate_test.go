@@ -740,7 +740,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			if clients[i], err = pubsub.Dial(srv.Addr()); err != nil {
+			if clients[i], err = pubsub.DialOptions(srv.Addr(), pubsub.Options{Conns: 1}); err != nil {
 				t.Fatal(err)
 			}
 			defer clients[i].Close()

@@ -522,7 +522,7 @@ func BenchmarkTCPPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer srv.Close()
-				cli, err := pubsub.DialPool(srv.Addr(), conns)
+				cli, err := pubsub.DialOptions(srv.Addr(), pubsub.Options{Conns: conns})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -50,7 +50,7 @@ func netbenchRun(total, batch, conns int) (float64, error) {
 		return 0, err
 	}
 	defer srv.Close()
-	cli, err := pubsub.DialPool(srv.Addr(), conns)
+	cli, err := pubsub.DialOptions(srv.Addr(), pubsub.Options{Conns: conns})
 	if err != nil {
 		return 0, err
 	}

@@ -113,7 +113,7 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	// The resume really did arrive after a trim: the proxies have released
 	// the head of every partition that carried shares.
 	for i, p := range d.proxy {
-		cli, err := pubsub.Dial(p.addr)
+		cli, err := pubsub.DialOptions(p.addr, pubsub.Options{Conns: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,15 @@
 // §3.1): the submit role signs and announces a query set, client
 // processes pick it up dynamically — verifying each analyst signature —
 // and the aggregator builds its per-query demux state from the same
-// announcements. No process is configured with a hardcoded query.
+// announcements. No process is configured with a hardcoded query. Every
+// role reads a control topic through engine.Follower, the clients'
+// own reader; the submit role reads it first and resumes from the
+// newest snapshot there, so a restarted submitter's announcements
+// supersede the earlier ones.
 //
-// The client and aggregator roles are the in-process pipeline's own
+// Every role is built from library parts. The proxy role is a
+// proxy.New (or, with -data-dir, proxy.NewDurable) served over TCP. The
+// client and aggregator roles are the in-process pipeline's own
 // (internal/role), attached to proxy.Proxy handles over pubsub.Client
 // transports (a small pipelined connection pool each): clients flush an
 // epoch's shares — for every active query — to each proxy in one publish
@@ -39,9 +45,9 @@ package main
 
 import (
 	"crypto/ed25519"
-	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -69,10 +75,10 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// nodeLog is the role-tagged diagnostic logger. It writes structured
-// lines to stderr only — the stdout protocol banners the harnesses
-// parse stay plain fmt.Printf, byte for byte.
-var nodeLog = telemetry.NewLogger("node")
+// nodeLog is the diagnostic logger: slog text lines on stderr, tagged
+// with the role once main knows it. The stdout protocol banners the
+// harnesses parse stay plain fmt.Printf, byte for byte.
+var nodeLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 // serveMetrics exposes a role's registry on addr (empty = disabled) and
 // returns a closer. Port 0 picks a free port; the bound address is
@@ -138,7 +144,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: privapprox-node <proxy|submit|client|aggregator> [flags]")
 		os.Exit(2)
 	}
-	nodeLog = telemetry.NewLogger(os.Args[1])
+	nodeLog = nodeLog.With("role", os.Args[1])
 	var err error
 	switch os.Args[1] {
 	case "proxy":
@@ -154,7 +160,8 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		nodeLog.Fatalf("%v", err)
+		nodeLog.Error(err.Error())
+		os.Exit(1)
 	}
 }
 
@@ -170,51 +177,39 @@ func runProxy(args []string) error {
 	fs.Parse(args)
 
 	reg := telemetry.NewRegistry()
-	var broker *pubsub.Broker
+	name := fmt.Sprintf("proxy-%d", *index)
+	policy, err := wal.ParsePolicy(*fsync)
+	if err != nil {
+		return err
+	}
+	var px *proxy.Proxy
 	if *dataDir != "" {
-		policy, err := wal.ParsePolicy(*fsync)
-		if err != nil {
-			return err
-		}
 		// A restarted proxy replays its journals here: partitions,
 		// committed offsets, and the control topic (so the announced
 		// query set survives the restart too).
-		b, err := pubsub.OpenBroker(*dataDir, wal.Options{
+		px, err = proxy.NewDurable(name, *index, *partitions, *dataDir, wal.Options{
 			Policy:     policy,
 			AppendHist: reg.Histogram("privapprox_wal_append_ns"),
 			FsyncHist:  reg.Histogram("privapprox_wal_fsync_ns"),
 		})
-		if err != nil {
-			return err
-		}
-		broker = b
 	} else {
-		broker = pubsub.NewBroker()
+		px, err = proxy.New(name, *index, *partitions)
 	}
-	reg.RegisterSource(broker)
-	broker.SetPublishHistogram(reg.Histogram("privapprox_publish_ns"))
-	if err := broker.CreateTopic(proxy.TopicFor(*index), *partitions); err != nil && !errors.Is(err, pubsub.ErrTopicExists) {
+	if err != nil {
 		return err
 	}
+	defer px.Close()
+	broker := px.Broker()
+	reg.RegisterSource(broker)
+	broker.SetPublishHistogram(reg.Histogram("privapprox_publish_ns"))
 	if *partitionCap > 0 {
 		// Bounded answer partitions: a client fleet outrunning the
 		// aggregator's drain sees ErrPartitionFull instead of growing the
 		// proxy without bound. The control topic stays unbounded —
 		// announcements are tiny and must never be refused.
-		if err := broker.SetTopicCapacity(proxy.TopicFor(*index), *partitionCap); err != nil {
+		if err := px.SetCapacity(*partitionCap); err != nil {
 			return err
 		}
-	}
-	// The control topic carries query announcements; single-partition so
-	// announcements keep a total order.
-	if err := broker.CreateTopic(proxy.TopicControl, 1); err != nil && !errors.Is(err, pubsub.ErrTopicExists) {
-		return err
-	}
-	// The lineage sidecar topic carries batch provenance stamps; like
-	// the control topic it is single-partition (stamps are tiny and an
-	// ordered stream simplifies the aggregator's fold).
-	if err := broker.CreateTopic(proxy.TopicLineage, 1); err != nil && !errors.Is(err, pubsub.ErrTopicExists) {
-		return err
 	}
 	srv, err := pubsub.Serve(broker, *listen)
 	if err != nil {
@@ -222,7 +217,7 @@ func runProxy(args []string) error {
 	}
 	// Banner order matters: harnesses parse the serving line first, then
 	// (when -metrics-addr is set) the metrics line.
-	fmt.Printf("proxy %d serving topic %q on %s\n", *index, proxy.TopicFor(*index), srv.Addr())
+	fmt.Printf("proxy %d serving topic %q on %s\n", *index, px.Topic(), srv.Addr())
 	stopMetrics, err := serveMetrics(*metricsAddr, reg)
 	if err != nil {
 		srv.Close()
@@ -232,14 +227,17 @@ func runProxy(args []string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	st := broker.Stats()
+	st := px.Stats()
 	fmt.Printf("\nproxy stats: %d msgs in (%.1f KB), %d msgs out, %d duplicates deduped\n",
 		st.MessagesIn, float64(st.BytesIn)/1024, st.MessagesOut, st.Duplicates)
 	return srv.Close()
 }
 
 // runSubmit is the analyst-facing control-plane role: it signs the demo
-// query set and announces it through every proxy's control topic.
+// query set and announces it through every proxy's control topic. It
+// first resumes from the newest snapshot already on proxy 0's control
+// topic, so a restarted submitter announces versions past the ones
+// every newest-wins applier has seen; an empty topic changes nothing.
 func runSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	proxyList := fs.String("proxies", "", "comma-separated proxy addresses (index order)")
@@ -248,7 +246,6 @@ func runSubmit(args []string) error {
 	s := fs.Float64("s", 0.9, "sampling fraction")
 	p := fs.Float64("p", 0.9, "first randomization coin")
 	q := fs.Float64("q", 0.6, "second randomization coin")
-	resume := fs.Bool("resume", false, "bootstrap from the newest announced snapshot so version numbering continues after a submitter restart")
 	linger := fs.Duration("linger", 0, "keep serving -metrics-addr this long after announcing, so deployers can poll /readyz")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = off)")
 	fs.Parse(args)
@@ -267,35 +264,30 @@ func runSubmit(args []string) error {
 	if err := reg.Trust(nodeAnalyst, priv.Public().(ed25519.PublicKey)); err != nil {
 		return err
 	}
-	if *resume {
-		// Read the newest snapshot back off the control topic (replayed
-		// by a durable proxy) and adopt its version, so the snapshots
-		// announced below are not ignored by newest-wins appliers.
-		qs, err := readQuerySet(fleet, "submit-resume", 0, 2*time.Second)
-		if err != nil {
+	follower, err := followControl(fleet, "submit-resume")
+	if err != nil {
+		return err
+	}
+	if _, err := follower.Sync(); err != nil {
+		return err
+	}
+	if qs := follower.Applier().Applied(); qs != nil {
+		if err := reg.Bootstrap(qs); err != nil {
 			return err
 		}
-		if qs != nil {
-			if err := reg.Bootstrap(qs); err != nil {
-				return err
-			}
-			fmt.Printf("resumed from announcement version %d (%d queries)\n", qs.Version, len(qs.Entries))
-		}
+		fmt.Printf("resumed from announcement version %d (%d queries)\n", qs.Version, len(qs.Entries))
 	}
 	if err := reg.AttachSink(fleet); err != nil {
 		return err
 	}
 	tel := telemetry.NewRegistry()
 	tel.RegisterSource(reg)
-	// Ready = every attached control-plane sink has caught up to the
+	// Ready = the control sink (every proxy) has caught up to the
 	// registry's announcement version; a deployer can gate client
 	// startup on /readyz instead of sleeping.
 	ready := func() error {
-		v := reg.Version()
-		for _, sv := range reg.SinkVersions() {
-			if sv < v {
-				return fmt.Errorf("control sink at version %d, registry at %d", sv, v)
-			}
+		if sv, v := reg.SinkVersion(), reg.Version(); sv < v {
+			return fmt.Errorf("control sink at version %d, registry at %d", sv, v)
 		}
 		return nil
 	}
@@ -369,6 +361,17 @@ func closeAll(clients []*pubsub.Client) {
 	for _, c := range clients {
 		c.Close()
 	}
+}
+
+// followControl follows proxy 0's control topic with an applier that
+// has no subscribers: the aggregator and submit roles read the newest
+// verified snapshot through the same follower the clients run.
+func followControl(fleet *proxy.Fleet, group string) (*engine.Follower, error) {
+	cc, err := fleet.Proxy(0).ControlConsumer(group)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewFollower(cc, engine.NewApplier()), nil
 }
 
 func runClient(args []string) error {
@@ -458,7 +461,7 @@ func runClient(args []string) error {
 		// Stamps are advisory: a failed publish costs observability,
 		// never the data path.
 		if err := px.SubmitStamp(buf); err != nil {
-			nodeLog.Warnf("lineage stamp: %v", err)
+			nodeLog.Warn("lineage stamp", "err", err)
 		}
 	})
 	follower := clients.Follower()
@@ -533,51 +536,6 @@ func runClient(args []string) error {
 	return nil
 }
 
-// readQuerySet follows the control topic and returns its newest
-// announced snapshot once the topic has gone quiet — or at once, for a
-// snapshot of at least minQueries entries. With minQueries 0 it settles
-// for whatever the topic holds, nil when nothing was announced; otherwise
-// finding no such snapshot within wait is an error. Undecodable control
-// records are skipped: garbage on the control topic must not wedge a
-// role.
-func readQuerySet(fleet *proxy.Fleet, group string, minQueries int, wait time.Duration) (*engine.QuerySet, error) {
-	cc, err := fleet.Proxy(0).ControlConsumer(group)
-	if err != nil {
-		return nil, err
-	}
-	var newest *engine.QuerySet
-	deadline := time.Now().Add(wait)
-	for {
-		runs, err := cc.PollRuns(256, 50*time.Millisecond)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range runs {
-			for i := range r.Count {
-				if qs, err := engine.DecodeQuerySet(r.Val(i)); err == nil && (newest == nil || qs.Version > newest.Version) {
-					newest = qs
-				}
-			}
-		}
-		expired := !time.Now().Before(deadline)
-		if minQueries == 0 {
-			// Decode before the deadline check: a batch arriving right at
-			// the deadline still counts — a stale version would make
-			// submit -resume announce versions appliers have already seen.
-			if len(runs) == 0 || expired {
-				return newest, nil
-			}
-			continue
-		}
-		if newest != nil && len(newest.Entries) >= minQueries {
-			return newest, nil
-		}
-		if expired {
-			return nil, fmt.Errorf("no announcement with ≥ %d queries within %v", minQueries, wait)
-		}
-	}
-}
-
 func runAggregator(args []string) error {
 	fs := flag.NewFlagSet("aggregator", flag.ExitOnError)
 	proxyList := fs.String("proxies", "", "comma-separated proxy addresses (index order)")
@@ -607,9 +565,16 @@ func runAggregator(args []string) error {
 	// the clients follow — nothing about the queries is configured here.
 	// After a restart the same fetch re-registers the same queries in
 	// announcement order, which is what Restore requires.
-	qs, err := readQuerySet(fleet, "aggregator-control", *minQueries, *wait)
+	follower, err := followControl(fleet, "aggregator-control")
 	if err != nil {
 		return err
+	}
+	if err := follower.WaitActive(*minQueries, *wait); err != nil {
+		return err
+	}
+	qs := follower.Applier().Applied()
+	if qs == nil {
+		return fmt.Errorf("no query set announced on the control topic")
 	}
 	agg, err := aggregator.NewMulti(aggregator.Config{
 		Population: *clients,
@@ -621,9 +586,6 @@ func runAggregator(args []string) error {
 		return err
 	}
 	for _, e := range qs.Entries {
-		if err := e.Signed.Verify(e.AnalystKey); err != nil {
-			return fmt.Errorf("announced query %s: %w", e.Signed.Query.QID, err)
-		}
 		if err := agg.AddQuery(aggregator.QuerySpec{Query: e.Signed.Query, Params: e.Params}); err != nil {
 			return err
 		}

@@ -113,11 +113,38 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 	}
 }
 
+// TestSubmitRestartReachesClients restarts the submit role against the
+// same proxies: the second submitter resumes from the newest snapshot
+// on the control topic, so its re-registration of the query (s=0.5
+// over s=1) is announced at version 2, and a client — whose applier
+// takes only snapshots newer than the newest it has seen — picks that
+// version up.
+func TestSubmitRestartReachesClients(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test skipped in -short mode")
+	}
+	d := deploy(t, buildNode(t), []string{"-partitions=1"})
+	first := d.run("submit", "-s=1")
+	second := d.run("submit", "-s=0.5")
+	client := d.run("client", "-seed=42", "-n=1", "-epochs=1")
+	if !strings.Contains(client, "picked up 1 queries at version 2") {
+		t.Errorf("client missed the restarted submitter's announcement:\n%s", client)
+	}
+	if !strings.Contains(first, "announced 1 queries at version 1") {
+		t.Errorf("first submit:\n%s", first)
+	}
+	for _, want := range []string{"resumed from announcement version 1 (1 queries)", "announced 1 queries at version 2"} {
+		if !strings.Contains(second, want) {
+			t.Errorf("restarted submit missing %q:\n%s", want, second)
+		}
+	}
+}
+
 // awaitCommitted blocks until the aggregator group has committed offset
 // want on partition 0 of a proxy's share topic.
 func awaitCommitted(t *testing.T, addr, topic string, want int64) {
 	t.Helper()
-	cli, err := pubsub.Dial(addr)
+	cli, err := pubsub.DialOptions(addr, pubsub.Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

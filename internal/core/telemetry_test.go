@@ -182,8 +182,8 @@ func TestSystemTelemetrySLOAndControl(t *testing.T) {
 	if v := got["privapprox_control_version"]; !(v >= 1) {
 		t.Errorf("control_version = %v, want >= 1", v)
 	}
-	if v, ok := got["privapprox_control_sink_version{sink=0}"]; !ok || !(v >= 1) {
-		t.Errorf("control_sink_version{sink=0} = %v (present=%v), want >= 1", v, ok)
+	if v, ok := got["privapprox_control_sink_version"]; !ok || !(v >= 1) {
+		t.Errorf("control_sink_version = %v (present=%v), want >= 1", v, ok)
 	}
 	foundShed := false
 	for key := range got {

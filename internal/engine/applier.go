@@ -13,17 +13,11 @@ import (
 
 // Subscriber is the client-side surface the applier reconciles —
 // client.Client implements it. The applier verifies each entry once and
-// hands every subscriber the same query.Verified.
+// hands every subscriber the same query.Verified, and forwards each
+// query's overload shed threshold from the snapshot.
 type Subscriber interface {
 	SubscribeVerified(v query.Verified, params budget.Params) error
 	UnsubscribeQuery(id query.ID) bool
-}
-
-// ShedSetter is the optional overload-control surface: subscribers that
-// also implement it (client.Client does) receive per-query shed
-// thresholds from snapshots. A Subscriber without it simply never
-// sheds — the control plane degrades gracefully for minimal clients.
-type ShedSetter interface {
 	SetShed(id query.ID, shed float64) bool
 }
 
@@ -49,7 +43,7 @@ type Applier struct {
 	clients []Subscriber
 	trusted map[string]ed25519.PublicKey
 	version uint64
-	applied bool
+	applied *QuerySet           // newest accepted snapshot, nil before the first
 	revs    map[string]uint64   // ID.String() → last applied revision
 	sheds   map[string]float64  // ID.String() → last applied shed threshold
 	active  map[string]query.ID // currently subscribed
@@ -80,6 +74,10 @@ func (ap *Applier) Version() uint64 { return ap.version }
 // ActiveQueries returns how many queries are currently subscribed.
 func (ap *Applier) ActiveQueries() int { return len(ap.active) }
 
+// Applied returns the newest snapshot the applier accepted, nil before
+// the first. Its entries are verified; the caller must not modify it.
+func (ap *Applier) Applied() *QuerySet { return ap.applied }
+
 // ApplyPayload decodes one control payload and applies it if it is
 // newer than anything seen so far. Undecodable payloads are reported;
 // stale or duplicate snapshots are ignored without error.
@@ -95,9 +93,10 @@ func (ap *Applier) ApplyPayload(payload []byte) error {
 // than (or equal to) the newest applied one are ignored — that single
 // rule makes the applier converge under arbitrary loss, reordering,
 // and duplication, as long as the newest snapshot is eventually
-// observed.
+// observed. An accepted snapshot is kept (see Applied), so the caller
+// must not modify it afterwards.
 func (ap *Applier) Apply(qs *QuerySet) error {
-	if ap.applied && qs.Version <= ap.version {
+	if ap.applied != nil && qs.Version <= ap.version {
 		return nil
 	}
 
@@ -184,23 +183,22 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 		delete(ap.sheds, key)
 	}
 	ap.version = qs.Version
-	ap.applied = true
+	ap.applied = qs
 	return nil
 }
 
-// setShed forwards one query's shed threshold to every client that
-// opts into overload control.
+// setShed forwards one query's shed threshold to every client.
 func (ap *Applier) setShed(id query.ID, shed float64) {
 	for _, c := range ap.clients {
-		if ss, ok := c.(ShedSetter); ok {
-			ss.SetShed(id, shed)
-		}
+		c.SetShed(id, shed)
 	}
 }
 
-// Follower drives an Applier from a pub/sub control-topic consumer —
-// the piece a client process runs so networked deployments pick up
-// queries dynamically.
+// Follower drives an Applier from a pub/sub control-topic consumer. It
+// is the one reader of a control topic: client processes run it so
+// networked deployments pick up queries dynamically, and the aggregator
+// and submit roles run one without subscribers to read the newest
+// verified snapshot (Applier.Applied).
 type Follower struct {
 	consumer *pubsub.Consumer
 	applier  *Applier
@@ -217,30 +215,30 @@ func (f *Follower) Applier() *Applier { return f.applier }
 // Sync drains every control record currently available and applies
 // them, returning how many records were observed. Records that are not
 // decodable control payloads are skipped — garbage on the topic must
-// not wedge the client — but a genuine apply failure (bad signature,
-// unpinned analyst, invalid query) is returned. The consumer's
-// position has already advanced past the poison record, so the next
-// Sync makes progress.
+// not wedge the client. A genuine apply failure (bad signature,
+// unpinned analyst, invalid query) does not stop the drain: the
+// consumer has already moved past every polled record, so the records
+// behind a refused snapshot are applied too, and the first failure is
+// returned at the end.
 func (f *Follower) Sync() (int, error) {
 	seen := 0
+	var first error
 	for {
 		runs, err := f.consumer.PollRuns(256, 0)
 		if err != nil {
 			return seen, err
 		}
 		if len(runs) == 0 {
-			return seen, nil
+			return seen, first
 		}
 		for _, r := range runs {
 			for i := range r.Count {
 				seen++
 				// The payload is the consumer's memory, reused by the next
 				// poll: DecodeQuerySet copies every field it keeps.
-				if err := f.applier.ApplyPayload(r.Val(i)); err != nil {
-					if errors.Is(err, ErrControlWire) {
-						continue
-					}
-					return seen, err
+				err := f.applier.ApplyPayload(r.Val(i))
+				if err != nil && first == nil && !errors.Is(err, ErrControlWire) {
+					first = err
 				}
 			}
 		}

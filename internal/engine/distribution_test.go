@@ -10,6 +10,7 @@ import (
 	"privapprox/internal/client"
 	"privapprox/internal/minisql"
 	"privapprox/internal/netsim"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/xorcrypt"
 )
@@ -177,6 +178,7 @@ func (m *verifiedMock) SubscribeVerified(v query.Verified, _ budget.Params) erro
 	return nil
 }
 func (m *verifiedMock) UnsubscribeQuery(query.ID) bool { return true }
+func (m *verifiedMock) SetShed(query.ID, float64) bool { return true }
 
 // TestApplierVerifiesOnce: a snapshot with one forged entry — its SQL
 // rewritten after signing — fails as a whole before any client
@@ -276,7 +278,7 @@ func TestApplierIgnoresStaleAndDuplicateSnapshots(t *testing.T) {
 }
 
 // shedMock records applier traffic: subscription counts per query and
-// the last shed threshold forwarded through the ShedSetter surface.
+// the last shed threshold forwarded through SetShed.
 type shedMock struct {
 	subs  map[string]int
 	sheds map[string]float64
@@ -300,16 +302,6 @@ func (m *shedMock) SetShed(id query.ID, shed float64) bool {
 	m.sheds[id.String()] = shed
 	return true
 }
-
-// bareMock is a Subscriber without the ShedSetter surface — minimal
-// clients must keep working when snapshots carry shed thresholds.
-type bareMock struct{ subs int }
-
-func (m *bareMock) SubscribeVerified(query.Verified, budget.Params) error {
-	m.subs++
-	return nil
-}
-func (m *bareMock) UnsubscribeQuery(query.ID) bool { return true }
 
 // TestShedDistribution checks the overload-control side channel of the
 // control plane: Registry.SetShed broadcasts a new snapshot whose entry
@@ -354,8 +346,7 @@ func TestShedDistribution(t *testing.T) {
 	}
 
 	mock := newShedMock()
-	bare := &bareMock{}
-	ap := NewApplier(mock, bare)
+	ap := NewApplier(mock)
 	for _, payload := range sink.payloads {
 		if err := ap.ApplyPayload(payload); err != nil {
 			t.Fatal(err)
@@ -366,9 +357,6 @@ func TestShedDistribution(t *testing.T) {
 	}
 	if got := mock.sheds[id.String()]; got != 0.4 {
 		t.Fatalf("forwarded shed = %v, want 0.4", got)
-	}
-	if bare.subs != 1 {
-		t.Fatalf("bare subscriber saw %d subscriptions, want 1", bare.subs)
 	}
 
 	// Recovery: shed back to 1 flows through the same path.
@@ -407,5 +395,52 @@ func TestShedDistribution(t *testing.T) {
 	}
 	if got := mock.sheds[id.String()]; got != 0.25 {
 		t.Fatalf("shed after re-registration = %v, want 0.25", got)
+	}
+}
+
+// TestFollowerSyncAppliesPastARejectedSnapshot: a snapshot the applier
+// refuses (here an unpinned analyst's v1) must not cost the records
+// polled behind it. The consumer has already moved past the whole poll,
+// so Sync applies the valid v2 behind the refused v1 and then reports
+// the refusal.
+func TestFollowerSyncAppliesPastARejectedSnapshot(t *testing.T) {
+	pub, priv := testKey(12)
+	evilPub, evilPriv := testKey(13)
+	b := pubsub.NewBroker()
+	defer b.Close()
+	if err := b.CreateTopic("control", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, qs := range []*QuerySet{
+		{Version: 1, Entries: []Entry{{Signed: testSigned(t, "mallory", 1, evilPriv), AnalystKey: evilPub, Params: testParams()}}},
+		{Version: 2, Entries: []Entry{{Signed: testSigned(t, "alice", 1, priv), AnalystKey: pub, Params: testParams()}}},
+	} {
+		payload, err := qs.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.PublishColumns("control", pubsub.Columns{Count: 1, ValLen: len(payload), Vals: payload}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc, err := pubsub.NewConsumer(b, "clients", "control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t, 0)
+	ap := NewApplier(c)
+	ap.Trust("alice", pub)
+	f := NewFollower(cc, ap)
+	if seen, err := f.Sync(); err == nil || seen != 2 {
+		t.Fatalf("Sync = (%d, %v), want both records seen and the refusal reported", seen, err)
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatalf("second Sync: %v", err)
+	}
+	if ap.Version() != 2 || c.Subscriptions() != 1 {
+		t.Fatalf("after Sync: version %d with %d subscriptions, want version 2 with 1", ap.Version(), c.Subscriptions())
+	}
+	if qs := ap.Applied(); qs == nil || qs.Version != 2 {
+		t.Fatalf("Applied() = %+v, want the version-2 snapshot", qs)
 	}
 }

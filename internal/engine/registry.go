@@ -31,23 +31,17 @@ var (
 var wireIDOf = func(id query.ID) uint64 { return id.Uint64() }
 
 // ControlSink receives serialized query-set announcements —
-// proxy.Proxy/Fleet implement it over their control topics; tests use
+// proxy.Fleet implements it over every proxy's control topic; tests use
 // recording sinks.
 type ControlSink interface {
 	Announce(payload []byte) error
 }
 
-// ControlSinkFunc adapts a function to a ControlSink.
-type ControlSinkFunc func(payload []byte) error
-
-// Announce calls f.
-func (f ControlSinkFunc) Announce(payload []byte) error { return f(payload) }
-
 // Registry is the aggregator-side query control plane (paper §3.1): it
 // accepts signed query submissions from analysts, verifies each
 // signature against the analyst's trusted public key, guards the
 // compact wire-ID space against collisions, and distributes versioned
-// query-set snapshots to clients through attached control sinks.
+// query-set snapshots to clients through its control sink.
 //
 // It is safe for concurrent use.
 type Registry struct {
@@ -57,12 +51,11 @@ type Registry struct {
 	index   map[string]int // ID.String() → position in entries
 	byWire  map[uint64]query.ID
 	version uint64
-	sinks   []ControlSink
-	// sinkVers[i] is the newest snapshot version sinks[i] acknowledged
-	// (its Announce returned nil); 0 means it never took one. The gap
-	// between version and sinkVers is a proxy's control-plane lag —
-	// invisible before telemetry exposed it.
-	sinkVers []uint64
+	sink    ControlSink
+	// sinkVer is the newest snapshot version the sink acknowledged (its
+	// Announce returned nil); 0 means it never took one. The gap between
+	// version and sinkVer is the control plane's distribution lag.
+	sinkVer uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -180,7 +173,7 @@ func (r *Registry) Stop(id query.ID) error {
 // signature is verified against the analyst key it carries, that key is
 // installed in the trust store, and wire-ID collisions are rejected.
 // Bootstrap only moves forward: a snapshot older than the registry's
-// current version is rejected. Attached sinks are not re-announced —
+// current version is rejected. An attached sink is not re-announced —
 // the replayed topic already carries the snapshot.
 func (r *Registry) Bootstrap(qs *QuerySet) error {
 	if qs == nil {
@@ -239,23 +232,14 @@ func (r *Registry) Bootstrap(qs *QuerySet) error {
 	return nil
 }
 
-// AttachSink adds a control sink and immediately sends it the current
-// snapshot, so late-joining distribution channels catch up.
+// AttachSink sets the control sink — replacing any earlier one — and
+// immediately sends it the current snapshot, so a late-joining
+// distribution channel catches up.
 func (r *Registry) AttachSink(s ControlSink) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sinks = append(r.sinks, s)
-	r.sinkVers = append(r.sinkVers, 0)
-	snap := r.snapshotLocked()
-	payload, err := snap.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if err := s.Announce(payload); err != nil {
-		return err
-	}
-	r.sinkVers[len(r.sinkVers)-1] = r.version
-	return nil
+	r.sink, r.sinkVer = s, 0
+	return r.announceLocked()
 }
 
 // Snapshot returns the current query set.
@@ -302,33 +286,36 @@ func (r *Registry) snapshotLocked() QuerySet {
 }
 
 // broadcastLocked bumps the version and announces the new snapshot to
-// every sink. Caller holds r.mu. A sink failure is returned but does
-// not roll the registration back — the next successful broadcast
-// carries the full state anyway (snapshots, not deltas).
+// the sink. Caller holds r.mu. A sink failure is returned but does not
+// roll the registration back — the next successful broadcast carries
+// the full state anyway (snapshots, not deltas).
 func (r *Registry) broadcastLocked() error {
 	r.version++
+	return r.announceLocked()
+}
+
+// announceLocked sends the current snapshot to the sink, if one is
+// attached, and records its acknowledgement. Caller holds r.mu.
+func (r *Registry) announceLocked() error {
+	if r.sink == nil {
+		return nil
+	}
 	snap := r.snapshotLocked()
 	payload, err := snap.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	var firstErr error
-	for i, s := range r.sinks {
-		if err := s.Announce(payload); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		r.sinkVers[i] = r.version
+	if err := r.sink.Announce(payload); err != nil {
+		return err
 	}
-	return firstErr
+	r.sinkVer = r.version
+	return nil
 }
 
-// SinkVersions returns, per attached sink, the newest snapshot version
-// it acknowledged (0 = never); index order matches attachment order.
-func (r *Registry) SinkVersions() []uint64 {
+// SinkVersion returns the newest snapshot version the control sink
+// acknowledged (0 = never).
+func (r *Registry) SinkVersion() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]uint64(nil), r.sinkVers...)
+	return r.sinkVer
 }

@@ -1,34 +1,20 @@
 package engine
 
-import (
-	"strconv"
-
-	"privapprox/internal/telemetry"
-)
+import "privapprox/internal/telemetry"
 
 // AppendSamples implements telemetry.Source over the control plane's
 // convergence state: the registry's current snapshot version, the
-// number of active queries, and per attached sink (in attachment
-// order, labeled sink="0", "1", ...) the newest version it
-// acknowledged — a sink whose gauge trails privapprox_control_version
-// is a proxy silently lagging the control plane.
+// number of active queries, and the newest version the control sink
+// acknowledged — a sink gauge trailing privapprox_control_version is a
+// control plane silently lagging its proxies.
 func (r *Registry) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 	r.mu.Lock()
-	version := r.version
-	active := len(r.entries)
-	vers := append([]uint64(nil), r.sinkVers...)
-	r.mu.Unlock()
-	dst = append(dst,
-		telemetry.Sample{Name: "privapprox_control_version", Value: float64(version), Kind: telemetry.KindGauge},
-		telemetry.Sample{Name: "privapprox_control_active_queries", Value: float64(active), Kind: telemetry.KindGauge},
+	defer r.mu.Unlock()
+	return append(dst,
+		telemetry.Sample{Name: "privapprox_control_version", Value: float64(r.version), Kind: telemetry.KindGauge},
+		telemetry.Sample{Name: "privapprox_control_active_queries", Value: float64(len(r.entries)), Kind: telemetry.KindGauge},
+		telemetry.Sample{Name: "privapprox_control_sink_version", Value: float64(r.sinkVer), Kind: telemetry.KindGauge},
 	)
-	for i, v := range vers {
-		dst = append(dst, telemetry.Sample{
-			Name: "privapprox_control_sink_version", LabelKey: "sink",
-			LabelValue: strconv.Itoa(i), Value: float64(v), Kind: telemetry.KindGauge,
-		})
-	}
-	return dst
 }
 
 var _ telemetry.Source = (*Registry)(nil)

@@ -20,10 +20,11 @@ func (s *failingSink) Announce(p []byte) error {
 	return nil
 }
 
-// TestRegistrySinkVersionGauges pins the convergence surface: each
-// attached sink's newest acked snapshot version is tracked and exported
-// as a labeled gauge, so a sink stuck behind the registry version is
-// visible as control_sink_version < control_version.
+// TestRegistrySinkVersionGauges pins the convergence surface: the
+// sink's newest acked snapshot version is tracked and exported as a
+// gauge, so a sink stuck behind the registry version is visible as
+// control_sink_version < control_version, and attaching a sink catches
+// it up.
 func TestRegistrySinkVersionGauges(t *testing.T) {
 	_, priv := testKey(1)
 	pub, _ := testKey(1)
@@ -32,21 +33,17 @@ func TestRegistrySinkVersionGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	good := &recordingSink{}
 	stuck := &failingSink{}
-	if err := r.AttachSink(good); err != nil {
-		t.Fatal(err)
-	}
 	if err := r.AttachSink(stuck); err != nil {
 		t.Fatal(err)
 	}
-	// Both sinks acked the initial (version 0) snapshot.
-	if vs := r.SinkVersions(); len(vs) != 2 || vs[0] != 0 || vs[1] != 0 {
-		t.Fatalf("SinkVersions after attach = %v, want [0 0]", vs)
+	// The sink acked the initial (version 0) snapshot.
+	if v := r.SinkVersion(); v != 0 {
+		t.Fatalf("SinkVersion after attach = %d, want 0", v)
 	}
 
-	// The broadcast of version 1 reaches the good sink; the stuck sink
-	// refuses it and must stay pinned at its last acked version.
+	// The sink refuses the broadcast of version 1 and must stay pinned
+	// at its last acked version.
 	signed := testSigned(t, "alice", 1, priv)
 	if err := r.Register(signed, testParams()); err == nil {
 		t.Fatal("Register should surface the failing sink's error")
@@ -54,30 +51,41 @@ func TestRegistrySinkVersionGauges(t *testing.T) {
 	if got := r.Version(); got != 1 {
 		t.Fatalf("registry version = %d, want 1", got)
 	}
-	vs := r.SinkVersions()
-	if len(vs) != 2 || vs[0] != 1 || vs[1] != 0 {
-		t.Fatalf("SinkVersions after partial broadcast = %v, want [1 0]", vs)
+	if v := r.SinkVersion(); v != 0 {
+		t.Fatalf("SinkVersion after refused broadcast = %d, want 0", v)
 	}
 
-	// The telemetry source renders the same state as labeled gauges.
-	samples := r.AppendSamples(nil)
-	want := map[string]float64{}
-	for _, s := range samples {
-		key := s.Name
-		if s.LabelKey != "" {
-			key += "{" + s.LabelKey + "=" + s.LabelValue + "}"
+	// The telemetry source renders the same state as gauges.
+	gauges := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, s := range r.AppendSamples(nil) {
+			if s.LabelKey != "" {
+				t.Errorf("sample %s carries label %s=%s", s.Name, s.LabelKey, s.LabelValue)
+			}
+			out[s.Name] = s.Value
 		}
-		want[key] = s.Value
+		return out
 	}
-	for key, v := range map[string]float64{
-		"privapprox_control_version":              1,
-		"privapprox_control_active_queries":       1,
-		"privapprox_control_sink_version{sink=0}": 1,
-		"privapprox_control_sink_version{sink=1}": 0,
+	for name, v := range map[string]float64{
+		"privapprox_control_version":        1,
+		"privapprox_control_active_queries": 1,
+		"privapprox_control_sink_version":   0,
 	} {
-		if got, ok := want[key]; !ok || got != v {
-			t.Errorf("sample %s = %v (present=%v), want %v", key, got, ok, v)
+		if got, ok := gauges()[name]; !ok || got != v {
+			t.Errorf("sample %s = %v (present=%v), want %v", name, got, ok, v)
 		}
+	}
+
+	// Attaching a working sink replaces the stuck one and announces the
+	// current snapshot: the lag closes.
+	if err := r.AttachSink(&recordingSink{}); err != nil {
+		t.Fatal(err)
+	}
+	if v := r.SinkVersion(); v != 1 {
+		t.Fatalf("SinkVersion after re-attach = %d, want 1", v)
+	}
+	if got := gauges()["privapprox_control_sink_version"]; got != 1 {
+		t.Errorf("control_sink_version after re-attach = %v, want 1", got)
 	}
 
 	var _ telemetry.Source = r

@@ -61,7 +61,7 @@ func TestAttachOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := pubsub.DialPool(srv.Addr(), 2)
+	cli, err := pubsub.DialOptions(srv.Addr(), pubsub.Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialOptions(srv.Addr(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestLogReadsTheSameThreeWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(srv.Addr())
+	cli, err := DialOptions(srv.Addr(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,8 +288,9 @@ var ErrAmbiguous = errors.New("pubsub: request outcome unknown")
 // field selects a default: a 5 s dial timeout, 25 ms→1 s redial
 // backoff, and no jitter.
 type Options struct {
-	// Conns is the connection pool size (DefaultPoolConns when <= 0 via
-	// DialPool; DialOptions treats <= 0 as 1).
+	// Conns is the connection pool size (1 when <= 0). Requests pick
+	// the least-loaded connection, so blocking fetches and bulk
+	// publishes spread out instead of queueing head-of-line.
 	Conns int
 	// DialTimeout bounds each dial attempt (initial and redials).
 	DialTimeout time.Duration
@@ -367,9 +368,9 @@ func jitterDur(state *atomic.Uint64, d time.Duration) time.Duration {
 // Client is a remote handle on a broker served over TCP. It is safe for
 // concurrent use and pipelines: a request is written and its response
 // awaited without blocking other goroutines' requests, which flow on
-// the same connections back to back. Dial opens a single connection;
-// DialPool spreads requests over a small pool so a server-side blocking
-// fetch parked on one connection does not stall unrelated requests.
+// the same connections back to back. With Options.Conns > 1 requests
+// spread over a small pool, so a server-side blocking fetch parked on
+// one connection does not stall unrelated requests.
 //
 // Connections self-heal: when one dies, its in-flight requests fail
 // with ErrAmbiguous (they were on the wire; the outcome is unknown) and
@@ -385,26 +386,9 @@ type Client struct {
 	jitter atomic.Uint64
 }
 
-// DefaultPoolConns is the pool size DialPool uses for conns <= 0.
-const DefaultPoolConns = 4
-
-// Dial connects to a broker server with a single connection.
-func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{Conns: 1}) }
-
-// DialPool connects to a broker server with a pool of conns
-// connections (DefaultPoolConns when conns <= 0). Requests pick the
-// least-loaded connection, so blocking fetches and bulk publishes
-// spread out instead of queueing head-of-line.
-func DialPool(addr string, conns int) (*Client, error) {
-	if conns <= 0 {
-		conns = DefaultPoolConns
-	}
-	return DialOptions(addr, Options{Conns: conns})
-}
-
-// DialOptions connects with explicit transport options. Every
-// connection is dialed eagerly, so an unreachable server fails the call
-// rather than the first request.
+// DialOptions connects to a broker server with the given transport
+// options. Every connection is dialed eagerly, so an unreachable server
+// fails the call rather than the first request.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	c := &Client{conns: make([]*clientConn, 0, opts.Conns), opts: opts}

@@ -60,7 +60,7 @@ func TestTCPPublishColumnsErrorPropagates(t *testing.T) {
 
 func TestTCPPipelinedConcurrentRequests(t *testing.T) {
 	_, srv, _ := startServer(t)
-	cli, err := DialPool(srv.Addr(), 3)
+	cli, err := DialOptions(srv.Addr(), Options{Conns: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTCPPipelinedConcurrentRequests(t *testing.T) {
 // publish issued through the same Client.
 func TestTCPPoolBlockingFetchDoesNotStallPublishes(t *testing.T) {
 	_, srv, _ := startServer(t)
-	cli, err := DialPool(srv.Addr(), 2)
+	cli, err := DialOptions(srv.Addr(), Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestTCPServerCloseDuringInflightWaitFetch(t *testing.T) {
 
 func TestTCPClientCloseFailsOutstandingRequests(t *testing.T) {
 	_, srv, _ := startServer(t)
-	cli, err := Dial(srv.Addr())
+	cli, err := DialOptions(srv.Addr(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 			}
 		}
 	}()
-	cli, err := Dial(ln.Addr().String())
+	cli, err := DialOptions(ln.Addr().String(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

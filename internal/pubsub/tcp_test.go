@@ -17,7 +17,7 @@ func startServer(t *testing.T) (*Broker, *Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
+	cli, err := DialOptions(srv.Addr(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTCPWaitFetch(t *testing.T) {
 	if err := cli.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	cli2, err := Dial(srv.Addr())
+	cli2, err := DialOptions(srv.Addr(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cli, err := Dial(srv.Addr())
+			cli, err := DialOptions(srv.Addr(), Options{Conns: 1})
 			if err != nil {
 				t.Error(err)
 				return

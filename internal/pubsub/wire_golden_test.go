@@ -72,7 +72,7 @@ func TestGoldenPublishColumnsFrame(t *testing.T) {
 		got <- req
 		writeFrame(conn, []byte{0})
 	}()
-	cli, err := Dial(ln.Addr().String())
+	cli, err := DialOptions(ln.Addr().String(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
