@@ -122,7 +122,8 @@ lineage:
 # the trim and the reuse of the released slab included — and ≤ 1.0 over
 # loopback TCP, and through the aggregator role's own drain (role.Drain,
 # sequential and parallel, with its commit) at ≤ 0.05 allocations and
-# ≤ 360 heap bytes per answer; a fired window at ≤ 4 allocations whatever its bucket
+# ≤ 100 heap bytes per answer — over loopback TCP, as privapprox-node
+# wires it, at ≤ 0.6 allocations and the same 100 bytes; a fired window at ≤ 4 allocations whatever its bucket
 # count, and 128 buckets at less than six times the cost of 8 (one
 # Student-t root-find per window, not per bucket); and a columnar
 # publish at 0 whatever its size, in memory and durable (its batch is
@@ -149,9 +150,12 @@ allocgate:
 # query, open windows, pending joins, and the epochs of answers whose
 # message IDs the joiner remembers) and the forced-GC heap must agree
 # within 5 %: what the system retains depends on its open windows and
-# unconsumed backlog, not on its uptime. Wall time is logged only.
-# A second leg runs the same system over a DataDir that never
-# checkpoints: a durable broker's memory follows the drain, not its WAL.
+# unconsumed backlog, not on its uptime. The in-memory leg's second half
+# must also allocate at most 27 bytes per decoded answer
+# (runtime.MemStats.TotalAlloc): the steady state reuses its memory, the
+# drain's fetch arena included. Wall time is logged only. A second leg
+# runs the same system over a DataDir that never checkpoints: a durable
+# broker's memory follows the drain, not its WAL.
 soak:
 	$(GO) test -run 'TestSoakFlatHeap' -count=1 .
 

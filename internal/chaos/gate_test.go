@@ -20,6 +20,7 @@ import (
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
+	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/wal"
 	"privapprox/internal/workload"
@@ -138,6 +139,9 @@ type proxyProc struct {
 	addr   string
 	broker *pubsub.Broker
 	srv    *pubsub.Server
+	// in is what the brokers this process ran before its restart took
+	// in (MessagesIn), which the reopened broker's counter does not see.
+	in int64
 }
 
 func startProxy(t *testing.T, index int, dir, addr string) *proxyProc {
@@ -164,6 +168,7 @@ func (p *proxyProc) stop(t *testing.T) {
 	if err := p.srv.Close(); err != nil {
 		t.Fatalf("close proxy %d server: %v", p.index, err)
 	}
+	p.in += p.broker.Stats().MessagesIn
 	p.broker.Close()
 }
 
@@ -171,6 +176,17 @@ func (p *proxyProc) restart(t *testing.T) {
 	t.Helper()
 	np := startProxy(t, p.index, p.dir, p.addr)
 	p.broker, p.srv = np.broker, np.srv
+}
+
+// published returns the share records the proxy took in over its life:
+// MessagesIn, less the control topic's announcements.
+func (p *proxyProc) published(t *testing.T) int64 {
+	t.Helper()
+	end, err := p.broker.EndOffset(proxy.TopicControl, 0)
+	if err != nil {
+		t.Fatalf("proxy %d control topic: %v", p.index, err)
+	}
+	return p.in + p.broker.Stats().MessagesIn - end
 }
 
 func gateAnalystKey() (string, ed25519.PrivateKey) {
@@ -430,6 +446,13 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 		t.Fatalf("%s: flush: %v", name, err)
 	}
 	results = append(results, final...)
+	dropped, published := make([]int64, len(procs)), make([]int64, len(procs))
+	for i, p := range procs {
+		dropped[i], published[i] = batchers[i].Dropped(), p.published(t)
+	}
+	if err := role.Conserve(sent, dropped, published, consumers, agg); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
 
 	out := runOutput{results: canonicalResults(results), decoded: agg.Stats().Decoded}
 	for i, p := range procs {

@@ -28,6 +28,7 @@ func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys, 20, 20)
 
 	// Honest epoch.
 	if _, _, err := sys.RunEpoch(); err != nil {
@@ -79,6 +80,7 @@ func TestReplayedSharesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys, 3, 3)
 
 	// Craft one honest-looking message and submit it twice via the
 	// proxies (a replay attack on the answer stream).
@@ -136,6 +138,7 @@ func TestProxyShareLossLeavesPartialJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys, 5, 0)
 
 	splitter, err := xorcrypt.NewSplitter(2, nil, nil)
 	if err != nil {
@@ -210,6 +213,7 @@ func TestBiasedClientsShiftOnlyTheirMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys, 10, 10)
 	if _, _, err := sys.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +266,7 @@ func TestLateAnswersAreDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys, 1, 1)
 	// Run epochs 0..4, then advance the watermark well past them.
 	for e := 0; e < 5; e++ {
 		if _, _, err := sys.RunEpoch(); err != nil {

@@ -43,6 +43,7 @@ func TestFlushReturnsWindowsFiredDuringFinalDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 
 	var early []int64                     // window starts (unix seconds offsets) fired by RunEpoch
 	origin := time.Unix(1_700_000_000, 0) // the default Config.Origin

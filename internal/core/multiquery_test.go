@@ -58,6 +58,7 @@ func runMulti(t *testing.T, cfg Config, params budget.Params, queries []*query.Q
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	for _, q := range queries {
 		if err := sys.Register(q); err != nil {
 			t.Fatalf("register %s: %v", q.QID, err)
@@ -94,6 +95,7 @@ func runSolo(t *testing.T, cfg Config, params budget.Params, q *query.Query, epo
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	var all []aggregator.Result
 	for e := 0; e < epochs; e++ {
 		res, _, err := sys.RunEpoch()
@@ -154,6 +156,7 @@ func TestMultiQueryRegisterAndStopMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 
 	if err := sys.Register(queries[0]); err != nil {
 		t.Fatal(err)
@@ -241,6 +244,7 @@ func TestMultiQueryIdleFleetStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if _, participants, err := sys.RunEpoch(); err != nil || participants != 0 {
 		t.Fatalf("idle epoch: participants=%d err=%v", participants, err)
 	}
@@ -268,6 +272,7 @@ func TestMultiQueryPerQueryFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	for _, q := range queries {
 		if err := sys.Register(q); err != nil {
 			t.Fatal(err)
@@ -329,6 +334,7 @@ func TestMultiQueryAdvanceTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if res, err := sys.AdvanceTo(10); err != nil || len(res) != 0 {
 		t.Fatalf("idle fleet: results=%v err=%v", res, err)
 	}

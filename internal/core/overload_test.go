@@ -57,6 +57,7 @@ func runShedSystem(t *testing.T, workers, shards, epochs int) shedRun {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if err := sys.Register(q); err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +181,7 @@ func TestSLOClosedLoopShedsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if err := sys.Register(q); err != nil {
 		t.Fatal(err)
 	}

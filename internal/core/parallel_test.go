@@ -35,6 +35,7 @@ func runSystem(t *testing.T, cfg Config, workers, shards, epochs int) epochRun {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	var run epochRun
 	for e := 0; e < epochs; e++ {
 		res, participants, err := sys.RunEpoch()
@@ -173,6 +174,7 @@ func TestRunEpochParallelStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	const epochs = 6
 	for e := 0; e < epochs; e++ {
 		_, participants, err := sys.RunEpoch()

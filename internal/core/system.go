@@ -371,6 +371,43 @@ func (s *System) Store() *histstore.Store { return s.store }
 // Registry returns the query control plane.
 func (s *System) Registry() *engine.Registry { return s.registry }
 
+// Conserve checks the run's share ledger (role.Conserve) over its
+// clients, batchers, brokers, drain consumers and aggregator: call it
+// after a drain. It holds for a System run from its first epoch, not for
+// one restored from a checkpoint, whose earlier drains its counters do
+// not see.
+func (s *System) Conserve() error {
+	answered, dropped, published, err := s.ledger()
+	if err != nil {
+		return err
+	}
+	return role.Conserve(answered, dropped, published, s.drainer.Consumers(), s.agg)
+}
+
+// ledger returns the answers the clients sent, and per proxy the shares
+// its batcher dropped and the share records its broker took in.
+func (s *System) ledger() (answered int64, dropped, published []int64, err error) {
+	for _, c := range s.clients.Clients() {
+		answered += c.Stats().AnswersSent
+	}
+	dropped, published = make([]int64, s.fleet.Size()), make([]int64, s.fleet.Size())
+	for i, b := range s.clients.Batchers() {
+		dropped[i] = b.Dropped()
+	}
+	for i := range published {
+		b := s.fleet.Proxy(i).Broker()
+		published[i] = b.Stats().MessagesIn
+		for _, topic := range []string{proxy.TopicControl, proxy.TopicLineage} {
+			end, err := b.EndOffset(topic, 0)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			published[i] -= end
+		}
+	}
+	return answered, dropped, published, nil
+}
+
 // sync applies every pending control-topic announcement to the clients.
 func (s *System) sync() error {
 	_, err := s.clients.Follower().Sync()

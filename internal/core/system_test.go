@@ -10,6 +10,7 @@ import (
 	"privapprox/internal/budget"
 	"privapprox/internal/minisql"
 	"privapprox/internal/query"
+	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/workload"
@@ -52,6 +53,7 @@ func TestEndToEndExactWithoutNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 
 	if sys.Params().S != 1 {
 		t.Fatalf("params = %+v", sys.Params())
@@ -105,6 +107,7 @@ func TestEndToEndWithNoiseRecoversDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	for e := 0; e < 4; e++ {
 		if _, _, err := sys.RunEpoch(); err != nil {
 			t.Fatal(err)
@@ -148,6 +151,7 @@ func TestBudgetDrivenInitializer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	ezk, err := sys.Params().EpsilonZK()
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +170,7 @@ func TestHistoricalStoreAndBatchAnalytics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	for e := 0; e < 3; e++ {
 		if _, _, err := sys.RunEpoch(); err != nil {
 			t.Fatal(err)
@@ -220,6 +225,7 @@ func TestFeedbackRaisesSamplingUnderError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if err := sys.EnableFeedback(0.02, 0.05, 0.95); err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +263,7 @@ func TestFeedbackWithoutEnableErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if _, err := sys.Feedback(aggregator.Result{}); err == nil {
 		t.Error("expected error without EnableFeedback")
 	}
@@ -269,6 +276,7 @@ func TestSignedQueryReachesClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	for _, c := range sys.Clients() {
 		if c.Query() == nil {
 			t.Fatal("client missing query")
@@ -300,6 +308,7 @@ func TestBoundedPartitionFreesAsDrainCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if err := sys.Fleet().SetCapacity(2 * clients); err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +352,7 @@ func TestDrainDepthCountsSharesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if _, err := sys.AnswerEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +381,7 @@ func TestFeedbackReachesCards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if err := sys.EnableFeedback(0.02, 0.05, 0.95); err != nil {
 		t.Fatal(err)
 	}
@@ -413,5 +424,29 @@ func TestFeedbackReachesCards(t *testing.T) {
 	if float64(last.Fraction) != next.S || float64(last.EpsilonZK) != wantEps {
 		t.Errorf("card after feedback reports s=%v ε_zk=%v, want s=%v ε_zk=%v",
 			float64(last.Fraction), float64(last.EpsilonZK), next.S, wantEps)
+	}
+}
+
+// conserved fails t unless sys's share ledger balances (System.Conserve)
+// once it has drained what its proxies still hold. injected[i] counts
+// the share records a test published at proxy i past the clients, which
+// the ledger counts with the answers. Deferred after Close's defer, it
+// runs at the test's teardown.
+func conserved(t *testing.T, sys *System, injected ...int64) {
+	t.Helper()
+	if _, err := sys.Flush(); err != nil {
+		t.Error(err)
+		return
+	}
+	answered, dropped, published, err := sys.ledger()
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	for i, n := range injected {
+		dropped[i] -= n
+	}
+	if err := role.Conserve(answered, dropped, published, sys.drainer.Consumers(), sys.agg); err != nil {
+		t.Error(err)
 	}
 }

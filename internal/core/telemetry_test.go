@@ -38,6 +38,7 @@ func TestSystemTelemetrySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 
 	for e := 0; e < 3; e++ {
 		if _, _, err := sys.RunEpoch(); err != nil {
@@ -132,6 +133,7 @@ func TestSystemTelemetryWALHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if _, _, err := sys.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +166,7 @@ func TestSystemTelemetrySLOAndControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	defer conserved(t, sys)
 	if err := sys.Register(q); err != nil {
 		t.Fatal(err)
 	}

@@ -174,8 +174,8 @@ func TestStatsBacklog(t *testing.T) {
 	if s.MaxBacklog != 3 {
 		t.Fatalf("MaxBacklog = %d, want 3", s.MaxBacklog)
 	}
-	if lag, err := b.Backlog("answer"); err != nil || lag != 4 {
-		t.Fatalf("Backlog = %d, %v; want 4", lag, err)
+	if lag, err := b.backlog("answer"); err != nil || lag != 4 {
+		t.Fatalf("backlog = %d, %v; want 4", lag, err)
 	}
 	if err := b.CommitOffset("g", "answer", 0, 2); err != nil {
 		t.Fatal(err)
@@ -187,8 +187,8 @@ func TestStatsBacklog(t *testing.T) {
 	if s.MaxBacklog != 1 {
 		t.Fatalf("MaxBacklog after commit = %d, want 1", s.MaxBacklog)
 	}
-	if _, err := b.Backlog("nope"); !errors.Is(err, ErrNoTopic) {
-		t.Fatalf("Backlog unknown topic: %v", err)
+	if _, err := b.backlog("nope"); !errors.Is(err, ErrNoTopic) {
+		t.Fatalf("backlog unknown topic: %v", err)
 	}
 }
 

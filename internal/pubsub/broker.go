@@ -192,17 +192,6 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	return nil
 }
 
-// Topics lists topic names.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Partitions returns a topic's partition count.
 func (b *Broker) Partitions(topic string) (int, error) {
 	b.mu.RLock()
@@ -701,25 +690,6 @@ func (b *Broker) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// Backlog returns one topic's total unconsumed records: the sum over
-// partitions of end offset minus the slowest committed consumer offset.
-func (b *Broker) Backlog(topic string) (int64, error) {
-	b.mu.RLock()
-	t, ok := b.topics[topic]
-	b.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTopic, topic)
-	}
-	var total int64
-	for i, p := range t.partitions {
-		p.mu.Lock()
-		end := p.count
-		p.mu.Unlock()
-		total += end - b.committedFloor(t.name, i)
-	}
-	return total, nil
 }
 
 // Close marks the broker closed; publishes fail and blocked polls wake.

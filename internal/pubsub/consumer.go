@@ -18,14 +18,24 @@ type Consumer struct {
 	// with its partitions' next-read offsets indexed by partition.
 	subs []subscription
 	// runs, mem and parts are one poll's fetch memory: the runs read,
-	// the bytes an in-process fetch copied their bodies into, and which
-	// partition each run came from. PollRuns reuses them from poll to
-	// poll; a poll that finds nothing drops the bytes and every view of
-	// them, and keeps only the two small slices' capacity.
+	// the arena their bodies were fetched into (an in-process fetch's
+	// copy, a TCP fetch's reply frames), and which partition each run
+	// came from. PollRuns reuses them from poll to poll, so a drain's
+	// steady state fetches into one arena. A poll that finds nothing
+	// drops every view of the arena; the arena itself goes after
+	// idlePolls such polls in a row, after a failed poll, and after a
+	// poll that grew it beyond maxBatchBytes.
 	runs  []Run
 	mem   []byte
 	parts []polled
+	// idle counts the polls in a row that found nothing.
+	idle int
 }
+
+// idlePolls is how many empty polls in a row release a consumer's fetch
+// arena. A drain ends on one or two, which must not release it; an idle
+// node's drain polls every 50 ms, so its arena goes within 0.2 s.
+const idlePolls = 4
 
 // polled is one partition's share of a poll: the runs before c.runs[end]
 // and after the previous share's end.
@@ -71,25 +81,30 @@ func NewConsumer(t Transport, group string, topics ...string) (*Consumer, error)
 // Poll returns up to max records across all subscribed partitions,
 // advancing in-memory positions. It returns immediately with whatever is
 // available; an empty slice means the consumer is caught up. The records
-// are the caller's own, like a fetch's. Every product reader polls runs;
-// Poll stays only because bench/layers.go compiles against it.
+// are the caller's own, like a fetch's: Poll reads them into the
+// consumer's arena, as PollRuns does, and copies their bytes into one
+// buffer made for the caller. Every product reader polls runs; Poll
+// stays only because bench/layers.go compiles against it.
 func (c *Consumer) Poll(max int) ([]Record, error) {
-	c.mem = nil // the records' bytes will be the caller's: fetch into new ones
 	n, err := c.poll(max, 0)
 	if n == 0 {
 		return nil, err
 	}
-	out := make([]Record, 0, n)
+	size := 0
+	for _, r := range c.runs {
+		size += len(r.Body)
+	}
+	own, out := make([]byte, 0, size), make([]Record, 0, n)
 	at := 0
 	for _, pp := range c.parts {
 		for _, r := range c.runs[at:pp.end] {
+			from := len(own)
+			own = append(own, r.Body...)
+			r.Body = own[from:]
 			out = appendRun(out, c.subs[pp.sub].topic, pp.partition, r)
 		}
 		at = pp.end
 	}
-	// The bytes are the caller's now; the consumer keeps no view of them.
-	clear(c.runs)
-	c.mem = nil
 	return out, nil
 }
 
@@ -98,8 +113,9 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 // partition (over TCP, one round-trip per slice), which a closing broker
 // ends with ErrClosed. The runs and their bodies are the consumer's,
 // valid until its next poll reuses their memory: a drain polls in one
-// arena, and no reader may keep a view into it. A poll that finds
-// nothing releases it — an idle consumer holds no fetched bytes.
+// arena, on either transport, and no reader may keep a view into it.
+// The arena outlives the empty poll that ends a drain; a consumer idle
+// for idlePolls polls releases it and holds no fetched bytes.
 func (c *Consumer) PollRuns(max int, wait time.Duration) ([]Run, error) {
 	if n, err := c.poll(max, wait); n == 0 {
 		return nil, err
@@ -110,8 +126,9 @@ func (c *Consumer) PollRuns(max int, wait time.Duration) ([]Run, error) {
 // poll reads up to max records into the consumer's fetch memory,
 // reusing whatever it holds, sweeping the subscriptions in order and,
 // while a sweep finds nothing, waiting out wait in slices on the first
-// partition. It returns the records read, and on finding nothing or
-// failing drops the fetched bytes.
+// partition. It returns the records read. On finding nothing it drops
+// every view of the arena, and the arena too once the consumer has been
+// idle for idlePolls polls; on failing it drops both.
 func (c *Consumer) poll(max int, wait time.Duration) (n int, err error) {
 	if max <= 0 {
 		return 0, fmt.Errorf("pubsub: non-positive poll size %d", max)
@@ -131,8 +148,15 @@ func (c *Consumer) poll(max int, wait time.Duration) (n int, err error) {
 	}
 	if err != nil || n == 0 {
 		clear(c.runs)
-		c.runs, c.mem, c.parts = c.runs[:0], nil, c.parts[:0]
+		c.runs, c.parts = c.runs[:0], c.parts[:0]
+		if c.idle++; err != nil || c.idle >= idlePolls {
+			c.mem = nil
+		}
 		return 0, err
+	}
+	c.idle = 0
+	if cap(c.mem) > maxBatchBytes {
+		c.mem = nil // the runs keep it until the next poll; no later poll reuses it
 	}
 	return n, nil
 }

@@ -48,6 +48,36 @@ func fetch(tr Transport, topic string, partition int, offset int64, max int, wai
 	return runRecords(topic, partition, runs), err
 }
 
+// topicNames lists the broker's topic names.
+func (b *Broker) topicNames() []string {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make([]string, 0, len(b.topics))
+	for name := range b.topics {
+		out = append(out, name)
+	}
+	return out
+}
+
+// backlog returns one topic's total unconsumed records: the sum over
+// partitions of end offset minus the slowest committed consumer offset.
+func (b *Broker) backlog(topic string) (int64, error) {
+	b.mu.RLock()
+	t, ok := b.topics[topic]
+	b.mu.RUnlock()
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoTopic, topic)
+	}
+	var total int64
+	for i, p := range t.partitions {
+		p.mu.Lock()
+		end := p.count
+		p.mu.Unlock()
+		total += end - b.committedFloor(t.name, i)
+	}
+	return total, nil
+}
+
 func TestCreateTopicValidation(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("", 1); err == nil {
@@ -68,8 +98,8 @@ func TestCreateTopicValidation(t *testing.T) {
 	if _, err := b.Partitions("missing"); !errors.Is(err, ErrNoTopic) {
 		t.Errorf("missing topic: %v", err)
 	}
-	if got := b.Topics(); len(got) != 1 || got[0] != "t" {
-		t.Errorf("Topics = %v", got)
+	if got := b.topicNames(); len(got) != 1 || got[0] != "t" {
+		t.Errorf("topicNames = %v", got)
 	}
 }
 

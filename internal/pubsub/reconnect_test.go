@@ -1,12 +1,15 @@
 package pubsub
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // waitConnDead polls until cc has detached its connection (the read
@@ -115,6 +118,105 @@ func TestInFlightFailsAmbiguous(t *testing.T) {
 	err = publish(cli, "t", []byte("k"), []byte("v"))
 	if !errors.Is(err, ErrAmbiguous) {
 		t.Fatalf("in-flight failure: %v, want ErrAmbiguous", err)
+	}
+}
+
+// TestFetchArenaHandoff: a TCP fetch reads its reply into the caller's
+// memory, and the caller gets that memory back only once nothing writes
+// it any more. A fake server answers the first fetch with a malformed
+// reply, which must leave the caller's runs and memory as they were.
+// It answers the next fetch with a frame header and half its body, and
+// once the client's reader has taken the fetch's waiter off the queue,
+// the reply dies: the server kills the connection, or the client is
+// closed. The fetch must fail, and the caller must get its memory back
+// unchanged. The test then writes over all of it, which under -race
+// (make race) catches a reader that still fills it.
+func TestFetchArenaHandoff(t *testing.T) {
+	for _, death := range []string{"server kill", "client close"} {
+		t.Run(death, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			halfSent, kill := make(chan struct{}), make(chan struct{})
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, err := readFrame(conn); err != nil {
+					return
+				}
+				// status 0, one run and nothing behind it
+				if writeFrame(conn, []byte{0, 0, 0, 0, 1}) != nil {
+					return
+				}
+				if _, err := readFrame(conn); err != nil {
+					return
+				}
+				var hdr [4]byte
+				binary.BigEndian.PutUint32(hdr[:], 1000)
+				if _, err := conn.Write(append(hdr[:], make([]byte, 500)...)); err != nil {
+					return
+				}
+				close(halfSent)
+				<-kill
+			}()
+			cli, err := DialOptions(ln.Addr().String(), Options{Conns: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cli.Close() })
+
+			mem := append(make([]byte, 0, 4096), "prior"...)
+			runs := []Run{{Offset: 7, Count: 1, ValLen: 5, Body: mem[:5:5]}}
+			gotRuns, gotMem, err := cli.FetchWait("t", 0, 8, 10, 0, runs, mem)
+			if !errors.Is(err, ErrWire) || len(gotRuns) != 1 || gotRuns[0].Offset != 7 ||
+				string(gotMem) != "prior" || unsafe.SliceData(gotMem) != unsafe.SliceData(mem) {
+				t.Fatalf("a malformed reply = %d runs, mem %q, %v; want the prior run and memory back and ErrWire", len(gotRuns), gotMem, err)
+			}
+
+			type fetched struct {
+				mem []byte
+				err error
+			}
+			done := make(chan fetched, 1)
+			go func() {
+				_, mem, err := cli.FetchWait("t", 0, 8, 10, 0, runs, mem)
+				done <- fetched{mem, err}
+			}()
+			<-halfSent
+			for cli.conns[0].pending() > 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if death == "server kill" {
+				close(kill)
+			} else {
+				cli.Close()
+				close(kill)
+			}
+			var f fetched
+			select {
+			case f = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a fetch whose reply died never returned")
+			}
+			if !errors.Is(f.err, ErrAmbiguous) || string(f.mem) != "prior" {
+				t.Fatalf("a reply that died mid-body = mem %q, %v; want the prior memory back and ErrAmbiguous", f.mem, f.err)
+			}
+			whole := f.mem[:cap(f.mem)]
+			for i := range whole {
+				whole[i] = 'Z'
+			}
+			<-served
+			if i := slices.IndexFunc(whole, func(b byte) bool { return b != 'Z' }); i >= 0 {
+				t.Fatalf("byte %d of the caller's memory changed after the fetch returned", i)
+			}
+		})
 	}
 }
 

@@ -104,11 +104,14 @@ func TestFetchIsAPrivateCopy(t *testing.T) {
 
 // TestPollRunsOwnsItsMemory: the runs PollRuns hands out are the
 // consumer's own — writing over their bodies reaches neither the log nor
-// a later poll — a drain's polls reuse one arena (the run slice, and
-// in-process the bytes the bodies were copied into), and a poll that
-// finds nothing leaves the consumer holding no fetched bytes; in-process
-// and over TCP. A poll below a durable broker's memory floor, read back
-// from its WAL, lands in the consumer's own memory just the same.
+// a later poll — and a consumer's polls reuse one arena, in-process and
+// over TCP alike: the run slice, and the bytes the bodies were fetched
+// into (an in-process copy, a TCP reply frame). The arena outlives an
+// empty poll, which keeps no view of it; the consumer releases it after
+// idlePolls empty polls in a row, and a poll that grew it beyond
+// maxBatchBytes leaves none behind. A poll below a durable broker's
+// memory floor, read back from its WAL, lands in the consumer's own
+// memory just the same.
 func TestPollRunsOwnsItsMemory(t *testing.T) {
 	b, err := OpenBroker(t.TempDir(), wal.Options{})
 	if err != nil {
@@ -131,11 +134,6 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	want := canon(t, fetchNow(b), "t", 1, 4096)
-	log, err := fetch(b, "t", 0, 0, 200, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// poll reads n records from offset from and checks them against the
 	// log.
 	poll := func(name string, c *Consumer, max, n int, from int64) []Run {
@@ -144,12 +142,16 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		log, err := fetch(b, "t", 0, from, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := runRecords("t", 0, runs)
-		if len(got) != n {
-			t.Fatalf("%s: a poll from %d read %d records, want %d", name, from, len(got), n)
+		if len(got) != n || len(log) != n {
+			t.Fatalf("%s: a poll from %d read %d records, want %d of the log's %d", name, from, len(got), n, len(log))
 		}
 		for i, r := range got {
-			w := log[from+int64(i)]
+			w := log[i]
 			if r.Offset != w.Offset || !r.Timestamp.Equal(w.Timestamp) || !bytes.Equal(r.Key, w.Key) || !bytes.Equal(r.Value, w.Value) {
 				t.Fatalf("%s: record %d reads @%d %x=%x, the log holds @%d %x=%x", name, i, r.Offset, r.Key, r.Value, w.Offset, w.Key, w.Value)
 			}
@@ -158,6 +160,7 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 	}
 	overwrite := func(name string, runs []Run) {
 		t.Helper()
+		want := canon(t, fetchNow(b), "t", 1, 4096)
 		for _, r := range runs {
 			for i := range r.Body {
 				r.Body[i] = 'X'
@@ -166,6 +169,30 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 		if got := canon(t, fetchNow(b), "t", 1, 4096); got != want {
 			t.Fatalf("%s: writing over a poll's runs changed the log", name)
 		}
+	}
+	// empty polls at the log end; the consumer must keep no view of a
+	// fetch.
+	empty := func(name string, c *Consumer, polls int) {
+		t.Helper()
+		for range polls {
+			runs, err := c.PollRuns(4096, 0)
+			if err != nil || runs != nil {
+				t.Fatalf("%s: a poll at the log end = %d runs, %v", name, len(runs), err)
+			}
+		}
+		if slices.ContainsFunc(c.runs[:cap(c.runs)], func(r Run) bool { return r.Body != nil }) {
+			t.Errorf("%s: after an empty poll the consumer holds a view of a fetch", name)
+		}
+	}
+	// inArena reports whether runs sit in the run slice at runs0 and
+	// their bodies in the byte arena mem.
+	inArena := func(runs []Run, runs0 *Run, mem []byte) bool {
+		for _, r := range runs {
+			if !inside(r.Body, mem[:cap(mem)]) {
+				return false
+			}
+		}
+		return unsafe.SliceData(runs) == runs0
 	}
 	for _, tc := range []struct {
 		name string
@@ -176,33 +203,71 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		overwrite(tc.name, poll(tc.name, c, 120, 120, 0))
-		arena, mem := unsafe.SliceData(c.runs), c.mem
-		second := poll(tc.name, c, 60, 60, 120)
-		if unsafe.SliceData(second) != arena {
-			t.Errorf("%s: the second poll's runs are not in the first's memory", tc.name)
+		runs0, mem := unsafe.SliceData(c.runs), c.mem
+		if !inArena(poll(tc.name, c, 60, 60, 120), runs0, mem) {
+			t.Errorf("%s: the second poll's runs or bodies are not in the first's arena", tc.name)
 		}
-		for _, r := range second {
-			if tc.name == "inproc" && !inside(r.Body, mem[:cap(mem)]) {
-				t.Errorf("%s: the second poll's bodies are not in the first's arena", tc.name)
-			}
+		end, err := b.EndOffset("t", 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		poll(tc.name, c, 4096, 20, 180)
+		poll(tc.name, c, 4096, int(end-180), 180)
+		runs0, mem = unsafe.SliceData(c.runs), c.mem
+		empty(tc.name, c, 1)
+		if err := b.PublishColumns("t", testCols(30, 16, 22), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !inArena(poll(tc.name, c, 4096, 30, end), runs0, mem) {
+			t.Errorf("%s: after an empty poll, the next poll's runs or bodies are not in the drain's arena", tc.name)
+		}
+		empty(tc.name, c, idlePolls-1)
+		if cap(c.mem) == 0 {
+			t.Errorf("%s: %d empty polls released the arena; it takes %d", tc.name, idlePolls-1, idlePolls)
+		}
+		empty(tc.name, c, 1)
+		if c.mem != nil {
+			t.Errorf("%s: after %d empty polls the consumer holds %d bytes", tc.name, idlePolls, cap(c.mem))
+		}
+	}
+
+	// A poll that needed an arena beyond maxBatchBytes leaves it to its
+	// runs alone: the consumer does not keep it for the next poll.
+	big, _, bigCli := startServer(t)
+	if err := big.CreateTopic("big", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := big.PublishColumns("big", testCols(3, 16, maxBatchBytes/3+1), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]Transport{"inproc": big, "tcp": bigCli} {
+		c, err := NewConsumer(tr, "g", "big")
+		if err != nil {
+			t.Fatal(err)
+		}
 		runs, err := c.PollRuns(4096, 0)
-		if err != nil || runs != nil {
-			t.Fatalf("%s: a poll at the log end = %d runs, %v", tc.name, len(runs), err)
+		size := 0
+		for _, r := range runs {
+			size += len(r.Body)
 		}
-		if c.mem != nil || slices.ContainsFunc(c.runs[:cap(c.runs)], func(r Run) bool { return r.Body != nil }) {
-			t.Errorf("%s: after an empty poll the consumer holds %d bytes, or a view of a fetch", tc.name, cap(c.mem))
+		if err != nil || len(runRecords("big", 0, runs)) != 3 || size <= maxBatchBytes {
+			t.Fatalf("%s: the big poll read %d runs of %d bytes, %v", name, len(runs), size, err)
+		}
+		if c.mem != nil {
+			t.Errorf("%s: a poll of more than maxBatchBytes left a %d-byte arena behind", name, cap(c.mem))
 		}
 	}
 
 	// A group that commits the whole log releases it from memory; a
 	// consumer that seeks back below it reads it back from the WAL.
+	end, err := b.EndOffset("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := NewConsumer(b, "g-commit", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	poll("commit", c, 4096, 200, 0)
+	poll("commit", c, 4096, int(end), 0)
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +278,8 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 	p.mu.Lock()
 	floor := p.first()
 	p.mu.Unlock()
-	if floor != 200 {
-		t.Fatalf("the memory floor is %d after a commit of the whole log, want 200", floor)
+	if floor != end {
+		t.Fatalf("the memory floor is %d after a commit of the whole log, want %d", floor, end)
 	}
 	late, err := NewConsumer(b, "g-late", "t")
 	if err == nil {
@@ -223,7 +288,7 @@ func TestPollRunsOwnsItsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overwrite("reload", poll("reload", late, 4096, 200, 0))
+	overwrite("reload", poll("reload", late, 4096, int(end), 0))
 }
 
 // TestLogReadsTheSameThreeWays publishes keyed shares, nil-key control
@@ -321,11 +386,13 @@ func appendFetchRun(body []byte, off, ts uint64, keyLen, valLen, count uint32, r
 
 // FuzzFetchResponse drives the client-side fetch decoder, asked for at
 // most max records from offset 0 of partition 0, with arbitrary response
-// bodies: it must never panic, must hand out at most max records with
-// consecutive offsets from 0 in no more runs than records, sized
-// exactly (never by a claimed count), whose key and value bytes the body
-// holds; and every key and value must be a cap-limited view inside the
-// frame it was given, a key never empty but nil.
+// bodies appended to a fetch arena after prior runs and bytes: it must
+// never panic, must hand out at most max records with consecutive
+// offsets from 0 in no more runs than records, sized exactly (never by a
+// claimed count), whose key and value bytes the body holds; and every
+// key and value must be a cap-limited view inside the frame it was
+// given, a key never empty but nil. A refused response appends nothing
+// to the runs, and neither outcome touches the runs and bytes before it.
 func FuzzFetchResponse(f *testing.F) {
 	var e enc
 	if err := goldenFetchBroker(f).encodeFetch(&e, "t", 0, 0, 10); err != nil {
@@ -338,19 +405,40 @@ func FuzzFetchResponse(f *testing.F) {
 		}
 		return body
 	}
-	f.Add(e.buf[1:], uint16(10))
-	f.Add(e.buf[1:len(e.buf)-3], uint16(10))
-	f.Add([]byte{}, uint16(10))
-	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31), uint16(10)) // a run count with nothing behind it
-	f.Add(e.buf[1:], uint16(4))                                  // one record more than asked for
-	f.Add(runs(appendFetchRun(nil, 0, 1, 0, 0, 1<<31, nil)), uint16(10))
-	f.Add(runs(appendFetchRun(nil, 0, 1, 0, 0, 7, nil)), uint16(10)) // zero stride within max
-	f.Add(runs(appendFetchRun(nil, 0, 1, ^uint32(0), ^uint32(0), ^uint32(0), []byte("kv"))), uint16(10))
-	f.Add(runs(appendFetchRun(nil, 0, 1, 1, 1, 1, []byte("kv")), appendFetchRun(nil, 2, 1, 1, 1, 1, []byte("kv"))), uint16(10))
+	f.Add(e.buf[1:], uint16(10), uint8(0))
+	f.Add(e.buf[1:len(e.buf)-3], uint16(10), uint8(0))
+	f.Add([]byte{}, uint16(10), uint8(0))
+	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31), uint16(10), uint8(0)) // a run count with nothing behind it
+	f.Add(e.buf[1:], uint16(4), uint8(0))                                  // one record more than asked for
+	f.Add(runs(appendFetchRun(nil, 0, 1, 0, 0, 1<<31, nil)), uint16(10), uint8(0))
+	f.Add(runs(appendFetchRun(nil, 0, 1, 0, 0, 7, nil)), uint16(10), uint8(0)) // zero stride within max
+	f.Add(runs(appendFetchRun(nil, 0, 1, ^uint32(0), ^uint32(0), ^uint32(0), []byte("kv"))), uint16(10), uint8(0))
+	f.Add(runs(appendFetchRun(nil, 0, 1, 1, 1, 1, []byte("kv")), appendFetchRun(nil, 2, 1, 1, 1, 1, []byte("kv"))), uint16(10), uint8(0))
+	// The same, behind an earlier fetch of the same poll.
+	f.Add(e.buf[1:], uint16(10), uint8(3))
+	f.Add(e.buf[1:len(e.buf)-3], uint16(10), uint8(3))
+	f.Add(e.buf[1:], uint16(4), uint8(1))
+	f.Add(runs(appendFetchRun(nil, 0, 1, 1, 1, 1, []byte("kv")), appendFetchRun(nil, 2, 1, 1, 1, 1, []byte("kv"))), uint16(10), uint8(2))
 
-	f.Fuzz(func(t *testing.T, body []byte, max uint16) {
-		d := wireReader(body)
-		runs, err := decodeFetch(&d, 0, uint32(max), nil)
+	f.Fuzz(func(t *testing.T, body []byte, max uint16, prior uint8) {
+		// An earlier fetch's prior runs, one byte of the arena each, and
+		// then this reply's frame: status byte and body.
+		mem := bytes.Repeat([]byte{0xAB}, int(prior))
+		var before []Run
+		for i := range mem {
+			before = append(before, Run{Offset: 100 + int64(i), Count: 1, ValLen: 1, Body: mem[i : i+1 : i+1]})
+		}
+		had := slices.Clone(before)
+		mem = append(append(mem, 0), body...)
+		frame := mem[len(had)+1:]
+		d := wireReader(frame)
+		runs, err := decodeFetch(&d, 0, uint32(max), before)
+		if !slices.EqualFunc(runs[:min(len(runs), len(had))], had, func(a, b Run) bool {
+			return a.Offset == b.Offset && a.Count == b.Count && unsafe.SliceData(a.Body) == unsafe.SliceData(b.Body)
+		}) || len(runs) < len(had) || !bytes.Equal(mem[:len(had)], bytes.Repeat([]byte{0xAB}, len(had))) {
+			t.Fatalf("the decode touched the %d runs and bytes before the reply", len(had))
+		}
+		runs = runs[len(had):]
 		if err != nil {
 			if !errors.Is(err, ErrWire) {
 				t.Fatalf("decode error %v does not wrap ErrWire", err)
@@ -376,8 +464,8 @@ func FuzzFetchResponse(f *testing.F) {
 				t.Fatalf("record %d has an empty, non-nil key", i)
 			}
 			for _, view := range [][]byte{r.Key, r.Value} {
-				if !inside(view, body) || cap(view) != len(view) {
-					t.Fatalf("view %p len %d cap %d escapes the %d-byte frame", view, len(view), cap(view), len(body))
+				if !inside(view, frame) || cap(view) != len(view) {
+					t.Fatalf("view %p len %d cap %d escapes the %d-byte frame", view, len(view), cap(view), len(frame))
 				}
 			}
 			size += len(r.Key) + len(r.Value)

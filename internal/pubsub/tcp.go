@@ -419,10 +419,11 @@ func (c *Client) Close() error {
 // clientConn is one pipelined connection: requests are framed under mu
 // (which also fixes their FIFO position in queue), and a dedicated
 // reader goroutine per live conn matches each response frame to the
-// oldest waiter. conn is nil between a failure and the next successful
-// redial; the conn value doubles as a generation token so a stale
-// reader (or a late fail) of a replaced conn cannot touch the new one's
-// queue.
+// oldest waiter, taking the waiter off the queue before it reads the
+// frame's body into the waiter's memory. conn is nil between a failure
+// and the next successful redial; the conn value doubles as a
+// generation token so a stale reader (or a late fail) of a replaced
+// conn cannot touch the new one's queue.
 type clientConn struct {
 	addr   string
 	opts   *Options
@@ -435,15 +436,23 @@ type clientConn struct {
 
 	mu        sync.Mutex
 	conn      net.Conn
-	queue     []chan connResult
+	queue     []waiter
 	closed    bool
 	lastErr   error
 	dialFails int
 	nextDial  time.Time
 }
 
+// waiter is one request on the wire awaiting its reply: the reply frame
+// is appended to mem — a fetch's arena, nil for every other request,
+// which reads into a frame of its own — and delivered on ch.
+type waiter struct {
+	ch  chan connResult
+	mem []byte
+}
+
 type connResult struct {
-	resp []byte
+	resp []byte // the waiter's mem with the reply frame appended
 	err  error
 }
 
@@ -470,8 +479,8 @@ func (cc *clientConn) fail(conn net.Conn, err error) {
 	cc.mu.Unlock()
 	conn.Close()
 	werr := fmt.Errorf("%w: %v", ErrAmbiguous, err)
-	for _, ch := range waiters {
-		ch <- connResult{err: werr}
+	for _, w := range waiters {
+		w.ch <- connResult{err: werr}
 	}
 }
 
@@ -491,8 +500,8 @@ func (cc *clientConn) close() error {
 		err = conn.Close()
 	}
 	werr := fmt.Errorf("%w: %v", ErrAmbiguous, ErrClosed)
-	for _, ch := range waiters {
-		ch <- connResult{err: werr}
+	for _, w := range waiters {
+		w.ch <- connResult{err: werr}
 	}
 	return err
 }
@@ -556,9 +565,14 @@ func (cc *clientConn) backoffLocked() time.Duration {
 	return jitterDur(cc.jitter, d)
 }
 
+// readLoop matches the connection's reply frames to its waiters in
+// order. Once a frame's length has arrived, its waiter leaves the queue
+// and only this loop wakes it — after the body has landed in its memory
+// or the read has failed — so a concurrent fail or close can never
+// release a waiter whose buffer is still being written.
 func (cc *clientConn) readLoop(conn net.Conn) {
 	for {
-		resp, err := readFrame(conn)
+		n, err := readFrameLen(conn)
 		if err != nil {
 			cc.fail(conn, err)
 			return
@@ -570,65 +584,73 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 			cc.mu.Unlock()
 			return
 		}
-		var ch chan connResult
-		if len(cc.queue) > 0 {
-			ch = cc.queue[0]
-			cc.queue = cc.queue[1:]
-		}
-		cc.mu.Unlock()
-		if ch == nil {
+		if len(cc.queue) == 0 {
+			cc.mu.Unlock()
 			cc.fail(conn, fmt.Errorf("%w: unsolicited response", ErrWire))
 			return
 		}
-		ch <- connResult{resp: resp}
+		w := cc.queue[0]
+		cc.queue[0] = waiter{} // the queue must not pin the waiter's memory
+		cc.queue = cc.queue[1:]
+		cc.mu.Unlock()
+		resp, err := appendFrameBody(conn, w.mem, n)
+		if err != nil {
+			w.ch <- connResult{err: fmt.Errorf("%w: %v", ErrAmbiguous, err)}
+			cc.fail(conn, err)
+			return
+		}
+		w.ch <- connResult{resp: resp}
 	}
 }
 
-// roundTrip sends one request and returns a reader over the body of its
-// ok reply; an error reply comes back as the error it carries.
-func (cc *clientConn) roundTrip(req []byte) (codec.Reader, error) {
-	ch := make(chan connResult, 1)
+// roundTrip sends one request and appends its reply frame to mem (nil
+// reads it into a frame of its own). It returns a reader over the body
+// of an ok reply and mem with the frame appended; an error reply comes
+// back as the error it carries. Once it returns, nothing writes mem.
+func (cc *clientConn) roundTrip(req, mem []byte) (codec.Reader, []byte, error) {
+	w := waiter{ch: make(chan connResult, 1), mem: mem}
 	cc.mu.Lock()
 	for cc.conn == nil {
 		if cc.closed {
 			cc.mu.Unlock()
-			return codec.Reader{}, ErrClosed
+			return codec.Reader{}, mem, ErrClosed
 		}
 		cc.mu.Unlock()
 		// Nothing has reached the wire yet, so a dial failure here is
 		// unambiguous: the request was definitely not applied.
 		if err := cc.redial(); err != nil {
-			return codec.Reader{}, err
+			return codec.Reader{}, mem, err
 		}
 		cc.mu.Lock()
 	}
 	conn := cc.conn
-	cc.queue = append(cc.queue, ch)
+	cc.queue = append(cc.queue, w)
 	err := writeFrame(conn, req)
 	cc.mu.Unlock()
 	if err != nil {
 		// The request may be half-framed on the wire; this generation is
-		// unusable. fail() wakes every waiter — including our ch — with
+		// unusable. fail() wakes every queued waiter — including ours,
+		// unless the reader already took it and wakes it itself — with
 		// ErrAmbiguous (a concurrent failure may already have done so).
 		cc.fail(conn, err)
 	}
-	r := <-ch
+	r := <-w.ch
 	if r.err != nil {
-		return codec.Reader{}, r.err
+		return codec.Reader{}, mem, r.err
 	}
-	d := wireReader(r.resp)
+	d := wireReader(r.resp[len(mem):])
 	switch status := d.U8(); status {
 	case 0:
-		return d, d.Err()
+		return d, r.resp, d.Err()
 	case 1:
 		msg := d.Str()
 		if err := d.Done(); err != nil {
-			return d, err
+			return d, r.resp, err
 		}
-		return d, wireError(msg)
+		return d, r.resp, wireError(msg)
 	default:
 		d.Fail("reply status %d", status)
-		return d, d.Err()
+		return d, r.resp, d.Err()
 	}
 }
 
@@ -700,7 +722,8 @@ func (c *Client) pick() *clientConn {
 }
 
 func (c *Client) roundTrip(req []byte) (codec.Reader, error) {
-	return c.pick().roundTrip(req)
+	d, _, err := c.pick().roundTrip(req, nil)
+	return d, err
 }
 
 // CreateTopic mirrors Broker.CreateTopic.
@@ -757,9 +780,10 @@ func waitToMillis(d time.Duration) uint32 {
 	return uint32((d + time.Millisecond - 1) / time.Millisecond)
 }
 
-// FetchWait mirrors Broker.FetchWait: the runs' bodies view the
-// response frame, a private copy made by the socket read, and mem is
-// left as it is.
+// FetchWait mirrors Broker.FetchWait: the socket read appends the reply
+// frame to mem, and the runs' bodies view it there. A reply that fails,
+// is refused or holds no record gives mem back as it was, its capacity
+// perhaps grown.
 func (c *Client) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error) {
 	e := getEnc()
 	e.byte(opFetch)
@@ -768,13 +792,16 @@ func (c *Client) FetchWait(topic string, partition int, offset int64, max int, w
 	e.uint64(uint64(offset))
 	e.uint32(uint32(max))
 	e.uint32(waitToMillis(wait))
-	d, err := c.roundTrip(e.buf)
+	d, grown, err := c.pick().roundTrip(e.buf, mem)
 	putEnc(e)
-	if err != nil {
-		return runs, mem, err
+	had := len(runs)
+	if err == nil {
+		runs, err = decodeFetch(&d, offset, uint32(max), runs)
 	}
-	runs, err = decodeFetch(&d, offset, uint32(max), runs)
-	return runs, mem, err
+	if err != nil || len(runs) == had {
+		return runs, grown[:len(mem)], err
+	}
+	return runs, grown, nil
 }
 
 // decodeFetch reads the body of an opFetch response (after the status

@@ -459,8 +459,8 @@ func TestTCPServerRefusesTrailingBytes(t *testing.T) {
 		if msg := readStatusError(t, conn); !strings.Contains(msg, "wire protocol error: 1 trailing bytes") {
 			t.Errorf("%s with a trailing byte: %q, want a wire protocol error", r.name, msg)
 		}
-		if end, _ := b.EndOffset("t", 0); end != 1 || len(b.Topics()) != 1 {
-			t.Fatalf("%s with a trailing byte was applied: end offset %d, topics %v", r.name, end, b.Topics())
+		if end, _ := b.EndOffset("t", 0); end != 1 || len(b.topicNames()) != 1 {
+			t.Fatalf("%s with a trailing byte was applied: end offset %d, topics %v", r.name, end, b.topicNames())
 		}
 		if off, _ := b.CommittedOffset("g", "t", 0); off != 0 {
 			t.Fatalf("%s with a trailing byte was applied: committed %d", r.name, off)

@@ -28,9 +28,10 @@ type Transport interface {
 	// offset and appends them to runs. wait <= 0 returns immediately with
 	// whatever is available; wait > 0 blocks until at least one record
 	// arrives or the wait elapses (appending nothing on timeout). The
-	// runs' bodies are the caller's own, never the log's: the in-process
-	// broker copies them into mem, appending, and the TCP client views
-	// the reply frame the call read and hands mem back as it was.
+	// runs' bodies are the caller's own, never the log's: a private copy
+	// appended to mem, which comes back grown by it — the in-process
+	// broker copies the records there, and the TCP client reads the reply
+	// frame there. Nothing writes mem once the call has returned.
 	FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error)
 	// EndOffset returns the next offset to be written in a partition.
 	EndOffset(topic string, partition int) (int64, error)

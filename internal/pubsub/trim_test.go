@@ -97,7 +97,7 @@ func TestTrimFloorIsTheSlowestCommittedGroup(t *testing.T) {
 	if first, _ := retained(t, b); first != 10 {
 		t.Fatalf("groups at 10 and 16: first retained %d, want 10", first)
 	}
-	if got, _ := b.Backlog("t"); got != 6 {
+	if got, _ := b.backlog("t"); got != 6 {
 		t.Errorf("backlog = %d, want the slow group's 6", got)
 	}
 	// The idle consumer's position was released under it: a defined error.

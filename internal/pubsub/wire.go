@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"privapprox/internal/codec"
@@ -56,19 +57,36 @@ func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
 
 // readFrameInto is readFrame over buf's storage when the frame fits it.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
+	}
+	if cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
+	return appendFrameBody(r, buf[:0], n)
+}
+
+// readFrameLen reads a frame's length prefix, refusing one above
+// maxFrame.
+func readFrameLen(r io.Reader) (int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes", ErrWire, n)
+		return 0, fmt.Errorf("%w: frame of %d bytes", ErrWire, n)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	return int(n), nil
+}
+
+// appendFrameBody reads the n bytes of a frame after its length prefix
+// and appends them to buf, growing it only when they do not fit.
+func appendFrameBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	at := len(buf)
+	buf = slices.Grow(buf, n)[:at+n]
+	if _, err := io.ReadFull(r, buf[at:]); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -102,5 +120,5 @@ func (e *enc) str(s string)    { e.buf = codec.AppendBytes(e.buf, s) }
 // an append cannot run into its neighbour) valid only while the frame
 // is. The server's publish handlers pass views straight to the broker,
 // which copies them once into its slab; the client's fetch hands out
-// views of the response frame it owns.
+// views of the response frame it read into the caller's memory.
 func wireReader(frame []byte) codec.Reader { return codec.NewReader(frame, ErrWire, "frame") }

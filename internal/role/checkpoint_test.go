@@ -110,6 +110,7 @@ func TestDrainRestoreChecksSystemFirst(t *testing.T) {
 	}
 
 	b := newRig(t, 40, 1)
+	b.restored = true
 	fresh := positions(b)
 	refused := errors.New("system section refused")
 	var seen []byte

@@ -29,12 +29,18 @@ import (
 // rig is one in-process deployment built from the roles alone: two
 // proxies, a client process answering through them and an aggregator
 // draining them. newRig's clients answer on one worker, so two such rigs
-// publish the same records in the same partition order.
+// publish the same records in the same partition order. At the test's
+// teardown the rig drains what is left and checks its share ledger
+// (Conserve); injected[i] counts the records a test published at proxy
+// i past the clients, and a rig restored from a checkpoint, whose ledger
+// began in another drain, is not checked.
 type rig struct {
-	fleet   *proxy.Fleet
-	clients *Clients
-	drain   *Drain
-	agg     *aggregator.Aggregator
+	fleet    *proxy.Fleet
+	clients  *Clients
+	drain    *Drain
+	agg      *aggregator.Aggregator
+	injected [2]int64
+	restored bool
 }
 
 func newRig(t *testing.T, clients, drainWorkers int) *rig {
@@ -96,7 +102,39 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{fleet: fleet, clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
+	r := &rig{fleet: fleet, clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
+	t.Cleanup(func() { r.conserved(t) })
+	return r
+}
+
+// conserved drains the rig dry and fails t unless its share ledger
+// balances.
+func (r *rig) conserved(t *testing.T) {
+	t.Helper()
+	if r.restored {
+		return
+	}
+	if _, err := r.drain.Dry(); err != nil {
+		t.Error(err)
+		return
+	}
+	answered := client.SumStats(r.clients.Clients()).AnswersSent
+	var dropped, published [2]int64
+	for i, b := range r.clients.Batchers() {
+		dropped[i] = b.Dropped() - r.injected[i]
+		px := r.fleet.Proxy(i)
+		published[i] = px.Stats().MessagesIn
+		for _, topic := range []string{proxy.TopicControl, proxy.TopicLineage} {
+			end, err := px.Broker().EndOffset(topic, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			published[i] -= end
+		}
+	}
+	if err := Conserve(answered, dropped[:], published[:], r.drain.Consumers(), r.agg); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestRoleDrainMatchesAcrossWorkers: the same published stream drained
@@ -188,6 +226,7 @@ func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
 					if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
 						t.Fatal(err)
 					}
+					r.injected[0]++
 				}
 				if n, err := r.clients.Epoch(e); err != nil || n == 0 {
 					t.Fatalf("epoch %d: %d participants, %v", e, n, err)

@@ -226,6 +226,14 @@ func Run(cfg Config) (*Report, error) {
 	for _, c := range sys.Clients() {
 		rep.Shedded += c.Stats().Shedded
 	}
+	// Shedding suppresses answers, never loses one: once the backlog is
+	// drained, every answer sent is accounted for.
+	if _, err := sys.Flush(); err != nil {
+		return nil, err
+	}
+	if err := sys.Conserve(); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 

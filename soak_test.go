@@ -18,10 +18,13 @@ import (
 // remembers — and the live heap must agree within 5 % (a log that never
 // trims fails the heap check within seconds; panes never deleted, a
 // joiner that never forgets, or a watermark advance that keeps its
-// history fails the counts). Wall time goes to the log only. The
-// durable leg runs the same system over a DataDir and never
-// checkpoints: its brokers keep every share in their WALs, and their
-// memory must still follow the drain, not the journal.
+// history fails the counts). The in-memory leg also bounds the garbage
+// of its second half, in bytes allocated per decoded answer: a steady
+// state that reuses its memory (the drain's fetch arena among it) makes
+// almost none. Wall time goes to the log only. The durable leg runs the
+// same system over a DataDir and never checkpoints: its brokers keep
+// every share in their WALs, and their memory must still follow the
+// drain, not the journal.
 func TestSoakFlatHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -32,6 +35,10 @@ func TestSoakFlatHeap(t *testing.T) {
 
 func soakFlatHeap(t *testing.T, dataDir string) {
 	const clients, epochs = 200, 3000
+	// garbageLimit bounds the second half's bytes allocated per decoded
+	// answer in memory; it reads about 9, and about 214 when every drain
+	// regrew its fetch memory.
+	const garbageLimit = 27
 	q, err := TaxiQuery("soak-analyst", 1, time.Second, 4*time.Second, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +86,12 @@ func soakFlatHeap(t *testing.T, dataDir string) {
 		}
 		return out
 	}
-	half := func() (time.Duration, float64, map[string]int) {
+	// half runs half the epochs and returns their wall time and the
+	// bytes they allocated, then the live heap and the state kept.
+	half := func() (time.Duration, uint64, float64, map[string]int) {
 		t0 := time.Now()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for e := 0; e < epochs/2; e++ {
 			if _, _, err := sys.RunEpoch(); err != nil {
 				t.Fatal(err)
@@ -90,21 +101,29 @@ func soakFlatHeap(t *testing.T, dataDir string) {
 			}
 			decoded = append(decoded, sys.Aggregator().Stats().Decoded)
 		}
-		return time.Since(t0), liveHeap(), kept()
+		runtime.ReadMemStats(&after)
+		return time.Since(t0), after.TotalAlloc - before.TotalAlloc, liveHeap(), kept()
 	}
-	firstTook, atHalf, keptHalf := half()
-	secondTook, atEnd, keptEnd := half()
+	firstTook, _, atHalf, keptHalf := half()
+	secondTook, garbage, atEnd, keptEnd := half()
+	perAnswer := float64(garbage) / float64(decoded[epochs]-decoded[epochs/2])
 
 	st := sys.Aggregator().Stats()
 	if st.Decoded < clients*epochs/2 || st.Dropped() != 0 || st.Swept != 0 {
 		t.Fatalf("soak run lost answers: %+v", st)
 	}
-	t.Logf("live heap %.2f MB at epoch %d, %.2f MB at epoch %d; kept %v and %v; halves took %v and %v",
-		atHalf/(1<<20), epochs/2, atEnd/(1<<20), epochs, keptHalf, keptEnd, firstTook, secondTook)
+	if err := sys.Conserve(); err != nil {
+		t.Error(err)
+	}
+	t.Logf("live heap %.2f MB at epoch %d, %.2f MB at epoch %d; kept %v and %v; halves took %v and %v; the second allocated %.1f B per answer",
+		atHalf/(1<<20), epochs/2, atEnd/(1<<20), epochs, keptHalf, keptEnd, firstTook, secondTook, perAnswer)
 	if len(keptHalf) != 4 || !maps.Equal(keptHalf, keptEnd) {
 		t.Errorf("the state kept per epoch moved between epoch %d and epoch %d: %v, then %v", epochs/2, epochs, keptHalf, keptEnd)
 	}
 	if diff := (atEnd - atHalf) / atHalf; diff > 0.05 || diff < -0.05 {
 		t.Errorf("live heap moved %.1f%% between epoch %d and epoch %d", 100*diff, epochs/2, epochs)
+	}
+	if dataDir == "" && perAnswer > garbageLimit {
+		t.Errorf("epochs %d to %d allocated %.1f B per decoded answer, want ≤ %d", epochs/2, epochs, perAnswer, garbageLimit)
 	}
 }
