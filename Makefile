@@ -100,7 +100,7 @@ obsgate:
 
 # The result-provenance gate: under a fixed seed, every fired window's
 # result card (deterministic fields only) must be identical across
-# Workers/Shards settings in-process (TestLineageGate) and byte-identical
+# Workers settings in-process (TestLineageGate) and byte-identical
 # between the in-process pipeline and the two-query networked
 # deployment (TestMultiProcessMultiQuerySmoke, whose results the gate
 # checks too); plus the node-level health plane (/healthz on every role,

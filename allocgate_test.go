@@ -154,7 +154,6 @@ func TestAggregatorSubmitSteadyStateAllocs(t *testing.T) {
 		Proxies:    2,
 		Origin:     time.Unix(0, 0),
 		Seed:       9,
-		Shards:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +198,6 @@ func TestAggregatorMultiQuerySubmitAllocs(t *testing.T) {
 		Proxies:    2,
 		Origin:     time.Unix(0, 0),
 		Seed:       9,
-		Shards:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +342,6 @@ func TestFig8SubmitZeroAllocs(t *testing.T) {
 		Proxies:    2,
 		Origin:     time.Unix(0, 0),
 		Seed:       9,
-		Shards:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +396,6 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 		Proxies:    2,
 		Origin:     time.Unix(0, 0),
 		Seed:       9,
-		Shards:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +416,7 @@ func TestAggregatorSubmitBatchZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Twice the measured run, so every shard's maps are sized for it.
+	// Twice the measured run, so the joiner's maps are sized for it.
 	for i := 0; i < 128; i++ {
 		submit()
 	}
@@ -452,7 +448,6 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 		Proxies:    2,
 		Origin:     time.Unix(0, 0),
 		Seed:       9,
-		Shards:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -605,7 +600,6 @@ func TestSharePlaneAllocs(t *testing.T) {
 			Proxies:    2,
 			Origin:     time.Unix(0, 0),
 			Seed:       9,
-			Shards:     2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -954,7 +948,6 @@ func newFireRig(t testing.TB, nbuckets int) *fireRig {
 		Proxies:    2,
 		Origin:     time.Unix(0, 0),
 		Seed:       9,
-		Shards:     1,
 	}); err != nil {
 		t.Fatal(err)
 	}

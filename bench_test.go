@@ -400,30 +400,27 @@ func BenchmarkFig7TaxiSweep(b *testing.B) {
 	b.ReportMetric(500, "clients/epoch")
 }
 
-// --- Parallel epoch pipeline: workers × shards sweep. ---
+// --- Parallel epoch pipeline: workers sweep. ---
 
 // BenchmarkEpochPipelineParallel measures one full epoch (concurrent
-// client answering → proxies → parallel drain → sharded aggregator)
-// across worker-pool and aggregator-shard settings. workers=1,shards=1
-// is the sequential baseline; workers=GOMAXPROCS should beat it by ≥ 2×
-// on a multi-core runner while producing identical results under the
-// fixed seed (see core's determinism tests).
+// client answering → proxies → parallel drain → aggregator) across
+// worker-pool settings. workers=1 is the sequential baseline;
+// workers=GOMAXPROCS should beat it by ≥ 2× on a multi-core runner while
+// producing identical results under the fixed seed (see core's
+// determinism tests).
 func BenchmarkEpochPipelineParallel(b *testing.B) {
 	q, err := workload.TaxiQuery("bench", 1, time.Second, 2*time.Second, 2*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
 	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
-	maxProcs := runtime.GOMAXPROCS(0)
-	sweep := [][2]int{{1, 1}, {2, 2}, {maxProcs, 1}, {maxProcs, maxProcs}}
-	seen := map[[2]int]bool{}
-	for _, knobs := range sweep {
-		if seen[knobs] {
+	seen := map[int]bool{}
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		if seen[workers] {
 			continue
 		}
-		seen[knobs] = true
-		workers, shards := knobs[0], knobs[1]
-		b.Run(fmt.Sprintf("workers=%d,shards=%d", workers, shards), func(b *testing.B) {
+		seen[workers] = true
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			const clients = 1000
 			sys, err := core.New(core.Config{
 				Clients: clients,
@@ -431,7 +428,6 @@ func BenchmarkEpochPipelineParallel(b *testing.B) {
 				Params:  &params,
 				Seed:    12,
 				Workers: workers,
-				Shards:  shards,
 				Populate: func(i int, db *minisql.DB) error {
 					rng := rand.New(rand.NewSource(int64(i)))
 					return workload.PopulateTaxi(db, rng, 2, time.Unix(0, 0), time.Minute)

@@ -42,7 +42,7 @@ var experiments = []experiment{
 	{"fig7", "Fig 7: NYC taxi case study (utility, privacy, trade-off)", runFig7},
 	{"fig8", "Fig 8: proxy & aggregator scalability", runFig8},
 	{"fig9", "Fig 9: network traffic & latency vs sampling fraction", runFig9},
-	{"pipeline", "Parallel epoch pipeline: workers × shards throughput sweep", runPipeline},
+	{"pipeline", "Parallel epoch pipeline: workers throughput sweep", runPipeline},
 	{"netbench", "Networked transport: TCP share throughput, batch × connections sweep", runNetbench},
 }
 

@@ -516,11 +516,10 @@ func measureAggregatorRate(msgs, bits int) (float64, error) {
 }
 
 // Pipeline: end-to-end epoch throughput of the parallel pipeline
-// (worker-pool clients → proxies → parallel drain → sharded
-// aggregator), swept over workers × shards. The workers=1/shards=1 row
-// is the sequential baseline; under a fixed seed every row produces
-// identical results, so the sweep isolates pure scheduling/locking
-// cost.
+// (worker-pool clients → proxies → parallel drain → aggregator), swept
+// over workers. The workers=1 row is the sequential baseline; under a
+// fixed seed every row produces identical results, so the sweep
+// isolates pure scheduling cost.
 func runPipeline(fast bool) error {
 	clients := 2000
 	epochs := 6
@@ -533,24 +532,20 @@ func runPipeline(fast bool) error {
 		return err
 	}
 	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
-	maxProcs := runtime.GOMAXPROCS(0)
-	sweep := [][2]int{{1, 1}, {2, 2}, {4, 4}, {maxProcs, 1}, {1, maxProcs}, {maxProcs, maxProcs}}
 	var baseline float64
-	fmt.Printf("%8s  %8s  %16s  %10s\n", "workers", "shards", "answers/sec", "speedup")
-	seen := map[[2]int]bool{}
-	for _, knobs := range sweep {
-		if seen[knobs] {
+	fmt.Printf("%8s  %16s  %10s\n", "workers", "answers/sec", "speedup")
+	seen := map[int]bool{}
+	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		if seen[workers] {
 			continue
 		}
-		seen[knobs] = true
-		workers, shards := knobs[0], knobs[1]
+		seen[workers] = true
 		sys, err := core.New(core.Config{
 			Clients: clients,
 			Query:   q,
 			Params:  &params,
 			Seed:    12,
 			Workers: workers,
-			Shards:  shards,
 			Populate: func(i int, db *minisql.DB) error {
 				rng := rand.New(rand.NewSource(int64(i)))
 				return workload.PopulateTaxi(db, rng, 2, time.Unix(0, 0), time.Minute)
@@ -572,7 +567,7 @@ func runPipeline(fast bool) error {
 		if baseline == 0 {
 			baseline = rate
 		}
-		fmt.Printf("%8d  %8d  %16.0f  %9.2fx\n", workers, shards, rate, rate/baseline)
+		fmt.Printf("%8d  %16.0f  %9.2fx\n", workers, rate, rate/baseline)
 	}
 	fmt.Println("expected: workers=GOMAXPROCS ≥ 2x over the sequential row on multi-core hosts")
 	return nil

@@ -12,7 +12,7 @@ import (
 // fixed seed, every fired window's result card — query, window bounds,
 // epoch range, responses, realized fraction, shed level, CI width,
 // budget burn, drop/dedup counts — must be identical across the
-// in-process pipeline's Workers/Shards settings, and pins the known s=1
+// in-process pipeline's Workers settings, and pins the known s=1
 // workload. The networked half — the privapprox-node deployment's cards
 // byte-identical to these — is asserted by TestMultiProcessMultiQuerySmoke
 // on this gate's workload. Only DeterministicLine fields
@@ -25,15 +25,15 @@ func TestLineageGate(t *testing.T) {
 		seed       = 42
 		numQueries = 2
 	)
-	want := inProcessCards(t, clients, epochs, seed, numQueries, 1, 1)
+	want := inProcessCards(t, clients, epochs, seed, numQueries, 1)
 	if len(want) == 0 {
 		t.Fatal("in-process reference emitted no cards")
 	}
-	for _, shape := range [][2]int{{4, 3}, {0, 0}} {
-		got := inProcessCards(t, clients, epochs, seed, numQueries, shape[0], shape[1])
+	for _, workers := range []int{4, 0} {
+		got := inProcessCards(t, clients, epochs, seed, numQueries, workers)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("cards differ across Workers=%d/Shards=%d.\nwant:\n%s\ngot:\n%s",
-				shape[0], shape[1], strings.Join(want, "\n"), strings.Join(got, "\n"))
+			t.Fatalf("cards differ across Workers=%d.\nwant:\n%s\ngot:\n%s",
+				workers, strings.Join(want, "\n"), strings.Join(got, "\n"))
 		}
 	}
 
@@ -69,9 +69,9 @@ func cardsBlock(t *testing.T, out string) []string {
 // inProcessCards runs the single-process multi-query deployment and
 // returns the sorted deterministic card lines from its lineage
 // recorder.
-func inProcessCards(t *testing.T, clients, epochs int, seed int64, numQueries, workers, shards int) []string {
+func inProcessCards(t *testing.T, clients, epochs int, seed int64, numQueries, workers int) []string {
 	t.Helper()
-	sys, _ := inProcessSystem(t, clients, epochs, seed, numQueries, workers, shards)
+	sys, _ := inProcessSystem(t, clients, epochs, seed, numQueries, workers)
 	var lines []string
 	for _, c := range sys.Lineage().Cards(nil) {
 		lines = append(lines, c.DeterministicLine())

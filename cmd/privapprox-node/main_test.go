@@ -40,7 +40,7 @@ func TestMultiProcessSmokeBounded(t *testing.T) {
 // concurrent queries sharing the fleet — the networked half of the
 // multi-query determinism gate (the in-process half, multi vs solo, is
 // TestMultiQueryMatchesSolo in internal/core) and of the lineage gate
-// (the in-process half, cards across Workers/Shards, is TestLineageGate).
+// (the in-process half, cards across Workers, is TestLineageGate).
 func TestMultiProcessMultiQuerySmoke(t *testing.T) {
 	runSmokeTest(t, 2, false)
 }
@@ -107,7 +107,7 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 	if !strings.Contains(got, want) {
 		t.Errorf("networked results differ from in-process pipeline.\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	wantCards := strings.Join(inProcessCards(t, clients, epochs, seed, numQueries, 1, 1), "\n")
+	wantCards := strings.Join(inProcessCards(t, clients, epochs, seed, numQueries, 1), "\n")
 	if gotCards := strings.Join(cardsBlock(t, got), "\n"); gotCards != wantCards {
 		t.Errorf("networked cards differ from in-process pipeline.\nwant:\n%s\ngot:\n%s", wantCards, gotCards)
 	}
@@ -168,7 +168,7 @@ func awaitCommitted(t *testing.T, addr, topic string, want int64) {
 // inProcessSystem runs the single-process multi-query deployment the
 // networked runs are compared with, under the node's seed conventions,
 // and returns it with every fired window.
-func inProcessSystem(t *testing.T, clients, epochs int, seed int64, numQueries, workers, shards int) (*core.System, []aggregator.Result) {
+func inProcessSystem(t *testing.T, clients, epochs int, seed int64, numQueries, workers int) (*core.System, []aggregator.Result) {
 	t.Helper()
 	params := sharedParams(1, 0.9, 0.6)
 	sys, err := core.New(core.Config{
@@ -179,7 +179,6 @@ func inProcessSystem(t *testing.T, clients, epochs int, seed int64, numQueries, 
 		Origin:     defaultOrigin,
 		Seed:       seed,
 		Workers:    workers,
-		Shards:     shards,
 		Populate: func(i int, db *minisql.DB) error {
 			return populateClient(i, db)
 		},
@@ -216,6 +215,6 @@ func inProcessSystem(t *testing.T, clients, epochs int, seed int64, numQueries, 
 // fires through the node's formatter.
 func inProcessReference(t *testing.T, clients, epochs int, seed int64, numQueries int) string {
 	t.Helper()
-	_, results := inProcessSystem(t, clients, epochs, seed, numQueries, 0, 0)
+	_, results := inProcessSystem(t, clients, epochs, seed, numQueries, 0)
 	return formatResults(results)
 }

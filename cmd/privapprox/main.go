@@ -35,7 +35,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic run seed")
 		feedback = flag.Bool("feedback", false, "enable the adaptive budget controller")
 		workers  = flag.Int("workers", 0, "concurrent answering clients per epoch (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "aggregator lock shards (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -73,7 +72,6 @@ func main() {
 		Seed:     *seed,
 		Populate: populate,
 		Workers:  *workers,
-		Shards:   *shards,
 	}
 	if *sFlag > 0 {
 		cfg.Params = &privapprox.Params{S: *sFlag, RR: privapprox.RRParams{P: *pFlag, Q: *qFlag}}

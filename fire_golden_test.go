@@ -38,7 +38,7 @@ func canonicalResult(b *strings.Builder, res Result) {
 // 128 buckets each (one of them inverted), s = 0.3, a window of eight
 // epochs sliding by one — for 40 epochs and a final flush, and returns
 // the canonical text of every window fired, in firing order.
-func fireGoldenRun(t *testing.T, workers, shards int) string {
+func fireGoldenRun(t *testing.T, workers int) string {
 	t.Helper()
 	const clients, queries, buckets, windowEpochs, epochs = 200, 4, 128, 8, 40
 	sys, err := NewSystem(SystemConfig{
@@ -46,7 +46,6 @@ func fireGoldenRun(t *testing.T, workers, shards int) string {
 		Params:  &Params{S: 0.3, RR: RRParams{P: 0.9, Q: 0.6}},
 		Seed:    20260926,
 		Workers: workers,
-		Shards:  shards,
 		Populate: func(i int, db *DB) error {
 			return PopulateTaxi(db, rand.New(rand.NewSource(int64(i)+1)), 1, time.Unix(0, 0), time.Minute)
 		},
@@ -95,7 +94,7 @@ func fireGoldenRun(t *testing.T, workers, shards int) string {
 // with -update-fire-golden only for a change that is meant to move
 // results.
 func TestFireGolden(t *testing.T) {
-	got := fireGoldenRun(t, 1, 1)
+	got := fireGoldenRun(t, 1)
 	if *updateFireGolden {
 		var buf bytes.Buffer
 		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestCompression)
@@ -127,8 +126,8 @@ func TestFireGolden(t *testing.T) {
 	if windows := strings.Count(want, "query "); windows < 4*40 {
 		t.Fatalf("golden holds %d windows, want at least %d", windows, 4*40)
 	}
-	diffLines(t, "Workers=1 Shards=1", want, got)
-	diffLines(t, "Workers=4 Shards=4", want, fireGoldenRun(t, 4, 4))
+	diffLines(t, "Workers=1", want, got)
+	diffLines(t, "Workers=4", want, fireGoldenRun(t, 4))
 }
 
 // diffLines reports the first line at which got departs from want.

@@ -11,24 +11,22 @@
 // One aggregator serves any number of concurrent queries over the same
 // share streams. The share join is query-agnostic — shares are keyed by
 // message identifier, and the query a message belongs to is only
-// revealed by the wire QueryID after decryption — so the sharded join
-// front-end is shared, and everything after decode (panes, watermark,
-// firing, estimation, budgets) lives in per-query state demultiplexed
-// by the wire QueryID. Queries can be added and removed while shares
+// revealed by the wire QueryID after decryption — so the join front-end
+// is shared, and everything after decode (panes, watermark, firing,
+// estimation, budgets) lives in per-query state demultiplexed by the
+// wire QueryID. Queries can be added and removed while shares
 // are in flight; messages for unknown queries and messages whose answer
-// length does not match their query are counted per shard and surfaced
-// through Stats, never silently discarded.
+// length does not match their query are counted and surfaced through
+// Stats, never silently discarded.
 package aggregator
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -77,13 +75,8 @@ type Config struct {
 	// query produces the same stream whether it runs alone or among
 	// others.
 	Seed int64
-	// Shards splits the share-join map into independently locked shards
-	// keyed by message-ID hash, so SubmitShareBatch from concurrent drain
-	// goroutines joins without serializing on one lock. Defaults to
-	// GOMAXPROCS. Results and counters are identical for every shard
-	// count: a message's shares always meet in one shard, and each open
-	// pane folds its answers under its own lock whichever shard joined
-	// them.
+	// Deprecated: Shards has no effect; the share join is one joiner
+	// under one lock.
 	Shards int
 	// OnDecoded, when set, receives every decoded answer message (its
 	// wire bytes and event time) — the hook the historical store uses
@@ -173,16 +166,19 @@ func (s Stats) Dropped() int64 {
 
 // Aggregator processes share streams for any number of queries. It is
 // safe for concurrent use: shares from any number of drain goroutines
-// may be submitted at once. The join is sharded by message-ID hash
-// with per-shard locks, decrypt and decode run on the caller's scratch,
-// and each open pane accumulates under its own lock; only watermark
-// advancement and window firing (per query) serialize, which keeps the
-// sequence of fired results (and the rng each query's estimator
-// consumes) deterministic under fixed seeds regardless of submission
-// interleaving within an epoch.
+// may be submitted at once. The join is one joiner under one lock,
+// which a batch takes twice (join, recycle); decrypt and decode run on
+// the caller's scratch, and each open pane accumulates under its own
+// lock. Watermark advancement and window firing serialize per query,
+// which keeps the sequence of fired results (and the rng each query's
+// estimator consumes) deterministic under fixed seeds regardless of
+// submission interleaving within an epoch.
 type Aggregator struct {
-	cfg    Config
-	shards []joinShard
+	cfg Config
+
+	// joinMu guards joiner, the share join of every query's messages.
+	joinMu sync.Mutex
+	joiner *stream.KeyedShareJoiner[xorcrypt.MID]
 
 	// states is the registered-query table, copy-on-write so the demux
 	// lookup on the submit hot path is one atomic load; stateMu
@@ -193,6 +189,9 @@ type Aggregator struct {
 
 	malformed  atomic.Int64
 	duplicates atomic.Int64
+	unknownQID atomic.Int64 // decoded messages matching no registered query
+	badLength  atomic.Int64 // messages whose answer length mismatched their query
+	swept      atomic.Int64 // partial groups expired by rotation
 	// A submit holds genMu shared from its first join to its last
 	// observation; the joiner generations rotate under it exclusively.
 	// sealedHigh (guarded by genMu) is the highest event time any query
@@ -268,7 +267,7 @@ type queryState struct {
 	firing  []*pane
 	// wmMax is the maximum observed event time as UnixNano (wmUnseen
 	// before any event); the watermark is wmMax − one slide. Kept atomic
-	// so the sharded add path never serializes on watermark reads.
+	// so the add path never serializes on watermark reads.
 	wmMax   atomic.Int64
 	dropped atomic.Int64
 	decoded atomic.Int64
@@ -298,19 +297,6 @@ type queryState struct {
 	src         *seeded.Source
 	rng         *rand.Rand      // draws from src
 	rrLossCache map[int]float64 // yes-fraction percent → simulated loss
-}
-
-// joinShard is one lock's worth of share-join state and the demux drop
-// counters (plain ints — they are only touched under mu). The struct is
-// padded to a cache-line multiple so adjacent shard locks do not
-// false-share (the size check pins this).
-type joinShard struct {
-	mu         sync.Mutex
-	joiner     *stream.KeyedShareJoiner[xorcrypt.MID]
-	unknownQID int64    // decoded messages matching no registered query
-	badLength  int64    // messages whose answer length mismatched their query
-	swept      int64    // partial groups expired by rotation
-	_          [24]byte // pad to a cache-line multiple
 }
 
 // pane is one pane of a query's event time (stream.SlidingAssigner)
@@ -358,21 +344,11 @@ func NewMulti(cfg Config) (*Aggregator, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = rand.Int63()
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
+	joiner, err := stream.NewKeyedShareJoiner[xorcrypt.MID](cfg.Proxies)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("%w: %d shards", ErrConfig, cfg.Shards)
-	}
-	shards := make([]joinShard, cfg.Shards)
-	for i := range shards {
-		joiner, err := stream.NewKeyedShareJoiner[xorcrypt.MID](cfg.Proxies)
-		if err != nil {
-			return nil, err
-		}
-		shards[i].joiner = joiner
-	}
-	a := &Aggregator{cfg: cfg, shards: shards}
+	a := &Aggregator{cfg: cfg, joiner: joiner}
 	a.sealedHigh = wmUnseen
 	a.states.Store(&stateTable{byWire: map[uint64]*queryState{}})
 	if cfg.Query != nil {
@@ -558,20 +534,6 @@ func (a *Aggregator) stateFor(wire uint64) *queryState {
 	return t.byWire[wire]
 }
 
-// shardOf routes a message ID to its shard; all shares of one message
-// land on the same shard, so each join group lives under exactly one
-// lock. A MID is 16 random bytes, so one multiply mixing its two
-// little-endian words spreads MIDs evenly. The mix is not keyed: a client
-// that picks its MIDs can crowd one shard, which costs lock and map
-// time, never a wrong join.
-func (a *Aggregator) shardOf(mid xorcrypt.MID) int {
-	if len(a.shards) == 1 {
-		return 0
-	}
-	h := (binary.LittleEndian.Uint64(mid[:8]) ^ binary.LittleEndian.Uint64(mid[8:])) * 0x9e3779b97f4a7c15
-	return int((h >> 32) % uint64(len(a.shards)))
-}
-
 // ageJoins is the joiner's clock: event time, as the watermarks tell it.
 // The generations rotate once every registered query's watermark has
 // passed, by the retain horizon (the longest registered window), the
@@ -606,12 +568,9 @@ func (a *Aggregator) ageJoins() {
 		if slow-int64(tbl.maxWindow) < a.sealedHigh {
 			return
 		}
-		for i := range a.shards {
-			js := &a.shards[i]
-			js.mu.Lock() // against Stats, PendingJoins and Checkpoint
-			js.swept += int64(js.joiner.Rotate())
-			js.mu.Unlock()
-		}
+		a.joinMu.Lock() // against PendingJoins and Checkpoint
+		a.swept.Add(int64(a.joiner.Rotate()))
+		a.joinMu.Unlock()
 	}
 	a.sealedHigh = high
 }
@@ -851,7 +810,7 @@ func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, params *bud
 // AdvanceTo moves every query's watermark forward (e.g. on an epoch
 // timer) and returns any windows that close, ordered by window start
 // with registration order breaking ties. It is also what ages the join
-// state of an idle stream (ageJoins): O(shards + open windows), however
+// state of an idle stream (ageJoins): O(open windows), however
 // many messages have been joined.
 func (a *Aggregator) AdvanceTo(t time.Time) ([]Result, error) {
 	tbl := a.states.Load()
@@ -944,28 +903,22 @@ func ByQuery(results []Result) map[query.ID][]Result {
 	return out
 }
 
-// Stats returns a snapshot of the aggregator's message accounting,
-// including the per-shard demux drop counters.
+// Stats returns a snapshot of the aggregator's message accounting.
 func (a *Aggregator) Stats() Stats {
 	tbl := a.states.Load()
 	s := Stats{
-		Decoded:    a.removedDecoded.Load(),
-		Malformed:  a.malformed.Load(),
-		Duplicates: a.duplicates.Load(),
-		Late:       a.removedLate.Load(),
-		Queries:    len(tbl.ordered),
+		Decoded:        a.removedDecoded.Load(),
+		Malformed:      a.malformed.Load(),
+		Duplicates:     a.duplicates.Load(),
+		Late:           a.removedLate.Load(),
+		UnknownQuery:   a.unknownQID.Load(),
+		LengthMismatch: a.badLength.Load(),
+		Swept:          a.swept.Load(),
+		Queries:        len(tbl.ordered),
 	}
 	for _, st := range tbl.ordered {
 		s.Decoded += st.decoded.Load()
 		s.Late += st.dropped.Load()
-	}
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		s.UnknownQuery += js.unknownQID
-		s.LengthMismatch += js.badLength
-		s.Swept += js.swept
-		js.mu.Unlock()
 	}
 	return s
 }
@@ -975,24 +928,18 @@ func (a *Aggregator) Stats() Stats {
 // trace they leave.
 func (a *Aggregator) CountMalformed(n int) { a.malformed.Add(int64(n)) }
 
-// PendingJoins returns the number of messages waiting for shares across
-// all shards.
+// PendingJoins returns the number of messages waiting for shares.
 func (a *Aggregator) PendingJoins() int {
 	pending, _ := a.joinCounts()
 	return pending
 }
 
 // joinCounts returns the messages waiting for shares and the completed
-// message IDs remembered to refuse their replays, across all shards.
+// message IDs remembered to refuse their replays.
 func (a *Aggregator) joinCounts() (pending, completed int) {
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		pending += js.joiner.PendingCount()
-		completed += js.joiner.CompletedCount()
-		js.mu.Unlock()
-	}
-	return pending, completed
+	a.joinMu.Lock()
+	defer a.joinMu.Unlock()
+	return a.joiner.PendingCount(), a.joiner.CompletedCount()
 }
 
 // OpenWindows returns the number of windows still accumulating across

@@ -75,44 +75,37 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 	defer a.stateMu.Unlock()
 	tbl := a.states.Load()
 
-	// Join entries are encoded under their shard's lock and sorted after:
-	// each opens with its MID, which no two entries share, so byte order
-	// is MID order.
-	var unknown, badLen, swept int64
+	// Join entries are encoded under the join lock and sorted after: each
+	// opens with its MID, which no two entries share, so byte order is MID
+	// order.
 	var pending [][]byte
 	var completed []joinKey
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		unknown += js.unknownQID
-		badLen += js.badLength
-		swept += js.swept
-		js.joiner.PendingGroups(func(mid xorcrypt.MID, payloads [][]byte, age int) {
-			e := append(append([]byte(nil), mid[:]...), byte(age))
-			e = binary.BigEndian.AppendUint32(e, uint32(len(payloads)))
-			for _, p := range payloads {
-				// nil is a source not yet heard from; an empty share is present.
-				if p == nil {
-					e = append(e, 0)
-				} else {
-					e = codec.AppendBytes(append(e, 1), p)
-				}
+	a.joinMu.Lock()
+	a.joiner.PendingGroups(func(mid xorcrypt.MID, payloads [][]byte, age int) {
+		e := append(append([]byte(nil), mid[:]...), byte(age))
+		e = binary.BigEndian.AppendUint32(e, uint32(len(payloads)))
+		for _, p := range payloads {
+			// nil is a source not yet heard from; an empty share is present.
+			if p == nil {
+				e = append(e, 0)
+			} else {
+				e = codec.AppendBytes(append(e, 1), p)
 			}
-			pending = append(pending, e)
-		})
-		js.joiner.CompletedKeys(func(mid xorcrypt.MID, age int) {
-			var k joinKey
-			k[copy(k[:], mid[:])] = byte(age)
-			completed = append(completed, k)
-		})
-		js.mu.Unlock()
-	}
+		}
+		pending = append(pending, e)
+	})
+	a.joiner.CompletedKeys(func(mid xorcrypt.MID, age int) {
+		var k joinKey
+		k[copy(k[:], mid[:])] = byte(age)
+		completed = append(completed, k)
+	})
+	a.joinMu.Unlock()
 	slices.SortFunc(pending, bytes.Compare)
 	slices.SortFunc(completed, func(x, y joinKey) int { return bytes.Compare(x[:], y[:]) })
 
 	buf := append(dst, checkpointMagic...)
 	for _, v := range [...]int64{a.cfg.Seed, a.malformed.Load(), a.duplicates.Load(),
-		a.removedDecoded.Load(), a.removedLate.Load(), unknown, badLen, swept} {
+		a.removedDecoded.Load(), a.removedLate.Load(), a.unknownQID.Load(), a.badLength.Load(), a.swept.Load()} {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tbl.ordered)))
@@ -219,10 +212,10 @@ func (a *Aggregator) Restore(data []byte) error {
 		}
 	}
 
-	// Join state routes back through the current shard map (the shard
-	// count may legitimately differ across restarts; message routing is
-	// stable per MID either way). The joiner refuses a key it holds
-	// already, so no key is both pending and completed.
+	// The joiner refuses a key it holds already, so no key is both
+	// pending and completed.
+	a.joinMu.Lock()
+	defer a.joinMu.Unlock()
 	var last []byte
 	key := func() (mid xorcrypt.MID, age int) {
 		raw := d.Take(xorcrypt.MIDSize)
@@ -251,11 +244,7 @@ func (a *Aggregator) Restore(data []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		js := &a.shards[a.shardOf(mid)]
-		js.mu.Lock()
-		err := js.joiner.RestorePending(mid, payloads, age)
-		js.mu.Unlock()
-		if err != nil {
+		if err := a.joiner.RestorePending(mid, payloads, age); err != nil {
 			return fmt.Errorf("%w: %v", ErrCheckpoint, err)
 		}
 	}
@@ -265,11 +254,7 @@ func (a *Aggregator) Restore(data []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		js := &a.shards[a.shardOf(mid)]
-		js.mu.Lock()
-		err := js.joiner.RestoreCompleted(mid, age)
-		js.mu.Unlock()
-		if err != nil {
+		if err := a.joiner.RestoreCompleted(mid, age); err != nil {
 			return fmt.Errorf("%w: %v", ErrCheckpoint, err)
 		}
 	}
@@ -281,14 +266,9 @@ func (a *Aggregator) Restore(data []byte) error {
 	a.duplicates.Store(int64(duplicates))
 	a.removedDecoded.Store(int64(removedDecoded))
 	a.removedLate.Store(int64(removedLate))
-	// The per-shard attribution of demux drops and swept groups is not
-	// meaningful across a restart; fold the totals into shard 0 (Stats
-	// sums them anyway).
-	a.shards[0].mu.Lock()
-	a.shards[0].unknownQID = int64(unknown)
-	a.shards[0].badLength = int64(badLen)
-	a.shards[0].swept = int64(swept)
-	a.shards[0].mu.Unlock()
+	a.unknownQID.Store(int64(unknown))
+	a.badLength.Store(int64(badLen))
+	a.swept.Store(int64(swept))
 	return nil
 }
 

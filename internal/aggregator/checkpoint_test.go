@@ -540,7 +540,7 @@ func restoreTarget(t testing.TB, n int) (*Aggregator, []*query.Query) {
 	q2 := testQuery(t, 6)
 	q2.QID = query.ID{Analyst: "b", Serial: 7}
 	queries := []*query.Query{testQuery(t, 4), q2}[:n]
-	a, err := NewMulti(Config{Population: 8, Proxies: 2, Origin: testOrigin, Seed: 11, Shards: 2})
+	a, err := NewMulti(Config{Population: 8, Proxies: 2, Origin: testOrigin, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,6 @@ func TestWindowAccumulatorRace(t *testing.T) {
 	const nbuckets, epochs, perEpoch, drains, chunk = 6, 16, 240, 3, 8
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := testConfig(t, nbuckets, params, perEpoch)
-	cfg.Shards = 4
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,6 @@ func TestOneParameterGenerationPerWindow(t *testing.T) {
 		{S: 1, RR: rr.Params{P: 0.5, Q: 0.3}},
 	}
 	cfg := testConfig(t, nbuckets, gens[0], perEpoch)
-	cfg.Shards = 1
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,21 +18,18 @@ import (
 // every second epoch, and a message is forgotten two to four epochs
 // after it completed.
 
-// remembered counts the completed keys the aggregator's joiners hold, by
+// remembered counts the completed keys the aggregator's joiner holds, by
 // age.
 func remembered(a *Aggregator) (cur, prev int) {
-	for i := range a.shards {
-		js := &a.shards[i]
-		js.mu.Lock()
-		js.joiner.CompletedKeys(func(_ xorcrypt.MID, age int) {
-			if age == 0 {
-				cur++
-			} else {
-				prev++
-			}
-		})
-		js.mu.Unlock()
-	}
+	a.joinMu.Lock()
+	defer a.joinMu.Unlock()
+	a.joiner.CompletedKeys(func(_ xorcrypt.MID, age int) {
+		if age == 0 {
+			cur++
+		} else {
+			prev++
+		}
+	})
 	return cur, prev
 }
 
@@ -56,7 +53,6 @@ func runEpochs(t *testing.T, a *Aggregator, sp *xorcrypt.Splitter, qid uint64, f
 func TestReplayInsideAndAfterTheHorizon(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := testConfig(t, 4, params, 10)
-	cfg.Shards = 2
 	qid := cfg.Query.QID.Uint64()
 	newAgg := func() *Aggregator {
 		a, err := New(cfg)
@@ -190,7 +186,6 @@ func TestAdvanceToTouchesNoPerMessageState(t *testing.T) {
 	}
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := testConfig(t, 4, params, messages)
-	cfg.Shards = 4
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +319,6 @@ func submitLanes(t *testing.T, a *Aggregator, lanes [2][]xorcrypt.Share) {
 func TestBatchSpanningEpochsKeepsItsKeys(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	cfg := testConfig(t, 4, params, 10)
-	cfg.Shards = 2
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +371,7 @@ func TestBatchSpanningEpochsKeepsItsKeys(t *testing.T) {
 // exactly the first deliveries. Run under -race in make ci.
 func TestConcurrentDrainsNeverCountAReplayTwice(t *testing.T) {
 	const drains, rounds, perRound, perEpoch = 4, 8, 6, 3
-	a, err := NewMulti(Config{Population: perEpoch, Proxies: 2, Origin: testOrigin, Seed: 11, Shards: 2})
+	a, err := NewMulti(Config{Population: perEpoch, Proxies: 2, Origin: testOrigin, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func submitOrdered(t *testing.T, a *Aggregator, epochs [][]submission) []Result 
 
 // TestRedeliveredSharesNeverDoubleAccumulate: the same clean traffic,
 // plus full share-pair redeliveries (some messages redelivered twice),
-// shuffled into arbitrary interleavings across a workers × shards grid,
+// shuffled into arbitrary interleavings by one or many submitters,
 // must yield byte-identical results to the duplicate-free sequential
 // run — with every redelivered share surfaced in Duplicates and nothing
 // dropped.
@@ -91,34 +91,30 @@ func TestRedeliveredSharesNeverDoubleAccumulate(t *testing.T) {
 		Seed:       29,
 	}
 
-	cfg.Shards = 1
 	base, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runTraffic(t, base, clean, 1, rand.New(rand.NewSource(1)))
 
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 8} {
-			cfg.Shards = shards
-			a, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runTraffic(t, a, dirty, workers, rand.New(rand.NewSource(int64(100*shards+workers))))
-			st := a.Stats()
-			if st.Decoded != int64(nepochs*good) {
-				t.Errorf("shards=%d workers=%d: decoded = %d, want %d", shards, workers, st.Decoded, nepochs*good)
-			}
-			if st.Duplicates != int64(nepochs*dupPerEpoch) {
-				t.Errorf("shards=%d workers=%d: duplicates = %d, want %d", shards, workers, st.Duplicates, nepochs*dupPerEpoch)
-			}
-			if st.Late != 0 || st.Malformed != 0 {
-				t.Errorf("shards=%d workers=%d: late = %d, malformed = %d, want 0", shards, workers, st.Late, st.Malformed)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d workers=%d: redelivered run diverges from clean run\n got: %+v\nwant: %+v", shards, workers, got, want)
-			}
+	for _, workers := range []int{1, 8} {
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runTraffic(t, a, dirty, workers, rand.New(rand.NewSource(int64(100+workers))))
+		st := a.Stats()
+		if st.Decoded != int64(nepochs*good) {
+			t.Errorf("workers=%d: decoded = %d, want %d", workers, st.Decoded, nepochs*good)
+		}
+		if st.Duplicates != int64(nepochs*dupPerEpoch) {
+			t.Errorf("workers=%d: duplicates = %d, want %d", workers, st.Duplicates, nepochs*dupPerEpoch)
+		}
+		if st.Late != 0 || st.Malformed != 0 {
+			t.Errorf("workers=%d: late = %d, malformed = %d, want 0", workers, st.Late, st.Malformed)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: redelivered run diverges from clean run\n got: %+v\nwant: %+v", workers, got, want)
 		}
 	}
 }
@@ -160,7 +156,6 @@ func TestCrossProxyReorderWithReplays(t *testing.T) {
 		Proxies:    2,
 		Origin:     testOrigin,
 		Seed:       31,
-		Shards:     4,
 	}
 
 	base, err := New(cfg)
@@ -227,7 +222,6 @@ func TestRedeliveryAcrossCheckpointRestore(t *testing.T) {
 		Proxies:    2,
 		Origin:     testOrigin,
 		Seed:       37,
-		Shards:     4,
 	}
 
 	feed := func(t *testing.T, a *Aggregator, subs []submission) []Result {

@@ -155,10 +155,11 @@ func runTraffic(t *testing.T, a *Aggregator, epochs [][]submission, goroutines i
 }
 
 // TestShardedAggregatorMatchesSequential is the race-hardening
-// equivalence test: many goroutines submit interleaved shares,
-// duplicates, and malformed records while windows fire, and the sharded
-// aggregator must produce byte-identical results and counters to a
-// single-shard aggregator fed the same traffic sequentially.
+// equivalence test: one, four and sixteen goroutines submit interleaved
+// shares, duplicates, and malformed records into one aggregator's join
+// lock while windows fire, and each run must produce byte-identical
+// results and counters to an aggregator fed the same traffic
+// sequentially.
 func TestShardedAggregatorMatchesSequential(t *testing.T) {
 	const (
 		nbuckets   = 5
@@ -181,45 +182,40 @@ func TestShardedAggregatorMatchesSequential(t *testing.T) {
 		Seed:       17,
 	}
 
-	cfg.Shards = 1
 	seq, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantResults := runTraffic(t, seq, epochs, 1, rand.New(rand.NewSource(23)))
 
-	for _, shards := range []int{1, 4, 16} {
-		cfg.Shards = shards
+	for _, submitters := range []int{1, 4, 16} {
 		par, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par.shards) != shards {
-			t.Fatalf("%d join shards, want %d", len(par.shards), shards)
-		}
-		got := runTraffic(t, par, epochs, 8, rand.New(rand.NewSource(int64(shards))))
+		got := runTraffic(t, par, epochs, submitters, rand.New(rand.NewSource(int64(submitters))))
 
 		gotSt, wantSt := par.Stats(), seq.Stats()
 		if gotSt.Decoded != wantSt.Decoded || gotSt.Decoded != int64(nepochs*good) {
-			t.Errorf("shards=%d: decoded = %d, want %d", shards, gotSt.Decoded, wantSt.Decoded)
+			t.Errorf("submitters=%d: decoded = %d, want %d", submitters, gotSt.Decoded, wantSt.Decoded)
 		}
 		if gotSt.Malformed != wantSt.Malformed {
-			t.Errorf("shards=%d: malformed = %d, want %d", shards, gotSt.Malformed, wantSt.Malformed)
+			t.Errorf("submitters=%d: malformed = %d, want %d", submitters, gotSt.Malformed, wantSt.Malformed)
 		}
 		if gotSt.Duplicates != wantSt.Duplicates || gotSt.Duplicates != int64(nepochs*duplicates) {
-			t.Errorf("shards=%d: duplicates = %d, want %d", shards, gotSt.Duplicates, wantSt.Duplicates)
+			t.Errorf("submitters=%d: duplicates = %d, want %d", submitters, gotSt.Duplicates, wantSt.Duplicates)
 		}
 		if gotSt.Late != 0 {
-			t.Errorf("shards=%d: late = %d, want 0", shards, gotSt.Late)
+			t.Errorf("submitters=%d: late = %d, want 0", submitters, gotSt.Late)
 		}
 		if !reflect.DeepEqual(got, wantResults) {
-			t.Errorf("shards=%d: results diverge from sequential run\n got: %+v\nwant: %+v", shards, got, wantResults)
+			t.Errorf("submitters=%d: results diverge from sequential run\n got: %+v\nwant: %+v", submitters, got, wantResults)
 		}
 	}
 }
 
-// TestShardedPendingJoins checks the pending-count and sweep paths sum
-// correctly over shards.
+// TestShardedPendingJoins checks the pending count of partial joins and
+// that rotation sweeps them.
 func TestShardedPendingJoins(t *testing.T) {
 	q := slidingTestQuery(t, 4)
 	cfg := Config{
@@ -229,7 +225,6 @@ func TestShardedPendingJoins(t *testing.T) {
 		Proxies:    2,
 		Origin:     testOrigin,
 		Seed:       5,
-		Shards:     4,
 	}
 	a, err := New(cfg)
 	if err != nil {
@@ -255,7 +250,7 @@ func TestShardedPendingJoins(t *testing.T) {
 		t.Errorf("pending = %d, want 10", got)
 	}
 	// The first advance starts the joiner's clock; two more, each more
-	// than a retain horizon on, drop all partial joins in every shard.
+	// than a retain horizon on, drop all partial joins.
 	for _, ahead := range []time.Duration{0, time.Hour, 2 * time.Hour} {
 		if _, err := a.AdvanceTo(testOrigin.Add(ahead)); err != nil {
 			t.Fatal(err)
@@ -263,5 +258,8 @@ func TestShardedPendingJoins(t *testing.T) {
 	}
 	if got := a.PendingJoins(); got != 0 {
 		t.Errorf("pending after sweep = %d, want 0", got)
+	}
+	if got := a.Stats().Swept; got != 10 {
+		t.Errorf("swept = %d, want 10", got)
 	}
 }

@@ -59,51 +59,8 @@ type submitScratch struct {
 	plain []byte
 	vec   answer.BitVector
 	msg   answer.Message
-
-	// The batch's share indexes grouped by join shard, each shard's in
-	// record order: shard s's are byShard[ends[s-1]:ends[s]] (from 0 for
-	// s = 0). shard holds each share's shard, and joined, by share index,
-	// the group the share completed.
-	shard   []int32
-	ends    []int32
-	byShard []int32
-	joined  []*stream.Joined[xorcrypt.MID]
-}
-
-// group routes every share of the batch to its join shard, a counting
-// sort that keeps record order within each shard.
-func (sc *submitScratch) group(a *Aggregator, shares []xorcrypt.Share) {
-	n := len(shares)
-	sc.shard = slices.Grow(sc.shard[:0], n)[:n]
-	sc.byShard = slices.Grow(sc.byShard[:0], n)[:n]
-	sc.joined = slices.Grow(sc.joined[:0], n)[:n]
-	sc.ends = slices.Grow(sc.ends[:0], len(a.shards)+1)[:len(a.shards)+1]
-	clear(sc.ends)
-	for i := range shares {
-		s := int32(a.shardOf(shares[i].MID))
-		sc.shard[i] = s
-		sc.ends[s+1]++
-	}
-	for s := 1; s < len(sc.ends); s++ {
-		sc.ends[s] += sc.ends[s-1] // ends[s] is where shard s starts
-	}
-	for i, s := range sc.shard {
-		sc.byShard[sc.ends[s]] = int32(i)
-		sc.ends[s]++ // and now where it ends
-	}
-}
-
-// each calls fn for every shard with its share indexes, under the
-// shard's lock.
-func (sc *submitScratch) each(a *Aggregator, fn func(js *joinShard, indexes []int32)) {
-	lo := int32(0)
-	for s := range a.shards {
-		js := &a.shards[s]
-		js.mu.Lock()
-		fn(js, sc.byShard[lo:sc.ends[s]])
-		js.mu.Unlock()
-		lo = sc.ends[s]
-	}
+	// joined holds, by share index, the group the share completed.
+	joined []*stream.Joined[xorcrypt.MID]
 }
 
 var submitScratchPool = sync.Pool{New: func() any { return &submitScratch{} }}
@@ -176,27 +133,24 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 	sc := getScratch(a.cfg.Proxies)
 	defer putScratch(sc)
 
-	// Phase A: the join, one pass per shard under its lock, so a batch
-	// takes each shard lock twice (join, recycle) however its MIDs
-	// interleave, and drains submitting at once meet per shard rather
-	// than per share. All of a
-	// message's shares route to one shard and join there in record
-	// order, so every Add returns what one record-order pass over the
-	// batch would; source is in range, so Add fails only as a duplicate.
-	// The completed groups' payloads are then copied, in record order and
-	// with no lock held (a completed group is the caller's until
-	// Recycle), into contiguous per-source lanes — runs seal on size
-	// change — and the groups recycled, one more pass per shard.
-	sc.group(a, shares)
-	sc.each(a, func(js *joinShard, indexes []int32) {
-		for _, i := range indexes {
-			joined, err := js.joiner.Add(shares[i].MID, source, shares[i].Payload)
-			if err != nil {
-				a.duplicates.Add(1)
-			}
-			sc.joined[i] = joined
+	// Phase A: the join, one record-order pass under joinMu, so a batch
+	// takes the join lock twice (join, recycle) and drains submitting at
+	// once meet per batch rather than per share. Source is in range, so
+	// Add fails only as a duplicate. The completed groups' payloads are
+	// then copied, in record order and with no lock held (a completed
+	// group is the caller's until Recycle), into contiguous per-source
+	// lanes — runs seal on size change — and the groups recycled, one
+	// more pass under joinMu.
+	sc.joined = slices.Grow(sc.joined[:0], len(shares))[:len(shares)]
+	a.joinMu.Lock()
+	for i := range shares {
+		joined, err := a.joiner.Add(shares[i].MID, source, shares[i].Payload)
+		if err != nil {
+			a.duplicates.Add(1)
 		}
-	})
+		sc.joined[i] = joined
+	}
+	a.joinMu.Unlock()
 	for _, joined := range sc.joined {
 		if joined == nil {
 			continue
@@ -223,17 +177,17 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 		}
 		sc.runs[len(sc.runs)-1].count++
 	}
-	sc.each(a, func(js *joinShard, indexes []int32) {
-		for _, i := range indexes {
-			js.joiner.Recycle(sc.joined[i])
-		}
-	})
+	a.joinMu.Lock()
+	for _, joined := range sc.joined {
+		a.joiner.Recycle(joined)
+	}
+	a.joinMu.Unlock()
 	clear(sc.joined)
 
 	// Phase B: per run, one span XOR per lane recovers the packed
 	// plaintext batch; slots decode in order and consecutive
-	// same-(query, epoch) slots ingest as one segment. No shard lock is
-	// held here — the lanes are caller-local.
+	// same-(query, epoch) slots ingest as one segment. The join lock is
+	// not held here — the lanes are caller-local.
 	var out []Result
 	var unknown, badlen int64
 	for _, run := range sc.runs {
@@ -291,18 +245,10 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 	return out, nil
 }
 
-// foldDemuxDrops folds a batch's demux drop counts into a shard's
-// lock-guarded counters (attribution to shard 0 is arbitrary — Stats
-// only ever reports the sum).
+// foldDemuxDrops adds a batch's demux drop counts to the aggregator's.
 func (a *Aggregator) foldDemuxDrops(unknown, badlen int64) {
-	if unknown == 0 && badlen == 0 {
-		return
-	}
-	js := &a.shards[0]
-	js.mu.Lock()
-	js.unknownQID += unknown
-	js.badLength += badlen
-	js.mu.Unlock()
+	a.unknownQID.Add(unknown)
+	a.badLength.Add(badlen)
 }
 
 // ingestSegment folds slots [start, end) of a packed plaintext run —

@@ -111,7 +111,6 @@ func TestSubmitShareBatchMatchesPerShare(t *testing.T) {
 	run := func(next func() int) chunkRun {
 		var out chunkRun
 		cfg := testConfig(t, nb1, params, population)
-		cfg.Shards = 4
 		cfg.OnDecoded = func(raw []byte, at time.Time) {
 			out.decoded = append(out.decoded, fmt.Sprintf("%x@%d", raw, at.UnixNano()))
 		}

@@ -9,6 +9,7 @@ import (
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
 	"privapprox/internal/minisql"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/rr"
 	"privapprox/internal/workload"
 	"privapprox/internal/xorcrypt"
@@ -19,7 +20,10 @@ import (
 // gracefully instead of corrupting results.
 
 // TestMaliciousGarbageSharesDoNotPoisonResults injects clients that
-// send undecodable payloads alongside honest clients.
+// send undecodable payloads alongside honest clients, and one record
+// whose key is not a MID ahead of a second honest epoch: the drain polls
+// that record with the honest shares behind it and must submit every
+// one of them.
 func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
 	const honest = 50
@@ -28,7 +32,7 @@ func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	defer conserved(t, sys, 20, 20)
+	defer conserved(t, sys, 21, 20)
 
 	// Honest epoch.
 	if _, _, err := sys.RunEpoch(); err != nil {
@@ -50,6 +54,16 @@ func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 			}
 		}
 	}
+	// A record with a 3-byte key carries no share; the second honest
+	// epoch lands behind it in the same partition and the same poll.
+	px := sys.Fleet().Proxy(0)
+	noShare := pubsub.Columns{Count: 1, KeyLen: 3, ValLen: 8, Keys: []byte("mid"), Vals: []byte("no share")}
+	if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
 	results, err := sys.Flush()
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +71,16 @@ func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("no window fired")
 	}
-	// Windows span 4 epochs; only one epoch ran, so responses = honest.
-	if results[0].Responses != honest {
-		t.Errorf("responses = %d, want %d (garbage excluded)", results[0].Responses, honest)
+	// Windows span 4 epochs; two ran, so responses = 2 × honest.
+	if results[0].Responses != 2*honest {
+		t.Errorf("responses = %d, want %d (garbage excluded)", results[0].Responses, 2*honest)
 	}
-	if sys.Aggregator().Stats().Malformed != 20 {
-		t.Errorf("malformed = %d, want 20", sys.Aggregator().Stats().Malformed)
+	st := sys.Aggregator().Stats()
+	if st.Decoded != 2*honest {
+		t.Errorf("decoded = %d, want %d", st.Decoded, 2*honest)
+	}
+	if st.Malformed != 21 {
+		t.Errorf("malformed = %d, want 21 (20 garbage messages, 1 keyless record)", st.Malformed)
 	}
 }
 

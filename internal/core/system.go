@@ -25,18 +25,18 @@
 // response, XOR split) over a bounded pool of Config.Workers goroutines
 // and publishes the epoch to each proxy as columnar frames; the
 // aggregator role drains one goroutine per proxy consumer, all feeding
-// the aggregator, whose join and window state is sharded by message-ID
-// hash (Config.Shards per-shard locks). Exactly-once consumption is
-// preserved by the persistent per-proxy consumer groups — each consumer
-// is owned by a single drain goroutine.
+// the aggregator, whose share join is one joiner under one lock and
+// whose open panes each fold under their own. Exactly-once consumption
+// is preserved by the persistent per-proxy consumer groups — each
+// consumer is owned by a single drain goroutine.
 //
 // Determinism contract: under a fixed Config.Seed, epoch results are
-// byte-identical for every Workers and Shards setting. Each client owns
-// a private seeded RNG, so worker scheduling cannot reorder its coin
-// flips; per-bucket window counts are integer sums, so share
-// interleaving and shard routing cannot change them; and the
-// aggregator serializes window firing, so the estimator's seeded RNG is
-// consumed in the same window order regardless of concurrency.
+// byte-identical for every Workers setting. Each client owns a private
+// seeded RNG, so worker scheduling cannot reorder its coin flips;
+// per-bucket window counts are integer sums, so share interleaving
+// cannot change them; and the aggregator serializes window firing, so
+// the estimator's seeded RNG is consumed in the same window order
+// regardless of concurrency.
 package core
 
 import (
@@ -111,8 +111,8 @@ type Config struct {
 	// reproduces the sequential pipeline. Results are identical for
 	// every worker count under a fixed Seed.
 	Workers int
-	// Shards is the aggregator's lock-shard count (see
-	// aggregator.Config.Shards); defaults to GOMAXPROCS.
+	// Deprecated: Shards has no effect; the aggregator's share join is
+	// one joiner under one lock.
 	Shards int
 	// DataDir, when non-empty, makes the proxies' brokers durable: every
 	// published share and control announcement is journaled to
@@ -209,9 +209,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("%w: %d workers", ErrConfig, cfg.Workers)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("%w: %d shards", ErrConfig, cfg.Shards)
-	}
 
 	// Initializer: budget → (s, p, q).
 	var params budget.Params
@@ -288,7 +285,6 @@ func New(cfg Config) (*System, error) {
 		Origin:     cfg.Origin,
 		Confidence: cfg.Confidence,
 		Seed:       cfg.Seed + 1,
-		Shards:     cfg.Shards,
 	}
 	if sys.store != nil {
 		aggCfg.OnDecoded = func(raw []byte, eventTime time.Time) {

@@ -103,7 +103,7 @@ func (c *Clients) Follower() *engine.Follower { return c.follower }
 // returning how many clients answered at least one query. With no query
 // active it answers nothing. Clients never share mutable state and each
 // worker has its own lanes, so the worker pool only interleaves shares
-// within a batch chunk by chunk, which the sharded aggregator is
+// within a batch chunk by chunk, which the aggregator is
 // insensitive to. Shares batched before an error are still flushed.
 func (c *Clients) Epoch(e uint64) (int, error) {
 	if active, err := c.syncActive(); err != nil || active == 0 {

@@ -64,7 +64,7 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	t.Cleanup(fleet.Close)
 	agg, err := aggregator.New(aggregator.Config{
 		Query: q, Params: params, Population: clients, Proxies: 2,
-		Origin: time.Unix(0, 0), Seed: 5, Shards: 4,
+		Origin: time.Unix(0, 0), Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@
 //     on the seeded workload. DeterministicLine renders exactly these,
 //     and the lineage gate requires the rendered lines to be
 //     byte-identical between the in-process pipeline and the networked
-//     deployment, for every Workers/Shards setting.
+//     deployment, for every Workers setting.
 //   - Observed fields (fire time, fire duration, end-to-end latency
 //     from the earliest batch flush feeding the window, per-stage busy
 //     legs) are timing and are excluded from the gate.

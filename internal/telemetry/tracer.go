@@ -8,7 +8,7 @@ import (
 
 // Stage identifies one pipeline hop an epoch batch passes through:
 // client answer generation, batcher flush, proxy/transport publish,
-// broker poll + aggregator drain, the shard join/decrypt/decode tail,
+// broker poll + aggregator drain, the join/decrypt/decode tail,
 // and the window fire.
 type Stage uint8
 

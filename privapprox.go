@@ -31,11 +31,10 @@
 //
 // The epoch pipeline is parallel end-to-end: clients answer on a
 // bounded worker pool (SystemConfig.Workers, default GOMAXPROCS), each
-// proxy is drained by its own goroutine, and the aggregator's join and
-// window state is sharded by message-ID hash (SystemConfig.Shards).
-// Under a fixed SystemConfig.Seed, results are byte-identical for every
-// Workers/Shards setting — tune the knobs for the hardware, not for the
-// answer. (One caveat: with StoreDir set, the historical store's
+// proxy is drained by its own goroutine, and the aggregator joins their
+// shares under one lock and folds each open pane under its own. Under a
+// fixed SystemConfig.Seed, results are byte-identical for every Workers
+// setting — tune the knob for the hardware, not for the answer. (One caveat: with StoreDir set, the historical store's
 // record *order* within an epoch is scheduling-dependent when
 // Workers > 1, so BatchAnalyze runs whose second-round sampling must be
 // replayable record-for-record should produce the store with
@@ -46,7 +45,6 @@
 //		Query:   q,
 //		Budget:  &privapprox.Budget{EpsilonZK: 2.0},
 //		Workers: 16, // client fan-out per epoch (0 = GOMAXPROCS)
-//		Shards:  16, // aggregator lock shards (0 = GOMAXPROCS)
 //	})
 //
 // The same pipeline also runs as separate processes — clients, proxies,
