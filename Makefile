@@ -119,11 +119,13 @@ lineage:
 # answer (scan, fold, bucketize, randomize, encode, split) at 0 as well,
 # and the share plane between the two (batcher, publish, poll or fetch,
 # decode, join) at ≤ 0.5 allocations per answer in-process — a commit,
-# the trim and the reuse of the released slab included — and ≤ 1.0 over
+# the trim and the reuse of the released slab included — and ≤ 0.05 over
 # loopback TCP, and through the aggregator role's own drain (role.Drain,
 # sequential and parallel, with its commit) at ≤ 0.05 allocations and
 # ≤ 100 heap bytes per answer — over loopback TCP, as privapprox-node
-# wires it, at ≤ 0.6 allocations and the same 100 bytes; a fired window at ≤ 4 allocations whatever its bucket
+# wires it, too; a TCP round trip (a fetch that finds nothing, a commit,
+# an end-offset lookup, a fixed publish) at 0, client and server
+# together; a fired window at ≤ 4 allocations whatever its bucket
 # count, and 128 buckets at less than six times the cost of 8 (one
 # Student-t root-find per window, not per bucket); and a columnar
 # publish at 0 whatever its size, in memory and durable (its batch is
@@ -141,7 +143,7 @@ allocgate:
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestIDUint64ZeroAllocs' -count=1 ./internal/query
 	$(GO) test -run 'TestProxySubmitZeroAllocs' -count=1 ./internal/proxy
-	$(GO) test -run 'TestDurableCommitZeroAllocs' -count=1 ./internal/pubsub
+	$(GO) test -run 'TestDurableCommitZeroAllocs|TestTCPRoundTripZeroAllocs' -count=1 ./internal/pubsub
 	$(GO) test -run 'TestControlPlaneStepZeroAllocs|TestClientsEpochAllocs' -count=1 ./internal/role
 
 # The flat-memory gate: core.System, 200 clients, a sliding window,
@@ -169,26 +171,30 @@ bench:
 bench-smoke:
 	$(GO) test -C bench -count=1 ./...
 
-# Every decoder of bytes a peer or a disk hands the system, as
-# package:target — the columnar publish frame (opPublishColumns, session
-# tag included), the client side of the fetch response (runs viewed
-# inside the frame, counts bounded by the request's max), the partition
-# journal's run record (plain and session kinds, count/stride/frame-n
-# mismatches, zero pids and unknown kinds refused), the partition log's
-# run layout against a plain record model (puts of mixed strides and
-# repeated timestamps, records larger than a slab, runs straddling slabs,
-# trims inside a run; then the same partition's journal reopened and read
-# back below its memory floor), the broker's meta journal (topic and
-# commit records: a partition count above the bound refused, whatever is
-# accepted re-encoding to the same bytes), any request frame through the
-# TCP server (no panic, every error reply a known sentinel, a huge
-# partition count refused before it sizes anything), the control-plane
-# query-set announcement (the decoded set owning copies of every field),
-# the WAL frame format (frames covering n > 1
-# LSNs, a replay from inside one), the one checkpoint record (consumer
+# Every decoder of bytes a peer or a disk hands the system, fourteen
+# targets as package:target — the columnar publish frame
+# (opPublishColumns, session tag included), the client side of the fetch
+# response (runs viewed inside the frame, counts bounded by the
+# request's max), the partition journal's run record (plain and session
+# kinds, count/stride/frame-n mismatches, zero pids and unknown kinds
+# refused), the partition log's run layout against a plain record model
+# (puts of mixed strides and repeated timestamps, records larger than a
+# slab, runs straddling slabs, trims inside a run; then the same
+# partition's journal reopened and read back below its memory floor),
+# the broker's meta journal (topic and commit records: a partition count
+# above the bound refused, whatever is accepted re-encoding to the same
+# bytes), any request frame through the TCP server (no panic, every
+# error reply a known sentinel, a huge partition count refused before it
+# sizes anything), any byte stream through a served connection, cut into
+# writes at arbitrary points (no panic, every whole frame answered in
+# order until a length prefix above the frame bound closes the
+# connection, the connection's name table within its cap), the
+# control-plane query-set announcement (the decoded set owning copies of
+# every field), the WAL frame format (frames covering n > 1 LSNs, a
+# replay from inside one), the one checkpoint record (consumer
 # positions, system section, fired results, aggregator state), the
-# aggregator state inside it (no panic, its prefixes refused, whatever it
-# accepts re-encoding to the same bytes: panes, estimator stream and
+# aggregator state inside it (no panic, its prefixes refused, whatever
+# it accepts re-encoding to the same bytes: panes, estimator stream and
 # memoized losses, pending joins with an empty share, completed keys),
 # the SLO controller's checkpoint state, the lineage stamp, and the
 # result-card log (the longest prefix of newline-terminated cards kept,
@@ -201,6 +207,7 @@ FUZZ_DECODERS = \
 	./internal/pubsub:FuzzPartitionLog \
 	./internal/pubsub:FuzzMetaRecord \
 	./internal/pubsub:FuzzServerRequest \
+	./internal/pubsub:FuzzServeStream \
 	./internal/engine:FuzzQuerySetRoundTrip \
 	./internal/wal:FuzzWALRecordRoundTrip \
 	./internal/role:FuzzCheckpointRecord \

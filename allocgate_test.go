@@ -577,8 +577,9 @@ func (p columnPublisher) SubmitColumns(mids, payloads []byte, count, size int) e
 // share is flat bytes from publish to join — copied once into the
 // client's batch lanes, once into a partition slab, once out into the
 // consumer's fetch memory (over TCP, the reply frame read there), and
-// borrowed by the aggregator — so what is left is per epoch (a
-// round-trip, a frame) and per slab, never per share. Each gate
+// borrowed by the aggregator — so what is left is per slab and per
+// joiner growth, never per share: a TCP round trip allocates nothing
+// (internal/pubsub's TestTCPRoundTripZeroAllocs). Each gate
 // runs epochs of 512 answers after a warm-up (all inside one retain
 // horizon: the joiner's maps grow a few times, which the budgets
 // absorb). The in-process gates also commit what they drained, as
@@ -749,7 +750,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 		var next [2][partitions]int64
 		var runs []pubsub.Run
 		var mem []byte
-		measure(t, "split → Batcher → PublishColumns → Serve → Client.FetchWait → AppendShares → SubmitShareBatch", 1.0, agg, func() {
+		measure(t, "split → Batcher → PublishColumns → Serve → Client.FetchWait → AppendShares → SubmitShareBatch", 0.05, agg, func() {
 			answerEpoch(t, batchers, &scratch)
 			for src, cli := range clients {
 				for p := 0; p < partitions; p++ {
@@ -837,7 +838,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 		agg := newAggregator()
 		drain := role.NewDrain(agg, consumers, 1)
 		var scratch xorcrypt.SplitScratch
-		perAnswer := measure(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", 0.6, agg, func() {
+		perAnswer := measure(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", 0.05, agg, func() {
 			answerEpoch(t, batchers, &scratch)
 			if _, err := drain.Dry(); err != nil {
 				t.Fatal(err)

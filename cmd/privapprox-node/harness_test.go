@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"privapprox/internal/aggregator"
 )
 
 // The one harness under the multi-process gates (smoke, crash, obsgate,
@@ -194,9 +197,11 @@ func (d *deployment) start(role string, args ...string) *proc {
 // clients runs two client processes of three logical clients each
 // (offsets 0 and 3, seed 42, two connections per proxy) over epochs, and
 // checks each picked up the announced query set. before, when set, runs
-// ahead of each process.
-func (d *deployment) clients(queries, epochs int, before func(offset int)) {
+// ahead of each process. It returns the processes' share ledger: the
+// answers they sent, and per proxy the shares their batchers dropped.
+func (d *deployment) clients(queries, epochs int, before func(offset int)) (answered int64, dropped []int64) {
 	d.t.Helper()
+	dropped = make([]int64, len(d.proxy))
 	for _, offset := range []int{0, 3} {
 		if before != nil {
 			before(offset)
@@ -206,7 +211,61 @@ func (d *deployment) clients(queries, epochs int, before func(offset int)) {
 		if want := fmt.Sprintf("picked up %d queries", queries); !strings.Contains(out, want) {
 			d.t.Fatalf("client process (offset %d) did not pick up the query set:\n%s", offset, out)
 		}
+		var first, last, answers, bytes, total int64
+		var perProxy string
+		line := lineWith(d.t, out, "clients ")
+		if _, err := fmt.Sscanf(line, "clients %d..%d done: %d answers, %d bytes, %d shares dropped (per proxy: %s",
+			&first, &last, &answers, &bytes, &total, &perProxy); err != nil {
+			d.t.Fatalf("client done line %q: %v", line, err)
+		}
+		answered += answers
+		for i, n := range parseCounts(d.t, strings.TrimSuffix(perProxy, ")"), len(dropped)) {
+			dropped[i] += n
+		}
 	}
+	return answered, dropped
+}
+
+// aggregatorLedger parses the aggregator's stats line: its counters,
+// each proxy's fetched total, and its pending joins.
+func aggregatorLedger(t *testing.T, out string, proxies int) (st aggregator.Stats, fetched []int64, pending int64) {
+	t.Helper()
+	line := lineWith(t, out, "decoded=")
+	var perProxy string
+	if _, err := fmt.Sscanf(line, "decoded=%d malformed=%d duplicates=%d unknown=%d mismatched=%d fetched=%s pending=%d swept=%d",
+		&st.Decoded, &st.Malformed, &st.Duplicates, &st.UnknownQuery, &st.LengthMismatch, &perProxy, &pending, &st.Swept); err != nil {
+		t.Fatalf("aggregator stats line %q: %v", line, err)
+	}
+	return st, parseCounts(t, perProxy, proxies), pending
+}
+
+// lineWith returns the first line of out that starts with prefix.
+func lineWith(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	t.Fatalf("no %q line in:\n%s", prefix, out)
+	return ""
+}
+
+// parseCounts parses a comma-separated list of n counts.
+func parseCounts(t *testing.T, list string, n int) []int64 {
+	t.Helper()
+	fields := strings.Split(list, ",")
+	if len(fields) != n {
+		t.Fatalf("%q holds %d counts, want %d", list, len(fields), n)
+	}
+	counts := make([]int64, n)
+	for i, f := range fields {
+		var err error
+		if counts[i], err = strconv.ParseInt(f, 10, 64); err != nil {
+			t.Fatalf("count %q: %v", f, err)
+		}
+	}
+	return counts
 }
 
 // submitLingering announces the query set with a submit role that keeps

@@ -54,6 +54,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -528,11 +529,13 @@ func runClient(args []string) error {
 		answers += st.AnswersSent
 		bytes += st.BytesSent
 	}
-	for _, b := range batchers {
-		dropped += b.Dropped()
+	perProxy := make([]int64, len(batchers))
+	for i, b := range batchers {
+		perProxy[i] = b.Dropped()
+		dropped += perProxy[i]
 	}
-	fmt.Printf("clients %d..%d done: %d answers, %d bytes, %d shares dropped\n",
-		*offset, *offset+*n-1, answers, bytes, dropped)
+	fmt.Printf("clients %d..%d done: %d answers, %d bytes, %d shares dropped (per proxy: %s)\n",
+		*offset, *offset+*n-1, answers, bytes, dropped, joinCounts(perProxy))
 	return nil
 }
 
@@ -716,7 +719,7 @@ func runAggregator(args []string) error {
 		fmt.Println("RESULTS")
 		fmt.Print(formatResults(results))
 	}
-	printStatsLine(agg)
+	printStatsLine(agg, drain)
 	if *printCards {
 		printCardLines(rec)
 	}
@@ -740,10 +743,24 @@ func printCardLines(rec *lineage.Recorder) {
 	}
 }
 
-func printStatsLine(agg *aggregator.Aggregator) {
+// printStatsLine prints the aggregator's counters and, after them, what
+// the multi-process smoke tests need to check the share ledger
+// (role.Balance): each proxy's fetched total, and the pending and swept
+// joins.
+func printStatsLine(agg *aggregator.Aggregator, drain *role.Drain) {
 	st := agg.Stats()
-	fmt.Printf("decoded=%d malformed=%d duplicates=%d unknown=%d mismatched=%d\n",
-		st.Decoded, st.Malformed, st.Duplicates, st.UnknownQuery, st.LengthMismatch)
+	fmt.Printf("decoded=%d malformed=%d duplicates=%d unknown=%d mismatched=%d fetched=%s pending=%d swept=%d\n",
+		st.Decoded, st.Malformed, st.Duplicates, st.UnknownQuery, st.LengthMismatch,
+		joinCounts(role.Fetched(drain.Consumers())), agg.PendingJoins(), st.Swept)
+}
+
+// joinCounts renders per-proxy counts as a comma-separated list.
+func joinCounts(counts []int64) string {
+	parts := make([]string, len(counts))
+	for i, n := range counts {
+		parts[i] = strconv.FormatInt(n, 10)
+	}
+	return strings.Join(parts, ",")
 }
 
 // checkpointer is the durable aggregator's checkpoint hook: one role

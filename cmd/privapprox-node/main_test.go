@@ -11,6 +11,7 @@ import (
 	"privapprox/internal/minisql"
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
+	"privapprox/internal/role"
 )
 
 // TestMultiProcessSmoke spawns the real networked deployment on
@@ -73,7 +74,7 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 		// The aggregator drains while the clients publish.
 		agg = d.start("aggregator", aggArgs...)
 	}
-	d.clients(numQueries, epochs, func(offset int) {
+	answered, dropped := d.clients(numQueries, epochs, func(offset int) {
 		if bounded && offset > 0 {
 			// Both bounds are full. Wait for the aggregator to commit the
 			// first process's shares; only that makes room for the second's.
@@ -93,6 +94,14 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 		clients*epochs*numQueries)
 	if !strings.Contains(got, wantCounts) {
 		t.Errorf("aggregator output missing %q:\n%s", wantCounts, got)
+	}
+	// The share ledger over the processes' own counts, through the
+	// arithmetic core.System's teardown checks: per proxy, the answers
+	// sent less the shares dropped were fetched, and every fetched share
+	// is in a join.
+	st, fetched, pending := aggregatorLedger(t, got, len(d.proxy))
+	if err := role.Balance(answered, dropped, fetched, st, pending); err != nil {
+		t.Errorf("share ledger: %v\n%s", err, got)
 	}
 
 	// Reference: the same population in-process through core.System,

@@ -15,9 +15,10 @@ import (
 	"privapprox/internal/wal"
 )
 
-// handle answers one request frame into a buffer of its own — the form
-// the frame fuzzers drive; serveConn reuses its response buffer.
-func (s *Server) handle(req []byte) []byte { return s.respond(nil, req) }
+// handle answers one request frame into a buffer of its own, interning
+// no names — the form the frame fuzzers drive; a served connection
+// reuses its response buffer and its name table.
+func (s *Server) handle(req []byte) []byte { return s.respond(nil, req, nil) }
 
 // fetcher is a non-blocking fetch as Records.
 type fetcher func(topic string, partition int, offset int64, max int) ([]Record, error)

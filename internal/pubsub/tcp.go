@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,6 +91,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serveConn answers one accepted connection until it fails or the
+// server closes, then forgets it.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -98,18 +101,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	// Strictly read → respond → write, and the broker copies what it
-	// keeps of a request: one buffer each way serves the connection.
+	s.serve(conn, make(names))
+}
+
+// serve answers conn's requests strictly in order: read → respond →
+// write. Frames are read through one buffered reader per connection
+// into one request buffer, and each reply is built behind its reserved
+// length prefix and sent in one Write; the broker copies what it keeps
+// of a request, so the two buffers serve the whole connection. Topic
+// and group names resolve through names, the connection's intern table.
+func (s *Server) serve(conn net.Conn, names names) {
+	br := bufio.NewReader(conn)
 	var req, resp []byte
 	for {
-		var err error
-		if req, err = readFrameInto(conn, req); err != nil {
+		n, err := readFrameLen(br)
+		if err != nil {
 			// Includes oversized frames: the payload was never read, so
 			// the stream cannot be resynchronized — drop the connection.
 			return
 		}
-		resp = s.respond(resp[:0], req)
-		if err := writeFrame(conn, resp); err != nil {
+		if req, err = appendFrameBody(br, req[:0], n); err != nil {
+			return
+		}
+		resp = s.respond(append(resp[:0], 0, 0, 0, 0), req, names)
+		putFrameLen(resp)
+		if _, err := conn.Write(resp); err != nil {
 			return
 		}
 		// One outsized frame must not pin its buffer to an idle connection.
@@ -119,12 +135,37 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// maxNames caps a connection's intern table, and maxNameLen the names
+// it keeps: past either, a name is allocated per request, so a peer
+// cannot grow server memory through the names it sends.
+const (
+	maxNames   = 64
+	maxNameLen = 256
+)
+
+// names interns the topic and group names one connection sends: a
+// request for a known name reads it without allocating.
+type names map[string]string
+
+// str returns b as a string, the table's copy when it holds one. A nil
+// table interns nothing.
+func (t names) str(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < maxNames && len(s) <= maxNameLen {
+		t[s] = s
+	}
+	return s
+}
+
 // respond answers one request frame, appending to resp: status 0 and
 // the operation's results, or status 1 and the error text.
-func (s *Server) respond(resp, req []byte) []byte {
+func (s *Server) respond(resp, req []byte, names names) []byte {
 	e := &enc{buf: resp}
 	d := wireReader(req)
-	if err := s.dispatch(e, &d); err != nil {
+	if err := s.dispatch(e, &d, names); err != nil {
 		e.buf = resp
 		e.byte(1)
 		e.str(err.Error())
@@ -135,11 +176,11 @@ func (s *Server) respond(resp, req []byte) []byte {
 // dispatch decodes one request from d — its fields and nothing after
 // them — applies it to the broker and, on success, encodes the ok
 // response into e.
-func (s *Server) dispatch(e *enc, d *codec.Reader) error {
+func (s *Server) dispatch(e *enc, d *codec.Reader, names names) error {
 	op := d.U8()
 	switch op {
 	case opCreateTopic:
-		topic, parts := d.Str(), d.U32()
+		topic, parts := names.str(d.Bytes()), d.U32()
 		if err := d.Done(); err != nil {
 			return err
 		}
@@ -152,7 +193,7 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 		// each record once into its slab, and validates the lane geometry
 		// against the declared strides first, so a lying count or stride
 		// is refused. The ack is the bare status byte.
-		topic, pid, seq := d.Str(), d.U64(), d.U64()
+		topic, pid, seq := names.str(d.Bytes()), d.U64(), d.U64()
 		cols := Columns{Count: int(d.U32()), KeyLen: int(d.U32()), ValLen: int(d.U32()), Keys: d.Bytes(), Vals: d.Bytes()}
 		if err := d.Done(); err != nil {
 			return err
@@ -162,7 +203,7 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 		}
 		e.byte(0)
 	case opFetch:
-		topic, part, off, max, waitMs := d.Str(), int(d.U32()), int64(d.U64()), int(d.U32()), d.U32()
+		topic, part, off, max, waitMs := names.str(d.Bytes()), int(d.U32()), int64(d.U64()), int(d.U32()), d.U32()
 		if err := d.Done(); err != nil {
 			return err
 		}
@@ -173,7 +214,7 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 		}
 		return s.broker.encodeFetch(e, topic, part, off, max)
 	case opEndOffset:
-		topic, part := d.Str(), int(d.U32())
+		topic, part := names.str(d.Bytes()), int(d.U32())
 		if err := d.Done(); err != nil {
 			return err
 		}
@@ -184,7 +225,7 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 		e.byte(0)
 		e.uint64(uint64(off))
 	case opCommit:
-		group, topic, part, off := d.Str(), d.Str(), int(d.U32()), int64(d.U64())
+		group, topic, part, off := names.str(d.Bytes()), names.str(d.Bytes()), int(d.U32()), int64(d.U64())
 		if err := d.Done(); err != nil {
 			return err
 		}
@@ -193,7 +234,7 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 		}
 		e.byte(0)
 	case opCommitted:
-		group, topic, part := d.Str(), d.Str(), int(d.U32())
+		group, topic, part := names.str(d.Bytes()), names.str(d.Bytes()), int(d.U32())
 		if err := d.Done(); err != nil {
 			return err
 		}
@@ -204,7 +245,7 @@ func (s *Server) dispatch(e *enc, d *codec.Reader) error {
 		e.byte(0)
 		e.uint64(uint64(off))
 	case opPartitions:
-		topic := d.Str()
+		topic := names.str(d.Bytes())
 		if err := d.Done(); err != nil {
 			return err
 		}
@@ -417,13 +458,16 @@ func (c *Client) Close() error {
 }
 
 // clientConn is one pipelined connection: requests are framed under mu
-// (which also fixes their FIFO position in queue), and a dedicated
-// reader goroutine per live conn matches each response frame to the
-// oldest waiter, taking the waiter off the queue before it reads the
-// frame's body into the waiter's memory. conn is nil between a failure
-// and the next successful redial; the conn value doubles as a
-// generation token so a stale reader (or a late fail) of a replaced
-// conn cannot touch the new one's queue.
+// (which also fixes their FIFO position in queue), each in one Write,
+// and a dedicated reader goroutine per live conn reads the reply frames
+// through a buffered reader and matches each to the oldest waiter,
+// taking the waiter off the queue before it reads the frame's body into
+// the waiter's memory. The live waiters are queue[head:]: the reader
+// pops by advancing head, and the queue restarts at [:0] when it drains,
+// so a steady stream of round trips reuses one array. conn is nil
+// between a failure and the next successful redial; the conn value
+// doubles as a generation token so a stale reader (or a late fail) of a
+// replaced conn cannot touch the new one's queue.
 type clientConn struct {
 	addr   string
 	opts   *Options
@@ -437,6 +481,7 @@ type clientConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	queue     []waiter
+	head      int
 	closed    bool
 	lastErr   error
 	dialFails int
@@ -444,8 +489,13 @@ type clientConn struct {
 }
 
 // waiter is one request on the wire awaiting its reply: the reply frame
-// is appended to mem — a fetch's arena, nil for every other request,
-// which reads into a frame of its own — and delivered on ch.
+// is appended to mem and delivered on ch.
+//
+// A queued waiter gets exactly one send on ch: from readLoop, once it
+// has popped the waiter off the queue, or from fail or close, which take
+// the whole queue under mu. Nothing else holds ch, so once roundTrip has
+// made its one receive the channel is empty and unreferenced, and it
+// goes back to replies for the next round trip.
 type waiter struct {
 	ch  chan connResult
 	mem []byte
@@ -456,10 +506,47 @@ type connResult struct {
 	err  error
 }
 
+// replies recycles reply channels (see waiter).
+var replies = sync.Pool{New: func() any { return make(chan connResult, 1) }}
+
 func (cc *clientConn) pending() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return len(cc.queue)
+	return len(cc.queue) - cc.head
+}
+
+// push queues w behind the live waiters. A full array whose head has
+// moved on is compacted in place rather than grown, so a queue that
+// never drains does not grow without bound. Caller holds cc.mu.
+func (cc *clientConn) push(w waiter) {
+	if len(cc.queue) == cap(cc.queue) && cc.head > 0 {
+		n := copy(cc.queue, cc.queue[cc.head:])
+		clear(cc.queue[n:])
+		cc.queue, cc.head = cc.queue[:n], 0
+	}
+	cc.queue = append(cc.queue, w)
+}
+
+// pop takes the oldest live waiter off the queue, or reports there is
+// none. Caller holds cc.mu.
+func (cc *clientConn) pop() (waiter, bool) {
+	if cc.head == len(cc.queue) {
+		return waiter{}, false
+	}
+	w := cc.queue[cc.head]
+	cc.queue[cc.head] = waiter{} // the queue must not pin the waiter's memory
+	if cc.head++; cc.head == len(cc.queue) {
+		cc.queue, cc.head = cc.queue[:0], 0
+	}
+	return w, true
+}
+
+// detach takes every live waiter off the queue, leaving the conn with a
+// fresh one. Caller holds cc.mu.
+func (cc *clientConn) detach() []waiter {
+	waiters := cc.queue[cc.head:]
+	cc.queue, cc.head = nil, 0
+	return waiters
 }
 
 // fail retires one dead connection generation: if conn is still
@@ -474,8 +561,7 @@ func (cc *clientConn) fail(conn net.Conn, err error) {
 	}
 	cc.conn = nil
 	cc.lastErr = err
-	waiters := cc.queue
-	cc.queue = nil
+	waiters := cc.detach()
 	cc.mu.Unlock()
 	conn.Close()
 	werr := fmt.Errorf("%w: %v", ErrAmbiguous, err)
@@ -492,8 +578,7 @@ func (cc *clientConn) close() error {
 	cc.closed = true
 	conn := cc.conn
 	cc.conn = nil
-	waiters := cc.queue
-	cc.queue = nil
+	waiters := cc.detach()
 	cc.mu.Unlock()
 	var err error
 	if conn != nil {
@@ -566,13 +651,15 @@ func (cc *clientConn) backoffLocked() time.Duration {
 }
 
 // readLoop matches the connection's reply frames to its waiters in
-// order. Once a frame's length has arrived, its waiter leaves the queue
-// and only this loop wakes it — after the body has landed in its memory
-// or the read has failed — so a concurrent fail or close can never
-// release a waiter whose buffer is still being written.
+// order, reading them through one buffered reader. Once a frame's length
+// has arrived, its waiter leaves the queue and only this loop wakes it —
+// after the body has landed in its memory or the read has failed — so a
+// concurrent fail or close can never release a waiter whose buffer is
+// still being written.
 func (cc *clientConn) readLoop(conn net.Conn) {
+	br := bufio.NewReader(conn)
 	for {
-		n, err := readFrameLen(conn)
+		n, err := readFrameLen(br)
 		if err != nil {
 			cc.fail(conn, err)
 			return
@@ -584,16 +671,13 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 			cc.mu.Unlock()
 			return
 		}
-		if len(cc.queue) == 0 {
-			cc.mu.Unlock()
+		w, ok := cc.pop()
+		cc.mu.Unlock()
+		if !ok {
 			cc.fail(conn, fmt.Errorf("%w: unsolicited response", ErrWire))
 			return
 		}
-		w := cc.queue[0]
-		cc.queue[0] = waiter{} // the queue must not pin the waiter's memory
-		cc.queue = cc.queue[1:]
-		cc.mu.Unlock()
-		resp, err := appendFrameBody(conn, w.mem, n)
+		resp, err := appendFrameBody(br, w.mem, n)
 		if err != nil {
 			w.ch <- connResult{err: fmt.Errorf("%w: %v", ErrAmbiguous, err)}
 			cc.fail(conn, err)
@@ -603,12 +687,15 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 	}
 }
 
-// roundTrip sends one request and appends its reply frame to mem (nil
-// reads it into a frame of its own). It returns a reader over the body
-// of an ok reply and mem with the frame appended; an error reply comes
-// back as the error it carries. Once it returns, nothing writes mem.
-func (cc *clientConn) roundTrip(req, mem []byte) (codec.Reader, []byte, error) {
-	w := waiter{ch: make(chan connResult, 1), mem: mem}
+// roundTrip sends one request frame in one Write and appends its reply
+// frame's body to mem. It returns a reader over the body of an ok reply
+// and mem with the body appended; an error reply comes back as the
+// error it carries. Once it returns, nothing writes mem. Its reply
+// channel comes from replies and goes back there: roundTrip makes the
+// one receive that empties it, or never queues it.
+func (cc *clientConn) roundTrip(frame, mem []byte) (codec.Reader, []byte, error) {
+	ch := replies.Get().(chan connResult)
+	defer replies.Put(ch)
 	cc.mu.Lock()
 	for cc.conn == nil {
 		if cc.closed {
@@ -624,8 +711,8 @@ func (cc *clientConn) roundTrip(req, mem []byte) (codec.Reader, []byte, error) {
 		cc.mu.Lock()
 	}
 	conn := cc.conn
-	cc.queue = append(cc.queue, w)
-	err := writeFrame(conn, req)
+	cc.push(waiter{ch: ch, mem: mem})
+	_, err := conn.Write(frame)
 	cc.mu.Unlock()
 	if err != nil {
 		// The request may be half-framed on the wire; this generation is
@@ -634,7 +721,7 @@ func (cc *clientConn) roundTrip(req, mem []byte) (codec.Reader, []byte, error) {
 		// ErrAmbiguous (a concurrent failure may already have done so).
 		cc.fail(conn, err)
 	}
-	r := <-w.ch
+	r := <-ch
 	if r.err != nil {
 		return codec.Reader{}, mem, r.err
 	}
@@ -703,7 +790,7 @@ func (c *Client) pick() *clientConn {
 		cc := c.conns[(start+i)%len(c.conns)]
 		cc.mu.Lock()
 		live := cc.conn != nil
-		load := len(cc.queue)
+		load := len(cc.queue) - cc.head
 		cc.mu.Unlock()
 		if !live {
 			continue
@@ -721,18 +808,21 @@ func (c *Client) pick() *clientConn {
 	return best
 }
 
-func (c *Client) roundTrip(req []byte) (codec.Reader, error) {
-	d, _, err := c.pick().roundTrip(req, nil)
+// roundTrip sends e's request frame and reads the reply into e's reply
+// memory: the reader it returns views e, and is valid until putEnc(e).
+func (c *Client) roundTrip(e *enc) (codec.Reader, error) {
+	d, reply, err := c.pick().roundTrip(e.frame(), e.reply[:0])
+	e.reply = reply
 	return d, err
 }
 
 // CreateTopic mirrors Broker.CreateTopic.
 func (c *Client) CreateTopic(topic string, partitions int) error {
-	var e enc
-	e.byte(opCreateTopic)
+	e := newRequest(opCreateTopic)
+	defer putEnc(e)
 	e.str(topic)
 	e.uint32(uint32(partitions))
-	return done(c.roundTrip(e.buf))
+	return done(c.roundTrip(e))
 }
 
 // maxBatchBytes caps one columnar publish frame well under maxFrame;
@@ -740,11 +830,11 @@ func (c *Client) CreateTopic(topic string, partitions int) error {
 const maxBatchBytes = 8 << 20
 
 // PublishColumns mirrors Broker.PublishColumns over TCP. The whole batch
-// travels as exactly one opPublishColumns frame — header plus two lane
-// writes, no per-record slicing, one round-trip. It never chunks: a
-// session sequence covers one atomic broker batch, so callers bound the
-// batch size (Producer does). Both lanes are encoded into a pooled
-// buffer before the call returns.
+// travels as exactly one opPublishColumns frame — both lanes encoded
+// behind the header into a pooled buffer and sent in one write, no
+// per-record slicing, one round-trip. It never chunks: a session
+// sequence covers one atomic broker batch, so callers bound the batch
+// size (Producer does).
 func (c *Client) PublishColumns(topic string, cols Columns, pid, seq uint64) error {
 	if err := cols.Validate(); err != nil {
 		return err
@@ -752,9 +842,8 @@ func (c *Client) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 	if cols.Count == 0 {
 		return nil
 	}
-	e := getEnc()
+	e := newRequest(opPublishColumns)
 	defer putEnc(e)
-	e.byte(opPublishColumns)
 	e.str(topic)
 	e.uint64(pid)
 	e.uint64(seq)
@@ -763,7 +852,7 @@ func (c *Client) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 	e.uint32(uint32(cols.ValLen))
 	e.bytes(cols.Keys)
 	e.bytes(cols.Vals)
-	return done(c.roundTrip(e.buf))
+	return done(c.roundTrip(e))
 }
 
 // waitToMillis converts a fetch wait to whole milliseconds for the
@@ -785,14 +874,13 @@ func waitToMillis(d time.Duration) uint32 {
 // is refused or holds no record gives mem back as it was, its capacity
 // perhaps grown.
 func (c *Client) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []Run, mem []byte) ([]Run, []byte, error) {
-	e := getEnc()
-	e.byte(opFetch)
+	e := newRequest(opFetch)
 	e.str(topic)
 	e.uint32(uint32(partition))
 	e.uint64(uint64(offset))
 	e.uint32(uint32(max))
 	e.uint32(waitToMillis(wait))
-	d, grown, err := c.pick().roundTrip(e.buf, mem)
+	d, grown, err := c.pick().roundTrip(e.frame(), mem)
 	putEnc(e)
 	had := len(runs)
 	if err == nil {
@@ -849,24 +937,19 @@ func nextFetchRun(d *codec.Reader) (r Run) {
 
 // EndOffset mirrors Broker.EndOffset.
 func (c *Client) EndOffset(topic string, partition int) (int64, error) {
-	var e enc
-	e.byte(opEndOffset)
+	e := newRequest(opEndOffset)
+	defer putEnc(e)
 	e.str(topic)
 	e.uint32(uint32(partition))
-	d, err := c.roundTrip(e.buf)
-	if err != nil {
-		return 0, err
-	}
-	off := d.U64()
-	return int64(off), d.Done()
+	return offsetReply(c.roundTrip(e))
 }
 
 // Partitions mirrors Broker.Partitions.
 func (c *Client) Partitions(topic string) (int, error) {
-	var e enc
-	e.byte(opPartitions)
+	e := newRequest(opPartitions)
+	defer putEnc(e)
 	e.str(topic)
-	d, err := c.roundTrip(e.buf)
+	d, err := c.roundTrip(e)
 	if err != nil {
 		return 0, err
 	}
@@ -876,23 +959,27 @@ func (c *Client) Partitions(topic string) (int, error) {
 
 // CommitOffset mirrors Broker.CommitOffset.
 func (c *Client) CommitOffset(group, topic string, partition int, offset int64) error {
-	var e enc
-	e.byte(opCommit)
+	e := newRequest(opCommit)
+	defer putEnc(e)
 	e.str(group)
 	e.str(topic)
 	e.uint32(uint32(partition))
 	e.uint64(uint64(offset))
-	return done(c.roundTrip(e.buf))
+	return done(c.roundTrip(e))
 }
 
 // CommittedOffset mirrors Broker.CommittedOffset.
 func (c *Client) CommittedOffset(group, topic string, partition int) (int64, error) {
-	var e enc
-	e.byte(opCommitted)
+	e := newRequest(opCommitted)
+	defer putEnc(e)
 	e.str(group)
 	e.str(topic)
 	e.uint32(uint32(partition))
-	d, err := c.roundTrip(e.buf)
+	return offsetReply(c.roundTrip(e))
+}
+
+// offsetReply reads the u64 offset of an ok reply, nothing after it.
+func offsetReply(d codec.Reader, err error) (int64, error) {
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,40 +42,25 @@ const (
 	opPublishColumns = byte(12)
 )
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
+// frameHeader is a frame's length prefix: a big-endian u32 counting the
+// body bytes after it.
+const frameHeader = 4
 
-// readFrame reads one frame into a buffer of its own: the caller owns
-// the bytes.
-func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+// frameStep bounds how far a frame's buffer grows ahead of the body
+// bytes that have arrived: at most this much, or as much as has already
+// arrived. A header that claims maxFrame and then stalls pins no more
+// than frameStep; a buffer that already has the room reads in one pass.
+const frameStep = 1 << 20
 
-// readFrameInto is readFrame over buf's storage when the frame fits it.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	n, err := readFrameLen(r)
+// readFrameLen reads a frame's length prefix out of br's buffer,
+// refusing one above maxFrame.
+func readFrameLen(br *bufio.Reader) (int, error) {
+	hdr, err := br.Peek(frameHeader)
 	if err != nil {
-		return nil, err
-	}
-	if cap(buf) < n {
-		buf = make([]byte, 0, n)
-	}
-	return appendFrameBody(r, buf[:0], n)
-}
-
-// readFrameLen reads a frame's length prefix, refusing one above
-// maxFrame.
-func readFrameLen(r io.Reader) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(frameHeader) // buffered by Peek: it cannot fail
 	if n > maxFrame {
 		return 0, fmt.Errorf("%w: frame of %d bytes", ErrWire, n)
 	}
@@ -82,32 +68,52 @@ func readFrameLen(r io.Reader) (int, error) {
 }
 
 // appendFrameBody reads the n bytes of a frame after its length prefix
-// and appends them to buf, growing it only when they do not fit.
+// and appends them to buf, growing it (by frameStep) only as they arrive.
 func appendFrameBody(r io.Reader, buf []byte, n int) ([]byte, error) {
-	at := len(buf)
-	buf = slices.Grow(buf, n)[:at+n]
-	if _, err := io.ReadFull(r, buf[at:]); err != nil {
-		return nil, err
+	start := len(buf)
+	for end := start + n; len(buf) < end; {
+		at := len(buf)
+		step := min(end-at, max(cap(buf)-at, frameStep, at-start))
+		buf = slices.Grow(buf, step)[:at+step]
+		if _, err := io.ReadFull(r, buf[at:]); err != nil {
+			return nil, err
+		}
 	}
 	return buf, nil
 }
 
-// enc is an append-only payload builder.
-type enc struct{ buf []byte }
+// putFrameLen fills the length prefix reserved at the head of frame.
+func putFrameLen(frame []byte) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+}
 
-// encPool recycles frame-encode buffers across requests: the publish
-// hot path reuses one grown buffer per connectionful of traffic instead
-// of allocating a frame per call. A pooled enc may be reused only after
-// the frame is fully written (roundTrip writes before returning).
+// enc is an append-only payload builder. A request built by newRequest
+// holds its whole frame, length prefix first, so it goes out in one
+// write; reply is the memory its reply frame is read into.
+type enc struct{ buf, reply []byte }
+
+// encPool recycles request buffers and their reply memory across round
+// trips: the client reuses one grown buffer per request in flight
+// instead of allocating a frame per call. A pooled enc may be reused
+// only after its frame is fully written and its reply read
+// (Client.roundTrip does both before it returns).
 var encPool = sync.Pool{New: func() any { return new(enc) }}
 
-func getEnc() *enc {
+// newRequest returns a pooled enc holding a reserved length prefix and
+// op.
+func newRequest(op byte) *enc {
 	e := encPool.Get().(*enc)
-	e.buf = e.buf[:0]
+	e.buf = append(e.buf[:0], 0, 0, 0, 0, op)
 	return e
 }
 
 func putEnc(e *enc) { encPool.Put(e) }
+
+// frame fills the reserved length prefix and returns the whole frame.
+func (e *enc) frame() []byte {
+	putFrameLen(e.buf)
+	return e.buf
+}
 
 func (e *enc) byte(b byte)     { e.buf = append(e.buf, b) }
 func (e *enc) uint32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }

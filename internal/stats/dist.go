@@ -15,9 +15,9 @@ import (
 // ErrInvalidParam reports an out-of-domain distribution parameter.
 var ErrInvalidParam = errors.New("stats: invalid parameter")
 
-// NormalCDF returns the standard normal cumulative distribution function
+// normalCDF returns the standard normal cumulative distribution function
 // evaluated at x.
-func NormalCDF(x float64) float64 {
+func normalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
@@ -66,7 +66,7 @@ func NormalQuantile(p float64) (float64, error) {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 	// One step of Halley's method against the true CDF.
-	e := NormalCDF(x) - p
+	e := normalCDF(x) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x, nil

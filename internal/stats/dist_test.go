@@ -21,8 +21,8 @@ func TestNormalCDFKnownValues(t *testing.T) {
 		{-2.5758293035489004, 0.005},
 	}
 	for _, c := range cases {
-		if got := NormalCDF(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.x, got, c.want)
+		if got := normalCDF(c.x); !almostEqual(got, c.want, 1e-12) {
+			t.Errorf("normalCDF(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
 }
@@ -64,7 +64,7 @@ func TestNormalQuantileInvertsCDF(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return almostEqual(NormalCDF(x), p, 1e-10)
+		return almostEqual(normalCDF(x), p, 1e-10)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

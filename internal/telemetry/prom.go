@@ -32,7 +32,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			bw.WriteByte('{')
 			bw.WriteString(s.LabelKey)
 			bw.WriteString(`="`)
-			bw.WriteString(EscapeLabelValue(s.LabelValue))
+			bw.WriteString(escapeLabelValue(s.LabelValue))
 			bw.WriteString(`"}`)
 		}
 		bw.WriteByte(' ')
@@ -69,10 +69,10 @@ func promType(samples []Sample, i int, base string) string {
 	return "untyped"
 }
 
-// EscapeLabelValue escapes a string for use inside a Prometheus label
+// escapeLabelValue escapes a string for use inside a Prometheus label
 // value: backslash → \\, double quote → \", newline → \n. Query names
 // are user-supplied, so every labeled series goes through this.
-func EscapeLabelValue(v string) string {
+func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}

@@ -15,8 +15,8 @@ func TestEscapeLabelValue(t *testing.T) {
 		{"", ""},
 	}
 	for _, c := range cases {
-		if got := EscapeLabelValue(c.in); got != c.want {
-			t.Errorf("EscapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
+		if got := escapeLabelValue(c.in); got != c.want {
+			t.Errorf("escapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
