@@ -46,8 +46,11 @@ race:
 # clients + aggregator, asserted byte-identical (results and result
 # cards) to the in-process pipeline — once more behind -partition-cap,
 # where only the aggregator's commits make room for the second client
-# process (TestMultiProcessSmokeBounded). The two-query deployment,
-# TestMultiProcessMultiQuerySmoke, runs under the lineage target.
+# process (TestMultiProcessSmokeBounded) — and a deployment whose second
+# query is announced while the aggregator runs, every answer of both
+# decoding (TestMultiProcessSmokeQueryAddedMidRun). The two-query
+# deployment, TestMultiProcessMultiQuerySmoke, runs under the lineage
+# target.
 smoke:
 	$(GO) test -run 'TestMultiProcessSmoke' -count=1 ./cmd/privapprox-node
 
@@ -135,7 +138,8 @@ lineage:
 # instrument primitives are pinned at 0 in their in-package gate, re-run
 # here, and so are the proxy's forward of a client batch and the control
 # plane's share of every epoch (a follower sync that finds nothing new,
-# plus the active-query check). The client role's epoch over 512 clients
+# plus the active-query check) and of every drain step (the aggregator
+# role's sync that finds nothing new, in process and over TCP). The client role's epoch over 512 clients
 # (role.Clients.Epoch, its median epoch) allocates nothing at 1 worker
 # and at most 3 and 5 times at 2 and 4.
 allocgate:

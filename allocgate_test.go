@@ -789,8 +789,12 @@ func TestSharePlaneAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			control, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+			if err != nil {
+				t.Fatal(err)
+			}
 			agg := newAggregator()
-			drain := role.NewDrain(agg, consumers, workers)
+			drain := role.NewDrain(agg, consumers, control, workers)
 			batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
 			var scratch xorcrypt.SplitScratch
 			perAnswer := measure(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", 0.05, agg, func() {
@@ -810,15 +814,22 @@ func TestSharePlaneAllocs(t *testing.T) {
 
 	// The same drain as privapprox-node wires it: one pubsub.Client
 	// consumer per proxy over loopback TCP, each fetch's reply read into
-	// its consumer's arena.
+	// its consumer's arena, and the control topic followed over proxy 0's
+	// client.
 	t.Run("drain/tcp", func(t *testing.T) {
 		consumers := make([]*pubsub.Consumer, 2)
 		batchers := make([]*client.Batcher, len(consumers))
+		var control *pubsub.Consumer
 		for i := range consumers {
 			b := pubsub.NewBroker()
 			defer b.Close()
 			if err := b.CreateTopic(proxy.TopicFor(i), 4); err != nil {
 				t.Fatal(err)
+			}
+			if i == 0 {
+				if err := b.CreateTopic(proxy.TopicControl, 1); err != nil {
+					t.Fatal(err)
+				}
 			}
 			srv, err := pubsub.Serve(b, "127.0.0.1:0")
 			if err != nil {
@@ -833,10 +844,15 @@ func TestSharePlaneAllocs(t *testing.T) {
 			if consumers[i], err = pubsub.NewConsumer(cli, "aggregator", proxy.TopicFor(i)); err != nil {
 				t.Fatal(err)
 			}
+			if i == 0 {
+				if control, err = pubsub.NewConsumer(cli, "aggregator-control", proxy.TopicControl); err != nil {
+					t.Fatal(err)
+				}
+			}
 			batchers[i] = client.NewBatcher(columnPublisher{cli, proxy.TopicFor(i)}, 0)
 		}
 		agg := newAggregator()
-		drain := role.NewDrain(agg, consumers, 1)
+		drain := role.NewDrain(agg, consumers, control, 1)
 		var scratch xorcrypt.SplitScratch
 		perAnswer := measure(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", 0.05, agg, func() {
 			answerEpoch(t, batchers, &scratch)

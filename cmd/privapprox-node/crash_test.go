@@ -69,7 +69,7 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	bin := buildNode(t)
 
 	aggArgs := func(dataDir string, extra ...string) []string {
-		return append([]string{"-seed=42", "-queries=1", "-clients=6", "-epochs=4", "-conns=2", "-idle=5s",
+		return append([]string{"-seed=42", "-clients=6", "-epochs=4", "-conns=2", "-idle=5s",
 			"-data-dir=" + dataDir}, extra...)
 	}
 
@@ -196,7 +196,7 @@ func TestCrashRecoveryProxy(t *testing.T) {
 		}
 	})
 
-	got := d.run("aggregator", "-seed=42", "-queries=1", "-clients=6", "-epochs=4", "-conns=2", "-idle=5s")
+	got := d.run("aggregator", "-seed=42", "-clients=6", "-epochs=4", "-conns=2", "-idle=5s")
 	wantCounts := fmt.Sprintf("decoded=%d malformed=0 duplicates=0 unknown=0 mismatched=0",
 		crashClients*crashEpochs)
 	if !strings.Contains(got, wantCounts) {

@@ -194,11 +194,9 @@ func (d *deployment) start(role string, args ...string) *proc {
 	return start(d.t, d.bin, append([]string{role, d.proxies}, args...)...)
 }
 
-// clients runs two client processes of three logical clients each
-// (offsets 0 and 3, seed 42, two connections per proxy) over epochs, and
-// checks each picked up the announced query set. before, when set, runs
-// ahead of each process. It returns the processes' share ledger: the
-// answers they sent, and per proxy the shares their batchers dropped.
+// clients runs the client processes at offsets 0 and 3 (see client),
+// each after before(offset) when before is set, and sums their share
+// ledgers: the answers sent and, per proxy, the shares dropped.
 func (d *deployment) clients(queries, epochs int, before func(offset int)) (answered int64, dropped []int64) {
 	d.t.Helper()
 	dropped = make([]int64, len(d.proxy))
@@ -206,24 +204,34 @@ func (d *deployment) clients(queries, epochs int, before func(offset int)) (answ
 		if before != nil {
 			before(offset)
 		}
-		out := d.run("client", "-seed=42", fmt.Sprintf("-queries=%d", queries), fmt.Sprintf("-offset=%d", offset),
-			"-n=3", fmt.Sprintf("-epochs=%d", epochs), "-conns=2")
-		if want := fmt.Sprintf("picked up %d queries", queries); !strings.Contains(out, want) {
-			d.t.Fatalf("client process (offset %d) did not pick up the query set:\n%s", offset, out)
-		}
-		var first, last, answers, bytes, total int64
-		var perProxy string
-		line := lineWith(d.t, out, "clients ")
-		if _, err := fmt.Sscanf(line, "clients %d..%d done: %d answers, %d bytes, %d shares dropped (per proxy: %s",
-			&first, &last, &answers, &bytes, &total, &perProxy); err != nil {
-			d.t.Fatalf("client done line %q: %v", line, err)
-		}
+		answers, perProxy := d.client(offset, queries, epochs)
 		answered += answers
-		for i, n := range parseCounts(d.t, strings.TrimSuffix(perProxy, ")"), len(dropped)) {
+		for i, n := range perProxy {
 			dropped[i] += n
 		}
 	}
 	return answered, dropped
+}
+
+// client runs one client process of three logical clients from offset
+// (seed 42, two connections per proxy) over epochs, and checks it picked
+// up queries announced queries. It returns the answers the process sent
+// and, per proxy, the shares its batchers dropped.
+func (d *deployment) client(offset, queries, epochs int) (answers int64, dropped []int64) {
+	d.t.Helper()
+	out := d.run("client", "-seed=42", fmt.Sprintf("-queries=%d", queries), fmt.Sprintf("-offset=%d", offset),
+		"-n=3", fmt.Sprintf("-epochs=%d", epochs), "-conns=2")
+	if want := fmt.Sprintf("picked up %d queries", queries); !strings.Contains(out, want) {
+		d.t.Fatalf("client process (offset %d) did not pick up the query set:\n%s", offset, out)
+	}
+	var first, last, bytes, total int64
+	var perProxy string
+	line := lineWith(d.t, out, "clients ")
+	if _, err := fmt.Sscanf(line, "clients %d..%d done: %d answers, %d bytes, %d shares dropped (per proxy: %s",
+		&first, &last, &answers, &bytes, &total, &perProxy); err != nil {
+		d.t.Fatalf("client done line %q: %v", line, err)
+	}
+	return answers, parseCounts(d.t, strings.TrimSuffix(perProxy, ")"), len(d.proxy))
 }
 
 // aggregatorLedger parses the aggregator's stats line: its counters,

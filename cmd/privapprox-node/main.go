@@ -6,12 +6,12 @@
 // Queries are distributed through the proxies' control topics (paper
 // §3.1): the submit role signs and announces a query set, client
 // processes pick it up dynamically — verifying each analyst signature —
-// and the aggregator builds its per-query demux state from the same
-// announcements. No process is configured with a hardcoded query. Every
-// role reads a control topic through engine.Follower, the clients'
-// own reader; the submit role reads it first and resumes from the
-// newest snapshot there, so a restarted submitter's announcements
-// supersede the earlier ones.
+// and the aggregator follows the same announcements for its per-query
+// demux state, a query announced mid-run included. No process is
+// configured with a hardcoded query. Every role reads a control topic
+// through engine.Follower, the clients' own reader; the submit role
+// reads it first and resumes from the newest snapshot there, so a
+// restarted submitter's announcements supersede the earlier ones.
 //
 // Every role is built from library parts. The proxy role is a
 // proxy.New (or, with -data-dir, proxy.NewDurable) served over TCP. The
@@ -34,7 +34,12 @@
 //	privapprox-node submit -proxies 127.0.0.1:9101,127.0.0.1:9102 -queries 2
 //	privapprox-node client -proxies 127.0.0.1:9101,127.0.0.1:9102 -offset 0 -n 3 -epochs 4
 //	privapprox-node client -proxies 127.0.0.1:9101,127.0.0.1:9102 -offset 3 -n 3 -epochs 4
-//	privapprox-node aggregator -proxies 127.0.0.1:9101,127.0.0.1:9102 -clients 6 -epochs 4 -queries 2
+//	privapprox-node aggregator -proxies 127.0.0.1:9101,127.0.0.1:9102 -clients 6 -epochs 4
+//
+// The aggregator starts once a first query is announced and stops when
+// it has decoded clients × epochs answers for every query it holds, or
+// after -idle without new shares; a later submit (say -queries 3) reaches
+// it mid-run.
 //
 // Every role accepts -metrics-addr to serve its live telemetry over
 // HTTP: Prometheus text format at /metrics, the same registry as JSON
@@ -265,10 +270,11 @@ func runSubmit(args []string) error {
 	if err := reg.Trust(nodeAnalyst, priv.Public().(ed25519.PublicKey)); err != nil {
 		return err
 	}
-	follower, err := followControl(fleet, "submit-resume")
+	cc, err := fleet.Proxy(0).ControlConsumer("submit-resume")
 	if err != nil {
 		return err
 	}
+	follower := engine.NewFollower(cc, engine.NewApplier())
 	if _, err := follower.Sync(); err != nil {
 		return err
 	}
@@ -362,17 +368,6 @@ func closeAll(clients []*pubsub.Client) {
 	for _, c := range clients {
 		c.Close()
 	}
-}
-
-// followControl follows proxy 0's control topic with an applier that
-// has no subscribers: the aggregator and submit roles read the newest
-// verified snapshot through the same follower the clients run.
-func followControl(fleet *proxy.Fleet, group string) (*engine.Follower, error) {
-	cc, err := fleet.Proxy(0).ControlConsumer(group)
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewFollower(cc, engine.NewApplier()), nil
 }
 
 func runClient(args []string) error {
@@ -545,8 +540,7 @@ func runAggregator(args []string) error {
 	clients := fs.Int("clients", 3, "population size U")
 	epochs := fs.Int("epochs", 4, "epochs to wait for")
 	conns := fs.Int("conns", 2, "TCP connections per proxy")
-	minQueries := fs.Int("queries", 1, "announced queries to wait for")
-	wait := fs.Duration("wait", 10*time.Second, "how long to wait for query announcements")
+	wait := fs.Duration("wait", 10*time.Second, "how long to wait for a first query announcement")
 	seed := fs.Int64("seed", 1, "system seed (the aggregator uses seed+1, as in core.Config)")
 	idle := fs.Duration("idle", 3*time.Second, "stop after this long without new shares")
 	dataDir := fs.String("data-dir", "", "checkpoint directory: the aggregator journals its state after every drain and resumes from the newest checkpoint on restart")
@@ -564,21 +558,6 @@ func runAggregator(args []string) error {
 	}
 	defer closeAll(tcps)
 
-	// The aggregator learns its query set from the same control topic
-	// the clients follow — nothing about the queries is configured here.
-	// After a restart the same fetch re-registers the same queries in
-	// announcement order, which is what Restore requires.
-	follower, err := followControl(fleet, "aggregator-control")
-	if err != nil {
-		return err
-	}
-	if err := follower.WaitActive(*minQueries, *wait); err != nil {
-		return err
-	}
-	qs := follower.Applier().Applied()
-	if qs == nil {
-		return fmt.Errorf("no query set announced on the control topic")
-	}
 	agg, err := aggregator.NewMulti(aggregator.Config{
 		Population: *clients,
 		Proxies:    fleet.Size(),
@@ -588,12 +567,27 @@ func runAggregator(args []string) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range qs.Entries {
-		if err := agg.AddQuery(aggregator.QuerySpec{Query: e.Signed.Query, Params: e.Params}); err != nil {
-			return err
-		}
+	// The aggregator role the in-process pipeline drains with, here over
+	// the TCP transports. It learns its queries from the control topic the
+	// clients follow — nothing about them is configured here — and keeps
+	// following it: a query announced mid-run opens before its first
+	// answers decode. After a restart the same topic re-registers the same
+	// queries in announcement order, which is what Restore requires.
+	consumers, err := fleet.Consumers("aggregator")
+	if err != nil {
+		return err
 	}
-	fmt.Printf("aggregating %d queries from announcement version %d\n", len(qs.Entries), qs.Version)
+	control, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+	if err != nil {
+		return err
+	}
+	drain := role.NewDrain(agg, consumers, control, 1)
+	follower := drain.Follower()
+	if err := follower.WaitActive(1, *wait); err != nil {
+		return err
+	}
+	fmt.Printf("aggregating %d queries from announcement version %d\n",
+		follower.Applier().ActiveQueries(), follower.Applier().Version())
 
 	// Telemetry: the aggregator's own accounting plus the epoch tracer's
 	// stage totals (join time via SubmitShareBatch) and the fired-window
@@ -626,14 +620,6 @@ func runAggregator(args []string) error {
 	}
 	defer stopMetrics()
 
-	// The aggregator role the in-process pipeline drains with, here over
-	// the TCP transports.
-	consumers, err := fleet.Consumers("aggregator")
-	if err != nil {
-		return err
-	}
-	drain := role.NewDrain(agg, consumers, 1)
-
 	// Lineage sidecar drain: batch stamps are folded into the recorder
 	// before each share sweep, so a window firing during the sweep sees
 	// the flush stamps of the epochs that fed it. Positions are not
@@ -658,7 +644,11 @@ func runAggregator(args []string) error {
 		}
 	}
 
-	expected := int64(*clients) * int64(*epochs) * int64(len(qs.Entries))
+	// The stop target follows the query set: every client answers every
+	// epoch of every query the aggregator holds, re-read after each round.
+	expected := func() int64 {
+		return int64(*clients) * int64(*epochs) * int64(follower.Applier().ActiveQueries())
+	}
 	var ck *checkpointer
 	var results []aggregator.Result
 	if *dataDir != "" {
@@ -673,9 +663,9 @@ func runAggregator(args []string) error {
 	// first and committed after. Without -data-dir fired windows print as
 	// they fire; with it they are held for the final RESULTS block, which
 	// a restarted run must reproduce byte for byte.
-	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected, *idle)
+	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected(), *idle)
 	lastProgress := time.Now()
-	for agg.Stats().Decoded < expected && time.Since(lastProgress) < *idle {
+	for agg.Stats().Decoded < expected() && time.Since(lastProgress) < *idle {
 		drainStamps()
 		fired, n, err := drain.Round(*pollMax, 50*time.Millisecond)
 		if ck == nil {

@@ -67,7 +67,7 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 	// decoded count is exact).
 	d.run("submit", queriesFlag, "-s=1")
 
-	aggArgs := []string{"-seed=42", queriesFlag, fmt.Sprintf("-clients=%d", clients),
+	aggArgs := []string{"-seed=42", fmt.Sprintf("-clients=%d", clients),
 		fmt.Sprintf("-epochs=%d", epochs), "-conns=2", "-idle=5s", "-print-cards"}
 	var agg *proc
 	if bounded {
@@ -119,6 +119,44 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 	wantCards := strings.Join(inProcessCards(t, clients, epochs, seed, numQueries, 1), "\n")
 	if gotCards := strings.Join(cardsBlock(t, got), "\n"); gotCards != wantCards {
 		t.Errorf("networked cards differ from in-process pipeline.\nwant:\n%s\ngot:\n%s", wantCards, gotCards)
+	}
+}
+
+// TestMultiProcessSmokeQueryAddedMidRun: the aggregator follows the
+// control topic from its start to its end. It starts on a one-query
+// announcement, client process 0 answers that query, a restarted submit
+// announces a second, and client process 3 answers both. Every answer
+// decodes — the second query's too, none counted unknown — the share
+// ledger balances over the processes' printed counts, and the second
+// query fires windows. The aggregator's stop target covers six clients
+// in both queries, more than were run, so it stops on -idle.
+func TestMultiProcessSmokeQueryAddedMidRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process smoke test skipped in -short mode")
+	}
+	const epochs = 4
+	d := deploy(t, buildNode(t), []string{"-partitions=4"})
+	d.run("submit", "-queries=1", "-s=1")
+	agg := d.start("aggregator", "-seed=42", "-clients=6", fmt.Sprintf("-epochs=%d", epochs), "-conns=2", "-idle=2s")
+	agg.await(t, "aggregating 1 queries", 10*time.Second)
+	answered, dropped := d.client(0, 1, epochs)
+	d.run("submit", "-queries=2", "-s=1")
+	answers, perProxy := d.client(3, 2, epochs)
+	answered += answers
+	for i, n := range perProxy {
+		dropped[i] += n
+	}
+	got := agg.wait(t)
+
+	if want := "decoded=36 malformed=0 duplicates=0 unknown=0 mismatched=0"; !strings.Contains(got, want) {
+		t.Errorf("aggregator output missing %q:\n%s", want, got)
+	}
+	st, fetched, pending := aggregatorLedger(t, got, len(d.proxy))
+	if err := role.Balance(answered, dropped, fetched, st, pending); err != nil {
+		t.Errorf("share ledger: %v\n%s", err, got)
+	}
+	if !strings.Contains(got, "query "+nodeAnalyst+":2 window ") {
+		t.Errorf("the query announced mid-run fired no window:\n%s", got)
 	}
 }
 

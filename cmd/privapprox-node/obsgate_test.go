@@ -122,7 +122,7 @@ func TestObsGate(t *testing.T) {
 	// totals prove the tracer saw the join stage, the WAL histogram proves
 	// checkpoint appends were timed, and the decode counter must reach the
 	// exact expected count at s=1.
-	agg := d.start("aggregator", "-seed=42", "-queries=1",
+	agg := d.start("aggregator", "-seed=42",
 		fmt.Sprintf("-clients=%d", clients), fmt.Sprintf("-epochs=%d", epochs),
 		"-conns=2", "-idle=10s", "-metrics-addr=127.0.0.1:0",
 		"-data-dir="+t.TempDir(), fmt.Sprintf("-hold-after=%d", clients*epochs))

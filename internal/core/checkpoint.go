@@ -89,9 +89,13 @@ func readID(d *codec.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial
 // their WALs), the aggregator restores its windows, watermarks, and
 // estimator state, the
 // epoch counter resumes, and every client's per-subscription randomness
-// is fast-forwarded through the already-answered epochs. The same
-// queries must be registered (in the same order: Config.Query first)
-// before calling Restore.
+// is fast-forwarded through the already-answered epochs. The query set
+// the aggregator's follower holds must match the checkpoint's, in the
+// same order: register the same queries (Config.Query first) before
+// calling Restore. A durable fleet replays the previous life's
+// announcements to both followers at the first registration, so a
+// checkpoint taken before a later registration cannot be restored once
+// the control topic holds the newer set.
 func (s *System) Restore(data []byte) error {
 	var (
 		epoch uint64
@@ -154,7 +158,7 @@ func (s *System) Restore(data []byte) error {
 // re-registered entries match the replayed ones, so nothing is
 // re-announced here.
 func (s *System) resumeAnnouncements() error {
-	if err := s.sync(); err != nil {
+	if _, err := s.sync(); err != nil {
 		return err
 	}
 	snap := s.registry.Snapshot()
@@ -206,27 +210,25 @@ func readSLOState(d *codec.Reader) (*sloState, error) {
 }
 
 // applySLOState reinstalls the parsed controllers and re-actuates each
-// query's checkpointed shed threshold through the registry and
-// aggregator.
+// query's checkpointed shed threshold through the registry, whose
+// announcement the sync carries to the clients and the aggregator.
 func (s *System) applySLOState(st *sloState) error {
 	s.ctrlMu.Lock()
 	s.sloTarget, s.sloMin, s.sloWindow = st.target, st.shedMin, st.window
 	s.sloEnabled = true
 	s.slos = st.slos
 	s.ctrlMu.Unlock()
-	// Re-actuate the checkpointed thresholds: the rebuilt registry and
-	// aggregator start every query at shed 1, but the crashed system was
-	// mid-shed — push each controller's threshold back through the same
-	// path a live adjustment takes.
+	// Re-actuate the checkpointed thresholds: the rebuilt registry starts
+	// every query at shed 1, but the crashed system was mid-shed — push
+	// each controller's threshold back through the same path a live
+	// adjustment takes.
 	for id, ctl := range st.slos {
 		if shed := ctl.Shed(); shed != 1 {
 			if err := s.registry.SetShed(id, shed); err != nil {
 				return err
 			}
-			if err := s.agg.SetShed(id, shed); err != nil {
-				return err
-			}
 		}
 	}
-	return s.sync()
+	_, err := s.sync()
+	return err
 }

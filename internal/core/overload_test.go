@@ -67,14 +67,8 @@ func runShedSystem(t *testing.T, workers, epochs int) shedRun {
 			if err := sys.Registry().SetShed(q.QID, 0.4); err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Aggregator().SetShed(q.QID, 0.4); err != nil {
-				t.Fatal(err)
-			}
 		case 7:
 			if err := sys.Registry().SetShed(q.QID, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Aggregator().SetShed(q.QID, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,12 +10,15 @@
 // # One query path
 //
 // Every query — Config.Query as much as one registered later — reaches
-// the clients the way the paper's §3.1 distributes it: the registry
-// verifies the analyst's signature and announces the query set on the
-// proxies' control topics, and the client role's follower subscribes
-// the clients at its next sync. Many analysts' queries run concurrently
-// over the one fleet, each with its own parameters, feedback and
-// overload controllers, and a system with no query is an idle fleet.
+// the clients and the aggregator the way the paper's §3.1 distributes
+// it: the registry verifies the analyst's signature and announces the
+// query set on the proxies' control topics, the client role's follower
+// subscribes the clients, and the aggregator role's follower opens the
+// query at the aggregator. A parameter change, a shed change and a stop
+// take the same path; the system never hands the aggregator a query of
+// its own. Many analysts' queries run concurrently over the one fleet,
+// each with its own parameters, feedback and overload controllers, and
+// a system with no query is an idle fleet.
 //
 // # Parallel epoch pipeline
 //
@@ -303,15 +306,20 @@ func New(cfg Config) (*System, error) {
 		sys.Close()
 		return nil, err
 	}
-	sys.drainer = role.NewDrain(agg, consumers, cfg.Workers)
-
 	// The whole population is one client process, publishing each epoch
-	// in one batch per proxy and following proxy 0's control topic. Even
-	// in-process, query distribution rides the pub/sub substrate.
+	// in one batch per proxy; it and the aggregator each follow proxy 0's
+	// control topic. Even in-process, query distribution rides the
+	// pub/sub substrate.
 	if err := sys.registry.AttachSink(fleet); err != nil {
 		sys.Close()
 		return nil, err
 	}
+	aggControl, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+	if err != nil {
+		sys.Close()
+		return nil, err
+	}
+	sys.drainer = role.NewDrain(agg, consumers, aggControl, cfg.Workers)
 	control, err := fleet.Proxy(0).ControlConsumer("clients")
 	if err != nil {
 		sys.Close()
@@ -404,16 +412,21 @@ func (s *System) ledger() (answered int64, dropped, published []int64, err error
 	return answered, dropped, published, nil
 }
 
-// sync applies every pending control-topic announcement to the clients.
-func (s *System) sync() error {
-	_, err := s.clients.Follower().Sync()
-	return err
+// sync applies every pending control-topic announcement to the clients
+// and the aggregator, returning the windows a stopped query's removal
+// flushed. Every registry change is followed by a sync, so a change is
+// in force at both before the call that made it returns.
+func (s *System) sync() ([]aggregator.Result, error) {
+	if _, err := s.clients.Follower().Sync(); err != nil {
+		return nil, err
+	}
+	return s.drainer.Sync()
 }
 
 // Register signs a query with the system analyst key and submits it to
 // the running fleet: the registry announces it over the proxies'
-// control topics, the clients pick it up, and the aggregator opens
-// per-query state for it — all before Register returns. Parameters are
+// control topics, and the clients and the aggregator pick it up — all
+// before Register returns. Parameters are
 // the system defaults derived at construction (use RegisterSigned for
 // an external analyst's own parameters).
 func (s *System) Register(q *query.Query) error {
@@ -434,9 +447,6 @@ func (s *System) RegisterSigned(signed *query.Signed, analystKey ed25519.PublicK
 	if err := s.registry.Register(signed, params); err != nil {
 		return err
 	}
-	if err := s.agg.AddQuery(aggregator.QuerySpec{Query: signed.Query, Params: params}); err != nil {
-		return err
-	}
 	s.ctrlMu.Lock()
 	if _, ok := s.regEpochs[signed.Query.QID]; !ok {
 		// First registration pins the query's start epoch; parameter
@@ -444,7 +454,8 @@ func (s *System) RegisterSigned(signed *query.Signed, analystKey ed25519.PublicK
 		s.regEpochs[signed.Query.QID] = s.epoch
 	}
 	s.ctrlMu.Unlock()
-	return s.sync()
+	_, err := s.sync()
+	return err
 }
 
 // StopQuery deactivates a query mid-run: clients stop answering it from
@@ -455,14 +466,15 @@ func (s *System) StopQuery(id query.ID) ([]aggregator.Result, error) {
 	if err := s.registry.Stop(id); err != nil {
 		return nil, err
 	}
-	if err := s.sync(); err != nil {
-		return nil, err
+	flushed, err := s.sync()
+	if err != nil {
+		return flushed, err
 	}
 	s.ctrlMu.Lock()
 	delete(s.ctrls, id)
 	delete(s.regEpochs, id)
 	s.ctrlMu.Unlock()
-	return s.agg.RemoveQuery(id)
+	return flushed, nil
 }
 
 // RunEpoch executes one answer epoch across all clients — concurrently
@@ -636,18 +648,17 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 	if len(acts) == 0 {
 		return nil
 	}
-	// Actuate outside the lock: registry announcement (no revision bump —
-	// coin streams are untouched), aggregator stamp, then one sync so the
-	// new threshold is in force from the next answered epoch.
+	// Actuate outside the lock: registry announcements (no revision bump
+	// — coin streams are untouched), then one sync so the new threshold
+	// is in force at the clients from the next answered epoch and stamps
+	// the aggregator's next windows.
 	for _, a := range acts {
 		if err := s.registry.SetShed(a.id, a.shed); err != nil {
 			return err
 		}
-		if err := s.agg.SetShed(a.id, a.shed); err != nil {
-			return err
-		}
 	}
-	return s.sync()
+	_, err := s.sync()
+	return err
 }
 
 // Epoch returns the next epoch number to run.
@@ -732,9 +743,10 @@ func (s *System) EnableFeedback(targetLoss, sMin, sMax float64) error {
 
 // Feedback folds a window result into its query's controller and, when
 // the sampling fraction moved, redistributes the parameters: the
-// registry bumps the query's revision and re-announces it, the clients
-// re-subscribe at the sync, and the aggregator estimates and reports
-// the query's next windows under them. It returns the parameters now in
+// registry bumps the query's revision and re-announces it, and at the
+// sync the clients re-subscribe and the aggregator swaps the query's
+// parameters in place, estimating and reporting its next windows under
+// them. It returns the parameters now in
 // force for that query.
 func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
 	s.ctrlMu.Lock()
@@ -766,10 +778,8 @@ func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
 	if err := s.registry.Register(entry.Signed, next); err != nil {
 		return next, err
 	}
-	if err := s.agg.AddQuery(aggregator.QuerySpec{Query: entry.Signed.Query, Params: next}); err != nil {
-		return next, err
-	}
-	return next, s.sync()
+	_, err := s.sync()
+	return next, err
 }
 
 // Close releases proxies and the historical store.

@@ -11,8 +11,9 @@ import (
 	"privapprox/internal/query"
 )
 
-// Subscriber is the client-side surface the applier reconciles —
-// client.Client implements it. The applier verifies each entry once and
+// Subscriber is the surface the applier reconciles — client.Client
+// implements it, and so does the aggregator role's view of its
+// aggregator (role.Drain). The applier verifies each entry once and
 // hands every subscriber the same query.Verified, and forwards each
 // query's overload shed threshold from the snapshot.
 type Subscriber interface {
@@ -21,12 +22,12 @@ type Subscriber interface {
 	SetShed(id query.ID, shed float64) bool
 }
 
-// Applier reconciles a set of clients against query-set snapshots. It
-// is the client-process half of query distribution: feed it every
-// control payload observed (in any order, with duplicates and gaps) and
-// it applies exactly the newest snapshot, diffing by per-entry revision
-// so a client's per-query coin stream is only redrawn when that query's
-// entry actually changed.
+// Applier reconciles a set of subscribers — clients, or an aggregator —
+// against query-set snapshots. It is the receiving half of query
+// distribution: feed it every control payload observed (in any order,
+// with duplicates and gaps) and it applies exactly the newest snapshot,
+// diffing by per-entry revision so a client's per-query coin stream is
+// only redrawn when that query's entry actually changed.
 //
 // Trust: every entry's signature is verified against its announced
 // analyst key — once per snapshot, not once per client — which detects
@@ -195,10 +196,11 @@ func (ap *Applier) setShed(id query.ID, shed float64) {
 }
 
 // Follower drives an Applier from a pub/sub control-topic consumer. It
-// is the one reader of a control topic: client processes run it so
-// networked deployments pick up queries dynamically, and the aggregator
-// and submit roles run one without subscribers to read the newest
-// verified snapshot (Applier.Applied).
+// is the one reader of a control topic: the client role runs one over
+// its clients and the aggregator role one over its aggregator, so every
+// deployment picks up queries dynamically, and the submit role runs one
+// without subscribers to read the newest verified snapshot
+// (Applier.Applied).
 type Follower struct {
 	consumer *pubsub.Consumer
 	applier  *Applier

@@ -17,9 +17,11 @@
 //     signatures against a trust store, rejects wire-ID collisions, and
 //     broadcasts snapshots to control sinks (the proxies' control
 //     topics).
-//   - Applier / Follower: the client-side — consume announcements,
-//     verify, and reconcile each client's subscription set against the
-//     newest snapshot.
+//   - Applier / Follower: the receiving side — consume announcements,
+//     verify, and reconcile a set of subscribers against the newest
+//     snapshot: a process's clients (role.Clients), and the aggregator
+//     itself (role.Drain), so a query, a parameter change, a shed change
+//     and a stop reach the aggregator the way they reach the clients.
 package engine
 
 import (

@@ -50,7 +50,7 @@ func (*InExpr) exprNode()      {}
 func (*IsNullExpr) exprNode()  {}
 func (*BetweenExpr) exprNode() {}
 
-// Statement is a parsed SQL statement.
+// Statement is a parsed SQL statement; Parse returns only *SelectStmt.
 type Statement interface {
 	stmtNode()
 }
@@ -71,18 +71,4 @@ type SelectStmt struct {
 	Limit int  // -1 when absent
 }
 
-// InsertStmt is INSERT INTO table VALUES (...), (...).
-type InsertStmt struct {
-	Table string
-	Rows  [][]Expr
-}
-
-// CreateStmt is CREATE TABLE name (col, col, ...).
-type CreateStmt struct {
-	Table   string
-	Columns []string
-}
-
 func (*SelectStmt) stmtNode() {}
-func (*InsertStmt) stmtNode() {}
-func (*CreateStmt) stmtNode() {}

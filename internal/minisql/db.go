@@ -252,28 +252,6 @@ type Rows struct {
 	Rows    [][]Value
 }
 
-// Exec runs any statement. SELECT returns its rows; INSERT and CREATE
-// return an empty result.
-func (db *DB) Exec(sql string) (*Rows, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		return db.QueryPrepared(s)
-	case *InsertStmt:
-		return db.execInsert(s)
-	case *CreateStmt:
-		if err := db.CreateTable(s.Table, s.Columns); err != nil {
-			return nil, err
-		}
-		return &Rows{}, nil
-	default:
-		return nil, fmt.Errorf("%w: unsupported statement %T", ErrSyntax, stmt)
-	}
-}
-
 // Query runs a SELECT statement.
 func (db *DB) Query(sql string) (*Rows, error) {
 	stmt, err := Parse(sql)
@@ -294,21 +272,4 @@ func (db *DB) Query(sql string) (*Rows, error) {
 // database every epoch keeps a Plan and scans instead.
 func (db *DB) QueryPrepared(sel *SelectStmt) (*Rows, error) {
 	return NewPlan(sel).materialise(db)
-}
-
-func (db *DB) execInsert(s *InsertStmt) (*Rows, error) {
-	for _, rowExprs := range s.Rows {
-		row := make([]Value, len(rowExprs))
-		for i, e := range rowExprs {
-			v, err := evalConst(e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		if err := db.Insert(s.Table, row); err != nil {
-			return nil, err
-		}
-	}
-	return &Rows{}, nil
 }

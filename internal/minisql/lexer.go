@@ -28,6 +28,8 @@ type token struct {
 	pos  int
 }
 
+// keywords keeps INSERT, INTO, VALUES, CREATE and TABLE although no
+// statement uses them: a SELECT naming a column after one stays refused.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
 	"NOT": true, "LIKE": true, "IN": true, "IS": true, "NULL": true,

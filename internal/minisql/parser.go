@@ -1,11 +1,9 @@
 package minisql
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Parse parses one SQL statement.
+// Parse parses one SELECT statement; any other statement is a syntax
+// error.
 func Parse(sql string) (Statement, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -28,14 +26,6 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
-
-func (p *parser) next() token {
-	t := p.toks[p.i]
-	if t.kind != tokEOF {
-		p.i++
-	}
-	return t
-}
 
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
@@ -79,16 +69,10 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 func (p *parser) parseStatement() (Statement, error) {
-	switch {
-	case p.acceptKeyword("SELECT"):
-		return p.parseSelect()
-	case p.acceptKeyword("INSERT"):
-		return p.parseInsert()
-	case p.acceptKeyword("CREATE"):
-		return p.parseCreate()
-	default:
-		return nil, fmt.Errorf("%w: expected SELECT, INSERT or CREATE at %d", ErrSyntax, p.peek().pos)
+	if !p.acceptKeyword("SELECT") {
+		return nil, fmt.Errorf("%w: expected SELECT at %d", ErrSyntax, p.peek().pos)
 	}
+	return p.parseSelect()
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
@@ -140,83 +124,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if stmt.Limit < 0 {
 			return nil, fmt.Errorf("%w: negative LIMIT", ErrSyntax)
 		}
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseInsert() (*InsertStmt, error) {
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	stmt := &InsertStmt{Table: table}
-	for {
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		stmt.Rows = append(stmt.Rows, row)
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseCreate() (*CreateStmt, error) {
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	stmt := &CreateStmt{Table: table}
-	seen := map[string]bool{}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		lower := strings.ToLower(col)
-		if seen[lower] {
-			return nil, fmt.Errorf("%w: duplicate column %q", ErrSyntax, col)
-		}
-		seen[lower] = true
-		stmt.Columns = append(stmt.Columns, col)
-		// Tolerate a type annotation after the column name (ignored,
-		// SQLite-style dynamic typing).
-		if t := p.peek(); t.kind == tokIdent {
-			p.i++
-		}
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
 	}
 	return stmt, nil
 }

@@ -168,16 +168,6 @@ func (b *binder) bind(slot int32, e Expr) error {
 	}
 }
 
-// evalConst evaluates an expression that references no table, such as
-// an INSERT value.
-func evalConst(e Expr) (Value, error) {
-	b := binder{nodes: make([]node, 1, exprSize(e))}
-	if err := b.bind(0, e); err != nil {
-		return Value{}, err
-	}
-	return eval(b.nodes, 0, nil, 0)
-}
-
 // eval evaluates nodes[i] against the given row of t, reading each cell it
 // references from its column. SQL NULL propagates through arithmetic and
 // comparisons; AND/OR use three-valued logic collapsed to Truthy at the

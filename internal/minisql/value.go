@@ -3,14 +3,14 @@
 // (paper §5, "the query answer module is used to execute the input query
 // on the local user's private data stored in SQLite").
 //
-// The engine supports the query shapes the paper's model needs:
+// Tables are built and filled through the API (DB.CreateTable,
+// DB.Insert); the one statement the engine parses is the query shape the
+// paper's model needs:
 //
-//	CREATE TABLE t (a, b, ...)
-//	INSERT INTO t VALUES (1, 'x'), (2, 'y')
-//	SELECT expr [AS name], ... FROM t [WHERE predicate]
+//	SELECT expr [AS name], ... FROM t [WHERE predicate] [LIMIT n]
 //
-// with arithmetic, comparisons, AND/OR/NOT, LIKE, IN, and IS NULL in
-// expressions. Values are dynamically typed (null, number, text, bool),
+// with arithmetic, comparisons, AND/OR/NOT, LIKE, IN, BETWEEN and IS
+// NULL in expressions. Values are dynamically typed (null, number, text, bool),
 // SQLite style.
 package minisql
 

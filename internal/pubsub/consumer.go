@@ -34,7 +34,11 @@ type Consumer struct {
 
 // idlePolls is how many empty polls in a row release a consumer's fetch
 // arena. A drain ends on one or two, which must not release it; an idle
-// node's drain polls every 50 ms, so its arena goes within 0.2 s.
+// node's drain polls every 50 ms, so its arena goes within 0.2 s. It
+// goes once: the next empty TCP fetch reads its reply frame, a few
+// bytes, into a new arena that the polls after it keep, so a consumer
+// that is almost always idle — a control-topic follower — polls without
+// allocating.
 const idlePolls = 4
 
 // polled is one partition's share of a poll: the runs before c.runs[end]
@@ -149,7 +153,7 @@ func (c *Consumer) poll(max int, wait time.Duration) (n int, err error) {
 	if err != nil || n == 0 {
 		clear(c.runs)
 		c.runs, c.parts = c.runs[:0], c.parts[:0]
-		if c.idle++; err != nil || c.idle >= idlePolls {
+		if c.idle++; err != nil || c.idle == idlePolls {
 			c.mem = nil
 		}
 		return 0, err

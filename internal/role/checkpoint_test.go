@@ -111,6 +111,10 @@ func TestDrainRestoreChecksSystemFirst(t *testing.T) {
 
 	b := newRig(t, 40, 1)
 	b.restored = true
+	// Restore needs the checkpoint's query set at the aggregator.
+	if _, err := b.drain.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	fresh := positions(b)
 	refused := errors.New("system section refused")
 	var seen []byte

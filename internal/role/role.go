@@ -3,11 +3,14 @@
 // following the announced query set and answering an epoch into one
 // client.Batcher per proxy — and the
 // aggregator role — one poll → decode → submit loop over one consumer
-// per proxy — plus the one checkpoint record a durable aggregator
-// writes. core.System runs both roles over in-process brokers and
-// privapprox-node runs each over TCP, so the two wirings differ only in
-// what they connect, never in how an epoch is answered, drained or
-// checkpointed.
+// per proxy, following the same announcements — plus the one checkpoint
+// record a durable aggregator writes. Both roles learn their queries from
+// a control topic, each through its own engine.Follower: a query, a
+// parameter change, a shed change or a stop reaches the aggregator the
+// way it reaches the clients. core.System runs both roles over
+// in-process brokers and privapprox-node runs each over TCP, so the two
+// wirings differ only in what they connect, never in how a query
+// arrives or how an epoch is answered, drained or checkpointed.
 package role
 
 import (
@@ -18,10 +21,12 @@ import (
 	"time"
 
 	"privapprox/internal/aggregator"
+	"privapprox/internal/budget"
 	"privapprox/internal/client"
 	"privapprox/internal/engine"
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
+	"privapprox/internal/query"
 	"privapprox/internal/xorcrypt"
 )
 
@@ -182,42 +187,113 @@ func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 }
 
 // Drain is the aggregator role: one consumer per proxy feeding one
-// aggregator. Every way of draining — until dry, up to a budget, one
-// round at a time — runs the same poll → decode → submit step, with one
-// share scratch per consumer.
+// aggregator, which follows the query announcements on a control topic.
+// Every way of draining — until dry, up to a budget, one round at a time
+// — runs the same poll → sync → decode → submit step, with one share
+// scratch per consumer.
 type Drain struct {
 	agg       *aggregator.Aggregator
 	consumers []*pubsub.Consumer
 	scratch   [][]xorcrypt.Share
 	parallel  bool
+
+	// controlMu serializes the follower's syncs: Dry's per-consumer
+	// goroutines each sync before their submits.
+	controlMu sync.Mutex
+	follower  *engine.Follower
+	queries   *aggQueries
 }
 
 // NewDrain builds the aggregator role over one consumer per proxy, the
-// consumer of proxy i at index i. With workers > 1 and more than one
-// consumer, Dry drains each consumer on its own goroutine.
-func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, workers int) *Drain {
+// consumer of proxy i at index i, following the query announcements on
+// control. With workers > 1 and more than one consumer, Dry drains each
+// consumer on its own goroutine. The control consumer is never
+// committed, so a restarted drain replays the whole control topic.
+func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, control *pubsub.Consumer, workers int) *Drain {
+	queries := &aggQueries{agg: agg}
 	return &Drain{
 		agg:       agg,
 		consumers: consumers,
 		scratch:   make([][]xorcrypt.Share, len(consumers)),
 		parallel:  workers > 1 && len(consumers) > 1,
+		follower:  engine.NewFollower(control, engine.NewApplier(queries)),
+		queries:   queries,
 	}
+}
+
+// aggQueries is the aggregator as the drain's follower manages it: a
+// subscription opens the query (or swaps a revision's parameters in
+// place), a shed change stamps its threshold, and an unsubscription
+// removes the query, whose flushed windows and first failure it keeps
+// for the next Sync.
+type aggQueries struct {
+	agg     *aggregator.Aggregator
+	flushed []aggregator.Result
+	err     error
+}
+
+func (q *aggQueries) SubscribeVerified(v query.Verified, params budget.Params) error {
+	return q.agg.AddQuery(aggregator.QuerySpec{Query: v.Query(), Params: params})
+}
+
+func (q *aggQueries) SetShed(id query.ID, shed float64) bool {
+	return q.agg.SetShed(id, shed) == nil
+}
+
+func (q *aggQueries) UnsubscribeQuery(id query.ID) bool {
+	res, err := q.agg.RemoveQuery(id)
+	q.flushed = append(q.flushed, res...)
+	if err != nil && q.err == nil {
+		q.err = err
+	}
+	return err == nil
 }
 
 // Consumers returns the role's consumers, proxy i's at index i.
 func (d *Drain) Consumers() []*pubsub.Consumer { return d.consumers }
 
+// Follower returns the follower that keeps the aggregator's queries in
+// step with the announcements. Syncing it directly is safe only while
+// no drain runs; Sync is the locked way.
+func (d *Drain) Follower() *engine.Follower { return d.follower }
+
+// Sync applies the announcements that arrived since the last sync to
+// the aggregator and returns the windows a stopped query's removal
+// flushed, with the first refusal or removal failure. With nothing new
+// on the control topic it allocates nothing.
+func (d *Drain) Sync() ([]aggregator.Result, error) {
+	d.controlMu.Lock()
+	defer d.controlMu.Unlock()
+	_, err := d.follower.Sync()
+	flushed, ferr := d.queries.flushed, d.queries.err
+	d.queries.flushed, d.queries.err = nil, nil
+	if err == nil {
+		err = ferr
+	}
+	return flushed, err
+}
+
 // step reads up to max records from consumer src — waiting up to wait
-// for the first — as runs, and submits their shares as one batch, each a
-// view of its record in the consumer's fetch memory. A run whose key is
-// not a MID carries no shares: its records are counted malformed and
-// skipped, and the rest of the poll is submitted. It returns the windows
-// the batch fired and the records it read.
+// for the first — as runs, syncs the control topic and submits their
+// shares as one batch, each a view of its record in the consumer's fetch
+// memory. A run whose key is not a MID carries no shares: its records
+// are counted malformed and skipped, and the rest of the poll is
+// submitted. It returns the windows the step fired — a removal's flushed
+// windows first — and the records it read.
+//
+// The sync comes after the poll and before the submit, so every
+// announcement made before a submitted share was published has been
+// applied — its own query's among them: a query announced while the poll
+// ran, or while another goroutine's step submitted the sibling shares,
+// is open before its first answers decode. A refused snapshot does not
+// cost the poll: its shares are submitted all the same, and the refusal
+// is returned after them. An empty poll does not sync.
 func (d *Drain) step(src, max int, wait time.Duration) ([]aggregator.Result, int, error) {
 	runs, err := d.consumers[src].PollRuns(max, wait)
 	if err != nil || len(runs) == 0 {
 		return nil, 0, err
 	}
+	flushed, syncErr := d.Sync()
 	shares, read, skipped := d.scratch[src][:0], 0, 0
 	for _, r := range runs {
 		var n int
@@ -233,6 +309,12 @@ func (d *Drain) step(src, max int, wait time.Duration) ([]aggregator.Result, int
 	// does not pin the consumer's fetch memory.
 	clear(shares)
 	d.scratch[src] = shares[:0]
+	if len(flushed) > 0 {
+		fired = append(flushed, fired...)
+	}
+	if err == nil {
+		err = syncErr
+	}
 	return fired, read, err
 }
 

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,13 +29,16 @@ import (
 
 // rig is one in-process deployment built from the roles alone: two
 // proxies, a client process answering through them and an aggregator
-// draining them. newRig's clients answer on one worker, so two such rigs
-// publish the same records in the same partition order. At the test's
-// teardown the rig drains what is left and checks its share ledger
-// (Conserve); injected[i] counts the records a test published at proxy
-// i past the clients, and a rig restored from a checkpoint, whose ledger
-// began in another drain, is not checked.
+// draining them, both following the query announcements reg makes on
+// proxy 0's control topic. newRig's clients answer on one worker, so two
+// such rigs publish the same records in the same partition order. At the
+// test's teardown the rig drains what is left and checks its share
+// ledger (Conserve); injected[i] counts the records a test published at
+// proxy i past the clients, and a rig restored from a checkpoint, whose
+// ledger began in another drain, is not checked.
 type rig struct {
+	reg      *engine.Registry
+	key      ed25519.PrivateKey
 	fleet    *proxy.Fleet
 	clients  *Clients
 	drain    *Drain
@@ -62,8 +66,8 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	agg, err := aggregator.New(aggregator.Config{
-		Query: q, Params: params, Population: clients, Proxies: 2,
+	agg, err := aggregator.NewMulti(aggregator.Config{
+		Params: params, Population: clients, Proxies: 2,
 		Origin: time.Unix(0, 0), Seed: 5,
 	})
 	if err != nil {
@@ -73,8 +77,9 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The query reaches the clients the way it does in every wiring: a
-	// signed announcement on the control topic, applied at the next epoch.
+	// The query reaches the clients and the aggregator the way it does in
+	// every wiring: a signed announcement on the control topic, applied at
+	// the next epoch and at the next drain step that reads shares.
 	key := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	signed, err := query.Sign(q, key)
 	if err != nil {
@@ -102,7 +107,11 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{fleet: fleet, clients: cs, drain: NewDrain(agg, consumers, drainWorkers), agg: agg}
+	aggControl, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{reg: reg, key: key, fleet: fleet, clients: cs, drain: NewDrain(agg, consumers, aggControl, drainWorkers), agg: agg}
 	t.Cleanup(func() { r.conserved(t) })
 	return r
 }
@@ -248,22 +257,246 @@ func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
 	}
 }
 
+// hookedTransport is a broker whose fetches first run hook, with the
+// fetch's 1-based count.
+type hookedTransport struct {
+	pubsub.Transport
+	fetches atomic.Int64
+	hook    func(n int64)
+}
+
+func (h *hookedTransport) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration, runs []pubsub.Run, mem []byte) ([]pubsub.Run, []byte, error) {
+	if h.hook != nil {
+		h.hook(h.fetches.Add(1))
+	}
+	return h.Transport.FetchWait(topic, partition, offset, max, wait, runs, mem)
+}
+
+// hookDrain rebuilds the rig's drain over hooked transports: proxy i's
+// share consumer over shares[i], the control consumer over control.
+func (r *rig) hookDrain(t *testing.T, workers int, control *hookedTransport, shares ...*hookedTransport) {
+	t.Helper()
+	consumers := make([]*pubsub.Consumer, len(shares))
+	for i, h := range shares {
+		h.Transport = r.fleet.Proxy(i).Broker()
+		var err error
+		if consumers[i], err = pubsub.NewConsumer(h, "hooked", r.fleet.Proxy(i).Topic()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	control.Transport = r.fleet.Proxy(0).Broker()
+	cc, err := pubsub.NewConsumer(control, "hooked-control", proxy.TopicControl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.drain = NewDrain(r.agg, consumers, cc, workers)
+}
+
+// registerSecond announces a second query, beside the rig's first.
+func (r *rig) registerSecond() error {
+	q, err := workload.TaxiQuery("role", 2, time.Second, 4*time.Second, time.Second)
+	if err != nil {
+		return err
+	}
+	signed, err := query.Sign(q, r.key)
+	if err != nil {
+		return err
+	}
+	return r.reg.Register(signed, budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}})
+}
+
+// TestDrainSyncsBetweenPollAndSubmit: a drain step applies the control
+// topic after its poll and before its submit. A share fetch registers a
+// second query and runs a client epoch that answers both queries before
+// it serves the records, so the new query's answers are polled by a
+// step whose sync has not run yet; every one of them must decode, none
+// counted unknown.
+//
+// Sequentially, proxy 0's first fetch does it, and proxy 1's step
+// completes the joins. In parallel, proxy 0's first fetch does it once
+// proxy 1's goroutine is fetching too, and proxy 1's first fetch is
+// served only after proxy 0's step has submitted its halves, so proxy
+// 1's step completes the joins. A drain that synced before its polls
+// would have applied the control topic in both goroutines before the
+// registration, and proxy 0's next sync would race proxy 1's submit: the
+// answers would decode against a query set without the new query. A
+// control sync that starts after proxy 0's halves are in waits 50 ms
+// first, so that race is lost almost every time; the drain under test
+// passes whatever the timing.
+func TestDrainSyncsBetweenPollAndSubmit(t *testing.T) {
+	const clients = 30
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			r := newRig(t, clients, workers)
+			var control hookedTransport
+			var shares [2]hookedTransport
+			fetching := make(chan struct{})
+			var sent atomic.Int64 // the epoch's answers, one half of each at each proxy
+			// answer runs on a drain goroutine: it reports with t.Error.
+			answer := func() {
+				if err := r.registerSecond(); err != nil {
+					t.Error(err)
+				}
+				if n, err := r.clients.Epoch(0); err != nil || n != clients {
+					t.Errorf("epoch 0: %d participants, %v", n, err)
+				}
+				sent.Store(client.SumStats(r.clients.Clients()).AnswersSent)
+			}
+			halvesIn := func() bool { n := sent.Load(); return n > 0 && int64(r.agg.PendingJoins()) == n }
+			if workers == 1 {
+				shares[0].hook = func(n int64) {
+					if n == 1 {
+						answer()
+					}
+				}
+			} else {
+				shares[0].hook = func(n int64) {
+					if n == 1 {
+						<-fetching
+						answer()
+					}
+				}
+				shares[1].hook = func(n int64) {
+					if n == 1 {
+						close(fetching)
+						for !halvesIn() {
+							time.Sleep(time.Millisecond)
+						}
+					}
+				}
+				control.hook = func(int64) {
+					if halvesIn() {
+						time.Sleep(50 * time.Millisecond)
+					}
+				}
+			}
+			r.hookDrain(t, workers, &control, &shares[0], &shares[1])
+			if _, err := r.drain.Dry(); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.agg.Stats(); st.Decoded != sent.Load() || st.UnknownQuery != 0 || st.Queries != 2 {
+				t.Errorf("%d answers decoded and %d of unknown queries over %d queries, want %d, 0 and 2", st.Decoded, st.UnknownQuery, st.Queries, sent.Load())
+			}
+		})
+	}
+}
+
+// TestDrainSubmitsPastARefusedSnapshot: a snapshot whose signature was
+// tampered with, announced between two drains, is refused by the step
+// that syncs it — after the step has polled its shares, which it still
+// submits before it returns the refusal. The next drain finds nothing
+// new on the control topic and completes the joins, so every polled
+// share is decoded and the share ledger balances.
+func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
+	r := newRig(t, 40, 1)
+	var answers int64
+	for e := uint64(0); e < 2; e++ {
+		n, err := r.clients.Epoch(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers += int64(n)
+		if e == 0 {
+			if _, err := r.drain.Dry(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := r.reg.Snapshot()
+	snap.Version++
+	e := &snap.Entries[0]
+	sig := slices.Clone(e.Signed.Signature)
+	sig[0] ^= 1
+	e.Signed = &query.Signed{Query: e.Signed.Query, Signature: sig}
+	payload, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fleet.Announce(payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.drain.Dry(); err == nil || !strings.Contains(err.Error(), "signature") {
+		t.Fatalf("a drain past a tampered snapshot: %v, want its refusal", err)
+	}
+	if _, err := r.drain.Dry(); err != nil {
+		t.Fatalf("the drain after the refusal: %v", err)
+	}
+	if st := r.agg.Stats(); st.Decoded != answers || r.agg.PendingJoins() != 0 {
+		t.Errorf("%d of %d answers decoded, %d joins pending", st.Decoded, answers, r.agg.PendingJoins())
+	}
+}
+
 // TestControlPlaneStepZeroAllocs pins what following the control topic
-// adds to every epoch: a sync that finds no new announcement, plus the
-// active-query count that decides whether the epoch answers at all.
-// Neither may allocate. An idle epoch is exactly this step.
+// adds to every epoch and every drain step that reads shares: the
+// client role's sync that finds no new announcement, plus the
+// active-query count that decides whether the epoch answers at all, and
+// the aggregator role's Sync that finds none — in process and over
+// loopback TCP, as privapprox-node follows proxy 0. None may allocate.
+// An idle epoch is exactly the first. Each is warmed past the four empty
+// polls after which a consumer releases its fetch arena, and past the
+// TCP fetch that then reads an empty reply into a new one. A -race
+// build's sync.Pool drops pooled TCP round-trip state, so it skips the
+// TCP case.
 func TestControlPlaneStepZeroAllocs(t *testing.T) {
 	r := newRig(t, 4, 1)
 	if n, err := r.clients.Epoch(0); err != nil || n == 0 {
 		t.Fatalf("epoch 0: %d participants, %v", n, err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if active, err := r.clients.syncActive(); err != nil || active != 1 {
-			t.Fatalf("sync: %d active queries, %v", active, err)
+	srv, err := pubsub.Serve(r.fleet.Proxy(0).Broker(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := pubsub.DialOptions(srv.Addr(), pubsub.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	control, err := pubsub.NewConsumer(cli, "aggregator-tcp", proxy.TopicControl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overTCP := NewDrain(r.agg, r.drain.Consumers(), control, 1)
+	for _, tc := range []struct {
+		name string
+		step func() error
+	}{
+		{"clients", func() error {
+			if active, err := r.clients.syncActive(); err != nil || active != 1 {
+				return fmt.Errorf("%d active queries, %v", active, err)
+			}
+			return nil
+		}},
+		{"drain", func() error {
+			if flushed, err := r.drain.Sync(); err != nil || flushed != nil {
+				return fmt.Errorf("%d flushed windows, %v", len(flushed), err)
+			}
+			return nil
+		}},
+		{"drain/tcp", func() error {
+			_, err := overTCP.Sync()
+			return err
+		}},
+	} {
+		if raceEnabled && tc.name == "drain/tcp" {
+			continue
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("control-plane step: %v allocs/op, want 0", allocs)
+		for range 8 {
+			if err := tc.step(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.step(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: control-plane step: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+	if n := r.agg.Stats().Queries; n != 1 {
+		t.Errorf("the drain's syncs left the aggregator with %d queries, want 1", n)
 	}
 }
 
