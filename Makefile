@@ -3,13 +3,14 @@
 # the allocgate, multiquery, smoke, crash, surge, chaos, obsgate,
 # lineage and soak gates described at their targets below, a few
 # seconds of fuzzing on every wire and disk decoder (fuzz-decoders),
-# and bench-smoke. The longer `make fuzz`, `make loc` and the other
-# bench targets are run by hand.
+# and bench-smoke. The longer `make fuzz`, and the size measurements
+# `make loc` and `make unlinked`, are run by hand; the benchmark itself
+# is `bash bench/run.sh`.
 
 GO ?= go
 RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/histstore/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
 
-.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench bench-smoke fuzz fuzz-decoders loc
+.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench-smoke fuzz fuzz-decoders loc unlinked
 
 ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak fuzz-decoders bench-smoke
 
@@ -165,9 +166,6 @@ allocgate:
 soak:
 	$(GO) test -run 'TestSoakFlatHeap' -count=1 .
 
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpochPipelineParallel|BenchmarkTCPPipeline|BenchmarkMultiQuery' -benchmem .
-
 # The benchmark harness's own smoke test (~7 s). bench/ is a nested
 # module the root build and test never compile, so this is what notices
 # a change to a signature it pins (DB.QueryPrepared, client.ReduceLast,
@@ -188,9 +186,10 @@ bench-smoke:
 # the broker's meta journal (topic and commit records: a partition count
 # above the bound refused, whatever is accepted re-encoding to the same
 # bytes), any request frame through the TCP server (no panic, every
-# error reply a known sentinel, a huge partition count refused before it
-# sizes anything), any byte stream through a served connection, cut into
-# writes at arbitrary points (no panic, every whole frame answered in
+# error reply a known sentinel, an unassigned opcode — the retired topic
+# creation (1) and single-record publish (2) among them — refused as
+# that unknown opcode), any byte stream through a served connection, cut
+# into writes at arbitrary points (no panic, every whole frame answered in
 # order until a length prefix above the frame bound closes the
 # connection, the connection's name table within its cap), the
 # control-plane query-set announcement (the decoded set owning copies of
@@ -200,7 +199,8 @@ bench-smoke:
 # aggregator state inside it (no panic, its prefixes refused, whatever
 # it accepts re-encoding to the same bytes: panes, estimator stream and
 # memoized losses, pending joins with an empty share, completed keys),
-# the SLO controller's checkpoint state, the lineage stamp, and the
+# the SLO controller's checkpoint state, the lineage stamp (17 bytes,
+# version 2: a version-1 stamp refused), and the
 # result-card log (the longest prefix of newline-terminated cards kept,
 # an unterminated or undecodable tail truncated, the suppression
 # watermark that prefix's, a reopen changing nothing).
@@ -233,8 +233,8 @@ fuzz-decoders:
 # parses must bind or be refused, and run, without panicking), the
 # minisql column store against a plain [][]Value model (inserts of NULL,
 # number — -0, NaN and ±Inf among them —, text and bool cells, a numeric
-# column turning mixed, deletes that empty the table, read back through
-# SELECT * and a scan with a WHERE), the share joiner against a plain
+# column turning mixed, read back through SELECT * and a scan with a
+# WHERE), the share joiner against a plain
 # two-generation model (adds, recycles, rotations and checkpoint
 # restores into a fresh joiner), and the aggregator's panes against a
 # per-window model (sliding geometries whose slide does or does not
@@ -262,3 +262,13 @@ loc:
 		printf '%6d  exported identifiers in %s\n' \
 			"$$($(GO) doc -all $$pkg | grep -cE '^(func|type) |^(var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* += ')" "$${pkg#privapprox/}"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d  exported identifiers in internal/\n", total }'
+
+# The functions and methods of internal/ that no binary links: every
+# main of the root module and of bench/ built with inlining off, their
+# symbol tables read with `go tool nm`, and each function declared in a
+# non-test file of internal/ that none of them holds printed with its
+# line count, then the totals. A function listed is reached only from
+# tests, or from nothing. tools/unlinked.go is a `//go:build ignore`
+# program, so `go build ./...` and `make loc` do not see it.
+unlinked:
+	@$(GO) run tools/unlinked.go

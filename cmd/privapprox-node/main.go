@@ -441,18 +441,11 @@ func runClient(args []string) error {
 	// unconditionally: a proxy that is down at startup (-degraded) must
 	// start receiving stamps once it returns, and a broker without the
 	// lineage topic drops them silently (SubmitStamp).
-	processStart := time.Now()
 	px := fleet.Proxy(0)
-	group := uint32(*offset)
-	batchers[0].SetStamper(func(epoch, seq uint64, shares int, flushStartNs int64) {
+	batchers[0].SetStamper(func(epoch uint64, flushStartNs int64) {
 		buf := lineage.AppendStamp(make([]byte, 0, lineage.StampWireSize), lineage.Stamp{
 			Epoch:        epoch,
-			Group:        group,
-			Seq:          seq,
-			Shares:       uint32(shares),
 			FlushStartNs: flushStartNs,
-			PublishNs:    time.Now().UnixNano(),
-			MonoNs:       int64(time.Since(processStart)),
 		})
 		// Stamps are advisory: a failed publish costs observability,
 		// never the data path.
@@ -634,11 +627,11 @@ func runAggregator(args []string) error {
 			if err != nil {
 				continue
 			}
+			// A record that is no stamp is skipped and counted by the
+			// recorder (privapprox_lineage_stamps_malformed_total).
 			for _, r := range runs {
 				for i := range r.Count {
-					if s, err := lineage.DecodeStamp(r.Val(i)); err == nil {
-						rec.ObserveStamp(s)
-					}
+					rec.ObserveStamp(r.Val(i))
 				}
 			}
 		}

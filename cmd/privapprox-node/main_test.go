@@ -12,6 +12,7 @@ import (
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/role"
+	"privapprox/internal/telemetry/lineage"
 )
 
 // TestMultiProcessSmoke spawns the real networked deployment on
@@ -119,6 +120,54 @@ func runSmokeTest(t *testing.T, numQueries int, bounded bool) {
 	wantCards := strings.Join(inProcessCards(t, clients, epochs, seed, numQueries, 1), "\n")
 	if gotCards := strings.Join(cardsBlock(t, got), "\n"); gotCards != wantCards {
 		t.Errorf("networked cards differ from in-process pipeline.\nwant:\n%s\ngot:\n%s", wantCards, gotCards)
+	}
+	checkLineageTopic(t, d.proxy[0].addr, epochs)
+}
+
+// checkLineageTopic reads every record on a proxy's lineage topic. Each
+// is a stamp of StampWireSize (17) bytes, version 2: its epoch and the
+// wall-clock start of its flush, and no client group, flush sequence or
+// share count. Every epoch the clients ran is stamped.
+func checkLineageTopic(t *testing.T, addr string, epochs int) {
+	t.Helper()
+	cli, err := pubsub.DialOptions(addr, pubsub.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	end, err := cli.EndOffset(proxy.TopicLineage, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := make([]bool, epochs)
+	var runs []pubsub.Run
+	var mem []byte
+	for off := int64(0); off < end; {
+		if runs, mem, err = cli.FetchWait(proxy.TopicLineage, 0, off, 256, 0, runs[:0], mem[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) == 0 {
+			t.Fatalf("lineage topic: nothing to fetch at offset %d of %d", off, end)
+		}
+		for _, r := range runs {
+			for i := range r.Count {
+				rec := r.Val(i)
+				if len(rec) != 17 || rec[0] != 2 {
+					t.Fatalf("lineage record %d: %d bytes, version %d; want a 17-byte version-2 stamp", r.Offset+int64(i), len(rec), rec[0])
+				}
+				s, err := lineage.DecodeStamp(rec)
+				if err != nil || s.Epoch >= uint64(epochs) || s.FlushStartNs <= 0 {
+					t.Fatalf("lineage record %d: %+v, %v", r.Offset+int64(i), s, err)
+				}
+				stamped[s.Epoch] = true
+			}
+			off = r.Offset + int64(r.Count)
+		}
+	}
+	for e, ok := range stamped {
+		if !ok {
+			t.Errorf("lineage topic holds no stamp for epoch %d", e)
+		}
 	}
 }
 

@@ -138,6 +138,7 @@ func TestObsGate(t *testing.T) {
 		"privapprox_query_decoded_total",
 		"privapprox_wal_append_ns_count",
 		"privapprox_lineage_stamps_total",
+		"privapprox_lineage_stamps_malformed_total",
 		"privapprox_window_cards_emitted_total",
 		"privapprox_window_e2e_ns_count",
 		"privapprox_window_ci_width",
@@ -157,6 +158,9 @@ func TestObsGate(t *testing.T) {
 	if got := metricValue(t, aggScrape, "privapprox_lineage_stamps_total"); got != float64(epochs) {
 		t.Errorf("privapprox_lineage_stamps_total = %v, want %d (one per epoch flush)", got, epochs)
 	}
+	if got := metricValue(t, aggScrape, "privapprox_lineage_stamps_malformed_total"); got != 0 {
+		t.Errorf("privapprox_lineage_stamps_malformed_total = %v, want 0", got)
+	}
 
 	// The windows debug page: the card fired mid-drain, with its fields
 	// pinned by the known workload — s=1, full participation, no drops,
@@ -166,10 +170,11 @@ func TestObsGate(t *testing.T) {
 	}
 	windowsURL := strings.Replace(aggMetricsURL, "/metrics", "/debug/privapprox/windows", 1)
 	var page struct {
-		Emitted    int64          `json:"emitted"`
-		Suppressed int64          `json:"suppressed"`
-		Stamps     int64          `json:"stamps"`
-		Cards      []lineage.Card `json:"cards"`
+		Emitted         int64          `json:"emitted"`
+		Suppressed      int64          `json:"suppressed"`
+		Stamps          int64          `json:"stamps"`
+		StampsMalformed int64          `json:"stamps_malformed"`
+		Cards           []lineage.Card `json:"cards"`
 	}
 	if err := json.Unmarshal([]byte(getOK(t, windowsURL)), &page); err != nil {
 		t.Fatalf("windows page is not JSON: %v", err)
@@ -177,8 +182,8 @@ func TestObsGate(t *testing.T) {
 	if page.Emitted < 1 || len(page.Cards) < 1 {
 		t.Fatalf("windows page has no cards: %+v", page)
 	}
-	if page.Stamps != int64(epochs) {
-		t.Errorf("windows page stamps = %d, want %d", page.Stamps, epochs)
+	if page.Stamps != int64(epochs) || page.StampsMalformed != 0 {
+		t.Errorf("windows page stamps = %d, malformed %d; want %d, 0", page.Stamps, page.StampsMalformed, epochs)
 	}
 	c := page.Cards[0]
 	// Window [0,4s) covers epochs 0..3 of the whole population, so its

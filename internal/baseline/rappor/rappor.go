@@ -1,154 +1,19 @@
-// Package rappor implements Google's RAPPOR mechanism (Erlingsson et
-// al., CCS 2014) — the privacy comparison baseline of the paper's
-// Fig. 5c. It provides the full encoder (Bloom filter, permanent
-// randomized response, instantaneous randomized response) plus the ε
-// accounting used for the comparison, where the paper maps PrivApprox
-// parameters p = 1−f, q = 0.5, h = 1 so both systems share the same
-// randomized response process.
+// Package rappor holds the privacy level of Google's RAPPOR mechanism
+// (Erlingsson et al., CCS 2014), the comparison baseline of the
+// paper's Fig. 5c. The figure compares ε only, so the package keeps
+// only the ε formula of RAPPOR's randomized response and no encoder.
+// The paper maps PrivApprox parameters p = 1−f, q = 0.5, h = 1 so both
+// systems share the same randomized response process.
 package rappor
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/rand"
 )
 
 // ErrParams reports invalid RAPPOR parameters.
 var ErrParams = errors.New("rappor: invalid parameters")
-
-// Params configures an encoder.
-type Params struct {
-	K int     // Bloom filter size in bits
-	H int     // hash functions per value
-	F float64 // permanent randomized response noise fraction
-	P float64 // instantaneous: Pr[report 1 | permanent bit 0]
-	Q float64 // instantaneous: Pr[report 1 | permanent bit 1]
-}
-
-// Validate checks ranges.
-func (p Params) Validate() error {
-	if p.K <= 0 || p.H <= 0 || p.H > p.K {
-		return fmt.Errorf("%w: k=%d h=%d", ErrParams, p.K, p.H)
-	}
-	if p.F < 0 || p.F > 1 || p.P < 0 || p.P > 1 || p.Q < 0 || p.Q > 1 {
-		return fmt.Errorf("%w: f=%v p=%v q=%v", ErrParams, p.F, p.P, p.Q)
-	}
-	return nil
-}
-
-// Encoder produces RAPPOR reports for one client. The permanent
-// randomized response is memoized per value, as the original design
-// requires (a client's noisy Bloom bits for a value never change).
-type Encoder struct {
-	params    Params
-	rng       *rand.Rand
-	permanent map[string][]byte
-}
-
-// NewEncoder validates parameters and builds an encoder.
-func NewEncoder(params Params, rng *rand.Rand) (*Encoder, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
-	}
-	return &Encoder{params: params, rng: rng, permanent: make(map[string][]byte)}, nil
-}
-
-// BloomBits returns the h bit positions for a value.
-func (e *Encoder) BloomBits(value string) []int {
-	out := make([]int, e.params.H)
-	for i := 0; i < e.params.H; i++ {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s", i, value)
-		out[i] = int(h.Sum64() % uint64(e.params.K))
-	}
-	return out
-}
-
-// Encode produces one instantaneous report for a value: Bloom encode,
-// apply the (memoized) permanent randomized response, then the
-// instantaneous randomized response. The report is a packed bit string
-// of K bits.
-func (e *Encoder) Encode(value string) []byte {
-	perm := e.permanentBits(value)
-	k := e.params.K
-	report := make([]byte, (k+7)/8)
-	for i := 0; i < k; i++ {
-		bit := perm[i/8]&(1<<(i%8)) != 0
-		var prob float64
-		if bit {
-			prob = e.params.Q
-		} else {
-			prob = e.params.P
-		}
-		if e.rng.Float64() < prob {
-			report[i/8] |= 1 << (i % 8)
-		}
-	}
-	return report
-}
-
-// permanentBits memoizes the permanent randomized response per value.
-func (e *Encoder) permanentBits(value string) []byte {
-	if b, ok := e.permanent[value]; ok {
-		return b
-	}
-	k := e.params.K
-	truth := make([]byte, (k+7)/8)
-	for _, pos := range e.BloomBits(value) {
-		truth[pos/8] |= 1 << (pos % 8)
-	}
-	perm := make([]byte, (k+7)/8)
-	f := e.params.F
-	for i := 0; i < k; i++ {
-		r := e.rng.Float64()
-		var bit bool
-		switch {
-		case r < f/2:
-			bit = true
-		case r < f:
-			bit = false
-		default:
-			bit = truth[i/8]&(1<<(i%8)) != 0
-		}
-		if bit {
-			perm[i/8] |= 1 << (i % 8)
-		}
-	}
-	e.permanent[value] = perm
-	return perm
-}
-
-// EffectiveRates returns (p*, q*): the end-to-end probabilities that a
-// reported bit is 1 given the true Bloom bit is 0 or 1, folding the
-// permanent and instantaneous stages together.
-func EffectiveRates(params Params) (pStar, qStar float64) {
-	half := params.F / 2
-	pStar = half*(params.P+params.Q) + (1-params.F)*params.P
-	qStar = half*(params.P+params.Q) + (1-params.F)*params.Q
-	return pStar, qStar
-}
-
-// EstimateTrueBitCount inverts the mechanism for one bit position: given
-// observedOnes among n reports, it estimates how many clients truly had
-// the bit set.
-func EstimateTrueBitCount(params Params, observedOnes, n int) (float64, error) {
-	if err := params.Validate(); err != nil {
-		return 0, err
-	}
-	if n <= 0 || observedOnes < 0 || observedOnes > n {
-		return 0, fmt.Errorf("%w: ones=%d n=%d", ErrParams, observedOnes, n)
-	}
-	pStar, qStar := EffectiveRates(params)
-	if qStar == pStar {
-		return 0, fmt.Errorf("%w: degenerate q*=p*", ErrParams)
-	}
-	return (float64(observedOnes) - pStar*float64(n)) / (qStar - pStar), nil
-}
 
 // EpsilonOneTime is the differential privacy level of RAPPOR's
 // randomized response with parameter f for a single report with h hash
@@ -163,14 +28,4 @@ func EpsilonOneTime(f float64, h int) (float64, error) {
 		return 0, fmt.Errorf("%w: f=%v h=%d", ErrParams, f, h)
 	}
 	return float64(h) * math.Log((1-f/2)/(f/2)), nil
-}
-
-// EpsilonPermanent is the longitudinal bound of the RAPPOR paper for
-// the permanent randomized response: ε∞ = 2h · ln((1−f/2)/(f/2)).
-func EpsilonPermanent(f float64, h int) (float64, error) {
-	eps, err := EpsilonOneTime(f, h)
-	if err != nil {
-		return 0, err
-	}
-	return 2 * eps, nil
 }

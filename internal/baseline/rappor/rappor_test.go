@@ -1,121 +1,12 @@
 package rappor
 
 import (
-	"bytes"
+	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"privapprox/internal/rr"
 )
-
-func testParams() Params {
-	return Params{K: 32, H: 2, F: 0.5, P: 0.25, Q: 0.75}
-}
-
-func TestParamsValidate(t *testing.T) {
-	if err := testParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Params{
-		{K: 0, H: 1},
-		{K: 8, H: 0},
-		{K: 8, H: 9},
-		{K: 8, H: 1, F: -0.1},
-		{K: 8, H: 1, F: 0.5, P: 1.5},
-		{K: 8, H: 1, F: 0.5, P: 0.5, Q: -1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
-
-func TestBloomBitsDeterministic(t *testing.T) {
-	e, err := NewEncoder(testParams(), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := e.BloomBits("value-x")
-	b := e.BloomBits("value-x")
-	if len(a) != 2 {
-		t.Fatalf("positions = %v", a)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Error("bloom positions not deterministic")
-		}
-		if a[i] < 0 || a[i] >= 32 {
-			t.Errorf("position %d out of range", a[i])
-		}
-	}
-}
-
-func TestPermanentResponseMemoized(t *testing.T) {
-	e, err := NewEncoder(testParams(), rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := e.permanentBits("v")
-	p2 := e.permanentBits("v")
-	if !bytes.Equal(p1, p2) {
-		t.Error("permanent bits must be memoized per value")
-	}
-}
-
-func TestInstantaneousReportsVary(t *testing.T) {
-	e, err := NewEncoder(testParams(), rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := e.Encode("v")
-	different := false
-	for i := 0; i < 20; i++ {
-		if !bytes.Equal(e.Encode("v"), r1) {
-			different = true
-			break
-		}
-	}
-	if !different {
-		t.Error("instantaneous reports never vary")
-	}
-}
-
-func TestEstimateTrueBitCountUnbiased(t *testing.T) {
-	params := Params{K: 8, H: 1, F: 0.5, P: 0.25, Q: 0.75}
-	rng := rand.New(rand.NewSource(4))
-	const n = 40000
-	const trueOnes = 24000 // 60% of clients have the bit set
-	pStar, qStar := EffectiveRates(params)
-	ones := 0
-	for i := 0; i < n; i++ {
-		prob := pStar
-		if i < trueOnes {
-			prob = qStar
-		}
-		if rng.Float64() < prob {
-			ones++
-		}
-	}
-	est, err := EstimateTrueBitCount(params, ones, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est-trueOnes)/trueOnes > 0.05 {
-		t.Errorf("estimate = %v, want ≈%v", est, trueOnes)
-	}
-}
-
-func TestEstimateValidation(t *testing.T) {
-	if _, err := EstimateTrueBitCount(testParams(), 5, 0); err == nil {
-		t.Error("expected error for n=0")
-	}
-	degenerate := Params{K: 8, H: 1, F: 1, P: 0.5, Q: 0.5}
-	if _, err := EstimateTrueBitCount(degenerate, 1, 2); err == nil {
-		t.Error("expected error for q*=p*")
-	}
-}
 
 func TestEpsilonOneTimeMatchesPaperMapping(t *testing.T) {
 	// The Fig. 5c mapping: with p = 1−f, q = 0.5, h = 1, RAPPOR's ε
@@ -135,23 +26,21 @@ func TestEpsilonOneTimeMatchesPaperMapping(t *testing.T) {
 	}
 }
 
-func TestEpsilonPermanentDoubles(t *testing.T) {
+func TestEpsilonOneTimeValidation(t *testing.T) {
 	one, err := EpsilonOneTime(0.5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm, err := EpsilonPermanent(0.5, 2)
-	if err != nil {
-		t.Fatal(err)
+	if want := 2 * math.Log(3); math.Abs(one-want) > 1e-12 {
+		t.Errorf("ε(f=0.5, h=2) = %v, want %v", one, want)
 	}
-	if math.Abs(perm-2*one) > 1e-12 {
-		t.Errorf("permanent = %v, want 2×%v", perm, one)
-	}
-	if _, err := EpsilonOneTime(0, 1); err == nil {
-		t.Error("expected error for f=0")
-	}
-	if _, err := EpsilonOneTime(0.5, 0); err == nil {
-		t.Error("expected error for h=0")
+	for _, c := range []struct {
+		f float64
+		h int
+	}{{0, 1}, {2, 1}, {-0.5, 1}, {0.5, 0}} {
+		if _, err := EpsilonOneTime(c.f, c.h); !errors.Is(err, ErrParams) {
+			t.Errorf("f=%v h=%d: err = %v, want ErrParams", c.f, c.h, err)
+		}
 	}
 }
 

@@ -67,9 +67,6 @@ func NewSLOController(targetP95, shedMin float64, window int) (*SLOController, e
 // Shed returns the current shed threshold ∈ [shedMin, 1].
 func (c *SLOController) Shed() float64 { return c.shed }
 
-// Target returns the p95 latency target.
-func (c *SLOController) Target() float64 { return c.target }
-
 // P95 returns the 95th percentile over the observation window (0 before
 // any observation).
 func (c *SLOController) P95() float64 {

@@ -47,12 +47,11 @@ type Batcher struct {
 	dropped  atomic.Int64
 
 	// stamper, when set, receives one provenance callback per
-	// successfully flushed batch (see SetStamper); epoch and seq tag
-	// the stamps. The callback itself builds and publishes the lineage
-	// stamp, so the Batcher stays free of wire dependencies.
+	// successfully flushed batch (see SetStamper), tagged with epoch.
+	// The callback itself builds and publishes the lineage stamp, so the
+	// Batcher stays free of wire dependencies.
 	stamper Stamper
 	epoch   atomic.Uint64
-	seq     atomic.Uint64
 
 	mu   sync.Mutex
 	cur  *batchBuf
@@ -61,10 +60,9 @@ type Batcher struct {
 
 // Stamper is the provenance hook: called once per successfully flushed
 // batch — off the submit hot path, after the sink consumed the shares —
-// with the epoch the flush belongs to, the flush sequence number within
-// this Batcher, the number of shares sent, and the wall-clock
-// nanosecond the flush began.
-type Stamper func(epoch, seq uint64, shares int, flushStartNs int64)
+// with the epoch the flush belongs to and the wall-clock nanosecond the
+// flush began.
+type Stamper func(epoch uint64, flushStartNs int64)
 
 // batchBuf is one batch in flight: columnar segments (segs[:nseg]
 // active; entries past nseg keep recycled lane capacity from earlier
@@ -183,7 +181,6 @@ func (b *Batcher) flushLocked() error {
 	if b.stamper != nil {
 		flushStart = time.Now().UnixNano()
 	}
-	sent := buf.count
 	var err error
 	lost := 0
 	for i := range buf.segs[:buf.nseg] {
@@ -200,7 +197,7 @@ func (b *Batcher) flushLocked() error {
 	}
 	b.putBuf(buf)
 	if err == nil && b.stamper != nil {
-		b.stamper(b.epoch.Load(), b.seq.Add(1)-1, sent, flushStart)
+		b.stamper(b.epoch.Load(), flushStart)
 	}
 	if err != nil && degraded {
 		b.dropped.Add(int64(lost))

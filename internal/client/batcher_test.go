@@ -250,11 +250,14 @@ func TestSubmitColumnsMatchesSubmit(t *testing.T) {
 		b := NewBatcher(sink, limit)
 		b.SetDegraded(degraded)
 		var out outcome
-		b.SetStamper(func(_, seq uint64, shares int, _ int64) {
-			out.stamps = append(out.stamps, fmt.Sprintf("seq=%d shares=%d", seq, shares))
+		// A stamp names its epoch and the sink calls made before it: the
+		// flush it stamps, and that the flush reached the sink.
+		b.SetStamper(func(epoch uint64, _ int64) {
+			out.stamps = append(out.stamps, fmt.Sprintf("epoch=%d after call %d", epoch, len(sink.calls)))
 		})
 		id := 0
-		for _, c := range chunks {
+		for e, c := range chunks {
+			b.BeginEpoch(uint64(e))
 			var mids, vals []byte
 			for i := 0; i < c.count; i++ {
 				sh := share(id)

@@ -22,7 +22,6 @@ import (
 	"io"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
@@ -615,17 +614,4 @@ func (c *Client) Stats() Stats {
 		BytesSent:    c.bytesSent.Load(),
 		Shedded:      c.shedded.Load(),
 	}
-}
-
-// PruneBefore deletes local rows whose first column (the timestamp
-// convention used by the workload generators) is older than cutoff,
-// bounding device storage.
-func (c *Client) PruneBefore(tableName string, cutoff time.Time) (int, error) {
-	cut := float64(cutoff.Unix())
-	return c.db.DeleteWhere(tableName, func(row []minisql.Value) bool {
-		if len(row) == 0 || row[0].Kind != minisql.KindNumber {
-			return false
-		}
-		return row[0].Num < cut
-	})
 }

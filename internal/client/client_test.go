@@ -383,33 +383,6 @@ func TestReducers(t *testing.T) {
 	}
 }
 
-func TestPruneBefore(t *testing.T) {
-	db := minisql.NewDB()
-	if err := db.CreateTable("rides", []string{"ts", "distance"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ts := range []float64{100, 200, 300} {
-		if err := db.Insert("rides", []minisql.Value{minisql.Number(ts), minisql.Number(1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := New(Config{ID: "c", DB: db, Sinks: []ShareSink{&captureSink{}, &captureSink{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := c.PruneBefore("rides", time.Unix(250, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 2 {
-		t.Errorf("removed = %d, want 2", removed)
-	}
-	n, _ := db.RowCount("rides")
-	if n != 1 {
-		t.Errorf("remaining = %d", n)
-	}
-}
-
 // copySink deep-copies submitted share payloads (the client reuses its
 // split scratch across epochs, so retaining the slices would alias).
 type copySink struct {

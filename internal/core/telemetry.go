@@ -11,13 +11,7 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// Telemetry returns the system's metrics registry — every pipeline
-// signal (broker traffic, aggregator accounting, WAL latencies, SLO
-// actuation state, client fleet counters, epoch spans) gathers through
-// it, and privapprox-node serves the same registry over -metrics-addr.
-func (s *System) Telemetry() *telemetry.Registry { return s.tel }
-
-// Tracer returns the epoch tracer behind the Telemetry() registry:
+// Tracer returns the epoch tracer behind the system's metrics registry:
 // per-epoch stage spans and the window-fire log.
 func (s *System) Tracer() *telemetry.Tracer { return s.tracer }
 

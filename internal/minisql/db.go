@@ -32,10 +32,9 @@ type table struct {
 // column holds one column's cells. num has a slot for every row: the
 // number, a bool as 0/1, 0 for NULL and text. While the cells are all of
 // one kind, kind is it and kinds is nil; the first cell of another kind
-// gives the column a slot per row in kinds, kept until the column is
-// empty again. str is nil until the column holds text, then also has a
-// slot per row ("" where the cell is not text). An empty column starts
-// afresh with its next cell.
+// gives the column a slot per row in kinds from then on. str is nil
+// until the column holds text, then also has a slot per row ("" where
+// the cell is not text).
 type column struct {
 	name  string // as created, for SELECT *
 	key   string // lower-cased, for binding
@@ -120,7 +119,7 @@ func (t *table) row(r int, dst []Value) {
 func (c *column) add(v Value, rows int) {
 	switch {
 	case rows == 0:
-		c.kind, c.kinds, c.str = v.Kind, nil, nil
+		c.kind = v.Kind
 	case c.kinds == nil && v.Kind != c.kind:
 		c.kinds = make([]uint8, rows, rows+1)
 		for i := range c.kinds {
@@ -152,29 +151,6 @@ func (c *column) add(v Value, rows int) {
 	}
 }
 
-// move copies row from into row to (to ≤ from) during a compaction.
-func (c *column) move(to, from int) {
-	c.num[to] = c.num[from]
-	if c.kinds != nil {
-		c.kinds[to] = c.kinds[from]
-	}
-	if c.str != nil {
-		c.str[to] = c.str[from]
-	}
-}
-
-// truncate keeps the first n rows, letting go of the dropped rows' text.
-func (c *column) truncate(n int) {
-	c.num = c.num[:n]
-	if c.kinds != nil {
-		c.kinds = c.kinds[:n]
-	}
-	if c.str != nil {
-		clear(c.str[n:])
-		c.str = c.str[:n]
-	}
-}
-
 // Insert appends one row programmatically — the fast path the client
 // runtime uses when ingesting its private stream. A cell whose Kind is not
 // one of the four is refused with ErrType. A stored cell reads back
@@ -199,40 +175,6 @@ func (db *DB) Insert(tableName string, row []Value) error {
 	}
 	t.rows++
 	return nil
-}
-
-// DeleteWhere removes rows for which pred returns true, returning the
-// number removed; the rows left keep their order. Clients prune data that
-// has aged out of every window. pred receives a row built for this call:
-// it is valid only during the call and is overwritten by the next one, so
-// pred keeps values, not the slice.
-func (db *DB) DeleteWhere(tableName string, pred func(row []Value) bool) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
-	row := make([]Value, len(t.cols))
-	kept := 0
-	for r := 0; r < t.rows; r++ {
-		t.row(r, row)
-		if pred(row) {
-			continue
-		}
-		if kept != r {
-			for i := range t.cols {
-				t.cols[i].move(kept, r)
-			}
-		}
-		kept++
-	}
-	for i := range t.cols {
-		t.cols[i].truncate(kept)
-	}
-	removed := t.rows - kept
-	t.rows = kept
-	return removed, nil
 }
 
 // RowCount returns the number of rows in a table.

@@ -319,26 +319,6 @@ func TestInsertAndErrors(t *testing.T) {
 	}
 }
 
-func TestDeleteWhere(t *testing.T) {
-	db := newTaxiDB(t)
-	removed, err := db.DeleteWhere("rides", func(row []Value) bool {
-		return !row[0].IsNull() && row[0].Num <= 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 2 {
-		t.Errorf("removed = %d, want 2", removed)
-	}
-	n, _ := db.RowCount("rides")
-	if n != 3 {
-		t.Errorf("remaining = %d, want 3", n)
-	}
-	if _, err := db.DeleteWhere("missing", func([]Value) bool { return true }); err == nil {
-		t.Error("expected error for missing table")
-	}
-}
-
 func TestQueryPreparedMatchesQuery(t *testing.T) {
 	db := newTaxiDB(t)
 	sql := "SELECT distance FROM rides WHERE city = 'New York' AND distance IS NOT NULL"

@@ -461,8 +461,8 @@ func TestPlanBindsLazilyAndRebinds(t *testing.T) {
 }
 
 // One parsed statement, eight databases, eight readers with a plan each
-// and eight through QueryPrepared, while every table is appended to and
-// pruned: nothing is written into the shared statement (run with -race).
+// and eight through QueryPrepared, while every table is appended to:
+// nothing is written into the shared statement (run with -race).
 // Halfway through the readers, each writer stores a text cell and then a
 // NULL in the numeric column v, which turns the column mixed under them.
 func TestSharedStatementAcrossDatabases(t *testing.T) {
@@ -521,31 +521,40 @@ func TestSharedStatementAcrossDatabases(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer close(written)
-			cells := []Value{Text("x"), Null()}
-			for ts := 20.0; ; ts++ {
+			ts := 20.0
+			insert := func(v Value) bool {
+				err := db.Insert("t", []Value{Number(ts), v})
+				if err != nil {
+					t.Error(err)
+				}
+				ts++
+				return err == nil
+			}
+			// A bounded writer: ten numeric rows under the readers' first
+			// half, the text cell and the NULL once they are halfway, then
+			// at most ten more rows while they read on.
+			for i := 0; i < 10; i++ {
+				if !insert(Number(ts / 2)) {
+					return
+				}
+			}
+			select {
+			case <-half:
+			case <-stop:
+				return
+			}
+			if !insert(Text("x")) || !insert(Null()) {
+				return
+			}
+			close(mixed)
+			for i := 0; i < 10; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				v := Number(ts / 2)
-				if len(cells) > 0 {
-					select {
-					case <-half:
-						v, cells = cells[0], cells[1:]
-					default:
-					}
-				}
-				if err := db.Insert("t", []Value{Number(ts), v}); err != nil {
-					t.Error(err)
+				if !insert(Number(ts / 2)) {
 					return
-				}
-				if _, err := db.DeleteWhere("t", func(row []Value) bool { return row[0].Num < ts-30 }); err != nil {
-					t.Error(err)
-					return
-				}
-				if v.Kind == KindNull {
-					close(mixed)
 				}
 			}
 		}()

@@ -225,7 +225,7 @@ func TestSetTopicCapacityErrors(t *testing.T) {
 // publishers can errors.Is on it and retry once consumers commit.
 func TestTCPPartitionFullSentinel(t *testing.T) {
 	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("answer", 1); err != nil {
+	if err := b.CreateTopic("answer", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SetTopicCapacity("answer", 1); err != nil {

@@ -91,7 +91,7 @@ func TestPublishColumnsRoutesByKeyHash(t *testing.T) {
 
 	colB := newTestBroker(t, "answers")
 	tcpB, _, cli := startServer(t)
-	if err := cli.CreateTopic("answers", len(want)); err != nil {
+	if err := tcpB.CreateTopic("answers", len(want)); err != nil {
 		t.Fatal(err)
 	}
 	for _, cols := range []Columns{keyed, keyless} {

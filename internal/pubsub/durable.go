@@ -74,15 +74,6 @@ func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 	return b, nil
 }
 
-// DataDir returns the broker's data directory, empty for an in-memory
-// broker.
-func (b *Broker) DataDir() string {
-	if b.dur == nil {
-		return ""
-	}
-	return b.dur.dir
-}
-
 // replayMeta rebuilds topics and committed offsets from the meta
 // journal, loading each re-created partition from its own WAL.
 func (b *Broker) replayMeta() error {

@@ -154,15 +154,16 @@ func TestFramesCoalescedInOneWrite(t *testing.T) {
 		b := NewBroker()
 		defer b.Close()
 		conn := pipeServer(t, b)
+		if err := b.CreateTopic("t", 1); err != nil {
+			t.Fatal(err)
+		}
 		var stream []byte
 		for i := range n {
-			var create, parts enc
-			create.byte(opCreateTopic)
-			create.str(fmt.Sprintf("t%d", i))
-			create.uint32(uint32(i + 1))
-			parts.byte(opPartitions)
-			parts.str(fmt.Sprintf("t%d", i))
-			stream = append(append(stream, framed(create.buf)...), framed(parts.buf)...)
+			var end enc
+			end.byte(opEndOffset)
+			end.str("t")
+			end.uint32(0)
+			stream = append(append(stream, framed(columnsFrame("t", 0, 0, 1, 0, 1, nil, []byte{byte(i)}))...), framed(end.buf)...)
 		}
 		written := make(chan error, 1)
 		go func() {
@@ -171,15 +172,15 @@ func TestFramesCoalescedInOneWrite(t *testing.T) {
 		}()
 		for i := range n {
 			if got, err := readFrame(conn); err != nil || !bytes.Equal(got, []byte{0}) {
-				t.Fatalf("create t%d: reply %x, %v", i, got, err)
+				t.Fatalf("publish %d: reply %x, %v", i, got, err)
 			}
 			got, err := readFrame(conn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			d := wireReader(got)
-			if status, parts := d.U8(), d.U32(); status != 0 || parts != uint32(i+1) || d.Done() != nil {
-				t.Fatalf("partitions of t%d: reply %x, want %d", i, got, i+1)
+			if status, end := d.U8(), d.U64(); status != 0 || end != uint64(i+1) || d.Done() != nil {
+				t.Fatalf("end offset after publish %d: reply %x, want %d", i, got, i+1)
 			}
 		}
 		if err := <-written; err != nil {

@@ -93,13 +93,6 @@ func (p *Producer) SetPolicy(pol RetryPolicy) {
 	p.mu.Unlock()
 }
 
-// Policy returns the current retry policy.
-func (p *Producer) Policy() RetryPolicy {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pol
-}
-
 // retryablePublishErr reports whether a failed publish may be retried
 // under a session: ambiguous outcomes (the broker dedups a replay) and
 // transport-level failures (dial errors, resets — the request never got

@@ -50,7 +50,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
-	if err := cli.CreateTopic("t", 1); err != nil {
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -287,9 +287,12 @@ func TestLazyDialComesUpWithServerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
 	var lastErr error
 	for i := 0; i < 50; i++ {
-		if lastErr = cli.CreateTopic("t", 1); lastErr == nil {
+		if _, lastErr = cli.Partitions("t"); lastErr == nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -320,7 +323,7 @@ func TestDialPoolSurvivesConnDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
-	if err := cli.CreateTopic("t", 2); err != nil {
+	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -396,7 +399,7 @@ func TestPickPrefersLiveConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
-	if err := cli.CreateTopic("t", 1); err != nil {
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	cc := cli.conns[0]

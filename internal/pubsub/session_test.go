@@ -84,7 +84,7 @@ func TestSessionDedupExactReplay(t *testing.T) {
 // applied.
 func TestUnsessionedColumns(t *testing.T) {
 	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 2); err != nil {
+	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
 	cols := sessionCols('u', 3)
@@ -191,7 +191,7 @@ func TestUnsessionedJournalReplays(t *testing.T) {
 
 func TestSessionOverTCP(t *testing.T) {
 	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 2); err != nil {
+	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
 	for seq, cols := range []Columns{sessionCols('x', 8), sessionCols('y', 2)} {
@@ -338,7 +338,7 @@ func TestConcurrentProducersDisjointPartitions(t *testing.T) {
 // several frames, each under its own sequence, and all of it lands.
 func TestProducerSplitsOversized(t *testing.T) {
 	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	// 6 records of ~3MB against an 8MB frame cap forces three chunks.

@@ -179,15 +179,6 @@ func (s *Server) respond(resp, req []byte, names names) []byte {
 func (s *Server) dispatch(e *enc, d *codec.Reader, names names) error {
 	op := d.U8()
 	switch op {
-	case opCreateTopic:
-		topic, parts := names.str(d.Bytes()), d.U32()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		if err := s.broker.CreateTopic(topic, int(parts)); err != nil {
-			return err
-		}
-		e.byte(0)
 	case opPublishColumns:
 		// The lanes are views into the request frame; the broker copies
 		// each record once into its slab, and validates the lane geometry
@@ -814,15 +805,6 @@ func (c *Client) roundTrip(e *enc) (codec.Reader, error) {
 	d, reply, err := c.pick().roundTrip(e.frame(), e.reply[:0])
 	e.reply = reply
 	return d, err
-}
-
-// CreateTopic mirrors Broker.CreateTopic.
-func (c *Client) CreateTopic(topic string, partitions int) error {
-	e := newRequest(opCreateTopic)
-	defer putEnc(e)
-	e.str(topic)
-	e.uint32(uint32(partitions))
-	return done(c.roundTrip(e))
 }
 
 // maxBatchBytes caps one columnar publish frame well under maxFrame;

@@ -22,7 +22,7 @@ import (
 // partition, one after the other — and survive the wire as zero-length.
 func TestTCPPublishNilAndEmptyKeys(t *testing.T) {
 	b, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 2); err != nil {
+	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := publish(cli, "t", nil, []byte("nilkey")); err != nil {
@@ -59,13 +59,13 @@ func TestTCPPublishColumnsErrorPropagates(t *testing.T) {
 // --- Pipelining and the connection pool. ---
 
 func TestTCPPipelinedConcurrentRequests(t *testing.T) {
-	_, srv, _ := startServer(t)
+	b, srv, _ := startServer(t)
 	cli, err := DialOptions(srv.Addr(), Options{Conns: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.CreateTopic("t", 4); err != nil {
+	if err := b.CreateTopic("t", 4); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 16
@@ -101,13 +101,13 @@ func TestTCPPipelinedConcurrentRequests(t *testing.T) {
 // A blocking fetch parked on one pool connection must not stall a
 // publish issued through the same Client.
 func TestTCPPoolBlockingFetchDoesNotStallPublishes(t *testing.T) {
-	_, srv, _ := startServer(t)
+	b, srv, _ := startServer(t)
 	cli, err := DialOptions(srv.Addr(), Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.CreateTopic("t", 1); err != nil {
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan []Record, 1)
@@ -157,8 +157,8 @@ func TestWaitToMillisRoundsUp(t *testing.T) {
 }
 
 func TestTCPSubMillisecondWaitBlocks(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	// A 500µs wait on an empty partition must block (for its rounded-up
@@ -245,8 +245,9 @@ func TestTCPServerShortPayloads(t *testing.T) {
 		req  []byte
 		want string
 	}{
-		// opCreateTopic with a topic-name length but no bytes.
-		"truncated topic name": {[]byte{opCreateTopic, 0, 0, 0, 10}, "wire protocol error"},
+		// The retired topic creation: opcode 1 is unassigned, so a frame
+		// cut off inside its topic name is refused as an unknown opcode.
+		"truncated topic name": {[]byte{1, 0, 0, 0, 10}, "wire protocol error: unknown opcode 1"},
 		// opFetch cut off before the offset.
 		"truncated fetch": {[]byte{opFetch, 0, 0, 0, 1, 't', 0, 0, 0, 0}, "wire protocol error"},
 		// opPublishColumns whose count promises more records than framed.
@@ -301,8 +302,8 @@ func TestTCPServerOversizedFrameClosesConn(t *testing.T) {
 }
 
 func TestTCPServerCloseDuringInflightWaitFetch(t *testing.T) {
-	_, srv, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, srv, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
@@ -334,12 +335,12 @@ func TestTCPServerCloseDuringInflightWaitFetch(t *testing.T) {
 }
 
 func TestTCPClientCloseFailsOutstandingRequests(t *testing.T) {
-	_, srv, _ := startServer(t)
+	b, srv, _ := startServer(t)
 	cli, err := DialOptions(srv.Addr(), Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateTopic("t", 1); err != nil {
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
@@ -362,8 +363,8 @@ func TestTCPClientCloseFailsOutstandingRequests(t *testing.T) {
 // --- Transport symmetry: consumers run unchanged over TCP. ---
 
 func TestTransportConsumerOverTCP(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 2); err != nil {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.PublishColumns("t", testCols(20, 1, 1), 0, 0); err != nil {
@@ -418,7 +419,6 @@ func requestFrames() []namedFrame {
 		return e.buf
 	}
 	return []namedFrame{
-		{"create topic", frame(opCreateTopic, func(e *enc) { e.str("new"); e.uint32(1) })},
 		{"publish columns", columnsFrame("t", 7, 1, 2, 1, 1, []byte("ab"), []byte("cd"))},
 		{"fetch", frame(opFetch, func(e *enc) {
 			e.str("t")
@@ -514,7 +514,6 @@ func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 	}
 	t.Cleanup(func() { cli.Close() })
 	calls := map[string]func() error{
-		"create topic": func() error { return cli.CreateTopic("new", 1) },
 		"publish": func() error {
 			err := publish(cli, "t", nil, []byte("v"))
 			return err
@@ -549,26 +548,34 @@ func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 // against an in-memory broker holding a two-partition topic with a
 // record in it. It must never panic and must answer with a status frame,
 // and every error it answers must come back through wireError as ErrWire
-// or another broker sentinel. A request that claims a huge partition
-// count is refused before it sizes anything.
+// or another broker sentinel. A frame whose opcode is unassigned — the
+// retired topic creation (1) and single-record publish (2) among them —
+// is refused as that unknown opcode, whatever follows it.
 func FuzzServerRequest(f *testing.F) {
 	for _, r := range requestFrames() {
 		f.Add(r.req)
 		f.Add(append(bytes.Clone(r.req), 0))
 		f.Add(r.req[:len(r.req)-1])
 	}
+	// The retired topic creation, asking for 2²⁴ partitions.
 	var e enc
-	e.byte(opCreateTopic)
+	e.byte(1)
 	e.str("huge-part")
 	e.uint32(1 << 24)
 	f.Add(e.buf) // 18 bytes
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
-	// The retired single-record publish: opcode 2 is refused as unknown.
-	retired := []byte{2, 0, 0, 0, 1, 't', 0, 0, 0, 0, 1, 'v'}
-	f.Add(retired)
-	f.Add(append(bytes.Clone(retired), 0))
-	f.Add(retired[:len(retired)-1])
+	// The retired single-record publish, and the retired topic creation
+	// as its client wrote it: whole, with a trailing byte, and cut short.
+	for _, retired := range [][]byte{
+		{2, 0, 0, 0, 1, 't', 0, 0, 0, 0, 1, 'v'},
+		{1, 0, 0, 0, 3, 'n', 'e', 'w', 0, 0, 0, 1},
+	} {
+		f.Add(retired)
+		f.Add(append(bytes.Clone(retired), 0))
+		f.Add(retired[:len(retired)-1])
+	}
+	assigned := []byte{opFetch, opEndOffset, opCommit, opCommitted, opPartitions, opPublishColumns}
 	f.Fuzz(func(t *testing.T, req []byte) {
 		b := NewBroker()
 		if err := b.CreateTopic("t", 2); err != nil {
@@ -580,8 +587,12 @@ func FuzzServerRequest(f *testing.F) {
 		// A closed server ends a blocking fetch after one wait slice.
 		srv := &Server{broker: b, closed: true}
 		d := wireReader(srv.handle(req))
+		unassigned := len(req) > 0 && !slices.Contains(assigned, req[0])
 		switch status := d.U8(); status {
 		case 0:
+			if unassigned {
+				t.Fatalf("opcode %d answered ok", req[0])
+			}
 		case 1:
 			msg := d.Str()
 			if err := d.Done(); err != nil {
@@ -590,6 +601,11 @@ func FuzzServerRequest(f *testing.F) {
 			err := wireError(msg)
 			if !slices.ContainsFunc(wireSentinels, func(s error) bool { return errors.Is(err, s) }) {
 				t.Fatalf("error reply %q maps to no sentinel", msg)
+			}
+			if unassigned {
+				if want := fmt.Sprintf("wire protocol error: unknown opcode %d", req[0]); !strings.HasSuffix(msg, want) {
+					t.Fatalf("opcode %d: error reply %q, want %q", req[0], msg, want)
+				}
 			}
 		default:
 			t.Fatalf("reply status %d", status)

@@ -2,8 +2,8 @@ package pubsub
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +26,8 @@ func startServer(t *testing.T) (*Broker, *Server, *Client) {
 }
 
 func TestTCPCreatePublishFetch(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("answer", 2); err != nil {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("answer", 2); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := cli.Partitions("answer"); err != nil || n != 2 {
@@ -57,12 +57,12 @@ func TestTCPCreatePublishFetch(t *testing.T) {
 }
 
 func TestTCPErrorsPropagate(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateTopic("t", 1); err == nil || !strings.Contains(err.Error(), "exists") {
-		t.Errorf("duplicate create over TCP: %v", err)
+	if _, err := cli.Partitions("missing"); !errors.Is(err, ErrNoTopic) {
+		t.Errorf("missing topic over TCP: %v, want ErrNoTopic", err)
 	}
 	if err := publish(cli, "missing", nil, []byte("v")); err == nil {
 		t.Error("expected missing-topic error over TCP")
@@ -73,8 +73,8 @@ func TestTCPErrorsPropagate(t *testing.T) {
 }
 
 func TestTCPNilKeyPublish(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := publish(cli, "t", nil, []byte("nokey")); err != nil {
@@ -90,8 +90,8 @@ func TestTCPNilKeyPublish(t *testing.T) {
 }
 
 func TestTCPWaitFetch(t *testing.T) {
-	_, srv, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, srv, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	cli2, err := DialOptions(srv.Addr(), Options{Conns: 1})
@@ -122,8 +122,8 @@ func TestTCPWaitFetch(t *testing.T) {
 }
 
 func TestTCPCommitOffsets(t *testing.T) {
-	_, _, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, _, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.CommitOffset("g", "t", 0, 5); err != nil {
@@ -177,8 +177,8 @@ func TestTCPConcurrentClients(t *testing.T) {
 }
 
 func TestServerCloseDisconnectsClients(t *testing.T) {
-	_, srv, cli := startServer(t)
-	if err := cli.CreateTopic("t", 1); err != nil {
+	b, srv, cli := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()

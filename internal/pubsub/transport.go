@@ -11,8 +11,6 @@ import (
 // backend — the in-process pipeline and the networked Fig. 3 deployment
 // are the same code with a different Transport plugged in.
 type Transport interface {
-	// CreateTopic registers a topic with the given partition count.
-	CreateTopic(topic string, partitions int) error
 	// Partitions returns a topic's partition count.
 	Partitions(topic string) (int, error)
 	// PublishColumns appends a fixed-stride batch in one call, fully

@@ -92,15 +92,6 @@ func (q *Query) Invert() *Query {
 	return &out
 }
 
-// EpochOf maps an event time to the query's epoch number: epochs advance
-// every Frequency starting from the epochStart origin.
-func (q *Query) EpochOf(origin, at time.Time) uint64 {
-	if at.Before(origin) {
-		return 0
-	}
-	return uint64(at.Sub(origin) / q.Frequency)
-}
-
 // signingPayload serializes the fields covered by the analyst signature.
 // Buckets are covered through their labels; timing is in nanoseconds.
 func (q *Query) signingPayload() []byte {

@@ -162,20 +162,6 @@ func TestInvertToggles(t *testing.T) {
 	}
 }
 
-func TestEpochOf(t *testing.T) {
-	q := validQuery(t)
-	origin := time.Unix(1000, 0)
-	if got := q.EpochOf(origin, origin); got != 0 {
-		t.Errorf("epoch at origin = %d", got)
-	}
-	if got := q.EpochOf(origin, origin.Add(2500*time.Millisecond)); got != 2 {
-		t.Errorf("epoch at +2.5s = %d, want 2", got)
-	}
-	if got := q.EpochOf(origin, origin.Add(-time.Hour)); got != 0 {
-		t.Errorf("epoch before origin = %d, want 0", got)
-	}
-}
-
 func TestSignVerify(t *testing.T) {
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {

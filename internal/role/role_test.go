@@ -617,14 +617,18 @@ func TestClientsEpochAcrossWorkers(t *testing.T) {
 			for _, batch := range []int{0, limit} {
 				name := fmt.Sprintf("workers=%d/clients=%d/batch=%d", workers, clients, batch)
 				r, twin := newRigWith(t, clients, workers, batch, 1), newRigWith(t, clients, 1, batch, 1)
-				// Workers flush concurrently, so the stamper may be too.
+				// Workers flush concurrently, so the stamper may be too. The
+				// sizes come from proxy 0's sink: with one query shape a
+				// flush is one call, so calls and stamps must pair up.
+				sizes := watchFlushes(r, batch)
 				var (
 					mu      sync.Mutex
+					stamps  [epochs]int
 					flushes [epochs][]int
 				)
-				r.clients.Batchers()[0].SetStamper(func(e, _ uint64, shares int, _ int64) {
+				r.clients.Batchers()[0].SetStamper(func(e uint64, _ int64) {
 					mu.Lock()
-					flushes[e] = append(flushes[e], shares)
+					stamps[e]++
 					mu.Unlock()
 				})
 				got, want := 0, 0
@@ -632,6 +636,9 @@ func TestClientsEpochAcrossWorkers(t *testing.T) {
 					n, err := r.clients.Epoch(e)
 					if err != nil {
 						t.Fatalf("%s: epoch %d: %v", name, e, err)
+					}
+					if flushes[e] = sizes.take(); len(flushes[e]) != stamps[e] {
+						t.Errorf("%s: epoch %d: %d sink calls, %d stamps", name, e, len(flushes[e]), stamps[e])
 					}
 					got += n
 					want += answerTwin(t, twin, e)
@@ -663,6 +670,42 @@ func TestClientsEpochAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flushSizes is a ColumnSink that records the share count of every call
+// before passing it on.
+type flushSizes struct {
+	client.ColumnSink
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (f *flushSizes) SubmitColumns(mids, payloads []byte, count, size int) error {
+	f.mu.Lock()
+	f.sizes = append(f.sizes, count)
+	f.mu.Unlock()
+	return f.ColumnSink.SubmitColumns(mids, payloads, count, size)
+}
+
+// take returns the counts recorded since the last take.
+func (f *flushSizes) take() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	sizes := f.sizes
+	f.sizes = nil
+	return sizes
+}
+
+// watchFlushes puts a flushSizes between r's shared proxy-0 batcher and
+// proxy 0, rebuilding that batcher with limit batch and every worker's
+// proxy-0 lane over it. Call it before r's first epoch.
+func watchFlushes(r *rig, batch int) *flushSizes {
+	f := &flushSizes{ColumnSink: r.fleet.Proxy(0)}
+	r.clients.batchers[0] = client.NewBatcher(f, batch)
+	for _, lanes := range r.clients.lanes {
+		lanes[0] = client.NewBatcher(r.clients.batchers[0], 0)
+	}
+	return f
 }
 
 // TestClientsEpochAllocs pins what the client role's epoch allocates

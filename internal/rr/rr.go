@@ -94,9 +94,6 @@ func probThreshold(p float64) uint64 {
 	return uint64(p * (1 << 63) * 2)
 }
 
-// Params returns the randomization parameters.
-func (r *Randomizer) Params() Params { return r.params }
-
 // Respond randomizes one truthful bit.
 func (r *Randomizer) Respond(truth bool) bool {
 	if r.rng.Float64() < r.params.P {
@@ -348,20 +345,6 @@ func SamplingForEpsilonZK(epsZK float64, params Params) (float64, error) {
 		return 0, fmt.Errorf("%w: target ε_zk=%v maps to s=%v outside (0,1)", ErrBadParam, epsZK, s)
 	}
 	return s, nil
-}
-
-// ParamsForEpsilon returns the first-coin bias p that achieves the target
-// differential privacy level eps for a fixed second-coin bias q:
-// solving Eq. 8 for p gives p = q(e^ε−1) / (1 + q(e^ε−1)).
-func ParamsForEpsilon(eps, q float64) (Params, error) {
-	if math.IsNaN(eps) || eps <= 0 {
-		return Params{}, fmt.Errorf("%w: eps=%v", ErrBadParam, eps)
-	}
-	if q <= 0 || q > 1 {
-		return Params{}, fmt.Errorf("%w: q=%v (need 0 < q ≤ 1)", ErrBadParam, q)
-	}
-	g := q * (math.Exp(eps) - 1)
-	return Params{P: g / (1 + g), Q: q}, nil
 }
 
 // ResponseYesProbability returns Pr[response = Yes] for a client whose

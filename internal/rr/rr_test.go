@@ -372,34 +372,6 @@ func TestSamplingForEpsilonZKValidation(t *testing.T) {
 	}
 }
 
-func TestParamsForEpsilonRoundTrip(t *testing.T) {
-	f := func(epsRaw, qRaw uint8) bool {
-		eps := 0.1 + 5*float64(epsRaw)/255
-		q := 0.05 + 0.9*float64(qRaw)/255
-		params, err := ParamsForEpsilon(eps, q)
-		if err != nil {
-			return false
-		}
-		got, err := EpsilonDP(params)
-		if err != nil {
-			return false
-		}
-		return math.Abs(got-eps) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParamsForEpsilonValidation(t *testing.T) {
-	if _, err := ParamsForEpsilon(-1, 0.5); err == nil {
-		t.Error("expected error for negative eps")
-	}
-	if _, err := ParamsForEpsilon(1, 0); err == nil {
-		t.Error("expected error for q = 0")
-	}
-}
-
 func TestRespondBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rz, err := NewRandomizer(Params{P: 1, Q: 0.5}, rng)

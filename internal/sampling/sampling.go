@@ -42,9 +42,6 @@ func NewHashDecider(fraction float64, seed uint64) (*HashDecider, error) {
 	return &HashDecider{fraction: fraction, seed: seed}, nil
 }
 
-// Fraction returns the participation probability s.
-func (d *HashDecider) Fraction() float64 { return d.fraction }
-
 // Uniform maps (clientID, epoch, seed) to a deterministic draw
 // u ∈ [0, 1) — the coordinate behind Participate. Exposing it lets a
 // shed threshold compose with the per-query fraction on the *same*

@@ -82,36 +82,6 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Mean returns the arithmetic mean of xs, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs; it is 0 for fewer
-// than two values.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // ConfidenceInterval is a symmetric interval Estimate ± Margin carrying
 // the confidence level it was computed at.
 type ConfidenceInterval struct {

@@ -91,22 +91,6 @@ func TestRunningMergeEmptySides(t *testing.T) {
 	}
 }
 
-func TestSliceMeanVariance(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty slice should yield 0")
-	}
-	if Variance([]float64{42}) != 0 {
-		t.Error("singleton variance should be 0")
-	}
-	xs := []float64{1, 2, 3, 4}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Variance(xs); !almostEqual(got, 5.0/3.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, 5.0/3.0)
-	}
-}
-
 func TestConfidenceInterval(t *testing.T) {
 	ci := ConfidenceInterval{Estimate: 100, Margin: 5, Confidence: 0.95}
 	if ci.Lo() != 95 || ci.Hi() != 105 {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -133,6 +132,4 @@ func (h *Histogram) appendSamples(dst []Sample) []Sample {
 	return dst
 }
 
-func floatBits(v float64) uint64   { return math.Float64bits(v) }
-func floatFrom(b uint64) float64   { return math.Float64frombits(b) }
 func formatBound(b float64) string { return trimFloat(b) }

@@ -1,13 +1,12 @@
 // Package lineage is the result provenance plane: it gives every fired
 // window a cross-process pedigree. Client batchers stamp each published
-// flush with a compact origin context (epoch, client group, flush
-// sequence, wall/monotonic publish times) that travels over a sidecar
-// pubsub topic; the aggregator folds its own per-window accounting —
-// realized participation, shed level, estimator CI width, privacy
-// budget burn, drop counters — into a wide-event "result card" at fire
-// time; and a Recorder matches the two by epoch, retains cards in a
-// bounded ring, appends them as JSONL, and summarizes them as
-// Prometheus series.
+// flush with a compact origin context (its epoch and the wall-clock
+// nanosecond the flush began) that travels over a sidecar pubsub topic;
+// the aggregator folds its own per-window accounting — realized
+// participation, shed level, estimator CI width, privacy budget burn,
+// drop counters — into a wide-event "result card" at fire time; and a
+// Recorder matches the two by epoch, retains cards in a bounded ring,
+// appends them as JSONL, and summarizes them as Prometheus series.
 //
 // The split between the two halves of a card is deliberate:
 //
@@ -32,39 +31,27 @@ import (
 )
 
 // Stamp is the origin context of one published batch: which epoch the
-// shares belong to, which client group (process) flushed them, the
-// flush sequence within that group, and when the flush started and the
-// publish completed. Wall times anchor cross-process latency; MonoNs is
-// the publisher's monotonic offset since process start, useful within
-// one process's stamp stream.
+// shares belong to and when the flush began, by the publisher's wall
+// clock. The earliest flush start of a window's epochs anchors the
+// window's end-to-end latency.
 type Stamp struct {
 	Epoch        uint64
-	Group        uint32 // client-group index (the process's -offset)
-	Seq          uint64 // flush sequence within the group
-	Shares       uint32 // shares carried by the flushed batch
-	FlushStartNs int64  // wall clock, ns: flush began (answers handed over)
-	PublishNs    int64  // wall clock, ns: publish acknowledged
-	MonoNs       int64  // monotonic ns since publisher process start
+	FlushStartNs int64 // wall clock, ns: flush began (answers handed over)
 }
 
-// stampVersion versions the wire encoding; DecodeStamp rejects frames
-// from a future layout instead of misparsing them.
-const stampVersion = byte(1)
+// stampVersion versions the wire encoding; DecodeStamp refuses a stamp
+// of any other version, an older layout included.
+const stampVersion = byte(2)
 
-// StampWireSize is the encoded size of one stamp.
-const StampWireSize = 1 + 8 + 4 + 8 + 4 + 8 + 8 + 8
+// StampWireSize is the encoded size of one stamp: version | u64 epoch |
+// i64 flush start.
+const StampWireSize = 1 + 8 + 8
 
 // AppendStamp appends the wire encoding of s to dst.
 func AppendStamp(dst []byte, s Stamp) []byte {
 	dst = append(dst, stampVersion)
 	dst = binary.BigEndian.AppendUint64(dst, s.Epoch)
-	dst = binary.BigEndian.AppendUint32(dst, s.Group)
-	dst = binary.BigEndian.AppendUint64(dst, s.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, s.Shares)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(s.FlushStartNs))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(s.PublishNs))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(s.MonoNs))
-	return dst
+	return binary.BigEndian.AppendUint64(dst, uint64(s.FlushStartNs))
 }
 
 // DecodeStamp decodes one stamp record.
@@ -75,15 +62,10 @@ func DecodeStamp(data []byte) (Stamp, error) {
 	if data[0] != stampVersion {
 		return Stamp{}, fmt.Errorf("lineage: stamp version %d, want %d", data[0], stampVersion)
 	}
-	var s Stamp
-	s.Epoch = binary.BigEndian.Uint64(data[1:])
-	s.Group = binary.BigEndian.Uint32(data[9:])
-	s.Seq = binary.BigEndian.Uint64(data[13:])
-	s.Shares = binary.BigEndian.Uint32(data[21:])
-	s.FlushStartNs = int64(binary.BigEndian.Uint64(data[25:]))
-	s.PublishNs = int64(binary.BigEndian.Uint64(data[33:]))
-	s.MonoNs = int64(binary.BigEndian.Uint64(data[41:]))
-	return s, nil
+	return Stamp{
+		Epoch:        binary.BigEndian.Uint64(data[1:]),
+		FlushStartNs: int64(binary.BigEndian.Uint64(data[9:])),
+	}, nil
 }
 
 // Card is the wide event for one fired window. One card is emitted per

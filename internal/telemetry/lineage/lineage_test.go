@@ -2,6 +2,7 @@ package lineage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -17,13 +18,13 @@ import (
 )
 
 func TestStampRoundTrip(t *testing.T) {
-	in := Stamp{
-		Epoch: 7, Group: 3, Seq: 41, Shares: 12,
-		FlushStartNs: 1_700_000_000_123, PublishNs: 1_700_000_000_456, MonoNs: 9876,
-	}
+	in := Stamp{Epoch: 7, FlushStartNs: 1_700_000_000_123}
 	wire := AppendStamp(nil, in)
-	if len(wire) != StampWireSize {
-		t.Fatalf("encoded %d bytes, want %d", len(wire), StampWireSize)
+	if len(wire) != StampWireSize || StampWireSize != 17 {
+		t.Fatalf("encoded %d bytes, StampWireSize %d, want 17", len(wire), StampWireSize)
+	}
+	if wire[0] != 2 {
+		t.Fatalf("version byte %d, want 2", wire[0])
 	}
 	out, err := DecodeStamp(wire)
 	if err != nil {
@@ -34,6 +35,20 @@ func TestStampRoundTrip(t *testing.T) {
 	}
 }
 
+// v1Stamp is a stamp in the retired version-1 layout: version | u64
+// epoch | u32 group | u64 flush sequence | u32 shares | i64 flush start
+// | i64 publish | i64 monotonic, 49 bytes.
+func v1Stamp(epoch uint64, flushStartNs int64) []byte {
+	b := []byte{1}
+	b = binary.BigEndian.AppendUint64(b, epoch)
+	b = binary.BigEndian.AppendUint32(b, 3)
+	b = binary.BigEndian.AppendUint64(b, 41)
+	b = binary.BigEndian.AppendUint32(b, 12)
+	b = binary.BigEndian.AppendUint64(b, uint64(flushStartNs))
+	b = binary.BigEndian.AppendUint64(b, uint64(flushStartNs+1))
+	return binary.BigEndian.AppendUint64(b, 9876)
+}
+
 func TestDecodeStampRejectsGarbage(t *testing.T) {
 	if _, err := DecodeStamp(make([]byte, StampWireSize-1)); err == nil {
 		t.Fatal("short frame must not decode")
@@ -42,6 +57,77 @@ func TestDecodeStampRejectsGarbage(t *testing.T) {
 	wire[0] = 99 // future version byte
 	if _, err := DecodeStamp(wire); err == nil {
 		t.Fatal("unknown version must not decode")
+	}
+	// Version 1 is refused with no fallback: in its own 49-byte layout,
+	// and with its version byte on a 17-byte record.
+	if _, err := DecodeStamp(v1Stamp(1, 1)); err == nil {
+		t.Fatal("a version-1 stamp must not decode")
+	}
+	wire[0] = 1
+	if _, err := DecodeStamp(wire); err == nil {
+		t.Fatal("a 17-byte record with version byte 1 must not decode")
+	}
+}
+
+// TestRecorderSkipsAndCountsMalformedStamps: the aggregator hands the
+// recorder every record of a lineage poll in order. A record that is no
+// stamp — at the head, in the middle or at the tail of the poll — is
+// skipped and counted, and every good stamp around it is observed.
+func TestRecorderSkipsAndCountsMalformedStamps(t *testing.T) {
+	good := func(epoch uint64) []byte {
+		return AppendStamp(nil, Stamp{Epoch: epoch, FlushStartNs: int64(100 * (epoch + 1))})
+	}
+	bad := map[string][]byte{
+		"version 1":   v1Stamp(1, 150),
+		"short":       good(1)[:StampWireSize-1],
+		"long":        append(good(1), 0),
+		"version 99":  append([]byte{99}, good(1)[1:]...),
+		"empty":       {},
+		"v1 version":  append([]byte{1}, good(1)[1:]...),
+		"future 17 B": append([]byte{3}, good(1)[1:]...),
+	}
+	for _, at := range []string{"head", "middle", "tail", "everywhere"} {
+		for name, b := range bad {
+			t.Run(at+"/"+name, func(t *testing.T) {
+				var poll [][]byte
+				switch at {
+				case "head":
+					poll = [][]byte{b, good(0), good(1), good(2)}
+				case "middle":
+					poll = [][]byte{good(0), good(1), b, good(2)}
+				case "tail":
+					poll = [][]byte{good(0), good(1), good(2), b}
+				default:
+					poll = [][]byte{b, good(0), b, good(1), good(2), b}
+				}
+				r, err := NewRecorder(Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range poll {
+					r.ObserveStamp(rec)
+				}
+				wantBad := len(poll) - 3
+				samples := map[string]float64{}
+				for _, s := range r.AppendSamples(nil) {
+					samples[s.Name] = s.Value
+				}
+				if got := samples["privapprox_lineage_stamps_total"]; got != 3 {
+					t.Errorf("stamps observed = %v, want 3", got)
+				}
+				if got := samples["privapprox_lineage_stamps_malformed_total"]; got != float64(wantBad) {
+					t.Errorf("malformed = %v, want %d", got, wantBad)
+				}
+				// Every good stamp reached its epoch: a window over epochs
+				// 0–2 counts three stamps and anchors on epoch 0's flush.
+				if err := r.EmitCard(Card{Query: "q", WindowEnd: 1, EpochFirst: 0, EpochLast: 2, FiredAtNs: 1000}); err != nil {
+					t.Fatal(err)
+				}
+				if c := r.Cards(nil)[0]; c.Stamps != 3 || c.E2ENs != 900 {
+					t.Errorf("card stamps %d, e2e %d; want 3, 900", c.Stamps, c.E2ENs)
+				}
+			})
+		}
 	}
 }
 
@@ -265,9 +351,9 @@ func TestRecorderStampEnrichment(t *testing.T) {
 	}
 	// Two groups flush epoch 5; one also flushes epoch 6. The card's
 	// end-to-end latency anchors on each epoch's earliest flush.
-	r.ObserveStamp(Stamp{Epoch: 5, Group: 0, Shares: 3, FlushStartNs: 1000})
-	r.ObserveStamp(Stamp{Epoch: 5, Group: 1, Shares: 3, FlushStartNs: 900})
-	r.ObserveStamp(Stamp{Epoch: 6, Group: 0, Shares: 3, FlushStartNs: 2000})
+	for _, s := range []Stamp{{Epoch: 5, FlushStartNs: 1000}, {Epoch: 5, FlushStartNs: 900}, {Epoch: 6, FlushStartNs: 2000}} {
+		r.ObserveStamp(AppendStamp(nil, s))
+	}
 	if err := r.EmitCard(Card{
 		Query: "q", WindowStart: 0, WindowEnd: 7000,
 		EpochFirst: 5, EpochLast: 6, FiredAtNs: 5000,
@@ -308,7 +394,8 @@ func TestRecorderHandlerServesCards(t *testing.T) {
 	}
 	emit(t, r, "q1", 1000)
 	emit(t, r, "q2", 1000)
-	r.ObserveStamp(Stamp{Epoch: 0, FlushStartNs: 1})
+	r.ObserveStamp(AppendStamp(nil, Stamp{Epoch: 0, FlushStartNs: 1}))
+	r.ObserveStamp(v1Stamp(0, 1))
 
 	rr := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/privapprox/windows", nil))
@@ -316,15 +403,16 @@ func TestRecorderHandlerServesCards(t *testing.T) {
 		t.Fatalf("status = %d", rr.Code)
 	}
 	var page struct {
-		Emitted    int64  `json:"emitted"`
-		Suppressed int64  `json:"suppressed"`
-		Stamps     int64  `json:"stamps"`
-		Cards      []Card `json:"cards"`
+		Emitted         int64  `json:"emitted"`
+		Suppressed      int64  `json:"suppressed"`
+		Stamps          int64  `json:"stamps"`
+		StampsMalformed int64  `json:"stamps_malformed"`
+		Cards           []Card `json:"cards"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &page); err != nil {
 		t.Fatalf("windows page is not JSON: %v\n%s", err, rr.Body.String())
 	}
-	if page.Emitted != 2 || page.Stamps != 1 || len(page.Cards) != 2 {
+	if page.Emitted != 2 || page.Stamps != 1 || page.StampsMalformed != 1 || len(page.Cards) != 2 {
 		t.Fatalf("page = %+v", page)
 	}
 }
@@ -366,7 +454,7 @@ func TestRecorderConcurrentEmitAndObserve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.ObserveStamp(Stamp{Epoch: uint64(i), Group: uint32(g), FlushStartNs: int64(i)})
+				r.ObserveStamp(AppendStamp(nil, Stamp{Epoch: uint64(i), FlushStartNs: int64(i)}))
 				// A memory-only recorder cannot fail an append; errors
 				// are re-checked via Emitted below.
 				r.EmitCard(Card{Query: fmt.Sprintf("q%d", g), WindowStart: int64((i + 1) * 1000), WindowEnd: int64((i+1)*1000) + 1000})
@@ -403,11 +491,14 @@ func TestRecorderCreatesLogDirectory(t *testing.T) {
 
 // FuzzStamp drives DecodeStamp — the sidecar records an aggregator reads
 // off every proxy's lineage topic — with arbitrary bytes: it must never
-// panic, and whatever it accepts must re-encode to exactly the bytes it
-// was given.
+// panic, and whatever it accepts (17 bytes, version 2: a version-1 stamp
+// is refused) must re-encode to exactly the bytes it was given.
 func FuzzStamp(f *testing.F) {
-	f.Add(AppendStamp(nil, Stamp{Epoch: 7, Group: 3, Seq: 41, Shares: 12, FlushStartNs: 1, PublishNs: 2, MonoNs: -3}))
+	f.Add(AppendStamp(nil, Stamp{Epoch: 7, FlushStartNs: -3}))
+	f.Add(AppendStamp(nil, Stamp{Epoch: math.MaxUint64, FlushStartNs: math.MinInt64}))
 	f.Add(AppendStamp(nil, Stamp{})[:StampWireSize-1])
+	f.Add(v1Stamp(7, 1))
+	f.Add(append([]byte{1}, AppendStamp(nil, Stamp{Epoch: 7})[1:]...))
 	f.Add(append(AppendStamp(nil, Stamp{}), 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

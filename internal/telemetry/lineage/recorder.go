@@ -67,6 +67,7 @@ type Recorder struct {
 	emitted    atomic.Int64
 	suppressed atomic.Int64
 	stamped    atomic.Int64
+	malformed  atomic.Int64 // lineage records refused by DecodeStamp
 	writeErrs  atomic.Int64
 
 	e2e    *telemetry.Histogram
@@ -154,9 +155,17 @@ func (r *Recorder) openLog(path string) error {
 	return nil
 }
 
-// ObserveStamp folds one batch stamp into the per-epoch origin state.
-// Called from the lineage topic drain, off the share hot path.
-func (r *Recorder) ObserveStamp(s Stamp) {
+// ObserveStamp decodes one record of the lineage topic and folds the
+// batch stamp into the per-epoch origin state. Called from the lineage
+// topic drain, off the share hot path. A record that does not decode —
+// a torn or foreign record, or a stamp of another version — is skipped
+// and counted as malformed, never a reason to stop reading.
+func (r *Recorder) ObserveStamp(record []byte) {
+	s, err := DecodeStamp(record)
+	if err != nil {
+		r.malformed.Add(1)
+		return
+	}
 	r.stamped.Add(1)
 	r.mu.Lock()
 	es := r.stamps[s.Epoch]
@@ -284,20 +293,22 @@ func (r *Recorder) Suppressed() int64 { return r.suppressed.Load() }
 
 // windowsPage is the /debug/privapprox/windows response body.
 type windowsPage struct {
-	Emitted    int64  `json:"emitted"`
-	Suppressed int64  `json:"suppressed"`
-	Stamps     int64  `json:"stamps"`
-	Cards      []Card `json:"cards"`
+	Emitted         int64  `json:"emitted"`
+	Suppressed      int64  `json:"suppressed"`
+	Stamps          int64  `json:"stamps"`
+	StampsMalformed int64  `json:"stamps_malformed"`
+	Cards           []Card `json:"cards"`
 }
 
 // Handler serves the retained cards as JSON at the debug endpoint.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		page := windowsPage{
-			Emitted:    r.emitted.Load(),
-			Suppressed: r.suppressed.Load(),
-			Stamps:     r.stamped.Load(),
-			Cards:      r.Cards(make([]Card, 0, defaultRing)),
+			Emitted:         r.emitted.Load(),
+			Suppressed:      r.suppressed.Load(),
+			Stamps:          r.stamped.Load(),
+			StampsMalformed: r.malformed.Load(),
+			Cards:           r.Cards(make([]Card, 0, defaultRing)),
 		}
 		if page.Cards == nil {
 			page.Cards = []Card{}
@@ -317,6 +328,7 @@ func (r *Recorder) AppendSamples(dst []Sample) []Sample {
 		Sample{Name: "privapprox_window_cards_emitted_total", Value: float64(r.emitted.Load()), Kind: telemetry.KindCounter},
 		Sample{Name: "privapprox_window_cards_suppressed_total", Value: float64(r.suppressed.Load()), Kind: telemetry.KindCounter},
 		Sample{Name: "privapprox_lineage_stamps_total", Value: float64(r.stamped.Load()), Kind: telemetry.KindCounter},
+		Sample{Name: "privapprox_lineage_stamps_malformed_total", Value: float64(r.malformed.Load()), Kind: telemetry.KindCounter},
 		Sample{Name: "privapprox_lineage_write_errors_total", Value: float64(r.writeErrs.Load()), Kind: telemetry.KindCounter},
 	)
 	r.mu.Lock()

@@ -57,8 +57,12 @@ func TestWritePromEscapesQueryNames(t *testing.T) {
 
 func TestWritePromTypeLines(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total").Add(2)
-	r.Gauge("b_now").Set(-1)
+	var c Counter
+	c.Add(2)
+	r.RegisterSource(counterSource("a_total", &c))
+	r.RegisterSource(SourceFunc(func(dst []Sample) []Sample {
+		return append(dst, Sample{Name: "b_now", Value: -1, Kind: KindGauge})
+	}))
 	r.Histogram("c_ns").Observe(300)
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {

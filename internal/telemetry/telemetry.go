@@ -1,15 +1,16 @@
 // Package telemetry is the fleet-wide observability plane: a
-// zero-allocation metrics registry (atomic counters, gauges, and
-// sharded fixed-bucket latency histograms), epoch trace spans that
+// zero-allocation metrics registry (named, sharded fixed-bucket latency
+// histograms plus snapshot Sources), the unnamed atomic Counter that
+// components keep and export through a Source, epoch trace spans that
 // follow a batch through the pipeline stages, and exposition surfaces
 // (Prometheus text, expvar, pprof) for the live introspection endpoint.
 //
 // The hot-path contract: instruments are resolved ONCE at construction
-// time (a *Counter, *Gauge, or *Histogram field on the component, never
-// a map lookup or string hash per event), and every mutation method —
-// Counter.Add, Gauge.Set, Histogram.Observe, Tracer.Record — performs
-// only atomic arithmetic on preallocated memory: 0 allocs/op, enforced
-// by the repo allocgate. Snapshot-time paths (Gather, WriteProm, Spans)
+// time (a Counter or *Histogram field on the component, never a map
+// lookup or string hash per event), and every mutation method —
+// Counter.Add, Histogram.Observe, Tracer.Record — performs only atomic
+// arithmetic on preallocated memory: 0 allocs/op, enforced by the repo
+// allocgate. Snapshot-time paths (Gather, WriteProm, Spans)
 // may allocate freely; they run at scrape cadence, not share cadence.
 //
 // The package deliberately imports nothing from the rest of the repo,
@@ -60,12 +61,10 @@ type SourceFunc func(dst []Sample) []Sample
 // AppendSamples calls f.
 func (f SourceFunc) AppendSamples(dst []Sample) []Sample { return f(dst) }
 
-// Counter is a monotonically increasing atomic counter. The zero value
-// is usable but nameless; instruments handed out by a Registry carry
-// their series name.
+// Counter is a monotonically increasing atomic counter. It has no name:
+// a component that keeps counters exports them through a Source.
 type Counter struct {
-	v    atomic.Int64
-	name string
+	v atomic.Int64
 }
 
 // Add increments the counter by n. 0 allocs, one atomic add.
@@ -77,152 +76,40 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Name returns the series name the counter was registered under.
-func (c *Counter) Name() string { return c.name }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v    atomic.Int64
-	name string
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Max raises the gauge to n if n is larger (monotonic high-water mark
-// within a window; Set resets it).
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Name returns the series name.
-func (g *Gauge) Name() string { return g.name }
-
-// FloatGauge is an atomic float64 gauge (IEEE bits in a uint64), for
-// fractional values like shed thresholds and p95 seconds.
-type FloatGauge struct {
-	bits atomic.Uint64
-	name string
-}
-
-// Set stores the gauge value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Load returns the current value.
-func (g *FloatGauge) Load() float64 { return floatFrom(g.bits.Load()) }
-
-// Name returns the series name.
-func (g *FloatGauge) Name() string { return g.name }
-
-// Registry owns a set of named instruments and snapshot Sources. All
-// instrument constructors are idempotent per name — asking twice for
-// the same name returns the same instrument — so concurrent component
-// construction cannot double-register. Construction takes the registry
-// lock; the returned instruments never do.
+// Registry owns a set of named histograms and snapshot Sources.
+// Histogram is idempotent per name — asking twice for the same name
+// returns the same histogram — so concurrent component construction
+// cannot double-register. Construction takes the registry lock; the
+// returned histograms never do.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	fgauges  map[string]*FloatGauge
-	hists    map[string]*Histogram
-	kinds    map[string]string // name → instrument kind, for clash detection
-	sources  []Source
+	mu      sync.Mutex
+	hists   map[string]*Histogram
+	sources []Source
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		fgauges:  make(map[string]*FloatGauge),
-		hists:    make(map[string]*Histogram),
-		kinds:    make(map[string]string),
-	}
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use. Panics if the name is already taken by another instrument
-// kind (a wiring bug worth failing loudly on).
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	r.claimLocked(name, "counter")
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the integer gauge registered under name, creating it
-// on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.claimLocked(name, "gauge")
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
-}
-
-// FloatGauge returns the float gauge registered under name, creating
-// it on first use.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.fgauges[name]; ok {
-		return g
-	}
-	r.claimLocked(name, "floatgauge")
-	g := &FloatGauge{name: name}
-	r.fgauges[name] = g
-	return g
+	return &Registry{hists: make(map[string]*Histogram)}
 }
 
 // Histogram returns the latency histogram registered under name,
 // creating it on first use. Buckets are the fixed exponential
-// nanosecond ladder (see hist.go); Observe is 0 allocs/op.
+// nanosecond ladder (see hist.go); Observe is 0 allocs/op. Panics if
+// name is not a valid metric name: registration is a construction-time
+// act, so a bad name is a programming error, not a runtime condition to
+// soft-fail.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	r.claimLocked(name, "histogram")
+	if !validMetricName(name) {
+		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
+	}
 	h := newHistogram(name)
 	r.hists[name] = h
 	return h
-}
-
-// claimLocked records name as owned by kind, panicking if another
-// kind holds it or the name is not a valid metric name. Registration
-// is a construction-time act, so a clash is a programming error, not a
-// runtime condition to soft-fail. Re-requesting the same name with the
-// same kind stays idempotent (the constructors return the existing
-// instrument before reaching here).
-func (r *Registry) claimLocked(name, kind string) {
-	if !validMetricName(name) {
-		panic(fmt.Sprintf("telemetry: invalid metric name %q registered as %s", name, kind))
-	}
-	if prev, ok := r.kinds[name]; ok && prev != kind {
-		panic(fmt.Sprintf("telemetry: instrument %q registered as both %s and %s", name, prev, kind))
-	}
-	r.kinds[name] = kind
 }
 
 // validMetricName reports whether name matches the Prometheus metric
@@ -258,22 +145,13 @@ func (r *Registry) RegisterSource(s Source) {
 	r.mu.Unlock()
 }
 
-// Gather snapshots every instrument and source into a flat, sorted
+// Gather snapshots every histogram and source into a flat, sorted
 // sample list. Histograms contribute their _count and _sum series plus
 // one cumulative _bucket sample per bucket bound (label le). Gather
 // allocates; it is the scrape path, not the hot path.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.fgauges)+8*len(r.hists)+16)
-	for _, c := range r.counters {
-		out = append(out, Sample{Name: c.name, Value: float64(c.Load()), Kind: KindCounter})
-	}
-	for _, g := range r.gauges {
-		out = append(out, Sample{Name: g.name, Value: float64(g.Load()), Kind: KindGauge})
-	}
-	for _, g := range r.fgauges {
-		out = append(out, Sample{Name: g.name, Value: g.Load(), Kind: KindGauge})
-	}
+	out := make([]Sample, 0, 8*len(r.hists)+16)
 	for _, h := range r.hists {
 		out = h.appendSamples(out)
 	}

@@ -10,49 +10,22 @@ import (
 
 func TestRegistryInstrumentsIdempotent(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("a_total")
-	c2 := r.Counter("a_total")
-	if c1 != c2 {
-		t.Fatal("same name must return same counter")
+	h1 := r.Histogram("a_ns")
+	h2 := r.Histogram("a_ns")
+	if h1 != h2 {
+		t.Fatal("same name must return same histogram")
 	}
-	c1.Add(3)
-	c2.Inc()
-	if got := c1.Load(); got != 4 {
+	h1.Observe(3)
+	h2.Observe(4)
+	if got := h1.Count(); got != 2 {
+		t.Fatalf("histogram count = %d, want 2", got)
+	}
+	var c Counter
+	c.Add(3)
+	c.Inc()
+	if got := c.Load(); got != 4 {
 		t.Fatalf("counter = %d, want 4", got)
 	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Load(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
-	g.Max(9)
-	g.Max(3)
-	if got := g.Load(); got != 9 {
-		t.Fatalf("gauge after Max = %d, want 9", got)
-	}
-	fg := r.FloatGauge("f")
-	fg.Set(0.25)
-	if got := fg.Load(); got != 0.25 {
-		t.Fatalf("float gauge = %v, want 0.25", got)
-	}
-}
-
-func TestRegistryKindClashPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("registering x as a gauge after a counter must panic")
-		}
-		// The panic must name the offending instrument so the clash is
-		// findable without a stack-trace archaeology session.
-		if msg := fmt.Sprint(p); !strings.Contains(msg, `"x"`) {
-			t.Fatalf("panic %q does not name the instrument", msg)
-		}
-	}()
-	r.Gauge("x")
 }
 
 func TestRegistryInvalidNamePanics(t *testing.T) {
@@ -67,14 +40,22 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 					t.Fatalf("panic %q does not name the bad metric %q", msg, name)
 				}
 			}()
-			NewRegistry().Counter(name)
+			NewRegistry().Histogram(name)
 		}()
 	}
 	// The full Prometheus grammar must stay accepted.
 	r := NewRegistry()
-	for _, name := range []string{"a", "_lead", "ns:scoped_total", "privapprox_window_e2e_ns"} {
-		r.Counter(name)
+	for _, name := range []string{"a", "_lead", "ns:scoped_ns", "privapprox_window_e2e_ns"} {
+		r.Histogram(name)
 	}
+}
+
+// counterSource exports c as the counter series name, the way a
+// component publishes the counters it keeps.
+func counterSource(name string, c *Counter) Source {
+	return SourceFunc(func(dst []Sample) []Sample {
+		return append(dst, Sample{Name: name, Value: float64(c.Load()), Kind: KindCounter})
+	})
 }
 
 func TestHistogramBucketsAndSnapshot(t *testing.T) {
@@ -130,13 +111,15 @@ func TestBucketOfEdges(t *testing.T) {
 }
 
 // TestConcurrentRegistrationAndSnapshot hammers the registry from
-// three directions at once — new-instrument registration, hot-path
-// writes on every shard, and Gather/WriteProm snapshots — and must be
-// race-clean (the make ci race gate runs this package with -race).
+// three directions at once — new-histogram registration, hot-path
+// writes on every shard and on a counter a source exports, and
+// Gather/WriteProm snapshots — and must be race-clean (the make ci race
+// gate runs this package with -race).
 func TestConcurrentRegistrationAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("busy_ns")
-	c := r.Counter("ops_total")
+	var c Counter
+	r.RegisterSource(counterSource("ops_total", &c))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -166,7 +149,7 @@ func TestConcurrentRegistrationAndSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				r.Counter(fmt.Sprintf("dyn_%d_%d_total", id, i%32)).Inc()
+				r.Histogram(fmt.Sprintf("dyn_%d_%d_ns", id, i%32)).Observe(int64(i))
 			}
 		}(w)
 	}

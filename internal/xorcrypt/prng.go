@@ -4,15 +4,14 @@
 // MK = MK2 ⊕ … ⊕ MKn, tagging all n shares with a random message
 // identifier MID. Any n−1 shares are information-theoretically
 // independent of M; the aggregator recovers M by XOR-ing all n shares,
-// never needing to know which one was the ciphertext.
+// never needing to know which one was the ciphertext. The key shares
+// come from one keystream, AES-128-CTR (NewAESPRNG).
 package xorcrypt
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -62,63 +61,5 @@ func NewAESPRNG(seed []byte) (PRNG, error) {
 func (p *aesPRNG) Fill(dst []byte) error {
 	clear(dst)
 	p.stream.XORKeyStream(dst, dst)
-	return nil
-}
-
-// shaPRNG is a SHA-256 counter-mode generator — the ablation alternative
-// benchmarked against AES-CTR (DESIGN.md §5).
-type shaPRNG struct {
-	seed    [32]byte
-	counter uint64
-	buf     []byte // unread tail of the last block
-}
-
-// NewSHAPRNG seeds a SHA-256 counter-mode generator. A nil seed draws 32
-// bytes from crypto/rand.
-func NewSHAPRNG(seed []byte) (PRNG, error) {
-	p := &shaPRNG{}
-	if seed == nil {
-		seed = make([]byte, 32)
-		if _, err := io.ReadFull(rand.Reader, seed); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrPRNG, err)
-		}
-	}
-	if len(seed) == 0 {
-		return nil, fmt.Errorf("%w: empty seed", ErrPRNG)
-	}
-	p.seed = sha256.Sum256(seed)
-	return p, nil
-}
-
-// Fill writes keystream bytes: SHA-256(seed || counter) blocks.
-func (p *shaPRNG) Fill(dst []byte) error {
-	for len(dst) > 0 {
-		if len(p.buf) == 0 {
-			var block [40]byte
-			copy(block[:32], p.seed[:])
-			binary.BigEndian.PutUint64(block[32:], p.counter)
-			p.counter++
-			sum := sha256.Sum256(block[:])
-			p.buf = sum[:]
-		}
-		n := copy(dst, p.buf)
-		p.buf = p.buf[n:]
-		dst = dst[n:]
-	}
-	return nil
-}
-
-// cryptoRandPRNG reads directly from crypto/rand — the slowest but
-// simplest option, used as a correctness oracle in tests.
-type cryptoRandPRNG struct{}
-
-// NewCryptoRandPRNG returns a generator backed by the OS entropy source.
-func NewCryptoRandPRNG() PRNG { return cryptoRandPRNG{} }
-
-// Fill reads from crypto/rand.
-func (cryptoRandPRNG) Fill(dst []byte) error {
-	if _, err := io.ReadFull(rand.Reader, dst); err != nil {
-		return fmt.Errorf("%w: %v", ErrPRNG, err)
-	}
 	return nil
 }

@@ -84,9 +84,6 @@ func NewSplitter(n int, prng PRNG, midSrc io.Reader) (*Splitter, error) {
 	return s, nil
 }
 
-// Proxies returns the share fan-out n.
-func (s *Splitter) Proxies() int { return s.n }
-
 // nextMID hands out the next identifier from the block buffer, refilling
 // it in bulk when exhausted.
 func (s *Splitter) nextMID() (MID, error) {

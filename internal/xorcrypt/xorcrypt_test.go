@@ -206,34 +206,32 @@ func TestMIDString(t *testing.T) {
 }
 
 func TestPRNGDeterministicWithSeed(t *testing.T) {
-	for _, mk := range []func([]byte) (PRNG, error){NewAESPRNG, NewSHAPRNG} {
-		seed := bytes.Repeat([]byte{7}, 32)
-		a, err := mk(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := mk(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufA := make([]byte, 100)
-		bufB := make([]byte, 100)
-		if err := a.Fill(bufA); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Fill(bufB); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bufA, bufB) {
-			t.Error("same seed must produce same stream")
-		}
-		// The stream must advance.
-		if err := a.Fill(bufA); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(bufA, bufB) {
-			t.Error("stream did not advance")
-		}
+	seed := bytes.Repeat([]byte{7}, 32)
+	a, err := NewAESPRNG(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewAESPRNG(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufA := make([]byte, 100)
+	bufB := make([]byte, 100)
+	if err := a.Fill(bufA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Fill(bufB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bufA, bufB) {
+		t.Error("same seed must produce same stream")
+	}
+	// The stream must advance.
+	if err := a.Fill(bufA); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(bufA, bufB) {
+		t.Error("stream did not advance")
 	}
 }
 
@@ -241,51 +239,45 @@ func TestPRNGSeedValidation(t *testing.T) {
 	if _, err := NewAESPRNG([]byte{1, 2, 3}); err == nil {
 		t.Error("expected error for short AES seed")
 	}
-	if _, err := NewSHAPRNG([]byte{}); err == nil {
-		t.Error("expected error for empty SHA seed")
-	}
 }
 
 func TestPRNGStatisticalSanity(t *testing.T) {
-	prngs := map[string]PRNG{}
-	a, _ := NewAESPRNG(nil)
-	s, _ := NewSHAPRNG(nil)
-	prngs["aes"] = a
-	prngs["sha"] = s
-	prngs["os"] = NewCryptoRandPRNG()
-	for name, p := range prngs {
-		buf := make([]byte, 1<<16)
-		if err := p.Fill(buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ones := 0
-		for _, b := range buf {
-			for k := 0; k < 8; k++ {
-				if b&(1<<k) != 0 {
-					ones++
-				}
-			}
-		}
-		frac := float64(ones) / float64(len(buf)*8)
-		if math.Abs(frac-0.5) > 0.01 {
-			t.Errorf("%s: bit bias %v", name, frac)
-		}
-	}
-}
-
-func TestShaPRNGSpansBlocks(t *testing.T) {
-	p, err := NewSHAPRNG([]byte("seed"))
+	p, err := NewAESPRNG(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Draw sizes that straddle the 32-byte block boundary.
+	buf := make([]byte, 1<<16)
+	if err := p.Fill(buf); err != nil {
+		t.Fatal(err)
+	}
+	ones := 0
+	for _, b := range buf {
+		for k := 0; k < 8; k++ {
+			if b&(1<<k) != 0 {
+				ones++
+			}
+		}
+	}
+	frac := float64(ones) / float64(len(buf)*8)
+	if math.Abs(frac-0.5) > 0.01 {
+		t.Errorf("bit bias %v", frac)
+	}
+}
+
+func TestAESPRNGSpansBlocks(t *testing.T) {
+	seed := []byte("a sixteen-byte seed")
+	p, err := NewAESPRNG(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Draw sizes that straddle the 16-byte block boundary.
 	whole := make([]byte, 100)
 	if err := p.Fill(whole); err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := NewSHAPRNG([]byte("seed"))
+	p2, _ := NewAESPRNG(seed)
 	pieces := make([]byte, 0, 100)
-	for _, sz := range []int{1, 31, 32, 33, 3} {
+	for _, sz := range []int{1, 15, 16, 17, 51} {
 		chunk := make([]byte, sz)
 		if err := p2.Fill(chunk); err != nil {
 			t.Fatal(err)
