@@ -70,10 +70,14 @@ multiquery:
 # core.System after every drain — so its resume may seek below the
 # brokers' memory floor, and they read that gap back from their WALs
 # (TestSystemResumeBehindReleasedEpochs crashes two epochs after the
-# checkpoint).
+# checkpoint). In both wirings one schedule registers a second query
+# after the checkpoint and before the crash, and the restore installs
+# the checkpoint's own query set from the control topic
+# (TestCrashRecoveryAggregatorMidRunQuery,
+# TestSystemRestoreBeforeLaterRegistration).
 crash:
-	$(GO) test -run 'TestCrashRecoveryAggregator|TestCrashRecoveryProxy' -count=1 ./cmd/privapprox-node
-	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSLOCheckpointResumeMidShed' -count=1 ./internal/core
+	$(GO) test -run 'TestCrashRecoveryAggregator|TestCrashRecoveryAggregatorMidRunQuery|TestCrashRecoveryProxy' -count=1 ./cmd/privapprox-node
+	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSystemRestoreBeforeLaterRegistration|TestSLOCheckpointResumeMidShed' -count=1 ./internal/core
 
 # The closed-loop overload gate: the same deterministic 10× load surge
 # through a controlled (SLO shedding) and an uncontrolled system; the

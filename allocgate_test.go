@@ -56,7 +56,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	// Aggregator join (Table 2 decrypt): the Share-slice form, and the
 	// one kernel over the lanes of a run of 16 messages, as the
 	// aggregator's submit tail joins them.
-	shares, err := splitter.Split(msg)
+	shares, err := splitter.SplitInto(msg, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}

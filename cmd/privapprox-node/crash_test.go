@@ -14,6 +14,7 @@ import (
 
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
+	"privapprox/internal/role"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/telemetry/lineage"
 	"privapprox/internal/wal"
@@ -47,13 +48,25 @@ func finalBlock(t *testing.T, out string) string {
 // proxies. A durable aggregator commits what its checkpoints cover and
 // the proxies release it, so a stream can be aggregated once: the
 // reference run and the crash run each get their own (the results are
-// seed-determined, so the two streams aggregate to the same bytes).
-func crashStream(t *testing.T, bin string) *deployment {
+// seed-determined, so the two streams aggregate to the same bytes). It
+// returns the clients' share ledger beside the deployment.
+func crashStream(t *testing.T, bin string) (d *deployment, answered int64, dropped []int64) {
 	t.Helper()
-	d := deploy(t, bin, []string{"-partitions=4"})
+	d = deploy(t, bin, []string{"-partitions=4"})
 	d.run("submit", "-queries=1", "-s=1")
-	d.clients(1, crashEpochs, nil)
-	return d
+	answered, dropped = d.clients(1, crashEpochs, nil)
+	return d, answered, dropped
+}
+
+// checkLedger checks role.Balance over the clients' share ledger and a
+// restarted aggregator's stats line: the counters are part of the
+// checkpoint, so the restored aggregator's account covers both lives.
+func checkLedger(t *testing.T, answered int64, dropped []int64, aggOut string) {
+	t.Helper()
+	st, fetched, pending := aggregatorLedger(t, aggOut, len(dropped))
+	if err := role.Balance(answered, dropped, fetched, st, pending); err != nil {
+		t.Errorf("share ledger across the restart: %v\n%s", err, aggOut)
+	}
 }
 
 // TestCrashRecoveryAggregator SIGKILLs the aggregator mid-drain (while
@@ -75,7 +88,8 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 
 	// Reference: an uninterrupted durable run.
 	refDir := t.TempDir()
-	want := finalBlock(t, crashStream(t, bin).run("aggregator", aggArgs(refDir)...))
+	ref, _, _ := crashStream(t, bin)
+	want := finalBlock(t, ref.run("aggregator", aggArgs(refDir)...))
 	// Tie the reference to ground truth: the in-process pipeline.
 	inproc := inProcessReference(t, crashClients, crashEpochs, crashSeed, 1)
 	if !strings.Contains(want, inproc) {
@@ -89,7 +103,7 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 
 	// Crash run, over a stream of its own: small polls for tight
 	// checkpoints, hold (and get killed) after 10 of the 24 answers.
-	d := crashStream(t, bin)
+	d, answered, dropped := crashStream(t, bin)
 	crashDir := t.TempDir()
 	agg := d.start("aggregator", aggArgs(crashDir, "-poll-max=5", "-hold-after=10")...)
 	agg.await(t, "holding for kill", 30*time.Second)
@@ -110,6 +124,7 @@ func TestCrashRecoveryAggregator(t *testing.T) {
 	if got := finalBlock(t, resumeOut); got != want {
 		t.Errorf("kill-and-resume results differ from uninterrupted run.\nwant:\n%s\ngot:\n%s", want, got)
 	}
+	checkLedger(t, answered, dropped, resumeOut)
 	// The resume really did arrive after a trim: the proxies have released
 	// the head of every partition that carried shares.
 	for i, p := range d.proxy {
@@ -166,6 +181,75 @@ func cardWindows(t *testing.T, dataDir string) string {
 	}
 	sort.Strings(ids)
 	return strings.Join(ids, "\n")
+}
+
+// TestCrashRecoveryAggregatorMidRunQuery: the aggregator checkpoints
+// while the control topic holds one query and is killed after a second
+// one was announced and answered. The restart restores before it waits
+// for a query: the restore replays the control topic to the
+// checkpoint's control position, and the second announcement arrives
+// after it as an ordinary one. (Before the record held that position,
+// the restart synced the newer set first and refused the record.) Every
+// query's windows equal, byte for byte and in order, an uninterrupted
+// aggregator's over the same staged stream, the card log holds each
+// window once, and the share ledger balances over both lives.
+func TestCrashRecoveryAggregatorMidRunQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash test skipped in -short mode")
+	}
+	bin := buildNode(t)
+	aggArgs := func(dataDir string, extra ...string) []string {
+		return append([]string{"-seed=42", "-clients=6", "-epochs=4", "-conns=2", "-idle=2s",
+			"-data-dir=" + dataDir}, extra...)
+	}
+	// stage runs the first client process on one query, then between,
+	// then announces the second query and runs the second client process
+	// on both; it returns the clients' share ledger.
+	stage := func(d *deployment, between func()) (answered int64, dropped []int64) {
+		d.run("submit", "-queries=1", "-s=1")
+		answered, dropped = d.client(0, 1, crashEpochs)
+		between()
+		d.run("submit", "-queries=2", "-s=1")
+		answers, perProxy := d.client(3, 2, crashEpochs)
+		for i, n := range perProxy {
+			dropped[i] += n
+		}
+		return answered + answers, dropped
+	}
+
+	// Reference: the whole stream staged, then one uninterrupted run.
+	ref := deploy(t, bin, []string{"-partitions=4"})
+	stage(ref, func() {})
+	refDir := t.TempDir()
+	want := finalBlock(t, ref.run("aggregator", aggArgs(refDir)...))
+	if !strings.Contains(want, "query "+nodeAnalyst+":2 window ") {
+		t.Fatalf("the reference fired no window of the second query:\n%s", want)
+	}
+
+	// Crash run: the aggregator checkpoints and holds on the first query's
+	// answers, and is killed once the second query has been answered.
+	d := deploy(t, bin, []string{"-partitions=4"})
+	crashDir := t.TempDir()
+	var agg *proc
+	answered, dropped := stage(d, func() {
+		agg = d.start("aggregator", aggArgs(crashDir, "-poll-max=5", "-hold-after=6")...)
+		agg.await(t, "holding for kill", 30*time.Second)
+	})
+	agg.kill()
+	if out := agg.output(); !strings.Contains(out, "aggregating 1 queries") || !strings.Contains(out, "checkpoint lsn=") {
+		t.Fatalf("the killed aggregator did not checkpoint on one query:\n%s", out)
+	}
+	resumeOut := d.run("aggregator", aggArgs(crashDir)...)
+	if !strings.Contains(resumeOut, "restored checkpoint:") {
+		t.Fatalf("restarted aggregator did not restore a checkpoint:\n%s", resumeOut)
+	}
+	if got := finalBlock(t, resumeOut); got != want {
+		t.Errorf("results across the restart differ from the uninterrupted run.\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if gotCards, wantCards := cardWindows(t, crashDir), cardWindows(t, refDir); gotCards != wantCards {
+		t.Errorf("card log across the restart differs from the uninterrupted run.\nwant:\n%s\ngot:\n%s", wantCards, gotCards)
+	}
+	checkLedger(t, answered, dropped, resumeOut)
 }
 
 // TestCrashRecoveryProxy SIGKILLs a durable proxy while half the

@@ -564,8 +564,8 @@ func runAggregator(args []string) error {
 	// the TCP transports. It learns its queries from the control topic the
 	// clients follow — nothing about them is configured here — and keeps
 	// following it: a query announced mid-run opens before its first
-	// answers decode. After a restart the same topic re-registers the same
-	// queries in announcement order, which is what Restore requires.
+	// answers decode. A restart restores its checkpoint, replaying the
+	// topic to the checkpoint's control position, before it waits.
 	consumers, err := fleet.Consumers("aggregator")
 	if err != nil {
 		return err
@@ -576,11 +576,6 @@ func runAggregator(args []string) error {
 	}
 	drain := role.NewDrain(agg, consumers, control, 1)
 	follower := drain.Follower()
-	if err := follower.WaitActive(1, *wait); err != nil {
-		return err
-	}
-	fmt.Printf("aggregating %d queries from announcement version %d\n",
-		follower.Applier().ActiveQueries(), follower.Applier().Version())
 
 	// Telemetry: the aggregator's own accounting plus the epoch tracer's
 	// stage totals (join time via SubmitShareBatch) and the fired-window
@@ -650,6 +645,11 @@ func runAggregator(args []string) error {
 		}
 		defer ck.log.Close()
 	}
+	if err := follower.WaitActive(1, *wait); err != nil {
+		return err
+	}
+	fmt.Printf("aggregating %d queries from announcement version %d\n",
+		follower.Applier().ActiveQueries(), follower.Applier().Version())
 
 	// One loop for both modes. Each round that made progress is made
 	// permanent: committed at once, or — with -data-dir — checkpointed

@@ -63,7 +63,7 @@ func submitMessage(t testing.TB, a *Aggregator, sp *xorcrypt.Splitter, qid, epoc
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := sp.Split(raw)
+	shares, err := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRandomizedRecoveryWithinMargin(t *testing.T) {
 		vec.Set(1, rz.Respond(!truth0))
 		msg := answer.Message{QueryID: qid, Epoch: 0, Answer: vec}
 		raw, _ := msg.MarshalBinary()
-		shares, _ := sp.Split(raw)
+		shares, _ := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 		for src, sh := range shares {
 			if _, err := submitOne(a, sh, src); err != nil {
 				t.Fatal(err)
@@ -257,7 +257,7 @@ func TestMalformedAndForeignMessagesCounted(t *testing.T) {
 	}
 	sp, _ := xorcrypt.NewSplitter(2, nil, nil)
 	// Garbage payload that joins but does not decode.
-	shares, _ := sp.Split([]byte("not a message"))
+	shares, _ := sp.SplitInto([]byte("not a message"), new(xorcrypt.SplitScratch))
 	for src, sh := range shares {
 		if _, err := submitOne(a, sh, src); err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestDuplicateSharesRejected(t *testing.T) {
 	sp, _ := xorcrypt.NewSplitter(2, nil, nil)
 	vec, _ := answer.OneHot(4, 0)
 	raw, _ := (&answer.Message{QueryID: cfg.Query.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	shares, _ := sp.Split(raw)
+	shares, _ := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 	for src, sh := range shares {
 		if _, err := submitOne(a, sh, src); err != nil {
 			t.Fatal(err)
@@ -326,7 +326,7 @@ func TestPendingJoinsSweep(t *testing.T) {
 	sp, _ := xorcrypt.NewSplitter(2, nil, nil)
 	vec, _ := answer.OneHot(4, 0)
 	raw, _ := (&answer.Message{QueryID: cfg.Query.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	shares, _ := sp.Split(raw)
+	shares, _ := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 	// Only one share arrives: a partial join.
 	if _, err := submitOne(a, shares[0], 0); err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pendingShares, err := spA.Split(rawPending)
+	pendingShares, err := spA.SplitInto(rawPending, new(xorcrypt.SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runScripted(t, ref, spRef, qid, nbuckets, population, epochs, stopAt)
-	refShares, err := spRef.Split(rawPending)
+	refShares, err := spRef.SplitInto(rawPending, new(xorcrypt.SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCheckpointRestoresDuplicateSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := sp.Split(raw)
+	shares, err := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestOneParameterGenerationPerWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shares, err := sp.Split(raw)
+			shares, err := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,7 +61,7 @@ func buildEpochTraffic(t *testing.T, q *query.Query, epoch uint64, good, malform
 		if err != nil {
 			t.Fatal(err)
 		}
-		shares, err := splitter.Split(raw)
+		shares, err := splitter.SplitInto(raw, new(xorcrypt.SplitScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestShardedPendingJoins(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		vec, _ := answer.OneHot(4, i%4)
 		raw, _ := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-		shares, err := splitter.Split(raw)
+		shares, err := splitter.SplitInto(raw, new(xorcrypt.SplitScratch))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func encodeShares(t testing.TB, sp *xorcrypt.Splitter, qid, epoch uint64, nbits,
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := sp.Split(raw)
+	shares, err := sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

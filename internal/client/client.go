@@ -420,18 +420,18 @@ func (c *Client) SetShed(id query.ID, shed float64) bool {
 // FastForward advances every active subscription's deterministic
 // randomness through epochs [0, epochs) without answering them — the
 // client-side half of crash recovery. A client process restarted to
-// resume at epoch e subscribes as usual (same seed, same generation)
-// and fast-forwards to e; from there each subscription's coin stream is
-// exactly the one an uninterrupted run would produce, because the
-// randomness a subscription consumes per epoch is a deterministic
-// function of the participation decision (hash-based, rng-free) and
-// the query's bucket count (rr.Randomizer.Skip replays RespondBits'
-// draws).
+// resume at epoch e takes its subscriptions from the control topic as
+// usual (same seed, same generation) and fast-forwards to e; from there
+// each subscription's coin stream is exactly the one an uninterrupted
+// run would produce, because the randomness a subscription consumes per
+// epoch is a deterministic function of the participation decision
+// (hash-based, rng-free) and the query's bucket count
+// (rr.Randomizer.Skip replays RespondBits' draws).
 //
 // FastForward assumes every subscription was live from epoch 0; for
 // queries registered mid-run use FastForwardQuery with the query's
-// registration epoch (core.System.Restore does exactly that from its
-// checkpointed registration table).
+// registration epoch (core.System.Restore does, after replaying the
+// checkpoint's control cut, from its registration table).
 //
 // Call it once, immediately after the subscriptions are in place and
 // before the first AnswerOnce. Stats are not advanced: they count the

@@ -1,16 +1,11 @@
 package core
 
-// System-level checkpoint/restore: the epoch counter, the per-query
-// registration epochs and the overload-control state form the system
-// section of the one checkpoint record every durable deployment writes
-// (role.Drain.Checkpoint), beside the drain consumers' input positions
-// and the aggregator's full dynamic state. Together with Config.DataDir
-// (durable proxy brokers) this is the in-process statement of the
-// crash-recovery protocol the networked privapprox-node deployment runs:
-// checkpoint after a drain, crash at any point, rebuild the System over
-// the same data directory, re-register the same queries, Restore, and
-// continue — results from the resumed run are byte-identical to an
-// uninterrupted one.
+// System-level checkpoint/restore: the system section of the one
+// checkpoint record (role.Drain.Checkpoint). With Config.DataDir it is
+// the in-process statement of the node's crash-recovery protocol:
+// checkpoint after a drain, crash, rebuild over the same directory with
+// no query, Restore, and re-drive what followed the checkpoint — results
+// are byte-identical to an uninterrupted run's.
 
 import (
 	"cmp"
@@ -24,6 +19,8 @@ import (
 
 	"privapprox/internal/budget"
 	"privapprox/internal/codec"
+	"privapprox/internal/engine"
+	"privapprox/internal/proxy"
 	"privapprox/internal/query"
 )
 
@@ -37,15 +34,18 @@ import (
 // must not have coins skipped for it); and the overload-control state —
 // a flag byte, then when SLO control is on its configuration and every
 // per-query controller's state. Queries are sorted by ID, so the record
-// is deterministic. The in-flight shed thresholds live inside the
-// controller state: Restore re-actuates them, so a recovered system
-// resumes shedding at the level the crashed one had reached.
+// is deterministic. The in-flight shed thresholds ride in the query set
+// at the record's control position. Checkpoint refuses unless the
+// clients and the aggregator have read the control topic to one offset.
 //
 // A checkpoint commits nothing: every drain has already committed the
 // positions the record holds, and the brokers have dropped the shares
 // below them from memory. Their WALs stay whole, so a Restore of this
 // record reads back whatever later drains have released since.
 func (s *System) Checkpoint() ([]byte, error) {
+	if c, a := s.clients.Follower().Position(), s.drainer.Follower().Position(); c != a {
+		return nil, fmt.Errorf("core: the clients read the control topic to offset %d, the aggregator to %d", c, a)
+	}
 	buf := binary.BigEndian.AppendUint64(nil, s.epoch)
 	s.ctrlMu.Lock()
 	ids := sortedIDs(s.regEpochs)
@@ -83,29 +83,32 @@ func appendID(buf []byte, id query.ID) []byte {
 
 func readID(d *codec.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial: d.U64()} }
 
-// Restore rebuilds a freshly constructed System from a Checkpoint
-// record: the drain consumers seek to the checkpointed cut (the durable
-// brokers read any records between it and their memory floor back from
-// their WALs), the aggregator restores its windows, watermarks, and
-// estimator state, the
-// epoch counter resumes, and every client's per-subscription randomness
-// is fast-forwarded through the already-answered epochs. The query set
-// the aggregator's follower holds must match the checkpoint's, in the
-// same order: register the same queries (Config.Query first) before
-// calling Restore. A durable fleet replays the previous life's
-// announcements to both followers at the first registration, so a
-// checkpoint taken before a later registration cannot be restored once
-// the control topic holds the newer set.
+// Restore rebuilds a System built with Config.Query nil and nothing
+// registered (any other is refused with ErrConfig) from a Checkpoint
+// record. Both followers replay the control topic to the record's
+// control position, so the clients and the aggregator hold the
+// checkpoint's query set; the drain consumers seek to its cut (durable
+// brokers read back from their WALs what lies below their memory
+// floor); the aggregator, the epoch counter and the SLO controllers
+// resume; and every client is fast-forwarded through the epochs it
+// answered. The registry takes that query set at the newest version on
+// the topic, so its next announcement wins. The clients' follower then
+// skips to the topic's end, and the caller re-drives what followed the
+// cut, registrations and SLO actuations included; the aggregator's reads
+// on to the end, as its first drain step would.
 func (s *System) Restore(data []byte) error {
 	var (
 		epoch uint64
 		regs  map[query.ID]uint64
 		slo   *sloState
 	)
-	// The system section is parsed and checked before the drain seeks a
-	// consumer or restores the aggregator, so a record that does not fit
-	// this system leaves it untouched.
+	// The system section is parsed and checked before the drain replays
+	// the control topic, seeks a consumer or restores the aggregator, so
+	// a record that does not fit this system leaves it untouched.
 	_, err := s.drainer.Restore(data, func(section []byte) error {
+		if s.cfg.Query != nil || s.registry.Version() != 0 {
+			return fmt.Errorf("%w: restore into a system that has registered a query", ErrConfig)
+		}
 		d := codec.NewReader(section, ErrConfig, "record")
 		epoch = d.U64()
 		regs = make(map[query.ID]uint64)
@@ -119,54 +122,56 @@ func (s *System) Restore(data []byte) error {
 		}
 		return d.Done()
 	})
+	if err == nil {
+		err = s.resumeControl()
+	}
 	if err != nil {
 		if !errors.Is(err, ErrConfig) {
 			err = fmt.Errorf("%w: %w", ErrConfig, err)
 		}
 		return err
 	}
-	if err := s.resumeAnnouncements(); err != nil {
-		return err
-	}
-	if slo != nil {
-		if err := s.applySLOState(slo); err != nil {
-			return err
-		}
-	}
 	s.epoch = epoch
-	// Clients resume their coin streams where the crashed process left
-	// them: each subscription is fast-forwarded through exactly the
-	// epochs it was live for — [its registration epoch, the checkpoint
-	// epoch). The re-registrations have put the subscriptions in place.
+	// Each subscription is fast-forwarded through exactly the epochs it
+	// was live for: [its registration epoch, the checkpoint epoch).
 	for id, from := range regs {
 		for _, c := range s.clients.Clients() {
 			c.FastForwardQuery(id, from, epoch)
 		}
 	}
 	s.ctrlMu.Lock()
+	defer s.ctrlMu.Unlock()
 	s.regEpochs = regs
-	s.ctrlMu.Unlock()
+	if slo != nil {
+		s.sloTarget, s.sloMin, s.sloWindow = slo.target, slo.shedMin, slo.window
+		s.sloEnabled = true
+		s.slos = slo.slos
+	}
 	return nil
 }
 
-// resumeAnnouncements moves the registry's version past every snapshot
-// the clients' applier has taken. A durable fleet replays the previous
-// life's announcements, whose versions run ahead of this life's
-// registry; the newest-wins applier would otherwise ignore what this
-// life announces from here on — a re-actuated or later shed threshold, a
-// later registration — until the registry's counter caught up. The
-// re-registered entries match the replayed ones, so nothing is
-// re-announced here.
-func (s *System) resumeAnnouncements() error {
-	if _, err := s.sync(); err != nil {
+// resumeControl replays the clients' follower to the restored drain's
+// control position, syncs the drain's to the topic's end as its first
+// step would, bootstraps the registry with the set at the cut and the
+// newest version, and moves the clients' follower to the topic's end.
+func (s *System) resumeControl() error {
+	drain := s.drainer.Follower()
+	var installed engine.QuerySet
+	if qs := drain.Applier().Applied(); qs != nil {
+		installed.Entries = qs.Entries
+	}
+	at, clients := drain.Position(), s.clients.Follower()
+	if _, err := clients.SyncN(at - clients.Position()); clients.Position() != at {
+		return errors.Join(fmt.Errorf("%w: the clients' control replay stopped short of offset %d", ErrConfig, at), err)
+	}
+	if _, err := drain.Sync(); err != nil {
 		return err
 	}
-	snap := s.registry.Snapshot()
-	if v := s.clients.Follower().Applier().Version(); v > snap.Version {
-		snap.Version = v
-		return s.registry.Bootstrap(&snap)
+	installed.Version = drain.Applier().Version()
+	if err := s.registry.Bootstrap(&installed); err != nil {
+		return err
 	}
-	return nil
+	return s.control.Seek(proxy.TopicControl, 0, drain.Position())
 }
 
 // sloState is the overload-control section of a checkpoint record,
@@ -207,28 +212,4 @@ func readSLOState(d *codec.Reader) (*sloState, error) {
 		st.slos[id] = ctl
 	}
 	return st, d.Err()
-}
-
-// applySLOState reinstalls the parsed controllers and re-actuates each
-// query's checkpointed shed threshold through the registry, whose
-// announcement the sync carries to the clients and the aggregator.
-func (s *System) applySLOState(st *sloState) error {
-	s.ctrlMu.Lock()
-	s.sloTarget, s.sloMin, s.sloWindow = st.target, st.shedMin, st.window
-	s.sloEnabled = true
-	s.slos = st.slos
-	s.ctrlMu.Unlock()
-	// Re-actuate the checkpointed thresholds: the rebuilt registry starts
-	// every query at shed 1, but the crashed system was mid-shed — push
-	// each controller's threshold back through the same path a live
-	// adjustment takes.
-	for id, ctl := range st.slos {
-		if shed := ctl.Shed(); shed != 1 {
-			if err := s.registry.SetShed(id, shed); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := s.sync()
-	return err
 }

@@ -44,7 +44,7 @@ func TestMaliciousGarbageSharesDoNotPoisonResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		shares, err := splitter.Split([]byte("!!not-a-valid-answer-message!!"))
+		shares, err := splitter.SplitInto([]byte("!!not-a-valid-answer-message!!"), new(xorcrypt.SplitScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestReplayedSharesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := splitter.Split(raw)
+	shares, err := splitter.SplitInto(raw, new(xorcrypt.SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestProxyShareLossLeavesPartialJoins(t *testing.T) {
 	raw, _ := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
 	// 5 messages lose their key share (only proxy 0 receives data).
 	for i := 0; i < 5; i++ {
-		shares, err := splitter.Split(raw)
+		shares, err := splitter.SplitInto(raw, new(xorcrypt.SplitScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestBiasedClientsShiftOnlyTheirMass(t *testing.T) {
 	for i := 0; i < biased; i++ {
 		vec, _ := answer.OneHot(len(q.Buckets), last)
 		raw, _ := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-		shares, _ := splitter.Split(raw)
+		shares, _ := splitter.SplitInto(raw, new(xorcrypt.SplitScratch))
 		for j, sh := range shares {
 			if err := sys.Fleet().Proxy(j).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 				t.Fatal(err)
@@ -299,7 +299,7 @@ func TestLateAnswersAreDropped(t *testing.T) {
 	splitter, _ := xorcrypt.NewSplitter(2, nil, nil)
 	vec, _ := answer.OneHot(len(q.Buckets), 0)
 	raw, _ := (&answer.Message{QueryID: q.QID.Uint64(), Epoch: 0, Answer: vec}).MarshalBinary()
-	shares, _ := splitter.Split(raw)
+	shares, _ := splitter.SplitInto(raw, new(xorcrypt.SplitScratch))
 	for j, sh := range shares {
 		if err := sys.Fleet().Proxy(j).SubmitBatch([]xorcrypt.Share{sh}); err != nil {
 			t.Fatal(err)

@@ -275,13 +275,19 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	const ticks, crashAfter = 12, 6
 	dir := t.TempDir()
 
-	build := func(dataDir string, seed int64) (*System, *query.Query) {
+	// build makes a system over dataDir; a first life also registers
+	// the query and enables SLO control, which a restored one takes from
+	// its checkpoint.
+	build := func(dataDir string, seed int64, first bool) (*System, *query.Query) {
 		cfg, q := overloadConfig(t, seed)
 		cfg.DataDir = dataDir
 		cfg.WALFsync = wal.PolicyEveryBatch
 		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !first {
+			return sys, q
 		}
 		if err := sys.Register(q); err != nil {
 			t.Fatal(err)
@@ -305,7 +311,7 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 
 	// Uninterrupted reference.
-	ref, qID := build("", 99)
+	ref, qID := build("", 99, true)
 	defer ref.Close()
 	var want []aggregator.Result
 	for i := 0; i < ticks; i++ {
@@ -313,7 +319,7 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 
 	// First life: crash mid-surge.
-	sysA, _ := build(dir, 99)
+	sysA, _ := build(dir, 99, true)
 	var got []aggregator.Result
 	for i := 0; i < crashAfter; i++ {
 		got = append(got, tickOnce(sysA)...)
@@ -329,7 +335,7 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	sysA.Close()
 
 	// Second life over the same data directory.
-	sysB, _ := build(dir, 99)
+	sysB, _ := build(dir, 99, false)
 	defer sysB.Close()
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
@@ -337,9 +343,9 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	if got, want := sysB.SLOShed(qID.QID), crashShed; got != want {
 		t.Fatalf("restored shed = %v, want %v", got, want)
 	}
-	// The threshold was re-actuated, not just remembered: the registry
-	// snapshot carries it, and so does every window the aggregator fires
-	// after the resume.
+	// The threshold is in force, not just remembered: the control cut the
+	// restore replayed carries it into the registry, and so does every
+	// window the aggregator fires after the resume.
 	if entry, ok := sysB.Registry().Entry(qID.QID); !ok || entry.Shed != crashShed {
 		t.Fatalf("restored registry shed = %+v, want %v", entry, crashShed)
 	}

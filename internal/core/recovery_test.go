@@ -10,6 +10,7 @@ import (
 	"privapprox/internal/aggregator"
 	"privapprox/internal/budget"
 	"privapprox/internal/pubsub"
+	"privapprox/internal/query"
 	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/wal"
@@ -156,9 +157,10 @@ func TestSystemCheckpointResume(t *testing.T) {
 	// files so the second life can reopen them.
 	sysA.Close()
 
-	// Second life: rebuild over the same data directory, restore, and
-	// finish the run.
+	// Second life: rebuild over the same data directory with no query,
+	// restore, and finish the run.
 	cfgB := taxiSystemConfig(t, 8, recoveryParams)
+	cfgB.Query = nil
 	cfgB.DataDir = dir
 	cfgB.WALFsync = wal.PolicyEveryBatch
 	sysB, err := New(cfgB)
@@ -224,8 +226,11 @@ func TestSystemCheckpointResume(t *testing.T) {
 func TestSystemResumeBehindReleasedEpochs(t *testing.T) {
 	const epochs, ckptAt, crashAt = 6, 2, 4
 	dir := t.TempDir()
-	durable := func() *System {
+	durable := func(restart bool) *System {
 		cfg := taxiSystemConfig(t, 8, recoveryParams)
+		if restart {
+			cfg.Query = nil
+		}
 		cfg.DataDir = dir
 		cfg.WALFsync = wal.PolicyEveryBatch
 		sys, err := New(cfg)
@@ -247,7 +252,7 @@ func TestSystemResumeBehindReleasedEpochs(t *testing.T) {
 	}
 	want = append(want, final...)
 
-	sysA := durable()
+	sysA := durable(false)
 	got := runEpochsInto(t, sysA, ckptAt, nil)
 	ckpt, err := sysA.Checkpoint()
 	if err != nil {
@@ -258,7 +263,7 @@ func TestSystemResumeBehindReleasedEpochs(t *testing.T) {
 	runEpochsInto(t, sysA, crashAt-ckptAt, nil)
 	sysA.Close()
 
-	sysB := durable()
+	sysB := durable(true)
 	defer sysB.Close()
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
@@ -289,8 +294,8 @@ func TestSystemResumeBehindReleasedEpochs(t *testing.T) {
 }
 
 // TestSystemCheckpointResumeMultiQuery runs the same protocol through
-// the control plane: queries re-registered after the restart (the same
-// announcements a durable control topic would replay), then Restore.
+// the control plane with two queries: the second life registers nothing,
+// and Restore installs both from the control topic.
 func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 	const epochs, crashAfter = 5, 2
 	dir := t.TempDir()
@@ -303,7 +308,7 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(dataDir string) *System {
+	build := func(dataDir string, queries ...*query.Query) *System {
 		cfg := taxiSystemConfig(t, 6, recoveryParams)
 		cfg.Query = nil
 		cfg.DataDir = dataDir
@@ -311,16 +316,15 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Register(q1); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Register(q2); err != nil {
-			t.Fatal(err)
+		for _, q := range queries {
+			if err := sys.Register(q); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return sys
 	}
 
-	ref := build("")
+	ref := build("", q1, q2)
 	defer ref.Close()
 	want := runEpochsInto(t, ref, epochs, nil)
 	final, err := ref.Flush()
@@ -329,7 +333,7 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 	}
 	want = append(want, final...)
 
-	sysA := build(dir)
+	sysA := build(dir, q1, q2)
 	got := runEpochsInto(t, sysA, crashAfter, nil)
 	ckpt, err := sysA.Checkpoint()
 	if err != nil {
@@ -354,13 +358,13 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 	}
 }
 
-// TestRestoreResumesAnnouncementVersion: the durable control topic
-// replays the first life's snapshots, which ran to a higher version than
-// the second life's re-registrations reach. After Restore, what the
-// second life announces must still reach its clients — here a query
-// registered after the restart. (Regression: the registry restarted its
-// version below the replayed ones, and the newest-wins applier ignored
-// every later announcement.)
+// TestRestoreResumesAnnouncementVersion: the restored registry takes the
+// checkpoint's query set at the version of the newest snapshot on the
+// control topic — here one announced after the checkpoint, which the
+// restore skips — so what the second life announces reaches its
+// clients: a query registered after the restart. (Regression: the
+// registry restarted its version below the replayed ones, and the
+// newest-wins applier ignored every later announcement.)
 func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	dir := t.TempDir()
 	q1, err := workload.TaxiQuery("analyst", 1, time.Second, 4*time.Second, 4*time.Second)
@@ -379,15 +383,15 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Register(q1); err != nil {
-			t.Fatal(err)
-		}
 		return sys
 	}
 
 	sysA := build()
+	if err := sysA.Register(q1); err != nil {
+		t.Fatal(err)
+	}
 	// Shed moves announce snapshots without re-subscribing: the first
-	// life ends three versions in.
+	// life checkpoints three versions in and announces a fourth.
 	for _, shed := range []float64{0.5, 1} {
 		if err := sysA.Registry().SetShed(q1.QID, shed); err != nil {
 			t.Fatal(err)
@@ -398,12 +402,18 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sysA.Registry().SetShed(q1.QID, 0.5); err != nil {
+		t.Fatal(err)
+	}
 	sysA.Close()
 
 	sysB := build()
 	defer sysB.Close()
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
+	}
+	if e, ok := sysB.Registry().Entry(q1.QID); !ok || e.Shed != 1 || sysB.Registry().Version() != 4 {
+		t.Fatalf("restored registry at version %d holds %+v, want the cut's shed 1 at version 4", sysB.Registry().Version(), e)
 	}
 	if err := sysB.Register(q2); err != nil {
 		t.Fatal(err)
@@ -416,7 +426,8 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 }
 
 // TestSystemRestoreRejectsForeignCheckpoint: restoring a checkpoint
-// into a system with a different query set fails loudly instead of
+// into a system that has registered a query, or whose control topic
+// ends before the checkpoint's control position, fails loudly instead of
 // silently resuming the wrong state.
 func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 	sysA, err := New(taxiSystemConfig(t, 4, recoveryParams))
@@ -443,15 +454,27 @@ func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sysB.Close()
-	if err := sysB.Restore(ckpt); err == nil {
-		t.Fatal("foreign checkpoint restored without error")
+	if err := sysB.Restore(ckpt); !errors.Is(err, ErrConfig) {
+		t.Fatalf("a checkpoint restored into a system with a query: %v, want ErrConfig", err)
+	}
+	// A system with no query has only its registry's first announcement
+	// on its control topic, below the checkpoint's control position.
+	otherCfg.Query = nil
+	sysC, err := New(otherCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sysC.Close()
+	if err := sysC.Restore(ckpt); !errors.Is(err, ErrConfig) || !errors.Is(err, role.ErrCheckpoint) {
+		t.Fatalf("a checkpoint past the control topic's end: %v, want ErrConfig and role.ErrCheckpoint", err)
 	}
 	if err := sysB.Restore([]byte("garbage")); err == nil {
 		t.Fatal("garbage checkpoint restored without error")
 	}
 	// PSC2 and PNC1 are the magics of the system's and the node's records
-	// before both wrote the one role record.
-	for _, magic := range []string{"PSC9", "PSC2", "PNC1"} {
+	// before both wrote the one role record, and PCR1 that record's
+	// before it held the control position.
+	for _, magic := range []string{"PSC9", "PSC2", "PNC1", "PCR1"} {
 		if err := sysB.Restore(append([]byte(magic), ckpt[4:]...)); !errors.Is(err, ErrConfig) || !errors.Is(err, role.ErrCheckpoint) {
 			t.Fatalf("checkpoint magic %s: %v, want ErrConfig and role.ErrCheckpoint", magic, err)
 		}
@@ -483,13 +506,15 @@ func TestSystemCheckpointResumeMidRunRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Register(q1); err != nil {
-			t.Fatal(err)
-		}
 		return sys
 	}
 	// Drive: q1 from the start, q2 registered at epoch registerAt.
 	run := func(sys *System, from, to int, results []aggregator.Result) []aggregator.Result {
+		if from == 0 {
+			if err := sys.Register(q1); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for e := from; e < to; e++ {
 			if e == registerAt {
 				if err := sys.Register(q2); err != nil {
@@ -522,14 +547,11 @@ func TestSystemCheckpointResumeMidRunRegistration(t *testing.T) {
 	}
 	sysA.Close()
 
-	// Second life re-registers BOTH queries (as a replayed control
-	// topic would deliver them) before Restore; q2's subscription must
-	// be fast-forwarded only through epochs [2, 4).
+	// The second life registers nothing: Restore installs both queries
+	// from the control topic, and q2's subscription must be
+	// fast-forwarded only through epochs [2, 4).
 	sysB := build(dir)
 	defer sysB.Close()
-	if err := sysB.Register(q2); err != nil {
-		t.Fatal(err)
-	}
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
 	}
@@ -542,5 +564,105 @@ func TestSystemCheckpointResumeMidRunRegistration(t *testing.T) {
 
 	if !resultsEqual(got, want) {
 		t.Fatalf("mid-run-registration resume diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSystemRestoreBeforeLaterRegistration: the checkpoint at epoch 2
+// predates a registration at epoch 4, and the first life runs on to
+// epoch 5 before it dies, so its control topic holds the newer query
+// set. The second life registers nothing, restores the epoch-2 record —
+// the restore replays the control topic to the record's control
+// position, so both followers hold only the first query — and re-drives
+// from the cut, the second query's registration at epoch 4 included.
+// Results equal an uninterrupted run, and the share ledger balances over
+// both lives' answers.
+func TestSystemRestoreBeforeLaterRegistration(t *testing.T) {
+	const epochs, ckptAt, registerAt, crashAfter = 8, 2, 4, 6
+	dir := t.TempDir()
+	q1, err := workload.TaxiQuery("analyst", 1, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := workload.TaxiQuery("analyst", 2, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(dataDir string) *System {
+		cfg := taxiSystemConfig(t, 6, recoveryParams)
+		cfg.Query = nil
+		cfg.DataDir = dataDir
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	run := func(sys *System, from, to int, results []aggregator.Result) []aggregator.Result {
+		for e := from; e < to; e++ {
+			for at, q := range map[int]*query.Query{0: q1, registerAt: q2} {
+				if e == at {
+					if err := sys.Register(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			res, _, err := sys.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res...)
+		}
+		return results
+	}
+
+	ref := build("")
+	defer ref.Close()
+	want := run(ref, 0, epochs, nil)
+	final, err := ref.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, final...)
+
+	sysA := build(dir)
+	got := run(sysA, 0, ckptAt, nil)
+	ckpt, err := sysA.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(sysA, ckptAt, crashAfter, nil)
+	answeredA, droppedA, _, err := sysA.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysA.Close()
+
+	sysB := build(dir)
+	defer sysB.Close()
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if ids := sysB.Registry().Active(); len(ids) != 1 || ids[0] != q1.QID {
+		t.Fatalf("restored registry holds %v, want only %s", ids, q1.QID)
+	}
+	got = run(sysB, ckptAt, epochs, got)
+	final, err = sysB.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, final...)
+	if !resultsEqual(got, want) {
+		t.Fatalf("resume across a later registration diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+
+	answeredB, droppedB, _, err := sysB.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range droppedB {
+		droppedB[i] += droppedA[i]
+	}
+	if err := role.Balance(answeredA+answeredB, droppedB, role.Fetched(sysB.drainer.Consumers()), sysB.agg.Stats(), int64(sysB.agg.PendingJoins())); err != nil {
+		t.Errorf("share ledger over both lives: %v", err)
 	}
 }

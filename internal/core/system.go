@@ -60,6 +60,7 @@ import (
 	"privapprox/internal/histstore"
 	"privapprox/internal/minisql"
 	"privapprox/internal/proxy"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/role"
 	"privapprox/internal/seeded"
@@ -120,9 +121,9 @@ type Config struct {
 	// DataDir, when non-empty, makes the proxies' brokers durable: every
 	// published share and control announcement is journaled to
 	// write-ahead logs under DataDir/proxies and replayed when a new
-	// System is built over the same directory. Pair it with
-	// Checkpoint/Restore for full crash recovery — see
-	// TestSystemCheckpointResume for the protocol. A durable system
+	// System is built over the same directory. Restore a Checkpoint
+	// record into such a System, built with no Query, for full crash
+	// recovery (TestSystemCheckpointResume). A durable system
 	// releases drained shares from memory after every drain, as an
 	// in-memory one does; a Restore whose positions lie below that
 	// release reads the records between them back from the WALs.
@@ -142,6 +143,7 @@ type System struct {
 	pub     ed25519.PublicKey
 	priv    ed25519.PrivateKey
 	clients *role.Clients
+	control *pubsub.Consumer // the clients' control consumer, which Restore seeks
 	drainer *role.Drain
 	fleet   *proxy.Fleet
 	agg     *aggregator.Aggregator
@@ -325,6 +327,7 @@ func New(cfg Config) (*System, error) {
 		sys.Close()
 		return nil, err
 	}
+	sys.control = control
 	sys.clients, err = role.NewClients(fleet, control, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
 		cc.DB = minisql.NewDB()
 		if cfg.Populate != nil {

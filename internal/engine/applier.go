@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"privapprox/internal/budget"
@@ -222,16 +224,23 @@ func (f *Follower) Applier() *Applier { return f.applier }
 // consumer has already moved past every polled record, so the records
 // behind a refused snapshot are applied too, and the first failure is
 // returned at the end.
-func (f *Follower) Sync() (int, error) {
-	seen := 0
-	var first error
-	for {
-		runs, err := f.consumer.PollRuns(256, 0)
-		if err != nil {
-			return seen, err
-		}
-		if len(runs) == 0 {
-			return seen, first
+func (f *Follower) Sync() (int, error) { return f.SyncN(math.MaxInt64) }
+
+// Position returns the offset of the next control record to read.
+func (f *Follower) Position() int64 {
+	for _, parts := range f.consumer.Positions() {
+		return parts[0]
+	}
+	return 0
+}
+
+// SyncN is Sync bounded to the next n control records: a restore
+// replays a checkpoint's control cut with it.
+func (f *Follower) SyncN(n int64) (seen int, first error) {
+	for int64(seen) < n {
+		runs, err := f.consumer.PollRuns(int(min(256, n-int64(seen))), 0)
+		if err != nil || len(runs) == 0 {
+			return seen, cmp.Or(err, first)
 		}
 		for _, r := range runs {
 			for i := range r.Count {
@@ -245,6 +254,7 @@ func (f *Follower) Sync() (int, error) {
 			}
 		}
 	}
+	return seen, first
 }
 
 // WaitActive blocks (polling the control topic) until at least min

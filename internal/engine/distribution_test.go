@@ -444,3 +444,45 @@ func TestFollowerSyncAppliesPastARejectedSnapshot(t *testing.T) {
 		t.Fatalf("Applied() = %+v, want the version-2 snapshot", qs)
 	}
 }
+
+// TestFollowerSyncNStopsAtItsBound: SyncN reads no record past its
+// bound, across poll sizes, a bound of zero reads nothing, and a later
+// Sync carries on from where it stopped.
+func TestFollowerSyncNStopsAtItsBound(t *testing.T) {
+	pub, priv := testKey(14)
+	b := pubsub.NewBroker()
+	defer b.Close()
+	if err := b.CreateTopic("control", 1); err != nil {
+		t.Fatal(err)
+	}
+	const records = 300 // more than one poll
+	for v := uint64(1); v <= records; v++ {
+		qs := &QuerySet{Version: v, Entries: []Entry{{Signed: testSigned(t, "alice", 1, priv), AnalystKey: pub, Params: testParams(), Rev: v}}}
+		payload, err := qs.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.PublishColumns("control", pubsub.Columns{Count: 1, ValLen: len(payload), Vals: payload}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc, err := pubsub.NewConsumer(b, "follower", "control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := NewApplier()
+	f := NewFollower(cc, ap)
+	for _, step := range []struct {
+		n           int64
+		seen        int
+		at, version int64
+	}{{0, 0, 0, 0}, {1, 1, 1, 1}, {258, 258, 259, 259}, {0, 0, 259, 259}} {
+		if seen, err := f.SyncN(step.n); err != nil || seen != step.seen || f.Position() != step.at || int64(ap.Version()) != step.version {
+			t.Fatalf("SyncN(%d) = (%d, %v) at offset %d, version %d; want %d records, offset %d, version %d",
+				step.n, seen, err, f.Position(), ap.Version(), step.seen, step.at, step.version)
+		}
+	}
+	if seen, err := f.Sync(); err != nil || seen != records-259 || f.Position() != records || ap.Version() != records {
+		t.Fatalf("Sync after SyncN = (%d, %v) at offset %d, version %d", seen, err, f.Position(), ap.Version())
+	}
+}

@@ -242,13 +242,6 @@ func (r *Registry) AttachSink(s ControlSink) error {
 	return r.announceLocked()
 }
 
-// Snapshot returns the current query set.
-func (r *Registry) Snapshot() QuerySet {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snapshotLocked()
-}
-
 // Version returns the current snapshot version.
 func (r *Registry) Version() uint64 {
 	r.mu.Lock()

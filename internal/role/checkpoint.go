@@ -22,15 +22,16 @@ import (
 var ErrCheckpoint = errors.New("role: bad checkpoint record")
 
 // recordMagic opens every checkpoint record; Restore refuses any other.
-var recordMagic = []byte("PCR1")
+var recordMagic = []byte("PCR2")
 
 // record is the one checkpoint record of a durable deployment. Its
 // sections, in order, integers big-endian and strings u32-length-prefixed
 // (codec.AppendBytes):
 //
-//	"PCR1"
+//	"PCR2"
 //	u32 consumers; per consumer u32 topics; per topic, names ascending:
 //	    name, u32 partitions, u64 next offset per partition
+//	u64 the control follower's next offset (at most 2^63−1)
 //	the wiring's system section, as a string (opaque here)
 //	u32 results; per result: analyst, u64 serial, u64 window start and
 //	    end (Unix ns), u64 responses, u64 population, u8 inverted, u32
@@ -42,6 +43,7 @@ var recordMagic = []byte("PCR1")
 // accepts re-encodes to the same bytes.
 type record struct {
 	positions []map[string]map[int]int64
+	control   int64
 	system    []byte
 	results   []aggregator.Result
 	state     []byte
@@ -61,6 +63,7 @@ func (r *record) append(buf []byte) []byte {
 			}
 		}
 	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(r.control))
 	buf = codec.AppendBytes(buf, r.system)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.results)))
 	for i := range r.results {
@@ -113,6 +116,9 @@ func decodeRecord(data []byte) (*record, error) {
 		}
 		r.positions = append(r.positions, pos)
 	}
+	if r.control = int64(d.U64()); r.control < 0 {
+		d.Fail("control offset")
+	}
 	r.system = d.Bytes()
 	for range d.Count(49) {
 		res := aggregator.Result{Query: query.ID{Analyst: d.Str(), Serial: d.U64()}}
@@ -141,12 +147,12 @@ func decodeRecord(data []byte) (*record, error) {
 }
 
 // Checkpoint encodes the role's resumable state as one record: every
-// consumer's position, the wiring's system section, the fired results
-// the wiring must be able to report again after a restart, and the
-// aggregator's state. Call it between drains, never during one, and
-// persist the record before committing the positions it holds.
+// consumer's position and the follower's, the wiring's system section,
+// the fired results the wiring must be able to report again after a
+// restart, and the aggregator's state. Call it between drains, never
+// during one, and persist the record before committing its positions.
 func (d *Drain) Checkpoint(system []byte, results []aggregator.Result) ([]byte, error) {
-	r := record{system: system, results: results}
+	r := record{control: d.follower.Position(), system: system, results: results}
 	for _, c := range d.consumers {
 		r.positions = append(r.positions, c.Positions())
 	}
@@ -158,12 +164,14 @@ func (d *Drain) Checkpoint(system []byte, results []aggregator.Result) ([]byte, 
 	return r.append(nil), nil
 }
 
-// Restore decodes a Checkpoint record, seeks every consumer to the cut
-// it holds and restores the aggregator, which must be freshly built with
-// the same queries registered in the same order. A non-nil system is
-// handed the wiring's system section first, before anything is applied:
-// a record that fails it changes nothing. Restore returns the fired
-// results for the wiring to take back.
+// Restore decodes a Checkpoint record into a fresh drain, whose follower
+// has read nothing. A non-nil system is handed the wiring's system
+// section first: a record that fails it changes nothing. The follower
+// then replays the control topic below the record's control position as
+// Sync read it, so the aggregator holds the checkpoint's query set, and
+// only then are the consumers sought and the aggregator restored; a
+// position past the topic's end is refused. The follower carries on from
+// that position. Restore returns the fired results to take back.
 func (d *Drain) Restore(data []byte, system func(section []byte) error) ([]aggregator.Result, error) {
 	r, err := decodeRecord(data)
 	if err != nil {
@@ -177,6 +185,14 @@ func (d *Drain) Restore(data []byte, system func(section []byte) error) ([]aggre
 			return nil, err
 		}
 	}
+	if at := d.follower.Position(); at != 0 {
+		return nil, fmt.Errorf("%w: the control follower has read to offset %d", ErrCheckpoint, at)
+	}
+	// The replay's refusals were the first life's to report.
+	if _, err := d.follower.SyncN(r.control); d.follower.Position() != r.control {
+		return nil, errors.Join(fmt.Errorf("%w: the control topic ends below offset %d", ErrCheckpoint, r.control), err)
+	}
+	d.queries.flushed, d.queries.err = nil, nil
 	for i, c := range d.consumers {
 		for topic, next := range r.positions[i] {
 			for p, off := range next {

@@ -208,7 +208,8 @@ type Drain struct {
 // consumer of proxy i at index i, following the query announcements on
 // control. With workers > 1 and more than one consumer, Dry drains each
 // consumer on its own goroutine. The control consumer is never
-// committed, so a restarted drain replays the whole control topic.
+// committed: a restarted drain reads the control topic from its start,
+// up to the checkpoint's control position when it restores one.
 func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, control *pubsub.Consumer, workers int) *Drain {
 	queries := &aggQueries{agg: agg}
 	return &Drain{

@@ -34,8 +34,7 @@ import (
 // such rigs publish the same records in the same partition order. At the
 // test's teardown the rig drains what is left and checks its share
 // ledger (Conserve); injected[i] counts the records a test published at
-// proxy i past the clients, and a rig restored from a checkpoint, whose
-// ledger began in another drain, is not checked.
+// proxy i past the clients.
 type rig struct {
 	reg      *engine.Registry
 	key      ed25519.PrivateKey
@@ -44,8 +43,10 @@ type rig struct {
 	drain    *Drain
 	agg      *aggregator.Aggregator
 	injected [2]int64
-	restored bool
 }
+
+// rigParams are the parameters of the rig's aggregator and first query.
+var rigParams = budget.Params{S: 0.8, RR: rr.Params{P: 0.9, Q: 0.6}}
 
 func newRig(t *testing.T, clients, drainWorkers int) *rig {
 	t.Helper()
@@ -60,23 +61,11 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := budget.Params{S: 0.8, RR: rr.Params{P: 0.9, Q: 0.6}}
 	fleet, err := proxy.NewFleet(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	agg, err := aggregator.NewMulti(aggregator.Config{
-		Params: params, Population: clients, Proxies: 2,
-		Origin: time.Unix(0, 0), Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumers, err := fleet.Consumers("aggregator")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The query reaches the clients and the aggregator the way it does in
 	// every wiring: a signed announcement on the control topic, applied at
 	// the next epoch and at the next drain step that reads shares.
@@ -92,7 +81,7 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	if err := reg.AttachSink(fleet); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(signed, params); err != nil {
+	if err := reg.Register(signed, rigParams); err != nil {
 		t.Fatal(err)
 	}
 	control, err := fleet.Proxy(0).ControlConsumer("clients")
@@ -107,22 +96,51 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggControl, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+	r := &rig{reg: reg, key: key, fleet: fleet, clients: cs}
+	r.startAggregator(t, drainWorkers)
+	return r
+}
+
+// startAggregator gives the rig a fresh aggregator and drain over new
+// consumers of its fleet, and checks the share ledger at the test's
+// teardown.
+func (r *rig) startAggregator(t *testing.T, drainWorkers int) {
+	t.Helper()
+	var err error
+	r.agg, err = aggregator.NewMulti(aggregator.Config{
+		Params: rigParams, Population: len(r.clients.Clients()), Proxies: 2,
+		Origin: time.Unix(0, 0), Seed: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{reg: reg, key: key, fleet: fleet, clients: cs, drain: NewDrain(agg, consumers, aggControl, drainWorkers), agg: agg}
+	consumers, err := r.fleet.Consumers("aggregator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := r.fleet.Proxy(0).ControlConsumer("aggregator-control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.drain = NewDrain(r.agg, consumers, control, drainWorkers)
 	t.Cleanup(func() { r.conserved(t) })
-	return r
+}
+
+// restart is the rig after its aggregator crashed: the same fleet,
+// registry and clients with a fresh aggregator and drain, whose teardown
+// checks the share ledger over both lives — the clients' answers and
+// the brokers' records, against the restored consumers and aggregator.
+func (r *rig) restart(t *testing.T) *rig {
+	t.Helper()
+	b := &rig{reg: r.reg, key: r.key, fleet: r.fleet, clients: r.clients, injected: r.injected}
+	b.startAggregator(t, 1)
+	return b
 }
 
 // conserved drains the rig dry and fails t unless its share ledger
 // balances.
 func (r *rig) conserved(t *testing.T) {
 	t.Helper()
-	if r.restored {
-		return
-	}
 	if _, err := r.drain.Dry(); err != nil {
 		t.Error(err)
 		return
@@ -402,8 +420,8 @@ func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
 			}
 		}
 	}
-	snap := r.reg.Snapshot()
-	snap.Version++
+	applied := r.drain.Follower().Applier().Applied()
+	snap := engine.QuerySet{Version: applied.Version + 1, Entries: slices.Clone(applied.Entries)}
 	e := &snap.Entries[0]
 	sig := slices.Clone(e.Signed.Signature)
 	sig[0] ^= 1

@@ -75,7 +75,7 @@ func (o *operator) answerAt(sec uint64, bucket int) []aggregator.Result {
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	shares, err := o.sp.Split(raw)
+	shares, err := o.sp.SplitInto(raw, new(xorcrypt.SplitScratch))
 	if err != nil {
 		o.t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func TestMIDsFromSuppliedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := s.Split([]byte{1})
+	shares, err := s.SplitInto([]byte{1}, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestJoinColumnsIntoValidation(t *testing.T) {
 func TestJoinPayloadsInto(t *testing.T) {
 	s, _ := NewSplitter(3, nil, nil)
 	msg := []byte("payload-level join")
-	shares, err := s.Split(msg)
+	shares, err := s.SplitInto(msg, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,22 +139,16 @@ func (sc *SplitScratch) grow(n, size int) []Share {
 	return sc.shares
 }
 
-// Split produces the n shares of message (Eq. 10–12): n−1 pseudo-random
-// key shares and the ciphertext ME = M ⊕ MK2 ⊕ … ⊕ MKn, all tagged with
-// a fresh MID. Share i is destined for proxy i. The input is not
-// modified. Every call allocates fresh payload buffers the caller owns;
-// the hot path uses SplitInto instead.
-func (s *Splitter) Split(message []byte) ([]Share, error) {
-	var scratch SplitScratch
-	return s.SplitInto(message, &scratch)
-}
-
-// SplitInto is Split reusing caller-owned scratch: the returned shares
-// and their payloads alias scratch's buffers and stay valid only until
-// the next SplitInto with the same scratch. Every sink a share is handed
-// to must copy or fully consume the payload before returning (the
-// buffer-ownership contract of DESIGN.md §6); the splitter itself never
-// aliases bytes between the message and the shares or between shares.
+// SplitInto produces the n shares of message (Eq. 10–12): n−1
+// pseudo-random key shares and the ciphertext ME = M ⊕ MK2 ⊕ … ⊕ MKn,
+// all tagged with a fresh MID. Share i is destined for proxy i. The input
+// is not modified. The returned shares and their payloads alias
+// scratch's buffers and stay valid only until the next SplitInto with
+// the same scratch: a caller that keeps shares splits each message into
+// a scratch of its own. Every sink a share is handed to must copy or
+// fully consume the payload before returning (the buffer-ownership
+// contract of DESIGN.md §6); the splitter itself never aliases bytes
+// between the message and the shares or between shares.
 func (s *Splitter) SplitInto(message []byte, scratch *SplitScratch) ([]Share, error) {
 	if len(message) == 0 {
 		return nil, fmt.Errorf("%w: empty message", ErrShapes)

@@ -14,7 +14,7 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		msg := []byte("QID|randomized-answer-bits")
-		shares, err := s.Split(msg)
+		shares, err := s.SplitInto(msg, new(SplitScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestSplitJoinProperty(t *testing.T) {
 		if len(msg) == 0 {
 			msg = []byte{0}
 		}
-		shares, err := s.Split(msg)
+		shares, err := s.SplitInto(msg, new(SplitScratch))
 		if err != nil {
 			return false
 		}
@@ -55,7 +55,7 @@ func TestSplitJoinProperty(t *testing.T) {
 func TestJoinOrderIndependent(t *testing.T) {
 	s, _ := NewSplitter(4, nil, nil)
 	msg := []byte("order independent")
-	shares, err := s.Split(msg)
+	shares, err := s.SplitInto(msg, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPartialSharesRevealNothing(t *testing.T) {
 	// key share acts as a one-time pad.
 	s, _ := NewSplitter(3, nil, nil)
 	msg := bytes.Repeat([]byte{0xAB}, 64)
-	shares, err := s.Split(msg)
+	shares, err := s.SplitInto(msg, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPartialSharesRevealNothing(t *testing.T) {
 func TestSharesAreUniformLength(t *testing.T) {
 	s, _ := NewSplitter(3, nil, nil)
 	msg := make([]byte, 37)
-	shares, err := s.Split(msg)
+	shares, err := s.SplitInto(msg, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestSharesAreUniformLength(t *testing.T) {
 func TestFreshMIDAndKeysPerSplit(t *testing.T) {
 	s, _ := NewSplitter(2, nil, nil)
 	msg := []byte("same message twice")
-	a, err := s.Split(msg)
+	a, err := s.SplitInto(msg, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Split(msg)
+	b, err := s.SplitInto(msg, new(SplitScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCiphertextLooksUniform(t *testing.T) {
 	ones := 0
 	totalBits := 0
 	for i := 0; i < trials; i++ {
-		shares, err := s.Split(msg)
+		shares, err := s.SplitInto(msg, new(SplitScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestSplitterValidation(t *testing.T) {
 		t.Error("expected error for n < 2")
 	}
 	s, _ := NewSplitter(2, nil, nil)
-	if _, err := s.Split(nil); err == nil {
+	if _, err := s.SplitInto(nil, new(SplitScratch)); err == nil {
 		t.Error("expected error for empty message")
 	}
 }
