@@ -74,10 +74,13 @@ multiquery:
 # after the checkpoint and before the crash, and the restore installs
 # the checkpoint's own query set from the control topic
 # (TestCrashRecoveryAggregatorMidRunQuery,
-# TestSystemRestoreBeforeLaterRegistration).
+# TestSystemRestoreBeforeLaterRegistration); in process, a restore whose
+# first life changed more after the cut than one registration is refused
+# (TestSystemRestoreRefusesLaterChanges,
+# TestSLOCheckpointRefusesLaterActuation).
 crash:
 	$(GO) test -run 'TestCrashRecoveryAggregator|TestCrashRecoveryAggregatorMidRunQuery|TestCrashRecoveryProxy' -count=1 ./cmd/privapprox-node
-	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSystemRestoreBeforeLaterRegistration|TestSLOCheckpointResumeMidShed' -count=1 ./internal/core
+	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSystemRestoreBeforeLaterRegistration|TestSystemRestoreRefusesLaterChanges|TestSystemCheckpointBeforeFirstRegistration|TestSLOCheckpointResumeMidShed|TestSLOCheckpointRefusesLaterActuation' -count=1 ./internal/core
 
 # The closed-loop overload gate: the same deterministic 10× load surge
 # through a controlled (SLO shedding) and an uncontrolled system; the

@@ -28,23 +28,23 @@ import (
 // epochs (after RunEpoch returns), never concurrently with one.
 //
 // The system section holds the epoch counter; each query's registration
-// epoch, so Restore can fast-forward each client subscription through
-// exactly the epochs it answered in the previous life (a query
-// registered mid-run never existed before its registration epoch and
-// must not have coins skipped for it); and the overload-control state —
-// a flag byte, then when SLO control is on its configuration and every
-// per-query controller's state. Queries are sorted by ID, so the record
-// is deterministic. The in-flight shed thresholds ride in the query set
-// at the record's control position. Checkpoint refuses unless the
-// clients and the aggregator have read the control topic to one offset.
+// epoch, so Restore fast-forwards each client subscription through
+// exactly the epochs it answered (a query registered mid-run must not
+// have coins skipped for epochs before it); and the overload-control
+// state — a flag byte, then when SLO control is on its configuration and
+// every per-query controller's state. Queries are sorted by ID, so the
+// record is deterministic. The shed thresholds ride in the query set at
+// the record's control position.
 //
 // A checkpoint commits nothing: every drain has already committed the
-// positions the record holds, and the brokers have dropped the shares
-// below them from memory. Their WALs stay whole, so a Restore of this
-// record reads back whatever later drains have released since.
+// positions the record holds, and the brokers' WALs stay whole, so a
+// Restore of this record reads back whatever later drains released.
 func (s *System) Checkpoint() ([]byte, error) {
-	if c, a := s.clients.Follower().Position(), s.drainer.Follower().Position(); c != a {
-		return nil, fmt.Errorf("core: the clients read the control topic to offset %d, the aggregator to %d", c, a)
+	// Both followers read to the topic's end, the one cut the record
+	// holds: an epoch run before the first registration moves only the
+	// clients' past the registry's first, empty announcement.
+	if _, err := s.sync(); err != nil {
+		return nil, err
 	}
 	buf := binary.BigEndian.AppendUint64(nil, s.epoch)
 	s.ctrlMu.Lock()
@@ -85,17 +85,15 @@ func readID(d *codec.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial
 
 // Restore rebuilds a System built with Config.Query nil and nothing
 // registered (any other is refused with ErrConfig) from a Checkpoint
-// record. Both followers replay the control topic to the record's
+// record: both followers replay the control topic to the record's
 // control position, so the clients and the aggregator hold the
 // checkpoint's query set; the drain consumers seek to its cut (durable
 // brokers read back from their WALs what lies below their memory
 // floor); the aggregator, the epoch counter and the SLO controllers
 // resume; and every client is fast-forwarded through the epochs it
-// answered. The registry takes that query set at the newest version on
-// the topic, so its next announcement wins. The clients' follower then
-// skips to the topic's end, and the caller re-drives what followed the
-// cut, registrations and SLO actuations included; the aggregator's reads
-// on to the end, as its first drain step would.
+// answered. The caller then re-drives what followed the cut,
+// registrations and SLO actuations included (see resumeControl). A
+// refused restore leaves a System to close.
 func (s *System) Restore(data []byte) error {
 	var (
 		epoch uint64
@@ -150,28 +148,43 @@ func (s *System) Restore(data []byte) error {
 	return nil
 }
 
-// resumeControl replays the clients' follower to the restored drain's
-// control position, syncs the drain's to the topic's end as its first
-// step would, bootstraps the registry with the set at the cut and the
-// newest version, and moves the clients' follower to the topic's end.
+// resumeControl replays the clients' follower to the cut and skips it to
+// the topic's end. The aggregator's reads on to the end, as its first
+// drain step would, so laterChange must hold. The registry takes the
+// cut's set at the newest version on the topic: its next announcement wins.
 func (s *System) resumeControl() error {
 	drain := s.drainer.Follower()
-	var installed engine.QuerySet
-	if qs := drain.Applier().Applied(); qs != nil {
-		installed.Entries = qs.Entries
-	}
 	at, clients := drain.Position(), s.clients.Follower()
 	if _, err := clients.SyncN(at - clients.Position()); clients.Position() != at {
 		return errors.Join(fmt.Errorf("%w: the clients' control replay stopped short of offset %d", ErrConfig, at), err)
 	}
+	installed := cmp.Or(drain.Applier().Applied(), &engine.QuerySet{})
 	if _, err := drain.Sync(); err != nil {
 		return err
 	}
-	installed.Version = drain.Applier().Version()
-	if err := s.registry.Bootstrap(&installed); err != nil {
+	if err := laterChange(installed, drain.Applier().Applied()); err != nil {
+		return err
+	}
+	if err := s.registry.Bootstrap(&engine.QuerySet{Version: drain.Applier().Version(), Entries: installed.Entries}); err != nil {
 		return err
 	}
 	return s.control.Seek(proxy.TopicControl, 0, drain.Position())
+}
+
+// laterChange refuses a first life that announced more after the cut
+// than one registration: the restored aggregator re-reads that life's
+// shares under the newest set, so a second registration, a stop, a
+// revision or a moved shed would apply to shares that predate it.
+func laterChange(cut, newest *engine.QuerySet) error {
+	changed := newest.Version > cut.Version+1 || len(newest.Entries) > len(cut.Entries)+1
+	for _, e := range cut.Entries {
+		i := slices.IndexFunc(newest.Entries, func(n engine.Entry) bool { return n.Signed.Query.QID == e.Signed.Query.QID })
+		changed = changed || i < 0 || newest.Entries[i].Rev != e.Rev || newest.Entries[i].Shed != e.Shed
+	}
+	if changed {
+		return fmt.Errorf("%w: after the checkpoint the control topic moved from version %d to %d by more than one registration", ErrConfig, cut.Version, newest.Version)
+	}
+	return nil
 }
 
 // sloState is the overload-control section of a checkpoint record,

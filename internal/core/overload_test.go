@@ -266,6 +266,46 @@ func TestSLOClosedLoopShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// surgeSystem builds an overload system over dataDir; a first life also
+// registers the query and enables SLO control, which a restored one
+// takes from its checkpoint.
+func surgeSystem(t *testing.T, dataDir string, first bool) (*System, *query.Query) {
+	t.Helper()
+	cfg, q := overloadConfig(t, 99)
+	cfg.DataDir = dataDir
+	cfg.WALFsync = wal.PolicyEveryBatch
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first {
+		return sys, q
+	}
+	if err := sys.Register(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnableSLO(4, 0.1, 3); err != nil {
+		t.Fatal(err)
+	}
+	return sys, q
+}
+
+// surgeTick answers five epochs and drains at most 40 records: more
+// than the drain keeps up with, so the SLO controller tightens.
+func surgeTick(t *testing.T, sys *System) []aggregator.Result {
+	t.Helper()
+	for k := 0; k < 5; k++ {
+		if _, err := sys.AnswerEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, _, err := sys.DrainUpTo(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSLOCheckpointResumeMidShed is the crash gate for overload
 // control: a system checkpointed mid-surge — threshold tightened,
 // backlog queued — must resume shedding at the checkpointed level and
@@ -274,55 +314,19 @@ func TestSLOClosedLoopShedsAndRecovers(t *testing.T) {
 func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	const ticks, crashAfter = 12, 6
 	dir := t.TempDir()
-
-	// build makes a system over dataDir; a first life also registers
-	// the query and enables SLO control, which a restored one takes from
-	// its checkpoint.
-	build := func(dataDir string, seed int64, first bool) (*System, *query.Query) {
-		cfg, q := overloadConfig(t, seed)
-		cfg.DataDir = dataDir
-		cfg.WALFsync = wal.PolicyEveryBatch
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !first {
-			return sys, q
-		}
-		if err := sys.Register(q); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.EnableSLO(4, 0.1, 3); err != nil {
-			t.Fatal(err)
-		}
-		return sys, q
-	}
-	tickOnce := func(sys *System) []aggregator.Result {
-		for k := 0; k < 5; k++ {
-			if _, err := sys.AnswerEpoch(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, _, err := sys.DrainUpTo(40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
 	// Uninterrupted reference.
-	ref, qID := build("", 99, true)
+	ref, qID := surgeSystem(t, "", true)
 	defer ref.Close()
 	var want []aggregator.Result
 	for i := 0; i < ticks; i++ {
-		want = append(want, tickOnce(ref)...)
+		want = append(want, surgeTick(t, ref)...)
 	}
 
 	// First life: crash mid-surge.
-	sysA, _ := build(dir, 99, true)
+	sysA, _ := surgeSystem(t, dir, true)
 	var got []aggregator.Result
 	for i := 0; i < crashAfter; i++ {
-		got = append(got, tickOnce(sysA)...)
+		got = append(got, surgeTick(t, sysA)...)
 	}
 	crashShed := sysA.SLOShed(qID.QID)
 	if crashShed >= 1 {
@@ -335,7 +339,7 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	sysA.Close()
 
 	// Second life over the same data directory.
-	sysB, _ := build(dir, 99, false)
+	sysB, _ := surgeSystem(t, dir, false)
 	defer sysB.Close()
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
@@ -350,7 +354,7 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 		t.Fatalf("restored registry shed = %+v, want %v", entry, crashShed)
 	}
 	for i := crashAfter; i < ticks; i++ {
-		got = append(got, tickOnce(sysB)...)
+		got = append(got, surgeTick(t, sysB)...)
 	}
 	if !resultsEqual(got, want) {
 		t.Fatalf("mid-shed resume diverged:\ngot  %+v\nwant %+v", got, want)
@@ -362,6 +366,39 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 	if a, b := sysB.SLOShed(qID.QID), ref.SLOShed(qID.QID); a != b {
 		t.Errorf("post-resume shed %v diverged from reference %v", a, b)
+	}
+}
+
+// TestSLOCheckpointRefusesLaterActuation: the controller moves the
+// threshold again after the checkpoint, before the crash. The restored
+// aggregator applies every announcement on the control topic before it
+// re-reads the first life's shares, so it would stamp windows that fired
+// under the checkpoint's threshold with the later one; Restore refuses
+// rather than resume with diverging results.
+func TestSLOCheckpointRefusesLaterActuation(t *testing.T) {
+	const ckptAfter, crashAfter = 4, 6
+	dir := t.TempDir()
+	sysA, q := surgeSystem(t, dir, true)
+	for i := 0; i < ckptAfter; i++ {
+		surgeTick(t, sysA)
+	}
+	cutShed := sysA.SLOShed(q.QID)
+	ckpt, err := sysA.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := ckptAfter; i < crashAfter; i++ {
+		surgeTick(t, sysA)
+	}
+	if shed := sysA.SLOShed(q.QID); cutShed >= 1 || shed == cutShed {
+		t.Fatalf("want an actuation mid-shed after the checkpoint: shed %v at the cut, %v at the crash", cutShed, shed)
+	}
+	sysA.Close()
+
+	sysB, _ := surgeSystem(t, dir, false)
+	defer sysB.Close()
+	if err := sysB.Restore(ckpt); !errors.Is(err, ErrConfig) {
+		t.Fatalf("restore across a later actuation: %v, want ErrConfig", err)
 	}
 }
 

@@ -361,8 +361,8 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 // TestRestoreResumesAnnouncementVersion: the restored registry takes the
 // checkpoint's query set at the version of the newest snapshot on the
 // control topic — here one announced after the checkpoint, which the
-// restore skips — so what the second life announces reaches its
-// clients: a query registered after the restart. (Regression: the
+// clients' follower skips — so what the second life announces reaches
+// its clients: the same registration, re-driven after the restart. (Regression: the
 // registry restarted its version below the replayed ones, and the
 // newest-wins applier ignored every later announcement.)
 func TestRestoreResumesAnnouncementVersion(t *testing.T) {
@@ -391,7 +391,8 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shed moves announce snapshots without re-subscribing: the first
-	// life checkpoints three versions in and announces a fourth.
+	// life checkpoints three versions in and registers a second query in
+	// a fourth.
 	for _, shed := range []float64{0.5, 1} {
 		if err := sysA.Registry().SetShed(q1.QID, shed); err != nil {
 			t.Fatal(err)
@@ -402,7 +403,7 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sysA.Registry().SetShed(q1.QID, 0.5); err != nil {
+	if err := sysA.Register(q2); err != nil {
 		t.Fatal(err)
 	}
 	sysA.Close()
@@ -412,8 +413,8 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := sysB.Registry().Entry(q1.QID); !ok || e.Shed != 1 || sysB.Registry().Version() != 4 {
-		t.Fatalf("restored registry at version %d holds %+v, want the cut's shed 1 at version 4", sysB.Registry().Version(), e)
+	if ids := sysB.Registry().Active(); len(ids) != 1 || ids[0] != q1.QID || sysB.Registry().Version() != 4 {
+		t.Fatalf("restored registry at version %d holds %v, want only %s at version 4", sysB.Registry().Version(), ids, q1.QID)
 	}
 	if err := sysB.Register(q2); err != nil {
 		t.Fatal(err)
@@ -664,5 +665,143 @@ func TestSystemRestoreBeforeLaterRegistration(t *testing.T) {
 	}
 	if err := role.Balance(answeredA+answeredB, droppedB, role.Fetched(sysB.drainer.Consumers()), sysB.agg.Stats(), int64(sysB.agg.PendingJoins())); err != nil {
 		t.Errorf("share ledger over both lives: %v", err)
+	}
+}
+
+// TestSystemRestoreRefusesLaterChanges: the restored aggregator applies
+// every announcement the first life made after the checkpoint before it
+// re-reads that life's shares. One registration is safe (the new query
+// has no shares before it); two, a stop or a shed move would be in force
+// over shares that predate them, so Restore refuses each rather than
+// resume with diverging results.
+func TestSystemRestoreRefusesLaterChanges(t *testing.T) {
+	const ckptAt, crashAfter = 2, 6
+	var qs [3]*query.Query
+	for i := range qs {
+		q, err := workload.TaxiQuery("analyst", uint64(i+1), time.Second, 4*time.Second, 4*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+	register := func(q *query.Query) func(*System) error {
+		return func(sys *System) error { return sys.Register(q) }
+	}
+	for _, tc := range []struct {
+		name  string
+		after map[int]func(*System) error // epoch → the change made at its start
+	}{
+		{"two registrations", map[int]func(*System) error{3: register(qs[1]), 4: register(qs[2])}},
+		{"a stop", map[int]func(*System) error{3: func(sys *System) error {
+			_, err := sys.StopQuery(qs[0].QID)
+			return err
+		}}},
+		{"a shed move", map[int]func(*System) error{3: func(sys *System) error {
+			if err := sys.Registry().SetShed(qs[0].QID, 0.5); err != nil {
+				return err
+			}
+			_, err := sys.sync()
+			return err
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			build := func() *System {
+				cfg := taxiSystemConfig(t, 6, recoveryParams)
+				cfg.Query = nil
+				cfg.DataDir = dir
+				sys, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			sysA := build()
+			if err := sysA.Register(qs[0]); err != nil {
+				t.Fatal(err)
+			}
+			runEpochsInto(t, sysA, ckptAt, nil)
+			ckpt, err := sysA.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := ckptAt; e < crashAfter; e++ {
+				if change := tc.after[e]; change != nil {
+					if err := change(sysA); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runEpochsInto(t, sysA, 1, nil)
+			}
+			sysA.Close()
+
+			sysB := build()
+			defer sysB.Close()
+			if err := sysB.Restore(ckpt); !errors.Is(err, ErrConfig) {
+				t.Fatalf("restore across %s after the checkpoint: %v, want ErrConfig", tc.name, err)
+			}
+		})
+	}
+}
+
+// TestSystemCheckpointBeforeFirstRegistration: an epoch run before the
+// first registration moves the clients' follower past the registry's
+// first, empty announcement, but not the aggregator's, which reads the
+// control topic only after a registry change or in a drain step that
+// read shares. Checkpoint brings the aggregator's up, and the record
+// restores into a system with no query whose re-drive equals an
+// uninterrupted run.
+func TestSystemCheckpointBeforeFirstRegistration(t *testing.T) {
+	const epochs, registerAt = 5, 1
+	dir := t.TempDir()
+	q, err := workload.TaxiQuery("analyst", 1, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(dataDir string) *System {
+		cfg := taxiSystemConfig(t, 6, recoveryParams)
+		cfg.Query = nil
+		cfg.DataDir = dataDir
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	run := func(sys *System, from int, results []aggregator.Result) []aggregator.Result {
+		for e := from; e < epochs; e++ {
+			if e == registerAt {
+				if err := sys.Register(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results = runEpochsInto(t, sys, 1, results)
+		}
+		final, err := sys.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(results, final...)
+	}
+
+	ref := build("")
+	defer ref.Close()
+	want := run(ref, 0, nil)
+
+	sysA := build(dir)
+	got := runEpochsInto(t, sysA, registerAt, nil)
+	ckpt, err := sysA.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysA.Close()
+
+	sysB := build(dir)
+	defer sysB.Close()
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(sysB, registerAt, got); len(want) == 0 || !resultsEqual(got, want) {
+		t.Fatalf("resume from before the first registration diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }

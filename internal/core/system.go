@@ -189,7 +189,7 @@ type System struct {
 // New builds and wires the system: initializer (budget → parameters),
 // proxies, clients (with their private databases), the aggregator and
 // the control plane, then registers Config.Query when it is set.
-func New(cfg Config) (*System, error) {
+func New(cfg Config) (_ *System, err error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("%w: %d clients", ErrConfig, cfg.Clients)
 	}
@@ -253,7 +253,6 @@ func New(cfg Config) (*System, error) {
 
 	tel := telemetry.NewRegistry()
 	var fleet *proxy.Fleet
-	var err error
 	if cfg.DataDir != "" {
 		fleet, err = proxy.NewDurableFleet(cfg.Proxies, cfg.Partitions,
 			filepath.Join(cfg.DataDir, "proxies"), wal.Options{
@@ -271,11 +270,15 @@ func New(cfg Config) (*System, error) {
 	sys := &System{cfg: cfg, params: params, pub: pub, priv: priv, fleet: fleet,
 		registry: engine.NewRegistry(), ctrls: make(map[query.ID]*budget.Controller),
 		regEpochs: make(map[query.ID]uint64), tel: tel, tracer: telemetry.NewTracer()}
+	defer func() {
+		if err != nil {
+			sys.Close()
+		}
+	}()
 
 	if cfg.StoreDir != "" {
 		store, err := histstore.Open(cfg.StoreDir, 0)
 		if err != nil {
-			fleet.Close()
 			return nil, err
 		}
 		sys.store = store
@@ -297,15 +300,12 @@ func New(cfg Config) (*System, error) {
 			_ = sys.store.Append(eventTime, raw)
 		}
 	}
-	agg, err := aggregator.NewMulti(aggCfg)
+	sys.agg, err = aggregator.NewMulti(aggCfg)
 	if err != nil {
-		sys.Close()
 		return nil, err
 	}
-	sys.agg = agg
 	consumers, err := fleet.Consumers("aggregator")
 	if err != nil {
-		sys.Close()
 		return nil, err
 	}
 	// The whole population is one client process, publishing each epoch
@@ -313,22 +313,18 @@ func New(cfg Config) (*System, error) {
 	// control topic. Even in-process, query distribution rides the
 	// pub/sub substrate.
 	if err := sys.registry.AttachSink(fleet); err != nil {
-		sys.Close()
 		return nil, err
 	}
 	aggControl, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
 	if err != nil {
-		sys.Close()
 		return nil, err
 	}
-	sys.drainer = role.NewDrain(agg, consumers, aggControl, cfg.Workers)
-	control, err := fleet.Proxy(0).ControlConsumer("clients")
+	sys.drainer = role.NewDrain(sys.agg, consumers, aggControl, cfg.Workers)
+	sys.control, err = fleet.Proxy(0).ControlConsumer("clients")
 	if err != nil {
-		sys.Close()
 		return nil, err
 	}
-	sys.control = control
-	sys.clients, err = role.NewClients(fleet, control, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
+	sys.clients, err = role.NewClients(fleet, sys.control, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
 		cc.DB = minisql.NewDB()
 		if cfg.Populate != nil {
 			if err := cfg.Populate(i, cc.DB); err != nil {
@@ -345,7 +341,6 @@ func New(cfg Config) (*System, error) {
 		return nil
 	})
 	if err != nil {
-		sys.Close()
 		return nil, err
 	}
 	if cfg.Query != nil {
@@ -533,7 +528,7 @@ func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 	t0 := time.Now()
 	fired, drained, err := s.drainer.UpTo(max)
 	if err == nil {
-		err = s.release()
+		err = s.drainer.Commit()
 	}
 	if err != nil {
 		return fired, drained, err
@@ -668,25 +663,19 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 func (s *System) Epoch() uint64 { return s.epoch }
 
 // drain forwards everything sitting at the proxies to the aggregator
-// (role.Drain.Dry: one goroutine per proxy consumer with Workers > 1),
-// then releases it. Fired windows come back in window-start order.
+// (role.Drain.Dry: one goroutine per proxy consumer with Workers > 1)
+// and commits it, as every drain ends: the commit lets the proxies'
+// brokers release those records from memory and free room under a
+// partition bound. With a DataDir a crash resumes from the last
+// Checkpoint, whose positions may lie below this commit: the durable
+// brokers read those records back from their WALs. Fired windows come
+// back in window-start order.
 func (s *System) drain() ([]aggregator.Result, error) {
 	fired, err := s.drainer.Dry()
 	if err != nil {
 		return fired, err
 	}
-	return fired, s.release()
-}
-
-// release is the end of every drain: the system owns its drain loop, so
-// it commits what it has submitted, and the commit lets the proxies'
-// brokers release those records from memory and free room under a
-// partition bound. With a DataDir a crash resumes from the last
-// Checkpoint, whose positions may lie below this commit: the durable
-// brokers read those records back from their WALs when the restored
-// consumers fetch them.
-func (s *System) release() error {
-	return s.drainer.Commit()
+	return fired, s.drainer.Commit()
 }
 
 // AdvanceTo pushes the aggregator's watermark to the event time of the
