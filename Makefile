@@ -242,8 +242,11 @@ fuzz-decoders:
 # number — -0, NaN and ±Inf among them —, text and bool cells, a numeric
 # column turning mixed, read back through SELECT * and a scan with a
 # WHERE), the share joiner against a plain
-# two-generation model (adds, recycles, rotations and checkpoint
-# restores into a fresh joiner), and the aggregator's panes against a
+# two-generation model (adds, pairs, recycles, rotations and checkpoint
+# restores into a fresh joiner), a paired round against its proxies'
+# slices submitted one after the other (shifted, replayed, dropped and
+# reordered shares, rounds cut differently at each proxy), and the
+# aggregator's panes against a
 # per-window model (sliding geometries whose slide does or does not
 # divide the window, late answers, watermark advances, flushes and
 # checkpoint restores mid-stream).
@@ -251,6 +254,7 @@ fuzz:
 	$(MAKE) fuzz-decoders FUZZTIME=10s
 	$(GO) test -run '^$$' -fuzz FuzzSplitJoinRoundTrip -fuzztime 10s ./internal/xorcrypt
 	$(GO) test -run '^$$' -fuzz FuzzShareJoiner -fuzztime 10s ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzSubmitRound -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzPanesMatchWindows -fuzztime 10s ./internal/aggregator
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 10s ./internal/answer
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql

@@ -8,7 +8,6 @@
 package privapprox
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -771,46 +770,44 @@ func TestSharePlaneAllocs(t *testing.T) {
 
 	// The drain that ships: the aggregator role core.System and
 	// privapprox-node run, polling runs into each consumer's own memory
-	// and submitting their shares, then committing — sequentially and one
-	// goroutine per proxy. Each consumer keeps its fetch arena across the
-	// empty poll that ends a drain, so the epochs reuse it. The legs
-	// read about 65 B per answer in process and 79 over TCP; they read
-	// about 290 and 160 when every drain regrew its fetch memory and
-	// every TCP fetch reply took a frame of its own.
+	// and submitting each round's shares in one call, then committing.
+	// Each consumer keeps its fetch arena across the empty poll that ends
+	// a drain, so the epochs reuse it. The legs read about 65 B per answer
+	// in process and 79 over TCP; they read about 290 and 160 when every
+	// drain regrew its fetch memory and every TCP fetch reply took a frame
+	// of its own.
 	const drainBytesLimit = 100
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("drain/workers=%d", workers), func(t *testing.T) {
-			fleet, err := proxy.NewFleet(2, 4)
-			if err != nil {
+	t.Run("drain", func(t *testing.T) {
+		fleet, err := proxy.NewFleet(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fleet.Close()
+		consumers, err := fleet.Consumers("aggregator")
+		if err != nil {
+			t.Fatal(err)
+		}
+		control, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := newAggregator()
+		drain := role.NewDrain(agg, consumers, control)
+		batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
+		var scratch xorcrypt.SplitScratch
+		perAnswer := measure(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", 0.01, agg, func() {
+			answerEpoch(t, batchers, &scratch)
+			if _, err := drain.Dry(); err != nil {
 				t.Fatal(err)
 			}
-			defer fleet.Close()
-			consumers, err := fleet.Consumers("aggregator")
-			if err != nil {
+			if err := drain.Commit(); err != nil {
 				t.Fatal(err)
-			}
-			control, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
-			if err != nil {
-				t.Fatal(err)
-			}
-			agg := newAggregator()
-			drain := role.NewDrain(agg, consumers, control, workers)
-			batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
-			var scratch xorcrypt.SplitScratch
-			perAnswer := measure(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", 0.05, agg, func() {
-				answerEpoch(t, batchers, &scratch)
-				if _, err := drain.Dry(); err != nil {
-					t.Fatal(err)
-				}
-				if err := drain.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if perAnswer > drainBytesLimit {
-				t.Errorf("want ≤ %d B per answer", drainBytesLimit)
 			}
 		})
-	}
+		if perAnswer > drainBytesLimit {
+			t.Errorf("want ≤ %d B per answer", drainBytesLimit)
+		}
+	})
 
 	// The same drain as privapprox-node wires it: one pubsub.Client
 	// consumer per proxy over loopback TCP, each fetch's reply read into
@@ -852,7 +849,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 			batchers[i] = client.NewBatcher(columnPublisher{cli, proxy.TopicFor(i)}, 0)
 		}
 		agg := newAggregator()
-		drain := role.NewDrain(agg, consumers, control, 1)
+		drain := role.NewDrain(agg, consumers, control)
 		var scratch xorcrypt.SplitScratch
 		perAnswer := measure(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", 0.05, agg, func() {
 			answerEpoch(t, batchers, &scratch)

@@ -574,7 +574,7 @@ func runAggregator(args []string) error {
 	if err != nil {
 		return err
 	}
-	drain := role.NewDrain(agg, consumers, control, 1)
+	drain := role.NewDrain(agg, consumers, control)
 	follower := drain.Follower()
 
 	// Telemetry: the aggregator's own accounting plus the epoch tracer's

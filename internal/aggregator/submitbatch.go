@@ -2,6 +2,8 @@ package aggregator
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -12,31 +14,32 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// SubmitShareBatch is the aggregator's one submit tail: join → decrypt
-// → decode → demux → pane. It consumes a polled batch in two phases —
-// a record-order join pass that gathers completed groups into
-// contiguous per-source lanes, and a tail that XOR-joins each lane
+// SubmitRound is the aggregator's one submit tail: join → decrypt →
+// decode → demux → pane. It consumes a polled round — one share slice
+// per proxy — in two phases: a join pass that gathers completed groups
+// into contiguous per-source lanes, and a tail that XOR-joins each lane
 // region in one pass, decodes the packed slots, and folds consecutive
 // same-(query, epoch) slots into their pane with one pane lock
-// acquisition per segment.
+// acquisition per segment. SubmitShareBatch is its one-source case.
 //
 // Chunking contract: for a fixed share sequence, how it is cut into
 // batches does not change the fired results, the counters or the
 // OnDecoded sequence, and a one-share batch is the per-share operator.
-// Phase A preserves record order exactly (groups complete on the same
-// share, in the same order, whatever the batch boundaries), and Phase
-// B's per-segment batching is safe because all slots of a segment share
-// one event time: a late verdict at the segment head holds for every
-// slot (the watermark only advances on observe, which runs after the
-// segment), a pane that would count the first slot late counts all of
-// them late, and per-bucket counts are integer sums, so one fold of count
-// slots equals count one-slot folds. Observing once per segment instead
-// of once per slot is also equivalent — re-observing an already-observed
-// event time never advances the watermark, so only the first
-// observation of the segment could fire, and it runs against the same
-// watermark either way. (Join state ages once per call: a replay a
-// horizon behind its original in one batch is a Duplicate here, maybe
-// Late when the two arrive in separate calls.)
+// A round is its sources' slices submitted one after the other, in
+// proxy order. Phase A preserves that order exactly (groups complete on
+// the same share, in the same order, whatever the batch boundaries),
+// and Phase B's per-segment batching is safe because all slots of a
+// segment share one event time: a late verdict at the segment head
+// holds for every slot (the watermark only advances on observe, which
+// runs after the segment), a pane that would count the first slot late
+// counts all of them late, and per-bucket counts are integer sums, so
+// one fold of count slots equals count one-slot folds. Observing once
+// per segment instead of once per slot is also equivalent —
+// re-observing an already-observed event time never advances the
+// watermark, so only the first observation of the segment could fire,
+// and it runs against the same watermark either way. (Join state ages
+// once per call: a replay a horizon behind its original in one batch is
+// a Duplicate here, maybe Late when the two arrive in separate calls.)
 
 // batchRun is one uniform-stride region of the Phase A lanes: count
 // completed join groups of size-byte payloads, starting at byte offset
@@ -48,10 +51,10 @@ type batchRun struct {
 	count int
 }
 
-// submitScratch is the reusable working set of one SubmitShareBatch
-// call: per-source completion lanes, run metadata, the joined-plaintext
-// buffer, and the decode scratch. Pooled so concurrent drain goroutines
-// never share one.
+// submitScratch is the reusable working set of one submit: per-source
+// completion lanes, run metadata, the joined-plaintext buffer, the
+// decode scratch and the join pass's bookkeeping. Pooled so concurrent
+// submits never share one.
 type submitScratch struct {
 	lanes [][]byte
 	views [][]byte
@@ -59,11 +62,21 @@ type submitScratch struct {
 	plain []byte
 	vec   answer.BitVector
 	msg   answer.Message
-	// joined holds, by share index, the group the share completed.
-	joined []*stream.Joined[xorcrypt.MID]
+	// paired marks the positions whose shares pair there; strays holds
+	// the seeded hashes of the MIDs at the positions that do not align,
+	// and strayBits their bit set.
+	paired    []bool
+	strays    []uint64
+	strayBits []uint64
+	seed      maphash.Seed
+	// done lists the completed messages in completion order: a group
+	// the joiner handed out or, nil, the next pair, the shares at
+	// position pairs[k] of every source.
+	done  []*stream.Joined[xorcrypt.MID]
+	pairs []int32
 }
 
-var submitScratchPool = sync.Pool{New: func() any { return &submitScratch{} }}
+var submitScratchPool = sync.Pool{New: func() any { return &submitScratch{seed: maphash.MakeSeed()} }}
 
 // getScratch pops a pooled scratch shaped for n source lanes.
 func getScratch(n int) *submitScratch {
@@ -90,41 +103,68 @@ func putScratch(sc *submitScratch) {
 	submitScratchPool.Put(sc)
 }
 
-// SubmitShareBatch folds in a batch of shares from proxy stream source
-// (0 ≤ source < Proxies). When a share completes a message, the message
-// is decrypted, decoded, demultiplexed to its query, and folded into
-// that query's pane; windows closed by the advancing watermark are
-// returned as results, in fire order. Duplicates and malformed messages
-// are counted. Every share payload is borrowed for the call only — a
-// polled batch's fetch buffer is free once the batch is submitted. An
-// empty batch is a no-op.
+// SubmitRound folds in one round of shares, shares[i] polled from proxy
+// stream i (at most Proxies slices; an empty one contributed nothing).
+// When shares complete a message, the message is decrypted, decoded,
+// demultiplexed to its query, and folded into that query's pane;
+// windows closed by the advancing watermark are returned as results, in
+// fire order. Duplicates and malformed messages are counted. Every share
+// payload is borrowed for the call only — a polled batch's fetch buffer
+// is free once the round is submitted. An empty round is a no-op.
 //
-// The batch is processed in share order, so how a caller chunks its
-// polls does not affect results (the contract at the top of this file).
-// The arrival time is not used — join state ages on event time alone
+// The results and counters are those of SubmitShareBatch on each
+// source's slice in proxy order (the contract at the top of this file).
+// A message whose shares sit at the same position of every slice
+// completes there, with one replay check and no group parked. The
+// arrival time is not used — join state ages on event time alone
 // (ageJoins) — and stays for the callers that pass it.
-func (a *Aggregator) SubmitShareBatch(shares []xorcrypt.Share, source int, _ time.Time) ([]Result, error) {
-	tr := a.tracer.Load()
-	if tr == nil {
-		return a.submitShareBatch(shares, source)
+func (a *Aggregator) SubmitRound(shares [][]xorcrypt.Share, _ time.Time) ([]Result, error) {
+	if len(shares) > a.cfg.Proxies {
+		return nil, fmt.Errorf("%w: %d sources of %d", stream.ErrJoinArity, len(shares), a.cfg.Proxies)
 	}
-	// Timing is batch-granular: two clock reads amortized over the
-	// whole batch keep the per-share overhead inside the allocgate's
-	// 0-alloc and the Fig 8 ≤3% budgets.
-	t0 := time.Now()
-	out, err := a.submitShareBatch(shares, source)
-	tr.RecordCurrent(telemetry.StageJoin, time.Since(t0), len(shares), 0)
-	return out, err
+	return a.submit(shares, 0)
 }
 
-func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Result, error) {
+// SubmitShareBatch folds in a batch of shares from proxy stream source
+// (0 ≤ source < Proxies): SubmitRound with one source.
+func (a *Aggregator) SubmitShareBatch(shares []xorcrypt.Share, source int, _ time.Time) ([]Result, error) {
 	if len(shares) == 0 {
 		return nil, nil
 	}
 	if source < 0 || source >= a.cfg.Proxies {
 		return nil, fmt.Errorf("%w: source %d of %d", stream.ErrJoinArity, source, a.cfg.Proxies)
 	}
-	// Phase A joins every message of the batch before Phase B observes
+	return a.submit([][]xorcrypt.Share{shares}, source)
+}
+
+// submit runs the tail over shares[i] from source base+i.
+func (a *Aggregator) submit(shares [][]xorcrypt.Share, base int) ([]Result, error) {
+	tr := a.tracer.Load()
+	if tr == nil {
+		return a.submitRound(shares, base)
+	}
+	// Timing is batch-granular: two clock reads amortized over the
+	// whole round keep the per-share overhead inside the allocgate's
+	// 0-alloc and the Fig 8 ≤3% budgets.
+	t0 := time.Now()
+	out, err := a.submitRound(shares, base)
+	n := 0
+	for _, s := range shares {
+		n += len(s)
+	}
+	tr.RecordCurrent(telemetry.StageJoin, time.Since(t0), n, 0)
+	return out, err
+}
+
+func (a *Aggregator) submitRound(shares [][]xorcrypt.Share, base int) ([]Result, error) {
+	empty := true
+	for _, s := range shares {
+		empty = empty && len(s) == 0
+	}
+	if empty {
+		return nil, nil
+	}
+	// Phase A joins every message of the round before Phase B observes
 	// any of their event times: both run under genMu, and the join state
 	// ages once, after the last segment (ageJoins).
 	a.genMu.RLock()
@@ -133,33 +173,31 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 	sc := getScratch(a.cfg.Proxies)
 	defer putScratch(sc)
 
-	// Phase A: the join, one record-order pass under joinMu, so a batch
-	// takes the join lock twice (join, recycle) and drains submitting at
-	// once meet per batch rather than per share. Source is in range, so
-	// Add fails only as a duplicate. The completed groups' payloads are
-	// then copied, in record order and with no lock held (a completed
-	// group is the caller's until Recycle), into contiguous per-source
-	// lanes — runs seal on size change — and the groups recycled, one
-	// more pass under joinMu.
-	sc.joined = slices.Grow(sc.joined[:0], len(shares))[:len(shares)]
+	// Phase A: the join, under joinMu, so a round takes the join lock
+	// once (twice when a group completed: join, recycle). The completed
+	// messages' payloads are then copied, in completion order and with no
+	// lock held (a completed group is the caller's until Recycle), into
+	// contiguous per-source lanes — runs seal on size change — and the
+	// groups recycled, one more pass under joinMu.
 	a.joinMu.Lock()
-	for i := range shares {
-		joined, err := a.joiner.Add(shares[i].MID, source, shares[i].Payload)
-		if err != nil {
-			a.duplicates.Add(1)
-		}
-		sc.joined[i] = joined
-	}
+	groups := a.join(sc, shares, base)
 	a.joinMu.Unlock()
-	for _, joined := range sc.joined {
-		if joined == nil {
-			continue
+	pairs := sc.pairs
+	for _, g := range sc.done {
+		payloads := sc.views
+		if g != nil {
+			payloads = g.Payloads
+		} else {
+			for i, s := range shares {
+				payloads[i] = s[pairs[0]].Payload
+			}
+			pairs = pairs[1:]
 		}
 		// Uniformity check — exactly the per-message join's error
 		// conditions (empty or mismatched share lengths → malformed).
-		size := len(joined.Payloads[0])
+		size := len(payloads[0])
 		uniform := size > 0
-		for _, p := range joined.Payloads[1:] {
+		for _, p := range payloads[1:] {
 			if len(p) != size {
 				uniform = false
 				break
@@ -172,17 +210,20 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 		if nr := len(sc.runs); nr == 0 || sc.runs[nr-1].size != size {
 			sc.runs = append(sc.runs, batchRun{off: len(sc.lanes[0]), size: size})
 		}
-		for i, p := range joined.Payloads {
+		for i, p := range payloads {
 			sc.lanes[i] = append(sc.lanes[i], p...)
 		}
 		sc.runs[len(sc.runs)-1].count++
 	}
-	a.joinMu.Lock()
-	for _, joined := range sc.joined {
-		a.joiner.Recycle(joined)
+	if groups > 0 {
+		a.joinMu.Lock()
+		for _, g := range sc.done {
+			a.joiner.Recycle(g)
+		}
+		a.joinMu.Unlock()
 	}
-	a.joinMu.Unlock()
-	clear(sc.joined)
+	clear(sc.done)
+	sc.done, sc.pairs = sc.done[:0], sc.pairs[:0]
 
 	// Phase B: per run, one span XOR per lane recovers the packed
 	// plaintext batch; slots decode in order and consecutive
@@ -243,6 +284,96 @@ func (a *Aggregator) submitShareBatch(shares []xorcrypt.Share, source int) ([]Re
 	}
 	a.foldDemuxDrops(unknown, badlen)
 	return out, nil
+}
+
+// join is Phase A's join; the caller holds joinMu. It folds shares[i]
+// in as source base+i's, source after source in proxy order, and lists
+// the completed messages in sc.done in the order they complete,
+// returning how many of them are groups to recycle. A share goes
+// through the joiner's Add — the per-share operator — unless its
+// message pairs: the message's MID sits at the same position of every
+// source's slice (a whole round: base 0 and a slice per proxy), no
+// generation holds it, and no unaligned position of any source carries
+// it. Such a message completes exactly as the Adds would have completed
+// it — first share of each source, on the last source's share — so its
+// first source marks it done (Pair, where Add would park it) and its
+// last source lists it (where Add would complete it): no group, no
+// park copy, no recycle. Whatever the rules leave out is a replay or
+// a sibling shifted in the round, and Add takes it in order.
+func (a *Aggregator) join(sc *submitScratch, shares [][]xorcrypt.Share, base int) (groups int) {
+	m := 0
+	if len(shares) == a.cfg.Proxies {
+		m = len(shares[0])
+		for _, s := range shares[1:] {
+			m = min(m, len(s))
+		}
+	}
+	sc.paired = slices.Grow(sc.paired[:0], m)[:m]
+	sc.strays = sc.strays[:0]
+	// The replay check, batched: this pass looks every aligned MID up in
+	// both generations before the pass that marks it done, so their cache
+	// misses overlap.
+	pairs := 0
+	for i := range m {
+		mid, aligned := shares[0][i].MID, true
+		for _, s := range shares[1:] {
+			aligned = aligned && s[i].MID == mid
+		}
+		if !aligned {
+			for _, s := range shares {
+				sc.strays = append(sc.strays, maphash.Comparable(sc.seed, s[i].MID))
+			}
+		}
+		sc.paired[i] = aligned && !a.joiner.Seen(mid)
+		if sc.paired[i] {
+			pairs++
+		}
+	}
+	// A MID at an unaligned position goes through Add, which must find
+	// it where the Adds of SubmitShareBatch calls would: it never pairs.
+	// A bit set over the strays' hashes, a word per stray, tells; a false
+	// hit (about one in 64) only sends a message through Add. (A MID past
+	// the aligned prefix comes after every pair.)
+	if pairs > 0 && len(sc.strays) > 0 {
+		n := 1 << bits.Len(uint(len(sc.strays)))
+		sc.strayBits = slices.Grow(sc.strayBits[:0], n)[:n]
+		clear(sc.strayBits)
+		for _, h := range sc.strays {
+			sc.strayBits[h>>6&uint64(n-1)] |= 1 << (h & 63)
+		}
+		for i, ok := range sc.paired {
+			if ok {
+				h := maphash.Comparable(sc.seed, shares[0][i].MID)
+				sc.paired[i] = sc.strayBits[h>>6&uint64(n-1)]&(1<<(h&63)) == 0
+			}
+		}
+	}
+	last := len(shares) - 1
+	for s, src := range shares {
+		for i := range src {
+			if i < m && sc.paired[i] {
+				if s > 0 || a.joiner.Pair(src[i].MID) {
+					if s == last {
+						sc.done = append(sc.done, nil)
+						sc.pairs = append(sc.pairs, int32(i))
+					}
+					continue
+				}
+				// An aligned replay earlier in the round paired the MID.
+				sc.paired[i] = false
+			}
+			// Source is in range, so Add fails only as a duplicate.
+			joined, err := a.joiner.Add(src[i].MID, base+s, src[i].Payload)
+			if err != nil {
+				a.duplicates.Add(1)
+			}
+			if joined != nil {
+				sc.done = append(sc.done, joined)
+				groups++
+			}
+		}
+	}
+	return groups
 }
 
 // foldDemuxDrops adds a batch's demux drop counts to the aggregator's.

@@ -24,7 +24,6 @@ import (
 	"privapprox/internal/rr"
 	"privapprox/internal/wal"
 	"privapprox/internal/workload"
-	"privapprox/internal/xorcrypt"
 )
 
 // TestChaosGate is the make-chaos gate: the full multi-proxy TCP
@@ -273,8 +272,7 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 		t.Fatalf("%s: attach sink: %v", name, err)
 	}
 	params := budget.Params{S: 0.9, RR: rr.Params{P: 0.9, Q: 0.6}}
-	signedQueries := make([]*query.Signed, gateQueries)
-	for i := range signedQueries {
+	for i := range gateQueries {
 		q, err := workload.TaxiQuery(analyst, uint64(i+1), time.Second, 4*time.Second, 4*time.Second)
 		if err != nil {
 			t.Fatalf("%s: build query: %v", name, err)
@@ -286,7 +284,6 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 		if err := reg.Register(signed, params); err != nil {
 			t.Fatalf("%s: register: %v", name, err)
 		}
-		signedQueries[i] = signed
 	}
 
 	// Clients: one batcher per proxy, epoch flushes as single frames.
@@ -326,7 +323,9 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 	}
 
 	// Aggregator side: clean (fault-free) transports to the same
-	// proxies, the same drain loop the node's aggregator role runs.
+	// proxies and the aggregator role the node runs, which learns the
+	// queries from proxy 0's control topic and drains in rounds: each
+	// round polls both proxies and submits their shares in one call.
 	var aggTcps []*pubsub.Client
 	defer func() {
 		for _, c := range aggTcps {
@@ -355,48 +354,24 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 	if err != nil {
 		t.Fatalf("%s: aggregator: %v", name, err)
 	}
-	for _, signed := range signedQueries {
-		if err := agg.AddQuery(aggregator.QuerySpec{Query: signed.Query, Params: params}); err != nil {
-			t.Fatalf("%s: add query: %v", name, err)
-		}
-	}
 	consumers, err := aggFleet.Consumers("chaos-aggregator")
 	if err != nil {
 		t.Fatalf("%s: consumers: %v", name, err)
 	}
-	var results []aggregator.Result
-	var shares []xorcrypt.Share
-	// submit hands one poll's shares to the aggregator, read out of its
-	// runs as the drain reads them.
-	submit := func(src int, runs []pubsub.Run) {
-		shares = shares[:0]
-		for _, r := range runs {
-			var skipped int
-			if shares, skipped = proxy.AppendShares(shares, r); skipped > 0 {
-				t.Fatalf("%s: %d records without a share", name, skipped)
-			}
-		}
-		res, err := agg.SubmitShareBatch(shares, src, time.Now())
-		if err != nil {
-			t.Fatalf("%s: submit shares: %v", name, err)
-		}
-		results = append(results, res...)
+	control, err := aggFleet.Proxy(0).ControlConsumer("chaos-aggregator-control")
+	if err != nil {
+		t.Fatalf("%s: aggregator control consumer: %v", name, err)
 	}
+	drain := role.NewDrain(agg, consumers, control)
+	var results []aggregator.Result
 	drainAndCommit = func() {
-		for src, c := range consumers {
-			for {
-				runs, err := c.PollRuns(4096, 0)
-				if err != nil {
-					t.Fatalf("%s: poll proxy %d: %v", name, src, err)
-				}
-				if len(runs) == 0 {
-					break
-				}
-				submit(src, runs)
-			}
-			if err := c.Commit(); err != nil {
-				t.Fatalf("%s: commit proxy %d: %v", name, src, err)
-			}
+		fired, err := drain.Dry()
+		results = append(results, fired...)
+		if err != nil {
+			t.Fatalf("%s: drain: %v", name, err)
+		}
+		if err := drain.Commit(); err != nil {
+			t.Fatalf("%s: commit: %v", name, err)
 		}
 	}
 
@@ -433,12 +408,10 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 		if !time.Now().Before(deadline) {
 			t.Fatalf("%s: decoded %d of %d sent answers before deadline", name, agg.Stats().Decoded, sent)
 		}
-		for src, c := range consumers {
-			runs, err := c.PollRuns(4096, 50*time.Millisecond)
-			if err != nil {
-				t.Fatalf("%s: poll proxy %d: %v", name, src, err)
-			}
-			submit(src, runs)
+		fired, _, err := drain.Round(4096, 50*time.Millisecond)
+		results = append(results, fired...)
+		if err != nil {
+			t.Fatalf("%s: drain round: %v", name, err)
 		}
 	}
 	final, err := agg.Flush()

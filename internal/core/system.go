@@ -27,11 +27,12 @@
 // client role fans the answering step (sample, local query, randomized
 // response, XOR split) over a bounded pool of Config.Workers goroutines
 // and publishes the epoch to each proxy as columnar frames; the
-// aggregator role drains one goroutine per proxy consumer, all feeding
-// the aggregator, whose share join is one joiner under one lock and
-// whose open panes each fold under their own. Exactly-once consumption
-// is preserved by the persistent per-proxy consumer groups — each
-// consumer is owned by a single drain goroutine.
+// aggregator role drains in rounds, each polling every proxy consumer
+// and submitting what they read to the aggregator in one call, whose
+// share join is one joiner under one lock and whose open panes each
+// fold under their own. Exactly-once consumption is preserved by the
+// persistent per-proxy consumer groups, each consumer polled only by
+// the drain.
 //
 // Determinism contract: under a fixed Config.Seed, epoch results are
 // byte-identical for every Workers setting. Each client owns a private
@@ -110,10 +111,10 @@ type Config struct {
 	Seed int64
 	// AnalystKey optionally supplies the signing key.
 	AnalystKey ed25519.PrivateKey
-	// Workers bounds how many clients answer concurrently per epoch and
-	// gates the parallel drain; defaults to GOMAXPROCS. Workers == 1
-	// reproduces the sequential pipeline. Results are identical for
-	// every worker count under a fixed Seed.
+	// Workers bounds how many clients answer concurrently per epoch;
+	// defaults to GOMAXPROCS. Workers == 1 reproduces the sequential
+	// pipeline. Results are identical for every worker count under a
+	// fixed Seed.
 	Workers int
 	// Deprecated: Shards has no effect; the aggregator's share join is
 	// one joiner under one lock.
@@ -319,7 +320,7 @@ func New(cfg Config) (_ *System, err error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.drainer = role.NewDrain(sys.agg, consumers, aggControl, cfg.Workers)
+	sys.drainer = role.NewDrain(sys.agg, consumers, aggControl)
 	sys.control, err = fleet.Proxy(0).ControlConsumer("clients")
 	if err != nil {
 		return nil, err
@@ -515,8 +516,8 @@ func (s *System) AnswerEpoch() (int, error) {
 }
 
 // DrainUpTo forwards at most max queued records from the proxies to the
-// aggregator — a bounded, always-sequential drain (deterministic
-// round-robin over the proxy consumers, see role.Drain.UpTo) modelling
+// aggregator — a bounded drain (deterministic rounds over the proxy
+// consumers, see role.Drain.UpTo) modelling
 // fixed aggregation capacity per tick. It returns fired windows in
 // window-start order and the number of records actually drained; a
 // count under max means the proxies ran dry. Fired windows feed the
@@ -663,10 +664,9 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 func (s *System) Epoch() uint64 { return s.epoch }
 
 // drain forwards everything sitting at the proxies to the aggregator
-// (role.Drain.Dry: one goroutine per proxy consumer with Workers > 1)
-// and commits it, as every drain ends: the commit lets the proxies'
-// brokers release those records from memory and free room under a
-// partition bound. With a DataDir a crash resumes from the last
+// (role.Drain.Dry: rounds until the proxies run dry) and commits it, as
+// every drain ends: the commit lets the proxies' brokers release those
+// records from memory and free room under a partition bound. With a DataDir a crash resumes from the last
 // Checkpoint, whose positions may lie below this commit: the durable
 // brokers read those records back from their WALs. Fired windows come
 // back in window-start order.

@@ -108,7 +108,7 @@ func TestDrainRestoreChecksSystemFirst(t *testing.T) {
 		}
 		return out
 	}
-	a := newRig(t, 40, 1)
+	a := newRig(t, 40)
 	if _, err := a.clients.Epoch(0); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDrainRestoreReplaysLikeSync(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return NewDrain(agg, consumers, control, 1), agg
+				return NewDrain(agg, consumers, control), agg
 			}
 			first, firstAgg := drain("first")
 			if _, err := first.Sync(); err == nil || !strings.Contains(err.Error(), "signature") {

@@ -1,11 +1,11 @@
 // Package role holds the two halves of the pipeline every deployment
 // runs (paper Fig. 3): the client role — a process's logical clients
 // following the announced query set and answering an epoch into one
-// client.Batcher per proxy — and the
-// aggregator role — one poll → decode → submit loop over one consumer
-// per proxy, following the same announcements — plus the one checkpoint
-// record a durable aggregator writes. Both roles learn their queries from
-// a control topic, each through its own engine.Follower: a query, a
+// client.Batcher per proxy — and the aggregator role — rounds that poll
+// one consumer per proxy and submit what they read in one call,
+// following the same announcements — plus the one checkpoint record a
+// durable aggregator writes. Both roles learn their queries from a
+// control topic, each through its own engine.Follower: a query, a
 // parameter change, a shed change or a stop reaches the aggregator the
 // way it reaches the clients. core.System runs both roles over
 // in-process brokers and privapprox-node runs each over TCP, so the two
@@ -189,34 +189,28 @@ func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 // Drain is the aggregator role: one consumer per proxy feeding one
 // aggregator, which follows the query announcements on a control topic.
 // Every way of draining — until dry, up to a budget, one round at a time
-// — runs the same poll → sync → decode → submit step, with one share
-// scratch per consumer.
+// — runs the same round: poll every consumer, sync, submit all the
+// polled shares in one call, with one share scratch per consumer. A
+// Drain is driven by one goroutine at a time.
 type Drain struct {
 	agg       *aggregator.Aggregator
 	consumers []*pubsub.Consumer
 	scratch   [][]xorcrypt.Share
-	parallel  bool
-
-	// controlMu serializes the follower's syncs: Dry's per-consumer
-	// goroutines each sync before their submits.
-	controlMu sync.Mutex
 	follower  *engine.Follower
 	queries   *aggQueries
 }
 
 // NewDrain builds the aggregator role over one consumer per proxy, the
 // consumer of proxy i at index i, following the query announcements on
-// control. With workers > 1 and more than one consumer, Dry drains each
-// consumer on its own goroutine. The control consumer is never
-// committed: a restarted drain reads the control topic from its start,
-// up to the checkpoint's control position when it restores one.
-func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, control *pubsub.Consumer, workers int) *Drain {
+// control. The control consumer is never committed: a restarted drain
+// reads the control topic from its start, up to the checkpoint's
+// control position when it restores one.
+func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, control *pubsub.Consumer) *Drain {
 	queries := &aggQueries{agg: agg}
 	return &Drain{
 		agg:       agg,
 		consumers: consumers,
 		scratch:   make([][]xorcrypt.Share, len(consumers)),
-		parallel:  workers > 1 && len(consumers) > 1,
 		follower:  engine.NewFollower(control, engine.NewApplier(queries)),
 		queries:   queries,
 	}
@@ -254,8 +248,7 @@ func (q *aggQueries) UnsubscribeQuery(id query.ID) bool {
 func (d *Drain) Consumers() []*pubsub.Consumer { return d.consumers }
 
 // Follower returns the follower that keeps the aggregator's queries in
-// step with the announcements. Syncing it directly is safe only while
-// no drain runs; Sync is the locked way.
+// step with the announcements.
 func (d *Drain) Follower() *engine.Follower { return d.follower }
 
 // Sync applies the announcements that arrived since the last sync to
@@ -263,8 +256,6 @@ func (d *Drain) Follower() *engine.Follower { return d.follower }
 // flushed, with the first refusal or removal failure. With nothing new
 // on the control topic it allocates nothing.
 func (d *Drain) Sync() ([]aggregator.Result, error) {
-	d.controlMu.Lock()
-	defer d.controlMu.Unlock()
 	_, err := d.follower.Sync()
 	flushed, ferr := d.queries.flushed, d.queries.err
 	d.queries.flushed, d.queries.err = nil, nil
@@ -274,44 +265,58 @@ func (d *Drain) Sync() ([]aggregator.Result, error) {
 	return flushed, err
 }
 
-// step reads up to max records from consumer src — waiting up to wait
-// for the first — as runs, syncs the control topic and submits their
-// shares as one batch, each a view of its record in the consumer's fetch
-// memory. A run whose key is not a MID carries no shares: its records
-// are counted malformed and skipped, and the rest of the poll is
-// submitted. It returns the windows the step fired — a removal's flushed
-// windows first — and the records it read.
+// round polls every consumer once, in proxy order — each for up to chunk
+// records, all of them together for up to budget, each waiting up to
+// wait for its first — as runs, syncs the control topic and submits the
+// polled shares in one call (aggregator.SubmitRound), each a view of its
+// record in its consumer's fetch memory. A run whose key is not a MID
+// carries no shares: its records are counted malformed and skipped, and
+// the rest of the round is submitted. It returns the windows the round
+// fired — a removal's flushed windows first — and the records it read.
 //
-// The sync comes after the poll and before the submit, so every
+// The sync comes after the polls and before the submit, so every
 // announcement made before a submitted share was published has been
-// applied — its own query's among them: a query announced while the poll
-// ran, or while another goroutine's step submitted the sibling shares,
-// is open before its first answers decode. A refused snapshot does not
-// cost the poll: its shares are submitted all the same, and the refusal
-// is returned after them. An empty poll does not sync.
-func (d *Drain) step(src, max int, wait time.Duration) ([]aggregator.Result, int, error) {
-	runs, err := d.consumers[src].PollRuns(max, wait)
-	if err != nil || len(runs) == 0 {
-		return nil, 0, err
+// applied — its own query's among them: a query announced while the
+// polls ran is open before its first answers decode. A refused snapshot
+// or a failed poll does not cost what the round polled: those shares are
+// submitted all the same, and the failure is returned after them. A
+// round that reads nothing does not sync.
+func (d *Drain) round(chunk, budget int, wait time.Duration) ([]aggregator.Result, int, error) {
+	read, skipped := 0, 0
+	var pollErr error
+	for src, c := range d.consumers {
+		shares := d.scratch[src][:0]
+		if room := min(chunk, budget-read); room > 0 && pollErr == nil {
+			var runs []pubsub.Run
+			runs, pollErr = c.PollRuns(room, wait)
+			for _, r := range runs {
+				var n int
+				shares, n = proxy.AppendShares(shares, r)
+				read += r.Count
+				skipped += n
+			}
+		}
+		d.scratch[src] = shares
+	}
+	if read == 0 {
+		return nil, 0, pollErr
 	}
 	flushed, syncErr := d.Sync()
-	shares, read, skipped := d.scratch[src][:0], 0, 0
-	for _, r := range runs {
-		var n int
-		shares, n = proxy.AppendShares(shares, r)
-		read += r.Count
-		skipped += n
-	}
 	if skipped > 0 {
 		d.agg.CountMalformed(skipped)
 	}
-	fired, err := d.agg.SubmitShareBatch(shares, src, time.Time{})
+	fired, err := d.agg.SubmitRound(d.scratch, time.Time{})
 	// The aggregator only borrowed the payloads: drop them so the scratch
-	// does not pin the consumer's fetch memory.
-	clear(shares)
-	d.scratch[src] = shares[:0]
+	// does not pin the consumers' fetch memory.
+	for src, shares := range d.scratch {
+		clear(shares)
+		d.scratch[src] = shares[:0]
+	}
 	if len(flushed) > 0 {
 		fired = append(flushed, fired...)
+	}
+	if err == nil {
+		err = pollErr
 	}
 	if err == nil {
 		err = syncErr
@@ -319,27 +324,9 @@ func (d *Drain) step(src, max int, wait time.Duration) ([]aggregator.Result, int
 	return fired, read, err
 }
 
-// round steps every consumer once, in proxy order, each for up to chunk
-// records and all of them together for up to budget.
-func (d *Drain) round(chunk, budget int, wait time.Duration) (fired []aggregator.Result, n int, err error) {
-	for src := range d.consumers {
-		room := min(chunk, budget-n)
-		if room <= 0 {
-			break
-		}
-		res, got, err := d.step(src, room, wait)
-		fired = append(fired, res...)
-		n += got
-		if err != nil {
-			return fired, n, err
-		}
-	}
-	return fired, n, nil
-}
-
-// Round steps every consumer once, each reading up to max records and
-// waiting up to wait for its first. Fired windows come back in the
-// order they fired.
+// Round polls every consumer once, each reading up to max records and
+// waiting up to wait for its first, and submits what they read. Fired
+// windows come back in the order they fired.
 func (d *Drain) Round(max int, wait time.Duration) ([]aggregator.Result, int, error) {
 	return d.round(max, math.MaxInt, wait)
 }
@@ -376,44 +363,11 @@ func (d *Drain) UpTo(max int) ([]aggregator.Result, int, error) {
 	return fired, drained, err
 }
 
-// Dry drains every consumer until it is empty — each on its own
-// goroutine when the role runs parallel, else as UpTo without a budget.
-// Fired windows come back in canonical order, so the result does not
-// depend on goroutine scheduling.
+// Dry drains every consumer until it is empty: UpTo without a budget.
+// Fired windows come back in canonical order.
 func (d *Drain) Dry() ([]aggregator.Result, error) {
-	if !d.parallel {
-		fired, _, err := d.UpTo(math.MaxInt)
-		return fired, err
-	}
-	var (
-		mu    sync.Mutex
-		fired []aggregator.Result
-		fail  atomic.Pointer[error]
-		wg    sync.WaitGroup
-	)
-	for src := range d.consumers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fail.Load() == nil {
-				res, n, err := d.step(src, pollMax, 0)
-				if len(res) > 0 {
-					mu.Lock()
-					fired = append(fired, res...)
-					mu.Unlock()
-				}
-				if err != nil {
-					setErr(&fail, err)
-				}
-				if err != nil || n == 0 {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	aggregator.SortResults(fired, d.agg.QueryOrder())
-	return fired, firstErr(&fail)
+	fired, _, err := d.UpTo(math.MaxInt)
+	return fired, err
 }
 
 // Commit records every consumer's position at the proxies. It is the

@@ -25,6 +25,7 @@ import (
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/workload"
+	"privapprox/internal/xorcrypt"
 )
 
 // rig is one in-process deployment built from the roles alone: two
@@ -48,14 +49,14 @@ type rig struct {
 // rigParams are the parameters of the rig's aggregator and first query.
 var rigParams = budget.Params{S: 0.8, RR: rr.Params{P: 0.9, Q: 0.6}}
 
-func newRig(t *testing.T, clients, drainWorkers int) *rig {
+func newRig(t *testing.T, clients int) *rig {
 	t.Helper()
-	return newRigWith(t, clients, 1, 0, drainWorkers)
+	return newRigWith(t, clients, 1, 0)
 }
 
 // newRigWith is newRig with clientWorkers answering clients and batch
 // as the client role's Batcher limit.
-func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *rig {
+func newRigWith(t *testing.T, clients, clientWorkers, batch int) *rig {
 	t.Helper()
 	q, err := workload.TaxiQuery("role", 1, time.Second, 4*time.Second, time.Second)
 	if err != nil {
@@ -97,14 +98,14 @@ func newRigWith(t *testing.T, clients, clientWorkers, batch, drainWorkers int) *
 		t.Fatal(err)
 	}
 	r := &rig{reg: reg, key: key, fleet: fleet, clients: cs}
-	r.startAggregator(t, drainWorkers)
+	r.startAggregator(t)
 	return r
 }
 
 // startAggregator gives the rig a fresh aggregator and drain over new
 // consumers of its fleet, and checks the share ledger at the test's
 // teardown.
-func (r *rig) startAggregator(t *testing.T, drainWorkers int) {
+func (r *rig) startAggregator(t *testing.T) {
 	t.Helper()
 	var err error
 	r.agg, err = aggregator.NewMulti(aggregator.Config{
@@ -122,7 +123,7 @@ func (r *rig) startAggregator(t *testing.T, drainWorkers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.drain = NewDrain(r.agg, consumers, control, drainWorkers)
+	r.drain = NewDrain(r.agg, consumers, control)
 	t.Cleanup(func() { r.conserved(t) })
 }
 
@@ -133,7 +134,7 @@ func (r *rig) startAggregator(t *testing.T, drainWorkers int) {
 func (r *rig) restart(t *testing.T) *rig {
 	t.Helper()
 	b := &rig{reg: r.reg, key: r.key, fleet: r.fleet, clients: r.clients, injected: r.injected}
-	b.startAggregator(t, 1)
+	b.startAggregator(t)
 	return b
 }
 
@@ -164,40 +165,96 @@ func (r *rig) conserved(t *testing.T) {
 	}
 }
 
-// TestRoleDrainMatchesAcrossWorkers: the same published stream drained
-// sequentially and by one goroutine per consumer fires byte-identical
-// windows — sliding ones, so windows fire inside the drains — with the
-// same accounting. Run under -race, it also covers the parallel drain's
-// concurrent submits.
-func TestRoleDrainMatchesAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]aggregator.Result, aggregator.Stats) {
-		r := newRig(t, 120, workers)
-		var all []aggregator.Result
-		for e := uint64(0); e < 10; e++ {
-			if _, err := r.clients.Epoch(e); err != nil {
-				t.Fatal(err)
-			}
-			fired, err := r.drain.Dry()
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, fired...)
+// TestRoleDrainMatchesProxyByProxy: a drain round submits every proxy's
+// polled shares in one call, and the windows it fires — sliding ones, so
+// windows fire inside the drains — and its accounting are byte-identical
+// to a reference aggregator's that reads the same records through its own
+// consumer group and submits each round's polls one proxy after the
+// other. The clients answer on three workers through 50-share batches,
+// so chunks interleave differently at the two proxies and some siblings
+// sit at different positions of a round.
+func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
+	r := newRigWith(t, 120, 3, 50)
+	ref, err := aggregator.NewMulti(aggregator.Config{
+		Params: rigParams, Population: len(r.clients.Clients()), Proxies: 2,
+		Origin: time.Unix(0, 0), Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumers, err := r.fleet.Consumers("reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := r.fleet.Proxy(0).ControlConsumer("reference-control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference follows the control topic through a drain of its own
+	// that never drains.
+	follower := NewDrain(ref, consumers, control)
+	var shares []xorcrypt.Share
+	aligned, positions := 0, 0
+	for e := uint64(0); e < 10; e++ {
+		if _, err := r.clients.Epoch(e); err != nil {
+			t.Fatal(err)
 		}
-		final, err := r.agg.Flush()
+		got, err := r.drain.Dry()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(all, final...), r.agg.Stats()
-	}
-	want, wantStats := run(1)
-	if len(want) < 10 || wantStats.Decoded == 0 {
-		t.Fatalf("degenerate sequential run: %d windows, %+v", len(want), wantStats)
-	}
-	for _, workers := range []int{2, 4} {
-		got, gotStats := run(workers)
-		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
-			t.Errorf("workers=%d: the parallel drain diverges from the sequential one\n got %+v\nwant %+v", workers, gotStats, wantStats)
+		var want []aggregator.Result
+		for read := 1; read > 0; {
+			if _, err := follower.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			read = 0
+			var mids [2][]xorcrypt.MID
+			for src, c := range consumers {
+				runs, err := c.PollRuns(pollMax, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shares = shares[:0]
+				for _, run := range runs {
+					shares, _ = proxy.AppendShares(shares, run)
+					read += run.Count
+				}
+				for _, sh := range shares {
+					mids[src] = append(mids[src], sh.MID)
+				}
+				fired, err := ref.SubmitShareBatch(shares, src, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, fired...)
+			}
+			for i := range min(len(mids[0]), len(mids[1])) {
+				positions++
+				if mids[0][i] == mids[1][i] {
+					aligned++
+				}
+			}
 		}
+		aggregator.SortResults(want, ref.QueryOrder())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: the paired drain fired\n%+v\nproxy by proxy\n%+v", e, got, want)
+		}
+	}
+	t.Logf("%d of %d positions aligned", aligned, positions)
+	if got, want := r.agg.Stats(), ref.Stats(); got != want || r.agg.PendingJoins() != ref.PendingJoins() {
+		t.Errorf("the paired drain counts %+v with %d pending, proxy by proxy %+v with %d", got, r.agg.PendingJoins(), want, ref.PendingJoins())
+	}
+	gotFinal, err := r.agg.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFinal, err := ref.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotFinal) == 0 || !reflect.DeepEqual(gotFinal, wantFinal) {
+		t.Errorf("flushed %d windows, proxy by proxy %d, or they differ", len(gotFinal), len(wantFinal))
 	}
 }
 
@@ -206,7 +263,7 @@ func TestRoleDrainMatchesAcrossWorkers(t *testing.T) {
 // evenly over the proxies (so what it reads can join), Dry takes the rest,
 // and a round after that finds nothing.
 func TestDrainDeliversEverything(t *testing.T) {
-	r := newRig(t, 50, 1)
+	r := newRig(t, 50)
 	n, err := r.clients.Epoch(0)
 	if err != nil || n == 0 {
 		t.Fatalf("epoch 0: %d participants, %v", n, err)
@@ -239,39 +296,37 @@ func TestDrainDeliversEverything(t *testing.T) {
 // TestDrainSkipsRecordsWithoutAMID: a record whose key is not a MID — a
 // 3-byte key published to proxy 0's answer topic ahead of epoch 1 —
 // carries no share. The drain counts it malformed and skips it, with no
-// error, and submits every record behind it in the same poll: the
+// error, and submits every record behind it in the same round: the
 // answers decode exactly as in a run without it, and no join is left
-// pending. Sequential and parallel drains alike.
+// pending.
 func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		run := func(bad bool) aggregator.Stats {
-			r := newRig(t, 40, workers)
-			for e := uint64(0); e < 3; e++ {
-				if bad && e == 1 {
-					px := r.fleet.Proxy(0)
-					noShare := pubsub.Columns{Count: 1, KeyLen: 3, ValLen: 8, Keys: []byte("mid"), Vals: []byte("no share")}
-					if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
-						t.Fatal(err)
-					}
-					r.injected[0]++
+	run := func(bad bool) aggregator.Stats {
+		r := newRig(t, 40)
+		for e := uint64(0); e < 3; e++ {
+			if bad && e == 1 {
+				px := r.fleet.Proxy(0)
+				noShare := pubsub.Columns{Count: 1, KeyLen: 3, ValLen: 8, Keys: []byte("mid"), Vals: []byte("no share")}
+				if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
+					t.Fatal(err)
 				}
-				if n, err := r.clients.Epoch(e); err != nil || n == 0 {
-					t.Fatalf("epoch %d: %d participants, %v", e, n, err)
-				}
-				if _, err := r.drain.Dry(); err != nil {
-					t.Fatalf("workers=%d: drain after epoch %d: %v", workers, e, err)
-				}
+				r.injected[0]++
 			}
-			if n := r.agg.PendingJoins(); n != 0 {
-				t.Errorf("workers=%d: %d joins left pending", workers, n)
+			if n, err := r.clients.Epoch(e); err != nil || n == 0 {
+				t.Fatalf("epoch %d: %d participants, %v", e, n, err)
 			}
-			return r.agg.Stats()
+			if _, err := r.drain.Dry(); err != nil {
+				t.Fatalf("drain after epoch %d: %v", e, err)
+			}
 		}
-		want, got := run(false), run(true)
-		want.Malformed++
-		if got != want {
-			t.Errorf("workers=%d: with a keyless record\n got %+v\nwant %+v", workers, got, want)
+		if n := r.agg.PendingJoins(); n != 0 {
+			t.Errorf("%d joins left pending", n)
 		}
+		return r.agg.Stats()
+	}
+	want, got := run(false), run(true)
+	want.Malformed++
+	if got != want {
+		t.Errorf("with a keyless record\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -292,7 +347,7 @@ func (h *hookedTransport) FetchWait(topic string, partition int, offset int64, m
 
 // hookDrain rebuilds the rig's drain over hooked transports: proxy i's
 // share consumer over shares[i], the control consumer over control.
-func (r *rig) hookDrain(t *testing.T, workers int, control *hookedTransport, shares ...*hookedTransport) {
+func (r *rig) hookDrain(t *testing.T, control *hookedTransport, shares ...*hookedTransport) {
 	t.Helper()
 	consumers := make([]*pubsub.Consumer, len(shares))
 	for i, h := range shares {
@@ -307,7 +362,7 @@ func (r *rig) hookDrain(t *testing.T, workers int, control *hookedTransport, sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.drain = NewDrain(r.agg, consumers, cc, workers)
+	r.drain = NewDrain(r.agg, consumers, cc)
 }
 
 // registerSecond announces a second query, beside the rig's first.
@@ -323,79 +378,48 @@ func (r *rig) registerSecond() error {
 	return r.reg.Register(signed, budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}})
 }
 
-// TestDrainSyncsBetweenPollAndSubmit: a drain step applies the control
-// topic after its poll and before its submit. A share fetch registers a
-// second query and runs a client epoch that answers both queries before
-// it serves the records, so the new query's answers are polled by a
-// step whose sync has not run yet; every one of them must decode, none
-// counted unknown.
-//
-// Sequentially, proxy 0's first fetch does it, and proxy 1's step
-// completes the joins. In parallel, proxy 0's first fetch does it once
-// proxy 1's goroutine is fetching too, and proxy 1's first fetch is
-// served only after proxy 0's step has submitted its halves, so proxy
-// 1's step completes the joins. A drain that synced before its polls
-// would have applied the control topic in both goroutines before the
-// registration, and proxy 0's next sync would race proxy 1's submit: the
-// answers would decode against a query set without the new query. A
-// control sync that starts after proxy 0's halves are in waits 50 ms
-// first, so that race is lost almost every time; the drain under test
-// passes whatever the timing.
+// TestDrainSyncsBetweenPollAndSubmit: a drain round applies the control
+// topic after its polls and before its submit. Proxy 0's first share
+// fetch registers a second query and runs a client epoch that answers
+// both queries before it serves the records, so the new query's answers
+// are polled by a round whose sync has not run yet; every one of them
+// must decode, none counted unknown. The first fetch of each consumer is
+// logged: the control consumer's must come after both share consumers'.
 func TestDrainSyncsBetweenPollAndSubmit(t *testing.T) {
 	const clients = 30
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			r := newRig(t, clients, workers)
-			var control hookedTransport
-			var shares [2]hookedTransport
-			fetching := make(chan struct{})
-			var sent atomic.Int64 // the epoch's answers, one half of each at each proxy
-			// answer runs on a drain goroutine: it reports with t.Error.
-			answer := func() {
-				if err := r.registerSecond(); err != nil {
-					t.Error(err)
-				}
-				if n, err := r.clients.Epoch(0); err != nil || n != clients {
-					t.Errorf("epoch 0: %d participants, %v", n, err)
-				}
-				sent.Store(client.SumStats(r.clients.Clients()).AnswersSent)
+	r := newRig(t, clients)
+	var control hookedTransport
+	var shares [2]hookedTransport
+	var sent int64 // the epoch's answers, one half of each at each proxy
+	var firsts []string
+	first := func(name string, then func()) func(int64) {
+		return func(n int64) {
+			if n == 1 {
+				firsts = append(firsts, name)
+				then()
 			}
-			halvesIn := func() bool { n := sent.Load(); return n > 0 && int64(r.agg.PendingJoins()) == n }
-			if workers == 1 {
-				shares[0].hook = func(n int64) {
-					if n == 1 {
-						answer()
-					}
-				}
-			} else {
-				shares[0].hook = func(n int64) {
-					if n == 1 {
-						<-fetching
-						answer()
-					}
-				}
-				shares[1].hook = func(n int64) {
-					if n == 1 {
-						close(fetching)
-						for !halvesIn() {
-							time.Sleep(time.Millisecond)
-						}
-					}
-				}
-				control.hook = func(int64) {
-					if halvesIn() {
-						time.Sleep(50 * time.Millisecond)
-					}
-				}
-			}
-			r.hookDrain(t, workers, &control, &shares[0], &shares[1])
-			if _, err := r.drain.Dry(); err != nil {
-				t.Fatal(err)
-			}
-			if st := r.agg.Stats(); st.Decoded != sent.Load() || st.UnknownQuery != 0 || st.Queries != 2 {
-				t.Errorf("%d answers decoded and %d of unknown queries over %d queries, want %d, 0 and 2", st.Decoded, st.UnknownQuery, st.Queries, sent.Load())
-			}
-		})
+		}
+	}
+	shares[0].hook = first("proxy 0", func() {
+		if err := r.registerSecond(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := r.clients.Epoch(0); err != nil || n != clients {
+			t.Fatalf("epoch 0: %d participants, %v", n, err)
+		}
+		sent = client.SumStats(r.clients.Clients()).AnswersSent
+	})
+	shares[1].hook = first("proxy 1", func() {})
+	control.hook = first("control", func() {})
+	r.hookDrain(t, &control, &shares[0], &shares[1])
+	if _, err := r.drain.Dry(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"proxy 0", "proxy 1", "control"}; !slices.Equal(firsts, want) {
+		t.Errorf("first fetches %q, want %q", firsts, want)
+	}
+	if st := r.agg.Stats(); st.Decoded != sent || st.UnknownQuery != 0 || st.Queries != 2 {
+		t.Errorf("%d answers decoded and %d of unknown queries over %d queries, want %d, 0 and 2", st.Decoded, st.UnknownQuery, st.Queries, sent)
 	}
 }
 
@@ -406,7 +430,7 @@ func TestDrainSyncsBetweenPollAndSubmit(t *testing.T) {
 // new on the control topic and completes the joins, so every polled
 // share is decoded and the share ledger balances.
 func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
-	r := newRig(t, 40, 1)
+	r := newRig(t, 40)
 	var answers int64
 	for e := uint64(0); e < 2; e++ {
 		n, err := r.clients.Epoch(e)
@@ -456,7 +480,7 @@ func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
 // build's sync.Pool drops pooled TCP round-trip state, so it skips the
 // TCP case.
 func TestControlPlaneStepZeroAllocs(t *testing.T) {
-	r := newRig(t, 4, 1)
+	r := newRig(t, 4)
 	if n, err := r.clients.Epoch(0); err != nil || n == 0 {
 		t.Fatalf("epoch 0: %d participants, %v", n, err)
 	}
@@ -474,7 +498,7 @@ func TestControlPlaneStepZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overTCP := NewDrain(r.agg, r.drain.Consumers(), control, 1)
+	overTCP := NewDrain(r.agg, r.drain.Consumers(), control)
 	for _, tc := range []struct {
 		name string
 		step func() error
@@ -634,7 +658,7 @@ func TestClientsEpochAcrossWorkers(t *testing.T) {
 		for _, clients := range []int{1, 63, 64, 65, 200} {
 			for _, batch := range []int{0, limit} {
 				name := fmt.Sprintf("workers=%d/clients=%d/batch=%d", workers, clients, batch)
-				r, twin := newRigWith(t, clients, workers, batch, 1), newRigWith(t, clients, 1, batch, 1)
+				r, twin := newRigWith(t, clients, workers, batch), newRigWith(t, clients, 1, batch)
 				// Workers flush concurrently, so the stamper may be too. The
 				// sizes come from proxy 0's sink: with one query shape a
 				// flush is one call, so calls and stamps must pair up.
@@ -746,7 +770,7 @@ func TestClientsEpochAllocs(t *testing.T) {
 		workers int
 		limit   uint64
 	}{{1, 0}, {2, 3}, {4, 5}} {
-		r := newRigWith(t, clients, tc.workers, 0, 1)
+		r := newRigWith(t, clients, tc.workers, 0)
 		var mallocs []uint64
 		for e := uint64(0); e < warm+epochs; e++ {
 			var before, after runtime.MemStats

@@ -76,7 +76,8 @@ type KeyedShareJoiner[K comparable] struct {
 	// generation, its entry either the slot of its pending group in
 	// groups or done. The maps hold no pointers (for a pointer-free key
 	// type), so the collector never scans them, and one probe per
-	// generation finds a key's whole state.
+	// generation finds a key's whole state. A Go map hashes with a seed
+	// of its own, so keys the clients choose cannot be picked to collide.
 	gens [2]map[K]uint32
 	// groups is every group the joiner has made, by slot; free pools the
 	// ones not in use, so the steady-state join path performs no
@@ -162,6 +163,28 @@ func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte) (*Joined[K]
 	j.pending[age]--
 	g.Key = key
 	return g, nil
+}
+
+// Seen reports whether a generation holds key, as a pending group or a
+// completed key. It changes nothing: a caller that looks a batch of keys
+// up in one pass before the pass that acts on them lets the lookups'
+// cache misses overlap.
+func (j *KeyedShareJoiner[K]) Seen(key K) bool {
+	_, age := j.find(key)
+	return age >= 0
+}
+
+// Pair completes key in one step, as a group whose every share arrived
+// together: key is marked done in the current generation — exactly where
+// Add leaves a group it completes — with no group made, parked or
+// recycled, and Pair reports whether it was new there. It is the done
+// mark that follows a replay check: key must be one Seen found in no
+// generation and no Add has left pending since, so the only state it can
+// have reached is done, by an earlier Pair of a replay, which it keeps.
+func (j *KeyedShareJoiner[K]) Pair(key K) bool {
+	n := len(j.gens[0])
+	j.gens[0][key] = done
+	return len(j.gens[0]) > n
 }
 
 // Rotate ages the joiner by one generation: the previous generation's

@@ -53,6 +53,18 @@ func (m *joinModel) add(key [16]byte, source int, payload []byte) (joined [][]by
 	return nil, false
 }
 
+// pair is Seen then Pair: a key no generation holds completes at once,
+// into the current generation, and a key held anywhere is left as it is.
+func (m *joinModel) pair(key [16]byte) (seen bool) {
+	for _, gen := range m.gens {
+		if _, ok := gen[key]; ok {
+			return true
+		}
+	}
+	m.gens[0][key] = &modelKey{done: true}
+	return false
+}
+
 func (m *joinModel) rotate() (expired int) {
 	for _, k := range m.gens[1] {
 		if !k.done {
@@ -99,16 +111,19 @@ func nilSources(payloads [][]byte) (s []bool) {
 
 // joinOp is one step of a FuzzShareJoiner input: Add of key arg%5 from
 // source arg/5 with a payload of n bytes, Recycle of the oldest group
-// the test holds, Rotate, or a checkpoint restored into a fresh joiner.
+// the test holds, Rotate, a checkpoint restored into a fresh joiner, or
+// Seen of key arg%5 and, when no generation holds it, Pair — n+1 times,
+// as an aligned replay repeats it.
 func joinOp(op string, arg, n byte) []byte {
-	code := map[string]byte{"add": 0, "recycle": 5, "rotate": 6, "restore": 7}[op]
+	code := map[string]byte{"add": 0, "recycle": 5, "rotate": 6, "restore": 7, "pair": 8}[op]
 	return []byte{code, arg, n}
 }
 
 func addOp(key, source, n byte) []byte { return joinOp("add", key+5*source, n) }
 
 // FuzzShareJoiner drives KeyedShareJoiner with random Add (five keys),
-// Recycle, Rotate and checkpoint restores against joinModel. Every step
+// Recycle, Rotate, checkpoint restores and Seen-then-Pair against
+// joinModel. Every step
 // must agree with the model on the group or error class returned, the
 // pending and completed counts, the expiry count, and the pending
 // groups and completed keys with their ages; a group the test holds
@@ -130,6 +145,11 @@ func FuzzShareJoiner(f *testing.F) {
 	f.Add(seed(1, addOp(3, 1, 1), rotate, addOp(3, 0, 0), restore, addOp(3, 2, 1), rotate, addOp(3, 1, 1)))
 	// Restores with empty shares, pending and completed keys of both ages.
 	f.Add(seed(1, addOp(0, 0, 0), addOp(1, 0, 1), addOp(1, 1, 1), addOp(1, 2, 1), rotate, addOp(2, 1, 3), restore, rotate, restore, addOp(0, 1, 1)))
+	// A paired key is a completed one: replays of it are duplicates for
+	// two generations, through Add and Pair alike, and survive a restore;
+	// a key pending or done is not paired.
+	f.Add(seed(0, joinOp("pair", 1, 1), addOp(1, 0, 2), rotate, restore, joinOp("pair", 1, 0), addOp(1, 1, 0), rotate, joinOp("pair", 1, 0)))
+	f.Add(seed(1, addOp(2, 2, 1), joinOp("pair", 2, 0), addOp(2, 0, 1), rotate, joinOp("pair", 3, 2), rotate, addOp(3, 0, 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -147,7 +167,7 @@ func FuzzShareJoiner(f *testing.F) {
 		}
 		var groups []held
 		for i := 1; i+2 < len(data); i += 3 {
-			op, arg, n := data[i]%8, data[i+1], int(data[i+2]%4)
+			op, arg, n := data[i]%9, data[i+1], int(data[i+2]%4)
 			switch {
 			case op < 5:
 				key, source := [16]byte{arg % 5}, int(arg/5)%expect
@@ -196,6 +216,17 @@ func FuzzShareJoiner(f *testing.F) {
 					j.Recycle(h.g)
 				}
 				j, groups = fresh, nil
+			case op == 8:
+				key := [16]byte{arg % 5}
+				seen := j.Seen(key)
+				if want := m.pair(key); seen != want {
+					t.Fatalf("step %d: Seen(%d) = %t, model %t", i, key[0], seen, want)
+				}
+				for k := 0; !seen && k <= n; k++ {
+					if fresh := j.Pair(key); fresh != (k == 0) {
+						t.Fatalf("step %d: Pair(%d) number %d reports new %t", i, key[0], k+1, fresh)
+					}
+				}
 			}
 			pending, completed := 0, 0
 			for _, gen := range m.gens {
