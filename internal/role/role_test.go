@@ -387,40 +387,44 @@ func (r *rig) registerSecond() error {
 // logged: the control consumer's must come after both share consumers'.
 func TestDrainSyncsBetweenPollAndSubmit(t *testing.T) {
 	const clients = 30
-	r := newRig(t, clients)
-	var control hookedTransport
-	var shares [2]hookedTransport
-	var sent int64 // the epoch's answers, one half of each at each proxy
-	var firsts []string
-	first := func(name string, then func()) func(int64) {
-		return func(n int64) {
-			if n == 1 {
-				firsts = append(firsts, name)
-				then()
+	// The subtest keeps the name it had when the drain took a worker
+	// count: one goroutine polling every proxy is the drain's only shape.
+	t.Run("workers=1", func(t *testing.T) {
+		r := newRig(t, clients)
+		var control hookedTransport
+		var shares [2]hookedTransport
+		var sent int64 // the epoch's answers, one half of each at each proxy
+		var firsts []string
+		first := func(name string, then func()) func(int64) {
+			return func(n int64) {
+				if n == 1 {
+					firsts = append(firsts, name)
+					then()
+				}
 			}
 		}
-	}
-	shares[0].hook = first("proxy 0", func() {
-		if err := r.registerSecond(); err != nil {
+		shares[0].hook = first("proxy 0", func() {
+			if err := r.registerSecond(); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := r.clients.Epoch(0); err != nil || n != clients {
+				t.Fatalf("epoch 0: %d participants, %v", n, err)
+			}
+			sent = client.SumStats(r.clients.Clients()).AnswersSent
+		})
+		shares[1].hook = first("proxy 1", func() {})
+		control.hook = first("control", func() {})
+		r.hookDrain(t, &control, &shares[0], &shares[1])
+		if _, err := r.drain.Dry(); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := r.clients.Epoch(0); err != nil || n != clients {
-			t.Fatalf("epoch 0: %d participants, %v", n, err)
+		if want := []string{"proxy 0", "proxy 1", "control"}; !slices.Equal(firsts, want) {
+			t.Errorf("first fetches %q, want %q", firsts, want)
 		}
-		sent = client.SumStats(r.clients.Clients()).AnswersSent
+		if st := r.agg.Stats(); st.Decoded != sent || st.UnknownQuery != 0 || st.Queries != 2 {
+			t.Errorf("%d answers decoded and %d of unknown queries over %d queries, want %d, 0 and 2", st.Decoded, st.UnknownQuery, st.Queries, sent)
+		}
 	})
-	shares[1].hook = first("proxy 1", func() {})
-	control.hook = first("control", func() {})
-	r.hookDrain(t, &control, &shares[0], &shares[1])
-	if _, err := r.drain.Dry(); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"proxy 0", "proxy 1", "control"}; !slices.Equal(firsts, want) {
-		t.Errorf("first fetches %q, want %q", firsts, want)
-	}
-	if st := r.agg.Stats(); st.Decoded != sent || st.UnknownQuery != 0 || st.Queries != 2 {
-		t.Errorf("%d answers decoded and %d of unknown queries over %d queries, want %d, 0 and 2", st.Decoded, st.UnknownQuery, st.Queries, sent)
-	}
 }
 
 // TestDrainSubmitsPastARefusedSnapshot: a snapshot whose signature was
