@@ -132,9 +132,10 @@ lineage:
 # decode, join) at ≤ 0.5 allocations per answer in-process — a commit,
 # the trim and the reuse of the released slab included — and ≤ 0.05 over
 # loopback TCP, and through the aggregator role's own drain (role.Drain,
-# sequential and parallel, with its commit) at ≤ 0.05 allocations and
-# ≤ 100 heap bytes per answer — over loopback TCP, as privapprox-node
-# wires it, too; a TCP round trip (a fetch that finds nothing, a commit,
+# with its commit) at ≤ 0.01 allocations and ≤ 100 heap bytes per answer
+# — over loopback TCP, as privapprox-node wires it, at ≤ 0.05 — and
+# through core.System's RunEpoch, whose workers drain between chunks, at
+# the in-process drain's bounds; a TCP round trip (a fetch that finds nothing, a commit,
 # an end-offset lookup, a fixed publish) at 0, client and server
 # together; a fired window at ≤ 4 allocations whatever its bucket
 # count, and 128 buckets at less than six times the cost of 8 (one

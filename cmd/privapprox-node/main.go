@@ -501,7 +501,7 @@ func runClient(args []string) error {
 		// The epoch applies any announcements that arrived since the last
 		// one — networked deployments pick up (and drop) queries mid-run —
 		// and idles while every query is stopped.
-		participants, err := clients.Epoch(e)
+		_, participants, err := clients.Epoch(e, nil)
 		if err != nil {
 			return err
 		}

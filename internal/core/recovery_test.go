@@ -143,7 +143,7 @@ func TestSystemCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		published.capture(t, sysA)
-		res, err := sysA.drain()
+		res, _, err := sysA.drain()
 		if err != nil {
 			t.Fatal(err)
 		}

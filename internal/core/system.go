@@ -30,9 +30,14 @@
 // aggregator role drains in rounds, each polling every proxy consumer
 // and submitting what they read to the aggregator in one call, whose
 // share join is one joiner under one lock and whose open panes each
-// fold under their own. Exactly-once consumption is preserved by the
-// persistent per-proxy consumer groups, each consumer polled only by
-// the drain.
+// fold under their own. In RunEpoch the two roles overlap: between
+// chunks, one worker at a time cuts a frame per proxy from what the
+// workers have answered so far and drains it while the others answer
+// on (drain points, role.Clients.Epoch), so the aggregator works while
+// clients still answer, as in the paper's Fig. 3; what is left when the
+// last client has answered is drained after. Exactly-once consumption
+// is preserved by the persistent per-proxy consumer groups, each
+// consumer polled only by the drain.
 //
 // Determinism contract: under a fixed Config.Seed, epoch results are
 // byte-identical for every Workers setting. Each client owns a private
@@ -48,6 +53,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	mrand "math/rand"
 	"path/filepath"
 	"runtime"
@@ -112,9 +118,10 @@ type Config struct {
 	// AnalystKey optionally supplies the signing key.
 	AnalystKey ed25519.PrivateKey
 	// Workers bounds how many clients answer concurrently per epoch;
-	// defaults to GOMAXPROCS. Workers == 1 reproduces the sequential
-	// pipeline. Results are identical for every worker count under a
-	// fixed Seed.
+	// defaults to GOMAXPROCS. With more than one, RunEpoch's workers
+	// also take turns draining between their chunks. Workers == 1
+	// reproduces the sequential pipeline: answer, then drain. Results
+	// are identical for every worker count under a fixed Seed.
 	Workers int
 	// Deprecated: Shards has no effect; the aggregator's share join is
 	// one joiner under one lock.
@@ -480,19 +487,32 @@ func (s *System) StopQuery(id query.ID) ([]aggregator.Result, error) {
 // on Config.Workers goroutines — drains the proxies into the
 // aggregator, and returns any window results that fired plus the number
 // of participating clients (clients that answered at least one query).
+// With more than one worker the drain overlaps the answering: between
+// chunks, a worker that finds no drain running cuts one frame per proxy
+// and drains it (role.Clients.Epoch's drain points), and once every
+// client has answered the epoch's tail is drained as before. The
+// windows fired at drain points and in the tail come back together in
+// canonical order (aggregator.SortResults), the same windows with the
+// same bytes as AnswerEpoch followed by an unbounded DrainUpTo.
 // Pending control-topic announcements are applied first, so queries
 // registered since the last epoch take effect at a deterministic point;
 // an idle fleet (no active query) answers nothing but still drains, so
 // stragglers of stopped queries surface in the statistics. Results are
 // deterministic under a fixed Config.Seed for any worker count.
 func (s *System) RunEpoch() ([]aggregator.Result, int, error) {
-	participants, err := s.AnswerEpoch()
+	results, participants, err := s.answer(s.drainer)
 	if err != nil {
-		return nil, participants, err
+		return results, participants, err
 	}
 	t0 := time.Now()
-	results, err := s.drain()
-	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), len(results), 0)
+	tail, drained, err := s.drain()
+	s.tracer.RecordCurrent(telemetry.StageDrain, time.Since(t0), drained, 0)
+	if len(results) == 0 {
+		results = tail
+	} else {
+		results = append(results, tail...)
+		aggregator.SortResults(results, s.agg.QueryOrder())
+	}
 	if err != nil {
 		return results, participants, err
 	}
@@ -506,13 +526,21 @@ func (s *System) RunEpoch() ([]aggregator.Result, int, error) {
 // bounded — the surge harness drives overload by answering more epochs
 // per tick than the drain budget covers. Returns the participant count.
 func (s *System) AnswerEpoch() (int, error) {
+	_, participants, err := s.answer(nil)
+	return participants, err
+}
+
+// answer begins the next epoch and answers it, running drain points over
+// drain when it is not nil, and returns the windows they fired in the
+// order they fired.
+func (s *System) answer(drain *role.Drain) ([]aggregator.Result, int, error) {
 	epoch := s.epoch
 	s.epoch++
 	s.tracer.BeginEpoch(epoch)
 	t0 := time.Now()
-	participants, err := s.clients.Epoch(epoch)
+	fired, participants, err := s.clients.Epoch(epoch, drain)
 	s.tracer.Record(epoch, telemetry.StageAnswer, time.Since(t0), participants, 0)
-	return participants, err
+	return fired, participants, err
 }
 
 // DrainUpTo forwards at most max queued records from the proxies to the
@@ -664,18 +692,19 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 func (s *System) Epoch() uint64 { return s.epoch }
 
 // drain forwards everything sitting at the proxies to the aggregator
-// (role.Drain.Dry: rounds until the proxies run dry) and commits it, as
-// every drain ends: the commit lets the proxies' brokers release those
-// records from memory and free room under a partition bound. With a DataDir a crash resumes from the last
+// (role.Drain.UpTo without a budget: rounds until the proxies run dry)
+// and commits it, as every drain ends: the commit lets the proxies'
+// brokers release those records from memory and free room under a
+// partition bound. With a DataDir a crash resumes from the last
 // Checkpoint, whose positions may lie below this commit: the durable
 // brokers read those records back from their WALs. Fired windows come
-// back in window-start order.
-func (s *System) drain() ([]aggregator.Result, error) {
-	fired, err := s.drainer.Dry()
+// back in window-start order, with the records drained.
+func (s *System) drain() ([]aggregator.Result, int, error) {
+	fired, drained, err := s.drainer.UpTo(math.MaxInt)
 	if err != nil {
-		return fired, err
+		return fired, drained, err
 	}
-	return fired, s.drainer.Commit()
+	return fired, drained, s.drainer.Commit()
 }
 
 // AdvanceTo pushes the aggregator's watermark to the event time of the
@@ -704,7 +733,7 @@ func (s *System) AdvanceTo(epoch uint64) ([]aggregator.Result, error) {
 // dropping any window the last batch of shares pushed past the
 // watermark.
 func (s *System) Flush() ([]aggregator.Result, error) {
-	drained, err := s.drain()
+	drained, _, err := s.drain()
 	if err != nil {
 		return nil, err
 	}

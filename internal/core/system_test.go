@@ -108,10 +108,13 @@ func TestEndToEndWithNoiseRecoversDistribution(t *testing.T) {
 	}
 	defer sys.Close()
 	defer conserved(t, sys)
+	var fired []aggregator.Result
 	for e := 0; e < 4; e++ {
-		if _, _, err := sys.RunEpoch(); err != nil {
+		res, _, err := sys.RunEpoch()
+		if err != nil {
 			t.Fatal(err)
 		}
+		fired = append(fired, res...)
 	}
 	results, err := sys.Flush()
 	if err != nil {
@@ -120,6 +123,7 @@ func TestEndToEndWithNoiseRecoversDistribution(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("no windows fired")
 	}
+	windowsConserved(t, sys, append(fired, results...))
 	res := results[0]
 	// The taxi workload puts ~33.6% of rides in bucket [0,1). The
 	// estimate (normalized) should land near that.
@@ -448,5 +452,39 @@ func conserved(t *testing.T, sys *System, injected ...int64) {
 	}
 	if err := role.Conserve(answered, dropped, published, sys.drainer.Consumers(), sys.agg); err != nil {
 		t.Error(err)
+	}
+}
+
+// windowsConserved checks the sliding-window form of the ledger over
+// every window a run fired (fired, its last Flush included): each decoded
+// answer reached each window that covers it exactly once. role.Balance
+// counts share units and cannot see a segment folded into its pane twice
+// or never. A query's windows are whole multiples of its slide, so
+// k = Window/Slide windows cover every event time, and per query
+//
+//	(decoded − late)·k ≤ Σ Responses ≤ decoded·k − late
+//
+// for a late answer misses at least the window whose fire made it late
+// and at most all k of its windows; with no late answer Σ Responses is
+// decoded·k exactly.
+func windowsConserved(t *testing.T, sys *System, fired []aggregator.Result) {
+	t.Helper()
+	got := sampleMap(sys.TelemetrySnapshot())
+	responses := make(map[query.ID]int64)
+	for _, res := range fired {
+		responses[res.Query] += int64(res.Responses)
+	}
+	for _, id := range sys.Registry().Active() {
+		e, _ := sys.Registry().Entry(id)
+		q := e.Signed.Query
+		if q.Window%q.Slide != 0 {
+			t.Fatalf("query %s: window %v is not a multiple of its slide %v", id, q.Window, q.Slide)
+		}
+		k := int64(q.Window / q.Slide)
+		decoded := int64(got["privapprox_query_decoded_total{query="+id.String()+"}"])
+		late := int64(got["privapprox_query_late_total{query="+id.String()+"}"])
+		if n := responses[id]; n < (decoded-late)*k || n > decoded*k-late {
+			t.Errorf("query %s: Σ window responses %d, want %d decoded × %d windows each, less %d late", id, n, decoded, k, late)
+		}
 	}
 }

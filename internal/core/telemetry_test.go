@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"privapprox/internal/budget"
+	"privapprox/internal/client"
 	"privapprox/internal/minisql"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
@@ -196,5 +197,44 @@ func TestSystemTelemetrySLOAndControl(t *testing.T) {
 	}
 	if !foundShed {
 		t.Errorf("no privapprox_slo_shed series; keys: %d samples", len(got))
+	}
+}
+
+// TestStageDrainCountsDrainedRecords: an epoch's drain-stage units are
+// the share records drained while it was the current epoch — two per
+// answer, one at each proxy — whether RunEpoch drained them (at its drain
+// points and in its tail, each a record of its own) or DrainUpTo did.
+// RunEpoch once counted the windows it fired there instead.
+func TestStageDrainCountsDrainedRecords(t *testing.T) {
+	sys := drainPointSystem(t, 2)
+	defer sys.Close()
+	defer conserved(t, sys)
+	const epochs = 6
+	var sent [epochs]int64
+	for e := range epochs {
+		before := client.SumStats(sys.Clients()).AnswersSent
+		var err error
+		if e%2 == 0 {
+			_, _, err = sys.RunEpoch()
+		} else if _, err = sys.AnswerEpoch(); err == nil {
+			_, _, err = sys.DrainUpTo(1 << 30)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent[e] = client.SumStats(sys.Clients()).AnswersSent - before
+	}
+	spans := sys.Tracer().Spans(nil)
+	if len(spans) != epochs {
+		t.Fatalf("%d epoch spans, want %d", len(spans), epochs)
+	}
+	for _, span := range spans {
+		drain := span.Stages[telemetry.StageDrain]
+		if want := 2 * sent[span.Epoch]; want == 0 || drain.Units != want {
+			t.Errorf("epoch %d: drain units %d, want the %d records its %d answers published", span.Epoch, drain.Units, want, sent[span.Epoch])
+		}
+		if runEpoch := span.Epoch%2 == 0; runEpoch && drain.Events < 2 || !runEpoch && drain.Events != 1 {
+			t.Errorf("epoch %d: %d drain records", span.Epoch, drain.Events)
+		}
 	}
 }

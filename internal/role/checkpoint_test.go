@@ -109,7 +109,7 @@ func TestDrainRestoreChecksSystemFirst(t *testing.T) {
 		return out
 	}
 	a := newRig(t, 40)
-	if _, err := a.clients.Epoch(0); err != nil {
+	if _, _, err := a.clients.Epoch(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.drain.Dry(); err != nil {

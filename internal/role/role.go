@@ -10,7 +10,11 @@
 // way it reaches the clients. core.System runs both roles over
 // in-process brokers and privapprox-node runs each over TCP, so the two
 // wirings differ only in what they connect, never in how a query
-// arrives or how an epoch is answered, drained or checkpointed.
+// arrives or how an epoch is answered, drained or checkpointed. In one
+// process the two roles can also overlap: handed a Drain, an epoch's
+// client-role workers run drain points between their chunks, each
+// cutting one frame per proxy and draining it while the other workers
+// answer on.
 package role
 
 import (
@@ -27,6 +31,7 @@ import (
 	"privapprox/internal/proxy"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
+	"privapprox/internal/telemetry"
 	"privapprox/internal/xorcrypt"
 )
 
@@ -36,6 +41,14 @@ const pollMax = 4096
 // chunk is how many clients a client-role worker claims at a time and
 // answers into its own lanes before flushing them to the shared batchers.
 const chunk = 64
+
+// cutFloor is the fewest shares every proxy's batcher must hold before a
+// drain point cuts a frame. A frame costs a publish per proxy and, on a
+// durable fleet, a journal write per partition, so a point that cut
+// every chunk would spend on frames what it gains by overlapping. Of the
+// floors measured (DESIGN §3), 1,024 overlapped as well as 256 and 512
+// in memory and was the one that did not cost the durable fleet.
+const cutFloor = 1024
 
 // Clients is a process's logical clients. Every client's shares reach
 // one Batcher per proxy, so an epoch reaches each proxy as columnar
@@ -48,14 +61,26 @@ type Clients struct {
 	follower *engine.Follower
 	lanes    [][]client.ShareSink // per worker, a *client.Batcher per proxy, empty between chunks
 	run      answerRun
+	// cut orders, in an epoch with drain points, every worker's lane
+	// flush and every frame cut, so each proxy receives the same shares
+	// in the same order.
+	cut sync.Mutex
+	// point is held by the one worker running a drain point; the others
+	// answer on rather than wait for it.
+	point sync.Mutex
 }
 
-// answerRun is the state an epoch's workers share.
+// answerRun is the state an epoch's workers share. drain is nil in an
+// epoch without drain points; fired and pointErr are what its drain
+// points fired and the first failure of one, guarded by Clients.point.
 type answerRun struct {
 	next, participants atomic.Int64
 	stop               atomic.Bool
 	err                atomic.Pointer[error]
 	wg                 sync.WaitGroup
+	drain              *Drain
+	fired              []aggregator.Result
+	pointErr           error
 }
 
 // NewClients builds logical clients offset … offset+n−1 over fleet,
@@ -110,20 +135,38 @@ func (c *Clients) Follower() *engine.Follower { return c.follower }
 // worker has its own lanes, so the worker pool only interleaves shares
 // within a batch chunk by chunk, which the aggregator is
 // insensitive to. Shares batched before an error are still flushed.
-func (c *Clients) Epoch(e uint64) (int, error) {
+//
+// Given a drain, an epoch answered on more than one worker runs drain
+// points: a worker that finishes a chunk while no other worker drains
+// and every proxy's batcher holds at least cutFloor shares flushes all
+// the batchers as one cut — under the lock the workers' lane flushes
+// take, so every proxy's frame carries the same shares in the same order
+// and every sibling pairs by position — and drains exactly what it cut
+// (Drain.UpTo's rounds). Epoch returns the windows its drain points
+// fired, in the order they fired, and the first drain point failure
+// after the answers; the frame the epoch's end flushes is the caller's
+// to drain. Without a drain, or on one worker, there is nothing to
+// overlap and Epoch answers and flushes only.
+func (c *Clients) Epoch(e uint64, drain *Drain) ([]aggregator.Result, int, error) {
 	if active, err := c.syncActive(); err != nil || active == 0 {
-		return 0, err
+		return nil, 0, err
 	}
 	for _, b := range c.batchers {
 		b.BeginEpoch(e)
 	}
-	n, err := c.answer(e)
+	if len(c.lanes) == 1 {
+		drain = nil
+	}
+	n, err := c.answer(e, drain)
 	for _, b := range c.batchers {
 		if ferr := b.Flush(); err == nil {
 			err = ferr
 		}
 	}
-	return n, err
+	if err == nil {
+		err = c.run.pointErr
+	}
+	return c.run.fired, n, err
 }
 
 // syncActive is the control-plane step of every epoch: it applies the
@@ -137,8 +180,8 @@ func (c *Clients) syncActive() (int, error) {
 }
 
 // answer runs worker 0 on the calling goroutine and the rest on their own.
-func (c *Clients) answer(e uint64) (int, error) {
-	c.run = answerRun{}
+func (c *Clients) answer(e uint64, drain *Drain) (int, error) {
+	c.run = answerRun{drain: drain}
 	for w := 1; w < len(c.lanes); w++ {
 		c.run.wg.Add(1)
 		go func() {
@@ -152,7 +195,8 @@ func (c *Clients) answer(e uint64) (int, error) {
 }
 
 // work claims chunks until none is left or a worker fails, answering each
-// into lanes and flushing them, after an error too.
+// into lanes and flushing them, after an error too, and offering a drain
+// point after each chunk when the epoch has a drain.
 func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 	r, n := &c.run, 0
 	var err error
@@ -173,9 +217,18 @@ func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 				n++
 			}
 		}
+		if r.drain != nil {
+			c.cut.Lock()
+		}
 		for _, lane := range lanes {
 			if ferr := lane.(*client.Batcher).Flush(); err == nil {
 				err = ferr
+			}
+		}
+		if r.drain != nil {
+			c.cut.Unlock()
+			if err == nil {
+				err = c.drainPoint(e)
 			}
 		}
 	}
@@ -184,6 +237,53 @@ func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 		setErr(&r.err, err)
 		r.stop.Store(true)
 	}
+}
+
+// drainPoint cuts one frame per proxy and drains it, unless another
+// worker is running a drain point, an earlier one failed, or some proxy's
+// batcher holds fewer than cutFloor shares. It returns a failed cut,
+// which stops the epoch's answering as a failed flush does; a failed
+// drain only ends the epoch's drain points and is reported after the
+// answers. It allocates nothing unless a window fires.
+func (c *Clients) drainPoint(e uint64) error {
+	if !c.point.TryLock() {
+		return nil
+	}
+	defer c.point.Unlock()
+	r := &c.run
+	if r.pointErr != nil {
+		return nil
+	}
+	c.cut.Lock()
+	cut := 0
+	for _, b := range c.batchers {
+		n := b.Pending()
+		if n < cutFloor {
+			c.cut.Unlock()
+			return nil
+		}
+		cut += n
+	}
+	var err error
+	for _, b := range c.batchers {
+		if ferr := b.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	c.cut.Unlock()
+	if err != nil {
+		return err
+	}
+	t0 := time.Now()
+	var drained int
+	r.fired, drained, r.pointErr = r.drain.upTo(r.fired, cut)
+	if tr := r.drain.tracer; tr != nil {
+		tr.Record(e, telemetry.StageDrain, time.Since(t0), drained, 0)
+	}
+	if r.drain.pointDone != nil {
+		r.drain.pointDone()
+	}
+	return nil
 }
 
 // Drain is the aggregator role: one consumer per proxy feeding one
@@ -198,6 +298,8 @@ type Drain struct {
 	scratch   [][]xorcrypt.Share
 	follower  *engine.Follower
 	queries   *aggQueries
+	tracer    *telemetry.Tracer // charged each drain point's span, if set
+	pointDone func()            // for tests: called after each drain point's rounds
 }
 
 // NewDrain builds the aggregator role over one consumer per proxy, the
@@ -250,6 +352,11 @@ func (d *Drain) Consumers() []*pubsub.Consumer { return d.consumers }
 // Follower returns the follower that keeps the aggregator's queries in
 // step with the announcements.
 func (d *Drain) Follower() *engine.Follower { return d.follower }
+
+// SetTracer makes every drain point charge its rounds to the tracer's
+// drain stage of the epoch it runs in: its time and the records it read.
+// Set it before the drain's first epoch.
+func (d *Drain) SetTracer(tr *telemetry.Tracer) { d.tracer = tr }
 
 // Sync applies the announcements that arrived since the last sync to
 // the aggregator and returns the windows a stopped query's removal
@@ -339,13 +446,20 @@ func (d *Drain) Round(max int, wait time.Duration) ([]aggregator.Result, int, er
 // in canonical order (aggregator.SortResults); a count under max means
 // the proxies ran dry.
 func (d *Drain) UpTo(max int) ([]aggregator.Result, int, error) {
+	fired, drained, err := d.upTo(nil, max)
+	aggregator.SortResults(fired, d.agg.QueryOrder())
+	return fired, drained, err
+}
+
+// upTo is UpTo appending the fired windows to fired in the order they
+// fired.
+func (d *Drain) upTo(fired []aggregator.Result, max int) ([]aggregator.Result, int, error) {
 	chunk := max / len(d.consumers)
 	if max%len(d.consumers) != 0 {
 		chunk++
 	}
 	chunk = min(chunk, pollMax)
 	var (
-		fired   []aggregator.Result
 		drained int
 		err     error
 	)
@@ -353,13 +467,16 @@ func (d *Drain) UpTo(max int) ([]aggregator.Result, int, error) {
 		var res []aggregator.Result
 		var n int
 		res, n, err = d.round(chunk, max-drained, 0)
-		fired = append(fired, res...)
+		if len(fired) == 0 {
+			fired = res // the round's own slice: no copy
+		} else {
+			fired = append(fired, res...)
+		}
 		drained += n
 		if err != nil || n == 0 {
 			break
 		}
 	}
-	aggregator.SortResults(fired, d.agg.QueryOrder())
 	return fired, drained, err
 }
 

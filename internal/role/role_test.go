@@ -196,7 +196,7 @@ func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 	var shares []xorcrypt.Share
 	aligned, positions := 0, 0
 	for e := uint64(0); e < 10; e++ {
-		if _, err := r.clients.Epoch(e); err != nil {
+		if _, _, err := r.clients.Epoch(e, nil); err != nil {
 			t.Fatal(err)
 		}
 		got, err := r.drain.Dry()
@@ -264,7 +264,7 @@ func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 // and a round after that finds nothing.
 func TestDrainDeliversEverything(t *testing.T) {
 	r := newRig(t, 50)
-	n, err := r.clients.Epoch(0)
+	_, n, err := r.clients.Epoch(0, nil)
 	if err != nil || n == 0 {
 		t.Fatalf("epoch 0: %d participants, %v", n, err)
 	}
@@ -311,7 +311,7 @@ func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
 				}
 				r.injected[0]++
 			}
-			if n, err := r.clients.Epoch(e); err != nil || n == 0 {
+			if _, n, err := r.clients.Epoch(e, nil); err != nil || n == 0 {
 				t.Fatalf("epoch %d: %d participants, %v", e, n, err)
 			}
 			if _, err := r.drain.Dry(); err != nil {
@@ -366,8 +366,12 @@ func (r *rig) hookDrain(t *testing.T, control *hookedTransport, shares ...*hooke
 }
 
 // registerSecond announces a second query, beside the rig's first.
-func (r *rig) registerSecond() error {
-	q, err := workload.TaxiQuery("role", 2, time.Second, 4*time.Second, time.Second)
+func (r *rig) registerSecond() error { return r.register(2, 4*time.Second) }
+
+// register announces query serial of the rig's analyst, sliding by one
+// epoch over a window of window.
+func (r *rig) register(serial uint64, window time.Duration) error {
+	q, err := workload.TaxiQuery("role", serial, time.Second, window, time.Second)
 	if err != nil {
 		return err
 	}
@@ -407,7 +411,7 @@ func TestDrainSyncsBetweenPollAndSubmit(t *testing.T) {
 			if err := r.registerSecond(); err != nil {
 				t.Fatal(err)
 			}
-			if n, err := r.clients.Epoch(0); err != nil || n != clients {
+			if _, n, err := r.clients.Epoch(0, nil); err != nil || n != clients {
 				t.Fatalf("epoch 0: %d participants, %v", n, err)
 			}
 			sent = client.SumStats(r.clients.Clients()).AnswersSent
@@ -437,7 +441,7 @@ func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
 	r := newRig(t, 40)
 	var answers int64
 	for e := uint64(0); e < 2; e++ {
-		n, err := r.clients.Epoch(e)
+		_, n, err := r.clients.Epoch(e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +489,7 @@ func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
 // TCP case.
 func TestControlPlaneStepZeroAllocs(t *testing.T) {
 	r := newRig(t, 4)
-	if n, err := r.clients.Epoch(0); err != nil || n == 0 {
+	if _, n, err := r.clients.Epoch(0, nil); err != nil || n == 0 {
 		t.Fatalf("epoch 0: %d participants, %v", n, err)
 	}
 	srv, err := pubsub.Serve(r.fleet.Proxy(0).Broker(), "127.0.0.1:0")
@@ -679,7 +683,7 @@ func TestClientsEpochAcrossWorkers(t *testing.T) {
 				})
 				got, want := 0, 0
 				for e := uint64(0); e < epochs; e++ {
-					n, err := r.clients.Epoch(e)
+					_, n, err := r.clients.Epoch(e, nil)
 					if err != nil {
 						t.Fatalf("%s: epoch %d: %v", name, e, err)
 					}
@@ -779,7 +783,7 @@ func TestClientsEpochAllocs(t *testing.T) {
 		for e := uint64(0); e < warm+epochs; e++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if n, err := r.clients.Epoch(e); err != nil || n == 0 {
+			if _, n, err := r.clients.Epoch(e, nil); err != nil || n == 0 {
 				t.Fatalf("epoch %d: %d participants, %v", e, n, err)
 			}
 			runtime.ReadMemStats(&after)
@@ -797,6 +801,60 @@ func TestClientsEpochAllocs(t *testing.T) {
 		t.Logf("workers=%d: allocs per epoch of %d clients: median %d, max %d", tc.workers, clients, mallocs[epochs/2], mallocs[epochs-1])
 		if mallocs[epochs/2] > tc.limit {
 			t.Errorf("workers=%d: median epoch allocates %d times, want ≤ %d", tc.workers, mallocs[epochs/2], tc.limit)
+		}
+	}
+}
+
+// TestDrainPointsPairEveryShare: an epoch handed a drain runs drain
+// points between chunks. Each cuts one frame per proxy holding the same
+// shares in the same order, so once its rounds are done no join is
+// pending: every sibling paired by position. The windows the points and
+// the epoch's tail fire are a twin rig's, which answers without a drain
+// and drains afterwards; on one worker no point runs.
+func TestDrainPointsPairEveryShare(t *testing.T) {
+	const clients, epochs = 768, 5 // twelve chunks: two or three cuts an epoch
+	for _, workers := range []int{1, 2, 4} {
+		r, twin := newRigWith(t, clients, workers, 0), newRigWith(t, clients, workers, 0)
+		for _, x := range []*rig{r, twin} {
+			for serial := uint64(2); serial <= 4; serial++ {
+				if err := x.register(serial, time.Duration(serial)*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		points, fired := 0, 0
+		r.drain.pointDone = func() {
+			points++
+			if n := r.agg.PendingJoins(); n != 0 {
+				t.Errorf("workers=%d: %d joins pending after drain point %d", workers, n, points)
+			}
+		}
+		for e := uint64(0); e < epochs; e++ {
+			got, _, err := r.clients.Epoch(e, r.drain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail, err := r.drain.Dry()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, tail...)
+			aggregator.SortResults(got, r.agg.QueryOrder())
+			if _, _, err := twin.clients.Epoch(e, nil); err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.drain.Dry()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: epoch %d: with drain points\n%+v\nanswered, then drained\n%+v", workers, e, got, want)
+			}
+			fired += len(want)
+		}
+		t.Logf("workers=%d: %d drain points, %d windows", workers, points, fired)
+		if fired == 0 || (workers == 1) != (points == 0) {
+			t.Errorf("workers=%d: %d drain points fired %d windows", workers, points, fired)
 		}
 	}
 }

@@ -30,9 +30,10 @@
 // with its own parameters and feedback loop.
 //
 // The epoch pipeline is parallel end-to-end: clients answer on a
-// bounded worker pool (SystemConfig.Workers, default GOMAXPROCS), each
-// proxy is drained by its own goroutine, and the aggregator joins their
-// shares under one lock and folds each open pane under its own. Under a
+// bounded worker pool (SystemConfig.Workers, default GOMAXPROCS), and
+// between chunks of clients one worker at a time drains what has been
+// answered so far into the aggregator, which joins the shares under one
+// lock and folds each open pane under its own. Under a
 // fixed SystemConfig.Seed, results are byte-identical for every Workers
 // setting — tune the knob for the hardware, not for the answer. (One caveat: with StoreDir set, the historical store's
 // record *order* within an epoch is scheduling-dependent when
