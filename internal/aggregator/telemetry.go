@@ -13,6 +13,10 @@ func (a *Aggregator) SetTracer(tr *telemetry.Tracer) {
 	a.tracer.Store(tr)
 }
 
+// Tracer returns the attached epoch tracer, or nil. The aggregator
+// role charges each drain point's span to it too.
+func (a *Aggregator) Tracer() *telemetry.Tracer { return a.tracer.Load() }
+
 // SetCardSink attaches the provenance recorder: every subsequently
 // fired window emits one result card (realized participation, CI
 // width, budget burn, late counts — see lineage.Card). Nil detaches.

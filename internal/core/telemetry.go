@@ -33,7 +33,6 @@ func (s *System) initTelemetry() {
 	s.tel.RegisterSource(s.tracer)
 	s.tel.RegisterSource(s.agg)
 	s.agg.SetTracer(s.tracer)
-	s.drainer.SetTracer(s.tracer)
 
 	// The provenance plane: a memory-only recorder (no card log) so
 	// every in-process system answers Cards()/the debug endpoint; the

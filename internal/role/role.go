@@ -63,7 +63,12 @@ type Clients struct {
 	run      answerRun
 	// cut orders, in an epoch with drain points, every worker's lane
 	// flush and every frame cut, so each proxy receives the same shares
-	// in the same order.
+	// in the same order. An epoch without them flushes lanes without it:
+	// under a batch limit (privapprox-node's -batch) a lane flush that
+	// fills a frame publishes it, over TCP in the node, and holding cut
+	// across that send made the other workers' lane flushes wait for it
+	// (a two-worker node client, 6,000 clients, -batch 200: 3–31 %
+	// slower, median 19 %, in 6 of 6 alternating runs on 2 cores).
 	cut sync.Mutex
 	// point is held by the one worker running a drain point; the others
 	// answer on rather than wait for it.
@@ -277,7 +282,7 @@ func (c *Clients) drainPoint(e uint64) error {
 	t0 := time.Now()
 	var drained int
 	r.fired, drained, r.pointErr = r.drain.upTo(r.fired, cut)
-	if tr := r.drain.tracer; tr != nil {
+	if tr := r.drain.agg.Tracer(); tr != nil {
 		tr.Record(e, telemetry.StageDrain, time.Since(t0), drained, 0)
 	}
 	if r.drain.pointDone != nil {
@@ -298,8 +303,7 @@ type Drain struct {
 	scratch   [][]xorcrypt.Share
 	follower  *engine.Follower
 	queries   *aggQueries
-	tracer    *telemetry.Tracer // charged each drain point's span, if set
-	pointDone func()            // for tests: called after each drain point's rounds
+	pointDone func() // for tests: called after each drain point's rounds
 }
 
 // NewDrain builds the aggregator role over one consumer per proxy, the
@@ -352,11 +356,6 @@ func (d *Drain) Consumers() []*pubsub.Consumer { return d.consumers }
 // Follower returns the follower that keeps the aggregator's queries in
 // step with the announcements.
 func (d *Drain) Follower() *engine.Follower { return d.follower }
-
-// SetTracer makes every drain point charge its rounds to the tracer's
-// drain stage of the epoch it runs in: its time and the records it read.
-// Set it before the drain's first epoch.
-func (d *Drain) SetTracer(tr *telemetry.Tracer) { d.tracer = tr }
 
 // Sync applies the announcements that arrived since the last sync to
 // the aggregator and returns the windows a stopped query's removal
@@ -467,11 +466,7 @@ func (d *Drain) upTo(fired []aggregator.Result, max int) ([]aggregator.Result, i
 		var res []aggregator.Result
 		var n int
 		res, n, err = d.round(chunk, max-drained, 0)
-		if len(fired) == 0 {
-			fired = res // the round's own slice: no copy
-		} else {
-			fired = append(fired, res...)
-		}
+		fired = append(fired, res...)
 		drained += n
 		if err != nil || n == 0 {
 			break
