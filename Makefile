@@ -3,16 +3,17 @@
 # the allocgate, multiquery, smoke, crash, surge, chaos, obsgate,
 # lineage and soak gates described at their targets below, a few
 # seconds of fuzzing on every wire and disk decoder (fuzz-decoders),
-# and bench-smoke. The longer `make fuzz`, and the size measurements
-# `make loc` and `make unlinked`, are run by hand; the benchmark itself
-# is `bash bench/run.sh`.
+# bench-smoke, paper-smoke and mutants. The longer `make fuzz`, and the
+# size measurements `make loc` and `make unlinked`, are run by hand; the
+# benchmark itself is `bash bench/run.sh`, and the paper's tables and
+# figures `go run -C paper ./cmd/experiments`.
 
 GO ?= go
 RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/histstore/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/minisql/... ./internal/client/... ./internal/query/... ./internal/stream/... ./internal/proxy/... ./internal/role/...
 
-.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench-smoke fuzz fuzz-decoders loc unlinked
+.PHONY: ci fmt vet seeded build test race smoke multiquery allocgate crash surge chaos obsgate lineage soak bench-smoke paper-smoke mutants fuzz fuzz-decoders loc unlinked
 
-ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak fuzz-decoders bench-smoke
+ci: fmt vet seeded build test race allocgate multiquery smoke crash surge chaos obsgate lineage soak fuzz-decoders bench-smoke paper-smoke mutants
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -85,7 +86,8 @@ crash:
 # The closed-loop overload gate: the same deterministic 10× load surge
 # through a controlled (SLO shedding) and an uncontrolled system; the
 # controlled run must shed, keep tail lag at the target, and drain its
-# backlog while the uncontrolled backlog persists.
+# backlog while the uncontrolled backlog persists. internal/surge holds
+# only tests: its harness is harness_test.go.
 surge:
 	$(GO) test -run 'TestSurgeGate|TestSLOClosedLoopShedsAndRecovers' -count=1 ./internal/surge ./internal/core
 
@@ -95,6 +97,7 @@ surge:
 # log) drive the full multi-proxy pipeline under ten fault schedules,
 # and every run must produce results byte-identical to the fault-free
 # baseline with the broker's session dedup absorbing the redeliveries.
+# internal/chaos holds only tests: its transport is transport_test.go.
 chaos:
 	$(GO) test -run 'TestChaosGate' -count=1 ./internal/chaos
 
@@ -132,10 +135,12 @@ lineage:
 # decode, join) at ≤ 0.5 allocations per answer in-process — a commit,
 # the trim and the reuse of the released slab included — and ≤ 0.05 over
 # loopback TCP, and through the aggregator role's own drain (role.Drain,
-# with its commit) at ≤ 0.01 allocations and ≤ 100 heap bytes per answer
-# — over loopback TCP, as privapprox-node wires it, at ≤ 0.05 — and
-# through core.System's RunEpoch, whose workers drain between chunks, at
-# the in-process drain's bounds; a TCP round trip (a fetch that finds nothing, a commit,
+# with its commit) at ≤ 0.01 allocations and, once its joiner, slabs and
+# scratch have reached their steady size, ≤ 20 heap bytes per answer —
+# over loopback TCP, as privapprox-node wires it, at ≤ 0.05 allocations
+# and ≤ 100 bytes — and through core.System's RunEpoch, whose workers
+# drain between chunks, at ≤ 0.01 allocations and ≤ 100 bytes; a TCP
+# round trip (a fetch that finds nothing, a commit,
 # an end-offset lookup, a fixed publish) at 0, client and server
 # together; a fired window at ≤ 4 allocations whatever its bucket
 # count, and 128 buckets at less than six times the cost of 8 (one
@@ -180,6 +185,21 @@ soak:
 # Buckets.Index, minisql.Parse, ...; the list heads bench/layers.go).
 bench-smoke:
 	$(GO) test -C bench -count=1 ./...
+
+# The paper reproduction (paper/: cmd/experiments, the crypto and
+# baseline comparators, the Fig. 8 cluster model) is a nested module
+# too, outside tier-1; this keeps it building and its tests running.
+paper-smoke:
+	$(GO) vet -C paper ./...
+	$(GO) test -C paper -short -count=1 ./...
+
+# The checked-in mutants (testdata/mutants.json): each entry's one-line
+# change, applied with `go test -overlay`, must make its named test
+# fail, and an entry whose `old` text no longer occurs exactly once in
+# its file fails the run. The tree itself is never edited. See
+# tools/mutants.go.
+mutants:
+	@$(GO) run tools/mutants.go
 
 # Every decoder of bytes a peer or a disk hands the system, fourteen
 # targets as package:target — the columnar publish frame
@@ -262,24 +282,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/minisql
 
 # The size numbers ROADMAP tracks: non-test Go lines per package (the
-# root module only; bench/ is its own module) and the exported
-# identifiers of every internal/ package, with their total — top-level
-# functions, types, variables and constants plus exported methods.
+# root module only; bench/ and paper/ are modules of their own) and the
+# exported identifiers of every internal/ package that has non-test
+# files, with their total — top-level functions, types, variables and
+# constants plus exported methods.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read -r pkg dir files; do \
 		[ -n "$$files" ] || continue; \
 		printf '%6d  %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d  total non-test Go lines\n", total }'
-	@for pkg in $$($(GO) list ./internal/...); do \
+	@for pkg in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/...); do \
 		printf '%6d  exported identifiers in %s\n' \
 			"$$($(GO) doc -all $$pkg | grep -cE '^(func|type) |^(var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* += ')" "$${pkg#privapprox/}"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d  exported identifiers in internal/\n", total }'
 
 # The functions and methods of internal/ that no binary links: every
-# main of the root module and of bench/ built with inlining off, their
-# symbol tables read with `go tool nm`, and each function declared in a
-# non-test file of internal/ that none of them holds printed with its
-# line count, then the totals. A function listed is reached only from
+# main of the root module, of bench/ and of paper/ built with inlining
+# off, their symbol tables read with `go tool nm`, and each function
+# declared in a non-test file of the root's internal/ that none of them
+# holds printed with its line count, then the totals. A function listed is reached only from
 # tests, or from nothing. tools/unlinked.go is a `//go:build ignore`
 # program, so `go build ./...` and `make loc` do not see it.
 unlinked:

@@ -1,15 +1,17 @@
 // Package chaos injects seeded faults into the data-plane publish path.
-// It is netsim.Link's live sibling: where Link models an adversarial
-// delivery schedule for the control plane offline, chaos.Transport
-// wraps a real pubsub transport and perturbs sessioned PublishColumns
-// calls as they happen — synthetic connection resets (the request never
-// executes), dropped acks (the request executes but the caller sees an
-// ambiguous failure), duplicated deliveries (the request executes
-// twice), and delays. Under a fixed seed the fault schedule is a pure
-// function of the call sequence, so a chaos run is reproducible and a
-// gate can assert that results under faults are byte-identical to the
-// fault-free run (the broker's producer-session dedup and the client's
-// retry policy absorb every injected fault).
+// It holds only tests: this file is the harness, and `make chaos` runs
+// the gate that drives it. It is the live sibling of engine's lossyLink
+// test helper: where that link models an adversarial delivery schedule
+// for the control plane offline, chaos.Transport wraps a real pubsub
+// transport and perturbs sessioned PublishColumns calls as they happen —
+// synthetic connection resets (the request never executes), dropped acks
+// (the request executes but the caller sees an ambiguous failure),
+// duplicated deliveries (the request executes twice), and delays. Under
+// a fixed seed the fault schedule is a pure function of the call
+// sequence, so a chaos run is reproducible and a gate can assert that
+// results under faults are byte-identical to the fault-free run (the
+// broker's producer-session dedup and the client's retry policy absorb
+// every injected fault).
 //
 // Faults target only PublishColumns calls that carry a producer session
 // (pid != 0): those are the calls with an exactly-once contract to

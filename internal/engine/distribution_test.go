@@ -3,13 +3,14 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"privapprox/internal/budget"
 	"privapprox/internal/client"
 	"privapprox/internal/minisql"
-	"privapprox/internal/netsim"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/xorcrypt"
@@ -50,7 +51,7 @@ func newTestClient(t *testing.T, i int) *client.Client {
 // plane through an adversarial delivery model: a sequence of query-set
 // announcements (registrations, a parameter update, a stop) is
 // delivered to every client through an independent lossy, reordering,
-// duplicating netsim link. Every client must converge to exactly the
+// duplicating link. Every client must converge to exactly the
 // registry's final active set — in the same order — before answering.
 func TestQueryDistributionConvergesUnderLossAndReorder(t *testing.T) {
 	pub, priv := testKey(5)
@@ -90,7 +91,7 @@ func TestQueryDistributionConvergesUnderLossAndReorder(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		c := newTestClient(t, i)
 		ap := NewApplier(c)
-		link := netsim.Link{Drop: 0.4, Dup: 0.3, ReorderWindow: 3, Seed: int64(i) + 100}
+		link := lossyLink{Drop: 0.4, Dup: 0.3, ReorderWindow: 3, Seed: int64(i) + 100}
 		delivered, err := link.Deliver(sink.payloads)
 		if err != nil {
 			t.Fatal(err)
@@ -484,5 +485,130 @@ func TestFollowerSyncNStopsAtItsBound(t *testing.T) {
 	}
 	if seen, err := f.Sync(); err != nil || seen != records-259 || f.Position() != records || ap.Version() != records {
 		t.Fatalf("Sync after SyncN = (%d, %v) at offset %d, version %d", seen, err, f.Position(), ap.Version())
+	}
+}
+
+// lossyLink is a deterministic adversarial delivery model for control-plane
+// distribution tests: given a sequence of published messages, it
+// produces the subsequence (with duplicates) one subscriber actually
+// observes — dropping, duplicating, and locally reordering messages
+// under a seeded RNG. It models a consumer's view of a durable
+// pub/sub topic under transient failures: individual poll batches may
+// be missed or observed out of order, but the log itself is durable,
+// so a final catch-up poll always observes the tail. Receivers built on
+// versioned snapshots must converge under any such delivery.
+type lossyLink struct {
+	// Drop is the probability a message is not observed in its slot.
+	Drop float64
+	// Dup is the probability an observed message is observed twice.
+	Dup float64
+	// ReorderWindow bounds how far an observed message may be displaced
+	// from its publish position (0 = in-order delivery).
+	ReorderWindow int
+	// Seed fixes the delivery schedule; the same seed always yields the
+	// same delivery.
+	Seed int64
+}
+
+// Validate checks the link parameters.
+func (l lossyLink) Validate() error {
+	if l.Drop < 0 || l.Drop >= 1 || math.IsNaN(l.Drop) {
+		return fmt.Errorf("lossyLink: drop %v", l.Drop)
+	}
+	if l.Dup < 0 || l.Dup >= 1 || math.IsNaN(l.Dup) {
+		return fmt.Errorf("lossyLink: dup %v", l.Dup)
+	}
+	if l.ReorderWindow < 0 {
+		return fmt.Errorf("lossyLink: reorder window %d", l.ReorderWindow)
+	}
+	return nil
+}
+
+// Deliver returns the observed sequence for one subscriber. The final
+// published message is always observed last (the durable-log catch-up:
+// a consumer that keeps polling eventually reads the tail), so
+// convergence does not depend on luck; everything before it may be
+// dropped, duplicated, or displaced by up to ReorderWindow positions.
+func (l lossyLink) Deliver(msgs [][]byte) ([][]byte, error) {
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	if len(msgs) == 0 {
+		return nil, nil
+	}
+	rng := rand.New(rand.NewSource(l.Seed))
+	var observed [][]byte
+	for _, m := range msgs[:len(msgs)-1] {
+		if rng.Float64() < l.Drop {
+			continue
+		}
+		observed = append(observed, m)
+		if rng.Float64() < l.Dup {
+			observed = append(observed, m)
+		}
+	}
+	// Local reordering: displace each message within the window.
+	if l.ReorderWindow > 0 {
+		for i := range observed {
+			j := i + rng.Intn(l.ReorderWindow+1)
+			if j >= len(observed) {
+				j = len(observed) - 1
+			}
+			observed[i], observed[j] = observed[j], observed[i]
+		}
+	}
+	return append(observed, msgs[len(msgs)-1]), nil
+}
+
+func TestLinkDeterministicDelivery(t *testing.T) {
+	msgs := make([][]byte, 20)
+	for i := range msgs {
+		msgs[i] = []byte{byte(i)}
+	}
+	link := lossyLink{Drop: 0.4, Dup: 0.3, ReorderWindow: 3, Seed: 7}
+	a, err := link.Deliver(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := link.Deliver(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("same seed delivered %d vs %d messages", len(a), len(b))
+	}
+	for i := range a {
+		if a[i][0] != b[i][0] {
+			t.Fatalf("same seed diverged at position %d", i)
+		}
+	}
+	// The tail is always delivered last (the durable-log catch-up).
+	if a[len(a)-1][0] != msgs[len(msgs)-1][0] {
+		t.Errorf("tail message not delivered last")
+	}
+	// A different seed yields a different schedule (overwhelmingly).
+	other := lossyLink{Drop: 0.4, Dup: 0.3, ReorderWindow: 3, Seed: 8}
+	c, err := other.Deliver(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := len(a) == len(c)
+	if same {
+		for i := range a {
+			if a[i][0] != c[i][0] {
+				same = false
+				break
+			}
+		}
+	}
+	if same {
+		t.Error("different seeds produced identical delivery")
+	}
+	// Parameter validation.
+	if _, err := (lossyLink{Drop: 1.5}).Deliver(msgs); err == nil {
+		t.Error("invalid drop accepted")
+	}
+	if _, err := (lossyLink{ReorderWindow: -1}).Deliver(msgs); err == nil {
+		t.Error("negative reorder window accepted")
 	}
 }

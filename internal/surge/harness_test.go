@@ -1,12 +1,12 @@
-// Package surge is the overload test harness: a seeded step-load
-// generator driving a core.System through a base → 10×-offered-load →
-// base profile with a fixed per-tick drain budget, recording the
-// latency/approximation frontier each tick. It exists to compare a
-// controlled run (EnableSLO: approximation-aware load shedding) against
-// an uncontrolled one under the identical offered-load sequence: the
-// controlled system trades CI width for bounded window-fire lag, the
-// uncontrolled one's backlog and lag grow without bound for as long as
-// the surge lasts.
+// Package surge is the overload test harness, and holds only tests
+// (`make surge` runs its gate): a seeded step-load generator driving a
+// core.System through a base → 10×-offered-load → base profile with a
+// fixed per-tick drain budget, recording the latency/approximation
+// frontier each tick. It exists to compare a controlled run (EnableSLO:
+// approximation-aware load shedding) against an uncontrolled one under
+// the identical offered-load sequence: the controlled system trades CI
+// width for bounded window-fire lag, the uncontrolled one's backlog and
+// lag grow without bound for as long as the surge lasts.
 //
 // Everything is deterministic under Config.Seed: the population, the
 // sampling and shed coins, the share partition routing (seeded MIDs),

@@ -227,17 +227,10 @@ func runFig9(fast bool) error {
 		for _, r := range rows {
 			fmt.Printf("%5.0f%%  %14.1f  %14v  %11.2fx  %11.2fx\n",
 				r.s*100, float64(r.bytes)/1024, r.latency.Round(time.Millisecond),
-				float64(baseBytes)/float64(maxInt64(r.bytes, 1)),
-				float64(baseLatency)/float64(maxInt64(int64(r.latency), 1)))
+				float64(baseBytes)/float64(max(r.bytes, 1)),
+				float64(baseLatency)/float64(max(int64(r.latency), 1)))
 		}
 	}
 	fmt.Println("paper: at s=60%, ~1.6x traffic reduction and ~1.7x lower latency")
 	return nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

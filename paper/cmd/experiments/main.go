@@ -10,7 +10,7 @@
 //
 // Absolute numbers depend on this host; the *shapes* (who wins, by what
 // factor, where the crossovers fall) are the reproduction target — see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// DESIGN.md §5 ("Paper rows live in paper/cmd/experiments").
 package main
 
 import (
@@ -42,8 +42,6 @@ var experiments = []experiment{
 	{"fig7", "Fig 7: NYC taxi case study (utility, privacy, trade-off)", runFig7},
 	{"fig8", "Fig 8: proxy & aggregator scalability", runFig8},
 	{"fig9", "Fig 9: network traffic & latency vs sampling fraction", runFig9},
-	{"pipeline", "Parallel epoch pipeline: workers throughput sweep", runPipeline},
-	{"netbench", "Networked transport: TCP share throughput, batch × connections sweep", runNetbench},
 }
 
 func main() {

@@ -9,17 +9,16 @@ import (
 
 	"privapprox/internal/aggregator"
 	"privapprox/internal/answer"
-	"privapprox/internal/baseline/splitx"
 	"privapprox/internal/budget"
-	"privapprox/internal/core"
-	"privapprox/internal/cryptobench"
 	"privapprox/internal/minisql"
-	"privapprox/internal/netsim"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/workload"
 	"privapprox/internal/xorcrypt"
+	"privapprox/paper/internal/baseline/splitx"
+	"privapprox/paper/internal/cryptobench"
+	"privapprox/paper/internal/netsim"
 )
 
 // measureNs times fn over iters iterations and returns ns/op.
@@ -102,7 +101,7 @@ func runTable2(fast bool) error {
 		return err
 	}
 	var gmCT []*big.Int
-	gmEnc, err := measureNs(maxInt(encIters/10, 3), func() error {
+	gmEnc, err := measureNs(max(encIters/10, 3), func() error {
 		ct, err := gmKey.EncryptBits(msg, len(msg)*8, nil)
 		gmCT = ct
 		return err
@@ -110,7 +109,7 @@ func runTable2(fast bool) error {
 	if err != nil {
 		return err
 	}
-	gmDec, err := measureNs(maxInt(decIters/10, 3), func() error {
+	gmDec, err := measureNs(max(decIters/10, 3), func() error {
 		_, err := gmKey.DecryptBits(gmCT)
 		return err
 	})
@@ -125,7 +124,7 @@ func runTable2(fast bool) error {
 	}
 	m := new(big.Int).SetBytes(msg)
 	var pCT *big.Int
-	pEnc, err := measureNs(maxInt(encIters/10, 3), func() error {
+	pEnc, err := measureNs(max(encIters/10, 3), func() error {
 		ct, err := pKey.Encrypt(m, nil)
 		pCT = ct
 		return err
@@ -133,7 +132,7 @@ func runTable2(fast bool) error {
 	if err != nil {
 		return err
 	}
-	pDec, err := measureNs(maxInt(decIters/10, 3), func() error {
+	pDec, err := measureNs(max(decIters/10, 3), func() error {
 		_, err := pKey.Decrypt(pCT)
 		return err
 	})
@@ -417,7 +416,7 @@ func runFig8(fast bool) error {
 
 func measureProxyRate(msgs, bits, workers int) (float64, error) {
 	broker := pubsub.NewBroker()
-	if err := broker.CreateTopic("answer", maxInt(workers, 1)); err != nil {
+	if err := broker.CreateTopic("answer", max(workers, 1)); err != nil {
 		return 0, err
 	}
 	payload := make([]byte, answer.EncodedLen(bits))
@@ -513,69 +512,4 @@ func measureAggregatorRate(msgs, bits int) (float64, error) {
 		return 0, fmt.Errorf("fig8: decoded %d of %d", agg.Stats().Decoded, msgs)
 	}
 	return float64(msgs) / elapsed.Seconds(), nil
-}
-
-// Pipeline: end-to-end epoch throughput of the parallel pipeline
-// (worker-pool clients → proxies → parallel drain → aggregator), swept
-// over workers. The workers=1 row is the sequential baseline; under a
-// fixed seed every row produces identical results, so the sweep
-// isolates pure scheduling cost.
-func runPipeline(fast bool) error {
-	clients := 2000
-	epochs := 6
-	if fast {
-		clients = 500
-		epochs = 3
-	}
-	q, err := workload.TaxiQuery("pipeline", 1, time.Second, 2*time.Second, 2*time.Second)
-	if err != nil {
-		return err
-	}
-	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
-	var baseline float64
-	fmt.Printf("%8s  %16s  %10s\n", "workers", "answers/sec", "speedup")
-	seen := map[int]bool{}
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		if seen[workers] {
-			continue
-		}
-		seen[workers] = true
-		sys, err := core.New(core.Config{
-			Clients: clients,
-			Query:   q,
-			Params:  &params,
-			Seed:    12,
-			Workers: workers,
-			Populate: func(i int, db *minisql.DB) error {
-				rng := rand.New(rand.NewSource(int64(i)))
-				return workload.PopulateTaxi(db, rng, 2, time.Unix(0, 0), time.Minute)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		for e := 0; e < epochs; e++ {
-			if _, _, err := sys.RunEpoch(); err != nil {
-				sys.Close()
-				return err
-			}
-		}
-		elapsed := time.Since(start)
-		sys.Close()
-		rate := float64(clients*epochs) / elapsed.Seconds()
-		if baseline == 0 {
-			baseline = rate
-		}
-		fmt.Printf("%8d  %16.0f  %9.2fx\n", workers, rate, rate/baseline)
-	}
-	fmt.Println("expected: workers=GOMAXPROCS ≥ 2x over the sequential row on multi-core hosts")
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // ErrModel reports invalid model parameters.
@@ -96,89 +95,3 @@ func Calibrate(perCoreOpsPerSec float64, coresPerNode int) (ClusterModel, error)
 	}
 	return m, nil
 }
-
-// Link is a deterministic adversarial delivery model for control-plane
-// distribution tests: given a sequence of published messages, it
-// produces the subsequence (with duplicates) one subscriber actually
-// observes — dropping, duplicating, and locally reordering messages
-// under a seeded RNG. It models a consumer's view of a durable
-// pub/sub topic under transient failures: individual poll batches may
-// be missed or observed out of order, but the log itself is durable,
-// so a final catch-up poll always observes the tail. Receivers built on
-// versioned snapshots must converge under any such delivery.
-type Link struct {
-	// Drop is the probability a message is not observed in its slot.
-	Drop float64
-	// Dup is the probability an observed message is observed twice.
-	Dup float64
-	// ReorderWindow bounds how far an observed message may be displaced
-	// from its publish position (0 = in-order delivery).
-	ReorderWindow int
-	// Seed fixes the delivery schedule; the same seed always yields the
-	// same delivery.
-	Seed int64
-}
-
-// Validate checks the link parameters.
-func (l Link) Validate() error {
-	if l.Drop < 0 || l.Drop >= 1 || math.IsNaN(l.Drop) {
-		return fmt.Errorf("%w: drop %v", ErrModel, l.Drop)
-	}
-	if l.Dup < 0 || l.Dup >= 1 || math.IsNaN(l.Dup) {
-		return fmt.Errorf("%w: dup %v", ErrModel, l.Dup)
-	}
-	if l.ReorderWindow < 0 {
-		return fmt.Errorf("%w: reorder window %d", ErrModel, l.ReorderWindow)
-	}
-	return nil
-}
-
-// Deliver returns the observed sequence for one subscriber. The final
-// published message is always observed last (the durable-log catch-up:
-// a consumer that keeps polling eventually reads the tail), so
-// convergence does not depend on luck; everything before it may be
-// dropped, duplicated, or displaced by up to ReorderWindow positions.
-func (l Link) Deliver(msgs [][]byte) ([][]byte, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	if len(msgs) == 0 {
-		return nil, nil
-	}
-	rng := rand.New(rand.NewSource(l.Seed))
-	var observed [][]byte
-	for _, m := range msgs[:len(msgs)-1] {
-		if rng.Float64() < l.Drop {
-			continue
-		}
-		observed = append(observed, m)
-		if rng.Float64() < l.Dup {
-			observed = append(observed, m)
-		}
-	}
-	// Local reordering: displace each message within the window.
-	if l.ReorderWindow > 0 {
-		for i := range observed {
-			j := i + rng.Intn(l.ReorderWindow+1)
-			if j >= len(observed) {
-				j = len(observed) - 1
-			}
-			observed[i], observed[j] = observed[j], observed[i]
-		}
-	}
-	return append(observed, msgs[len(msgs)-1]), nil
-}
-
-// TrafficAccount accumulates bytes for the Fig. 9 bandwidth experiment.
-type TrafficAccount struct {
-	bytes int64
-}
-
-// Add records transmitted bytes.
-func (t *TrafficAccount) Add(n int64) { t.bytes += n }
-
-// TotalBytes returns the accumulated volume.
-func (t *TrafficAccount) TotalBytes() int64 { return t.bytes }
-
-// TotalGB returns the volume in gigabytes.
-func (t *TrafficAccount) TotalGB() float64 { return float64(t.bytes) / 1e9 }

@@ -77,68 +77,3 @@ func TestScaleOutMonotoneSublinear(t *testing.T) {
 		t.Error("expected error for zero nodes")
 	}
 }
-
-func TestTrafficAccount(t *testing.T) {
-	var acc TrafficAccount
-	acc.Add(500_000_000)
-	acc.Add(1_500_000_000)
-	if acc.TotalBytes() != 2_000_000_000 {
-		t.Errorf("TotalBytes = %d", acc.TotalBytes())
-	}
-	if acc.TotalGB() != 2.0 {
-		t.Errorf("TotalGB = %v", acc.TotalGB())
-	}
-}
-
-func TestLinkDeterministicDelivery(t *testing.T) {
-	msgs := make([][]byte, 20)
-	for i := range msgs {
-		msgs[i] = []byte{byte(i)}
-	}
-	link := Link{Drop: 0.4, Dup: 0.3, ReorderWindow: 3, Seed: 7}
-	a, err := link.Deliver(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := link.Deliver(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed delivered %d vs %d messages", len(a), len(b))
-	}
-	for i := range a {
-		if a[i][0] != b[i][0] {
-			t.Fatalf("same seed diverged at position %d", i)
-		}
-	}
-	// The tail is always delivered last (the durable-log catch-up).
-	if a[len(a)-1][0] != msgs[len(msgs)-1][0] {
-		t.Errorf("tail message not delivered last")
-	}
-	// A different seed yields a different schedule (overwhelmingly).
-	other := Link{Drop: 0.4, Dup: 0.3, ReorderWindow: 3, Seed: 8}
-	c, err := other.Deliver(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i][0] != c[i][0] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical delivery")
-	}
-	// Parameter validation.
-	if _, err := (Link{Drop: 1.5}).Deliver(msgs); err == nil {
-		t.Error("invalid drop accepted")
-	}
-	if _, err := (Link{ReorderWindow: -1}).Deliver(msgs); err == nil {
-		t.Error("negative reorder window accepted")
-	}
-}

@@ -2,12 +2,13 @@
 
 // Unlinked lists the functions and methods of internal/ that no binary
 // of the repository links. It builds every main package of the root
-// module and of the bench/ module with inlining off (-gcflags=all=-l),
-// so a function that is called appears in the symbol table even where
-// the compiler would have inlined it, and reads the tables with
-// `go tool nm`. It then parses the non-test Go files of every internal/
-// package and prints each declared function that appears in none of
-// them, with its line count, and the totals.
+// module and of the bench/ and paper/ modules with inlining off
+// (-gcflags=all=-l), so a function that is called appears in the symbol
+// table even where the compiler would have inlined it, and reads the
+// tables with `go tool nm`. It then parses the non-test Go files of
+// every internal/ package of the root module and prints each declared
+// function that appears in none of them, with its line count, and the
+// totals.
 //
 // Run it from the repository root:
 //
@@ -40,7 +41,7 @@ func main() {
 
 	linked := map[string]bool{}
 	n := 0
-	for _, mod := range []string{".", "bench"} {
+	for _, mod := range []string{".", "bench", "paper"} {
 		for _, pkg := range goList(mod, `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./...") {
 			n++
 			bin := filepath.Join(tmp, fmt.Sprintf("bin%d", n))
