@@ -186,9 +186,10 @@ soak:
 bench-smoke:
 	$(GO) test -C bench -count=1 ./...
 
-# The paper reproduction (paper/: cmd/experiments, the crypto and
-# baseline comparators, the Fig. 8 cluster model) is a nested module
-# too, outside tier-1; this keeps it building and its tests running.
+# The paper's experiments binary (paper/cmd/experiments) is a nested
+# module too, outside tier-1; this keeps it vetted and building. The
+# comparators it links (internal/baseline/*, internal/cryptobench,
+# internal/netsim) are root packages, tested by tier-1.
 paper-smoke:
 	$(GO) vet -C paper ./...
 	$(GO) test -C paper -short -count=1 ./...

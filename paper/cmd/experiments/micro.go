@@ -5,8 +5,8 @@ import (
 	"math"
 	"math/rand"
 
+	"privapprox/internal/baseline/rappor"
 	"privapprox/internal/rr"
-	"privapprox/paper/internal/baseline/rappor"
 )
 
 // simulateLoss runs the paper's §6 microbenchmark once: a population of

@@ -9,16 +9,16 @@ import (
 
 	"privapprox/internal/aggregator"
 	"privapprox/internal/answer"
+	"privapprox/internal/baseline/splitx"
 	"privapprox/internal/budget"
+	"privapprox/internal/cryptobench"
 	"privapprox/internal/minisql"
+	"privapprox/internal/netsim"
 	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/rr"
 	"privapprox/internal/workload"
 	"privapprox/internal/xorcrypt"
-	"privapprox/paper/internal/baseline/splitx"
-	"privapprox/paper/internal/cryptobench"
-	"privapprox/paper/internal/netsim"
 )
 
 // measureNs times fn over iters iterations and returns ns/op.
