@@ -138,7 +138,7 @@ lineage:
 # with its commit) at ≤ 0.01 allocations and, once its joiner, slabs and
 # scratch have reached their steady size, ≤ 20 heap bytes per answer —
 # over loopback TCP, as privapprox-node wires it, at ≤ 0.05 allocations
-# and ≤ 100 bytes — and through core.System's RunEpoch, whose workers
+# and the same ≤ 20 bytes — and through core.System's RunEpoch, whose workers
 # drain between chunks, at ≤ 0.01 allocations and ≤ 100 bytes; a TCP
 # round trip (a fetch that finds nothing, a commit,
 # an end-offset lookup, a fixed publish) at 0, client and server
@@ -155,7 +155,8 @@ lineage:
 # plus the active-query check) and of every drain step (the aggregator
 # role's sync that finds nothing new, in process and over TCP). The client role's epoch over 512 clients
 # (role.Clients.Epoch, its median epoch) allocates nothing at 1 worker
-# and at most 3 and 5 times at 2 and 4.
+# and at most 3 and 5 times at 2 and 4, and 3 at 2 workers under a
+# 200-share batch limit, whose cut frames wait in a reused FIFO.
 allocgate:
 	$(GO) test -run 'TestClientAnswerZeroAllocs|TestSharePlaneAllocs|TestPublishColumnsAllocs|TestFireAllocs|TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry

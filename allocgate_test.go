@@ -750,51 +750,36 @@ func TestSharePlaneAllocs(t *testing.T) {
 	// privapprox-node run, polling runs into each consumer's own memory
 	// and submitting each round's shares in one call, then committing.
 	// Each consumer keeps its fetch arena across the empty poll that ends
-	// a drain, so the epochs reuse it. The in-process leg answers for a
-	// tumbling window of four epochs, one epoch later each time, so windows
-	// fire and the joiner rotates, and it warms up for 160 epochs: the
+	// a drain, so the epochs reuse it. steadyDrain answers for a tumbling
+	// window of four epochs, one epoch later each time, so windows fire
+	// and the joiner rotates, and it warms up for 160 epochs: the
 	// joiner's maps, the slabs and every high-water scratch reach their
-	// steady size first. It reads 1 B per answer, and 12 in about one run
-	// in six, where a partition slab and the aggregator's round scratch
-	// are regrown inside the measured epochs; 290 when every drain regrows
-	// its fetch memory. Under the
-	// hour-long window above it read 65–77 B, most of it a joiner map
-	// doubling inside the measured epochs. steadyDrainBytesLimit is 12 B
-	// plus a margin of 8. The other drain legs keep drainBytesLimit: the
-	// drain-point legs read 0–13 B; the TCP leg keeps the hour-long window
-	// and reads 65–79, and 160 when every TCP fetch reply took a frame of
-	// its own.
+	// steady size first. In process it reads 1 B per answer, and 12 in
+	// about one run in six, where a partition slab and the aggregator's
+	// round scratch are regrown inside the measured epochs; 290 when every
+	// drain regrows its fetch memory. Over loopback TCP it reads 1–3 B;
+	// under the hour-long window above it read 65–79, most of it a joiner
+	// map doubling inside the measured epochs, and 160 when every TCP
+	// fetch reply took a frame of its own. steadyDrainBytesLimit is 12 B
+	// plus a margin of 8. The drain-point legs keep drainBytesLimit: they
+	// read 0–13 B.
 	const steadyDrainBytesLimit, drainBytesLimit = 20, 100
-	t.Run("drain", func(t *testing.T) {
-		fleet, err := proxy.NewFleet(2, 4)
-		if err != nil {
+	tumbling, err := workload.TaxiQuery("gate", 3, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One message per epoch, marshalled before the measurement: the
+	// leg's own warm-up, then measureEpochs' 37 epochs.
+	const warm = 160
+	msgs := make([][]byte, warm+37)
+	for e := range msgs {
+		if msgs[e], err = (&answer.Message{QueryID: tumbling.QID.Uint64(), Epoch: uint64(e), Answer: vec}).MarshalBinary(); err != nil {
 			t.Fatal(err)
 		}
-		defer fleet.Close()
-		consumers, err := fleet.Consumers("aggregator")
-		if err != nil {
-			t.Fatal(err)
-		}
-		control, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tumbling, err := workload.TaxiQuery("gate", 3, time.Second, 4*time.Second, 4*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One message per epoch, marshalled before the measurement: the
-		// leg's own warm-up, then measureEpochs' 37 epochs.
-		const warm = 160
-		msgs := make([][]byte, warm+37)
-		for e := range msgs {
-			if msgs[e], err = (&answer.Message{QueryID: tumbling.QID.Uint64(), Epoch: uint64(e), Answer: vec}).MarshalBinary(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
+	steadyDrain := func(t *testing.T, name string, limit float64, consumers []*pubsub.Consumer, control *pubsub.Consumer, batchers []*client.Batcher) {
 		agg := newAggregator(tumbling)
 		drain := role.NewDrain(agg, consumers, control)
-		batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
 		var scratch xorcrypt.SplitScratch
 		epoch := 0
 		run := func() {
@@ -810,13 +795,30 @@ func TestSharePlaneAllocs(t *testing.T) {
 		for range warm {
 			run()
 		}
-		perAnswer := measureEpochs(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", answers, 0.01, agg, run)
+		perAnswer := measureEpochs(t, name, answers, limit, agg, run)
 		if perAnswer > steadyDrainBytesLimit {
 			t.Errorf("want ≤ %d B per answer", steadyDrainBytesLimit)
 		}
 		if st := agg.Stats(); st.Dropped() != 0 {
 			t.Errorf("%d answers late", st.Dropped())
 		}
+	}
+	t.Run("drain", func(t *testing.T) {
+		fleet, err := proxy.NewFleet(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fleet.Close()
+		consumers, err := fleet.Consumers("aggregator")
+		if err != nil {
+			t.Fatal(err)
+		}
+		control, err := fleet.Proxy(0).ControlConsumer("aggregator-control")
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
+		steadyDrain(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", 0.01, consumers, control, batchers)
 	})
 
 	// The drain overlapped with the answering: core.System's RunEpoch,
@@ -909,21 +911,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 			}
 			batchers[i] = client.NewBatcher(columnPublisher{cli, proxy.TopicFor(i)}, 0)
 		}
-		agg := newAggregator(q)
-		drain := role.NewDrain(agg, consumers, control)
-		var scratch xorcrypt.SplitScratch
-		perAnswer := measureEpochs(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", answers, 0.05, agg, func() {
-			answerEpoch(t, raw, batchers, &scratch)
-			if _, err := drain.Dry(); err != nil {
-				t.Fatal(err)
-			}
-			if err := drain.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if perAnswer > drainBytesLimit {
-			t.Errorf("want ≤ %d B per answer", drainBytesLimit)
-		}
+		steadyDrain(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", 0.05, consumers, control, batchers)
 	})
 }
 

@@ -19,49 +19,50 @@ type ColumnSink interface {
 }
 
 // Batcher is a ShareSink that buffers submitted shares and forwards
-// them to the underlying sink in batches: automatically whenever limit
-// shares have accumulated (0 means no automatic flush), and on Flush.
-// It is safe for concurrent use, so a worker pool of clients can share
-// one Batcher per proxy; the epoch driver calls Flush once after all
-// clients answered, turning an epoch's O(N) proxy round-trips into
-// O(1).
+// them to the underlying sink in frames, cut whenever limit shares have
+// accumulated (0 means never) and on Cut or Flush. A cut frame waits in
+// a FIFO until Send publishes it outside the lock, so the sink receives
+// frames in cut order. It is safe for concurrent use, so a worker pool
+// of clients can share one Batcher per proxy; the epoch driver flushes
+// once after all clients answered, turning an epoch's O(N) proxy
+// round-trips into O(1).
 //
 // Submit copies each share directly into the columnar layout the wire
 // carries: per payload size, one contiguous MID lane and one contiguous
-// payload lane (the arena). Fixed stride is a per-segment property, so
-// a batch mixing query shapes simply fills one segment per shape, in
-// first-seen order. Flush hands whole segments to the sink without
-// re-slicing. The ShareSink ownership contract holds: callers reuse
-// their split scratch immediately, and batch buffers are recycled
+// payload lane, so a batch mixing query shapes fills one segment per
+// shape, in first-seen order, and Send hands whole segments to the sink.
+// Callers reuse their split scratch at once; batch buffers are recycled
 // through a free list once the sink consumed them.
 type Batcher struct {
 	sink  ColumnSink
 	limit int
-	// degraded makes Flush tolerate a dead sink: a batch the sink (after
-	// its own retries) could not accept is dropped and counted instead
-	// of failing the epoch — the client's other shares for those answers
-	// are orphaned at the aggregator, which simply never completes their
-	// joins, so the estimator sees the realized (smaller) sample and
-	// widens margins honestly.
+	// degraded makes Send drop and count a frame the sink (after its own
+	// retries) could not accept instead of failing the epoch: the other
+	// shares of its answers never join at the aggregator, whose estimator
+	// sees the realized, smaller sample and widens margins honestly.
 	degraded bool
 	dropped  atomic.Int64
 
 	// stamper, when set, receives one provenance callback per
-	// successfully flushed batch (see SetStamper), tagged with epoch.
+	// successfully sent frame (see SetStamper), tagged with epoch.
 	// The callback itself builds and publishes the lineage stamp, so the
 	// Batcher stays free of wire dependencies.
 	stamper Stamper
 	epoch   atomic.Uint64
 
-	mu   sync.Mutex
-	cur  *batchBuf
-	free []*batchBuf
+	mu      sync.Mutex
+	cur     *batchBuf
+	frames  []*batchBuf // cut and not yet sent, oldest first
+	pending int         // shares submitted and not yet sent
+	sending bool        // a Send is publishing frames
+	idle    sync.Cond   // on mu, broadcast when a Send stops publishing
+	free    []*batchBuf
 }
 
-// Stamper is the provenance hook: called once per successfully flushed
-// batch — off the submit hot path, after the sink consumed the shares —
-// with the epoch the flush belongs to and the wall-clock nanosecond the
-// flush began.
+// Stamper is the provenance hook: called once per successfully sent
+// frame — off the submit hot path, after the sink consumed the shares —
+// with the epoch the frame belongs to and the wall-clock nanosecond its
+// send began.
 type Stamper func(epoch uint64, flushStartNs int64)
 
 // batchBuf is one batch in flight: columnar segments (segs[:nseg]
@@ -99,15 +100,18 @@ func (buf *batchBuf) seg(size int) *colSeg {
 	return s
 }
 
-// NewBatcher wraps sink in a Batcher that auto-flushes every limit
-// shares (limit <= 0 disables auto-flush; every share then waits for an
-// explicit Flush).
+// NewBatcher wraps sink in a Batcher that cuts a frame every limit
+// shares (limit <= 0 disables the automatic cut; every share then waits
+// for an explicit Cut or Flush).
 func NewBatcher(sink ColumnSink, limit int) *Batcher {
-	return &Batcher{sink: sink, limit: limit}
+	b := &Batcher{sink: sink, limit: limit}
+	b.idle.L = &b.mu
+	return b
 }
 
 // Submit copies one share into the current batch's columnar lanes,
-// flushing if the batch limit is reached. The caller keeps share.Payload.
+// cutting a frame if the batch limit is reached. The caller keeps
+// share.Payload. It never sends, so it never fails.
 func (b *Batcher) Submit(share xorcrypt.Share) error {
 	return b.SubmitColumns(share.MID[:], share.Payload, 1, len(share.Payload))
 }
@@ -115,10 +119,11 @@ func (b *Batcher) Submit(share xorcrypt.Share) error {
 // SubmitColumns copies count shares in the ColumnSink layout into the
 // current batch under one lock, cutting it at the limit exactly where
 // count Submit calls would. (Lane growth may reallocate; that is safe:
-// the lanes are append-only until the batch is flushed and recycled.) A
+// the lanes are append-only until the batch is sent and recycled.) A
 // Batcher is thus a ColumnSink: a worker's lanes can flush into it.
 func (b *Batcher) SubmitColumns(mids, payloads []byte, count, size int) error {
 	b.mu.Lock()
+	b.pending += count
 	for count > 0 {
 		if b.cur == nil {
 			b.cur = b.getBufLocked()
@@ -134,49 +139,85 @@ func (b *Batcher) SubmitColumns(mids, payloads []byte, count, size int) error {
 		b.cur.count += n
 		mids, payloads, count = mids[n*xorcrypt.MIDSize:], payloads[n*size:], count-n
 		if b.cur.count == b.limit {
-			if err := b.flushLocked(); err != nil || count == 0 {
-				return err
-			}
-			b.mu.Lock()
+			b.frames = append(b.frames, b.cur)
+			b.cur = nil
 		}
 	}
 	b.mu.Unlock()
 	return nil
 }
 
-// Flush forwards everything buffered to the sink, one SubmitColumns
-// call per segment.
-func (b *Batcher) Flush() error {
+// Cut ends the current batch, unless it is empty: it joins the FIFO of
+// frames waiting for Send.
+func (b *Batcher) Cut() {
 	b.mu.Lock()
-	return b.flushLocked()
+	if b.cur != nil && b.cur.count > 0 {
+		b.frames = append(b.frames, b.cur)
+		b.cur = nil
+	}
+	b.mu.Unlock()
 }
 
-// Pending returns the number of buffered shares.
+// Send publishes the cut frames oldest first, one SubmitColumns call per
+// segment, until none is left. A Send that finds another publishing
+// leaves its frames to it and returns at once, so no caller waits for
+// another's I/O. It returns the first failure of a frame it sent; in
+// degraded mode a failed frame is dropped and counted instead.
+func (b *Batcher) Send() error {
+	var err error
+	b.mu.Lock()
+	if b.sending {
+		b.mu.Unlock()
+		return nil
+	}
+	b.sending = true
+	for len(b.frames) > 0 {
+		buf := b.frames[0]
+		b.frames = append(b.frames[:0], b.frames[1:]...)
+		b.mu.Unlock()
+		if ferr := b.sendFrame(buf); err == nil {
+			err = ferr
+		}
+		b.mu.Lock()
+		b.pending -= buf.count
+		buf.count = 0
+		b.free = append(b.free, buf)
+	}
+	b.sending = false
+	b.idle.Broadcast()
+	b.mu.Unlock()
+	return err
+}
+
+// Wait returns once no Send is publishing: after a caller's own Send,
+// once every frame cut before it has reached the sink.
+func (b *Batcher) Wait() {
+	b.mu.Lock()
+	for b.sending {
+		b.idle.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// Flush cuts the current batch, sends it and waits for every cut frame
+// to reach the sink.
+func (b *Batcher) Flush() error {
+	b.Cut()
+	err := b.Send()
+	b.Wait()
+	return err
+}
+
+// Pending returns the number of shares not yet sent.
 func (b *Batcher) Pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cur == nil {
-		return 0
-	}
-	return b.cur.count
+	return b.pending
 }
 
-// flushLocked sends the current batch and releases b.mu. The send
-// happens outside the lock so a slow sink does not serialize other
-// submitters; swapping the whole batchBuf keeps batches disjoint. Once
-// the sink returns — having copied or consumed the batch per its
-// contract — the buffer goes back on the free list for the next epoch.
-func (b *Batcher) flushLocked() error {
-	buf := b.cur
-	b.cur = nil
-	degraded := b.degraded
-	b.mu.Unlock()
-	if buf == nil || buf.count == 0 {
-		if buf != nil {
-			b.putBuf(buf)
-		}
-		return nil
-	}
+// sendFrame hands one cut frame to the sink and stamps it, truncating
+// every segment's lanes in place so their capacity survives.
+func (b *Batcher) sendFrame(buf *batchBuf) error {
 	var flushStart int64
 	if b.stamper != nil {
 		flushStart = time.Now().UnixNano()
@@ -195,11 +236,17 @@ func (b *Batcher) flushLocked() error {
 			break
 		}
 	}
-	b.putBuf(buf)
+	for i := range buf.segs[:buf.nseg] {
+		seg := &buf.segs[i]
+		seg.mids = seg.mids[:0]
+		seg.vals = seg.vals[:0]
+		seg.count = 0
+	}
+	buf.nseg = 0
 	if err == nil && b.stamper != nil {
 		b.stamper(b.epoch.Load(), flushStart)
 	}
-	if err != nil && degraded {
+	if err != nil && b.degraded {
 		b.dropped.Add(int64(lost))
 		return nil
 	}
@@ -211,22 +258,18 @@ func (b *Batcher) flushLocked() error {
 // costs the flush path nothing, not even a clock read.
 func (b *Batcher) SetStamper(fn Stamper) { b.stamper = fn }
 
-// BeginEpoch tags subsequent flushes as carrying epoch e's shares. The
+// BeginEpoch tags subsequent sends as carrying epoch e's shares. The
 // epoch driver calls it alongside its own per-epoch bookkeeping.
 func (b *Batcher) BeginEpoch(e uint64) { b.epoch.Store(e) }
 
-// SetDegraded toggles degraded mode: when on, a failed flush drops the
-// batch (counted by Dropped) instead of returning the error, so an
+// SetDegraded toggles degraded mode: when on, a failed send drops the
+// frame (counted by Dropped) instead of returning the error, so an
 // epoch proceeds while a proxy is down. Set it before the Batcher is
 // shared across goroutines.
-func (b *Batcher) SetDegraded(on bool) {
-	b.mu.Lock()
-	b.degraded = on
-	b.mu.Unlock()
-}
+func (b *Batcher) SetDegraded(on bool) { b.degraded = on }
 
 // Dropped returns the number of shares discarded by degraded-mode
-// flushes since the Batcher was created.
+// sends since the Batcher was created.
 func (b *Batcher) Dropped() int64 { return b.dropped.Load() }
 
 // getBufLocked pops a recycled batch buffer or builds a fresh one; the
@@ -239,23 +282,6 @@ func (b *Batcher) getBufLocked() *batchBuf {
 		return buf
 	}
 	return &batchBuf{}
-}
-
-// putBuf resets a consumed batch buffer — truncating every segment's
-// lanes in place so their capacity survives — and returns it to the
-// free list.
-func (b *Batcher) putBuf(buf *batchBuf) {
-	for i := range buf.segs[:buf.nseg] {
-		seg := &buf.segs[i]
-		seg.mids = seg.mids[:0]
-		seg.vals = seg.vals[:0]
-		seg.count = 0
-	}
-	buf.nseg = 0
-	buf.count = 0
-	b.mu.Lock()
-	b.free = append(b.free, buf)
-	b.mu.Unlock()
 }
 
 var _ ShareSink = (*Batcher)(nil)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"privapprox/internal/xorcrypt"
 )
@@ -278,6 +279,10 @@ func TestSubmitColumnsMatchesSubmit(t *testing.T) {
 				}
 			}
 			out.pending = append(out.pending, b.Pending())
+			// Send what the chunk cut, so each stamp carries its epoch.
+			if err := b.Send(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := b.Flush(); err != nil {
 			t.Fatal(err)
@@ -296,5 +301,66 @@ func TestSubmitColumnsMatchesSubmit(t *testing.T) {
 					limit, degraded, len(got.calls), got.stamps, got.pending, got.dropped, len(want.calls), want.stamps, want.pending, want.dropped)
 			}
 		}
+	}
+}
+
+// gateSink holds every call until gate is closed, announcing each on
+// entered, and records the first MID byte of every share it receives.
+type gateSink struct {
+	entered chan struct{}
+	gate    chan struct{}
+	mu      sync.Mutex
+	got     []byte
+}
+
+func (g *gateSink) SubmitColumns(mids, payloads []byte, count, size int) error {
+	g.entered <- struct{}{}
+	<-g.gate
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i := range count {
+		g.got = append(g.got, mids[i*xorcrypt.MIDSize])
+	}
+	return nil
+}
+
+// TestBatcherSendHandsOffAndFlushWaits: while one Send is publishing, a
+// second Send returns at once and leaves its frame to the first, which
+// publishes it after its own, in cut order; a Flush meanwhile returns
+// only once both frames have reached the sink.
+func TestBatcherSendHandsOffAndFlushWaits(t *testing.T) {
+	sink := &gateSink{entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	b := NewBatcher(sink, 1)
+	b.Submit(share(0)) // the limit cuts it: frame 0
+	first := make(chan error, 1)
+	go func() { first <- b.Send() }()
+	<-sink.entered
+	b.Submit(share(1)) // frame 1
+	second := make(chan error, 1)
+	go func() { second <- b.Send() }()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Send waited for another's publish")
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- b.Flush() }()
+	select {
+	case <-flushed:
+		t.Fatal("Flush returned before its frames reached the sink")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(sink.gate)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sink.got, []byte{0, 1}) || b.Pending() != 0 {
+		t.Errorf("sink received %v with %d shares pending, want [0 1] and none", sink.got, b.Pending())
 	}
 }

@@ -77,6 +77,7 @@ func runMulti(t *testing.T, cfg Config, params budget.Params, queries []*query.Q
 		t.Fatal(err)
 	}
 	all = append(all, final...)
+	windowsConserved(t, sys, all)
 	st := sys.Aggregator().Stats()
 	if st.UnknownQuery != 0 || st.LengthMismatch != 0 || st.Malformed != 0 {
 		t.Fatalf("multi-query run dropped messages: %+v", st)
@@ -108,7 +109,9 @@ func runSolo(t *testing.T, cfg Config, params budget.Params, q *query.Query, epo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(all, final...)
+	all = append(all, final...)
+	windowsConserved(t, sys, all)
+	return all
 }
 
 // TestMultiQueryMatchesSolo is the multi-query determinism gate: Q

@@ -83,6 +83,7 @@ func runShedSystem(t *testing.T, workers, epochs int) shedRun {
 		t.Fatal(err)
 	}
 	run.Results = append(run.Results, final...)
+	windowsConserved(t, sys, run.Results)
 	for _, c := range sys.Clients() {
 		run.Shedded += c.Stats().Shedded
 	}

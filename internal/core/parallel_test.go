@@ -49,6 +49,7 @@ func runSystem(t *testing.T, cfg Config, workers, epochs int) epochRun {
 		t.Fatal(err)
 	}
 	run.Results = append(run.Results, final...)
+	windowsConserved(t, sys, run.Results)
 	agg := sys.Aggregator().Stats()
 	run.Decoded = agg.Decoded
 	run.Duplicates = agg.Duplicates

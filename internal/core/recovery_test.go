@@ -43,6 +43,10 @@ func resultsEqual(a, b []aggregator.Result) bool {
 	return true
 }
 
+// runEpochsInto runs epochs on sys, appending what they fire to results.
+// It does not check windowsConserved: it never flushes, and its callers
+// split one run's windows across a crash and a restore, so the fired set
+// it sees is partial.
 func runEpochsInto(t *testing.T, sys *System, epochs int, results []aggregator.Result) []aggregator.Result {
 	t.Helper()
 	for e := 0; e < epochs; e++ {

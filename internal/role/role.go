@@ -61,14 +61,7 @@ type Clients struct {
 	follower *engine.Follower
 	lanes    [][]client.ShareSink // per worker, a *client.Batcher per proxy, empty between chunks
 	run      answerRun
-	// cut orders, in an epoch with drain points, every worker's lane
-	// flush and every frame cut, so each proxy receives the same shares
-	// in the same order. An epoch without them flushes lanes without it:
-	// under a batch limit (privapprox-node's -batch) a lane flush that
-	// fills a frame publishes it, over TCP in the node, and holding cut
-	// across that send made the other workers' lane flushes wait for it
-	// (a two-worker node client, 6,000 clients, -batch 200: 3–31 %
-	// slower, median 19 %, in 6 of 6 alternating runs on 2 cores).
+	// cut orders every lane flush and every frame cut (flush).
 	cut sync.Mutex
 	// point is held by the one worker running a drain point; the others
 	// answer on rather than wait for it.
@@ -137,21 +130,16 @@ func (c *Clients) Follower() *engine.Follower { return c.follower }
 // then answers epoch e on every client and flushes every proxy's batch,
 // returning how many clients answered at least one query. With no query
 // active it answers nothing. Clients never share mutable state and each
-// worker has its own lanes, so the worker pool only interleaves shares
-// within a batch chunk by chunk, which the aggregator is
-// insensitive to. Shares batched before an error are still flushed.
+// worker has its own lanes; each proxy receives the same shares in the
+// same order (flush). Shares batched before an error are still flushed.
 //
 // Given a drain, an epoch answered on more than one worker runs drain
 // points: a worker that finishes a chunk while no other worker drains
-// and every proxy's batcher holds at least cutFloor shares flushes all
-// the batchers as one cut — under the lock the workers' lane flushes
-// take, so every proxy's frame carries the same shares in the same order
-// and every sibling pairs by position — and drains exactly what it cut
-// (Drain.UpTo's rounds). Epoch returns the windows its drain points
-// fired, in the order they fired, and the first drain point failure
-// after the answers; the frame the epoch's end flushes is the caller's
-// to drain. Without a drain, or on one worker, there is nothing to
-// overlap and Epoch answers and flushes only.
+// and every proxy's batcher holds at least cutFloor unsent shares cuts
+// and sends a frame per proxy and drains it (Drain.UpTo's rounds).
+// Epoch returns the windows its drain points fired, in the order they
+// fired, and the first drain point failure after the answers; the frame
+// the epoch's end flushes is the caller's to drain.
 func (c *Clients) Epoch(e uint64, drain *Drain) ([]aggregator.Result, int, error) {
 	if active, err := c.syncActive(); err != nil || active == 0 {
 		return nil, 0, err
@@ -163,10 +151,8 @@ func (c *Clients) Epoch(e uint64, drain *Drain) ([]aggregator.Result, int, error
 		drain = nil
 	}
 	n, err := c.answer(e, drain)
-	for _, b := range c.batchers {
-		if ferr := b.Flush(); err == nil {
-			err = ferr
-		}
+	if ferr := c.flush(nil, true); err == nil {
+		err = ferr
 	}
 	if err == nil {
 		err = c.run.pointErr
@@ -201,7 +187,7 @@ func (c *Clients) answer(e uint64, drain *Drain) (int, error) {
 
 // work claims chunks until none is left or a worker fails, answering each
 // into lanes and flushing them, after an error too, and offering a drain
-// point after each chunk when the epoch has a drain.
+// point after each chunk.
 func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 	r, n := &c.run, 0
 	var err error
@@ -222,19 +208,11 @@ func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 				n++
 			}
 		}
-		if r.drain != nil {
-			c.cut.Lock()
+		if ferr := c.flush(lanes, false); err == nil {
+			err = ferr
 		}
-		for _, lane := range lanes {
-			if ferr := lane.(*client.Batcher).Flush(); err == nil {
-				err = ferr
-			}
-		}
-		if r.drain != nil {
-			c.cut.Unlock()
-			if err == nil {
-				err = c.drainPoint(e)
-			}
+		if err == nil {
+			err = c.drainPoint(e)
 		}
 	}
 	r.participants.Add(int64(n))
@@ -244,44 +222,68 @@ func (c *Clients) work(e uint64, lanes []client.ShareSink) {
 	}
 }
 
-// drainPoint cuts one frame per proxy and drains it, unless another
-// worker is running a drain point, an earlier one failed, or some proxy's
-// batcher holds fewer than cutFloor shares. It returns a failed cut,
-// which stops the epoch's answering as a failed flush does; a failed
-// drain only ends the epoch's drain points and is reported after the
-// answers. It allocates nothing unless a window fires.
-func (c *Clients) drainPoint(e uint64) error {
-	if !c.point.TryLock() {
-		return nil
-	}
-	defer c.point.Unlock()
-	r := &c.run
-	if r.pointErr != nil {
-		return nil
-	}
-	c.cut.Lock()
-	cut := 0
-	for _, b := range c.batchers {
-		n := b.Pending()
-		if n < cutFloor {
-			c.cut.Unlock()
-			return nil
-		}
-		cut += n
-	}
+// flush is the client role's one lane-flush rule: under cut, lanes
+// flush into the shared batchers and, with cutAll, every shared batcher
+// cuts a frame, so all of them cut the same frames in the same order;
+// after cut, each sends its frames in cut order and, with cutAll, waits
+// until they have reached its proxy.
+func (c *Clients) flush(lanes []client.ShareSink, cutAll bool) error {
 	var err error
-	for _, b := range c.batchers {
-		if ferr := b.Flush(); err == nil {
+	c.cut.Lock()
+	for _, lane := range lanes {
+		if ferr := lane.(*client.Batcher).Flush(); err == nil {
 			err = ferr
 		}
 	}
+	for _, b := range c.batchers {
+		if cutAll {
+			b.Cut()
+		}
+	}
 	c.cut.Unlock()
-	if err != nil {
+	for _, b := range c.batchers {
+		if ferr := b.Send(); err == nil {
+			err = ferr
+		}
+		if cutAll {
+			b.Wait()
+		}
+	}
+	return err
+}
+
+// drainPoint cuts and sends one frame per proxy and drains it, unless
+// the epoch has no drain, another worker is running a drain point, an
+// earlier one failed, or some proxy's batcher holds fewer than cutFloor
+// unsent shares. It drains from each proxy the most any held unsent:
+// once the frames are sent, each holds at least that many undrained
+// shares, the same ones in the same order. A failed send stops the
+// epoch's answering; a failed drain only ends its drain points and is
+// reported after the answers. It allocates nothing unless a window
+// fires.
+func (c *Clients) drainPoint(e uint64) error {
+	r := &c.run
+	if r.drain == nil || !c.point.TryLock() {
+		return nil
+	}
+	defer c.point.Unlock()
+	if r.pointErr != nil {
+		return nil
+	}
+	most := 0
+	for _, b := range c.batchers {
+		n := b.Pending()
+		if n < cutFloor {
+			return nil
+		}
+		most = max(most, n)
+	}
+	if err := c.flush(nil, true); err != nil {
 		return err
 	}
 	t0 := time.Now()
 	var drained int
-	r.fired, drained, r.pointErr = r.drain.upTo(r.fired, cut)
+	r.fired, drained, r.pointErr = r.drain.upTo(r.fired, most*len(c.batchers))
 	if tr := r.drain.agg.Tracer(); tr != nil {
 		tr.Record(e, telemetry.StageDrain, time.Since(t0), drained, 0)
 	}

@@ -171,10 +171,12 @@ func (r *rig) conserved(t *testing.T) {
 // to a reference aggregator's that reads the same records through its own
 // consumer group and submits each round's polls one proxy after the
 // other. The clients answer on three workers through 50-share batches,
-// so chunks interleave differently at the two proxies and some siblings
-// sit at different positions of a round.
+// and proxy 1 receives every other call's shares in reverse order, so
+// those siblings sit at different positions of a round and join through
+// the aggregator's join groups while the rest pair where they sit.
 func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 	r := newRigWith(t, 120, 3, 50)
+	rewire(r, 1, 50, &reverseSink{ColumnSink: r.fleet.Proxy(1)})
 	ref, err := aggregator.NewMulti(aggregator.Config{
 		Params: rigParams, Population: len(r.clients.Clients()), Proxies: 2,
 		Origin: time.Unix(0, 0), Seed: 5,
@@ -242,6 +244,9 @@ func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d positions aligned", aligned, positions)
+	if aligned == 0 || aligned >= positions {
+		t.Errorf("%d of %d positions aligned: the drain did not see both paired and unpaired siblings", aligned, positions)
+	}
 	if got, want := r.agg.Stats(), ref.Stats(); got != want || r.agg.PendingJoins() != ref.PendingJoins() {
 		t.Errorf("the paired drain counts %+v with %d pending, proxy by proxy %+v with %d", got, r.agg.PendingJoins(), want, ref.PendingJoins())
 	}
@@ -256,6 +261,34 @@ func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 	if len(gotFinal) == 0 || !reflect.DeepEqual(gotFinal, wantFinal) {
 		t.Errorf("flushed %d windows, proxy by proxy %d, or they differ", len(gotFinal), len(wantFinal))
 	}
+}
+
+// stallSink passes every call on after a millisecond.
+type stallSink struct{ client.ColumnSink }
+
+func (s stallSink) SubmitColumns(mids, payloads []byte, count, size int) error {
+	time.Sleep(time.Millisecond)
+	return s.ColumnSink.SubmitColumns(mids, payloads, count, size)
+}
+
+// reverseSink passes every other call on with its shares in reverse
+// order. Its batcher sends one frame at a time, so it needs no lock.
+type reverseSink struct {
+	client.ColumnSink
+	calls      int
+	mids, vals []byte
+}
+
+func (s *reverseSink) SubmitColumns(mids, payloads []byte, count, size int) error {
+	if s.calls++; s.calls%2 == 0 {
+		s.mids, s.vals = s.mids[:0], s.vals[:0]
+		for i := count - 1; i >= 0; i-- {
+			s.mids = append(s.mids, mids[i*xorcrypt.MIDSize:(i+1)*xorcrypt.MIDSize]...)
+			s.vals = append(s.vals, payloads[i*size:(i+1)*size]...)
+		}
+		mids, payloads = s.mids, s.vals
+	}
+	return s.ColumnSink.SubmitColumns(mids, payloads, count, size)
 }
 
 // TestDrainDeliversEverything: every share published to either proxy
@@ -747,15 +780,21 @@ func (f *flushSizes) take() []int {
 }
 
 // watchFlushes puts a flushSizes between r's shared proxy-0 batcher and
-// proxy 0, rebuilding that batcher with limit batch and every worker's
-// proxy-0 lane over it. Call it before r's first epoch.
+// proxy 0 (rewire). Call it before r's first epoch.
 func watchFlushes(r *rig, batch int) *flushSizes {
 	f := &flushSizes{ColumnSink: r.fleet.Proxy(0)}
-	r.clients.batchers[0] = client.NewBatcher(f, batch)
-	for _, lanes := range r.clients.lanes {
-		lanes[0] = client.NewBatcher(r.clients.batchers[0], 0)
-	}
+	rewire(r, 0, batch, f)
 	return f
+}
+
+// rewire rebuilds r's shared batcher for proxy p over sink, with limit
+// batch, and every worker's proxy-p lane over it. Call it before r's
+// first epoch.
+func rewire(r *rig, p, batch int, sink client.ColumnSink) {
+	r.clients.batchers[p] = client.NewBatcher(sink, batch)
+	for _, lanes := range r.clients.lanes {
+		lanes[p] = client.NewBatcher(r.clients.batchers[p], 0)
+	}
 }
 
 // TestClientsEpochAllocs pins what the client role's epoch allocates
@@ -763,7 +802,9 @@ func watchFlushes(r *rig, batch int) *flushSizes {
 // the run state the workers share are built once, with the Clients — and
 // one goroutine per further worker otherwise. The bounds are what the
 // epoch allocated before the workers had lanes: 0, 3 and 5 at 1, 2 and 4
-// workers.
+// workers. Under a 200-share batch limit two workers keep the bound of
+// 3: a frame cut at the limit waits in its batcher's FIFO, which reuses
+// its backing array and recycles the frame's buffer once it is sent.
 // Only Epoch is measured; the drain between epochs is not. The gate
 // reads the median epoch: now and then the runtime allocates a
 // goroutine or a wait-queue entry inside one. The collector is off, so
@@ -775,10 +816,10 @@ func TestClientsEpochAllocs(t *testing.T) {
 	const clients, warm, epochs = 512, 100, 40
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
-		workers int
-		limit   uint64
-	}{{1, 0}, {2, 3}, {4, 5}} {
-		r := newRigWith(t, clients, tc.workers, 0)
+		workers, batch int
+		limit          uint64
+	}{{1, 0, 0}, {2, 0, 3}, {4, 0, 5}, {2, 200, 3}} {
+		r := newRigWith(t, clients, tc.workers, tc.batch)
 		var mallocs []uint64
 		for e := uint64(0); e < warm+epochs; e++ {
 			var before, after runtime.MemStats
@@ -798,9 +839,9 @@ func TestClientsEpochAllocs(t *testing.T) {
 			}
 		}
 		slices.Sort(mallocs)
-		t.Logf("workers=%d: allocs per epoch of %d clients: median %d, max %d", tc.workers, clients, mallocs[epochs/2], mallocs[epochs-1])
+		t.Logf("workers=%d batch=%d: allocs per epoch of %d clients: median %d, max %d", tc.workers, tc.batch, clients, mallocs[epochs/2], mallocs[epochs-1])
 		if mallocs[epochs/2] > tc.limit {
-			t.Errorf("workers=%d: median epoch allocates %d times, want ≤ %d", tc.workers, mallocs[epochs/2], tc.limit)
+			t.Errorf("workers=%d batch=%d: median epoch allocates %d times, want ≤ %d", tc.workers, tc.batch, mallocs[epochs/2], tc.limit)
 		}
 	}
 }
@@ -855,6 +896,62 @@ func TestDrainPointsPairEveryShare(t *testing.T) {
 		t.Logf("workers=%d: %d drain points, %d windows", workers, points, fired)
 		if fired == 0 || (workers == 1) != (points == 0) {
 			t.Errorf("workers=%d: %d drain points fired %d windows", workers, points, fired)
+		}
+	}
+}
+
+// TestClientRoleFramesAlign: without a drain, the shape of a
+// privapprox-node client process, the client role still cuts every frame
+// under one lock and sends each proxy its frames in cut order. So both
+// proxies' consumers read the same MID sequence, epoch by epoch, at any
+// worker count and batch limit. Two stalls widen the races the rule
+// closes: every send to proxy 1 stalls, so frames cut meanwhile queue up
+// behind it, and so does every flush of worker 0's lane to proxy 1, so a
+// lane flush of another worker that did not wait for worker 0's would
+// land between its two proxies' shares.
+func TestClientRoleFramesAlign(t *testing.T) {
+	const clients, epochs = 640, 3 // ten chunks an epoch
+	for _, workers := range []int{2, 3} {
+		for _, batch := range []int{0, 50} {
+			r := newRigWith(t, clients, workers, batch)
+			rewire(r, 1, batch, stallSink{r.fleet.Proxy(1)})
+			r.clients.lanes[0][1] = client.NewBatcher(stallSink{r.clients.batchers[1]}, 0)
+			consumers, err := r.fleet.Consumers("align")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := uint64(0); e < epochs; e++ {
+				if _, _, err := r.clients.Epoch(e, nil); err != nil {
+					t.Fatal(err)
+				}
+				var mids [2][]xorcrypt.MID
+				for src, c := range consumers {
+					for {
+						runs, err := c.PollRuns(pollMax, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(runs) == 0 {
+							break
+						}
+						for _, run := range runs {
+							shares, _ := proxy.AppendShares(nil, run)
+							for _, sh := range shares {
+								mids[src] = append(mids[src], sh.MID)
+							}
+						}
+					}
+				}
+				if len(mids[0]) == 0 || !slices.Equal(mids[0], mids[1]) {
+					same := 0
+					for i := range min(len(mids[0]), len(mids[1])) {
+						if mids[0][i] == mids[1][i] {
+							same++
+						}
+					}
+					t.Fatalf("workers=%d batch=%d epoch %d: proxies read %d and %d shares, %d at the same position", workers, batch, e, len(mids[0]), len(mids[1]), same)
+				}
+			}
 		}
 	}
 }
