@@ -75,13 +75,19 @@ multiquery:
 # after the checkpoint and before the crash, and the restore installs
 # the checkpoint's own query set from the control topic
 # (TestCrashRecoveryAggregatorMidRunQuery,
-# TestSystemRestoreBeforeLaterRegistration); in process, a restore whose
-# first life changed more after the cut than one registration is refused
-# (TestSystemRestoreRefusesLaterChanges,
-# TestSLOCheckpointRefusesLaterActuation).
+# TestSystemRestoreBeforeLaterRegistration). In process, every control
+# change carries the epoch it applies from, so a first life that changed
+# the query set after the cut — registrations, stops, a stop and a
+# registration again, revisions, several changes between two epochs, a
+# shed move after a window fired, an SLO actuation — resumes equal to an
+# uninterrupted run (TestSystemRestoreResumesLaterChanges,
+# TestSLOCheckpointResumesLaterActuation), and so do one that revised a
+# query before it (TestSystemRestoreAfterRevisionBeforeCut) and a second
+# life that checkpoints while it still re-reads the first life's answers
+# (TestSystemRestoreTwiceMidReplay).
 crash:
 	$(GO) test -run 'TestCrashRecoveryAggregator|TestCrashRecoveryAggregatorMidRunQuery|TestCrashRecoveryProxy' -count=1 ./cmd/privapprox-node
-	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSystemRestoreBeforeLaterRegistration|TestSystemRestoreRefusesLaterChanges|TestSystemCheckpointBeforeFirstRegistration|TestSLOCheckpointResumeMidShed|TestSLOCheckpointRefusesLaterActuation' -count=1 ./internal/core
+	$(GO) test -run 'TestSystemCheckpointResume|TestSystemCheckpointResumeMultiQuery|TestSystemResumeBehindReleasedEpochs|TestSystemRestoreBeforeLaterRegistration|TestSystemRestoreResumesLaterChanges|TestSystemRestoreAfterRevisionBeforeCut|TestSystemRestoreTwiceMidReplay|TestSystemCheckpointBeforeFirstRegistration|TestSLOCheckpointResumeMidShed|TestSLOCheckpointResumesLaterActuation' -count=1 ./internal/core
 
 # The closed-loop overload gate: the same deterministic 10× load surge
 # through a controlled (SLO shedding) and an uncontrolled system; the
@@ -223,12 +229,14 @@ mutants:
 # order until a length prefix above the frame bound closes the
 # connection, the connection's name table within its cap), the
 # control-plane query-set announcement (the decoded set owning copies of
-# every field), the WAL frame format (frames covering n > 1 LSNs, a
-# replay from inside one), the one checkpoint record (consumer
-# positions, system section, fired results, aggregator state), the
+# every field, its From round-tripping, the opcode without From refused),
+# the WAL frame format (frames covering n > 1 LSNs, a replay from inside
+# one), the one checkpoint record (consumer positions, system section,
+# fired results, aggregator state; PCR2 refused), the
 # aggregator state inside it (no panic, its prefixes refused, whatever
-# it accepts re-encoding to the same bytes: panes, estimator stream and
-# memoized losses, pending joins with an empty share, completed keys),
+# it accepts re-encoding to the same bytes: parked messages, panes,
+# estimator stream and memoized losses, pending joins with an empty
+# share, completed keys),
 # the SLO controller's checkpoint state, the lineage stamp (17 bytes,
 # version 2: a version-1 stamp refused), and the
 # result-card log (the longest prefix of newline-terminated cards kept,

@@ -458,7 +458,7 @@ func runClient(args []string) error {
 		return err
 	}
 	fmt.Printf("picked up %d queries at version %d\n",
-		follower.Applier().ActiveQueries(), follower.Applier().Version())
+		follower.Applier().ActiveQueries(), follower.Applier().Applied().Version)
 
 	// Telemetry: fleet-level client counters (summed over the logical
 	// clients), the shared batchers' degraded-mode accounting (summed, no
@@ -491,8 +491,8 @@ func runClient(args []string) error {
 		// Resume semantics: skip the epochs a previous life already
 		// answered, advancing each subscription's coin stream exactly as
 		// answering them would have.
-		for _, c := range clients.Clients() {
-			c.FastForward(uint64(*firstEpoch))
+		if err := clients.FastForward(0, uint64(*firstEpoch)); err != nil {
+			return err
 		}
 		fmt.Printf("fast-forwarded to epoch %d\n", *firstEpoch)
 	}
@@ -649,7 +649,7 @@ func runAggregator(args []string) error {
 		return err
 	}
 	fmt.Printf("aggregating %d queries from announcement version %d\n",
-		follower.Applier().ActiveQueries(), follower.Applier().Version())
+		follower.Applier().ActiveQueries(), follower.Applier().Applied().Version)
 
 	// One loop for both modes. Each round that made progress is made
 	// permanent: committed at once, or — with -data-dir — checkpointed

@@ -88,12 +88,13 @@ type Config struct {
 	OnDecoded func(raw []byte, eventTime time.Time)
 }
 
-// QuerySpec registers one query with an aggregator. A query tolerates
-// one slide of lateness, bounds its errors at Config.Confidence and
-// starts unshed (SetShed moves it).
+// QuerySpec registers one query with an aggregator, Params in force from
+// epoch From on. A query tolerates one slide of lateness, bounds its
+// errors at Config.Confidence and starts unshed (SetShed moves it).
 type QuerySpec struct {
 	Query  *query.Query
 	Params budget.Params
+	From   uint64
 }
 
 // rrLossRounds is the number of micro-benchmark rounds that estimate
@@ -122,9 +123,9 @@ type Result struct {
 	Population int // U
 	Inverted   bool
 	Buckets    []BucketEstimate
-	// Shed is the overload shed threshold in effect when the window
-	// fired (1 = no shedding). The margins already reflect the realized
-	// sample size; Shed documents *why* they widened.
+	// Shed is the overload shed threshold in force at the window's
+	// closing epoch (1 = no shedding). The margins already reflect the
+	// realized sample size; Shed documents *why* they widened.
 	Shed float64
 }
 
@@ -200,6 +201,12 @@ type Aggregator struct {
 	genMu      sync.RWMutex
 	sealedHigh int64
 	ageDue     atomic.Bool
+	// through is the last epoch SubmitRound's caller has reached; parked
+	// holds the decoded messages of later epochs, in arrival order, each
+	// a copy of its plaintext slot (guarded by parkMu).
+	through atomic.Uint64
+	parkMu  sync.Mutex
+	parked  [][]byte
 	// removedDecoded/removedLate preserve a removed query's counters so
 	// Stats never goes backwards across RemoveQuery.
 	removedDecoded atomic.Int64
@@ -231,11 +238,7 @@ type stateTable struct {
 // estimator. The shared join front-end routes decoded messages
 // here by wire QueryID.
 type queryState struct {
-	q *query.Query
-	// params is swapped atomically by AddQuery's in-place parameter
-	// update while drain goroutines read it during estimation, so the
-	// multi-word struct is held behind a pointer.
-	params  atomic.Pointer[budget.Params]
+	q       *query.Query
 	qidWire uint64
 	// qname is the query ID rendered once at registration, so fire
 	// spans and labeled telemetry samples never format on a hot path.
@@ -281,22 +284,59 @@ type queryState struct {
 	// duplicate cards. The Recorder's own log-scan dedup covers windows
 	// fired after the last checkpoint; this is the cheap first line.
 	cardsBelow atomic.Int64
-	// shedBits is the current shed threshold as Float64bits, atomic so
-	// the SLO controller can move it while windows fire. Zero (never
-	// stored) reads as 1.
-	shedBits atomic.Uint64
 
-	// estMu guards the estimator's stream and memoized RR-loss cache
-	// (estimates normally run under fireMu; BatchAnalyze calls the
-	// estimator directly). A window is estimated, and params swapped with
-	// the cache cleared, under it whole: one window sees one parameter
-	// generation and only losses simulated under that generation. The
-	// stream's 16-byte state and the cache (at most 100 entries) are all
-	// a checkpoint holds of the estimator, however long it has run.
+	// estMu guards the estimator's stream, memoized RR-loss cache and
+	// entries (estimates normally run under fireMu; BatchAnalyze calls
+	// the estimator directly). A window is estimated, and an entry
+	// scheduled with the cache cleared, under it whole: one window sees
+	// one parameter generation and only losses simulated under that
+	// generation. The stream's 16-byte state and the cache (at most 100
+	// entries) are all a checkpoint holds of the estimator, however long
+	// it has run.
 	estMu       sync.Mutex
+	entries     []entry // by the epoch each is in force from; never empty
 	src         *seeded.Source
 	rng         *rand.Rand      // draws from src
 	rrLossCache map[int]float64 // yes-fraction percent → simulated loss
+}
+
+// entry is the parameters and shed threshold a query's windows are
+// estimated and stamped under from epoch from on.
+type entry struct {
+	from   uint64
+	params *budget.Params
+	shed   float64
+}
+
+// schedule puts params and shed in force from epoch from, replacing the
+// newest entry when it starts there or later. Caller holds estMu.
+func (st *queryState) schedule(from uint64, params *budget.Params, shed float64) {
+	if n := len(st.entries); n > 0 && st.entries[n-1].from >= from {
+		st.entries[n-1] = entry{st.entries[n-1].from, params, shed}
+		return
+	}
+	st.entries = append(st.entries, entry{from, params, shed})
+}
+
+// inForce returns the entry in force at epoch e — the newest starting at
+// or before it, else the first — and forgets those before it: windows
+// close in the order they end. Caller holds estMu.
+func (st *queryState) inForce(e uint64) entry {
+	i := len(st.entries) - 1
+	for i > 0 && st.entries[i].from > e {
+		i--
+	}
+	if i > 0 {
+		st.entries = append(st.entries[:0], st.entries[i:]...)
+	}
+	return st.entries[0]
+}
+
+// newest returns the entry scheduled last.
+func (st *queryState) newest() entry {
+	st.estMu.Lock()
+	defer st.estMu.Unlock()
+	return st.entries[len(st.entries)-1]
 }
 
 // pane is one pane of a query's event time (stream.SlidingAssigner)
@@ -350,6 +390,7 @@ func NewMulti(cfg Config) (*Aggregator, error) {
 	}
 	a := &Aggregator{cfg: cfg, joiner: joiner}
 	a.sealedHigh = wmUnseen
+	a.through.Store(math.MaxUint64)
 	a.states.Store(&stateTable{byWire: map[uint64]*queryState{}})
 	if cfg.Query != nil {
 		if err := a.AddQuery(QuerySpec{Query: cfg.Query, Params: cfg.Params}); err != nil {
@@ -360,8 +401,8 @@ func NewMulti(cfg Config) (*Aggregator, error) {
 }
 
 // AddQuery registers one query. Registering an ID that is already
-// active swaps its parameters in place (the feedback loop's
-// redistribution path) without touching its windows or estimator
+// active schedules its new parameters from spec.From on (the feedback
+// loop's redistribution path) without touching its windows or estimator
 // state; registering a distinct ID whose 64-bit wire hash collides with
 // an active query is rejected with ErrWireCollision — the wire QueryID
 // is the demux key, so a collision would silently merge two queries'
@@ -386,15 +427,17 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 			return fmt.Errorf("%w: %s and %s both map to %#x",
 				ErrWireCollision, st.q.QID, spec.Query.QID, wire)
 		}
-		// Parameter update in place: windows and the estimator keep
-		// running undisturbed. The feedback controller only moves the
-		// sampling fraction, but AddQuery is a public API — if the
-		// randomization pair did change, the memoized RR-loss
-		// simulations are no longer valid and must be redone.
+		// Parameter update: windows and the estimator keep running
+		// undisturbed. The feedback controller only moves the sampling
+		// fraction, but AddQuery is a public API — if the randomization
+		// pair did change, the memoized RR-loss simulations are no longer
+		// valid and must be redone.
 		st.estMu.Lock()
-		if prev := st.params.Swap(&spec.Params); prev.RR != spec.Params.RR {
+		newest := st.entries[len(st.entries)-1]
+		if newest.params.RR != spec.Params.RR {
 			clear(st.rrLossCache)
 		}
+		st.schedule(spec.From, &spec.Params, newest.shed)
 		st.estMu.Unlock()
 		return nil
 	}
@@ -420,13 +463,13 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		firedWM:     wmUnseen,
 		src:         seeded.NewSource(a.cfg.Seed),
 		rrLossCache: make(map[int]float64),
+		entries:     []entry{{spec.From, &spec.Params, 1}},
 	}
 	if st.sum, err = answer.NewAccumulator(st.nbuckets); err != nil {
 		return err
 	}
 	st.rng = rand.New(st.src)
 	a.nextOrd++
-	st.params.Store(&spec.Params)
 	st.wmMax.Store(wmUnseen)
 	st.firedThrough.Store(wmUnseen)
 	st.cardsBelow.Store(wmUnseen)
@@ -434,34 +477,22 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 	return nil
 }
 
-// storeShed normalizes and records a query's shed threshold.
-func (st *queryState) storeShed(shed float64) {
-	if !(shed > 0) || shed > 1 {
-		shed = 1
-	}
-	st.shedBits.Store(math.Float64bits(shed))
-}
-
-// loadShed returns the query's current shed threshold (1 = unshed).
-func (st *queryState) loadShed() float64 {
-	bits := st.shedBits.Load()
-	if bits == 0 {
-		return 1
-	}
-	return math.Float64frombits(bits)
-}
-
-// SetShed records a query's overload shed threshold ∈ (0, 1] so
-// subsequently fired windows report it (values outside the range
-// normalize to 1). It touches no window or estimator state — the
-// estimate is already realized-rate-aware — and is safe to call
-// concurrently with firing.
-func (a *Aggregator) SetShed(id query.ID, shed float64) error {
+// SetShed schedules a query's overload shed threshold ∈ (0, 1] from
+// epoch from on, so the windows closing from then on report it (values
+// outside the range normalize to 1). It touches no window or estimator
+// state — the estimate is already realized-rate-aware — and is safe to
+// call concurrently with firing.
+func (a *Aggregator) SetShed(id query.ID, from uint64, shed float64) error {
 	st := a.states.Load().byWire[id.Uint64()]
 	if st == nil || st.q.QID != id {
 		return fmt.Errorf("%w: %s", ErrUnknownQuery, id)
 	}
-	st.storeShed(shed)
+	if !(shed > 0) || shed > 1 {
+		shed = 1
+	}
+	st.estMu.Lock()
+	st.schedule(from, st.entries[len(st.entries)-1].params, shed)
+	st.estMu.Unlock()
 	return nil
 }
 
@@ -956,7 +987,9 @@ func (a *Aggregator) OpenWindows() int {
 }
 
 // estimate turns a window's accumulated randomized answers into the
-// paper's queryResult ± errorBound (§3.2.4) and returns the parameter
+// paper's queryResult ± errorBound (§3.2.4) under the entry in force at
+// its closing epoch ⌈(End + Slide − Origin)/Frequency⌉, the first whose
+// answers push the watermark past its end, and returns the parameter
 // generation it used. The SRS population is measured in answer slots:
 // every client produces one answer per epoch, so a window spanning k
 // epochs draws from U×k potential answers (effPopulation).
@@ -979,11 +1012,16 @@ func (a *Aggregator) estimate(st *queryState, w stream.Window, acc *answer.Accum
 		Population: effPopulation,
 		Inverted:   st.inverted,
 		Buckets:    make([]BucketEstimate, st.nbuckets),
-		Shed:       st.loadShed(),
+	}
+	closing := uint64(0)
+	if d := w.End.Add(st.q.Slide).Sub(a.cfg.Origin); d > 0 {
+		closing = uint64((d + st.q.Frequency - 1) / st.q.Frequency)
 	}
 	st.estMu.Lock()
 	defer st.estMu.Unlock()
-	params := st.params.Load()
+	in := st.inForce(closing)
+	params := in.params
+	res.Shed = in.shed
 	if n == 0 {
 		for i := range res.Buckets {
 			res.Buckets[i] = BucketEstimate{

@@ -1,29 +1,34 @@
 package aggregator
 
 // Checkpoint/Restore serialize an aggregator's complete dynamic state —
-// per-query open panes, watermarks, counters, current parameters, each
-// estimator's stream position and memoized losses, and the share
-// joiner's two generations of pending groups and completed keys — into
+// per-query open panes, watermarks, counters, each estimator's stream
+// position and memoized losses, the messages parked for a later epoch,
+// and the share joiner's two generations of pending groups and
+// completed keys — into
 // one opaque record, as large as the retain horizon, that a durable
 // deployment writes to its WAL after every drain. A restarted aggregator
 // with the same queries registered restores the record and continues
 // exactly where the killed process stopped: no window fires twice, no
 // answer is double-counted, and each estimator's seeded stream resumes
-// at the position an uninterrupted run would have it at.
+// at the position an uninterrupted run would have it at. A query's
+// parameters and shed thresholds are not in the record: the control
+// topic the restarted wiring replays before Restore carries them.
 //
 // The record holds state, not history: an estimator is its stream's
 // 20-byte position plus at most 100 memoized losses, however long the
-// query has run and however often it was retuned. The layout (PAC4),
+// query has run and however often it was retuned. The layout (PAC5),
 // integers big-endian, strings u32-length-prefixed, each list in
 // ascending order of its first field:
 //
-//	"PAC4" | seed | malformed | duplicates | removed decoded | removed late
+//	"PAC5" | seed | malformed | duplicates | removed decoded | removed late
 //	       | unknown query | length mismatch | swept
 //	       | u32 queries, in registration order: analyst, serial, wire,
-//	         s, p, q, watermark, decoded, late, fired through,
+//	         watermark, decoded, late, fired through,
 //	         u32 panes (start, end, n, u32 buckets, yes per bucket),
 //	         estimator stream (string),
 //	         u32 memoized losses (u32 percent, f64 loss)
+//	       | through | u32 parked messages, in arrival order (plaintext
+//	         slot string)
 //	       | u32 pending groups (MID, u8 age, u32 sources,
 //	         per source u8 present and, if present, the share string)
 //	       | u32 completed keys (MID, u8 age)
@@ -32,7 +37,8 @@ package aggregator
 // re-encodes to its own bytes (FuzzAggregatorRestore): every pane starts
 // on the query's pane grid and is one pane long. A PAC3 record, which
 // carried open windows instead of panes, is refused like any other
-// magic — a sliding window there is longer than a pane.
+// magic — a sliding window there is longer than a pane — and so is a
+// PAC4 record, which held the parameters and no parked messages.
 //
 // Firing is frozen at the cut, and every fire runs at the watermark it
 // follows, so the record needs nothing more: the last fire's watermark
@@ -54,10 +60,8 @@ import (
 	"math"
 	"slices"
 
-	"privapprox/internal/budget"
 	"privapprox/internal/codec"
 	"privapprox/internal/query"
-	"privapprox/internal/rr"
 	"privapprox/internal/xorcrypt"
 )
 
@@ -65,7 +69,7 @@ import (
 var ErrCheckpoint = errors.New("aggregator: bad checkpoint")
 
 // checkpointMagic opens every record; Restore rejects any other magic.
-var checkpointMagic = []byte("PAC4")
+var checkpointMagic = []byte("PAC5")
 
 // Checkpoint appends the aggregator's serialized state to dst and
 // returns the extended buffer. See the file comment for the
@@ -115,6 +119,13 @@ func (a *Aggregator) Checkpoint(dst []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
+	buf = binary.BigEndian.AppendUint64(buf, a.through.Load())
+	a.parkMu.Lock()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.parked)))
+	for _, slot := range a.parked {
+		buf = codec.AppendBytes(buf, slot)
+	}
+	a.parkMu.Unlock()
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
 	for _, e := range pending {
 		buf = append(buf, e...)
@@ -133,10 +144,6 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 	buf = codec.AppendBytes(buf, st.q.QID.Analyst)
 	buf = binary.BigEndian.AppendUint64(buf, st.q.QID.Serial)
 	buf = binary.BigEndian.AppendUint64(buf, st.qidWire)
-	p := st.params.Load()
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.S))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.RR.P))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.RR.Q))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.wmMax.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.decoded.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.dropped.Load()))
@@ -211,6 +218,15 @@ func (a *Aggregator) Restore(data []byte) error {
 			return err
 		}
 	}
+	through := d.U64()
+	var parked [][]byte
+	for range d.Count(4) {
+		slot := append([]byte{}, d.Bytes()...)
+		if parkedEpoch(slot) <= through {
+			d.Fail("parked message not of an epoch past %d", through)
+		}
+		parked = append(parked, slot)
+	}
 
 	// The joiner refuses a key it holds already, so no key is both
 	// pending and completed.
@@ -269,13 +285,14 @@ func (a *Aggregator) Restore(data []byte) error {
 	a.unknownQID.Store(int64(unknown))
 	a.badLength.Store(int64(badLen))
 	a.swept.Store(int64(swept))
+	a.through.Store(through)
+	a.parked = parked
 	return nil
 }
 
 func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	want := query.ID{Analyst: d.Str(), Serial: d.U64()}
 	wire := d.U64()
-	params := budget.Params{S: d.F64(), RR: rr.Params{P: d.F64(), Q: d.F64()}}
 	wm, decoded, dropped, ft := d.U64(), d.U64(), d.U64(), d.U64()
 	if err := d.Err(); err != nil {
 		return err
@@ -284,10 +301,6 @@ func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 		return fmt.Errorf("%w: checkpointed query %s (wire %#x) does not match registered %s",
 			ErrCheckpoint, want, wire, st.q.QID)
 	}
-	if err := params.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
-	}
-	st.params.Store(&params)
 	st.wmMax.Store(int64(wm))
 	st.decoded.Store(int64(decoded))
 	st.dropped.Store(int64(dropped))

@@ -263,7 +263,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := fresh().Restore(append([]byte("PAC9"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("unknown-magic restore: %v", err)
 	}
-	for _, old := range []string{"PAC2", "PAC3"} {
+	for _, old := range []string{"PAC2", "PAC3", "PAC4"} {
 		if err := fresh().Restore(append([]byte(old), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
 			t.Fatalf("%s restore: %v", old, err)
 		}
@@ -448,8 +448,8 @@ func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 	}
 
 	// The pane list follows the magic, eight counters, the query count,
-	// and the query's identity, parameters and four counters.
-	at := 4 + 8*8 + 4 + 4 + len(cfg.Query.QID.Analyst) + 8 + 8 + 3*8 + 4*8
+	// and the query's identity and four counters.
+	at := 4 + 8*8 + 4 + 4 + len(cfg.Query.QID.Analyst) + 8 + 8 + 4*8
 	const win = 3*8 + 4 + nbuckets*8
 	// moved is a pane entry with its start and end moved.
 	moved := func(entry []byte, dStart, dEnd time.Duration) []byte {
@@ -556,8 +556,8 @@ func restoreTarget(t testing.TB, n int) (*Aggregator, []*query.Query) {
 // re-encodes through Checkpoint to its own bytes, while its proper
 // prefixes are refused. The seeds are an empty aggregator's record
 // and two taken mid-stream — one and two queries, with open windows,
-// memoized losses, completed keys and pending joins, an empty share
-// among them.
+// memoized losses, completed keys, pending joins, an empty share among
+// them, and a message parked past the last round's epoch.
 func FuzzAggregatorRestore(f *testing.F) {
 	for n := range 3 {
 		a, queries := restoreTarget(f, n)
@@ -574,6 +574,10 @@ func FuzzAggregatorRestore(f *testing.F) {
 			}
 		}
 		if n > 0 {
+			later := encodeShares(f, sp, queries[0].QID.Uint64(), 5, 4, 1)
+			if _, err := a.SubmitRound([][]xorcrypt.Share{later[:1], later[1:]}, 4); err != nil {
+				f.Fatal(err)
+			}
 			half := encodeShares(f, sp, queries[0].QID.Uint64(), 3, 4, 2)
 			for _, sh := range []xorcrypt.Share{half[1], {MID: xorcrypt.MID{7}, Payload: []byte{}}} {
 				if _, err := submitOne(a, sh, 1); err != nil {
@@ -618,4 +622,53 @@ func FuzzAggregatorRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSubmitRoundParksLaterEpochs: a message of an epoch past the
+// round's through is parked — joined, but neither decoded nor late — a
+// checkpoint carries it and re-encodes to its own bytes, and the first
+// round that reaches its epoch ingests it.
+func TestSubmitRoundParksLaterEpochs(t *testing.T) {
+	const nbuckets = 4
+	cfg := testConfig(t, nbuckets, ckptParams, 10)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := xorcrypt.NewSplitter(2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := encodeShares(t, sp, cfg.Query.QID.Uint64(), 2, nbuckets, 1)
+	if _, err := a.SubmitRound([][]xorcrypt.Share{shares[:1], shares[1:]}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.Decoded != 0 || st.Late != 0 || st.Duplicates != 0 {
+		t.Fatalf("a parked message counted: %+v", st)
+	}
+	rec, err := a.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(rec); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := b.Checkpoint(nil); err != nil || !bytes.Equal(again, rec) {
+		t.Fatalf("the restored record re-encodes differently (%v)", err)
+	}
+	for _, step := range []struct {
+		through uint64
+		decoded int64
+	}{{1, 0}, {2, 1}, {3, 1}} {
+		if _, err := b.SubmitRound(nil, step.through); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Stats().Decoded; got != step.decoded {
+			t.Fatalf("through %d: %d decoded, want %d", step.through, got, step.decoded)
+		}
+	}
 }

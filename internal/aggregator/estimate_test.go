@@ -69,7 +69,9 @@ func TestWindowEstimatorMatchesPerBucketPath(t *testing.T) {
 					for _, mult := range []int{1, 10} {
 						for _, shed := range []float64{1, 0.5} {
 							name := fmt.Sprintf("conf=%v inverted=%t p=%v N=%d U=%dN shed=%v", confidence, inverted, pair.P, n, mult, shed)
-							st.storeShed(shed)
+							if err := a.SetShed(cfg.Query.QID, 0, shed); err != nil {
+								t.Fatal(err)
+							}
 							acc, err := answer.NewAccumulator(4)
 							if err != nil {
 								t.Fatal(err)
@@ -248,7 +250,7 @@ func TestOneParameterGenerationPerWindow(t *testing.T) {
 		{gens[1], false},
 	} {
 		st.estMu.Lock()
-		_, err := a.rrLoss(st, st.params.Load().RR, 0.3, 100)
+		_, err := a.rrLoss(st, st.entries[len(st.entries)-1].params.RR, 0.3, 100)
 		st.estMu.Unlock()
 		if err != nil {
 			t.Fatal(err)

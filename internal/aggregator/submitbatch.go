@@ -1,6 +1,7 @@
 package aggregator
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"math/bits"
@@ -115,14 +116,70 @@ func putScratch(sc *submitScratch) {
 // The results and counters are those of SubmitShareBatch on each
 // source's slice in proxy order (the contract at the top of this file).
 // A message whose shares sit at the same position of every slice
-// completes there, with one replay check and no group parked. The
-// arrival time is not used — join state ages on event time alone
-// (ageJoins) — and stays for the callers that pass it.
-func (a *Aggregator) SubmitRound(shares [][]xorcrypt.Share, _ time.Time) ([]Result, error) {
+// completes there, with one replay check and no group parked.
+//
+// through is the last epoch the caller has reached. A message of a
+// later epoch — a restored drain re-reading what its first life
+// published past the cut — is parked, decoded but not routed, until a
+// round reaches its epoch: it is then ingested before the round's
+// shares, under the query set in force by then, so each window closes
+// in the round of its closing epoch, as in an uninterrupted run.
+// math.MaxUint64 parks nothing.
+func (a *Aggregator) SubmitRound(shares [][]xorcrypt.Share, through uint64) ([]Result, error) {
 	if len(shares) > a.cfg.Proxies {
 		return nil, fmt.Errorf("%w: %d sources of %d", stream.ErrJoinArity, len(shares), a.cfg.Proxies)
 	}
-	return a.submit(shares, 0)
+	var out []Result
+	if prev := a.through.Swap(through); through > prev {
+		var err error
+		if out, err = a.unpark(through); err != nil {
+			return out, err
+		}
+	}
+	res, err := a.submit(shares, 0)
+	return extend(out, res), err
+}
+
+// unpark ingests, in epoch order, the parked messages of epochs up to
+// through.
+func (a *Aggregator) unpark(through uint64) ([]Result, error) {
+	a.parkMu.Lock()
+	var due [][]byte
+	for _, slot := range a.parked {
+		if parkedEpoch(slot) <= through {
+			due = append(due, slot)
+		}
+	}
+	if len(due) == 0 {
+		a.parkMu.Unlock()
+		return nil, nil
+	}
+	a.parked = slices.DeleteFunc(a.parked, func(slot []byte) bool { return parkedEpoch(slot) <= through })
+	a.parkMu.Unlock()
+	slices.SortStableFunc(due, func(x, y []byte) int { return cmp.Compare(parkedEpoch(x), parkedEpoch(y)) })
+	a.genMu.RLock()
+	defer a.ageJoins()
+	defer a.genMu.RUnlock()
+	sc := getScratch(a.cfg.Proxies)
+	defer putScratch(sc)
+	var out []Result
+	for _, slot := range due {
+		var err error
+		if out, err = a.ingestRun(sc, slot, len(slot), 1, out); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// parkedEpoch reads a parked message's epoch, 0 if it does not decode.
+func parkedEpoch(slot []byte) uint64 {
+	var msg answer.Message
+	var vec answer.BitVector
+	if msg.UnmarshalBinaryView(slot, &vec) != nil {
+		return 0
+	}
+	return msg.Epoch
 }
 
 // SubmitShareBatch folds in a batch of shares from proxy stream source
@@ -230,7 +287,6 @@ func (a *Aggregator) submitRound(shares [][]xorcrypt.Share, base int) ([]Result,
 	// same-(query, epoch) slots ingest as one segment. The join lock is
 	// not held here — the lanes are caller-local.
 	var out []Result
-	var unknown, badlen int64
 	for _, run := range sc.runs {
 		span := run.size * run.count
 		for i := range sc.lanes {
@@ -244,45 +300,56 @@ func (a *Aggregator) submitRound(shares [][]xorcrypt.Share, base int) ([]Result,
 			a.malformed.Add(int64(run.count))
 			continue
 		}
-		segStart := -1
-		var segState *queryState
-		var segEpoch uint64
-		for k := 0; k < run.count; k++ {
-			slot := plain[k*run.size : (k+1)*run.size]
-			var st *queryState
-			var epoch uint64
-			good := false
-			if err := sc.msg.UnmarshalBinaryView(slot, &sc.vec); err != nil {
-				a.malformed.Add(1)
-			} else if qs := a.stateFor(sc.msg.QueryID); qs == nil {
-				unknown++
-			} else if sc.msg.Answer.Len() != qs.nbuckets {
-				badlen++
-			} else {
-				st, epoch, good = qs, sc.msg.Epoch, true
-			}
-			if segStart >= 0 && (!good || st != segState || epoch != segEpoch) {
-				out, err = a.ingestSegment(segState, segEpoch, plain, segStart, k, run.size, out)
-				if err != nil {
-					a.foldDemuxDrops(unknown, badlen)
-					return out, err
-				}
-				segStart = -1
-			}
-			if good && segStart < 0 {
-				segStart, segState, segEpoch = k, st, epoch
-			}
+		if out, err = a.ingestRun(sc, plain, run.size, run.count, out); err != nil {
+			return out, err
 		}
-		if segStart >= 0 {
+	}
+	return out, nil
+}
+
+// ingestRun decodes count plaintext slots of size bytes, parks each of
+// an epoch past through (SubmitRound) and ingests consecutive
+// same-(query, epoch) slots as one segment.
+func (a *Aggregator) ingestRun(sc *submitScratch, plain []byte, size, count int, out []Result) ([]Result, error) {
+	var unknown, badlen int64
+	through := a.through.Load()
+	segStart := -1
+	var segState *queryState
+	var segEpoch uint64
+	for k := 0; k < count; k++ {
+		slot := plain[k*size : (k+1)*size]
+		var st *queryState
+		var epoch uint64
+		good := false
+		if err := sc.msg.UnmarshalBinaryView(slot, &sc.vec); err != nil {
+			a.malformed.Add(1)
+		} else if sc.msg.Epoch > through {
+			a.parkMu.Lock()
+			a.parked = append(a.parked, slices.Clone(slot))
+			a.parkMu.Unlock()
+		} else if qs := a.stateFor(sc.msg.QueryID); qs == nil {
+			unknown++
+		} else if sc.msg.Answer.Len() != qs.nbuckets {
+			badlen++
+		} else {
+			st, epoch, good = qs, sc.msg.Epoch, true
+		}
+		if segStart >= 0 && (!good || st != segState || epoch != segEpoch) {
 			var err error
-			out, err = a.ingestSegment(segState, segEpoch, plain, segStart, run.count, run.size, out)
-			if err != nil {
+			if out, err = a.ingestSegment(segState, segEpoch, plain, segStart, k, size, out); err != nil {
 				a.foldDemuxDrops(unknown, badlen)
 				return out, err
 			}
+			segStart = -1
+		}
+		if good && segStart < 0 {
+			segStart, segState, segEpoch = k, st, epoch
 		}
 	}
 	a.foldDemuxDrops(unknown, badlen)
+	if segStart >= 0 {
+		return a.ingestSegment(segState, segEpoch, plain, segStart, count, size, out)
+	}
 	return out, nil
 }
 

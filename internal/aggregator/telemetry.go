@@ -54,7 +54,7 @@ func (a *Aggregator) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 		dst = append(dst,
 			telemetry.Sample{Name: "privapprox_query_decoded_total", LabelKey: "query", LabelValue: st.qname, Value: float64(st.decoded.Load()), Kind: telemetry.KindCounter},
 			telemetry.Sample{Name: "privapprox_query_late_total", LabelKey: "query", LabelValue: st.qname, Value: float64(st.dropped.Load()), Kind: telemetry.KindCounter},
-			telemetry.Sample{Name: "privapprox_query_shed_threshold", LabelKey: "query", LabelValue: st.qname, Value: st.loadShed(), Kind: telemetry.KindGauge},
+			telemetry.Sample{Name: "privapprox_query_shed_threshold", LabelKey: "query", LabelValue: st.qname, Value: st.newest().shed, Kind: telemetry.KindGauge},
 			telemetry.Sample{Name: "privapprox_query_open_panes", LabelKey: "query", LabelValue: st.qname, Value: float64(panes), Kind: telemetry.KindGauge},
 		)
 		if wm := st.wmMax.Load(); wm != wmUnseen {

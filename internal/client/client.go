@@ -418,55 +418,32 @@ func (c *Client) SetShed(id query.ID, shed float64) bool {
 }
 
 // FastForward advances every active subscription's deterministic
-// randomness through epochs [0, epochs) without answering them — the
+// randomness through epochs [from, to) without answering them — the
 // client-side half of crash recovery. A client process restarted to
 // resume at epoch e takes its subscriptions from the control topic as
-// usual (same seed, same generation) and fast-forwards to e; from there
-// each subscription's coin stream is exactly the one an uninterrupted
-// run would produce, because the randomness a subscription consumes per
-// epoch is a deterministic function of the participation decision
-// (hash-based, rng-free) and the query's bucket count
-// (rr.Randomizer.Skip replays RespondBits' draws).
+// usual (same seed, same generation) and fast-forwards to e epoch by
+// epoch, each subscription from the epoch that last (re)subscribed it
+// (role.Clients.FastForward); from there each subscription's coin stream
+// is exactly the one an uninterrupted run would produce, because the
+// randomness a subscription consumes per epoch is a deterministic
+// function of the participation decision (hash-based, rng-free) and the
+// query's bucket count (rr.Randomizer.Skip replays RespondBits' draws).
 //
-// FastForward assumes every subscription was live from epoch 0; for
-// queries registered mid-run use FastForwardQuery with the query's
-// registration epoch (core.System.Restore does, after replaying the
-// checkpoint's control cut, from its registration table).
-//
-// Call it once, immediately after the subscriptions are in place and
-// before the first AnswerOnce. Stats are not advanced: they count the
-// work of this process, not of the crashed one.
-func (c *Client) FastForward(epochs uint64) {
+// Stats are not advanced: they count the work of this process, not of
+// the crashed one.
+func (c *Client) FastForward(from, to uint64) {
 	for _, sub := range c.subs {
-		c.fastForwardSub(sub, 0, epochs)
-	}
-}
-
-// FastForwardQuery advances one subscription's randomness through
-// epochs [from, to) — from is the epoch the query was registered at, so
-// a mid-run query skips exactly the epochs it actually answered in the
-// previous life and no others. It reports whether the query was an
-// active subscription.
-func (c *Client) FastForwardQuery(id query.ID, from, to uint64) bool {
-	i, ok := c.byWire[id.Uint64()]
-	if !ok {
-		return false
-	}
-	c.fastForwardSub(c.subs[i], from, to)
-	return true
-}
-
-func (c *Client) fastForwardSub(sub *subscription, from, to uint64) {
-	nbits := len(sub.query.Buckets)
-	for e := from; e < to; e++ {
-		if sub.decider.Participate(c.id, e) {
-			sub.rz.Skip(nbits)
-			// One message identifier per base-participating epoch: answered
-			// and shed epochs consume a MID alike (see answerQuery), so the
-			// splitter's MID stream needs no shed history either. The skip
-			// order across subscriptions differs from the live run's
-			// epoch-major order, but only the stream position matters.
-			_ = c.splitter.SkipMID()
+		for e := from; e < to; e++ {
+			if sub.decider.Participate(c.id, e) {
+				sub.rz.Skip(len(sub.query.Buckets))
+				// One message identifier per base-participating epoch:
+				// answered and shed epochs consume a MID alike (see
+				// answerQuery), so the splitter's MID stream needs no shed
+				// history either. The skip order across subscriptions
+				// differs from the live run's epoch-major order, but only
+				// the stream position matters.
+				_ = c.splitter.SkipMID()
+			}
 		}
 	}
 }

@@ -487,7 +487,7 @@ func TestFastForwardReproducesCoinStream(t *testing.T) {
 
 	// Restarted run: subscribe fresh, fast-forward, answer the rest.
 	resumed, resumedSinks := build()
-	resumed.FastForward(resumeAt)
+	resumed.FastForward(0, resumeAt)
 	for e := uint64(resumeAt); e < epochs; e++ {
 		ok, err := resumed.AnswerOnce(e)
 		if err != nil {

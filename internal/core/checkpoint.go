@@ -20,17 +20,13 @@ import (
 	"privapprox/internal/budget"
 	"privapprox/internal/codec"
 	"privapprox/internal/engine"
-	"privapprox/internal/proxy"
 	"privapprox/internal/query"
 )
 
 // Checkpoint serializes the system's resumable state. Call it between
 // epochs (after RunEpoch returns), never concurrently with one.
 //
-// The system section holds the epoch counter; each query's registration
-// epoch, so Restore fast-forwards each client subscription through
-// exactly the epochs it answered (a query registered mid-run must not
-// have coins skipped for epochs before it); and the overload-control
+// The system section holds the epoch counter and the overload-control
 // state — a flag byte, then when SLO control is on its configuration and
 // every per-query controller's state. Queries are sorted by ID, so the
 // record is deterministic. The shed thresholds ride in the query set at
@@ -48,12 +44,6 @@ func (s *System) Checkpoint() ([]byte, error) {
 	}
 	buf := binary.BigEndian.AppendUint64(nil, s.epoch)
 	s.ctrlMu.Lock()
-	ids := sortedIDs(s.regEpochs)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = appendID(buf, id)
-		buf = binary.BigEndian.AppendUint64(buf, s.regEpochs[id])
-	}
 	if !s.sloEnabled {
 		buf = append(buf, 0)
 	} else {
@@ -61,7 +51,9 @@ func (s *System) Checkpoint() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.sloTarget))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.sloMin))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(s.sloWindow))
-		ids = sortedIDs(s.slos)
+		ids := slices.SortedFunc(maps.Keys(s.slos), func(a, b query.ID) int {
+			return cmp.Or(strings.Compare(a.Analyst, b.Analyst), cmp.Compare(a.Serial, b.Serial))
+		})
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
 		for _, id := range ids {
 			buf = s.slos[id].AppendState(appendID(buf, id))
@@ -69,12 +61,6 @@ func (s *System) Checkpoint() ([]byte, error) {
 	}
 	s.ctrlMu.Unlock()
 	return s.drainer.Checkpoint(buf, nil)
-}
-
-func sortedIDs[V any](m map[query.ID]V) []query.ID {
-	return slices.SortedFunc(maps.Keys(m), func(a, b query.ID) int {
-		return cmp.Or(strings.Compare(a.Analyst, b.Analyst), cmp.Compare(a.Serial, b.Serial))
-	})
 }
 
 func appendID(buf []byte, id query.ID) []byte {
@@ -85,19 +71,20 @@ func readID(d *codec.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial
 
 // Restore rebuilds a System built with Config.Query nil and nothing
 // registered (any other is refused with ErrConfig) from a Checkpoint
-// record: both followers replay the control topic to the record's
-// control position, so the clients and the aggregator hold the
-// checkpoint's query set; the drain consumers seek to its cut (durable
-// brokers read back from their WALs what lies below their memory
-// floor); the aggregator, the epoch counter and the SLO controllers
-// resume; and every client is fast-forwarded through the epochs it
-// answered. The caller then re-drives what followed the cut,
-// registrations and SLO actuations included (see resumeControl). A
-// refused restore leaves a System to close.
+// record: the drain replays the control topic to the record's control
+// position and resumes at the cut (role.Drain.Restore; durable brokers
+// read back from their WALs what lies below their memory floor), the
+// registry takes the cut's query set at the cut's version, both
+// followers read the rest of the control topic, the aggregator, the
+// epoch counter and the SLO controllers resume, and the clients replay
+// the epochs before the cut (role.Clients.FastForward). Every
+// announcement is stamped with the epoch it applies from, so the caller
+// re-drives whatever followed the cut — epochs, registrations, stops,
+// revisions, SLO actuations — as an uninterrupted run would. A refused
+// restore leaves a System to close.
 func (s *System) Restore(data []byte) error {
 	var (
 		epoch uint64
-		regs  map[query.ID]uint64
 		slo   *sloState
 	)
 	// The system section is parsed and checked before the drain replays
@@ -109,19 +96,28 @@ func (s *System) Restore(data []byte) error {
 		}
 		d := codec.NewReader(section, ErrConfig, "record")
 		epoch = d.U64()
-		regs = make(map[query.ID]uint64)
-		for range d.Count(20) {
-			id := readID(&d)
-			regs[id] = d.U64()
-		}
 		var err error
 		if slo, err = readSLOState(&d); err != nil {
 			return err
 		}
 		return d.Done()
 	})
+	// The registry takes the cut's query set at the cut's version, so a
+	// re-driven change repeats the (From, Version) of the one the first
+	// life made after the cut, which both followers read below and apply
+	// at the sync that follows it, ignoring the repeat.
+	cut := cmp.Or(s.drainer.Follower().Applier().Applied(), &engine.QuerySet{})
 	if err == nil {
-		err = s.resumeControl()
+		err = s.registry.Bootstrap(&engine.QuerySet{Version: cut.Version, Entries: cut.Entries})
+	}
+	if err == nil {
+		_, err = s.drainer.Sync(epoch, cut.Version)
+	}
+	if err == nil {
+		_, err = s.clients.Follower().Sync()
+	}
+	if err == nil {
+		err = s.clients.FastForward(0, epoch)
 	}
 	if err != nil {
 		if !errors.Is(err, ErrConfig) {
@@ -130,59 +126,13 @@ func (s *System) Restore(data []byte) error {
 		return err
 	}
 	s.epoch = epoch
-	// Each subscription is fast-forwarded through exactly the epochs it
-	// was live for: [its registration epoch, the checkpoint epoch).
-	for id, from := range regs {
-		for _, c := range s.clients.Clients() {
-			c.FastForwardQuery(id, from, epoch)
-		}
-	}
+	s.registry.SetEpoch(epoch)
 	s.ctrlMu.Lock()
 	defer s.ctrlMu.Unlock()
-	s.regEpochs = regs
 	if slo != nil {
 		s.sloTarget, s.sloMin, s.sloWindow = slo.target, slo.shedMin, slo.window
 		s.sloEnabled = true
 		s.slos = slo.slos
-	}
-	return nil
-}
-
-// resumeControl replays the clients' follower to the cut and skips it to
-// the topic's end. The aggregator's reads on to the end, as its first
-// drain step would, so laterChange must hold. The registry takes the
-// cut's set at the newest version on the topic: its next announcement wins.
-func (s *System) resumeControl() error {
-	drain := s.drainer.Follower()
-	at, clients := drain.Position(), s.clients.Follower()
-	if _, err := clients.SyncN(at - clients.Position()); clients.Position() != at {
-		return errors.Join(fmt.Errorf("%w: the clients' control replay stopped short of offset %d", ErrConfig, at), err)
-	}
-	installed := cmp.Or(drain.Applier().Applied(), &engine.QuerySet{})
-	if _, err := drain.Sync(); err != nil {
-		return err
-	}
-	if err := laterChange(installed, drain.Applier().Applied()); err != nil {
-		return err
-	}
-	if err := s.registry.Bootstrap(&engine.QuerySet{Version: drain.Applier().Version(), Entries: installed.Entries}); err != nil {
-		return err
-	}
-	return s.control.Seek(proxy.TopicControl, 0, drain.Position())
-}
-
-// laterChange refuses a first life that announced more after the cut
-// than one registration: the restored aggregator re-reads that life's
-// shares under the newest set, so a second registration, a stop, a
-// revision or a moved shed would apply to shares that predate it.
-func laterChange(cut, newest *engine.QuerySet) error {
-	changed := newest.Version > cut.Version+1 || len(newest.Entries) > len(cut.Entries)+1
-	for _, e := range cut.Entries {
-		i := slices.IndexFunc(newest.Entries, func(n engine.Entry) bool { return n.Signed.Query.QID == e.Signed.Query.QID })
-		changed = changed || i < 0 || newest.Entries[i].Rev != e.Rev || newest.Entries[i].Shed != e.Shed
-	}
-	if changed {
-		return fmt.Errorf("%w: after the checkpoint the control topic moved from version %d to %d by more than one registration", ErrConfig, cut.Version, newest.Version)
 	}
 	return nil
 }

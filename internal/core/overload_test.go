@@ -14,6 +14,7 @@ import (
 	"privapprox/internal/codec"
 	"privapprox/internal/minisql"
 	"privapprox/internal/query"
+	"privapprox/internal/role"
 	"privapprox/internal/rr"
 	"privapprox/internal/wal"
 	"privapprox/internal/workload"
@@ -370,18 +371,36 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 }
 
-// TestSLOCheckpointRefusesLaterActuation: the controller moves the
-// threshold again after the checkpoint, before the crash. The restored
-// aggregator applies every announcement on the control topic before it
-// re-reads the first life's shares, so it would stamp windows that fired
-// under the checkpoint's threshold with the later one; Restore refuses
-// rather than resume with diverging results.
-func TestSLOCheckpointRefusesLaterActuation(t *testing.T) {
-	const ckptAfter, crashAfter = 4, 6
+// TestSLOCheckpointResumesLaterActuation: the controller moves the
+// threshold again after the checkpoint, before the crash. Each actuation
+// is stamped with the epoch it applies from, so the restored clients
+// shed from there and the aggregator stamps each window with the
+// threshold in force at its closing epoch: the resumed run equals an
+// uninterrupted one, Shed included, and the share ledger balances over
+// both lives' answers.
+func TestSLOCheckpointResumesLaterActuation(t *testing.T) {
+	const ticks, ckptAfter, crashAfter = 12, 4, 6
 	dir := t.TempDir()
-	sysA, q := surgeSystem(t, dir, true)
+	flush := func(sys *System, results []aggregator.Result) []aggregator.Result {
+		final, err := sys.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(results, final...)
+	}
+	ref, q := surgeSystem(t, "", true)
+	defer ref.Close()
+	var want []aggregator.Result
+	for i := 0; i < ticks; i++ {
+		want = append(want, surgeTick(t, ref)...)
+	}
+	want = flush(ref, want)
+	windowsConserved(t, ref, want)
+
+	sysA, _ := surgeSystem(t, dir, true)
+	var got []aggregator.Result
 	for i := 0; i < ckptAfter; i++ {
-		surgeTick(t, sysA)
+		got = append(got, surgeTick(t, sysA)...)
 	}
 	cutShed := sysA.SLOShed(q.QID)
 	ckpt, err := sysA.Checkpoint()
@@ -394,12 +413,33 @@ func TestSLOCheckpointRefusesLaterActuation(t *testing.T) {
 	if shed := sysA.SLOShed(q.QID); cutShed >= 1 || shed == cutShed {
 		t.Fatalf("want an actuation mid-shed after the checkpoint: shed %v at the cut, %v at the crash", cutShed, shed)
 	}
+	answeredA, droppedA, _, err := sysA.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sysA.Close()
 
 	sysB, _ := surgeSystem(t, dir, false)
 	defer sysB.Close()
-	if err := sysB.Restore(ckpt); !errors.Is(err, ErrConfig) {
-		t.Fatalf("restore across a later actuation: %v, want ErrConfig", err)
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for i := ckptAfter; i < ticks; i++ {
+		got = append(got, surgeTick(t, sysB)...)
+	}
+	got = flush(sysB, got)
+	if !resultsEqual(got, want) {
+		t.Fatalf("resume across a later actuation diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+	answeredB, droppedB, _, err := sysB.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range droppedB {
+		droppedB[i] += droppedA[i]
+	}
+	if err := role.Balance(answeredA+answeredB, droppedB, role.Fetched(sysB.drainer.Consumers()), sysB.agg.Stats(), int64(sysB.agg.PendingJoins())); err != nil {
+		t.Errorf("share ledger over both lives: %v", err)
 	}
 }
 
@@ -416,5 +456,38 @@ func TestSLOStateRefusesRingBeyondRecord(t *testing.T) {
 	d := codec.NewReader(sec, ErrConfig, "record")
 	if st, err := readSLOState(&d); !errors.Is(err, ErrConfig) {
 		t.Fatalf("readSLOState = %v, %v; want ErrConfig", st, err)
+	}
+}
+
+// TestLaggingDrainStampsTheClosingEpoch: a drain that lags the answers
+// fires window [0 s, 4 s) — closing epoch 8 — only after the shed
+// threshold moved at epoch 9. The window is stamped with the threshold
+// in force at its closing epoch, not at the drain that fired it.
+func TestLaggingDrainStampsTheClosingEpoch(t *testing.T) {
+	cfg := taxiSystemConfig(t, 6, recoveryParams)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for e := 0; e < 10; e++ {
+		if e == 9 {
+			if err := sys.Registry().SetShed(cfg.Query.QID, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sys.AnswerEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fired, _, err := sys.DrainUpTo(math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0].Window.End.Sub(fired[0].Window.Start) != 4*time.Second || fired[0].Shed != 1 {
+		t.Fatalf("lagging drain fired %+v, want window [0 s, 4 s) stamped with shed 1", fired)
 	}
 }

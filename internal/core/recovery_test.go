@@ -22,13 +22,13 @@ import (
 var recoveryParams = budget.Params{S: 0.9, RR: rr.Params{P: 0.9, Q: 0.6}}
 
 // resultsEqual reports whether two result sequences are identical — the
-// recovery tests' byte-level comparison.
+// recovery tests' byte-level comparison, shed stamps included.
 func resultsEqual(a, b []aggregator.Result) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Query != b[i].Query || a[i].Responses != b[i].Responses ||
+		if a[i].Query != b[i].Query || a[i].Responses != b[i].Responses || a[i].Shed != b[i].Shed ||
 			a[i].Population != b[i].Population || a[i].Inverted != b[i].Inverted ||
 			!a[i].Window.Start.Equal(b[i].Window.Start) || !a[i].Window.End.Equal(b[i].Window.End) ||
 			len(a[i].Buckets) != len(b[i].Buckets) {
@@ -363,12 +363,12 @@ func TestSystemCheckpointResumeMultiQuery(t *testing.T) {
 }
 
 // TestRestoreResumesAnnouncementVersion: the restored registry takes the
-// checkpoint's query set at the version of the newest snapshot on the
-// control topic — here one announced after the checkpoint, which the
-// clients' follower skips — so what the second life announces reaches
-// its clients: the same registration, re-driven after the restart. (Regression: the
-// registry restarted its version below the replayed ones, and the
-// newest-wins applier ignored every later announcement.)
+// checkpoint's query set at the checkpoint's version, so the
+// registration the first life announced after the checkpoint, re-driven
+// after the restart, repeats that announcement's position: it reaches
+// the clients, and a different registration in its place is refused.
+// (Regression: the registry restarted its version below the replayed
+// ones, and the applier ignored every later announcement.)
 func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	dir := t.TempDir()
 	q1, err := workload.TaxiQuery("analyst", 1, time.Second, 4*time.Second, 4*time.Second)
@@ -413,12 +413,11 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	sysA.Close()
 
 	sysB := build()
-	defer sysB.Close()
 	if err := sysB.Restore(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if ids := sysB.Registry().Active(); len(ids) != 1 || ids[0] != q1.QID || sysB.Registry().Version() != 4 {
-		t.Fatalf("restored registry at version %d holds %v, want only %s at version 4", sysB.Registry().Version(), ids, q1.QID)
+	if ids := sysB.Registry().Active(); len(ids) != 1 || ids[0] != q1.QID || sysB.Registry().Version() != 3 {
+		t.Fatalf("restored registry at version %d holds %v, want only %s at version 3", sysB.Registry().Version(), ids, q1.QID)
 	}
 	if err := sysB.Register(q2); err != nil {
 		t.Fatal(err)
@@ -427,6 +426,20 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 		if got := c.Subscriptions(); got != 2 {
 			t.Fatalf("client %d holds %d subscriptions after a post-restore registration, want 2", i, got)
 		}
+	}
+	sysB.Close()
+
+	q3, err := workload.TaxiQuery("analyst", 3, time.Second, 4*time.Second, 4*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysC := build()
+	defer sysC.Close()
+	if err := sysC.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := sysC.Register(q3); !errors.Is(err, ErrConfig) {
+		t.Fatalf("a registration unlike the first life's after the restore: %v, want ErrConfig", err)
 	}
 }
 
@@ -672,78 +685,216 @@ func TestSystemRestoreBeforeLaterRegistration(t *testing.T) {
 	}
 }
 
-// TestSystemRestoreRefusesLaterChanges: the restored aggregator applies
-// every announcement the first life made after the checkpoint before it
-// re-reads that life's shares. One registration is safe (the new query
-// has no shares before it); two, a stop or a shed move would be in force
-// over shares that predate them, so Restore refuses each rather than
-// resume with diverging results.
-func TestSystemRestoreRefusesLaterChanges(t *testing.T) {
-	const ckptAt, crashAfter = 2, 6
-	var qs [3]*query.Query
+// change is what a schedule does at the start of an epoch, before the
+// epoch runs; it returns the windows a stop flushed.
+type change func(*System) ([]aggregator.Result, error)
+
+func register(q *query.Query) change {
+	return func(sys *System) ([]aggregator.Result, error) { return nil, sys.Register(q) }
+}
+
+func stop(id query.ID) change {
+	return func(sys *System) ([]aggregator.Result, error) { return sys.StopQuery(id) }
+}
+
+// moveShed announces a shed threshold as the SLO controller does.
+func moveShed(id query.ID, shed float64) change {
+	return func(sys *System) ([]aggregator.Result, error) {
+		if err := sys.Registry().SetShed(id, shed); err != nil {
+			return nil, err
+		}
+		return sys.sync()
+	}
+}
+
+// revise re-registers a query with a new sampling fraction, as Feedback
+// does: the entry's revision moves, and the clients re-draw its coins.
+func revise(id query.ID, s float64) change {
+	return func(sys *System) ([]aggregator.Result, error) {
+		e, _ := sys.Registry().Entry(id)
+		e.Params.S = s
+		if err := sys.Registry().Register(e.Signed, e.Params); err != nil {
+			return nil, err
+		}
+		return sys.sync()
+	}
+}
+
+// seq makes changes one after the other between the same two epochs.
+func seq(changes ...change) change {
+	return func(sys *System) ([]aggregator.Result, error) {
+		var flushed []aggregator.Result
+		for _, ch := range changes {
+			res, err := ch(sys)
+			if err != nil {
+				return nil, err
+			}
+			flushed = append(flushed, res...)
+		}
+		return flushed, nil
+	}
+}
+
+// resumeSchedule is a crash schedule: the changes made at the start of
+// given epochs, the epoch the first life checkpoints at, and the epoch
+// it dies before.
+type resumeSchedule struct {
+	epochs, ckptAt, crashAfter int
+	changes                    map[int]change
+}
+
+// resumesEqual runs a schedule uninterrupted, and again as two lives
+// over one data directory: the first checkpoints at ckptAt, changes and
+// runs on to crashAfter and dies; the second restores the checkpoint and
+// re-drives the schedule from the cut. Results are equal window for
+// window, Shed included; role.Balance holds over both lives' answers,
+// and the uninterrupted run's windows are conserved.
+func resumesEqual(t *testing.T, sched resumeSchedule) {
+	t.Helper()
+	dir := t.TempDir()
+	build := func(dataDir string) *System {
+		cfg := taxiSystemConfig(t, 6, recoveryParams)
+		cfg.Query = nil
+		cfg.DataDir = dataDir
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	// since maps a query to the first of its results since a change last
+	// flushed its windows: a query stopped and registered again is
+	// conserved from there, as its telemetry starts there.
+	since := make(map[query.ID]int)
+	run := func(sys *System, from, to int, results []aggregator.Result) []aggregator.Result {
+		for e := from; e < to; e++ {
+			if ch := sched.changes[e]; ch != nil {
+				flushed, err := ch(sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, flushed...)
+				for _, res := range flushed {
+					since[res.Query] = len(results)
+				}
+			}
+			results = runEpochsInto(t, sys, 1, results)
+		}
+		return results
+	}
+	flush := func(sys *System, results []aggregator.Result) []aggregator.Result {
+		final, err := sys.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(results, final...)
+	}
+
+	ref := build("")
+	defer ref.Close()
+	want := flush(ref, run(ref, 0, sched.epochs, nil))
+	var current []aggregator.Result
+	for i, res := range want {
+		if i >= since[res.Query] {
+			current = append(current, res)
+		}
+	}
+	windowsConserved(t, ref, current)
+
+	sysA := build(dir)
+	got := run(sysA, 0, sched.ckptAt, nil)
+	ckpt, err := sysA.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(sysA, sched.ckptAt, sched.crashAfter, nil)
+	answeredA, droppedA, _, err := sysA.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysA.Close()
+
+	sysB := build(dir)
+	defer sysB.Close()
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	got = flush(sysB, run(sysB, sched.ckptAt, sched.epochs, got))
+	if !resultsEqual(got, want) {
+		t.Fatalf("resumed run diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+	answeredB, droppedB, _, err := sysB.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range droppedB {
+		droppedB[i] += droppedA[i]
+	}
+	if err := role.Balance(answeredA+answeredB, droppedB, role.Fetched(sysB.drainer.Consumers()), sysB.agg.Stats(), int64(sysB.agg.PendingJoins())); err != nil {
+		t.Errorf("share ledger over both lives: %v", err)
+	}
+}
+
+// resumeQueries returns queries 1..n of one analyst, with a 4 s window
+// that slides by slide.
+func resumeQueries(t *testing.T, n int, slide time.Duration) []*query.Query {
+	t.Helper()
+	qs := make([]*query.Query, n)
 	for i := range qs {
-		q, err := workload.TaxiQuery("analyst", uint64(i+1), time.Second, 4*time.Second, 4*time.Second)
+		q, err := workload.TaxiQuery("analyst", uint64(i+1), time.Second, 4*time.Second, slide)
 		if err != nil {
 			t.Fatal(err)
 		}
 		qs[i] = q
 	}
-	register := func(q *query.Query) func(*System) error {
-		return func(sys *System) error { return sys.Register(q) }
-	}
+	return qs
+}
+
+// TestSystemRestoreResumesLaterChanges: the first life changes the query
+// set after its checkpoint and before it dies. Every announcement is
+// stamped with the epoch it applies from, so the restored clients apply
+// each at its epoch and the aggregator estimates and stamps each window
+// under the entry in force at its closing epoch: the re-driven run
+// equals an uninterrupted one. Registrations, stops and revisions change
+// the set at epochs 3 to 5, one or two between the same two epochs,
+// after a checkpoint at 2; the shed move comes at 6, after a sliding
+// window has fired, with the checkpoint at 2 and the crash after epoch
+// 7.
+func TestSystemRestoreResumesLaterChanges(t *testing.T) {
+	tumbling, sliding := resumeQueries(t, 3, 4*time.Second), resumeQueries(t, 1, time.Second)
 	for _, tc := range []struct {
 		name  string
-		after map[int]func(*System) error // epoch → the change made at its start
+		sched resumeSchedule
 	}{
-		{"two registrations", map[int]func(*System) error{3: register(qs[1]), 4: register(qs[2])}},
-		{"a stop", map[int]func(*System) error{3: func(sys *System) error {
-			_, err := sys.StopQuery(qs[0].QID)
-			return err
-		}}},
-		{"a shed move", map[int]func(*System) error{3: func(sys *System) error {
-			if err := sys.Registry().SetShed(qs[0].QID, 0.5); err != nil {
-				return err
-			}
-			_, err := sys.sync()
-			return err
-		}}},
+		{"two registrations", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 3: register(tumbling[1]), 4: register(tumbling[2])}}},
+		{"a stop", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 3: stop(tumbling[0].QID)}}},
+		{"a revision", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 3: revise(tumbling[0].QID, 0.5)}}},
+		{"two registrations in one epoch", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 3: seq(register(tumbling[1]), register(tumbling[2]))}}},
+		{"a stop and a registration again", resumeSchedule{8, 2, 6, map[int]change{0: seq(register(tumbling[0]), register(tumbling[1])), 3: stop(tumbling[0].QID), 5: register(tumbling[0])}}},
+		{"a stop and a registration again in one epoch", resumeSchedule{8, 2, 6, map[int]change{0: seq(register(tumbling[0]), register(tumbling[1])), 3: seq(stop(tumbling[0].QID), register(tumbling[0]))}}},
+		{"a registration and a stop in one epoch", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 3: seq(register(tumbling[1]), stop(tumbling[0].QID))}}},
+		{"two revisions in one epoch", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 3: seq(revise(tumbling[0].QID, 0.5), revise(tumbling[0].QID, 0.7))}}},
+		{"a revision and a registration in one epoch", resumeSchedule{8, 2, 6, map[int]change{0: register(tumbling[0]), 4: seq(revise(tumbling[0].QID, 0.5), register(tumbling[1]))}}},
+		{"a shed move after a window fired", resumeSchedule{10, 2, 8, map[int]change{0: register(sliding[0]), 6: moveShed(sliding[0].QID, 0.5)}}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			build := func() *System {
-				cfg := taxiSystemConfig(t, 6, recoveryParams)
-				cfg.Query = nil
-				cfg.DataDir = dir
-				sys, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sys
-			}
-			sysA := build()
-			if err := sysA.Register(qs[0]); err != nil {
-				t.Fatal(err)
-			}
-			runEpochsInto(t, sysA, ckptAt, nil)
-			ckpt, err := sysA.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e := ckptAt; e < crashAfter; e++ {
-				if change := tc.after[e]; change != nil {
-					if err := change(sysA); err != nil {
-						t.Fatal(err)
-					}
-				}
-				runEpochsInto(t, sysA, 1, nil)
-			}
-			sysA.Close()
+		t.Run(tc.name, func(t *testing.T) { resumesEqual(t, tc.sched) })
+	}
+}
 
-			sysB := build()
-			defer sysB.Close()
-			if err := sysB.Restore(ckpt); !errors.Is(err, ErrConfig) {
-				t.Fatalf("restore across %s after the checkpoint: %v, want ErrConfig", tc.name, err)
-			}
+// TestSystemRestoreAfterRevisionBeforeCut: a revision at epoch 2 re-draws
+// the query's coin stream, and the checkpoint at 4 follows it. The
+// restored clients replay the cut epoch by epoch, so the revised
+// subscription is skipped through epochs 2 and 3 only, not from the
+// query's first registration; two revisions between the same two
+// epochs re-draw it twice in the replay, as in the live run.
+func TestSystemRestoreAfterRevisionBeforeCut(t *testing.T) {
+	q := resumeQueries(t, 1, 4*time.Second)[0]
+	for _, tc := range []struct {
+		name     string
+		revision change
+	}{{"one revision", revise(q.QID, 0.5)}, {"two revisions", seq(revise(q.QID, 0.5), revise(q.QID, 0.7))}} {
+		t.Run(tc.name, func(t *testing.T) {
+			resumesEqual(t, resumeSchedule{10, 4, 6, map[int]change{0: register(q), 2: tc.revision}})
 		})
 	}
 }
@@ -807,5 +958,108 @@ func TestSystemCheckpointBeforeFirstRegistration(t *testing.T) {
 	}
 	if got := run(sysB, registerAt, got); len(want) == 0 || !resultsEqual(got, want) {
 		t.Fatalf("resume from before the first registration diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSystemRestoreTwiceMidReplay: with SLO control on and a sliding
+// window, the second life checkpoints while it still re-reads what the
+// first life published past the first cut, and the third life restores
+// that record. The answers of epochs past the drain's clock wait in the
+// aggregator and ride in the second record, so every epoch of every life
+// fires the windows an uninterrupted run fires in it, Shed included, and
+// role.Balance holds over the three lives' answers.
+func TestSystemRestoreTwiceMidReplay(t *testing.T) {
+	const epochs, ckpt1, crash1, ckpt2, crash2 = 10, 2, 7, 4, 5
+	q := resumeQueries(t, 1, time.Second)[0]
+	dir := t.TempDir()
+	build := func(dataDir string, first bool) *System {
+		cfg := taxiSystemConfig(t, 6, recoveryParams)
+		cfg.Query = nil
+		cfg.DataDir = dataDir
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first {
+			if err := sys.Register(q); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.EnableSLO(1, 0.1, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sys
+	}
+	ref := build("", true)
+	defer ref.Close()
+	want := make([][]aggregator.Result, epochs)
+	for e := range want {
+		want[e] = runEpochsInto(t, ref, 1, nil)
+	}
+
+	var answered int64
+	var dropped []int64
+	// live runs epochs [from, to), checking each against the reference;
+	// die adds a life's answers to the ledger.
+	live := func(sys *System, from, to int) {
+		for e := from; e < to; e++ {
+			if got := runEpochsInto(t, sys, 1, nil); !resultsEqual(got, want[e]) {
+				t.Fatalf("epoch %d diverged:\ngot  %+v\nwant %+v", e, got, want[e])
+			}
+		}
+	}
+	die := func(sys *System) {
+		a, d, _, err := sys.ledger()
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered += a
+		if dropped == nil {
+			dropped = make([]int64, len(d))
+		}
+		for i := range d {
+			dropped[i] += d[i]
+		}
+		sys.Close()
+	}
+	checkpoint := func(sys *System) []byte {
+		rec, err := sys.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	restore := func(rec []byte) *System {
+		sys := build(dir, false)
+		if err := sys.Restore(rec); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	sysA := build(dir, true)
+	live(sysA, 0, ckpt1)
+	rec1 := checkpoint(sysA)
+	live(sysA, ckpt1, crash1+1)
+	die(sysA)
+
+	sysB := restore(rec1)
+	live(sysB, ckpt1, ckpt2)
+	rec2 := checkpoint(sysB)
+	live(sysB, ckpt2, crash2+1)
+	die(sysB)
+
+	sysC := restore(rec2)
+	defer sysC.Close()
+	live(sysC, ckpt2, epochs)
+	a, d, _, err := sysC.ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d {
+		d[i] += dropped[i]
+	}
+	if err := role.Balance(answered+a, d, role.Fetched(sysC.drainer.Consumers()), sysC.agg.Stats(), int64(sysC.agg.PendingJoins())); err != nil {
+		t.Errorf("share ledger over three lives: %v", err)
 	}
 }

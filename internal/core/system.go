@@ -12,9 +12,10 @@
 // Every query — Config.Query as much as one registered later — reaches
 // the clients and the aggregator the way the paper's §3.1 distributes
 // it: the registry verifies the analyst's signature and announces the
-// query set on the proxies' control topics, the client role's follower
-// subscribes the clients, and the aggregator role's follower opens the
-// query at the aggregator. A parameter change, a shed change and a stop
+// query set on the proxies' control topics, stamped with the epoch it
+// applies from (the next one); the client role's follower subscribes
+// the clients, and the aggregator role's follower opens the query at
+// the aggregator. A parameter change, a shed change and a stop
 // take the same path; the system never hands the aggregator a query of
 // its own. Many analysts' queries run concurrently over the one fleet,
 // each with its own parameters, feedback and overload controllers, and
@@ -67,7 +68,6 @@ import (
 	"privapprox/internal/histstore"
 	"privapprox/internal/minisql"
 	"privapprox/internal/proxy"
-	"privapprox/internal/pubsub"
 	"privapprox/internal/query"
 	"privapprox/internal/role"
 	"privapprox/internal/seeded"
@@ -151,7 +151,6 @@ type System struct {
 	pub     ed25519.PublicKey
 	priv    ed25519.PrivateKey
 	clients *role.Clients
-	control *pubsub.Consumer // the clients' control consumer, which Restore seeks
 	drainer *role.Drain
 	fleet   *proxy.Fleet
 	agg     *aggregator.Aggregator
@@ -170,10 +169,6 @@ type System struct {
 	fbMin     float64
 	fbMax     float64
 	fbEnabled bool
-	// regEpochs records the epoch each active query was registered at
-	// (guarded by ctrlMu) — checkpointed so Restore can fast-forward
-	// each client subscription through exactly its own live epochs.
-	regEpochs map[query.ID]uint64
 
 	// SLO overload controllers (EnableSLO): one per query, created
 	// lazily; guarded by ctrlMu. The controllers' decisions are recorded
@@ -277,7 +272,7 @@ func New(cfg Config) (_ *System, err error) {
 
 	sys := &System{cfg: cfg, params: params, pub: pub, priv: priv, fleet: fleet,
 		registry: engine.NewRegistry(), ctrls: make(map[query.ID]*budget.Controller),
-		regEpochs: make(map[query.ID]uint64), tel: tel, tracer: telemetry.NewTracer()}
+		tel: tel, tracer: telemetry.NewTracer()}
 	defer func() {
 		if err != nil {
 			sys.Close()
@@ -328,11 +323,11 @@ func New(cfg Config) (_ *System, err error) {
 		return nil, err
 	}
 	sys.drainer = role.NewDrain(sys.agg, consumers, aggControl)
-	sys.control, err = fleet.Proxy(0).ControlConsumer("clients")
+	control, err := fleet.Proxy(0).ControlConsumer("clients")
 	if err != nil {
 		return nil, err
 	}
-	sys.clients, err = role.NewClients(fleet, sys.control, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
+	sys.clients, err = role.NewClients(fleet, control, cfg.Seed, 0, cfg.Clients, 0, cfg.Workers, func(i int, cc *client.Config) error {
 		cc.DB = minisql.NewDB()
 		if cfg.Populate != nil {
 			if err := cfg.Populate(i, cc.DB); err != nil {
@@ -419,14 +414,43 @@ func (s *System) ledger() (answered int64, dropped, published []int64, err error
 }
 
 // sync applies every pending control-topic announcement to the clients
-// and the aggregator, returning the windows a stopped query's removal
-// flushed. Every registry change is followed by a sync, so a change is
-// in force at both before the call that made it returns.
+// and the aggregator — each stamped from epoch s.epoch, up to the
+// registry's version (engine.Applier.Advance) — returning the windows a
+// stopped query's removal flushed. Every registry change is followed by
+// a sync, so a change is in force at both before the call that made it
+// returns.
 func (s *System) sync() ([]aggregator.Result, error) {
-	if _, err := s.clients.Follower().Sync(); err != nil {
+	f := s.clients.Follower()
+	if _, err := f.Sync(); err != nil {
 		return nil, err
 	}
-	return s.drainer.Sync()
+	v := s.registry.Version()
+	if err := f.Applier().Advance(s.epoch, v); err != nil {
+		return nil, err
+	}
+	flushed, err := s.drainer.Sync(s.epoch, v)
+	if qs := s.drainer.Follower().Applier().Applied(); err == nil && qs != nil && qs.Version == v && s.diverged(qs) {
+		err = fmt.Errorf("%w: a restored system announced version %d unlike its first life", ErrConfig, v)
+	}
+	return flushed, err
+}
+
+// diverged reports whether the registry's query set differs from qs,
+// the snapshot the followers applied at its version: a restored system
+// that re-drives a change other than the one its first life made after
+// the cut announces a version the topic already holds.
+func (s *System) diverged(qs *engine.QuerySet) bool {
+	ids := s.registry.Active()
+	if len(ids) != len(qs.Entries) {
+		return true
+	}
+	for i, id := range ids {
+		e, _ := s.registry.Entry(id)
+		if got := qs.Entries[i]; got.Signed.Query.QID != id || got.Rev != e.Rev || got.Params != e.Params || got.Shed != e.Shed {
+			return true
+		}
+	}
+	return false
 }
 
 // Register signs a query with the system analyst key and submits it to
@@ -453,13 +477,6 @@ func (s *System) RegisterSigned(signed *query.Signed, analystKey ed25519.PublicK
 	if err := s.registry.Register(signed, params); err != nil {
 		return err
 	}
-	s.ctrlMu.Lock()
-	if _, ok := s.regEpochs[signed.Query.QID]; !ok {
-		// First registration pins the query's start epoch; parameter
-		// updates keep it (the coin stream has been running since).
-		s.regEpochs[signed.Query.QID] = s.epoch
-	}
-	s.ctrlMu.Unlock()
 	_, err := s.sync()
 	return err
 }
@@ -478,7 +495,6 @@ func (s *System) StopQuery(id query.ID) ([]aggregator.Result, error) {
 	}
 	s.ctrlMu.Lock()
 	delete(s.ctrls, id)
-	delete(s.regEpochs, id)
 	s.ctrlMu.Unlock()
 	return flushed, nil
 }
@@ -532,14 +548,23 @@ func (s *System) AnswerEpoch() (int, error) {
 
 // answer begins the next epoch and answers it, running drain points over
 // drain when it is not nil, and returns the windows they fired in the
-// order they fired.
+// order they fired. The drain reaches the epoch first, so no window
+// closes past it.
 func (s *System) answer(drain *role.Drain) ([]aggregator.Result, int, error) {
 	epoch := s.epoch
+	flushed, err := s.drainer.Sync(epoch, s.registry.Version())
+	if err != nil {
+		return flushed, 0, err
+	}
 	s.epoch++
+	s.registry.SetEpoch(s.epoch)
 	s.tracer.BeginEpoch(epoch)
 	t0 := time.Now()
 	fired, participants, err := s.clients.Epoch(epoch, drain)
 	s.tracer.Record(epoch, telemetry.StageAnswer, time.Since(t0), participants, 0)
+	if len(flushed) > 0 {
+		fired = append(flushed, fired...)
+	}
 	return fired, participants, err
 }
 
@@ -596,9 +621,10 @@ func (s *System) PendingShares() (int64, error) {
 // tightens or relaxes the shed threshold, the change is distributed
 // like any parameter update: through the registry's control topics to
 // the clients (which shed deterministically via their hash deciders)
-// and into the aggregator (which stamps results with the threshold in
-// force). Controller state is checkpointed, so crash recovery resumes
-// the loop mid-flight instead of un-shedding an overloaded system.
+// and into the aggregator (which stamps each window with the threshold
+// in force at its closing epoch). Controller state is checkpointed, so
+// crash recovery resumes the loop mid-flight instead of un-shedding an
+// overloaded system.
 func (s *System) EnableSLO(targetLagSlides, shedMin float64, window int) error {
 	if _, err := budget.NewSLOController(targetLagSlides, shedMin, window); err != nil {
 		return err
@@ -765,10 +791,10 @@ func (s *System) EnableFeedback(targetLoss, sMin, sMax float64) error {
 // Feedback folds a window result into its query's controller and, when
 // the sampling fraction moved, redistributes the parameters: the
 // registry bumps the query's revision and re-announces it, and at the
-// sync the clients re-subscribe and the aggregator swaps the query's
-// parameters in place, estimating and reporting its next windows under
-// them. It returns the parameters now in
-// force for that query.
+// sync the clients re-subscribe and the aggregator schedules the
+// query's parameters from the next epoch, estimating and reporting the
+// windows that close from then on under them. It returns the parameters
+// now in force for that query.
 func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
 	s.ctrlMu.Lock()
 	if !s.fbEnabled {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"privapprox/internal/budget"
@@ -25,11 +26,10 @@ type Subscriber interface {
 }
 
 // Applier reconciles a set of subscribers — clients, or an aggregator —
-// against query-set snapshots. It is the receiving half of query
-// distribution: feed it every control payload observed (in any order,
-// with duplicates and gaps) and it applies exactly the newest snapshot,
-// diffing by per-entry revision so a client's per-query coin stream is
-// only redrawn when that query's entry actually changed.
+// against query-set snapshots under the in-force rule (package doc),
+// which makes every follower converge under reordering and duplication.
+// Applying a snapshot diffs it by per-entry revision, so a client's
+// per-query coin stream is only redrawn when that query's entry changed.
 //
 // Trust: every entry's signature is verified against its announced
 // analyst key — once per snapshot, not once per client — which detects
@@ -45,11 +45,22 @@ type Subscriber interface {
 type Applier struct {
 	clients []Subscriber
 	trusted map[string]ed25519.PublicKey
-	version uint64
-	applied *QuerySet           // newest accepted snapshot, nil before the first
+	// at is the position the applier has reached in (From, Version)
+	// order (only those two fields are set): every snapshot at or before
+	// it is in force. It starts at From 0, every version, so a snapshot
+	// from epoch 0 applies on arrival.
+	at      QuerySet
+	pending []pendingSet        // verified, not yet in force, in (From, Version) order
+	applied *QuerySet           // the last snapshot applied, nil before the first
 	revs    map[string]uint64   // ID.String() → last applied revision
 	sheds   map[string]float64  // ID.String() → last applied shed threshold
 	active  map[string]query.ID // currently subscribed
+}
+
+// pendingSet is a verified snapshot waiting for the start of its epoch.
+type pendingSet struct {
+	qs       *QuerySet
+	verified []query.Verified
 }
 
 // NewApplier manages the given clients (typically every logical client
@@ -58,6 +69,7 @@ func NewApplier(clients ...Subscriber) *Applier {
 	return &Applier{
 		clients: clients,
 		trusted: make(map[string]ed25519.PublicKey),
+		at:      QuerySet{Version: math.MaxUint64},
 		revs:    make(map[string]uint64),
 		sheds:   make(map[string]float64),
 		active:  make(map[string]query.ID),
@@ -71,38 +83,30 @@ func (ap *Applier) Trust(analyst string, pub ed25519.PublicKey) {
 	ap.trusted[analyst] = pub
 }
 
-// Version returns the version of the newest applied snapshot.
-func (ap *Applier) Version() uint64 { return ap.version }
-
 // ActiveQueries returns how many queries are currently subscribed.
 func (ap *Applier) ActiveQueries() int { return len(ap.active) }
 
-// Applied returns the newest snapshot the applier accepted, nil before
-// the first. Its entries are verified; the caller must not modify it.
+// Applied returns the last snapshot applied — during a subscriber call,
+// the one being applied — nil before the first. Its entries are
+// verified; the caller must not modify it.
 func (ap *Applier) Applied() *QuerySet { return ap.applied }
 
-// ApplyPayload decodes one control payload and applies it if it is
-// newer than anything seen so far. Undecodable payloads are reported;
-// stale or duplicate snapshots are ignored without error.
-func (ap *Applier) ApplyPayload(payload []byte) error {
-	qs, err := DecodeQuerySet(payload)
-	if err != nil {
-		return err
-	}
-	return ap.Apply(qs)
+// order compares two snapshots by (From, Version).
+func order(a, b *QuerySet) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Version, b.Version))
 }
 
-// Apply reconciles the clients against one snapshot. Snapshots older
-// than (or equal to) the newest applied one are ignored — that single
-// rule makes the applier converge under arbitrary loss, reordering,
-// and duplication, as long as the newest snapshot is eventually
-// observed. An accepted snapshot is kept (see Applied), so the caller
-// must not modify it afterwards.
+// Apply verifies one snapshot and puts it in force by the in-force rule:
+// at once if the applier has reached its position, else at the Advance
+// that does. A snapshot not greater than the last one applied, or
+// already pending, is ignored without error; a refused one changes
+// nothing. An accepted snapshot is kept (see Applied), so the
+// caller must not modify it afterwards.
 func (ap *Applier) Apply(qs *QuerySet) error {
-	if ap.applied != nil && qs.Version <= ap.version {
+	at, dup := slices.BinarySearchFunc(ap.pending, qs, func(p pendingSet, qs *QuerySet) int { return order(p.qs, qs) })
+	if dup || ap.applied != nil && order(qs, ap.applied) <= 0 {
 		return nil
 	}
-
 	// Verify and validate every entry before touching any client: a
 	// snapshot either applies wholly or not at all (Verify parses the SQL
 	// too, so a mid-apply subscription failure cannot leave the clients
@@ -137,11 +141,41 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 		}
 		verified[i] = v
 	}
+	ap.pending = slices.Insert(ap.pending, at, pendingSet{qs, verified})
+	return ap.Advance(ap.at.From, ap.at.Version)
+}
 
+// Advance moves the applier to position (e, v) of the (From, Version)
+// order — the start of epoch e, up to version v; it never moves back —
+// and applies, in order, every pending snapshot at or before it,
+// returning the first subscription failure. A follower that answers
+// epoch e advances to (e, math.MaxUint64); a wiring whose registry
+// re-announces what a restored topic already holds bounds v by the
+// version it has announced, so each snapshot applies at the change that
+// made it.
+func (ap *Applier) Advance(e, v uint64) error {
+	if to := (QuerySet{From: e, Version: v}); order(&to, &ap.at) > 0 {
+		ap.at = to
+	}
+	n := 0
+	var first error
+	for ; n < len(ap.pending) && order(ap.pending[n].qs, &ap.at) <= 0; n++ {
+		if err := ap.reconcile(ap.pending[n]); first == nil {
+			first = err
+		}
+	}
+	ap.pending = slices.Delete(ap.pending, 0, n)
+	return first
+}
+
+// reconcile brings the clients from the last applied snapshot to p.
+func (ap *Applier) reconcile(p pendingSet) error {
+	qs := p.qs
+	ap.applied = qs
 	next := make(map[string]query.ID, len(qs.Entries))
 	for i := range qs.Entries {
 		e := &qs.Entries[i]
-		id := verified[i].Query().QID
+		id := p.verified[i].Query().QID
 		key := id.String()
 		next[key] = id
 		shed := e.Shed
@@ -161,7 +195,7 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 			continue
 		}
 		for _, c := range ap.clients {
-			if err := c.SubscribeVerified(verified[i], e.Params); err != nil {
+			if err := c.SubscribeVerified(p.verified[i], e.Params); err != nil {
 				return fmt.Errorf("subscribe %s: %w", id, err)
 			}
 		}
@@ -185,8 +219,6 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 		delete(ap.revs, key)
 		delete(ap.sheds, key)
 	}
-	ap.version = qs.Version
-	ap.applied = qs
 	return nil
 }
 
@@ -216,14 +248,14 @@ func NewFollower(consumer *pubsub.Consumer, applier *Applier) *Follower {
 // Applier returns the underlying applier.
 func (f *Follower) Applier() *Applier { return f.applier }
 
-// Sync drains every control record currently available and applies
-// them, returning how many records were observed. Records that are not
-// decodable control payloads are skipped — garbage on the topic must
-// not wedge the client. A genuine apply failure (bad signature,
-// unpinned analyst, invalid query) does not stop the drain: the
-// consumer has already moved past every polled record, so the records
-// behind a refused snapshot are applied too, and the first failure is
-// returned at the end.
+// Sync drains every control record currently available into the
+// applier (Apply, by the in-force rule), returning how many records
+// were observed. Records that are not decodable control payloads are
+// skipped — garbage on the topic must not wedge the client. A genuine
+// apply failure (bad signature, unpinned analyst, invalid query) does
+// not stop the drain: the consumer has already moved past every polled
+// record, so the records behind a refused snapshot are applied too, and
+// the first failure is returned at the end.
 func (f *Follower) Sync() (int, error) { return f.SyncN(math.MaxInt64) }
 
 // Position returns the offset of the next control record to read.
@@ -247,7 +279,10 @@ func (f *Follower) SyncN(n int64) (seen int, first error) {
 				seen++
 				// The payload is the consumer's memory, reused by the next
 				// poll: DecodeQuerySet copies every field it keeps.
-				err := f.applier.ApplyPayload(r.Val(i))
+				qs, err := DecodeQuerySet(r.Val(i))
+				if err == nil {
+					err = f.applier.Apply(qs)
+				}
 				if err != nil && first == nil && !errors.Is(err, ErrControlWire) {
 					first = err
 				}

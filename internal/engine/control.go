@@ -7,21 +7,29 @@
 // Three pieces compose:
 //
 //   - The control codec (this file): versioned query-set announcements
-//     — full snapshots of the active query set, each entry carrying the
+//     — full snapshots of the active query set, each stamped with From,
+//     the first epoch it is in force at, and each entry carrying the
 //     signed query, the analyst's public key, the derived system
-//     parameters, and a per-query revision. Snapshots are idempotent
-//     and totally ordered by version, so delivery through a lossy,
-//     reordering channel converges as soon as the latest snapshot
-//     lands.
+//     parameters, and a per-query revision.
 //   - Registry: the aggregator-side control plane — verifies analyst
 //     signatures against a trust store, rejects wire-ID collisions, and
 //     broadcasts snapshots to control sinks (the proxies' control
 //     topics).
 //   - Applier / Follower: the receiving side — consume announcements,
-//     verify, and reconcile a set of subscribers against the newest
-//     snapshot: a process's clients (role.Clients), and the aggregator
-//     itself (role.Drain), so a query, a parameter change, a shed change
-//     and a stop reach the aggregator the way they reach the clients.
+//     verify, and reconcile a set of subscribers against them: a
+//     process's clients (role.Clients), and the aggregator itself
+//     (role.Drain), so a query, a parameter change, a shed change and a
+//     stop reach the aggregator the way they reach the clients.
+//
+// The in-force rule, which every follower keeps through its Applier: a
+// snapshot applies at the start of epoch From (at once, once that has
+// passed: From 0 applies on arrival); snapshots apply in (From, Version)
+// order, every one of them; and one not greater in that order than the
+// last one applied is ignored. A follower's clock is a position in that
+// order (Applier.Advance): one that answers epochs stands at the start
+// of an epoch, every version; a wiring that re-announces the changes a
+// restored topic holds also bounds the version, so each applies at the
+// change that made it.
 package engine
 
 import (
@@ -44,8 +52,9 @@ var ErrControlWire = errors.New("engine: control wire error")
 
 // opQuerySet tags a full query-set snapshot — the only control opcode
 // today; updates and stops are expressed as new snapshots, which is
-// what makes the protocol loss- and reorder-tolerant.
-const opQuerySet = byte(0x51)
+// what makes the protocol loss- and reorder-tolerant. 0x51 tagged the
+// snapshot without From and is refused like any unknown opcode.
+const opQuerySet = byte(0x52)
 
 // Codec limits: a snapshot is bounded so a malicious control record
 // cannot balloon a client's memory.
@@ -88,9 +97,11 @@ type Entry struct {
 	Shed float64
 }
 
-// QuerySet is one versioned snapshot of the active query set.
+// QuerySet is one versioned snapshot of the active query set, in force
+// from the start of epoch From.
 type QuerySet struct {
 	Version uint64
+	From    uint64
 	Entries []Entry
 }
 
@@ -98,6 +109,7 @@ type QuerySet struct {
 func (qs *QuerySet) MarshalBinary() ([]byte, error) {
 	buf := []byte{opQuerySet}
 	buf = binary.BigEndian.AppendUint64(buf, qs.Version)
+	buf = binary.BigEndian.AppendUint64(buf, qs.From)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(qs.Entries)))
 	for i := range qs.Entries {
 		var err error
@@ -179,7 +191,7 @@ func DecodeQuerySet(payload []byte) (*QuerySet, error) {
 	if op := d.U8(); op != opQuerySet {
 		d.Fail("unknown opcode %#x", op)
 	}
-	qs := &QuerySet{Version: d.U64()}
+	qs := &QuerySet{Version: d.U64(), From: d.U64()}
 	count := d.U32()
 	if count > maxEntries {
 		d.Fail("%d entries", count)

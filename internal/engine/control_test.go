@@ -65,6 +65,7 @@ func TestQuerySetRoundTrip(t *testing.T) {
 	}
 	qs := &QuerySet{
 		Version: 42,
+		From:    17,
 		Entries: []Entry{
 			{Signed: testSigned(t, "alice", 1, priv), AnalystKey: pub, Params: testParams(), Rev: 0},
 			{Signed: signed2, AnalystKey: pub, Params: budget.Params{S: 0.25, RR: rr.Params{P: 0.5, Q: 0.4}}, Rev: 3},
@@ -78,8 +79,8 @@ func TestQuerySetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != qs.Version || len(got.Entries) != len(qs.Entries) {
-		t.Fatalf("decoded %d entries at version %d", len(got.Entries), got.Version)
+	if got.Version != qs.Version || got.From != qs.From || len(got.Entries) != len(qs.Entries) {
+		t.Fatalf("decoded %d entries at version %d from epoch %d", len(got.Entries), got.Version, got.From)
 	}
 	for i := range qs.Entries {
 		want, have := qs.Entries[i], got.Entries[i]
@@ -115,7 +116,7 @@ func TestDecodeQuerySetRejectsGarbage(t *testing.T) {
 		"empty":          {},
 		"unknown opcode": {0x99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"truncated":      {opQuerySet, 0, 0, 0},
-		"entry overflow": append([]byte{opQuerySet, 0, 0, 0, 0, 0, 0, 0, 1}, 0xff, 0xff, 0xff, 0xff),
+		"entry overflow": append([]byte{opQuerySet, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, 0xff, 0xff, 0xff, 0xff),
 	}
 	for name, payload := range cases {
 		if _, err := DecodeQuerySet(payload); err == nil {
@@ -171,6 +172,22 @@ func FuzzQuerySetRoundTrip(f *testing.F) {
 		}
 		f.Add(s)
 	}
+	// Snapshots in force from a later epoch, and from the last one.
+	for _, from := range []uint64{3, math.MaxUint64} {
+		qs.From = from
+		s, err := qs.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s)
+	}
+	// The previous opcode laid a snapshot out without From: refused.
+	old := append([]byte{0x51}, seed[1:9]...)
+	old = append(old, seed[17:]...)
+	if _, err := DecodeQuerySet(old); err == nil {
+		f.Fatal("a snapshot under the old opcode decoded")
+	}
+	f.Add(old)
 	f.Add([]byte{opQuerySet})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		payload = bytes.Clone(payload) // overwritten below
@@ -194,9 +211,9 @@ func FuzzQuerySetRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if back.Version != qs.Version || len(back.Entries) != len(qs.Entries) {
-			t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-				qs.Version, len(qs.Entries), back.Version, len(back.Entries))
+		if back.Version != qs.Version || back.From != qs.From || len(back.Entries) != len(qs.Entries) {
+			t.Fatalf("round trip changed shape: %d/%d/%d vs %d/%d/%d",
+				qs.Version, qs.From, len(qs.Entries), back.Version, back.From, len(back.Entries))
 		}
 		for i := range qs.Entries {
 			a, b := &qs.Entries[i], &back.Entries[i]

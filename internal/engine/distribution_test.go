@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"privapprox/internal/budget"
@@ -97,7 +98,7 @@ func TestQueryDistributionConvergesUnderLossAndReorder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, payload := range delivered {
-			if err := ap.ApplyPayload(payload); err != nil {
+			if err := applyPayload(ap, payload); err != nil {
 				t.Fatalf("client %d: apply: %v", i, err)
 			}
 		}
@@ -114,8 +115,8 @@ func TestQueryDistributionConvergesUnderLossAndReorder(t *testing.T) {
 		} else if !reflect.DeepEqual(got, wantQueries) {
 			t.Fatalf("client %d active set diverges from client 0: %v vs %v", i, got, wantQueries)
 		}
-		if ap.Version() != r.Version() {
-			t.Fatalf("client %d at version %d, registry at %d", i, ap.Version(), r.Version())
+		if appliedVersion(ap) != r.Version() {
+			t.Fatalf("client %d at version %d, registry at %d", i, appliedVersion(ap), r.Version())
 		}
 		// Converged clients answer every active query.
 		if _, err := c.AnswerOnce(0); err != nil {
@@ -159,8 +160,8 @@ func TestApplierTrustPinning(t *testing.T) {
 	if got := c.Subscriptions(); got != 1 {
 		t.Fatalf("subscriptions after rejected snapshot = %d, want 1", got)
 	}
-	if ap.Version() != 1 {
-		t.Fatalf("version moved to %d on a rejected snapshot", ap.Version())
+	if appliedVersion(ap) != 1 {
+		t.Fatalf("version moved to %d on a rejected snapshot", appliedVersion(ap))
 	}
 	// An unpinned analyst is rejected too.
 	unknown := &QuerySet{Version: 3, Entries: []Entry{
@@ -201,9 +202,9 @@ func TestApplierVerifiesOnce(t *testing.T) {
 	if err := ap.Apply(bad); !errors.Is(err, query.ErrBadSignature) {
 		t.Fatalf("forged snapshot: %v, want ErrBadSignature", err)
 	}
-	if c.Subscriptions() != 0 || len(mocks[0].got) != 0 || ap.ActiveQueries() != 0 || ap.Version() != 0 {
+	if c.Subscriptions() != 0 || len(mocks[0].got) != 0 || ap.ActiveQueries() != 0 || appliedVersion(ap) != 0 {
 		t.Fatalf("forged snapshot half-applied: client has %d subscriptions, mock %d, applier %d active at version %d",
-			c.Subscriptions(), len(mocks[0].got), ap.ActiveQueries(), ap.Version())
+			c.Subscriptions(), len(mocks[0].got), ap.ActiveQueries(), appliedVersion(ap))
 	}
 
 	good := &QuerySet{Version: 2, Entries: []Entry{
@@ -254,7 +255,7 @@ func TestApplierIgnoresStaleAndDuplicateSnapshots(t *testing.T) {
 	c := newTestClient(t, 0)
 	ap := NewApplier(c)
 	latest := sink.payloads[len(sink.payloads)-1]
-	if err := ap.ApplyPayload(latest); err != nil {
+	if err := applyPayload(ap, latest); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Subscriptions(); got != 2 {
@@ -264,14 +265,14 @@ func TestApplierIgnoresStaleAndDuplicateSnapshots(t *testing.T) {
 	// not churn the subscriptions (a resubscribe would redraw the coin
 	// stream; the revision guard makes it observable via generations,
 	// so assert versions simply stay put).
-	v := ap.Version()
+	v := appliedVersion(ap)
 	for _, payload := range sink.payloads {
-		if err := ap.ApplyPayload(payload); err != nil {
+		if err := applyPayload(ap, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ap.Version() != v {
-		t.Fatalf("stale replay moved version %d → %d", v, ap.Version())
+	if appliedVersion(ap) != v {
+		t.Fatalf("stale replay moved version %d → %d", v, appliedVersion(ap))
 	}
 	if got := c.Subscriptions(); got != 2 {
 		t.Fatalf("subscriptions after replay = %d, want 2", got)
@@ -349,7 +350,7 @@ func TestShedDistribution(t *testing.T) {
 	mock := newShedMock()
 	ap := NewApplier(mock)
 	for _, payload := range sink.payloads {
-		if err := ap.ApplyPayload(payload); err != nil {
+		if err := applyPayload(ap, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +366,7 @@ func TestShedDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, payload := range sink.payloads[len(sink.payloads)-1:] {
-		if err := ap.ApplyPayload(payload); err != nil {
+		if err := applyPayload(ap, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +388,7 @@ func TestShedDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, payload := range sink.payloads {
-		if err := ap.ApplyPayload(payload); err != nil {
+		if err := applyPayload(ap, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,50 +400,81 @@ func TestShedDistribution(t *testing.T) {
 	}
 }
 
-// TestFollowerSyncAppliesPastARejectedSnapshot: a snapshot the applier
-// refuses (here an unpinned analyst's v1) must not cost the records
-// polled behind it. The consumer has already moved past the whole poll,
-// so Sync applies the valid v2 behind the refused v1 and then reports
-// the refusal.
+// TestFollowerSyncAppliesPastARejectedSnapshot: a record Sync cannot use
+// — an undecodable one, or a snapshot the applier refuses (an unpinned
+// analyst's) — must not cost the records polled around it. With both at
+// the head, the middle or the tail of one poll, every valid snapshot is
+// queued: the two in force from epoch 0 apply at once, the one whose
+// From is still ahead at the Advance that reaches it, and the refusal is
+// returned after the whole poll.
 func TestFollowerSyncAppliesPastARejectedSnapshot(t *testing.T) {
 	pub, priv := testKey(12)
 	evilPub, evilPriv := testKey(13)
-	b := pubsub.NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic("control", 1); err != nil {
-		t.Fatal(err)
+	entry := func(serial uint64) Entry {
+		return Entry{Signed: testSigned(t, "alice", serial, priv), AnalystKey: pub, Params: testParams()}
 	}
-	for _, qs := range []*QuerySet{
-		{Version: 1, Entries: []Entry{{Signed: testSigned(t, "mallory", 1, evilPriv), AnalystKey: evilPub, Params: testParams()}}},
-		{Version: 2, Entries: []Entry{{Signed: testSigned(t, "alice", 1, priv), AnalystKey: pub, Params: testParams()}}},
-	} {
+	encode := func(qs *QuerySet) []byte {
 		payload, err := qs.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.PublishColumns("control", pubsub.Columns{Count: 1, ValLen: len(payload), Vals: payload}, 0, 0); err != nil {
-			t.Fatal(err)
-		}
+		return payload
 	}
-	cc, err := pubsub.NewConsumer(b, "clients", "control")
-	if err != nil {
-		t.Fatal(err)
+	good := [][]byte{
+		encode(&QuerySet{Version: 1, Entries: []Entry{entry(1)}}),
+		encode(&QuerySet{Version: 2, Entries: []Entry{entry(1), entry(2)}}),
+		encode(&QuerySet{Version: 3, From: 3, Entries: []Entry{entry(2)}}),
 	}
-	c := newTestClient(t, 0)
-	ap := NewApplier(c)
-	ap.Trust("alice", pub)
-	f := NewFollower(cc, ap)
-	if seen, err := f.Sync(); err == nil || seen != 2 {
-		t.Fatalf("Sync = (%d, %v), want both records seen and the refusal reported", seen, err)
+	bad := [][]byte{
+		{0x51, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0},
+		encode(&QuerySet{Version: 9, Entries: []Entry{{Signed: testSigned(t, "mallory", 1, evilPriv), AnalystKey: evilPub, Params: testParams()}}}),
 	}
-	if _, err := f.Sync(); err != nil {
-		t.Fatalf("second Sync: %v", err)
-	}
-	if ap.Version() != 2 || c.Subscriptions() != 1 {
-		t.Fatalf("after Sync: version %d with %d subscriptions, want version 2 with 1", ap.Version(), c.Subscriptions())
-	}
-	if qs := ap.Applied(); qs == nil || qs.Version != 2 {
-		t.Fatalf("Applied() = %+v, want the version-2 snapshot", qs)
+	for _, tc := range []struct {
+		name string
+		at   int // the position of the bad records among the good
+	}{{"head", 0}, {"middle", 2}, {"tail", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := pubsub.NewBroker()
+			defer b.Close()
+			if err := b.CreateTopic("control", 1); err != nil {
+				t.Fatal(err)
+			}
+			records := append(append(append([][]byte{}, good[:tc.at]...), bad...), good[tc.at:]...)
+			for _, payload := range records {
+				if err := b.PublishColumns("control", pubsub.Columns{Count: 1, ValLen: len(payload), Vals: payload}, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cc, err := pubsub.NewConsumer(b, "clients", "control")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newTestClient(t, 0)
+			ap := NewApplier(c)
+			ap.Trust("alice", pub)
+			f := NewFollower(cc, ap)
+			if seen, err := f.Sync(); err == nil || !strings.Contains(err.Error(), "not pinned") || seen != len(records) {
+				t.Fatalf("Sync = (%d, %v), want all %d records seen and the refusal reported", seen, err, len(records))
+			}
+			if seen, err := f.Sync(); seen != 0 || err != nil {
+				t.Fatalf("second Sync = (%d, %v)", seen, err)
+			}
+			for _, step := range []struct {
+				epoch         uint64
+				version, subs int
+			}{{0, 2, 2}, {2, 2, 2}, {3, 3, 1}} {
+				if err := ap.Advance(step.epoch, math.MaxUint64); err != nil {
+					t.Fatal(err)
+				}
+				if int(appliedVersion(ap)) != step.version || c.Subscriptions() != step.subs {
+					t.Fatalf("at epoch %d: version %d with %d subscriptions, want version %d with %d",
+						step.epoch, appliedVersion(ap), c.Subscriptions(), step.version, step.subs)
+				}
+			}
+			if qs := ap.Applied(); qs == nil || qs.Version != 3 {
+				t.Fatalf("Applied() = %+v, want the version-3 snapshot", qs)
+			}
+		})
 	}
 }
 
@@ -478,13 +510,13 @@ func TestFollowerSyncNStopsAtItsBound(t *testing.T) {
 		seen        int
 		at, version int64
 	}{{0, 0, 0, 0}, {1, 1, 1, 1}, {258, 258, 259, 259}, {0, 0, 259, 259}} {
-		if seen, err := f.SyncN(step.n); err != nil || seen != step.seen || f.Position() != step.at || int64(ap.Version()) != step.version {
+		if seen, err := f.SyncN(step.n); err != nil || seen != step.seen || f.Position() != step.at || int64(appliedVersion(ap)) != step.version {
 			t.Fatalf("SyncN(%d) = (%d, %v) at offset %d, version %d; want %d records, offset %d, version %d",
-				step.n, seen, err, f.Position(), ap.Version(), step.seen, step.at, step.version)
+				step.n, seen, err, f.Position(), appliedVersion(ap), step.seen, step.at, step.version)
 		}
 	}
-	if seen, err := f.Sync(); err != nil || seen != records-259 || f.Position() != records || ap.Version() != records {
-		t.Fatalf("Sync after SyncN = (%d, %v) at offset %d, version %d", seen, err, f.Position(), ap.Version())
+	if seen, err := f.Sync(); err != nil || seen != records-259 || f.Position() != records || appliedVersion(ap) != records {
+		t.Fatalf("Sync after SyncN = (%d, %v) at offset %d, version %d", seen, err, f.Position(), appliedVersion(ap))
 	}
 }
 
@@ -611,4 +643,22 @@ func TestLinkDeterministicDelivery(t *testing.T) {
 	if _, err := (lossyLink{ReorderWindow: -1}).Deliver(msgs); err == nil {
 		t.Error("negative reorder window accepted")
 	}
+}
+
+// appliedVersion is the version of the last snapshot ap applied, 0
+// before the first.
+func appliedVersion(ap *Applier) uint64 {
+	if qs := ap.Applied(); qs != nil {
+		return qs.Version
+	}
+	return 0
+}
+
+// applyPayload decodes one control payload and applies it.
+func applyPayload(ap *Applier, payload []byte) error {
+	qs, err := DecodeQuerySet(payload)
+	if err != nil {
+		return err
+	}
+	return ap.Apply(qs)
 }

@@ -51,6 +51,7 @@ type Registry struct {
 	index   map[string]int // ID.String() → position in entries
 	byWire  map[uint64]query.ID
 	version uint64
+	from    uint64 // the epoch the next snapshot is in force from (SetEpoch)
 	sink    ControlSink
 	// sinkVer is the newest snapshot version the sink acknowledged (its
 	// Announce returned nil); 0 means it never took one. The gap between
@@ -169,7 +170,9 @@ func (r *Registry) Stop(id query.ID) error {
 // submitter reads the newest announced QuerySet back from a proxy and
 // bootstraps its registry from it, so the version counter resumes
 // *past* the replayed announcements instead of restarting at 1 (which
-// newest-snapshot-wins appliers would ignore forever). Each entry's
+// appliers would ignore as duplicates forever); a restored core.System
+// bootstraps from its checkpoint's cut instead, so each change it
+// re-drives repeats one the topic holds. Each entry's
 // signature is verified against the analyst key it carries, that key is
 // installed in the trust store, and wire-ID collisions are rejected.
 // Bootstrap only moves forward: a snapshot older than the registry's
@@ -232,6 +235,14 @@ func (r *Registry) Bootstrap(qs *QuerySet) error {
 	return nil
 }
 
+// SetEpoch stamps every later snapshot with From e, the next epoch the
+// wiring answers. Unset, snapshots apply on arrival (From 0).
+func (r *Registry) SetEpoch(e uint64) {
+	r.mu.Lock()
+	r.from = e
+	r.mu.Unlock()
+}
+
 // AttachSink sets the control sink — replacing any earlier one — and
 // immediately sends it the current snapshot, so a late-joining
 // distribution channel catches up.
@@ -273,7 +284,7 @@ func (r *Registry) Active() []query.ID {
 }
 
 func (r *Registry) snapshotLocked() QuerySet {
-	qs := QuerySet{Version: r.version}
+	qs := QuerySet{Version: r.version, From: r.from}
 	qs.Entries = append(qs.Entries, r.entries...)
 	return qs
 }

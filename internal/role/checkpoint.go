@@ -22,16 +22,17 @@ import (
 var ErrCheckpoint = errors.New("role: bad checkpoint record")
 
 // recordMagic opens every checkpoint record; Restore refuses any other.
-var recordMagic = []byte("PCR2")
+var recordMagic = []byte("PCR3")
 
 // record is the one checkpoint record of a durable deployment. Its
 // sections, in order, integers big-endian and strings u32-length-prefixed
 // (codec.AppendBytes):
 //
-//	"PCR2"
+//	"PCR3"
 //	u32 consumers; per consumer u32 topics; per topic, names ascending:
 //	    name, u32 partitions, u64 next offset per partition
 //	u64 the control follower's next offset (at most 2^63−1)
+//	u64 From, u64 Version: the last snapshot it applied (0, 0 before any)
 //	the wiring's system section, as a string (opaque here)
 //	u32 results; per result: analyst, u64 serial, u64 window start and
 //	    end (Unix ns), u64 responses, u64 population, u8 inverted, u32
@@ -44,6 +45,7 @@ var recordMagic = []byte("PCR2")
 type record struct {
 	positions []map[string]map[int]int64
 	control   int64
+	applied   [2]uint64
 	system    []byte
 	results   []aggregator.Result
 	state     []byte
@@ -64,6 +66,8 @@ func (r *record) append(buf []byte) []byte {
 		}
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.control))
+	buf = binary.BigEndian.AppendUint64(buf, r.applied[0])
+	buf = binary.BigEndian.AppendUint64(buf, r.applied[1])
 	buf = codec.AppendBytes(buf, r.system)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.results)))
 	for i := range r.results {
@@ -119,6 +123,7 @@ func decodeRecord(data []byte) (*record, error) {
 	if r.control = int64(d.U64()); r.control < 0 {
 		d.Fail("control offset")
 	}
+	r.applied = [2]uint64{d.U64(), d.U64()}
 	r.system = d.Bytes()
 	for range d.Count(49) {
 		res := aggregator.Result{Query: query.ID{Analyst: d.Str(), Serial: d.U64()}}
@@ -153,6 +158,9 @@ func decodeRecord(data []byte) (*record, error) {
 // during one, and persist the record before committing its positions.
 func (d *Drain) Checkpoint(system []byte, results []aggregator.Result) ([]byte, error) {
 	r := record{control: d.follower.Position(), system: system, results: results}
+	if qs := d.follower.Applier().Applied(); qs != nil {
+		r.applied = [2]uint64{qs.From, qs.Version}
+	}
 	for _, c := range d.consumers {
 		r.positions = append(r.positions, c.Positions())
 	}
@@ -168,10 +176,13 @@ func (d *Drain) Checkpoint(system []byte, results []aggregator.Result) ([]byte, 
 // has read nothing. A non-nil system is handed the wiring's system
 // section first: a record that fails it changes nothing. The follower
 // then replays the control topic below the record's control position as
-// Sync read it, so the aggregator holds the checkpoint's query set, and
-// only then are the consumers sought and the aggregator restored; a
-// position past the topic's end is refused. The follower carries on from
-// that position. Restore returns the fired results to take back.
+// Sync read it, and applies it through the last snapshot the
+// checkpointing follower had applied, so the aggregator holds the
+// checkpoint's query set; only then are the consumers sought and the
+// aggregator restored. A position past the topic's end is refused. The
+// follower carries on from that position, every snapshot it read past
+// the last applied one still pending. Restore returns the fired results
+// to take back.
 func (d *Drain) Restore(data []byte, system func(section []byte) error) ([]aggregator.Result, error) {
 	r, err := decodeRecord(data)
 	if err != nil {
@@ -188,10 +199,11 @@ func (d *Drain) Restore(data []byte, system func(section []byte) error) ([]aggre
 	if at := d.follower.Position(); at != 0 {
 		return nil, fmt.Errorf("%w: the control follower has read to offset %d", ErrCheckpoint, at)
 	}
-	// The replay's refusals were the first life's to report.
+	// The replay's refusals and flushes were the first life's to report.
 	if _, err := d.follower.SyncN(r.control); d.follower.Position() != r.control {
 		return nil, errors.Join(fmt.Errorf("%w: the control topic ends below offset %d", ErrCheckpoint, r.control), err)
 	}
+	d.queries.ap.Advance(r.applied[0], r.applied[1])
 	d.queries.flushed, d.queries.err = nil, nil
 	for i, c := range d.consumers {
 		for topic, next := range r.positions[i] {

@@ -54,7 +54,8 @@ const cutFloor = 1024
 // one Batcher per proxy, so an epoch reaches each proxy as columnar
 // frames — one per epoch unless a batch limit cuts it earlier. The
 // clients learn their queries from a control topic: one follower
-// reconciles all of them against the newest announced query set.
+// reconciles all of them against the announced query sets, each at the
+// start of the epoch it is in force from (engine's in-force rule).
 type Clients struct {
 	clients  []*client.Client
 	batchers []*client.Batcher
@@ -126,8 +127,8 @@ func (c *Clients) Batchers() []*client.Batcher { return c.batchers }
 // announced queries.
 func (c *Clients) Follower() *engine.Follower { return c.follower }
 
-// Epoch applies the announcements that arrived since the last epoch,
-// then answers epoch e on every client and flushes every proxy's batch,
+// Epoch applies the announcements in force by the start of epoch e,
+// then answers it on every client and flushes every proxy's batch,
 // returning how many clients answered at least one query. With no query
 // active it answers nothing. Clients never share mutable state and each
 // worker has its own lanes; each proxy receives the same shares in the
@@ -141,7 +142,7 @@ func (c *Clients) Follower() *engine.Follower { return c.follower }
 // fired, and the first drain point failure after the answers; the frame
 // the epoch's end flushes is the caller's to drain.
 func (c *Clients) Epoch(e uint64, drain *Drain) ([]aggregator.Result, int, error) {
-	if active, err := c.syncActive(); err != nil || active == 0 {
+	if active, err := c.syncActive(e); err != nil || active == 0 {
 		return nil, 0, err
 	}
 	for _, b := range c.batchers {
@@ -161,13 +162,30 @@ func (c *Clients) Epoch(e uint64, drain *Drain) ([]aggregator.Result, int, error
 }
 
 // syncActive is the control-plane step of every epoch: it applies the
-// pending announcements and returns how many queries are active. With
-// nothing new on the control topic it allocates nothing.
-func (c *Clients) syncActive() (int, error) {
-	if _, err := c.follower.Sync(); err != nil {
-		return 0, err
+// announcements in force by the start of epoch e and returns how many
+// queries are active. With nothing new on the control topic it
+// allocates nothing.
+func (c *Clients) syncActive(e uint64) (int, error) {
+	_, err := c.follower.Sync()
+	if aerr := c.follower.Applier().Advance(e, math.MaxUint64); err == nil {
+		err = aerr
 	}
-	return c.follower.Applier().ActiveQueries(), nil
+	return c.follower.Applier().ActiveQueries(), err
+}
+
+// FastForward replays epochs [from, to) as Epoch would, skipping the
+// coins each subscription would have drawn from the epoch that last
+// (re)subscribed it on. Sync the follower first.
+func (c *Clients) FastForward(from, to uint64) error {
+	for e := from; e < to; e++ {
+		if err := c.follower.Applier().Advance(e, math.MaxUint64); err != nil {
+			return err
+		}
+		for _, cl := range c.clients {
+			cl.FastForward(e, e+1)
+		}
+	}
+	return nil
 }
 
 // answer runs worker 0 on the calling goroutine and the rest on their own.
@@ -305,6 +323,7 @@ type Drain struct {
 	scratch   [][]xorcrypt.Share
 	follower  *engine.Follower
 	queries   *aggQueries
+	clock     uint64 // the epoch its wiring has reached (Sync), math.MaxUint64 until set
 	pointDone func() // for tests: called after each drain point's rounds
 }
 
@@ -315,32 +334,35 @@ type Drain struct {
 // control position when it restores one.
 func NewDrain(agg *aggregator.Aggregator, consumers []*pubsub.Consumer, control *pubsub.Consumer) *Drain {
 	queries := &aggQueries{agg: agg}
+	queries.ap = engine.NewApplier(queries)
 	return &Drain{
 		agg:       agg,
 		consumers: consumers,
 		scratch:   make([][]xorcrypt.Share, len(consumers)),
-		follower:  engine.NewFollower(control, engine.NewApplier(queries)),
+		follower:  engine.NewFollower(control, queries.ap),
 		queries:   queries,
+		clock:     math.MaxUint64,
 	}
 }
 
 // aggQueries is the aggregator as the drain's follower manages it: a
-// subscription opens the query (or swaps a revision's parameters in
-// place), a shed change stamps its threshold, and an unsubscription
-// removes the query, whose flushed windows and first failure it keeps
-// for the next Sync.
+// subscription opens the query (or schedules a revision's parameters
+// from the epoch it applies from), a shed change schedules its
+// threshold, and an unsubscription removes the query, whose flushed
+// windows and first failure it keeps for the next Sync.
 type aggQueries struct {
 	agg     *aggregator.Aggregator
+	ap      *engine.Applier
 	flushed []aggregator.Result
 	err     error
 }
 
 func (q *aggQueries) SubscribeVerified(v query.Verified, params budget.Params) error {
-	return q.agg.AddQuery(aggregator.QuerySpec{Query: v.Query(), Params: params})
+	return q.agg.AddQuery(aggregator.QuerySpec{Query: v.Query(), Params: params, From: q.ap.Applied().From})
 }
 
 func (q *aggQueries) SetShed(id query.ID, shed float64) bool {
-	return q.agg.SetShed(id, shed) == nil
+	return q.agg.SetShed(id, q.ap.Applied().From, shed) == nil
 }
 
 func (q *aggQueries) UnsubscribeQuery(id query.ID) bool {
@@ -359,11 +381,24 @@ func (d *Drain) Consumers() []*pubsub.Consumer { return d.consumers }
 // step with the announcements.
 func (d *Drain) Follower() *engine.Follower { return d.follower }
 
-// Sync applies the announcements that arrived since the last sync to
-// the aggregator and returns the windows a stopped query's removal
-// flushed, with the first refusal or removal failure. With nothing new
-// on the control topic it allocates nothing.
-func (d *Drain) Sync() ([]aggregator.Result, error) {
+// Sync sets the drain's clock to epoch e of its wiring — an answer of a
+// later epoch waits, parked, until a round reaches it
+// (aggregator.SubmitRound) — and applies to the aggregator the
+// announcements in force by (e, v) (engine.Applier's Advance),
+// returning the windows a stopped query's removal flushed, with the
+// first refusal or removal failure. A drain whose wiring never sets its
+// clock parks no answer, and a snapshot from epoch 0 applies as it
+// arrives. With nothing new on the control topic it allocates nothing.
+func (d *Drain) Sync(e, v uint64) ([]aggregator.Result, error) {
+	d.clock = e
+	if err := d.queries.ap.Advance(e, v); err != nil && d.queries.err == nil {
+		d.queries.err = err
+	}
+	return d.sync()
+}
+
+// sync applies the announcements that arrived since the last sync.
+func (d *Drain) sync() ([]aggregator.Result, error) {
 	_, err := d.follower.Sync()
 	flushed, ferr := d.queries.flushed, d.queries.err
 	d.queries.flushed, d.queries.err = nil, nil
@@ -409,11 +444,11 @@ func (d *Drain) round(chunk, budget int, wait time.Duration) ([]aggregator.Resul
 	if read == 0 {
 		return nil, 0, pollErr
 	}
-	flushed, syncErr := d.Sync()
+	flushed, syncErr := d.sync()
 	if skipped > 0 {
 		d.agg.CountMalformed(skipped)
 	}
-	fired, err := d.agg.SubmitRound(d.scratch, time.Time{})
+	fired, err := d.agg.SubmitRound(d.scratch, d.clock)
 	// The aggregator only borrowed the payloads: drop them so the scratch
 	// does not pin the consumers' fetch memory.
 	for src, shares := range d.scratch {

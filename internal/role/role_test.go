@@ -207,7 +207,7 @@ func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 		}
 		var want []aggregator.Result
 		for read := 1; read > 0; {
-			if _, err := follower.Sync(); err != nil {
+			if _, err := follower.sync(); err != nil {
 				t.Fatal(err)
 			}
 			read = 0
@@ -545,19 +545,19 @@ func TestControlPlaneStepZeroAllocs(t *testing.T) {
 		step func() error
 	}{
 		{"clients", func() error {
-			if active, err := r.clients.syncActive(); err != nil || active != 1 {
+			if active, err := r.clients.syncActive(0); err != nil || active != 1 {
 				return fmt.Errorf("%d active queries, %v", active, err)
 			}
 			return nil
 		}},
 		{"drain", func() error {
-			if flushed, err := r.drain.Sync(); err != nil || flushed != nil {
+			if flushed, err := r.drain.sync(); err != nil || flushed != nil {
 				return fmt.Errorf("%d flushed windows, %v", len(flushed), err)
 			}
 			return nil
 		}},
 		{"drain/tcp", func() error {
-			_, err := overTCP.Sync()
+			_, err := overTCP.sync()
 			return err
 		}},
 	} {
@@ -588,7 +588,7 @@ func TestControlPlaneStepZeroAllocs(t *testing.T) {
 // batchers, then one flush per proxy. It returns the participants.
 func answerTwin(t *testing.T, r *rig, e uint64) int {
 	t.Helper()
-	if _, err := r.clients.syncActive(); err != nil {
+	if _, err := r.clients.syncActive(e); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range r.clients.Batchers() {

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -122,7 +123,7 @@ func FuzzSubmitRound(f *testing.F) {
 				var fired []aggregator.Result
 				var err error
 				if paired {
-					fired, err = agg.SubmitRound([][]xorcrypt.Share{shares(0, r[0]), shares(1, r[1])}, time.Time{})
+					fired, err = agg.SubmitRound([][]xorcrypt.Share{shares(0, r[0]), shares(1, r[1])}, math.MaxUint64)
 				} else {
 					for p := range r {
 						var res []aggregator.Result
