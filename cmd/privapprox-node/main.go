@@ -78,7 +78,6 @@ import (
 	"privapprox/internal/telemetry/lineage"
 	"privapprox/internal/wal"
 	"privapprox/internal/workload"
-	"privapprox/internal/xorcrypt"
 )
 
 // nodeLog is the diagnostic logger: slog text lines on stderr, tagged
@@ -460,27 +459,10 @@ func runClient(args []string) error {
 	fmt.Printf("picked up %d queries at version %d\n",
 		follower.Applier().ActiveQueries(), follower.Applier().Applied().Version)
 
-	// Telemetry: fleet-level client counters (summed over the logical
-	// clients), the shared batchers' degraded-mode accounting (summed, no
-	// proxy label; pending omits the workers' lanes, ≤ a chunk each), and
-	// the batch-kernel counters this role exercises (RR + XOR split).
+	// Telemetry: the client role's own source — the fleet's answer
+	// counters and its shared batchers' degraded-mode accounting, summed.
 	tel := telemetry.NewRegistry()
-	tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
-		return client.AppendFleetSamples(dst, client.SumStats(clients.Clients()))
-	}))
-	tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
-		var dropped, pending int64
-		for _, b := range batchers {
-			dropped += b.Dropped()
-			pending += int64(b.Pending())
-		}
-		return append(dst,
-			telemetry.Sample{Name: "privapprox_batcher_dropped_total", Value: float64(dropped), Kind: telemetry.KindCounter},
-			telemetry.Sample{Name: "privapprox_batcher_pending", Value: float64(pending), Kind: telemetry.KindGauge},
-		)
-	}))
-	tel.RegisterSource(telemetry.SourceFunc(rr.Metrics))
-	tel.RegisterSource(telemetry.SourceFunc(xorcrypt.Metrics))
+	tel.RegisterSource(clients)
 	stopMetrics, err := serveMetrics(*metricsAddr, tel)
 	if err != nil {
 		return err
@@ -578,14 +560,12 @@ func runAggregator(args []string) error {
 	follower := drain.Follower()
 
 	// Telemetry: the aggregator's own accounting plus the epoch tracer's
-	// stage totals (join time via SubmitShareBatch) and the fired-window
-	// span log; the XOR-join kernel counters ride along.
+	// stage totals (drain points, join time via SubmitShareBatch, fires).
 	tel := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer()
 	agg.SetTracer(tracer)
 	tel.RegisterSource(agg)
 	tel.RegisterSource(tracer)
-	tel.RegisterSource(telemetry.SourceFunc(xorcrypt.Metrics))
 
 	// The provenance recorder: one result card per fired window, a
 	// bounded in-memory ring for /debug/privapprox/windows, and — when a
@@ -594,7 +574,7 @@ func runAggregator(args []string) error {
 	if *cards == "" && *dataDir != "" {
 		*cards = filepath.Join(*dataDir, "cards.jsonl")
 	}
-	rec, err := lineage.NewRecorder(lineage.Options{Path: *cards, Registry: tel, Tracer: tracer})
+	rec, err := lineage.NewRecorder(lineage.Options{Path: *cards, Registry: tel})
 	if err != nil {
 		return err
 	}

@@ -274,16 +274,6 @@ type queryState struct {
 	wmMax   atomic.Int64
 	dropped atomic.Int64
 	decoded atomic.Int64
-	// firedThrough is the maximum window start (UnixNano) this query
-	// has fired, wmUnseen before any fire. Checkpointed, so a restored
-	// aggregator knows which windows' cards were already emitted.
-	firedThrough atomic.Int64
-	// cardsBelow suppresses card emission for windows starting at or
-	// below it (wmUnseen = no suppression): set from a restored
-	// checkpoint's firedThrough so re-fired windows do not produce
-	// duplicate cards. The Recorder's own log-scan dedup covers windows
-	// fired after the last checkpoint; this is the cheap first line.
-	cardsBelow atomic.Int64
 
 	// estMu guards the estimator's stream, memoized RR-loss cache and
 	// entries (estimates normally run under fireMu; BatchAnalyze calls
@@ -471,8 +461,6 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 	st.rng = rand.New(st.src)
 	a.nextOrd++
 	st.wmMax.Store(wmUnseen)
-	st.firedThrough.Store(wmUnseen)
-	st.cardsBelow.Store(wmUnseen)
 	a.swapStates(old, st, nil)
 	return nil
 }
@@ -773,18 +761,7 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 		}
 		out = append(out, res)
 		if tr != nil {
-			tr.RecordFire(telemetry.FireSpan{
-				Epoch:       tr.Epoch(),
-				Query:       st.qname,
-				WindowStart: start,
-				WindowEnd:   start + size,
-				Responses:   int64(res.Responses),
-				Lag:         time.Unix(0, wm).Sub(w.End),
-				Dur:         time.Since(t0),
-			})
-		}
-		if ft := st.firedThrough.Load(); ft == wmUnseen || start > ft {
-			st.firedThrough.Store(start)
+			tr.Record(tr.Epoch(), telemetry.StageFire, time.Since(t0), res.Responses, 0)
 		}
 		if rec != nil {
 			a.emitCard(rec, st, params, res, time.Since(t0))
@@ -798,13 +775,10 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 // emitCard assembles the provenance result card for one fired window
 // and hands it to the recorder; params is the generation the window was
 // estimated under. Runs under fireMu at fire cadence; the recorder fills
-// in stamp-derived latency and stage legs and performs its own
-// exactly-once dedup against the card log.
+// in stamp-derived latency and performs the exactly-once dedup against
+// the card log.
 func (a *Aggregator) emitCard(rec *lineage.Recorder, st *queryState, params *budget.Params, res Result, dur time.Duration) {
 	start, end := res.Window.Start.UnixNano(), res.Window.End.UnixNano()
-	if below := st.cardsBelow.Load(); below != wmUnseen && start <= below {
-		return
-	}
 	eps, err := params.EpsilonZK()
 	if err != nil {
 		eps = -1 // params were validated at registration; defensive only

@@ -16,14 +16,14 @@ package aggregator
 //
 // The record holds state, not history: an estimator is its stream's
 // 20-byte position plus at most 100 memoized losses, however long the
-// query has run and however often it was retuned. The layout (PAC5),
+// query has run and however often it was retuned. The layout (PAC6),
 // integers big-endian, strings u32-length-prefixed, each list in
 // ascending order of its first field:
 //
-//	"PAC5" | seed | malformed | duplicates | removed decoded | removed late
+//	"PAC6" | seed | malformed | duplicates | removed decoded | removed late
 //	       | unknown query | length mismatch | swept
 //	       | u32 queries, in registration order: analyst, serial, wire,
-//	         watermark, decoded, late, fired through,
+//	         watermark, decoded, late,
 //	         u32 panes (start, end, n, u32 buckets, yes per bucket),
 //	         estimator stream (string),
 //	         u32 memoized losses (u32 percent, f64 loss)
@@ -37,8 +37,9 @@ package aggregator
 // re-encodes to its own bytes (FuzzAggregatorRestore): every pane starts
 // on the query's pane grid and is one pane long. A PAC3 record, which
 // carried open windows instead of panes, is refused like any other
-// magic — a sliding window there is longer than a pane — and so is a
-// PAC4 record, which held the parameters and no parked messages.
+// magic — a sliding window there is longer than a pane — and so are a
+// PAC4 record, which held the parameters and no parked messages, and a
+// PAC5 record, which held each query's fired-through window start.
 //
 // Firing is frozen at the cut, and every fire runs at the watermark it
 // follows, so the record needs nothing more: the last fire's watermark
@@ -69,7 +70,7 @@ import (
 var ErrCheckpoint = errors.New("aggregator: bad checkpoint")
 
 // checkpointMagic opens every record; Restore rejects any other magic.
-var checkpointMagic = []byte("PAC5")
+var checkpointMagic = []byte("PAC6")
 
 // Checkpoint appends the aggregator's serialized state to dst and
 // returns the extended buffer. See the file comment for the
@@ -147,7 +148,6 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.wmMax.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.decoded.Load()))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.dropped.Load()))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(st.firedThrough.Load()))
 
 	// Open panes, earliest first for a deterministic encoding. Firing is
 	// frozen by the checkpoint contract, so each pane's counts are
@@ -293,7 +293,7 @@ func (a *Aggregator) Restore(data []byte) error {
 func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	want := query.ID{Analyst: d.Str(), Serial: d.U64()}
 	wire := d.U64()
-	wm, decoded, dropped, ft := d.U64(), d.U64(), d.U64(), d.U64()
+	wm, decoded, dropped := d.U64(), d.U64(), d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -304,12 +304,6 @@ func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	st.wmMax.Store(int64(wm))
 	st.decoded.Store(int64(decoded))
 	st.dropped.Store(int64(dropped))
-	// Windows at or below the restored fire horizon already fired (and
-	// emitted their cards) in the killed process; re-fires past this
-	// point are the WAL replay reproducing the result stream, not new
-	// windows, so their cards are suppressed at the source.
-	st.firedThrough.Store(int64(ft))
-	st.cardsBelow.Store(int64(ft))
 
 	st.fireMu.Lock()
 	st.paneMu.Lock()

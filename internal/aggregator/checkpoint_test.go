@@ -263,7 +263,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := fresh().Restore(append([]byte("PAC9"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("unknown-magic restore: %v", err)
 	}
-	for _, old := range []string{"PAC2", "PAC3", "PAC4"} {
+	for _, old := range []string{"PAC2", "PAC3", "PAC4", "PAC5"} {
 		if err := fresh().Restore(append([]byte(old), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
 			t.Fatalf("%s restore: %v", old, err)
 		}
@@ -448,8 +448,8 @@ func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 	}
 
 	// The pane list follows the magic, eight counters, the query count,
-	// and the query's identity and four counters.
-	at := 4 + 8*8 + 4 + 4 + len(cfg.Query.QID.Analyst) + 8 + 8 + 4*8
+	// and the query's identity and three counters.
+	at := 4 + 8*8 + 4 + 4 + len(cfg.Query.QID.Analyst) + 8 + 8 + 3*8
 	const win = 3*8 + 4 + nbuckets*8
 	// moved is a pane entry with its start and end moved.
 	moved := func(entry []byte, dStart, dEnd time.Duration) []byte {
@@ -463,7 +463,7 @@ func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 	// late is one's record with the watermark an hour on: its pane's
 	// every window is behind it.
 	late := bytes.Clone(one)
-	binary.BigEndian.PutUint64(late[at-4*8:], uint64(testOrigin.Add(time.Hour).UnixNano()))
+	binary.BigEndian.PutUint64(late[at-3*8:], uint64(testOrigin.Add(time.Hour).UnixNano()))
 	two := record(func(a *Aggregator, sp *xorcrypt.Splitter) {
 		submitMessage(t, a, sp, qid, 0, 0, nbuckets)
 		submitMessage(t, a, sp, qid, 1, 1, nbuckets)

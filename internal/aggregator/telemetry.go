@@ -7,7 +7,7 @@ import (
 
 // SetTracer attaches an epoch tracer: SubmitShareBatch charges its
 // join/decrypt/decode time to the join stage, and every fired window
-// emits a FireSpan keyed by (epoch, query, window). Nil detaches. The
+// its fire time and responses to the fire stage. Nil detaches. The
 // hot path pays one atomic pointer load when no tracer is set.
 func (a *Aggregator) SetTracer(tr *telemetry.Tracer) {
 	a.tracer.Store(tr)
@@ -27,7 +27,7 @@ func (a *Aggregator) SetCardSink(rec *lineage.Recorder) {
 }
 
 // AppendSamples implements telemetry.Source: the Stats() counters, the
-// join and window depth gauges, and per-query series labeled
+// join depth gauges, and per-query series labeled
 // query="..." (decoded and late counts, the live shed threshold, open
 // panes, and the event-time watermark). Stats() remains the compat snapshot over the same
 // numbers.
@@ -44,7 +44,6 @@ func (a *Aggregator) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 		telemetry.Sample{Name: "privapprox_agg_length_mismatch_total", Value: float64(s.LengthMismatch), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_agg_queries", Value: float64(s.Queries), Kind: telemetry.KindGauge},
 		telemetry.Sample{Name: "privapprox_agg_pending_joins", Value: float64(pending), Kind: telemetry.KindGauge},
-		telemetry.Sample{Name: "privapprox_agg_open_windows", Value: float64(a.OpenWindows()), Kind: telemetry.KindGauge},
 		telemetry.Sample{Name: "privapprox_agg_completed_joins", Value: float64(completed), Kind: telemetry.KindGauge},
 	)
 	for _, st := range a.states.Load().ordered {

@@ -592,3 +592,17 @@ func (c *Client) Stats() Stats {
 		Shedded:      c.shedded.Load(),
 	}
 }
+
+// SumStats folds many clients' counters into one fleet-level snapshot.
+func SumStats(clients []*Client) Stats {
+	var s Stats
+	for _, c := range clients {
+		cs := c.Stats()
+		s.EpochsSeen += cs.EpochsSeen
+		s.Participated += cs.Participated
+		s.AnswersSent += cs.AnswersSent
+		s.BytesSent += cs.BytesSent
+		s.Shedded += cs.Shedded
+	}
+	return s
+}

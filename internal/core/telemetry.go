@@ -3,16 +3,13 @@ package core
 import (
 	"strconv"
 
-	"privapprox/internal/client"
 	"privapprox/internal/pubsub"
-	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/telemetry/lineage"
-	"privapprox/internal/xorcrypt"
 )
 
 // Tracer returns the epoch tracer behind the system's metrics registry:
-// per-epoch stage spans and the window-fire log.
+// per-epoch stage spans, fired windows in the fire stage.
 func (s *System) Tracer() *telemetry.Tracer { return s.tracer }
 
 // TelemetrySnapshot gathers the current samples — the snapshot API
@@ -37,7 +34,7 @@ func (s *System) initTelemetry() {
 	// The provenance plane: a memory-only recorder (no card log) so
 	// every in-process system answers Cards()/the debug endpoint; the
 	// options are infallible without a Path, so the error is impossible.
-	if rec, err := lineage.NewRecorder(lineage.Options{Registry: s.tel, Tracer: s.tracer}); err == nil {
+	if rec, err := lineage.NewRecorder(lineage.Options{Registry: s.tel}); err == nil {
 		s.cards = rec
 		s.tel.RegisterSource(rec)
 		s.agg.SetCardSink(rec)
@@ -63,9 +60,7 @@ func (s *System) initTelemetry() {
 		return pubsub.AppendStatsSamples(dst, s.fleet.TotalStats())
 	}))
 
-	s.tel.RegisterSource(telemetry.SourceFunc(func(dst []telemetry.Sample) []telemetry.Sample {
-		return client.AppendFleetSamples(dst, client.SumStats(s.clients.Clients()))
-	}))
+	s.tel.RegisterSource(s.clients)
 
 	// SLO actuation state: the live shed threshold and p95 lag each
 	// controller is steering on, labeled by query.
@@ -83,8 +78,4 @@ func (s *System) initTelemetry() {
 	}))
 
 	s.tel.RegisterSource(s.registry)
-
-	// Kernel-plane counters (batch-granular, process-global).
-	s.tel.RegisterSource(telemetry.SourceFunc(xorcrypt.Metrics))
-	s.tel.RegisterSource(telemetry.SourceFunc(rr.Metrics))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"privapprox/internal/aggregator"
 	"privapprox/internal/budget"
 	"privapprox/internal/client"
 	"privapprox/internal/minisql"
@@ -30,8 +31,8 @@ func sampleMap(samples []telemetry.Sample) map[string]float64 {
 // TestSystemTelemetrySnapshot drives epochs through a fully wired
 // system and asserts the snapshot API surfaces every plane: aggregator
 // accounting, fleet-summed broker traffic, per-proxy backlog, client
-// fleet counters, publish latency, tracer stage totals, and the
-// fired-window span log.
+// fleet counters, publish latency, tracer stage totals — every fired
+// window charged to the fire stage — and a result card per fired window.
 func TestSystemTelemetrySnapshot(t *testing.T) {
 	params := budget.Params{S: 1, RR: rr.Params{P: 0.9, Q: 0.6}}
 	sys, err := New(taxiSystemConfig(t, 30, params))
@@ -41,14 +42,19 @@ func TestSystemTelemetrySnapshot(t *testing.T) {
 	defer sys.Close()
 	defer conserved(t, sys)
 
+	var fired []aggregator.Result
 	for e := 0; e < 3; e++ {
-		if _, _, err := sys.RunEpoch(); err != nil {
+		res, _, err := sys.RunEpoch()
+		if err != nil {
 			t.Fatal(err)
 		}
+		fired = append(fired, res...)
 	}
-	if _, err := sys.Flush(); err != nil {
+	res, err := sys.Flush()
+	if err != nil {
 		t.Fatal(err)
 	}
+	fired = append(fired, res...)
 
 	got := sampleMap(sys.TelemetrySnapshot())
 	// Exact counts at s=1: every client answers every epoch, one share
@@ -71,16 +77,11 @@ func TestSystemTelemetrySnapshot(t *testing.T) {
 		"privapprox_stage_busy_ns_total{stage=answer}",
 		"privapprox_stage_busy_ns_total{stage=drain}",
 		"privapprox_stage_busy_ns_total{stage=join}",
-		"privapprox_epoch_current",
-		"privapprox_windows_fired_total",
-		"privapprox_xorcrypt_join_batch_calls_total",
+		"privapprox_stage_busy_ns_total{stage=fire}",
 	} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("snapshot missing %s", name)
 		}
-	}
-	if v := got["privapprox_xorcrypt_join_batch_calls_total"]; !(v > 0) {
-		t.Errorf("xorcrypt_join_batch_calls_total = %v, want > 0", v)
 	}
 	if v := got["privapprox_publish_ns_count"]; !(v > 0) {
 		t.Errorf("publish_ns_count = %v, want > 0", v)
@@ -91,22 +92,34 @@ func TestSystemTelemetrySnapshot(t *testing.T) {
 	if v := got["privapprox_stage_units_total{stage=answer}"]; v != 90 {
 		t.Errorf("answer stage units = %v, want 90 participants", v)
 	}
-	if v := got["privapprox_windows_fired_total"]; !(v > 0) {
-		t.Errorf("windows_fired_total = %v, want > 0", v)
+	// Every fired window is one fire-stage event, its responses the
+	// stage's units.
+	responses := 0
+	for _, r := range fired {
+		responses += r.Responses
+	}
+	if len(fired) == 0 {
+		t.Fatal("no window fired")
+	}
+	if v := got["privapprox_stage_events_total{stage=fire}"]; v != float64(len(fired)) {
+		t.Errorf("fire stage events = %v, want the %d fired windows", v, len(fired))
+	}
+	if v := got["privapprox_stage_units_total{stage=fire}"]; v != float64(responses) {
+		t.Errorf("fire stage units = %v, want the fired windows' %d responses", v, responses)
 	}
 
-	// The fire span log carries (query, window, responses) for each
-	// fired window, rendered without hot-path formatting.
-	fires := sys.Tracer().Fires(nil)
-	if len(fires) == 0 {
-		t.Fatal("no fire spans recorded")
+	// The result card of each fired window carries its query, bounds and
+	// responses.
+	cards := sys.Lineage().Cards(nil)
+	if len(cards) != len(fired) {
+		t.Fatalf("%d result cards, want one per fired window (%d)", len(cards), len(fired))
 	}
-	for _, f := range fires {
-		if !strings.Contains(f.Query, "analyst:1") {
-			t.Errorf("fire span query = %q, want analyst:1 id", f.Query)
+	for _, c := range cards {
+		if !strings.Contains(c.Query, "analyst:1") {
+			t.Errorf("card query = %q, want analyst:1 id", c.Query)
 		}
-		if f.Responses <= 0 || f.WindowEnd <= f.WindowStart {
-			t.Errorf("degenerate fire span: %+v", f)
+		if c.Responses <= 0 || c.WindowEnd <= c.WindowStart {
+			t.Errorf("degenerate card: %+v", c)
 		}
 	}
 

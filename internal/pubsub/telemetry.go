@@ -29,7 +29,6 @@ func AppendStatsSamples(dst []telemetry.Sample, s Stats) []telemetry.Sample {
 		telemetry.Sample{Name: "privapprox_broker_messages_in_total", Value: float64(s.MessagesIn), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_broker_bytes_in_total", Value: float64(s.BytesIn), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_broker_messages_out_total", Value: float64(s.MessagesOut), Kind: telemetry.KindCounter},
-		telemetry.Sample{Name: "privapprox_broker_bytes_out_total", Value: float64(s.BytesOut), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_broker_rejected_total", Value: float64(s.Rejected), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_broker_duplicates_total", Value: float64(s.Duplicates), Kind: telemetry.KindCounter},
 		telemetry.Sample{Name: "privapprox_broker_backlog", Value: float64(s.TotalBacklog), Kind: telemetry.KindGauge},

@@ -50,7 +50,7 @@ func sampleRecord() *record {
 				Population: 40,
 			},
 		},
-		state: []byte("PAC4 aggregator state"),
+		state: []byte("PAC6 aggregator state"),
 	}
 }
 

@@ -127,6 +127,27 @@ func (c *Clients) Batchers() []*client.Batcher { return c.batchers }
 // announced queries.
 func (c *Clients) Follower() *engine.Follower { return c.follower }
 
+// AppendSamples implements telemetry.Source over the client role: the
+// fleet's answer counters, summed over its logical clients, and the
+// shares its shared batchers dropped (degraded mode) and hold unsent,
+// summed over the proxies. Pending omits the workers' lanes, which hold
+// at most a chunk each and are empty between epochs.
+func (c *Clients) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
+	s := client.SumStats(c.clients)
+	var dropped, pending int64
+	for _, b := range c.batchers {
+		dropped += b.Dropped()
+		pending += int64(b.Pending())
+	}
+	return append(dst,
+		telemetry.Sample{Name: "privapprox_client_participated_total", Value: float64(s.Participated), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_client_answers_sent_total", Value: float64(s.AnswersSent), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_client_shedded_total", Value: float64(s.Shedded), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_batcher_dropped_total", Value: float64(dropped), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_batcher_pending", Value: float64(pending), Kind: telemetry.KindGauge},
+	)
+}
+
 // Epoch applies the announcements in force by the start of epoch e,
 // then answers it on every client and flushes every proxy's batch,
 // returning how many clients answered at least one query. With no query

@@ -2,6 +2,7 @@ package role
 
 import (
 	"crypto/ed25519"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -326,29 +327,56 @@ func TestDrainDeliversEverything(t *testing.T) {
 	}
 }
 
-// TestDrainSkipsRecordsWithoutAMID: a record whose key is not a MID — a
-// 3-byte key published to proxy 0's answer topic ahead of epoch 1 —
-// carries no share. The drain counts it malformed and skips it, with no
-// error, and submits every record behind it in the same round: the
-// answers decode exactly as in a run without it, and no join is left
-// pending.
+// TestDrainSkipsRecordsWithoutAMID: one round polls two epochs of
+// answers, and one proxy's poll holds a record whose key is not a MID —
+// a 3-byte key — at its head, in its middle or at its tail while the
+// other proxy's poll is good. The round reads everything, every good message
+// decodes exactly as it does without the record, the record is counted
+// Malformed, every consumer position ends at its partition's end — so no
+// position moved past a record the round neither submitted nor counted —
+// and the share ledger balances (the rig's teardown, role.Balance).
 func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
-	run := func(bad bool) aggregator.Stats {
+	noShare := pubsub.Columns{Count: 1, KeyLen: 3, ValLen: 8, Keys: []byte("mid"), Vals: []byte("no share")}
+	run := func(t *testing.T, bad int, at string) aggregator.Stats {
 		r := newRig(t, 40)
-		for e := uint64(0); e < 3; e++ {
-			if bad && e == 1 {
-				px := r.fleet.Proxy(0)
-				noShare := pubsub.Columns{Count: 1, KeyLen: 3, ValLen: 8, Keys: []byte("mid"), Vals: []byte("no share")}
-				if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
-					t.Fatal(err)
-				}
-				r.injected[0]++
+		published := 0
+		inject := func(where string) {
+			if where != at {
+				return
 			}
+			px := r.fleet.Proxy(bad)
+			if err := px.Broker().PublishColumns(px.Topic(), noShare, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			r.injected[bad]++
+			published++
+		}
+		inject("head")
+		for e := uint64(0); e < 2; e++ {
+			before := client.SumStats(r.clients.Clients()).AnswersSent
 			if _, n, err := r.clients.Epoch(e, nil); err != nil || n == 0 {
 				t.Fatalf("epoch %d: %d participants, %v", e, n, err)
 			}
-			if _, err := r.drain.Dry(); err != nil {
-				t.Fatalf("drain after epoch %d: %v", e, err)
+			published += 2 * int(client.SumStats(r.clients.Clients()).AnswersSent-before)
+			if e == 0 {
+				inject("middle")
+			}
+		}
+		inject("tail")
+		if _, n, err := r.drain.Round(pollMax, 0); err != nil || n != published {
+			t.Fatalf("the round read %d of %d records: %v", n, published, err)
+		}
+		for i, c := range r.drain.Consumers() {
+			for topic, parts := range c.Positions() {
+				for part, off := range parts {
+					end, err := r.fleet.Proxy(i).Broker().EndOffset(topic, part)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if off != end {
+						t.Errorf("proxy %d %s/%d: position %d, end %d", i, topic, part, off, end)
+					}
+				}
 			}
 		}
 		if n := r.agg.PendingJoins(); n != 0 {
@@ -356,11 +384,78 @@ func TestDrainSkipsRecordsWithoutAMID(t *testing.T) {
 		}
 		return r.agg.Stats()
 	}
-	want, got := run(false), run(true)
+	want := run(t, 0, "nowhere")
 	want.Malformed++
-	if got != want {
-		t.Errorf("with a keyless record\n got %+v\nwant %+v", got, want)
+	for bad := range 2 {
+		for _, at := range []string{"head", "middle", "tail"} {
+			t.Run(fmt.Sprintf("proxy%d/%s", bad, at), func(t *testing.T) {
+				if got := run(t, bad, at); got != want {
+					t.Errorf("with a keyless record\n got %+v\nwant %+v", got, want)
+				}
+			})
+		}
 	}
+}
+
+// TestClientsSource: the client role's telemetry source reports its
+// clients' answer counters summed and its shared batchers' dropped and
+// pending shares summed over the proxies. Proxy 1's batcher runs
+// degraded and its sink refuses epoch 1, so it drops that epoch's
+// shares; a share left in proxy 0's batcher is pending until flushed.
+func TestClientsSource(t *testing.T) {
+	r := newRig(t, 40)
+	sink := &refusingSink{ColumnSink: r.fleet.Proxy(1)}
+	rewire(r, 1, 0, sink)
+	r.clients.batchers[1].SetDegraded(true)
+	var dropped int64
+	for e := uint64(0); e < 3; e++ {
+		sink.refuse = e == 1
+		before := client.SumStats(r.clients.Clients()).AnswersSent
+		if _, n, err := r.clients.Epoch(e, nil); err != nil || n == 0 {
+			t.Fatalf("epoch %d: %d participants, %v", e, n, err)
+		}
+		if e == 1 {
+			dropped = client.SumStats(r.clients.Clients()).AnswersSent - before
+		}
+	}
+	// A share whose sibling never comes: it waits in the batcher, then
+	// in the aggregator's joiner (the ledger counts it pending).
+	orphan := xorcrypt.Share{MID: xorcrypt.MID{0xee}, Payload: make([]byte, 8)}
+	if err := r.clients.batchers[0].Submit(orphan); err != nil {
+		t.Fatal(err)
+	}
+	st := client.SumStats(r.clients.Clients())
+	want := map[string]float64{
+		"privapprox_client_participated_total": float64(st.Participated),
+		"privapprox_client_answers_sent_total": float64(st.AnswersSent),
+		"privapprox_client_shedded_total":      float64(st.Shedded),
+		"privapprox_batcher_dropped_total":     float64(dropped),
+		"privapprox_batcher_pending":           1,
+	}
+	got := map[string]float64{}
+	for _, s := range r.clients.AppendSamples(nil) {
+		got[s.Name] = s.Value
+	}
+	if dropped == 0 || st.AnswersSent == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("client role samples\n got %v\nwant %v", got, want)
+	}
+	if err := r.clients.batchers[0].Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.injected[0]++
+}
+
+// refusingSink is a sink that refuses every frame while refuse is set.
+type refusingSink struct {
+	client.ColumnSink
+	refuse bool
+}
+
+func (s *refusingSink) SubmitColumns(mids, payloads []byte, count, size int) error {
+	if s.refuse {
+		return errors.New("sink refused the frame")
+	}
+	return s.ColumnSink.SubmitColumns(mids, payloads, count, size)
 }
 
 // hookedTransport is a broker whose fetches first run hook, with the

@@ -127,7 +127,6 @@ func (r *Randomizer) RespondBits(bits []byte, nbits int) {
 		truth := loadLanes(chunk)
 		storeLanes(chunk, truth&a|^truth&b|truth&^lanes)
 	}
-	respondedVectors.Inc()
 }
 
 // Skip draws and discards exactly the randomness RespondBits(·, nbits)

@@ -17,8 +17,8 @@
 //     byte-identical between the in-process pipeline and the networked
 //     deployment, for every Workers setting.
 //   - Observed fields (fire time, fire duration, end-to-end latency
-//     from the earliest batch flush feeding the window, per-stage busy
-//     legs) are timing and are excluded from the gate.
+//     from the earliest batch flush feeding the window) are timing and
+//     are excluded from the gate.
 package lineage
 
 import (
@@ -94,11 +94,10 @@ type Card struct {
 	Malformed   int64     `json:"malformed"`       // aggregator malformed messages at fire time
 
 	// Observed at fire time (timing; excluded from DeterministicLine).
-	FiredAtNs int64            `json:"fired_at_ns"`        // wall clock of the fire
-	FireDurNs int64            `json:"fire_dur_ns"`        // close + estimate duration
-	E2ENs     int64            `json:"e2e_ns"`             // fire − earliest stamp flush; -1 = no stamps
-	Stamps    int              `json:"stamps"`             // stamp batches matched to the window's epochs
-	StageNs   map[string]int64 `json:"stage_ns,omitempty"` // cumulative per-stage busy legs
+	FiredAtNs int64 `json:"fired_at_ns"` // wall clock of the fire
+	FireDurNs int64 `json:"fire_dur_ns"` // close + estimate duration
+	E2ENs     int64 `json:"e2e_ns"`      // fire − earliest stamp flush; -1 = no stamps
+	Stamps    int   `json:"stamps"`      // stamp batches matched to the window's epochs
 }
 
 // JSONFloat is a float64 whose JSON form survives non-finite values:

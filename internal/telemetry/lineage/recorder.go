@@ -31,9 +31,6 @@ type Options struct {
 	// histogram; the Recorder itself is a Source for the rest of its
 	// series and should be passed to RegisterSource.
 	Registry *telemetry.Registry
-	// Tracer, when non-nil, supplies the cumulative per-stage busy
-	// legs copied onto each card.
-	Tracer *telemetry.Tracer
 }
 
 // epochStamps folds the stamps observed for one epoch: how many batch
@@ -50,7 +47,7 @@ type epochStamps struct {
 const stampCap = 4096
 
 // Recorder is the card sink: it dedups against the JSONL log, enriches
-// cards with stamp-derived latency and tracer stage legs, retains a
+// cards with stamp-derived latency, retains a
 // bounded ring for the debug endpoint, appends the JSONL wide event,
 // and summarizes cards as Prometheus series. All methods are
 // concurrent-safe; EmitCard runs at fire cadence, never share cadence.
@@ -70,8 +67,7 @@ type Recorder struct {
 	malformed  atomic.Int64 // lineage records refused by DecodeStamp
 	writeErrs  atomic.Int64
 
-	e2e    *telemetry.Histogram
-	tracer *telemetry.Tracer
+	e2e *telemetry.Histogram
 }
 
 // NewRecorder opens a card recorder. With a Path, the existing JSONL
@@ -94,7 +90,6 @@ func NewRecorder(opts Options) (*Recorder, error) {
 		stamps:  make(map[uint64]*epochStamps),
 		latest:  make(map[string]Card),
 		e2e:     reg.Histogram("privapprox_window_e2e_ns"),
-		tracer:  opts.Tracer,
 	}
 	if opts.Path != "" {
 		if err := r.openLog(opts.Path); err != nil {
@@ -192,15 +187,9 @@ func (r *Recorder) ObserveStamp(record []byte) {
 // EmitCard finalizes and records one window card. Duplicate windows —
 // re-fired after a crash restore when the card already reached the log
 // — are suppressed, making card emission exactly-once per (query,
-// window) across restarts. Enrichment (stamp E2E, tracer stage legs)
-// happens here so the aggregator hands over only its own accounting.
+// window) across restarts. Enrichment (stamp E2E) happens here so the
+// aggregator hands over only its own accounting.
 func (r *Recorder) EmitCard(c Card) error {
-	if r.tracer != nil {
-		c.StageNs = make(map[string]int64, int(telemetry.NumStages))
-		for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
-			c.StageNs[s.String()] = int64(r.tracer.TotalBusy(s))
-		}
-	}
 	r.mu.Lock()
 	if cur, ok := r.through[c.Query]; ok && c.WindowStart <= cur {
 		r.mu.Unlock()
@@ -323,13 +312,13 @@ func (r *Recorder) Handler() http.Handler {
 // AppendSamples makes the Recorder a telemetry Source: card flow
 // counters plus, per query, the latest window's CI width and realized
 // sampling fraction as labeled gauges.
-func (r *Recorder) AppendSamples(dst []Sample) []Sample {
+func (r *Recorder) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
 	dst = append(dst,
-		Sample{Name: "privapprox_window_cards_emitted_total", Value: float64(r.emitted.Load()), Kind: telemetry.KindCounter},
-		Sample{Name: "privapprox_window_cards_suppressed_total", Value: float64(r.suppressed.Load()), Kind: telemetry.KindCounter},
-		Sample{Name: "privapprox_lineage_stamps_total", Value: float64(r.stamped.Load()), Kind: telemetry.KindCounter},
-		Sample{Name: "privapprox_lineage_stamps_malformed_total", Value: float64(r.malformed.Load()), Kind: telemetry.KindCounter},
-		Sample{Name: "privapprox_lineage_write_errors_total", Value: float64(r.writeErrs.Load()), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_window_cards_emitted_total", Value: float64(r.emitted.Load()), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_window_cards_suppressed_total", Value: float64(r.suppressed.Load()), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_lineage_stamps_total", Value: float64(r.stamped.Load()), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_lineage_stamps_malformed_total", Value: float64(r.malformed.Load()), Kind: telemetry.KindCounter},
+		telemetry.Sample{Name: "privapprox_lineage_write_errors_total", Value: float64(r.writeErrs.Load()), Kind: telemetry.KindCounter},
 	)
 	r.mu.Lock()
 	queries := make([]string, 0, len(r.latest))
@@ -340,14 +329,10 @@ func (r *Recorder) AppendSamples(dst []Sample) []Sample {
 	for _, q := range queries {
 		c := r.latest[q]
 		dst = append(dst,
-			Sample{Name: "privapprox_window_ci_width", LabelKey: "query", LabelValue: q, Value: float64(c.CIWidth), Kind: telemetry.KindGauge},
-			Sample{Name: "privapprox_window_realized_fraction", LabelKey: "query", LabelValue: q, Value: float64(c.Realized), Kind: telemetry.KindGauge},
+			telemetry.Sample{Name: "privapprox_window_ci_width", LabelKey: "query", LabelValue: q, Value: float64(c.CIWidth), Kind: telemetry.KindGauge},
+			telemetry.Sample{Name: "privapprox_window_realized_fraction", LabelKey: "query", LabelValue: q, Value: float64(c.Realized), Kind: telemetry.KindGauge},
 		)
 	}
 	r.mu.Unlock()
 	return dst
 }
-
-// Sample aliases the telemetry sample type so Recorder satisfies
-// telemetry.Source without callers importing both packages.
-type Sample = telemetry.Sample

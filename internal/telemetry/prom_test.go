@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -57,7 +58,7 @@ func TestWritePromEscapesQueryNames(t *testing.T) {
 
 func TestWritePromTypeLines(t *testing.T) {
 	r := NewRegistry()
-	var c Counter
+	var c atomic.Int64
 	c.Add(2)
 	r.RegisterSource(counterSource("a_total", &c))
 	r.RegisterSource(SourceFunc(func(dst []Sample) []Sample {

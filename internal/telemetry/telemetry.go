@@ -1,16 +1,14 @@
 // Package telemetry is the fleet-wide observability plane: a
 // zero-allocation metrics registry (named, sharded fixed-bucket latency
-// histograms plus snapshot Sources), the unnamed atomic Counter that
-// components keep and export through a Source, epoch trace spans that
-// follow a batch through the pipeline stages, and exposition surfaces
+// histograms plus snapshot Sources), epoch trace spans that follow a
+// batch through the pipeline stages, and exposition surfaces
 // (Prometheus text, expvar, pprof) for the live introspection endpoint.
 //
 // The hot-path contract: instruments are resolved ONCE at construction
-// time (a Counter or *Histogram field on the component, never a map
+// time (a *Histogram or *Tracer field on the component, never a map
 // lookup or string hash per event), and every mutation method —
-// Counter.Add, Histogram.Observe, Tracer.Record — performs only atomic
-// arithmetic on preallocated memory: 0 allocs/op, enforced by the repo
-// allocgate. Snapshot-time paths (Gather, WriteProm, Spans)
+// Histogram.Observe, Tracer.Record — performs only atomic arithmetic on
+// preallocated memory: 0 allocs/op, enforced by the repo allocgate. Snapshot-time paths (Gather, WriteProm, Spans)
 // may allocate freely; they run at scrape cadence, not share cadence.
 //
 // The package deliberately imports nothing from the rest of the repo,
@@ -22,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies a sample for the Prometheus TYPE line.
@@ -60,21 +57,6 @@ type SourceFunc func(dst []Sample) []Sample
 
 // AppendSamples calls f.
 func (f SourceFunc) AppendSamples(dst []Sample) []Sample { return f(dst) }
-
-// Counter is a monotonically increasing atomic counter. It has no name:
-// a component that keeps counters exports them through a Source.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n. 0 allocs, one atomic add.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Registry owns a set of named histograms and snapshot Sources.
 // Histogram is idempotent per name — asking twice for the same name

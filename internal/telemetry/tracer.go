@@ -1,39 +1,28 @@
 package telemetry
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Stage identifies one pipeline hop an epoch batch passes through:
-// client answer generation, batcher flush, proxy/transport publish,
-// broker poll + aggregator drain, the join/decrypt/decode tail,
-// and the window fire.
+// client answer generation (flush and publish included), broker poll +
+// aggregator drain, the join/decrypt/decode tail, and the window fire.
 type Stage uint8
 
 const (
-	StageAnswer  Stage = iota // clients compute + split answers
-	StageFlush                // batcher flush to proxies
-	StagePublish              // proxy/transport → broker publish
-	StageDrain                // consumer poll → aggregator submit
-	StageJoin                 // aggregator join/decrypt/decode tail
-	StageFire                 // window fire + result emit
+	StageAnswer Stage = iota // clients compute, split and publish answers
+	StageDrain               // consumer poll → aggregator submit
+	StageJoin                // aggregator join/decrypt/decode tail
+	StageFire                // window fire + result emit
 	numStages
 )
 
-// NumStages is the number of pipeline stages; Stage values range over
-// [0, NumStages). Exported for consumers (the lineage plane) that copy
-// per-stage totals into their own structures.
-const NumStages = numStages
-
 var stageNames = [numStages]string{
-	StageAnswer:  "answer",
-	StageFlush:   "flush",
-	StagePublish: "publish",
-	StageDrain:   "drain",
-	StageJoin:    "join",
-	StageFire:    "fire",
+	StageAnswer: "answer",
+	StageDrain:  "drain",
+	StageJoin:   "join",
+	StageFire:   "fire",
 }
 
 // String returns the stage's instrument label.
@@ -84,23 +73,6 @@ type spanSlot struct {
 	stages [numStages]stageCell
 }
 
-// fireRing bounds the retained window-fire spans.
-const fireRing = 256
-
-// FireSpan is one fired window: which query, which window bounds, how
-// many randomized responses it aggregated, the watermark lag at fire
-// time, and how long the fire (estimate + emit) took. Keyed by
-// (Epoch, Query, WindowStart).
-type FireSpan struct {
-	Epoch       uint64
-	Query       string
-	WindowStart int64 // unix ns
-	WindowEnd   int64 // unix ns
-	Responses   int64
-	Lag         time.Duration
-	Dur         time.Duration
-}
-
 // StageSpan is the snapshot of one stage within one epoch.
 type StageSpan struct {
 	Stage    Stage
@@ -119,19 +91,13 @@ type EpochSpan struct {
 // Tracer records epoch trace spans with zero allocation on the hot
 // path: Record is a ring-slot lookup plus atomic adds. The driver
 // calls BeginEpoch once per epoch; stages call Record with whatever
-// epoch they are processing. Window fires go through RecordFire, which
-// takes a short mutex on a preallocated ring (the fire path is already
-// serialized and low-rate). A Tracer is also a Source, exporting
+// epoch they are processing — a fired window charges its fire duration
+// and responses to the fire stage. A Tracer is also a Source, exporting
 // cumulative per-stage totals.
 type Tracer struct {
 	epoch  atomic.Uint64 // current epoch + 1
 	slots  [spanRing]spanSlot
 	totals [numStages]stageCell
-
-	fireMu    sync.Mutex
-	fires     [fireRing]FireSpan
-	fireNext  int
-	fireCount int64
 }
 
 // NewTracer returns an empty tracer.
@@ -180,28 +146,6 @@ func (t *Tracer) RecordCurrent(st Stage, d time.Duration, units, depth int) {
 	t.Record(t.Epoch(), st, d, units, depth)
 }
 
-// TotalBusy returns the cumulative busy time charged to stage st
-// across all epochs — the in-process latency legs a result card
-// carries alongside its cross-process stamp timing.
-func (t *Tracer) TotalBusy(st Stage) time.Duration {
-	if st >= numStages {
-		return 0
-	}
-	return time.Duration(t.totals[st].ns.Load())
-}
-
-// RecordFire appends one fired-window span to the fire ring (newest
-// wins on wrap) and charges its duration to the fire stage of the
-// span's epoch.
-func (t *Tracer) RecordFire(f FireSpan) {
-	t.Record(f.Epoch, StageFire, f.Dur, int(f.Responses), 0)
-	t.fireMu.Lock()
-	t.fires[t.fireNext] = f
-	t.fireNext = (t.fireNext + 1) % fireRing
-	t.fireCount++
-	t.fireMu.Unlock()
-}
-
 // Spans appends a snapshot of every resident epoch span to dst,
 // oldest epoch first.
 func (t *Tracer) Spans(dst []EpochSpan) []EpochSpan {
@@ -237,21 +181,6 @@ func sortSpans(spans []EpochSpan) {
 	}
 }
 
-// Fires appends the retained window-fire spans to dst, oldest first.
-func (t *Tracer) Fires(dst []FireSpan) []FireSpan {
-	t.fireMu.Lock()
-	defer t.fireMu.Unlock()
-	n := t.fireCount
-	if n > fireRing {
-		n = fireRing
-	}
-	first := (t.fireNext - int(n) + fireRing) % fireRing
-	for i := int64(0); i < n; i++ {
-		dst = append(dst, t.fires[(first+int(i))%fireRing])
-	}
-	return dst
-}
-
 // AppendSamples exports the cumulative per-stage totals, making the
 // Tracer a Source: busy nanoseconds, event and unit counts as
 // counters, and the high-water queue depth as a gauge, one series per
@@ -267,10 +196,5 @@ func (t *Tracer) AppendSamples(dst []Sample) []Sample {
 			Sample{Name: "privapprox_stage_depth_max", LabelKey: "stage", LabelValue: name, Value: float64(c.depth.Load()), Kind: KindGauge},
 		)
 	}
-	dst = append(dst, Sample{Name: "privapprox_epoch_current", Value: float64(t.Epoch()), Kind: KindGauge})
-	t.fireMu.Lock()
-	fired := t.fireCount
-	t.fireMu.Unlock()
-	dst = append(dst, Sample{Name: "privapprox_windows_fired_total", Value: float64(fired), Kind: KindCounter})
 	return dst
 }

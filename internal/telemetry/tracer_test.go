@@ -58,40 +58,48 @@ func TestTracerRingRecycles(t *testing.T) {
 	}
 }
 
+// TestTracerFires: a fired window is one Record against the fire stage —
+// its duration as busy time and its responses as units — landing in the
+// epoch's span and in the stage totals the tracer exports.
 func TestTracerFires(t *testing.T) {
 	tr := NewTracer()
 	tr.BeginEpoch(3)
-	for i := 0; i < fireRing+10; i++ {
-		tr.RecordFire(FireSpan{
-			Epoch: 3, Query: "taxi", WindowStart: int64(i),
-			Responses: 10, Dur: time.Millisecond,
-		})
+	const fires = 10
+	for i := 0; i < fires; i++ {
+		tr.Record(tr.Epoch(), StageFire, time.Millisecond, 10, 0)
 	}
-	fires := tr.Fires(nil)
-	if len(fires) != fireRing {
-		t.Fatalf("fires = %d, want %d", len(fires), fireRing)
+	spans := tr.Spans(nil)
+	if len(spans) != 1 || spans[0].Epoch != 3 {
+		t.Fatalf("spans = %+v, want epoch 3 only", spans)
 	}
-	if fires[0].WindowStart != 10 || fires[len(fires)-1].WindowStart != fireRing+9 {
-		t.Fatalf("fire ring window [%d,%d], want [10,%d]", fires[0].WindowStart, fires[len(fires)-1].WindowStart, fireRing+9)
+	if f := spans[0].Stages[StageFire]; f.Events != fires || f.Units != 10*fires || f.Busy != fires*time.Millisecond {
+		t.Fatalf("fire span = %+v, want %d events, %d units, %v busy", f, fires, 10*fires, fires*time.Millisecond)
 	}
-	var fired float64
+	got := fireSamples(tr)
+	if got["privapprox_stage_events_total"] != fires || got["privapprox_stage_units_total"] != 10*fires ||
+		got["privapprox_stage_busy_ns_total"] != float64(fires*time.Millisecond) {
+		t.Fatalf("fire stage samples = %v", got)
+	}
+}
+
+// fireSamples returns the tracer's exported fire-stage series by name.
+func fireSamples(tr *Tracer) map[string]float64 {
+	got := map[string]float64{}
 	for _, s := range tr.AppendSamples(nil) {
-		if s.Name == "privapprox_windows_fired_total" {
-			fired = s.Value
+		if s.LabelValue == "fire" {
+			got[s.Name] = s.Value
 		}
 	}
-	if fired != fireRing+10 {
-		t.Fatalf("windows_fired_total = %v, want %d", fired, fireRing+10)
-	}
+	return got
 }
 
 func TestTracerStageSamples(t *testing.T) {
 	tr := NewTracer()
 	tr.BeginEpoch(0)
-	tr.Record(0, StagePublish, 7*time.Millisecond, 3, 12)
+	tr.Record(0, StageDrain, 7*time.Millisecond, 3, 12)
 	got := map[string]float64{}
 	for _, s := range tr.AppendSamples(nil) {
-		if s.LabelValue == "publish" {
+		if s.LabelValue == "drain" {
 			got[s.Name] = s.Value
 		}
 	}
@@ -99,48 +107,37 @@ func TestTracerStageSamples(t *testing.T) {
 		got["privapprox_stage_events_total"] != 1 ||
 		got["privapprox_stage_units_total"] != 3 ||
 		got["privapprox_stage_depth_max"] != 12 {
-		t.Fatalf("publish stage samples = %v", got)
+		t.Fatalf("drain stage samples = %v", got)
 	}
 }
 
+// TestTracerConcurrentRecordFire: fires recorded from many goroutines
+// at once, against epochs in and out of the span ring, lose no event and
+// no unit in the fire stage's totals.
 func TestTracerConcurrentRecordFire(t *testing.T) {
 	tr := NewTracer()
-	const goroutines, perG = 8, 3 * fireRing
+	tr.BeginEpoch(0)
+	const goroutines, perG = 8, 3 * spanRing
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tr.RecordFire(FireSpan{
-					Epoch: uint64(i), Query: "q", WindowStart: int64(g*perG + i),
-					Responses: 1, Dur: time.Microsecond,
-				})
+				tr.Record(uint64(i), StageFire, time.Microsecond, g+1, 0)
 			}
 		}(g)
 	}
 	wg.Wait()
-	fires := tr.Fires(nil)
-	if len(fires) != fireRing {
-		t.Fatalf("resident fires = %d, want %d", len(fires), fireRing)
+	const units = perG * goroutines * (goroutines + 1) / 2
+	got := fireSamples(tr)
+	if got["privapprox_stage_events_total"] != goroutines*perG || got["privapprox_stage_units_total"] != units ||
+		got["privapprox_stage_busy_ns_total"] != float64(goroutines*perG*time.Microsecond) {
+		t.Fatalf("fire stage samples = %v, want %d events and %d units", got, goroutines*perG, units)
 	}
-	seen := map[int64]bool{}
-	for _, f := range fires {
-		if f.Query != "q" || f.Responses != 1 {
-			t.Fatalf("torn fire span: %+v", f)
-		}
-		if seen[f.WindowStart] {
-			t.Fatalf("window %d appears twice in the ring", f.WindowStart)
-		}
-		seen[f.WindowStart] = true
-	}
-	var fired float64
-	for _, s := range tr.AppendSamples(nil) {
-		if s.Name == "privapprox_windows_fired_total" {
-			fired = s.Value
-		}
-	}
-	if fired != goroutines*perG {
-		t.Fatalf("windows_fired_total = %v, want %d", fired, goroutines*perG)
+	// Epoch 0's slot is resident: it holds exactly the fires recorded
+	// against epoch 0, one per goroutine.
+	if f := tr.Spans(nil)[0].Stages[StageFire]; f.Events != goroutines || f.Units != goroutines*(goroutines+1)/2 {
+		t.Fatalf("epoch 0 fire span = %+v, want %d events", f, goroutines)
 	}
 }

@@ -13,21 +13,3 @@ func (l *Log) SetLatencyHistograms(app, fsync *telemetry.Histogram) {
 	l.appendLat.Store(app)
 	l.fsyncLat.Store(fsync)
 }
-
-// AppendSamples implements telemetry.Source over the log's shape: the
-// on-disk segment count and the retained LSN range. Latency series
-// come from the attached histograms, which live in the registry.
-func (l *Log) AppendSamples(dst []telemetry.Sample) []telemetry.Sample {
-	segs, err := l.SegmentCount()
-	if err == nil {
-		dst = append(dst, telemetry.Sample{Name: "privapprox_wal_segments", Value: float64(segs), Kind: telemetry.KindGauge})
-	}
-	first, next := l.FirstLSN(), l.NextLSN()
-	return append(dst,
-		telemetry.Sample{Name: "privapprox_wal_first_lsn", Value: float64(first), Kind: telemetry.KindGauge},
-		telemetry.Sample{Name: "privapprox_wal_next_lsn", Value: float64(next), Kind: telemetry.KindGauge},
-		telemetry.Sample{Name: "privapprox_wal_retained_records", Value: float64(next - first), Kind: telemetry.KindGauge},
-	)
-}
-
-var _ telemetry.Source = (*Log)(nil)
