@@ -311,7 +311,11 @@ loc:
 # off, their symbol tables read with `go tool nm`, and each function
 # declared in a non-test file of the root's internal/ that none of them
 # holds printed with its line count, then the totals. A function listed is reached only from
-# tests, or from nothing. tools/unlinked.go is a `//go:build ignore`
+# tests, or from nothing. It then lists the exported identifiers of
+# internal/ that no file outside their package names (the root, cmd/,
+# examples/, tools/, bench/, paper/ and other packages' tests counted),
+# with their count, so an export no other package needs shows up here.
+# tools/unlinked.go is a `//go:build ignore`
 # program, so `go build ./...` and `make loc` do not see it.
 unlinked:
 	@$(GO) run tools/unlinked.go

@@ -9,6 +9,7 @@ package privapprox
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -785,7 +786,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 		run := func() {
 			answerEpoch(t, msgs[epoch], batchers, &scratch)
 			epoch++
-			if _, err := drain.Dry(); err != nil {
+			if _, _, err := drain.UpTo(math.MaxInt); err != nil {
 				t.Fatal(err)
 			}
 			if err := drain.Commit(); err != nil {
@@ -799,8 +800,8 @@ func TestSharePlaneAllocs(t *testing.T) {
 		if perAnswer > steadyDrainBytesLimit {
 			t.Errorf("want ≤ %d B per answer", steadyDrainBytesLimit)
 		}
-		if st := agg.Stats(); st.Dropped() != 0 {
-			t.Errorf("%d answers late", st.Dropped())
+		if st := agg.Stats(); st.Malformed+st.Duplicates+st.Late+st.UnknownQuery+st.LengthMismatch != 0 {
+			t.Errorf("answers dropped: %+v", st)
 		}
 	}
 	t.Run("drain", func(t *testing.T) {
@@ -818,7 +819,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		batchers := []*client.Batcher{client.NewBatcher(fleet.Proxy(0), 0), client.NewBatcher(fleet.Proxy(1), 0)}
-		steadyDrain(t, "split → Batcher → SubmitColumns → role.Drain.Dry → Commit", 0.01, consumers, control, batchers)
+		steadyDrain(t, "split → Batcher → SubmitColumns → role.Drain.UpTo → Commit", 0.01, consumers, control, batchers)
 	})
 
 	// The drain overlapped with the answering: core.System's RunEpoch,
@@ -911,7 +912,7 @@ func TestSharePlaneAllocs(t *testing.T) {
 			}
 			batchers[i] = client.NewBatcher(columnPublisher{cli, proxy.TopicFor(i)}, 0)
 		}
-		steadyDrain(t, "split → Batcher → SubmitColumns → Serve → role.Drain.Dry over Client → Commit", 0.05, consumers, control, batchers)
+		steadyDrain(t, "split → Batcher → SubmitColumns → Serve → role.Drain.UpTo over Client → Commit", 0.05, consumers, control, batchers)
 	})
 }
 

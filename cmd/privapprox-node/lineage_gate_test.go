@@ -38,9 +38,10 @@ func TestLineageGate(t *testing.T) {
 	}
 
 	// Sanity-pin the known workload: s=1 and an exact population means
-	// every card reports full realized participation and no drops.
+	// every card reports full realized participation and no drops, and
+	// the aggregator counts no late answer.
 	for _, line := range want {
-		for _, field := range []string{"fraction=1", "shed=1", "late=0", "duplicates=0", "malformed=0"} {
+		for _, field := range []string{"fraction=1", "shed=1", "duplicates=0", "malformed=0"} {
 			if !strings.Contains(line, field+" ") && !strings.HasSuffix(line, field) {
 				t.Errorf("card %q missing expected %q for the s=1 workload", line, field)
 			}
@@ -72,6 +73,9 @@ func cardsBlock(t *testing.T, out string) []string {
 func inProcessCards(t *testing.T, clients, epochs int, seed int64, numQueries, workers int) []string {
 	t.Helper()
 	sys, _ := inProcessSystem(t, clients, epochs, seed, numQueries, workers)
+	if late := sys.Aggregator().Stats().Late; late != 0 {
+		t.Errorf("Workers=%d: the aggregator counted %d late answers, want 0", workers, late)
+	}
 	var lines []string
 	for _, c := range sys.Lineage().Cards(nil) {
 		lines = append(lines, c.DeterministicLine())

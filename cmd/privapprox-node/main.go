@@ -209,7 +209,7 @@ func runProxy(args []string) error {
 	broker.SetPublishHistogram(reg.Histogram("privapprox_publish_ns"))
 	if *partitionCap > 0 {
 		// Bounded answer partitions: a client fleet outrunning the
-		// aggregator's drain sees ErrPartitionFull instead of growing the
+		// aggregator's drain sees the partition-full error instead of growing the
 		// proxy without bound. The control topic stays unbounded —
 		// announcements are tiny and must never be refused.
 		if err := px.SetCapacity(*partitionCap); err != nil {

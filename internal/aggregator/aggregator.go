@@ -48,13 +48,13 @@ import (
 
 // Errors reported by aggregator configuration and query registration.
 var (
-	ErrConfig = errors.New("aggregator: invalid config")
-	// ErrWireCollision reports two distinct query IDs hashing to the same
+	errConfig = errors.New("aggregator: invalid config")
+	// errWireCollision reports two distinct query IDs hashing to the same
 	// 64-bit wire identifier — the demux key inside answer messages.
-	ErrWireCollision = errors.New("aggregator: wire query-ID collision")
-	// ErrUnknownQuery reports an operation on a query that is not
+	errWireCollision = errors.New("aggregator: wire query-ID collision")
+	// errUnknownQuery reports an operation on a query that is not
 	// registered.
-	ErrUnknownQuery = errors.New("aggregator: unknown query")
+	errUnknownQuery = errors.New("aggregator: unknown query")
 )
 
 // Config assembles an aggregator. Query/Params describe the first query
@@ -146,7 +146,7 @@ type Stats struct {
 	// Late answers discarded behind their query's watermark.
 	Late int64
 	// Swept counts partial join groups that expired waiting for their
-	// sibling shares: a share-level drop, not part of Dropped().
+	// sibling shares: a share-level drop, not a message-level one.
 	Swept int64
 	// UnknownQuery counts well-formed messages whose wire QueryID
 	// matches no registered query (a stopped query's stragglers, or a
@@ -157,12 +157,6 @@ type Stats struct {
 	LengthMismatch int64
 	// Queries is the number of registered queries.
 	Queries int
-}
-
-// Dropped returns the total number of discarded messages across every
-// drop reason.
-func (s Stats) Dropped() int64 {
-	return s.Malformed + s.Duplicates + s.Late + s.UnknownQuery + s.LengthMismatch
 }
 
 // Aggregator processes share streams for any number of queries. It is
@@ -261,8 +255,8 @@ type queryState struct {
 
 	// fireMu serializes window firing so each window fires exactly once
 	// and results come out in window-start order. It guards firedWM, the
-	// watermark of the last fire but a flush (every window ending at or
-	// below it has fired), and the fire's scratch. Lock order: fireMu
+	// watermark of the last fire (every window ending at or below it has
+	// fired), and the fire's scratch. Lock order: fireMu
 	// before paneMu before a pane's lock.
 	fireMu  sync.Mutex
 	firedWM int64
@@ -350,7 +344,7 @@ type pane struct {
 // with AddQuery.
 func New(cfg Config) (*Aggregator, error) {
 	if cfg.Query == nil {
-		return nil, fmt.Errorf("%w: nil query", ErrConfig)
+		return nil, fmt.Errorf("%w: nil query", errConfig)
 	}
 	return NewMulti(cfg)
 }
@@ -360,16 +354,16 @@ func New(cfg Config) (*Aggregator, error) {
 // counting them) and registers queries dynamically via AddQuery.
 func NewMulti(cfg Config) (*Aggregator, error) {
 	if cfg.Population <= 0 {
-		return nil, fmt.Errorf("%w: population %d", ErrConfig, cfg.Population)
+		return nil, fmt.Errorf("%w: population %d", errConfig, cfg.Population)
 	}
 	if cfg.Proxies < 2 {
-		return nil, fmt.Errorf("%w: %d proxies", ErrConfig, cfg.Proxies)
+		return nil, fmt.Errorf("%w: %d proxies", errConfig, cfg.Proxies)
 	}
 	if cfg.Confidence == 0 {
 		cfg.Confidence = 0.95
 	}
 	if cfg.Confidence <= 0 || cfg.Confidence >= 1 {
-		return nil, fmt.Errorf("%w: confidence %v", ErrConfig, cfg.Confidence)
+		return nil, fmt.Errorf("%w: confidence %v", errConfig, cfg.Confidence)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = rand.Int63()
@@ -394,12 +388,12 @@ func NewMulti(cfg Config) (*Aggregator, error) {
 // active schedules its new parameters from spec.From on (the feedback
 // loop's redistribution path) without touching its windows or estimator
 // state; registering a distinct ID whose 64-bit wire hash collides with
-// an active query is rejected with ErrWireCollision — the wire QueryID
+// an active query is rejected with errWireCollision — the wire QueryID
 // is the demux key, so a collision would silently merge two queries'
 // answers.
 func (a *Aggregator) AddQuery(spec QuerySpec) error {
 	if spec.Query == nil {
-		return fmt.Errorf("%w: nil query", ErrConfig)
+		return fmt.Errorf("%w: nil query", errConfig)
 	}
 	if err := spec.Query.Validate(); err != nil {
 		return err
@@ -415,7 +409,7 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 	if st := old.byWire[wire]; st != nil {
 		if st.q.QID != spec.Query.QID {
 			return fmt.Errorf("%w: %s and %s both map to %#x",
-				ErrWireCollision, st.q.QID, spec.Query.QID, wire)
+				errWireCollision, st.q.QID, spec.Query.QID, wire)
 		}
 		// Parameter update: windows and the estimator keep running
 		// undisturbed. The feedback controller only moves the sampling
@@ -473,7 +467,7 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 func (a *Aggregator) SetShed(id query.ID, from uint64, shed float64) error {
 	st := a.states.Load().byWire[id.Uint64()]
 	if st == nil || st.q.QID != id {
-		return fmt.Errorf("%w: %s", ErrUnknownQuery, id)
+		return fmt.Errorf("%w: %s", errUnknownQuery, id)
 	}
 	if !(shed > 0) || shed > 1 {
 		shed = 1
@@ -494,7 +488,7 @@ func (a *Aggregator) RemoveQuery(id query.ID) ([]Result, error) {
 	st := old.byWire[wire]
 	if st == nil || st.q.QID != id {
 		a.stateMu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownQuery, id)
+		return nil, fmt.Errorf("%w: %s", errUnknownQuery, id)
 	}
 	a.swapStates(old, nil, st)
 	a.stateMu.Unlock()
@@ -502,12 +496,13 @@ func (a *Aggregator) RemoveQuery(id query.ID) ([]Result, error) {
 	// A submit in flight may have resolved st from the old table and not
 	// yet reached its windows or its decoded count. It holds genMu shared
 	// until it is done, so taking genMu once waits it out: everything it
-	// adds to st lands before the flush and the fold below.
+	// adds to st lands before the closing fire and the fold below.
 	a.genMu.Lock()
 	a.genMu.Unlock()
 
 	st.fireMu.Lock()
-	res, err := a.fireLocked(st, true)
+	a.closeOpen(st)
+	res, err := a.fireLocked(st)
 	st.fireMu.Unlock()
 	// Fold the removed query's counters into the aggregator-level
 	// totals so Stats never moves backwards.
@@ -681,16 +676,15 @@ func (p *pane) add(lane []byte, stride, nbits, count int) (late bool, err error)
 }
 
 // appendWindows appends, earliest first, the start of every window that
-// covers one of panes (sorted by start) and has not fired — it ends
-// above firedWM — and, unless all is set, ends at or below wm. Caller
-// holds fireMu.
-func (st *queryState) appendWindows(dst []int64, panes []*pane, wm int64, all bool) []int64 {
+// covers one of panes (sorted by start), has not fired — it ends above
+// firedWM — and ends at or below wm. Caller holds fireMu.
+func (st *queryState) appendWindows(dst []int64, panes []*pane, wm int64) []int64 {
 	size, slide := int64(st.q.Window), int64(st.q.Slide)
 	next := int64(math.MinInt64) // the first start not yet considered
 	for _, p := range panes {
 		first, last := st.assigner.Covering(p.start)
 		for s := max(first, next); s <= last; s += slide {
-			if end := s + size; end > st.firedWM && (all || end <= wm) {
+			if end := s + size; end > st.firedWM && end <= wm {
 				dst = append(dst, s)
 			}
 		}
@@ -699,21 +693,19 @@ func (st *queryState) appendWindows(dst []int64, panes []*pane, wm int64, all bo
 	return dst
 }
 
-// fireLocked fires every window of one query behind its watermark (every
-// unfired window covering an open pane when flush is set), earliest
-// first, each estimated from the sum of its panes; the panes no unfired
-// window covers leave the registry (all of them on a flush). Caller
-// holds st.fireMu.
-func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
+// fireLocked fires every window of one query behind its watermark,
+// earliest first, each estimated from the sum of its panes; the panes no
+// unfired window covers leave the registry. Caller holds st.fireMu.
+func (a *Aggregator) fireLocked(st *queryState) ([]Result, error) {
 	wm, size := st.watermark(), int64(st.q.Window)
-	if !flush && wm <= st.firedWM {
+	if wm <= st.firedWM {
 		return nil, nil
 	}
 	st.paneMu.Lock()
 	panes := st.firing[:0]
 	for start, p := range st.panes {
 		panes = append(panes, p)
-		if _, last := st.assigner.Covering(start); flush || last+size <= wm {
+		if _, last := st.assigner.Covering(start); last+size <= wm {
 			delete(st.panes, start)
 		}
 	}
@@ -722,10 +714,8 @@ func (a *Aggregator) fireLocked(st *queryState, flush bool) ([]Result, error) {
 	// One watermark step fires one window of a sliding query, so the
 	// usual fire keeps its list on the stack.
 	var few [4]int64
-	starts := st.appendWindows(few[:0], panes, wm, flush)
-	if !flush {
-		st.firedWM = wm
-	}
+	starts := st.appendWindows(few[:0], panes, wm)
+	st.firedWM = wm
 	tr := a.tracer.Load()
 	rec := a.cards.Load()
 	var out []Result
@@ -825,7 +815,7 @@ func (a *Aggregator) AdvanceTo(t time.Time) ([]Result, error) {
 		if st.observe(t) {
 			a.ageDue.Store(true)
 		}
-		res, err := a.fireLocked(st, false)
+		res, err := a.fireLocked(st)
 		st.fireMu.Unlock()
 		if err != nil {
 			return out, err
@@ -838,13 +828,16 @@ func (a *Aggregator) AdvanceTo(t time.Time) ([]Result, error) {
 }
 
 // Flush closes all open windows of every query at end of stream,
-// ordered by window start with registration order breaking ties.
+// ordered by window start with registration order breaking ties. It is a
+// watermark advance like any other (closeOpen): an answer that arrives
+// afterwards for a window it closed counts late.
 func (a *Aggregator) Flush() ([]Result, error) {
 	tbl := a.states.Load()
 	var out []Result
 	for _, st := range tbl.ordered {
 		st.fireMu.Lock()
-		res, err := a.fireLocked(st, true)
+		a.closeOpen(st)
+		res, err := a.fireLocked(st)
 		st.fireMu.Unlock()
 		if err != nil {
 			return out, err
@@ -853,6 +846,22 @@ func (a *Aggregator) Flush() ([]Result, error) {
 	}
 	SortResults(out, tbl.orderOf)
 	return out, nil
+}
+
+// closeOpen moves a query's watermark to the end of the last window
+// covering an open pane, so the next fire closes every open window.
+// Caller holds st.fireMu.
+func (a *Aggregator) closeOpen(st *queryState) {
+	last := int64(math.MinInt64)
+	st.paneMu.RLock()
+	for start := range st.panes {
+		_, l := st.assigner.Covering(start)
+		last = max(last, l)
+	}
+	st.paneMu.RUnlock()
+	if last != math.MinInt64 && st.observe(time.Unix(0, last+int64(st.q.Window)+int64(st.q.Slide))) {
+		a.ageDue.Store(true)
+	}
 }
 
 // extend appends one query's fired windows to the merged list, adopting
@@ -954,7 +963,7 @@ func (a *Aggregator) OpenWindows() int {
 	n := 0
 	for _, st := range a.states.Load().ordered {
 		st.fireMu.Lock()
-		n += len(st.appendWindows(nil, st.sortedPanes(), 0, true))
+		n += len(st.appendWindows(nil, st.sortedPanes(), math.MaxInt64))
 		st.fireMu.Unlock()
 	}
 	return n

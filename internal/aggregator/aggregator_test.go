@@ -283,8 +283,8 @@ func TestMalformedAndForeignMessagesCounted(t *testing.T) {
 	if st.LengthMismatch != 1 {
 		t.Errorf("Stats.LengthMismatch = %d, want 1", st.LengthMismatch)
 	}
-	if got := st.Dropped(); got != 3 {
-		t.Errorf("Stats.Dropped() = %d, want 3", got)
+	if got := st.Malformed + st.Duplicates + st.Late + st.UnknownQuery + st.LengthMismatch; got != 3 {
+		t.Errorf("dropped = %d, want 3", got)
 	}
 	if a.Stats().Decoded != 0 {
 		t.Errorf("Decoded = %d, want 0", a.Stats().Decoded)

@@ -37,7 +37,7 @@ type BatchResult struct {
 // compensates by treating kept answers as an SRS of the stored set.
 func BatchAnalyze(cfg Config, src AnswerSource, from, to time.Time, secondSampling float64, rng *rand.Rand) (BatchResult, error) {
 	if secondSampling <= 0 || secondSampling > 1 || math.IsNaN(secondSampling) {
-		return BatchResult{}, fmt.Errorf("%w: second sampling %v", ErrConfig, secondSampling)
+		return BatchResult{}, fmt.Errorf("%w: second sampling %v", errConfig, secondSampling)
 	}
 	agg, err := New(cfg)
 	if err != nil {

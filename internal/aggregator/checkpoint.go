@@ -66,8 +66,8 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// ErrCheckpoint reports a malformed or mismatched checkpoint record.
-var ErrCheckpoint = errors.New("aggregator: bad checkpoint")
+// errCheckpoint reports a malformed or mismatched checkpoint record.
+var errCheckpoint = errors.New("aggregator: bad checkpoint")
 
 // checkpointMagic opens every record; Restore rejects any other magic.
 var checkpointMagic = []byte("PAC6")
@@ -192,9 +192,9 @@ func appendQueryState(buf []byte, st *queryState) ([]byte, error) {
 // partially applied before the query table has been verified.
 func (a *Aggregator) Restore(data []byte) error {
 	if !bytes.HasPrefix(data, checkpointMagic) {
-		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
+		return fmt.Errorf("%w: bad magic", errCheckpoint)
 	}
-	d := codec.NewReader(data[len(checkpointMagic):], ErrCheckpoint, "record")
+	d := codec.NewReader(data[len(checkpointMagic):], errCheckpoint, "record")
 	seed := int64(d.U64())
 	malformed, duplicates := d.U64(), d.U64()
 	removedDecoded, removedLate := d.U64(), d.U64()
@@ -204,14 +204,14 @@ func (a *Aggregator) Restore(data []byte) error {
 		return err
 	}
 	if seed != a.cfg.Seed {
-		return fmt.Errorf("%w: estimator seed %d checkpointed, %d configured", ErrCheckpoint, seed, a.cfg.Seed)
+		return fmt.Errorf("%w: estimator seed %d checkpointed, %d configured", errCheckpoint, seed, a.cfg.Seed)
 	}
 
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
 	tbl := a.states.Load()
 	if int(nq) != len(tbl.ordered) {
-		return fmt.Errorf("%w: %d checkpointed queries, %d registered", ErrCheckpoint, nq, len(tbl.ordered))
+		return fmt.Errorf("%w: %d checkpointed queries, %d registered", errCheckpoint, nq, len(tbl.ordered))
 	}
 	for _, st := range tbl.ordered {
 		if err := a.restoreQueryState(&d, st); err != nil {
@@ -261,7 +261,7 @@ func (a *Aggregator) Restore(data []byte) error {
 			return err
 		}
 		if err := a.joiner.RestorePending(mid, payloads, age); err != nil {
-			return fmt.Errorf("%w: %v", ErrCheckpoint, err)
+			return fmt.Errorf("%w: %v", errCheckpoint, err)
 		}
 	}
 	last = nil
@@ -271,7 +271,7 @@ func (a *Aggregator) Restore(data []byte) error {
 			return err
 		}
 		if err := a.joiner.RestoreCompleted(mid, age); err != nil {
-			return fmt.Errorf("%w: %v", ErrCheckpoint, err)
+			return fmt.Errorf("%w: %v", errCheckpoint, err)
 		}
 	}
 	if err := d.Done(); err != nil {
@@ -299,7 +299,7 @@ func (a *Aggregator) restoreQueryState(d *codec.Reader, st *queryState) error {
 	}
 	if st.q.QID != want || st.qidWire != wire {
 		return fmt.Errorf("%w: checkpointed query %s (wire %#x) does not match registered %s",
-			ErrCheckpoint, want, wire, st.q.QID)
+			errCheckpoint, want, wire, st.q.QID)
 	}
 	st.wmMax.Store(int64(wm))
 	st.decoded.Store(int64(decoded))
@@ -355,14 +355,14 @@ func (a *Aggregator) restorePane(st *queryState, start, n int64, d *codec.Reader
 		return err
 	}
 	if len(yes) != st.nbuckets {
-		return fmt.Errorf("%w: pane with %d buckets for query %s (%d)", ErrCheckpoint, len(yes), st.q.QID, st.nbuckets)
+		return fmt.Errorf("%w: pane with %d buckets for query %s (%d)", errCheckpoint, len(yes), st.q.QID, st.nbuckets)
 	}
 	p := a.paneFor(st, start)
 	if p == nil {
-		return fmt.Errorf("%w: pane at %d of query %s is behind the watermark", ErrCheckpoint, start, st.q.QID)
+		return fmt.Errorf("%w: pane at %d of query %s is behind the watermark", errCheckpoint, start, st.q.QID)
 	}
 	if err := p.acc.AddCounts(yes, int(n)); err != nil {
-		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
+		return fmt.Errorf("%w: %v", errCheckpoint, err)
 	}
 	return nil
 }

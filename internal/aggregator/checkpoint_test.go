@@ -257,21 +257,21 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 		}
 		return b
 	}
-	if err := fresh().Restore([]byte("not a checkpoint")); !errors.Is(err, ErrCheckpoint) {
+	if err := fresh().Restore([]byte("not a checkpoint")); !errors.Is(err, errCheckpoint) {
 		t.Fatalf("garbage restore: %v", err)
 	}
-	if err := fresh().Restore(append([]byte("PAC9"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
+	if err := fresh().Restore(append([]byte("PAC9"), ckpt[4:]...)); !errors.Is(err, errCheckpoint) {
 		t.Fatalf("unknown-magic restore: %v", err)
 	}
 	for _, old := range []string{"PAC2", "PAC3", "PAC4", "PAC5"} {
-		if err := fresh().Restore(append([]byte(old), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
+		if err := fresh().Restore(append([]byte(old), ckpt[4:]...)); !errors.Is(err, errCheckpoint) {
 			t.Fatalf("%s restore: %v", old, err)
 		}
 	}
-	if err := fresh().Restore(ckpt[:len(ckpt)-3]); !errors.Is(err, ErrCheckpoint) {
+	if err := fresh().Restore(ckpt[:len(ckpt)-3]); !errors.Is(err, errCheckpoint) {
 		t.Fatalf("truncated restore: %v", err)
 	}
-	if err := fresh().Restore(append(append([]byte{}, ckpt...), 0xFF)); !errors.Is(err, ErrCheckpoint) {
+	if err := fresh().Restore(append(append([]byte{}, ckpt...), 0xFF)); !errors.Is(err, errCheckpoint) {
 		t.Fatalf("trailing-bytes restore: %v", err)
 	}
 
@@ -283,7 +283,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Restore(ckpt); !errors.Is(err, ErrCheckpoint) {
+	if err := other.Restore(ckpt); !errors.Is(err, errCheckpoint) {
 		t.Fatalf("mismatched query restore: %v", err)
 	}
 
@@ -295,7 +295,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seeded.Restore(ckpt); !errors.Is(err, ErrCheckpoint) {
+	if err := seeded.Restore(ckpt); !errors.Is(err, errCheckpoint) {
 		t.Fatalf("mismatched seed restore: %v", err)
 	}
 }
@@ -518,7 +518,7 @@ func TestRestoreRefusesWhatCheckpointNeverWrites(t *testing.T) {
 		"completed keys out of order":  join(done2[:len(done2)-2*key], k1, k0),
 		"a pending group of age 2":     join(pend[:len(pend)-4-group], g[:key-1], []byte{2}, g[key:], u32(0)),
 	} {
-		if err := restoreInto(t, cfg, rec); !errors.Is(err, ErrCheckpoint) {
+		if err := restoreInto(t, cfg, rec); !errors.Is(err, errCheckpoint) {
 			t.Errorf("%s: restore returned %v", name, err)
 		}
 	}

@@ -295,3 +295,33 @@ func TestFoldAfterFireIsRefused(t *testing.T) {
 		}
 	})
 }
+
+// TestAnswerAfterFlushIsLate: a flush is a watermark advance like any
+// other, so an answer that arrives afterwards for a window the flush
+// fired counts late; the window never fires a second time.
+func TestAnswerAfterFlushIsLate(t *testing.T) {
+	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
+	a, err := New(testConfig(t, 4, params, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := xorcrypt.NewSplitter(2, nil, nil)
+	qid := a.states.Load().single.qidWire
+	fired := submitMessage(t, a, sp, qid, 0, 1, 4)
+	res, err := a.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired = append(fired, res...)
+	fired = append(fired, submitMessage(t, a, sp, qid, 0, 2, 4)...)
+	if res, err = a.AdvanceTo(testOrigin.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	fired = append(fired, res...)
+	if len(fired) != 1 || !fired[0].Window.Start.Equal(testOrigin) || fired[0].Responses != 1 {
+		t.Fatalf("fired %+v; want window [0 s, 4 s) once, with one response", fired)
+	}
+	if st := a.Stats(); st.Decoded != 2 || st.Late != 1 {
+		t.Fatalf("decoded %d late %d; want 2 and 1", st.Decoded, st.Late)
+	}
+}

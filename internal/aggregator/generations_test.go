@@ -153,7 +153,7 @@ func TestSweptOrphanCountedOnce(t *testing.T) {
 	if st := a.Stats(); st.Swept != 1 || a.PendingJoins() != 0 {
 		t.Fatalf("after four more rotations: Swept = %d, %d pending; want 1 and 0", st.Swept, a.PendingJoins())
 	}
-	if st := a.Stats(); st.Decoded != 30 || st.Dropped() != 0 {
+	if st := a.Stats(); st.Decoded != 30 || st.Malformed+st.Duplicates+st.Late+st.UnknownQuery+st.LengthMismatch != 0 {
 		t.Errorf("the orphan disturbed the answer counters: %+v", st)
 	}
 

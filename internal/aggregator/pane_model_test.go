@@ -15,7 +15,9 @@ import (
 // windowModel is the per-window aggregator that panes replace: every
 // answer folds into each window containing it, a window opens with its
 // first answer unless it is behind the watermark, and a fire closes and
-// forgets the windows behind the watermark (every open one on a flush).
+// forgets the windows behind the watermark. A flush first moves the
+// watermark to the end of the last open window, so it closes every open
+// one and an answer for any of them afterwards is late.
 // Times are UnixNano.
 type windowModel struct {
 	size, slide, origin int64
@@ -68,9 +70,14 @@ func (m *windowModel) advance(t int64) []firedWindow {
 }
 
 func (m *windowModel) fire(flush bool) []firedWindow {
+	if flush {
+		for s := range m.open {
+			m.wmMax = max(m.wmMax, s+m.size+m.slide)
+		}
+	}
 	var out []firedWindow
 	for s, w := range m.open {
-		if flush || s+m.size <= m.watermark() {
+		if s+m.size <= m.watermark() {
 			f := firedWindow{s, s + m.size}
 			for _, c := range w {
 				f = append(f, int64(c))
@@ -104,7 +111,7 @@ func FuzzPanesMatchWindows(f *testing.F) {
 	seed := func(geometry, freq byte, ops ...byte) []byte { return append([]byte{geometry, freq}, ops...) }
 	const advance, flush, restore = 5, 6, 7
 	// Tumbling: a pane is the window; a late answer, then a flush and an
-	// answer that reopens a flushed pane.
+	// answer for the flushed window, late too.
 	f.Add(seed(0, 0, 0, 0, 8, 1, 0, 5, 16, 2, 0, 1, advance, 30, flush, 0, 0, 9, flush, 0))
 	// w = 3 s, δ = 2 s: panes of 1 s, answers every second, a restore
 	// mid-window, an answer behind the watermark.

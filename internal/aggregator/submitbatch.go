@@ -494,7 +494,7 @@ func (a *Aggregator) ingestSegment(st *queryState, epoch uint64, plain []byte, s
 	}
 	a.ageDue.Store(true)
 	st.fireMu.Lock()
-	res, err := a.fireLocked(st, false)
+	res, err := a.fireLocked(st)
 	st.fireMu.Unlock()
 	if err != nil {
 		return out, err

@@ -84,7 +84,7 @@ func TestFromBitsAndString(t *testing.T) {
 
 func TestFromBytesMasksTrailingBits(t *testing.T) {
 	raw := []byte{0xFF, 0xFF}
-	v, err := FromBytes(raw, 11)
+	v, err := fromBytes(raw, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,10 @@ func TestFromBytesMasksTrailingBits(t *testing.T) {
 		t.Errorf("PopCount = %d, want 11", v.PopCount())
 	}
 	full, _ := FromBits([]bool{true, true, true, true, true, true, true, true, true, true, true})
-	if !v.Equal(full) {
+	if !v.equal(full) {
 		t.Error("masked vector should equal all-ones of 11 bits")
 	}
-	if _, err := FromBytes(raw, 20); err == nil {
+	if _, err := fromBytes(raw, 20); err == nil {
 		t.Error("expected size-mismatch error")
 	}
 }
@@ -103,12 +103,12 @@ func TestFromBytesMasksTrailingBits(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	v, _ := NewBitVector(8)
 	v.Set(1, true)
-	c := v.Clone()
+	c := v.clone()
 	c.Set(2, true)
 	if got, _ := v.Get(2); got {
 		t.Error("Clone shares backing storage")
 	}
-	if !v.Equal(v.Clone()) {
+	if !v.equal(v.clone()) {
 		t.Error("clone not equal to original")
 	}
 }
@@ -116,7 +116,7 @@ func TestCloneIsDeep(t *testing.T) {
 func TestEqualDifferentLengths(t *testing.T) {
 	a, _ := NewBitVector(8)
 	b, _ := NewBitVector(9)
-	if a.Equal(b) {
+	if a.equal(b) {
 		t.Error("different lengths should not be equal")
 	}
 }
@@ -145,7 +145,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		if err := got.UnmarshalBinary(raw); err != nil {
 			return false
 		}
-		return got.QueryID == qid && got.Epoch == epoch && got.Answer.Equal(v)
+		return got.QueryID == qid && got.Epoch == epoch && got.Answer.equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -206,8 +206,8 @@ func TestAccumulator(t *testing.T) {
 	if err := acc.Add(v2); err != nil {
 		t.Fatal(err)
 	}
-	if acc.N() != 2 || acc.Buckets() != 3 {
-		t.Fatalf("N=%d buckets=%d", acc.N(), acc.Buckets())
+	if acc.N() != 2 || len(acc.YesCounts()) != 3 {
+		t.Fatalf("N=%d buckets=%d", acc.N(), len(acc.YesCounts()))
 	}
 	want := []int{2, 1, 1}
 	for i, w := range want {

@@ -8,12 +8,12 @@ import (
 )
 
 // randVec returns a random nbits-wide vector (trailing bits zeroed by
-// construction through FromBytes).
+// construction through fromBytes).
 func randVec(t *testing.T, rng *rand.Rand, nbits int) *BitVector {
 	t.Helper()
 	raw := make([]byte, (nbits+7)/8)
 	rng.Read(raw)
-	v, err := FromBytes(raw, nbits)
+	v, err := fromBytes(raw, nbits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAddBatchEdges(t *testing.T) {
 		{"stride below width", make([]byte, 4), 1, 11, 2},
 		{"short lane", make([]byte, 3), 2, 11, 2},
 	} {
-		if err := a.AddBatch(tc.lane, tc.stride, tc.nbits, tc.count); !errors.Is(err, ErrSize) {
+		if err := a.AddBatch(tc.lane, tc.stride, tc.nbits, tc.count); !errors.Is(err, errSize) {
 			t.Errorf("%s: err=%v", tc.name, err)
 		}
 	}

@@ -13,14 +13,14 @@ import (
 	"math/bits"
 )
 
-// ErrSize reports a size mismatch or an out-of-range bit index.
-var ErrSize = errors.New("answer: size mismatch")
+// errSize reports a size mismatch or an out-of-range bit index.
+var errSize = errors.New("answer: size mismatch")
 
 // BitVector is a packed vector of n answer bits, bit i corresponding to
 // histogram bucket i.
 //
 // Invariant: bits past nbits in the final byte are always zero. Every
-// constructor and mutator maintains it (FromBytes and SetView mask, Set
+// constructor and mutator maintains it (fromBytes and setView mask, Set
 // bounds-checks), and PopCount/Equal rely on it to run word-at-a-time
 // over whole bytes.
 type BitVector struct {
@@ -31,7 +31,7 @@ type BitVector struct {
 // NewBitVector returns an all-zero vector of n bits.
 func NewBitVector(n int) (*BitVector, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: %d bits", ErrSize, n)
+		return nil, fmt.Errorf("%w: %d bits", errSize, n)
 	}
 	return &BitVector{bits: make([]byte, (n+7)/8), nbits: n}, nil
 }
@@ -42,7 +42,7 @@ func (v *BitVector) Len() int { return v.nbits }
 // Set assigns bit i.
 func (v *BitVector) Set(i int, b bool) error {
 	if i < 0 || i >= v.nbits {
-		return fmt.Errorf("%w: bit %d of %d", ErrSize, i, v.nbits)
+		return fmt.Errorf("%w: bit %d of %d", errSize, i, v.nbits)
 	}
 	if b {
 		v.bits[i/8] |= 1 << (i % 8)
@@ -55,7 +55,7 @@ func (v *BitVector) Set(i int, b bool) error {
 // Get reads bit i.
 func (v *BitVector) Get(i int) (bool, error) {
 	if i < 0 || i >= v.nbits {
-		return false, fmt.Errorf("%w: bit %d of %d", ErrSize, i, v.nbits)
+		return false, fmt.Errorf("%w: bit %d of %d", errSize, i, v.nbits)
 	}
 	return v.bits[i/8]&(1<<(i%8)) != 0, nil
 }
@@ -92,17 +92,17 @@ func (v *BitVector) assertTrailingZeros() {
 // past Len(). Randomized response perturbs the vector through this view.
 func (v *BitVector) Bytes() []byte { return v.bits }
 
-// Clone returns a deep copy.
-func (v *BitVector) Clone() *BitVector {
+// clone returns a deep copy.
+func (v *BitVector) clone() *BitVector {
 	bits := make([]byte, len(v.bits))
 	copy(bits, v.bits)
 	return &BitVector{bits: bits, nbits: v.nbits}
 }
 
-// Equal reports whether both vectors have identical length and bits.
+// equal reports whether both vectors have identical length and bits.
 // The byte-wise comparison is exact because of the zeroed-trailing-bits
 // invariant: equal answer bits imply equal packed bytes.
-func (v *BitVector) Equal(o *BitVector) bool {
+func (v *BitVector) equal(o *BitVector) bool {
 	return v.nbits == o.nbits && bytes.Equal(v.bits, o.bits)
 }
 
@@ -125,11 +125,11 @@ func FromBits(bits []bool) (*BitVector, error) {
 	return v, nil
 }
 
-// FromBytes wraps packed bytes as an n-bit vector, copying the input and
+// fromBytes wraps packed bytes as an n-bit vector, copying the input and
 // zeroing any trailing bits beyond n so Equal and PopCount stay exact.
-func FromBytes(raw []byte, nbits int) (*BitVector, error) {
+func fromBytes(raw []byte, nbits int) (*BitVector, error) {
 	if nbits <= 0 || (nbits+7)/8 != len(raw) {
-		return nil, fmt.Errorf("%w: %d bytes for %d bits", ErrSize, len(raw), nbits)
+		return nil, fmt.Errorf("%w: %d bytes for %d bits", errSize, len(raw), nbits)
 	}
 	bits := make([]byte, len(raw))
 	copy(bits, raw)
@@ -139,14 +139,14 @@ func FromBytes(raw []byte, nbits int) (*BitVector, error) {
 	return &BitVector{bits: bits, nbits: nbits}, nil
 }
 
-// SetView repoints v at raw without copying: the zero-allocation decode
+// setView repoints v at raw without copying: the zero-allocation decode
 // path. Trailing bits beyond nbits are masked off in place (raw must be
 // caller-owned and mutable), restoring the invariant for garbage
 // plaintexts. The view stays valid only while raw's bytes do; a caller
 // reusing raw as scratch must finish with v before overwriting it.
-func (v *BitVector) SetView(raw []byte, nbits int) error {
+func (v *BitVector) setView(raw []byte, nbits int) error {
 	if nbits <= 0 || (nbits+7)/8 != len(raw) {
-		return fmt.Errorf("%w: %d bytes for %d bits", ErrSize, len(raw), nbits)
+		return fmt.Errorf("%w: %d bytes for %d bits", errSize, len(raw), nbits)
 	}
 	if rem := nbits % 8; rem != 0 {
 		raw[len(raw)-1] &= byte(1)<<rem - 1

@@ -25,7 +25,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		vec0, err := FromBytes(raw, nbits)
+		vec0, err := fromBytes(raw, nbits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,10 +55,10 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		if viaCopy.QueryID != qid || viaCopy.Epoch != epoch || viaView.QueryID != qid || viaView.Epoch != epoch {
 			t.Fatal("header fields did not round-trip")
 		}
-		if !viaCopy.Answer.Equal(viaView.Answer) {
+		if !viaCopy.Answer.equal(viaView.Answer) {
 			t.Fatalf("copy decode %s != view decode %s", viaCopy.Answer, viaView.Answer)
 		}
-		if !viaCopy.Answer.Equal(vec0) {
+		if !viaCopy.Answer.equal(vec0) {
 			t.Fatalf("round-trip changed answer: %s -> %s", vec0, viaCopy.Answer)
 		}
 		if viaCopy.Answer.PopCount() != viaView.Answer.PopCount() {
@@ -127,7 +127,7 @@ func TestAccumulatorWordLevelMatchesBitLevel(t *testing.T) {
 	fast, _ := NewAccumulator(nbits)
 	ref := make([]int, nbits)
 	for _, raw := range patterns {
-		v, err := FromBytes(raw, nbits)
+		v, err := fromBytes(raw, nbits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +182,14 @@ func TestPopCountEqualWordLevel(t *testing.T) {
 		if got := v.PopCount(); got != want {
 			t.Errorf("nbits=%d: PopCount = %d, want %d", nbits, got, want)
 		}
-		c := v.Clone()
-		if !v.Equal(c) {
+		c := v.clone()
+		if !v.equal(c) {
 			t.Errorf("nbits=%d: clone not Equal", nbits)
 		}
 		if nbits > 1 {
 			c.Set(1, true)
 			v.Set(1, false)
-			if v.Equal(c) {
+			if v.equal(c) {
 				t.Errorf("nbits=%d: Equal missed a differing bit", nbits)
 			}
 		}

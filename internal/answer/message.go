@@ -29,8 +29,8 @@ const msgHeaderLen = 8 + 8 + 4
 // k*stride+HeaderLen.
 const HeaderLen = msgHeaderLen
 
-// ErrCorrupt reports a malformed wire message.
-var ErrCorrupt = errors.New("answer: corrupt message")
+// errCorrupt reports a malformed wire message.
+var errCorrupt = errors.New("answer: corrupt message")
 
 // EncodedLen returns the wire length of a message carrying nbits answer
 // bits.
@@ -55,7 +55,7 @@ func (m *Message) answerLen() int {
 // buf[:0] with sufficient capacity reuses one buffer across epochs.
 func (m *Message) AppendBinary(dst []byte) ([]byte, error) {
 	if m.Answer == nil {
-		return nil, fmt.Errorf("%w: nil answer", ErrCorrupt)
+		return nil, fmt.Errorf("%w: nil answer", errCorrupt)
 	}
 	dst = binary.BigEndian.AppendUint64(dst, m.QueryID)
 	dst = binary.BigEndian.AppendUint64(dst, m.Epoch)
@@ -71,7 +71,7 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	v, err := FromBytes(data[msgHeaderLen:], nbits)
+	v, err := fromBytes(data[msgHeaderLen:], nbits)
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func (m *Message) UnmarshalBinaryView(data []byte, vec *BitVector) error {
 	if err != nil {
 		return err
 	}
-	if err := vec.SetView(data[msgHeaderLen:], nbits); err != nil {
+	if err := vec.setView(data[msgHeaderLen:], nbits); err != nil {
 		return err
 	}
 	m.QueryID = binary.BigEndian.Uint64(data[0:8])
@@ -103,14 +103,14 @@ func (m *Message) UnmarshalBinaryView(data []byte, vec *BitVector) error {
 // checkWire validates the fixed layout and returns the answer bit count.
 func checkWire(data []byte) (int, error) {
 	if len(data) < msgHeaderLen {
-		return 0, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
+		return 0, fmt.Errorf("%w: %d bytes", errCorrupt, len(data))
 	}
 	nbits := int(binary.BigEndian.Uint32(data[16:20]))
 	if nbits <= 0 || nbits > 1<<24 {
-		return 0, fmt.Errorf("%w: %d answer bits", ErrCorrupt, nbits)
+		return 0, fmt.Errorf("%w: %d answer bits", errCorrupt, nbits)
 	}
 	if len(data) != EncodedLen(nbits) {
-		return 0, fmt.Errorf("%w: %d bytes for %d bits", ErrCorrupt, len(data), nbits)
+		return 0, fmt.Errorf("%w: %d bytes for %d bits", errCorrupt, len(data), nbits)
 	}
 	return nbits, nil
 }
@@ -125,7 +125,7 @@ type Accumulator struct {
 // NewAccumulator returns an accumulator for nbuckets buckets.
 func NewAccumulator(nbuckets int) (*Accumulator, error) {
 	if nbuckets <= 0 {
-		return nil, fmt.Errorf("%w: %d buckets", ErrSize, nbuckets)
+		return nil, fmt.Errorf("%w: %d buckets", errSize, nbuckets)
 	}
 	return &Accumulator{yes: make([]int, nbuckets)}, nil
 }
@@ -140,26 +140,26 @@ func (a *Accumulator) Add(v *BitVector) error {
 
 // AddBatch folds count answer vectors laid out at a fixed stride inside
 // lane: slot s occupies lane[s*stride : s*stride+ceil(nbits/8)]. Every
-// slot must satisfy the zeroed-trailing-bits invariant (SetView and
-// FromBytes establish it; the aggregator decodes each slot before
+// slot must satisfy the zeroed-trailing-bits invariant (setView and
+// fromBytes establish it; the aggregator decodes each slot before
 // accumulating), which guarantees every scanned bit index is a valid
 // bucket — a violation panics rather than silently miscounting.
 func (a *Accumulator) AddBatch(lane []byte, stride, nbits, count int) error {
 	if count < 0 {
-		return fmt.Errorf("%w: batch of %d answers", ErrSize, count)
+		return fmt.Errorf("%w: batch of %d answers", errSize, count)
 	}
 	if nbits != len(a.yes) {
-		return fmt.Errorf("%w: vector %d bits, accumulator %d buckets", ErrSize, nbits, len(a.yes))
+		return fmt.Errorf("%w: vector %d bits, accumulator %d buckets", errSize, nbits, len(a.yes))
 	}
 	if count == 0 {
 		return nil
 	}
 	nbytes := (nbits + 7) / 8
 	if stride < nbytes {
-		return fmt.Errorf("%w: stride %d below %d answer bytes", ErrSize, stride, nbytes)
+		return fmt.Errorf("%w: stride %d below %d answer bytes", errSize, stride, nbytes)
 	}
 	if need := (count-1)*stride + nbytes; len(lane) < need {
-		return fmt.Errorf("%w: %d-byte lane for %d slots of stride %d", ErrSize, len(lane), count, stride)
+		return fmt.Errorf("%w: %d-byte lane for %d slots of stride %d", errSize, len(lane), count, stride)
 	}
 	mask := byte(0xff)
 	if rem := nbits % 8; rem != 0 {
@@ -187,9 +187,6 @@ func (a *Accumulator) Yes(i int) int { return a.yes[i] }
 // N returns the number of answers folded in.
 func (a *Accumulator) N() int { return a.n }
 
-// Buckets returns the bucket count.
-func (a *Accumulator) Buckets() int { return len(a.yes) }
-
 // YesCounts returns a copy of all per-bucket counts.
 func (a *Accumulator) YesCounts() []int {
 	out := make([]int, len(a.yes))
@@ -200,7 +197,7 @@ func (a *Accumulator) YesCounts() []int {
 // Merge folds another accumulator's counts in: the answers of both.
 func (a *Accumulator) Merge(b *Accumulator) error {
 	if len(b.yes) != len(a.yes) {
-		return fmt.Errorf("%w: %d buckets into %d", ErrSize, len(b.yes), len(a.yes))
+		return fmt.Errorf("%w: %d buckets into %d", errSize, len(b.yes), len(a.yes))
 	}
 	for i, y := range b.yes {
 		a.yes[i] += y
@@ -222,14 +219,14 @@ func (a *Accumulator) Reset() {
 // bucket).
 func (a *Accumulator) AddCounts(yes []int, n int) error {
 	if len(yes) != len(a.yes) {
-		return fmt.Errorf("%w: %d counts for %d buckets", ErrSize, len(yes), len(a.yes))
+		return fmt.Errorf("%w: %d counts for %d buckets", errSize, len(yes), len(a.yes))
 	}
 	if n < 0 {
-		return fmt.Errorf("%w: %d responses", ErrSize, n)
+		return fmt.Errorf("%w: %d responses", errSize, n)
 	}
 	for i, y := range yes {
 		if y < 0 || y > n {
-			return fmt.Errorf("%w: bucket %d count %d of %d responses", ErrSize, i, y, n)
+			return fmt.Errorf("%w: bucket %d count %d of %d responses", errSize, i, y, n)
 		}
 		a.yes[i] += y
 	}

@@ -12,8 +12,8 @@ import (
 	"math"
 )
 
-// ErrParams reports invalid RAPPOR parameters.
-var ErrParams = errors.New("rappor: invalid parameters")
+// errParams reports invalid RAPPOR parameters.
+var errParams = errors.New("rappor: invalid parameters")
 
 // EpsilonOneTime is the differential privacy level of RAPPOR's
 // randomized response with parameter f for a single report with h hash
@@ -25,7 +25,7 @@ var ErrParams = errors.New("rappor: invalid parameters")
 // PrivApprox's ε_dp under the paper's mapping p = 1−f, q = 0.5 at s = 1.
 func EpsilonOneTime(f float64, h int) (float64, error) {
 	if f <= 0 || f >= 2 || h <= 0 {
-		return 0, fmt.Errorf("%w: f=%v h=%d", ErrParams, f, h)
+		return 0, fmt.Errorf("%w: f=%v h=%d", errParams, f, h)
 	}
 	return float64(h) * math.Log((1-f/2)/(f/2)), nil
 }

@@ -38,7 +38,7 @@ func TestEpsilonOneTimeValidation(t *testing.T) {
 		f float64
 		h int
 	}{{0, 1}, {2, 1}, {-0.5, 1}, {0.5, 0}} {
-		if _, err := EpsilonOneTime(c.f, c.h); !errors.Is(err, ErrParams) {
+		if _, err := EpsilonOneTime(c.f, c.h); !errors.Is(err, errParams) {
 			t.Errorf("f=%v h=%d: err = %v, want ErrParams", c.f, c.h, err)
 		}
 	}

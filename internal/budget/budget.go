@@ -20,8 +20,8 @@ import (
 
 // Errors reported by budget derivation.
 var (
-	ErrUnsatisfiable = errors.New("budget: constraints unsatisfiable")
-	ErrBadBudget     = errors.New("budget: invalid budget")
+	errUnsatisfiable = errors.New("budget: constraints unsatisfiable")
+	errBadBudget     = errors.New("budget: invalid budget")
 )
 
 // Budget is everything the analyst may constrain. Zero values mean
@@ -29,7 +29,7 @@ var (
 type Budget struct {
 	// EpsilonZK is the zero-knowledge privacy requirement: the derived
 	// parameters must satisfy ε_zk(s, p, q) ≤ EpsilonZK. Zero means the
-	// default of DefaultEpsilonZK.
+	// default of defaultEpsilonZK.
 	EpsilonZK float64
 	// P and Q optionally pin the randomization coins; zero picks
 	// defaults (P from the privacy requirement, Q = 0.6).
@@ -52,9 +52,9 @@ type Budget struct {
 
 // Defaults applied by Derive.
 const (
-	DefaultEpsilonZK  = 2.0
-	DefaultQ          = 0.6
-	DefaultConfidence = 0.95
+	defaultEpsilonZK  = 2.0
+	defaultQ          = 0.6
+	defaultConfidence = 0.95
 	// maxSamplingForZK keeps s strictly below 1: zero-knowledge privacy
 	// requires genuine sampling (the ε_zk bound diverges at s = 1).
 	maxSamplingForZK = 0.99
@@ -70,7 +70,7 @@ type Params struct {
 // Validate checks the triple.
 func (p Params) Validate() error {
 	if p.S <= 0 || p.S > 1 || math.IsNaN(p.S) {
-		return fmt.Errorf("%w: s=%v", ErrBadBudget, p.S)
+		return fmt.Errorf("%w: s=%v", errBadBudget, p.S)
 	}
 	return p.RR.Validate()
 }
@@ -88,25 +88,25 @@ func (p Params) EpsilonZK() (float64, error) {
 // is an error — the analyst must relax the budget.
 func (b Budget) Derive(population int) (Params, error) {
 	if population <= 0 {
-		return Params{}, fmt.Errorf("%w: population %d", ErrBadBudget, population)
+		return Params{}, fmt.Errorf("%w: population %d", errBadBudget, population)
 	}
 	epsZK := b.EpsilonZK
 	if epsZK == 0 {
-		epsZK = DefaultEpsilonZK
+		epsZK = defaultEpsilonZK
 	}
 	if epsZK < 0 {
-		return Params{}, fmt.Errorf("%w: negative EpsilonZK", ErrBadBudget)
+		return Params{}, fmt.Errorf("%w: negative EpsilonZK", errBadBudget)
 	}
 	conf := b.Confidence
 	if conf == 0 {
-		conf = DefaultConfidence
+		conf = defaultConfidence
 	}
 	if conf <= 0 || conf >= 1 {
-		return Params{}, fmt.Errorf("%w: confidence %v", ErrBadBudget, conf)
+		return Params{}, fmt.Errorf("%w: confidence %v", errBadBudget, conf)
 	}
 	q := b.Q
 	if q == 0 {
-		q = DefaultQ
+		q = defaultQ
 	}
 
 	// Accuracy: a relative error bound at the given confidence needs at
@@ -155,10 +155,10 @@ func (b Budget) Derive(population int) (Params, error) {
 			}
 		}
 		if sMax <= 0 {
-			return Params{}, fmt.Errorf("%w: latency/resource budget admits no samples", ErrUnsatisfiable)
+			return Params{}, fmt.Errorf("%w: latency/resource budget admits no samples", errUnsatisfiable)
 		}
 		if sMin > sMax {
-			lastErr = fmt.Errorf("%w: accuracy needs s ≥ %.4f but p=%.2f q=%.2f caps s ≤ %.4f", ErrUnsatisfiable, sMin, p, q, sMax)
+			lastErr = fmt.Errorf("%w: accuracy needs s ≥ %.4f but p=%.2f q=%.2f caps s ≤ %.4f", errUnsatisfiable, sMin, p, q, sMax)
 			continue
 		}
 		out := Params{S: sMax, RR: params}
@@ -177,7 +177,7 @@ func (b Budget) Derive(population int) (Params, error) {
 func privacySamplingCap(epsZK float64, params rr.Params) (float64, error) {
 	s, err := rr.SamplingForEpsilonZK(epsZK, params)
 	if err != nil {
-		return 0, fmt.Errorf("%w: ε_zk=%v with p=%v q=%v: %v", ErrUnsatisfiable, epsZK, params.P, params.Q, err)
+		return 0, fmt.Errorf("%w: ε_zk=%v with p=%v q=%v: %v", errUnsatisfiable, epsZK, params.P, params.Q, err)
 	}
 	if s > maxSamplingForZK {
 		s = maxSamplingForZK
@@ -191,7 +191,7 @@ func privacySamplingCap(epsZK float64, params rr.Params) (float64, error) {
 // bucket count stays within relErr — with finite population correction.
 func requiredSampleSize(relErr, confidence float64, population int) (int, error) {
 	if relErr <= 0 || relErr >= 1 {
-		return 0, fmt.Errorf("%w: accuracy loss target %v", ErrBadBudget, relErr)
+		return 0, fmt.Errorf("%w: accuracy loss target %v", errBadBudget, relErr)
 	}
 	z, err := stats.NormalQuantile(1 - (1-confidence)/2)
 	if err != nil {
@@ -235,10 +235,10 @@ func NewController(initial Params, targetLoss, sMin, sMax float64) (*Controller,
 		return nil, err
 	}
 	if targetLoss <= 0 || sMin <= 0 || sMax > 1 || sMin > sMax {
-		return nil, fmt.Errorf("%w: target=%v bounds=[%v,%v]", ErrBadBudget, targetLoss, sMin, sMax)
+		return nil, fmt.Errorf("%w: target=%v bounds=[%v,%v]", errBadBudget, targetLoss, sMin, sMax)
 	}
 	if initial.S < sMin || initial.S > sMax {
-		return nil, fmt.Errorf("%w: initial s=%v outside [%v,%v]", ErrBadBudget, initial.S, sMin, sMax)
+		return nil, fmt.Errorf("%w: initial s=%v outside [%v,%v]", errBadBudget, initial.S, sMin, sMax)
 	}
 	return &Controller{
 		params:   initial,

@@ -22,11 +22,11 @@ func TestDeriveDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ezk > DefaultEpsilonZK+1e-9 {
-		t.Errorf("ε_zk = %v exceeds default budget %v", ezk, DefaultEpsilonZK)
+	if ezk > defaultEpsilonZK+1e-9 {
+		t.Errorf("ε_zk = %v exceeds default budget %v", ezk, defaultEpsilonZK)
 	}
-	if params.RR.Q != DefaultQ {
-		t.Errorf("Q = %v, want default %v", params.RR.Q, DefaultQ)
+	if params.RR.Q != defaultQ {
+		t.Errorf("Q = %v, want default %v", params.RR.Q, defaultQ)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestDeriveAccuracyVsResourceConflict(t *testing.T) {
 	// Tight accuracy on a big population, but a resource cap of 10
 	// answers: infeasible.
 	b := Budget{MaxAccuracyLoss: 0.01, MaxAnswersPerEpoch: 10, P: 0.5, Q: 0.6, EpsilonZK: 3}
-	if _, err := b.Derive(1000000); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := b.Derive(1000000); !errors.Is(err, errUnsatisfiable) {
 		t.Errorf("expected unsatisfiable, got %v", err)
 	}
 }

@@ -47,13 +47,13 @@ const (
 // observations.
 func NewSLOController(targetP95, shedMin float64, window int) (*SLOController, error) {
 	if targetP95 <= 0 || math.IsNaN(targetP95) {
-		return nil, fmt.Errorf("%w: SLO target %v", ErrBadBudget, targetP95)
+		return nil, fmt.Errorf("%w: SLO target %v", errBadBudget, targetP95)
 	}
 	if !(shedMin > 0) || shedMin > 1 {
-		return nil, fmt.Errorf("%w: shed floor %v", ErrBadBudget, shedMin)
+		return nil, fmt.Errorf("%w: shed floor %v", errBadBudget, shedMin)
 	}
 	if window < 1 {
-		return nil, fmt.Errorf("%w: window %d", ErrBadBudget, window)
+		return nil, fmt.Errorf("%w: window %d", errBadBudget, window)
 	}
 	return &SLOController{
 		target:  targetP95,

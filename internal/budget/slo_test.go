@@ -101,7 +101,7 @@ func TestSLOControllerStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := codec.NewReader(state, ErrBadBudget, "record")
+	d := codec.NewReader(state, errBadBudget, "record")
 	if err := r.RestoreState(&d); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSLOControllerStateRoundTrip(t *testing.T) {
 	}
 	// Window mismatch is rejected, not silently adopted.
 	w, _ := NewSLOController(2.0, 0.05, 16)
-	d = codec.NewReader(state, ErrBadBudget, "record")
+	d = codec.NewReader(state, errBadBudget, "record")
 	if err := w.RestoreState(&d); err == nil {
 		t.Fatal("restore accepted a mismatched window")
 	}
@@ -143,9 +143,9 @@ func FuzzSLOControllerRestore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := codec.NewReader(state, ErrBadBudget, "record")
+		d := codec.NewReader(state, errBadBudget, "record")
 		if err := r.RestoreState(&d); err != nil {
-			if !errors.Is(err, ErrBadBudget) {
+			if !errors.Is(err, errBadBudget) {
 				t.Fatalf("restore error %v does not wrap the reader's sentinel", err)
 			}
 			return

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -365,7 +366,7 @@ func runPipeline(t *testing.T, name string, plan chaos.Plan, kill, trim bool) ru
 	drain := role.NewDrain(agg, consumers, control)
 	var results []aggregator.Result
 	drainAndCommit = func() {
-		fired, err := drain.Dry()
+		fired, _, err := drain.UpTo(math.MaxInt)
 		results = append(results, fired...)
 		if err != nil {
 			t.Fatalf("%s: drain: %v", name, err)

@@ -35,8 +35,8 @@ import (
 
 // Errors reported by the client runtime.
 var (
-	ErrNotSubscribed = errors.New("client: no active subscription")
-	ErrBadConfig     = errors.New("client: invalid configuration")
+	errNotSubscribed = errors.New("client: no active subscription")
+	errBadConfig     = errors.New("client: invalid configuration")
 )
 
 // ShareSink accepts one XOR share — each of the n proxies is one sink.
@@ -59,10 +59,10 @@ type Reducer uint8
 
 // The reductions.
 const (
-	Last  Reducer = iota // the last row's value (e.g. the latest reading)
-	Sum                  // the sum of the numeric values
-	Mean                 // their mean
-	Count                // the number of rows
+	lastRow   Reducer = iota // the last row's value (e.g. the latest reading)
+	sumRows                  // the sum of the numeric values
+	meanRows                 // their mean
+	countRows                // the number of rows
 )
 
 // fold is one reduction in progress. Rows reach it one at a time and
@@ -79,13 +79,13 @@ type fold struct {
 func (f *fold) row(row []minisql.Value) {
 	f.rows++
 	switch f.kind {
-	case Last:
+	case lastRow:
 		// Field by field: the scan has just assembled row[0] from its
 		// table's columns with narrow stores, and a whole-Value copy's
 		// wide loads would stall on them, row after row.
 		v := &row[0]
 		f.last.Kind, f.last.Num, f.last.Str, f.last.B = v.Kind, v.Num, v.Str, v.B
-	case Sum, Mean:
+	case sumRows, meanRows:
 		if x, err := row[0].AsNumber(); err == nil {
 			f.total += x
 			f.nums++
@@ -98,11 +98,11 @@ func (f *fold) row(row []minisql.Value) {
 // that non-participation never leaks query-dependent information.
 func (f *fold) value() (minisql.Value, bool) {
 	switch f.kind {
-	case Sum:
+	case sumRows:
 		return minisql.Number(f.total), f.rows > 0
-	case Mean:
+	case meanRows:
 		return minisql.Number(f.total / float64(f.nums)), f.nums > 0
-	case Count:
+	case countRows:
 		return minisql.Number(float64(f.rows)), true
 	default:
 		return f.last, f.rows > 0
@@ -124,16 +124,7 @@ func reduce(kind Reducer, rows *minisql.Rows) (string, bool) {
 }
 
 // ReduceLast returns the first column of the last row.
-func ReduceLast(rows *minisql.Rows) (string, bool) { return reduce(Last, rows) }
-
-// ReduceSum sums the first column over all rows.
-func ReduceSum(rows *minisql.Rows) (string, bool) { return reduce(Sum, rows) }
-
-// ReduceMean averages the first column over all rows.
-func ReduceMean(rows *minisql.Rows) (string, bool) { return reduce(Mean, rows) }
-
-// ReduceCount counts rows.
-func ReduceCount(rows *minisql.Rows) (string, bool) { return reduce(Count, rows) }
+func ReduceLast(rows *minisql.Rows) (string, bool) { return reduce(lastRow, rows) }
 
 // Stats counts client-side work for the Table 3 and Fig. 9 experiments.
 // With multiple subscriptions, Participated and AnswersSent count
@@ -228,13 +219,13 @@ type subscription struct {
 // New validates the configuration and builds a client.
 func New(cfg Config) (*Client, error) {
 	if cfg.ID == "" || cfg.DB == nil {
-		return nil, fmt.Errorf("%w: need ID and DB", ErrBadConfig)
+		return nil, fmt.Errorf("%w: need ID and DB", errBadConfig)
 	}
 	if len(cfg.Sinks) < 2 {
-		return nil, fmt.Errorf("%w: need ≥ 2 proxies, got %d", ErrBadConfig, len(cfg.Sinks))
+		return nil, fmt.Errorf("%w: need ≥ 2 proxies, got %d", errBadConfig, len(cfg.Sinks))
 	}
-	if cfg.Reducer > Count {
-		return nil, fmt.Errorf("%w: unknown reducer %d", ErrBadConfig, cfg.Reducer)
+	if cfg.Reducer > countRows {
+		return nil, fmt.Errorf("%w: unknown reducer %d", errBadConfig, cfg.Reducer)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -256,9 +247,6 @@ func New(cfg Config) (*Client, error) {
 		splitter: splitter,
 	}, nil
 }
-
-// ID returns the client identifier.
-func (c *Client) ID() string { return c.id }
 
 // splitmix64 is the SplitMix64 finalizer, used to mix the client seed
 // with per-subscription coordinates.
@@ -448,15 +436,6 @@ func (c *Client) FastForward(from, to uint64) {
 	}
 }
 
-// Query returns the first active query, or nil — the legacy single-query
-// accessor.
-func (c *Client) Query() *query.Query {
-	if len(c.subs) == 0 {
-		return nil
-	}
-	return c.subs[0].query
-}
-
 // ActiveQueries returns the active queries in registration order.
 func (c *Client) ActiveQueries() []*query.Query {
 	out := make([]*query.Query, len(c.subs))
@@ -482,7 +461,7 @@ func (c *Client) AnswerOnce(epoch uint64) (bool, error) { return c.AnswerTo(epoc
 // order: a worker answering many clients passes its own lanes.
 func (c *Client) AnswerTo(epoch uint64, sinks []ShareSink) (bool, error) {
 	if len(c.subs) == 0 {
-		return false, ErrNotSubscribed
+		return false, errNotSubscribed
 	}
 	c.epochsSeen.Add(1)
 	any := false

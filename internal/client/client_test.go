@@ -105,7 +105,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ID: "x", DB: db, Sinks: []ShareSink{&captureSink{}}}); err == nil {
 		t.Error("expected error for a single proxy")
 	}
-	if _, err := New(Config{ID: "x", DB: db, Sinks: []ShareSink{&captureSink{}, &captureSink{}}, Reducer: Count + 1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Config{ID: "x", DB: db, Sinks: []ShareSink{&captureSink{}, &captureSink{}}, Reducer: countRows + 1}); !errors.Is(err, errBadConfig) {
 		t.Errorf("unknown reducer: %v, want ErrBadConfig", err)
 	}
 }
@@ -116,11 +116,11 @@ func TestAnswerWithoutSubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AnswerOnce(0); !errors.Is(err, ErrNotSubscribed) {
+	if _, err := c.AnswerOnce(0); !errors.Is(err, errNotSubscribed) {
 		t.Errorf("AnswerOnce = %v", err)
 	}
-	if c.Query() != nil {
-		t.Error("Query should be nil before Subscribe")
+	if c.Subscriptions() != 0 {
+		t.Error("no subscription should be active before Subscribe")
 	}
 }
 
@@ -357,29 +357,29 @@ func TestReducers(t *testing.T) {
 	if v, ok := ReduceLast(rows); !ok || v != "6" {
 		t.Errorf("ReduceLast = %q, %v", v, ok)
 	}
-	if v, ok := ReduceSum(rows); !ok || v != "12" {
-		t.Errorf("ReduceSum = %q, %v", v, ok)
+	if v, ok := reduce(sumRows, rows); !ok || v != "12" {
+		t.Errorf("reduce(Sum) = %q, %v", v, ok)
 	}
-	if v, ok := ReduceMean(rows); !ok || v != "4" {
-		t.Errorf("ReduceMean = %q, %v", v, ok)
+	if v, ok := reduce(meanRows, rows); !ok || v != "4" {
+		t.Errorf("reduce(Mean) = %q, %v", v, ok)
 	}
-	if v, ok := ReduceCount(rows); !ok || v != "3" {
-		t.Errorf("ReduceCount = %q, %v", v, ok)
+	if v, ok := reduce(countRows, rows); !ok || v != "3" {
+		t.Errorf("reduce(Count) = %q, %v", v, ok)
 	}
 	empty := &minisql.Rows{}
 	if _, ok := ReduceLast(empty); ok {
 		t.Error("ReduceLast on empty should report no value")
 	}
-	if _, ok := ReduceSum(empty); ok {
-		t.Error("ReduceSum on empty should report no value")
+	if _, ok := reduce(sumRows, empty); ok {
+		t.Error("reduce(Sum) on empty should report no value")
 	}
-	if v, ok := ReduceCount(empty); !ok || v != "0" {
-		t.Errorf("ReduceCount empty = %q, %v", v, ok)
+	if v, ok := reduce(countRows, empty); !ok || v != "0" {
+		t.Errorf("reduce(Count) empty = %q, %v", v, ok)
 	}
 	// Non-numeric rows are skipped by mean.
 	mixed := &minisql.Rows{Rows: [][]minisql.Value{{minisql.Text("x")}}}
-	if _, ok := ReduceMean(mixed); ok {
-		t.Error("ReduceMean with no numeric rows should report no value")
+	if _, ok := reduce(meanRows, mixed); ok {
+		t.Error("reduce(Mean) with no numeric rows should report no value")
 	}
 }
 
@@ -623,7 +623,7 @@ func TestShedPreservesCoinStream(t *testing.T) {
 
 // The answer path — scan, fold, typed bucketize — must transmit the
 // bucket the materialising composition it replaced selects:
-// QueryPrepared, then the Reduce* adapter, then Buckets.Index on the
+// QueryPrepared, then the reducer's reduce, then Buckets.Index on the
 // rendered value. Every reduction, over the TestReducers fixtures and
 // the kinds a column can hold.
 func TestAnswerPathMatchesMaterialisedComposition(t *testing.T) {
@@ -635,9 +635,6 @@ func TestAnswerPathMatchesMaterialisedComposition(t *testing.T) {
 		"null last": {minisql.Number(3), minisql.Null()},
 		"spaced":    {minisql.Text(" 3.5")},
 		"overflow":  {minisql.Number(7), minisql.Number(9)},
-	}
-	adapters := map[Reducer]func(*minisql.Rows) (string, bool){
-		Last: ReduceLast, Sum: ReduceSum, Mean: ReduceMean, Count: ReduceCount,
 	}
 	q := testQuery(t)
 	sel, err := minisql.Parse(q.SQL)
@@ -655,9 +652,9 @@ func TestAnswerPathMatchesMaterialisedComposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for kind, adapter := range adapters {
+		for _, kind := range []Reducer{lastRow, sumRows, meanRows, countRows} {
 			want := -1
-			if value, ok := adapter(rows); ok {
+			if value, ok := reduce(kind, rows); ok {
 				want = q.Buckets.Index(value)
 			}
 

@@ -70,7 +70,7 @@ func appendID(buf []byte, id query.ID) []byte {
 func readID(d *codec.Reader) query.ID { return query.ID{Analyst: d.Str(), Serial: d.U64()} }
 
 // Restore rebuilds a System built with Config.Query nil and nothing
-// registered (any other is refused with ErrConfig) from a Checkpoint
+// registered (any other is refused with errConfig) from a Checkpoint
 // record: the drain replays the control topic to the record's control
 // position and resumes at the cut (role.Drain.Restore; durable brokers
 // read back from their WALs what lies below their memory floor), the
@@ -92,9 +92,9 @@ func (s *System) Restore(data []byte) error {
 	// a record that does not fit this system leaves it untouched.
 	_, err := s.drainer.Restore(data, func(section []byte) error {
 		if s.cfg.Query != nil || s.registry.Version() != 0 {
-			return fmt.Errorf("%w: restore into a system that has registered a query", ErrConfig)
+			return fmt.Errorf("%w: restore into a system that has registered a query", errConfig)
 		}
-		d := codec.NewReader(section, ErrConfig, "record")
+		d := codec.NewReader(section, errConfig, "record")
 		epoch = d.U64()
 		var err error
 		if slo, err = readSLOState(&d); err != nil {
@@ -120,8 +120,8 @@ func (s *System) Restore(data []byte) error {
 		err = s.clients.FastForward(0, epoch)
 	}
 	if err != nil {
-		if !errors.Is(err, ErrConfig) {
-			err = fmt.Errorf("%w: %w", ErrConfig, err)
+		if !errors.Is(err, errConfig) {
+			err = fmt.Errorf("%w: %w", errConfig, err)
 		}
 		return err
 	}

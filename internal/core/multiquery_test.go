@@ -173,9 +173,9 @@ func TestMultiQueryRegisterAndStopMidRun(t *testing.T) {
 	if err := sys.Register(queries[1]); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range sys.Clients() {
+	for i, c := range sys.Clients() {
 		if got := c.Subscriptions(); got != 2 {
-			t.Fatalf("client %s has %d subscriptions, want 2", c.ID(), got)
+			t.Fatalf("client %d has %d subscriptions, want 2", i, got)
 		}
 	}
 	if _, _, err := sys.RunEpoch(); err != nil {
@@ -192,9 +192,9 @@ func TestMultiQueryRegisterAndStopMidRun(t *testing.T) {
 			t.Fatalf("flushed window belongs to %s", res.Query)
 		}
 	}
-	for _, c := range sys.Clients() {
+	for i, c := range sys.Clients() {
 		if got := c.Subscriptions(); got != 1 {
-			t.Fatalf("client %s has %d subscriptions after stop, want 1", c.ID(), got)
+			t.Fatalf("client %d has %d subscriptions after stop, want 1", i, got)
 		}
 	}
 	if _, _, err := sys.RunEpoch(); err != nil {

@@ -453,8 +453,8 @@ func TestSLOStateRefusesRingBeyondRecord(t *testing.T) {
 	sec = binary.BigEndian.AppendUint32(sec, 1)
 	sec = appendID(sec, query.ID{Analyst: "a", Serial: 1})
 	sec = append(sec, make([]byte, 64)...)
-	d := codec.NewReader(sec, ErrConfig, "record")
-	if st, err := readSLOState(&d); !errors.Is(err, ErrConfig) {
+	d := codec.NewReader(sec, errConfig, "record")
+	if st, err := readSLOState(&d); !errors.Is(err, errConfig) {
 		t.Fatalf("readSLOState = %v, %v; want ErrConfig", st, err)
 	}
 }

@@ -438,7 +438,7 @@ func TestRestoreResumesAnnouncementVersion(t *testing.T) {
 	if err := sysC.Restore(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if err := sysC.Register(q3); !errors.Is(err, ErrConfig) {
+	if err := sysC.Register(q3); !errors.Is(err, errConfig) {
 		t.Fatalf("a registration unlike the first life's after the restore: %v, want ErrConfig", err)
 	}
 }
@@ -472,7 +472,7 @@ func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sysB.Close()
-	if err := sysB.Restore(ckpt); !errors.Is(err, ErrConfig) {
+	if err := sysB.Restore(ckpt); !errors.Is(err, errConfig) {
 		t.Fatalf("a checkpoint restored into a system with a query: %v, want ErrConfig", err)
 	}
 	// A system with no query has only its registry's first announcement
@@ -483,7 +483,7 @@ func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sysC.Close()
-	if err := sysC.Restore(ckpt); !errors.Is(err, ErrConfig) || !errors.Is(err, role.ErrCheckpoint) {
+	if err := sysC.Restore(ckpt); !errors.Is(err, errConfig) || !errors.Is(err, role.ErrCheckpoint) {
 		t.Fatalf("a checkpoint past the control topic's end: %v, want ErrConfig and role.ErrCheckpoint", err)
 	}
 	if err := sysB.Restore([]byte("garbage")); err == nil {
@@ -493,7 +493,7 @@ func TestSystemRestoreRejectsForeignCheckpoint(t *testing.T) {
 	// before both wrote the one role record, and PCR1 that record's
 	// before it held the control position.
 	for _, magic := range []string{"PSC9", "PSC2", "PNC1", "PCR1"} {
-		if err := sysB.Restore(append([]byte(magic), ckpt[4:]...)); !errors.Is(err, ErrConfig) || !errors.Is(err, role.ErrCheckpoint) {
+		if err := sysB.Restore(append([]byte(magic), ckpt[4:]...)); !errors.Is(err, errConfig) || !errors.Is(err, role.ErrCheckpoint) {
 			t.Fatalf("checkpoint magic %s: %v, want ErrConfig and role.ErrCheckpoint", magic, err)
 		}
 	}

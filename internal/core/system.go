@@ -76,8 +76,8 @@ import (
 	"privapprox/internal/wal"
 )
 
-// ErrConfig reports an invalid system configuration.
-var ErrConfig = errors.New("core: invalid config")
+// errConfig reports an invalid system configuration.
+var errConfig = errors.New("core: invalid config")
 
 // Config assembles an in-process deployment.
 type Config struct {
@@ -101,8 +101,8 @@ type Config struct {
 	Origin time.Time
 	// Populate fills client i's database before the run.
 	Populate func(i int, db *minisql.DB) error
-	// Reducer folds local query rows into the answer value; defaults to
-	// client.Last.
+	// Reducer folds local query rows into the answer value; the zero
+	// value takes the last row's.
 	Reducer client.Reducer
 	// Confidence for result error bounds; defaults to 0.95.
 	Confidence float64
@@ -194,13 +194,13 @@ type System struct {
 // the control plane, then registers Config.Query when it is set.
 func New(cfg Config) (_ *System, err error) {
 	if cfg.Clients <= 0 {
-		return nil, fmt.Errorf("%w: %d clients", ErrConfig, cfg.Clients)
+		return nil, fmt.Errorf("%w: %d clients", errConfig, cfg.Clients)
 	}
 	if cfg.Proxies == 0 {
 		cfg.Proxies = 2
 	}
 	if cfg.Proxies < 2 {
-		return nil, fmt.Errorf("%w: %d proxies", ErrConfig, cfg.Proxies)
+		return nil, fmt.Errorf("%w: %d proxies", errConfig, cfg.Proxies)
 	}
 	if cfg.Partitions == 0 {
 		cfg.Partitions = 4
@@ -215,7 +215,7 @@ func New(cfg Config) (_ *System, err error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("%w: %d workers", ErrConfig, cfg.Workers)
+		return nil, fmt.Errorf("%w: %d workers", errConfig, cfg.Workers)
 	}
 
 	// Initializer: budget → (s, p, q).
@@ -251,7 +251,7 @@ func New(cfg Config) (_ *System, err error) {
 	}
 	pub, ok := priv.Public().(ed25519.PublicKey)
 	if !ok {
-		return nil, fmt.Errorf("%w: bad analyst key", ErrConfig)
+		return nil, fmt.Errorf("%w: bad analyst key", errConfig)
 	}
 
 	tel := telemetry.NewRegistry()
@@ -290,7 +290,6 @@ func New(cfg Config) (_ *System, err error) {
 	// The aggregator starts empty: queries arrive through RegisterSigned,
 	// each with the estimator seed cfg.Seed+1.
 	aggCfg := aggregator.Config{
-		Params:     params,
 		Population: cfg.Clients,
 		Proxies:    cfg.Proxies,
 		Origin:     cfg.Origin,
@@ -430,7 +429,7 @@ func (s *System) sync() ([]aggregator.Result, error) {
 	}
 	flushed, err := s.drainer.Sync(s.epoch, v)
 	if qs := s.drainer.Follower().Applier().Applied(); err == nil && qs != nil && qs.Version == v && s.diverged(qs) {
-		err = fmt.Errorf("%w: a restored system announced version %d unlike its first life", ErrConfig, v)
+		err = fmt.Errorf("%w: a restored system announced version %d unlike its first life", errConfig, v)
 	}
 	return flushed, err
 }
@@ -779,7 +778,7 @@ func (s *System) Flush() ([]aggregator.Result, error) {
 // disturbs another's.
 func (s *System) EnableFeedback(targetLoss, sMin, sMax float64) error {
 	if targetLoss <= 0 || sMin <= 0 || sMax > 1 || sMin > sMax {
-		return fmt.Errorf("%w: feedback target=%v bounds=[%v,%v]", ErrConfig, targetLoss, sMin, sMax)
+		return fmt.Errorf("%w: feedback target=%v bounds=[%v,%v]", errConfig, targetLoss, sMin, sMax)
 	}
 	s.ctrlMu.Lock()
 	s.fbTarget, s.fbMin, s.fbMax = targetLoss, sMin, sMax
@@ -799,7 +798,7 @@ func (s *System) Feedback(res aggregator.Result) (budget.Params, error) {
 	s.ctrlMu.Lock()
 	if !s.fbEnabled {
 		s.ctrlMu.Unlock()
-		return budget.Params{}, fmt.Errorf("%w: feedback not enabled", ErrConfig)
+		return budget.Params{}, fmt.Errorf("%w: feedback not enabled", errConfig)
 	}
 	entry, ok := s.registry.Entry(res.Query)
 	if !ok {

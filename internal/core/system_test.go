@@ -282,11 +282,11 @@ func TestSignedQueryReachesClients(t *testing.T) {
 	defer sys.Close()
 	defer conserved(t, sys)
 	for _, c := range sys.Clients() {
-		if c.Query() == nil {
+		if len(c.ActiveQueries()) == 0 {
 			t.Fatal("client missing query")
 		}
-		if c.Query().QID != (query.ID{Analyst: "analyst", Serial: 1}) {
-			t.Errorf("client query QID = %v", c.Query().QID)
+		if c.ActiveQueries()[0].QID != (query.ID{Analyst: "analyst", Serial: 1}) {
+			t.Errorf("client query QID = %v", c.ActiveQueries()[0].QID)
 		}
 	}
 	if sys.Fleet().Size() != 2 {

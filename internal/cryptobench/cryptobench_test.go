@@ -20,11 +20,11 @@ func TestGMRoundTripBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bit := range []bool{false, true} {
-		c, err := key.EncryptBit(bit, testRand())
+		c, err := key.encryptBit(bit, testRand())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := key.DecryptBit(c)
+		got, err := key.decryptBit(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +68,11 @@ func TestGMCiphertextsRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := key.EncryptBit(true, nil)
+	c1, err := key.encryptBit(true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := key.EncryptBit(true, nil)
+	c2, err := key.encryptBit(true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestGMHomomorphicXOR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-		c1, _ := key.EncryptBit(pair[0], testRand())
-		c2, _ := key.EncryptBit(pair[1], testRand())
-		prod := key.HomomorphicXOR(c1, c2)
-		got, err := key.DecryptBit(prod)
+		c1, _ := key.encryptBit(pair[0], testRand())
+		c2, _ := key.encryptBit(pair[1], testRand())
+		prod := key.homomorphicXOR(c1, c2)
+		got, err := key.decryptBit(prod)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +106,10 @@ func TestGMValidation(t *testing.T) {
 		t.Error("expected error for tiny key")
 	}
 	key, _ := GenerateGMKey(testKeyBits, testRand())
-	if _, err := key.DecryptBit(nil); err == nil {
+	if _, err := key.decryptBit(nil); err == nil {
 		t.Error("expected error for nil ciphertext")
 	}
-	if _, err := key.DecryptBit(new(big.Int).Add(key.N, bigOne)); err == nil {
+	if _, err := key.decryptBit(new(big.Int).Add(key.N, bigOne)); err == nil {
 		t.Error("expected error for out-of-range ciphertext")
 	}
 	if _, err := key.EncryptBits([]byte{1}, 100, testRand()); err == nil {
@@ -151,7 +151,7 @@ func TestPaillierHomomorphicAdd(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sum, err := key.Decrypt(key.HomomorphicAdd(ca, cb))
+		sum, err := key.Decrypt(key.homomorphicAdd(ca, cb))
 		if err != nil {
 			return false
 		}
@@ -212,8 +212,8 @@ func TestRSARoundTrip(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Errorf("Decrypt = %q, want %q", got, msg)
 	}
-	if c.MaxMessageLen() != 128-11 {
-		t.Errorf("MaxMessageLen = %d", c.MaxMessageLen())
+	if c.maxMessageLen() != 128-11 {
+		t.Errorf("MaxMessageLen = %d", c.maxMessageLen())
 	}
 }
 
@@ -242,10 +242,10 @@ func TestDeviceProfiles(t *testing.T) {
 		t.Error("device scales must be ordered phone < laptop < server")
 	}
 	// 1000 ns/op on the server host = 1e6 ops/sec at scale 1.
-	if got := DeviceServer.OpsPerSec(1000); got != 1e6 {
+	if got := deviceServer.OpsPerSec(1000); got != 1e6 {
 		t.Errorf("OpsPerSec = %v", got)
 	}
-	if got := DeviceServer.OpsPerSec(0); got != 0 {
+	if got := deviceServer.OpsPerSec(0); got != 0 {
 		t.Errorf("OpsPerSec(0) = %v, want 0", got)
 	}
 }

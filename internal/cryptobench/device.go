@@ -14,14 +14,14 @@ type DeviceProfile struct {
 // The three platforms of the paper's Tables 2 and 3, normalized so the
 // server equals the measurement host.
 var (
-	DevicePhone  = DeviceProfile{Name: "Phone", Scale: 15026.0 / 1351937.0}
-	DeviceLaptop = DeviceProfile{Name: "Laptop", Scale: 943902.0 / 1351937.0}
-	DeviceServer = DeviceProfile{Name: "Server", Scale: 1.0}
+	devicePhone  = DeviceProfile{Name: "Phone", Scale: 15026.0 / 1351937.0}
+	deviceLaptop = DeviceProfile{Name: "Laptop", Scale: 943902.0 / 1351937.0}
+	deviceServer = DeviceProfile{Name: "Server", Scale: 1.0}
 )
 
 // Devices lists the profiles in the paper's column order.
 func Devices() []DeviceProfile {
-	return []DeviceProfile{DevicePhone, DeviceLaptop, DeviceServer}
+	return []DeviceProfile{devicePhone, deviceLaptop, deviceServer}
 }
 
 // OpsPerSec converts a host-measured ns/op cost into the profile's

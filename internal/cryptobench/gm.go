@@ -16,9 +16,9 @@ import (
 
 // Errors reported by the cryptosystems.
 var (
-	ErrKeySize    = errors.New("cryptobench: invalid key size")
-	ErrCiphertext = errors.New("cryptobench: invalid ciphertext")
-	ErrMessage    = errors.New("cryptobench: invalid message")
+	errKeySize    = errors.New("cryptobench: invalid key size")
+	errCiphertext = errors.New("cryptobench: invalid ciphertext")
+	errMessage    = errors.New("cryptobench: invalid message")
 )
 
 var (
@@ -47,7 +47,7 @@ type GMPrivateKey struct {
 // x = N−1 is a quadratic non-residue with Jacobi symbol +1.
 func GenerateGMKey(bits int, rng io.Reader) (*GMPrivateKey, error) {
 	if bits < 16 {
-		return nil, fmt.Errorf("%w: %d bits", ErrKeySize, bits)
+		return nil, fmt.Errorf("%w: %d bits", errKeySize, bits)
 	}
 	if rng == nil {
 		rng = rand.Reader
@@ -88,9 +88,9 @@ func blumPrime(bits int, rng io.Reader) (*big.Int, error) {
 	}
 }
 
-// EncryptBit encrypts one bit: c = y²·x^b mod N for random y coprime
+// encryptBit encrypts one bit: c = y²·x^b mod N for random y coprime
 // to N.
-func (pub *GMPublicKey) EncryptBit(bit bool, rng io.Reader) (*big.Int, error) {
+func (pub *GMPublicKey) encryptBit(bit bool, rng io.Reader) (*big.Int, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -107,11 +107,11 @@ func (pub *GMPublicKey) EncryptBit(bit bool, rng io.Reader) (*big.Int, error) {
 	return c, nil
 }
 
-// DecryptBit recovers the bit: 0 iff c is a quadratic residue mod P,
+// decryptBit recovers the bit: 0 iff c is a quadratic residue mod P,
 // decided by the Legendre symbol c^((P−1)/2) mod P.
-func (priv *GMPrivateKey) DecryptBit(c *big.Int) (bool, error) {
+func (priv *GMPrivateKey) decryptBit(c *big.Int) (bool, error) {
 	if c == nil || c.Sign() <= 0 || c.Cmp(priv.N) >= 0 {
-		return false, ErrCiphertext
+		return false, errCiphertext
 	}
 	exp := new(big.Int).Sub(priv.P, bigOne)
 	exp.Div(exp, bigTwo)
@@ -123,12 +123,12 @@ func (priv *GMPrivateKey) DecryptBit(c *big.Int) (bool, error) {
 // ciphertext per bit — the cost structure Table 2 measures.
 func (pub *GMPublicKey) EncryptBits(bits []byte, nbits int, rng io.Reader) ([]*big.Int, error) {
 	if nbits <= 0 || (nbits+7)/8 > len(bits) {
-		return nil, fmt.Errorf("%w: %d bits in %d bytes", ErrMessage, nbits, len(bits))
+		return nil, fmt.Errorf("%w: %d bits in %d bytes", errMessage, nbits, len(bits))
 	}
 	out := make([]*big.Int, nbits)
 	for i := 0; i < nbits; i++ {
 		b := bits[i/8]&(1<<(i%8)) != 0
-		c, err := pub.EncryptBit(b, rng)
+		c, err := pub.encryptBit(b, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func (pub *GMPublicKey) EncryptBits(bits []byte, nbits int, rng io.Reader) ([]*b
 func (priv *GMPrivateKey) DecryptBits(cs []*big.Int) ([]byte, error) {
 	out := make([]byte, (len(cs)+7)/8)
 	for i, c := range cs {
-		b, err := priv.DecryptBit(c)
+		b, err := priv.decryptBit(c)
 		if err != nil {
 			return nil, err
 		}
@@ -152,10 +152,10 @@ func (priv *GMPrivateKey) DecryptBits(cs []*big.Int) ([]byte, error) {
 	return out, nil
 }
 
-// HomomorphicXOR multiplies two ciphertexts, yielding an encryption of
+// homomorphicXOR multiplies two ciphertexts, yielding an encryption of
 // the XOR of the plaintext bits — the property [27] builds aggregation
 // on.
-func (pub *GMPublicKey) HomomorphicXOR(c1, c2 *big.Int) *big.Int {
+func (pub *GMPublicKey) homomorphicXOR(c1, c2 *big.Int) *big.Int {
 	out := new(big.Int).Mul(c1, c2)
 	return out.Mod(out, pub.N)
 }

@@ -25,7 +25,7 @@ type PaillierPrivateKey struct {
 // GeneratePaillierKey creates a Paillier key pair with an n-bit modulus.
 func GeneratePaillierKey(bits int, rng io.Reader) (*PaillierPrivateKey, error) {
 	if bits < 16 {
-		return nil, fmt.Errorf("%w: %d bits", ErrKeySize, bits)
+		return nil, fmt.Errorf("%w: %d bits", errKeySize, bits)
 	}
 	if rng == nil {
 		rng = rand.Reader
@@ -79,7 +79,7 @@ func (priv *PaillierPrivateKey) lFunc(u *big.Int) *big.Int {
 // reduces g^m to (1 + m·N) mod N².
 func (pub *PaillierPublicKey) Encrypt(m *big.Int, rng io.Reader) (*big.Int, error) {
 	if m == nil || m.Sign() < 0 || m.Cmp(pub.N) >= 0 {
-		return nil, ErrMessage
+		return nil, errMessage
 	}
 	if rng == nil {
 		rng = rand.Reader
@@ -100,7 +100,7 @@ func (pub *PaillierPublicKey) Encrypt(m *big.Int, rng io.Reader) (*big.Int, erro
 // Decrypt recovers m = L(c^λ mod N²) · μ mod N.
 func (priv *PaillierPrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	if c == nil || c.Sign() <= 0 || c.Cmp(priv.N2) >= 0 {
-		return nil, ErrCiphertext
+		return nil, errCiphertext
 	}
 	u := new(big.Int).Exp(c, priv.Lambda, priv.N2)
 	m := priv.lFunc(u)
@@ -108,9 +108,9 @@ func (priv *PaillierPrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	return m.Mod(m, priv.N), nil
 }
 
-// HomomorphicAdd multiplies ciphertexts, yielding an encryption of the
+// homomorphicAdd multiplies ciphertexts, yielding an encryption of the
 // plaintext sum — the aggregation primitive of [66] in the paper.
-func (pub *PaillierPublicKey) HomomorphicAdd(c1, c2 *big.Int) *big.Int {
+func (pub *PaillierPublicKey) homomorphicAdd(c1, c2 *big.Int) *big.Int {
 	out := new(big.Int).Mul(c1, c2)
 	return out.Mod(out, pub.N2)
 }

@@ -17,7 +17,7 @@ type RSACipher struct {
 // NewRSACipher generates a fresh key of the given modulus size.
 func NewRSACipher(bits int, rng io.Reader) (*RSACipher, error) {
 	if bits < 512 {
-		return nil, fmt.Errorf("%w: %d bits", ErrKeySize, bits)
+		return nil, fmt.Errorf("%w: %d bits", errKeySize, bits)
 	}
 	if rng == nil {
 		rng = rand.Reader
@@ -47,7 +47,7 @@ func (c *RSACipher) Decrypt(ct []byte) ([]byte, error) {
 	return out, nil
 }
 
-// MaxMessageLen returns the largest message PKCS#1 v1.5 can carry.
-func (c *RSACipher) MaxMessageLen() int {
+// maxMessageLen returns the largest message PKCS#1 v1.5 can carry.
+func (c *RSACipher) maxMessageLen() int {
 	return c.key.PublicKey.Size() - 11
 }

@@ -76,10 +76,10 @@ func NewApplier(clients ...Subscriber) *Applier {
 	}
 }
 
-// Trust pins an analyst's public key. With at least one pin installed,
+// trust pins an analyst's public key. With at least one pin installed,
 // snapshots carrying entries from unpinned analysts — or entries whose
 // announced key differs from the pin — are rejected entirely.
-func (ap *Applier) Trust(analyst string, pub ed25519.PublicKey) {
+func (ap *Applier) trust(analyst string, pub ed25519.PublicKey) {
 	ap.trusted[analyst] = pub
 }
 
@@ -96,13 +96,13 @@ func order(a, b *QuerySet) int {
 	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Version, b.Version))
 }
 
-// Apply verifies one snapshot and puts it in force by the in-force rule:
+// apply verifies one snapshot and puts it in force by the in-force rule:
 // at once if the applier has reached its position, else at the Advance
 // that does. A snapshot not greater than the last one applied, or
 // already pending, is ignored without error; a refused one changes
 // nothing. An accepted snapshot is kept (see Applied), so the
 // caller must not modify it afterwards.
-func (ap *Applier) Apply(qs *QuerySet) error {
+func (ap *Applier) apply(qs *QuerySet) error {
 	at, dup := slices.BinarySearchFunc(ap.pending, qs, func(p pendingSet, qs *QuerySet) int { return order(p.qs, qs) })
 	if dup || ap.applied != nil && order(qs, ap.applied) <= 0 {
 		return nil
@@ -115,7 +115,7 @@ func (ap *Applier) Apply(qs *QuerySet) error {
 	for i := range qs.Entries {
 		e := &qs.Entries[i]
 		if e.Signed == nil || e.Signed.Query == nil {
-			return fmt.Errorf("%w: snapshot entry %d without query", ErrControlWire, i)
+			return fmt.Errorf("%w: snapshot entry %d without query", errControlWire, i)
 		}
 		id := e.Signed.Query.QID
 		key := e.AnalystKey
@@ -281,9 +281,9 @@ func (f *Follower) SyncN(n int64) (seen int, first error) {
 				// poll: DecodeQuerySet copies every field it keeps.
 				qs, err := DecodeQuerySet(r.Val(i))
 				if err == nil {
-					err = f.applier.Apply(qs)
+					err = f.applier.apply(qs)
 				}
-				if err != nil && first == nil && !errors.Is(err, ErrControlWire) {
+				if err != nil && first == nil && !errors.Is(err, errControlWire) {
 					first = err
 				}
 			}

@@ -47,8 +47,8 @@ import (
 	"privapprox/internal/rr"
 )
 
-// ErrControlWire reports a malformed control-plane payload.
-var ErrControlWire = errors.New("engine: control wire error")
+// errControlWire reports a malformed control-plane payload.
+var errControlWire = errors.New("engine: control wire error")
 
 // opQuerySet tags a full query-set snapshot — the only control opcode
 // today; updates and stops are expressed as new snapshots, which is
@@ -78,7 +78,7 @@ type Entry struct {
 	// signature against it, which detects tampering with a relayed
 	// announcement. On its own it does not authenticate the analyst —
 	// clients that must rule out forgery under a fresh key pin analyst
-	// keys with Applier.Trust.
+	// keys with Applier.trust.
 	AnalystKey ed25519.PublicKey
 	// Params is the derived system parameter triple clients answer
 	// under.
@@ -123,11 +123,11 @@ func (qs *QuerySet) MarshalBinary() ([]byte, error) {
 
 func appendEntry(buf []byte, e *Entry) ([]byte, error) {
 	if e.Signed == nil || e.Signed.Query == nil {
-		return nil, fmt.Errorf("%w: entry without query", ErrControlWire)
+		return nil, fmt.Errorf("%w: entry without query", errControlWire)
 	}
 	q := e.Signed.Query
 	if len(q.Buckets) > maxBuckets {
-		return nil, fmt.Errorf("%w: %d buckets", ErrControlWire, len(q.Buckets))
+		return nil, fmt.Errorf("%w: %d buckets", errControlWire, len(q.Buckets))
 	}
 	buf = codec.AppendBytes(buf, q.QID.Analyst)
 	buf = binary.BigEndian.AppendUint64(buf, q.QID.Serial)
@@ -178,7 +178,7 @@ func appendBucket(buf []byte, b query.Bucket) ([]byte, error) {
 		buf = append(buf, bucketPattern)
 		return codec.AppendBytes(buf, bk.Label()), nil
 	default:
-		return nil, fmt.Errorf("%w: bucket type %T not encodable", ErrControlWire, b)
+		return nil, fmt.Errorf("%w: bucket type %T not encodable", errControlWire, b)
 	}
 }
 
@@ -187,7 +187,7 @@ func appendBucket(buf []byte, b query.Bucket) ([]byte, error) {
 // applier (a malformed snapshot must not take the control consumer
 // down).
 func DecodeQuerySet(payload []byte) (*QuerySet, error) {
-	d := codec.NewReader(payload, ErrControlWire, "payload")
+	d := codec.NewReader(payload, errControlWire, "payload")
 	if op := d.U8(); op != opQuerySet {
 		d.Fail("unknown opcode %#x", op)
 	}

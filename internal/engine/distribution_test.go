@@ -138,12 +138,12 @@ func TestApplierTrustPinning(t *testing.T) {
 
 	c := newTestClient(t, 0)
 	ap := NewApplier(c)
-	ap.Trust("alice", pub)
+	ap.trust("alice", pub)
 
 	ok := &QuerySet{Version: 1, Entries: []Entry{
 		{Signed: genuine, AnalystKey: pub, Params: testParams()},
 	}}
-	if err := ap.Apply(ok); err != nil {
+	if err := ap.apply(ok); err != nil {
 		t.Fatalf("pinned genuine snapshot rejected: %v", err)
 	}
 	// Forged entry announces the attacker's own key; signature verifies
@@ -152,7 +152,7 @@ func TestApplierTrustPinning(t *testing.T) {
 		{Signed: genuine, AnalystKey: pub, Params: testParams()},
 		{Signed: forged, AnalystKey: evilPub, Params: testParams()},
 	}}
-	if err := ap.Apply(bad); err == nil {
+	if err := ap.apply(bad); err == nil {
 		t.Fatal("forged-key snapshot accepted under pinning")
 	}
 	// The rejection is wholesale: the client still runs only the
@@ -167,7 +167,7 @@ func TestApplierTrustPinning(t *testing.T) {
 	unknown := &QuerySet{Version: 3, Entries: []Entry{
 		{Signed: testSigned(t, "mallory", 1, evilPriv), AnalystKey: evilPub, Params: testParams()},
 	}}
-	if err := ap.Apply(unknown); err == nil {
+	if err := ap.apply(unknown); err == nil {
 		t.Fatal("unpinned analyst accepted")
 	}
 }
@@ -199,7 +199,7 @@ func TestApplierVerifiesOnce(t *testing.T) {
 		{Signed: genuine, AnalystKey: pub, Params: testParams()},
 		{Signed: forged, AnalystKey: pub, Params: testParams()},
 	}}
-	if err := ap.Apply(bad); !errors.Is(err, query.ErrBadSignature) {
+	if err := ap.apply(bad); !errors.Is(err, query.ErrBadSignature) {
 		t.Fatalf("forged snapshot: %v, want ErrBadSignature", err)
 	}
 	if c.Subscriptions() != 0 || len(mocks[0].got) != 0 || ap.ActiveQueries() != 0 || appliedVersion(ap) != 0 {
@@ -211,7 +211,7 @@ func TestApplierVerifiesOnce(t *testing.T) {
 		{Signed: genuine, AnalystKey: pub, Params: testParams()},
 		{Signed: testSigned(t, "alice", 2, priv), AnalystKey: pub, Params: testParams()},
 	}}
-	if err := ap.Apply(good); err != nil {
+	if err := ap.apply(good); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range mocks {
@@ -451,7 +451,7 @@ func TestFollowerSyncAppliesPastARejectedSnapshot(t *testing.T) {
 			}
 			c := newTestClient(t, 0)
 			ap := NewApplier(c)
-			ap.Trust("alice", pub)
+			ap.trust("alice", pub)
 			f := NewFollower(cc, ap)
 			if seen, err := f.Sync(); err == nil || !strings.Contains(err.Error(), "not pinned") || seen != len(records) {
 				t.Fatalf("Sync = (%d, %v), want all %d records seen and the refusal reported", seen, err, len(records))
@@ -660,5 +660,5 @@ func applyPayload(ap *Applier, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return ap.Apply(qs)
+	return ap.apply(qs)
 }

@@ -12,16 +12,16 @@ import (
 
 // Errors reported by the registry.
 var (
-	// ErrUnknownAnalyst reports a submission from an analyst with no
+	// errUnknownAnalyst reports a submission from an analyst with no
 	// trusted public key.
-	ErrUnknownAnalyst = errors.New("engine: unknown analyst")
-	// ErrWireCollision reports two distinct query IDs hashing to the
+	errUnknownAnalyst = errors.New("engine: unknown analyst")
+	// errWireCollision reports two distinct query IDs hashing to the
 	// same 64-bit wire identifier — answer messages carry only the
 	// hash, so colliding queries would be indistinguishable at the
 	// aggregator.
-	ErrWireCollision = errors.New("engine: wire query-ID collision")
-	// ErrUnknownQuery reports a stop for a query that is not active.
-	ErrUnknownQuery = errors.New("engine: unknown query")
+	errWireCollision = errors.New("engine: wire query-ID collision")
+	// errUnknownQuery reports a stop for a query that is not active.
+	errUnknownQuery = errors.New("engine: unknown query")
 )
 
 // wireIDOf derives the compact wire identifier the registry guards
@@ -85,7 +85,7 @@ func (r *Registry) Trust(analyst string, pub ed25519.PublicKey) error {
 // Re-registering an active query updates its parameters and bumps the
 // entry's revision (the feedback redistribution path); registering a
 // distinct query whose wire ID collides with an active one is rejected
-// with ErrWireCollision.
+// with errWireCollision.
 func (r *Registry) Register(signed *query.Signed, params budget.Params) error {
 	if signed == nil || signed.Query == nil {
 		return fmt.Errorf("%w: nil query", query.ErrInvalidQuery)
@@ -102,14 +102,14 @@ func (r *Registry) Register(signed *query.Signed, params budget.Params) error {
 	defer r.mu.Unlock()
 	pub, ok := r.trusted[q.QID.Analyst]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownAnalyst, q.QID.Analyst)
+		return fmt.Errorf("%w: %q", errUnknownAnalyst, q.QID.Analyst)
 	}
 	if err := signed.Verify(pub); err != nil {
 		return err
 	}
 	wire := wireIDOf(q.QID)
 	if prev, ok := r.byWire[wire]; ok && prev != q.QID {
-		return fmt.Errorf("%w: %s and %s both map to %#x", ErrWireCollision, prev, q.QID, wire)
+		return fmt.Errorf("%w: %s and %s both map to %#x", errWireCollision, prev, q.QID, wire)
 	}
 	entry := Entry{Signed: signed, AnalystKey: pub, Params: params, Shed: 1}
 	if i, ok := r.index[q.QID.String()]; ok {
@@ -139,7 +139,7 @@ func (r *Registry) SetShed(id query.ID, shed float64) error {
 	defer r.mu.Unlock()
 	i, ok := r.index[id.String()]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownQuery, id)
+		return fmt.Errorf("%w: %s", errUnknownQuery, id)
 	}
 	if r.entries[i].Shed == shed {
 		return nil
@@ -154,7 +154,7 @@ func (r *Registry) Stop(id query.ID) error {
 	defer r.mu.Unlock()
 	i, ok := r.index[id.String()]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownQuery, id)
+		return fmt.Errorf("%w: %s", errUnknownQuery, id)
 	}
 	r.entries = append(r.entries[:i], r.entries[i+1:]...)
 	delete(r.index, id.String())
@@ -198,14 +198,14 @@ func (r *Registry) Bootstrap(qs *QuerySet) error {
 			return err
 		}
 		if len(e.AnalystKey) != ed25519.PublicKeySize {
-			return fmt.Errorf("%w: %q", ErrUnknownAnalyst, q.QID.Analyst)
+			return fmt.Errorf("%w: %q", errUnknownAnalyst, q.QID.Analyst)
 		}
 		if err := e.Signed.Verify(e.AnalystKey); err != nil {
 			return err
 		}
 		wire := wireIDOf(q.QID)
 		if prev, ok := byWire[wire]; ok && prev != q.QID {
-			return fmt.Errorf("%w: %s and %s both map to %#x", ErrWireCollision, prev, q.QID, wire)
+			return fmt.Errorf("%w: %s and %s both map to %#x", errWireCollision, prev, q.QID, wire)
 		}
 		if _, ok := index[q.QID.String()]; ok {
 			return fmt.Errorf("%w: duplicate entry %s", query.ErrInvalidQuery, q.QID)

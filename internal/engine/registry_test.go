@@ -29,7 +29,7 @@ func TestRegistryRegisterVerifiesAndBroadcasts(t *testing.T) {
 	signed := testSigned(t, "alice", 1, priv)
 
 	// Unknown analyst: no trusted key yet.
-	if err := r.Register(signed, testParams()); !errors.Is(err, ErrUnknownAnalyst) {
+	if err := r.Register(signed, testParams()); !errors.Is(err, errUnknownAnalyst) {
 		t.Fatalf("Register without trust = %v, want ErrUnknownAnalyst", err)
 	}
 	if err := r.Trust("alice", pub); err != nil {
@@ -82,7 +82,7 @@ func TestRegistryRegisterVerifiesAndBroadcasts(t *testing.T) {
 	if got := r.Active(); len(got) != 0 {
 		t.Fatalf("Active after stop = %v", got)
 	}
-	if err := r.Stop(signed.Query.QID); !errors.Is(err, ErrUnknownQuery) {
+	if err := r.Stop(signed.Query.QID); !errors.Is(err, errUnknownQuery) {
 		t.Fatalf("double Stop = %v, want ErrUnknownQuery", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestRegistryWireIDCollision(t *testing.T) {
 			continue
 		}
 		err := r.Register(testSigned(t, "carol", serial, priv), testParams())
-		if !errors.Is(err, ErrWireCollision) {
+		if !errors.Is(err, errWireCollision) {
 			t.Fatalf("colliding Register = %v, want ErrWireCollision", err)
 		}
 		collided = true

@@ -46,9 +46,6 @@ func (s *Store) Append(ts time.Time, payload []byte) error {
 	return err
 }
 
-// Sync flushes the store to stable storage.
-func (s *Store) Sync() error { return s.log.Sync() }
-
 // Close syncs and closes the store.
 func (s *Store) Close() error { return s.log.Close() }
 

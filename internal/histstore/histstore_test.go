@@ -223,9 +223,6 @@ func TestClosedStoreRejectsAppend(t *testing.T) {
 	if err := s.Append(time.Unix(1, 0), []byte("x")); !errors.Is(err, wal.ErrClosed) {
 		t.Errorf("append after close: %v", err)
 	}
-	if err := s.Sync(); !errors.Is(err, wal.ErrClosed) {
-		t.Errorf("sync after close: %v", err)
-	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}

@@ -5,50 +5,50 @@ type Expr interface {
 	exprNode()
 }
 
-// LiteralExpr is a constant.
-type LiteralExpr struct{ Val Value }
+// literalExpr is a constant.
+type literalExpr struct{ Val Value }
 
-// ColumnExpr references a column by name.
-type ColumnExpr struct{ Name string }
+// columnExpr references a column by name.
+type columnExpr struct{ Name string }
 
-// UnaryExpr is NOT x or -x.
-type UnaryExpr struct {
+// unaryExpr is NOT x or -x.
+type unaryExpr struct {
 	Op string // "NOT" or "-"
 	X  Expr
 }
 
-// BinaryExpr covers arithmetic, comparisons, AND/OR, and LIKE.
-type BinaryExpr struct {
+// binaryExpr covers arithmetic, comparisons, AND/OR, and LIKE.
+type binaryExpr struct {
 	Op   string // "+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=", "AND", "OR", "LIKE"
 	L, R Expr
 }
 
-// InExpr is x IN (e1, e2, ...), optionally negated.
-type InExpr struct {
+// inExpr is x IN (e1, e2, ...), optionally negated.
+type inExpr struct {
 	X    Expr
 	List []Expr
 	Not  bool
 }
 
-// IsNullExpr is x IS [NOT] NULL.
-type IsNullExpr struct {
+// isNullExpr is x IS [NOT] NULL.
+type isNullExpr struct {
 	X   Expr
 	Not bool
 }
 
-// BetweenExpr is x BETWEEN lo AND hi, optionally negated.
-type BetweenExpr struct {
+// betweenExpr is x BETWEEN lo AND hi, optionally negated.
+type betweenExpr struct {
 	X, Lo, Hi Expr
 	Not       bool
 }
 
-func (*LiteralExpr) exprNode() {}
-func (*ColumnExpr) exprNode()  {}
-func (*UnaryExpr) exprNode()   {}
-func (*BinaryExpr) exprNode()  {}
-func (*InExpr) exprNode()      {}
-func (*IsNullExpr) exprNode()  {}
-func (*BetweenExpr) exprNode() {}
+func (*literalExpr) exprNode() {}
+func (*columnExpr) exprNode()  {}
+func (*unaryExpr) exprNode()   {}
+func (*binaryExpr) exprNode()  {}
+func (*inExpr) exprNode()      {}
+func (*isNullExpr) exprNode()  {}
+func (*betweenExpr) exprNode() {}
 
 // Statement is a parsed SQL statement; Parse returns only *SelectStmt.
 type Statement interface {

@@ -10,8 +10,8 @@ import (
 // Errors reported by the database layer.
 var (
 	ErrNoTable    = errors.New("minisql: no such table")
-	ErrTableExist = errors.New("minisql: table already exists")
-	ErrArity      = errors.New("minisql: wrong number of values")
+	errTableExist = errors.New("minisql: table already exists")
+	errArity      = errors.New("minisql: wrong number of values")
 )
 
 // DB is an in-memory, concurrency-safe database of dynamically typed
@@ -52,13 +52,13 @@ func NewDB() *DB {
 // CreateTable creates a table programmatically.
 func (db *DB) CreateTable(name string, columns []string) error {
 	if name == "" || len(columns) == 0 {
-		return fmt.Errorf("%w: table %q with %d columns", ErrSyntax, name, len(columns))
+		return fmt.Errorf("%w: table %q with %d columns", errSyntax, name, len(columns))
 	}
 	t := &table{cols: make([]column, 0, len(columns))}
 	for _, c := range columns {
 		key := strings.ToLower(c)
 		if lookup(t.cols, key) >= 0 {
-			return fmt.Errorf("%w: duplicate column %q", ErrSyntax, c)
+			return fmt.Errorf("%w: duplicate column %q", errSyntax, c)
 		}
 		t.cols = append(t.cols, column{name: c, key: key})
 	}
@@ -66,7 +66,7 @@ func (db *DB) CreateTable(name string, columns []string) error {
 	defer db.mu.Unlock()
 	key := strings.ToLower(name)
 	if _, ok := db.tables[key]; ok {
-		return fmt.Errorf("%w: %q", ErrTableExist, name)
+		return fmt.Errorf("%w: %q", errTableExist, name)
 	}
 	db.tables[key] = t
 	return nil
@@ -102,7 +102,7 @@ func (c *column) load(r int, dst *Value) {
 		dst.Num = c.num[r]
 	case KindText:
 		dst.Str = c.str[r]
-	case KindBool:
+	case kindBool:
 		dst.B = c.num[r] != 0
 	}
 }
@@ -133,7 +133,7 @@ func (c *column) add(v Value, rows int) {
 	switch v.Kind {
 	case KindNumber:
 		x = v.Num
-	case KindBool:
+	case kindBool:
 		if v.B {
 			x = 1
 		}
@@ -153,7 +153,7 @@ func (c *column) add(v Value, rows int) {
 
 // Insert appends one row programmatically — the fast path the client
 // runtime uses when ingesting its private stream. A cell whose Kind is not
-// one of the four is refused with ErrType. A stored cell reads back
+// one of the four is refused with errType. A stored cell reads back
 // canonical (see Value).
 func (db *DB) Insert(tableName string, row []Value) error {
 	db.mu.Lock()
@@ -163,11 +163,11 @@ func (db *DB) Insert(tableName string, row []Value) error {
 		return fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
 	if len(row) != len(t.cols) {
-		return fmt.Errorf("%w: %d values for %d columns", ErrArity, len(row), len(t.cols))
+		return fmt.Errorf("%w: %d values for %d columns", errArity, len(row), len(t.cols))
 	}
 	for i := range row {
-		if k := row[i].Kind; k < KindNull || k > KindBool {
-			return fmt.Errorf("%w: cell %d is of %v", ErrType, i, k)
+		if k := row[i].Kind; k < kindNull || k > kindBool {
+			return fmt.Errorf("%w: cell %d is of %v", errType, i, k)
 		}
 	}
 	for i := range t.cols {
@@ -202,7 +202,7 @@ func (db *DB) Query(sql string) (*Rows, error) {
 	}
 	sel, ok := stmt.(*SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("%w: Query requires SELECT", ErrSyntax)
+		return nil, fmt.Errorf("%w: Query requires SELECT", errSyntax)
 	}
 	return db.QueryPrepared(sel)
 }

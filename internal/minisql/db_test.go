@@ -60,9 +60,9 @@ func TestTableFootprint(t *testing.T) {
 // and the table is left as it was.
 func TestInsertRefusesUnknownKind(t *testing.T) {
 	db := numbersDB(t, 3)
-	for _, k := range []Kind{-1, KindBool + 1, 1 << 20} {
+	for _, k := range []Kind{-1, kindBool + 1, 1 << 20} {
 		err := db.Insert("t", []Value{Number(1), {Kind: k, Num: 2}})
-		if !errors.Is(err, ErrType) {
+		if !errors.Is(err, errType) {
 			t.Errorf("kind %v: %v, want ErrType", k, err)
 		}
 	}
@@ -79,9 +79,9 @@ func TestCellsReadBackCanonical(t *testing.T) {
 	}
 	in := []Value{
 		{Kind: KindNumber, Num: 2, Str: "stray", B: true},
-		{Kind: KindBool, Num: 7, Str: "stray", B: true},
+		{Kind: kindBool, Num: 7, Str: "stray", B: true},
 		{Kind: KindText, Num: 7, Str: "x", B: true},
-		{Kind: KindNull, Num: 7, Str: "stray", B: true},
+		{Kind: kindNull, Num: 7, Str: "stray", B: true},
 	}
 	for _, v := range in {
 		if err := db.Insert("t", []Value{v}); err != nil {
@@ -227,7 +227,7 @@ func FuzzTable(f *testing.F) {
 				seen++
 			})
 			if wantErr {
-				if !errors.Is(err, ErrType) {
+				if !errors.Is(err, errType) {
 					t.Fatalf("WHERE scan over an unparsable text cell: %v, want ErrType", err)
 				}
 				return

@@ -7,8 +7,8 @@ import (
 	"unicode"
 )
 
-// ErrSyntax reports lexical or grammatical errors with position info.
-var ErrSyntax = errors.New("minisql: syntax error")
+// errSyntax reports lexical or grammatical errors with position info.
+var errSyntax = errors.New("minisql: syntax error")
 
 type tokenKind int
 
@@ -69,7 +69,7 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			if !closed {
-				return nil, fmt.Errorf("%w: unterminated string at %d", ErrSyntax, start)
+				return nil, fmt.Errorf("%w: unterminated string at %d", errSyntax, start)
 			}
 			toks = append(toks, token{kind: tokString, text: sb.String(), pos: start})
 		case c >= '0' && c <= '9' || c == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9':
@@ -82,7 +82,7 @@ func lex(input string) ([]token, error) {
 			text := input[start:i]
 			var f float64
 			if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
-				return nil, fmt.Errorf("%w: bad number %q at %d", ErrSyntax, text, start)
+				return nil, fmt.Errorf("%w: bad number %q at %d", errSyntax, text, start)
 			}
 			toks = append(toks, token{kind: tokNumber, text: text, num: f, pos: start})
 		case isIdentStart(rune(c)):
@@ -113,7 +113,7 @@ func lex(input string) ([]token, error) {
 				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start})
 				i++
 			default:
-				return nil, fmt.Errorf("%w: unexpected character %q at %d", ErrSyntax, string(c), start)
+				return nil, fmt.Errorf("%w: unexpected character %q at %d", errSyntax, string(c), start)
 			}
 		}
 	}

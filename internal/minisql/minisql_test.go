@@ -120,11 +120,11 @@ func TestParsePrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*SelectStmt)
-	or, ok := sel.Where.(*BinaryExpr)
+	or, ok := sel.Where.(*binaryExpr)
 	if !ok || or.Op != "OR" {
 		t.Fatalf("top operator = %+v, want OR", sel.Where)
 	}
-	and, ok := or.R.(*BinaryExpr)
+	and, ok := or.R.(*binaryExpr)
 	if !ok || and.Op != "AND" {
 		t.Fatalf("right of OR = %+v, want AND", or.R)
 	}
@@ -133,11 +133,11 @@ func TestParsePrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add := stmt2.(*SelectStmt).Items[0].Expr.(*BinaryExpr)
+	add := stmt2.(*SelectStmt).Items[0].Expr.(*binaryExpr)
 	if add.Op != "+" {
 		t.Fatalf("top arithmetic = %q, want +", add.Op)
 	}
-	if mul, ok := add.R.(*BinaryExpr); !ok || mul.Op != "*" {
+	if mul, ok := add.R.(*binaryExpr); !ok || mul.Op != "*" {
 		t.Fatal("multiplication should bind tighter")
 	}
 }
@@ -290,7 +290,7 @@ func TestInsertAndErrors(t *testing.T) {
 	if err := db.CreateTable("t", []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateTable("t", []string{"a"}); !errors.Is(err, ErrTableExist) {
+	if err := db.CreateTable("t", []string{"a"}); !errors.Is(err, errTableExist) {
 		t.Errorf("duplicate create: %v", err)
 	}
 	for _, row := range [][]Value{{Number(1), Text("x")}, {Number(2), Text("y")}} {
@@ -302,19 +302,19 @@ func TestInsertAndErrors(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Errorf("RowCount = %d, %v", n, err)
 	}
-	if err := db.Insert("t", []Value{Number(1)}); !errors.Is(err, ErrArity) {
+	if err := db.Insert("t", []Value{Number(1)}); !errors.Is(err, errArity) {
 		t.Errorf("arity: %v", err)
 	}
 	if err := db.Insert("missing", []Value{Number(1)}); !errors.Is(err, ErrNoTable) {
 		t.Errorf("missing table: %v", err)
 	}
-	if _, err := db.Query("SELECT nope FROM t"); !errors.Is(err, ErrColumn) {
+	if _, err := db.Query("SELECT nope FROM t"); !errors.Is(err, errColumn) {
 		t.Errorf("unknown column: %v", err)
 	}
 	if _, err := db.Query("SELECT a FROM missing"); !errors.Is(err, ErrNoTable) {
 		t.Errorf("missing table select: %v", err)
 	}
-	if _, err := db.Query("INSERT INTO t VALUES (3, 'z')"); !errors.Is(err, ErrSyntax) {
+	if _, err := db.Query("INSERT INTO t VALUES (3, 'z')"); !errors.Is(err, errSyntax) {
 		t.Errorf("Query must reject non-SELECT: %v", err)
 	}
 }
@@ -432,7 +432,7 @@ func TestValueCoercions(t *testing.T) {
 	if !Number(0).Equal(Bool(false)).B {
 		t.Error("0 should equal false")
 	}
-	if Null().Equal(Null()).Kind != KindNull {
+	if Null().Equal(Null()).Kind != kindNull {
 		t.Error("NULL = NULL should be NULL")
 	}
 	if Number(1).Equal(Text("banana")).B {
@@ -451,7 +451,7 @@ func TestValueStringAndKind(t *testing.T) {
 		Text("hi").String() != "hi" || Bool(true).String() != "true" || Bool(false).String() != "false" {
 		t.Error("String renderings wrong")
 	}
-	for k, want := range map[Kind]string{KindNull: "null", KindNumber: "number", KindText: "text", KindBool: "bool"} {
+	for k, want := range map[Kind]string{kindNull: "null", KindNumber: "number", KindText: "text", kindBool: "bool"} {
 		if k.String() != want {
 			t.Errorf("Kind %d = %q", k, k.String())
 		}

@@ -21,7 +21,7 @@ type oracleEnv struct {
 func (e *oracleEnv) lookup(name string) (Value, error) {
 	idx, ok := e.cols[strings.ToLower(name)]
 	if !ok {
-		return Value{}, fmt.Errorf("%w: %q", ErrColumn, name)
+		return Value{}, fmt.Errorf("%w: %q", errColumn, name)
 	}
 	return e.row[idx], nil
 }
@@ -31,11 +31,11 @@ func (e *oracleEnv) lookup(name string) (Value, error) {
 // logic collapsed to Truthy at the WHERE boundary.
 func oracleEval(e Expr, ev *oracleEnv) (Value, error) {
 	switch x := e.(type) {
-	case *LiteralExpr:
+	case *literalExpr:
 		return x.Val, nil
-	case *ColumnExpr:
+	case *columnExpr:
 		return ev.lookup(x.Name)
-	case *UnaryExpr:
+	case *unaryExpr:
 		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
@@ -53,11 +53,11 @@ func oracleEval(e Expr, ev *oracleEnv) (Value, error) {
 			}
 			return Number(-f), nil
 		default:
-			return Value{}, fmt.Errorf("%w: unary %q", ErrSyntax, x.Op)
+			return Value{}, fmt.Errorf("%w: unary %q", errSyntax, x.Op)
 		}
-	case *BinaryExpr:
+	case *binaryExpr:
 		return oracleEvalBinary(x, ev)
-	case *InExpr:
+	case *inExpr:
 		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
@@ -71,12 +71,12 @@ func oracleEval(e Expr, ev *oracleEnv) (Value, error) {
 				return Value{}, err
 			}
 			eq := v.Equal(iv)
-			if eq.Kind == KindBool && eq.B {
+			if eq.Kind == kindBool && eq.B {
 				return Bool(!x.Not), nil
 			}
 		}
 		return Bool(x.Not), nil
-	case *IsNullExpr:
+	case *isNullExpr:
 		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
@@ -85,7 +85,7 @@ func oracleEval(e Expr, ev *oracleEnv) (Value, error) {
 			return Bool(!v.IsNull()), nil
 		}
 		return Bool(v.IsNull()), nil
-	case *BetweenExpr:
+	case *betweenExpr:
 		v, err := oracleEval(x.X, ev)
 		if err != nil {
 			return Value{}, err
@@ -115,11 +115,11 @@ func oracleEval(e Expr, ev *oracleEnv) (Value, error) {
 		}
 		return Bool(in), nil
 	default:
-		return Value{}, fmt.Errorf("%w: unknown expression %T", ErrSyntax, e)
+		return Value{}, fmt.Errorf("%w: unknown expression %T", errSyntax, e)
 	}
 }
 
-func oracleEvalBinary(x *BinaryExpr, ev *oracleEnv) (Value, error) {
+func oracleEvalBinary(x *binaryExpr, ev *oracleEnv) (Value, error) {
 	switch x.Op {
 	case "AND":
 		l, err := oracleEval(x.L, ev)
@@ -231,7 +231,7 @@ func oracleEvalBinary(x *BinaryExpr, ev *oracleEnv) (Value, error) {
 			return Null(), nil
 		}
 		if r.Kind != KindText {
-			return Value{}, fmt.Errorf("%w: LIKE pattern must be text", ErrType)
+			return Value{}, fmt.Errorf("%w: LIKE pattern must be text", errType)
 		}
 		re, err := compileLike(r.Str)
 		if err != nil {
@@ -239,7 +239,7 @@ func oracleEvalBinary(x *BinaryExpr, ev *oracleEnv) (Value, error) {
 		}
 		return Bool(re.MatchString(l.String())), nil
 	default:
-		return Value{}, fmt.Errorf("%w: operator %q", ErrSyntax, x.Op)
+		return Value{}, fmt.Errorf("%w: operator %q", errSyntax, x.Op)
 	}
 }
 
@@ -267,7 +267,7 @@ func oracleSelect(db *DB, s *SelectStmt) (*Rows, error) {
 		case item.Alias != "":
 			columns = append(columns, item.Alias)
 		default:
-			if col, ok := item.Expr.(*ColumnExpr); ok {
+			if col, ok := item.Expr.(*columnExpr); ok {
 				columns = append(columns, col.Name)
 			} else {
 				columns = append(columns, fmt.Sprintf("expr%d", len(columns)+1))

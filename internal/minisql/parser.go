@@ -15,7 +15,7 @@ func Parse(sql string) (Statement, error) {
 		return nil, err
 	}
 	if !p.atEOF() {
-		return nil, fmt.Errorf("%w: trailing input at %d", ErrSyntax, p.peek().pos)
+		return nil, fmt.Errorf("%w: trailing input at %d", errSyntax, p.peek().pos)
 	}
 	return stmt, nil
 }
@@ -39,7 +39,7 @@ func (p *parser) acceptKeyword(kw string) bool {
 
 func (p *parser) expectKeyword(kw string) error {
 	if !p.acceptKeyword(kw) {
-		return fmt.Errorf("%w: expected %s at %d", ErrSyntax, kw, p.peek().pos)
+		return fmt.Errorf("%w: expected %s at %d", errSyntax, kw, p.peek().pos)
 	}
 	return nil
 }
@@ -54,7 +54,7 @@ func (p *parser) acceptSymbol(sym string) bool {
 
 func (p *parser) expectSymbol(sym string) error {
 	if !p.acceptSymbol(sym) {
-		return fmt.Errorf("%w: expected %q at %d", ErrSyntax, sym, p.peek().pos)
+		return fmt.Errorf("%w: expected %q at %d", errSyntax, sym, p.peek().pos)
 	}
 	return nil
 }
@@ -62,7 +62,7 @@ func (p *parser) expectSymbol(sym string) error {
 func (p *parser) expectIdent() (string, error) {
 	t := p.peek()
 	if t.kind != tokIdent {
-		return "", fmt.Errorf("%w: expected identifier at %d", ErrSyntax, t.pos)
+		return "", fmt.Errorf("%w: expected identifier at %d", errSyntax, t.pos)
 	}
 	p.i++
 	return t.text, nil
@@ -70,7 +70,7 @@ func (p *parser) expectIdent() (string, error) {
 
 func (p *parser) parseStatement() (Statement, error) {
 	if !p.acceptKeyword("SELECT") {
-		return nil, fmt.Errorf("%w: expected SELECT at %d", ErrSyntax, p.peek().pos)
+		return nil, fmt.Errorf("%w: expected SELECT at %d", errSyntax, p.peek().pos)
 	}
 	return p.parseSelect()
 }
@@ -117,12 +117,12 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if p.acceptKeyword("LIMIT") {
 		t := p.peek()
 		if t.kind != tokNumber {
-			return nil, fmt.Errorf("%w: expected number after LIMIT at %d", ErrSyntax, t.pos)
+			return nil, fmt.Errorf("%w: expected number after LIMIT at %d", errSyntax, t.pos)
 		}
 		p.i++
 		stmt.Limit = int(t.num)
 		if stmt.Limit < 0 {
-			return nil, fmt.Errorf("%w: negative LIMIT", ErrSyntax)
+			return nil, fmt.Errorf("%w: negative LIMIT", errSyntax)
 		}
 	}
 	return stmt, nil
@@ -150,7 +150,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
+		l = &binaryExpr{Op: "OR", L: l, R: r}
 	}
 	return l, nil
 }
@@ -165,7 +165,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
+		l = &binaryExpr{Op: "AND", L: l, R: r}
 	}
 	return l, nil
 }
@@ -176,7 +176,7 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
+		return &unaryExpr{Op: "NOT", X: x}, nil
 	}
 	return p.parseComparison()
 }
@@ -199,7 +199,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			if op == "<>" {
 				op = "!="
 			}
-			return &BinaryExpr{Op: op, L: l, R: r}, nil
+			return &binaryExpr{Op: op, L: l, R: r}, nil
 		}
 	}
 	if t.kind == tokKeyword {
@@ -224,9 +224,9 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			var e Expr = &BinaryExpr{Op: "LIKE", L: l, R: r}
+			var e Expr = &binaryExpr{Op: "LIKE", L: l, R: r}
 			if negate {
-				e = &UnaryExpr{Op: "NOT", X: e}
+				e = &unaryExpr{Op: "NOT", X: e}
 			}
 			return e, nil
 		case "IN":
@@ -248,7 +248,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return &InExpr{X: l, List: list, Not: negate}, nil
+			return &inExpr{X: l, List: list, Not: negate}, nil
 		case "BETWEEN":
 			p.i++
 			lo, err := p.parseAdditive()
@@ -262,14 +262,14 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &BetweenExpr{X: l, Lo: lo, Hi: hi, Not: negate}, nil
+			return &betweenExpr{X: l, Lo: lo, Hi: hi, Not: negate}, nil
 		case "IS":
 			p.i++
 			not := p.acceptKeyword("NOT")
 			if err := p.expectKeyword("NULL"); err != nil {
 				return nil, err
 			}
-			return &IsNullExpr{X: l, Not: not}, nil
+			return &isNullExpr{X: l, Not: not}, nil
 		}
 	}
 	return l, nil
@@ -288,7 +288,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
+			l = &binaryExpr{Op: t.text, L: l, R: r}
 			continue
 		}
 		return l, nil
@@ -308,7 +308,7 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
+			l = &binaryExpr{Op: t.text, L: l, R: r}
 			continue
 		}
 		return l, nil
@@ -321,7 +321,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "-", X: x}, nil
+		return &unaryExpr{Op: "-", X: x}, nil
 	}
 	return p.parsePrimary()
 }
@@ -331,24 +331,24 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.i++
-		return &LiteralExpr{Val: Number(t.num)}, nil
+		return &literalExpr{Val: Number(t.num)}, nil
 	case tokString:
 		p.i++
-		return &LiteralExpr{Val: Text(t.text)}, nil
+		return &literalExpr{Val: Text(t.text)}, nil
 	case tokIdent:
 		p.i++
-		return &ColumnExpr{Name: t.text}, nil
+		return &columnExpr{Name: t.text}, nil
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
 			p.i++
-			return &LiteralExpr{Val: Null()}, nil
+			return &literalExpr{Val: Null()}, nil
 		case "TRUE":
 			p.i++
-			return &LiteralExpr{Val: Bool(true)}, nil
+			return &literalExpr{Val: Bool(true)}, nil
 		case "FALSE":
 			p.i++
-			return &LiteralExpr{Val: Bool(false)}, nil
+			return &literalExpr{Val: Bool(false)}, nil
 		}
 	case tokSymbol:
 		if t.text == "(" {
@@ -363,5 +363,5 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: unexpected token %q at %d", ErrSyntax, t.text, t.pos)
+	return nil, fmt.Errorf("%w: unexpected token %q at %d", errSyntax, t.text, t.pos)
 }

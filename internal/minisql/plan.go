@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// ErrColumn reports a reference to an unknown column.
-var ErrColumn = errors.New("minisql: unknown column")
+// errColumn reports a reference to an unknown column.
+var errColumn = errors.New("minisql: unknown column")
 
 // opcode names what a bound expression node computes.
 type opcode uint8
@@ -58,19 +58,19 @@ type node struct {
 // exprSize is the number of nodes e binds into.
 func exprSize(e Expr) int {
 	switch x := e.(type) {
-	case *UnaryExpr:
+	case *unaryExpr:
 		return 1 + exprSize(x.X)
-	case *BinaryExpr:
+	case *binaryExpr:
 		return 1 + exprSize(x.L) + exprSize(x.R)
-	case *InExpr:
+	case *inExpr:
 		n := 1 + exprSize(x.X)
 		for _, item := range x.List {
 			n += exprSize(item)
 		}
 		return n
-	case *IsNullExpr:
+	case *isNullExpr:
 		return 1 + exprSize(x.X)
-	case *BetweenExpr:
+	case *betweenExpr:
 		return 1 + exprSize(x.X) + exprSize(x.Lo) + exprSize(x.Hi)
 	default:
 		return 1
@@ -95,17 +95,17 @@ func (b *binder) reserve(n int) int32 {
 // does not compile, fail here rather than at the first evaluated row.
 func (b *binder) bind(slot int32, e Expr) error {
 	switch x := e.(type) {
-	case *LiteralExpr:
+	case *literalExpr:
 		b.nodes[slot] = node{op: opLiteral, val: x.Val}
 		return nil
-	case *ColumnExpr:
+	case *columnExpr:
 		idx := lookup(b.cols, strings.ToLower(x.Name))
 		if idx < 0 {
-			return fmt.Errorf("%w: %q", ErrColumn, x.Name)
+			return fmt.Errorf("%w: %q", errColumn, x.Name)
 		}
 		b.nodes[slot] = node{op: opColumn, a: int32(idx)}
 		return nil
-	case *UnaryExpr:
+	case *unaryExpr:
 		var op opcode
 		switch x.Op {
 		case "NOT":
@@ -113,19 +113,19 @@ func (b *binder) bind(slot int32, e Expr) error {
 		case "-":
 			op = opNeg
 		default:
-			return fmt.Errorf("%w: unary %q", ErrSyntax, x.Op)
+			return fmt.Errorf("%w: unary %q", errSyntax, x.Op)
 		}
 		a := b.reserve(1)
 		b.nodes[slot] = node{op: op, a: a}
 		return b.bind(a, x.X)
-	case *BinaryExpr:
+	case *binaryExpr:
 		op, ok := binaryOps[x.Op]
 		if !ok {
-			return fmt.Errorf("%w: operator %q", ErrSyntax, x.Op)
+			return fmt.Errorf("%w: operator %q", errSyntax, x.Op)
 		}
 		l := b.reserve(2)
 		n := node{op: op, a: l, b: l + 1}
-		if lit, ok := x.R.(*LiteralExpr); ok && op == opLike && lit.Val.Kind == KindText {
+		if lit, ok := x.R.(*literalExpr); ok && op == opLike && lit.Val.Kind == KindText {
 			re, err := compileLike(lit.Val.Str)
 			if err != nil {
 				return err
@@ -137,7 +137,7 @@ func (b *binder) bind(slot int32, e Expr) error {
 			return err
 		}
 		return b.bind(n.b, x.R)
-	case *InExpr:
+	case *inExpr:
 		first := b.reserve(1 + len(x.List))
 		b.nodes[slot] = node{op: opIn, not: x.Not, a: first, b: first + 1, c: first + 1 + int32(len(x.List))}
 		if err := b.bind(first, x.X); err != nil {
@@ -149,11 +149,11 @@ func (b *binder) bind(slot int32, e Expr) error {
 			}
 		}
 		return nil
-	case *IsNullExpr:
+	case *isNullExpr:
 		a := b.reserve(1)
 		b.nodes[slot] = node{op: opIsNull, not: x.Not, a: a}
 		return b.bind(a, x.X)
-	case *BetweenExpr:
+	case *betweenExpr:
 		first := b.reserve(3)
 		b.nodes[slot] = node{op: opBetween, not: x.Not, a: first, b: first + 1, c: first + 2}
 		if err := b.bind(first, x.X); err != nil {
@@ -164,7 +164,7 @@ func (b *binder) bind(slot int32, e Expr) error {
 		}
 		return b.bind(first+2, x.Hi)
 	default:
-		return fmt.Errorf("%w: unknown expression %T", ErrSyntax, e)
+		return fmt.Errorf("%w: unknown expression %T", errSyntax, e)
 	}
 }
 
@@ -235,7 +235,7 @@ func eval(nodes []node, i int32, t *table, row int) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			if eq := v.Equal(iv); eq.Kind == KindBool && eq.B {
+			if eq := v.Equal(iv); eq.Kind == kindBool && eq.B {
 				return Bool(!n.not), nil
 			}
 		}
@@ -339,7 +339,7 @@ func eval(nodes []node, i int32, t *table, row int) (Value, error) {
 		}
 	case opLike:
 		if r.Kind != KindText {
-			return Value{}, fmt.Errorf("%w: LIKE pattern must be text", ErrType)
+			return Value{}, fmt.Errorf("%w: LIKE pattern must be text", errType)
 		}
 		re := n.like
 		if re == nil {
@@ -350,7 +350,7 @@ func eval(nodes []node, i int32, t *table, row int) (Value, error) {
 		}
 		return Bool(re.MatchString(l.String())), nil
 	default:
-		return Value{}, fmt.Errorf("%w: opcode %d", ErrSyntax, n.op)
+		return Value{}, fmt.Errorf("%w: opcode %d", errSyntax, n.op)
 	}
 }
 
@@ -362,7 +362,7 @@ const maxLikePattern = 1024
 // character) into an anchored, case-insensitive regular expression.
 func compileLike(pattern string) (*regexp.Regexp, error) {
 	if len(pattern) > maxLikePattern {
-		return nil, fmt.Errorf("%w: LIKE pattern of %d bytes, limit %d", ErrSyntax, len(pattern), maxLikePattern)
+		return nil, fmt.Errorf("%w: LIKE pattern of %d bytes, limit %d", errSyntax, len(pattern), maxLikePattern)
 	}
 	var sb strings.Builder
 	sb.WriteString("(?is)^")
@@ -379,7 +379,7 @@ func compileLike(pattern string) (*regexp.Regexp, error) {
 	sb.WriteString("$")
 	re, err := regexp.Compile(sb.String())
 	if err != nil {
-		return nil, fmt.Errorf("%w: LIKE pattern %q: %v", ErrSyntax, pattern, err)
+		return nil, fmt.Errorf("%w: LIKE pattern %q: %v", errSyntax, pattern, err)
 	}
 	return re, nil
 }
@@ -463,7 +463,7 @@ func (p *Plan) bind(db *DB) error {
 func (p *Plan) columnNames() []string {
 	names := make([]string, 0, p.width)
 	for _, item := range p.stmt.Items {
-		switch col, bare := item.Expr.(*ColumnExpr); {
+		switch col, bare := item.Expr.(*columnExpr); {
 		case item.Star:
 			for i := range p.t.cols {
 				names = append(names, p.t.cols[i].name)

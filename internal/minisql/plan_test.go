@@ -122,28 +122,28 @@ var diffColumns = []string{"a", "b", "c", "s"}
 func (g *exprGen) literal() Expr {
 	switch g.rng.Intn(8) {
 	case 0:
-		return &LiteralExpr{Val: Null()}
+		return &literalExpr{Val: Null()}
 	case 1:
-		return &LiteralExpr{Val: Bool(g.rng.Intn(2) == 0)}
+		return &literalExpr{Val: Bool(g.rng.Intn(2) == 0)}
 	case 2:
-		return &LiteralExpr{Val: Text(diffTexts[g.rng.Intn(len(diffTexts))])}
+		return &literalExpr{Val: Text(diffTexts[g.rng.Intn(len(diffTexts))])}
 	case 3:
-		return &LiteralExpr{Val: Number(float64(g.rng.Intn(9)) / 2)}
+		return &literalExpr{Val: Number(float64(g.rng.Intn(9)) / 2)}
 	default:
-		return &LiteralExpr{Val: Number(float64(g.rng.Intn(7) - 2))}
+		return &literalExpr{Val: Number(float64(g.rng.Intn(7) - 2))}
 	}
 }
 
 func (g *exprGen) column() Expr {
 	if g.rng.Intn(60) == 0 {
 		g.mayFailBind = true
-		return &ColumnExpr{Name: "nope"}
+		return &columnExpr{Name: "nope"}
 	}
 	name := diffColumns[g.rng.Intn(len(diffColumns))]
 	if g.rng.Intn(4) == 0 {
 		name = strings.ToUpper(name)
 	}
-	return &ColumnExpr{Name: name}
+	return &columnExpr{Name: name}
 }
 
 func (g *exprGen) expr(depth int) Expr {
@@ -156,35 +156,35 @@ func (g *exprGen) expr(depth int) Expr {
 	sub := func() Expr { return g.expr(depth - 1) }
 	switch g.rng.Intn(10) {
 	case 0:
-		return &UnaryExpr{Op: "NOT", X: sub()}
+		return &unaryExpr{Op: "NOT", X: sub()}
 	case 1:
-		return &UnaryExpr{Op: "-", X: sub()}
+		return &unaryExpr{Op: "-", X: sub()}
 	case 2:
 		ops := []string{"+", "-", "*", "/", "%"}
-		return &BinaryExpr{Op: ops[g.rng.Intn(len(ops))], L: sub(), R: sub()}
+		return &binaryExpr{Op: ops[g.rng.Intn(len(ops))], L: sub(), R: sub()}
 	case 3, 4:
 		ops := []string{"=", "!=", "<", "<=", ">", ">="}
-		return &BinaryExpr{Op: ops[g.rng.Intn(len(ops))], L: sub(), R: sub()}
+		return &binaryExpr{Op: ops[g.rng.Intn(len(ops))], L: sub(), R: sub()}
 	case 5:
-		return &BinaryExpr{Op: []string{"AND", "OR"}[g.rng.Intn(2)], L: sub(), R: sub()}
+		return &binaryExpr{Op: []string{"AND", "OR"}[g.rng.Intn(2)], L: sub(), R: sub()}
 	case 6:
 		// Mostly a literal text pattern (compiled at bind), sometimes a
 		// computed one, sometimes one of the wrong type.
-		var pattern Expr = &LiteralExpr{Val: Text(diffPatterns[g.rng.Intn(len(diffPatterns))])}
+		var pattern Expr = &literalExpr{Val: Text(diffPatterns[g.rng.Intn(len(diffPatterns))])}
 		if g.rng.Intn(4) == 0 {
 			pattern = sub()
 		}
-		return &BinaryExpr{Op: "LIKE", L: sub(), R: pattern}
+		return &binaryExpr{Op: "LIKE", L: sub(), R: pattern}
 	case 7:
-		in := &InExpr{X: sub(), Not: g.rng.Intn(2) == 0}
+		in := &inExpr{X: sub(), Not: g.rng.Intn(2) == 0}
 		for i := g.rng.Intn(3) + 1; i > 0; i-- {
 			in.List = append(in.List, sub())
 		}
 		return in
 	case 8:
-		return &IsNullExpr{X: sub(), Not: g.rng.Intn(2) == 0}
+		return &isNullExpr{X: sub(), Not: g.rng.Intn(2) == 0}
 	default:
-		return &BetweenExpr{X: sub(), Lo: sub(), Hi: sub(), Not: g.rng.Intn(2) == 0}
+		return &betweenExpr{X: sub(), Lo: sub(), Hi: sub(), Not: g.rng.Intn(2) == 0}
 	}
 }
 
@@ -223,7 +223,7 @@ func diffTable(t *testing.T, rng *rand.Rand) *DB {
 
 // sentinelOf names the package error err wraps.
 func sentinelOf(err error) error {
-	for _, s := range []error{ErrColumn, ErrType, ErrSyntax, ErrNoTable} {
+	for _, s := range []error{errColumn, errType, errSyntax, ErrNoTable} {
 		if errors.Is(err, s) {
 			return s
 		}
@@ -285,10 +285,10 @@ func TestBoundEvaluatorMatchesInterpreter(t *testing.T) {
 			bindErr := p.bind(db)
 			db.mu.RUnlock()
 			if bindErr != nil && sel.Table != "missing" {
-				if !g.mayFailBind || !errors.Is(bindErr, ErrColumn) {
+				if !g.mayFailBind || !errors.Is(bindErr, errColumn) {
 					t.Fatalf("%+v: bind refused a statement it should take: %v", sel, bindErr)
 				}
-				if !errors.Is(gotErr, ErrColumn) {
+				if !errors.Is(gotErr, errColumn) {
 					t.Fatalf("%+v: bind said %v, the run said %v", sel, bindErr, gotErr)
 				}
 				refused++
@@ -398,7 +398,7 @@ func TestLikePatternsArePerPlan(t *testing.T) {
 	if err := empty.CreateTable("rides", []string{"ts", "city"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewPlan(bad).Scan(empty, func([]Value) {}); !errors.Is(err, ErrSyntax) {
+	if err := NewPlan(bad).Scan(empty, func([]Value) {}); !errors.Is(err, errSyntax) {
 		t.Errorf("oversized literal pattern over an empty table: %v, want ErrSyntax at bind", err)
 	}
 	// A computed pattern is compiled per evaluation and fails there.
@@ -452,7 +452,7 @@ func TestPlanBindsLazilyAndRebinds(t *testing.T) {
 	if err := third.CreateTable("t", []string{"ts"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Scan(third, func([]Value) {}); !errors.Is(err, ErrColumn) {
+	if err := p.Scan(third, func([]Value) {}); !errors.Is(err, errColumn) {
 		t.Errorf("table without v: %v, want ErrColumn", err)
 	}
 	if got := sum(db); got != 30 {

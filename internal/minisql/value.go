@@ -21,30 +21,30 @@ import (
 	"strings"
 )
 
-// ErrType reports an operation applied to incompatible value types.
-var ErrType = errors.New("minisql: type error")
+// errType reports an operation applied to incompatible value types.
+var errType = errors.New("minisql: type error")
 
 // Kind enumerates runtime value types.
 type Kind int
 
 // The dynamic types a cell can hold.
 const (
-	KindNull Kind = iota
+	kindNull Kind = iota
 	KindNumber
 	KindText
-	KindBool
+	kindBool
 )
 
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindNull:
+	case kindNull:
 		return "null"
 	case KindNumber:
 		return "number"
 	case KindText:
 		return "text"
-	case KindBool:
+	case kindBool:
 		return "bool"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
@@ -64,19 +64,19 @@ type Value struct {
 }
 
 // Convenience constructors.
-func Null() Value            { return Value{Kind: KindNull} }
+func Null() Value            { return Value{Kind: kindNull} }
 func Number(f float64) Value { return Value{Kind: KindNumber, Num: f} }
 func Text(s string) Value    { return Value{Kind: KindText, Str: s} }
-func Bool(b bool) Value      { return Value{Kind: KindBool, B: b} }
+func Bool(b bool) Value      { return Value{Kind: kindBool, B: b} }
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+func (v Value) IsNull() bool { return v.Kind == kindNull }
 
 // Truthy converts to a boolean in WHERE position: NULL is false, numbers
 // are non-zero, text is non-empty.
 func (v Value) Truthy() bool {
 	switch v.Kind {
-	case KindBool:
+	case kindBool:
 		return v.B
 	case KindNumber:
 		return v.Num != 0
@@ -93,7 +93,7 @@ func (v Value) AsNumber() (float64, error) {
 	switch v.Kind {
 	case KindNumber:
 		return v.Num, nil
-	case KindBool:
+	case kindBool:
 		if v.B {
 			return 1, nil
 		}
@@ -101,25 +101,25 @@ func (v Value) AsNumber() (float64, error) {
 	case KindText:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.Str), 64)
 		if err != nil {
-			return 0, fmt.Errorf("%w: %q is not numeric", ErrType, v.Str)
+			return 0, fmt.Errorf("%w: %q is not numeric", errType, v.Str)
 		}
 		return f, nil
 	default:
-		return 0, fmt.Errorf("%w: null is not numeric", ErrType)
+		return 0, fmt.Errorf("%w: null is not numeric", errType)
 	}
 }
 
 // String renders the value the way query results print it.
 func (v Value) String() string {
 	switch v.Kind {
-	case KindNull:
+	case kindNull:
 		return "NULL"
 	case KindNumber:
 		var buf [32]byte // the longest float64 in this format has 24 characters
 		return string(strconv.AppendFloat(buf[:0], v.Num, 'g', -1, 64))
 	case KindText:
 		return v.Str
-	case KindBool:
+	case kindBool:
 		if v.B {
 			return "true"
 		}
@@ -153,7 +153,7 @@ func (v Value) Equal(o Value) Value {
 // SQL NULL.
 func (v Value) Compare(o Value) (int, error) {
 	if v.IsNull() || o.IsNull() {
-		return 0, fmt.Errorf("%w: comparison with NULL", ErrType)
+		return 0, fmt.Errorf("%w: comparison with NULL", errType)
 	}
 	if v.Kind == KindText && o.Kind == KindText {
 		return strings.Compare(v.Str, o.Str), nil

@@ -13,8 +13,8 @@ import (
 	"math"
 )
 
-// ErrModel reports invalid model parameters.
-var ErrModel = errors.New("netsim: invalid model")
+// errModel reports invalid model parameters.
+var errModel = errors.New("netsim: invalid model")
 
 // ClusterModel projects throughput from a single measured core.
 type ClusterModel struct {
@@ -31,19 +31,19 @@ type ClusterModel struct {
 	CoresPerNode int
 }
 
-// Validate checks ranges.
-func (m ClusterModel) Validate() error {
+// validate checks ranges.
+func (m ClusterModel) validate() error {
 	if m.PerCoreOpsPerSec <= 0 || math.IsNaN(m.PerCoreOpsPerSec) {
-		return fmt.Errorf("%w: per-core rate %v", ErrModel, m.PerCoreOpsPerSec)
+		return fmt.Errorf("%w: per-core rate %v", errModel, m.PerCoreOpsPerSec)
 	}
 	if m.SerialFraction < 0 || m.SerialFraction >= 1 {
-		return fmt.Errorf("%w: serial fraction %v", ErrModel, m.SerialFraction)
+		return fmt.Errorf("%w: serial fraction %v", errModel, m.SerialFraction)
 	}
 	if m.ScaleOutEfficiency <= 0 || m.ScaleOutEfficiency > 1 {
-		return fmt.Errorf("%w: efficiency %v", ErrModel, m.ScaleOutEfficiency)
+		return fmt.Errorf("%w: efficiency %v", errModel, m.ScaleOutEfficiency)
 	}
 	if m.CoresPerNode <= 0 {
-		return fmt.Errorf("%w: %d cores per node", ErrModel, m.CoresPerNode)
+		return fmt.Errorf("%w: %d cores per node", errModel, m.CoresPerNode)
 	}
 	return nil
 }
@@ -51,11 +51,11 @@ func (m ClusterModel) Validate() error {
 // ScaleUp returns the projected throughput of one node using the given
 // number of cores (Amdahl's law).
 func (m ClusterModel) ScaleUp(cores int) (float64, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return 0, err
 	}
 	if cores <= 0 {
-		return 0, fmt.Errorf("%w: %d cores", ErrModel, cores)
+		return 0, fmt.Errorf("%w: %d cores", errModel, cores)
 	}
 	speedup := float64(cores) / (1 + m.SerialFraction*float64(cores-1))
 	return m.PerCoreOpsPerSec * speedup, nil
@@ -66,7 +66,7 @@ func (m ClusterModel) ScaleUp(cores int) (float64, error) {
 // geometric coordination efficiency.
 func (m ClusterModel) ScaleOut(nodes int) (float64, error) {
 	if nodes <= 0 {
-		return 0, fmt.Errorf("%w: %d nodes", ErrModel, nodes)
+		return 0, fmt.Errorf("%w: %d nodes", errModel, nodes)
 	}
 	nodeRate, err := m.ScaleUp(m.CoresPerNode)
 	if err != nil {
@@ -90,7 +90,7 @@ func Calibrate(perCoreOpsPerSec float64, coresPerNode int) (ClusterModel, error)
 		ScaleOutEfficiency: 0.97,
 		CoresPerNode:       coresPerNode,
 	}
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return ClusterModel{}, err
 	}
 	return m, nil

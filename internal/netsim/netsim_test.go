@@ -9,7 +9,7 @@ func TestCalibrateAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Calibrate(0, 8); err == nil {
@@ -17,12 +17,12 @@ func TestCalibrateAndValidate(t *testing.T) {
 	}
 	bad := m
 	bad.SerialFraction = 1
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("expected error for serial fraction 1")
 	}
 	bad = m
 	bad.ScaleOutEfficiency = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("expected error for zero efficiency")
 	}
 }

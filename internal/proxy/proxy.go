@@ -23,8 +23,8 @@ import (
 	"privapprox/internal/xorcrypt"
 )
 
-// ErrClosed reports operations on a closed proxy.
-var ErrClosed = errors.New("proxy: closed")
+// errClosed reports operations on a closed proxy.
+var errClosed = errors.New("proxy: closed")
 
 // Topic names mirror the paper's two Kafka topics: "answer" carries the
 // encrypted answer stream on the first proxy, "key" carries key shares
@@ -34,8 +34,8 @@ var ErrClosed = errors.New("proxy: closed")
 // §3.1: queries reach clients via the proxies); it is single-partition
 // so announcements keep a total order.
 const (
-	TopicAnswer  = "answer"
-	TopicKey     = "key"
+	topicAnswer  = "answer"
+	topicKey     = "key"
 	TopicControl = "control"
 	// TopicLineage is the provenance sidecar: clients publish one
 	// compact origin stamp per batch flush, the aggregator folds them
@@ -47,9 +47,9 @@ const (
 // TopicFor returns the topic a proxy at the given fleet index serves.
 func TopicFor(index int) string {
 	if index == 0 {
-		return TopicAnswer
+		return topicAnswer
 	}
-	return TopicKey
+	return topicKey
 }
 
 // Proxy is one forwarding node.
@@ -129,11 +129,11 @@ func Attach(name string, index int, t pubsub.Transport) (*Proxy, error) {
 	return p, nil
 }
 
-// AttachLazy is Attach without the topic probe: the handle binds even
+// attachLazy is Attach without the topic probe: the handle binds even
 // while the remote proxy is unreachable, and a missing topic surfaces
 // on first submit instead. Degraded-mode clients use this (paired with
 // pubsub.Options.LazyDial) to come up while a proxy is down.
-func AttachLazy(name string, index int, t pubsub.Transport) (*Proxy, error) {
+func attachLazy(name string, index int, t pubsub.Transport) (*Proxy, error) {
 	if t == nil {
 		return nil, fmt.Errorf("proxy: nil transport")
 	}
@@ -148,11 +148,11 @@ func (p *Proxy) Name() string { return p.name }
 // Topic returns the proxy's stream name.
 func (p *Proxy) Topic() string { return p.topic }
 
-// SetRetryPolicy installs the at-least-once retry policy the batched
+// setRetryPolicy installs the at-least-once retry policy the batched
 // submit path (SubmitBatch/SubmitColumns) runs under. Retried batches
 // are deduplicated by the broker's producer sessions, so Attempts > 1
 // is safe against double-publish. Configure before serving traffic.
-func (p *Proxy) SetRetryPolicy(pol pubsub.RetryPolicy) { p.prod.SetPolicy(pol) }
+func (p *Proxy) setRetryPolicy(pol pubsub.RetryPolicy) { p.prod.SetPolicy(pol) }
 
 // SetCapacity bounds the backlog of every partition of this proxy's
 // share topic (see pubsub.Broker.SetTopicCapacity). Only proxies that
@@ -196,7 +196,7 @@ func (p *Proxy) SubmitBatch(shares []xorcrypt.Share) error {
 // batcher, one frame over TCP. The processing at a PrivApprox proxy is
 // exactly this publish: no noise addition, no inter-proxy coordination
 // (the property Fig. 6 measures). On a bounded, full topic it fails
-// fast with pubsub.ErrPartitionFull; the caller decides whether to
+// fast with the broker's partition-full error; the caller decides whether to
 // shed. The batch goes through the proxy's producer session, so under
 // the retry policy an ambiguous transport failure is retried and the
 // broker dedups any slice that already landed. Both lanes are fully
@@ -229,7 +229,7 @@ func (p *Proxy) consumer(group, topic string) (*pubsub.Consumer, error) {
 // opaque bytes like any other record; clients verify the analyst
 // signatures themselves, so a proxy cannot tamper with an announced
 // query undetected (forgery under a fresh key is only ruled out when
-// clients pin analyst keys — see engine.Applier.Trust).
+// clients pin analyst keys — see engine.Applier's trust).
 func (p *Proxy) Announce(payload []byte) error {
 	return p.t.PublishColumns(TopicControl, batchOfOne(payload), 0, 0)
 }
@@ -356,11 +356,11 @@ func AttachFleet(transports []pubsub.Transport) (*Fleet, error) {
 	})
 }
 
-// AttachFleetLazy is AttachFleet via AttachLazy: no startup probes, so
+// AttachFleetLazy is AttachFleet via attachLazy: no startup probes, so
 // the fleet binds while some proxies are still unreachable.
 func AttachFleetLazy(transports []pubsub.Transport) (*Fleet, error) {
 	return newFleet(len(transports), func(i int) (*Proxy, error) {
-		return AttachLazy(fmt.Sprintf("proxy-%d", i), i, transports[i])
+		return attachLazy(fmt.Sprintf("proxy-%d", i), i, transports[i])
 	})
 }
 
@@ -449,7 +449,7 @@ func (f *Fleet) SetCapacity(capacity int) error {
 // proxy's batched submit path.
 func (f *Fleet) SetRetryPolicy(pol pubsub.RetryPolicy) {
 	for _, p := range f.proxies {
-		p.SetRetryPolicy(pol)
+		p.setRetryPolicy(pol)
 	}
 }
 

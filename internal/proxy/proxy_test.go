@@ -27,7 +27,7 @@ func TestNewProxyTopics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p0.Close()
-	if p0.Topic() != TopicAnswer {
+	if p0.Topic() != topicAnswer {
 		t.Errorf("proxy 0 topic = %q", p0.Topic())
 	}
 	p1, err := New("p1", 1, 2)
@@ -35,7 +35,7 @@ func TestNewProxyTopics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p1.Close()
-	if p1.Topic() != TopicKey {
+	if p1.Topic() != topicKey {
 		t.Errorf("proxy 1 topic = %q", p1.Topic())
 	}
 	if p0.Name() != "p0" {
@@ -114,7 +114,7 @@ func TestFleetValidationAndRoles(t *testing.T) {
 	if f.Size() != 3 {
 		t.Fatalf("Size = %d", f.Size())
 	}
-	if f.Proxy(0).Topic() != TopicAnswer || f.Proxy(1).Topic() != TopicKey || f.Proxy(2).Topic() != TopicKey {
+	if f.Proxy(0).Topic() != topicAnswer || f.Proxy(1).Topic() != topicKey || f.Proxy(2).Topic() != topicKey {
 		t.Error("fleet roles wrong")
 	}
 }

@@ -53,7 +53,7 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 // same topics, same submit/consume surface.
 func TestAttachOverTCP(t *testing.T) {
 	broker := pubsub.NewBroker()
-	if err := broker.CreateTopic(TopicAnswer, 2); err != nil {
+	if err := broker.CreateTopic(topicAnswer, 2); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := pubsub.Serve(broker, "127.0.0.1:0")
@@ -71,7 +71,7 @@ func TestAttachOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Topic() != TopicAnswer {
+	if p.Topic() != topicAnswer {
 		t.Errorf("topic = %q", p.Topic())
 	}
 	share := randomShare(t, []byte("over-the-wire"))
@@ -151,7 +151,7 @@ func TestAttachFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Size() != 2 || f.Proxy(0).Topic() != TopicAnswer || f.Proxy(1).Topic() != TopicKey {
+	if f.Size() != 2 || f.Proxy(0).Topic() != topicAnswer || f.Proxy(1).Topic() != topicKey {
 		t.Fatalf("fleet roles wrong: %q %q", f.Proxy(0).Topic(), f.Proxy(1).Topic())
 	}
 	sh := randomShare(t, []byte("fan"))
@@ -195,7 +195,7 @@ func TestLazyAttachDeliversStampsOnceServerIsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	p, err := AttachLazy("late-0", 0, cli)
+	p, err := attachLazy("late-0", 0, cli)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLazyAttachDeliversStampsOnceServerIsUp(t *testing.T) {
 func TestStampWithoutLineageTopic(t *testing.T) {
 	broker := pubsub.NewBroker()
 	defer broker.Close()
-	if err := broker.CreateTopic(TopicAnswer, 1); err != nil {
+	if err := broker.CreateTopic(topicAnswer, 1); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Attach("bare-0", 0, broker)

@@ -48,7 +48,7 @@ func TestPublishCapacityReject(t *testing.T) {
 		}
 	}
 	err := publish(b, "answer", key, []byte("v"))
-	if !errors.Is(err, ErrPartitionFull) {
+	if !errors.Is(err, errPartitionFull) {
 		t.Fatalf("publish beyond capacity: got %v, want ErrPartitionFull", err)
 	}
 	if end, _ := b.EndOffset("answer", 0); end != 3 {
@@ -74,7 +74,7 @@ func TestCommitFreesCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
+	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("expected full, got %v", err)
 	}
 	// Consuming alone does not free space; committing does. With two
@@ -89,7 +89,7 @@ func TestCommitFreesCapacity(t *testing.T) {
 	if err := publish(b, "answer", key, []byte("v")); err != nil {
 		t.Fatalf("publish after commit freed space: %v", err)
 	}
-	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
+	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("expected full again, got %v", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestPublishColumnsMixedPartitionAllOrNothing(t *testing.T) {
 	for _, k := range [][]byte{emptyKey, fullKey, emptyKey} {
 		batch.Keys = append(batch.Keys, k...)
 	}
-	if err := b.PublishColumns("answer", batch, 0, 0); !errors.Is(err, ErrPartitionFull) {
+	if err := b.PublishColumns("answer", batch, 0, 0); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("mixed batch: got %v, want ErrPartitionFull", err)
 	}
 	// Nothing from the batch may have landed anywhere.
@@ -208,7 +208,7 @@ func TestSetTopicCapacityErrors(t *testing.T) {
 	if err := publish(b, "answer", key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, ErrPartitionFull) {
+	if err := publish(b, "answer", key, []byte("v")); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("expected full, got %v", err)
 	}
 	// capacity <= 0 removes the bound.
@@ -220,7 +220,7 @@ func TestSetTopicCapacityErrors(t *testing.T) {
 	}
 }
 
-// TestTCPPartitionFullSentinel checks the ErrPartitionFull contract
+// TestTCPPartitionFullSentinel checks the errPartitionFull contract
 // across the wire: the sentinel must survive serialization so remote
 // publishers can errors.Is on it and retry once consumers commit.
 func TestTCPPartitionFullSentinel(t *testing.T) {
@@ -236,11 +236,11 @@ func TestTCPPartitionFullSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := publish(cli, "answer", key, []byte("v"))
-	if !errors.Is(err, ErrPartitionFull) {
+	if !errors.Is(err, errPartitionFull) {
 		t.Fatalf("remote publish beyond capacity: got %v, want ErrPartitionFull", err)
 	}
 	batch := Columns{Count: 1, KeyLen: len(key), ValLen: 1, Keys: key, Vals: []byte("v")}
-	if err := cli.PublishColumns("answer", batch, 0, 0); !errors.Is(err, ErrPartitionFull) {
+	if err := cli.PublishColumns("answer", batch, 0, 0); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("remote batch beyond capacity: got %v, want ErrPartitionFull", err)
 	}
 	// A commit on the broker frees space; the refused batch had no

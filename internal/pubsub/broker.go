@@ -22,20 +22,20 @@ import (
 var (
 	ErrNoTopic     = errors.New("pubsub: no such topic")
 	ErrTopicExists = errors.New("pubsub: topic already exists")
-	ErrNoPartition = errors.New("pubsub: no such partition")
+	errNoPartition = errors.New("pubsub: no such partition")
 	// ErrBadOffset reports an offset past the log end or below the first
 	// retained offset (see CommitOffset) that no WAL can serve (see
 	// FetchWait); it survives the TCP transport.
 	ErrBadOffset = errors.New("pubsub: offset out of range")
-	ErrClosed    = errors.New("pubsub: broker closed")
-	// ErrPartitionFull is the backpressure signal of a bounded partition
+	errClosed    = errors.New("pubsub: broker closed")
+	// errPartitionFull is the backpressure signal of a bounded partition
 	// (SetTopicCapacity): the publish would push the partition's
 	// unconsumed backlog — records past the slowest committed consumer
 	// offset — beyond its capacity. The batch is refused whole, never
 	// partially applied; the publisher may retry after consumers commit
 	// progress. The sentinel survives the TCP transport:
-	// errors.Is(err, ErrPartitionFull) holds on the remote publisher too.
-	ErrPartitionFull = errors.New("pubsub: partition full")
+	// errors.Is(err, errPartitionFull) holds on the remote publisher too.
+	errPartitionFull = errors.New("pubsub: partition full")
 )
 
 // Record is one log entry as Consumer.Poll hands it out. Every product
@@ -58,7 +58,7 @@ type Stats struct {
 	BytesIn     int64
 	MessagesOut int64
 	BytesOut    int64
-	// Rejected counts publish attempts refused with ErrPartitionFull
+	// Rejected counts publish attempts refused with errPartitionFull
 	// (each message of a refused batch counts once per attempt).
 	Rejected int64
 	// Duplicates counts messages discarded by producer-session
@@ -88,7 +88,7 @@ type partitionLog struct {
 	spare []byte
 	// capacity, when > 0, bounds the partition's unconsumed backlog:
 	// a publish that would leave more than capacity records past the
-	// slowest committed consumer offset fails with ErrPartitionFull.
+	// slowest committed consumer offset fails with errPartitionFull.
 	capacity int
 	// w, when non-nil, is the partition's write-ahead log: every publish
 	// journals its records here as one run record (durable.go) — before
@@ -156,12 +156,12 @@ const maxPartitions = 1024
 // to maxPartitions.
 func (b *Broker) CreateTopic(name string, partitions int) error {
 	if name == "" || partitions <= 0 || partitions > maxPartitions {
-		return fmt.Errorf("%w: invalid topic %q with %d partitions", ErrWire, name, partitions)
+		return fmt.Errorf("%w: invalid topic %q with %d partitions", errWire, name, partitions)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if _, ok := b.topics[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
@@ -206,7 +206,7 @@ func (b *Broker) Partitions(topic string) (int, error) {
 // SetTopicCapacity bounds every partition of a topic to at most
 // capacity unconsumed records. A publish that would push a partition's
 // backlog — records past the slowest committed consumer offset —
-// beyond the bound fails with ErrPartitionFull instead of growing the
+// beyond the bound fails with errPartitionFull instead of growing the
 // log without limit. capacity <= 0 removes the bound. The bound is on
 // the *unconsumed* suffix: a commit by the slowest consumer group both
 // frees room under the bound and releases the slabs it moved past
@@ -366,7 +366,7 @@ func (p *partitionLog) recordSlice(pid, seq uint64) {
 // The batch is all-or-nothing: every target partition's capacity is
 // checked (and every partition journaled) before any in-memory append,
 // so a batch spanning several partitions of a bounded topic is either
-// fully applied or refused with ErrPartitionFull having published
+// fully applied or refused with errPartitionFull having published
 // nothing — a partially applied batch would break the publisher's
 // retry (retrying would duplicate the partitions that did land).
 //
@@ -377,11 +377,11 @@ func (p *partitionLog) recordSlice(pid, seq uint64) {
 // Stats.Duplicates), so a retry after an ambiguous failure is
 // exactly-once. pid 0 publishes without dedup.
 func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) error {
-	if err := cols.Validate(); err != nil {
+	if err := cols.validate(); err != nil {
 		return err
 	}
 	if pid == 0 && seq != 0 {
-		return fmt.Errorf("%w: sequence %d without a producer id", ErrWire, seq)
+		return fmt.Errorf("%w: sequence %d without a producer id", errWire, seq)
 	}
 	if cols.Count == 0 {
 		return nil
@@ -394,7 +394,7 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
-		return ErrClosed
+		return errClosed
 	}
 	t, ok := b.topics[topic]
 	b.mu.RUnlock()
@@ -439,7 +439,7 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 			b.stats.Rejected += int64(cols.Count)
 			b.statsMu.Unlock()
 			return fmt.Errorf("%w: topic %q partition %d at capacity %d (batch of %d refused whole)",
-				ErrPartitionFull, topic, part, capacity, cols.Count)
+				errPartitionFull, topic, part, capacity, cols.Count)
 		}
 	}
 	for part, p := range t.partitions {
@@ -463,7 +463,7 @@ func (b *Broker) PublishColumns(topic string, cols Columns, pid, seq uint64) err
 			continue
 		}
 		for _, i := range idxs {
-			p.put(now, cols.Key(i), cols.Val(i))
+			p.put(now, cols.Key(i), cols.val(i))
 		}
 		p.recordSlice(pid, seq)
 		p.cond.Broadcast()
@@ -563,7 +563,7 @@ func (b *Broker) awaitRecord(topic string, partition int, offset int64, timeout 
 	defer p.mu.Unlock()
 	for p.count <= offset {
 		if b.isClosed() {
-			return false, ErrClosed
+			return false, errClosed
 		}
 		if !time.Now().Before(deadline) {
 			return false, nil
@@ -731,7 +731,7 @@ func (b *Broker) partition(topic string, partition int) (*partitionLog, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoTopic, topic)
 	}
 	if partition < 0 || partition >= len(t.partitions) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrNoPartition, partition, len(t.partitions))
+		return nil, fmt.Errorf("%w: %d of %d", errNoPartition, partition, len(t.partitions))
 	}
 	return t.partitions[partition], nil
 }

@@ -82,7 +82,7 @@ func TestPublishColumnsRoutesByKeyHash(t *testing.T) {
 	for _, cols := range []Columns{keyed, keyless} {
 		for i := 0; i < cols.Count; i++ {
 			p := partitionForKey(cols.Key(i), len(want))
-			want[p] = append(want[p], Record{Partition: p, Offset: int64(len(want[p])), Key: cols.Key(i), Value: cols.Val(i)})
+			want[p] = append(want[p], Record{Partition: p, Offset: int64(len(want[p])), Key: cols.Key(i), Value: cols.val(i)})
 		}
 	}
 	if p := partitionForKey(nil, len(want)); len(want[p]) < keyless.Count {
@@ -126,7 +126,7 @@ func TestBrokerPublishColumnsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := testCols(30, 8, 8)
-	if err := b.PublishColumns("answers", cols, 0, 0); !errors.Is(err, ErrPartitionFull) {
+	if err := b.PublishColumns("answers", cols, 0, 0); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	for p, recs := range fetchAll(t, b, "answers") {
@@ -159,11 +159,11 @@ func TestColumnsValidate(t *testing.T) {
 		{"short key lane", Columns{Count: 2, KeyLen: 2, ValLen: 1, Keys: []byte{1}, Vals: []byte{1, 2}}, false},
 		{"long val lane", Columns{Count: 1, KeyLen: 1, ValLen: 1, Keys: []byte{1}, Vals: []byte{1, 2}}, false},
 	} {
-		err := tc.cols.Validate()
+		err := tc.cols.validate()
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
-		if !tc.ok && !errors.Is(err, ErrWire) {
+		if !tc.ok && !errors.Is(err, errWire) {
 			t.Errorf("%s: err=%v", tc.name, err)
 		}
 	}
@@ -241,7 +241,7 @@ func FuzzFrameV2RoundTrip(f *testing.F) {
 			Keys:   lanes[:count*keyLen],
 			Vals:   lanes[count*keyLen : count*(keyLen+valLen)],
 		}
-		if err := cols.Validate(); err != nil {
+		if err := cols.validate(); err != nil {
 			t.Fatalf("fuzz-built columns invalid: %v", err)
 		}
 		claimCount, claimKey, vals := uint32(count), uint32(keyLen), cols.Vals

@@ -115,7 +115,7 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 // PollRuns is Poll in runs, waiting up to wait for the first record: an
 // empty sweep parks in a sliced blocking fetch on the first subscribed
 // partition (over TCP, one round-trip per slice), which a closing broker
-// ends with ErrClosed. The runs and their bodies are the consumer's,
+// ends with errClosed. The runs and their bodies are the consumer's,
 // valid until its next poll reuses their memory: a drain polls in one
 // arena, on either transport, and no reader may keep a view into it.
 // The arena outlives the empty poll that ends a drain; a consumer idle
@@ -224,7 +224,7 @@ func (c *Consumer) Seek(topic string, partition int, offset int64) error {
 		return fmt.Errorf("%w: %q", ErrNoTopic, topic)
 	}
 	if partition < 0 || partition >= len(c.subs[i].next) {
-		return fmt.Errorf("%w: %d", ErrNoPartition, partition)
+		return fmt.Errorf("%w: %d", errNoPartition, partition)
 	}
 	if offset < 0 {
 		return fmt.Errorf("%w: %d", ErrBadOffset, offset)

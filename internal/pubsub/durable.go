@@ -11,8 +11,8 @@ import (
 	"privapprox/internal/wal"
 )
 
-// ErrDurable reports a malformed journal record or data directory.
-var ErrDurable = errors.New("pubsub: durable broker")
+// errDurable reports a malformed journal record or data directory.
+var errDurable = errors.New("pubsub: durable broker")
 
 // Meta-journal record types.
 const (
@@ -44,7 +44,7 @@ type durability struct {
 // sets the fsync policy and segment size.
 func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("%w: empty data directory", ErrDurable)
+		return nil, fmt.Errorf("%w: empty data directory", errDurable)
 	}
 	meta, err := wal.Open(filepath.Join(dir, "meta"), opts)
 	if err != nil {
@@ -54,7 +54,7 @@ func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 	b.dur = &durability{dir: dir, opts: opts, meta: meta}
 	if err := b.replayMeta(); err != nil {
 		// Close every partition WAL replay managed to open (and its
-		// PolicyInterval sync goroutine) before reporting the failure,
+		// policyInterval sync goroutine) before reporting the failure,
 		// so a supervisor retrying OpenBroker doesn't leak handles.
 		for _, t := range b.topics {
 			for _, p := range t.partitions {
@@ -79,7 +79,7 @@ func OpenBroker(dir string, opts wal.Options) (*Broker, error) {
 func (b *Broker) replayMeta() error {
 	return b.dur.meta.Replay(0, func(_ uint64, _ int, payload []byte) error {
 		if len(payload) == 0 {
-			return fmt.Errorf("%w: empty meta record", ErrDurable)
+			return fmt.Errorf("%w: empty meta record", errDurable)
 		}
 		switch payload[0] {
 		case metaTopic:
@@ -110,7 +110,7 @@ func (b *Broker) replayMeta() error {
 			}
 			return nil
 		default:
-			return fmt.Errorf("%w: unknown meta record %#x", ErrDurable, payload[0])
+			return fmt.Errorf("%w: unknown meta record %#x", errDurable, payload[0])
 		}
 	})
 }
@@ -142,7 +142,7 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 				return err
 			}
 			if int64(lsn) != p.count {
-				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, p.count)
+				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", errDurable, name, i, lsn, p.count)
 			}
 			// Rebuild the session-dedup slot from the run's own tag: runs
 			// replay in append order, so the last tag seen for a producer
@@ -218,7 +218,7 @@ func validTopicName(name string) bool {
 
 func (d *durability) openPartitionWAL(topic string, partition int) (*wal.Log, error) {
 	if !validTopicName(topic) {
-		return nil, fmt.Errorf("%w: topic %q is not a valid directory name", ErrDurable, topic)
+		return nil, fmt.Errorf("%w: topic %q is not a valid directory name", errDurable, topic)
 	}
 	return wal.Open(filepath.Join(d.dir, "topic-"+topic, fmt.Sprintf("p%04d", partition)), d.opts)
 }
@@ -227,7 +227,7 @@ func (d *durability) openPartitionWAL(topic string, partition int) (*wal.Log, er
 // which serializes meta appends.
 func (d *durability) journalTopic(topic string, partitions int) error {
 	if !validTopicName(topic) {
-		return fmt.Errorf("%w: topic %q is not a valid directory name", ErrDurable, topic)
+		return fmt.Errorf("%w: topic %q is not a valid directory name", errDurable, topic)
 	}
 	d.buf = appendMetaTopic(d.buf[:0], topic, partitions)
 	_, err := d.meta.Append(1, d.buf)
@@ -274,7 +274,7 @@ func appendRunRecord(buf []byte, pid, seq uint64, nanos int64, keyLen, valLen in
 // n offsets. The run's body is a view into payload, and its offset is
 // left to the caller.
 func decodeRunRecord(payload []byte, n int) (r Run, pid, seq uint64, err error) {
-	d := codec.NewReader(payload, ErrDurable, "partition record")
+	d := codec.NewReader(payload, errDurable, "partition record")
 	switch kind := d.U8(); kind {
 	case runPlain:
 	case runSession:
@@ -299,7 +299,7 @@ func decodeRunRecord(payload []byte, n int) (r Run, pid, seq uint64, err error) 
 func (p *partitionLog) journalSlice(now time.Time, cols Columns, idxs []int, pid, seq uint64) error {
 	enc := appendRunRecord(p.encBuf[:0], pid, seq, now.UnixNano(), cols.KeyLen, cols.ValLen)
 	for _, i := range idxs {
-		enc = append(append(enc, cols.Key(i)...), cols.Val(i)...)
+		enc = append(append(enc, cols.Key(i)...), cols.val(i)...)
 	}
 	p.encBuf = enc
 	_, err := p.w.Append(len(idxs), enc)
@@ -321,7 +321,7 @@ func appendMetaCommit(buf []byte, group, topic string, partition int, offset int
 // never writes — above all a partition count CreateTopic refuses: a
 // journaled count sizes the topic's allocation on every restart.
 func decodeMetaTopic(payload []byte) (topic string, partitions int, err error) {
-	d := codec.NewReader(payload[1:], ErrDurable, "meta record")
+	d := codec.NewReader(payload[1:], errDurable, "meta record")
 	topic, partitions = d.Str(), int(d.U32())
 	if !validTopicName(topic) || partitions <= 0 || partitions > maxPartitions {
 		d.Fail("topic %q with %d partitions", topic, partitions)
@@ -330,7 +330,7 @@ func decodeMetaTopic(payload []byte) (topic string, partitions int, err error) {
 }
 
 func decodeMetaCommit(payload []byte) (group, topic string, partition int, offset int64, err error) {
-	d := codec.NewReader(payload[1:], ErrDurable, "meta record")
+	d := codec.NewReader(payload[1:], errDurable, "meta record")
 	group, topic, partition, offset = d.Str(), d.Str(), int(d.U32()), int64(d.U64())
 	if offset < 0 {
 		d.Fail("commit of offset %d", offset)

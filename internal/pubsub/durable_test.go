@@ -139,7 +139,7 @@ func TestDurableBrokerRejectsUnsafeTopicName(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if err := b.CreateTopic("../escape", 1); !errors.Is(err, ErrDurable) {
+	if err := b.CreateTopic("../escape", 1); !errors.Is(err, errDurable) {
 		t.Fatalf("path-traversal topic accepted: %v", err)
 	}
 	if err := b.CreateTopic("ok-topic.v1", 1); err != nil {
@@ -304,7 +304,7 @@ func TestConsumerSeekAndPositions(t *testing.T) {
 	if err := c.Seek("nope", 0, 0); !errors.Is(err, ErrNoTopic) {
 		t.Fatalf("seek on unknown topic: %v", err)
 	}
-	if err := c.Seek("answer", 9, 0); !errors.Is(err, ErrNoPartition) {
+	if err := c.Seek("answer", 9, 0); !errors.Is(err, errNoPartition) {
 		t.Fatalf("seek on unknown partition: %v", err)
 	}
 	if err := c.Seek("answer", 0, -1); !errors.Is(err, ErrBadOffset) {
@@ -429,7 +429,7 @@ func TestTornSessionSliceIsRetriedWhole(t *testing.T) {
 		t.Fatalf("fetch: %d records, %v", len(recs), err)
 	}
 	for i, rec := range recs {
-		if !bytes.Equal(rec.Key, cols.Key(i)) || !bytes.Equal(rec.Value, cols.Val(i)) {
+		if !bytes.Equal(rec.Key, cols.Key(i)) || !bytes.Equal(rec.Value, cols.val(i)) {
 			t.Fatalf("record %d reads back as %q=%q", i, rec.Key, rec.Value)
 		}
 	}
@@ -557,7 +557,7 @@ func copyTree(t *testing.T, src, dst string) map[string][]byte {
 // and the connection goes on serving.
 func TestCreateTopicRefusesHugePartitionCount(t *testing.T) {
 	b := NewBroker()
-	if err := b.CreateTopic("t", 1025); !errors.Is(err, ErrWire) {
+	if err := b.CreateTopic("t", 1025); !errors.Is(err, errWire) {
 		t.Fatalf("CreateTopic with 1,025 partitions: %v, want ErrWire", err)
 	}
 	if err := b.CreateTopic("t", 1024); err != nil {
@@ -597,7 +597,7 @@ func TestCreateTopicRefusesHugePartitionCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.Close()
-	if b, err := OpenBroker(dir, wal.Options{}); !errors.Is(err, ErrDurable) {
+	if b, err := OpenBroker(dir, wal.Options{}); !errors.Is(err, errDurable) {
 		if err == nil {
 			b.Close()
 		}
@@ -607,7 +607,7 @@ func TestCreateTopicRefusesHugePartitionCount(t *testing.T) {
 
 // FuzzMetaRecord drives the meta-journal decoders — the topic and commit
 // records a restarting durable broker replays — with arbitrary records:
-// they must never panic, must refuse with an error wrapping ErrDurable,
+// they must never panic, must refuse with an error wrapping errDurable,
 // and whatever they accept must re-encode to exactly the bytes they were
 // given.
 func FuzzMetaRecord(f *testing.F) {
@@ -646,7 +646,7 @@ func FuzzMetaRecord(f *testing.F) {
 			return
 		}
 		if err != nil {
-			if !errors.Is(err, ErrDurable) {
+			if !errors.Is(err, errDurable) {
 				t.Fatalf("decode error %v does not wrap ErrDurable", err)
 			}
 			return

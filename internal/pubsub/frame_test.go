@@ -30,7 +30,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes", ErrWire, n)
+		return nil, fmt.Errorf("%w: frame of %d bytes", errWire, n)
 	}
 	return appendFrameBody(r, nil, int(n))
 }

@@ -16,8 +16,8 @@ type RetryPolicy struct {
 	// Retries fire only for retryable failures: ErrAmbiguous (the
 	// request may have applied — safe to retry because the broker
 	// dedups) and transport-level errors like dial failures and
-	// connection resets. Broker verdicts (ErrNoTopic, ErrClosed,
-	// ErrPartitionFull, wire violations) never retry.
+	// connection resets. Broker verdicts (ErrNoTopic, errClosed,
+	// errPartitionFull, wire violations) never retry.
 	Attempts int
 	// Backoff is the sleep before the first retry, doubling per retry up
 	// to MaxBackoff. Defaults: 10ms → 500ms.
@@ -81,9 +81,6 @@ func NewProducer(t Transport, pol RetryPolicy) *Producer {
 	return p
 }
 
-// ID returns the producer's session ID.
-func (p *Producer) ID() uint64 { return p.id }
-
 // SetPolicy replaces the retry policy. Safe to call between publishes;
 // a publish in flight finishes under the policy it started with.
 func (p *Producer) SetPolicy(pol RetryPolicy) {
@@ -103,8 +100,8 @@ func retryablePublishErr(err error) bool {
 		return true
 	}
 	for _, s := range []error{
-		ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset,
-		ErrClosed, ErrPartitionFull, ErrWire, ErrDurable,
+		ErrNoTopic, ErrTopicExists, errNoPartition, ErrBadOffset,
+		errClosed, errPartitionFull, errWire, errDurable,
 	} {
 		if errors.Is(err, s) {
 			return false
@@ -118,7 +115,7 @@ func retryablePublishErr(err error) bool {
 // into chunks, each tagged with its own sequence; all-or-nothing holds
 // per chunk.
 func (p *Producer) PublishColumns(topic string, cols Columns) error {
-	if err := cols.Validate(); err != nil {
+	if err := cols.validate(); err != nil {
 		return err
 	}
 	if cols.Count == 0 {

@@ -138,7 +138,7 @@ func TestFetchValidation(t *testing.T) {
 	if _, err := fetch(b, "missing", 0, 0, 1, 0); !errors.Is(err, ErrNoTopic) {
 		t.Errorf("missing topic: %v", err)
 	}
-	if _, err := fetch(b, "t", 9, 0, 1, 0); !errors.Is(err, ErrNoPartition) {
+	if _, err := fetch(b, "t", 9, 0, 1, 0); !errors.Is(err, errNoPartition) {
 		t.Errorf("bad partition: %v", err)
 	}
 	if _, err := fetch(b, "t", 0, -1, 1, 0); !errors.Is(err, ErrBadOffset) {
@@ -248,13 +248,13 @@ func TestCloseStopsPublishAndWakesWaiters(t *testing.T) {
 	b.Close()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
+		if !errors.Is(err, errClosed) {
 			t.Errorf("WaitFetch after close: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitFetch not woken by Close")
 	}
-	if err := publish(b, "t", nil, []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := publish(b, "t", nil, []byte("x")); !errors.Is(err, errClosed) {
 		t.Errorf("Publish after close: %v", err)
 	}
 }
@@ -399,7 +399,7 @@ func TestConsumerPollWait(t *testing.T) {
 }
 
 // TestConsumerPollEndsOnClose: a consumer waiting in a poll over an
-// in-process broker returns ErrClosed within one wait slice of the
+// in-process broker returns errClosed within one wait slice of the
 // broker closing, not at the end of its wait.
 func TestConsumerPollEndsOnClose(t *testing.T) {
 	b := newTestBroker(t, "t")
@@ -415,7 +415,7 @@ func TestConsumerPollEndsOnClose(t *testing.T) {
 	}()
 	runs, err := c.PollRuns(10, 10*time.Second)
 	woke := time.Now()
-	if !errors.Is(err, ErrClosed) || len(runs) != 0 {
+	if !errors.Is(err, errClosed) || len(runs) != 0 {
 		t.Fatalf("PollRuns over a closing broker = %v, %v; want ErrClosed", runs, err)
 	}
 	// The poll waits in 20 ms slices: one slice plus scheduling slack,

@@ -175,7 +175,7 @@ func TestFetchArenaHandoff(t *testing.T) {
 			mem := append(make([]byte, 0, 4096), "prior"...)
 			runs := []Run{{Offset: 7, Count: 1, ValLen: 5, Body: mem[:5:5]}}
 			gotRuns, gotMem, err := cli.FetchWait("t", 0, 8, 10, 0, runs, mem)
-			if !errors.Is(err, ErrWire) || len(gotRuns) != 1 || gotRuns[0].Offset != 7 ||
+			if !errors.Is(err, errWire) || len(gotRuns) != 1 || gotRuns[0].Offset != 7 ||
 				string(gotMem) != "prior" || unsafe.SliceData(gotMem) != unsafe.SliceData(mem) {
 				t.Fatalf("a malformed reply = %d runs, mem %q, %v; want the prior run and memory back and ErrWire", len(gotRuns), gotMem, err)
 			}

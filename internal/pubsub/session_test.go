@@ -92,7 +92,7 @@ func TestUnsessionedColumns(t *testing.T) {
 		if err := pub.PublishColumns("t", cols, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := pub.PublishColumns("t", cols, 0, 1); !errors.Is(err, ErrWire) {
+		if err := pub.PublishColumns("t", cols, 0, 1); !errors.Is(err, errWire) {
 			t.Fatalf("pid 0 with seq 1: %v, want ErrWire", err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestProducerRetriesAmbiguousExactlyOnce(t *testing.T) {
 	}
 	ft.failures = 0
 	rejected := b.Stats().Rejected
-	if err := prod.PublishColumns("t", sessionCols('f', 4)); !errors.Is(err, ErrPartitionFull) {
+	if err := prod.PublishColumns("t", sessionCols('f', 4)); !errors.Is(err, errPartitionFull) {
 		t.Fatalf("full partition: %v, want ErrPartitionFull", err)
 	}
 	if got := b.Stats().Rejected - rejected; got != 4 {
@@ -273,7 +273,7 @@ func TestProducerSequencesPerTopic(t *testing.T) {
 		}
 	}
 	prod := NewProducer(b, RetryPolicy{})
-	if prod.ID() == 0 {
+	if prod.id == 0 {
 		t.Fatal("producer ID is zero")
 	}
 	for i := 0; i < 3; i++ {
@@ -350,7 +350,7 @@ func TestProducerSplitsOversized(t *testing.T) {
 	if end, err := b.EndOffset("t", 0); err != nil || end != 6 {
 		t.Fatalf("EndOffset = %d, %v", end, err)
 	}
-	if seq := b.topics["t"].partitions[0].producers[prod.ID()]; seq != 3 {
+	if seq := b.topics["t"].partitions[0].producers[prod.id]; seq != 3 {
 		t.Fatalf("newest applied sequence = %d, want 3 (one per chunk)", seq)
 	}
 }

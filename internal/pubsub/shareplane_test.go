@@ -441,7 +441,7 @@ func FuzzFetchResponse(f *testing.F) {
 		}
 		runs = runs[len(had):]
 		if err != nil {
-			if !errors.Is(err, ErrWire) {
+			if !errors.Is(err, errWire) {
 				t.Fatalf("decode error %v does not wrap ErrWire", err)
 			}
 			if len(runs) != 0 {

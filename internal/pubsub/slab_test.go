@@ -158,8 +158,8 @@ func FuzzPartitionLog(f *testing.F) {
 				if keyLen > 0 {
 					key = cols.Key(i)
 				}
-				p.put(ts, key, cols.Val(i))
-				model = append(model, Record{Topic: "t", Offset: int64(len(model)), Key: key, Value: cols.Val(i), Timestamp: ts})
+				p.put(ts, key, cols.val(i))
+				model = append(model, Record{Topic: "t", Offset: int64(len(model)), Key: key, Value: cols.val(i), Timestamp: ts})
 				bytesPut += keyLen + valLen
 			}
 		}

@@ -273,7 +273,7 @@ func (s *Server) awaitRecord(topic string, part int, off int64, wait time.Durati
 			return err
 		}
 		if s.isClosed() {
-			return ErrClosed
+			return errClosed
 		}
 	}
 }
@@ -563,7 +563,7 @@ func (cc *clientConn) fail(conn net.Conn, err error) {
 
 // close shuts the conn down for good: in-flight requests fail
 // (ambiguously — they were written), and subsequent roundTrips return
-// ErrClosed instead of redialing.
+// errClosed instead of redialing.
 func (cc *clientConn) close() error {
 	cc.mu.Lock()
 	cc.closed = true
@@ -575,7 +575,7 @@ func (cc *clientConn) close() error {
 	if conn != nil {
 		err = conn.Close()
 	}
-	werr := fmt.Errorf("%w: %v", ErrAmbiguous, ErrClosed)
+	werr := fmt.Errorf("%w: %v", ErrAmbiguous, errClosed)
 	for _, w := range waiters {
 		w.ch <- connResult{err: werr}
 	}
@@ -592,7 +592,7 @@ func (cc *clientConn) redial() error {
 	cc.mu.Lock()
 	if cc.closed {
 		cc.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	if cc.conn != nil {
 		cc.mu.Unlock()
@@ -612,7 +612,7 @@ func (cc *clientConn) redial() error {
 		if err == nil {
 			conn.Close()
 		}
-		return ErrClosed
+		return errClosed
 	}
 	if err != nil {
 		cc.dialFails++
@@ -665,7 +665,7 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 		w, ok := cc.pop()
 		cc.mu.Unlock()
 		if !ok {
-			cc.fail(conn, fmt.Errorf("%w: unsolicited response", ErrWire))
+			cc.fail(conn, fmt.Errorf("%w: unsolicited response", errWire))
 			return
 		}
 		resp, err := appendFrameBody(br, w.mem, n)
@@ -691,7 +691,7 @@ func (cc *clientConn) roundTrip(frame, mem []byte) (codec.Reader, []byte, error)
 	for cc.conn == nil {
 		if cc.closed {
 			cc.mu.Unlock()
-			return codec.Reader{}, mem, ErrClosed
+			return codec.Reader{}, mem, errClosed
 		}
 		cc.mu.Unlock()
 		// Nothing has reached the wire yet, so a dial failure here is
@@ -743,13 +743,13 @@ func done(d codec.Reader, err error) error {
 // wireSentinels are the broker errors re-attached on the client side of
 // the TCP transport: the server serializes an error as its message
 // string, and the matching sentinel is recovered by prefix so
-// errors.Is keeps working across the wire — ErrPartitionFull so
+// errors.Is keeps working across the wire — errPartitionFull so
 // publishers can tell backpressure from a fatal error, ErrNoTopic so
 // advisory publishers (lineage stamps) can tolerate a broker without
-// their topic, ErrWire so a Producer never retries a frame the server
+// their topic, errWire so a Producer never retries a frame the server
 // rejected as malformed.
 var wireSentinels = []error{
-	ErrPartitionFull, ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset, ErrClosed, ErrWire,
+	errPartitionFull, ErrNoTopic, ErrTopicExists, errNoPartition, ErrBadOffset, errClosed, errWire,
 }
 
 func wireError(msg string) error {
@@ -818,7 +818,7 @@ const maxBatchBytes = 8 << 20
 // sequence covers one atomic broker batch, so callers bound the batch
 // size (Producer does).
 func (c *Client) PublishColumns(topic string, cols Columns, pid, seq uint64) error {
-	if err := cols.Validate(); err != nil {
+	if err := cols.validate(); err != nil {
 		return err
 	}
 	if cols.Count == 0 {

@@ -475,7 +475,7 @@ func TestTCPServerRefusesTrailingBytes(t *testing.T) {
 
 // TestTCPClientRefusesTrailingBytes: the client accepts exactly the
 // replies a server writes. Against a server that appends one byte to
-// every reply, each call fails with ErrWire.
+// every reply, each call fails with errWire.
 func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("t", 1); err != nil {
@@ -538,7 +538,7 @@ func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 		},
 	}
 	for name, call := range calls {
-		if err := call(); !errors.Is(err, ErrWire) {
+		if err := call(); !errors.Is(err, errWire) {
 			t.Errorf("%s against a reply with a trailing byte: %v, want ErrWire", name, err)
 		}
 	}
@@ -547,7 +547,7 @@ func TestTCPClientRefusesTrailingBytes(t *testing.T) {
 // FuzzServerRequest drives Server.respond with arbitrary request frames
 // against an in-memory broker holding a two-partition topic with a
 // record in it. It must never panic and must answer with a status frame,
-// and every error it answers must come back through wireError as ErrWire
+// and every error it answers must come back through wireError as errWire
 // or another broker sentinel. A frame whose opcode is unassigned — the
 // retired topic creation (1) and single-record publish (2) among them —
 // is refused as that unknown opcode, whatever follows it.

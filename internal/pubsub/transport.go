@@ -74,22 +74,22 @@ type Columns struct {
 	Vals   []byte
 }
 
-// Validate checks the lane geometry.
-func (c Columns) Validate() error {
+// validate checks the lane geometry.
+func (c Columns) validate() error {
 	if c.Count < 0 {
-		return fmt.Errorf("%w: %d records", ErrWire, c.Count)
+		return fmt.Errorf("%w: %d records", errWire, c.Count)
 	}
 	if c.Count == 0 {
 		return nil
 	}
 	if c.KeyLen < 0 || c.ValLen < 0 || c.KeyLen+c.ValLen == 0 {
-		return fmt.Errorf("%w: key stride %d, value stride %d", ErrWire, c.KeyLen, c.ValLen)
+		return fmt.Errorf("%w: key stride %d, value stride %d", errWire, c.KeyLen, c.ValLen)
 	}
 	if len(c.Keys) != c.Count*c.KeyLen {
-		return fmt.Errorf("%w: %d-byte key lane for %d×%d", ErrWire, len(c.Keys), c.Count, c.KeyLen)
+		return fmt.Errorf("%w: %d-byte key lane for %d×%d", errWire, len(c.Keys), c.Count, c.KeyLen)
 	}
 	if len(c.Vals) != c.Count*c.ValLen {
-		return fmt.Errorf("%w: %d-byte value lane for %d×%d", ErrWire, len(c.Vals), c.Count, c.ValLen)
+		return fmt.Errorf("%w: %d-byte value lane for %d×%d", errWire, len(c.Vals), c.Count, c.ValLen)
 	}
 	return nil
 }
@@ -97,8 +97,8 @@ func (c Columns) Validate() error {
 // Key returns record i's key as a view into the key lane.
 func (c Columns) Key(i int) []byte { return c.Keys[i*c.KeyLen : (i+1)*c.KeyLen : (i+1)*c.KeyLen] }
 
-// Val returns record i's value as a view into the value lane.
-func (c Columns) Val(i int) []byte { return c.Vals[i*c.ValLen : (i+1)*c.ValLen : (i+1)*c.ValLen] }
+// val returns record i's value as a view into the value lane.
+func (c Columns) val(i int) []byte { return c.Vals[i*c.ValLen : (i+1)*c.ValLen : (i+1)*c.ValLen] }
 
 // Val returns record i's value as a view into the run's body.
 func (r Run) Val(i int) []byte {

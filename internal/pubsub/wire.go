@@ -22,9 +22,9 @@ import (
 // memory.
 const maxFrame = 64 << 20
 
-// ErrWire reports a malformed request — a transport protocol violation,
+// errWire reports a malformed request — a transport protocol violation,
 // or arguments no encoder of a valid request writes.
-var ErrWire = errors.New("pubsub: wire protocol error")
+var errWire = errors.New("pubsub: wire protocol error")
 
 // Opcodes. The values are the wire format and are pinned by the golden
 // frame in wire_golden_test.go. 1 (the retired topic creation: every
@@ -63,7 +63,7 @@ func readFrameLen(br *bufio.Reader) (int, error) {
 	n := binary.BigEndian.Uint32(hdr)
 	br.Discard(frameHeader) // buffered by Peek: it cannot fail
 	if n > maxFrame {
-		return 0, fmt.Errorf("%w: frame of %d bytes", ErrWire, n)
+		return 0, fmt.Errorf("%w: frame of %d bytes", errWire, n)
 	}
 	return int(n), nil
 }
@@ -123,9 +123,9 @@ func (e *enc) bytes(b []byte)  { e.buf = codec.AppendBytes(e.buf, b) }
 func (e *enc) str(s string)    { e.buf = codec.AppendBytes(e.buf, s) }
 
 // wireReader reads a frame of the TCP protocol: every failure wraps
-// ErrWire, and a string read is a view into the frame (cap-limited, so
+// errWire, and a string read is a view into the frame (cap-limited, so
 // an append cannot run into its neighbour) valid only while the frame
 // is. The server's publish handlers pass views straight to the broker,
 // which copies them once into its slab; the client's fetch hands out
 // views of the response frame it read into the caller's memory.
-func wireReader(frame []byte) codec.Reader { return codec.NewReader(frame, ErrWire, "frame") }
+func wireReader(frame []byte) codec.Reader { return codec.NewReader(frame, errWire, "frame") }

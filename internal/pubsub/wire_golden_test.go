@@ -95,7 +95,7 @@ func TestGoldenPartitionRecords(t *testing.T) {
 	run := func(pid, seq uint64, recs ...int) []byte {
 		buf := appendRunRecord(nil, pid, seq, goldenTS.UnixNano(), goldenCols.KeyLen, goldenCols.ValLen)
 		for _, i := range recs {
-			buf = append(append(buf, goldenCols.Key(i)...), goldenCols.Val(i)...)
+			buf = append(append(buf, goldenCols.Key(i)...), goldenCols.val(i)...)
 		}
 		return buf
 	}
@@ -120,7 +120,7 @@ func TestGoldenPartitionRecords(t *testing.T) {
 	if err := b.PublishColumns("answer", goldenCols, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := publish(b, "answer", goldenCols.Key(1), goldenCols.Val(1)); err != nil {
+	if err := publish(b, "answer", goldenCols.Key(1), goldenCols.val(1)); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
@@ -228,7 +228,7 @@ func TestGoldenFetchResponse(t *testing.T) {
 // FuzzPartitionRecord drives the partition-journal record decoder — the
 // bytes a restarting broker reads back from disk, under a frame covering
 // n offsets — with arbitrary records: it must never panic, must refuse
-// with an error wrapping ErrDurable a run whose body is not n records of
+// with an error wrapping errDurable a run whose body is not n records of
 // its strides, a session record with a zero producer id or an unknown
 // kind byte, and whatever it accepts must re-encode to exactly the bytes
 // it was given — through the encoder, and through a slab.
@@ -248,7 +248,7 @@ func FuzzPartitionRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, n uint32) {
 		r, pid, seq, err := decodeRunRecord(payload, int(n))
 		if err != nil {
-			if !errors.Is(err, ErrDurable) {
+			if !errors.Is(err, errDurable) {
 				t.Fatalf("decode error %v does not wrap ErrDurable", err)
 			}
 			return

@@ -15,8 +15,8 @@ import (
 	"privapprox/internal/minisql"
 )
 
-// ErrBucket reports an invalid bucket specification.
-var ErrBucket = errors.New("query: invalid bucket")
+// errBucket reports an invalid bucket specification.
+var errBucket = errors.New("query: invalid bucket")
 
 // Bucket decides whether a query answer value falls into one histogram
 // bucket. Numeric buckets receive the value parsed as float64;
@@ -84,7 +84,7 @@ type PatternBucket struct {
 func NewPatternBucket(pattern string) (*PatternBucket, error) {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBucket, err)
+		return nil, fmt.Errorf("%w: %v", errBucket, err)
 	}
 	return &PatternBucket{re: re, label: pattern}, nil
 }
@@ -102,7 +102,7 @@ type Buckets []Bucket
 // optionally appending a final [hi, +Inf) overflow bucket.
 func UniformRanges(lo, hi float64, n int, overflow bool) (Buckets, error) {
 	if n <= 0 || hi <= lo || math.IsNaN(lo) || math.IsNaN(hi) {
-		return nil, fmt.Errorf("%w: %d ranges over [%g,%g)", ErrBucket, n, lo, hi)
+		return nil, fmt.Errorf("%w: %d ranges over [%g,%g)", errBucket, n, lo, hi)
 	}
 	width := (hi - lo) / float64(n)
 	out := make(Buckets, 0, n+1)

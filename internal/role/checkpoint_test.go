@@ -112,7 +112,7 @@ func TestDrainRestoreChecksSystemFirst(t *testing.T) {
 	if _, _, err := a.clients.Epoch(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.drain.Dry(); err != nil {
+	if _, _, err := a.drain.UpTo(math.MaxInt); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := a.drain.Checkpoint([]byte("system section"), nil)

@@ -533,13 +533,6 @@ func (d *Drain) upTo(fired []aggregator.Result, max int) ([]aggregator.Result, i
 	return fired, drained, err
 }
 
-// Dry drains every consumer until it is empty: UpTo without a budget.
-// Fired windows come back in canonical order.
-func (d *Drain) Dry() ([]aggregator.Result, error) {
-	fired, _, err := d.UpTo(math.MaxInt)
-	return fired, err
-}
-
 // Commit records every consumer's position at the proxies. It is the
 // role's statement that it will never read below them again, which lets
 // the brokers release those records and frees room under a partition

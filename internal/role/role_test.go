@@ -143,7 +143,7 @@ func (r *rig) restart(t *testing.T) *rig {
 // balances.
 func (r *rig) conserved(t *testing.T) {
 	t.Helper()
-	if _, err := r.drain.Dry(); err != nil {
+	if _, _, err := r.drain.UpTo(math.MaxInt); err != nil {
 		t.Error(err)
 		return
 	}
@@ -202,7 +202,7 @@ func TestRoleDrainMatchesProxyByProxy(t *testing.T) {
 		if _, _, err := r.clients.Epoch(e, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.drain.Dry()
+		got, _, err := r.drain.UpTo(math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,8 +294,8 @@ func (s *reverseSink) SubmitColumns(mids, payloads []byte, count, size int) erro
 
 // TestDrainDeliversEverything: every share published to either proxy
 // reaches the aggregator exactly once. A bounded drain splits its budget
-// evenly over the proxies (so what it reads can join), Dry takes the rest,
-// and a round after that finds nothing.
+// evenly over the proxies (so what it reads can join), UpTo(math.MaxInt)
+// takes the rest, and a round after that finds nothing.
 func TestDrainDeliversEverything(t *testing.T) {
 	r := newRig(t, 50)
 	_, n, err := r.clients.Epoch(0, nil)
@@ -316,14 +316,14 @@ func TestDrainDeliversEverything(t *testing.T) {
 	if lags[0]+lags[1] != int64(n) || lags[0]-lags[1] > 1 || lags[1]-lags[0] > 1 {
 		t.Errorf("after draining %d of %d records, proxy backlogs %v: not split evenly", n, 2*n, lags)
 	}
-	if _, err := r.drain.Dry(); err != nil {
+	if _, _, err := r.drain.UpTo(math.MaxInt); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.agg.Stats().Decoded; got != int64(n) || r.agg.PendingJoins() != 0 {
 		t.Errorf("decoded %d answers with %d joins pending, want %d and 0", got, r.agg.PendingJoins(), n)
 	}
 	if _, read, err := r.drain.Round(pollMax, 0); err != nil || read != 0 {
-		t.Errorf("a round after Dry read %d records: %v", read, err)
+		t.Errorf("a round after UpTo(math.MaxInt) read %d records: %v", read, err)
 	}
 }
 
@@ -547,7 +547,7 @@ func TestDrainSyncsBetweenPollAndSubmit(t *testing.T) {
 		shares[1].hook = first("proxy 1", func() {})
 		control.hook = first("control", func() {})
 		r.hookDrain(t, &control, &shares[0], &shares[1])
-		if _, err := r.drain.Dry(); err != nil {
+		if _, _, err := r.drain.UpTo(math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if want := []string{"proxy 0", "proxy 1", "control"}; !slices.Equal(firsts, want) {
@@ -575,7 +575,7 @@ func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
 		}
 		answers += int64(n)
 		if e == 0 {
-			if _, err := r.drain.Dry(); err != nil {
+			if _, _, err := r.drain.UpTo(math.MaxInt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -593,10 +593,10 @@ func TestDrainSubmitsPastARefusedSnapshot(t *testing.T) {
 	if err := r.fleet.Announce(payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.drain.Dry(); err == nil || !strings.Contains(err.Error(), "signature") {
+	if _, _, err := r.drain.UpTo(math.MaxInt); err == nil || !strings.Contains(err.Error(), "signature") {
 		t.Fatalf("a drain past a tampered snapshot: %v, want its refusal", err)
 	}
-	if _, err := r.drain.Dry(); err != nil {
+	if _, _, err := r.drain.UpTo(math.MaxInt); err != nil {
 		t.Fatalf("the drain after the refusal: %v", err)
 	}
 	if st := r.agg.Stats(); st.Decoded != answers || r.agg.PendingJoins() != 0 {
@@ -926,7 +926,7 @@ func TestClientsEpochAllocs(t *testing.T) {
 			if e >= warm {
 				mallocs = append(mallocs, after.Mallocs-before.Mallocs)
 			}
-			if _, err := r.drain.Dry(); err != nil {
+			if _, _, err := r.drain.UpTo(math.MaxInt); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.drain.Commit(); err != nil {
@@ -970,7 +970,7 @@ func TestDrainPointsPairEveryShare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tail, err := r.drain.Dry()
+			tail, _, err := r.drain.UpTo(math.MaxInt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -979,7 +979,7 @@ func TestDrainPointsPairEveryShare(t *testing.T) {
 			if _, _, err := twin.clients.Epoch(e, nil); err != nil {
 				t.Fatal(err)
 			}
-			want, err := twin.drain.Dry()
+			want, _, err := twin.drain.UpTo(math.MaxInt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,7 +92,7 @@ func (tl *tally) check(t *testing.T, what string, pr Params) {
 	var chi float64
 	dof := 0
 	for tr := range tl.n {
-		pi := ResponseYesProbability(pr, tr == 1)
+		pi := responseYesProbability(pr, tr == 1)
 		var n, yes int
 		for i := range tl.n[tr] {
 			n += tl.n[tr][i]
@@ -164,7 +164,7 @@ func TestRespondBitsIndependent(t *testing.T) {
 		}
 		var mean, sd [nbits]float64
 		for i := range mean {
-			mean[i] = ResponseYesProbability(pr, bitAt(truth, i) == 1)
+			mean[i] = responseYesProbability(pr, bitAt(truth, i) == 1)
 			sd[i] = math.Sqrt(mean[i] * (1 - mean[i]))
 		}
 		var pair [nbits][nbits]float64
@@ -301,7 +301,7 @@ func TestRespondBitsEstimatorUnbiased(t *testing.T) {
 			}
 			sum += est
 		}
-		a, b := ResponseYesProbability(pr, true), ResponseYesProbability(pr, false)
+		a, b := responseYesProbability(pr, true), responseYesProbability(pr, false)
 		v := (actualYes*a*(1-a) + (nbits-actualYes)*b*(1-b)) / (pr.P * pr.P)
 		se := math.Sqrt(v / rounds)
 		if mean := sum / rounds; math.Abs(mean-actualYes) > zTail*se {

@@ -20,8 +20,8 @@ import (
 
 // Errors reported by parameter validation and the estimators.
 var (
-	ErrBadParam = errors.New("rr: parameter out of range")
-	ErrNoData   = errors.New("rr: no responses")
+	errBadParam = errors.New("rr: parameter out of range")
+	errNoData   = errors.New("rr: no responses")
 )
 
 // Params are the two randomization coin biases. P is the probability the
@@ -36,10 +36,10 @@ type Params struct {
 // mechanism is invertible (P > 0: otherwise responses carry no signal).
 func (pr Params) Validate() error {
 	if math.IsNaN(pr.P) || pr.P <= 0 || pr.P > 1 {
-		return fmt.Errorf("%w: p=%v (need 0 < p ≤ 1)", ErrBadParam, pr.P)
+		return fmt.Errorf("%w: p=%v (need 0 < p ≤ 1)", errBadParam, pr.P)
 	}
 	if math.IsNaN(pr.Q) || pr.Q < 0 || pr.Q > 1 {
-		return fmt.Errorf("%w: q=%v (need 0 ≤ q ≤ 1)", ErrBadParam, pr.Q)
+		return fmt.Errorf("%w: q=%v (need 0 ≤ q ≤ 1)", errBadParam, pr.Q)
 	}
 	return nil
 }
@@ -76,8 +76,8 @@ func NewRandomizer(params Params, rng *rand.Rand) (*Randomizer, error) {
 	return &Randomizer{
 		params:  params,
 		rng:     rng,
-		thTrue:  probThreshold(ResponseYesProbability(params, true)),
-		thFalse: probThreshold(ResponseYesProbability(params, false)),
+		thTrue:  probThreshold(responseYesProbability(params, true)),
+		thFalse: probThreshold(responseYesProbability(params, false)),
 	}, nil
 }
 
@@ -210,10 +210,10 @@ func EstimateYes(params Params, observedYes, n int) (float64, error) {
 		return 0, err
 	}
 	if n <= 0 {
-		return 0, ErrNoData
+		return 0, errNoData
 	}
 	if observedYes < 0 || observedYes > n {
-		return 0, fmt.Errorf("%w: Ry=%d of n=%d", ErrBadParam, observedYes, n)
+		return 0, fmt.Errorf("%w: Ry=%d of n=%d", errBadParam, observedYes, n)
 	}
 	return (float64(observedYes) - (1-params.P)*params.Q*float64(n)) / params.P, nil
 }
@@ -241,7 +241,7 @@ func EstimateNo(params Params, observedYes, n int) (float64, error) {
 // η = |actual − estimated| / actual. The actual count must be nonzero.
 func AccuracyLoss(actual, estimated float64) (float64, error) {
 	if actual == 0 {
-		return 0, fmt.Errorf("%w: actual count is zero", ErrBadParam)
+		return 0, fmt.Errorf("%w: actual count is zero", errBadParam)
 	}
 	return math.Abs(actual-estimated) / math.Abs(actual), nil
 }
@@ -277,7 +277,7 @@ func EpsilonDP(params Params) (float64, error) {
 // a 90% sampling fraction.
 func EpsilonZK(s float64, params Params) (float64, error) {
 	if math.IsNaN(s) || s <= 0 || s > 1 {
-		return 0, fmt.Errorf("%w: s=%v (need 0 < s ≤ 1)", ErrBadParam, s)
+		return 0, fmt.Errorf("%w: s=%v (need 0 < s ≤ 1)", errBadParam, s)
 	}
 	eps, err := EpsilonDP(params)
 	if err != nil {
@@ -299,7 +299,7 @@ func EpsilonZK(s float64, params Params) (float64, error) {
 // RAPPOR: it equals ε_dp at s = 1 and tends to 0 as s → 0.
 func EpsilonDPSampled(s float64, params Params) (float64, error) {
 	if math.IsNaN(s) || s <= 0 || s > 1 {
-		return 0, fmt.Errorf("%w: s=%v (need 0 < s ≤ 1)", ErrBadParam, s)
+		return 0, fmt.Errorf("%w: s=%v (need 0 < s ≤ 1)", errBadParam, s)
 	}
 	eps, err := EpsilonDP(params)
 	if err != nil {
@@ -318,14 +318,14 @@ func EpsilonDPSampled(s float64, params Params) (float64, error) {
 // achievable, i.e. below the s→0 limit ln(1) = 0 or when ε_dp is +Inf.
 func SamplingForEpsilonZK(epsZK float64, params Params) (float64, error) {
 	if math.IsNaN(epsZK) || epsZK <= 0 {
-		return 0, fmt.Errorf("%w: epsZK=%v", ErrBadParam, epsZK)
+		return 0, fmt.Errorf("%w: epsZK=%v", errBadParam, epsZK)
 	}
 	eps, err := EpsilonDP(params)
 	if err != nil {
 		return 0, err
 	}
 	if math.IsInf(eps, 1) {
-		return 0, fmt.Errorf("%w: ε_dp is infinite, no sampling fraction achieves a ZK bound", ErrBadParam)
+		return 0, fmt.Errorf("%w: ε_dp is infinite, no sampling fraction achieves a ZK bound", errBadParam)
 	}
 	// Solve E(1−s) = 1 + s(2−s)A for s, where A = e^{ε_dp}−1, E = e^{ε_zk}:
 	// As² − (2A+E)s + (E−1) = 0, taking the root in (0, 1).
@@ -337,19 +337,19 @@ func SamplingForEpsilonZK(epsZK float64, params Params) (float64, error) {
 	}
 	disc := (2*a+e)*(2*a+e) - 4*a*(e-1)
 	if disc < 0 {
-		return 0, fmt.Errorf("%w: target ε_zk=%v unreachable for %+v", ErrBadParam, epsZK, params)
+		return 0, fmt.Errorf("%w: target ε_zk=%v unreachable for %+v", errBadParam, epsZK, params)
 	}
 	s := ((2*a + e) - math.Sqrt(disc)) / (2 * a)
 	if s <= 0 || s >= 1 {
-		return 0, fmt.Errorf("%w: target ε_zk=%v maps to s=%v outside (0,1)", ErrBadParam, epsZK, s)
+		return 0, fmt.Errorf("%w: target ε_zk=%v maps to s=%v outside (0,1)", errBadParam, epsZK, s)
 	}
 	return s, nil
 }
 
-// ResponseYesProbability returns Pr[response = Yes] for a client whose
+// responseYesProbability returns Pr[response = Yes] for a client whose
 // truthful answer is truth. Useful for analytical tests and the SplitX /
 // RAPPOR comparisons.
-func ResponseYesProbability(params Params, truth bool) float64 {
+func responseYesProbability(params Params, truth bool) float64 {
 	if truth {
 		return params.P + (1-params.P)*params.Q
 	}
@@ -367,10 +367,10 @@ func SimulateAccuracyLoss(params Params, yesFraction float64, n, rounds int, rng
 		return 0, err
 	}
 	if yesFraction < 0 || yesFraction > 1 {
-		return 0, fmt.Errorf("%w: yesFraction=%v", ErrBadParam, yesFraction)
+		return 0, fmt.Errorf("%w: yesFraction=%v", errBadParam, yesFraction)
 	}
 	if n <= 0 || rounds <= 0 {
-		return 0, fmt.Errorf("%w: n=%d rounds=%d", ErrBadParam, n, rounds)
+		return 0, fmt.Errorf("%w: n=%d rounds=%d", errBadParam, n, rounds)
 	}
 	if rng == nil {
 		rng = seeded.New(rand.Int63())
@@ -381,7 +381,7 @@ func SimulateAccuracyLoss(params Params, yesFraction float64, n, rounds int, rng
 	}
 	actualYes := int(math.Round(yesFraction * float64(n)))
 	if actualYes == 0 {
-		return 0, fmt.Errorf("%w: zero truthful yes answers", ErrBadParam)
+		return 0, fmt.Errorf("%w: zero truthful yes answers", errBadParam)
 	}
 	var total float64
 	for round := 0; round < rounds; round++ {

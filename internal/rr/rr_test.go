@@ -64,11 +64,11 @@ func TestResponseYesProbabilityMatchesEmpirical(t *testing.T) {
 	}
 	gotTrue := float64(yesTrue) / trials
 	gotFalse := float64(yesFalse) / trials
-	if math.Abs(gotTrue-ResponseYesProbability(params, true)) > 0.005 {
-		t.Errorf("Pr[Yes|true] = %v, want %v", gotTrue, ResponseYesProbability(params, true))
+	if math.Abs(gotTrue-responseYesProbability(params, true)) > 0.005 {
+		t.Errorf("Pr[Yes|true] = %v, want %v", gotTrue, responseYesProbability(params, true))
 	}
-	if math.Abs(gotFalse-ResponseYesProbability(params, false)) > 0.005 {
-		t.Errorf("Pr[Yes|false] = %v, want %v", gotFalse, ResponseYesProbability(params, false))
+	if math.Abs(gotFalse-responseYesProbability(params, false)) > 0.005 {
+		t.Errorf("Pr[Yes|false] = %v, want %v", gotFalse, responseYesProbability(params, false))
 	}
 }
 
@@ -108,8 +108,8 @@ func TestEstimateYesExactInversion(t *testing.T) {
 	params := Params{P: 0.3, Q: 0.9}
 	n := 10000
 	actualYes := 2500
-	expectedObserved := float64(actualYes)*ResponseYesProbability(params, true) +
-		float64(n-actualYes)*ResponseYesProbability(params, false)
+	expectedObserved := float64(actualYes)*responseYesProbability(params, true) +
+		float64(n-actualYes)*responseYesProbability(params, false)
 	est, err := EstimateYes(params, int(math.Round(expectedObserved)), n)
 	if err != nil {
 		t.Fatal(err)

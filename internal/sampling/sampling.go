@@ -18,10 +18,10 @@ import (
 
 // Errors returned by the estimators.
 var (
-	ErrEmptySample   = errors.New("sampling: empty sample")
-	ErrBadPopulation = errors.New("sampling: population smaller than sample")
-	ErrBadFraction   = errors.New("sampling: fraction must be in (0, 1]")
-	ErrBadConfidence = errors.New("sampling: confidence must be in (0, 1)")
+	errEmptySample   = errors.New("sampling: empty sample")
+	errBadPopulation = errors.New("sampling: population smaller than sample")
+	errBadFraction   = errors.New("sampling: fraction must be in (0, 1]")
+	errBadConfidence = errors.New("sampling: confidence must be in (0, 1)")
 )
 
 // HashDecider makes deterministic participation decisions from
@@ -37,12 +37,12 @@ type HashDecider struct {
 // participation fraction and seed.
 func NewHashDecider(fraction float64, seed uint64) (*HashDecider, error) {
 	if fraction <= 0 || fraction > 1 || math.IsNaN(fraction) {
-		return nil, fmt.Errorf("%w: %v", ErrBadFraction, fraction)
+		return nil, fmt.Errorf("%w: %v", errBadFraction, fraction)
 	}
 	return &HashDecider{fraction: fraction, seed: seed}, nil
 }
 
-// Uniform maps (clientID, epoch, seed) to a deterministic draw
+// uniform maps (clientID, epoch, seed) to a deterministic draw
 // u ∈ [0, 1) — the coordinate behind Participate. Exposing it lets a
 // shed threshold compose with the per-query fraction on the *same*
 // draw: the participants at effective fraction f·shed are exactly the
@@ -50,7 +50,7 @@ func NewHashDecider(fraction float64, seed uint64) (*HashDecider, error) {
 // tightening shed only removes clients, never swaps one set for
 // another (a nested, deterministic shrink — the property that keeps
 // shedding an SRS over the population).
-func (d *HashDecider) Uniform(clientID string, epoch uint64) float64 {
+func (d *HashDecider) uniform(clientID string, epoch uint64) float64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], d.seed)
@@ -72,7 +72,7 @@ func (d *HashDecider) Uniform(clientID string, epoch uint64) float64 {
 // Participate reports whether the client participates in the epoch. The
 // decision is a pure function of (clientID, epoch, seed).
 func (d *HashDecider) Participate(clientID string, epoch uint64) bool {
-	return d.Uniform(clientID, epoch) < d.fraction
+	return d.uniform(clientID, epoch) < d.fraction
 }
 
 // ParticipateShed is Participate at the effective fraction s·shed,
@@ -82,7 +82,7 @@ func (d *HashDecider) Participate(clientID string, epoch uint64) bool {
 // composes with per-query sampling without disturbing the coin
 // streams of clients that keep participating.
 func (d *HashDecider) ParticipateShed(clientID string, epoch uint64, shed float64) bool {
-	return d.Uniform(clientID, epoch) < d.fraction*shed
+	return d.uniform(clientID, epoch) < d.fraction*shed
 }
 
 // SumEstimate is the approximate sum τ̂ with its error bound (paper
@@ -115,13 +115,13 @@ type SRS struct {
 // NewSRS validates the sample geometry and draws the one critical value.
 func NewSRS(sampleSize, population int, confidence float64) (SRS, error) {
 	if sampleSize <= 0 {
-		return SRS{}, ErrEmptySample
+		return SRS{}, errEmptySample
 	}
 	if population < sampleSize {
-		return SRS{}, fmt.Errorf("%w: U=%d < U'=%d", ErrBadPopulation, population, sampleSize)
+		return SRS{}, fmt.Errorf("%w: U=%d < U'=%d", errBadPopulation, population, sampleSize)
 	}
 	if confidence <= 0 || confidence >= 1 {
-		return SRS{}, fmt.Errorf("%w: %v", ErrBadConfidence, confidence)
+		return SRS{}, fmt.Errorf("%w: %v", errBadConfidence, confidence)
 	}
 	u, uPrime := float64(population), float64(sampleSize)
 	e := SRS{
@@ -174,8 +174,8 @@ func (e *SRS) Count(yes int) (SumEstimate, error) {
 	return e.Sum(float64(yes), variance), nil
 }
 
-// EstimateSum is NewSRS + Sum over a buffered sample.
-func EstimateSum(sample []float64, population int, confidence float64) (SumEstimate, error) {
+// estimateSum is NewSRS + Sum over a buffered sample.
+func estimateSum(sample []float64, population int, confidence float64) (SumEstimate, error) {
 	var acc stats.Running
 	for _, v := range sample {
 		acc.Add(v)

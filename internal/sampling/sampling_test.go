@@ -65,7 +65,7 @@ func TestNewHashDeciderValidation(t *testing.T) {
 
 func TestEstimateSumExactWhenFullySampled(t *testing.T) {
 	sample := []float64{1, 0, 1, 1, 0, 1, 0, 0, 1, 1}
-	est, err := EstimateSum(sample, len(sample), 0.95)
+	est, err := estimateSum(sample, len(sample), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEstimateSumExactWhenFullySampled(t *testing.T) {
 
 func TestEstimateSumScales(t *testing.T) {
 	sample := []float64{2, 2, 2, 2}
-	est, err := EstimateSum(sample, 100, 0.95)
+	est, err := estimateSum(sample, 100, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +97,16 @@ func TestEstimateSumScales(t *testing.T) {
 }
 
 func TestEstimateSumErrors(t *testing.T) {
-	if _, err := EstimateSum(nil, 10, 0.95); err == nil {
+	if _, err := estimateSum(nil, 10, 0.95); err == nil {
 		t.Error("expected error for empty sample")
 	}
-	if _, err := EstimateSum([]float64{1, 2}, 1, 0.95); err == nil {
+	if _, err := estimateSum([]float64{1, 2}, 1, 0.95); err == nil {
 		t.Error("expected error for population < sample")
 	}
-	if _, err := EstimateSum([]float64{1, 2}, 10, 1.5); err == nil {
+	if _, err := estimateSum([]float64{1, 2}, 10, 1.5); err == nil {
 		t.Error("expected error for bad confidence")
 	}
-	est, err := EstimateSum([]float64{3}, 10, 0.95)
+	est, err := estimateSum([]float64{3}, 10, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEstimateSumCoverage(t *testing.T) {
 				sample = append(sample, v)
 			}
 		}
-		est, err := EstimateSum(sample, population, conf)
+		est, err := estimateSum(sample, population, conf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestEstimateSumCoverage(t *testing.T) {
 }
 
 // The closed-form moments behind Count against the same 0/1 sample fed
-// value by value through EstimateSum's Welford loop, from the one-answer
+// value by value through estimateSum's Welford loop, from the one-answer
 // sample (a vacuous +Inf bound) up; the two may differ in the last bits.
 func TestSRSCountMatchesEstimateSum(t *testing.T) {
 	f := func(yesRaw, nRaw uint16) bool {
@@ -176,7 +176,7 @@ func TestSRSCountMatchesEstimateSum(t *testing.T) {
 		for i := 0; i < yes; i++ {
 			sample[i] = 1
 		}
-		fromSum, err := EstimateSum(sample, population, 0.9)
+		fromSum, err := estimateSum(sample, population, 0.9)
 		if err != nil {
 			return false
 		}
@@ -193,13 +193,13 @@ func TestSRSCountMatchesEstimateSum(t *testing.T) {
 }
 
 func TestSRSValidation(t *testing.T) {
-	if _, err := NewSRS(0, 10, 0.95); !errors.Is(err, ErrEmptySample) {
+	if _, err := NewSRS(0, 10, 0.95); !errors.Is(err, errEmptySample) {
 		t.Errorf("empty sample: %v", err)
 	}
-	if _, err := NewSRS(3, 2, 0.95); !errors.Is(err, ErrBadPopulation) {
+	if _, err := NewSRS(3, 2, 0.95); !errors.Is(err, errBadPopulation) {
 		t.Errorf("population below sample: %v", err)
 	}
-	if _, err := NewSRS(3, 10, 1); !errors.Is(err, ErrBadConfidence) {
+	if _, err := NewSRS(3, 10, 1); !errors.Is(err, errBadConfidence) {
 		t.Errorf("confidence 1: %v", err)
 	}
 	srs, err := NewSRS(3, 10, 0.95)

@@ -12,8 +12,8 @@ import (
 	"math"
 )
 
-// ErrInvalidParam reports an out-of-domain distribution parameter.
-var ErrInvalidParam = errors.New("stats: invalid parameter")
+// errInvalidParam reports an out-of-domain distribution parameter.
+var errInvalidParam = errors.New("stats: invalid parameter")
 
 // normalCDF returns the standard normal cumulative distribution function
 // evaluated at x.
@@ -26,7 +26,7 @@ func normalCDF(x float64) float64 {
 // single Halley refinement step, giving ~1e-15 absolute accuracy.
 func NormalQuantile(p float64) (float64, error) {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
-		return 0, ErrInvalidParam
+		return 0, errInvalidParam
 	}
 	// Coefficients for Acklam's approximation.
 	a := [6]float64{
@@ -80,11 +80,11 @@ func lnBeta(a, b float64) float64 {
 	return la + lb - lab
 }
 
-// RegIncBeta returns the regularized incomplete beta function I_x(a, b),
+// regIncBeta returns the regularized incomplete beta function I_x(a, b),
 // computed with the Lentz continued-fraction expansion.
-func RegIncBeta(a, b, x float64) (float64, error) {
+func regIncBeta(a, b, x float64) (float64, error) {
 	if a <= 0 || b <= 0 || x < 0 || x > 1 || math.IsNaN(x) {
-		return 0, ErrInvalidParam
+		return 0, errInvalidParam
 	}
 	if x == 0 {
 		return 0, nil
@@ -155,11 +155,11 @@ func betaContinuedFraction(a, b, x float64) float64 {
 	return h
 }
 
-// StudentTCDF returns the CDF of the Student t distribution with df
+// studentTCDF returns the CDF of the Student t distribution with df
 // degrees of freedom, evaluated at t.
-func StudentTCDF(t, df float64) (float64, error) {
+func studentTCDF(t, df float64) (float64, error) {
 	if df <= 0 {
-		return 0, ErrInvalidParam
+		return 0, errInvalidParam
 	}
 	if math.IsInf(t, 1) {
 		return 1, nil
@@ -168,7 +168,7 @@ func StudentTCDF(t, df float64) (float64, error) {
 		return 0, nil
 	}
 	x := df / (df + t*t)
-	ib, err := RegIncBeta(df/2, 0.5, x)
+	ib, err := regIncBeta(df/2, 0.5, x)
 	if err != nil {
 		return 0, err
 	}
@@ -178,13 +178,13 @@ func StudentTCDF(t, df float64) (float64, error) {
 	return 0.5 * ib, nil
 }
 
-// StudentTQuantile returns the quantile of the Student t distribution with
+// studentTQuantile returns the quantile of the Student t distribution with
 // df degrees of freedom at probability p in (0, 1). For large df it falls
 // back on the normal quantile; otherwise it refines a normal-based initial
 // guess by bisection on the exact CDF.
-func StudentTQuantile(p, df float64) (float64, error) {
+func studentTQuantile(p, df float64) (float64, error) {
 	if p <= 0 || p >= 1 || df <= 0 || math.IsNaN(p) {
-		return 0, ErrInvalidParam
+		return 0, errInvalidParam
 	}
 	if p == 0.5 {
 		return 0, nil
@@ -204,7 +204,7 @@ func StudentTQuantile(p, df float64) (float64, error) {
 	// Bracket the root around the guess, then bisect.
 	lo, hi := guess-2, guess+2
 	for i := 0; i < 64; i++ {
-		c, err := StudentTCDF(lo, df)
+		c, err := studentTCDF(lo, df)
 		if err != nil {
 			return 0, err
 		}
@@ -214,7 +214,7 @@ func StudentTQuantile(p, df float64) (float64, error) {
 		lo -= 4
 	}
 	for i := 0; i < 64; i++ {
-		c, err := StudentTCDF(hi, df)
+		c, err := studentTCDF(hi, df)
 		if err != nil {
 			return 0, err
 		}
@@ -225,7 +225,7 @@ func StudentTQuantile(p, df float64) (float64, error) {
 	}
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		c, err := StudentTCDF(mid, df)
+		c, err := studentTCDF(mid, df)
 		if err != nil {
 			return 0, err
 		}
@@ -246,7 +246,7 @@ func StudentTQuantile(p, df float64) (float64, error) {
 // confidence multiplier.
 func TCritical(alpha float64, df int) (float64, error) {
 	if alpha <= 0 || alpha >= 1 || df < 1 {
-		return 0, ErrInvalidParam
+		return 0, errInvalidParam
 	}
-	return StudentTQuantile(1-alpha/2, float64(df))
+	return studentTQuantile(1-alpha/2, float64(df))
 }

@@ -83,7 +83,7 @@ func TestRegIncBetaKnownValues(t *testing.T) {
 		{1, 5, 0.1, 1 - math.Pow(0.9, 5)}, // I_x(1,b) = 1-(1-x)^b
 	}
 	for _, c := range cases {
-		got, err := RegIncBeta(c.a, c.b, c.x)
+		got, err := regIncBeta(c.a, c.b, c.x)
 		if err != nil {
 			t.Fatalf("RegIncBeta(%v,%v,%v): %v", c.a, c.b, c.x, err)
 		}
@@ -94,13 +94,13 @@ func TestRegIncBetaKnownValues(t *testing.T) {
 }
 
 func TestRegIncBetaBounds(t *testing.T) {
-	if v, _ := RegIncBeta(3, 4, 0); v != 0 {
+	if v, _ := regIncBeta(3, 4, 0); v != 0 {
 		t.Errorf("I_0 = %v, want 0", v)
 	}
-	if v, _ := RegIncBeta(3, 4, 1); v != 1 {
+	if v, _ := regIncBeta(3, 4, 1); v != 1 {
 		t.Errorf("I_1 = %v, want 1", v)
 	}
-	if _, err := RegIncBeta(-1, 1, 0.5); err == nil {
+	if _, err := regIncBeta(-1, 1, 0.5); err == nil {
 		t.Error("expected error for a <= 0")
 	}
 }
@@ -109,8 +109,8 @@ func TestStudentTCDFSymmetry(t *testing.T) {
 	f := func(raw float64, dfRaw uint8) bool {
 		x := math.Mod(math.Abs(raw), 10)
 		df := float64(dfRaw%100) + 1
-		lo, err1 := StudentTCDF(-x, df)
-		hi, err2 := StudentTCDF(x, df)
+		lo, err1 := studentTCDF(-x, df)
+		hi, err2 := studentTCDF(x, df)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -136,7 +136,7 @@ func TestStudentTQuantileTable(t *testing.T) {
 		{1000, 1.96234},
 	}
 	for _, c := range cases {
-		got, err := StudentTQuantile(0.975, c.df)
+		got, err := studentTQuantile(0.975, c.df)
 		if err != nil {
 			t.Fatalf("StudentTQuantile(0.975, %v): %v", c.df, err)
 		}
@@ -147,7 +147,7 @@ func TestStudentTQuantileTable(t *testing.T) {
 }
 
 func TestStudentTQuantileMedianIsZero(t *testing.T) {
-	got, err := StudentTQuantile(0.5, 7)
+	got, err := studentTQuantile(0.5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestStudentTQuantileInvertsCDF(t *testing.T) {
 	f := func(rawP float64, dfRaw uint8) bool {
 		p := math.Mod(math.Abs(rawP), 0.9) + 0.05
 		df := float64(dfRaw%60) + 1
-		x, err := StudentTQuantile(p, df)
+		x, err := studentTQuantile(p, df)
 		if err != nil {
 			return false
 		}
-		c, err := StudentTCDF(x, df)
+		c, err := studentTCDF(x, df)
 		if err != nil {
 			return false
 		}
@@ -176,7 +176,7 @@ func TestStudentTQuantileInvertsCDF(t *testing.T) {
 }
 
 func TestStudentTLargeDFApproachesNormal(t *testing.T) {
-	tq, err := StudentTQuantile(0.975, 2e7)
+	tq, err := studentTQuantile(0.975, 2e7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// Merge folds another accumulator into r (parallel Welford merge), which
+// merge folds another accumulator into r (parallel Welford merge), which
 // lets per-partition statistics combine at the aggregator.
-func (r *Running) Merge(o Running) {
+func (r *Running) merge(o Running) {
 	if o.n == 0 {
 		return
 	}
@@ -101,10 +101,10 @@ func (ci ConfidenceInterval) Contains(v float64) bool {
 	return v >= ci.Lo() && v <= ci.Hi()
 }
 
-// RelativeError returns |estimate-exact| / |exact|, the paper's utility
+// relativeError returns |estimate-exact| / |exact|, the paper's utility
 // metric (accuracy loss), or 0 when exact == 0 and the estimate matches,
 // and +Inf when exact == 0 but the estimate does not.
-func RelativeError(estimate, exact float64) float64 {
+func relativeError(estimate, exact float64) float64 {
 	if exact == 0 {
 		if estimate == 0 {
 			return 0

@@ -64,7 +64,7 @@ func TestRunningMergeMatchesSequential(t *testing.T) {
 		for _, x := range xs[cut:] {
 			right.Add(x)
 		}
-		left.Merge(right)
+		left.merge(right)
 		return left.N() == all.N() &&
 			almostEqual(left.Mean(), all.Mean(), 1e-9) &&
 			almostEqual(left.Variance(), all.Variance(), 1e-7) &&
@@ -80,12 +80,12 @@ func TestRunningMergeEmptySides(t *testing.T) {
 	var a, b Running
 	b.Add(1)
 	b.Add(2)
-	a.Merge(b)
+	a.merge(b)
 	if a.N() != 2 || a.Mean() != 1.5 {
 		t.Error("merge into empty failed")
 	}
 	var empty Running
-	a.Merge(empty)
+	a.merge(empty)
 	if a.N() != 2 {
 		t.Error("merge of empty changed accumulator")
 	}
@@ -105,16 +105,16 @@ func TestConfidenceInterval(t *testing.T) {
 }
 
 func TestRelativeError(t *testing.T) {
-	if got := RelativeError(110, 100); !almostEqual(got, 0.1, 1e-12) {
+	if got := relativeError(110, 100); !almostEqual(got, 0.1, 1e-12) {
 		t.Errorf("RelativeError = %v, want 0.1", got)
 	}
-	if got := RelativeError(90, 100); !almostEqual(got, 0.1, 1e-12) {
+	if got := relativeError(90, 100); !almostEqual(got, 0.1, 1e-12) {
 		t.Errorf("RelativeError = %v, want 0.1", got)
 	}
-	if got := RelativeError(0, 0); got != 0 {
+	if got := relativeError(0, 0); got != 0 {
 		t.Errorf("RelativeError(0,0) = %v, want 0", got)
 	}
-	if got := RelativeError(1, 0); !math.IsInf(got, 1) {
+	if got := relativeError(1, 0); !math.IsInf(got, 1) {
 		t.Errorf("RelativeError(1,0) = %v, want +Inf", got)
 	}
 }

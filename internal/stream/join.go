@@ -8,7 +8,7 @@ import (
 // Errors reported by the share joiner.
 var (
 	ErrJoinArity = errors.New("stream: invalid join arity")
-	ErrDuplicate = errors.New("stream: duplicate share")
+	errDuplicate = errors.New("stream: duplicate share")
 )
 
 // Joined is a completed join group: all n share payloads for one message
@@ -120,7 +120,7 @@ func (j *KeyedShareJoiner[K]) find(key K) (entry uint32, age int) {
 
 // Add folds in one share from the given source stream (0 ≤ source <
 // expect). It returns a non-nil Joined when the group completes, and
-// ErrDuplicate when the key completed within the last generation or two
+// errDuplicate when the key completed within the last generation or two
 // or this source already contributed. The returned group must be handed
 // back via Recycle once its payloads are consumed. A group that
 // completes in the previous generation is remembered in the current one,
@@ -145,11 +145,11 @@ func (j *KeyedShareJoiner[K]) Add(key K, source int, payload []byte) (*Joined[K]
 		return nil, nil
 	}
 	if e == done {
-		return nil, fmt.Errorf("%w: %v", ErrDuplicate, key)
+		return nil, fmt.Errorf("%w: %v", errDuplicate, key)
 	}
 	g := j.groups[e]
 	if g.Payloads[source] != nil {
-		return nil, fmt.Errorf("%w: %v from source %d", ErrDuplicate, key, source)
+		return nil, fmt.Errorf("%w: %v from source %d", errDuplicate, key, source)
 	}
 	if g.filled++; g.filled < j.expect {
 		g.park(source, payload)
@@ -285,7 +285,7 @@ func (j *KeyedShareJoiner[K]) RestorePending(key K, payloads [][]byte, age int) 
 		return fmt.Errorf("%w: %d payloads for %d sources", ErrJoinArity, len(payloads), j.expect)
 	}
 	if _, at := j.find(key); at >= 0 {
-		return fmt.Errorf("%w: %v", ErrDuplicate, key)
+		return fmt.Errorf("%w: %v", errDuplicate, key)
 	}
 	filled := 0
 	for _, p := range payloads {
@@ -328,7 +328,7 @@ func (j *KeyedShareJoiner[K]) CompletedKeys(fn func(key K, age int)) {
 // no joiner ever holds one key twice.
 func (j *KeyedShareJoiner[K]) RestoreCompleted(key K, age int) error {
 	if _, at := j.find(key); at >= 0 {
-		return fmt.Errorf("%w: %v", ErrDuplicate, key)
+		return fmt.Errorf("%w: %v", errDuplicate, key)
 	}
 	j.gens[age][key] = done
 	return nil

@@ -174,7 +174,7 @@ func FuzzShareJoiner(f *testing.F) {
 				payload := bytes.Repeat([]byte{byte(i)}, n)
 				g, err := j.Add(key, source, payload)
 				want, dup := m.add(key, source, payload)
-				if dup != errors.Is(err, ErrDuplicate) || !dup && err != nil {
+				if dup != errors.Is(err, errDuplicate) || !dup && err != nil {
 					t.Fatalf("step %d: Add(%d, %d) = %v, model duplicate %t", i, key[0], source, err, dup)
 				}
 				if (g == nil) != (want == nil) {

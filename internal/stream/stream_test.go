@@ -43,7 +43,7 @@ func TestSlidingAssignerPaperGeometry(t *testing.T) {
 		t.Fatalf("got %d windows, want 10", len(ws))
 	}
 	for i, w := range ws {
-		if !w.Contains(at) {
+		if !w.contains(at) {
 			t.Errorf("window %d %v does not contain event", i, w)
 		}
 		if i > 0 && !ws[i-1].Start.Before(w.Start) {
@@ -86,7 +86,7 @@ func TestSlidingAssignerProperty(t *testing.T) {
 			return false
 		}
 		for _, w := range ws {
-			if !w.Contains(at) {
+			if !w.contains(at) {
 				return false
 			}
 		}
@@ -113,7 +113,7 @@ func TestPanesCoverTheWindowsOfTheirInstants(t *testing.T) {
 		at := origin.Add(time.Duration(tsRaw % int64(time.Hour)))
 		var want []Window
 		for s := origin.Add(-(2*time.Hour/slide + 1) * slide); !s.After(at); s = s.Add(slide) {
-			if w := (Window{Start: s, End: s.Add(size)}); w.Contains(at) {
+			if w := (Window{Start: s, End: s.Add(size)}); w.contains(at) {
 				want = append(want, w)
 			}
 		}
@@ -161,10 +161,10 @@ func TestOriginAlignedWindows(t *testing.T) {
 
 func TestWindowContainsAndString(t *testing.T) {
 	w := Window{Start: time.Unix(0, 0), End: time.Unix(10, 0)}
-	if !w.Contains(time.Unix(0, 0)) || !w.Contains(time.Unix(9, int64(time.Second-1))) {
+	if !w.contains(time.Unix(0, 0)) || !w.contains(time.Unix(9, int64(time.Second-1))) {
 		t.Error("window should contain start and interior")
 	}
-	if w.Contains(time.Unix(10, 0)) {
+	if w.contains(time.Unix(10, 0)) {
 		t.Error("window must exclude its end")
 	}
 	if w.String() == "" {
@@ -184,7 +184,7 @@ func TestShareJoinerCompletesGroups(t *testing.T) {
 		t.Fatalf("second share: %v, %v", g, err)
 	}
 	// A replayed share from an already-contributing source is rejected.
-	if _, err := j.Add("mid1", 0, []byte("dup")); !errors.Is(err, ErrDuplicate) {
+	if _, err := j.Add("mid1", 0, []byte("dup")); !errors.Is(err, errDuplicate) {
 		t.Fatalf("same-source replay: %v", err)
 	}
 	g, err := j.Add("mid1", 2, []byte("c"))
@@ -198,7 +198,7 @@ func TestShareJoinerCompletesGroups(t *testing.T) {
 		t.Errorf("pending = %d", j.PendingCount())
 	}
 	// Replay of a completed key is rejected.
-	if _, err := j.Add("mid1", 1, []byte("x")); !errors.Is(err, ErrDuplicate) {
+	if _, err := j.Add("mid1", 1, []byte("x")); !errors.Is(err, errDuplicate) {
 		t.Errorf("replay: %v", err)
 	}
 	// Source index out of range is an error.
@@ -236,7 +236,7 @@ func TestShareJoinerGenerations(t *testing.T) {
 	j.Add("slow", 0, []byte("s"))
 	j.Rotate()
 	j.Add("fresh", 0, []byte("y"))
-	if _, err := j.Add("done", 0, []byte("replay")); !errors.Is(err, ErrDuplicate) {
+	if _, err := j.Add("done", 0, []byte("replay")); !errors.Is(err, errDuplicate) {
 		t.Errorf("replay one rotation after completion: %v", err)
 	}
 	if g, err := j.Add("slow", 1, []byte("t")); err != nil || g == nil || string(g.Payloads[0]) != "s" {
@@ -245,7 +245,7 @@ func TestShareJoinerGenerations(t *testing.T) {
 	if expired := j.Rotate(); expired != 1 || j.PendingCount() != 1 {
 		t.Errorf("expired=%d pending=%d, want the stale group gone and the fresh one kept", expired, j.PendingCount())
 	}
-	if _, err := j.Add("slow", 0, []byte("replay")); !errors.Is(err, ErrDuplicate) {
+	if _, err := j.Add("slow", 0, []byte("replay")); !errors.Is(err, errDuplicate) {
 		t.Errorf("replay of a key that completed in the current generation: %v", err)
 	}
 	// Two rotations after completion the key is forgotten and can be

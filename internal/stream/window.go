@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// ErrWindow reports invalid window geometry.
-var ErrWindow = errors.New("stream: invalid window")
+// errWindow reports invalid window geometry.
+var errWindow = errors.New("stream: invalid window")
 
 // Window is the half-open event-time interval [Start, End).
 type Window struct {
@@ -21,8 +21,8 @@ type Window struct {
 	End   time.Time
 }
 
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t time.Time) bool {
+// contains reports whether t falls inside the window.
+func (w Window) contains(t time.Time) bool {
 	return !t.Before(w.Start) && t.Before(w.End)
 }
 
@@ -49,10 +49,10 @@ type SlidingAssigner struct {
 // covers exactly its first size of epochs.
 func NewSlidingAssigner(size, slide time.Duration, origin time.Time) (*SlidingAssigner, error) {
 	if size <= 0 || slide <= 0 {
-		return nil, fmt.Errorf("%w: size %v slide %v", ErrWindow, size, slide)
+		return nil, fmt.Errorf("%w: size %v slide %v", errWindow, size, slide)
 	}
 	if slide > size {
-		return nil, fmt.Errorf("%w: slide %v exceeds size %v", ErrWindow, slide, size)
+		return nil, fmt.Errorf("%w: slide %v exceeds size %v", errWindow, slide, size)
 	}
 	a := &SlidingAssigner{size: int64(size), slide: int64(slide), pane: int64(size)}
 	for r := a.slide; r != 0; {

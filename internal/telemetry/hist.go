@@ -67,24 +67,6 @@ func bucketOf(v uint64) int {
 // Name returns the series name.
 func (h *Histogram) Name() string { return h.name }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.shards {
-		n += h.shards[i].count.Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed nanoseconds.
-func (h *Histogram) Sum() int64 {
-	var n int64
-	for i := range h.shards {
-		n += h.shards[i].sum.Load()
-	}
-	return n
-}
-
 // snapshot folds the shards into cumulative bucket counts aligned with
 // Bounds(), plus total count and sum. Reads are atomic per cell but
 // not cross-cell consistent — fine for monitoring, documented for
@@ -107,8 +89,8 @@ func (h *Histogram) snapshot() (cum [histBuckets + 1]int64, count, sum int64) {
 	return cum, count, sum
 }
 
-// Bound returns the upper bound in nanoseconds of finite bucket i.
-func Bound(i int) float64 {
+// bound returns the upper bound in nanoseconds of finite bucket i.
+func bound(i int) float64 {
 	return float64(uint64(1) << (histMinBits + i))
 }
 
@@ -121,7 +103,7 @@ func (h *Histogram) appendSamples(dst []Sample) []Sample {
 		dst = append(dst, Sample{
 			Name:       h.name + "_bucket",
 			LabelKey:   "le",
-			LabelValue: formatBound(Bound(i)),
+			LabelValue: formatBound(bound(i)),
 			Value:      float64(cum[i]),
 			Kind:       KindCounter,
 		})

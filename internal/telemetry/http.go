@@ -71,19 +71,19 @@ func ReadyRoute(check func() error) Route {
 	})}
 }
 
-// Handler returns the introspection endpoint for a registry:
+// handler returns the introspection endpoint for a registry:
 //
 //	/metrics       Prometheus text exposition
 //	/debug/vars    expvar (process globals + the registry under "privapprox")
 //	/debug/pprof/  the standard pprof surface
 //
 // plus any extra routes.
-func Handler(r *Registry, routes ...Route) http.Handler {
+func handler(r *Registry, routes ...Route) http.Handler {
 	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WriteProm(w)
+		r.writeProm(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -112,7 +112,7 @@ func Serve(addr string, r *Registry, routes ...Route) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(r, routes...)}
+	srv := &http.Server{Handler: handler(r, routes...)}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -89,7 +89,6 @@ type Card struct {
 	Shed        JSONFloat `json:"shed"`            // shed threshold at fire (1 = unshed)
 	CIWidth     JSONFloat `json:"ci_width"`        // mean relative CI width; +Inf = unbounded
 	EpsilonZK   JSONFloat `json:"epsilon_zk"`      // privacy budget burned by the window's params
-	Late        int64     `json:"late"`            // late answers attributed to this window; the aggregator attributes none (always 0)
 	Duplicates  int64     `json:"duplicates"`      // aggregator duplicate shares at fire time
 	Malformed   int64     `json:"malformed"`       // aggregator malformed messages at fire time
 
@@ -170,7 +169,7 @@ func (c Card) DeterministicLine() string {
 	b.WriteString(detFloat(float64(c.CIWidth)))
 	b.WriteString(" epsilon_zk=")
 	b.WriteString(detFloat(float64(c.EpsilonZK)))
-	fmt.Fprintf(&b, " late=%d duplicates=%d malformed=%d", c.Late, c.Duplicates, c.Malformed)
+	fmt.Fprintf(&b, " duplicates=%d malformed=%d", c.Duplicates, c.Malformed)
 	return b.String()
 }
 

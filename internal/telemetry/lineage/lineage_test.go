@@ -174,7 +174,7 @@ func TestDeterministicLineExcludesTiming(t *testing.T) {
 	for _, want := range []string{
 		"query=q1", "window=[1000,2000)", "epochs=[1,2]", "responses=5",
 		"population=12", "fraction=0.9", "shed=1", "ci_width=0.25",
-		"epsilon_zk=1.5", "late=0 duplicates=0 malformed=0",
+		"epsilon_zk=1.5", "duplicates=0 malformed=0",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("line %q missing %q", line, want)
@@ -198,10 +198,10 @@ func TestRecorderDedupsReEmission(t *testing.T) {
 	emit(t, r, "q", 2000)
 	emit(t, r, "q", 1000) // replayed window: must be suppressed
 	emit(t, r, "other", 1000)
-	if got := r.Emitted(); got != 3 {
+	if got := r.emitted.Load(); got != 3 {
 		t.Fatalf("emitted = %d, want 3", got)
 	}
-	if got := r.Suppressed(); got != 1 {
+	if got := r.suppressed.Load(); got != 1 {
 		t.Fatalf("suppressed = %d, want 1", got)
 	}
 }
@@ -231,7 +231,7 @@ func TestRecorderLogScanSuppressesAcrossRestart(t *testing.T) {
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.Suppressed(); got != 2 {
+	if got := r2.suppressed.Load(); got != 2 {
 		t.Fatalf("suppressed = %d, want 2", got)
 	}
 	data, err := os.ReadFile(path)
@@ -462,7 +462,7 @@ func TestRecorderConcurrentEmitAndObserve(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := r.Emitted(); got != 800 {
+	if got := r.emitted.Load(); got != 800 {
 		t.Fatalf("emitted = %d, want 800", got)
 	}
 }

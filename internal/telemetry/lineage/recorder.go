@@ -274,12 +274,6 @@ func (r *Recorder) Cards(dst []Card) []Card {
 	return dst
 }
 
-// Emitted returns the number of cards recorded (excluding suppressed).
-func (r *Recorder) Emitted() int64 { return r.emitted.Load() }
-
-// Suppressed returns the number of duplicate cards dropped.
-func (r *Recorder) Suppressed() int64 { return r.suppressed.Load() }
-
 // windowsPage is the /debug/privapprox/windows response body.
 type windowsPage struct {
 	Emitted         int64  `json:"emitted"`

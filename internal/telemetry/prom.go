@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// WriteProm writes the registry's current samples in the Prometheus
+// writeProm writes the registry's current samples in the Prometheus
 // text exposition format (version 0.0.4): one optional # TYPE line per
 // metric name, then `name{label="value"} value` lines. Label values
 // are escaped per the format's rules (backslash, double quote, and
 // newline). Returns the first write error.
-func (r *Registry) WriteProm(w io.Writer) error {
+func (r *Registry) writeProm(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	samples := r.Gather()
 	lastTyped := ""

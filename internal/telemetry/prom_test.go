@@ -35,7 +35,7 @@ func TestWritePromEscapesQueryNames(t *testing.T) {
 		})
 	}))
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.writeProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -66,7 +66,7 @@ func TestWritePromTypeLines(t *testing.T) {
 	}))
 	r.Histogram("c_ns").Observe(300)
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.writeProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

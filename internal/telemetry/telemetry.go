@@ -8,7 +8,7 @@
 // time (a *Histogram or *Tracer field on the component, never a map
 // lookup or string hash per event), and every mutation method —
 // Histogram.Observe, Tracer.Record — performs only atomic arithmetic on
-// preallocated memory: 0 allocs/op, enforced by the repo allocgate. Snapshot-time paths (Gather, WriteProm, Spans)
+// preallocated memory: 0 allocs/op, enforced by the repo allocgate. Snapshot-time paths (Gather, writeProm, Spans)
 // may allocate freely; they run at scrape cadence, not share cadence.
 //
 // The package deliberately imports nothing from the rest of the repo,
@@ -26,7 +26,7 @@ import (
 type Kind uint8
 
 const (
-	KindUntyped Kind = iota
+	kindUntyped Kind = iota
 	KindCounter
 	KindGauge
 )
@@ -117,7 +117,7 @@ func validMetricName(name string) bool {
 }
 
 // RegisterSource adds a snapshot source; its samples appear in every
-// Gather and WriteProm after this call.
+// Gather and writeProm after this call.
 func (r *Registry) RegisterSource(s Source) {
 	if s == nil {
 		return

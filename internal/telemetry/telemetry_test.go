@@ -18,7 +18,7 @@ func TestRegistryInstrumentsIdempotent(t *testing.T) {
 	}
 	h1.Observe(3)
 	h2.Observe(4)
-	if got := h1.Count(); got != 2 {
+	if _, got, _ := h1.snapshot(); got != 2 {
 		t.Fatalf("histogram count = %d, want 2", got)
 	}
 }
@@ -60,11 +60,11 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	h.Observe(300)  // < 512 → bucket 1
 	h.Observe(1000) // < 1024 → bucket 2
 	h.Observe(1 << 50)
-	if got := h.Count(); got != 4 {
+	if _, got, _ := h.snapshot(); got != 4 {
 		t.Fatalf("count = %d, want 4", got)
 	}
 	wantSum := int64(100 + 300 + 1000 + 1<<50)
-	if got := h.Sum(); got != wantSum {
+	if _, _, got := h.snapshot(); got != wantSum {
 		t.Fatalf("sum = %d, want %d", got, wantSum)
 	}
 	cum, count, _ := h.snapshot()
@@ -108,7 +108,7 @@ func TestBucketOfEdges(t *testing.T) {
 // TestConcurrentRegistrationAndSnapshot hammers the registry from
 // three directions at once — new-histogram registration, hot-path
 // writes on every shard and on a counter a source exports, and
-// Gather/WriteProm snapshots — and must be race-clean (the make ci race
+// Gather/writeProm snapshots — and must be race-clean (the make ci race
 // gate runs this package with -race).
 func TestConcurrentRegistrationAndSnapshot(t *testing.T) {
 	r := NewRegistry()
@@ -154,7 +154,7 @@ func TestConcurrentRegistrationAndSnapshot(t *testing.T) {
 		case <-deadline:
 			done = true
 		default:
-			if err := r.WriteProm(&strings.Builder{}); err != nil {
+			if err := r.writeProm(&strings.Builder{}); err != nil {
 				t.Errorf("WriteProm: %v", err)
 				done = true
 			}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -169,16 +171,8 @@ func (t *Tracer) Spans(dst []EpochSpan) []EpochSpan {
 		}
 		dst = append(dst, es)
 	}
-	sortSpans(dst[start:])
+	slices.SortFunc(dst[start:], func(x, y EpochSpan) int { return cmp.Compare(x.Epoch, y.Epoch) })
 	return dst
-}
-
-func sortSpans(spans []EpochSpan) {
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && spans[j-1].Epoch > spans[j].Epoch; j-- {
-			spans[j-1], spans[j] = spans[j], spans[j-1]
-		}
-	}
 }
 
 // AppendSamples exports the cumulative per-stage totals, making the

@@ -11,7 +11,7 @@ import (
 // every acknowledged publish.
 func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 256)
-	for _, pol := range []Policy{PolicyNever, PolicyInterval, PolicyEveryBatch} {
+	for _, pol := range []Policy{PolicyNever, policyInterval, PolicyEveryBatch} {
 		b.Run("policy="+pol.String(), func(b *testing.B) {
 			l, err := Open(b.TempDir(), Options{Policy: pol})
 			if err != nil {

@@ -33,7 +33,7 @@
 // and therefore what an *operating-system* crash can lose:
 //
 //   - PolicyNever: never fsync (fastest; OS crash may lose the tail).
-//   - PolicyInterval: a background goroutine fsyncs every SyncInterval.
+//   - policyInterval: a background goroutine fsyncs every SyncInterval.
 //   - PolicyEveryBatch: fsync before every Append/AppendBatch returns.
 //
 // # Recovery
@@ -66,8 +66,8 @@ import (
 var (
 	ErrClosed    = errors.New("wal: closed")
 	ErrCorrupt   = errors.New("wal: corrupt record")
-	ErrTooLarge  = errors.New("wal: record too large")
-	ErrBadPolicy = errors.New("wal: unknown fsync policy")
+	errTooLarge  = errors.New("wal: record too large")
+	errBadPolicy = errors.New("wal: unknown fsync policy")
 	// ErrOldFormat reports a directory written in the retired
 	// one-frame-per-LSN format (wal-*.seg segments).
 	ErrOldFormat = errors.New("wal: segment in the retired one-frame-per-LSN format")
@@ -80,9 +80,9 @@ const (
 	// PolicyNever performs no fsync; the OS flushes the page cache at
 	// its leisure. Acknowledged records still survive process crashes.
 	PolicyNever Policy = iota
-	// PolicyInterval fsyncs from a background goroutine every
+	// policyInterval fsyncs from a background goroutine every
 	// Options.SyncInterval.
-	PolicyInterval
+	policyInterval
 	// PolicyEveryBatch fsyncs before every Append/AppendBatch returns:
 	// an acknowledged record survives an OS crash.
 	PolicyEveryBatch
@@ -93,7 +93,7 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyNever:
 		return "never"
-	case PolicyInterval:
+	case policyInterval:
 		return "interval"
 	case PolicyEveryBatch:
 		return "every-batch"
@@ -108,11 +108,11 @@ func ParsePolicy(s string) (Policy, error) {
 	case "never", "":
 		return PolicyNever, nil
 	case "interval":
-		return PolicyInterval, nil
+		return policyInterval, nil
 	case "every-batch":
 		return PolicyEveryBatch, nil
 	default:
-		return 0, fmt.Errorf("%w: %q", ErrBadPolicy, s)
+		return 0, fmt.Errorf("%w: %q", errBadPolicy, s)
 	}
 }
 
@@ -125,10 +125,10 @@ type Options struct {
 	SegmentBytes int64
 	// Policy is the fsync policy; see the package comment.
 	Policy Policy
-	// SyncInterval is the PolicyInterval period; 0 defaults to 50ms.
+	// SyncInterval is the policyInterval period; 0 defaults to 50ms.
 	SyncInterval time.Duration
 	// AppendHist/FsyncHist, when non-nil, receive append-call and fsync
-	// latencies (SetLatencyHistograms). Many logs may share one pair —
+	// latencies (setLatencyHistograms). Many logs may share one pair —
 	// a durable fleet's partition logs all feed the same process-level
 	// series.
 	AppendHist *telemetry.Histogram
@@ -196,7 +196,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts}
-	l.SetLatencyHistograms(opts.AppendHist, opts.FsyncHist)
+	l.setLatencyHistograms(opts.AppendHist, opts.FsyncHist)
 	segs, err := l.segments()
 	if err != nil {
 		return nil, err
@@ -227,7 +227,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.segBytes = good
 		l.nextLSN = start + count
 	}
-	if opts.Policy == PolicyInterval {
+	if opts.Policy == policyInterval {
 		l.stopSync = make(chan struct{})
 		l.syncDone = make(chan struct{})
 		go l.syncLoop()
@@ -327,7 +327,7 @@ func (l *Log) append(n int, payloads ...[]byte) (uint64, error) {
 	var total int
 	for _, p := range payloads {
 		if len(p) > maxRecordBytes {
-			return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p))
+			return 0, fmt.Errorf("%w: %d bytes", errTooLarge, len(p))
 		}
 		total += frameHeader + len(p)
 	}
@@ -415,19 +415,6 @@ func (l *Log) takeSyncErrLocked() error {
 	err := l.syncErr
 	l.syncErr = nil
 	return err
-}
-
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.syncSegLocked(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	return nil
 }
 
 func (l *Log) syncLoop() {
@@ -547,8 +534,8 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
-// SegmentCount returns the number of on-disk segments.
-func (l *Log) SegmentCount() (int, error) {
+// segmentCount returns the number of on-disk segments.
+func (l *Log) segmentCount() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	segs, err := l.segments()

@@ -118,7 +118,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := l.SegmentCount()
+	n, err := l.segmentCount()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +359,14 @@ func TestTruncateFrontDropsSealedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := l.SegmentCount()
+	before, _ := l.segmentCount()
 	if before < 3 {
 		t.Fatalf("need ≥ 3 segments, got %d", before)
 	}
 	if err := l.TruncateFront(l.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := l.SegmentCount()
+	after, _ := l.segmentCount()
 	if after >= before {
 		t.Fatalf("TruncateFront dropped nothing: %d → %d segments", before, after)
 	}
@@ -383,7 +383,7 @@ func TestTruncateFrontDropsSealedSegments(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{"never": PolicyNever, "": PolicyNever, "interval": PolicyInterval, "every-batch": PolicyEveryBatch}
+	cases := map[string]Policy{"never": PolicyNever, "": PolicyNever, "interval": policyInterval, "every-batch": PolicyEveryBatch}
 	for s, want := range cases {
 		got, err := ParsePolicy(s)
 		if err != nil || got != want {
@@ -393,13 +393,13 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("Policy(%v).String() = %q, want %q", got, got.String(), s)
 		}
 	}
-	if _, err := ParsePolicy("sometimes"); !errors.Is(err, ErrBadPolicy) {
+	if _, err := ParsePolicy("sometimes"); !errors.Is(err, errBadPolicy) {
 		t.Fatalf("ParsePolicy(sometimes) = %v, want ErrBadPolicy", err)
 	}
 }
 
 func TestFsyncPolicies(t *testing.T) {
-	for _, pol := range []Policy{PolicyNever, PolicyInterval, PolicyEveryBatch} {
+	for _, pol := range []Policy{PolicyNever, policyInterval, PolicyEveryBatch} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir, Options{Policy: pol, SyncInterval: 5 * time.Millisecond})
@@ -414,7 +414,7 @@ func TestFsyncPolicies(t *testing.T) {
 			if _, err := l.AppendBatch([][]byte{[]byte("q"), []byte("r")}); err != nil {
 				t.Fatal(err)
 			}
-			if pol == PolicyInterval {
+			if pol == policyInterval {
 				time.Sleep(20 * time.Millisecond) // let the background sync tick
 			}
 			if err := l.Close(); err != nil {

@@ -89,13 +89,13 @@ const (
 	elecSpikeProb = 0.15
 	elecSpikeMax  = 1.5
 	elecNoise     = 0.08
-	// ElectricityMaxKWh caps a 30-minute reading.
-	ElectricityMaxKWh = 3.0
+	// electricityMaxKWh caps a 30-minute reading.
+	electricityMaxKWh = 3.0
 )
 
-// ElectricityUsage draws one 30-minute consumption reading for the given
+// electricityUsage draws one 30-minute consumption reading for the given
 // local hour of day (0–23).
-func ElectricityUsage(rng *rand.Rand, hour int) float64 {
+func electricityUsage(rng *rand.Rand, hour int) float64 {
 	// Peak in the evening (~19:00), trough at night (~04:00).
 	phase := 2 * math.Pi * (float64(hour) - 19) / 24
 	v := elecBase + elecDayAmp*(0.5+0.5*math.Cos(phase))
@@ -106,22 +106,22 @@ func ElectricityUsage(rng *rand.Rand, hour int) float64 {
 	if v < 0 {
 		v = 0
 	}
-	if v >= ElectricityMaxKWh {
-		v = ElectricityMaxKWh - 1e-9
+	if v >= electricityMaxKWh {
+		v = electricityMaxKWh - 1e-9
 	}
 	return v
 }
 
-// ElectricityBuckets returns the paper's six buckets: [0,0.5), [0.5,1),
+// electricityBuckets returns the paper's six buckets: [0,0.5), [0.5,1),
 // …, [2.5,3).
-func ElectricityBuckets() (query.Buckets, error) {
-	return query.UniformRanges(0, ElectricityMaxKWh, 6, false)
+func electricityBuckets() (query.Buckets, error) {
+	return query.UniformRanges(0, electricityMaxKWh, 6, false)
 }
 
 // ElectricityQuery builds the case study query on electricity usage
 // over the past 30 minutes.
 func ElectricityQuery(analyst string, serial uint64, freq, window, slide time.Duration) (*query.Query, error) {
-	buckets, err := ElectricityBuckets()
+	buckets, err := electricityBuckets()
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func PopulateElectricity(db *minisql.DB, rng *rand.Rand, readings int, start tim
 		ts := start.Add(time.Duration(i) * 30 * time.Minute)
 		row := []minisql.Value{
 			minisql.Number(float64(ts.Unix())),
-			minisql.Number(ElectricityUsage(rng, ts.Hour())),
+			minisql.Number(electricityUsage(rng, ts.Hour())),
 		}
 		if err := db.Insert("consumption", row); err != nil {
 			return err
@@ -154,9 +154,9 @@ func PopulateElectricity(db *minisql.DB, rng *rand.Rand, readings int, start tim
 	return nil
 }
 
-// TrueDistribution computes the exact bucket histogram of a population
+// trueDistribution computes the exact bucket histogram of a population
 // of values — the ground truth experiments compare estimates against.
-func TrueDistribution(buckets query.Buckets, values []float64) []int {
+func trueDistribution(buckets query.Buckets, values []float64) []int {
 	counts := make([]int, len(buckets))
 	for _, v := range values {
 		if idx := buckets.Index(fmt.Sprintf("%g", v)); idx >= 0 {
@@ -166,9 +166,9 @@ func TrueDistribution(buckets query.Buckets, values []float64) []int {
 	return counts
 }
 
-// YesFractionPopulation synthesizes the microbenchmark population used
+// yesFractionPopulation synthesizes the microbenchmark population used
 // throughout §6: n binary answers of which fraction are truthful "Yes".
-func YesFractionPopulation(n int, fraction float64) []bool {
+func yesFractionPopulation(n int, fraction float64) []bool {
 	out := make([]bool, n)
 	yes := int(math.Round(fraction * float64(n)))
 	for i := 0; i < yes && i < n; i++ {

@@ -68,9 +68,9 @@ func TestElectricityUsageShape(t *testing.T) {
 	const n = 20000
 	var evening, night float64
 	for i := 0; i < n; i++ {
-		e := ElectricityUsage(rng, 19)
-		v := ElectricityUsage(rng, 4)
-		if e < 0 || e >= ElectricityMaxKWh || v < 0 || v >= ElectricityMaxKWh {
+		e := electricityUsage(rng, 19)
+		v := electricityUsage(rng, 4)
+		if e < 0 || e >= electricityMaxKWh || v < 0 || v >= electricityMaxKWh {
 			t.Fatalf("usage out of range: %v %v", e, v)
 		}
 		evening += e
@@ -82,7 +82,7 @@ func TestElectricityUsageShape(t *testing.T) {
 }
 
 func TestElectricityBucketsAndQuery(t *testing.T) {
-	buckets, err := ElectricityBuckets()
+	buckets, err := electricityBuckets()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestPopulateElectricity(t *testing.T) {
 
 func TestTrueDistribution(t *testing.T) {
 	buckets, _ := TaxiBuckets()
-	counts := TrueDistribution(buckets, []float64{0.5, 1.5, 1.7, 25})
+	counts := trueDistribution(buckets, []float64{0.5, 1.5, 1.7, 25})
 	if counts[0] != 1 || counts[1] != 2 || counts[10] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
 }
 
 func TestYesFractionPopulation(t *testing.T) {
-	pop := YesFractionPopulation(10, 0.6)
+	pop := yesFractionPopulation(10, 0.6)
 	yes := 0
 	for _, b := range pop {
 		if b {
@@ -129,7 +129,7 @@ func TestYesFractionPopulation(t *testing.T) {
 	if yes != 6 {
 		t.Errorf("yes = %d, want 6", yes)
 	}
-	if len(YesFractionPopulation(0, 0.5)) != 0 {
+	if len(yesFractionPopulation(0, 0.5)) != 0 {
 		t.Error("empty population mishandled")
 	}
 }

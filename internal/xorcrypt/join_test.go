@@ -51,13 +51,13 @@ func TestJoinColumnsGolden(t *testing.T) {
 // TestJoinColumnsIntoValidation: the join demands ≥2 lanes of equal
 // nonzero length and writes into dst's capacity.
 func TestJoinColumnsIntoValidation(t *testing.T) {
-	if _, err := JoinColumnsInto(nil, [][]byte{{1}}); !errors.Is(err, ErrShareCount) {
+	if _, err := JoinColumnsInto(nil, [][]byte{{1}}); !errors.Is(err, errShareCount) {
 		t.Fatalf("one lane: %v", err)
 	}
-	if _, err := JoinColumnsInto(nil, [][]byte{{}, {}}); !errors.Is(err, ErrShapes) {
+	if _, err := JoinColumnsInto(nil, [][]byte{{}, {}}); !errors.Is(err, errShapes) {
 		t.Fatalf("empty lanes: %v", err)
 	}
-	if _, err := JoinColumnsInto(nil, [][]byte{{1, 2}, {3}}); !errors.Is(err, ErrShapes) {
+	if _, err := JoinColumnsInto(nil, [][]byte{{1, 2}, {3}}); !errors.Is(err, errShapes) {
 		t.Fatalf("ragged lanes: %v", err)
 	}
 	dst := make([]byte, 0, 16)

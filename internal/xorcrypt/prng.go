@@ -5,7 +5,7 @@
 // identifier MID. Any n−1 shares are information-theoretically
 // independent of M; the aggregator recovers M by XOR-ing all n shares,
 // never needing to know which one was the ciphertext. The key shares
-// come from one keystream, AES-128-CTR (NewAESPRNG).
+// come from one keystream, AES-128-CTR (newAESPRNG).
 package xorcrypt
 
 import (
@@ -17,8 +17,8 @@ import (
 	"io"
 )
 
-// ErrPRNG reports keystream generator failures.
-var ErrPRNG = errors.New("xorcrypt: prng failure")
+// errPRNG reports keystream generator failures.
+var errPRNG = errors.New("xorcrypt: prng failure")
 
 // PRNG produces cryptographically strong pseudo-random key shares. The
 // paper requires "a cryptographic pseudo-random number generator seeded
@@ -33,26 +33,26 @@ type aesPRNG struct {
 	stream cipher.Stream
 }
 
-// NewAESPRNG seeds an AES-CTR generator. A nil seed draws 32 bytes from
+// newAESPRNG seeds an AES-CTR generator. A nil seed draws 32 bytes from
 // crypto/rand; otherwise the seed must be at least 16 bytes (first 16
 // become the key, next up to 16 the IV) — deterministic seeding is only
 // meant for tests and benchmarks.
-func NewAESPRNG(seed []byte) (PRNG, error) {
+func newAESPRNG(seed []byte) (PRNG, error) {
 	if seed == nil {
 		seed = make([]byte, 32)
 		if _, err := io.ReadFull(rand.Reader, seed); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrPRNG, err)
+			return nil, fmt.Errorf("%w: %v", errPRNG, err)
 		}
 	}
 	if len(seed) < aes.BlockSize {
-		return nil, fmt.Errorf("%w: seed must be ≥ %d bytes", ErrPRNG, aes.BlockSize)
+		return nil, fmt.Errorf("%w: seed must be ≥ %d bytes", errPRNG, aes.BlockSize)
 	}
 	key := seed[:16]
 	iv := make([]byte, aes.BlockSize)
 	copy(iv, seed[16:])
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPRNG, err)
+		return nil, fmt.Errorf("%w: %v", errPRNG, err)
 	}
 	return &aesPRNG{stream: cipher.NewCTR(block, iv)}, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // Errors reported by the splitter and joiner.
 var (
-	ErrShareCount = errors.New("xorcrypt: invalid share count")
-	ErrShapes     = errors.New("xorcrypt: mismatched share shapes")
+	errShareCount = errors.New("xorcrypt: invalid share count")
+	errShapes     = errors.New("xorcrypt: mismatched share shapes")
 )
 
 // MIDSize is the byte length of a message identifier.
@@ -63,10 +63,10 @@ type Splitter struct {
 // never from the key-share stream, and never one OS read per message.
 func NewSplitter(n int, prng PRNG, midSrc io.Reader) (*Splitter, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("%w: need ≥ 2 proxies, got %d", ErrShareCount, n)
+		return nil, fmt.Errorf("%w: need ≥ 2 proxies, got %d", errShareCount, n)
 	}
 	if prng == nil {
-		p, err := NewAESPRNG(nil)
+		p, err := newAESPRNG(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func NewSplitter(n int, prng PRNG, midSrc io.Reader) (*Splitter, error) {
 	s := &Splitter{n: n, prng: prng, midSrc: midSrc}
 	s.midOff = len(s.midBuf)
 	if midSrc == nil {
-		p, err := NewAESPRNG(nil)
+		p, err := newAESPRNG(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +151,7 @@ func (sc *SplitScratch) grow(n, size int) []Share {
 // between the message and the shares or between shares.
 func (s *Splitter) SplitInto(message []byte, scratch *SplitScratch) ([]Share, error) {
 	if len(message) == 0 {
-		return nil, fmt.Errorf("%w: empty message", ErrShapes)
+		return nil, fmt.Errorf("%w: empty message", errShapes)
 	}
 	mid, err := s.nextMID()
 	if err != nil {
@@ -184,12 +184,12 @@ func Join(shares []Share) ([]byte, error) {
 // buffer. It returns the plaintext slice, which aliases dst's storage.
 func JoinInto(dst []byte, shares []Share) ([]byte, error) {
 	if len(shares) < 2 {
-		return nil, fmt.Errorf("%w: got %d shares", ErrShareCount, len(shares))
+		return nil, fmt.Errorf("%w: got %d shares", errShareCount, len(shares))
 	}
 	mid := shares[0].MID
 	for _, sh := range shares[1:] {
 		if sh.MID != mid {
-			return nil, fmt.Errorf("%w: MID %s vs %s", ErrShapes, sh.MID, mid)
+			return nil, fmt.Errorf("%w: MID %s vs %s", errShapes, sh.MID, mid)
 		}
 	}
 	pp := payloadPool.Get().(*[][]byte)
@@ -214,16 +214,16 @@ func JoinInto(dst []byte, shares []Share) ([]byte, error) {
 // every message in it.
 func JoinColumnsInto(dst []byte, lanes [][]byte) ([]byte, error) {
 	if len(lanes) < 2 {
-		return nil, fmt.Errorf("%w: got %d share lanes", ErrShareCount, len(lanes))
+		return nil, fmt.Errorf("%w: got %d share lanes", errShareCount, len(lanes))
 	}
 	span := len(lanes[0])
 	if span == 0 {
-		return nil, fmt.Errorf("%w: empty share lane", ErrShapes)
+		return nil, fmt.Errorf("%w: empty share lane", errShapes)
 	}
 	dst = append(dst[:0], lanes[0]...)
 	for _, l := range lanes[1:] {
 		if len(l) != span {
-			return nil, fmt.Errorf("%w: lane %d vs %d bytes", ErrShapes, len(l), span)
+			return nil, fmt.Errorf("%w: lane %d vs %d bytes", errShapes, len(l), span)
 		}
 		xorInto(dst, l)
 	}

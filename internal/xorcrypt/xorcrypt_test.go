@@ -207,11 +207,11 @@ func TestMIDString(t *testing.T) {
 
 func TestPRNGDeterministicWithSeed(t *testing.T) {
 	seed := bytes.Repeat([]byte{7}, 32)
-	a, err := NewAESPRNG(seed)
+	a, err := newAESPRNG(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewAESPRNG(seed)
+	b, err := newAESPRNG(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +236,13 @@ func TestPRNGDeterministicWithSeed(t *testing.T) {
 }
 
 func TestPRNGSeedValidation(t *testing.T) {
-	if _, err := NewAESPRNG([]byte{1, 2, 3}); err == nil {
+	if _, err := newAESPRNG([]byte{1, 2, 3}); err == nil {
 		t.Error("expected error for short AES seed")
 	}
 }
 
 func TestPRNGStatisticalSanity(t *testing.T) {
-	p, err := NewAESPRNG(nil)
+	p, err := newAESPRNG(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPRNGStatisticalSanity(t *testing.T) {
 
 func TestAESPRNGSpansBlocks(t *testing.T) {
 	seed := []byte("a sixteen-byte seed")
-	p, err := NewAESPRNG(seed)
+	p, err := newAESPRNG(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAESPRNGSpansBlocks(t *testing.T) {
 	if err := p.Fill(whole); err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := NewAESPRNG(seed)
+	p2, _ := newAESPRNG(seed)
 	pieces := make([]byte, 0, 100)
 	for _, sz := range []int{1, 15, 16, 17, 51} {
 		chunk := make([]byte, sz)

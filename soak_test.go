@@ -109,7 +109,7 @@ func soakFlatHeap(t *testing.T, dataDir string) {
 	perAnswer := float64(garbage) / float64(decoded[epochs]-decoded[epochs/2])
 
 	st := sys.Aggregator().Stats()
-	if st.Decoded < clients*epochs/2 || st.Dropped() != 0 || st.Swept != 0 {
+	if st.Decoded < clients*epochs/2 || st.Malformed+st.Duplicates+st.Late+st.UnknownQuery+st.LengthMismatch != 0 || st.Swept != 0 {
 		t.Fatalf("soak run lost answers: %+v", st)
 	}
 	if err := sys.Conserve(); err != nil {

@@ -10,6 +10,15 @@
 // function that appears in none of them, with its line count, and the
 // totals.
 //
+// It then prints the exported identifiers of internal/ that no Go file
+// outside their package names, and their count: a top-level name that
+// no other package's file (root, cmd/, examples/, tools/, bench/, paper/,
+// and the tests of other packages included) selects through its import,
+// and a method whose name no such file selects or any file declares in
+// an interface. Names are matched, not resolved, so a method that shares
+// its name with one used elsewhere counts as named: that list is a lower
+// bound too.
+//
 // Run it from the repository root:
 //
 //	go run tools/unlinked.go
@@ -101,6 +110,137 @@ func main() {
 	}
 	fmt.Printf("%d of %d functions in internal/ are linked by no binary (%d built), %d lines\n",
 		len(dead), total, n, lines)
+
+	unnamed := exportedUnnamed()
+	for _, name := range unnamed {
+		fmt.Printf("       %s\n", name)
+	}
+	fmt.Printf("%d exported identifiers in internal/ are named by no file outside their package\n", len(unnamed))
+}
+
+// stdMethods are method names that satisfy an interface of the standard
+// library, which no file of the repository declares.
+var stdMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true, "Format": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalBinary": true, "UnmarshalBinary": true,
+	"MarshalText": true, "UnmarshalText": true, "ServeHTTP": true,
+	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true,
+	"Seed": true, "Int63": true, "Uint64": true,
+}
+
+// exportedUnnamed returns, sorted, the exported top-level identifiers
+// (path.Name) and methods (path.Type.Method) declared in the non-test
+// files of internal/ that no file outside their package names.
+func exportedUnnamed() []string {
+	type pkgID struct{ dir, name string } // a directory's package, or its external tests
+	type decl struct {
+		pkg              pkgID
+		path, recv, name string // recv is empty for a top-level name
+	}
+	var decls []decl
+	selected := map[string]map[pkgID]bool{} // selector name → packages using it
+	imported := map[string]bool{}           // import path + "." + name selected through it
+	inIface := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(file string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if file != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		id := pkgID{filepath.Dir(file), f.Name.Name}
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			path := strings.Trim(im.Path.Value, `"`)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if selected[x.Sel.Name] == nil {
+					selected[x.Sel.Name] = map[pkgID]bool{}
+				}
+				selected[x.Sel.Name][id] = true
+				if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+					imported[imports[pkg.Name]+"."+x.Sel.Name] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range x.Methods.List {
+					for _, name := range m.Names {
+						inIface[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		if !strings.HasPrefix(file, "internal"+string(filepath.Separator)) || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		path := "privapprox/" + filepath.ToSlash(filepath.Dir(file))
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					decls = append(decls, decl{id, path, "", d.Name.Name})
+				} else if len(d.Recv.List) > 0 {
+					decls = append(decls, decl{id, path, recvName(d.Recv.List[0].Type), d.Name.Name})
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							decls = append(decls, decl{id, path, "", s.Name.Name})
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							if name.IsExported() {
+								decls = append(decls, decl{id, path, "", name.Name})
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	check(err)
+	var out []string
+	for _, d := range decls {
+		if d.recv == "" {
+			if !imported[d.path+"."+d.name] {
+				out = append(out, strings.TrimPrefix(d.path, "privapprox/")+"."+d.name)
+			}
+			continue
+		}
+		named := inIface[d.name] || stdMethods[d.name]
+		for id := range selected[d.name] {
+			named = named || id != d.pkg
+		}
+		if !named {
+			out = append(out, strings.TrimPrefix(d.path, "privapprox/")+"."+d.recv+"."+d.name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // symbols returns the text symbols of a binary, normalised to
